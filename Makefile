@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet lint test race fault fuzz-smoke bench-smoke bench-json bench-check bench-scaling docs-check
+.PHONY: verify build vet lint test race fault fuzz-smoke bench-smoke bench-json bench-check bench-e2e bench-scaling docs-check
 
 # verify is the tier-1 gate: vet, lint, build, full tests, and a 1-iteration
 # benchmark smoke so perf-critical paths cannot silently rot.
@@ -74,6 +74,15 @@ bench-json:
 # land in bench-fresh.json, which CI uploads as a workflow artifact.
 bench-check:
 	$(GO) run ./cmd/kfbench -check BENCH_10.json -prior BENCH_5.json -checkjson bench-fresh.json
+
+# bench-e2e runs the end-to-end benchmark (benchmark/README.md): one feed
+# from seed 42, four workloads from feed bytes to served posterior in fresh
+# child processes — every output checked and digested — then the same
+# suite traced for the per-layer table. Results land in benchmark/out/
+# (git-ignored); compare two builds' result files with
+# `go run ./benchmark -compare`.
+bench-e2e:
+	$(GO) run ./benchmark -seed 42 -trace 1
 
 # bench-scaling mirrors the CI bench-scaling/scaling-check jobs locally: one
 # kfbench -scaling cell per GOMAXPROCS value, then the speedup gate — on a

@@ -268,7 +268,7 @@ func shardedFuse(in string, xs []extract.Extraction, appendM bool, chunk, k int,
 			log.Fatal(err)
 		}
 		var prev *fusion.Result
-		n := streamChunks(in, chunk, 0, func(batch []extract.Extraction) error {
+		n := streamChunks(in, chunk, 0, false, func(batch []extract.Extraction) error {
 			t0 := time.Now()
 			if err := f.Append(batch); err != nil {
 				return err
@@ -339,7 +339,7 @@ func shardedFuse(in string, xs []extract.Extraction, appendM bool, chunk, k int,
 		return gs
 	}
 	fused := false
-	streamChunks(in, chunk, shard.Consumed(states), func(batch []extract.Extraction) error {
+	streamChunks(in, chunk, shard.Consumed(states), true, func(batch []extract.Extraction) error {
 		t0 := time.Now()
 		if err := stores.Append(states, batch); err != nil {
 			return err
@@ -419,7 +419,7 @@ func shardedTwoLayer(in string, xs []extract.Extraction, appendM bool, chunk, k 
 	}
 	var res *fusion.Result
 	var warm *twolayer.State
-	n := streamChunks(in, chunk, 0, func(batch []extract.Extraction) error {
+	n := streamChunks(in, chunk, 0, false, func(batch []extract.Extraction) error {
 		t0 := time.Now()
 		tl.Append(batch)
 		r, st, err := tl.FuseWarm(cfg, warm)
@@ -439,13 +439,18 @@ func shardedTwoLayer(in string, xs []extract.Extraction, appendM bool, chunk, k 
 	return res, n
 }
 
-// streamChunks reads the feed in chunk-sized batches, skipping the first
-// skip records (already consumed by a resumed state), and hands each
-// complete batch to fn. A partial final line — a producer appending right
-// now — ends the run cleanly after the last complete chunk, deferring the
-// incomplete chunk's records to the next run so re-chunking stays identical.
-// It returns the total records consumed including the skipped prefix.
-func streamChunks(in string, chunk, skip int, fn func([]extract.Extraction) error) int {
+// streamChunks is the one chunked-feed loop: it reads the feed in
+// chunk-sized batches, skipping the first skip records (already consumed by
+// a resumed state), and hands each batch to fn. A partial final line — a
+// producer appending right now — ends the run cleanly. What happens to the
+// complete records before it depends on durability: a durable chain defers
+// them to the next run rather than applying a short batch (warm-start fusion
+// is sensitive to batch boundaries, so keeping the consumed count
+// chunk-aligned is what makes a resumed chain byte-identical to one that
+// read the finished feed in one go); an in-memory run has no next run to
+// defer to and fuses them. It returns the total records consumed including
+// the skipped prefix.
+func streamChunks(in string, chunk, skip int, durable bool, fn func([]extract.Extraction) error) int {
 	f, err := os.Open(in)
 	if err != nil {
 		log.Fatal(err)
@@ -465,19 +470,20 @@ func streamChunks(in string, chunk, skip int, fn func([]extract.Extraction) erro
 		if rerr != nil && !errors.Is(rerr, io.EOF) && !isPartial {
 			log.Fatal(rerr)
 		}
+		deferring := isPartial && durable && len(batch) > 0
+		if len(batch) > 0 && !deferring {
+			if err := fn(batch); err != nil {
+				log.Fatal(err)
+			}
+			consumed += len(batch)
+		}
 		if isPartial {
-			if len(batch) > 0 {
+			if deferring {
 				log.Printf("feed ends mid-record at byte %d; deferring %d complete records so the next run re-chunks them identically",
 					partial.Offset, len(batch))
 			}
 			log.Printf("stopping after %d complete records (rerun to pick up the rest)", consumed)
 			return consumed
-		}
-		if len(batch) > 0 {
-			if err := fn(batch); err != nil {
-				log.Fatal(err)
-			}
-			consumed += len(batch)
 		}
 		if errors.Is(rerr, io.EOF) {
 			return consumed
@@ -573,19 +579,14 @@ func appendTwoLayer(in string, chunk int, cfg twolayer.Config, quiet bool, state
 	return runAppend(in, chunk, stateDir, apply, check, progress)
 }
 
-// runAppend is the shared chunked-append loop. With stateDir it opens (or
+// runAppend is the shared unsharded append chain. With stateDir it opens (or
 // resumes) a generation store, reports any recovery degradations, skips the
 // feed records the recovered state already consumed, and journals each new
-// batch before applying; without it the apply chain runs in memory only. A
-// partial final line (a producer appending right now) ends the run cleanly.
-// In a durable chain the incomplete chunk's records are deferred to the next
-// run rather than applied as a short batch: warm-start fusion is sensitive to
-// batch boundaries, so keeping Consumed chunk-aligned is what makes a resumed
-// chain byte-identical to one that read the finished feed in one go.
+// batch before applying; without it the apply chain runs in memory only.
 func runAppend(in string, chunk int, stateDir string, apply genstore.ApplyFunc,
 	check func(*genstore.State), progress func(*genstore.State, int, time.Duration)) (*fusion.Result, int) {
 	var store *genstore.Store
-	var st *genstore.State
+	st := &genstore.State{}
 	if stateDir != "" {
 		var err error
 		store, st, err = genstore.Open(stateDir, apply)
@@ -597,57 +598,23 @@ func runAppend(in string, chunk int, stateDir string, apply genstore.ApplyFunc,
 			log.Printf("state recovery: %s", d)
 		}
 		check(st)
-	} else {
-		st = &genstore.State{}
 	}
-
-	f, err := os.Open(in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	r := kfio.NewExtractionReader(f)
-	for i := 0; i < st.Consumed; i++ {
-		if _, err := r.Next(); err != nil {
-			log.Fatalf("state has consumed %d records but the feed ends after %d: %v", st.Consumed, i, err)
-		}
-	}
-
-	for {
-		batch, rerr := r.ReadBatch(chunk)
-		var partial *kfio.ErrPartialLine
-		isPartial := errors.As(rerr, &partial)
-		if rerr != nil && !errors.Is(rerr, io.EOF) && !isPartial {
-			log.Fatal(rerr)
-		}
-		deferring := isPartial && store != nil && len(batch) > 0
-		if len(batch) > 0 && !deferring {
-			t0 := time.Now()
-			if store != nil {
-				if err := store.Append(st, batch); err != nil {
-					log.Fatal(err)
-				}
-			} else {
-				if err := apply(st, batch); err != nil {
-					log.Fatal(err)
-				}
-				st.Batches++
-				st.Consumed += len(batch)
+	streamChunks(in, chunk, st.Consumed, store != nil, func(batch []extract.Extraction) error {
+		t0 := time.Now()
+		if store != nil {
+			if err := store.Append(st, batch); err != nil {
+				return err
 			}
-			progress(st, len(batch), time.Since(t0))
-		}
-		if isPartial {
-			if deferring {
-				log.Printf("feed ends mid-record at byte %d; deferring %d complete records so the next run re-chunks them identically",
-					partial.Offset, len(batch))
+		} else {
+			if err := apply(st, batch); err != nil {
+				return err
 			}
-			log.Printf("stopping after %d complete records (rerun to pick up the rest)", st.Consumed)
-			break
+			st.Batches++
+			st.Consumed += len(batch)
 		}
-		if errors.Is(rerr, io.EOF) {
-			break
-		}
-	}
+		progress(st, len(batch), time.Since(t0))
+		return nil
+	})
 	if store != nil {
 		if err := store.Snapshot(st); err != nil {
 			log.Fatal(err)

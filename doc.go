@@ -102,11 +102,13 @@
 //     extractions route to shards by DataItem hash (ShardOf), each shard
 //     owns a self-contained compiled graph built in bounded memory, and a
 //     coordinator (NewShardedFusion, NewShardedTwoLayer, FuseSharded)
-//     drives per-shard EM in lockstep, folding cross-shard M-step partials
-//     with the same fixed pairwise tree as the in-graph block reductions.
-//     K=1 is bit-identical to the unsharded engines; K>1 agrees within the
-//     documented tolerance (pinned by shard-count-independence property
-//     tests). OpenShardStores nests one genstore per shard for durable
+//     hands the K graphs and its cross-shard ID tables to the engine's one
+//     EM round driver — the same loop Fuse and FuseTwoLayer run over a
+//     single graph — which steps the shards in lockstep, folding
+//     cross-shard M-step partials with the same fixed pairwise tree as the
+//     in-graph block reductions. K=1 is therefore the same code as the
+//     unsharded engines (bit-identical); K>1 agrees within the documented
+//     tolerance (pinned by shard-count-independence property tests). OpenShardStores nests one genstore per shard for durable
 //     sharded runs (`kfuse -shards K -state DIR`), and `kfbench -sharded`
 //     records a 10M+ claim web-scale fusion into the bench baseline.
 //

@@ -599,6 +599,12 @@ func (g *Compiled) SourceKey(s int32) string { return g.sources[s] }
 // ExtractorName returns the name of an extractor ID.
 func (g *Compiled) ExtractorName(e int32) string { return g.extractors[e] }
 
+// SourceKeys and ExtractorNames expose the dense ID -> key slices themselves
+// (read-only views, not copies) — what a one-graph two-layer run uses as its
+// identity ID tables.
+func (g *Compiled) SourceKeys() []string     { return g.sources }
+func (g *Compiled) ExtractorNames() []string { return g.extractors }
+
 // Triple returns the triple with the given triple ID.
 func (g *Compiled) Triple(t int32) kb.Triple { return g.triples[t] }
 

@@ -6,7 +6,6 @@ import (
 
 	"kfusion/internal/csr"
 	"kfusion/internal/kb"
-	"kfusion/internal/mapreduce"
 	"kfusion/internal/mathx"
 	"kfusion/internal/randx"
 )
@@ -25,8 +24,10 @@ import (
 //   - Stage III reads the per-triple support counts interned at compile
 //     time and attaches the final round's probabilities.
 //
-// The per-round inner loop allocates nothing; rounds reuse the same graph
-// and buffers. Results are deterministic for a fixed input order and
+// The passes are sequenced by the round driver (FuseLockstep, shardrun.go),
+// which owns the loop, the stage-II update and everything around it. The
+// per-round inner loop allocates nothing; rounds reuse the same graph and
+// buffers. Results are deterministic for a fixed input order and
 // independent of Workers: items (and provenances) are scored independently,
 // and every floating-point reduction runs in a fixed CSR order.
 
@@ -57,9 +58,8 @@ type engine struct {
 	provBlocks     []csr.Block
 	provBlockStart []int32
 
-	workers     int
-	scratches   []scoreScratch
-	workerDelta []float64
+	workers   int
+	scratches []scoreScratch
 }
 
 // scoreScratch is one worker's dense per-item scoring state, sized by the
@@ -87,7 +87,7 @@ func Fuse(claims []Claim, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	g, idx := compile(claims, cfg.Workers, cfg.Partitions)
-	return (&Compiled{g: g, idx: idx}).fuse(cfg), nil
+	return (&Compiled{g: g, idx: idx}).Fuse(cfg)
 }
 
 // MustFuse is Fuse for statically-valid configurations.
@@ -110,10 +110,7 @@ func MustFuse(claims []Claim, cfg Config) *Result {
 // claims this graph was compiled from (see the Compiled doc); fuse each
 // granularity's claim set through its own Compile.
 func (c *Compiled) Fuse(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return c.fuse(cfg), nil
+	return c.FuseWarm(cfg, nil)
 }
 
 // MustFuse is Compiled.Fuse for statically-valid configurations.
@@ -164,22 +161,7 @@ const WarmTol = 5e-3
 // (Config.GoldLabeler), when configured, runs after seeding and overrides
 // it for labeled provenances, exactly as it overrides the default.
 func (c *Compiled) FuseWarm(cfg Config, prev *Result) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 1e-4
-	}
-	e := newEngine(c.g, cfg)
-	if prev != nil && len(prev.ProvAccuracy) > 0 {
-		for p, key := range c.g.provKeys {
-			if a, ok := prev.ProvAccuracy[key]; ok {
-				e.provAcc[p] = a
-				e.provDefault[p] = false
-			}
-		}
-	}
-	return e.run(), nil
+	return FuseLockstep([]*Compiled{c}, nil, cfg, prev)
 }
 
 // MustFuseWarm is FuseWarm for statically-valid configurations.
@@ -189,14 +171,6 @@ func (c *Compiled) MustFuseWarm(cfg Config, prev *Result) *Result {
 		panic(err)
 	}
 	return r
-}
-
-// fuse runs a validated configuration over the compiled graph.
-func (c *Compiled) fuse(cfg Config) *Result {
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 1e-4
-	}
-	return newEngine(c.g, cfg).run()
 }
 
 func newEngine(g *graph, cfg Config) *engine {
@@ -223,7 +197,6 @@ func newEngine(g *graph, cfg Config) *engine {
 		claimStamp:  make([]int32, len(g.claims)),
 		workers:     workers,
 		scratches:   make([]scoreScratch, workers),
-		workerDelta: make([]float64, workers),
 	}
 	for p := range e.provAcc {
 		e.provAcc[p] = cfg.DefaultAccuracy
@@ -280,55 +253,10 @@ func newEngine(g *graph, cfg Config) *engine {
 	return e
 }
 
-func (e *engine) run() *Result {
-	if e.cfg.GoldLabeler != nil {
-		e.initFromGold()
-	}
-	rounds := 0
-	lastStamp := int32(1)
-	if e.cfg.Method == Vote {
-		e.stageI(0)
-		rounds = 1
-		e.reportRound(0)
-	} else {
-		for rounds < e.cfg.Rounds {
-			r := rounds
-			e.stageI(r)
-			lastStamp = int32(r + 1)
-			e.reportRound(r)
-			delta := e.stageII(r)
-			rounds++
-			if delta < e.cfg.Epsilon {
-				break
-			}
-		}
-	}
-	res := e.stageIII(lastStamp)
-	res.Rounds = rounds
-	res.ProvAccuracy = make(map[string]float64, len(e.g.provKeys))
-	for p, key := range e.g.provKeys {
-		res.ProvAccuracy[key] = e.provAcc[p]
-	}
-	return res
-}
-
-// initFromGold implements §4.3.3: initialize each provenance's accuracy as
-// the fraction of its gold-labeled claims that are true, at the configured
-// label sampling rate. Provenances with no labeled claims keep the default.
-func (e *engine) initFromGold() {
-	trueN, labeled := e.goldCounts()
-	for p := range labeled {
-		if labeled[p] == 0 {
-			continue
-		}
-		e.provAcc[p] = GoldInitAccuracy(int64(trueN[p]), int64(labeled[p]))
-		e.provDefault[p] = false
-	}
-}
-
 // goldCounts tallies each provenance's (true, labeled) gold-claim counts at
-// the configured sampling rate. Counts are integers, so cross-shard merges
-// in internal/shard sum them exactly.
+// the configured sampling rate (deterministic per (provenance, triple), so
+// runs with the same rate see the same label subset). Counts are integers,
+// so the round driver sums them across shards exactly.
 func (e *engine) goldCounts() (trueN, labeled []int32) {
 	rate := e.cfg.GoldSampleRate
 	if rate == 0 {
@@ -357,15 +285,6 @@ func (e *engine) goldCounts() (trueN, labeled []int32) {
 		}
 	}
 	return trueN, labeled
-}
-
-// GoldInitAccuracy is the §4.3.3 initialization formula: the clamped
-// fraction of a provenance's labeled claims that are true. Exported so the
-// sharded coordinator applies the identical expression to merged counts
-// (int64 so cross-shard sums cannot wrap; a single shard's int32 counts
-// convert losslessly).
-func GoldInitAccuracy(trueN, labeled int64) float64 {
-	return clampAcc(float64(trueN) / float64(labeled))
 }
 
 // parallelRange splits [0,n) across the engine's workers and waits (see
@@ -580,46 +499,13 @@ func (e *engine) scoreItem(sc *scoreScratch, item int32, round int) {
 	}
 }
 
-// stageII re-estimates provenance accuracies as the mean probability of
-// their scored claims (Figure 8, Stage II) and returns the largest accuracy
-// change — a parallel flat loop over the compiled provenance spans.
-func (e *engine) stageII(round int) float64 {
-	g := e.g
-	stamp := int32(round + 1)
-	for w := range e.workerDelta {
-		e.workerDelta[w] = 0
-	}
-	e.parallelRange(len(g.provKeys), func(w, lo, hi int) {
-		sc := &e.scratches[w]
-		maxDelta := 0.0
-		for p := lo; p < hi; p++ {
-			sum, cnt := e.provStat(sc, int32(p), stamp)
-			if cnt == 0 {
-				continue // never scored: keeps the default accuracy
-			}
-			acc := sum / float64(cnt)
-			if d := math.Abs(e.provAcc[p] - acc); d > maxDelta {
-				maxDelta = d
-			}
-			e.provAcc[p] = acc
-			e.provDefault[p] = false
-		}
-		e.workerDelta[w] = maxDelta
-	})
-	maxDelta := 0.0
-	for _, d := range e.workerDelta {
-		if d > maxDelta {
-			maxDelta = d
-		}
-	}
-	return maxDelta
-}
-
 // stageIII attaches the final probabilities to the deduplicated triple set
-// interned at compile time (Figure 8, Stage III).
-func (e *engine) stageIII(lastStamp int32) *Result {
+// interned at compile time (Figure 8, Stage III), writing the graph's
+// triples in compiled order into out (len(g.triples) long — the round
+// driver hands each graph its segment of the merged result) and returning
+// how many carry no prediction.
+func (e *engine) stageIII(lastStamp int32, out []FusedTriple) (unpredicted int) {
 	g := e.g
-	out := make([]FusedTriple, len(g.triples))
 	e.parallelRange(len(g.triples), func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			item := g.itemOfTriple[t]
@@ -640,13 +526,12 @@ func (e *engine) stageIII(lastStamp int32) *Result {
 			out[t] = f
 		}
 	})
-	res := &Result{Triples: out}
 	for i := range out {
 		if !out[i].Predicted {
-			res.Unpredicted++
+			unpredicted++
 		}
 	}
-	return res
+	return unpredicted
 }
 
 // reportRound surfaces per-round probabilities to the OnRound callback.
@@ -673,7 +558,7 @@ func (e *engine) reportRound(round int) {
 // reservoir (the paper's L sampling). The stream order and seed match the
 // seed engine's, so the sampled subset is identical.
 func (e *engine) sampleClaims(item kb.DataItem, claims []int32) []int32 {
-	src := randx.New(e.cfg.SampleSeed ^ int64(mapreduce.StringHash(item.String())))
+	src := randx.New(e.cfg.SampleSeed ^ int64(kb.StringHash(item.String())))
 	r := randx.NewReservoir[int32](e.cfg.SampleL, src)
 	for _, c := range claims {
 		r.Add(c)
@@ -686,9 +571,9 @@ func (e *engine) sampleClaims(item kb.DataItem, claims []int32) []int32 {
 // order. When the scored span exceeds SampleL it switches to the paper's
 // deterministic reservoir sample (sampleProbsSum), so the returned count is
 // the reservoir size; either way the re-estimated accuracy is exactly
-// sum/cnt. The (sum, cnt) pair is also the cross-shard merge unit of
-// internal/shard — partials from shards holding slices of one provenance
-// add before the final division.
+// sum/cnt. The (sum, cnt) pair is the unit the round driver folds across
+// graphs — partials from shards holding slices of one provenance add before
+// the final division.
 //
 // Spans past csr.ReduceBlockSize block-reduce: each fixed block sums
 // left-to-right into a {sum, count} partial and the partials fold with the
@@ -728,7 +613,7 @@ func (e *engine) provStat(sc *scoreScratch, p, stamp int32) (float64, int32) {
 	cnt := int32(0)
 	for _, c := range g.provClaims[g.provClaimStart[p]:g.provClaimStart[p+1]] {
 		if e.claimStamp[c] == stamp {
-			//lint:ignore kflint/floatsum one provenance's partial over its compiled CSR claim span in ascending ID order — the per-group partial the shard merge folds with csr.Pairwise; addition order is identical across runs.
+			//lint:ignore kflint/floatsum one provenance's partial over its compiled CSR claim span in ascending ID order — the per-group partial the round driver folds across shards with csr.Pairwise; addition order is identical across runs.
 			sum += e.claimProb[c]
 			cnt++
 		}
@@ -744,7 +629,7 @@ func (e *engine) provStat(sc *scoreScratch, p, stamp int32) (float64, int32) {
 // the reservoir's sum and size.
 func (e *engine) sampleProbsSum(p, stamp int32) (float64, int32) {
 	g := e.g
-	src := randx.New(e.cfg.SampleSeed ^ int64(mapreduce.StringHash(g.provKeys[p])))
+	src := randx.New(e.cfg.SampleSeed ^ int64(kb.StringHash(g.provKeys[p])))
 	r := randx.NewReservoir[float64](e.cfg.SampleL, src)
 	for _, c := range g.provClaims[g.provClaimStart[p]:g.provClaimStart[p+1]] {
 		if e.claimStamp[c] == stamp {
@@ -757,14 +642,6 @@ func (e *engine) sampleProbsSum(p, stamp int32) (float64, int32) {
 		sum += v
 	}
 	return sum, int32(len(r.Items()))
-}
-
-func claimIndexes(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(i)
-	}
-	return out
 }
 
 // accClampLo/Hi bound every provenance accuracy before it enters a log-odds

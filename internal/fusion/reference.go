@@ -14,7 +14,7 @@ import (
 // compiled engine (engine.go + compile.go) is regression-tested against, and
 // as the "before" subject of the throughput benchmarks. Stages I and II
 // deliberately keep the seed's string-built partition keys
-// (mapreduce.StringHash over String()) because their partition order feeds
+// (kb.StringHash over String()) because their partition order feeds
 // the floating-point summation order, keeping values bit-identical to the
 // seed engine's; Stage III's dedup is keyed by the field-wise kb.Triple.Hash
 // — there the partition choice only affects output order, never a value.
@@ -154,7 +154,7 @@ func (e *refEngine) stageI(round int) []probEntry {
 		Reduce: func(item kb.DataItem, idxs []int32, emit func(probEntry)) {
 			e.scoreItem(item, idxs, round, emit)
 		},
-		KeyHash:    func(d kb.DataItem) uint64 { return mapreduce.StringHash(d.String()) },
+		KeyHash:    func(d kb.DataItem) uint64 { return kb.StringHash(d.String()) },
 		Workers:    e.cfg.Workers,
 		Partitions: e.cfg.Partitions,
 	}
@@ -337,7 +337,7 @@ func (e *refEngine) stageII(entries []probEntry) float64 {
 			}
 			emit(provAcc{prov: prov, acc: sum / float64(len(probs))})
 		},
-		KeyHash:    mapreduce.StringHash,
+		KeyHash:    kb.StringHash,
 		Workers:    e.cfg.Workers,
 		Partitions: e.cfg.Partitions,
 	}
@@ -419,7 +419,7 @@ func (e *refEngine) sampleClaims(key string, idxs []int32) []int32 {
 	if len(idxs) <= e.cfg.SampleL {
 		return idxs
 	}
-	src := randx.New(e.cfg.SampleSeed ^ int64(mapreduce.StringHash(key)))
+	src := randx.New(e.cfg.SampleSeed ^ int64(kb.StringHash(key)))
 	r := randx.NewReservoir[int32](e.cfg.SampleL, src)
 	for _, i := range idxs {
 		r.Add(i)
@@ -431,7 +431,7 @@ func (e *refEngine) sampleProbs(key string, probs []float64) []float64 {
 	if len(probs) <= e.cfg.SampleL {
 		return probs
 	}
-	src := randx.New(e.cfg.SampleSeed ^ int64(mapreduce.StringHash(key)))
+	src := randx.New(e.cfg.SampleSeed ^ int64(kb.StringHash(key)))
 	r := randx.NewReservoir[float64](e.cfg.SampleL, src)
 	for _, p := range probs {
 		r.Add(p)
@@ -475,4 +475,12 @@ func softmaxSlice(probs, scores []float64, unknownMass float64) {
 		//lint:ignore kflint/scalarmath reference spec: same golden two-pass softmax as the denominator above.
 		probs[i] = math.Exp(s-m) / denom
 	}
+}
+
+func claimIndexes(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
 }

@@ -1,27 +1,43 @@
 package fusion
 
-// The stepping fusion API: internal/shard drives one Run per shard in
-// lockstep rounds, merging the per-provenance stage-II partials across
-// shards between StageI calls. A Run is exactly the compiled engine with
-// its round loop turned inside out — the same newEngine state, the same
-// stageI/stageIII passes, and stage II split into its statistic
-// (ProvPartials, the engine's provStat over every provenance) and its
-// update (applied by the coordinator and broadcast back through
-// SetProvAccuracy). Driving a single Run with the unsharded loop order is
-// therefore bit-identical to (*Compiled).Fuse — the K=1 anchor of the
-// shard-count-independence property tests.
+import (
+	"fmt"
 
-// Run is an open-loop fusion over one compiled graph: the caller sequences
-// the EM stages instead of (*Compiled).Fuse's internal loop. Not safe for
-// concurrent use; one Run per goroutine.
+	"kfusion/internal/csr"
+)
+
+// The EM round driver and the step engine it sequences.
+//
+// Figure 8's iteration — score items, re-estimate provenances, dedupe — is
+// one loop whether it runs over one graph or a thousand shards, and
+// FuseLockstep is that loop: the only place in this package where rounds
+// are counted, gold labels initialize accuracies, a previous result seeds a
+// warm start, VOTE takes its single pass, the convergence test runs and
+// OnRound fires. It drives one Run per graph: every Run scores its items
+// (StageI) under the current global accuracies, reports each provenance's
+// stage-II statistic (ProvPartials), and the driver folds a provenance's
+// partials across the graphs holding it, divides, and broadcasts the new
+// accuracy back (SetProvAccuracy).
+//
+// Fuse, (*Compiled).Fuse and (*Compiled).FuseWarm are the one-graph call of
+// the driver: local and global provenance IDs coincide
+// (csr.IdentityTable over the graph's own key slice) and a one-element fold
+// is the identity. internal/shard's coordinators are the K-graph call,
+// handing in the cross-shard provenance table they maintain across Appends.
+// Centralised versus sharded is which table the caller holds, not a second
+// algorithm.
+
+// Run is the step engine over one compiled graph: the newEngine state with
+// the EM stages exposed one at a time, for FuseLockstep (and for callers
+// that time or trace the stages) to sequence. A Run never counts rounds and
+// never invokes Config.OnRound. Not safe for concurrent use; one Run per
+// goroutine.
 type Run struct {
 	e         *engine
 	lastStamp int32
 }
 
-// NewRun builds the stepping engine for one fusion configuration. The
-// OnRound hook is not supported in stepping mode (per-shard rounds are
-// partial views; the coordinator owns the global round).
+// NewRun builds the step engine for one fusion configuration.
 func (c *Compiled) NewRun(cfg Config) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -29,37 +45,21 @@ func (c *Compiled) NewRun(cfg Config) (*Run, error) {
 	if cfg.Epsilon <= 0 {
 		cfg.Epsilon = 1e-4
 	}
-	cfg.OnRound = nil
 	return &Run{e: newEngine(c.g, cfg), lastStamp: 1}, nil
 }
 
 // NumProvenances reports the graph's provenance count — the length
-// ProvPartials and GoldCounts results are indexed by.
+// ProvPartials results are indexed by.
 func (r *Run) NumProvenances() int { return len(r.e.g.provKeys) }
 
-// ProvKey names a local provenance; coordinators use it to build the
-// cross-shard provenance table.
-func (r *Run) ProvKey(p int32) string { return r.e.g.provKeys[p] }
-
 // Epsilon is the run's effective convergence threshold (the configured one,
-// or the engine default) — coordinators test the merged delta against it.
+// or the engine default) — the driver tests the merged delta against it.
 func (r *Run) Epsilon() float64 { return r.e.cfg.Epsilon }
-
-// GoldCounts tallies the §4.3.3 per-provenance (true, labeled) gold counts,
-// or (nil, nil) when no GoldLabeler is configured. Counts are integers;
-// summing them across shards and applying GoldInitAccuracy reproduces the
-// unsharded initialization exactly.
-func (r *Run) GoldCounts() (trueN, labeled []int32) {
-	if r.e.cfg.GoldLabeler == nil {
-		return nil, nil
-	}
-	return r.e.goldCounts()
-}
 
 // SetProvAccuracy installs a provenance accuracy and marks the provenance
 // evaluated (for the §4.3.2 coverage filter) — the broadcast half of the
-// cross-shard stage-II merge, also used to seed gold-initialized and
-// warm-started accuracies.
+// stage-II merge, also used to seed gold-initialized and warm-started
+// accuracies.
 func (r *Run) SetProvAccuracy(p int32, acc float64) {
 	r.e.provAcc[p] = acc
 	r.e.provDefault[p] = false
@@ -75,11 +75,12 @@ func (r *Run) StageI(round int) {
 // ProvPartials writes each provenance's stage-II statistic for `round` —
 // the (probability sum, scored-claim count) pair whose quotient is the
 // re-estimated accuracy — into sums and cnts (each of length
-// NumProvenances). cnts[p] == 0 means provenance p scored no claims this
-// round and must keep its current accuracy. Provenances above SampleL
-// report their deterministic reservoir sample instead, so a provenance
-// split across shards samples per shard — a documented K>1 divergence
-// (never reached at the default SampleL).
+// NumProvenances), in parallel over the compiled provenance spans.
+// cnts[p] == 0 means provenance p scored no claims this round and must keep
+// its current accuracy. Provenances above SampleL report their
+// deterministic reservoir sample instead, so a provenance split across
+// shards samples per shard — a documented K>1 divergence (never reached at
+// the default SampleL).
 func (r *Run) ProvPartials(round int, sums []float64, cnts []int32) {
 	e := r.e
 	stamp := int32(round + 1)
@@ -92,15 +93,182 @@ func (r *Run) ProvPartials(round int, sums []float64, cnts []int32) {
 }
 
 // Finish runs stage III against the last StageI's stamp and returns the
-// shard's result: fused triples in compiled order, Unpredicted counted, the
-// local provenance-accuracy map, and Rounds as given (the coordinator's
-// global round count).
+// graph's result: fused triples in compiled order, Unpredicted counted, the
+// local provenance-accuracy map, and Rounds as given.
 func (r *Run) Finish(rounds int) *Result {
-	res := r.e.stageIII(r.lastStamp)
-	res.Rounds = rounds
+	res := &Result{Rounds: rounds, Triples: make([]FusedTriple, len(r.e.g.triples))}
+	res.Unpredicted = r.e.stageIII(r.lastStamp, res.Triples)
 	res.ProvAccuracy = make(map[string]float64, len(r.e.g.provKeys))
 	for p, key := range r.e.g.provKeys {
 		res.ProvAccuracy[key] = r.e.provAcc[p]
 	}
 	return res
+}
+
+// FuseLockstep runs one fusion configuration over 1..K compiled graphs in
+// lockstep EM rounds and merges the results: fused triples in graph-major
+// compiled order, the global provenance-accuracy map, and the round count.
+// graphs[i] must hold exactly the claims of the data items routed to it;
+// provs maps each graph's local provenance IDs to global ones and is nil
+// for a single graph (identity). Provenances whose key appears in
+// prev.ProvAccuracy start at that accuracy and count as evaluated; gold
+// initialization (§4.3.3), when configured, overrides both the default and
+// the seed for labeled provenances. Config.OnRound is honoured for a single
+// graph only — a shard's round is a partial view.
+//
+// With one graph every fold is over a single holder — the identity — so the
+// result does not depend on whether a table was handed in; K > 1 re-groups
+// each cross-shard provenance sum (csr.Pairwise over the holders in shard
+// order) and agrees with K = 1 within the documented tolerance (see
+// internal/shard).
+func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Result) (*Result, error) {
+	if len(graphs) == 0 {
+		return nil, fmt.Errorf("fusion: FuseLockstep needs at least one graph")
+	}
+	if len(graphs) > 1 && cfg.OnRound != nil {
+		return nil, fmt.Errorf("fusion: Config.OnRound is not supported in sharded fusion")
+	}
+	runs := make([]*Run, len(graphs))
+	for s, g := range graphs {
+		if g == nil {
+			return nil, fmt.Errorf("fusion: shard %d has no graph (Fuse before first Append)", s)
+		}
+		r, err := g.NewRun(cfg)
+		if err != nil {
+			return nil, err
+		}
+		runs[s] = r
+	}
+
+	if provs == nil {
+		if len(graphs) > 1 {
+			return nil, fmt.Errorf("fusion: %d graphs need a cross-shard provenance table", len(graphs))
+		}
+		provs = csr.IdentityTable(graphs[0].g.provKeys)
+	}
+	// The step engines' own accuracy slots are the parameter store: every
+	// holder of a provenance carries the same value, written only through
+	// install, so the driver keeps no global copy.
+	nG := provs.N()
+	var one [1]csr.Loc
+	if prev != nil && len(prev.ProvAccuracy) > 0 {
+		for g := 0; g < nG; g++ {
+			if a, ok := prev.ProvAccuracy[provs.Key(g)]; ok {
+				install(runs, provs.Holders(g, &one), a)
+			}
+		}
+	}
+	if cfg.GoldLabeler != nil {
+		// §4.3.3: a provenance starts at the clamped fraction of its
+		// gold-labeled claims that are true. The counts are integers, so
+		// summing them across shards before the one division is exact.
+		trueG := make([]int64, nG)
+		labeledG := make([]int64, nG)
+		for s, r := range runs {
+			trueN, labeled := r.e.goldCounts()
+			for local := range labeled {
+				g := provs.Global(s, local)
+				trueG[g] += int64(trueN[local])
+				labeledG[g] += int64(labeled[local])
+			}
+		}
+		for g := range labeledG {
+			if labeledG[g] == 0 {
+				continue // no labeled claims: keeps the default (or the seed)
+			}
+			install(runs, provs.Holders(g, &one), clampAcc(float64(trueG[g])/float64(labeledG[g])))
+		}
+	}
+
+	rounds := 0
+	if cfg.Method == Vote {
+		for _, r := range runs {
+			r.StageI(0)
+		}
+		rounds = 1
+		runs[0].e.reportRound(0)
+	} else {
+		sums := make([][]float64, len(runs))
+		cnts := make([][]int32, len(runs))
+		for s, r := range runs {
+			sums[s] = make([]float64, r.NumProvenances())
+			cnts[s] = make([]int32, r.NumProvenances())
+		}
+		// The merge runs in parallel over global provenances: each owns its
+		// holders' slots, and the delta is a max — exact in any order — so
+		// the worker count cannot move a bit.
+		workers := runs[0].e.workers
+		deltas := make([]float64, workers)
+		for rounds < cfg.Rounds {
+			round := rounds
+			for _, r := range runs {
+				r.StageI(round)
+			}
+			runs[0].e.reportRound(round)
+			for s, r := range runs {
+				r.ProvPartials(round, sums[s], cnts[s])
+			}
+			clear(deltas)
+			csr.ParallelRange(nG, workers, func(w, lo, hi int) {
+				parts := make([]float64, 0, len(runs))
+				var one [1]csr.Loc
+				maxDelta := 0.0
+				for g := lo; g < hi; g++ {
+					hold := provs.Holders(g, &one)
+					var cnt int64
+					for _, l := range hold {
+						cnt += int64(cnts[l.Shard][l.Local])
+					}
+					if cnt == 0 {
+						continue // never scored anywhere: keeps its accuracy
+					}
+					a := csr.FoldFloat64(hold, sums, parts) / float64(cnt)
+					if d := a - current(runs, hold); d > maxDelta {
+						maxDelta = d
+					} else if -d > maxDelta {
+						maxDelta = -d
+					}
+					install(runs, hold, a)
+				}
+				deltas[w] = maxDelta
+			})
+			maxDelta := 0.0
+			for _, d := range deltas {
+				maxDelta = max(maxDelta, d)
+			}
+			rounds++
+			if maxDelta < runs[0].Epsilon() {
+				break
+			}
+		}
+	}
+
+	nTriples := 0
+	for _, r := range runs {
+		nTriples += len(r.e.g.triples)
+	}
+	out := &Result{Rounds: rounds, Triples: make([]FusedTriple, nTriples)}
+	at := 0
+	for _, r := range runs {
+		n := len(r.e.g.triples)
+		out.Unpredicted += r.e.stageIII(r.lastStamp, out.Triples[at:at+n])
+		at += n
+	}
+	out.ProvAccuracy = make(map[string]float64, nG)
+	for g := 0; g < nG; g++ {
+		out.ProvAccuracy[provs.Key(g)] = current(runs, provs.Holders(g, &one))
+	}
+	return out, nil
+}
+
+// install writes a provenance's accuracy into every graph holding it;
+// current reads it back (all holders agree, so the first will do).
+func install(runs []*Run, hold []csr.Loc, a float64) {
+	for _, l := range hold {
+		runs[l.Shard].SetProvAccuracy(l.Local, a)
+	}
+}
+
+func current(runs []*Run, hold []csr.Loc) float64 {
+	return runs[hold[0].Shard].e.provAcc[hold[0].Local]
 }

@@ -262,6 +262,24 @@ func TestFieldwiseHashStableAndEqual(t *testing.T) {
 	}
 }
 
+// TestStringHashStable pins StringHash to FNV-1a's published test vectors:
+// the engines' reservoir seeds are derived from it, so its values are part
+// of the output contract.
+func TestStringHashStable(t *testing.T) {
+	for s, want := range map[string]uint64{
+		"":    0xcbf29ce484222325,
+		"a":   0xaf63dc4c8601ec8c,
+		"abc": 0xe71fa2190541574b,
+	} {
+		if got := StringHash(s); got != want {
+			t.Errorf("StringHash(%q) = %#x, want %#x", s, got, want)
+		}
+	}
+	if StringHash("abc") == StringHash("abd") {
+		t.Error("StringHash collides trivially")
+	}
+}
+
 func TestFieldwiseHashFieldBoundaries(t *testing.T) {
 	// Concatenation across the subject/predicate boundary must not collide.
 	a := DataItem{Subject: "ab", Predicate: "c"}

@@ -181,6 +181,20 @@ func fnvHash64(h uint64, s string) uint64 {
 
 const fnvOffset64 = 14695981039346656037
 
+// StringHash is plain FNV-1a over one string (no field terminator) — the
+// hash behind the engines' per-item and per-provenance reservoir seeds and
+// the reference engines' shuffle partitioning. Its value is part of the
+// output contract: changing it moves every L-sampled result.
+func StringHash(s string) uint64 {
+	const prime64 = 1099511628211
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
+}
+
 // Hash returns a deterministic field-wise hash of the data item. It is the
 // partitioning hash the fusion pipeline uses instead of hashing the String()
 // form, so no intermediate string is allocated.

@@ -297,17 +297,3 @@ func Iterate[S any](state S, maxRounds int, round func(S, int) (S, bool)) (S, in
 	}
 	return state, rounds
 }
-
-// StringHash is a ready-made KeyHash for string keys (FNV-1a).
-func StringHash(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}

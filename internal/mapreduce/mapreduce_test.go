@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 	"unicode"
 	"unicode/utf8"
+
+	"kfusion/internal/kb"
 )
 
 func wordCountJob(workers, partitions int) Job[string, string, int, [2]any] {
@@ -24,7 +26,7 @@ func wordCountJob(workers, partitions int) Job[string, string, int, [2]any] {
 			}
 			emit([2]any{k, total})
 		},
-		KeyHash:    StringHash,
+		KeyHash:    kb.StringHash,
 		Workers:    workers,
 		Partitions: partitions,
 	}
@@ -220,15 +222,6 @@ func TestIterate(t *testing.T) {
 	state, rounds = Iterate(42, 0, func(s, r int) (int, bool) { return s + 1, false })
 	if state != 42 || rounds != 0 {
 		t.Errorf("Iterate with maxRounds=0 ran: state=%d rounds=%d", state, rounds)
-	}
-}
-
-func TestStringHashStable(t *testing.T) {
-	if StringHash("abc") != StringHash("abc") {
-		t.Error("StringHash not stable")
-	}
-	if StringHash("abc") == StringHash("abd") {
-		t.Error("StringHash collides trivially")
 	}
 }
 

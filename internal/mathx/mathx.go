@@ -146,8 +146,8 @@ func Sigmoid(x float64) float64 {
 // MissLogRatio is the layer-1 log-likelihood ratio of an extractor NOT
 // extracting a statement it processed the source for:
 // log(1-recall) - log(1-falsePos). Consolidated here from the twolayer
-// engine; the sharded coordinator evaluates the same expression over global
-// rates to build each shard's ghost-miss table.
+// engine; its round driver evaluates the same expression over global rates
+// to build each shard's ghost-miss table.
 func MissLogRatio(recall, falsePos float64) float64 {
 	return math.Log(1-recall) - math.Log(1-falsePos)
 }

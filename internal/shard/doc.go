@@ -11,40 +11,53 @@
 // # Lockstep EM with deterministic cross-shard merges
 //
 // Running K independent EM loops would let per-provenance accuracies drift
-// apart; instead the coordinators (Fusion, TwoLayer) drive the per-shard
-// stepping engines (fusion.Run, twolayer.Run) in lockstep rounds:
+// apart, so the shards advance in lockstep — and the loop that advances them
+// is not in this package. Each engine has exactly one EM round driver
+// (fusion.FuseLockstep, twolayer.FuseLockstep) over 1..K step engines
+// (fusion.Run, twolayer.Run); the unsharded entry points call it with one
+// graph, the coordinators here (Fusion, TwoLayer, FuseShards) call it with
+// K. What this package owns is everything the driver needs to be told about
+// a partition: routing (Of, SplitExtractions), the per-shard graphs grown by
+// Append, and the cross-shard identity of the interned ID spaces — a
+// csr.IDTable per space (provenances; sources and extractors), assigning
+// global IDs in (shard, first-occurrence) order and extended on every
+// Append, never rebuilt per fuse. One driver round is then:
 //
 //  1. Every shard runs its item-local E-step(s) with the current GLOBAL
 //     parameters.
 //  2. Every shard reports M-step partials — per-provenance (sum, count),
-//     per-source (num, den), per-extractor [4]float64 evidence — indexed by
-//     a global table built in (shard, first-occurrence) order.
-//  3. The coordinator folds each entity's shard partials with csr.Pairwise
-//     in shard order — the same fixed-tree contract the in-graph block
-//     reductions use, extended across shard boundaries — applies the
-//     engines' own exported update formulas (fusion.GoldInitAccuracy,
-//     twolayer.SourceAccuracyUpdate/RecallUpdate/FalsePosUpdate), and
+//     per-source (num, den), per-extractor [4]float64 evidence.
+//  3. The driver folds each entity's shard partials with csr.Pairwise over
+//     its table holders in shard order — the same fixed-tree contract the
+//     in-graph block reductions use, extended across shard boundaries —
+//     applies the update formula once to the merged evidence, and
 //     broadcasts the merged parameters back to every shard.
 //
 // The two-layer model has one genuinely cross-shard structure: a source's
 // extractor set. A statement's layer-1 walk covers every extractor that
 // processed its source, but a shard only sees the local ones; the remote
-// ones are structural misses there (their hits route with their own items),
-// so each round the coordinator folds them into a per-source ghost-miss
-// constant (twolayer.MissLogRatio over global rates, summed in ascending
-// global extractor ID order) that the shard engine adds to each statement's
-// prior. The same pairs owe M-step mass: an extractor covers every
-// statement of every source it processed, so for each (shard, source) it
-// touched only remotely it contributes the source's local statements as
-// all-miss evidence — [stated, unstated, 0, 0] ghost partials folded into
-// its merged extractor totals.
+// ones are structural misses there (their hits route with their own items).
+// TwoLayer maintains, per shard and local source, that ghost extractor set
+// (global IDs, ascending; rebuilt after an Append) and hands it to the
+// driver as twolayer.Shards.Ghosts; each round the driver folds the ghosts
+// into a per-source ghost-miss constant (mathx.MissLogRatio over global
+// rates, summed in ascending global extractor ID order) that the shard
+// engine adds to each statement's prior. The same pairs owe M-step mass: an
+// extractor covers every statement of every source it processed, so for
+// each (shard, source) it touched only remotely it contributes the source's
+// local statements as all-miss evidence — [stated, unstated, 0, 0] ghost
+// partials folded into its merged extractor totals.
 //
 // # Equivalence policy
 //
-// K = 1 is bit-identical to the unsharded engines: one shard receives the
-// identical stream, the single-element Pairwise fold is the identity, the
-// ghost sets are empty (nil — the engine adds nothing), and the update
-// formulas are the same code. The property tests pin this bitwise.
+// K = 1 is not a second implementation pinned equal to the unsharded
+// engines: it is the same driver, reached through a one-shard csr.IDTable
+// instead of the identity table the unsharded entry points use. Local and
+// global IDs coincide either way, the single-element Pairwise fold is the
+// identity and the ghost sets are nil, so the results are bit-identical;
+// the property tests compare the two table paths bitwise, and
+// TestGoldenDigests holds both (and K = 4) to SHA-256 digests recorded
+// before the engines' own round loops were deleted.
 //
 // K > 1 re-groups cross-shard float sums (a provenance's claims now add
 // shard-by-shard before the final division) — exactly the perturbation the

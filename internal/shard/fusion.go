@@ -9,22 +9,23 @@ import (
 )
 
 // Fusion is the sharded claim-fusion pipeline: K shard-local ClaimStreams
-// and compiled claim graphs grown by Append, fused in lockstep EM rounds
-// with the cross-shard stage-II merge described in the package comment.
-// Single-writer state like ClaimStream: Append and Fuse calls must not
-// race (concurrent Fuse calls would also race on the merge scratch).
+// and compiled claim graphs grown by Append, plus the cross-shard
+// provenance table the engine's round driver (fusion.FuseLockstep) merges
+// stage II through — see the package comment. Single-writer state like
+// ClaimStream: Append must not race with Append or Fuse.
 type Fusion struct {
 	k       int
 	gran    fusion.Granularity
 	streams []*fusion.ClaimStream
 	graphs  []*fusion.Compiled
-	provs   *table
+	provs   *csr.IDTable
 	claims  int
 }
 
 // NewFusion returns an empty K-shard fusion pipeline flattening extractions
-// under gran. K = 1 degrades to the unsharded streaming pipeline
-// (bit-identical results, pinned by the property tests).
+// under gran. K = 1 is the unsharded streaming pipeline run through the
+// driver's table path instead of its identity path (bit-identical results,
+// pinned by the property tests).
 func NewFusion(k int, gran fusion.Granularity) (*Fusion, error) {
 	if err := validateK(k); err != nil {
 		return nil, err
@@ -34,7 +35,7 @@ func NewFusion(k int, gran fusion.Granularity) (*Fusion, error) {
 		gran:    gran,
 		streams: make([]*fusion.ClaimStream, k),
 		graphs:  make([]*fusion.Compiled, k),
-		provs:   newTable(k),
+		provs:   csr.NewIDTable(k),
 	}
 	for s := range f.streams {
 		f.streams[s] = fusion.NewClaimStream(gran)
@@ -75,7 +76,7 @@ func (f *Fusion) Granularity() fusion.Granularity { return f.gran }
 func (f *Fusion) NumClaims() int { return f.claims }
 
 // NumProvenances reports the global (cross-shard) provenance count.
-func (f *Fusion) NumProvenances() int { return f.provs.n() }
+func (f *Fusion) NumProvenances() int { return f.provs.N() }
 
 // Shard exposes shard s's compiled graph (nil until the first Append) —
 // the handle per-shard persistence and memory accounting work against.
@@ -111,15 +112,15 @@ func (f *Fusion) Append(xs []extract.Extraction) error {
 
 func (f *Fusion) extendProvs(s int) {
 	g := f.graphs[s]
-	f.provs.extend(s, g.NumProvenances(), func(p int32) string { return g.ProvKey(int(p)) })
+	f.provs.Extend(s, g.NumProvenances(), func(p int32) string { return g.ProvKey(int(p)) })
 }
 
 // Fuse runs one fusion configuration across the shards and merges the
 // results: fused triples in shard-major compiled order, the global
-// provenance-accuracy map, and Rounds from the coordinator's lockstep loop.
-// The OnRound hook is not supported (a shard's round is a partial view).
+// provenance-accuracy map, and Rounds from the lockstep loop. The OnRound
+// hook is rejected for K > 1 (a shard's round is a partial view).
 func (f *Fusion) Fuse(cfg fusion.Config) (*fusion.Result, error) {
-	return f.fuse(cfg, nil)
+	return f.FuseWarm(cfg, nil)
 }
 
 // FuseWarm is Fuse seeded from a previous sharded result — provenances in
@@ -127,11 +128,7 @@ func (f *Fusion) Fuse(cfg fusion.Config) (*fusion.Result, error) {
 // unsharded FuseWarm. Keys are granularity strings, so a result from any
 // shard count seeds any other.
 func (f *Fusion) FuseWarm(cfg fusion.Config, prev *fusion.Result) (*fusion.Result, error) {
-	return f.fuse(cfg, prev)
-}
-
-func (f *Fusion) fuse(cfg fusion.Config, prev *fusion.Result) (*fusion.Result, error) {
-	return fuseShards(f.k, f.graphs, f.provs, cfg, prev)
+	return fusion.FuseLockstep(f.graphs, f.provs, cfg, prev)
 }
 
 // FuseShards runs one lockstep sharded fusion over externally-maintained
@@ -144,145 +141,14 @@ func (f *Fusion) fuse(cfg fusion.Config, prev *fusion.Result) (*fusion.Result, e
 // NewFusionFromShards(graphs).FuseWarm(cfg, prev) without touching the claim
 // streams.
 func FuseShards(graphs []*fusion.Compiled, cfg fusion.Config, prev *fusion.Result) (*fusion.Result, error) {
-	if err := validateK(len(graphs)); err != nil {
-		return nil, err
-	}
 	gs := make([]*fusion.Compiled, len(graphs))
-	provs := newTable(len(graphs))
+	provs := csr.NewIDTable(len(graphs))
 	for s, g := range graphs {
 		if g == nil {
 			g = fusion.MustCompile(nil)
 		}
 		gs[s] = g
-		provs.extend(s, g.NumProvenances(), func(p int32) string { return g.ProvKey(int(p)) })
+		provs.Extend(s, g.NumProvenances(), func(p int32) string { return g.ProvKey(int(p)) })
 	}
-	return fuseShards(len(gs), gs, provs, cfg, prev)
-}
-
-func fuseShards(k int, graphs []*fusion.Compiled, provs *table, cfg fusion.Config, prev *fusion.Result) (*fusion.Result, error) {
-	if cfg.OnRound != nil {
-		return nil, fmt.Errorf("shard: Config.OnRound is not supported in sharded fusion")
-	}
-	for s, g := range graphs {
-		if g == nil {
-			return nil, fmt.Errorf("shard %d: Fuse before first Append", s)
-		}
-	}
-	eps := cfg.Epsilon
-	if eps <= 0 {
-		eps = 1e-4
-	}
-	runs := make([]*fusion.Run, k)
-	for s, g := range graphs {
-		r, err := g.NewRun(cfg)
-		if err != nil {
-			return nil, err
-		}
-		runs[s] = r
-	}
-
-	nG := provs.n()
-	globalAcc := make([]float64, nG)
-	evaluated := make([]bool, nG)
-	for g := range globalAcc {
-		globalAcc[g] = cfg.DefaultAccuracy
-	}
-	if prev != nil && len(prev.ProvAccuracy) > 0 {
-		for g, key := range provs.keys {
-			if a, ok := prev.ProvAccuracy[key]; ok {
-				globalAcc[g] = a
-				evaluated[g] = true
-			}
-		}
-	}
-	if cfg.GoldLabeler != nil {
-		trueG := make([]int64, nG)
-		labeledG := make([]int64, nG)
-		for s, r := range runs {
-			trueN, labeled := r.GoldCounts()
-			for local, g := range provs.l2g[s] {
-				trueG[g] += int64(trueN[local])
-				labeledG[g] += int64(labeled[local])
-			}
-		}
-		for g := range labeledG {
-			if labeledG[g] == 0 {
-				continue
-			}
-			globalAcc[g] = fusion.GoldInitAccuracy(trueG[g], labeledG[g])
-			evaluated[g] = true
-		}
-	}
-	broadcast := func() {
-		for s, r := range runs {
-			for local, g := range provs.l2g[s] {
-				if evaluated[g] {
-					r.SetProvAccuracy(int32(local), globalAcc[g])
-				}
-			}
-		}
-	}
-	broadcast()
-
-	rounds := 0
-	if cfg.Method == fusion.Vote {
-		for _, r := range runs {
-			r.StageI(0)
-		}
-		rounds = 1
-	} else {
-		sums := make([][]float64, k)
-		cnts := make([][]int32, k)
-		for s, r := range runs {
-			sums[s] = make([]float64, r.NumProvenances())
-			cnts[s] = make([]int32, r.NumProvenances())
-		}
-		parts := make([]float64, 0, k)
-		for rounds < cfg.Rounds {
-			r := rounds
-			for _, run := range runs {
-				run.StageI(r)
-			}
-			for s, run := range runs {
-				run.ProvPartials(r, sums[s], cnts[s])
-			}
-			maxDelta := 0.0
-			for g, hold := range provs.g2l {
-				parts = parts[:0]
-				var cnt int64
-				for _, l := range hold {
-					parts = append(parts, sums[l.shard][l.local])
-					cnt += int64(cnts[l.shard][l.local])
-				}
-				if cnt == 0 {
-					continue // never scored anywhere: keeps its accuracy
-				}
-				acc := csr.Pairwise(parts, csr.AddFloat64) / float64(cnt)
-				if d := acc - globalAcc[g]; d > maxDelta {
-					maxDelta = d
-				} else if -d > maxDelta {
-					maxDelta = -d
-				}
-				globalAcc[g] = acc
-				evaluated[g] = true
-			}
-			rounds++
-			broadcast()
-			if maxDelta < eps {
-				break
-			}
-		}
-	}
-
-	out := &fusion.Result{Rounds: rounds}
-	for _, run := range runs {
-		res := run.Finish(rounds)
-		out.Triples = append(out.Triples, res.Triples...)
-		out.Unpredicted += res.Unpredicted
-	}
-	out.ProvAccuracy = make(map[string]float64, nG)
-	for g, key := range provs.keys {
-		out.ProvAccuracy[key] = globalAcc[g]
-	}
-	return out, nil
+	return fusion.FuseLockstep(gs, provs, cfg, prev)
 }

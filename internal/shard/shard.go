@@ -52,61 +52,3 @@ func validateK(k int) error {
 	}
 	return nil
 }
-
-// loc addresses one entity's slice in one shard: the shard index and the
-// entity's local interned ID there. Global merge tables hold each entity's
-// locs in ascending shard order — the fold order of the cross-shard
-// Pairwise merges.
-type loc struct {
-	shard int32
-	local int32
-}
-
-// table is the cross-shard identity map for one interned ID space
-// (provenances, sources, extractors): global IDs assigned in (shard,
-// first-occurrence) order, with both directions materialized. Appends only
-// ever extend it — global IDs are as append-stable as the underlying
-// graphs' local IDs.
-type table struct {
-	id   map[string]int32 // key -> global ID
-	keys []string         // global ID -> key
-	l2g  [][]int32        // shard -> local ID -> global ID
-	g2l  [][]loc          // global ID -> holders in ascending shard order
-}
-
-func newTable(k int) *table {
-	return &table{id: make(map[string]int32), l2g: make([][]int32, k)}
-}
-
-// extend registers shard s's local IDs [len(l2g[s]), n) under their keys.
-// Called after every compile/append, in shard order, so global IDs are
-// deterministic for a given feed and shard count.
-func (t *table) extend(s, n int, key func(int32) string) {
-	for local := int32(len(t.l2g[s])); local < int32(n); local++ {
-		k := key(local)
-		g, ok := t.id[k]
-		if !ok {
-			g = int32(len(t.keys))
-			t.id[k] = g
-			t.keys = append(t.keys, k)
-			t.g2l = append(t.g2l, nil)
-		}
-		t.l2g[s] = append(t.l2g[s], g)
-		// Insert in ascending shard order (a later append can introduce an
-		// existing key to an earlier shard): the fold order of the merge
-		// then depends only on which shards hold the key, never on the
-		// append history — chunked feeds merge bit-identically to one-shot
-		// compiles of the same content.
-		hold := t.g2l[g]
-		at := len(hold)
-		for at > 0 && hold[at-1].shard > int32(s) {
-			at--
-		}
-		hold = append(hold, loc{})
-		copy(hold[at+1:], hold[at:])
-		hold[at] = loc{shard: int32(s), local: local}
-		t.g2l[g] = hold
-	}
-}
-
-func (t *table) n() int { return len(t.keys) }

@@ -11,15 +11,16 @@ import (
 )
 
 // TwoLayer is the sharded §5.1 two-layer pipeline: K shard-local extraction
-// graphs grown by Append, fused in lockstep EM rounds with merged per-source
-// and per-extractor M-steps and the per-source ghost-miss correction (see
-// the package comment). Single-writer state: Append and Fuse must not race.
+// graphs grown by Append, plus the cross-shard source and extractor tables
+// and ghost-extractor sets the engine's round driver (twolayer.FuseLockstep)
+// merges the M-step and corrects layer 1 through — see the package comment.
+// Single-writer state: Append and Fuse must not race.
 type TwoLayer struct {
 	k         int
 	siteLevel bool
 	graphs    []*extract.Compiled
-	srcs      *table
-	exts      *table
+	srcs      *csr.IDTable
+	exts      *csr.IDTable
 
 	// ghosts[s][ls] lists, ascending, the global IDs of extractors that
 	// processed shard s's local source ls only in other shards — rebuilt
@@ -29,8 +30,9 @@ type TwoLayer struct {
 }
 
 // NewTwoLayer returns an empty K-shard two-layer pipeline at the given
-// source level. K = 1 degrades to the unsharded compiled engine
-// (bit-identical results, pinned by the property tests).
+// source level. K = 1 is the unsharded engine run through the driver's
+// table path instead of its identity path (bit-identical results, pinned by
+// the property tests).
 func NewTwoLayer(k int, siteLevel bool) (*TwoLayer, error) {
 	if err := validateK(k); err != nil {
 		return nil, err
@@ -39,8 +41,8 @@ func NewTwoLayer(k int, siteLevel bool) (*TwoLayer, error) {
 		k:         k,
 		siteLevel: siteLevel,
 		graphs:    make([]*extract.Compiled, k),
-		srcs:      newTable(k),
-		exts:      newTable(k),
+		srcs:      csr.NewIDTable(k),
+		exts:      csr.NewIDTable(k),
 		gmDirty:   true,
 	}, nil
 }
@@ -104,14 +106,14 @@ func (t *TwoLayer) Append(xs []extract.Extraction) {
 
 func (t *TwoLayer) extendTables(s int) {
 	g := t.graphs[s]
-	t.srcs.extend(s, g.NumSources(), func(i int32) string { return g.SourceKey(i) })
-	t.exts.extend(s, g.NumExtractors(), func(i int32) string { return g.ExtractorName(i) })
+	t.srcs.Extend(s, g.NumSources(), func(i int32) string { return g.SourceKey(i) })
+	t.exts.Extend(s, g.NumExtractors(), func(i int32) string { return g.ExtractorName(i) })
 }
 
 // ensureGhosts rebuilds the per-shard ghost extractor sets: for each global
 // source, the union of its extractor sets across shards, minus each holding
-// shard's local set. With K = 1 there are no ghosts and the engines keep
-// their nil (bit-identical) path.
+// shard's local set. With K = 1 there are no ghosts and the driver keeps
+// its nil (bit-identical) path.
 func (t *TwoLayer) ensureGhosts() {
 	if !t.gmDirty {
 		return
@@ -121,12 +123,12 @@ func (t *TwoLayer) ensureGhosts() {
 		t.ghosts = nil
 		return
 	}
-	union := make([][]int32, t.srcs.n()) // global source -> global exts, sorted
+	union := make([][]int32, t.srcs.N()) // global source -> global exts, sorted
 	for s, g := range t.graphs {
 		for ls := 0; ls < g.NumSources(); ls++ {
-			gs := t.srcs.l2g[s][ls]
+			gs := t.srcs.Global(s, ls)
 			for _, lx := range g.SourceExtractors(int32(ls)) {
-				union[gs] = append(union[gs], t.exts.l2g[s][lx])
+				union[gs] = append(union[gs], t.exts.Global(s, int(lx)))
 			}
 		}
 	}
@@ -143,23 +145,23 @@ func (t *TwoLayer) ensureGhosts() {
 		union[gs] = u[:w]
 	}
 	t.ghosts = make([][][]int32, t.k)
-	local := make([]bool, t.exts.n())
+	local := make([]bool, t.exts.N())
 	for s, g := range t.graphs {
 		t.ghosts[s] = make([][]int32, g.NumSources())
 		for ls := 0; ls < g.NumSources(); ls++ {
 			exts := g.SourceExtractors(int32(ls))
 			for _, lx := range exts {
-				local[t.exts.l2g[s][lx]] = true
+				local[t.exts.Global(s, int(lx))] = true
 			}
 			var ghost []int32
-			for _, gx := range union[t.srcs.l2g[s][ls]] {
+			for _, gx := range union[t.srcs.Global(s, ls)] {
 				if !local[gx] {
 					ghost = append(ghost, gx)
 				}
 			}
 			t.ghosts[s][ls] = ghost
 			for _, lx := range exts {
-				local[t.exts.l2g[s][lx]] = false
+				local[t.exts.Global(s, int(lx))] = false
 			}
 		}
 	}
@@ -169,7 +171,7 @@ func (t *TwoLayer) ensureGhosts() {
 // in shard-major interned order, the global source-accuracy map) plus the
 // run's global State for the next generation's warm start.
 func (t *TwoLayer) Fuse(cfg twolayer.Config) (*fusion.Result, *twolayer.State, error) {
-	return t.fuse(cfg, nil)
+	return t.FuseWarm(cfg, nil)
 }
 
 // FuseWarm is Fuse seeded from a previous sharded run's State. The State is
@@ -177,208 +179,11 @@ func (t *TwoLayer) Fuse(cfg twolayer.Config) (*fusion.Result, *twolayer.State, e
 // graph IDs they are built from); with K = 1 those coincide with the single
 // graph's IDs, so unsharded States interchange.
 func (t *TwoLayer) FuseWarm(cfg twolayer.Config, warm *twolayer.State) (*fusion.Result, *twolayer.State, error) {
-	return t.fuse(cfg, warm)
-}
-
-func (t *TwoLayer) fuse(cfg twolayer.Config, warm *twolayer.State) (*fusion.Result, *twolayer.State, error) {
 	for s, g := range t.graphs {
 		if g == nil {
 			return nil, nil, fmt.Errorf("shard %d: Fuse before first Append", s)
 		}
 	}
-	runs := make([]*twolayer.Run, t.k)
-	for s, g := range t.graphs {
-		r, err := twolayer.NewRun(g, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		runs[s] = r
-	}
-
-	nS, nX := t.srcs.n(), t.exts.n()
-	srcAcc := make([]float64, nS)
-	recall := make([]float64, nX)
-	falsePos := make([]float64, nX)
-	for i := range srcAcc {
-		srcAcc[i] = cfg.InitSourceAccuracy
-	}
-	for i := range recall {
-		recall[i] = cfg.InitRecall
-		falsePos[i] = cfg.InitFalsePos
-	}
-	if warm != nil {
-		copy(srcAcc, warm.SrcAcc) // copy clamps to the shorter slice
-		copy(recall, warm.Recall)
-		copy(falsePos, warm.FalsePos)
-	}
-	broadcast := func() {
-		for s, r := range runs {
-			for local, g := range t.srcs.l2g[s] {
-				r.SetSourceAccuracy(int32(local), srcAcc[g])
-			}
-			for local, g := range t.exts.l2g[s] {
-				r.SetExtractorRates(int32(local), recall[g], falsePos[g])
-			}
-		}
-	}
-	broadcast()
-
-	// Ghost-miss tables: one []float64 per shard, installed once and
-	// rewritten from the global rates before each statement inference.
-	var gm [][]float64
-	if t.k > 1 {
-		t.ensureGhosts()
-		gm = make([][]float64, t.k)
-		for s, r := range runs {
-			gm[s] = make([]float64, r.NumSources())
-			r.SetGhostMiss(gm[s])
-		}
-	}
-	refreshGhosts := func() {
-		for s := range gm {
-			for ls, ghost := range t.ghosts[s] {
-				sum := 0.0
-				for _, gx := range ghost {
-					//lint:ignore kflint/floatsum tiny per-source sum over the ghost extractor set in fixed ascending global-ID order — deterministic by construction, far below a block.
-					sum += twolayer.MissLogRatio(recall[gx], falsePos[gx])
-				}
-				gm[s][ls] = sum
-			}
-		}
-	}
-
-	numP := make([][]float64, t.k)
-	denP := make([][]float64, t.k)
-	extP := make([][][4]float64, t.k)
-	var statedSum [][]float64
-	var statedCnt [][]int32
-	var ghostP [][4]float64
-	for s, r := range runs {
-		numP[s] = make([]float64, r.NumSources())
-		denP[s] = make([]float64, r.NumSources())
-		extP[s] = make([][4]float64, r.NumExtractors())
-	}
-	if t.k > 1 {
-		statedSum = make([][]float64, t.k)
-		statedCnt = make([][]int32, t.k)
-		for s, r := range runs {
-			statedSum[s] = make([]float64, r.NumSources())
-			statedCnt[s] = make([]int32, r.NumSources())
-		}
-		ghostP = make([][4]float64, nX)
-	}
-	// ghostPartials rebuilds each ghost extractor's cross-shard M-step mass:
-	// for every (shard, source) pair the extractor processed only elsewhere,
-	// it covers all of the source's local statements without hitting any.
-	// Accumulation order is fixed (ascending shard, source, ghost ID), so the
-	// totals are deterministic.
-	ghostPartials := func() {
-		for s, run := range runs {
-			run.SourceStatedMass(statedSum[s], statedCnt[s])
-		}
-		for gx := range ghostP {
-			ghostP[gx] = [4]float64{}
-		}
-		for s := range runs {
-			for ls, ghost := range t.ghosts[s] {
-				if len(ghost) == 0 {
-					continue
-				}
-				sum := statedSum[s][ls]
-				miss := float64(statedCnt[s][ls]) - sum
-				for _, gx := range ghost {
-					ghostP[gx][0] += sum
-					ghostP[gx][1] += miss
-				}
-			}
-		}
-	}
-	parts := make([]float64, 0, t.k)
-	parts4 := make([][4]float64, 0, t.k+1)
-
-	rounds := 0
-	for r := 0; r < cfg.Rounds; r++ {
-		if gm != nil {
-			refreshGhosts()
-		}
-		for _, run := range runs {
-			run.InferStatements()
-			run.InferTruth()
-		}
-		rounds++
-
-		for s, run := range runs {
-			run.SourcePartials(numP[s], denP[s])
-		}
-		maxDelta := 0.0
-		for gs, hold := range t.srcs.g2l {
-			parts = parts[:0]
-			for _, l := range hold {
-				parts = append(parts, denP[l.shard][l.local])
-			}
-			den := csr.Pairwise(parts, csr.AddFloat64)
-			if den < twolayer.MinEvidence {
-				continue
-			}
-			parts = parts[:0]
-			for _, l := range hold {
-				parts = append(parts, numP[l.shard][l.local])
-			}
-			num := csr.Pairwise(parts, csr.AddFloat64)
-			v := twolayer.SourceAccuracyUpdate(num, den, cfg.InitSourceAccuracy)
-			if d := v - srcAcc[gs]; d > maxDelta {
-				maxDelta = d
-			} else if -d > maxDelta {
-				maxDelta = -d
-			}
-			srcAcc[gs] = v
-		}
-
-		for s, run := range runs {
-			run.ExtractorPartials(extP[s])
-		}
-		if ghostP != nil {
-			ghostPartials()
-		}
-		for gx, hold := range t.exts.g2l {
-			parts4 = parts4[:0]
-			for _, l := range hold {
-				parts4 = append(parts4, extP[l.shard][l.local])
-			}
-			if ghostP != nil {
-				parts4 = append(parts4, ghostP[gx])
-			}
-			tot := csr.Pairwise(parts4, twolayer.AddPartials)
-			if tot[0] > twolayer.MinEvidence {
-				recall[gx] = twolayer.RecallUpdate(tot[2], tot[0])
-			}
-			if tot[1] > twolayer.MinEvidence {
-				falsePos[gx] = twolayer.FalsePosUpdate(tot[3], tot[1])
-			}
-		}
-
-		broadcast()
-		if maxDelta < twolayer.ConvergeTol {
-			break
-		}
-	}
-
-	// Final E-steps over the converged parameters, mirroring the unsharded
-	// loop's trailing inferStatements+inferTruth.
-	if gm != nil {
-		refreshGhosts()
-	}
-	out := &fusion.Result{Rounds: rounds}
-	for _, run := range runs {
-		run.InferStatements()
-		run.InferTruth()
-		res := run.Result(rounds)
-		out.Triples = append(out.Triples, res.Triples...)
-		out.Unpredicted += res.Unpredicted
-	}
-	out.ProvAccuracy = make(map[string]float64, nS)
-	for gs, key := range t.srcs.keys {
-		out.ProvAccuracy[key] = srcAcc[gs]
-	}
-	return out, &twolayer.State{SrcAcc: srcAcc, Recall: recall, FalsePos: falsePos}, nil
+	t.ensureGhosts()
+	return twolayer.FuseLockstep(t.graphs, &twolayer.Shards{Sources: t.srcs, Extractors: t.exts, Ghosts: t.ghosts}, cfg, warm)
 }

@@ -1,33 +1,47 @@
 package twolayer
 
-// The stepping two-layer API: internal/shard drives one Run per shard in
-// lockstep EM rounds. A Run is the compiled engine with the round loop
-// inverted — the same newEngine state and E-step passes, with the M-step
-// split into its per-source / per-extractor evidence (SourcePartials,
-// ExtractorPartials) and its update, which the coordinator applies over
-// merged evidence (SourceAccuracyUpdate, RecallUpdate, FalsePosUpdate) and
-// broadcasts back (SetSourceAccuracy, SetExtractorRates). Statements and
-// candidate triples route with their data item, so both E-steps are
-// shard-local except the layer-1 ghost-miss correction (SetGhostMiss).
-// Driving a single Run with the unsharded loop order and nil ghosts is
-// bit-identical to FuseCompiled — the K=1 anchor of the
-// shard-count-independence property tests.
+// The EM round driver and the step engine it sequences.
+//
+// The two-layer EM — layer-1 statement inference, layer-2 truth inference,
+// then the per-source and per-extractor M-step — is one loop whether the
+// extraction corpus sits in one graph or in K shards, and FuseLockstep is
+// that loop: the only place in this package where rounds are counted, a
+// previous State seeds a warm start, the M-step formulas are applied and
+// the convergence test runs. It drives one Run per graph: every Run infers
+// its statements and items under the current global parameters, reports its
+// M-step evidence (SourcePartials, ExtractorPartials), and the driver folds
+// each entity's evidence across the graphs holding it, applies
+// SourceAccuracyUpdate / RecallUpdate / FalsePosUpdate, and broadcasts the
+// merged parameters back (SetSourceAccuracy, SetExtractorRates). Statements
+// and candidate triples route with their data item, so both E-steps are
+// graph-local except the layer-1 ghost-miss correction (SetGhostMiss).
+//
+// Fuse, FuseCompiled and FuseCompiledWarm are the one-graph call of the
+// driver: local and global IDs coincide (csr.IdentityTable over the graph's
+// own key slices), a one-element fold is the identity and there are no
+// ghosts. internal/shard's TwoLayer coordinator is the K-graph call, handing
+// in the cross-shard tables and ghost-extractor sets it maintains across
+// Appends.
 
 import (
 	"fmt"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/extract"
 	"kfusion/internal/fusion"
+	"kfusion/internal/mathx"
 )
 
-// Run is an open-loop two-layer fusion over one compiled extraction graph:
-// the caller sequences the EM stages instead of FuseCompiled's internal
-// loop. Not safe for concurrent use; one Run per goroutine.
+// Run is the step engine over one compiled extraction graph: the newEngine
+// state with the EM stages exposed one at a time, for FuseLockstep (and for
+// callers that time or trace the stages) to sequence. A Run never counts
+// rounds and never updates a parameter on its own. Not safe for concurrent
+// use; one Run per goroutine.
 type Run struct {
 	e *engine
 }
 
-// NewRun builds the stepping engine for one two-layer configuration over a
+// NewRun builds the step engine for one two-layer configuration over a
 // compiled extraction graph (whose source level must match cfg.SiteLevel).
 func NewRun(g *extract.Compiled, cfg Config) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
@@ -45,17 +59,12 @@ func NewRun(g *extract.Compiled, cfg Config) (*Run, error) {
 func (r *Run) NumSources() int    { return r.e.g.NumSources() }
 func (r *Run) NumExtractors() int { return r.e.g.NumExtractors() }
 
-// SourceKey and ExtractorName name local IDs; coordinators use them to
-// build the cross-shard source and extractor tables.
-func (r *Run) SourceKey(s int32) string     { return r.e.g.SourceKey(s) }
-func (r *Run) ExtractorName(x int32) string { return r.e.g.ExtractorName(x) }
-
 // SetGhostMiss installs the per-source cross-shard miss correction: for
-// each local source, the summed MissLogRatio of the extractors that
+// each local source, the summed mathx.MissLogRatio of the extractors that
 // processed it only in other shards, added once to every local statement's
-// layer-1 log-odds. nil (the default) disables the correction — the K=1 /
-// unsharded path, where adding nothing keeps bits identical. The slice is
-// retained, not copied; the coordinator rewrites it each round.
+// layer-1 log-odds. nil (the default) disables the correction — the
+// one-graph case, where adding nothing keeps bits identical. The slice is
+// retained, not copied; the driver rewrites it each round.
 func (r *Run) SetGhostMiss(gm []float64) { r.e.ghostMiss = gm }
 
 // SetSourceAccuracy / SetExtractorRates broadcast merged parameters into
@@ -77,52 +86,318 @@ func (r *Run) InferTruth() { r.e.inferTruth() }
 // SourcePartials writes each local source's M-step evidence — expected
 // true-claim mass and expected claim mass, summed over the source's local
 // statement span in ascending ID order — into num and den (each of length
-// NumSources). Merged across shards, SourceAccuracyUpdate over the totals
-// (skipping dens below MinEvidence) reproduces the engine's own update.
+// NumSources), in parallel over sources (each index owns its outputs, so
+// the worker count cannot move a bit). Merged across shards,
+// SourceAccuracyUpdate over the totals (skipping dens below MinEvidence) is
+// the M-step source update.
 func (r *Run) SourcePartials(num, den []float64) {
 	e := r.e
-	for s := 0; s < e.g.NumSources(); s++ {
-		num[s], den[s] = e.sourceStat(int32(s))
-	}
+	csr.ParallelRange(e.g.NumSources(), e.workers, func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			num[s], den[s] = e.sourceStat(int32(s))
+		}
+	})
 }
 
 // SourceStatedMass writes, per local source, the sum of its local
 // statements' stated probabilities (ascending statement-ID order) and the
-// statement count. This is the raw material of the coordinator's ghost
-// extractor partials: an extractor that processed a source only in other
+// statement count, in parallel over sources. This is the raw material of
+// the driver's ghost extractor partials: an extractor that processed a source only in other
 // shards covers all of the source's local statements without hitting any,
 // so it owes [sum, cnt-sum, 0, 0] to its merged M-step totals — mass the
 // local ExtractorPartials cannot see.
 func (r *Run) SourceStatedMass(sums []float64, cnts []int32) {
 	e := r.e
-	for s := 0; s < e.g.NumSources(); s++ {
-		span := e.g.SourceStatements(int32(s))
-		sum := 0.0
-		for _, si := range span {
-			//lint:ignore kflint/floatsum per-source span sum in ascending statement-ID order, mirroring sourceStat — deterministic by construction.
-			sum += e.stated[si]
+	csr.ParallelRange(e.g.NumSources(), e.workers, func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			span := e.g.SourceStatements(int32(s))
+			sum := 0.0
+			for _, si := range span {
+				//lint:ignore kflint/floatsum per-source span sum in ascending statement-ID order, mirroring sourceStat — deterministic by construction.
+				sum += e.stated[si]
+			}
+			sums[s] = sum
+			cnts[s] = int32(len(span))
 		}
-		sums[s] = sum
-		cnts[s] = int32(len(span))
-	}
+	})
 }
 
 // ExtractorPartials writes each local extractor's M-step evidence — the
 // [stated, unstated, hitStated, hitUnstated] totals of the fixed-block
 // pairwise reduction — into dst (length NumExtractors). Merged across
-// shards with AddPartials, RecallUpdate/FalsePosUpdate over the totals
-// reproduce the engine's own update.
+// shards lane by lane, RecallUpdate/FalsePosUpdate over the totals are
+// the M-step rate updates.
 func (r *Run) ExtractorPartials(dst [][4]float64) {
 	e := r.e
 	e.extractorTotals()
 	copy(dst, e.extTotals)
 }
 
-// Result assembles the shard's fusion.Result — triples in interned order
-// with the graph's support counts — with Rounds as given (the coordinator's
-// global round count).
-func (r *Run) Result(rounds int) *fusion.Result { return r.e.result(rounds) }
+// Result assembles the graph's fusion.Result — triples in interned order
+// with the graph's support counts — with Rounds as given.
+func (r *Run) Result(rounds int) *fusion.Result {
+	e, g := r.e, r.e.g
+	res := &fusion.Result{
+		Rounds:       rounds,
+		ProvAccuracy: make(map[string]float64, g.NumSources()),
+	}
+	for s := 0; s < g.NumSources(); s++ {
+		res.ProvAccuracy[g.SourceKey(int32(s))] = e.srcAcc[s]
+	}
+	if n := g.NumTriples(); n > 0 {
+		res.Triples = make([]fusion.FusedTriple, n)
+		e.triplesInto(res.Triples)
+	}
+	return res
+}
 
-// State snapshots the engine's current parameters (after the final
+// State snapshots the engine's current parameters (after the driver's last
 // broadcast these are the merged global values restricted to local IDs).
-func (r *Run) State() *State { return r.e.state() }
+func (r *Run) State() *State {
+	e := r.e
+	return &State{
+		SrcAcc:   append([]float64(nil), e.srcAcc...),
+		Recall:   append([]float64(nil), e.recall...),
+		FalsePos: append([]float64(nil), e.falsePos...),
+	}
+}
+
+// Shards is what a K-graph caller hands FuseLockstep: the cross-shard
+// identity of the two interned ID spaces the M-step merges over, and the
+// one structure of the model that genuinely crosses shards — a source's
+// extractor set.
+type Shards struct {
+	Sources    *csr.IDTable
+	Extractors *csr.IDTable
+	// Ghosts[s][ls] lists, ascending, the global IDs of the extractors that
+	// processed shard s's local source ls only in OTHER shards. Each is a
+	// structural miss on every local statement of the source (its hits
+	// route with their own items): a per-round layer-1 constant
+	// (SetGhostMiss) and all-miss M-step mass. nil when there is one shard.
+	Ghosts [][][]int32
+}
+
+// FuseLockstep runs the two-layer model over 1..K compiled extraction
+// graphs in lockstep EM rounds and merges the results: triples in
+// graph-major interned order, the global source-accuracy map, and the
+// run's global State for the next generation's warm start (indexed by
+// ids' global IDs, which for one graph are the graph's own). graphs[i] must
+// hold exactly the extractions of the data items routed to it; ids is nil
+// for a single graph (identity tables, no ghosts). Sources and extractors
+// covered by warm start at their previous posteriors.
+//
+// With one graph every fold is over a single holder — the identity — so the
+// result does not depend on whether tables were handed in; K > 1 re-groups
+// the cross-shard evidence sums (csr.Pairwise over each entity's holders in
+// shard order) and agrees with K = 1 within RefTol (see internal/shard).
+func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *State) (*fusion.Result, *State, error) {
+	if len(graphs) == 0 {
+		return nil, nil, fmt.Errorf("twolayer: FuseLockstep needs at least one graph")
+	}
+	runs := make([]*Run, len(graphs))
+	for s, g := range graphs {
+		if g == nil {
+			return nil, nil, fmt.Errorf("twolayer: shard %d has no graph (Fuse before first Append)", s)
+		}
+		r, err := NewRun(g, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		runs[s] = r
+	}
+	if ids == nil {
+		if len(graphs) > 1 {
+			return nil, nil, fmt.Errorf("twolayer: %d graphs need cross-shard ID tables", len(graphs))
+		}
+		ids = &Shards{
+			Sources:    csr.IdentityTable(graphs[0].SourceKeys()),
+			Extractors: csr.IdentityTable(graphs[0].ExtractorNames()),
+		}
+	}
+	srcs, exts, ghosts := ids.Sources, ids.Extractors, ids.Ghosts
+
+	nS, nX := srcs.N(), exts.N()
+	srcAcc := make([]float64, nS)
+	recall := make([]float64, nX)
+	falsePos := make([]float64, nX)
+	for i := range srcAcc {
+		srcAcc[i] = cfg.InitSourceAccuracy
+	}
+	for i := range recall {
+		recall[i] = cfg.InitRecall
+		falsePos[i] = cfg.InitFalsePos
+	}
+	if warm != nil {
+		copy(srcAcc, warm.SrcAcc) // copy clamps to the shorter slice
+		copy(recall, warm.Recall)
+		copy(falsePos, warm.FalsePos)
+	}
+	// Starting parameters reach the step engines once; from then on each
+	// merged update is installed on its holders as it is computed.
+	for s, r := range runs {
+		for local := 0; local < r.NumSources(); local++ {
+			r.SetSourceAccuracy(int32(local), srcAcc[srcs.Global(s, local)])
+		}
+		for local := 0; local < r.NumExtractors(); local++ {
+			g := exts.Global(s, local)
+			r.SetExtractorRates(int32(local), recall[g], falsePos[g])
+		}
+	}
+
+	numP := make([][]float64, len(runs))
+	denP := make([][]float64, len(runs))
+	extP := make([][][4]float64, len(runs))
+	for s, r := range runs {
+		numP[s] = make([]float64, r.NumSources())
+		denP[s] = make([]float64, r.NumSources())
+		extP[s] = make([][4]float64, r.NumExtractors())
+	}
+	// Ghost state, all nil without ghosts: gm[s] is shard s's ghost-miss
+	// table (installed once, rewritten from the global rates before each
+	// statement inference), statedSum/statedCnt the per-source stated mass
+	// and ghostP each extractor's all-miss M-step mass built from it.
+	var gm, statedSum [][]float64
+	var statedCnt [][]int32
+	var ghostP [][4]float64
+	if ghosts != nil {
+		gm = make([][]float64, len(runs))
+		statedSum = make([][]float64, len(runs))
+		statedCnt = make([][]int32, len(runs))
+		for s, r := range runs {
+			gm[s] = make([]float64, r.NumSources())
+			r.SetGhostMiss(gm[s])
+			statedSum[s] = make([]float64, r.NumSources())
+			statedCnt[s] = make([]int32, r.NumSources())
+		}
+		ghostP = make([][4]float64, nX)
+	}
+	estep := func() {
+		for s := range gm {
+			for ls, ghost := range ghosts[s] {
+				sum := 0.0
+				for _, gx := range ghost {
+					//lint:ignore kflint/floatsum tiny per-source sum over the ghost extractor set in fixed ascending global-ID order — deterministic by construction, far below a block.
+					sum += mathx.MissLogRatio(recall[gx], falsePos[gx])
+				}
+				gm[s][ls] = sum
+			}
+		}
+		for _, r := range runs {
+			r.InferStatements()
+			r.InferTruth()
+		}
+	}
+	// ghostPartials rebuilds each ghost extractor's cross-shard M-step mass:
+	// for every (shard, source) pair the extractor processed only elsewhere,
+	// it covers all of the source's local statements without hitting any.
+	// Accumulation order is fixed (ascending shard, source, ghost ID), so the
+	// totals are deterministic.
+	ghostPartials := func() {
+		for s, r := range runs {
+			r.SourceStatedMass(statedSum[s], statedCnt[s])
+		}
+		for gx := range ghostP {
+			ghostP[gx] = [4]float64{}
+		}
+		for s := range runs {
+			for ls, ghost := range ghosts[s] {
+				if len(ghost) == 0 {
+					continue
+				}
+				sum := statedSum[s][ls]
+				miss := float64(statedCnt[s][ls]) - sum
+				for _, gx := range ghost {
+					ghostP[gx][0] += sum
+					ghostP[gx][1] += miss
+				}
+			}
+		}
+	}
+	parts := make([]float64, 0, len(runs))
+	parts4 := make([][4]float64, 0, len(runs)+1)
+	var one [1]csr.Loc
+
+	rounds := 0
+	for rounds < cfg.Rounds {
+		estep()
+		rounds++
+
+		// M-step, sources: fold each source's (num, den) evidence over its
+		// holders; a source without evidence keeps its accuracy.
+		for s, r := range runs {
+			r.SourcePartials(numP[s], denP[s])
+		}
+		maxDelta := 0.0
+		for gs := range srcAcc {
+			hold := srcs.Holders(gs, &one)
+			den := csr.FoldFloat64(hold, denP, parts)
+			if den < MinEvidence {
+				continue
+			}
+			v := SourceAccuracyUpdate(csr.FoldFloat64(hold, numP, parts), den, cfg.InitSourceAccuracy)
+			if d := v - srcAcc[gs]; d > maxDelta {
+				maxDelta = d
+			} else if -d > maxDelta {
+				maxDelta = -d
+			}
+			srcAcc[gs] = v
+			for _, l := range hold {
+				runs[l.Shard].SetSourceAccuracy(l.Local, v)
+			}
+		}
+
+		// M-step, extractors: fold each extractor's block-reduced evidence
+		// over its holders, plus its ghost mass.
+		for s, r := range runs {
+			r.ExtractorPartials(extP[s])
+		}
+		if ghostP != nil {
+			ghostPartials()
+		}
+		for gx := range recall {
+			hold := exts.Holders(gx, &one)
+			parts4 = parts4[:0]
+			for _, l := range hold {
+				parts4 = append(parts4, extP[l.Shard][l.Local])
+			}
+			if ghostP != nil {
+				parts4 = append(parts4, ghostP[gx])
+			}
+			tot := csr.Pairwise(parts4, addPartials)
+			if tot[0] > MinEvidence {
+				recall[gx] = RecallUpdate(tot[2], tot[0])
+			}
+			if tot[1] > MinEvidence {
+				falsePos[gx] = FalsePosUpdate(tot[3], tot[1])
+			}
+			for _, l := range hold {
+				runs[l.Shard].SetExtractorRates(l.Local, recall[gx], falsePos[gx])
+			}
+		}
+
+		if maxDelta < ConvergeTol {
+			break
+		}
+	}
+	// Final E-steps over the converged parameters.
+	estep()
+
+	out := &fusion.Result{Rounds: rounds, ProvAccuracy: make(map[string]float64, nS)}
+	for gs, a := range srcAcc {
+		out.ProvAccuracy[srcs.Key(gs)] = a
+	}
+	nTriples := 0
+	for _, g := range graphs {
+		nTriples += g.NumTriples()
+	}
+	if nTriples > 0 {
+		out.Triples = make([]fusion.FusedTriple, nTriples)
+	}
+	at := 0
+	for s, r := range runs {
+		n := graphs[s].NumTriples()
+		r.e.triplesInto(out.Triples[at : at+n])
+		at += n
+	}
+	return out, &State{SrcAcc: srcAcc, Recall: recall, FalsePos: falsePos}, nil
+}

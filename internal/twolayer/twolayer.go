@@ -232,40 +232,7 @@ const WarmTol = 5e-3
 // being pointwise-close to it. It returns the run's own State for the next
 // generation. A nil warm is a cold start (exactly FuseCompiled).
 func FuseCompiledWarm(g *extract.Compiled, cfg Config, warm *State) (*fusion.Result, *State, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if g.SiteLevel() != cfg.SiteLevel {
-		return nil, nil, fmt.Errorf("twolayer: graph compiled with SiteLevel=%v but Config.SiteLevel=%v",
-			g.SiteLevel(), cfg.SiteLevel)
-	}
-	e := newEngine(g, cfg)
-	if warm != nil {
-		copy(e.srcAcc, warm.SrcAcc) // copy clamps to the shorter slice
-		copy(e.recall, warm.Recall)
-		copy(e.falsePos, warm.FalsePos)
-	}
-	rounds := 0
-	for r := 0; r < cfg.Rounds; r++ {
-		e.inferStatements()
-		e.inferTruth()
-		rounds++
-		if e.updateParams() < ConvergeTol {
-			break
-		}
-	}
-	e.inferStatements()
-	e.inferTruth()
-	return e.result(rounds), e.state(), nil
-}
-
-// state snapshots the engine's converged parameters as a State.
-func (e *engine) state() *State {
-	return &State{
-		SrcAcc:   append([]float64(nil), e.srcAcc...),
-		Recall:   append([]float64(nil), e.recall...),
-		FalsePos: append([]float64(nil), e.falsePos...),
-	}
+	return FuseLockstep([]*extract.Compiled{g}, nil, cfg, warm)
 }
 
 // MustFuseCompiled is FuseCompiled for statically-valid configurations.
@@ -322,7 +289,6 @@ type engine struct {
 
 	// Per-worker scratch: candidate score buffers for the layer-2 softmax.
 	scores [][]float64
-	deltas []float64
 
 	// Single-hit sigmoid cache, per worker: most statements are hit by
 	// exactly one extractor and distinct (source, extractor) pairs are an
@@ -337,8 +303,8 @@ type engine struct {
 	pairStamp [][]int32
 	roundSeq  int32
 
-	// ghostMiss is the sharded pipeline's cross-shard correction (nil and
-	// inert outside internal/shard): per local source, the summed
+	// ghostMiss is the round driver's cross-shard correction (nil and inert
+	// for a single graph): per local source, the summed
 	// miss-log-ratio of extractors that processed the source only in OTHER
 	// shards. A statement's global layer-1 walk covers every extractor that
 	// processed its source; a shard sees only the local ones, and every
@@ -400,7 +366,6 @@ func newEngine(g *extract.Compiled, cfg Config) *engine {
 		srcLogW:   make([]float64, g.NumSources()),
 
 		scores:    make([][]float64, workers),
-		deltas:    make([]float64, workers),
 		pairP:     make([][]float64, workers),
 		pairStamp: make([][]int32, workers),
 
@@ -582,61 +547,15 @@ func (e *engine) inferTruth() {
 	})
 }
 
-// updateParams is the M-step: source accuracies (parallel over sources, each
-// source summing its statement span in ascending order) and extractor
-// recall/false-positive rates (a parallel fixed-block reduction over the
-// graph's ext→statement CSR — see the package comment for the determinism
-// contract and the tolerance this re-grouping costs against the reference).
-// It returns the largest source-accuracy change.
-func (e *engine) updateParams() float64 {
-	g := e.g
-	for w := range e.deltas {
-		e.deltas[w] = 0
-	}
-	csr.ParallelRange(g.NumSources(), e.workers, func(w, lo, hi int) {
-		maxDelta := 0.0
-		for s := lo; s < hi; s++ {
-			num, den := e.sourceStat(int32(s))
-			if den < MinEvidence {
-				continue
-			}
-			v := SourceAccuracyUpdate(num, den, e.cfg.InitSourceAccuracy)
-			if d := math.Abs(v - e.srcAcc[s]); d > maxDelta {
-				maxDelta = d
-			}
-			e.srcAcc[s] = v
-		}
-		e.deltas[w] = maxDelta
-	})
-	maxDelta := 0.0
-	for _, d := range e.deltas {
-		if d > maxDelta {
-			maxDelta = d
-		}
-	}
-
-	e.extractorTotals()
-	for x := range e.recall {
-		tot := &e.extTotals[x]
-		if tot[0] > MinEvidence {
-			e.recall[x] = RecallUpdate(tot[2], tot[0])
-		}
-		if tot[1] > MinEvidence {
-			e.falsePos[x] = FalsePosUpdate(tot[3], tot[1])
-		}
-	}
-	return maxDelta
-}
-
 // sourceStat sums one source's expected-stated evidence over its statement
 // span in ascending ID order: num is the expected true-claim mass, den the
-// expected claim mass. The (num, den) pair is also the cross-shard merge
-// unit of internal/shard.
+// expected claim mass. The (num, den) pair is the unit the round driver
+// folds across the graphs holding the source.
 func (e *engine) sourceStat(s int32) (num, den float64) {
 	g := e.g
 	for _, si := range g.SourceStatements(s) {
 		wgt := e.stated[si]
-		//lint:ignore kflint/floatsum one source's partial over its compiled CSR statement span in ascending ID order — the per-group (num, den) merge unit of internal/shard; addition order is identical across runs.
+		//lint:ignore kflint/floatsum one source's partial over its compiled CSR statement span in ascending ID order — the per-group (num, den) unit the round driver folds across shards; addition order is identical across runs.
 		num += wgt * e.tripleP[g.StatementTriple(si)]
 		//lint:ignore kflint/floatsum same fixed statement-span order as num — the pair is folded across shards with csr.Pairwise.
 		den += wgt
@@ -679,18 +598,16 @@ func (e *engine) extractorTotals() {
 		for bi < len(blocks) && blocks[bi].Group == int32(x) {
 			bi++
 		}
-		e.extTotals[x] = csr.Pairwise(e.blockSums[lo:bi], AddPartials)
+		e.extTotals[x] = csr.Pairwise(e.blockSums[lo:bi], addPartials)
 	}
 }
 
-// ConvergeTol is the EM loop's convergence threshold on the per-round
-// maximum source-accuracy change; the sharded coordinator tests its merged
-// delta against the same constant.
+// ConvergeTol is the round driver's convergence threshold on the per-round
+// maximum (merged) source-accuracy change.
 const ConvergeTol = 1e-4
 
 // MinEvidence is the floor under which an M-step denominator counts as no
-// evidence: the source (or extractor rate) keeps its current value. Shared
-// with the sharded coordinator so merged updates skip identically.
+// evidence: the source (or extractor rate) keeps its current value.
 const MinEvidence = 1e-9
 
 // sourceAnchor is the M-step's pseudo-claim mass: small sources are
@@ -699,8 +616,8 @@ const MinEvidence = 1e-9
 const sourceAnchor = 2.0
 
 // SourceAccuracyUpdate is the M-step source-accuracy formula over merged
-// evidence. Exported so the sharded coordinator applies the exact
-// expression the engine does.
+// evidence — applied by the round driver, and exported (like RecallUpdate
+// and FalsePosUpdate) for callers that sequence a Run's stages themselves.
 func SourceAccuracyUpdate(num, den, initAccuracy float64) float64 {
 	return (num + sourceAnchor*initAccuracy) / (den + sourceAnchor)
 }
@@ -717,49 +634,28 @@ func FalsePosUpdate(hitUnstated, unstated float64) float64 {
 	return clampRate(hitUnstated / (unstated + 1))
 }
 
-// MissLogRatio is the layer-1 log-likelihood ratio of an extractor NOT
-// extracting a statement it processed the source for:
-// log(1-recall) - log(1-falsePos). The engine precomputes it per round
-// (batched, via the kernel LogRatioSlice pass); the sharded coordinator
-// evaluates the same expression over global rates to build each shard's
-// ghost-miss table. The implementation lives in mathx alongside the batched
-// kernels; this re-export keeps the coordinator's call site stable.
-func MissLogRatio(recall, falsePos float64) float64 {
-	return mathx.MissLogRatio(recall, falsePos)
-}
-
-// AddPartials combines two [stated, unstated, hitStated, hitUnstated]
+// addPartials combines two [stated, unstated, hitStated, hitUnstated]
 // M-step partials — the fold operator for both the in-graph block reduction
 // and the cross-shard extractor merge.
-func AddPartials(a, b [4]float64) [4]float64 {
+func addPartials(a, b [4]float64) [4]float64 {
 	return [4]float64{a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]}
 }
 
-// result assembles the fusion.Result: triples in interned (first-occurrence)
-// order with the graph's precomputed support counts.
-func (e *engine) result(rounds int) *fusion.Result {
+// triplesInto writes the graph's fused triples, in interned order, into out
+// (NumTriples long — the round driver hands each graph its segment of the
+// merged result).
+func (e *engine) triplesInto(out []fusion.FusedTriple) {
 	g := e.g
-	res := &fusion.Result{
-		Rounds:       rounds,
-		ProvAccuracy: make(map[string]float64, g.NumSources()),
-	}
-	for s := 0; s < g.NumSources(); s++ {
-		res.ProvAccuracy[g.SourceKey(int32(s))] = e.srcAcc[s]
-	}
-	if n := g.NumTriples(); n > 0 {
-		res.Triples = make([]fusion.FusedTriple, n)
-		for ti := 0; ti < n; ti++ {
-			res.Triples[ti] = fusion.FusedTriple{
-				Triple:          g.Triple(int32(ti)),
-				Probability:     e.tripleP[ti],
-				Predicted:       true,
-				Provenances:     len(g.TripleStatements(int32(ti))),
-				ItemProvenances: int(g.ItemStatements(g.ItemOfTriple(int32(ti)))),
-				Extractors:      int(g.TripleExtractors(int32(ti))),
-			}
+	for ti := range out {
+		out[ti] = fusion.FusedTriple{
+			Triple:          g.Triple(int32(ti)),
+			Probability:     e.tripleP[ti],
+			Predicted:       true,
+			Provenances:     len(g.TripleStatements(int32(ti))),
+			ItemProvenances: int(g.ItemStatements(g.ItemOfTriple(int32(ti)))),
+			Extractors:      int(g.TripleExtractors(int32(ti))),
 		}
 	}
-	return res
 }
 
 // accClampLo/Hi bound every source accuracy before it enters the layer-2
