@@ -440,26 +440,7 @@ func benchWarmBoot(out *benchFile, bench *exper.Dataset) {
 	units := float64(len(xs))
 	cfg := fusion.PopAccuConfig()
 
-	apply := func(st *genstore.State, batch []extract.Extraction) error {
-		stream := fusion.NewClaimStream(cfg.Granularity)
-		if st.Claim != nil {
-			stream = fusion.SeedClaimStream(cfg.Granularity, st.Claim)
-		}
-		claims := stream.Add(batch)
-		if st.Claim == nil {
-			st.Claim = fusion.MustCompile(claims)
-		} else {
-			st.Claim = st.Claim.MustAppend(claims)
-		}
-		res, err := st.Claim.FuseWarm(cfg, st.Result)
-		if err != nil {
-			return err
-		}
-		st.Method = "popaccu"
-		st.Gran = cfg.Granularity
-		st.Result = res
-		return nil
-	}
+	apply := genstore.ClaimChain("popaccu", cfg, 0).Apply
 
 	mem := faultfs.NewMem()
 	store, st, err := genstore.OpenFS(mem, apply)

@@ -41,7 +41,7 @@ func main() {
 		siteLevel = flag.Bool("site-level", false, "key twolayer sources at site level")
 		workers   = flag.Int("workers", 0, "fusion worker cap (0 = all cores)")
 		warm      = flag.Int("warm-rounds", 1, "EM rounds per append after the cold start")
-		snapEvery = flag.Int("snapshot-every", 16, "snapshot the store every N appends (journal is durable regardless)")
+		snapEvery = flag.Int("snapshot-every", 16, "snapshot the store every N appends (0 = the default 16, negative = only on shutdown; the journal is durable regardless)")
 		maxBody   = flag.Int64("max-body", 64<<20, "append request body cap in bytes")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	)
@@ -60,18 +60,12 @@ func main() {
 		MaxBody:       *maxBody,
 		Logf:          log.Printf,
 	}
-	switch *gran {
-	case "":
-	case "url":
-		cfg.Granularity = fusion.GranExtractorURL
-	case "site":
-		cfg.Granularity = fusion.GranExtractorSite
-	case "site-pred":
-		cfg.Granularity = fusion.GranExtractorSitePred
-	case "site-pred-pattern":
-		cfg.Granularity = fusion.GranExtractorSitePredPattern
-	default:
-		log.Fatalf("unknown -granularity %q", *gran)
+	if *gran != "" {
+		g, err := fusion.ParseGranularity(*gran)
+		if err != nil {
+			log.Fatalf("unknown -granularity %q", *gran)
+		}
+		cfg.Granularity = g
 	}
 
 	srv, err := server.New(cfg)

@@ -1,0 +1,153 @@
+package main
+
+// Golden output digests across the append-chain consolidation. The kfuse
+// binary is built and run as a user runs it, one cell per supported
+// {method} × {batch, -append} × {K=1, K=3} × {memory, -state} combination,
+// and the SHA-256 of the fused file is compared with the digest recorded at
+// the last commit whose kfuse still carried its own apply closures
+// (appendFuse, appendTwoLayer, the inline sharded apply and the one-shot
+// fusion.Fuse / twolayer.Fuse calls). The digests must never change: the
+// file holds every fused triple's probability to the last bit.
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"kfusion/internal/kb"
+	"kfusion/internal/kfio"
+)
+
+// goldenFused is keyed by method/mode/K: the in-memory and the -state run of
+// one cell are the same chain and must produce the same file.
+var goldenFused = map[string]string{
+	"popaccu/batch/K=1":   "21183636cf33296e005df68fb40c7eb6fa7330d27571e427266858b049d1baf4",
+	"popaccu/batch/K=3":   "5f387773e706710efe75dc1f9b4f7bae8fc3adecff6dadc5a13e868aedb55c3b",
+	"popaccu/append/K=1":  "23cbd95b59222b6ddc3c940a724c18d11d79149d1f1636079935d6770badc757",
+	"popaccu/append/K=3":  "4c994b53f01f634a8d6053225fafaa8e27fe4adbebf9ccd5b91e0f3e41440bee",
+	"popaccu+/batch/K=1":  "0d45fcffd7696b6c0fa401b1accfc71273a08aeca4bdc28bde8f452030f09e85",
+	"popaccu+/batch/K=3":  "7fb76b5dca7c93b5ed9c413e902cc0c722377f1a1b4f06633f2614df4f182173",
+	"popaccu+/append/K=1": "243886bf43866f705eaff91faea9f93857401a14b0869f84cf1f53682bbf363f",
+	"popaccu+/append/K=3": "ea3ded936fab9e9f372eac7910aaa311347f22eddd766cd4cd22b8a119ca2464",
+	"twolayer/batch/K=1":  "38cd66bc5c2f7fe3361b3a970876bb72fd5b4448fc224af1fd3cccd43817dd92",
+	"twolayer/batch/K=3":  "61d5b22f4c4c0e5e195f31941925ee260b90634b7f8faa44eee703fdc115ccd5",
+	"twolayer/append/K=1": "3463e372b117bd3bb3cf6b03f6c32a3c5fdfc7fe84cd7ca5351a39266671c698",
+	"twolayer/append/K=3": "8876de0dbe28308c21ab6547d5ba2d20a716686969eaaac1beae97071f9878d0",
+}
+
+// buildKfuse compiles the command under test once per test.
+func buildKfuse(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds the kfuse binary and shells out to it")
+	}
+	bin := filepath.Join(t.TempDir(), "kfuse")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+func TestFusedOutputDigests(t *testing.T) {
+	bin := buildKfuse(t)
+	dir := t.TempDir()
+	xs := testFeed(1000)
+	feed, gold := filepath.Join(dir, "feed.jsonl"), filepath.Join(dir, "gold.jsonl")
+	writeFeed(t, feed, xs, false)
+
+	triples := make([]kb.Triple, len(xs))
+	for i, x := range xs {
+		triples[i] = x.Triple
+	}
+	var gb bytes.Buffer
+	label := func(tr kb.Triple) (bool, bool) {
+		// Subjects s7, s17 and s27 stay unlabeled; "v0" is the true value.
+		return tr.Object.String() == kb.StringObject("v0").String(), !strings.HasSuffix(string(tr.Subject), "7")
+	}
+	if err := kfio.WriteGold(&gb, label, triples); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(gold, gb.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, method := range []string{"popaccu", "popaccu+", "twolayer"} {
+		for _, mode := range []string{"batch", "append"} {
+			for _, k := range []int{1, 3} {
+				for _, durable := range []bool{false, true} {
+					if durable && (mode == "batch" || (method == "twolayer" && k > 1)) {
+						continue // unsupported: pinned by TestUnsupportedCellsRefused
+					}
+					key := fmt.Sprintf("%s/%s/K=%d", method, mode, k)
+					cell := key + "/memory"
+					if durable {
+						cell = key + "/state"
+					}
+					out := filepath.Join(dir, strings.NewReplacer("/", "-", "+", "plus").Replace(cell)+".jsonl")
+					args := []string{"-q", "-in", feed, "-out", out, "-method", method, "-shards", fmt.Sprint(k)}
+					if method == "popaccu+" {
+						args = append(args, "-gold", gold)
+					}
+					if mode == "append" {
+						args = append(args, "-append", "-chunk", "300")
+					}
+					if durable {
+						args = append(args, "-state", out+".state")
+					}
+					runs := 1
+					if durable {
+						runs = 2 // the second run hydrates the finished state and must re-emit it
+					}
+					for run := 0; run < runs; run++ {
+						if msg, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+							t.Fatalf("%s run %d: %v\n%s", cell, run, err, msg)
+						}
+						fused, err := os.ReadFile(out)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := fmt.Sprintf("%x", sha256.Sum256(fused)); got != goldenFused[key] {
+							t.Errorf("%q run %d: fused digest %q, want %q", cell, run, got, goldenFused[key])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUnsupportedCellsRefused pins the combinations kfuse declines, by exit
+// status and message.
+func TestUnsupportedCellsRefused(t *testing.T) {
+	bin := buildKfuse(t)
+	dir := t.TempDir()
+	feed := filepath.Join(dir, "feed.jsonl")
+	writeFeed(t, feed, testFeed(50), false)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-method", "ltm", "-append"}, "-append is not supported with -method ltm"},
+		{[]string{"-method", "ltm", "-shards", "3"}, "-shards is not supported with -method ltm"},
+		{[]string{"-method", "twolayer", "-shards", "3", "-append", "-state", filepath.Join(dir, "st")},
+			"-state with -shards supports the claim-layer methods only"},
+		{[]string{"-method", "popaccu", "-state", filepath.Join(dir, "st")}, "-state requires -append"},
+		{[]string{"-method", "popaccu+"}, "-method popaccu+ requires -gold"},
+		{[]string{"-method", "nope"}, `unknown -method "nope"`},
+		{[]string{"-granularity", "nope"}, `unknown -granularity "nope"`},
+	} {
+		args := append([]string{"-q", "-in", feed, "-out", filepath.Join(dir, "out.jsonl")}, tc.args...)
+		msg, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("kfuse %v succeeded, want refusal", tc.args)
+		}
+		if !strings.Contains(string(msg), tc.want) {
+			t.Errorf("kfuse %v: output %q lacks %q", tc.args, msg, tc.want)
+		}
+	}
+}

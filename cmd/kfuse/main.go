@@ -9,13 +9,15 @@
 // Methods: vote, accu, popaccu, popaccu+unsup, popaccu+ (the last requires
 // -gold for accuracy initialization), twolayer, ltm.
 //
-// -append streams the input in -chunk-sized batches over ONE growing
-// compiled graph: the first chunk compiles, every later chunk appends
-// (incrementally interning only what is new — bit-identical to recompiling
-// the whole feed), and each chunk's fusion warm-starts from the previous
-// chunk's posteriors, so re-fusing after a batch costs a fraction of a cold
-// run. The final output covers the entire feed. Supported for every method
-// except ltm.
+// Every method except ltm runs the one append chain the daemon also runs
+// (genstore.Chain: flatten → compile-or-append → cold-or-warm fuse): batch
+// mode feeds it the whole input as a single chunk, -append streams the input
+// in -chunk-sized batches over ONE growing compiled graph — the first chunk
+// compiles, every later chunk appends (incrementally interning only what is
+// new — bit-identical to recompiling the whole feed), and each chunk's
+// fusion warm-starts from the previous chunk's posteriors, so re-fusing
+// after a batch costs a fraction of a cold run. The final output covers the
+// entire feed.
 //
 // -state DIR makes -append durable: every batch is journaled before it is
 // applied and the compiled graph is snapshotted at the end of the run, so a
@@ -84,19 +86,6 @@ func main() {
 		log.Fatalf("-shards must be >= 1, got %d", *shards)
 	}
 
-	var xs []extract.Extraction
-	if !*appendM {
-		f, err := os.Open(*in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		xs, err = kfio.ReadExtractions(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	var labeler fusion.Labeler
 	if *goldIn != "" {
 		g, err := os.Open(*goldIn)
@@ -114,7 +103,10 @@ func main() {
 		}
 	}
 
-	// The §5 extension models have their own drivers.
+	j := &job{in: *in, shards: *shards, stateDir: *state, quiet: *quiet, method: *method}
+	if *appendM {
+		j.chunk = *chunk
+	}
 	switch *method {
 	case "twolayer":
 		tcfg := twolayer.DefaultConfig()
@@ -123,26 +115,12 @@ func main() {
 		if *rounds > 0 {
 			tcfg.Rounds = *rounds
 		}
-		if *shards > 1 {
-			if *state != "" {
-				log.Fatal("-state with -shards supports the claim-layer methods only (twolayer state is not yet sharded)")
-			}
-			res, n := shardedTwoLayer(*in, xs, *appendM, *chunk, *shards, tcfg, *quiet)
-			writeResult(res, *out, *kbOut, *quiet, *method, n)
-			return
+		if *shards > 1 && *state != "" {
+			log.Fatal("-state with -shards supports the claim-layer methods only (twolayer state is not yet sharded)")
 		}
-		if *appendM {
-			res, n := appendTwoLayer(*in, *chunk, tcfg, *quiet, *state)
-			writeResult(res, *out, *kbOut, *quiet, *method, n)
-			return
-		}
-		res, err := twolayer.Fuse(xs, tcfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		writeResult(res, *out, *kbOut, *quiet, *method, len(xs))
-		return
+		j.twoLayer = &tcfg
 	case "ltm":
+		// The §5.2 multi-truth model has its own one-shot driver.
 		if *appendM {
 			log.Fatal("-append is not supported with -method ltm")
 		}
@@ -154,7 +132,7 @@ func main() {
 		if *rounds > 0 {
 			mcfg.Rounds = *rounds
 		}
-		compiled, err := fusion.CompileWorkers(fusion.Claims(xs, fusion.GranExtractorURL), *workers, 0)
+		compiled, err := fusion.CompileWorkers(fusion.Claims(readFeed(*in), fusion.GranExtractorURL), *workers, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -162,159 +140,183 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		writeResult(res, *out, *kbOut, *quiet, *method, len(xs))
+		writeResult(res, *out, *kbOut, *quiet)
 		return
-	}
-
-	var cfg fusion.Config
-	switch *method {
-	case "vote":
-		cfg = fusion.VoteConfig()
-	case "accu":
-		cfg = fusion.AccuConfig()
-	case "popaccu":
-		cfg = fusion.PopAccuConfig()
-	case "popaccu+unsup":
-		cfg = fusion.PopAccuPlusUnsupConfig()
 	case "popaccu+":
 		if labeler == nil {
 			log.Fatal("-method popaccu+ requires -gold")
 		}
-		cfg = fusion.PopAccuPlusConfig(labeler)
+		j.claim = fusion.PopAccuPlusConfig(labeler)
 	default:
-		log.Fatalf("unknown -method %q", *method)
+		cfg, err := fusion.Preset(*method)
+		if err != nil {
+			log.Fatalf("unknown -method %q", *method)
+		}
+		j.claim = cfg
+	}
+	if j.twoLayer == nil {
+		if *gran != "" {
+			g, err := fusion.ParseGranularity(*gran)
+			if err != nil {
+				log.Fatalf("unknown -granularity %q", *gran)
+			}
+			j.claim.Granularity = g
+		}
+		if *rounds > 0 {
+			j.claim.Rounds = *rounds
+		}
+		if *theta >= 0 {
+			j.claim.AccuracyThreshold = *theta
+		}
+		if *sampleL > 0 {
+			j.claim.SampleL = *sampleL
+		}
+		j.claim.Workers = *workers
 	}
 
-	switch *gran {
-	case "":
-	case "url":
-		cfg.Granularity = fusion.GranExtractorURL
-	case "site":
-		cfg.Granularity = fusion.GranExtractorSite
-	case "site-pred":
-		cfg.Granularity = fusion.GranExtractorSitePred
-	case "site-pred-pattern":
-		cfg.Granularity = fusion.GranExtractorSitePredPattern
-	default:
-		log.Fatalf("unknown -granularity %q", *gran)
-	}
-	if *rounds > 0 {
-		cfg.Rounds = *rounds
-	}
-	if *theta >= 0 {
-		cfg.AccuracyThreshold = *theta
-	}
-	if *sampleL > 0 {
-		cfg.SampleL = *sampleL
-	}
-	cfg.Workers = *workers
-
-	if *shards > 1 {
-		res, n := shardedFuse(*in, xs, *appendM, *chunk, *shards, cfg, *quiet, *state, *method)
-		writeResult(res, *out, *kbOut, *quiet, *method, n)
-		return
-	}
-	if *appendM {
-		res, n := appendFuse(*in, *chunk, cfg, *quiet, *state, *method)
-		writeResult(res, *out, *kbOut, *quiet, *method, n)
-		return
-	}
-
-	claims := fusion.Claims(xs, cfg.Granularity)
-	res, err := fusion.Fuse(claims, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if !*quiet {
-		fmt.Printf("method %s over %d extractions (%d claims at %s granularity)\n",
-			*method, len(xs), len(claims), cfg.Granularity)
-	}
-	writeResult(res, *out, *kbOut, *quiet, *method, len(xs))
+	res, _ := j.run()
+	writeResult(res, *out, *kbOut, *quiet)
 }
 
-// shardedFuse is the -shards driver for the claim-layer methods. One-shot
-// mode routes the loaded corpus through a K-shard coordinator; -append
-// streams the feed in chunks, fusing after each with a warm start from the
-// previous chunk's merged result. With -state the graphs persist in one
-// generation store per shard (shard.Stores): batches journal before they
-// apply, graphs snapshot at the end, and a restarted run resumes the graphs
-// bit-identically — the warm chain itself restarts from the last snapshot's
-// merged result (see docs/OPERATIONS.md).
-func shardedFuse(in string, xs []extract.Extraction, appendM bool, chunk, k int,
-	cfg fusion.Config, quiet bool, stateDir, method string) (*fusion.Result, int) {
-	if !appendM {
-		f, err := shard.NewFusion(k, cfg.Granularity)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Append(xs); err != nil {
-			log.Fatal(err)
-		}
-		res, err := f.Fuse(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !quiet {
-			fmt.Printf("method %s over %d extractions (%d claims at %s granularity, %d shards)\n",
-				method, len(xs), f.NumClaims(), cfg.Granularity, k)
-		}
-		return res, len(xs)
-	}
+// job is one kfuse run: a feed, a method binding, and where the chain lives
+// (one graph or K shards, in memory or in a state directory).
+type job struct {
+	in string
+	// chunk is the -append batch size; 0 is batch mode, the whole feed read
+	// as the chain's single chunk (first chunk = cold compile + cold fuse).
+	chunk    int
+	shards   int
+	stateDir string
+	quiet    bool
 
-	if stateDir == "" {
-		f, err := shard.NewFusion(k, cfg.Granularity)
+	method   string
+	claim    fusion.Config    // the claim-layer methods
+	twoLayer *twolayer.Config // non-nil selects the §5.1 two-layer model
+}
+
+// chain is the job's append chain: the full configuration on every chunk,
+// each warm-started from the previous chunk's result.
+func (j *job) chain() *genstore.Chain {
+	if j.twoLayer != nil {
+		return genstore.TwoLayerChain(*j.twoLayer, 0)
+	}
+	return genstore.ClaimChain(j.method, j.claim, 0)
+}
+
+// run streams the feed through the step function the job's placement
+// selects and returns the fused result over everything consumed, with the
+// consumed record count.
+func (j *job) run() (*fusion.Result, int) {
+	var res *fusion.Result
+	var n int
+	switch {
+	case j.shards == 1:
+		res, n = j.runAppend()
+	case j.stateDir == "":
+		res, n = j.runSharded()
+	default:
+		res, n = j.runShardedDurable()
+	}
+	if res == nil {
+		log.Fatal("no extractions fused: input is empty or ends mid-record before its first complete chunk")
+	}
+	return res, n
+}
+
+// runAppend is the unsharded chain. With a state directory it opens (or
+// resumes) a generation store, reports any recovery degradations, skips the
+// feed records the recovered state already consumed, journals each new batch
+// before applying it and snapshots at the end; without one the same chain
+// runs in memory only.
+func (j *job) runAppend() (*fusion.Result, int) {
+	chain := j.chain()
+	var store *genstore.Store
+	st := &genstore.State{}
+	if j.stateDir != "" {
+		var err error
+		store, st, err = genstore.Open(j.stateDir, chain.Apply)
 		if err != nil {
 			log.Fatal(err)
 		}
-		var prev *fusion.Result
-		n := streamChunks(in, chunk, 0, false, func(batch []extract.Extraction) error {
-			t0 := time.Now()
-			if err := f.Append(batch); err != nil {
-				return err
-			}
-			res, err := f.FuseWarm(cfg, prev)
-			if err != nil {
-				return err
-			}
-			prev = res
-			if !quiet {
-				fmt.Printf("chunk: +%d extractions -> %d claims, %d triples, %d rounds (%d shards, %v)\n",
-					len(batch), f.NumClaims(), len(res.Triples), res.Rounds, k, time.Since(t0).Round(time.Millisecond))
-			}
-			return nil
-		})
-		if prev == nil {
-			log.Fatal("no extractions fused: input is empty or ends mid-record before its first complete chunk")
+		defer store.Close()
+		for _, d := range store.Degradations() {
+			log.Printf("state recovery: %s", d)
 		}
-		return prev, n
+		if err := chain.Check(st); err != nil {
+			log.Fatalf("state directory: %v", err)
+		}
 	}
-
-	// Durable sharded chain: the apply function rebuilds each shard's graph
-	// (live appends and journal replay run the identical code); fusion is
-	// coordinator-level, outside the per-shard apply.
-	streams := make(map[*genstore.State]*fusion.ClaimStream)
-	apply := func(st *genstore.State, batch []extract.Extraction) error {
-		stream := streams[st]
-		if stream == nil {
-			if st.Claim != nil {
-				stream = fusion.SeedClaimStream(cfg.Granularity, st.Claim)
-			} else {
-				stream = fusion.NewClaimStream(cfg.Granularity)
+	j.streamChunks(st.Consumed, store != nil, func(batch []extract.Extraction) (*fusion.Result, string, error) {
+		if store != nil {
+			if err := store.Append(st, batch); err != nil {
+				return nil, "", err
 			}
-			streams[st] = stream
-		}
-		claims := stream.Add(batch)
-		if st.Claim == nil {
-			st.Claim = fusion.MustCompile(claims)
 		} else {
-			st.Claim = st.Claim.MustAppend(claims)
+			if err := chain.Apply(st, batch); err != nil {
+				return nil, "", err
+			}
+			st.Batches++
+			st.Consumed += len(batch)
 		}
-		st.Method = method
-		st.Gran = cfg.Granularity
-		return nil
+		if st.Ext != nil {
+			return st.Result, fmt.Sprintf("%d statements", st.Ext.NumStatements()), nil
+		}
+		return st.Result, fmt.Sprintf("%d claims", st.Claim.NumClaims()), nil
+	})
+	if store != nil {
+		if err := store.Snapshot(st); err != nil {
+			log.Fatal(err)
+		}
 	}
-	stores, states, err := shard.OpenStores(stateDir, k, apply)
+	return st.Result, st.Consumed
+}
+
+// runSharded is the in-memory -shards chain: a K-shard coordinator routes
+// each chunk by data item, grows the shard graphs and fuses them in lockstep,
+// warm-started from the previous chunk's merged result.
+func (j *job) runSharded() (*fusion.Result, int) {
+	var res *fusion.Result
+	var step func(batch []extract.Extraction) (*fusion.Result, string, error)
+	if tc := j.twoLayer; tc != nil {
+		tl, err := shard.NewTwoLayer(j.shards, tc.SiteLevel)
+		if err != nil {
+			log.Fatal(err)
+		}
+		var warm *twolayer.State
+		step = func(batch []extract.Extraction) (*fusion.Result, string, error) {
+			tl.Append(batch)
+			var err error
+			res, warm, err = tl.FuseWarm(*tc, warm)
+			return res, fmt.Sprintf("%d statements over %d shards", tl.NumStatements(), j.shards), err
+		}
+	} else {
+		f, err := shard.NewFusion(j.shards, j.claim.Granularity)
+		if err != nil {
+			log.Fatal(err)
+		}
+		step = func(batch []extract.Extraction) (*fusion.Result, string, error) {
+			if err := f.Append(batch); err != nil {
+				return nil, "", err
+			}
+			var err error
+			res, err = f.FuseWarm(j.claim, res)
+			return res, fmt.Sprintf("%d claims over %d shards", f.NumClaims(), j.shards), err
+		}
+	}
+	n := j.streamChunks(0, false, step)
+	return res, n
+}
+
+// runShardedDurable is the -shards -state chain for the claim-layer methods:
+// the graphs persist in one generation store per shard (shard.Stores), grown
+// by the chain's Grow step — live appends and journal replay run the
+// identical code — while fusion is coordinator-level, outside the per-shard
+// apply. Batches journal before they apply, graphs snapshot at the end, and
+// a restarted run resumes the graphs bit-identically; the warm chain itself
+// restarts from the last snapshot's merged result (see docs/OPERATIONS.md).
+func (j *job) runShardedDurable() (*fusion.Result, int) {
+	chain := j.chain()
+	stores, states, err := shard.OpenStores(j.stateDir, j.shards, chain.Grow)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -323,52 +325,43 @@ func shardedFuse(in string, xs []extract.Extraction, appendM bool, chunk, k int,
 		log.Printf("state recovery: %s", d)
 	}
 	for s, st := range states {
-		if st.Method != "" && st.Method != method {
-			log.Fatalf("shard %d state holds method %q, running %q", s, st.Method, method)
-		}
-		if st.Claim != nil && st.Gran != cfg.Granularity {
-			log.Fatalf("shard %d state holds granularity %s, running %s", s, st.Gran, cfg.Granularity)
+		if err := chain.Check(st); err != nil {
+			log.Fatalf("shard %d: %v", s, err)
 		}
 	}
 	prev := states[0].Result // persisted merged result, the warm seed
 	graphs := func() []*fusion.Compiled {
-		gs := make([]*fusion.Compiled, k)
+		gs := make([]*fusion.Compiled, len(states))
 		for s, st := range states {
 			gs[s] = st.Claim
 		}
 		return gs
 	}
 	fused := false
-	streamChunks(in, chunk, shard.Consumed(states), true, func(batch []extract.Extraction) error {
-		t0 := time.Now()
+	j.streamChunks(shard.Consumed(states), true, func(batch []extract.Extraction) (*fusion.Result, string, error) {
 		if err := stores.Append(states, batch); err != nil {
-			return err
+			return nil, "", err
 		}
-		res, err := shard.FuseShards(graphs(), cfg, prev)
+		res, err := shard.FuseShards(graphs(), j.claim, prev)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
-		prev = res
-		fused = true
-		if !quiet {
-			fmt.Printf("chunk %d: +%d extractions -> %d triples, %d rounds (%d shards, %v)\n",
-				states[0].Batches-1, len(batch), len(res.Triples), res.Rounds, k, time.Since(t0).Round(time.Millisecond))
-		}
-		return nil
+		prev, fused = res, true
+		return res, fmt.Sprintf("%d shards", j.shards), nil
 	})
 	if prev != nil && !fused && staleResult(prev, graphs()) {
 		// Crash window: journal replay advanced the graphs past the last
 		// snapshot's merged result and the feed brought nothing new to
 		// trigger a fuse. Re-fuse so the output covers the replayed batches;
 		// a clean rerun (counts agree) reuses the stored result byte-for-byte.
-		res, err := shard.FuseShards(graphs(), cfg, prev)
+		res, err := shard.FuseShards(graphs(), j.claim, prev)
 		if err != nil {
 			log.Fatal(err)
 		}
 		prev = res
 	}
 	if prev == nil {
-		log.Fatal("no extractions fused: input is empty or ends mid-record before its first complete chunk")
+		return nil, 0
 	}
 	states[0].Result = prev
 	if err := stores.Snapshot(states); err != nil {
@@ -397,51 +390,26 @@ func staleResult(res *fusion.Result, graphs []*fusion.Compiled) bool {
 	return triples != len(res.Triples) || len(provs) != len(res.ProvAccuracy)
 }
 
-// shardedTwoLayer is the -shards driver for the §5.1 two-layer model
-// (in-memory: sharded two-layer state persistence is not yet supported).
-func shardedTwoLayer(in string, xs []extract.Extraction, appendM bool, chunk, k int,
-	cfg twolayer.Config, quiet bool) (*fusion.Result, int) {
-	tl, err := shard.NewTwoLayer(k, cfg.SiteLevel)
+// readFeed loads a whole JSONL extraction file.
+func readFeed(in string) []extract.Extraction {
+	f, err := os.Open(in)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !appendM {
-		tl.Append(xs)
-		res, _, err := tl.Fuse(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !quiet {
-			fmt.Printf("method twolayer over %d extractions (%d statements, %d shards)\n",
-				len(xs), tl.NumStatements(), k)
-		}
-		return res, len(xs)
+	defer f.Close()
+	xs, err := kfio.ReadExtractions(f)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var res *fusion.Result
-	var warm *twolayer.State
-	n := streamChunks(in, chunk, 0, false, func(batch []extract.Extraction) error {
-		t0 := time.Now()
-		tl.Append(batch)
-		r, st, err := tl.FuseWarm(cfg, warm)
-		if err != nil {
-			return err
-		}
-		res, warm = r, st
-		if !quiet {
-			fmt.Printf("chunk: +%d extractions -> %d statements, %d triples, %d rounds (%d shards, %v)\n",
-				len(batch), tl.NumStatements(), len(r.Triples), r.Rounds, k, time.Since(t0).Round(time.Millisecond))
-		}
-		return nil
-	})
-	if res == nil {
-		log.Fatal("no extractions fused: input is empty or ends mid-record before its first complete chunk")
-	}
-	return res, n
+	return xs
 }
 
 // streamChunks is the one chunked-feed loop: it reads the feed in
 // chunk-sized batches, skipping the first skip records (already consumed by
-// a resumed state), and hands each batch to fn. A partial final line — a
+// a resumed state), hands each batch to step and prints step's progress — the
+// fused result so far and a note on the chain's size. Batch mode (chunk 0)
+// is the one-chunk case: the whole file, an unterminated final line
+// included, is the single batch. A partial final line of a chunked feed — a
 // producer appending right now — ends the run cleanly. What happens to the
 // complete records before it depends on durability: a durable chain defers
 // them to the next run rather than applying a short batch (warm-start fusion
@@ -450,8 +418,27 @@ func shardedTwoLayer(in string, xs []extract.Extraction, appendM bool, chunk, k 
 // read the finished feed in one go); an in-memory run has no next run to
 // defer to and fuses them. It returns the total records consumed including
 // the skipped prefix.
-func streamChunks(in string, chunk, skip int, durable bool, fn func([]extract.Extraction) error) int {
-	f, err := os.Open(in)
+func (j *job) streamChunks(skip int, durable bool, step func([]extract.Extraction) (*fusion.Result, string, error)) int {
+	consumed, chunks := skip, 0
+	apply := func(batch []extract.Extraction) {
+		t0 := time.Now()
+		res, size, err := step(batch)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !j.quiet {
+			fmt.Printf("chunk %d: +%d extractions -> %s, %d triples, %d rounds (%v)\n",
+				chunks, len(batch), size, len(res.Triples), res.Rounds, time.Since(t0).Round(time.Millisecond))
+		}
+		consumed += len(batch)
+		chunks++
+	}
+	if j.chunk == 0 {
+		apply(readFeed(j.in))
+		return consumed
+	}
+
+	f, err := os.Open(j.in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -462,9 +449,8 @@ func streamChunks(in string, chunk, skip int, durable bool, fn func([]extract.Ex
 			log.Fatalf("state has consumed %d records but the feed ends after %d: %v", skip, i, err)
 		}
 	}
-	consumed := skip
 	for {
-		batch, rerr := r.ReadBatch(chunk)
+		batch, rerr := r.ReadBatch(j.chunk)
 		var partial *kfio.ErrPartialLine
 		isPartial := errors.As(rerr, &partial)
 		if rerr != nil && !errors.Is(rerr, io.EOF) && !isPartial {
@@ -472,10 +458,7 @@ func streamChunks(in string, chunk, skip int, durable bool, fn func([]extract.Ex
 		}
 		deferring := isPartial && durable && len(batch) > 0
 		if len(batch) > 0 && !deferring {
-			if err := fn(batch); err != nil {
-				log.Fatal(err)
-			}
-			consumed += len(batch)
+			apply(batch)
 		}
 		if isPartial {
 			if deferring {
@@ -491,144 +474,9 @@ func streamChunks(in string, chunk, skip int, durable bool, fn func([]extract.Ex
 	}
 }
 
-// appendFuse is the streaming driver for the single-truth methods: chunks
-// flatten through one ClaimStream (cross-batch dedup), compile once, append
-// per chunk, and every chunk's fusion warm-starts from the previous chunk's
-// provenance accuracies. With a state directory the same apply chain runs
-// through the generation store, which journals each batch before applying
-// it and snapshots the graph at the end.
-func appendFuse(in string, chunk int, cfg fusion.Config, quiet bool, stateDir, method string) (*fusion.Result, int) {
-	var stream *fusion.ClaimStream
-	apply := func(st *genstore.State, batch []extract.Extraction) error {
-		if stream == nil {
-			if st.Claim != nil {
-				stream = fusion.SeedClaimStream(cfg.Granularity, st.Claim)
-			} else {
-				stream = fusion.NewClaimStream(cfg.Granularity)
-			}
-		}
-		claims := stream.Add(batch)
-		if st.Claim == nil {
-			st.Claim = fusion.MustCompile(claims)
-		} else {
-			st.Claim = st.Claim.MustAppend(claims)
-		}
-		res, err := st.Claim.FuseWarm(cfg, st.Result)
-		if err != nil {
-			return err
-		}
-		st.Method = method
-		st.Gran = cfg.Granularity
-		st.Result = res
-		return nil
-	}
-	progress := func(st *genstore.State, added int, elapsed time.Duration) {
-		if !quiet {
-			fmt.Printf("chunk %d: +%d extractions -> %d claims, %d triples, %d rounds (%v)\n",
-				st.Batches-1, added, st.Claim.NumClaims(), len(st.Result.Triples), st.Result.Rounds,
-				elapsed.Round(time.Millisecond))
-		}
-	}
-	check := func(st *genstore.State) {
-		if st.Method != "" && st.Method != method {
-			log.Fatalf("state directory holds method %q, running %q", st.Method, method)
-		}
-		if st.Claim != nil && st.Gran != cfg.Granularity {
-			log.Fatalf("state directory holds granularity %s, running %s", st.Gran, cfg.Granularity)
-		}
-	}
-	return runAppend(in, chunk, stateDir, apply, check, progress)
-}
-
-// appendTwoLayer is the streaming driver for the §5.1 two-layer model: the
-// extraction graph grows by Append per chunk and each chunk's EM
-// warm-starts from the previous chunk's source accuracies and extractor
-// rates.
-func appendTwoLayer(in string, chunk int, cfg twolayer.Config, quiet bool, stateDir string) (*fusion.Result, int) {
-	apply := func(st *genstore.State, batch []extract.Extraction) error {
-		if st.Ext == nil {
-			st.Ext = extract.Compile(batch, cfg.SiteLevel)
-		} else {
-			st.Ext = st.Ext.Append(batch)
-		}
-		res, tl, err := twolayer.FuseCompiledWarm(st.Ext, cfg, st.TL)
-		if err != nil {
-			return err
-		}
-		st.Method = "twolayer"
-		st.SiteLevel = cfg.SiteLevel
-		st.Result = res
-		st.TL = tl
-		return nil
-	}
-	progress := func(st *genstore.State, added int, elapsed time.Duration) {
-		if !quiet {
-			fmt.Printf("chunk %d: +%d extractions -> %d statements, %d triples, %d rounds (%v)\n",
-				st.Batches-1, added, st.Ext.NumStatements(), len(st.Result.Triples), st.Result.Rounds,
-				elapsed.Round(time.Millisecond))
-		}
-	}
-	check := func(st *genstore.State) {
-		if st.Method != "" && st.Method != "twolayer" {
-			log.Fatalf("state directory holds method %q, running %q", st.Method, "twolayer")
-		}
-		if st.Ext != nil && st.SiteLevel != cfg.SiteLevel {
-			log.Fatalf("state directory holds site-level=%v, running site-level=%v", st.SiteLevel, cfg.SiteLevel)
-		}
-	}
-	return runAppend(in, chunk, stateDir, apply, check, progress)
-}
-
-// runAppend is the shared unsharded append chain. With stateDir it opens (or
-// resumes) a generation store, reports any recovery degradations, skips the
-// feed records the recovered state already consumed, and journals each new
-// batch before applying; without it the apply chain runs in memory only.
-func runAppend(in string, chunk int, stateDir string, apply genstore.ApplyFunc,
-	check func(*genstore.State), progress func(*genstore.State, int, time.Duration)) (*fusion.Result, int) {
-	var store *genstore.Store
-	st := &genstore.State{}
-	if stateDir != "" {
-		var err error
-		store, st, err = genstore.Open(stateDir, apply)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer store.Close()
-		for _, d := range store.Degradations() {
-			log.Printf("state recovery: %s", d)
-		}
-		check(st)
-	}
-	streamChunks(in, chunk, st.Consumed, store != nil, func(batch []extract.Extraction) error {
-		t0 := time.Now()
-		if store != nil {
-			if err := store.Append(st, batch); err != nil {
-				return err
-			}
-		} else {
-			if err := apply(st, batch); err != nil {
-				return err
-			}
-			st.Batches++
-			st.Consumed += len(batch)
-		}
-		progress(st, len(batch), time.Since(t0))
-		return nil
-	})
-	if store != nil {
-		if err := store.Snapshot(st); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if st.Result == nil {
-		log.Fatal("no extractions fused: input is empty or ends mid-record before its first complete chunk")
-	}
-	return st.Result, st.Consumed
-}
-
 // writeResult persists the fused output as JSONL and optionally as a kbstore
 // snapshot.
-func writeResult(res *fusion.Result, out, kbOut string, quiet bool, method string, nExtractions int) {
+func writeResult(res *fusion.Result, out, kbOut string, quiet bool) {
 	o, err := os.Create(out)
 	if err != nil {
 		log.Fatal(err)

@@ -91,18 +91,14 @@ func TestAppendTornFinalLine(t *testing.T) {
 	type appendRun func(in, stateDir string) (*fusion.Result, int)
 	claim := func(k int) appendRun {
 		return func(in, stateDir string) (*fusion.Result, int) {
-			if k == 1 {
-				return appendFuse(in, chunk, cfg, true, stateDir, "popaccu")
-			}
-			return shardedFuse(in, nil, true, chunk, k, cfg, true, stateDir, "popaccu")
+			j := &job{in: in, chunk: chunk, shards: k, stateDir: stateDir, quiet: true, method: "popaccu", claim: cfg}
+			return j.run()
 		}
 	}
 	twoLayer := func(k int) appendRun {
 		return func(in, stateDir string) (*fusion.Result, int) {
-			if k == 1 {
-				return appendTwoLayer(in, chunk, tcfg, true, stateDir)
-			}
-			return shardedTwoLayer(in, nil, true, chunk, k, tcfg, true)
+			j := &job{in: in, chunk: chunk, shards: k, stateDir: stateDir, quiet: true, method: "twolayer", twoLayer: &tcfg}
+			return j.run()
 		}
 	}
 

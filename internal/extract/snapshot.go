@@ -60,24 +60,15 @@ func (g *Compiled) EncodeSnapshot(out io.Writer) error {
 // instead of panicking.
 func DecodeSnapshot(data []byte) (*Compiled, error) {
 	r := wire.NewReader(data)
-	if v := r.U8(); r.Err() == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("extract: snapshot version %d, want %d", v, snapshotVersion)
-	}
+	r.Version(snapshotVersion)
 	g := &Compiled{}
 	g.gen = r.Int()
 	g.siteLevel = r.Bool()
 
 	g.sources = r.Strings()
 	g.extractors = r.Strings()
-	var err error
-	g.triples, err = kb.DecodeTriples(r)
-	if err != nil {
-		return nil, fmt.Errorf("extract: snapshot: %w", err)
-	}
-	g.items, err = kb.DecodeItems(r)
-	if err != nil {
-		return nil, fmt.Errorf("extract: snapshot: %w", err)
-	}
+	g.triples = kb.DecodeTriples(r)
+	g.items = kb.DecodeItems(r)
 
 	g.stSource = r.Int32s()
 	g.stTriple = r.Int32s()
@@ -102,62 +93,34 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 	g.extHits = r.Bools()
 
 	g.maxItemTriples = r.Int()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("extract: snapshot: %w", err)
-	}
 
 	nSrc := len(g.sources)
 	nExt := len(g.extractors)
 	nTriples := len(g.triples)
 	nItems := len(g.items)
 	nSt := len(g.stSource)
-	if len(g.stTriple) != nSt {
-		return nil, fmt.Errorf("extract: snapshot: stTriple has %d entries, want %d statements", len(g.stTriple), nSt)
-	}
-	if len(g.itemOfTriple) != nTriples || len(g.tripleExts) != nTriples {
-		return nil, fmt.Errorf("extract: snapshot: triple column lengths disagree with %d triples", nTriples)
-	}
-	if len(g.itemStatements) != nItems {
-		return nil, fmt.Errorf("extract: snapshot: itemStatements has %d entries, want %d items", len(g.itemStatements), nItems)
-	}
-	if len(g.extHits) != len(g.extSts) {
-		return nil, fmt.Errorf("extract: snapshot: extHits has %d entries, want %d", len(g.extHits), len(g.extSts))
-	}
-	for _, c := range []struct {
-		name string
-		ids  []int32
-		n    int
-	}{
-		{"stSource", g.stSource, nSrc},
-		{"stTriple", g.stTriple, nTriples},
-		{"stExts", g.stExts, nExt},
-		{"srcExts", g.srcExts, nExt},
-		{"srcSts", g.srcSts, nSt},
-		{"tripleSts", g.tripleSts, nSt},
-		{"itemOfTriple", g.itemOfTriple, nItems},
-		{"itemTriples", g.itemTriples, nTriples},
-		{"extSts", g.extSts, nSt},
-	} {
-		if err := wire.CheckIDs(c.name, c.ids, c.n); err != nil {
-			return nil, fmt.Errorf("extract: snapshot: %w", err)
-		}
-	}
-	for _, c := range []struct {
-		name    string
-		start   []int32
-		groups  int
-		flatLen int
-	}{
-		{"stExtStart", g.stExtStart, nSt, len(g.stExts)},
-		{"srcExtStart", g.srcExtStart, nSrc, len(g.srcExts)},
-		{"srcStStart", g.srcStStart, nSrc, len(g.srcSts)},
-		{"tripleStStart", g.tripleStStart, nTriples, len(g.tripleSts)},
-		{"itemTripleStart", g.itemTripleStart, nItems, len(g.itemTriples)},
-		{"extStStart", g.extStStart, nExt, len(g.extSts)},
-	} {
-		if err := wire.CheckCSR(c.name, c.start, c.groups, c.flatLen); err != nil {
-			return nil, fmt.Errorf("extract: snapshot: %w", err)
-		}
+	r.CheckLen("stTriple", len(g.stTriple), nSt)
+	r.CheckLen("itemOfTriple", len(g.itemOfTriple), nTriples)
+	r.CheckLen("tripleExts", len(g.tripleExts), nTriples)
+	r.CheckLen("itemStatements", len(g.itemStatements), nItems)
+	r.CheckLen("extHits", len(g.extHits), len(g.extSts))
+	r.CheckIDs("stSource", g.stSource, nSrc)
+	r.CheckIDs("stTriple", g.stTriple, nTriples)
+	r.CheckIDs("stExts", g.stExts, nExt)
+	r.CheckIDs("srcExts", g.srcExts, nExt)
+	r.CheckIDs("srcSts", g.srcSts, nSt)
+	r.CheckIDs("tripleSts", g.tripleSts, nSt)
+	r.CheckIDs("itemOfTriple", g.itemOfTriple, nItems)
+	r.CheckIDs("itemTriples", g.itemTriples, nTriples)
+	r.CheckIDs("extSts", g.extSts, nSt)
+	r.CheckCSR("stExtStart", g.stExtStart, nSt, len(g.stExts))
+	r.CheckCSR("srcExtStart", g.srcExtStart, nSrc, len(g.srcExts))
+	r.CheckCSR("srcStStart", g.srcStStart, nSrc, len(g.srcSts))
+	r.CheckCSR("tripleStStart", g.tripleStStart, nTriples, len(g.tripleSts))
+	r.CheckCSR("itemTripleStart", g.itemTripleStart, nItems, len(g.itemTriples))
+	r.CheckCSR("extStStart", g.extStStart, nExt, len(g.extSts))
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("extract: snapshot: %w", err)
 	}
 
 	if len(g.extStStart) > 0 {

@@ -147,6 +147,39 @@ func PopAccuPlusConfig(labeler Labeler) Config {
 	return c
 }
 
+// Preset returns the paper configuration of a claim-layer method by the name
+// the CLIs and the daemon use: vote, accu, popaccu or popaccu+unsup.
+// (popaccu+ is not a preset: PopAccuPlusConfig needs a Labeler.)
+func Preset(name string) (Config, error) {
+	switch name {
+	case "vote":
+		return VoteConfig(), nil
+	case "accu":
+		return AccuConfig(), nil
+	case "popaccu":
+		return PopAccuConfig(), nil
+	case "popaccu+unsup":
+		return PopAccuPlusUnsupConfig(), nil
+	}
+	return Config{}, fmt.Errorf("fusion: unknown method %q (want vote, accu, popaccu or popaccu+unsup)", name)
+}
+
+// ParseGranularity maps the CLI names of the §4.3.1 provenance granularities
+// — url, site, site-pred, site-pred-pattern — to their Granularity.
+func ParseGranularity(name string) (Granularity, error) {
+	switch name {
+	case "url":
+		return GranExtractorURL, nil
+	case "site":
+		return GranExtractorSite, nil
+	case "site-pred":
+		return GranExtractorSitePred, nil
+	case "site-pred-pattern":
+		return GranExtractorSitePredPattern, nil
+	}
+	return Granularity{}, fmt.Errorf("fusion: unknown granularity %q (want url, site, site-pred or site-pred-pattern)", name)
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Method != Vote {

@@ -387,6 +387,39 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestPresetAndGranularityNames pins the one name table the CLIs and the
+// daemon share: every documented name resolves to its paper configuration,
+// and anything else — popaccu+ included, which needs a Labeler — is an error.
+func TestPresetAndGranularityNames(t *testing.T) {
+	for name, want := range map[string]Config{
+		"vote": VoteConfig(), "accu": AccuConfig(), "popaccu": PopAccuConfig(), "popaccu+unsup": PopAccuPlusUnsupConfig(),
+	} {
+		got, err := Preset(name)
+		if err != nil || got.Method != want.Method || got.Granularity != want.Granularity ||
+			got.FilterByCoverage != want.FilterByCoverage || got.Rounds != want.Rounds {
+			t.Errorf("Preset(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "popaccu+", "twolayer", "POPACCU"} {
+		if _, err := Preset(name); err == nil {
+			t.Errorf("Preset(%q) accepted", name)
+		}
+	}
+	for name, want := range map[string]Granularity{
+		"url": GranExtractorURL, "site": GranExtractorSite,
+		"site-pred": GranExtractorSitePred, "site-pred-pattern": GranExtractorSitePredPattern,
+	} {
+		if got, err := ParseGranularity(name); err != nil || got != want {
+			t.Errorf("ParseGranularity(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "page", "Site"} {
+		if _, err := ParseGranularity(name); err == nil {
+			t.Errorf("ParseGranularity(%q) accepted", name)
+		}
+	}
+}
+
 func TestEmptyInput(t *testing.T) {
 	res := MustFuse(nil, PopAccuConfig())
 	if len(res.Triples) != 0 {

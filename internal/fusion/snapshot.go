@@ -91,21 +91,13 @@ func internExtractors(claims []Claim) (keys []string, ofClaim []int32) {
 // safe as a fuzz target over raw bytes.
 func DecodeSnapshot(data []byte) (*Compiled, error) {
 	r := wire.NewReader(data)
-	if v := r.U8(); r.Err() == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("fusion: snapshot version %d, want %d", v, snapshotVersion)
-	}
+	r.Version(snapshotVersion)
 	gen := r.Int()
 
 	provKeys := r.Strings()
 	extKeys := r.Strings()
-	triples, err := kb.DecodeTriples(r)
-	if err != nil {
-		return nil, fmt.Errorf("fusion: snapshot: %w", err)
-	}
-	items, err := kb.DecodeItems(r)
-	if err != nil {
-		return nil, fmt.Errorf("fusion: snapshot: %w", err)
-	}
+	triples := kb.DecodeTriples(r)
+	items := kb.DecodeItems(r)
 
 	conf := r.F64s()
 	extOfClaim := r.Int32s()
@@ -131,62 +123,32 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 		provClaims:     r.Int32s(),
 	}
 	g.maxCandidates = r.Int()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("fusion: snapshot: %w", err)
-	}
 
 	n := len(conf)
 	nTriples := len(triples)
 	nItems := len(items)
 	nProvs := len(provKeys)
-	for _, c := range []struct {
-		name string
-		got  int
-	}{
-		{"extOfClaim", len(extOfClaim)},
-		{"provOfClaim", len(g.provOfClaim)},
-		{"tripleOfClaim", len(g.tripleOfClaim)},
-		{"localOfClaim", len(g.localOfClaim)},
-	} {
-		if c.got != n {
-			return nil, fmt.Errorf("fusion: snapshot: %s has %d entries, want %d claims", c.name, c.got, n)
-		}
-	}
-	for _, c := range []struct {
-		name string
-		ids  []int32
-		n    int
-	}{
-		{"extOfClaim", extOfClaim, len(extKeys)},
-		{"provOfClaim", g.provOfClaim, nProvs},
-		{"tripleOfClaim", g.tripleOfClaim, nTriples},
-		{"itemOfTriple", g.itemOfTriple, nItems},
-		{"itemClaims", g.itemClaims, n},
-		{"itemCands", g.itemCands, nTriples},
-		{"tripleClaims", g.tripleClaims, n},
-		{"provClaims", g.provClaims, n},
-	} {
-		if err := wire.CheckIDs(c.name, c.ids, c.n); err != nil {
-			return nil, fmt.Errorf("fusion: snapshot: %w", err)
-		}
-	}
-	if len(g.itemOfTriple) != nTriples || len(g.localOfTriple) != nTriples || len(g.tripleExtractors) != nTriples {
-		return nil, fmt.Errorf("fusion: snapshot: triple column lengths disagree with %d triples", nTriples)
-	}
-	for _, c := range []struct {
-		name    string
-		start   []int32
-		groups  int
-		flatLen int
-	}{
-		{"itemClaimStart", g.itemClaimStart, nItems, len(g.itemClaims)},
-		{"itemCandStart", g.itemCandStart, nItems, len(g.itemCands)},
-		{"tripleClaimStart", g.tripleClaimStart, nTriples, len(g.tripleClaims)},
-		{"provClaimStart", g.provClaimStart, nProvs, len(g.provClaims)},
-	} {
-		if err := wire.CheckCSR(c.name, c.start, c.groups, c.flatLen); err != nil {
-			return nil, fmt.Errorf("fusion: snapshot: %w", err)
-		}
+	r.CheckLen("extOfClaim", len(extOfClaim), n)
+	r.CheckLen("provOfClaim", len(g.provOfClaim), n)
+	r.CheckLen("tripleOfClaim", len(g.tripleOfClaim), n)
+	r.CheckLen("localOfClaim", len(g.localOfClaim), n)
+	r.CheckLen("itemOfTriple", len(g.itemOfTriple), nTriples)
+	r.CheckLen("localOfTriple", len(g.localOfTriple), nTriples)
+	r.CheckLen("tripleExtractors", len(g.tripleExtractors), nTriples)
+	r.CheckIDs("extOfClaim", extOfClaim, len(extKeys))
+	r.CheckIDs("provOfClaim", g.provOfClaim, nProvs)
+	r.CheckIDs("tripleOfClaim", g.tripleOfClaim, nTriples)
+	r.CheckIDs("itemOfTriple", g.itemOfTriple, nItems)
+	r.CheckIDs("itemClaims", g.itemClaims, n)
+	r.CheckIDs("itemCands", g.itemCands, nTriples)
+	r.CheckIDs("tripleClaims", g.tripleClaims, n)
+	r.CheckIDs("provClaims", g.provClaims, n)
+	r.CheckCSR("itemClaimStart", g.itemClaimStart, nItems, len(g.itemClaims))
+	r.CheckCSR("itemCandStart", g.itemCandStart, nItems, len(g.itemCands))
+	r.CheckCSR("tripleClaimStart", g.tripleClaimStart, nTriples, len(g.tripleClaims))
+	r.CheckCSR("provClaimStart", g.provClaimStart, nProvs, len(g.provClaims))
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("fusion: snapshot: %w", err)
 	}
 
 	// Deep structural invariants. The fusion engine indexes candidate scratch
@@ -278,53 +240,45 @@ func EncodeResult(out io.Writer, res *Result) error {
 // DecodeResult reconstructs a Result from EncodeResult bytes.
 func DecodeResult(data []byte) (*Result, error) {
 	r := wire.NewReader(data)
-	if v := r.U8(); r.Err() == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("fusion: result version %d, want %d", v, snapshotVersion)
-	}
+	r.Version(snapshotVersion)
 	res := &Result{Rounds: r.Int(), Unpredicted: r.Int()}
 
 	nAcc := r.Int()
-	if r.Err() == nil && nAcc > r.Remaining() {
-		return nil, fmt.Errorf("fusion: result: accuracy count %d exceeds input: %w", nAcc, wire.ErrTruncated)
+	if nAcc > r.Remaining() {
+		r.Fail(fmt.Errorf("accuracy count %d exceeds input: %w", nAcc, wire.ErrTruncated))
 	}
 	if r.Err() == nil {
 		res.ProvAccuracy = make(map[string]float64, nAcc)
-		for i := 0; i < nAcc; i++ {
-			k := r.String()
-			v := r.F64()
-			if r.Err() != nil {
-				break
-			}
+	}
+	for i := 0; i < nAcc && r.Err() == nil; i++ {
+		k := r.String()
+		if v := r.F64(); r.Err() == nil {
 			res.ProvAccuracy[k] = v
 		}
 	}
 
 	nTriples := r.Int()
-	if r.Err() == nil && nTriples > r.Remaining() {
-		return nil, fmt.Errorf("fusion: result: triple count %d exceeds input: %w", nTriples, wire.ErrTruncated)
+	if nTriples > r.Remaining() {
+		r.Fail(fmt.Errorf("triple count %d exceeds input: %w", nTriples, wire.ErrTruncated))
 	}
 	if r.Err() == nil && nTriples > 0 {
 		res.Triples = make([]FusedTriple, 0, nTriples)
-		for i := 0; i < nTriples; i++ {
-			subj := r.String()
-			pred := r.String()
-			objStr := r.String()
-			if r.Err() != nil {
-				break
-			}
-			obj, err := kb.ParseObject(objStr)
-			if err != nil {
-				return nil, fmt.Errorf("fusion: result triple %d: %w", i, err)
-			}
-			res.Triples = append(res.Triples, FusedTriple{
-				Triple:          kb.Triple{Subject: kb.EntityID(subj), Predicate: kb.PredicateID(pred), Object: obj},
-				Probability:     r.F64(),
-				Predicted:       r.Bool(),
-				Provenances:     r.Int(),
-				ItemProvenances: r.Int(),
-				Extractors:      r.Int(),
-			})
+	}
+	for i := 0; i < nTriples && r.Err() == nil; i++ {
+		subj := r.String()
+		pred := r.String()
+		obj, err := kb.ParseObject(r.String())
+		if err != nil {
+			r.Fail(fmt.Errorf("triple %d: %w", i, err))
 		}
+		res.Triples = append(res.Triples, FusedTriple{
+			Triple:          kb.Triple{Subject: kb.EntityID(subj), Predicate: kb.PredicateID(pred), Object: obj},
+			Probability:     r.F64(),
+			Predicted:       r.Bool(),
+			Provenances:     r.Int(),
+			ItemProvenances: r.Int(),
+			Extractors:      r.Int(),
+		})
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("fusion: result: %w", err)

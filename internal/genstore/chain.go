@@ -1,0 +1,134 @@
+package genstore
+
+import (
+	"fmt"
+
+	"kfusion/internal/extract"
+	"kfusion/internal/fusion"
+	"kfusion/internal/twolayer"
+)
+
+// Chain is the append chain of one fusion method — the step directly above
+// the EM round driver that every deployment of the pipeline runs: kfuse
+// (batch and -append), the kfserved daemon, kfbench's warm-boot record and
+// the crash-recovery tests all fold a batch through this one value, so the
+// bit-identity the crash sweep proves is a property of the code the daemon
+// replays. Pass Apply (or Grow) to Open as the store's ApplyFunc.
+//
+// A Chain holds configuration only. The one piece of cross-batch state, the
+// claim layer's (provenance, triple) dedup stream, lives on the State it
+// describes, so one Chain serves any number of states — the K per-shard
+// states of a sharded store included.
+type Chain struct {
+	method   string
+	twoLayer bool
+	claim    fusion.Config
+	tl       twolayer.Config
+	warm     int
+}
+
+// ClaimChain binds a claim-layer method (vote, accu, popaccu, …) to cfg.
+// warmRounds is the EM round budget of every batch after the first — online
+// EM seeded from the previous generation's posteriors; 0 runs every batch
+// under cfg's own round cap. The first batch always cold-fuses under cfg.
+func ClaimChain(method string, cfg fusion.Config, warmRounds int) *Chain {
+	return &Chain{method: method, claim: cfg, warm: warmRounds}
+}
+
+// TwoLayerChain binds the §5.1 two-layer model to cfg; warmRounds as in
+// ClaimChain.
+func TwoLayerChain(cfg twolayer.Config, warmRounds int) *Chain {
+	return &Chain{method: "twolayer", twoLayer: true, tl: cfg, warm: warmRounds}
+}
+
+// Check enforces the State.Method contract: a state built by a different
+// method, claim granularity or two-layer source level must not be grown or
+// served by this chain. An empty state belongs to any chain.
+func (c *Chain) Check(st *State) error {
+	if st.Method != "" && st.Method != c.method {
+		return fmt.Errorf("genstore: state holds method %q, chain runs %q", st.Method, c.method)
+	}
+	if !c.twoLayer && st.Claim != nil && st.Gran != c.claim.Granularity {
+		return fmt.Errorf("genstore: state holds granularity %s, chain runs %s", st.Gran, c.claim.Granularity)
+	}
+	if c.twoLayer && st.Ext != nil && st.SiteLevel != c.tl.SiteLevel {
+		return fmt.Errorf("genstore: state holds site-level=%v, chain runs site-level=%v", st.SiteLevel, c.tl.SiteLevel)
+	}
+	return nil
+}
+
+// Grow folds one batch into the state's compiled graph without fusing: the
+// first batch compiles, every later one appends (Append == recompile of the
+// concatenated stream, so replay is bit-identical). Claim-layer batches are
+// flattened through the state's dedup stream, created on first use and
+// seeded from a restored graph so replayed and live dedup agree. Grow alone
+// is the ApplyFunc of a sharded store, whose fusion runs across shards.
+func (c *Chain) Grow(st *State, batch []extract.Extraction) error {
+	// Replay runs before the opener can Check the recovered state, and would
+	// otherwise restamp a foreign snapshot as this chain's.
+	if err := c.Check(st); err != nil {
+		return err
+	}
+	st.Method = c.method
+	if c.twoLayer {
+		st.SiteLevel = c.tl.SiteLevel
+		if st.Ext == nil {
+			st.Ext = extract.CompileWorkers(batch, c.tl.SiteLevel, c.tl.Workers)
+		} else {
+			st.Ext = st.Ext.Append(batch)
+		}
+		return nil
+	}
+	st.Gran = c.claim.Granularity
+	if st.stream == nil {
+		if st.Claim != nil {
+			st.stream = fusion.SeedClaimStream(st.Gran, st.Claim)
+		} else {
+			st.stream = fusion.NewClaimStream(st.Gran)
+		}
+	}
+	claims := st.stream.Add(batch)
+	var next *fusion.Compiled
+	var err error
+	if st.Claim == nil {
+		next, err = fusion.CompileWorkers(claims, c.claim.Workers, c.claim.Partitions)
+	} else {
+		next, err = st.Claim.Append(claims)
+	}
+	if err != nil {
+		return err
+	}
+	st.Claim = next
+	return nil
+}
+
+// Apply is Grow plus the re-fuse, warm-started from the state's previous
+// result: the unsharded chain's ApplyFunc.
+func (c *Chain) Apply(st *State, batch []extract.Extraction) error {
+	cold := st.Claim == nil && st.Ext == nil
+	if err := c.Grow(st, batch); err != nil {
+		return err
+	}
+	if c.twoLayer {
+		cfg := c.tl
+		if !cold && c.warm > 0 {
+			cfg.Rounds = c.warm
+		}
+		res, tl, err := twolayer.FuseCompiledWarm(st.Ext, cfg, st.TL)
+		if err != nil {
+			return err
+		}
+		st.Result, st.TL = res, tl
+		return nil
+	}
+	cfg := c.claim
+	if !cold && c.warm > 0 {
+		cfg.Rounds = c.warm
+	}
+	res, err := st.Claim.FuseWarm(cfg, st.Result)
+	if err != nil {
+		return err
+	}
+	st.Result = res
+	return nil
+}

@@ -11,9 +11,8 @@ import (
 // and a journal with two records — the honest corpus the mutators start from.
 func fuzzSeedState() (snap, journal []byte) {
 	feed := testFeed(40)
-	d := newClaimDriver()
 	st := &State{}
-	if err := d.apply(st, feed[:20]); err != nil {
+	if err := testChain().Apply(st, feed[:20]); err != nil {
 		panic(err)
 	}
 	st.Consumed, st.Batches = 20, 1

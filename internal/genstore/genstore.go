@@ -15,9 +15,11 @@
 //     and fsyncs BEFORE applying it to the in-memory state, so a crash
 //     mid-apply loses nothing: the batch replays on reopen.
 //   - Open loads the newest valid snapshot and replays journaled batches
-//     through the caller's apply function. By the append contract of the
-//     compiled graphs (Append == recompile of the concatenated stream), the
-//     recovered state is bit-identical to the uncrashed run's.
+//     through the caller's apply function — Chain.Apply (or Chain.Grow for a
+//     sharded store), the one append chain kfuse, kfserved and kfbench also
+//     run live. By the append contract of the compiled graphs (Append ==
+//     recompile of the concatenated stream), the recovered state is
+//     bit-identical to the uncrashed run's.
 //   - Degradation is graceful and reported, never a panic: a corrupt or
 //     version-skewed snapshot falls back to the previous snapshot (the
 //     journal retains every batch since it), then to an empty state — full
@@ -78,7 +80,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // not used by a method stay nil (e.g. Ext/TL for the claim-layer methods).
 type State struct {
 	// Method is the fusion method the state was built by; a store opened for
-	// a different method must not hydrate from it.
+	// a different method must not hydrate from it (Chain.Check).
 	Method string
 	// Gran is the claim-layer provenance granularity (claim methods).
 	Gran fusion.Granularity
@@ -96,11 +98,15 @@ type State struct {
 	// Batches counts applied batches; it is the journal sequence number of
 	// the next Append.
 	Batches int
+
+	// stream is the claim layer's cross-batch (provenance, triple) dedup set.
+	// It is not persisted: Chain.Grow seeds it from Claim on first use.
+	stream *fusion.ClaimStream
 }
 
-// ApplyFunc folds one extraction batch into the state — the same closure the
-// live pipeline uses, so journal replay is bit-identical to the original
-// appends.
+// ApplyFunc folds one extraction batch into the state. Live appends and
+// journal replay call the same function — Chain.Apply or Chain.Grow — which
+// is what makes replay bit-identical to the original appends.
 type ApplyFunc func(st *State, batch []extract.Extraction) error
 
 // Store is an open generation store. Not safe for concurrent use: the

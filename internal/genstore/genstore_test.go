@@ -36,48 +36,20 @@ func testFeed(n int) []extract.Extraction {
 	return out
 }
 
-// claimDriver is the claim-layer pipeline the store persists: claim-stream
-// dedup, compile/append, warm fuse — the same shape kfuse -append runs.
-type claimDriver struct {
-	gran   fusion.Granularity
-	cfg    fusion.Config
-	stream *fusion.ClaimStream
-}
-
-func newClaimDriver() *claimDriver {
-	return &claimDriver{gran: fusion.GranExtractorSitePred, cfg: fusion.PopAccuConfig()}
-}
-
-func (d *claimDriver) apply(st *State, batch []extract.Extraction) error {
-	if d.stream == nil {
-		if st.Claim != nil {
-			d.stream = fusion.SeedClaimStream(d.gran, st.Claim)
-		} else {
-			d.stream = fusion.NewClaimStream(d.gran)
-		}
-	}
-	claims := d.stream.Add(batch)
-	if st.Claim == nil {
-		st.Claim = fusion.MustCompile(claims)
-	} else {
-		st.Claim = st.Claim.MustAppend(claims)
-	}
-	res, err := st.Claim.FuseWarm(d.cfg, st.Result)
-	if err != nil {
-		return err
-	}
-	st.Method = "popaccu"
-	st.Gran = d.gran
-	st.Result = res
-	return nil
+// testChain is the claim-layer chain the suite persists: the production
+// Chain, bound the way kfuse -append binds it (every batch under the full
+// config, warm-started).
+func testChain() *Chain {
+	cfg := fusion.PopAccuConfig()
+	cfg.Granularity = fusion.GranExtractorSitePred
+	return ClaimChain("popaccu", cfg, 0)
 }
 
 // runPipeline drives a full append run over fsys: open (recovering whatever
 // state survives), append the unconsumed feed suffix in chunks, snapshot
 // every snapEvery batches and at the end. Any error is "the crash".
 func runPipeline(fsys faultfs.FS, feed []extract.Extraction, chunk, snapEvery int) (*State, error) {
-	d := newClaimDriver()
-	store, st, err := OpenFS(fsys, d.apply)
+	store, st, err := OpenFS(fsys, testChain().Apply)
 	if err != nil {
 		return nil, err
 	}
@@ -273,8 +245,7 @@ func TestBitFlipFallsBackToPreviousSnapshot(t *testing.T) {
 	want := stateFingerprint(t, st)
 	corruptNewestSnapshot(t, mem)
 
-	d := newClaimDriver()
-	store, st2, err := OpenFS(mem, d.apply)
+	store, st2, err := OpenFS(mem, testChain().Apply)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -308,8 +279,7 @@ func TestAllSnapshotsLostRecompilesFromFeed(t *testing.T) {
 		}
 	}
 
-	d := newClaimDriver()
-	store, st2, err := OpenFS(mem, d.apply)
+	store, st2, err := OpenFS(mem, testChain().Apply)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -366,37 +336,15 @@ func TestTruncatedSnapshotAndJournal(t *testing.T) {
 	}
 }
 
-// twoLayerDriver exercises the extraction-graph + twolayer warm-start path
-// through the same store.
-type twoLayerDriver struct {
-	cfg twolayer.Config
-}
-
-func (d *twoLayerDriver) apply(st *State, batch []extract.Extraction) error {
-	if st.Ext == nil {
-		st.Ext = extract.Compile(batch, d.cfg.SiteLevel)
-	} else {
-		st.Ext = st.Ext.Append(batch)
-	}
-	res, tl, err := twolayer.FuseCompiledWarm(st.Ext, d.cfg, st.TL)
-	if err != nil {
-		return err
-	}
-	st.Method = "twolayer"
-	st.SiteLevel = d.cfg.SiteLevel
-	st.Result = res
-	st.TL = tl
-	return nil
-}
-
 // TestTwoLayerStateRoundTrips checks the store carries the extraction graph
-// and twolayer warm-start state across a reopen bit-identically.
+// and twolayer warm-start state across a reopen bit-identically, through the
+// two-layer binding of the same Chain.
 func TestTwoLayerStateRoundTrips(t *testing.T) {
 	mem := faultfs.NewMem()
 	feed := testFeed(feedLen)
-	d := &twoLayerDriver{cfg: twolayer.DefaultConfig()}
+	d := TwoLayerChain(twolayer.DefaultConfig(), 0)
 
-	store, st, err := OpenFS(mem, d.apply)
+	store, st, err := OpenFS(mem, d.Apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +358,7 @@ func TestTwoLayerStateRoundTrips(t *testing.T) {
 	}
 	store.Close()
 
-	store2, st2, err := OpenFS(mem, (&twoLayerDriver{cfg: twolayer.DefaultConfig()}).apply)
+	store2, st2, err := OpenFS(mem, TwoLayerChain(twolayer.DefaultConfig(), 0).Apply)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -440,7 +388,7 @@ func TestTwoLayerStateRoundTrips(t *testing.T) {
 
 	// Continue both one batch and confirm they stay in lockstep.
 	extra := testFeed(feedLen + 30)[feedLen:]
-	if err := d.apply(st, extra); err != nil {
+	if err := d.Apply(st, extra); err != nil {
 		t.Fatal(err)
 	}
 	if err := store2.Append(st2, extra); err != nil {

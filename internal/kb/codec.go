@@ -18,35 +18,34 @@ func EncodeTriples(w *wire.Writer, ts []Triple) {
 	}
 }
 
-// DecodeTriples reads a table written by EncodeTriples.
-func DecodeTriples(r *wire.Reader) ([]Triple, error) {
+// DecodeTriples reads a table written by EncodeTriples. A corrupt table is
+// latched on r (see wire.Reader.Fail) and returns nil.
+func DecodeTriples(r *wire.Reader) []Triple {
 	n := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
 	// A triple costs at least three length bytes, so a count beyond the
 	// remaining input is corrupt — rejected before allocating.
 	if n > r.Remaining() {
-		return nil, fmt.Errorf("kb: triple count %d exceeds input: %w", n, wire.ErrTruncated)
+		r.Fail(fmt.Errorf("kb: triple count %d exceeds input: %w", n, wire.ErrTruncated))
+	}
+	if r.Err() != nil || n == 0 {
+		return nil
 	}
 	out := make([]Triple, n)
 	for i := range out {
 		subj := r.String()
 		pred := r.String()
 		objStr := r.String()
-		if err := r.Err(); err != nil {
-			return nil, err
+		if r.Err() != nil {
+			return nil
 		}
 		obj, err := ParseObject(objStr)
 		if err != nil {
-			return nil, fmt.Errorf("kb: triple %d: %w", i, err)
+			r.Fail(fmt.Errorf("kb: triple %d: %w", i, err))
+			return nil
 		}
 		out[i] = Triple{Subject: EntityID(subj), Predicate: PredicateID(pred), Object: obj}
 	}
-	return out, nil
+	return out
 }
 
 // EncodeItems writes a length-prefixed data-item table.
@@ -58,24 +57,22 @@ func EncodeItems(w *wire.Writer, items []DataItem) {
 	}
 }
 
-// DecodeItems reads a table written by EncodeItems.
-func DecodeItems(r *wire.Reader) ([]DataItem, error) {
+// DecodeItems reads a table written by EncodeItems, latching corruption on r
+// like DecodeTriples.
+func DecodeItems(r *wire.Reader) []DataItem {
 	n := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
 	if n > r.Remaining() {
-		return nil, fmt.Errorf("kb: item count %d exceeds input: %w", n, wire.ErrTruncated)
+		r.Fail(fmt.Errorf("kb: item count %d exceeds input: %w", n, wire.ErrTruncated))
+	}
+	if r.Err() != nil || n == 0 {
+		return nil
 	}
 	out := make([]DataItem, n)
 	for i := range out {
 		out[i] = DataItem{Subject: EntityID(r.String()), Predicate: PredicateID(r.String())}
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
+	if r.Err() != nil {
+		return nil
 	}
-	return out, nil
+	return out
 }

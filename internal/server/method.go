@@ -3,161 +3,34 @@ package server
 import (
 	"fmt"
 
-	"kfusion/internal/extract"
 	"kfusion/internal/fusion"
 	"kfusion/internal/genstore"
 	"kfusion/internal/twolayer"
 )
 
-// driver binds a fusion method name to the apply chain the generation store
-// replays: the same closure folds live appends and journal replay, so a
-// restarted server reconstructs the exact generation the crashed one had
-// (the genstore + Append contract). check validates a recovered state
-// against the server's configuration before any of it is served.
-type driver struct {
-	name  string
-	apply genstore.ApplyFunc
-	check func(st *genstore.State) error
-}
-
-// newDriver builds the apply chain for cfg. Claim-layer methods flatten
-// batches through one ClaimStream (cross-batch dedup), compile-or-append the
-// claim graph, and re-fuse warm; twolayer appends the extraction graph and
-// warm-starts the two-layer EM. The first batch cold-fuses under the full
-// round cap; every later batch runs cfg.WarmRounds rounds of online EM
-// seeded from the previous generation's posteriors.
-func newDriver(cfg *Config) (*driver, error) {
+// newChain binds cfg's method to the append chain the generation store
+// replays. The chain itself is genstore.Chain — the same value kfuse runs —
+// so live appends and journal replay fold batches through one function and a
+// restarted server reconstructs the exact generation the crashed one had.
+// The first batch cold-fuses under the method's full round cap; every later
+// batch runs cfg.WarmRounds rounds of online EM.
+func newChain(cfg *Config) (*genstore.Chain, error) {
 	switch cfg.Method {
 	case "twolayer":
-		return newTwoLayerDriver(cfg), nil
-	case "vote", "accu", "popaccu", "popaccu+unsup":
-		return newClaimDriver(cfg)
+		tc := twolayer.DefaultConfig()
+		tc.SiteLevel = cfg.SiteLevel
+		tc.Workers = cfg.Workers
+		return genstore.TwoLayerChain(tc, cfg.WarmRounds), nil
 	case "popaccu+":
 		return nil, fmt.Errorf("server: method popaccu+ needs a gold labeler; the serving write path has none")
-	default:
-		return nil, fmt.Errorf("server: unknown method %q (want vote, accu, popaccu, popaccu+unsup or twolayer)", cfg.Method)
 	}
-}
-
-func claimConfig(cfg *Config) (fusion.Config, error) {
-	var fc fusion.Config
-	switch cfg.Method {
-	case "vote":
-		fc = fusion.VoteConfig()
-	case "accu":
-		fc = fusion.AccuConfig()
-	case "popaccu":
-		fc = fusion.PopAccuConfig()
-	case "popaccu+unsup":
-		fc = fusion.PopAccuPlusUnsupConfig()
-	default:
-		return fc, fmt.Errorf("server: %q is not a claim-layer method", cfg.Method)
+	fc, err := fusion.Preset(cfg.Method)
+	if err != nil {
+		return nil, fmt.Errorf("server: unknown method %q (want vote, accu, popaccu, popaccu+unsup or twolayer)", cfg.Method)
 	}
 	if cfg.Granularity != (fusion.Granularity{}) {
 		fc.Granularity = cfg.Granularity
 	}
 	fc.Workers = cfg.Workers
-	return fc, nil
-}
-
-func newClaimDriver(cfg *Config) (*driver, error) {
-	fc, err := claimConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	warm := fc
-	if cfg.WarmRounds > 0 {
-		warm.Rounds = cfg.WarmRounds
-	}
-	// The stream is created lazily on the first apply so a hydrated graph
-	// seeds it (SeedClaimStream reconstructs the dedup set from the interned
-	// graph), keeping replayed and live dedup identical.
-	var stream *fusion.ClaimStream
-	apply := func(st *genstore.State, batch []extract.Extraction) error {
-		if stream == nil {
-			if st.Claim != nil {
-				stream = fusion.SeedClaimStream(fc.Granularity, st.Claim)
-			} else {
-				stream = fusion.NewClaimStream(fc.Granularity)
-			}
-		}
-		claims := stream.Add(batch)
-		cold := st.Claim == nil
-		if cold {
-			c, err := fusion.CompileWorkers(claims, cfg.Workers, 0)
-			if err != nil {
-				return err
-			}
-			st.Claim = c
-		} else {
-			c, err := st.Claim.Append(claims)
-			if err != nil {
-				return err
-			}
-			st.Claim = c
-		}
-		runCfg := warm
-		if cold {
-			runCfg = fc // first batch: full cold fuse
-		}
-		res, err := st.Claim.FuseWarm(runCfg, st.Result)
-		if err != nil {
-			return err
-		}
-		st.Method = cfg.Method
-		st.Gran = fc.Granularity
-		st.Result = res
-		return nil
-	}
-	check := func(st *genstore.State) error {
-		if st.Method != "" && st.Method != cfg.Method {
-			return fmt.Errorf("server: state directory holds method %q, serving %q", st.Method, cfg.Method)
-		}
-		if st.Claim != nil && st.Gran != fc.Granularity {
-			return fmt.Errorf("server: state directory holds granularity %s, serving %s", st.Gran, fc.Granularity)
-		}
-		return nil
-	}
-	return &driver{name: cfg.Method, apply: apply, check: check}, nil
-}
-
-func newTwoLayerDriver(cfg *Config) *driver {
-	tc := twolayer.DefaultConfig()
-	tc.SiteLevel = cfg.SiteLevel
-	tc.Workers = cfg.Workers
-	warm := tc
-	if cfg.WarmRounds > 0 {
-		warm.Rounds = cfg.WarmRounds
-	}
-	apply := func(st *genstore.State, batch []extract.Extraction) error {
-		cold := st.Ext == nil
-		if cold {
-			st.Ext = extract.CompileWorkers(batch, tc.SiteLevel, cfg.Workers)
-		} else {
-			st.Ext = st.Ext.Append(batch)
-		}
-		runCfg := warm
-		if cold {
-			runCfg = tc
-		}
-		res, tl, err := twolayer.FuseCompiledWarm(st.Ext, runCfg, st.TL)
-		if err != nil {
-			return err
-		}
-		st.Method = "twolayer"
-		st.SiteLevel = tc.SiteLevel
-		st.Result = res
-		st.TL = tl
-		return nil
-	}
-	check := func(st *genstore.State) error {
-		if st.Method != "" && st.Method != "twolayer" {
-			return fmt.Errorf("server: state directory holds method %q, serving %q", st.Method, "twolayer")
-		}
-		if st.Ext != nil && st.SiteLevel != tc.SiteLevel {
-			return fmt.Errorf("server: state directory holds site-level=%v, serving site-level=%v", st.SiteLevel, tc.SiteLevel)
-		}
-		return nil
-	}
-	return &driver{name: "twolayer", apply: apply, check: check}
+	return genstore.ClaimChain(cfg.Method, fc, cfg.WarmRounds), nil
 }

@@ -5,10 +5,12 @@
 //
 // # Lifecycle
 //
-// New validates the configuration and builds the router; Hydrate opens the
-// generation store (genstore.Open + journal replay through the method's
-// apply chain — the restart path is load-and-replay, never recompile) and
-// publishes the recovered generation; Close drains nothing itself (callers
+// New validates the configuration, binds the method to its append chain
+// (genstore.Chain, the chain kfuse -append runs) and builds the router;
+// Hydrate opens the generation store (genstore.Open + journal replay through
+// Chain.Apply — the restart path is load-and-replay, never recompile),
+// refuses a state another method built (Chain.Check) and publishes the
+// recovered generation; Close drains nothing itself (callers
 // drain HTTP via http.Server.Shutdown first) but takes the writer lock,
 // waits out an in-flight append, writes a final snapshot and closes the
 // store. Until Hydrate completes, /readyz reports 503 and every data route
@@ -61,9 +63,10 @@ type Config struct {
 	// EM; default 1). The first batch always cold-fuses at the method's
 	// full round cap.
 	WarmRounds int
-	// SnapshotEvery snapshots the store after this many appends (default
-	// 16; the journal makes every append durable regardless — snapshots
-	// only bound restart replay time). 0 snapshots only on Close.
+	// SnapshotEvery snapshots the store after this many appends (0 means
+	// the default, 16; the journal makes every append durable regardless —
+	// snapshots only bound restart replay time). Negative snapshots only on
+	// Close.
 	SnapshotEvery int
 	// MaxBody caps the append request body in bytes (default 64 MiB).
 	MaxBody int64
@@ -97,7 +100,7 @@ func (c *Config) withDefaults() (Config, error) {
 // http.Server.
 type Server struct {
 	cfg     Config
-	drv     *driver
+	chain   *genstore.Chain
 	handler http.Handler
 
 	// current is the published generation; nil until Hydrate completes.
@@ -121,11 +124,11 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	drv, err := newDriver(&full)
+	chain, err := newChain(&full)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: full, drv: drv}
+	s := &Server{cfg: full, chain: chain}
 	s.handler = newRouter(s)
 	return s, nil
 }
@@ -145,7 +148,7 @@ func (s *Server) Ready() bool { return s.current.Load() != nil }
 
 // Hydrate opens (or creates) the generation store and publishes the
 // recovered generation: newest valid snapshot plus journal replay through
-// the method's apply chain — by the append contract, bit-identical to the
+// the method's append chain — by the append contract, bit-identical to the
 // uncrashed process's state. Degradations are logged, never fatal; a state
 // directory built by a different method or granularity is.
 func (s *Server) Hydrate() error {
@@ -157,16 +160,16 @@ func (s *Server) Hydrate() error {
 			return err
 		}
 	}
-	store, st, err := genstore.OpenFS(fsys, s.drv.apply)
+	store, st, err := genstore.OpenFS(fsys, s.chain.Apply)
 	if err != nil {
 		return err
 	}
 	for _, d := range store.Degradations() {
 		s.logf("state recovery: %s", d)
 	}
-	if err := s.drv.check(st); err != nil {
+	if err := s.chain.Check(st); err != nil {
 		store.Close()
-		return err
+		return fmt.Errorf("server: state directory: %w", err)
 	}
 
 	s.mu.Lock()
@@ -183,15 +186,16 @@ func (s *Server) Hydrate() error {
 	s.store, s.st = store, st
 	s.mu.Unlock()
 
-	s.current.Store(newGenView(st))
+	v := newGenView(st)
+	s.current.Store(v)
 	s.logf("hydrated generation %d (%d extractions consumed, %d fused triples)",
-		st.Batches, st.Consumed, len(newGenView(st).triples()))
+		st.Batches, st.Consumed, len(v.triples()))
 	return nil
 }
 
 // Append folds one extraction batch into the live chain: journal (the
 // durability point — a crash after this replays the batch on restart),
-// incremental graph Append plus warm EM via the method driver, then an
+// incremental graph Append plus warm EM via the method's chain, then an
 // atomic publish of the new generation. Single-writer: a concurrent append
 // returns ErrBusy instead of queuing. A failed periodic snapshot is logged
 // and does not fail the append — the journal already holds the batch.
@@ -260,7 +264,7 @@ func (s *Server) view() (*genView, error) {
 
 // Status summarizes the published generation for /v1/status.
 func (s *Server) Status() *httpapi.StatusResponse {
-	resp := &httpapi.StatusResponse{Method: s.drv.name}
+	resp := &httpapi.StatusResponse{Method: s.cfg.Method}
 	if v := s.current.Load(); v != nil {
 		resp.Ready = true
 		resp.Generation = v.generation

@@ -16,7 +16,9 @@ import (
 	"kfusion/internal/exper"
 	"kfusion/internal/faultfs"
 	"kfusion/internal/fusion"
+	"kfusion/internal/genstore"
 	"kfusion/internal/httpapi"
+	"kfusion/internal/kfio"
 )
 
 // newTestServer builds a hydrated in-memory server and mounts it on an
@@ -403,5 +405,116 @@ func TestMethodMismatchRefusesState(t *testing.T) {
 	}
 	if err := b.Hydrate(); err == nil || !strings.Contains(err.Error(), "method") {
 		t.Fatalf("hydrating vote state as popaccu: err = %v, want method mismatch", err)
+	}
+}
+
+// TestSnapshotEvery pins the snapshot cadence knob: the zero value means the
+// default of 16 appends, a negative value means no periodic snapshot at all —
+// the journal alone carries the appends until Close writes the final one.
+func TestSnapshotEvery(t *testing.T) {
+	xs := exper.SharedDataset(exper.ScaleSmall, 42).Extractions
+	snapshots := func(mem *faultfs.Mem) (n int) {
+		names, err := mem.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".kfg") {
+				n++
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		every            int
+		after15, after16 int
+	}{
+		{every: 0, after15: 0, after16: 1},
+		{every: -1, after15: 0, after16: 0},
+	} {
+		mem := faultfs.NewMem()
+		s, _ := newTestServer(t, func(c *Config) { c.FS = mem; c.SnapshotEvery = tc.every })
+		for i := 0; i < 16; i++ {
+			if i == 15 && snapshots(mem) != tc.after15 {
+				t.Errorf("SnapshotEvery=%d: %d snapshots after 15 appends, want %d", tc.every, snapshots(mem), tc.after15)
+			}
+			if _, err := s.Append(xs[i*10 : i*10+10]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := snapshots(mem); got != tc.after16 {
+			t.Errorf("SnapshotEvery=%d: %d snapshots after 16 appends, want %d", tc.every, got, tc.after16)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if snapshots(mem) == 0 {
+			t.Errorf("SnapshotEvery=%d: Close wrote no snapshot", tc.every)
+		}
+	}
+}
+
+// TestHydratesKfuseState is the interop contract of the one append chain: a
+// state directory grown the way kfuse -append -state grows it (the same
+// genstore.Chain, every batch under the full config) hydrates in the daemon
+// with no replay divergence, and /v1/triples serves exactly the rows
+// kfio.WriteFused writes for kfuse's result. The same directory opened under
+// another granularity is refused by the chain's Check.
+func TestHydratesKfuseState(t *testing.T) {
+	xs := exper.SharedDataset(exper.ScaleSmall, 42).Extractions
+	chain := genstore.ClaimChain("popaccu", fusion.PopAccuConfig(), 0)
+	mem := faultfs.NewMem()
+	store, st, err := genstore.OpenFS(mem, chain.Apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(xs); off += 1500 {
+		if err := store.Append(st, xs[off:min(off+1500, len(xs))]); err != nil {
+			t.Fatal(err)
+		}
+		if off == 1500 { // leave journaled batches behind the snapshot for hydration to replay
+			if err := store.Snapshot(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := kfio.WriteFused(&want, st.Result); err != nil {
+		t.Fatal(err)
+	}
+
+	// WarmRounds 5 is POPACCU's full cap: the daemon replays the journal
+	// under the rounds kfuse fused it with.
+	_, ts := newTestServer(t, func(c *Config) { c.FS = mem.Clone(); c.WarmRounds = 5 })
+	c, err := client.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Triples(t.Context(), client.TriplesQuery{Limit: len(st.Result.Triples) + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served bytes.Buffer
+	enc := json.NewEncoder(&served)
+	for _, g := range got.Triples {
+		rec := kfio.FusedRecord{Subject: g.Subject, Predicate: g.Predicate, Object: g.Object,
+			Probability: g.Probability, Predicted: g.Predicted, Provenances: g.Provenances, Extractors: g.Extractors}
+		if err := enc.Encode(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(served.Bytes(), want.Bytes()) {
+		t.Fatalf("daemon serves %d bytes of fused rows, kfuse wrote %d; generations differ", served.Len(), want.Len())
+	}
+
+	foreign, err := New(Config{FS: mem.Clone(), Method: "popaccu", Granularity: fusion.GranExtractorSite})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := foreign.Hydrate(); err == nil || !strings.Contains(err.Error(), "granularity") {
+		t.Fatalf("hydrating URL-granularity state at site granularity: err = %v, want granularity mismatch", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"kfusion/internal/extract"
 	"kfusion/internal/fusion"
 	"kfusion/internal/genstore"
 )
@@ -28,7 +27,7 @@ func TestStoresRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stores, states, err := OpenStores(dir, k, statelessApply(cfg.Granularity))
+	stores, states, err := OpenStores(dir, k, growChain(cfg.Granularity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestStoresRoundTrip(t *testing.T) {
 
 	// Reopen: recovered graphs reassemble a coordinator that continues the
 	// pipeline exactly.
-	stores, states, err = OpenStores(dir, k, statelessApply(cfg.Granularity))
+	stores, states, err = OpenStores(dir, k, growChain(cfg.Granularity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,26 +109,13 @@ func TestStoresRoundTrip(t *testing.T) {
 	}
 }
 
-// statelessApply reseeds the shard's dedup stream from the recovered graph on
-// every call, so one ApplyFunc value serves any shard's replay.
-func statelessApply(gran fusion.Granularity) genstore.ApplyFunc {
-	return func(st *genstore.State, batch []extract.Extraction) error {
-		var stream *fusion.ClaimStream
-		if st.Claim != nil {
-			stream = fusion.SeedClaimStream(gran, st.Claim)
-		} else {
-			stream = fusion.NewClaimStream(gran)
-		}
-		claims := stream.Add(batch)
-		if st.Claim == nil {
-			st.Claim = fusion.MustCompile(claims)
-		} else {
-			st.Claim = st.Claim.MustAppend(claims)
-		}
-		st.Method = "popaccu"
-		st.Gran = gran
-		return nil
-	}
+// growChain is the production chain's graph-growing half — the ApplyFunc
+// kfuse -shards -state hands OpenStores. One value serves every shard: the
+// dedup stream lives on each shard's state.
+func growChain(gran fusion.Granularity) genstore.ApplyFunc {
+	cfg := fusion.PopAccuConfig()
+	cfg.Granularity = gran
+	return genstore.ClaimChain("popaccu", cfg, 0).Grow
 }
 
 // TestStoresSkewRefused: a batch applied to some shards but not others — the
@@ -141,7 +127,7 @@ func TestStoresSkewRefused(t *testing.T) {
 	gran := fusion.GranExtractorURL
 	dir := t.TempDir()
 
-	stores, states, err := OpenStores(dir, k, statelessApply(gran))
+	stores, states, err := OpenStores(dir, k, growChain(gran))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +135,7 @@ func TestStoresSkewRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Skew shard 0 by one batch, bypassing the lockstep Append.
-	solo, soloState, err := genstore.Open(ShardDir(dir, 0), statelessApply(gran))
+	solo, soloState, err := genstore.Open(ShardDir(dir, 0), growChain(gran))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +150,7 @@ func TestStoresSkewRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = OpenStores(dir, k, statelessApply(gran))
+	_, _, err = OpenStores(dir, k, growChain(gran))
 	if err == nil {
 		t.Fatal("skewed state dir opened without error")
 	}

@@ -25,9 +25,7 @@ func EncodeState(out io.Writer, st *State) error {
 // DecodeState reconstructs a State from EncodeState bytes.
 func DecodeState(data []byte) (*State, error) {
 	r := wire.NewReader(data)
-	if v := r.U8(); r.Err() == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("twolayer: state version %d, want %d", v, snapshotVersion)
-	}
+	r.Version(snapshotVersion)
 	st := &State{SrcAcc: r.F64s(), Recall: r.F64s(), FalsePos: r.F64s()}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("twolayer: state: %w", err)

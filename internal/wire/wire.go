@@ -154,44 +154,11 @@ func (w *Writer) Bools(s []bool) {
 	w.write(buf)
 }
 
-// CheckIDs validates that every element of ids lies in [0, n) — the decode-
-// side guard that keeps a corrupt but well-framed ID table from indexing out
-// of bounds later.
-func CheckIDs(name string, ids []int32, n int) error {
-	for i, v := range ids {
-		if v < 0 || int(v) >= n {
-			return fmt.Errorf("wire: %s[%d] = %d out of range [0,%d)", name, i, v, n)
-		}
-	}
-	return nil
-}
-
-// CheckCSR validates a CSR span table: len(start) == nGroups+1, start[0] == 0,
-// offsets non-decreasing, and the final offset equal to flatLen.
-func CheckCSR(name string, start []int32, nGroups, flatLen int) error {
-	if nGroups == 0 && flatLen == 0 && len(start) == 0 {
-		return nil // empty table round-trips as nil
-	}
-	if len(start) != nGroups+1 {
-		return fmt.Errorf("wire: %s has %d offsets, want %d", name, len(start), nGroups+1)
-	}
-	if start[0] != 0 {
-		return fmt.Errorf("wire: %s[0] = %d, want 0", name, start[0])
-	}
-	for i := 1; i < len(start); i++ {
-		if start[i] < start[i-1] {
-			return fmt.Errorf("wire: %s[%d] = %d decreases from %d", name, i, start[i], start[i-1])
-		}
-	}
-	if int(start[nGroups]) != flatLen {
-		return fmt.Errorf("wire: %s ends at %d, want %d", name, start[nGroups], flatLen)
-	}
-	return nil
-}
-
-// Reader decodes values from a byte slice, latching the first error. All
-// length prefixes are validated against the remaining input before any
-// allocation or slicing happens.
+// Reader decodes values from a byte slice, latching the first error — a
+// truncation, or a failed Version/CheckLen/CheckIDs/CheckCSR validation — so
+// a decoder is a straight-line field list with one Err return. All length
+// prefixes are validated against the remaining input before any allocation
+// or slicing happens.
 type Reader struct {
 	data []byte
 	pos  int
@@ -210,9 +177,66 @@ func (r *Reader) Pos() int { return r.pos }
 // Remaining reports the number of undecoded bytes.
 func (r *Reader) Remaining() int { return len(r.data) - r.pos }
 
-func (r *Reader) fail() {
+func (r *Reader) fail() { r.Fail(fmt.Errorf("%w at offset %d", ErrTruncated, r.pos)) }
+
+// Fail latches err as the decode error unless one is already latched — how a
+// decoder reports a structural check of its own (a count beyond the input, an
+// unparsable field) through the same single Err return as a truncation.
+func (r *Reader) Fail(err error) {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w at offset %d", ErrTruncated, r.pos)
+		r.err = err
+	}
+}
+
+// Version reads the leading format-version byte and latches a mismatch, so a
+// payload written by another layout is rejected before any field is trusted.
+func (r *Reader) Version(want uint8) {
+	if v := r.U8(); v != want {
+		r.Fail(fmt.Errorf("wire: version %d, want %d", v, want))
+	}
+}
+
+// CheckLen latches an error unless a decoded column has exactly want entries.
+func (r *Reader) CheckLen(name string, got, want int) {
+	if got != want {
+		r.Fail(fmt.Errorf("wire: %s has %d entries, want %d", name, got, want))
+	}
+}
+
+// CheckIDs latches an error unless every element of ids lies in [0, n) — the
+// decode-side guard that keeps a corrupt but well-framed ID table from
+// indexing out of bounds later.
+func (r *Reader) CheckIDs(name string, ids []int32, n int) {
+	for i, v := range ids {
+		if v < 0 || int(v) >= n {
+			r.Fail(fmt.Errorf("wire: %s[%d] = %d out of range [0,%d)", name, i, v, n))
+			return
+		}
+	}
+}
+
+// CheckCSR latches an error unless start is a valid CSR span table:
+// len(start) == nGroups+1, start[0] == 0, offsets non-decreasing, and the
+// final offset equal to flatLen.
+func (r *Reader) CheckCSR(name string, start []int32, nGroups, flatLen int) {
+	if nGroups == 0 && flatLen == 0 && len(start) == 0 {
+		return // empty table round-trips as nil
+	}
+	if len(start) != nGroups+1 {
+		r.Fail(fmt.Errorf("wire: %s has %d offsets, want %d", name, len(start), nGroups+1))
+		return
+	}
+	if start[0] != 0 {
+		r.Fail(fmt.Errorf("wire: %s[0] = %d, want 0", name, start[0]))
+	}
+	for i := 1; i < len(start); i++ {
+		if start[i] < start[i-1] {
+			r.Fail(fmt.Errorf("wire: %s[%d] = %d decreases from %d", name, i, start[i], start[i-1]))
+			return
+		}
+	}
+	if int(start[nGroups]) != flatLen {
+		r.Fail(fmt.Errorf("wire: %s ends at %d, want %d", name, start[nGroups], flatLen))
 	}
 }
 

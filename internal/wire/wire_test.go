@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -139,5 +140,48 @@ func TestErrorLatch(t *testing.T) {
 	r.U8() // would succeed on fresh reader, must stay failed
 	if r.Err() != first {
 		t.Fatal("error not latched")
+	}
+}
+
+// TestValidationLatches checks the decode-side validators: each accepts the
+// well-formed case, latches a failure as the reader's error, and never
+// replaces an error latched earlier (the first failure is the diagnosis).
+func TestValidationLatches(t *testing.T) {
+	csr := []int32{0, 2, 2, 5}
+	for _, tc := range []struct {
+		name  string
+		check func(r *Reader)
+		want  string // substring of the latched error; "" = accepted
+	}{
+		{"version ok", func(r *Reader) { r.Version(3) }, ""},
+		{"version skew", func(r *Reader) { r.Version(4) }, "version 3, want 4"},
+		{"len ok", func(r *Reader) { r.CheckLen("col", 5, 5) }, ""},
+		{"len short", func(r *Reader) { r.CheckLen("col", 4, 5) }, "col has 4 entries, want 5"},
+		{"ids ok", func(r *Reader) { r.CheckIDs("ids", []int32{0, 4}, 5) }, ""},
+		{"ids high", func(r *Reader) { r.CheckIDs("ids", []int32{0, 5}, 5) }, "ids[1] = 5 out of range"},
+		{"ids negative", func(r *Reader) { r.CheckIDs("ids", []int32{-1}, 5) }, "ids[0] = -1 out of range"},
+		{"csr ok", func(r *Reader) { r.CheckCSR("start", csr, 3, 5) }, ""},
+		{"csr empty", func(r *Reader) { r.CheckCSR("start", nil, 0, 0) }, ""},
+		{"csr group count", func(r *Reader) { r.CheckCSR("start", csr, 4, 5) }, "start has 4 offsets, want 5"},
+		{"csr origin", func(r *Reader) { r.CheckCSR("start", []int32{1, 2, 2, 5}, 3, 5) }, "start[0] = 1"},
+		{"csr decreasing", func(r *Reader) { r.CheckCSR("start", []int32{0, 3, 2, 5}, 3, 5) }, "decreases"},
+		{"csr flat length", func(r *Reader) { r.CheckCSR("start", csr, 3, 6) }, "ends at 5, want 6"},
+	} {
+		r := NewReader([]byte{3})
+		tc.check(r)
+		switch err := r.Err(); {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+
+		first := errors.New("first failure")
+		r = NewReader(nil)
+		r.Fail(first)
+		tc.check(r)
+		if r.Err() != first {
+			t.Errorf("%s: replaced the latched error with %v", tc.name, r.Err())
+		}
 	}
 }
