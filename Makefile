@@ -36,17 +36,20 @@ race:
 fault:
 	$(GO) test -race ./internal/genstore/ ./internal/faultfs/ ./internal/kbstore/ ./internal/kfio/
 
-# fuzz-smoke gives each corruption-facing fuzz target a short budget — long
-# enough to catch a decoder regression on mutated snapshot/journal/JSONL
-# bytes, short enough for every CI push.
+# fuzz-smoke gives each fuzz target a short budget, short enough for every CI
+# push: the corruption-facing ones, long enough to catch a decoder regression
+# on mutated snapshot/journal/JSONL bytes, and the engine-level ones — any
+# chunking of a feed through Append builds the graph one Compile builds.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 15s ./internal/genstore/
 	$(GO) test -run '^$$' -fuzz FuzzJournalParse -fuzztime 15s ./internal/genstore/
 	$(GO) test -run '^$$' -fuzz FuzzExtractionStream -fuzztime 15s ./internal/kfio/
 	$(GO) test -run '^$$' -fuzz FuzzReadExtractions -fuzztime 15s ./internal/kfio/
+	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s ./internal/extract/
+	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s ./internal/fusion/
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkAppendBatch' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch' -benchtime 1x -benchmem .
 
 # bench-json regenerates the machine-readable perf record (see BENCH_<n>.json;
 # bump N per PR that moves performance): the throughput benchmarks, the

@@ -59,10 +59,13 @@
 //     compiled graphs are generations of an append-only feed — every ID
 //     space is interned in first-occurrence order, so Append(batch)
 //     extends a graph bit-identically to recompiling the concatenated
-//     stream (existing IDs never move; pinned by graph-equality property
-//     tests) while hashing only the batch against the retained interning
-//     index; the CSR spans merge through csr.AppendByGroup's ordered span
-//     merge. Re-fusing warm-starts from the previous generation's
+//     stream (existing IDs never move) while hashing only the batch
+//     against the retained interning index; the CSR spans merge through
+//     csr.AppendByGroup's ordered span merge. Compile is the first Append
+//     — the empty generation extended by the whole set, through the same
+//     interning loop and assemble tail — so the equality holds by
+//     construction and is pinned by golden graph digests, brute-force
+//     reconstruction and chunking fuzz targets. Re-fusing warm-starts from the previous generation's
 //     posteriors (CompiledClaims.FuseWarm, TwoLayerFuseCompiledWarm): on
 //     threshold-converging data that lands within a documented pointwise
 //     tolerance of cold start, and under the paper's forced round cap it

@@ -11,6 +11,8 @@ package csr
 // touching the inputs, so the previous generation's CSR stays valid while the
 // new generation is built.
 
+import "runtime"
+
 // ExtendInt32 returns a fresh slice of length n carrying old's prefix — the
 // copy-on-extend the append pipeline uses to grow an ID-indexed column
 // while the previous generation's array stays untouched.
@@ -29,8 +31,15 @@ func ExtendInt32(old []int32, n int) []int32 {
 // merged span is oldSpan ++ newIDs, still in ascending order — exactly the
 // CSR ByGroup would build over the concatenated assignment. The inputs are
 // only read; the result is freshly allocated and identical for every workers
-// value (the same per-(worker, group) disjoint-range scheme as ByGroup).
-func AppendByGroup(oldStart, oldIds, newGroupOf []int32, nGroups, workers int) (start, ids []int32) {
+// value.
+//
+// Large batches run a parallel counting sort — per-worker counts over
+// contiguous chunks, a sequential prefix-sum merge that turns the counts into
+// per-worker scatter offsets, then a parallel scatter. Chunks are contiguous
+// and ascending and each (worker, group) cell owns a disjoint output range
+// ordered by worker, so the parallel result is identical to the sequential
+// one.
+func AppendByGroup(oldStart, oldIds, newGroupOf []int32, nGroups, workers int) ([]int32, []int32) {
 	oldGroups := len(oldStart) - 1
 	if oldGroups < 0 {
 		oldGroups = 0
@@ -38,14 +47,20 @@ func AppendByGroup(oldStart, oldIds, newGroupOf []int32, nGroups, workers int) (
 	nOld := len(oldIds)
 	nNew := len(newGroupOf)
 	total := nOld + nNew
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	w := workers
-	if nNew < ParallelThreshold {
-		w = 1
+	// The per-worker count arrays and the sequential prefix-sum merge cost
+	// O(workers × nGroups). Near-singleton groupings (nGroups ≈ nNew — e.g. a
+	// claim set with almost no corroboration, or a batch small against the
+	// groups it lands in) would make that dwarf the O(nNew) counting/scatter
+	// work, so clamp workers to keep the merge within a small multiple of
+	// nNew.
+	if maxW := 4 * nNew / (nGroups + 1); w > maxW {
+		w = maxW
 	}
-	if w > nNew {
-		w = nNew
-	}
-	if w < 1 {
+	if nNew < ParallelThreshold || w < 1 {
 		w = 1
 	}
 
@@ -59,7 +74,7 @@ func AppendByGroup(oldStart, oldIds, newGroupOf []int32, nGroups, workers int) (
 		}
 	})
 
-	start = make([]int32, nGroups+1)
+	start := make([]int32, nGroups+1)
 	run := int32(0)
 	for g := 0; g < nGroups; g++ {
 		start[g] = run
@@ -74,18 +89,20 @@ func AppendByGroup(oldStart, oldIds, newGroupOf []int32, nGroups, workers int) (
 	}
 	start[nGroups] = run
 
-	ids = make([]int32, total)
+	ids := make([]int32, total)
 	// Copy every group's old span to its new position, in parallel over
 	// groups (each group owns a disjoint output range).
-	gw := workers
-	if oldGroups < ParallelThreshold {
-		gw = 1
-	}
-	ParallelRange(oldGroups, gw, func(_, lo, hi int) {
-		for g := lo; g < hi; g++ {
-			copy(ids[start[g]:], oldIds[oldStart[g]:oldStart[g+1]])
+	if oldGroups > 0 {
+		gw := workers
+		if oldGroups < ParallelThreshold {
+			gw = 1
 		}
-	})
+		ParallelRange(oldGroups, gw, func(_, lo, hi int) {
+			for g := lo; g < hi; g++ {
+				copy(ids[start[g]:], oldIds[oldStart[g]:oldStart[g+1]])
+			}
+		})
+	}
 	// Scatter the new elements after each group's old span; chunks are
 	// contiguous and ascending and each (worker, group) cell owns a disjoint
 	// range ordered by worker, so ascending ID order is preserved.

@@ -60,84 +60,8 @@ const ElementwiseThreshold = 1 << 12
 
 // ByGroup builds a CSR adjacency from a dense group assignment: start has
 // one span per group (len nGroups+1), and ids lists the element indexes of
-// each group in ascending order. Large inputs run a parallel counting sort —
-// per-worker counts over contiguous chunks, a sequential prefix-sum merge
-// that turns the counts into per-worker scatter offsets, then a parallel
-// scatter. Chunks are contiguous and ascending and each (worker, group)
-// cell owns a disjoint output range ordered by worker, so the parallel
-// result is identical to the sequential one for every workers value.
+// each group in ascending order. It is AppendByGroup onto the empty CSR — a
+// fresh build is the first append — so the two share one counting sort.
 func ByGroup(groupOf []int32, nGroups, workers int) (start, ids []int32) {
-	n := len(groupOf)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if n < ParallelThreshold || workers <= 1 {
-		return byGroupSeq(groupOf, nGroups)
-	}
-	if workers > n {
-		workers = n
-	}
-	// The per-worker count arrays and the sequential prefix-sum merge cost
-	// O(workers × nGroups). Near-singleton groupings (nGroups ≈ n — e.g. a
-	// claim set with almost no corroboration) would make that dwarf the
-	// O(n) counting/scatter work, so clamp workers to keep the merge within
-	// a small multiple of n; with nothing left to parallelize, fall back to
-	// the sequential sort.
-	if maxW := 4 * n / (nGroups + 1); workers > maxW {
-		workers = maxW
-	}
-	if workers <= 1 {
-		return byGroupSeq(groupOf, nGroups)
-	}
-
-	counts := make([]int32, workers*nGroups)
-	ParallelRange(n, workers, func(w, lo, hi int) {
-		c := counts[w*nGroups : (w+1)*nGroups]
-		for _, p := range groupOf[lo:hi] {
-			c[p]++
-		}
-	})
-
-	// Prefix-sum merge: start[g] is the group's span start, and each
-	// counts[w][g] cell becomes worker w's first output slot for group g.
-	start = make([]int32, nGroups+1)
-	run := int32(0)
-	for g := 0; g < nGroups; g++ {
-		start[g] = run
-		for w := 0; w < workers; w++ {
-			c := counts[w*nGroups+g]
-			counts[w*nGroups+g] = run
-			run += c
-		}
-	}
-	start[nGroups] = run
-
-	ids = make([]int32, n)
-	ParallelRange(n, workers, func(w, lo, hi int) {
-		next := counts[w*nGroups : (w+1)*nGroups]
-		for i := lo; i < hi; i++ {
-			p := groupOf[i]
-			ids[next[p]] = int32(i)
-			next[p]++
-		}
-	})
-	return start, ids
-}
-
-func byGroupSeq(groupOf []int32, nGroups int) (start, ids []int32) {
-	start = make([]int32, nGroups+1)
-	for _, p := range groupOf {
-		start[p+1]++
-	}
-	for i := 0; i < nGroups; i++ {
-		start[i+1] += start[i]
-	}
-	ids = make([]int32, len(groupOf))
-	next := make([]int32, nGroups)
-	copy(next, start[:nGroups])
-	for i, p := range groupOf {
-		ids[next[p]] = int32(i)
-		next[p]++
-	}
-	return start, ids
+	return AppendByGroup(nil, nil, groupOf, nGroups, workers)
 }

@@ -74,6 +74,26 @@ func TestByGroupInvariants(t *testing.T) {
 	}
 }
 
+// byGroupSeq is the textbook sequential counting sort the parallel builder is
+// checked against.
+func byGroupSeq(groupOf []int32, nGroups int) (start, ids []int32) {
+	start = make([]int32, nGroups+1)
+	for _, p := range groupOf {
+		start[p+1]++
+	}
+	for i := 0; i < nGroups; i++ {
+		start[i+1] += start[i]
+	}
+	ids = make([]int32, len(groupOf))
+	next := make([]int32, nGroups)
+	copy(next, start[:nGroups])
+	for i, p := range groupOf {
+		ids[next[p]] = int32(i)
+		next[p]++
+	}
+	return start, ids
+}
+
 func equalInt32(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false

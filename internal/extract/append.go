@@ -3,35 +3,49 @@ package extract
 // Append: the extraction graph as one generation of an append-only feed.
 //
 // The paper's setting is a continuously crawled Web — extraction feeds grow,
-// they are not recompiled from scratch. Append extends a compiled extraction
-// graph with a batch and returns the next generation, bit-identical to
-// CompileWorkers over the concatenated stream: every ID space is assigned in
-// first-occurrence order (an invariant of Compile since the beginning), so
-// the IDs of existing sources, extractors, triples, items and statements
-// never move — only the batch is hashed, against the interning index the
-// previous compilation left behind. The derived CSR arrays are rebuilt as
-// O(total) array passes: the per-source/per-triple/per-item statement spans
-// merge through csr.AppendByGroup (new statement IDs all exceed old ones, so
+// they are not recompiled from scratch — so every compiled graph is one
+// generation of a growing feed, and there is one compile path: extend, which
+// interns a batch onto a generation and assembles the next one. Compile is
+// the first Append (the empty generation extended by the whole set), so
+// Append ≡ recompile holds by construction, bit for bit: every ID space is
+// assigned in first-occurrence order, so the IDs of existing sources,
+// extractors, triples, items and statements never move — only the batch is
+// hashed, against the interning index the previous generation left behind.
+//
+// The batch interns through internBatch, the one sequential loop. The
+// shard-and-merge pass (internParallel: the same loop per shard, then an
+// ordered merge) is chosen from what extend can observe — the batch reaches
+// csr.ParallelThreshold, more than one worker is allowed, and nothing is
+// interned yet — which is a bulk Compile, or a first Append onto an empty
+// generation. Both produce the same graph.
+//
+// The assemble tail then rebuilds the derived arrays around the previous
+// generation's, which are only read: the per-source/per-triple/per-item
+// spans merge through csr.AppendByGroup (new IDs all exceed old ones, so
 // each span is oldSpan ++ newIDs), the flattened extractor lists re-flatten
-// around the batch's additions, and the ext→statement incidence — whose
-// rows can interleave old and new statements when a batch introduces a new
-// (extractor, source) pairing — is rebuilt by the same parallel pass a
-// fresh compile uses. No string or triple is re-hashed for the prefix.
+// around the batch's additions, the support counts are recounted only where
+// the batch touched them, and the ext→statement incidence — whose rows can
+// interleave old and new statements when a batch introduces a new
+// (extractor, source) pairing — is rebuilt by one parallel pass over all
+// statements. No string or triple is re-hashed for the prefix.
 
 import (
 	"runtime"
 	"slices"
 
 	"kfusion/internal/csr"
+	"kfusion/internal/kb"
 )
 
 // Append extends the compiled graph with an extraction batch and returns the
 // next generation, using all available cores. The result is bit-identical to
-// Compile over the concatenated extraction stream; existing IDs are stable.
-// The receiver stays fully usable (its arrays are never mutated); the
-// mutable interning index moves to the returned generation, so appends
-// should chain (g0 -> g1 -> g2 ...) — a second Append on the same generation
-// is correct but rebuilds the index first.
+// Compile over the concatenated extraction stream (Compile is this path run
+// from the empty generation); existing IDs are stable. The receiver stays
+// fully usable (its arrays are never mutated); the mutable interning index
+// moves to the returned generation, so appends should chain (g0 -> g1 -> g2
+// ...) — a second Append on the same generation is correct but rebuilds the
+// index first. An Append that adds nothing costs O(1): it returns the next
+// generation over the receiver's arrays.
 func (g *Compiled) Append(xs []Extraction) *Compiled {
 	return g.AppendWorkers(xs, 0)
 }
@@ -39,19 +53,34 @@ func (g *Compiled) Append(xs []Extraction) *Compiled {
 // AppendWorkers is Append with an explicit worker bound (0 = GOMAXPROCS).
 // The graph is identical for any workers value.
 func (g *Compiled) AppendWorkers(xs []Extraction, workers int) *Compiled {
+	g.mu.Lock()
+	idx := g.idx
+	g.idx = nil
+	g.mu.Unlock()
+	if len(xs) == 0 {
+		// The graph is immutable, so the next generation shares it; the
+		// index, if this generation still held it, moves on as always.
+		return &Compiled{graph: g.graph, gen: g.gen + 1, idx: idx}
+	}
+	if idx == nil {
+		idx = g.rebuildIndex()
+	}
+	next := g.extend(idx, xs, workers)
+	next.gen = g.gen + 1
+	return next
+}
+
+// extend is the one compile path: it interns xs onto generation g, whose
+// index is idx, and assembles the graph of the next one (generation counter
+// left to the caller). g's arrays are only read.
+func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Compiled {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	idx := g.takeIndex()
 	nStOld := len(g.stSource)
-	nSrcOld := len(g.sources)
 	nTriOld := len(g.triples)
-
-	next := &Compiled{
-		siteLevel: g.siteLevel,
-		gen:       g.gen + 1,
-		idx:       idx,
-
+	next := &Compiled{idx: idx, graph: &graph{
+		siteLevel:    g.siteLevel,
 		sources:      slices.Clip(g.sources),
 		extractors:   slices.Clip(g.extractors),
 		stSource:     slices.Clip(g.stSource),
@@ -59,96 +88,31 @@ func (g *Compiled) AppendWorkers(xs []Extraction, workers int) *Compiled {
 		triples:      slices.Clip(g.triples),
 		itemOfTriple: slices.Clip(g.itemOfTriple),
 		items:        slices.Clip(g.items),
-	}
+	}}
 
-	// Extractor-list growth: additions to existing statements/sources are
-	// keyed sparsely (most are untouched by a batch); new statements/sources
-	// get dense lists indexed from the old counts.
-	stAdd := map[int32][]int32{}
-	srcAdd := map[int32][]int32{}
-	var newStLists, newSrcLists [][]int32
-	stExts := func(si int32) ([]int32, []int32) { // old span + additions
-		if si < int32(nStOld) {
-			return g.stExts[g.stExtStart[si]:g.stExtStart[si+1]], stAdd[si]
-		}
-		return nil, newStLists[si-int32(nStOld)]
+	// ---- Intern the batch, continuing the retained index ----
+	stExts := extLists{oldStart: g.stExtStart, oldFlat: g.stExts}
+	srcExts := extLists{oldStart: g.srcExtStart, oldFlat: g.srcExts}
+	switch {
+	case nStOld > 0:
+		internBatch(next, idx, xs, &stExts, &srcExts)
+	case len(xs) >= internShardThreshold && workers > 1:
+		internParallel(next, idx, xs, workers, &stExts, &srcExts)
+	default:
+		idx.presize(len(xs))
+		internBatch(next, idx, xs, &stExts, &srcExts)
 	}
-	srcExts := func(s int32) ([]int32, []int32) {
-		if s < int32(nSrcOld) {
-			return g.srcExts[g.srcExtStart[s]:g.srcExtStart[s+1]], srcAdd[s]
-		}
-		return nil, newSrcLists[s-int32(nSrcOld)]
-	}
+	internItems(next, idx, nTriOld)
 
-	// ---- Intern the batch, continuing the retained maps ----
-	// This mirrors internSequential exactly; only the batch is hashed.
-	for i := range xs {
-		x := &xs[i]
-		key := x.URL
-		if next.siteLevel {
-			key = x.Site
-		}
-		src, ok := idx.src[key]
-		if !ok {
-			src = int32(len(next.sources))
-			idx.src[key] = src
-			next.sources = append(next.sources, key)
-			newSrcLists = append(newSrcLists, nil)
-		}
-		ext, ok := idx.ext[x.Extractor]
-		if !ok {
-			ext = int32(len(next.extractors))
-			idx.ext[x.Extractor] = ext
-			next.extractors = append(next.extractors, x.Extractor)
-		}
-		if old, add := srcExts(src); !containsID(old, ext) && !containsID(add, ext) {
-			if src < int32(nSrcOld) {
-				srcAdd[src] = append(srcAdd[src], ext)
-			} else {
-				newSrcLists[src-int32(nSrcOld)] = append(newSrcLists[src-int32(nSrcOld)], ext)
-			}
-		}
-		tri, ok := idx.tri[x.Triple]
-		if !ok {
-			tri = int32(len(next.triples))
-			idx.tri[x.Triple] = tri
-			next.triples = append(next.triples, x.Triple)
-			item, iok := idx.item[x.Triple.Item()]
-			if !iok {
-				item = int32(len(next.items))
-				idx.item[x.Triple.Item()] = item
-				next.items = append(next.items, x.Triple.Item())
-			}
-			next.itemOfTriple = append(next.itemOfTriple, item)
-		}
-		si, ok := idx.st[stKey{src, tri}]
-		if !ok {
-			si = int32(len(next.stSource))
-			idx.st[stKey{src, tri}] = si
-			next.stSource = append(next.stSource, src)
-			next.stTriple = append(next.stTriple, tri)
-			newStLists = append(newStLists, nil)
-		}
-		if old, add := stExts(si); !containsID(old, ext) && !containsID(add, ext) {
-			if si < int32(nStOld) {
-				stAdd[si] = append(stAdd[si], ext)
-			} else {
-				newStLists[si-int32(nStOld)] = append(newStLists[si-int32(nStOld)], ext)
-			}
-		}
-	}
-
-	nSt := len(next.stSource)
-	nSrc := len(next.sources)
 	nTriples := len(next.triples)
 	nItems := len(next.items)
 
 	// ---- Re-flatten the extractor lists around the additions ----
-	next.stExtStart, next.stExts = reflattenLists(g.stExtStart, g.stExts, stAdd, newStLists, nSt)
-	next.srcExtStart, next.srcExts = reflattenLists(g.srcExtStart, g.srcExts, srcAdd, newSrcLists, nSrc)
+	next.stExtStart, next.stExts = stExts.flatten()
+	next.srcExtStart, next.srcExts = srcExts.flatten()
 
 	// ---- CSR adjacency by ordered span merge ----
-	next.srcStStart, next.srcSts = csr.AppendByGroup(g.srcStStart, g.srcSts, next.stSource[nStOld:], nSrc, workers)
+	next.srcStStart, next.srcSts = csr.AppendByGroup(g.srcStStart, g.srcSts, next.stSource[nStOld:], len(next.sources), workers)
 	next.tripleStStart, next.tripleSts = csr.AppendByGroup(g.tripleStStart, g.tripleSts, next.stTriple[nStOld:], nTriples, workers)
 	next.itemTripleStart, next.itemTriples = csr.AppendByGroup(g.itemTripleStart, g.itemTriples, next.itemOfTriple[nTriOld:], nItems, workers)
 	for i := 0; i < nItems; i++ {
@@ -158,48 +122,58 @@ func (g *Compiled) AppendWorkers(xs []Extraction, workers int) *Compiled {
 	}
 
 	// ---- Support counts: extend, then recount only what the batch touched ----
+	// Statements per item (the two-layer result's ItemProvenances).
 	next.itemStatements = csr.ExtendInt32(g.itemStatements, nItems)
-	for si := nStOld; si < nSt; si++ {
-		next.itemStatements[next.itemOfTriple[next.stTriple[si]]]++
+	for _, t := range next.stTriple[nStOld:] {
+		next.itemStatements[next.itemOfTriple[t]]++
 	}
+	// Distinct extractors per triple. The new triples are a range, recounted
+	// in parallel: each worker stamps a private seen-set with the triple ID,
+	// so counts are exact and independent of the split.
 	next.tripleExts = csr.ExtendInt32(g.tripleExts, nTriples)
-	seen := make([]int32, len(next.extractors))
-	for i := range seen {
-		seen[i] = -1
+	tw := workers
+	if nTriples-nTriOld < internShardThreshold {
+		tw = 1 // goroutine setup would dominate
 	}
-	touched := make(map[int32]bool, nSt-nStOld+len(stAdd))
-	for si := nStOld; si < nSt; si++ {
-		touched[next.stTriple[si]] = true
-	}
-	for si := range stAdd {
-		touched[next.stTriple[si]] = true
-	}
-	//lint:ignore kflint/mapiter recountTriple overwrites only triple t's count, and the seen scratch is stamped with t itself so stale entries from other triples are ignored — per-key effects are disjoint.
-	for t := range touched {
-		next.recountTriple(t, seen)
+	csr.ParallelRange(nTriples-nTriOld, tw, func(_, lo, hi int) {
+		seen := unseen(len(next.extractors))
+		for t := nTriOld + lo; t < nTriOld+hi; t++ {
+			next.recountTriple(int32(t), seen)
+		}
+	})
+	// The old triples the batch touched, through a new statement or a new
+	// extractor on an old one.
+	if nTriOld > 0 {
+		touched := make(map[int32]bool, len(next.stSource)-nStOld+len(stExts.grown))
+		for _, t := range next.stTriple[nStOld:] {
+			if int(t) < nTriOld {
+				touched[t] = true
+			}
+		}
+		for si := range stExts.grown {
+			touched[next.stTriple[si]] = true
+		}
+		seen := unseen(len(next.extractors))
+		//lint:ignore kflint/mapiter recountTriple overwrites only triple t's count, and the seen scratch is stamped with t itself so stale entries from other triples are ignored — per-key effects are disjoint.
+		for t := range touched {
+			next.recountTriple(t, seen)
+		}
 	}
 
 	// The ext→statement incidence interleaves old and new statement IDs when
 	// the batch adds an extractor to an existing source (every old statement
-	// of that source joins the extractor's span) — rebuild it with the
-	// compile pass's parallel builder.
+	// of that source joins the extractor's span), so it is rebuilt whole.
 	next.buildExtStatements(workers)
 	return next
 }
 
-// takeIndex claims the generation's interning index, rebuilding it from the
-// immutable graph when another Append already took it. The rebuild hashes
-// each distinct key once (not once per extraction); it exists for
-// correctness — chained appends never hit it.
-func (g *Compiled) takeIndex() *extractIndex {
-	g.mu.Lock()
-	idx := g.idx
-	g.idx = nil
-	g.mu.Unlock()
-	if idx != nil {
-		return idx
-	}
-	idx = newExtractIndex(len(g.stSource))
+// rebuildIndex reconstructs the interning index from the immutable graph, for
+// a generation whose index another Append already took (or that was decoded
+// from a snapshot). The rebuild hashes each distinct key once (not once per
+// extraction); it exists for correctness — chained appends never hit it.
+func (g *Compiled) rebuildIndex() *extractIndex {
+	idx := &extractIndex{item: make(map[kb.DataItem]int32, len(g.items))}
+	idx.presize(len(g.stSource))
 	for s, key := range g.sources {
 		idx.src[key] = int32(s)
 	}
@@ -216,35 +190,4 @@ func (g *Compiled) takeIndex() *extractIndex {
 		idx.st[stKey{g.stSource[si], g.stTriple[si]}] = int32(si)
 	}
 	return idx
-}
-
-// reflattenLists rebuilds a flattened (start, flat) extractor-list pair
-// around sparse additions to old rows plus dense lists for new rows. Old row
-// contents keep their relative order with additions appended — exactly the
-// first-extraction order a full recompile would produce.
-func reflattenLists(oldStart, oldFlat []int32, add map[int32][]int32, newLists [][]int32, nRows int) (start, flat []int32) {
-	oldRows := len(oldStart) - 1
-	if oldRows < 0 {
-		oldRows = 0
-	}
-	total := len(oldFlat)
-	for _, l := range add {
-		total += len(l)
-	}
-	for _, l := range newLists {
-		total += len(l)
-	}
-	start = make([]int32, nRows+1)
-	flat = make([]int32, 0, total)
-	for r := 0; r < nRows; r++ {
-		start[r] = int32(len(flat))
-		if r < oldRows {
-			flat = append(flat, oldFlat[oldStart[r]:oldStart[r+1]]...)
-			flat = append(flat, add[int32(r)]...)
-		} else {
-			flat = append(flat, newLists[r-oldRows]...)
-		}
-	}
-	start[nRows] = int32(len(flat))
-	return start, flat
 }

@@ -138,6 +138,36 @@ func TestExtractAppendLeavesPreviousGenerationUsable(t *testing.T) {
 	appendGraphsEqual(t, "rebuilt-index", again, next)
 }
 
+// TestExtractAppendNothingIsConstantCost pins the empty append: it returns
+// the next generation over the receiver's graph without rebuilding anything
+// — on a chained generation and on one whose index was already taken.
+func TestExtractAppendNothingIsConstantCost(t *testing.T) {
+	xs := appendStream(2000)
+	base := Compile(xs[:1500], true)
+	g := base.Append(xs[1500:])
+	for _, batch := range [][]Extraction{nil, {}} {
+		next := g.Append(batch)
+		if next.Generation() != g.Generation()+1 {
+			t.Fatalf("generation = %d, want %d", next.Generation(), g.Generation()+1)
+		}
+		appendGraphsEqual(t, "empty append", next, g)
+		// The index moved on with the chain: the next real append must not
+		// have to rebuild it.
+		if next.idx == nil || g.idx != nil {
+			t.Fatal("empty append did not hand the interning index on")
+		}
+		g = next
+	}
+	appendGraphsEqual(t, "after empty appends", g, Compile(xs, true))
+
+	for name, c := range map[string]*Compiled{"chained": g, "consumed": base} {
+		allocs := testing.AllocsPerRun(100, func() { c = c.Append(nil) })
+		if allocs > 2 {
+			t.Errorf("%s: empty append allocates %v objects per call, want O(1)", name, allocs)
+		}
+	}
+}
+
 // TestInternParallelPairwiseMerge re-pins the parallel interning path —
 // now pairwise-merged — against the sequential loop at several worker
 // counts (the graphs must be identical in every field).

@@ -3,7 +3,6 @@ package extract
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"kfusion/internal/csr"
@@ -45,7 +44,29 @@ import (
 // chosen at Compile time, mirroring how fusion.Compiled is bound to its
 // claims' provenance granularity. It holds no model state, so one Compiled
 // can serve any number of two-layer configurations concurrently.
+//
+// A Compiled is also one generation of an append-only extraction feed; see
+// Append. Compile is the first Append — the empty generation extended by the
+// whole extraction set — so the two cannot diverge.
 type Compiled struct {
+	*graph
+
+	// gen counts the Appends that produced this handle (0 for a fresh
+	// Compile).
+	gen int
+
+	// idx is the interning byproduct Append consumes: the key -> ID maps of
+	// every interned space. The first Append on this generation takes it
+	// (and hands it to the generation it returns); a later Append on the
+	// same generation rebuilds it from the graph — correct, just slower.
+	// Guarded by mu; the graph itself is immutable.
+	mu  sync.Mutex
+	idx *extractIndex
+}
+
+// graph is the immutable part of a Compiled: every array of one generation.
+// An Append that adds nothing shares it with the generation it returns.
+type graph struct {
 	siteLevel bool
 
 	sources    []string // source ID -> URL or site key
@@ -87,18 +108,6 @@ type Compiled struct {
 	// maxItemTriples is the largest candidate count of any single item; it
 	// sizes per-worker scoring scratch.
 	maxItemTriples int
-
-	// gen counts the Appends that produced this handle (0 for a fresh
-	// Compile).
-	gen int
-
-	// idx is the interning byproduct Append consumes: the key -> ID maps of
-	// every interned space. The first Append on this generation takes it
-	// (and hands it to the generation it returns); a later Append on the
-	// same generation rebuilds it from the graph — correct, just slower.
-	// Guarded by mu; everything else in the struct is immutable.
-	mu  sync.Mutex
-	idx *extractIndex
 }
 
 // extractIndex is the mutable interning state a compilation leaves behind so
@@ -111,14 +120,13 @@ type extractIndex struct {
 	st   map[stKey]int32
 }
 
-func newExtractIndex(n int) *extractIndex {
-	return &extractIndex{
-		src:  make(map[string]int32, 1024),
-		ext:  make(map[string]int32, 32),
-		tri:  make(map[kb.Triple]int32, n),
-		item: make(map[kb.DataItem]int32, n),
-		st:   make(map[stKey]int32, n),
-	}
+// presize replaces the maps internBatch fills with ones sized for a
+// from-empty stream of n extractions.
+func (idx *extractIndex) presize(n int) {
+	idx.src = make(map[string]int32, 1024)
+	idx.ext = make(map[string]int32, 32)
+	idx.tri = make(map[kb.Triple]int32, n)
+	idx.st = make(map[stKey]int32, n)
 }
 
 // Compile interns an extraction set into a reusable Compiled graph using all
@@ -133,71 +141,13 @@ func Compile(xs []Extraction, siteLevel bool) *Compiled {
 // interning goroutines (0 = GOMAXPROCS). The graph is identical for any
 // workers value.
 func CompileWorkers(xs []Extraction, siteLevel bool, workers int) *Compiled {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	g := &Compiled{siteLevel: siteLevel}
-	g.idx = newExtractIndex(len(xs))
-
-	// Interning pass: every ID space is assigned in first-occurrence order of
-	// the extraction stream. Large inputs run a parallel shard-and-merge pass
-	// (internParallel); small ones intern sequentially — both produce the
-	// exact same graph and leave the same index behind for Append.
-	var stExtLists, srcExtLists [][]int32
-	if len(xs) >= internShardThreshold && workers > 1 {
-		stExtLists, srcExtLists = internParallel(g, g.idx, xs, siteLevel, workers)
-	} else {
-		stExtLists, srcExtLists = internSequential(g, g.idx, xs, siteLevel)
-	}
-
-	// ---- Flatten the per-statement and per-source extractor lists ----
-	g.stExtStart, g.stExts = flattenLists(stExtLists)
-	g.srcExtStart, g.srcExts = flattenLists(srcExtLists)
-
-	// ---- CSR adjacency by parallel counting sort ----
-	nSt := len(g.stSource)
-	nTriples := len(g.triples)
-	nItems := len(g.items)
-	g.srcStStart, g.srcSts = csr.ByGroup(g.stSource, len(g.sources), workers)
-	g.tripleStStart, g.tripleSts = csr.ByGroup(g.stTriple, nTriples, workers)
-	g.itemTripleStart, g.itemTriples = csr.ByGroup(g.itemOfTriple, nItems, workers)
-	for i := 0; i < nItems; i++ {
-		if n := int(g.itemTripleStart[i+1] - g.itemTripleStart[i]); n > g.maxItemTriples {
-			g.maxItemTriples = n
-		}
-	}
-
-	// ---- Config-independent support counts ----
-	// Statements per item (the two-layer result's ItemProvenances).
-	g.itemStatements = make([]int32, nItems)
-	for si := 0; si < nSt; si++ {
-		g.itemStatements[g.itemOfTriple[g.stTriple[si]]]++
-	}
-	// Distinct extractors per triple, in parallel over triple ranges: each
-	// worker stamps a private seen-set with the triple ID, so counts are
-	// exact and independent of the split.
-	g.tripleExts = make([]int32, nTriples)
-	tw := workers
-	if nSt < internShardThreshold {
-		tw = 1 // goroutine setup would dominate
-	}
-	csr.ParallelRange(nTriples, tw, func(_, lo, hi int) {
-		seen := make([]int32, len(g.extractors))
-		for i := range seen {
-			seen[i] = -1
-		}
-		for t := lo; t < hi; t++ {
-			g.recountTriple(int32(t), seen)
-		}
-	})
-
-	g.buildExtStatements(workers)
-	return g
+	empty := &Compiled{graph: &graph{siteLevel: siteLevel}}
+	return empty.extend(&extractIndex{}, xs, workers)
 }
 
 // recountTriple recomputes one triple's distinct-extractor count using a
-// caller-owned seen-set stamped with the triple ID. Shared by the compile
-// pass and Append's touched-triple recount so both produce identical counts.
+// caller-owned seen-set stamped with the triple ID, so the scratch is never
+// cleared between triples.
 func (g *Compiled) recountTriple(t int32, seen []int32) {
 	cnt := int32(0)
 	for _, si := range g.tripleSts[g.tripleStStart[t]:g.tripleStStart[t+1]] {
@@ -209,6 +159,16 @@ func (g *Compiled) recountTriple(t int32, seen []int32) {
 		}
 	}
 	g.tripleExts[t] = cnt
+}
+
+// unseen returns a stamp scratch over n extractors matching no triple or
+// statement ID.
+func unseen(n int) []int32 {
+	seen := make([]int32, n)
+	for i := range seen {
+		seen[i] = -1
+	}
+	return seen
 }
 
 // buildExtStatements materializes the ext→statement incidence: for every
@@ -263,10 +223,7 @@ func (g *Compiled) buildExtStatements(workers int) {
 	g.extHits = make([]bool, run)
 	csr.ParallelRange(nSt, ew, func(w, lo, hi int) {
 		next := counts[w*nExt : (w+1)*nExt]
-		stamp := make([]int32, nExt)
-		for i := range stamp {
-			stamp[i] = -1
-		}
+		stamp := unseen(nExt)
 		for si := lo; si < hi; si++ {
 			for _, x := range g.StatementExtractors(int32(si)) {
 				stamp[x] = int32(si)
@@ -305,16 +262,17 @@ const internShardThreshold = csr.ParallelThreshold
 // stKey identifies a statement: a distinct (source, triple) pair.
 type stKey struct{ src, tri int32 }
 
-// internSequential interns the extraction stream in order with one map per
-// ID space (the maps live in idx and are retained for Append). The
-// per-statement and per-source extractor lists are deduplicated here too;
-// both are short (bounded by the extractor fleet), so linear scans beat
-// maps.
-func internSequential(g *Compiled, idx *extractIndex, xs []Extraction, siteLevel bool) (stExtLists, srcExtLists [][]int32) {
+// internBatch is the one sequential interning loop: it assigns source,
+// extractor, triple and statement IDs to xs in stream order, continuing
+// whatever idx and g's ID spaces already hold, and records each extraction's
+// extractor against its statement and its source (stExts, srcExts). The
+// extractor lists are short (bounded by the extractor fleet), so linear scans
+// beat maps. Items are interned afterwards from the new triples (internItems).
+func internBatch(g *Compiled, idx *extractIndex, xs []Extraction, stExts, srcExts *extLists) {
 	for i := range xs {
 		x := &xs[i]
 		key := x.URL
-		if siteLevel {
+		if g.siteLevel {
 			key = x.Site
 		}
 		src, ok := idx.src[key]
@@ -322,7 +280,7 @@ func internSequential(g *Compiled, idx *extractIndex, xs []Extraction, siteLevel
 			src = int32(len(g.sources))
 			idx.src[key] = src
 			g.sources = append(g.sources, key)
-			srcExtLists = append(srcExtLists, nil)
+			srcExts.fresh = append(srcExts.fresh, nil)
 		}
 		ext, ok := idx.ext[x.Extractor]
 		if !ok {
@@ -330,21 +288,12 @@ func internSequential(g *Compiled, idx *extractIndex, xs []Extraction, siteLevel
 			idx.ext[x.Extractor] = ext
 			g.extractors = append(g.extractors, x.Extractor)
 		}
-		if !containsID(srcExtLists[src], ext) {
-			srcExtLists[src] = append(srcExtLists[src], ext)
-		}
+		srcExts.add(src, ext)
 		tri, ok := idx.tri[x.Triple]
 		if !ok {
 			tri = int32(len(g.triples))
 			idx.tri[x.Triple] = tri
 			g.triples = append(g.triples, x.Triple)
-			item, iok := idx.item[x.Triple.Item()]
-			if !iok {
-				item = int32(len(g.items))
-				idx.item[x.Triple.Item()] = item
-				g.items = append(g.items, x.Triple.Item())
-			}
-			g.itemOfTriple = append(g.itemOfTriple, item)
 		}
 		si, ok := idx.st[stKey{src, tri}]
 		if !ok {
@@ -352,96 +301,121 @@ func internSequential(g *Compiled, idx *extractIndex, xs []Extraction, siteLevel
 			idx.st[stKey{src, tri}] = si
 			g.stSource = append(g.stSource, src)
 			g.stTriple = append(g.stTriple, tri)
-			stExtLists = append(stExtLists, nil)
+			stExts.fresh = append(stExts.fresh, nil)
 		}
-		if !containsID(stExtLists[si], ext) {
-			stExtLists[si] = append(stExtLists[si], ext)
-		}
+		stExts.add(si, ext)
 	}
-	return stExtLists, srcExtLists
 }
 
-// extShard is one worker's shard-local interning output: every ID space in
-// shard-local first-occurrence order, plus the shard-local extractor lists
-// and (filled during the merge) the local -> global remaps.
-type extShard struct {
-	sources, extractors []string
-	triples             []kb.Triple
-	stSrc, stTri        []int32   // per local statement: local source/triple ID
-	stExtLists          [][]int32 // per local statement: local extractor IDs
-	srcExtLists         [][]int32 // per local source: local extractor IDs
-	srcRemap, extRemap  []int32   // local ID -> global ID (merge output)
+// internItems extends the item ID space over the triples from firstTriple
+// on. A triple belongs to exactly one item, so walking the new triples in ID
+// (first-occurrence) order interns items in stream first-occurrence order
+// too.
+func internItems(g *Compiled, idx *extractIndex, firstTriple int) {
+	if idx.item == nil {
+		idx.item = make(map[kb.DataItem]int32, len(g.triples))
+	}
+	for _, t := range g.triples[firstTriple:] {
+		item, ok := idx.item[t.Item()]
+		if !ok {
+			item = int32(len(g.items))
+			idx.item[t.Item()] = item
+			g.items = append(g.items, t.Item())
+		}
+		g.itemOfTriple = append(g.itemOfTriple, item)
+	}
 }
 
-// internParallel is the shard-and-merge interning pass: each worker interns
-// a contiguous extraction range into shard-local ID spaces, the shard-local
-// key lists merge into the global first-occurrence order, and shard-local
-// IDs are remapped through the merged indexes. Because any key's first
-// global occurrence lies in the earliest shard that saw it, and shard-local
-// lists preserve stream order, the merged ID spaces (and the
-// first-extraction-ordered extractor lists) are identical to
-// internSequential's.
+// extLists grows the per-row extractor lists (rows are statements, or
+// sources) of one generation. Rows the previous generation already had keep
+// their flattened span and collect the batch's additions sparsely — most are
+// untouched by a batch; rows the batch introduces get dense lists. A fresh
+// compile has no old rows, so everything is dense.
+type extLists struct {
+	oldStart, oldFlat []int32           // the previous generation's CSR
+	grown             map[int32][]int32 // old row -> extractors the batch added
+	fresh             [][]int32         // rows from len(oldStart)-1 on
+}
+
+// add records that extractor ext touched row, unless the row already lists
+// it. New rows must have been appended to fresh first.
+func (l *extLists) add(row, ext int32) {
+	if nOld := int32(max(len(l.oldStart)-1, 0)); row >= nOld {
+		if f := &l.fresh[row-nOld]; !containsID(*f, ext) {
+			*f = append(*f, ext)
+		}
+		return
+	}
+	if containsID(l.oldFlat[l.oldStart[row]:l.oldStart[row+1]], ext) || containsID(l.grown[row], ext) {
+		return
+	}
+	if l.grown == nil {
+		l.grown = map[int32][]int32{}
+	}
+	l.grown[row] = append(l.grown[row], ext)
+}
+
+// flatten concatenates the lists into a CSR (start, flat) pair: old rows keep
+// their contents with the additions appended — exactly the first-extraction
+// order a compile of the whole stream produces — then the new rows follow.
+func (l *extLists) flatten() (start, flat []int32) {
+	nOld := max(len(l.oldStart)-1, 0)
+	total := len(l.oldFlat)
+	for _, a := range l.grown {
+		total += len(a)
+	}
+	for _, f := range l.fresh {
+		total += len(f)
+	}
+	start = make([]int32, nOld+len(l.fresh)+1)
+	flat = make([]int32, 0, total)
+	for r := 0; r < nOld; r++ {
+		start[r] = int32(len(flat))
+		flat = append(flat, l.oldFlat[l.oldStart[r]:l.oldStart[r+1]]...)
+		flat = append(flat, l.grown[int32(r)]...)
+	}
+	for r, f := range l.fresh {
+		start[nOld+r] = int32(len(flat))
+		flat = append(flat, f...)
+	}
+	start[len(start)-1] = int32(len(flat))
+	return start, flat
+}
+
+// internParallel is the shard-and-merge interning pass over a from-empty g:
+// each worker runs internBatch over a contiguous extraction range into
+// shard-local ID spaces, the shard-local key lists merge into the global
+// first-occurrence order, and shard-local IDs are remapped through the merged
+// indexes. Because any key's first global occurrence lies in the earliest
+// shard that saw it, and shard-local lists preserve stream order, the merged
+// ID spaces (and the first-extraction-ordered extractor lists, returned
+// dense in stExts and srcExts) are identical to one internBatch over the whole
+// stream.
 //
 // The merges themselves run as csr.MergeKeys' ordered pairwise trees —
-// adjacent shard pairs merged concurrently — so the formerly sequential
-// key-merge walk (the bound ROADMAP called out on ExtractCompileParallel's
-// scaling) parallelizes too: sources, extractors and triples merge
-// concurrently with each other, then statements merge over globally-remapped
-// (source, triple) keys built in parallel per shard. Only the extractor-list
-// folds remain a sequential walk; their work per statement is bounded by the
-// extractor fleet, not the corpus.
-func internParallel(g *Compiled, idx *extractIndex, xs []Extraction, siteLevel bool, workers int) (stExtLists, srcExtLists [][]int32) {
+// adjacent shard pairs merged concurrently: sources, extractors and triples
+// merge concurrently with each other, then statements merge over
+// globally-remapped (source, triple) keys built in parallel per shard. Only
+// the extractor-list folds remain a sequential walk; their work per
+// statement is bounded by the extractor fleet, not the corpus.
+func internParallel(g *Compiled, idx *extractIndex, xs []Extraction, workers int, stExts, srcExts *extLists) {
 	n := len(xs)
 	if workers > n {
 		workers = n
 	}
-	shards := make([]extShard, workers)
+	// One shard: its ID spaces in shard-local first-occurrence order, its
+	// extractor lists over shard-local IDs.
+	type shard struct {
+		g               *Compiled
+		stExts, srcExts extLists
+	}
+	shards := make([]shard, workers)
 	csr.ParallelRange(n, workers, func(w, lo, hi int) {
 		s := &shards[w]
-		srcIdx := make(map[string]int32, 1024)
-		extIdx := make(map[string]int32, 32)
-		triIdx := make(map[kb.Triple]int32, hi-lo)
-		stIdx := make(map[stKey]int32, hi-lo)
-		for i := lo; i < hi; i++ {
-			x := &xs[i]
-			key := x.URL
-			if siteLevel {
-				key = x.Site
-			}
-			src, ok := srcIdx[key]
-			if !ok {
-				src = int32(len(s.sources))
-				srcIdx[key] = src
-				s.sources = append(s.sources, key)
-				s.srcExtLists = append(s.srcExtLists, nil)
-			}
-			ext, ok := extIdx[x.Extractor]
-			if !ok {
-				ext = int32(len(s.extractors))
-				extIdx[x.Extractor] = ext
-				s.extractors = append(s.extractors, x.Extractor)
-			}
-			if !containsID(s.srcExtLists[src], ext) {
-				s.srcExtLists[src] = append(s.srcExtLists[src], ext)
-			}
-			tri, ok := triIdx[x.Triple]
-			if !ok {
-				tri = int32(len(s.triples))
-				triIdx[x.Triple] = tri
-				s.triples = append(s.triples, x.Triple)
-			}
-			si, ok := stIdx[stKey{src, tri}]
-			if !ok {
-				si = int32(len(s.stSrc))
-				stIdx[stKey{src, tri}] = si
-				s.stSrc = append(s.stSrc, src)
-				s.stTri = append(s.stTri, tri)
-				s.stExtLists = append(s.stExtLists, nil)
-			}
-			if !containsID(s.stExtLists[si], ext) {
-				s.stExtLists[si] = append(s.stExtLists[si], ext)
-			}
-		}
+		s.g = &Compiled{graph: &graph{siteLevel: g.siteLevel}}
+		sidx := &extractIndex{}
+		sidx.presize(hi - lo)
+		internBatch(s.g, sidx, xs[lo:hi], &s.stExts, &s.srcExts)
 	})
 
 	// Pairwise-merge the string/triple key spaces, concurrently with each
@@ -450,9 +424,9 @@ func internParallel(g *Compiled, idx *extractIndex, xs []Extraction, siteLevel b
 	extShards := make([][]string, workers)
 	triShards := make([][]kb.Triple, workers)
 	for w := range shards {
-		srcShards[w] = shards[w].sources
-		extShards[w] = shards[w].extractors
-		triShards[w] = shards[w].triples
+		srcShards[w] = shards[w].g.sources
+		extShards[w] = shards[w].g.extractors
+		triShards[w] = shards[w].g.triples
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -467,41 +441,29 @@ func internParallel(g *Compiled, idx *extractIndex, xs []Extraction, siteLevel b
 	g.triples, idx.tri = csr.MergeKeys(triShards, workers)
 	wg.Wait()
 
-	// Items are interned from the merged triple list exactly as in the
-	// sequential pass: a globally-new triple interns its item if unseen, and
-	// the merged list is in stream first-occurrence order, so item IDs come
-	// out in stream first-occurrence order too.
-	for _, t := range g.triples {
-		item, ok := idx.item[t.Item()]
-		if !ok {
-			item = int32(len(g.items))
-			idx.item[t.Item()] = item
-			g.items = append(g.items, t.Item())
-		}
-		g.itemOfTriple = append(g.itemOfTriple, item)
-	}
-
 	// Remap each shard's statement keys to global (source, triple) IDs in
 	// parallel, then pairwise-merge the statement key space like the others.
+	srcRemap := make([][]int32, workers)
+	extRemap := make([][]int32, workers)
 	stKeyShards := make([][]stKey, workers)
 	csr.ParallelRange(workers, workers, func(_, lo, hi int) {
 		for w := lo; w < hi; w++ {
-			s := &shards[w]
-			s.srcRemap = make([]int32, len(s.sources))
+			s := shards[w].g
+			srcRemap[w] = make([]int32, len(s.sources))
 			for li, key := range s.sources {
-				s.srcRemap[li] = idx.src[key]
+				srcRemap[w][li] = idx.src[key]
 			}
-			s.extRemap = make([]int32, len(s.extractors))
+			extRemap[w] = make([]int32, len(s.extractors))
 			for li, key := range s.extractors {
-				s.extRemap[li] = idx.ext[key]
+				extRemap[w][li] = idx.ext[key]
 			}
 			triRemap := make([]int32, len(s.triples))
 			for li, t := range s.triples {
 				triRemap[li] = idx.tri[t]
 			}
-			keys := make([]stKey, len(s.stSrc))
-			for lsi := range s.stSrc {
-				keys[lsi] = stKey{s.srcRemap[s.stSrc[lsi]], triRemap[s.stTri[lsi]]}
+			keys := make([]stKey, len(s.stSource))
+			for lsi := range s.stSource {
+				keys[lsi] = stKey{srcRemap[w][s.stSource[lsi]], triRemap[s.stTriple[lsi]]}
 			}
 			stKeyShards[w] = keys
 		}
@@ -517,28 +479,22 @@ func internParallel(g *Compiled, idx *extractIndex, xs []Extraction, siteLevel b
 
 	// Fold the per-statement and per-source extractor lists shard by shard
 	// (stream order), preserving first-extraction order across shards.
-	stExtLists = make([][]int32, len(stKeys))
-	srcExtLists = make([][]int32, len(g.sources))
+	stExts.fresh = make([][]int32, len(stKeys))
+	srcExts.fresh = make([][]int32, len(g.sources))
 	for w := range shards {
 		s := &shards[w]
-		for lsi := range s.stSrc {
+		for lsi, l := range s.stExts.fresh {
 			gsi := idx.st[stKeyShards[w][lsi]]
-			for _, lx := range s.stExtLists[lsi] {
-				if gx := s.extRemap[lx]; !containsID(stExtLists[gsi], gx) {
-					stExtLists[gsi] = append(stExtLists[gsi], gx)
-				}
+			for _, lx := range l {
+				stExts.add(gsi, extRemap[w][lx])
 			}
 		}
-		for ls := range s.srcExtLists {
-			gs := s.srcRemap[ls]
-			for _, lx := range s.srcExtLists[ls] {
-				if gx := s.extRemap[lx]; !containsID(srcExtLists[gs], gx) {
-					srcExtLists[gs] = append(srcExtLists[gs], gx)
-				}
+		for ls, l := range s.srcExts.fresh {
+			for _, lx := range l {
+				srcExts.add(srcRemap[w][ls], extRemap[w][lx])
 			}
 		}
 	}
-	return stExtLists, srcExtLists
 }
 
 func containsID(ids []int32, id int32) bool {
@@ -548,22 +504,6 @@ func containsID(ids []int32, id int32) bool {
 		}
 	}
 	return false
-}
-
-// flattenLists concatenates per-ID lists into a CSR (start, flat) pair.
-func flattenLists(lists [][]int32) (start, flat []int32) {
-	start = make([]int32, len(lists)+1)
-	total := 0
-	for i, l := range lists {
-		start[i] = int32(total)
-		total += len(l)
-	}
-	start[len(lists)] = int32(total)
-	flat = make([]int32, 0, total)
-	for _, l := range lists {
-		flat = append(flat, l...)
-	}
-	return start, flat
 }
 
 // ---- Read-only accessors ----

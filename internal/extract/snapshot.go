@@ -61,7 +61,7 @@ func (g *Compiled) EncodeSnapshot(out io.Writer) error {
 func DecodeSnapshot(data []byte) (*Compiled, error) {
 	r := wire.NewReader(data)
 	r.Version(snapshotVersion)
-	g := &Compiled{}
+	g := &Compiled{graph: &graph{}}
 	g.gen = r.Int()
 	g.siteLevel = r.Bool()
 

@@ -65,7 +65,7 @@ func TestAppendMatchesRecompile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _ := compile(claims, workers, 0)
+			want, _ := compile(claims, workers)
 			graphsEqual(t, fmt.Sprintf("split=%d workers=%d", split, workers), next.g, want)
 			if next.Generation() != 1 {
 				t.Fatalf("generation = %d, want 1", next.Generation())
@@ -97,7 +97,7 @@ func TestAppendChainMatchesRecompile(t *testing.T) {
 	if g.Generation() != 4 {
 		t.Fatalf("generation = %d, want 4", g.Generation())
 	}
-	want, _ := compile(claims, 0, 0)
+	want, _ := compile(claims, 0)
 	graphsEqual(t, "chain", g.g, want)
 
 	full := MustCompile(claims)
@@ -117,7 +117,7 @@ func TestAppendAboveShardThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := compile(claims, 4, 0)
+	want, _ := compile(claims, 4)
 	graphsEqual(t, "sharded", next.g, want)
 }
 
@@ -138,8 +138,41 @@ func TestAppendLeavesPreviousGenerationUsable(t *testing.T) {
 	// A second append on the consumed base rebuilds the index and must still
 	// match the recompile.
 	again := base.MustAppend(claims[n/2:])
-	want, _ := compile(claims, 0, 0)
+	want, _ := compile(claims, 0)
 	graphsEqual(t, "rebuilt-index", again.g, want)
+}
+
+// TestAppendNothingIsConstantCost pins the empty append: a nil batch, or one
+// the ClaimStream dedups to nothing, returns the next generation over the
+// receiver's graph without copying or rebuilding anything — on a chained
+// generation and on one whose index was already taken.
+func TestAppendNothingIsConstantCost(t *testing.T) {
+	xs := benchExtractions(400)
+	stream := NewClaimStream(GranExtractorURL)
+	base := MustCompile(stream.Add(xs[:300]))
+	g := base.MustAppend(stream.Add(xs[300:]))
+	for _, batch := range [][]Claim{nil, {}, stream.Add(xs[100:200])} {
+		next := g.MustAppend(batch)
+		if next.Generation() != g.Generation()+1 {
+			t.Fatalf("generation = %d, want %d", next.Generation(), g.Generation()+1)
+		}
+		graphsEqual(t, "empty append", next.g, g.g)
+		// The index moved on with the chain: the next real append must not
+		// have to rebuild it, and must still match a recompile.
+		if next.idx == nil || g.idx != nil {
+			t.Fatal("empty append did not hand the interning index on")
+		}
+		g = next
+	}
+	want, _ := compile(Claims(xs, GranExtractorURL), 0)
+	graphsEqual(t, "after empty appends", g.MustAppend(nil).g, want)
+
+	for name, c := range map[string]*Compiled{"chained": g, "consumed": base} {
+		allocs := testing.AllocsPerRun(100, func() { c = c.MustAppend(nil) })
+		if allocs > 2 {
+			t.Errorf("%s: empty append allocates %v objects per call, want O(1)", name, allocs)
+		}
+	}
 }
 
 // TestClaimStreamMatchesClaims pins the incremental flattening: Add batches

@@ -70,7 +70,7 @@ type graph struct {
 // claimIndex is the mutable interning state a compilation leaves behind so
 // Append can extend the ID spaces without re-hashing the prefix. It is
 // byproduct state, not part of the immutable graph: exactly one generation
-// owns it at a time (see Compiled.takeIndex).
+// owns it at a time (see Compiled.AppendWorkers).
 type claimIndex struct {
 	// Every ID space interns through an open-addressing table
 	// (interntab.go) over its dense key slice — g.provKeys, extKeys,
@@ -106,12 +106,16 @@ type claimIndex struct {
 // Compiled are safe. The caller must not mutate the claim slice after
 // Compile.
 //
-// A Compiled is also one generation of an append-only claim feed: Append
-// extends the graph with a claim batch — incrementally interning only the
-// new provenances, extractors, items and triples — and returns the next
-// generation, bit-identical to recompiling the concatenated claim stream
-// (every ID space is assigned in first-occurrence order, so existing IDs
-// never move). The previous generation stays fully usable.
+// A Compiled is also one generation of an append-only claim feed, and there
+// is one compile path (extend): Append interns a claim batch onto the
+// generation — only the new provenances, extractors, items and triples —
+// assembles the next one around the old arrays and returns it, and Compile is
+// the first Append, the empty generation extended by the whole claim set. So
+// Append equals recompiling the concatenated claim stream bit for bit by
+// construction (every ID space is assigned in first-occurrence order, so
+// existing IDs never move), and the previous generation stays fully usable.
+// The one other interning path, the shard-and-merge pass, is chosen from what
+// extend observes — see Append.
 //
 // A Compiled is bound to its claims' provenance granularity:
 // Config.Granularity acts when extractions are flattened into claims
@@ -145,11 +149,13 @@ func Compile(claims []Claim) (*Compiled, error) {
 // interning and counting goroutines (0 = GOMAXPROCS). The graph — and every
 // result fused from it — is identical for any workers value. partitions is
 // retained for signature compatibility with the former shuffle-based
-// compiler and is inert: the first-occurrence ID assignment has no partition
-// axis.
+// compiler and is ignored: the first-occurrence ID assignment has no
+// partition axis.
 func CompileWorkers(claims []Claim, workers, partitions int) (*Compiled, error) {
-	g, idx := compile(claims, workers, partitions)
-	return &Compiled{g: g, idx: idx}, nil
+	// The first Append: the empty generation extended by the whole claim set.
+	c := &Compiled{idx: &claimIndex{}}
+	c.g = extend(&graph{}, c.idx, claims, workers)
+	return c, nil
 }
 
 // MustCompile is Compile for callers without error plumbing.
@@ -216,159 +222,167 @@ func (c *Compiled) TripleClaims(t int) []int32 {
 func (c *Compiled) ClaimProv(claim int32) int32 { return c.g.provOfClaim[claim] }
 
 // internShardThreshold is the claim count below which interning runs
-// sequentially: per-shard map setup and the merge pass only pay off once the
+// sequentially: per-shard table setup and the merge pass only pay off once the
 // single-threaded hashing loop dominates (the shared cutoff of every
 // shard-and-merge pass; tuned in internal/csr).
 const internShardThreshold = csr.ParallelThreshold
 
-// compile interns a claim set into a graph plus the interning index Append
-// consumes. Every ID space is assigned in first-occurrence order of the
-// claim stream; large inputs intern with a parallel shard pass whose
-// shard-local key lists fold through csr.MergeKeys' ordered pairwise merge,
-// which reproduces the sequential order exactly. CSR adjacency builds with
-// the parallel counting sort of csr.ByGroup. The result is deterministic for
-// a fixed input order and independent of workers; the partitions parameter
-// of the former shuffle-based compiler is inert.
-func compile(claims []Claim, workers, _ int) (*graph, *claimIndex) {
-	n := len(claims)
+// extend is the one compile path: it interns batch onto the generation
+// (old, idx) and assembles the next graph around old's arrays, which are only
+// read. Every ID space is assigned in first-occurrence order of the claim
+// stream, so old's IDs never move and the result equals extending the empty
+// generation by the concatenated stream — which is what a fresh compile is.
+//
+// The batch interns through internClaims, the one sequential loop, except
+// when nothing is interned yet, the batch reaches internShardThreshold and
+// more than one worker is allowed: then internClaimsParallel runs the same
+// loop per shard and merges. The result is independent of that choice and of
+// workers.
+func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	g := &graph{claims: claims}
-	idx := &claimIndex{
-		// Distinct provenances and triples run up to about half the claim
-		// count in an extraction corpus (items a quarter); undershooting
-		// just costs cheap grow() re-slots, overshooting costs zeroed pages
-		// every compile.
-		prov:       newInternTable[string](n/2, nil),
-		ext:        newInternTable[string](32, nil),
-		tri:        newInternTable(n/2, hashTriple),
-		item:       newInternTable(n/4, hashItem),
-		extOfClaim: make([]int32, n),
-	}
-	g.provOfClaim = make([]int32, n)
-	g.tripleOfClaim = make([]int32, n)
-	// Presize the key slices to the same priors: append-doubling on 64-byte
-	// triples otherwise allocates ~2x the final footprint per compile and
-	// copies it log-many times.
-	g.triples = make([]kb.Triple, 0, n/2+16)
-	g.provKeys = make([]string, 0, n/2+16)
+	nOld := len(old.claims)
+	n := nOld + len(batch)
+	g := &graph{
+		claims:        batch,
+		items:         slices.Clip(old.items),
+		triples:       slices.Clip(old.triples),
+		itemOfTriple:  slices.Clip(old.itemOfTriple),
+		localOfTriple: slices.Clip(old.localOfTriple),
+		provKeys:      slices.Clip(old.provKeys),
 
-	// ---- Intern provenances, extractors and triples ----
-	if n < internShardThreshold || workers == 1 {
-		// Claim streams arrive grouped by extractor (and largely by
-		// provenance within a group), so a last-seen cache answers most
-		// lookups without touching the hash tables. Triples do not repeat
-		// consecutively — corroborating claims are whole groups apart.
-		lastProv, lastExt := "", ""
-		var lastPid, lastXid int32
-		for i := range claims {
-			c := &claims[i]
-			pid := lastPid
-			if c.Prov != lastProv || i == 0 {
-				ph := idx.prov.hash(c.Prov)
-				pid = idx.prov.id(ph, c.Prov, g.provKeys)
-				if pid < 0 {
-					pid = int32(len(g.provKeys))
-					g.provKeys = append(g.provKeys, c.Prov)
-					idx.prov.insert(ph, pid)
-				}
-				lastProv, lastPid = c.Prov, pid
-			}
-			g.provOfClaim[i] = pid
-			xid := lastXid
-			if c.Extractor != lastExt || i == 0 {
-				xh := idx.ext.hash(c.Extractor)
-				xid = idx.ext.id(xh, c.Extractor, idx.extKeys)
-				if xid < 0 {
-					xid = int32(idx.nExt)
-					idx.extKeys = append(idx.extKeys, c.Extractor)
-					idx.ext.insert(xh, xid)
-					idx.nExt++
-				}
-				lastExt, lastXid = c.Extractor, xid
-			}
-			idx.extOfClaim[i] = xid
-			h := idx.tri.hash(c.Triple)
-			tid := idx.tri.id(h, c.Triple, g.triples)
-			if tid < 0 {
-				tid = int32(len(g.triples))
-				g.triples = append(g.triples, c.Triple)
-				idx.tri.insert(h, tid)
-			}
-			g.tripleOfClaim[i] = tid
-		}
-	} else {
-		internClaimsParallel(g, idx, claims, workers)
+		provOfClaim:   csr.ExtendInt32(old.provOfClaim, n),
+		tripleOfClaim: csr.ExtendInt32(old.tripleOfClaim, n),
+		localOfClaim:  old.localOfClaim,
+
+		itemCandStart:    old.itemCandStart,
+		itemCands:        old.itemCands,
+		itemClaimStart:   old.itemClaimStart,
+		itemClaims:       old.itemClaims,
+		provClaimStart:   old.provClaimStart,
+		provClaims:       old.provClaims,
+		tripleClaimStart: old.tripleClaimStart,
+		tripleClaims:     old.tripleClaims,
+		tripleExtractors: old.tripleExtractors,
+	}
+	if nOld > 0 {
+		g.claims = append(append(make([]Claim, 0, n), old.claims...), batch...)
+	}
+	idx.extOfClaim = csr.ExtendInt32(idx.extOfClaim, n)
+
+	switch {
+	case nOld > 0:
+		internClaims(g, idx, nOld)
+	case n >= internShardThreshold && workers > 1:
+		internClaimsParallel(g, idx, workers)
+	default:
+		idx.presize(n)
+		// Presize the key slices to the same priors: append-doubling on
+		// 64-byte triples otherwise allocates ~2x the final footprint per
+		// compile and copies it log-many times.
+		g.triples = make([]kb.Triple, 0, n/2+16)
+		g.provKeys = make([]string, 0, n/2+16)
+		internClaims(g, idx, 0)
 	}
 
-	// ---- Intern items and per-item candidate offsets (triple-ID order) ----
-	// A triple belongs to exactly one item, so walking the triples in ID
+	// A triple belongs to exactly one item, so walking the new triples in ID
 	// (first-occurrence) order interns items in stream first-occurrence order
 	// too, and hashes each distinct item once per candidate instead of once
 	// per claim.
-	internItems(g, idx, 0)
+	internItems(g, idx, len(old.triples))
 
-	assembleGraph(g, idx, 0, workers)
-	return g, idx
+	assembleGraph(g, idx, nOld, len(old.triples), workers)
+	return g
 }
 
-// internClaimsParallel is the shard-and-merge interning pass: each worker
-// interns a contiguous claim range into shard-local ID spaces, the
-// shard-local key lists merge into the global first-occurrence order with
-// csr.MergeKeys' ordered pairwise merge (bit-identical to a sequential
-// fold), and a parallel remap rewrites the shard-local IDs in place.
-func internClaimsParallel(g *graph, idx *claimIndex, claims []Claim, workers int) {
-	n := len(claims)
+// presize replaces the tables internClaims fills with ones sized for a
+// from-empty stream of n claims. Distinct provenances and triples run up to
+// about half the claim count in an extraction corpus; undershooting just
+// costs cheap grow() re-slots, overshooting costs zeroed pages every compile.
+func (idx *claimIndex) presize(n int) {
+	idx.prov = newInternTable[string](n/2, nil)
+	idx.ext = newInternTable[string](32, nil)
+	idx.extKeys = make([]string, 0, 32)
+	idx.tri = newInternTable(n/2, hashTriple)
+}
+
+// internClaims is the one sequential interning loop: it assigns provenance,
+// extractor and triple IDs to g.claims[first:], continuing whatever idx and
+// g's key slices already hold.
+//
+// Claim streams arrive grouped by extractor (and largely by provenance within
+// a group), so a last-seen cache answers most lookups without touching the
+// hash tables. Triples do not repeat consecutively — corroborating claims are
+// whole groups apart.
+func internClaims(g *graph, idx *claimIndex, first int) {
+	lastProv, lastExt := "", ""
+	var lastPid, lastXid int32
+	for i := first; i < len(g.claims); i++ {
+		c := &g.claims[i]
+		pid := lastPid
+		if c.Prov != lastProv || i == first {
+			ph := idx.prov.hash(c.Prov)
+			pid = idx.prov.id(ph, c.Prov, g.provKeys)
+			if pid < 0 {
+				pid = int32(len(g.provKeys))
+				g.provKeys = append(g.provKeys, c.Prov)
+				idx.prov.insert(ph, pid)
+			}
+			lastProv, lastPid = c.Prov, pid
+		}
+		g.provOfClaim[i] = pid
+		xid := lastXid
+		if c.Extractor != lastExt || i == first {
+			xh := idx.ext.hash(c.Extractor)
+			xid = idx.ext.id(xh, c.Extractor, idx.extKeys)
+			if xid < 0 {
+				xid = int32(idx.nExt)
+				idx.extKeys = append(idx.extKeys, c.Extractor)
+				idx.ext.insert(xh, xid)
+				idx.nExt++
+			}
+			lastExt, lastXid = c.Extractor, xid
+		}
+		idx.extOfClaim[i] = xid
+		h := idx.tri.hash(c.Triple)
+		tid := idx.tri.id(h, c.Triple, g.triples)
+		if tid < 0 {
+			tid = int32(len(g.triples))
+			g.triples = append(g.triples, c.Triple)
+			idx.tri.insert(h, tid)
+		}
+		g.tripleOfClaim[i] = tid
+	}
+}
+
+// internClaimsParallel is the shard-and-merge interning pass over a
+// from-empty g: each worker runs internClaims over a contiguous claim range
+// with shard-local tables, writing shard-local IDs into its window of the
+// per-claim columns; the shard-local key lists merge into the global
+// first-occurrence order with csr.MergeKeys' ordered pairwise merge
+// (bit-identical to a sequential fold), and a parallel remap rewrites the
+// shard-local IDs in place.
+func internClaimsParallel(g *graph, idx *claimIndex, workers int) {
+	n := len(g.claims)
 	if workers > n {
 		workers = n
 	}
-	type shard struct {
-		provKeys, extKeys []string
-		triKeys           []kb.Triple
-	}
-	shards := make([]shard, workers)
-	csr.ParallelRange(n, workers, func(w, lo, hi int) {
-		s := &shards[w]
-		provID := make(map[string]int32, 256)
-		extID := make(map[string]int32, 32)
-		triID := make(map[kb.Triple]int32, hi-lo)
-		for i := lo; i < hi; i++ {
-			c := &claims[i]
-			pid, ok := provID[c.Prov]
-			if !ok {
-				pid = int32(len(s.provKeys))
-				provID[c.Prov] = pid
-				s.provKeys = append(s.provKeys, c.Prov)
-			}
-			g.provOfClaim[i] = pid
-			xid, ok := extID[c.Extractor]
-			if !ok {
-				xid = int32(len(s.extKeys))
-				extID[c.Extractor] = xid
-				s.extKeys = append(s.extKeys, c.Extractor)
-			}
-			idx.extOfClaim[i] = xid
-			tid, ok := triID[c.Triple]
-			if !ok {
-				tid = int32(len(s.triKeys))
-				triID[c.Triple] = tid
-				s.triKeys = append(s.triKeys, c.Triple)
-			}
-			g.tripleOfClaim[i] = tid
-		}
-	})
-
 	provShards := make([][]string, workers)
 	extShards := make([][]string, workers)
 	triShards := make([][]kb.Triple, workers)
-	for w := range shards {
-		provShards[w] = shards[w].provKeys
-		extShards[w] = shards[w].extKeys
-		triShards[w] = shards[w].triKeys
-	}
-	var provKeys, extKeys []string
-	var triKeys []kb.Triple
+	csr.ParallelRange(n, workers, func(w, lo, hi int) {
+		sg := &graph{
+			claims:        g.claims[lo:hi],
+			provOfClaim:   g.provOfClaim[lo:hi],
+			tripleOfClaim: g.tripleOfClaim[lo:hi],
+		}
+		sidx := &claimIndex{extOfClaim: idx.extOfClaim[lo:hi]}
+		sidx.presize(hi - lo)
+		internClaims(sg, sidx, 0)
+		provShards[w], extShards[w], triShards[w] = sg.provKeys, sidx.extKeys, sg.triples
+	})
+
 	var provMap, extMap map[string]int32
 	var triMap map[kb.Triple]int32
 	// The three key spaces merge concurrently; each merge is itself a
@@ -378,38 +392,34 @@ func internClaimsParallel(g *graph, idx *claimIndex, claims []Claim, workers int
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		provKeys, provMap = csr.MergeKeys(provShards, workers)
+		g.provKeys, provMap = csr.MergeKeys(provShards, workers)
 	}()
 	go func() {
 		defer wg.Done()
-		extKeys, extMap = csr.MergeKeys(extShards, workers)
+		idx.extKeys, extMap = csr.MergeKeys(extShards, workers)
 	}()
-	triKeys, triMap = csr.MergeKeys(triShards, workers)
+	g.triples, triMap = csr.MergeKeys(triShards, workers)
 	wg.Wait()
-	g.provKeys = provKeys
-	g.triples = triKeys
-	idx.extKeys = extKeys
-	idx.nExt = len(extKeys)
+	idx.nExt = len(idx.extKeys)
 	// The merge's scratch maps do the shard remap below; the index Append
 	// continues from is the flat intern tables, bulk-loaded in ID order.
 	idx.prov = buildInternTable(g.provKeys, nil)
-	idx.ext = buildInternTable(extKeys, nil)
+	idx.ext = buildInternTable(idx.extKeys, nil)
 	idx.tri = buildInternTable(g.triples, hashTriple)
 
 	// Same (n, workers) split as the intern pass, so chunk w rewrites
 	// exactly the IDs shard w assigned.
 	csr.ParallelRange(n, workers, func(w, lo, hi int) {
-		s := &shards[w]
-		provRemap := make([]int32, len(s.provKeys))
-		for li, key := range s.provKeys {
+		provRemap := make([]int32, len(provShards[w]))
+		for li, key := range provShards[w] {
 			provRemap[li] = provMap[key]
 		}
-		extRemap := make([]int32, len(s.extKeys))
-		for li, key := range s.extKeys {
+		extRemap := make([]int32, len(extShards[w]))
+		for li, key := range extShards[w] {
 			extRemap[li] = extMap[key]
 		}
-		triRemap := make([]int32, len(s.triKeys))
-		for li, key := range s.triKeys {
+		triRemap := make([]int32, len(triShards[w]))
+		for li, key := range triShards[w] {
 			triRemap[li] = triMap[key]
 		}
 		for i := lo; i < hi; i++ {
@@ -427,6 +437,11 @@ func internClaimsParallel(g *graph, idx *claimIndex, claims []Claim, workers int
 // seeded from the existing spans.
 func internItems(g *graph, idx *claimIndex, firstTriple int) {
 	need := len(g.triples) - firstTriple
+	if len(g.items) == 0 {
+		// Nothing interned yet: size the table for the walk (items run to
+		// about half the triples).
+		idx.item = newInternTable(need/2, hashItem)
+	}
 	candCount := make([]int32, len(g.items), len(g.items)+need)
 	for i := range candCount {
 		candCount[i] = g.itemCandStart[i+1] - g.itemCandStart[i]
@@ -452,11 +467,13 @@ func internItems(g *graph, idx *claimIndex, firstTriple int) {
 	}
 }
 
-// assembleGraph builds every derived CSR and count of the graph from the
-// interned ID assignments, reusing the previous generation's arrays from an
-// old graph when appending (old != nil means g extends old's ID spaces and
-// the new elements start at old's sizes). Exact for any workers value.
-func assembleGraph(g *graph, idx *claimIndex, firstClaim int, workers int) {
+// assembleGraph is the one assemble tail: it builds every derived CSR and
+// count of g from the interned ID assignments. g arrives holding the previous
+// generation's derived arrays (all empty for a fresh compile); the claims
+// from firstClaim and the triples from firstTriple on are new, and each span
+// merge is the old span followed by the new IDs, so the work beyond copying
+// the old arrays is proportional to the batch. Exact for any workers value.
+func assembleGraph(g *graph, idx *claimIndex, firstClaim, firstTriple, workers int) {
 	n := len(g.claims)
 	nItems := len(g.items)
 	nTriples := len(g.triples)
@@ -476,21 +493,14 @@ func assembleGraph(g *graph, idx *claimIndex, firstClaim int, workers int) {
 		}
 	})
 
-	if firstClaim == 0 {
-		g.itemCandStart, g.itemCands = csr.ByGroup(g.itemOfTriple, nItems, workers)
-		g.itemClaimStart, g.itemClaims = csr.ByGroup(itemOfClaim, nItems, workers)
-		g.provClaimStart, g.provClaims = csr.ByGroup(g.provOfClaim, len(g.provKeys), workers)
-		g.tripleClaimStart, g.tripleClaims = csr.ByGroup(g.tripleOfClaim, nTriples, workers)
-	} else {
-		g.itemCandStart, g.itemCands = csr.AppendByGroup(
-			g.itemCandStart, g.itemCands, g.itemOfTriple[len(g.itemCands):], nItems, workers)
-		g.itemClaimStart, g.itemClaims = csr.AppendByGroup(
-			g.itemClaimStart, g.itemClaims, itemOfClaim, nItems, workers)
-		g.provClaimStart, g.provClaims = csr.AppendByGroup(
-			g.provClaimStart, g.provClaims, g.provOfClaim[firstClaim:], len(g.provKeys), workers)
-		g.tripleClaimStart, g.tripleClaims = csr.AppendByGroup(
-			g.tripleClaimStart, g.tripleClaims, g.tripleOfClaim[firstClaim:], nTriples, workers)
-	}
+	g.itemCandStart, g.itemCands = csr.AppendByGroup(
+		g.itemCandStart, g.itemCands, g.itemOfTriple[firstTriple:], nItems, workers)
+	g.itemClaimStart, g.itemClaims = csr.AppendByGroup(
+		g.itemClaimStart, g.itemClaims, itemOfClaim, nItems, workers)
+	g.provClaimStart, g.provClaims = csr.AppendByGroup(
+		g.provClaimStart, g.provClaims, g.provOfClaim[firstClaim:], len(g.provKeys), workers)
+	g.tripleClaimStart, g.tripleClaims = csr.AppendByGroup(
+		g.tripleClaimStart, g.tripleClaims, g.tripleOfClaim[firstClaim:], nTriples, workers)
 
 	g.maxCandidates = 0
 	for i := 0; i < nItems; i++ {
@@ -499,82 +509,82 @@ func assembleGraph(g *graph, idx *claimIndex, firstClaim int, workers int) {
 		}
 	}
 
-	if firstClaim == 0 {
-		g.tripleExtractors = countTripleExtractors(g, idx.extOfClaim, idx.nExt, workers)
-	} else {
-		// Only triples asserted by the appended claims can change their
-		// distinct-extractor count; recount exactly those.
-		g.tripleExtractors = csr.ExtendInt32(g.tripleExtractors, nTriples)
-		recountTouchedTriples(g, idx, firstClaim)
+	recountTripleExtractors(g, idx, firstClaim, firstTriple, workers)
+}
+
+// recountTripleExtractors brings the per-triple distinct-extractor counts up
+// to date: only triples asserted by the claims from firstClaim on can have
+// changed. The new triples are a range, recounted in parallel; the old
+// triples the batch asserted again are found by a walk over the batch.
+// Counts are exact, so the result is independent of the split.
+func recountTripleExtractors(g *graph, idx *claimIndex, firstClaim, firstTriple, workers int) {
+	nTriples := len(g.triples)
+	g.tripleExtractors = csr.ExtendInt32(g.tripleExtractors, nTriples)
+	if nTriples-firstTriple < internShardThreshold {
+		workers = 1 // goroutine setup would dominate
+	}
+	ParallelRange(nTriples-firstTriple, workers, func(_, lo, hi int) {
+		seen := unseen(idx.nExt)
+		for t := firstTriple + lo; t < firstTriple+hi; t++ {
+			recountTriple(g, idx.extOfClaim, int32(t), seen)
+		}
+	})
+	if firstTriple == 0 {
+		return
+	}
+	seen := unseen(idx.nExt)
+	done := make(map[int32]bool, len(g.claims)-firstClaim)
+	for _, t := range g.tripleOfClaim[firstClaim:] {
+		if int(t) < firstTriple && !done[t] {
+			done[t] = true
+			recountTriple(g, idx.extOfClaim, t, seen)
+		}
 	}
 }
 
-// recountTouchedTriples recomputes the distinct-extractor count of every
-// triple asserted by the claims from firstClaim on, with the same span walk
-// and stamping scheme as countTripleExtractors, so the appended graph's
-// counts match a full recompile's exactly.
-func recountTouchedTriples(g *graph, idx *claimIndex, firstClaim int) {
-	seen := make([]int32, idx.nExt)
+// recountTriple recomputes one triple's distinct-extractor count. seen is a
+// caller-owned scratch (see unseen) stamped with the triple ID, so it is
+// never cleared between triples.
+func recountTriple(g *graph, extOfClaim []int32, t int32, seen []int32) {
+	cnt := int32(0)
+	for _, c := range g.tripleClaims[g.tripleClaimStart[t]:g.tripleClaimStart[t+1]] {
+		if x := extOfClaim[c]; seen[x] != t {
+			seen[x] = t
+			cnt++
+		}
+	}
+	g.tripleExtractors[t] = cnt
+}
+
+// unseen returns a stamp scratch over n extractors matching no triple ID.
+func unseen(n int) []int32 {
+	seen := make([]int32, n)
 	for i := range seen {
 		seen[i] = -1
 	}
-	done := make(map[int32]bool, len(g.claims)-firstClaim)
-	for i := firstClaim; i < len(g.claims); i++ {
-		t := g.tripleOfClaim[i]
-		if done[t] {
-			continue
-		}
-		done[t] = true
-		cnt := int32(0)
-		for _, c := range g.tripleClaims[g.tripleClaimStart[t]:g.tripleClaimStart[t+1]] {
-			if x := idx.extOfClaim[c]; seen[x] != t {
-				seen[x] = t
-				cnt++
-			}
-		}
-		g.tripleExtractors[t] = cnt
-	}
-}
-
-// countTripleExtractors computes the distinct extractor count of every
-// triple, in parallel over triple ranges. Each worker stamps a private
-// seen-set with the triple ID, so the scratch is never cleared; counts are
-// exact, making the result independent of the split.
-func countTripleExtractors(g *graph, extOfClaim []int32, extKeys, workers int) []int32 {
-	nTriples := len(g.triples)
-	out := make([]int32, nTriples)
-	if nTriples < internShardThreshold {
-		workers = 1 // goroutine setup would dominate
-	}
-	ParallelRange(nTriples, workers, func(_, lo, hi int) {
-		seen := make([]int32, extKeys)
-		for i := range seen {
-			seen[i] = -1
-		}
-		for t := lo; t < hi; t++ {
-			for _, c := range g.tripleClaims[g.tripleClaimStart[t]:g.tripleClaimStart[t+1]] {
-				if x := extOfClaim[c]; seen[x] != int32(t) {
-					seen[x] = int32(t)
-					out[t]++
-				}
-			}
-		}
-	})
-	return out
+	return seen
 }
 
 // ---- Append: the next generation of the graph ----
 
 // Append extends the compiled graph with a claim batch and returns the next
 // generation, using all available cores. The result is bit-identical to
-// Compile over the concatenated claim stream — every ID space is assigned in
-// first-occurrence order, so the IDs of existing provenances, items, triples
-// and claims are unchanged and only the batch is interned — but skips
-// re-hashing the prefix: the work is the batch's interning plus O(total)
-// array assembly. The receiver stays fully usable (its arrays are never
-// mutated); the mutable interning index moves to the returned generation, so
-// appending repeatedly should chain (g0 -> g1 -> g2 ...). A second Append on
-// the same generation is correct but rebuilds the index first. The caller
+// Compile over the concatenated claim stream, because it is the same code: a
+// fresh Compile is this path run from the empty generation. Every ID space is
+// assigned in first-occurrence order, so the IDs of existing provenances,
+// items, triples and claims are unchanged and only the batch is interned,
+// against the index the previous generation left behind; the derived arrays
+// are then rebuilt around the old ones (array copies, no re-hashing of the
+// prefix). The batch interns sequentially; the shard-and-merge pass is chosen
+// only for a batch of at least csr.ParallelThreshold claims, with more than
+// one worker, onto a generation holding no claims — a bulk Compile, or the
+// first Append onto an empty one.
+//
+// The receiver stays fully usable (its arrays are never mutated); the mutable
+// interning index moves to the returned generation, so appending repeatedly
+// should chain (g0 -> g1 -> g2 ...). A second Append on the same generation
+// is correct but rebuilds the index first. An Append that adds nothing costs
+// O(1): it returns the next generation over the receiver's arrays. The caller
 // must not mutate either claim slice afterwards.
 func (c *Compiled) Append(claims []Claim) (*Compiled, error) {
 	return c.AppendWorkers(claims, 0)
@@ -583,76 +593,19 @@ func (c *Compiled) Append(claims []Claim) (*Compiled, error) {
 // AppendWorkers is Append with an explicit worker bound (0 = GOMAXPROCS).
 // The graph is identical for any workers value.
 func (c *Compiled) AppendWorkers(newClaims []Claim, workers int) (*Compiled, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	c.mu.Lock()
+	idx := c.idx
+	c.idx = nil
+	c.mu.Unlock()
+	if len(newClaims) == 0 {
+		// The graph is immutable, so the next generation shares it; the
+		// index, if this generation still held it, moves on as always.
+		return &Compiled{g: c.g, gen: c.gen + 1, idx: idx}, nil
 	}
-	idx := c.takeIndex()
-	old := c.g
-	nOld := len(old.claims)
-	n := nOld + len(newClaims)
-
-	g := &graph{
-		claims:        append(append(make([]Claim, 0, n), old.claims...), newClaims...),
-		items:         slices.Clip(old.items),
-		triples:       slices.Clip(old.triples),
-		itemOfTriple:  slices.Clip(old.itemOfTriple),
-		localOfTriple: slices.Clip(old.localOfTriple),
-		provKeys:      slices.Clip(old.provKeys),
-
-		provOfClaim:   csr.ExtendInt32(old.provOfClaim, n),
-		tripleOfClaim: csr.ExtendInt32(old.tripleOfClaim, n),
-		localOfClaim:  old.localOfClaim,
-
-		itemCandStart:    old.itemCandStart,
-		itemCands:        old.itemCands,
-		itemClaimStart:   old.itemClaimStart,
-		itemClaims:       old.itemClaims,
-		provClaimStart:   old.provClaimStart,
-		provClaims:       old.provClaims,
-		tripleClaimStart: old.tripleClaimStart,
-		tripleClaims:     old.tripleClaims,
-		tripleExtractors: old.tripleExtractors,
+	if idx == nil {
+		idx = rebuildIndex(c.g)
 	}
-	idx.extOfClaim = csr.ExtendInt32(idx.extOfClaim, n)
-
-	// Intern the batch exactly as the sequential compile pass would have,
-	// continuing the retained maps. Batches are typically a fraction of the
-	// accumulated stream, so this stays sequential; the O(total) assembly
-	// below is the parallel part.
-	nTriOld := len(g.triples)
-	for i := range newClaims {
-		cl := &newClaims[i]
-		ci := nOld + i
-		ph := idx.prov.hash(cl.Prov)
-		pid := idx.prov.id(ph, cl.Prov, g.provKeys)
-		if pid < 0 {
-			pid = int32(len(g.provKeys))
-			g.provKeys = append(g.provKeys, cl.Prov)
-			idx.prov.insert(ph, pid)
-		}
-		g.provOfClaim[ci] = pid
-		xh := idx.ext.hash(cl.Extractor)
-		xid := idx.ext.id(xh, cl.Extractor, idx.extKeys)
-		if xid < 0 {
-			xid = int32(idx.nExt)
-			idx.extKeys = append(idx.extKeys, cl.Extractor)
-			idx.ext.insert(xh, xid)
-			idx.nExt++
-		}
-		idx.extOfClaim[ci] = xid
-		h := idx.tri.hash(cl.Triple)
-		tid := idx.tri.id(h, cl.Triple, g.triples)
-		if tid < 0 {
-			tid = int32(len(g.triples))
-			g.triples = append(g.triples, cl.Triple)
-			idx.tri.insert(h, tid)
-		}
-		g.tripleOfClaim[ci] = tid
-	}
-	internItems(g, idx, nTriOld)
-
-	assembleGraph(g, idx, nOld, workers)
-	return &Compiled{g: g, gen: c.gen + 1, idx: idx}, nil
+	return &Compiled{g: extend(c.g, idx, newClaims, workers), gen: c.gen + 1, idx: idx}, nil
 }
 
 // MustAppend is Append for callers without error plumbing.
@@ -664,47 +617,20 @@ func (c *Compiled) MustAppend(claims []Claim) *Compiled {
 	return next
 }
 
-// takeIndex claims the generation's interning index, rebuilding it from the
-// immutable graph when another Append already took it. The rebuild re-interns
-// only the extractor axis per claim (the graph keeps every other space's key
-// list); it exists for correctness — chained appends never hit it.
-func (c *Compiled) takeIndex() *claimIndex {
-	c.mu.Lock()
-	idx := c.idx
-	c.idx = nil
-	c.mu.Unlock()
-	if idx != nil {
-		return idx
-	}
-	g := c.g
-	idx = &claimIndex{
+// rebuildIndex reconstructs the interning index from the immutable graph, for
+// a generation whose index another Append already took (or that was decoded
+// from a snapshot). It re-interns only the extractor axis per claim (the graph
+// keeps every other space's key list); it exists for correctness — chained
+// appends never hit it.
+func rebuildIndex(g *graph) *claimIndex {
+	extKeys, extOfClaim := internExtractors(g.claims)
+	return &claimIndex{
 		prov:       buildInternTable(g.provKeys, nil),
-		ext:        newInternTable[string](32, nil),
+		ext:        buildInternTable(extKeys, nil),
 		tri:        buildInternTable(g.triples, hashTriple),
 		item:       buildInternTable(g.items, hashItem),
-		extOfClaim: make([]int32, len(g.claims)),
+		extKeys:    extKeys,
+		extOfClaim: extOfClaim,
+		nExt:       len(extKeys),
 	}
-	for i := range g.claims {
-		ext := g.claims[i].Extractor
-		xh := idx.ext.hash(ext)
-		xid := idx.ext.id(xh, ext, idx.extKeys)
-		if xid < 0 {
-			xid = int32(idx.nExt)
-			idx.extKeys = append(idx.extKeys, ext)
-			idx.ext.insert(xh, xid)
-			idx.nExt++
-		}
-		idx.extOfClaim[i] = xid
-	}
-	return idx
 }
-
-// clipInt32 (and siblings) return the slice with capacity clipped to its
-// length, so a later append in the next generation can never write into this
-// generation's backing array.
-func clipInt32(s []int32) []int32     { return s[:len(s):len(s)] }
-func clipStrings(s []string) []string { return s[:len(s):len(s)] }
-func clipTriples(s []kb.Triple) []kb.Triple {
-	return s[:len(s):len(s)]
-}
-func clipDataItems(s []kb.DataItem) []kb.DataItem { return s[:len(s):len(s)] }

@@ -9,7 +9,7 @@ import (
 // claim-index order, and every interning round-trips to the original claim.
 func TestCompileGraphInvariants(t *testing.T) {
 	claims := randomClaims(1234, 300)
-	g, _ := compile(claims, 0, 0)
+	g, _ := compile(claims, 0)
 
 	n := len(claims)
 	if len(g.itemClaims) != n || len(g.provClaims) != n || len(g.tripleClaims) != n {
@@ -89,7 +89,7 @@ func TestCompileManyValuedItem(t *testing.T) {
 		v := string(rune('a'+i%50)) + string(rune('a'+i/50))
 		claims = append(claims, cl("s", "p", v, "prov"+v))
 	}
-	g, _ := compile(claims, 0, 0)
+	g, _ := compile(claims, 0)
 	if len(g.items) != 1 {
 		t.Fatalf("%d items, want 1", len(g.items))
 	}

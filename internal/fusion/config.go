@@ -77,10 +77,12 @@ type Config struct {
 	// 10%..100%). 0 means 1.0.
 	GoldSampleRate float64
 
-	// Workers bounds the parallelism of the one-time claim-graph compile
-	// (a MapReduce job) and of the per-round stage loops (0 = GOMAXPROCS).
-	// Results never depend on it. Partitions configures the compile
-	// shuffle's partition count (0 = default).
+	// Workers bounds the goroutines of the one-time claim-graph compile
+	// (Fuse) and of the per-round stage loops (0 = GOMAXPROCS). Results
+	// never depend on it. Partitions is read only by FuseReference, whose
+	// per-round mapreduce jobs shuffle into that many partitions (0 =
+	// default); the compiled engine has had no shuffle since PR 1 and
+	// ignores it.
 	Workers    int
 	Partitions int
 

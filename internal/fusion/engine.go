@@ -86,8 +86,11 @@ func Fuse(claims []Claim, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g, idx := compile(claims, cfg.Workers, cfg.Partitions)
-	return (&Compiled{g: g, idx: idx}).Fuse(cfg)
+	c, err := CompileWorkers(claims, cfg.Workers, 0)
+	if err != nil {
+		return nil, err
+	}
+	return c.Fuse(cfg)
 }
 
 // MustFuse is Fuse for statically-valid configurations.
@@ -104,9 +107,9 @@ func MustFuse(claims []Claim, cfg Config) *Result {
 // state (provenance accuracies, per-claim probabilities, scratch), so
 // results are bit-identical to a fresh fusion.Fuse of the same claims and
 // concurrent calls on one Compiled are safe. cfg.Workers bounds only the
-// per-round stage parallelism here — the compile-time shuffle already
-// happened — and, as everywhere, never affects results. cfg.Granularity is
-// inert at this point: it selects how extractions were flattened into the
+// per-round stage parallelism here — the graph is already compiled — and,
+// as everywhere, never affects results. cfg.Granularity is inert at this
+// point: it selects how extractions were flattened into the
 // claims this graph was compiled from (see the Compiled doc); fuse each
 // granularity's claim set through its own Compile.
 func (c *Compiled) Fuse(cfg Config) (*Result, error) {

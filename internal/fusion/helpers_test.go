@@ -20,3 +20,10 @@ func testExtraction() extract.Extraction {
 		Confidence: 0.8,
 	}
 }
+
+// compile returns the graph and interning index of a fresh compilation, for
+// tests that compare them field by field.
+func compile(claims []Claim, workers int) (*graph, *claimIndex) {
+	c, _ := CompileWorkers(claims, workers, 0)
+	return c.g, c.idx
+}

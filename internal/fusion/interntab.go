@@ -169,7 +169,7 @@ func (t *internTable[K]) grow() {
 }
 
 // buildInternTable bulk-loads a table over an existing dense key slice —
-// the parallel-intern merge and the takeIndex rebuild both end with the full
+// the parallel-intern merge and rebuildIndex both end with the full
 // key list in ID order and just need the lookup structure over it.
 func buildInternTable[K comparable](keys []K, hashFn func(K) uint64) internTable[K] {
 	t := newInternTable[K](len(keys), hashFn)

@@ -141,9 +141,9 @@ func shardedClaims(n int) []Claim {
 // count.
 func TestInternClaimsParallelMatchesSequential(t *testing.T) {
 	claims := shardedClaims(internShardThreshold + internShardThreshold/2)
-	seq, seqIdx := compile(claims, 1, 0)
+	seq, seqIdx := compile(claims, 1)
 	for _, workers := range []int{2, 3, 8} {
-		par, parIdx := compile(claims, workers, 0)
+		par, parIdx := compile(claims, workers)
 		if parIdx.nExt != seqIdx.nExt {
 			t.Fatalf("workers=%d: %d extractor keys, want %d", workers, parIdx.nExt, seqIdx.nExt)
 		}

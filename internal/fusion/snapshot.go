@@ -20,7 +20,7 @@ const snapshotVersion = 1
 // The encoding is canonical: one graph always produces the same bytes.
 //
 // The interning index (the Append byproduct) is NOT serialized; a decoded
-// generation rebuilds it on first Append (see takeIndex), trading one linear
+// generation rebuilds it on first Append (see rebuildIndex), trading one linear
 // rebuild for a format free of map iteration order.
 func (c *Compiled) EncodeSnapshot(out io.Writer) error {
 	g := c.g

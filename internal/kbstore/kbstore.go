@@ -28,6 +28,7 @@ import (
 	"kfusion/internal/fusion"
 	"kfusion/internal/kb"
 	"kfusion/internal/kfio"
+	"kfusion/internal/wire"
 )
 
 const (
@@ -75,15 +76,15 @@ func Write(path string, triples []fusion.FusedTriple) error {
 	// The snapshot replaces any previous store at path; write it atomically
 	// so a crash mid-write leaves the old snapshot intact, never a torn file.
 	return kfio.AtomicWriteFile(path, func(out io.Writer) error {
-		w := &countingWriter{w: out}
+		w := wire.NewWriter(out)
 
-		writeU32(w, magic)
-		w.writeByte(version)
-		w.writeUvarint(uint64(len(preds)))
+		w.U32(magic)
+		w.U8(version)
+		w.Uvarint(uint64(len(preds)))
 		for _, p := range preds {
-			w.writeString(string(p))
+			w.String(string(p))
 		}
-		w.writeUvarint(uint64(len(sorted)))
+		w.Uvarint(uint64(len(sorted)))
 
 		type subjEntry struct {
 			subject string
@@ -94,37 +95,35 @@ func Write(path string, triples []fusion.FusedTriple) error {
 		for _, t := range sorted {
 			subj := string(t.Triple.Subject)
 			if subj != prevSubject {
-				index = append(index, subjEntry{subject: subj, offset: w.n})
-				w.writeByte(1) // new subject follows
-				w.writeString(subj)
+				index = append(index, subjEntry{subject: subj, offset: uint64(w.Len())})
+				w.U8(1) // new subject follows
+				w.String(subj)
 				prevSubject = subj
 			} else {
-				w.writeByte(0) // same subject as previous record
+				w.U8(0) // same subject as previous record
 			}
-			w.writeUvarint(predIdx[t.Triple.Predicate])
-			w.writeString(t.Triple.Object.String())
+			w.Uvarint(predIdx[t.Triple.Predicate])
+			w.String(t.Triple.Object.String())
 			prob := t.Probability
 			if !t.Predicted {
 				prob = -1
 			}
-			w.writeU16(encodeProb(prob))
-			w.writeUvarint(uint64(t.Provenances))
-			w.writeUvarint(uint64(t.Extractors))
+			w.U16(encodeProb(prob))
+			w.Uvarint(uint64(t.Provenances))
+			w.Uvarint(uint64(t.Extractors))
 		}
 
-		indexOffset := w.n
-		w.writeUvarint(uint64(len(index)))
+		indexOffset := uint64(w.Len())
+		w.Uvarint(uint64(len(index)))
 		for _, e := range index {
-			w.writeString(e.subject)
-			w.writeUvarint(e.offset)
+			w.String(e.subject)
+			w.Uvarint(e.offset)
 		}
-		var foot [12]byte
-		binary.LittleEndian.PutUint64(foot[:8], indexOffset)
-		binary.LittleEndian.PutUint32(foot[8:], magic)
-		w.write(foot[:])
+		w.U64(indexOffset)
+		w.U32(magic)
 
-		if w.err != nil {
-			return fmt.Errorf("kbstore: write: %w", w.err)
+		if err := w.Err(); err != nil {
+			return fmt.Errorf("kbstore: write: %w", err)
 		}
 		return nil
 	})
@@ -182,52 +181,52 @@ func Parse(data []byte) (*KB, error) {
 		return nil, fmt.Errorf("%w: index offset %d outside file", ErrCorrupt, indexOffset)
 	}
 
-	r := &reader{data: data}
-	if got := r.u32(); got != magic {
+	r := wire.NewReader(data)
+	if got := r.U32(); got != magic {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, got)
 	}
-	if v := r.byte(); v != version {
+	if v := r.U8(); v != version {
 		return nil, fmt.Errorf("%w: version %d, want %d", ErrVersion, v, version)
 	}
-	nPreds := r.uvarint()
+	nPreds := r.Uvarint()
 	kbh := &KB{firstOf: make(map[kb.EntityID]int)}
-	for i := uint64(0); i < nPreds && r.err == nil; i++ {
-		kbh.preds = append(kbh.preds, kb.PredicateID(r.str()))
+	for i := uint64(0); i < nPreds && r.Err() == nil; i++ {
+		kbh.preds = append(kbh.preds, kb.PredicateID(r.String()))
 	}
-	n := r.uvarint()
+	n := r.Uvarint()
 	var subject kb.EntityID
 	type subjEntry struct {
 		subject string
 		offset  uint64
 	}
 	var subjects []subjEntry
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		recOff := uint64(r.pos)
-		if r.byte() == 1 {
-			subject = kb.EntityID(r.str())
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		recOff := uint64(r.Pos())
+		if r.U8() == 1 {
+			subject = kb.EntityID(r.String())
 			if _, dup := kbh.firstOf[subject]; dup {
 				return nil, fmt.Errorf("%w: subject %q split across runs", ErrCorrupt, subject)
 			}
 			kbh.firstOf[subject] = len(kbh.records)
 			subjects = append(subjects, subjEntry{subject: string(subject), offset: recOff})
-		} else if i == 0 && r.err == nil {
+		} else if i == 0 && r.Err() == nil {
 			return nil, fmt.Errorf("%w: first record carries no subject", ErrCorrupt)
 		}
-		pi := r.uvarint()
-		if r.err == nil && pi >= uint64(len(kbh.preds)) {
+		pi := r.Uvarint()
+		if r.Err() == nil && pi >= uint64(len(kbh.preds)) {
 			return nil, fmt.Errorf("%w: predicate index %d out of range", ErrCorrupt, pi)
 		}
-		objStr := r.str()
-		if r.err != nil {
+		objStr := r.String()
+		if r.Err() != nil {
 			break
 		}
 		obj, perr := kb.ParseObject(objStr)
 		if perr != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, i, perr)
 		}
-		prob, predicted := decodeProb(r.u16())
-		provs := r.uvarint()
-		exts := r.uvarint()
+		prob, predicted := decodeProb(r.U16())
+		provs := r.Uvarint()
+		exts := r.Uvarint()
 		kbh.records = append(kbh.records, fusion.FusedTriple{
 			Triple:      kb.Triple{Subject: subject, Predicate: kbh.preds[pi], Object: obj},
 			Probability: prob,
@@ -236,22 +235,22 @@ func Parse(data []byte) (*KB, error) {
 			Extractors:  int(exts),
 		})
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, r.err)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if uint64(r.pos) != indexOffset {
-		return nil, fmt.Errorf("%w: records end at %d, index offset says %d", ErrCorrupt, r.pos, indexOffset)
+	if uint64(r.Pos()) != indexOffset {
+		return nil, fmt.Errorf("%w: records end at %d, index offset says %d", ErrCorrupt, r.Pos(), indexOffset)
 	}
 
 	// The on-disk subject index must agree with the records just parsed.
-	nIdx := r.uvarint()
-	if r.err == nil && nIdx != uint64(len(subjects)) {
+	nIdx := r.Uvarint()
+	if r.Err() == nil && nIdx != uint64(len(subjects)) {
 		return nil, fmt.Errorf("%w: index has %d subjects, records have %d", ErrCorrupt, nIdx, len(subjects))
 	}
-	for i := uint64(0); i < nIdx && r.err == nil; i++ {
-		s := r.str()
-		off := r.uvarint()
-		if r.err != nil {
+	for i := uint64(0); i < nIdx && r.Err() == nil; i++ {
+		s := r.String()
+		off := r.Uvarint()
+		if r.Err() != nil {
 			break
 		}
 		if s != subjects[i].subject || off != subjects[i].offset {
@@ -259,11 +258,11 @@ func Parse(data []byte) (*KB, error) {
 				ErrCorrupt, i, s, off, subjects[i].subject, subjects[i].offset)
 		}
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, r.err)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if uint64(r.pos) != uint64(len(data)-footerLen) {
-		return nil, fmt.Errorf("%w: %d trailing bytes between index and footer", ErrCorrupt, len(data)-footerLen-r.pos)
+	if r.Remaining() != footerLen {
+		return nil, fmt.Errorf("%w: %d trailing bytes between index and footer", ErrCorrupt, r.Remaining()-footerLen)
 	}
 	return kbh, nil
 }
@@ -326,114 +325,4 @@ func (k *KB) predictedCount() int {
 		}
 	}
 	return n
-}
-
-// ---- low-level encoding helpers ----
-
-type countingWriter struct {
-	w   io.Writer
-	n   uint64
-	err error
-}
-
-func (c *countingWriter) write(b []byte) {
-	if c.err != nil {
-		return
-	}
-	n, err := c.w.Write(b)
-	c.n += uint64(n)
-	c.err = err
-}
-
-func (c *countingWriter) writeByte(b byte) { c.write([]byte{b}) }
-
-func (c *countingWriter) writeUvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	c.write(buf[:n])
-}
-
-func (c *countingWriter) writeString(s string) {
-	c.writeUvarint(uint64(len(s)))
-	c.write([]byte(s))
-}
-
-func (c *countingWriter) writeU16(v uint16) {
-	var buf [2]byte
-	binary.LittleEndian.PutUint16(buf[:], v)
-	c.write(buf[:])
-}
-
-func writeU32(c *countingWriter, v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	c.write(buf[:])
-}
-
-type reader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *reader) fail(msg string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%s at offset %d", msg, r.pos)
-	}
-}
-
-func (r *reader) byte() byte {
-	if r.err != nil || r.pos >= len(r.data) {
-		r.fail("truncated byte")
-		return 0
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b
-}
-
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.pos+2 > len(r.data) {
-		r.fail("truncated u16")
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.data[r.pos:])
-	r.pos += 2
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.pos+4 > len(r.data) {
-		r.fail("truncated u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.pos:])
-	r.pos += 4
-	return v
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		// n == 0 is a truncated varint, n < 0 a 64-bit overflow.
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *reader) str() string {
-	n := r.uvarint()
-	// Compare in uint64: a huge length must not overflow int and mis-slice.
-	if r.err != nil || n > uint64(len(r.data)-r.pos) {
-		r.fail("truncated string")
-		return ""
-	}
-	s := string(r.data[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s
 }

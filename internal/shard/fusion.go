@@ -85,26 +85,23 @@ func (f *Fusion) Shard(s int) *fusion.Compiled { return f.graphs[s] }
 // Append routes one extraction batch to its shards, flattens each slice
 // through the shard's ClaimStream (the (provenance, triple) dedup is
 // shard-local because the triple's item fixes the shard), and compiles or
-// appends each shard's graph. Shards receiving nothing are untouched.
+// appends each shard's graph. A shard receiving nothing still moves to its
+// next generation (an empty Append is O(1)), so every shard's generation
+// counts the batches, as it does under shard.Stores.
 func (f *Fusion) Append(xs []extract.Extraction) error {
 	parts := SplitExtractions(xs, f.k)
 	for s := 0; s < f.k; s++ {
 		batch := f.streams[s].Add(parts[s])
 		f.claims += len(batch)
-		switch {
-		case f.graphs[s] == nil:
-			g, err := fusion.Compile(batch)
-			if err != nil {
-				return fmt.Errorf("shard %d: compile: %w", s, err)
-			}
-			f.graphs[s] = g
-		case len(batch) > 0:
-			g, err := f.graphs[s].Append(batch)
-			if err != nil {
-				return fmt.Errorf("shard %d: append: %w", s, err)
-			}
-			f.graphs[s] = g
+		grow := fusion.Compile // the first Append
+		if g := f.graphs[s]; g != nil {
+			grow = g.Append
 		}
+		g, err := grow(batch)
+		if err != nil {
+			return fmt.Errorf("shard %d: append: %w", s, err)
+		}
+		f.graphs[s] = g
 		f.extendProvs(s)
 	}
 	return nil

@@ -93,10 +93,9 @@ func (t *TwoLayer) NumStatements() int {
 func (t *TwoLayer) Append(xs []extract.Extraction) {
 	parts := SplitExtractions(xs, t.k)
 	for s := 0; s < t.k; s++ {
-		switch {
-		case t.graphs[s] == nil:
+		if t.graphs[s] == nil {
 			t.graphs[s] = extract.Compile(parts[s], t.siteLevel)
-		case len(parts[s]) > 0:
+		} else {
 			t.graphs[s] = t.graphs[s].Append(parts[s])
 		}
 		t.extendTables(s)
