@@ -292,6 +292,61 @@ func BenchmarkAppendBatch(b *testing.B) {
 	})
 }
 
+// BenchmarkAppendChain measures the steady state of a live append chain, which
+// BenchmarkAppendBatch's single append onto a fresh compile (the copy-once
+// path) does not show: one op is one 1 000-record batch appended to the
+// generation the previous op returned. The chain starts from the bench
+// dataset's graph minus its last appendChainSteps batches and restarts, off
+// the clock, when the feed is used up; its first append (which copies the
+// freshly compiled columns once) also runs off the clock. No fuse — the
+// compile layer alone — so with -benchmem, B/op is the allocation per chained
+// append: it must follow the batch and the CSRs, not the claim columns.
+// claims/s counts the records appended.
+func BenchmarkAppendChain(b *testing.B) {
+	const batch, appendChainSteps = 1000, 20
+	xs := benchDataset(b).Extractions
+	cut := len(xs) - (appendChainSteps+1)*batch
+	if cut <= 0 {
+		b.Fatalf("bench dataset too small: %d extractions", len(xs))
+	}
+	// run drives one chain implementation: restart compiles the base and
+	// pays the first append, step appends xs[lo:hi] to the chain's head.
+	run := func(b *testing.B, restart func(), step func(lo, hi int)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % appendChainSteps
+			if k == 0 {
+				b.StopTimer()
+				restart()
+				runtime.GC() // keep setup garbage out of the timed region
+				b.StartTimer()
+			}
+			step(cut+(k+1)*batch, cut+(k+2)*batch)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
+	}
+	b.Run("claim", func(b *testing.B) {
+		var stream *fusion.ClaimStream
+		var head *fusion.Compiled
+		run(b, func() {
+			stream = fusion.NewClaimStream(fusion.PopAccuConfig().Granularity)
+			head = fusion.MustCompile(stream.Add(xs[:cut])).MustAppend(stream.Add(xs[cut : cut+batch]))
+		}, func(lo, hi int) {
+			head = head.MustAppend(stream.Add(xs[lo:hi]))
+		})
+	})
+	b.Run("extraction", func(b *testing.B) {
+		var head *extract.Compiled
+		run(b, func() {
+			head = extract.Compile(xs[:cut], true).Append(xs[cut : cut+batch])
+		}, func(lo, hi int) {
+			head = head.Append(xs[lo:hi])
+		})
+	})
+}
+
 // BenchmarkTwoLayerFuse measures the §5.1 two-layer model on the bench
 // extraction set: the compiled extraction-graph engine (end to end, and
 // re-fusing over a prebuilt graph) against the map-keyed reference engine.

@@ -61,7 +61,13 @@
 //     extends a graph bit-identically to recompiling the concatenated
 //     stream (existing IDs never move) while hashing only the batch
 //     against the retained interning index; the CSR spans merge through
-//     csr.AppendByGroup's ordered span merge. Compile is the first Append
+//     csr.AppendByGroup's ordered span merge. Along a chain of generations
+//     the columns that only grow at the end (claims, keys, per-claim and
+//     per-statement IDs) are shared: the index extends them in place and
+//     each generation holds the cap-clipped prefix of its own length, so
+//     an append costs the batch plus bulk moves of the CSRs, never a copy
+//     of the prefix, and older generations stay readable while the chain
+//     grows. Compile is the first Append
 //     — the empty generation extended by the whole set, through the same
 //     interning loop and assemble tail — so the equality holds by
 //     construction and is pinned by golden graph digests, brute-force

@@ -14,8 +14,10 @@ package csr
 import "runtime"
 
 // ExtendInt32 returns a fresh slice of length n carrying old's prefix — the
-// copy-on-extend the append pipeline uses to grow an ID-indexed column
-// while the previous generation's array stays untouched.
+// copy-on-extend the append pipeline uses for an ID-indexed column a batch
+// rewrites for old IDs (support counts), so the previous generation's array
+// stays untouched. Columns that only grow at the end are not copied: the
+// interning index extends them in place (see fusion.Compiled.Append).
 func ExtendInt32(old []int32, n int) []int32 {
 	out := make([]int32, n)
 	copy(out, old)
@@ -32,6 +34,12 @@ func ExtendInt32(old []int32, n int) []int32 {
 // CSR ByGroup would build over the concatenated assignment. The inputs are
 // only read; the result is freshly allocated and identical for every workers
 // value.
+//
+// Old spans move in runs: consecutive groups are contiguous in oldIds, and
+// their spans shift by one common offset until a group receives new elements,
+// so the prefix-sum pass emits one copy per touched group (plus one for the
+// tail) instead of one per group — a small batch onto a large CSR is a few
+// bulk moves.
 //
 // Large batches run a parallel counting sort — per-worker counts over
 // contiguous chunks, a sequential prefix-sum merge that turns the counts into
@@ -75,34 +83,31 @@ func AppendByGroup(oldStart, oldIds, newGroupOf []int32, nGroups, workers int) (
 	})
 
 	start := make([]int32, nGroups+1)
+	ids := make([]int32, total)
 	run := int32(0)
+	// oldIds[runLo:] is not relocated yet; it lands at ids[runDst:].
+	runLo, runDst := int32(0), int32(0)
 	for g := 0; g < nGroups; g++ {
 		start[g] = run
 		if g < oldGroups {
 			run += oldStart[g+1] - oldStart[g]
 		}
+		oldEnd := run
 		for wk := 0; wk < w; wk++ {
 			c := counts[wk*nGroups+g]
 			counts[wk*nGroups+g] = run
 			run += c
 		}
+		if run > oldEnd && g < oldGroups {
+			// New elements follow g's old span, so the shift changes here:
+			// move the run of old spans ending with g's.
+			copy(ids[runDst:], oldIds[runLo:oldStart[g+1]])
+			runLo, runDst = oldStart[g+1], run
+		}
 	}
 	start[nGroups] = run
+	copy(ids[runDst:], oldIds[runLo:])
 
-	ids := make([]int32, total)
-	// Copy every group's old span to its new position, in parallel over
-	// groups (each group owns a disjoint output range).
-	if oldGroups > 0 {
-		gw := workers
-		if oldGroups < ParallelThreshold {
-			gw = 1
-		}
-		ParallelRange(oldGroups, gw, func(_, lo, hi int) {
-			for g := lo; g < hi; g++ {
-				copy(ids[start[g]:], oldIds[oldStart[g]:oldStart[g+1]])
-			}
-		})
-	}
 	// Scatter the new elements after each group's old span; chunks are
 	// contiguous and ascending and each (worker, group) cell owns a disjoint
 	// range ordered by worker, so ascending ID order is preserved.

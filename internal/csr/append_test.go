@@ -47,6 +47,83 @@ func TestAppendByGroupMatchesByGroup(t *testing.T) {
 	}
 }
 
+// TestAppendByGroupProperty is the randomised form of the contract:
+// AppendByGroup ≡ ByGroup of the concatenated assignment, for workers 1..4,
+// over the shapes that decide how the old spans are relocated — a batch small
+// against nGroups (long untouched runs moved wholesale), a batch large against
+// it (every group touched, one copy each), an empty old CSR, an empty batch,
+// new groups only, and a batch touching only the last old group or only the
+// first (a run ending, or starting, at the array's edge).
+func TestAppendByGroupProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	pick := func(n int, of func() int32) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = of()
+		}
+		return out
+	}
+	uniform := func(groups int) func() int32 {
+		return func() int32 { return int32(rng.Intn(groups)) }
+	}
+	for trial := 0; trial < 300; trial++ {
+		oldGroups := rng.Intn(40)
+		nOld := 0
+		if oldGroups > 0 && trial%11 != 0 { // every 11th: groups but no elements
+			nOld = rng.Intn(6 * oldGroups)
+		}
+		nGroups := oldGroups + rng.Intn(3)*rng.Intn(10)
+		var newOf []int32
+		switch shape := trial % 6; {
+		case nGroups == 0:
+		case shape == 0: // small against nGroups
+			newOf = pick(rng.Intn(4), uniform(nGroups))
+		case shape == 1: // large against nGroups
+			newOf = pick(20*nGroups+rng.Intn(50), uniform(nGroups))
+		case shape == 2 && oldGroups > 0: // only the last old group
+			newOf = pick(1+rng.Intn(5), func() int32 { return int32(oldGroups - 1) })
+		case shape == 3 && oldGroups > 0: // only the first group
+			newOf = pick(1+rng.Intn(5), func() int32 { return 0 })
+		case shape == 4 && nGroups > oldGroups: // new groups only
+			newOf = pick(1+rng.Intn(30), func() int32 { return int32(oldGroups + rng.Intn(nGroups-oldGroups)) })
+		default:
+			newOf = pick(rng.Intn(3*nGroups+1), uniform(nGroups))
+		}
+		var oldOf []int32
+		if oldGroups > 0 {
+			oldOf = pick(nOld, uniform(oldGroups))
+		}
+		var oldStart, oldIds []int32
+		if trial%7 != 0 { // every 7th: a nil old CSR rather than an empty one
+			oldStart, oldIds = ByGroup(oldOf, oldGroups, 1)
+		} else {
+			oldOf, oldGroups = nil, 0
+		}
+		// The oracle is the definition, not the counting sort under test:
+		// each group's elements in ascending order, groups in order.
+		all := append(append([]int32{}, oldOf...), newOf...)
+		wantStart, wantIds := make([]int32, nGroups+1), make([]int32, 0, len(all))
+		for g := 0; g < nGroups; g++ {
+			for i, of := range all {
+				if int(of) == g {
+					wantIds = append(wantIds, int32(i))
+				}
+			}
+			wantStart[g+1] = int32(len(wantIds))
+		}
+		if s, ids := ByGroup(all, nGroups, 1); !reflect.DeepEqual(s, wantStart) || !equalIDs(ids, wantIds) {
+			t.Fatalf("trial %d: ByGroup disagrees with the definition", trial)
+		}
+		for workers := 1; workers <= 4; workers++ {
+			gotStart, gotIds := AppendByGroup(oldStart, oldIds, newOf, nGroups, workers)
+			if !reflect.DeepEqual(gotStart, wantStart) || !equalIDs(gotIds, wantIds) {
+				t.Fatalf("trial %d workers=%d (old %d in %d groups, new %v into %d groups):\n got %v %v\nwant %v %v",
+					trial, workers, len(oldOf), oldGroups, newOf, nGroups, gotStart, gotIds, wantStart, wantIds)
+			}
+		}
+	}
+}
+
 // TestAppendByGroupLeavesInputsIntact guards the generational contract: the
 // previous generation's CSR must stay valid after an append builds the next.
 func TestAppendByGroupLeavesInputsIntact(t *testing.T) {

@@ -19,19 +19,29 @@ package extract
 // interned yet — which is a bulk Compile, or a first Append onto an empty
 // generation. Both produce the same graph.
 //
-// The assemble tail then rebuilds the derived arrays around the previous
-// generation's, which are only read: the per-source/per-triple/per-item
-// spans merge through csr.AppendByGroup (new IDs all exceed old ones, so
-// each span is oldSpan ++ newIDs), the flattened extractor lists re-flatten
-// around the batch's additions, the support counts are recounted only where
-// the batch touched them, and the ext→statement incidence — whose rows can
-// interleave old and new statements when a batch introduces a new
-// (extractor, source) pairing — is rebuilt by one parallel pass over all
-// statements. No string or triple is re-hashed for the prefix.
+// The columns that only grow at the end (source and extractor keys, the
+// statement → source / triple columns, triples, items, triple → item) are
+// shared along a chain of generations: the interning index holds them with
+// their spare capacity and extends them in place, and each generation keeps
+// the cap-clipped prefix of its own length (see columns in graph.go). A
+// second Append on a generation whose index was taken rebuilds the index
+// over the clipped columns, so it copies them once and then owns its own
+// tail.
+//
+// The assemble tail rebuilds what a batch rewrites for old IDs around the
+// previous generation's arrays, which are only read: the per-source,
+// per-triple and per-item spans merge through csr.AppendByGroup (new IDs all
+// exceed old ones, so each span is oldSpan ++ newIDs; untouched runs of
+// groups move as one copy), the flattened extractor lists re-flatten around
+// the batch's additions the same way, the support counts are extended by
+// copy and recounted only where the batch touched them, and the
+// ext→statement incidence — whose rows can interleave old and new statements
+// when a batch introduces a new (extractor, source) pairing — is rebuilt by
+// one parallel pass over all statements. No string or triple is re-hashed for
+// the prefix.
 
 import (
 	"runtime"
-	"slices"
 
 	"kfusion/internal/csr"
 	"kfusion/internal/kb"
@@ -41,11 +51,12 @@ import (
 // next generation, using all available cores. The result is bit-identical to
 // Compile over the concatenated extraction stream (Compile is this path run
 // from the empty generation); existing IDs are stable. The receiver stays
-// fully usable (its arrays are never mutated); the mutable interning index
-// moves to the returned generation, so appends should chain (g0 -> g1 -> g2
-// ...) — a second Append on the same generation is correct but rebuilds the
-// index first. An Append that adds nothing costs O(1): it returns the next
-// generation over the receiver's arrays.
+// fully usable, also concurrently with this and later Appends (no word it can
+// address is ever written); the mutable interning index moves to the returned
+// generation, so appends should chain (g0 -> g1 -> g2 ...) — a second Append
+// on the same generation is correct but rebuilds the index and copies the
+// shared columns once. An Append that adds nothing costs O(1): it returns the
+// next generation over the receiver's arrays.
 func (g *Compiled) Append(xs []Extraction) *Compiled {
 	return g.AppendWorkers(xs, 0)
 }
@@ -72,7 +83,9 @@ func (g *Compiled) AppendWorkers(xs []Extraction, workers int) *Compiled {
 
 // extend is the one compile path: it interns xs onto generation g, whose
 // index is idx, and assembles the graph of the next one (generation counter
-// left to the caller). g's arrays are only read.
+// left to the caller). The append-only columns are extended in place through
+// idx.cols — g holds their clipped prefixes, which are never written — and g's
+// other arrays are only read.
 func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Compiled {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -80,14 +93,9 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 	nStOld := len(g.stSource)
 	nTriOld := len(g.triples)
 	next := &Compiled{idx: idx, graph: &graph{
-		siteLevel:    g.siteLevel,
-		sources:      slices.Clip(g.sources),
-		extractors:   slices.Clip(g.extractors),
-		stSource:     slices.Clip(g.stSource),
-		stTriple:     slices.Clip(g.stTriple),
-		triples:      slices.Clip(g.triples),
-		itemOfTriple: slices.Clip(g.itemOfTriple),
-		items:        slices.Clip(g.items),
+		siteLevel:      g.siteLevel,
+		columns:        idx.cols,
+		maxItemTriples: g.maxItemTriples,
 	}}
 
 	// ---- Intern the batch, continuing the retained index ----
@@ -115,10 +123,9 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 	next.srcStStart, next.srcSts = csr.AppendByGroup(g.srcStStart, g.srcSts, next.stSource[nStOld:], len(next.sources), workers)
 	next.tripleStStart, next.tripleSts = csr.AppendByGroup(g.tripleStStart, g.tripleSts, next.stTriple[nStOld:], nTriples, workers)
 	next.itemTripleStart, next.itemTriples = csr.AppendByGroup(g.itemTripleStart, g.itemTriples, next.itemOfTriple[nTriOld:], nItems, workers)
-	for i := 0; i < nItems; i++ {
-		if n := int(next.itemTripleStart[i+1] - next.itemTripleStart[i]); n > next.maxItemTriples {
-			next.maxItemTriples = n
-		}
+	// Only an item that gained a triple can raise the previous maximum.
+	for _, i := range next.itemOfTriple[nTriOld:] {
+		next.maxItemTriples = max(next.maxItemTriples, int(next.itemTripleStart[i+1]-next.itemTripleStart[i]))
 	}
 
 	// ---- Support counts: extend, then recount only what the batch touched ----
@@ -164,6 +171,8 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 	// the batch adds an extractor to an existing source (every old statement
 	// of that source joins the extractor's span), so it is rebuilt whole.
 	next.buildExtStatements(workers)
+	// The index keeps the spare capacity; the generation sees its own prefix.
+	idx.cols, next.columns = next.columns, next.columns.clipped()
 	return next
 }
 
@@ -172,7 +181,9 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 // from a snapshot). The rebuild hashes each distinct key once (not once per
 // extraction); it exists for correctness — chained appends never hit it.
 func (g *Compiled) rebuildIndex() *extractIndex {
-	idx := &extractIndex{item: make(map[kb.DataItem]int32, len(g.items))}
+	// The columns are clipped, so this index's first append copies each once
+	// and then owns its own tail: a fork never writes another chain's.
+	idx := &extractIndex{cols: g.columns.clipped(), item: make(map[kb.DataItem]int32, len(g.items))}
 	idx.presize(len(g.stSource))
 	for s, key := range g.sources {
 		idx.src[key] = int32(s)

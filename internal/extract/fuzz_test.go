@@ -3,6 +3,7 @@ package extract
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"kfusion/internal/kb"
@@ -67,7 +68,9 @@ func fuzzCuts(lens ...uint16) []byte {
 // FuzzAppendChunking is the metamorphic contract of the compile layer: any
 // chunking of a feed through Append — zero-length batches included — builds
 // the graph one Compile of the whole feed builds, in every field but the
-// generation counter, which counts the batches.
+// generation counter, which counts the batches. A fork from a generation in
+// the middle of the chain, by two other batches, equals its own recompile and
+// leaves the chain as it was.
 func FuzzAppendChunking(f *testing.F) {
 	// The cuts of TestExtractAppendChain: 1000 | 800 | 1 | 2189 | 10.
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), fuzzCuts(1000, 800, 1, 2189, 10), byte(1))
@@ -84,10 +87,32 @@ func FuzzAppendChunking(f *testing.F) {
 
 		g := CompileWorkers(xs[:lens[0]], siteLevel, workers)
 		at := lens[0]
-		for _, n := range lens[1:] {
+		mid, midAt := g, at // the generation the fork below leaves from
+		for i, n := range lens[1:] {
 			g = g.AppendWorkers(xs[at:at+n], workers)
 			at += n
+			if i < len(lens)/2 {
+				mid, midAt = g, at
+			}
 		}
+
+		// Fork step: two more Appends leave from the middle generation, whose
+		// index the chain has taken (unless it is the last), with other
+		// batches than the chain's — the feed's head again (old statements,
+		// re-asserted) and its tail reversed (new ones, in another order).
+		// The fork equals its recompile, and the chain (checked below, after
+		// the fork) never notices it.
+		tail := slices.Clone(xs[total/2:])
+		slices.Reverse(tail)
+		input := slices.Clone(xs[:midAt])
+		fork := mid
+		for _, batch := range [][]Extraction{xs[:total/3], tail} {
+			fork = fork.AppendWorkers(batch, workers)
+			input = append(input, batch...)
+			appendGraphsEqual(t, "fork", fork, CompileWorkers(input, siteLevel, workers))
+		}
+		appendGraphsEqual(t, "forked-from generation", mid, CompileWorkers(xs[:midAt], siteLevel, workers))
+
 		appendGraphsEqual(t, "chained", g, CompileWorkers(xs, siteLevel, workers))
 		if g.Generation() != len(lens)-1 {
 			t.Fatalf("generation = %d after %d batches", g.Generation(), len(lens))

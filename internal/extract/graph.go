@@ -3,6 +3,7 @@ package extract
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"kfusion/internal/csr"
@@ -69,12 +70,11 @@ type Compiled struct {
 type graph struct {
 	siteLevel bool
 
-	sources    []string // source ID -> URL or site key
-	extractors []string // extractor ID -> name
+	// The columns that only grow at the end, cap-clipped to this generation's
+	// lengths (see columns).
+	columns
 
 	// Statements: distinct (source, triple) pairs.
-	stSource   []int32 // statement ID -> source ID
-	stTriple   []int32 // statement ID -> triple ID
 	stExtStart []int32 // len nStatements+1; span into stExts
 	stExts     []int32 // extractor IDs per statement, first-extraction order
 
@@ -85,15 +85,12 @@ type graph struct {
 	srcSts      []int32 // statement IDs per source, ascending
 
 	// Candidate triples and data items.
-	triples         []kb.Triple   // triple ID -> triple
-	tripleStStart   []int32       // len nTriples+1; span into tripleSts
-	tripleSts       []int32       // statement IDs per triple, ascending
-	tripleExts      []int32       // triple ID -> distinct extractor count
-	items           []kb.DataItem // item ID -> data item
-	itemOfTriple    []int32       // triple ID -> item ID
-	itemTripleStart []int32       // len nItems+1; span into itemTriples
-	itemTriples     []int32       // triple IDs per item, ascending
-	itemStatements  []int32       // item ID -> total statements on the item
+	tripleStStart   []int32 // len nTriples+1; span into tripleSts
+	tripleSts       []int32 // statement IDs per triple, ascending
+	tripleExts      []int32 // triple ID -> distinct extractor count
+	itemTripleStart []int32 // len nItems+1; span into itemTriples
+	itemTriples     []int32 // triple IDs per item, ascending
+	itemStatements  []int32 // item ID -> total statements on the item
 
 	// Ext→statement incidence: for each extractor, the statements whose
 	// source it processed (ascending statement order), with a parallel hit
@@ -110,9 +107,50 @@ type graph struct {
 	maxItemTriples int
 }
 
+// columns are the ID-indexed columns an Append never rewrites for an existing
+// ID — it only adds entries at the end. A chain of generations shares one
+// backing array per column: the interning index, which exactly one generation
+// owns at a time, holds each column with its spare capacity and extends it in
+// place (amortised append), and every graph holds the cap-clipped prefix
+// col[:n:n] of its own generation. A reader of an older generation, an
+// accessor's caller or a decoded snapshot can thus never reach the tail the
+// chain is still writing, and the chain never writes below the length of any
+// generation it has handed out. Everything a batch rewrites for old IDs (the
+// CSRs, the flattened extractor lists, the support counts) lives in graph and
+// is copied per generation.
+type columns struct {
+	sources    []string // source ID -> URL or site key
+	extractors []string // extractor ID -> name
+
+	stSource []int32 // statement ID -> source ID
+	stTriple []int32 // statement ID -> triple ID
+
+	triples      []kb.Triple   // triple ID -> triple
+	items        []kb.DataItem // item ID -> data item
+	itemOfTriple []int32       // triple ID -> item ID
+}
+
+// clipped returns the columns with every capacity cut to its length, so an
+// append through the result reallocates instead of writing a shared tail.
+func (c columns) clipped() columns {
+	return columns{
+		sources:      slices.Clip(c.sources),
+		extractors:   slices.Clip(c.extractors),
+		stSource:     slices.Clip(c.stSource),
+		stTriple:     slices.Clip(c.stTriple),
+		triples:      slices.Clip(c.triples),
+		items:        slices.Clip(c.items),
+		itemOfTriple: slices.Clip(c.itemOfTriple),
+	}
+}
+
 // extractIndex is the mutable interning state a compilation leaves behind so
 // Append can extend the ID spaces without re-hashing the prefix.
 type extractIndex struct {
+	// cols are the owning generation's append-only columns with their spare
+	// capacity: the one handle through which the shared tails are written.
+	cols columns
+
 	src  map[string]int32
 	ext  map[string]int32
 	tri  map[kb.Triple]int32
@@ -358,21 +396,37 @@ func (l *extLists) add(row, ext int32) {
 // flatten concatenates the lists into a CSR (start, flat) pair: old rows keep
 // their contents with the additions appended — exactly the first-extraction
 // order a compile of the whole stream produces — then the new rows follow.
+// The old flat list moves in runs: the rows between two grown ones are
+// contiguous and shift by one common offset, so each run is one bulk copy.
 func (l *extLists) flatten() (start, flat []int32) {
 	nOld := max(len(l.oldStart)-1, 0)
 	total := len(l.oldFlat)
-	for _, a := range l.grown {
+	grownRows := make([]int32, 0, len(l.grown))
+	for r, a := range l.grown {
 		total += len(a)
+		grownRows = append(grownRows, r)
 	}
+	slices.Sort(grownRows)
 	for _, f := range l.fresh {
 		total += len(f)
 	}
 	start = make([]int32, nOld+len(l.fresh)+1)
 	flat = make([]int32, 0, total)
-	for r := 0; r < nOld; r++ {
-		start[r] = int32(len(flat))
-		flat = append(flat, l.oldFlat[l.oldStart[r]:l.oldStart[r+1]]...)
-		flat = append(flat, l.grown[int32(r)]...)
+	lo := 0 // first old row not emitted yet
+	emitRun := func(hi int) {
+		shift := int32(len(flat)) - l.oldStart[lo]
+		for r := lo; r < hi; r++ {
+			start[r] = l.oldStart[r] + shift
+		}
+		flat = append(flat, l.oldFlat[l.oldStart[lo]:l.oldStart[hi]]...)
+		lo = hi
+	}
+	for _, r := range grownRows {
+		emitRun(int(r) + 1)
+		flat = append(flat, l.grown[r]...)
+	}
+	if lo < nOld {
+		emitRun(nOld)
 	}
 	for r, f := range l.fresh {
 		start[nOld+r] = int32(len(flat))
@@ -568,6 +622,12 @@ func (g *Compiled) StatementExtractors(si int32) []int32 {
 func (g *Compiled) SourceExtractors(s int32) []int32 {
 	return g.srcExts[g.srcExtStart[s]:g.srcExtStart[s+1]]
 }
+
+// NumSourceExtractors reports the number of distinct (source, extractor)
+// pairs — the total length of the SourceExtractors lists. The lists only grow
+// along an append chain, so together with NumSources it tells whether an
+// Append changed any of them.
+func (g *Compiled) NumSourceExtractors() int { return len(g.srcExts) }
 
 // SourceStatements returns the statement IDs of a source in ascending order.
 func (g *Compiled) SourceStatements(s int32) []int32 {

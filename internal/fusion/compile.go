@@ -36,35 +36,71 @@ import (
 // per-claim probabilities and scoring scratch all live in the per-run engine
 // (engine.go), which is why one graph can serve any number of configs.
 type graph struct {
-	claims []Claim
+	// The columns that only grow at the end, cap-clipped to this generation's
+	// lengths (see columns).
+	columns
 
 	// Items.
-	items          []kb.DataItem
 	itemClaimStart []int32 // len nItems+1; span into itemClaims
 	itemClaims     []int32 // claim IDs grouped by item, claim-index order
 
-	// Candidate triples (the deduplicated Stage III output set), in global
-	// first-occurrence order.
-	triples          []kb.Triple
+	// Candidate triples.
 	itemCandStart    []int32 // len nItems+1; span into itemCands
 	itemCands        []int32 // candidate triple IDs per item, ascending
-	itemOfTriple     []int32 // triple ID -> item ID
-	localOfTriple    []int32 // triple ID -> candidate offset within its item
-	tripleOfClaim    []int32 // claim ID -> triple ID
-	localOfClaim     []int32 // claim ID -> candidate offset within its item
 	tripleClaimStart []int32 // len nTriples+1; span into tripleClaims
 	tripleClaims     []int32 // claim IDs grouped by triple, claim-index order
 	tripleExtractors []int32 // triple ID -> distinct extractor count
 
 	// Provenances.
-	provKeys       []string // prov ID -> provenance key
-	provOfClaim    []int32  // claim ID -> prov ID
-	provClaimStart []int32  // len nProvs+1; span into provClaims
-	provClaims     []int32  // claim IDs grouped by prov, claim-index order
+	provClaimStart []int32 // len nProvs+1; span into provClaims
+	provClaims     []int32 // claim IDs grouped by prov, claim-index order
 
 	// maxCandidates is the largest candidate count of any single item; it
 	// sizes the per-worker scoring scratch.
 	maxCandidates int
+}
+
+// columns are the ID-indexed columns an Append never rewrites for an existing
+// ID — it only adds entries at the end. A chain of generations therefore
+// shares one backing array per column: the interning index, which exactly one
+// generation owns at a time, holds each column with its spare capacity and
+// extends it in place (amortised append), and every graph holds the
+// cap-clipped prefix col[:n:n] of its own generation. A reader of an older
+// generation, an accessor's caller or a decoded snapshot can thus never reach
+// the tail the chain is still writing, and the chain never writes below the
+// length of any generation it has handed out. Everything a batch rewrites for
+// old IDs (the CSRs, tripleExtractors) lives in graph and is copied per
+// generation.
+type columns struct {
+	claims []Claim
+
+	items []kb.DataItem
+	// Candidate triples (the deduplicated Stage III output set), in global
+	// first-occurrence order.
+	triples       []kb.Triple
+	itemOfTriple  []int32 // triple ID -> item ID
+	localOfTriple []int32 // triple ID -> candidate offset within its item
+	tripleOfClaim []int32 // claim ID -> triple ID
+	localOfClaim  []int32 // claim ID -> candidate offset within its item
+
+	provKeys    []string // prov ID -> provenance key
+	provOfClaim []int32  // claim ID -> prov ID
+}
+
+// clipped returns the columns with every capacity cut to its length, so an
+// append through the result reallocates instead of writing a shared tail.
+func (c columns) clipped() columns {
+	return columns{
+		claims:        slices.Clip(c.claims),
+		items:         slices.Clip(c.items),
+		triples:       slices.Clip(c.triples),
+		itemOfTriple:  slices.Clip(c.itemOfTriple),
+		localOfTriple: slices.Clip(c.localOfTriple),
+		tripleOfClaim: slices.Clip(c.tripleOfClaim),
+		localOfClaim:  slices.Clip(c.localOfClaim),
+		provKeys:      slices.Clip(c.provKeys),
+		provOfClaim:   slices.Clip(c.provOfClaim),
+	}
 }
 
 // claimIndex is the mutable interning state a compilation leaves behind so
@@ -72,6 +108,9 @@ type graph struct {
 // byproduct state, not part of the immutable graph: exactly one generation
 // owns it at a time (see Compiled.AppendWorkers).
 type claimIndex struct {
+	// cols are that generation's append-only columns with their spare
+	// capacity: the one handle through which the shared tails are written.
+	cols columns
 	// Every ID space interns through an open-addressing table
 	// (interntab.go) over its dense key slice — g.provKeys, extKeys,
 	// g.triples, g.items: per-claim interning is the compile hot loop, and
@@ -83,6 +122,7 @@ type claimIndex struct {
 	// extKeys, extOfClaim and nExt cover the extractor axis, which the
 	// graph itself only keeps aggregated (tripleExtractors); Append needs
 	// the per-claim assignment to recount the triples a batch touches.
+	// extOfClaim grows in place like cols (only the index ever holds it).
 	// nExt == len(extKeys) always.
 	extKeys    []string
 	extOfClaim []int32
@@ -109,11 +149,13 @@ type claimIndex struct {
 // A Compiled is also one generation of an append-only claim feed, and there
 // is one compile path (extend): Append interns a claim batch onto the
 // generation — only the new provenances, extractors, items and triples —
-// assembles the next one around the old arrays and returns it, and Compile is
-// the first Append, the empty generation extended by the whole claim set. So
-// Append equals recompiling the concatenated claim stream bit for bit by
-// construction (every ID space is assigned in first-occurrence order, so
-// existing IDs never move), and the previous generation stays fully usable.
+// assembles the next one and returns it, and Compile is the first Append, the
+// empty generation extended by the whole claim set. So Append equals
+// recompiling the concatenated claim stream bit for bit by construction (every
+// ID space is assigned in first-occurrence order, so existing IDs never move),
+// and the previous generation stays fully usable. Generations of one chain
+// share the columns that only grow at the end (see columns); the rest is
+// copied per generation.
 // The one other interning path, the shard-and-merge pass, is chosen from what
 // extend observes — see Append.
 //
@@ -127,10 +169,11 @@ type Compiled struct {
 	g   *graph
 	gen int
 
-	// idx is the interning byproduct Append consumes. The first Append on
-	// this generation takes it (and hands it to the generation it returns);
-	// a later Append on the same generation rebuilds it from the graph —
-	// correct, just slower. Guarded by mu; the graph itself is immutable.
+	// idx is the interning byproduct Append consumes, and the owner of the
+	// chain's shared column tails. The first Append on this generation takes
+	// it (and hands it to the generation it returns); a later Append on the
+	// same generation rebuilds it from the graph — correct, just slower.
+	// Guarded by mu; the graph itself is immutable.
 	mu  sync.Mutex
 	idx *claimIndex
 }
@@ -228,10 +271,12 @@ func (c *Compiled) ClaimProv(claim int32) int32 { return c.g.provOfClaim[claim] 
 const internShardThreshold = csr.ParallelThreshold
 
 // extend is the one compile path: it interns batch onto the generation
-// (old, idx) and assembles the next graph around old's arrays, which are only
-// read. Every ID space is assigned in first-occurrence order of the claim
-// stream, so old's IDs never move and the result equals extending the empty
-// generation by the concatenated stream — which is what a fresh compile is.
+// (old, idx) and assembles the next graph. The append-only columns are
+// extended in place through idx.cols — old holds their clipped prefixes, which
+// are never written — and old's other arrays are only read. Every ID space is
+// assigned in first-occurrence order of the claim stream, so old's IDs never
+// move and the result equals extending the empty generation by the
+// concatenated stream — which is what a fresh compile is.
 //
 // The batch interns through internClaims, the one sequential loop, except
 // when nothing is interned yet, the batch reaches internShardThreshold and
@@ -245,16 +290,7 @@ func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 	nOld := len(old.claims)
 	n := nOld + len(batch)
 	g := &graph{
-		claims:        batch,
-		items:         slices.Clip(old.items),
-		triples:       slices.Clip(old.triples),
-		itemOfTriple:  slices.Clip(old.itemOfTriple),
-		localOfTriple: slices.Clip(old.localOfTriple),
-		provKeys:      slices.Clip(old.provKeys),
-
-		provOfClaim:   csr.ExtendInt32(old.provOfClaim, n),
-		tripleOfClaim: csr.ExtendInt32(old.tripleOfClaim, n),
-		localOfClaim:  old.localOfClaim,
+		columns: idx.cols,
 
 		itemCandStart:    old.itemCandStart,
 		itemCands:        old.itemCands,
@@ -265,11 +301,17 @@ func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 		tripleClaimStart: old.tripleClaimStart,
 		tripleClaims:     old.tripleClaims,
 		tripleExtractors: old.tripleExtractors,
+		maxCandidates:    old.maxCandidates,
 	}
 	if nOld > 0 {
-		g.claims = append(append(make([]Claim, 0, n), old.claims...), batch...)
+		g.claims = append(g.claims, batch...)
+	} else {
+		g.claims = slices.Clip(batch) // aliased, so never appended into
 	}
-	idx.extOfClaim = csr.ExtendInt32(idx.extOfClaim, n)
+	g.provOfClaim = append(g.provOfClaim, make([]int32, len(batch))...)
+	g.tripleOfClaim = append(g.tripleOfClaim, make([]int32, len(batch))...)
+	g.localOfClaim = append(g.localOfClaim, make([]int32, len(batch))...)
+	idx.extOfClaim = append(idx.extOfClaim, make([]int32, len(batch))...)
 
 	switch {
 	case nOld > 0:
@@ -293,6 +335,8 @@ func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 	internItems(g, idx, len(old.triples))
 
 	assembleGraph(g, idx, nOld, len(old.triples), workers)
+	// The index keeps the spare capacity; the generation sees its own prefix.
+	idx.cols, g.columns = g.columns, g.columns.clipped()
 	return g
 }
 
@@ -372,11 +416,11 @@ func internClaimsParallel(g *graph, idx *claimIndex, workers int) {
 	extShards := make([][]string, workers)
 	triShards := make([][]kb.Triple, workers)
 	csr.ParallelRange(n, workers, func(w, lo, hi int) {
-		sg := &graph{
+		sg := &graph{columns: columns{
 			claims:        g.claims[lo:hi],
 			provOfClaim:   g.provOfClaim[lo:hi],
 			tripleOfClaim: g.tripleOfClaim[lo:hi],
-		}
+		}}
 		sidx := &claimIndex{extOfClaim: idx.extOfClaim[lo:hi]}
 		sidx.presize(hi - lo)
 		internClaims(sg, sidx, 0)
@@ -432,21 +476,21 @@ func internClaimsParallel(g *graph, idx *claimIndex, workers int) {
 
 // internItems extends the item ID space and per-item candidate offsets over
 // the triples from firstTriple on, walking them in ID order (the stream's
-// first-occurrence order). candCounts in g.itemCandStart form is not yet
-// available for new items, so offsets derive from a per-item running count
-// seeded from the existing spans.
+// first-occurrence order). A triple's offset is its item's candidate count so
+// far: for an item of the previous generation that is its existing span plus
+// what this walk added (kept sparsely — a batch touches few old items), for
+// an item the walk introduces a dense running count.
 func internItems(g *graph, idx *claimIndex, firstTriple int) {
 	need := len(g.triples) - firstTriple
-	if len(g.items) == 0 {
+	nOldItems := len(g.items)
+	if nOldItems == 0 {
 		// Nothing interned yet: size the table for the walk (items run to
 		// about half the triples).
 		idx.item = newInternTable(need/2, hashItem)
 	}
-	candCount := make([]int32, len(g.items), len(g.items)+need)
-	for i := range candCount {
-		candCount[i] = g.itemCandStart[i+1] - g.itemCandStart[i]
-	}
-	// One exact allocation per slice instead of append-doubling over the
+	var grown map[int32]int32       // old item -> candidates the walk added
+	fresh := make([]int32, 0, need) // candidate count per new item
+	// One allocation per slice at most instead of append-doubling over the
 	// triple walk (worst case every triple starts a new item).
 	g.items = slices.Grow(g.items, need)
 	g.itemOfTriple = slices.Grow(g.itemOfTriple, need)
@@ -459,11 +503,23 @@ func internItems(g *graph, idx *claimIndex, firstTriple int) {
 			iid = int32(len(g.items))
 			g.items = append(g.items, item)
 			idx.item.insert(h, iid)
-			candCount = append(candCount, 0)
+			fresh = append(fresh, 0)
+		}
+		var local int32
+		if int(iid) >= nOldItems {
+			local = fresh[int(iid)-nOldItems]
+			fresh[int(iid)-nOldItems]++
+		} else {
+			if grown == nil {
+				grown = map[int32]int32{}
+			}
+			local = g.itemCandStart[iid+1] - g.itemCandStart[iid] + grown[iid]
+			grown[iid]++
 		}
 		g.itemOfTriple = append(g.itemOfTriple, iid)
-		g.localOfTriple = append(g.localOfTriple, candCount[iid])
-		candCount[iid]++
+		g.localOfTriple = append(g.localOfTriple, local)
+		// Offsets count up from 0, so the largest one sizes the longest list.
+		g.maxCandidates = max(g.maxCandidates, int(local)+1)
 	}
 }
 
@@ -479,7 +535,6 @@ func assembleGraph(g *graph, idx *claimIndex, firstClaim, firstTriple, workers i
 	nTriples := len(g.triples)
 
 	// Claim -> item and claim -> local candidate offset, elementwise.
-	g.localOfClaim = csr.ExtendInt32(g.localOfClaim, n)
 	itemOfClaim := make([]int32, n-firstClaim)
 	ew := workers
 	if n-firstClaim < internShardThreshold {
@@ -501,13 +556,6 @@ func assembleGraph(g *graph, idx *claimIndex, firstClaim, firstTriple, workers i
 		g.provClaimStart, g.provClaims, g.provOfClaim[firstClaim:], len(g.provKeys), workers)
 	g.tripleClaimStart, g.tripleClaims = csr.AppendByGroup(
 		g.tripleClaimStart, g.tripleClaims, g.tripleOfClaim[firstClaim:], nTriples, workers)
-
-	g.maxCandidates = 0
-	for i := 0; i < nItems; i++ {
-		if c := int(g.itemCandStart[i+1] - g.itemCandStart[i]); c > g.maxCandidates {
-			g.maxCandidates = c
-		}
-	}
 
 	recountTripleExtractors(g, idx, firstClaim, firstTriple, workers)
 }
@@ -573,17 +621,22 @@ func unseen(n int) []int32 {
 // fresh Compile is this path run from the empty generation. Every ID space is
 // assigned in first-occurrence order, so the IDs of existing provenances,
 // items, triples and claims are unchanged and only the batch is interned,
-// against the index the previous generation left behind; the derived arrays
-// are then rebuilt around the old ones (array copies, no re-hashing of the
-// prefix). The batch interns sequentially; the shard-and-merge pass is chosen
+// against the index the previous generation left behind. The append-only
+// columns (claims, keys, per-claim and per-triple IDs) are extended in place
+// through that index — the receiver holds their clipped prefixes — and only
+// the arrays a batch rewrites for old IDs, the CSRs and support counts, are
+// rebuilt around the old ones (bulk copies, no re-hashing of the prefix). The
+// batch interns sequentially; the shard-and-merge pass is chosen
 // only for a batch of at least csr.ParallelThreshold claims, with more than
 // one worker, onto a generation holding no claims — a bulk Compile, or the
 // first Append onto an empty one.
 //
-// The receiver stays fully usable (its arrays are never mutated); the mutable
-// interning index moves to the returned generation, so appending repeatedly
-// should chain (g0 -> g1 -> g2 ...). A second Append on the same generation
-// is correct but rebuilds the index first. An Append that adds nothing costs
+// The receiver stays fully usable, also concurrently with this and later
+// Appends (no word it can address is ever written); the mutable interning
+// index moves to the returned generation, so appending repeatedly should
+// chain (g0 -> g1 -> g2 ...). A second Append on the same generation is
+// correct but rebuilds the index and copies the shared columns once, after
+// which that fork owns its own tail. An Append that adds nothing costs
 // O(1): it returns the next generation over the receiver's arrays. The caller
 // must not mutate either claim slice afterwards.
 func (c *Compiled) Append(claims []Claim) (*Compiled, error) {
@@ -625,6 +678,9 @@ func (c *Compiled) MustAppend(claims []Claim) *Compiled {
 func rebuildIndex(g *graph) *claimIndex {
 	extKeys, extOfClaim := internExtractors(g.claims)
 	return &claimIndex{
+		// Clipped, so this index's first append copies each column once and
+		// then owns its own tail: a fork never writes another chain's.
+		cols:       g.columns.clipped(),
 		prov:       buildInternTable(g.provKeys, nil),
 		ext:        buildInternTable(extKeys, nil),
 		tri:        buildInternTable(g.triples, hashTriple),

@@ -69,7 +69,9 @@ func fuzzCuts(lens ...uint16) []byte {
 // chunking of a feed through ClaimStream.Add and Append — zero-length
 // batches and batches that dedup to nothing included — builds the graph one
 // Compile of the whole feed's Claims builds, in every field but the
-// generation counter, which counts the batches.
+// generation counter, which counts the batches. A fork from a generation in
+// the middle of the chain, by two other batches, equals its own recompile and
+// leaves the chain as it was.
 func FuzzAppendChunking(f *testing.F) {
 	// The cuts of extract's TestExtractAppendChain: 1000 | 800 | 1 | 2189 | 10.
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), fuzzCuts(1000, 800, 1, 2189, 10), byte(1))
@@ -81,9 +83,9 @@ func FuzzAppendChunking(f *testing.F) {
 			return
 		}
 		xs := fuzzFeed(world, total)
-		gran := GranExtractorURL
+		gran, other := GranExtractorURL, GranExtractorSitePredPattern
 		if mode&1 == 1 {
-			gran = GranExtractorSitePredPattern
+			gran, other = other, gran
 		}
 		workers := 1 + int(mode>>1%4)
 
@@ -93,12 +95,37 @@ func FuzzAppendChunking(f *testing.F) {
 			t.Fatal(err)
 		}
 		at := lens[0]
-		for _, n := range lens[1:] {
+		mid, midAt := g, at // the generation the fork below leaves from
+		for i, n := range lens[1:] {
 			if g, err = g.AppendWorkers(stream.Add(xs[at:at+n]), workers); err != nil {
 				t.Fatal(err)
 			}
 			at += n
+			if i < len(lens)/2 {
+				mid, midAt = g, at
+			}
 		}
+
+		// Fork step: two more Appends leave from the middle generation, whose
+		// index the chain has taken (unless it is the last) — other batches
+		// than the chain's, re-flattened under the other granularity so they
+		// bring new provenances onto old triples. The fork equals its
+		// recompile, and the chain (checked below, after the fork) never
+		// notices it.
+		forkBatches := [][]Claim{Claims(xs[:total/3], other), Claims(xs[total/2:], other)}
+		input := append([]Claim{}, mid.Claims()...)
+		fork := mid
+		for _, batch := range forkBatches {
+			if fork, err = fork.AppendWorkers(batch, workers); err != nil {
+				t.Fatal(err)
+			}
+			input = append(input, batch...)
+			wantFork, _ := compile(input, workers)
+			graphsEqual(t, "fork", fork.g, wantFork)
+		}
+		wantMid, _ := compile(Claims(xs[:midAt], gran), workers)
+		graphsEqual(t, "forked-from generation", mid.g, wantMid)
+
 		want, _ := compile(Claims(xs, gran), workers)
 		graphsEqual(t, "chained", g.g, want)
 		if g.Generation() != len(lens)-1 {

@@ -11,7 +11,9 @@ import (
 // payloads, and the interned key tables. It is an accounting walk, not a
 // runtime measurement — deterministic, allocation-free, and cheap enough to
 // sample per shard — and it deliberately ignores allocator rounding and the
-// Append index byproduct, so treat it as a lower-bound working-set figure.
+// Append index byproduct, including the spare capacity a live append chain
+// holds on its shared columns (lengths are counted, not capacities), so treat
+// it as a lower-bound working-set figure.
 // The sharded benchmarks use it to record how corpus memory divides across
 // shards (max shard bytes vs the unsharded total).
 func (c *Compiled) ApproxBytes() int {

@@ -101,27 +101,23 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 
 	conf := r.F64s()
 	extOfClaim := r.Int32s()
-	g := &graph{
-		provKeys:      provKeys,
-		triples:       triples,
-		items:         items,
-		provOfClaim:   r.Int32s(),
-		tripleOfClaim: r.Int32s(),
-		localOfClaim:  r.Int32s(),
+	g := &graph{columns: columns{provKeys: provKeys, triples: triples, items: items}}
+	g.provOfClaim = r.Int32s()
+	g.tripleOfClaim = r.Int32s()
+	g.localOfClaim = r.Int32s()
 
-		itemClaimStart:   r.Int32s(),
-		itemClaims:       r.Int32s(),
-		itemCandStart:    r.Int32s(),
-		itemCands:        r.Int32s(),
-		itemOfTriple:     r.Int32s(),
-		localOfTriple:    r.Int32s(),
-		tripleClaimStart: r.Int32s(),
-		tripleClaims:     r.Int32s(),
-		tripleExtractors: r.Int32s(),
+	g.itemClaimStart = r.Int32s()
+	g.itemClaims = r.Int32s()
+	g.itemCandStart = r.Int32s()
+	g.itemCands = r.Int32s()
+	g.itemOfTriple = r.Int32s()
+	g.localOfTriple = r.Int32s()
+	g.tripleClaimStart = r.Int32s()
+	g.tripleClaims = r.Int32s()
+	g.tripleExtractors = r.Int32s()
 
-		provClaimStart: r.Int32s(),
-		provClaims:     r.Int32s(),
-	}
+	g.provClaimStart = r.Int32s()
+	g.provClaims = r.Int32s()
 	g.maxCandidates = r.Int()
 
 	n := len(conf)

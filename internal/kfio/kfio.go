@@ -147,18 +147,25 @@ func (r *ExtractionReader) Next() (extract.Extraction, error) {
 	return extract.Extraction{}, io.EOF
 }
 
+// batchPrealloc caps the capacity ReadBatch reserves before it has read a
+// byte (about 9 MB of records).
+const batchPrealloc = 1 << 16
+
 // ReadBatch returns up to max extractions (at least one unless the stream is
 // exhausted). It returns io.EOF — possibly alongside a final short batch —
 // when the stream ends, and *ErrPartialLine — alongside the complete records
 // before it — when the stream ends mid-line; any other error aborts the
 // batch. max must be positive: a non-positive max would return an empty
 // batch without ever reaching io.EOF, turning any read-until-EOF loop into a
-// spin.
+// spin. max bounds the batch, not the allocation: capacity up to
+// batchPrealloc records is reserved before reading and grows with the records
+// actually read beyond that, so "everything in one batch" (a huge max) is safe
+// on any feed.
 func (r *ExtractionReader) ReadBatch(max int) ([]extract.Extraction, error) {
 	if max <= 0 {
 		return nil, fmt.Errorf("kfio: ReadBatch size must be positive, got %d", max)
 	}
-	out := make([]extract.Extraction, 0, max)
+	out := make([]extract.Extraction, 0, min(max, batchPrealloc))
 	for len(out) < max {
 		x, err := r.Next()
 		if err == io.EOF {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -92,6 +93,66 @@ func TestExtractionStreamingRoundTrip(t *testing.T) {
 		if joined[i] != want[i] {
 			t.Fatalf("ReadBatch: record %d differs", i)
 		}
+	}
+}
+
+// TestReadBatchSizes is the table of batch sizes against a ten-record feed:
+// max bounds the batch, never the allocation, so a max far beyond the feed —
+// kfuse -append -chunk 2000000000 — must read the ten records instead of
+// dying in makeslice before the first byte.
+func TestReadBatchSizes(t *testing.T) {
+	want := manyExtractions(10)
+	var buf bytes.Buffer
+	if err := WriteExtractions(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		max, first int
+		wantErr    error // of the first call
+		invalid    bool
+	}{
+		{max: 0, invalid: true},
+		{max: -3, invalid: true},
+		{max: 1, first: 1},
+		{max: 4, first: 4},
+		{max: 10, first: 10}, // full batch: EOF only on the next call
+		{max: 11, first: 10, wantErr: io.EOF},
+		{max: batchPrealloc + 1, first: 10, wantErr: io.EOF},
+		{max: 2_000_000_000, first: 10, wantErr: io.EOF},
+		{max: math.MaxInt, first: 10, wantErr: io.EOF},
+	} {
+		r := NewExtractionReader(bytes.NewReader(buf.Bytes()))
+		batch, err := r.ReadBatch(tc.max)
+		if tc.invalid {
+			if err == nil || err == io.EOF || batch != nil {
+				t.Errorf("ReadBatch(%d) = %d records, %v; want a size error", tc.max, len(batch), err)
+			}
+			continue
+		}
+		if err != tc.wantErr || len(batch) != tc.first {
+			t.Errorf("ReadBatch(%d) = %d records, %v; want %d, %v", tc.max, len(batch), err, tc.first, tc.wantErr)
+			continue
+		}
+		if cap(batch) > batchPrealloc {
+			t.Errorf("ReadBatch(%d): capacity %d reserved for %d records", tc.max, cap(batch), len(batch))
+		}
+		for i := range batch {
+			if batch[i] != want[i] {
+				t.Errorf("ReadBatch(%d): record %d differs", tc.max, i)
+				break
+			}
+		}
+	}
+
+	// Past the reserved capacity the batch grows with what is read.
+	big := manyExtractions(batchPrealloc + 5)
+	buf.Reset()
+	if err := WriteExtractions(&buf, big); err != nil {
+		t.Fatal(err)
+	}
+	batch, err := NewExtractionReader(&buf).ReadBatch(math.MaxInt)
+	if err != io.EOF || len(batch) != len(big) || batch[len(big)-1] != big[len(big)-1] {
+		t.Fatalf("ReadBatch past the reserved capacity: %d records, %v; want %d, EOF", len(batch), err, len(big))
 	}
 }
 

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"kfusion/internal/csr"
 	"kfusion/internal/extract"
@@ -24,9 +24,15 @@ type TwoLayer struct {
 
 	// ghosts[s][ls] lists, ascending, the global IDs of extractors that
 	// processed shard s's local source ls only in other shards — rebuilt
-	// after appends (the extractor sets may have grown).
-	ghosts  [][][]int32
-	gmDirty bool
+	// when an append grew some shard's source→extractor lists. ghostSig is
+	// what they were last built from: per shard its source count and its
+	// (source, extractor) pair count, then the global extractor count. The
+	// lists only grow, so an equal signature means equal lists.
+	ghosts   [][][]int32
+	ghostSig []int
+	// ensureGhosts' scratch, reused across rebuilds: global source gs's
+	// extractor union is unionFlat[unionStart[gs]:unionEnd[gs]].
+	unionStart, unionEnd, unionFlat []int32
 }
 
 // NewTwoLayer returns an empty K-shard two-layer pipeline at the given
@@ -43,7 +49,6 @@ func NewTwoLayer(k int, siteLevel bool) (*TwoLayer, error) {
 		graphs:    make([]*extract.Compiled, k),
 		srcs:      csr.NewIDTable(k),
 		exts:      csr.NewIDTable(k),
-		gmDirty:   true,
 	}, nil
 }
 
@@ -100,7 +105,6 @@ func (t *TwoLayer) Append(xs []extract.Extraction) {
 		}
 		t.extendTables(s)
 	}
-	t.gmDirty = true
 }
 
 func (t *TwoLayer) extendTables(s int) {
@@ -109,56 +113,81 @@ func (t *TwoLayer) extendTables(s int) {
 	t.exts.Extend(s, g.NumExtractors(), func(i int32) string { return g.ExtractorName(i) })
 }
 
-// ensureGhosts rebuilds the per-shard ghost extractor sets: for each global
-// source, the union of its extractor sets across shards, minus each holding
-// shard's local set. With K = 1 there are no ghosts and the driver keeps
-// its nil (bit-identical) path.
+// ensureGhosts brings the per-shard ghost extractor sets up to date: for each
+// global source, the union of its extractor sets across shards, minus each
+// holding shard's local set. With K = 1 there are no ghosts and the driver
+// keeps its nil (bit-identical) path.
 func (t *TwoLayer) ensureGhosts() {
-	if !t.gmDirty {
-		return
-	}
-	t.gmDirty = false
 	if t.k == 1 {
-		t.ghosts = nil
 		return
 	}
-	union := make([][]int32, t.srcs.N()) // global source -> global exts, sorted
+	sig := make([]int, 0, 2*t.k+1)
+	for _, g := range t.graphs {
+		sig = append(sig, g.NumSources(), g.NumSourceExtractors())
+	}
+	sig = append(sig, t.exts.N())
+	if slices.Equal(sig, t.ghostSig) {
+		return
+	}
+	t.ghostSig = sig
+
+	// Unions, by counting sort into one flat buffer: count the list lengths
+	// per global source, prefix-sum, fill, then sort and dedup each segment.
+	nSrc := t.srcs.N()
+	start := slices.Grow(t.unionStart[:0], nSrc+1)[:nSrc+1]
+	end := slices.Grow(t.unionEnd[:0], nSrc)[:nSrc]
+	clear(start)
+	for s, g := range t.graphs {
+		for ls := 0; ls < g.NumSources(); ls++ {
+			start[t.srcs.Global(s, ls)+1] += int32(len(g.SourceExtractors(int32(ls))))
+		}
+	}
+	for gs := 0; gs < nSrc; gs++ {
+		start[gs+1] += start[gs]
+	}
+	copy(end, start)
+	flat := slices.Grow(t.unionFlat[:0], int(start[nSrc]))[:start[nSrc]]
 	for s, g := range t.graphs {
 		for ls := 0; ls < g.NumSources(); ls++ {
 			gs := t.srcs.Global(s, ls)
 			for _, lx := range g.SourceExtractors(int32(ls)) {
-				union[gs] = append(union[gs], t.exts.Global(s, int(lx)))
+				flat[end[gs]] = t.exts.Global(s, int(lx))
+				end[gs]++
 			}
 		}
 	}
-	for gs := range union {
-		u := union[gs]
-		sort.Slice(u, func(i, j int) bool { return u[i] < u[j] })
-		w := 0
-		for i, x := range u {
-			if i == 0 || x != u[i-1] {
-				u[w] = x
-				w++
-			}
-		}
-		union[gs] = u[:w]
+	for gs := 0; gs < nSrc; gs++ {
+		u := flat[start[gs]:end[gs]]
+		slices.Sort(u)
+		end[gs] = start[gs] + int32(len(slices.Compact(u)))
 	}
+	t.unionStart, t.unionEnd, t.unionFlat = start, end, flat
+
+	// A local list is a subset of its source's union, so shard s holds
+	// exactly (sum of its sources' union sizes) - (its pair count) ghosts.
 	t.ghosts = make([][][]int32, t.k)
 	local := make([]bool, t.exts.N())
 	for s, g := range t.graphs {
+		n := -g.NumSourceExtractors()
+		for ls := 0; ls < g.NumSources(); ls++ {
+			gs := t.srcs.Global(s, ls)
+			n += int(end[gs] - start[gs])
+		}
+		ghostFlat := make([]int32, 0, n)
 		t.ghosts[s] = make([][]int32, g.NumSources())
 		for ls := 0; ls < g.NumSources(); ls++ {
 			exts := g.SourceExtractors(int32(ls))
 			for _, lx := range exts {
 				local[t.exts.Global(s, int(lx))] = true
 			}
-			var ghost []int32
-			for _, gx := range union[t.srcs.Global(s, ls)] {
+			gs := t.srcs.Global(s, ls)
+			lo := len(ghostFlat)
+			for _, gx := range flat[start[gs]:end[gs]] {
 				if !local[gx] {
-					ghost = append(ghost, gx)
+					ghostFlat = append(ghostFlat, gx)
 				}
 			}
-			t.ghosts[s][ls] = ghost
+			t.ghosts[s][ls] = ghostFlat[lo:]
 			for _, lx := range exts {
 				local[t.exts.Global(s, int(lx))] = false
 			}
