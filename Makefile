@@ -38,18 +38,21 @@ fault:
 
 # fuzz-smoke gives each fuzz target a short budget, short enough for every CI
 # push: the corruption-facing ones, long enough to catch a decoder regression
-# on mutated snapshot/journal/JSONL bytes, and the engine-level ones — any
-# chunking of a feed through Append builds the graph one Compile builds.
+# on mutated snapshot/journal/JSONL bytes (FuzzDecodeExtraction: the
+# schema-specialised extraction decoder ≡ encoding/json, line by line), and
+# the engine-level ones — any chunking of a feed through Append builds the
+# graph one Compile builds.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 15s ./internal/genstore/
 	$(GO) test -run '^$$' -fuzz FuzzJournalParse -fuzztime 15s ./internal/genstore/
 	$(GO) test -run '^$$' -fuzz FuzzExtractionStream -fuzztime 15s ./internal/kfio/
 	$(GO) test -run '^$$' -fuzz FuzzReadExtractions -fuzztime 15s ./internal/kfio/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeExtraction -fuzztime 15s ./internal/kfio/
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s ./internal/extract/
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s ./internal/fusion/
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd' -benchtime 1x -benchmem .
 
 # bench-json regenerates the machine-readable perf record (see BENCH_<n>.json;
 # bump N per PR that moves performance): the throughput benchmarks, the

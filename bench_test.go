@@ -10,6 +10,8 @@ package kfusion
 // cleared per iteration so timings measure real recomputation.
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,6 +23,7 @@ import (
 	"kfusion/internal/extract"
 	"kfusion/internal/fusion"
 	"kfusion/internal/kbstore"
+	"kfusion/internal/kfio"
 	"kfusion/internal/mapreduce"
 	"kfusion/internal/twolayer"
 	"kfusion/internal/web"
@@ -454,6 +457,55 @@ func BenchmarkCompileClaimGraph(b *testing.B) {
 			b.ReportMetric(float64(len(claims))*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
 		})
 	}
+}
+
+// BenchmarkReadExtractions measures feed ingestion alone: the bench dataset
+// encoded once into memory, then ReadBatch(8192) to EOF per iteration — MB/s,
+// records/s and (with -benchmem) bytes and allocations per parsed feed.
+func BenchmarkReadExtractions(b *testing.B) {
+	xs := benchDataset(b).Extractions
+	var feed bytes.Buffer
+	if err := kfio.WriteExtractions(&feed, xs); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(feed.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := kfio.NewExtractionReader(bytes.NewReader(feed.Bytes()))
+		n := 0
+		for {
+			batch, err := r.ReadBatch(8192)
+			n += len(batch)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if n != len(xs) {
+			b.Fatalf("read %d of %d records", n, len(xs))
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(xs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkClaimStreamAdd measures the flatten step alone: one fresh
+// ClaimStream per iteration fed the bench dataset in ReadBatch-sized batches.
+func BenchmarkClaimStreamAdd(b *testing.B) {
+	xs := benchDataset(b).Extractions
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := fusion.NewClaimStream(fusion.Granularity{})
+		for off := 0; off < len(xs); off += 8192 {
+			s.Add(xs[off:min(off+8192, len(xs))])
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(xs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkMapReduceScaling measures the fusion pipeline at several worker

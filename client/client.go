@@ -38,6 +38,7 @@ import (
 
 	"kfusion/internal/extract"
 	"kfusion/internal/httpapi"
+	"kfusion/internal/kfio"
 )
 
 // Client talks to one kfserved instance. It is safe for concurrent use.
@@ -163,7 +164,7 @@ func (c *Client) Triples(ctx context.Context, q TriplesQuery) (*httpapi.TriplesR
 func (c *Client) Append(ctx context.Context, batch []extract.Extraction) (*httpapi.AppendResponse, error) {
 	req := httpapi.AppendRequest{Extractions: make([]httpapi.Extraction, 0, len(batch))}
 	for _, x := range batch {
-		req.Extractions = append(req.Extractions, httpapi.FromExtraction(x))
+		req.Extractions = append(req.Extractions, kfio.RecordOf(x))
 	}
 	return c.AppendWire(ctx, &req)
 }

@@ -444,10 +444,8 @@ func (j *job) streamChunks(skip int, durable bool, step func([]extract.Extractio
 	}
 	defer f.Close()
 	r := kfio.NewExtractionReader(f)
-	for i := 0; i < skip; i++ {
-		if _, err := r.Next(); err != nil {
-			log.Fatalf("state has consumed %d records but the feed ends after %d: %v", skip, i, err)
-		}
+	if n, err := r.Skip(skip); err != nil {
+		log.Fatalf("state has consumed %d records but the feed ends after %d: %v", skip, n, err)
 	}
 	for {
 		batch, rerr := r.ReadBatch(j.chunk)

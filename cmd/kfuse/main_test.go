@@ -70,7 +70,9 @@ func fusedBytes(t *testing.T, res *fusion.Result) []byte {
 // — every complete record is fused (the sharded drivers used to drop the
 // trailing short chunk). With -state the trailing records are deferred so the
 // consumed count stays chunk-aligned, and the rerun over the finished feed
-// resumes to output byte-identical to an uninterrupted run.
+// resumes to output byte-identical to an uninterrupted run — over a feed
+// whose already-consumed lines no longer parse, so the resume is shown to
+// count them (ExtractionReader.Skip) rather than decode and discard them.
 func TestAppendTornFinalLine(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(os.Stderr)
@@ -120,6 +122,21 @@ func TestAppendTornFinalLine(t *testing.T) {
 		}
 	}
 
+	// The finished feed with its consumed prefix scrubbed: same line count,
+	// nothing in the first n/chunk*chunk lines a parser would accept.
+	fullBytes, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(fullBytes, []byte("\n"))
+	for i := 0; i < n/chunk*chunk; i++ {
+		lines[i] = []byte("consumed\n")
+	}
+	scrubbed := filepath.Join(dir, "scrubbed.jsonl")
+	if err := os.WriteFile(scrubbed, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	// Durable: defer the short chunk, then resume byte-identically.
 	for name, run := range map[string]appendRun{
 		"popaccu": claim(1), "popaccu/K=3": claim(3), "twolayer": twoLayer(1),
@@ -128,7 +145,7 @@ func TestAppendTornFinalLine(t *testing.T) {
 		if _, consumed := run(torn, state); consumed != n/chunk*chunk {
 			t.Errorf("%s durable: consumed %d records of the torn feed, want the %d chunk-aligned ones", name, consumed, n/chunk*chunk)
 		}
-		resumed, consumed := run(full, state)
+		resumed, consumed := run(scrubbed, state)
 		if consumed != n {
 			t.Errorf("%s durable: resumed run consumed %d records, want %d", name, consumed, n)
 		}

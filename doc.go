@@ -79,9 +79,12 @@
 //     R=5 recompile's evaluation quality within documented WDev/AUC-PR
 //     bounds at a fraction of the cost (kfbench's AppendVsRecompile
 //     records; ~5x on a 10% batch). ClaimStream carries the claim dedup
-//     across batches, kfio streams JSONL chunks, `kfuse -append` drives
-//     the whole streaming pipeline, and Datasets grow generation-aware
-//     caches through AppendExtractions.
+//     across batches, kfio streams JSONL chunks (extraction records
+//     through a decoder specialised to their schema that interns repeated
+//     field values, with encoding/json as the per-line fallback and the
+//     test reference), `kfuse -append` drives the whole streaming
+//     pipeline, and Datasets grow generation-aware caches through
+//     AppendExtractions.
 //
 //     The streaming pipeline is durable. internal/genstore persists
 //     compiled graph generations to a checksummed, versioned snapshot file

@@ -3,6 +3,7 @@ package fusion
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -175,23 +176,85 @@ func TestAppendNothingIsConstantCost(t *testing.T) {
 	}
 }
 
-// TestClaimStreamMatchesClaims pins the incremental flattening: Add batches
-// concatenated reproduce Claims over the whole feed, including cross-batch
-// (provenance, triple) dedup.
+// claimsRef is the flatten loop as it stood before ClaimStream reused keys
+// and hashed each record once — a fresh key per record, lookup then insert —
+// kept as the oracle for Claims and ClaimStream.Add.
+func claimsRef(xs []extract.Extraction, g Granularity) []Claim {
+	seen := make(map[provTriple]bool, len(xs))
+	out := make([]Claim, 0, len(xs))
+	for _, x := range xs {
+		prov := g.Key(x)
+		k := provTriple{prov: prov, triple: x.Triple}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		out = append(out, Claim{Triple: x.Triple, Prov: prov, Conf: x.Confidence, Extractor: x.Extractor})
+	}
+	return out
+}
+
+// TestClaimStreamMatchesClaims pins the flattening against claimsRef for
+// every granularity preset: Claims over the whole feed, and Add batches cut
+// at random boundaries then concatenated, including cross-batch (provenance,
+// triple) dedup. The feed lists each page's records together (where Add
+// reuses the previous key), revisits pages later, repeats records verbatim,
+// and interleaves two pages record by record (where it must not).
 func TestClaimStreamMatchesClaims(t *testing.T) {
-	xs := benchExtractions(400)
-	for _, gran := range []Granularity{GranExtractorURL, GranExtractorSitePredPattern} {
-		want := Claims(xs, gran)
-		s := NewClaimStream(gran)
-		var got []Claim
-		for _, cut := range [][2]int{{0, 100}, {100, 101}, {101, 400}} {
-			got = append(got, s.Add(xs[cut[0]:cut[1]])...)
+	rng := rand.New(rand.NewSource(11))
+	rec := func(page, i int) extract.Extraction {
+		site := fmt.Sprintf("site%d", page%5)
+		return extract.Extraction{
+			Triple: kb.Triple{
+				Subject:   kb.EntityID(fmt.Sprintf("/m/%d", rng.Intn(40))),
+				Predicate: kb.PredicateID(fmt.Sprintf("/p/%d", rng.Intn(3))),
+				Object:    kb.StringObject(fmt.Sprintf("v%d", rng.Intn(4))),
+			},
+			Extractor:  fmt.Sprintf("E%d", (page+i/4)%3), // runs of one extractor on one page
+			Pattern:    fmt.Sprintf("pat%d", rng.Intn(2)),
+			URL:        fmt.Sprintf("http://%s/page%d", site, page),
+			Site:       site,
+			Confidence: rng.Float64(),
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("gran %v: streamed claims diverge from Claims (%d vs %d)", gran, len(got), len(want))
+	}
+	var xs []extract.Extraction
+	for page := 0; page < 60; page++ {
+		for i, n := 0, 1+rng.Intn(12); i < n; i++ {
+			xs = append(xs, rec(page%25, i)) // pages 0..24, then revisited
+			if rng.Intn(6) == 0 {
+				xs = append(xs, xs[rng.Intn(len(xs))]) // a verbatim repeat
+			}
 		}
-		if s.NumClaims() != len(want) {
-			t.Fatalf("gran %v: NumClaims = %d, want %d", gran, s.NumClaims(), len(want))
+	}
+	for i := 0; i < 40; i++ {
+		xs = append(xs, rec(3+i%2, i)) // two pages interleaved
+	}
+
+	for _, gran := range []Granularity{
+		GranExtractorURL, GranExtractorSite, GranExtractorSitePred,
+		GranExtractorSitePredPattern, GranExtractorOnly, GranSourceOnly,
+	} {
+		want := claimsRef(xs, gran)
+		if len(want) == len(xs) {
+			t.Fatalf("gran %v: the feed has no duplicate (provenance, triple) pair to dedup", gran)
+		}
+		if got := Claims(xs, gran); !reflect.DeepEqual(got, want) {
+			t.Fatalf("gran %v: Claims diverges from the reference loop (%d vs %d claims)", gran, len(got), len(want))
+		}
+		for trial := 0; trial < 5; trial++ {
+			s := NewClaimStream(gran)
+			var got []Claim
+			for off := 0; off < len(xs); {
+				n := rng.Intn(min(120, len(xs)-off) + 1) // empty batches included
+				got = append(got, s.Add(xs[off:off+n])...)
+				off += n
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("gran %v: streamed claims diverge from the reference loop (%d vs %d)", gran, len(got), len(want))
+			}
+			if s.NumClaims() != len(want) {
+				t.Fatalf("gran %v: NumClaims = %d, want %d", gran, s.NumClaims(), len(want))
+			}
 		}
 	}
 }

@@ -18,11 +18,18 @@ type ClaimStream struct {
 	gran Granularity
 	seen map[provTriple]bool
 	n    int
+	// last is the record lastKey was built from. A feed lists a page's
+	// extractions together, so most records share their provenance with the
+	// one before and reuse its key instead of building an equal string.
+	last    extract.Extraction
+	lastKey string
 }
 
 // NewClaimStream returns an empty stream flattening under g.
-func NewClaimStream(g Granularity) *ClaimStream {
-	return &ClaimStream{gran: g, seen: make(map[provTriple]bool, 1024)}
+func NewClaimStream(g Granularity) *ClaimStream { return newClaimStream(g, 1024) }
+
+func newClaimStream(g Granularity, sizeHint int) *ClaimStream {
+	return &ClaimStream{gran: g, seen: make(map[provTriple]bool, sizeHint), lastKey: g.Key(extract.Extraction{})}
 }
 
 // Granularity reports the stream's provenance granularity.
@@ -36,14 +43,19 @@ func (s *ClaimStream) NumClaims() int { return s.n }
 // reproduces Claims over the concatenated feed exactly.
 func (s *ClaimStream) Add(xs []extract.Extraction) []Claim {
 	out := make([]Claim, 0, len(xs))
-	for _, x := range xs {
-		prov := s.gran.Key(x)
-		k := provTriple{prov: prov, triple: x.Triple}
-		if s.seen[k] {
+	for i := range xs {
+		x := &xs[i]
+		if !s.gran.sameKey(x, &s.last) {
+			s.last, s.lastKey = *x, s.gran.Key(*x)
+		}
+		// One hash of the 88-byte key: insert, and a set that did not grow
+		// had the pair already.
+		n := len(s.seen)
+		s.seen[provTriple{prov: s.lastKey, triple: x.Triple}] = true
+		if len(s.seen) == n {
 			continue
 		}
-		s.seen[k] = true
-		out = append(out, Claim{Triple: x.Triple, Prov: prov, Conf: x.Confidence, Extractor: x.Extractor})
+		out = append(out, Claim{Triple: x.Triple, Prov: s.lastKey, Conf: x.Confidence, Extractor: x.Extractor})
 	}
 	s.n += len(out)
 	return out

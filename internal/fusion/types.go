@@ -150,6 +150,24 @@ func (g Granularity) Key(x extract.Extraction) string {
 	return b.String()
 }
 
+// sameKey reports whether Key builds equal keys for a and b, by comparing
+// exactly the fields Key reads.
+func (g Granularity) sameKey(a, b *extract.Extraction) bool {
+	if g.SourceOnly {
+		return a.URL == b.URL
+	}
+	if a.Extractor != b.Extractor {
+		return false
+	}
+	if !g.ExtractorOnly {
+		if g.SiteLevel && a.Site != b.Site || !g.SiteLevel && a.URL != b.URL {
+			return false
+		}
+	}
+	return (!g.PerPredicate || a.Triple.Predicate == b.Triple.Predicate) &&
+		(!g.PerPattern || a.Pattern == b.Pattern)
+}
+
 // Claim is one (triple, provenance) assertion — the unit the fusion methods
 // consume after reducing the 3-dimensional input.
 type Claim struct {
@@ -174,18 +192,7 @@ type provTriple struct {
 // append-only feed converted batch by batch, use ClaimStream, which carries
 // the dedup set across batches.
 func Claims(xs []extract.Extraction, g Granularity) []Claim {
-	seen := make(map[provTriple]bool, len(xs))
-	out := make([]Claim, 0, len(xs))
-	for _, x := range xs {
-		prov := g.Key(x)
-		k := provTriple{prov: prov, triple: x.Triple}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, Claim{Triple: x.Triple, Prov: prov, Conf: x.Confidence, Extractor: x.Extractor})
-	}
-	return out
+	return newClaimStream(g, len(xs)).Add(xs)
 }
 
 // FusedTriple is one output row: a unique triple with its predicted

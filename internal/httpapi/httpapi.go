@@ -30,13 +30,16 @@
 package httpapi
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/url"
 	"strconv"
 
 	"kfusion/internal/extract"
 	"kfusion/internal/fusion"
-	"kfusion/internal/kb"
+	"kfusion/internal/kfio"
 )
 
 // Version is the API version prefix of every data route.
@@ -135,63 +138,18 @@ type ErrorResponse struct {
 	Message string `json:"message"`
 }
 
-// Extraction is the wire form of one extraction — field-compatible with the
-// kfio JSONL record, so a JSONL feed wraps into an AppendRequest with
-// nothing but `jq -s '{extractions: .}'`. Confidence -1 means "extractor
-// reports none", as everywhere in the pipeline; the simulator's error
-// attribution never crosses the wire (it is ground truth, not data).
-type Extraction struct {
-	Subject   string `json:"s"`
-	Predicate string `json:"p"`
-	// Object is in kb.Object.String tagged form: "e:/m/x", "s:text", "n:3".
-	Object    string  `json:"o"`
-	Extractor string  `json:"extractor"`
-	Pattern   string  `json:"pattern,omitempty"`
-	URL       string  `json:"url"`
-	Site      string  `json:"site"`
-	Conf      float64 `json:"conf"`
-}
-
-// ToExtraction converts the wire form to the pipeline's extraction type.
-func (e Extraction) ToExtraction() (extract.Extraction, error) {
-	obj, err := kb.ParseObject(e.Object)
-	if err != nil {
-		return extract.Extraction{}, err
-	}
-	return extract.Extraction{
-		Triple: kb.Triple{
-			Subject:   kb.EntityID(e.Subject),
-			Predicate: kb.PredicateID(e.Predicate),
-			Object:    obj,
-		},
-		Extractor:  e.Extractor,
-		Pattern:    e.Pattern,
-		URL:        e.URL,
-		Site:       e.Site,
-		Confidence: e.Conf,
-	}, nil
-}
-
-// FromExtraction converts a pipeline extraction to the wire form.
-func FromExtraction(x extract.Extraction) Extraction {
-	return Extraction{
-		Subject:   string(x.Triple.Subject),
-		Predicate: string(x.Triple.Predicate),
-		Object:    x.Triple.Object.String(),
-		Extractor: x.Extractor,
-		Pattern:   x.Pattern,
-		URL:       x.URL,
-		Site:      x.Site,
-		Conf:      x.Confidence,
-	}
-}
+// Extraction is the wire form of one extraction — the kfio JSONL record
+// itself, so a JSONL feed wraps into an AppendRequest with nothing but
+// `jq -s '{extractions: .}'` and the two serializations cannot drift.
+// kfio.RecordOf builds one from a pipeline extraction.
+type Extraction = kfio.ExtractionRecord
 
 // ToBatch converts a wire batch, reporting the first unparsable record
 // wrapped in ErrBadBatch.
 func ToBatch(es []Extraction) ([]extract.Extraction, error) {
 	out := make([]extract.Extraction, 0, len(es))
-	for i, e := range es {
-		x, err := e.ToExtraction()
+	for i := range es {
+		x, err := es[i].ToExtraction()
 		if err != nil {
 			return nil, &BadBatchError{Index: i, Reason: err.Error()}
 		}
@@ -264,6 +222,64 @@ type TriplesResponse struct {
 // AppendRequest is the POST /v1/append body.
 type AppendRequest struct {
 	Extractions []Extraction `json:"extractions"`
+}
+
+// DecodeAppendRequest reads and decodes a POST /v1/append body. A body in
+// the shape the client sends — the extractions array alone, every record in
+// kfio.RecordDecoder's fast shape — is decoded without reflection through a
+// per-request symbol table. Anything else, a read error included, goes to
+// encoding/json's streaming decoder over the same bytes, so which bodies are
+// accepted (down to trailing bytes after the first JSON value), what they
+// decode to and every error are encoding/json's.
+func DecodeAppendRequest(body io.Reader) (AppendRequest, error) {
+	read, err := io.ReadAll(body)
+	if err == nil {
+		if req, ok := decodeAppendFast(read); ok {
+			return req, nil
+		}
+	}
+	var req AppendRequest
+	err = json.NewDecoder(io.MultiReader(bytes.NewReader(read), body)).Decode(&req)
+	return req, err
+}
+
+func decodeAppendFast(b []byte) (req AppendRequest, ok bool) {
+	i := 0
+	for _, tok := range []string{"{", `"extractions"`, ":", "["} {
+		if i = after(b, i, tok); i < 0 {
+			return req, false
+		}
+	}
+	var dec kfio.RecordDecoder
+	for {
+		rec, end, ok := dec.Decode(b, i)
+		if !ok {
+			return req, false
+		}
+		req.Extractions = append(req.Extractions, rec)
+		if i = after(b, end, ","); i < 0 {
+			i = end
+			break
+		}
+	}
+	for _, tok := range []string{"]", "}"} {
+		if i = after(b, i, tok); i < 0 {
+			return req, false
+		}
+	}
+	return req, after(b, i, "") == len(b)
+}
+
+// after returns the index just past tok when tok is what follows any JSON
+// whitespace at b[i:], and -1 otherwise.
+func after(b []byte, i int, tok string) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	if len(b)-i < len(tok) || string(b[i:i+len(tok)]) != tok {
+		return -1
+	}
+	return i + len(tok)
 }
 
 // AppendResponse reports the generation the append published.

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"kfusion/internal/extract"
 	"kfusion/internal/fusion"
 	"kfusion/internal/kb"
+	"kfusion/internal/kfio"
 )
 
 func TestExtractionRoundTrip(t *testing.T) {
@@ -39,13 +41,76 @@ func TestExtractionRoundTrip(t *testing.T) {
 			Confidence: -1,
 		},
 	}
+	var req AppendRequest
 	for _, x := range xs {
-		back, err := FromExtraction(x).ToExtraction()
-		if err != nil {
-			t.Fatalf("ToExtraction: %v", err)
+		req.Extractions = append(req.Extractions, kfio.RecordOf(x))
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeAppendRequest(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("DecodeAppendRequest: %v", err)
+	}
+	back, err := ToBatch(got.Extractions)
+	if err != nil {
+		t.Fatalf("ToBatch: %v", err)
+	}
+	if len(back) != len(xs) {
+		t.Fatalf("round trip kept %d of %d extractions", len(back), len(xs))
+	}
+	for i, x := range xs {
+		if back[i] != x {
+			t.Fatalf("round trip changed extraction %d:\n got %+v\nwant %+v", i, back[i], x)
 		}
-		if back != x {
-			t.Fatalf("round trip changed the extraction:\n got %+v\nwant %+v", back, x)
+	}
+}
+
+// TestDecodeAppendFastShape pins which bodies the reflection-free path
+// decides: the shape the client sends, whitespace allowed, and nothing else —
+// every other body is left, undecided, to encoding/json.
+func TestDecodeAppendFastShape(t *testing.T) {
+	const rec = `{"s":"/m/1","p":"/p","o":"s:v","extractor":"X","url":"u","site":"a","conf":0.5}`
+	for _, tc := range []struct {
+		body string
+		fast bool
+	}{
+		{`{"extractions":[` + rec + `]}`, true},
+		{`{"extractions":[` + rec + `,` + rec + `]}`, true},
+		{" {\n\"extractions\" : [ " + rec + " ,\n" + rec + " ] }\r\n", true},
+		{`{"extractions":[]}`, false},
+		{`{"extractions":null}`, false},
+		{`{"Extractions":[` + rec + `]}`, false},
+		{`{"extractions":[` + rec + `],"note":1}`, false},
+		{`{"extractions":[` + rec + `]} trailing`, false},
+		{`{"extractions":[` + rec + `]}{}`, false},
+		{`{"extractions":[` + rec + `,]}`, false},
+		{`{"extractions":[` + rec + ` ` + rec + `]}`, false},
+		{`{"extractions":[{"s":"caf\u00e9","p":"/p","o":"s:v"}]}`, false},
+		{`{"extractions":[{"S":"/m/1","p":"/p","o":"s:v"}]}`, false},
+		{`{"extractions":[{"s":null,"p":"/p","o":"s:v"}]}`, false},
+		{`{"extractions":[` + rec, false},
+		{``, false},
+	} {
+		req, ok := decodeAppendFast([]byte(tc.body))
+		if ok != tc.fast {
+			t.Errorf("decodeAppendFast(%q) decided = %v, want %v", tc.body, ok, tc.fast)
+		}
+		if !ok {
+			continue
+		}
+		var want AppendRequest
+		if err := json.Unmarshal([]byte(tc.body), &want); err != nil {
+			t.Fatalf("fast path accepted %q, encoding/json rejects it: %v", tc.body, err)
+		}
+		if len(req.Extractions) != len(want.Extractions) {
+			t.Fatalf("%q: %d records, encoding/json %d", tc.body, len(req.Extractions), len(want.Extractions))
+		}
+		for i := range want.Extractions {
+			if req.Extractions[i] != want.Extractions[i] {
+				t.Errorf("%q: record %d = %+v, encoding/json %+v", tc.body, i, req.Extractions[i], want.Extractions[i])
+			}
 		}
 	}
 }

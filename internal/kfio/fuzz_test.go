@@ -1,8 +1,11 @@
 package kfio
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -114,5 +117,87 @@ func FuzzExtractionStream(f *testing.F) {
 			}
 			return // parse error: fine, just must not panic
 		}
+	})
+}
+
+// FuzzDecodeExtraction pins the schema-specialised decoder to encoding/json
+// on arbitrary bytes: whenever RecordDecoder accepts a line, json.Unmarshal
+// into a fresh record accepts it with an equal record; and the reader's
+// accept/reject, record and error text for every line equal the pre-decoder
+// parser's (parseExtractionLineRef).
+func FuzzDecodeExtraction(f *testing.F) {
+	whole := `{"s":"/m/1","p":"/p/x","o":"s:v","extractor":"TXT1","url":"u","site":"s","conf":0.5}`
+	for _, seed := range []string{
+		// The FuzzReadExtractions and FuzzExtractionStream corpora.
+		whole,
+		`{"s":"a","p":"b","o":"n:12","extractor":"E","url":"u","site":"s","conf":-1}`,
+		"",
+		"{not json",
+		`{"s":"a","p":"b","o":"zz:bad"}`,
+		whole + "\n" + whole,
+		whole + "\n" + whole[:len(whole)/2],
+		whole[:10],
+		"\n\n",
+		// encoding/json matches keys case-insensitively; the last duplicate wins.
+		`{"S":"a","p":"b","o":"s:x","Conf":2}`,
+		`{"s":"first","s":"last","p":"b","o":"s:x"}`,
+		`{"conf":1,"conf":2,"s":"a","p":"b","o":"s:x"}`,
+		// Escapes, surrogates, invalid UTF-8 (json substitutes U+FFFD).
+		`{"s":"caf\u00e9","p":"\/p","o":"s:\ud83d\ude00"}`,
+		`{"s":"\ud83d","p":"b","o":"s:x"}`,
+		`{"s":"a\"b","p":"b\\","o":"s:x"}`,
+		"{\"s\":\"a\xffb\",\"p\":\"\xc3\",\"o\":\"s:x\"}",
+		"{\"s\":\"tab\there\",\"p\":\"b\",\"o\":\"s:x\"}",
+		`{"s":"café","p":"b","o":"s:日本"}`,
+		// null for a string and for conf; a quoted number.
+		`{"s":null,"p":"b","o":"s:x","conf":null}`,
+		`{"s":"a","p":"b","o":"s:x","conf":"1"}`,
+		// The number grammar, where strconv.ParseFloat is laxer than JSON.
+		`{"o":"s:x","conf":-0}`,
+		`{"o":"s:x","conf":1e5}`,
+		`{"o":"s:x","conf":1E+5}`,
+		`{"o":"s:x","conf":01}`,
+		`{"o":"s:x","conf":1.}`,
+		`{"o":"s:x","conf":.5}`,
+		`{"o":"s:x","conf":1e999}`,
+		`{"o":"s:x","conf":-}`,
+		`{"o":"s:x","conf":0x10}`,
+		`{"o":"s:x","conf":Inf}`,
+		`{"o":"s:x","conf":1_0}`,
+		`{"o":"n:NaN","conf":0.25}`,
+		// Whitespace between every token; structure traps.
+		" { \"s\" : \"a\" , \"p\" : \"b\" ,\t\"o\" : \"s:x\" , \"conf\" : 1 } \r",
+		`{"s":"a","p":"b","o":"s:x","extra":{"k":[1,{"s":"z"}]}}`,
+		`{"s":"a","p":"b","o":"s:x","pattern":["p"]}`,
+		`{}`,
+		`{"s":"a",}`,
+		`{"s":"a" "p":"b"}`,
+		"\xef\xbb\xbf" + whole,
+		whole + "}",
+		whole + " garbage",
+		whole + whole,
+		`[` + whole + `]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d RecordDecoder
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			rec, end, ok := d.Decode(line, 0)
+			if !ok || skipSpace(line, end) != len(line) {
+				continue
+			}
+			var ref ExtractionRecord
+			if err := json.Unmarshal(line, &ref); err != nil {
+				t.Fatalf("fast path accepted %q, encoding/json rejects it: %v", line, err)
+			}
+			if math.Float64bits(rec.Conf) != math.Float64bits(ref.Conf) {
+				t.Fatalf("%q: conf %v, encoding/json %v", line, rec.Conf, ref.Conf)
+			}
+			if rec.Conf, ref.Conf = 0, 0; rec != ref {
+				t.Fatalf("%q:\n fast path %+v\nencoding/json %+v", line, rec, ref)
+			}
+		}
+		checkReaderAgainstRef(t, data)
 	})
 }

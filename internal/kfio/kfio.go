@@ -2,6 +2,12 @@
 // extractions (kfgen → kfuse), gold labels (kfgen → kfuse/kfeval) and fused
 // triples (kfuse → kfeval). JSONL keeps the tools composable with standard
 // Unix tooling and streams without loading whole corpora.
+//
+// Extraction records — the one codec on the timed ingest path — decode
+// through RecordDecoder, a decoder specialised to the shape ExtractionWriter
+// emits, with encoding/json as the fallback for every other valid line and
+// as the reference the tests compare it against. Gold and fused records go
+// through encoding/json alone.
 package kfio
 
 import (
@@ -16,16 +22,57 @@ import (
 	"kfusion/internal/kb"
 )
 
-// ExtractionRecord is the JSONL form of one extraction.
+// ExtractionRecord is the serialized form of one extraction: a JSONL feed
+// line, and (as httpapi.Extraction) one element of a kfserved append body, so
+// a feed wraps into an append request with nothing but
+// `jq -s '{extractions: .}'`. Confidence -1 means "extractor reports none",
+// as everywhere in the pipeline; the simulator's error attribution never
+// leaves the process (it is ground truth, not data).
 type ExtractionRecord struct {
-	Subject   string  `json:"s"`
-	Predicate string  `json:"p"`
+	Subject   string `json:"s"`
+	Predicate string `json:"p"`
+	// Object is in kb.Object.String tagged form: "e:/m/x", "s:text", "n:3".
 	Object    string  `json:"o"`
 	Extractor string  `json:"extractor"`
 	Pattern   string  `json:"pattern,omitempty"`
 	URL       string  `json:"url"`
 	Site      string  `json:"site"`
 	Conf      float64 `json:"conf"`
+}
+
+// RecordOf converts a pipeline extraction to its serialized form.
+func RecordOf(x extract.Extraction) ExtractionRecord {
+	return ExtractionRecord{
+		Subject:   string(x.Triple.Subject),
+		Predicate: string(x.Triple.Predicate),
+		Object:    x.Triple.Object.String(),
+		Extractor: x.Extractor,
+		Pattern:   x.Pattern,
+		URL:       x.URL,
+		Site:      x.Site,
+		Conf:      x.Confidence,
+	}
+}
+
+// ToExtraction converts the record to the pipeline's extraction type. The
+// only failure is an object kb.ParseObject refuses; its error comes back bare.
+func (r *ExtractionRecord) ToExtraction() (extract.Extraction, error) {
+	obj, err := kb.ParseObject(r.Object)
+	if err != nil {
+		return extract.Extraction{}, err
+	}
+	return extract.Extraction{
+		Triple: kb.Triple{
+			Subject:   kb.EntityID(r.Subject),
+			Predicate: kb.PredicateID(r.Predicate),
+			Object:    obj,
+		},
+		Extractor:  r.Extractor,
+		Pattern:    r.Pattern,
+		URL:        r.URL,
+		Site:       r.Site,
+		Confidence: r.Conf,
+	}, nil
 }
 
 // GoldRecord is the JSONL form of one gold label.
@@ -49,24 +96,11 @@ type FusedRecord struct {
 
 // WriteExtractions writes extractions as JSONL.
 func WriteExtractions(w io.Writer, xs []extract.Extraction) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, x := range xs {
-		rec := ExtractionRecord{
-			Subject:   string(x.Triple.Subject),
-			Predicate: string(x.Triple.Predicate),
-			Object:    x.Triple.Object.String(),
-			Extractor: x.Extractor,
-			Pattern:   x.Pattern,
-			URL:       x.URL,
-			Site:      x.Site,
-			Conf:      x.Confidence,
-		}
-		if err := enc.Encode(&rec); err != nil {
-			return fmt.Errorf("kfio: write extraction: %w", err)
-		}
+	ew := NewExtractionWriter(w)
+	if err := ew.WriteBatch(xs); err != nil {
+		return err
 	}
-	return bw.Flush()
+	return ew.Flush()
 }
 
 // ErrPartialLine reports a final line with no terminating newline — the
@@ -89,11 +123,18 @@ func (e *ErrPartialLine) Error() string {
 // whole file — the reader side of an append-only extraction feed. Next
 // returns one extraction at a time (io.EOF at end, *ErrPartialLine for a
 // truncated final line); ReadBatch chunks the stream for the incremental
-// compile pipeline (kfuse -append). Error attribution is hidden in files (it
-// is simulator ground truth), so Extraction.Error is always ErrNone after a
-// round trip.
+// compile pipeline (kfuse -append); Skip passes over records a resumed run
+// has already consumed. Error attribution is hidden in files (it is simulator
+// ground truth), so Extraction.Error is always ErrNone after a round trip.
+//
+// Each line is decoded by the reader's RecordDecoder when it has the shape
+// ExtractionWriter emits and by encoding/json otherwise — chosen per line
+// from the line's bytes, with identical results — so equal field values of
+// one reader's records usually share one string.
 type ExtractionReader struct {
-	sc *lineScanner
+	sc   *lineScanner
+	dec  RecordDecoder
+	fast int // lines RecordDecoder decoded; read by tests only
 }
 
 // NewExtractionReader returns a streaming reader over r.
@@ -101,28 +142,50 @@ func NewExtractionReader(r io.Reader) *ExtractionReader {
 	return &ExtractionReader{sc: newScanner(r)}
 }
 
-// parseExtractionLine decodes one JSONL extraction record.
-func parseExtractionLine(line []byte, lineNo int) (extract.Extraction, error) {
-	var rec ExtractionRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return extract.Extraction{}, fmt.Errorf("kfio: parse extraction line %d: %w", lineNo, err)
+// parseLine decodes one JSONL extraction record.
+func (r *ExtractionReader) parseLine(line []byte, lineNo int) (extract.Extraction, error) {
+	rec, end, ok := r.dec.Decode(line, 0)
+	if ok && skipSpace(line, end) == len(line) {
+		r.fast++
+	} else {
+		var err error
+		if rec, err = unmarshalRecord(line); err != nil {
+			return extract.Extraction{}, fmt.Errorf("kfio: parse extraction line %d: %w", lineNo, err)
+		}
 	}
-	obj, err := kb.ParseObject(rec.Object)
+	x, err := rec.ToExtraction()
 	if err != nil {
 		return extract.Extraction{}, fmt.Errorf("kfio: extraction line %d: %w", lineNo, err)
 	}
-	return extract.Extraction{
-		Triple: kb.Triple{
-			Subject:   kb.EntityID(rec.Subject),
-			Predicate: kb.PredicateID(rec.Predicate),
-			Object:    obj,
-		},
-		Extractor:  rec.Extractor,
-		Pattern:    rec.Pattern,
-		URL:        rec.URL,
-		Site:       rec.Site,
-		Confidence: rec.Conf,
-	}, nil
+	return x, nil
+}
+
+// unmarshalRecord is the generic decoder: the fallback for every line
+// RecordDecoder leaves undecided and the reference it is tested against. It
+// is its own function so that the record encoding/json needs on the heap is
+// not allocated for lines that never reach it.
+func unmarshalRecord(line []byte) (rec ExtractionRecord, err error) {
+	err = json.Unmarshal(line, &rec)
+	return rec, err
+}
+
+// nextLine returns the next complete non-blank line (valid until the next
+// call), io.EOF after the last one, or *ErrPartialLine when the stream ends
+// mid-line.
+func (r *ExtractionReader) nextLine() ([]byte, error) {
+	for r.sc.Scan() {
+		line := r.sc.Bytes()
+		if r.sc.partial {
+			return nil, &ErrPartialLine{Offset: r.sc.start, Line: append([]byte(nil), line...)}
+		}
+		if len(line) > 0 {
+			return line, nil
+		}
+	}
+	if err := r.sc.Err(); err != nil {
+		return nil, err
+	}
+	return nil, io.EOF
 }
 
 // Next returns the next extraction, io.EOF after the last one, or
@@ -131,20 +194,27 @@ func parseExtractionLine(line []byte, lineNo int) (extract.Extraction, error) {
 // parsed — even when its bytes happen to form valid JSON, the record may
 // still be growing.
 func (r *ExtractionReader) Next() (extract.Extraction, error) {
-	for r.sc.Scan() {
-		line := r.sc.Bytes()
-		if r.sc.partial {
-			return extract.Extraction{}, &ErrPartialLine{Offset: r.sc.start, Line: append([]byte(nil), line...)}
-		}
-		if len(line) == 0 {
-			continue
-		}
-		return parseExtractionLine(line, r.sc.line)
-	}
-	if err := r.sc.Err(); err != nil {
+	line, err := r.nextLine()
+	if err != nil {
 		return extract.Extraction{}, err
 	}
-	return extract.Extraction{}, io.EOF
+	return r.parseLine(line, r.sc.line)
+}
+
+// Skip passes over the next n records without decoding them — what a resumed
+// run does with the prefix its state already holds — and reports how many it
+// skipped. A record is a complete non-blank line, exactly what Next would
+// have tried to parse; fewer than n come back with io.EOF or *ErrPartialLine
+// (same offsets as Next), and line numbers in later errors keep counting
+// from the start of the stream.
+func (r *ExtractionReader) Skip(n int) (skipped int, err error) {
+	for skipped < n {
+		if _, err := r.nextLine(); err != nil {
+			return skipped, err
+		}
+		skipped++
+	}
+	return skipped, nil
 }
 
 // batchPrealloc caps the capacity ReadBatch reserves before it has read a
@@ -168,14 +238,11 @@ func (r *ExtractionReader) ReadBatch(max int) ([]extract.Extraction, error) {
 	out := make([]extract.Extraction, 0, min(max, batchPrealloc))
 	for len(out) < max {
 		x, err := r.Next()
-		if err == io.EOF {
-			return out, io.EOF
-		}
-		var partial *ErrPartialLine
-		if errors.As(err, &partial) {
-			return out, err
-		}
 		if err != nil {
+			var partial *ErrPartialLine
+			if err == io.EOF || errors.As(err, &partial) {
+				return out, err
+			}
 			return nil, err
 		}
 		out = append(out, x)
@@ -201,7 +268,7 @@ func ReadExtractions(r io.Reader) ([]extract.Extraction, error) {
 			if len(partial.Line) == 0 {
 				return out, nil
 			}
-			x, perr := parseExtractionLine(partial.Line, er.sc.line)
+			x, perr := er.parseLine(partial.Line, er.sc.line)
 			if perr != nil {
 				return nil, perr
 			}
@@ -360,7 +427,8 @@ const maxLineLen = 8 * 1024 * 1024
 // yielded bytes.
 type lineScanner struct {
 	r       *bufio.Reader
-	buf     []byte
+	cur     []byte // current line: a view of r's buffer, or buf
+	buf     []byte // stitches a line longer than r's buffer
 	line    int
 	start   int64 // byte offset of the current line's first byte
 	next    int64 // byte offset of the next unread byte
@@ -378,42 +446,46 @@ func (s *lineScanner) Scan() bool {
 	}
 	s.start = s.next
 	s.partial = false
-	s.buf = s.buf[:0]
-	for {
-		chunk, err := s.r.ReadSlice('\n')
-		s.buf = append(s.buf, chunk...)
-		s.next += int64(len(chunk))
-		if len(s.buf) > maxLineLen {
-			s.err = fmt.Errorf("kfio: line %d exceeds %d bytes", s.line+1, maxLineLen)
+	line, err := s.r.ReadSlice('\n')
+	s.next += int64(len(line))
+	if err == bufio.ErrBufferFull {
+		// A line longer than the bufio buffer arrives in pieces and is
+		// stitched together in s.buf; every other line is used where
+		// ReadSlice left it.
+		s.buf = append(s.buf[:0], line...)
+		for err == bufio.ErrBufferFull && len(s.buf) <= maxLineLen {
+			line, err = s.r.ReadSlice('\n')
+			s.next += int64(len(line))
+			s.buf = append(s.buf, line...)
+		}
+		line = s.buf
+	}
+	if len(line) > maxLineLen {
+		s.err = fmt.Errorf("kfio: line %d exceeds %d bytes", s.line+1, maxLineLen)
+		return false
+	}
+	switch err {
+	case nil:
+		line = line[:len(line)-1]
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+	case io.EOF:
+		if len(line) == 0 {
 			return false
 		}
-		switch err {
-		case nil:
-		case bufio.ErrBufferFull:
-			continue
-		case io.EOF:
-			if len(s.buf) == 0 {
-				return false
-			}
-			s.partial = true
-		default:
-			s.err = err
-			return false
-		}
-		break
+		s.partial = true
+	default:
+		s.err = err
+		return false
 	}
-	if !s.partial {
-		s.buf = s.buf[:len(s.buf)-1]
-		if n := len(s.buf); n > 0 && s.buf[n-1] == '\r' {
-			s.buf = s.buf[:n-1]
-		}
-	}
+	s.cur = line
 	s.line++
 	return true
 }
 
 // Bytes returns the current line, valid until the next Scan.
-func (s *lineScanner) Bytes() []byte { return s.buf }
+func (s *lineScanner) Bytes() []byte { return s.cur }
 
 // Err reports the first non-EOF error the scanner hit.
 func (s *lineScanner) Err() error { return s.err }

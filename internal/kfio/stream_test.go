@@ -283,3 +283,105 @@ func TestPartialLineRetry(t *testing.T) {
 		t.Fatalf("lenient read = %d records, want %d", len(lenient), len(xs))
 	}
 }
+
+// TestSkip pins the resume path: Skip counts the same records Next would have
+// returned — complete non-blank lines, CRLF or LF — without decoding them,
+// reports io.EOF and *ErrPartialLine with Next's offsets, and leaves the
+// reader where ReadBatch continues with line numbers counted from the start.
+func TestSkip(t *testing.T) {
+	rec := func(i int) string {
+		return fmt.Sprintf(`{"s":"/m/%d","p":"/p","o":"s:v","extractor":"X","url":"u","site":"s","conf":1}`, i)
+	}
+	// Lines: 1 rec0, 2 blank, 3 rec1 (CRLF), 4 junk (never decoded when
+	// skipped), 5 blank (CRLF), 6 rec2, 7 bad object, 8 rec3, 9 torn.
+	feed := rec(0) + "\n\n" + rec(1) + "\r\n" + "not json at all\n" + "\r\n" + rec(2) + "\n" +
+		`{"s":"a","p":"b","o":"garbage"}` + "\n" + rec(3) + "\n"
+	torn := `{"s":"/m/9","p`
+
+	r := NewExtractionReader(strings.NewReader(feed + torn))
+	if n, err := r.Skip(0); n != 0 || err != nil {
+		t.Fatalf("Skip(0) = %d, %v", n, err)
+	}
+	if n, err := r.Skip(3); n != 3 || err != nil {
+		t.Fatalf("Skip(3) over a blank line, a CRLF line and a junk line = %d, %v; want 3, nil", n, err)
+	}
+	batch, err := r.ReadBatch(1)
+	if err != nil || len(batch) != 1 || batch[0].Triple.Subject != "/m/2" {
+		t.Fatalf("ReadBatch after Skip = %+v, %v; want the /m/2 record", batch, err)
+	}
+	if _, err := r.ReadBatch(1); err == nil || !strings.Contains(err.Error(), "extraction line 7:") {
+		t.Fatalf("error after Skip = %v; want it attributed to line 7", err)
+	}
+	// Skip into the partial tail: one complete record, then the typed error
+	// with the tail's offset and bytes.
+	n, err := r.Skip(5)
+	var partial *ErrPartialLine
+	if n != 1 || !errors.As(err, &partial) {
+		t.Fatalf("Skip into a torn tail = %d, %v; want 1, *ErrPartialLine", n, err)
+	}
+	if partial.Offset != int64(len(feed)) || string(partial.Line) != torn {
+		t.Fatalf("partial = offset %d %q; want offset %d %q", partial.Offset, partial.Line, len(feed), torn)
+	}
+
+	// Skip past EOF reports how far it got.
+	r = NewExtractionReader(strings.NewReader(feed))
+	if n, err := r.Skip(100); n != 6 || err != io.EOF {
+		t.Fatalf("Skip past EOF = %d, %v; want 6, io.EOF", n, err)
+	}
+	if n, err := r.Skip(1); n != 0 || err != io.EOF {
+		t.Fatalf("Skip at EOF = %d, %v; want 0, io.EOF", n, err)
+	}
+
+	// Skip(n) then ReadBatch ≡ ReadBatch then drop n, on a clean feed.
+	xs := manyExtractions(40)
+	var buf bytes.Buffer
+	if err := WriteExtractions(&buf, xs); err != nil {
+		t.Fatal(err)
+	}
+	r = NewExtractionReader(bytes.NewReader(buf.Bytes()))
+	if n, err := r.Skip(25); n != 25 || err != nil {
+		t.Fatalf("Skip(25) = %d, %v", n, err)
+	}
+	rest, err := r.ReadBatch(100)
+	if err != io.EOF || len(rest) != 15 {
+		t.Fatalf("after Skip(25): %d records, %v; want 15, io.EOF", len(rest), err)
+	}
+	for i := range rest {
+		if rest[i] != xs[25+i] {
+			t.Fatalf("record %d after Skip differs: %+v vs %+v", 25+i, rest[i], xs[25+i])
+		}
+	}
+}
+
+// TestLongLines pins the scanner's two line sources: a line that fits the
+// read buffer is used in place, a longer one is stitched from pieces — same
+// records, same offsets — and a line over maxLineLen is an error, not a hang.
+func TestLongLines(t *testing.T) {
+	xs := manyExtractions(3)
+	xs[1].Triple.Subject = kb.EntityID("/m/" + strings.Repeat("long", 50_000)) // 200 KB: four 64 KB buffers
+	var buf bytes.Buffer
+	if err := WriteExtractions(&buf, xs); err != nil {
+		t.Fatal(err)
+	}
+	torn := `{"s":"/m/torn`
+	r := NewExtractionReader(strings.NewReader(buf.String() + torn))
+	got, err := r.ReadBatch(10)
+	var partial *ErrPartialLine
+	if !errors.As(err, &partial) || partial.Offset != int64(buf.Len()) || string(partial.Line) != torn {
+		t.Fatalf("after a stitched line: %v, want the torn tail at offset %d", err, buf.Len())
+	}
+	if len(got) != len(xs) {
+		t.Fatalf("read %d of %d records", len(got), len(xs))
+	}
+	for i := range xs {
+		if got[i] != xs[i] {
+			t.Fatalf("record %d differs around a stitched line", i)
+		}
+	}
+
+	huge := `{"s":"` + strings.Repeat("x", maxLineLen) + `"}` + "\n"
+	r = NewExtractionReader(strings.NewReader(buf.String() + huge))
+	if n, err := r.Skip(10); n != 3 || err == nil || !strings.Contains(err.Error(), "line 4 exceeds") {
+		t.Fatalf("Skip over an oversized line = %d, %v; want 3 and a line-4 size error", n, err)
+	}
+}

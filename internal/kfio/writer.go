@@ -29,16 +29,7 @@ func NewExtractionWriter(w io.Writer) *ExtractionWriter {
 
 // Write appends one extraction record.
 func (w *ExtractionWriter) Write(x extract.Extraction) error {
-	rec := ExtractionRecord{
-		Subject:   string(x.Triple.Subject),
-		Predicate: string(x.Triple.Predicate),
-		Object:    x.Triple.Object.String(),
-		Extractor: x.Extractor,
-		Pattern:   x.Pattern,
-		URL:       x.URL,
-		Site:      x.Site,
-		Conf:      x.Confidence,
-	}
+	rec := RecordOf(x)
 	if err := w.enc.Encode(&rec); err != nil {
 		return fmt.Errorf("kfio: write extraction: %w", err)
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,8 +10,8 @@ import (
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) (any, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	var req httpapi.AppendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := httpapi.DecodeAppendRequest(r.Body)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return nil, &statusError{

@@ -159,6 +159,94 @@ func TestAppendOversizedBody(t *testing.T) {
 	decodeError(t, resp, http.StatusRequestEntityTooLarge, httpapi.CodeBadBatch)
 }
 
+// TestAppendBodyDecodeMatchesEncodingJSON posts each body to the append
+// handler and to the handler as it stood before the record decoder —
+// json.NewDecoder(r.Body).Decode under the same MaxBytesReader — on two fresh
+// servers, and requires the same status and the same response bytes: the fast
+// path and every way of falling off it are indistinguishable on the wire.
+func TestAppendBodyDecodeMatchesEncodingJSON(t *testing.T) {
+	const maxBody = 2048
+	handleAppendRef := func(s *Server) apiFunc {
+		return func(w http.ResponseWriter, r *http.Request) (any, error) {
+			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+			var req httpapi.AppendRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				var tooBig *http.MaxBytesError
+				if errors.As(err, &tooBig) {
+					return nil, &statusError{
+						status: http.StatusRequestEntityTooLarge,
+						err:    fmt.Errorf("%w: body exceeds %d bytes", httpapi.ErrBadBatch, s.cfg.MaxBody),
+					}
+				}
+				return nil, fmt.Errorf("%w: invalid JSON: %v", httpapi.ErrBadBatch, err)
+			}
+			batch, err := httpapi.ToBatch(req.Extractions)
+			if err != nil {
+				return nil, err
+			}
+			return s.Append(batch)
+		}
+	}
+	rec := func(subject string) string {
+		return `{"s":"` + subject + `","p":"/p","o":"s:v","extractor":"X","url":"http://a/1","site":"a","conf":0.5}`
+	}
+	two := `{"extractions":[` + rec("/m/1") + `,` + rec("/m/2") + `]}`
+	pad := strings.Repeat(" ", maxBody)
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"fast", two, 200},
+		{"fast with whitespace", " {\n \"extractions\" : [\n  " + rec("/m/1") + " ,\r\n\t" + rec("/m/2") + "\n ]\n}\n", 200},
+		{"escaped value", `{"extractions":[` + rec(`caf\u00e9\/x`) + `]}`, 200},
+		{"upper-case record key", `{"extractions":[{"S":"/m/1","P":"/p","O":"s:v","Extractor":"X","URL":"u","Site":"a","Conf":1}]}`, 200},
+		{"upper-case envelope key", `{"Extractions":[` + rec("/m/1") + `]}`, 200},
+		{"duplicate key, last wins", `{"extractions":[{"s":"/m/0","s":"/m/1","p":"/p","o":"s:v","extractor":"X","url":"u","site":"a"}]}`, 200},
+		{"null fields", `{"extractions":[{"s":"/m/1","p":"/p","o":"s:v","extractor":"X","pattern":null,"url":"u","site":"a","conf":null}]}`, 200},
+		{"unknown envelope key after", `{"extractions":[` + rec("/m/1") + `],"note":{"a":[1]}}`, 200},
+		{"unknown envelope key before", `{"note":1,"extractions":[` + rec("/m/1") + `]}`, 200},
+		{"trailing garbage", two + ` trailing }`, 200},
+		{"trailing second value", two + two, 200},
+		{"complete value, then padding past the limit", two + pad, 200},
+		{"over the limit", `{"extractions":[` + strings.Repeat(rec("/m/1")+",", 30) + rec("/m/2") + `]}`, 413},
+		{"over the limit inside whitespace", `{"extractions":[` + rec("/m/1") + pad + `]}`, 413},
+		{"empty batch", `{"extractions":[]}`, 400},
+		{"null batch", `{"extractions":null}`, 400},
+		{"no batch", `{}`, 400},
+		{"bad object tag", `{"extractions":[` + rec("/m/1") + `,{"s":"/m/2","p":"/p","o":"untagged"}]}`, 400},
+		{"truncated", `{"extractions":[` + rec("/m/1") + `,`, 400},
+		{"record is not an object", `{"extractions":[` + rec("/m/1") + `,7]}`, 400},
+		{"quoted conf", `{"extractions":[{"s":"/m/1","p":"/p","o":"s:v","conf":"1"}]}`, 400},
+		{"conf out of range", `{"extractions":[{"s":"/m/1","p":"/p","o":"s:v","conf":1e999}]}`, 400},
+		{"conf with a leading zero", `{"extractions":[{"s":"/m/1","p":"/p","o":"s:v","conf":01}]}`, 400},
+		{"not JSON", `extractions`, 400},
+	} {
+		post := func(h func(*Server) http.Handler) (int, string) {
+			s, _ := newTestServer(t, func(c *Config) { c.MaxBody = maxBody })
+			ts := httptest.NewServer(h(s))
+			defer ts.Close()
+			resp, err := http.Post(ts.URL+httpapi.PathAppend, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return resp.StatusCode, string(body)
+		}
+		gotStatus, got := post(func(s *Server) http.Handler { return s.Handler() })
+		wantStatus, want := post(func(s *Server) http.Handler { return s.serve(handleAppendRef(s)) })
+		if gotStatus != wantStatus || got != want {
+			t.Errorf("%s:\n handler %d %s\nencoding/json %d %s", tc.name, gotStatus, got, wantStatus, want)
+		}
+		if gotStatus != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, gotStatus, tc.status, got)
+		}
+	}
+}
+
 func TestBadItemIDAndQuery(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	resp, err := http.Get(ts.URL + httpapi.PathItems + "no-separator")
