@@ -52,7 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s ./internal/fusion/
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd|BenchmarkServerAppend' -benchtime 1x -benchmem .
 
 # bench-json regenerates the machine-readable perf record (see BENCH_<n>.json;
 # bump N per PR that moves performance): the throughput benchmarks, the

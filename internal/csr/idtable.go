@@ -1,5 +1,7 @@
 package csr
 
+import "slices"
+
 // Loc addresses one entity's slice in one graph of a multi-graph (sharded)
 // run: the graph index and the entity's local interned ID there.
 type Loc struct {
@@ -72,6 +74,11 @@ func (t *IDTable) N() int { return len(t.keys) }
 
 // Key names global ID g.
 func (t *IDTable) Key(g int) string { return t.keys[g] }
+
+// Keys is the key column, global ID -> key, clipped to N: Extend appends
+// beyond it, possibly in place, and never rewrites it, so a caller may keep
+// the slice across Extends as the table's state at the time of the call.
+func (t *IDTable) Keys() []string { return slices.Clip(t.keys) }
 
 // Global maps shard s's local ID to its global ID.
 func (t *IDTable) Global(s, local int) int32 {

@@ -163,6 +163,14 @@ const WarmTol = 5e-3
 // A nil or empty prev degrades to Fuse. Gold-standard initialization
 // (Config.GoldLabeler), when configured, runs after seeding and overrides
 // it for labeled provenances, exactly as it overrides the default.
+//
+// When prev is the result an earlier generation of this chain returned
+// (c reached from that graph by Appends), seeding costs no map lookup: prev
+// carries its accuracies in provenance-ID order and they are installed by
+// index (see FuseLockstep). A decoded, hand-built or foreign prev seeds
+// through ProvAccuracy by key; the result is the same either way. The dense
+// seed is taken at return: edit a result's accuracies by passing a fresh
+// Result{ProvAccuracy: m}, not by writing into the returned map.
 func (c *Compiled) FuseWarm(cfg Config, prev *Result) (*Result, error) {
 	return FuseLockstep([]*Compiled{c}, nil, cfg, prev)
 }

@@ -1,0 +1,89 @@
+package fusion
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+)
+
+// viaMap strips a result of its dense seed the way a snapshot does: what
+// DecodeResult returns seeds the next FuseWarm through the ProvAccuracy map
+// alone, the only warm path before the dense seed existed.
+func viaMap(t *testing.T, res *Result) *Result {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeResult(&buf, res); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	dec, err := DecodeResult(buf.Bytes())
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if dec.seedKeys != nil || dec.seedAcc != nil {
+		t.Fatal("a decoded result carries a dense seed")
+	}
+	return dec
+}
+
+// TestDenseSeedMatchesMapSeed walks a 30-step append chain under the
+// streaming configuration (one warm round per step, so the seed decides
+// every bit) and requires, at every step, the result seeded by index from
+// the previous generation's result to equal the one seeded through the map.
+// The map must stay fully populated, and the dense path must actually be the
+// one taken: along a chain the key column is extended in place or copied,
+// and is a prefix either way.
+func TestDenseSeedMatchesMapSeed(t *testing.T) {
+	claims := shardedClaims(7000)
+	cfg := PopAccuConfig()
+	g := MustCompile(claims[:1000])
+	prev := g.MustFuse(cfg)
+	cfg.Rounds = 1
+	for step := 0; step < 30; step++ {
+		at := 1000 + 200*step
+		g = g.MustAppend(claims[at : at+200])
+		if !isPrefix(prev.seedKeys, g.g.provKeys) {
+			t.Fatalf("step %d: the previous result's keys are not a prefix of the chain's", step)
+		}
+		got := g.MustFuseWarm(cfg, prev)
+		assertBitIdentical(t, "dense vs map seed", got, g.MustFuseWarm(cfg, viaMap(t, prev)))
+		if len(got.ProvAccuracy) != g.NumProvenances() || len(got.seedAcc) != g.NumProvenances() {
+			t.Fatalf("step %d: %d map entries, %d dense, %d provenances",
+				step, len(got.ProvAccuracy), len(got.seedAcc), g.NumProvenances())
+		}
+		for p, key := range got.seedKeys {
+			if a, ok := got.ProvAccuracy[key]; !ok || a != got.seedAcc[p] {
+				t.Fatalf("step %d: dense accuracy of %q is %v, the map holds %v", step, key, got.seedAcc[p], a)
+			}
+		}
+		prev = got
+	}
+	if g.NumProvenances() == MustCompile(claims[:1000]).NumProvenances() {
+		t.Fatal("scenario broken: the chain never interned a new provenance")
+	}
+}
+
+// TestDenseSeedAcrossFork seeds a fork from its sibling: A→B chained in
+// place, A→B' forked with another batch. B's result holds B's keys, which
+// are not a prefix of the fork's (both extend A's, differently), so B'.FuseWarm
+// must notice — by comparing keys, not by trusting the shared prefix — and
+// seed through the map; likewise a later generation's result seeding an
+// earlier graph.
+func TestDenseSeedAcrossFork(t *testing.T) {
+	claims := shardedClaims(6000)
+	cfg := PopAccuConfig()
+	cfg.Rounds = 1
+	a, n := chainWithTail(t, claims, 1000)
+	b := a.MustAppend(claims[n : n+100])
+	fork := a.MustAppend(slices.Concat(randomClaims(5, 150), claims[n+100:n+200]))
+	if !sharesArray(a, b) || sharesArray(a, fork) {
+		t.Fatal("scenario broken: B should extend A in place and B' should copy")
+	}
+	resA := a.MustFuse(PopAccuConfig())
+	resB := b.MustFuseWarm(cfg, resA)
+	if isPrefix(resB.seedKeys, fork.g.provKeys) {
+		t.Fatal("scenario broken: the fork's keys begin with its sibling's")
+	}
+	assertBitIdentical(t, "B seeds B'", fork.MustFuseWarm(cfg, resB), fork.MustFuseWarm(cfg, viaMap(t, resB)))
+	assertBitIdentical(t, "A seeds B'", fork.MustFuseWarm(cfg, resA), fork.MustFuseWarm(cfg, viaMap(t, resA)))
+	assertBitIdentical(t, "B seeds A", a.MustFuseWarm(cfg, resB), a.MustFuseWarm(cfg, viaMap(t, resB)))
+}

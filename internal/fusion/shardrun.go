@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"fmt"
+	"slices"
 
 	"kfusion/internal/csr"
 )
@@ -116,6 +117,19 @@ func (r *Run) Finish(rounds int) *Result {
 // the seed for labeled provenances. Config.OnRound is honoured for a single
 // graph only — a shard's round is a partial view.
 //
+// The seed is dense when it can be. Every result the driver returns also
+// records, unexported, its accuracies in global-ID order beside the key
+// column those IDs index; when prev's key column is a prefix of this call's
+// — prev came from an earlier generation of the same graph chain or the same
+// coordinator table, whose IDs only grow at the end — the accuracies are
+// installed by index and no string is hashed. The prefix test is exact: one
+// pointer comparison when the two columns share a backing array, an
+// element-wise comparison otherwise. Any other prev — decoded from a
+// snapshot, built by hand, from a fork, from another shard count or a
+// rebuilt table — seeds through the ProvAccuracy map, which every result
+// still carries in full; the two paths install the same values, so which one
+// ran never shows in a result.
+//
 // With one graph every fold is over a single holder — the identity — so the
 // result does not depend on whether a table was handed in; K > 1 re-groups
 // each cross-shard provenance sum (csr.Pairwise over the holders in shard
@@ -150,10 +164,17 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Resu
 	// holder of a provenance carries the same value, written only through
 	// install, so the driver keeps no global copy.
 	nG := provs.N()
+	keys := provs.Keys()
 	var one [1]csr.Loc
-	if prev != nil && len(prev.ProvAccuracy) > 0 {
-		for g := 0; g < nG; g++ {
-			if a, ok := prev.ProvAccuracy[provs.Key(g)]; ok {
+	if prev != nil && len(prev.seedKeys) > 0 && isPrefix(prev.seedKeys, keys) {
+		// prev came from an earlier generation of this table: global IDs
+		// only grow at the end, so its accuracies seed by index.
+		for g, a := range prev.seedAcc {
+			install(runs, provs.Holders(g, &one), a)
+		}
+	} else if prev != nil && len(prev.ProvAccuracy) > 0 {
+		for g, key := range keys {
+			if a, ok := prev.ProvAccuracy[key]; ok {
 				install(runs, provs.Holders(g, &one), a)
 			}
 		}
@@ -254,11 +275,28 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Resu
 		out.Unpredicted += r.e.stageIII(r.lastStamp, out.Triples[at:at+n])
 		at += n
 	}
+	out.seedKeys = keys
+	out.seedAcc = make([]float64, nG)
 	out.ProvAccuracy = make(map[string]float64, nG)
-	for g := 0; g < nG; g++ {
-		out.ProvAccuracy[provs.Key(g)] = current(runs, provs.Holders(g, &one))
+	for g, key := range keys {
+		a := current(runs, provs.Holders(g, &one))
+		out.seedAcc[g] = a
+		out.ProvAccuracy[key] = a
 	}
 	return out, nil
+}
+
+// isPrefix reports whether keys begins with the elements of prefix. Along
+// one append chain the two share a backing array (the graph's provenance
+// column, or the coordinator's table, extended in place) and the answer is
+// a pointer comparison; otherwise the elements are compared, which is still
+// cheap where the strings are shared (equal data pointers end a string
+// comparison early) and exact in every case.
+func isPrefix(prefix, keys []string) bool {
+	if len(prefix) > len(keys) {
+		return false
+	}
+	return len(prefix) == 0 || &prefix[0] == &keys[0] || slices.Equal(prefix, keys[:len(prefix)])
 }
 
 // install writes a provenance's accuracy into every graph holding it;

@@ -104,7 +104,9 @@ func TestSnapshotDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// TestResultRoundTrip checks EncodeResult/DecodeResult losslessness.
+// TestResultRoundTrip checks EncodeResult/DecodeResult losslessness over the
+// exported fields: the dense warm seed is derived state a decoded result
+// does without (see TestDenseSeedMatchesMapSeed).
 func TestResultRoundTrip(t *testing.T) {
 	c := MustCompile(randomClaims(3, 300))
 	res, err := c.Fuse(PopAccuConfig())
@@ -119,7 +121,8 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !reflect.DeepEqual(dec, res) {
+	exported := &Result{Triples: res.Triples, Rounds: res.Rounds, ProvAccuracy: res.ProvAccuracy, Unpredicted: res.Unpredicted}
+	if !reflect.DeepEqual(dec, exported) {
 		t.Fatal("decoded result differs from original")
 	}
 	for cut := 0; cut < buf.Len(); cut += 5 {

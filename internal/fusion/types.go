@@ -225,6 +225,14 @@ type Result struct {
 	ProvAccuracy map[string]float64
 	// Unpredicted counts triples for which filtering removed all evidence.
 	Unpredicted int
+
+	// seedAcc is ProvAccuracy in the round driver's global provenance-ID
+	// order and seedKeys the key column those IDs index, as FuseLockstep
+	// left them: the dense warm seed of the next generation (see
+	// FuseLockstep). Nil on a decoded or hand-built result, which seeds
+	// through the map.
+	seedKeys []string
+	seedAcc  []float64
 }
 
 // ByTriple indexes the result for lookups.

@@ -176,3 +176,86 @@ func TestCheckRefusesForeignState(t *testing.T) {
 		}
 	}
 }
+
+// growingFeed is a random stream whose subject space widens with the record
+// index, so every batch both re-asserts known triples and brings new ones.
+func growingFeed(seed int64, n int) []extract.Extraction {
+	rng := rand.New(rand.NewSource(seed))
+	out := noisyFeed(n)
+	for i := range out {
+		out[i].Triple.Subject = kb.EntityID(fmt.Sprintf("s%d", rng.Intn(10+i/4)))
+	}
+	return out
+}
+
+// TestTriplePositionsAreAppendStable pins what a consumer that indexes
+// Result.Triples by position relies on (kfserved's read index does): along
+// one chain, Apply only ever adds rows at the end — row i names the same
+// triple in every later generation, for both engines — and a store closed,
+// reopened and replayed (snapshot plus journaled batches) continues the same
+// numbering.
+func TestTriplePositionsAreAppendStable(t *testing.T) {
+	const batch = 60
+	feed := growingFeed(9, 12*batch)
+	for name, chain := range map[string]*Chain{
+		"popaccu":  ClaimChain("popaccu", fusion.PopAccuConfig(), 1),
+		"twolayer": TwoLayerChain(twolayer.DefaultConfig(), 1),
+	} {
+		mem := faultfs.NewMem()
+		store, st, err := OpenFS(mem, chain.Apply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []kb.Triple // the numbering so far
+		step := func(off int) {
+			t.Helper()
+			if err := store.Append(st, feed[off:off+batch]); err != nil {
+				t.Fatal(err)
+			}
+			got := st.Result.Triples
+			if len(got) < len(rows) {
+				t.Fatalf("%s: batch at %d shrank the result from %d to %d rows", name, off, len(rows), len(got))
+			}
+			for i, want := range rows {
+				if got[i].Triple != want {
+					t.Fatalf("%s: batch at %d moved row %d from %v to %v", name, off, i, want, got[i].Triple)
+				}
+			}
+			for _, row := range got[len(rows):] {
+				rows = append(rows, row.Triple)
+			}
+		}
+		for off := 0; off < 6*batch; off += batch {
+			step(off)
+			if off == 2*batch { // leaves three journaled batches for the reopen to replay
+				if err := store.Snapshot(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		grown := len(rows)
+		store.Close()
+
+		if store, st, err = OpenFS(mem, chain.Apply); err != nil {
+			t.Fatal(err)
+		}
+		if d := store.Degradations(); len(d) != 0 {
+			t.Fatalf("%s: reopen degraded: %v", name, d)
+		}
+		if len(st.Result.Triples) != grown {
+			t.Fatalf("%s: reopened result has %d rows, the live one had %d", name, len(st.Result.Triples), grown)
+		}
+		for i, want := range rows {
+			if st.Result.Triples[i].Triple != want {
+				t.Fatalf("%s: reopen moved row %d from %v to %v", name, i, want, st.Result.Triples[i].Triple)
+			}
+		}
+		for off := 6 * batch; off < len(feed); off += batch {
+			step(off)
+		}
+		store.Close()
+		if len(rows) == grown {
+			t.Fatalf("%s: scenario broken: no batch after the reopen added a triple", name)
+		}
+	}
+}

@@ -16,7 +16,7 @@ func fuzzSeedState() (snap, journal []byte) {
 		panic(err)
 	}
 	st.Consumed, st.Batches = 20, 1
-	snap = encodeSnapshot(st)
+	snap = encodeSnapshot(st, 0)
 	journal = journalHeader()
 	journal = append(journal, encodeRecord(1, feed[20:30])...)
 	journal = append(journal, encodeRecord(2, feed[30:])...)
@@ -39,12 +39,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := encodeSnapshot(st)
+		re := encodeSnapshot(st, 0)
 		st2, err := decodeSnapshot(re)
 		if err != nil {
 			t.Fatalf("accepted snapshot failed to re-decode: %v", err)
 		}
-		if !bytes.Equal(re, encodeSnapshot(st2)) {
+		if !bytes.Equal(re, encodeSnapshot(st2, 0)) {
 			t.Fatal("snapshot re-encode is not a fixed point")
 		}
 		// A graph that decodes must also fuse without panicking.

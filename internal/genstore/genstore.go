@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"sort"
 	"strings"
 
@@ -116,6 +117,9 @@ type Store struct {
 	apply   ApplyFunc
 	journal faultfs.File
 	degrade []string
+	// snapLen is the size of the last snapshot this store loaded or wrote:
+	// what Snapshot pre-sizes the next one's buffer from.
+	snapLen int
 }
 
 // Open opens (or creates) a store in dir on the real filesystem.
@@ -167,6 +171,7 @@ func OpenFS(fsys faultfs.FS, apply ApplyFunc) (*Store, *State, error) {
 			continue
 		}
 		st = dec
+		s.snapLen = len(data)
 		loaded = true
 		break
 	}
@@ -229,7 +234,11 @@ func (s *Store) Snapshot(st *State) error {
 	if err != nil {
 		return fmt.Errorf("genstore: snapshot create: %w", err)
 	}
-	if _, err := f.Write(encodeSnapshot(st)); err != nil {
+	// A state grows between snapshots; a quarter over the last one spares
+	// the buffer its one doubling copy at the end.
+	data := encodeSnapshot(st, s.snapLen+s.snapLen/4)
+	s.snapLen = len(data)
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return fmt.Errorf("genstore: snapshot write: %w", err)
 	}
@@ -277,63 +286,56 @@ type section struct {
 	crc uint32
 }
 
-func encodeSnapshot(st *State) []byte {
+// encodeSnapshot serialises st. Every section encodes straight into the one
+// body buffer, pre-sized to sizeHint bytes (the store's previous snapshot
+// with room to grow; 0 when there is none), and its index entry — offset,
+// length, checksum — is read back from the bytes it wrote.
+func encodeSnapshot(st *State, sizeHint int) []byte {
 	var body bytes.Buffer
+	body.Grow(sizeHint)
 	head := wire.NewWriter(&body)
 	head.U32(snapMagic)
 	head.U8(version)
 
 	var secs []section
-	add := func(id uint32, payload []byte) {
+	add := func(id uint32, name string, encode func(io.Writer) error) {
+		off := body.Len()
+		if err := encode(&body); err != nil {
+			panic(fmt.Sprintf("genstore: %s encode: %v", name, err)) // bytes.Buffer cannot fail
+		}
+		payload := body.Bytes()[off:]
 		secs = append(secs, section{
 			id:  id,
-			off: uint64(body.Len()),
+			off: uint64(off),
 			len: uint64(len(payload)),
 			crc: crc32.Checksum(payload, castagnoli),
 		})
-		body.Write(payload)
 	}
 
-	var meta bytes.Buffer
-	mw := wire.NewWriter(&meta)
-	mw.String(st.Method)
-	mw.Bools([]bool{st.Gran.SiteLevel, st.Gran.PerPredicate, st.Gran.PerPattern, st.Gran.ExtractorOnly, st.Gran.SourceOnly})
-	mw.Bool(st.SiteLevel)
-	mw.Int(st.Consumed)
-	mw.Int(st.Batches)
-	mw.Bool(st.Claim != nil)
-	mw.Bool(st.Result != nil)
-	mw.Bool(st.Ext != nil)
-	mw.Bool(st.TL != nil)
-	add(secMeta, meta.Bytes())
-
+	add(secMeta, "meta", func(w io.Writer) error {
+		mw := wire.NewWriter(w)
+		mw.String(st.Method)
+		mw.Bools([]bool{st.Gran.SiteLevel, st.Gran.PerPredicate, st.Gran.PerPattern, st.Gran.ExtractorOnly, st.Gran.SourceOnly})
+		mw.Bool(st.SiteLevel)
+		mw.Int(st.Consumed)
+		mw.Int(st.Batches)
+		mw.Bool(st.Claim != nil)
+		mw.Bool(st.Result != nil)
+		mw.Bool(st.Ext != nil)
+		mw.Bool(st.TL != nil)
+		return mw.Err()
+	})
 	if st.Claim != nil {
-		var b bytes.Buffer
-		if err := st.Claim.EncodeSnapshot(&b); err != nil {
-			panic(fmt.Sprintf("genstore: claim graph encode: %v", err)) // bytes.Buffer cannot fail
-		}
-		add(secClaim, b.Bytes())
+		add(secClaim, "claim graph", st.Claim.EncodeSnapshot)
 	}
 	if st.Result != nil {
-		var b bytes.Buffer
-		if err := fusion.EncodeResult(&b, st.Result); err != nil {
-			panic(fmt.Sprintf("genstore: result encode: %v", err))
-		}
-		add(secResult, b.Bytes())
+		add(secResult, "result", func(w io.Writer) error { return fusion.EncodeResult(w, st.Result) })
 	}
 	if st.Ext != nil {
-		var b bytes.Buffer
-		if err := st.Ext.EncodeSnapshot(&b); err != nil {
-			panic(fmt.Sprintf("genstore: extraction graph encode: %v", err))
-		}
-		add(secExt, b.Bytes())
+		add(secExt, "extraction graph", st.Ext.EncodeSnapshot)
 	}
 	if st.TL != nil {
-		var b bytes.Buffer
-		if err := twolayer.EncodeState(&b, st.TL); err != nil {
-			panic(fmt.Sprintf("genstore: twolayer state encode: %v", err))
-		}
-		add(secTL, b.Bytes())
+		add(secTL, "twolayer state", func(w io.Writer) error { return twolayer.EncodeState(w, st.TL) })
 	}
 
 	indexOff := uint64(body.Len())

@@ -20,12 +20,25 @@
 //
 // Readers never lock: the current generation is an immutable genView behind
 // one atomic pointer. An append journals the batch (durability point),
-// applies it (incremental graph Append + warm EM), then publishes the new
-// view with a single pointer swap — a reader holds whichever generation it
-// loaded for its whole request, and two reads inside one request never mix
-// generations. Appends are single-writer: a second concurrent append is
-// rejected with the busy error rather than queued, so the caller owns retry
-// policy and the handler never blocks the drain path.
+// applies it (incremental graph Append + warm EM), publishes the new view
+// with a single pointer swap, and only then takes the periodic snapshot and
+// replies — readers see generation g as soon as it exists, not after the
+// snapshot of it. A reader holds whichever generation it loaded for its
+// whole request, and two reads inside one request never mix generations.
+// Appends are single-writer: a second concurrent append is rejected with the
+// busy error rather than queued, so the caller owns retry policy and the
+// handler never blocks the drain path.
+//
+// A view is built from its predecessor, not from scratch. Positions in
+// Result.Triples are stable along the chain, so the read index is a short
+// list of immutable layers over contiguous position ranges: an append
+// indexes only the rows it added, shares every older layer with the
+// previous view by pointer, and merges trailing layers by the logarithmic
+// method (genView.grow) — at most log2(n)+1 layers, which is what a lookup
+// visits, and amortised O(log n) index work per new row. Nothing a
+// published view can reach is ever written again, so a reader parked on an
+// old generation needs no synchronisation with the appends behind it.
+// Hydrate indexes the recovered generation as one layer.
 package server
 
 import (
@@ -172,6 +185,7 @@ func (s *Server) Hydrate() error {
 		return fmt.Errorf("server: state directory: %w", err)
 	}
 
+	v := newGenView(st)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -184,10 +198,10 @@ func (s *Server) Hydrate() error {
 		return fmt.Errorf("server: already hydrated")
 	}
 	s.store, s.st = store, st
-	s.mu.Unlock()
-
-	v := newGenView(st)
+	// Published under the writer lock: Append grows the published view, so
+	// it must never find the store open and no view behind it.
 	s.current.Store(v)
+	s.mu.Unlock()
 	s.logf("hydrated generation %d (%d extractions consumed, %d fused triples)",
 		st.Batches, st.Consumed, len(v.triples()))
 	return nil
@@ -195,9 +209,10 @@ func (s *Server) Hydrate() error {
 
 // Append folds one extraction batch into the live chain: journal (the
 // durability point — a crash after this replays the batch on restart),
-// incremental graph Append plus warm EM via the method's chain, then an
-// atomic publish of the new generation. Single-writer: a concurrent append
-// returns ErrBusy instead of queuing. A failed periodic snapshot is logged
+// incremental graph Append plus warm EM via the method's chain, an atomic
+// publish of the new generation, then the periodic snapshot when one is
+// due. Single-writer: a concurrent append returns ErrBusy instead of
+// queuing, until this one has replied. A failed periodic snapshot is logged
 // and does not fail the append — the journal already holds the batch.
 func (s *Server) Append(batch []extract.Extraction) (*httpapi.AppendResponse, error) {
 	if len(batch) == 0 {
@@ -213,6 +228,10 @@ func (s *Server) Append(batch []extract.Extraction) (*httpapi.AppendResponse, er
 	if err := s.store.Append(s.st, batch); err != nil {
 		return nil, err
 	}
+	// Publish before the periodic snapshot: the batch is already durable in
+	// the journal, so readers need not wait out the snapshot to see it.
+	v := s.current.Load().grow(s.st)
+	s.current.Store(v)
 	s.sinceSnap++
 	if s.cfg.SnapshotEvery > 0 && s.sinceSnap >= s.cfg.SnapshotEvery {
 		if err := s.store.Snapshot(s.st); err != nil {
@@ -221,8 +240,6 @@ func (s *Server) Append(batch []extract.Extraction) (*httpapi.AppendResponse, er
 			s.sinceSnap = 0
 		}
 	}
-	v := newGenView(s.st)
-	s.current.Store(v)
 	return &httpapi.AppendResponse{
 		Generation: v.generation,
 		Added:      len(batch),

@@ -123,7 +123,9 @@ func (f *Fusion) Fuse(cfg fusion.Config) (*fusion.Result, error) {
 // FuseWarm is Fuse seeded from a previous sharded result — provenances in
 // prev.ProvAccuracy start there (and count as evaluated), exactly like the
 // unsharded FuseWarm. Keys are granularity strings, so a result from any
-// shard count seeds any other.
+// shard count seeds any other; a result this coordinator returned earlier
+// seeds by global ID through the table it kept extending, without hashing a
+// key (see fusion.FuseLockstep), to the same bits.
 func (f *Fusion) FuseWarm(cfg fusion.Config, prev *fusion.Result) (*fusion.Result, error) {
 	return fusion.FuseLockstep(f.graphs, f.provs, cfg, prev)
 }

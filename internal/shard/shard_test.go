@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -424,4 +425,97 @@ func TestSplitRouting(t *testing.T) {
 	if total != len(claims) {
 		t.Fatalf("claim split covers %d of %d", total, len(claims))
 	}
+}
+
+// decoded returns res as a snapshot hands it back: exported fields only, so
+// the next FuseWarm seeds through the ProvAccuracy map instead of by index.
+func decoded(t *testing.T, res *fusion.Result) *fusion.Result {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := fusion.EncodeResult(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := fusion.DecodeResult(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
+}
+
+// TestFusionShardDenseSeed: at every step of a 30-step streaming chain (one
+// warm round per step), the coordinator's FuseWarm seeded from the previous
+// step's own result — by index through the cross-shard table it kept
+// extending — equals, bit for bit, FuseWarm seeded from that result's
+// decoded copy, the string-map path. Then the cases where the previous
+// result's IDs are another table's: a K=4 result seeding K=1 and back, and a
+// result seeding a coordinator rebuilt from the shard graphs.
+func TestFusionShardDenseSeed(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	head := testExtractions(rng, 2000)
+	steps := make([][]extract.Extraction, 30)
+	for i := range steps {
+		steps[i] = testExtractions(rng, 150)
+	}
+	cold := fusion.PopAccuConfig()
+	warm := cold
+	warm.Rounds = 1
+
+	last := map[int]*fusion.Result{}
+	coords := map[int]*Fusion{}
+	for _, k := range []int{1, 4} {
+		f, err := NewFusion(k, cold.Granularity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Append(head); err != nil {
+			t.Fatal(err)
+		}
+		prev, err := f.Fuse(cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, batch := range steps {
+			if err := f.Append(batch); err != nil {
+				t.Fatal(err)
+			}
+			got, err := f.FuseWarm(warm, prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := f.FuseWarm(warm, decoded(t, prev))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, fmt.Sprintf("K=%d step %d", k, i), want, got)
+			prev = got
+		}
+		last[k], coords[k] = prev, f
+	}
+
+	for _, tc := range []struct{ from, into int }{{4, 1}, {1, 4}} {
+		f := coords[tc.into]
+		got, err := f.FuseWarm(warm, last[tc.from])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := f.FuseWarm(warm, decoded(t, last[tc.from]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, fmt.Sprintf("K=%d result into K=%d", tc.from, tc.into), want, got)
+	}
+
+	graphs := make([]*fusion.Compiled, 4)
+	for s := range graphs {
+		graphs[s] = coords[4].Shard(s)
+	}
+	got, err := FuseShards(graphs, warm, last[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := FuseShards(graphs, warm, decoded(t, last[4]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, "rebuilt table", want, got)
 }
