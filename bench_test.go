@@ -355,48 +355,54 @@ func BenchmarkAppendChain(b *testing.B) {
 // BenchmarkServerAppend measures kfserved's write path in process, without
 // HTTP or a disk: one op is Server.Append of a 400-record batch — journal
 // into faultfs.Mem, incremental graph Append, one warm EM round, publishing
-// the next generation's view — onto a popaccu daemon whose head holds the
-// large dataset's first 50 000 records. Periodic snapshots are off
+// the next generation's view — onto a daemon whose head holds the large
+// dataset's first 50 000 records, once per served engine (popaccu, twolayer:
+// same head, batch and filesystem). Periodic snapshots are off
 // (SnapshotEvery -1), so ns/op is the append every generation pays; the
 // daemon restarts from the head, off the clock, every serverAppendSteps ops.
 // With -benchmem, B/op and allocs/op should follow the batch plus the warm
-// round's per-generation arrays, not a rebuild of the read index.
+// round's per-generation columns — not a rebuild of the read index, and not
+// the rows or the accuracy map of a generation nobody snapshots.
 func BenchmarkServerAppend(b *testing.B) {
 	const head, batch, serverAppendSteps = 50_000, 400, 100
 	xs := exper.SharedDataset(exper.ScaleLarge, benchSeed).Extractions
 	if len(xs) < head+serverAppendSteps*batch {
 		b.Fatalf("large dataset too small: %d extractions", len(xs))
 	}
-	var srv *server.Server
-	defer func() { srv.Close() }()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := i % serverAppendSteps
-		if k == 0 {
+	for _, method := range []string{"popaccu", "twolayer"} {
+		b.Run(method, func(b *testing.B) {
+			var srv *server.Server
+			defer func() { srv.Close() }()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % serverAppendSteps
+				if k == 0 {
+					b.StopTimer()
+					if srv != nil {
+						srv.Close()
+					}
+					var err error
+					if srv, err = server.New(server.Config{FS: faultfs.NewMem(), Method: method, SnapshotEvery: -1}); err != nil {
+						b.Fatal(err)
+					}
+					if err := srv.Hydrate(); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := srv.Append(xs[:head]); err != nil {
+						b.Fatal(err)
+					}
+					runtime.GC() // keep setup garbage out of the timed region
+					b.StartTimer()
+				}
+				if _, err := srv.Append(xs[head+k*batch : head+(k+1)*batch]); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.StopTimer()
-			if srv != nil {
-				srv.Close()
-			}
-			var err error
-			if srv, err = server.New(server.Config{FS: faultfs.NewMem(), SnapshotEvery: -1}); err != nil {
-				b.Fatal(err)
-			}
-			if err := srv.Hydrate(); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := srv.Append(xs[:head]); err != nil {
-				b.Fatal(err)
-			}
-			runtime.GC() // keep setup garbage out of the timed region
-			b.StartTimer()
-		}
-		if _, err := srv.Append(xs[head+k*batch : head+(k+1)*batch]); err != nil {
-			b.Fatal(err)
-		}
+			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
 }
 
 // BenchmarkTwoLayerFuse measures the §5.1 two-layer model on the bench

@@ -246,29 +246,36 @@ func (j *job) runAppend() (*fusion.Result, int) {
 			log.Fatalf("state directory: %v", err)
 		}
 	}
-	j.streamChunks(st.Consumed, store != nil, func(batch []extract.Extraction) (*fusion.Result, string, error) {
+	j.streamChunks(st.Consumed, store != nil, func(batch []extract.Extraction) (progress, error) {
 		if store != nil {
 			if err := store.Append(st, batch); err != nil {
-				return nil, "", err
+				return progress{}, err
 			}
 		} else {
 			if err := chain.Apply(st, batch); err != nil {
-				return nil, "", err
+				return progress{}, err
 			}
 			st.Batches++
 			st.Consumed += len(batch)
 		}
+		// The chain leaves the posterior in its native form; a chunk's
+		// progress line needs its size and round count, not its rows.
+		p := progress{triples: st.Posterior.Len(), rounds: st.Posterior.Rounds}
 		if st.Ext != nil {
-			return st.Result, fmt.Sprintf("%d statements", st.Ext.NumStatements()), nil
+			p.size = fmt.Sprintf("%d statements", st.Ext.NumStatements())
+		} else {
+			p.size = fmt.Sprintf("%d claims", st.Claim.NumClaims())
 		}
-		return st.Result, fmt.Sprintf("%d claims", st.Claim.NumClaims()), nil
+		return p, nil
 	})
+	// Materialised once, after the last chunk: the final snapshot stores the
+	// exchange form and the caller writes it out.
 	if store != nil {
 		if err := store.Snapshot(st); err != nil {
 			log.Fatal(err)
 		}
 	}
-	return st.Result, st.Consumed
+	return st.Fused(), st.Consumed
 }
 
 // runSharded is the in-memory -shards chain: a K-shard coordinator routes
@@ -276,31 +283,35 @@ func (j *job) runAppend() (*fusion.Result, int) {
 // warm-started from the previous chunk's merged result.
 func (j *job) runSharded() (*fusion.Result, int) {
 	var res *fusion.Result
-	var step func(batch []extract.Extraction) (*fusion.Result, string, error)
+	var step func(batch []extract.Extraction) (progress, error)
 	if tc := j.twoLayer; tc != nil {
 		tl, err := shard.NewTwoLayer(j.shards, tc.SiteLevel)
 		if err != nil {
 			log.Fatal(err)
 		}
 		var warm *twolayer.State
-		step = func(batch []extract.Extraction) (*fusion.Result, string, error) {
+		step = func(batch []extract.Extraction) (progress, error) {
 			tl.Append(batch)
 			var err error
-			res, warm, err = tl.FuseWarm(*tc, warm)
-			return res, fmt.Sprintf("%d statements over %d shards", tl.NumStatements(), j.shards), err
+			if res, warm, err = tl.FuseWarm(*tc, warm); err != nil {
+				return progress{}, err
+			}
+			return progressOf(res, fmt.Sprintf("%d statements over %d shards", tl.NumStatements(), j.shards)), nil
 		}
 	} else {
 		f, err := shard.NewFusion(j.shards, j.claim.Granularity)
 		if err != nil {
 			log.Fatal(err)
 		}
-		step = func(batch []extract.Extraction) (*fusion.Result, string, error) {
+		step = func(batch []extract.Extraction) (progress, error) {
 			if err := f.Append(batch); err != nil {
-				return nil, "", err
+				return progress{}, err
 			}
 			var err error
-			res, err = f.FuseWarm(j.claim, res)
-			return res, fmt.Sprintf("%d claims over %d shards", f.NumClaims(), j.shards), err
+			if res, err = f.FuseWarm(j.claim, res); err != nil {
+				return progress{}, err
+			}
+			return progressOf(res, fmt.Sprintf("%d claims over %d shards", f.NumClaims(), j.shards)), nil
 		}
 	}
 	n := j.streamChunks(0, false, step)
@@ -338,16 +349,16 @@ func (j *job) runShardedDurable() (*fusion.Result, int) {
 		return gs
 	}
 	fused := false
-	j.streamChunks(shard.Consumed(states), true, func(batch []extract.Extraction) (*fusion.Result, string, error) {
+	j.streamChunks(shard.Consumed(states), true, func(batch []extract.Extraction) (progress, error) {
 		if err := stores.Append(states, batch); err != nil {
-			return nil, "", err
+			return progress{}, err
 		}
 		res, err := shard.FuseShards(graphs(), j.claim, prev)
 		if err != nil {
-			return nil, "", err
+			return progress{}, err
 		}
 		prev, fused = res, true
-		return res, fmt.Sprintf("%d shards", j.shards), nil
+		return progressOf(res, fmt.Sprintf("%d shards", j.shards)), nil
 	})
 	if prev != nil && !fused && staleResult(prev, graphs()) {
 		// Crash window: journal replay advanced the graphs past the last
@@ -404,10 +415,20 @@ func readFeed(in string) []extract.Extraction {
 	return xs
 }
 
+// progress is what a chunk's step reports for its progress line: the fused
+// posterior's row and round counts and a note on the chain's size.
+type progress struct {
+	triples, rounds int
+	size            string
+}
+
+func progressOf(res *fusion.Result, size string) progress {
+	return progress{triples: len(res.Triples), rounds: res.Rounds, size: size}
+}
+
 // streamChunks is the one chunked-feed loop: it reads the feed in
 // chunk-sized batches, skipping the first skip records (already consumed by
-// a resumed state), hands each batch to step and prints step's progress — the
-// fused result so far and a note on the chain's size. Batch mode (chunk 0)
+// a resumed state), hands each batch to step and prints step's progress. Batch mode (chunk 0)
 // is the one-chunk case: the whole file, an unterminated final line
 // included, is the single batch. A partial final line of a chunked feed — a
 // producer appending right now — ends the run cleanly. What happens to the
@@ -418,17 +439,17 @@ func readFeed(in string) []extract.Extraction {
 // read the finished feed in one go); an in-memory run has no next run to
 // defer to and fuses them. It returns the total records consumed including
 // the skipped prefix.
-func (j *job) streamChunks(skip int, durable bool, step func([]extract.Extraction) (*fusion.Result, string, error)) int {
+func (j *job) streamChunks(skip int, durable bool, step func([]extract.Extraction) (progress, error)) int {
 	consumed, chunks := skip, 0
 	apply := func(batch []extract.Extraction) {
 		t0 := time.Now()
-		res, size, err := step(batch)
+		p, err := step(batch)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if !j.quiet {
 			fmt.Printf("chunk %d: +%d extractions -> %s, %d triples, %d rounds (%v)\n",
-				chunks, len(batch), size, len(res.Triples), res.Rounds, time.Since(t0).Round(time.Millisecond))
+				chunks, len(batch), p.size, p.triples, p.rounds, time.Since(t0).Round(time.Millisecond))
 		}
 		consumed += len(batch)
 		chunks++

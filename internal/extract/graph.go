@@ -602,6 +602,19 @@ func (g *Compiled) ExtractorNames() []string { return g.extractors }
 // Triple returns the triple with the given triple ID.
 func (g *Compiled) Triple(t int32) kb.Triple { return g.triples[t] }
 
+// Triples returns the triple column (triple ID -> triple), a read-only view.
+func (g *Compiled) Triples() []kb.Triple { return g.triples }
+
+// Support returns triple t's output support counts — the statements
+// asserting it, the statements on its data item, and its distinct
+// extractors. With NumTriples and Triples it is what a fused result row is
+// assembled from (fusion.RowGraph, which the claim graph implements too).
+func (g *Compiled) Support(t int) (provenances, itemProvenances, extractors int) {
+	return int(g.tripleStStart[t+1] - g.tripleStStart[t]),
+		int(g.itemStatements[g.itemOfTriple[t]]),
+		int(g.tripleExts[t])
+}
+
 // Item returns the data item with the given item ID.
 func (g *Compiled) Item(i int32) kb.DataItem { return g.items[i] }
 

@@ -239,11 +239,29 @@ func (c *Compiled) Claims() []Claim { return c.g.claims }
 // Triple returns the triple with the given triple ID.
 func (c *Compiled) Triple(t int) kb.Triple { return c.g.triples[t] }
 
+// Triples returns the compiled triple column (triple ID -> triple).
+func (c *Compiled) Triples() []kb.Triple { return c.g.triples }
+
 // Item returns the data item with the given item ID.
 func (c *Compiled) Item(i int) kb.DataItem { return c.g.items[i] }
 
 // ProvKey returns the provenance key with the given provenance ID.
 func (c *Compiled) ProvKey(p int) string { return c.g.provKeys[p] }
+
+// ProvKeys returns the provenance key column (provenance ID -> key).
+func (c *Compiled) ProvKeys() []string { return c.g.provKeys }
+
+// Support returns triple t's output support counts — the provenances
+// asserting it, the claims on its data item, and its distinct extractors:
+// with Triples, everything a fused row holds besides its probability (see
+// RowGraph).
+func (c *Compiled) Support(t int) (provenances, itemProvenances, extractors int) {
+	g := c.g
+	item := g.itemOfTriple[t]
+	return int(g.tripleClaimStart[t+1] - g.tripleClaimStart[t]),
+		int(g.itemClaimStart[item+1] - g.itemClaimStart[item]),
+		int(g.tripleExtractors[t])
+}
 
 // ItemTriples returns the candidate triple IDs of item i in ascending
 // (first-occurrence) order.

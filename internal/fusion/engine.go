@@ -3,6 +3,7 @@ package fusion
 import (
 	"math"
 	"runtime"
+	"slices"
 
 	"kfusion/internal/csr"
 	"kfusion/internal/kb"
@@ -43,6 +44,12 @@ type engine struct {
 
 	claimProb  []float64 // claim ID -> probability of its triple this round
 	claimStamp []int32   // claim ID -> round+1 when last scored
+
+	// partSums/partCnts are this graph's stage-II partials, one pair per
+	// provenance: where the round driver has ProvPartials write each round
+	// (see partials).
+	partSums []float64
+	partCnts []int32
 
 	// logCount[k] = log(k) for every possible per-item support count
 	// (POPACCU only): the popularity term log q(v) = log n(v) - log n then
@@ -103,8 +110,8 @@ func MustFuse(claims []Claim, cfg Config) *Result {
 }
 
 // Fuse runs one fusion configuration over the compiled claim graph. The
-// graph is shared, immutable input: every call builds fresh per-run engine
-// state (provenance accuracies, per-claim probabilities, scratch), so
+// graph is shared, immutable input: every call runs on per-run engine state
+// of its own (provenance accuracies, per-claim probabilities, scratch), so
 // results are bit-identical to a fresh fusion.Fuse of the same claims and
 // concurrent calls on one Compiled are safe. cfg.Workers bounds only the
 // per-round stage parallelism here — the graph is already compiled — and,
@@ -164,15 +171,25 @@ const WarmTol = 5e-3
 // (Config.GoldLabeler), when configured, runs after seeding and overrides
 // it for labeled provenances, exactly as it overrides the default.
 //
-// When prev is the result an earlier generation of this chain returned
-// (c reached from that graph by Appends), seeding costs no map lookup: prev
-// carries its accuracies in provenance-ID order and they are installed by
-// index (see FuseLockstep). A decoded, hand-built or foreign prev seeds
-// through ProvAccuracy by key; the result is the same either way. The dense
-// seed is taken at return: edit a result's accuracies by passing a fresh
-// Result{ProvAccuracy: m}, not by writing into the returned map.
+// FuseWarm is the driver's one-graph call followed by Posterior.Result: the
+// engine computes the native form and this materialises the exchange form
+// from it. The result remembers the posterior's seed (Result.Seed), which is
+// what makes a chain cheap. When prev is the result an earlier
+// generation of this chain returned (c reached from that graph by Appends),
+// seeding costs no map lookup — the accuracies are installed by provenance
+// ID — and this run takes over the step engines that produced prev, regrown
+// to the new graph instead of rebuilt (see FuseLockstep). A decoded,
+// hand-built or foreign prev seeds through ProvAccuracy by key with fresh
+// engines, as does a second FuseWarm from the same prev; the result is the
+// same bits either way. The seed is fixed when a result is materialised:
+// edit a result's accuracies by passing a fresh Result{ProvAccuracy: m}, not
+// by writing into the returned map.
 func (c *Compiled) FuseWarm(cfg Config, prev *Result) (*Result, error) {
-	return FuseLockstep([]*Compiled{c}, nil, cfg, prev)
+	post, err := FuseLockstep([]*Compiled{c}, nil, cfg, prev.Seed())
+	if err != nil {
+		return nil, err
+	}
+	return post.Result(), nil
 }
 
 // MustFuseWarm is FuseWarm for statically-valid configurations.
@@ -184,7 +201,18 @@ func (c *Compiled) MustFuseWarm(cfg Config, prev *Result) *Result {
 	return r
 }
 
-func newEngine(g *graph, cfg Config) *engine {
+// rebind is the one engine sizing routine: it binds e to graph g under cfg,
+// sizing every buffer for g and resetting all per-run state. A fresh engine
+// is the zero engine rebound (newRun); a recycled one — handed from the
+// previous generation's posterior to the next run, see FuseLockstep — keeps
+// the buffers that are still large enough and regrows the rest with
+// headroom, so along an append chain the per-generation allocation is the
+// occasional regrowth, not the whole state. Nothing of the previous run
+// survives: accuracies and default flags are re-initialised, the tables that
+// depend on the graph or the config are recomputed, and the claim stamps are
+// cleared — a warm Rounds=1 generation stamps with 1 again, which a stale
+// stamp from the generation before must not match.
+func (e *engine) rebind(g *graph, cfg Config) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -197,18 +225,13 @@ func newEngine(g *graph, cfg Config) *engine {
 		}
 	}
 	nProvs := len(g.provKeys)
-	e := &engine{
-		cfg:         cfg,
-		g:           g,
-		kern:        mathx.ForConfig(cfg.FastMath),
-		provAcc:     make([]float64, nProvs),
-		provDefault: make([]bool, nProvs),
-		provTerm:    make([]float64, nProvs),
-		claimProb:   make([]float64, len(g.claims)),
-		claimStamp:  make([]int32, len(g.claims)),
-		workers:     workers,
-		scratches:   make([]scoreScratch, workers),
-	}
+	e.cfg, e.g, e.kern, e.workers = cfg, g, mathx.ForConfig(cfg.FastMath), workers
+	e.provAcc = regrow(e.provAcc, nProvs)
+	e.provDefault = regrow(e.provDefault, nProvs)
+	e.provTerm = regrow(e.provTerm, nProvs)          // rewritten whole by every stageI that reads it
+	e.claimProb = regrow(e.claimProb, len(g.claims)) // read only under a matching stamp
+	e.claimStamp = regrow(e.claimStamp, len(g.claims))
+	clear(e.claimStamp)
 	for p := range e.provAcc {
 		e.provAcc[p] = cfg.DefaultAccuracy
 		e.provDefault[p] = true
@@ -218,6 +241,7 @@ func newEngine(g *graph, cfg Config) *engine {
 	// lengths: whether a provenance block-reduces is a property of the data,
 	// never of Workers, and a single-block fold is the identity, so every
 	// span at or under ReduceBlockSize keeps the historical linear-walk bits.
+	e.provBlocks, e.provBlockStart = nil, nil
 	maxBlocks := 0
 	for p := 0; p < nProvs; p++ {
 		if int(g.provClaimStart[p+1])-int(g.provClaimStart[p]) > csr.ReduceBlockSize {
@@ -239,6 +263,7 @@ func newEngine(g *graph, cfg Config) *engine {
 			break
 		}
 	}
+	e.logCount = e.logCount[:0]
 	if cfg.Method == PopAccu {
 		maxSpan := 0
 		for i := 0; i+1 < len(g.itemClaimStart); i++ {
@@ -246,22 +271,42 @@ func newEngine(g *graph, cfg Config) *engine {
 				maxSpan = n
 			}
 		}
-		e.logCount = make([]float64, maxSpan+1)
+		e.logCount = regrow(e.logCount, maxSpan+1)
 		for k := range e.logCount {
 			e.logCount[k] = float64(k)
 		}
 		e.kern.LogSlice(e.logCount, e.logCount)
 	}
+	// Scoring scratch is zeroed where it is used, so it carries over as is.
+	e.scratches = regrow(e.scratches, workers)
 	for w := range e.scratches {
-		e.scratches[w] = scoreScratch{
-			counts: make([]int32, g.maxCandidates),
-			aux:    make([]float64, g.maxCandidates),
-			scores: make([]float64, g.maxCandidates),
-			probs:  make([]float64, g.maxCandidates),
-			parts:  make([][2]float64, maxBlocks),
-		}
+		sc := &e.scratches[w]
+		sc.counts = regrow(sc.counts, g.maxCandidates)
+		sc.aux = regrow(sc.aux, g.maxCandidates)
+		sc.scores = regrow(sc.scores, g.maxCandidates)
+		sc.probs = regrow(sc.probs, g.maxCandidates)
+		sc.parts = regrow(sc.parts, maxBlocks)
 	}
-	return e
+}
+
+// partials returns the engine's stage-II partial buffers at the graph's
+// provenance count. They are sized on first use after a rebind, not in it:
+// VOTE has no stage II, and a caller sequencing a Run itself brings its own.
+func (e *engine) partials() ([]float64, []int32) {
+	n := len(e.g.provKeys)
+	e.partSums, e.partCnts = regrow(e.partSums, n), regrow(e.partCnts, n)
+	return e.partSums, e.partCnts
+}
+
+// regrow returns s at length n with unspecified contents: its own backing
+// array when that is large enough, otherwise a new one with append's
+// geometric headroom, so a buffer that grows a little every generation is
+// reallocated only now and then.
+func regrow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // goldCounts tallies each provenance's (true, labeled) gold-claim counts at
@@ -511,38 +556,26 @@ func (e *engine) scoreItem(sc *scoreScratch, item int32, round int) {
 }
 
 // stageIII attaches the final probabilities to the deduplicated triple set
-// interned at compile time (Figure 8, Stage III), writing the graph's
-// triples in compiled order into out (len(g.triples) long — the round
-// driver hands each graph its segment of the merged result) and returning
-// how many carry no prediction.
-func (e *engine) stageIII(lastStamp int32, out []FusedTriple) (unpredicted int) {
+// interned at compile time (Figure 8, Stage III): prob (len(g.triples) long
+// — the round driver hands each graph its segment of the merged column)
+// receives, per triple in compiled order, the probability its claims were
+// stamped with in the last round, or -1 when the filters left none scored.
+// Everything else an output row holds is already in the graph (see
+// Compiled.Support).
+func (e *engine) stageIII(lastStamp int32, prob []float64) {
 	g := e.g
 	e.parallelRange(len(g.triples), func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
-			item := g.itemOfTriple[t]
-			f := FusedTriple{
-				Triple:          g.triples[t],
-				Probability:     -1,
-				Provenances:     int(g.tripleClaimStart[t+1] - g.tripleClaimStart[t]),
-				ItemProvenances: int(g.itemClaimStart[item+1] - g.itemClaimStart[item]),
-				Extractors:      int(g.tripleExtractors[t]),
-			}
+			p := -1.0
 			for _, c := range g.tripleClaims[g.tripleClaimStart[t]:g.tripleClaimStart[t+1]] {
 				if e.claimStamp[c] == lastStamp {
-					f.Probability = e.claimProb[c]
-					f.Predicted = true
+					p = e.claimProb[c]
 					break
 				}
 			}
-			out[t] = f
+			prob[t] = p
 		}
 	})
-	for i := range out {
-		if !out[i].Predicted {
-			unpredicted++
-		}
-	}
-	return unpredicted
 }
 
 // reportRound surfaces per-round probabilities to the OnRound callback.

@@ -8,7 +8,7 @@ import (
 
 // viaMap strips a result of its dense seed the way a snapshot does: what
 // DecodeResult returns seeds the next FuseWarm through the ProvAccuracy map
-// alone, the only warm path before the dense seed existed.
+// alone, on fresh engines — the only warm path before the dense seed existed.
 func viaMap(t *testing.T, res *Result) *Result {
 	t.Helper()
 	var buf bytes.Buffer
@@ -19,7 +19,7 @@ func viaMap(t *testing.T, res *Result) *Result {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if dec.seedKeys != nil || dec.seedAcc != nil {
+	if dec.seed != nil || dec.Seed().byKey == nil {
 		t.Fatal("a decoded result carries a dense seed")
 	}
 	return dec
@@ -41,18 +41,18 @@ func TestDenseSeedMatchesMapSeed(t *testing.T) {
 	for step := 0; step < 30; step++ {
 		at := 1000 + 200*step
 		g = g.MustAppend(claims[at : at+200])
-		if !isPrefix(prev.seedKeys, g.g.provKeys) {
+		if !isPrefix(prev.seed.keys, g.g.provKeys) {
 			t.Fatalf("step %d: the previous result's keys are not a prefix of the chain's", step)
 		}
 		got := g.MustFuseWarm(cfg, prev)
 		assertBitIdentical(t, "dense vs map seed", got, g.MustFuseWarm(cfg, viaMap(t, prev)))
-		if len(got.ProvAccuracy) != g.NumProvenances() || len(got.seedAcc) != g.NumProvenances() {
+		if len(got.ProvAccuracy) != g.NumProvenances() || len(got.seed.acc) != g.NumProvenances() {
 			t.Fatalf("step %d: %d map entries, %d dense, %d provenances",
-				step, len(got.ProvAccuracy), len(got.seedAcc), g.NumProvenances())
+				step, len(got.ProvAccuracy), len(got.seed.acc), g.NumProvenances())
 		}
-		for p, key := range got.seedKeys {
-			if a, ok := got.ProvAccuracy[key]; !ok || a != got.seedAcc[p] {
-				t.Fatalf("step %d: dense accuracy of %q is %v, the map holds %v", step, key, got.seedAcc[p], a)
+		for p, key := range got.seed.keys {
+			if a, ok := got.ProvAccuracy[key]; !ok || a != got.seed.acc[p] {
+				t.Fatalf("step %d: dense accuracy of %q is %v, the map holds %v", step, key, got.seed.acc[p], a)
 			}
 		}
 		prev = got
@@ -80,7 +80,7 @@ func TestDenseSeedAcrossFork(t *testing.T) {
 	}
 	resA := a.MustFuse(PopAccuConfig())
 	resB := b.MustFuseWarm(cfg, resA)
-	if isPrefix(resB.seedKeys, fork.g.provKeys) {
+	if isPrefix(resB.seed.keys, fork.g.provKeys) {
 		t.Fatal("scenario broken: the fork's keys begin with its sibling's")
 	}
 	assertBitIdentical(t, "B seeds B'", fork.MustFuseWarm(cfg, resB), fork.MustFuseWarm(cfg, viaMap(t, resB)))

@@ -28,25 +28,37 @@ import (
 // Centralised versus sharded is which table the caller holds, not a second
 // algorithm.
 
-// Run is the step engine over one compiled graph: the newEngine state with
-// the EM stages exposed one at a time, for FuseLockstep (and for callers
-// that time or trace the stages) to sequence. A Run never counts rounds and
-// never invokes Config.OnRound. Not safe for concurrent use; one Run per
+// Run is the step engine over one compiled graph: the engine state with the
+// EM stages exposed one at a time, for FuseLockstep (and for callers that
+// time or trace the stages) to sequence. A Run never counts rounds and never
+// invokes Config.OnRound. Not safe for concurrent use; one Run per
 // goroutine.
 type Run struct {
+	c         *Compiled
 	e         *engine
 	lastStamp int32
 }
 
 // NewRun builds the step engine for one fusion configuration.
 func (c *Compiled) NewRun(cfg Config) (*Run, error) {
+	return c.newRun(cfg, nil)
+}
+
+// newRun is NewRun over a recycled engine when the driver has one to hand on
+// (nil builds a fresh one): either way the engine is bound to c by the one
+// sizing routine, engine.rebind.
+func (c *Compiled) newRun(cfg Config, e *engine) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Epsilon <= 0 {
 		cfg.Epsilon = 1e-4
 	}
-	return &Run{e: newEngine(c.g, cfg), lastStamp: 1}, nil
+	if e == nil {
+		e = &engine{}
+	}
+	e.rebind(c.g, cfg)
+	return &Run{c: c, e: e, lastStamp: 1}, nil
 }
 
 // NumProvenances reports the graph's provenance count — the length
@@ -94,87 +106,132 @@ func (r *Run) ProvPartials(round int, sums []float64, cnts []int32) {
 }
 
 // Finish runs stage III against the last StageI's stamp and returns the
-// graph's result: fused triples in compiled order, Unpredicted counted, the
-// local provenance-accuracy map, and Rounds as given.
+// graph's result in exchange form: fused triples in compiled order,
+// Unpredicted counted, the local provenance-accuracy map, and Rounds as
+// given. The Run stays the caller's: the result does not carry its engine.
 func (r *Run) Finish(rounds int) *Result {
-	res := &Result{Rounds: rounds, Triples: make([]FusedTriple, len(r.e.g.triples))}
-	res.Unpredicted = r.e.stageIII(r.lastStamp, res.Triples)
-	res.ProvAccuracy = make(map[string]float64, len(r.e.g.provKeys))
-	for p, key := range r.e.g.provKeys {
-		res.ProvAccuracy[key] = r.e.provAcc[p]
+	return finish([]*Run{r}, csr.IdentityTable(r.e.g.provKeys), rounds).Result()
+}
+
+// finish is the tail of a run: stage III of every graph into one probability
+// column, the current accuracies in global-ID order, and the posterior over
+// them.
+func finish(runs []*Run, provs *csr.IDTable, rounds int) *Posterior {
+	graphs := make([]RowGraph, len(runs))
+	nTriples := 0
+	for s, r := range runs {
+		graphs[s] = r.c
+		nTriples += len(r.e.g.triples)
 	}
-	return res
+	prob := make([]float64, nTriples)
+	at := 0
+	for _, r := range runs {
+		n := len(r.e.g.triples)
+		r.e.stageIII(r.lastStamp, prob[at:at+n])
+		at += n
+	}
+	acc := make([]float64, provs.N())
+	var one [1]csr.Loc
+	for g := range acc {
+		acc[g] = current(runs, provs.Holders(g, &one))
+	}
+	return NewPosterior(graphs, prob, provs.Keys(), acc, rounds, runs[0].e.cfg.Workers)
 }
 
 // FuseLockstep runs one fusion configuration over 1..K compiled graphs in
-// lockstep EM rounds and merges the results: fused triples in graph-major
-// compiled order, the global provenance-accuracy map, and the round count.
-// graphs[i] must hold exactly the claims of the data items routed to it;
-// provs maps each graph's local provenance IDs to global ones and is nil
-// for a single graph (identity). Provenances whose key appears in
-// prev.ProvAccuracy start at that accuracy and count as evaluated; gold
-// initialization (§4.3.3), when configured, overrides both the default and
-// the seed for labeled provenances. Config.OnRound is honoured for a single
-// graph only — a shard's round is a partial view.
+// lockstep EM rounds and returns the merged posterior in its native form:
+// one probability per triple in graph-major compiled order, one accuracy per
+// global provenance ID, and the round count (Posterior.Result materialises
+// the exchange form; the public Fuse calls do exactly that). graphs[i] must
+// hold exactly the claims of the data items routed to it; provs maps each
+// graph's local provenance IDs to global ones and is nil for a single graph
+// (identity). Provenances prev holds an accuracy for start at that accuracy
+// and count as evaluated; gold initialization (§4.3.3), when configured,
+// overrides both the default and the seed for labeled provenances.
+// Config.OnRound is honoured for a single graph only — a shard's round is a
+// partial view.
 //
-// The seed is dense when it can be. Every result the driver returns also
-// records, unexported, its accuracies in global-ID order beside the key
-// column those IDs index; when prev's key column is a prefix of this call's
-// — prev came from an earlier generation of the same graph chain or the same
-// coordinator table, whose IDs only grow at the end — the accuracies are
-// installed by index and no string is hashed. The prefix test is exact: one
-// pointer comparison when the two columns share a backing array, an
-// element-wise comparison otherwise. Any other prev — decoded from a
-// snapshot, built by hand, from a fork, from another shard count or a
-// rebuilt table — seeds through the ProvAccuracy map, which every result
-// still carries in full; the two paths install the same values, so which one
-// ran never shows in a result.
+// The seed is dense when it can be. A posterior's Seed keeps its accuracies
+// in global-ID order beside the key column those IDs index; when prev's key
+// column is a prefix of this call's — prev came from an earlier generation
+// of the same graph chain or the same coordinator table, whose IDs only grow
+// at the end — the accuracies are installed by index and no string is
+// hashed. The prefix test is exact: one pointer comparison when the two
+// columns share a backing array, an element-wise comparison otherwise. Any
+// other prev — read back from a decoded or hand-built Result (Result.Seed),
+// from a fork, from another shard count or a rebuilt table — seeds by key;
+// the two paths install the same values, so which one ran never shows in a
+// result.
+//
+// The step engines outlive their generation the same way. The seed of the
+// posterior a seeded call returns carries the engines that produced it (an
+// unseeded call's does not: cold results are what sweeps keep by the dozen,
+// and each would pin an engine), and a call densely seeded from it takes
+// them — exclusively, like the interning index of an Append chain: the first
+// successor gets them, and a second successor of the same seed (a fork, a
+// concurrent call), a by-key seed, a different shard count or a cold seed
+// builds fresh ones. A taken engine is rebound to its new graph by the
+// routine that sizes a fresh one (engine.rebind): buffers are reused or
+// regrown with headroom, every accuracy, default flag and claim stamp is
+// reset, so a recycled engine cannot move a bit either.
 //
 // With one graph every fold is over a single holder — the identity — so the
 // result does not depend on whether a table was handed in; K > 1 re-groups
 // each cross-shard provenance sum (csr.Pairwise over the holders in shard
 // order) and agrees with K = 1 within the documented tolerance (see
 // internal/shard).
-func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Result) (*Result, error) {
+func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed) (*Posterior, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("fusion: FuseLockstep needs at least one graph")
 	}
 	if len(graphs) > 1 && cfg.OnRound != nil {
 		return nil, fmt.Errorf("fusion: Config.OnRound is not supported in sharded fusion")
 	}
-	runs := make([]*Run, len(graphs))
 	for s, g := range graphs {
 		if g == nil {
 			return nil, fmt.Errorf("fusion: shard %d has no graph (Fuse before first Append)", s)
 		}
-		r, err := g.NewRun(cfg)
-		if err != nil {
-			return nil, err
-		}
-		runs[s] = r
 	}
-
 	if provs == nil {
 		if len(graphs) > 1 {
 			return nil, fmt.Errorf("fusion: %d graphs need a cross-shard provenance table", len(graphs))
 		}
 		provs = csr.IdentityTable(graphs[0].g.provKeys)
 	}
+	nG := provs.N()
+	keys := provs.Keys()
+	// prev came from an earlier generation of this table: global IDs only
+	// grow at the end, so its accuracies seed by index and its engines fit.
+	dense := prev != nil && prev.byKey == nil && isPrefix(prev.keys, keys)
+	var recycled []*engine
+	if dense {
+		recycled = prev.takeEngines(len(graphs))
+	}
+	runs := make([]*Run, len(graphs))
+	for s, g := range graphs {
+		var e *engine
+		if recycled != nil {
+			e = recycled[s]
+		}
+		r, err := g.newRun(cfg, e)
+		if err != nil {
+			return nil, err
+		}
+		runs[s] = r
+	}
+
 	// The step engines' own accuracy slots are the parameter store: every
 	// holder of a provenance carries the same value, written only through
 	// install, so the driver keeps no global copy.
-	nG := provs.N()
-	keys := provs.Keys()
 	var one [1]csr.Loc
-	if prev != nil && len(prev.seedKeys) > 0 && isPrefix(prev.seedKeys, keys) {
-		// prev came from an earlier generation of this table: global IDs
-		// only grow at the end, so its accuracies seed by index.
-		for g, a := range prev.seedAcc {
+	if dense {
+		for g, a := range prev.acc {
 			install(runs, provs.Holders(g, &one), a)
 		}
-	} else if prev != nil && len(prev.ProvAccuracy) > 0 {
+	} else if prev != nil {
+		byKey := prev.accuracyMap()
 		for g, key := range keys {
-			if a, ok := prev.ProvAccuracy[key]; ok {
+			if a, ok := byKey[key]; ok {
 				install(runs, provs.Holders(g, &one), a)
 			}
 		}
@@ -209,11 +266,12 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Resu
 		rounds = 1
 		runs[0].e.reportRound(0)
 	} else {
+		// Each engine owns its stage-II partial buffers and keeps them across
+		// generations.
 		sums := make([][]float64, len(runs))
 		cnts := make([][]int32, len(runs))
 		for s, r := range runs {
-			sums[s] = make([]float64, r.NumProvenances())
-			cnts[s] = make([]int32, r.NumProvenances())
+			sums[s], cnts[s] = r.e.partials()
 		}
 		// The merge runs in parallel over global provenances: each owns its
 		// holders' slots, and the delta is a max — exact in any order — so
@@ -264,24 +322,17 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Resu
 		}
 	}
 
-	nTriples := 0
-	for _, r := range runs {
-		nTriples += len(r.e.g.triples)
-	}
-	out := &Result{Rounds: rounds, Triples: make([]FusedTriple, nTriples)}
-	at := 0
-	for _, r := range runs {
-		n := len(r.e.g.triples)
-		out.Unpredicted += r.e.stageIII(r.lastStamp, out.Triples[at:at+n])
-		at += n
-	}
-	out.seedKeys = keys
-	out.seedAcc = make([]float64, nG)
-	out.ProvAccuracy = make(map[string]float64, nG)
-	for g, key := range keys {
-		a := current(runs, provs.Holders(g, &one))
-		out.seedAcc[g] = a
-		out.ProvAccuracy[key] = a
+	out := finish(runs, provs, rounds)
+	if prev != nil {
+		// A seeded run is a link of a chain: its engines go with the
+		// posterior, for the next generation to take. An unseeded run is as
+		// likely one of a sweep's dozens, and every result kept from those
+		// would pin an engine nothing will ever take; a chain's first warm
+		// step builds its engines instead.
+		out.seed.engines = make([]*engine, len(runs))
+		for s, r := range runs {
+			out.seed.engines[s] = r.e
+		}
 	}
 	return out, nil
 }

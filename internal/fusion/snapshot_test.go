@@ -42,9 +42,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fuse decoded: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("decoded graph fuses differently from the original")
-	}
+	assertBitIdentical(t, "decoded graph vs the original", got, want)
 }
 
 // TestSnapshotAppendMatchesOriginal checks that a decoded generation accepts
@@ -105,8 +103,8 @@ func TestSnapshotDecodeCorrupt(t *testing.T) {
 }
 
 // TestResultRoundTrip checks EncodeResult/DecodeResult losslessness over the
-// exported fields: the dense warm seed is derived state a decoded result
-// does without (see TestDenseSeedMatchesMapSeed).
+// exported fields: the posterior a result came from is derived state a
+// decoded result does without (see TestDenseSeedMatchesMapSeed).
 func TestResultRoundTrip(t *testing.T) {
 	c := MustCompile(randomClaims(3, 300))
 	res, err := c.Fuse(PopAccuConfig())

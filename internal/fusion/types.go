@@ -55,6 +55,31 @@
 // generation's accuracies (one warm round per batch in streaming use; see
 // FuseWarm for the two-regime equivalence contract). ClaimStream carries
 // the (provenance, triple) dedup across batches.
+//
+// # Native and exchange form
+//
+// A run's result exists in two forms. The round driver (FuseLockstep)
+// returns the native one, Posterior: one probability per compiled triple and
+// one accuracy per provenance ID, over the graphs the run fused — nothing the
+// graphs already hold is copied, and Posterior.Row assembles an output row
+// (triple, support counts, probability) when one is asked for. Result is the
+// exchange form: self-contained rows and a string-keyed accuracy map, what
+// the file writers, the snapshot codec, the evaluation layer and every
+// public Fuse/FuseWarm speak. Posterior.Result materialises it, bit for bit
+// and through the same row assembler, and the Result remembers the
+// posterior's seed (Result.Seed). A caller that re-fuses generation after
+// generation and reads few rows — genstore.Chain under the daemon — keeps the
+// Posterior and materialises only when something needs the whole exchange
+// form.
+//
+// A posterior's Seed is what one generation hands the next. Seeded from the
+// posterior of an earlier generation of the same chain, a run installs the
+// accuracies by provenance ID instead of by key and takes over the step
+// engines that produced it — regrown to the new graph by the routine that
+// sizes a fresh engine, not rebuilt — so a warm step allocates two result
+// columns and the occasional buffer regrowth. A decoded or hand-built Result
+// has no posterior behind it and seeds by key on fresh engines, to the same
+// bits. See FuseLockstep for the exact conditions.
 package fusion
 
 import (
@@ -216,7 +241,13 @@ type FusedTriple struct {
 // Item returns the data item of the fused triple.
 func (f FusedTriple) Item() kb.DataItem { return f.Triple.Item() }
 
-// Result is the output of a fusion run.
+// Result is the output of a fusion run in its exchange form: self-contained
+// rows and a string-keyed accuracy map, what the file writers, the snapshot
+// codec, the evaluation layer and every public Fuse call speak. The engines
+// compute the native form, Posterior, and a Result is materialised from one
+// (Posterior.Result) wherever a caller asks for it; it is also what
+// DecodeResult returns and what a caller may build by hand. It keeps no
+// reference to the graphs it was fused on.
 type Result struct {
 	Triples []FusedTriple
 	// Rounds is the number of EM rounds executed (1 for VOTE).
@@ -226,13 +257,29 @@ type Result struct {
 	// Unpredicted counts triples for which filtering removed all evidence.
 	Unpredicted int
 
-	// seedAcc is ProvAccuracy in the round driver's global provenance-ID
-	// order and seedKeys the key column those IDs index, as FuseLockstep
-	// left them: the dense warm seed of the next generation (see
-	// FuseLockstep). Nil on a decoded or hand-built result, which seeds
-	// through the map.
-	seedKeys []string
-	seedAcc  []float64
+	// seed is the seed of the posterior this result was materialised from:
+	// what warm-starts the next generation (see Seed). Nil on a decoded or
+	// hand-built result, which seeds through the map.
+	seed *Seed
+}
+
+// Seed returns what warm-starts a run from r: the seed of the posterior r
+// was materialised from — it seeds by provenance ID where it can, and still
+// carries its step engines if no run has taken them (see FuseLockstep) — or,
+// for a decoded or hand-built result, a seed holding r's accuracies by key.
+// Nil when there is nothing to seed from. The seed is fixed when the result
+// is materialised: to edit one, pass a fresh Result{ProvAccuracy: m} rather
+// than writing into a returned map.
+func (r *Result) Seed() *Seed {
+	switch {
+	case r == nil:
+		return nil
+	case r.seed != nil:
+		return r.seed
+	case len(r.ProvAccuracy) == 0:
+		return nil
+	}
+	return &Seed{byKey: r.ProvAccuracy}
 }
 
 // ByTriple indexes the result for lookups.

@@ -103,7 +103,14 @@ func (c *Chain) Grow(st *State, batch []extract.Extraction) error {
 }
 
 // Apply is Grow plus the re-fuse, warm-started from the state's previous
-// result: the unsharded chain's ApplyFunc.
+// posterior: the unsharded chain's ApplyFunc. It runs the engine's round
+// driver directly and leaves the posterior in its native form on
+// st.Posterior (st.Result is cleared; State.Fused materialises it on
+// request), so a chain that appends more often than it snapshots never
+// builds the rows or the accuracy map of the generations in between, and
+// each generation's run takes over the step engines of the one before
+// (fusion.FuseLockstep). A state recovered from a snapshot holds only the
+// exchange form; the first Apply after it seeds by key from that.
 func (c *Chain) Apply(st *State, batch []extract.Extraction) error {
 	cold := st.Claim == nil && st.Ext == nil
 	if err := c.Grow(st, batch); err != nil {
@@ -114,21 +121,53 @@ func (c *Chain) Apply(st *State, batch []extract.Extraction) error {
 		if !cold && c.warm > 0 {
 			cfg.Rounds = c.warm
 		}
-		res, tl, err := twolayer.FuseCompiledWarm(st.Ext, cfg, st.TL)
+		post, tl, err := twolayer.FuseLockstep([]*extract.Compiled{st.Ext}, nil, cfg, st.TL)
 		if err != nil {
 			return err
 		}
-		st.Result, st.TL = res, tl
+		st.Posterior, st.Result, st.TL = post, nil, tl
 		return nil
 	}
 	cfg := c.claim
 	if !cold && c.warm > 0 {
 		cfg.Rounds = c.warm
 	}
-	res, err := st.Claim.FuseWarm(cfg, st.Result)
+	seed := st.Posterior.Seed()
+	if seed == nil {
+		seed = st.Result.Seed()
+	}
+	post, err := fusion.FuseLockstep([]*fusion.Compiled{st.Claim}, nil, cfg, seed)
 	if err != nil {
 		return err
 	}
-	st.Result = res
+	st.Posterior, st.Result = post, nil
+	return nil
+}
+
+// Adopt gives a state that holds its posterior only in exchange form — one
+// recovered from a snapshot with nothing journaled after it — the native
+// form as well, for a holder that reads rows through st.Posterior (the
+// daemon's views). The result is checked against the state's graph row by
+// row and key by key (fusion.PosteriorOf); a result that does not belong to
+// the graph is refused like a foreign method is by Check. A state that
+// already holds the native form, or nothing fused, is left as it is.
+func (c *Chain) Adopt(st *State) error {
+	if st.Posterior != nil || st.Result == nil {
+		return nil
+	}
+	var post *fusion.Posterior
+	var err error
+	switch {
+	case c.twoLayer && st.Ext != nil:
+		post, err = fusion.PosteriorOf(st.Result, st.Ext.SourceKeys(), st.Ext)
+	case !c.twoLayer && st.Claim != nil:
+		post, err = fusion.PosteriorOf(st.Result, st.Claim.ProvKeys(), st.Claim)
+	default:
+		err = fmt.Errorf("no %s graph", c.method)
+	}
+	if err != nil {
+		return fmt.Errorf("genstore: state holds a result that is not its graph's: %w", err)
+	}
+	st.Posterior = post
 	return nil
 }

@@ -61,7 +61,7 @@ func TestReopenedStreamDropsDuplicates(t *testing.T) {
 		t.Fatalf("reopened graph holds %d claims, one-shot compile %d", got, want)
 	}
 	cfg := fusion.PopAccuConfig()
-	if !reflect.DeepEqual(reopened.Claim.MustFuse(cfg), oneShot.MustFuse(cfg)) {
+	if !reflect.DeepEqual(exported(reopened.Claim.MustFuse(cfg)), exported(oneShot.MustFuse(cfg))) {
 		t.Fatal("reopened graph fuses differently from a one-shot compile of the same feed")
 	}
 }
@@ -116,8 +116,8 @@ func TestWarmRoundBudget(t *testing.T) {
 				if off > 0 && warm > 0 {
 					want = warm
 				}
-				if st.Result.Rounds != want {
-					t.Errorf("%s warm=%d batch at %d: ran %d rounds, want %d", tt.name, warm, off, st.Result.Rounds, want)
+				if st.Posterior.Rounds != want {
+					t.Errorf("%s warm=%d batch at %d: ran %d rounds, want %d", tt.name, warm, off, st.Posterior.Rounds, want)
 				}
 			}
 		}
@@ -212,7 +212,7 @@ func TestTriplePositionsAreAppendStable(t *testing.T) {
 			if err := store.Append(st, feed[off:off+batch]); err != nil {
 				t.Fatal(err)
 			}
-			got := st.Result.Triples
+			got := st.Fused().Triples
 			if len(got) < len(rows) {
 				t.Fatalf("%s: batch at %d shrank the result from %d to %d rows", name, off, len(rows), len(got))
 			}
@@ -242,12 +242,12 @@ func TestTriplePositionsAreAppendStable(t *testing.T) {
 		if d := store.Degradations(); len(d) != 0 {
 			t.Fatalf("%s: reopen degraded: %v", name, d)
 		}
-		if len(st.Result.Triples) != grown {
-			t.Fatalf("%s: reopened result has %d rows, the live one had %d", name, len(st.Result.Triples), grown)
+		if len(st.Fused().Triples) != grown {
+			t.Fatalf("%s: reopened result has %d rows, the live one had %d", name, len(st.Fused().Triples), grown)
 		}
 		for i, want := range rows {
-			if st.Result.Triples[i].Triple != want {
-				t.Fatalf("%s: reopen moved row %d from %v to %v", name, i, want, st.Result.Triples[i].Triple)
+			if st.Fused().Triples[i].Triple != want {
+				t.Fatalf("%s: reopen moved row %d from %v to %v", name, i, want, st.Fused().Triples[i].Triple)
 			}
 		}
 		for off := 6 * batch; off < len(feed); off += batch {
@@ -256,6 +256,174 @@ func TestTriplePositionsAreAppendStable(t *testing.T) {
 		store.Close()
 		if len(rows) == grown {
 			t.Fatalf("%s: scenario broken: no batch after the reopen added a triple", name)
+		}
+	}
+}
+
+// TestApplyLeavesTheNativeForm pins what Chain.Apply leaves on a state for
+// both chains: the posterior in its native form and no exchange form; Fused
+// materialises it once and remembers it until the next Apply clears it; and
+// what it materialises is what the public FuseWarm chain — the chain's body
+// before it kept posteriors — returns for the same batches, bit for bit.
+func TestApplyLeavesTheNativeForm(t *testing.T) {
+	const batch = 80
+	feed := growingFeed(3, 8*batch)
+	fc, tc := fusion.PopAccuPlusUnsupConfig(), twolayer.DefaultConfig()
+	for name, chain := range map[string]*Chain{
+		"popaccu+unsup": ClaimChain("popaccu+unsup", fc, 1),
+		"twolayer":      TwoLayerChain(tc, 1),
+	} {
+		st := &State{}
+		var want *fusion.Result // the public-API chain
+		var claim *fusion.Compiled
+		var ext *extract.Compiled
+		var tl *twolayer.State
+		stream := fusion.NewClaimStream(fc.Granularity)
+		for off := 0; off < len(feed); off += batch {
+			xs := feed[off : off+batch]
+			if err := chain.Apply(st, xs); err != nil {
+				t.Fatal(err)
+			}
+			if st.Posterior == nil || st.Result != nil {
+				t.Fatalf("%s: Apply left Posterior=%v Result=%v, want the native form alone", name, st.Posterior, st.Result)
+			}
+			fcfg, tcfg := fc, tc
+			if off > 0 {
+				fcfg.Rounds, tcfg.Rounds = 1, 1
+			}
+			var err error
+			if name == "twolayer" {
+				if ext == nil {
+					ext = extract.Compile(xs, tc.SiteLevel)
+				} else {
+					ext = ext.Append(xs)
+				}
+				want, tl, err = twolayer.FuseCompiledWarm(ext, tcfg, tl)
+			} else {
+				if claim == nil {
+					claim = fusion.MustCompile(stream.Add(xs))
+				} else {
+					claim = claim.MustAppend(stream.Add(xs))
+				}
+				want, err = claim.FuseWarm(fcfg, want)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := st.Fused()
+			if got == nil || st.Result != got || st.Fused() != got {
+				t.Fatalf("%s: Fused did not remember the result it materialised", name)
+			}
+			if !reflect.DeepEqual(exported(got), exported(want)) {
+				t.Fatalf("%s: batch at %d: Fused() differs from the public FuseWarm chain's result", name, off)
+			}
+		}
+	}
+}
+
+// TestAdoptRecoveredResult covers the way back: a state recovered from a
+// snapshot holds its posterior in exchange form, and Adopt gives it the
+// native form — which must materialise to exactly the decoded result — or
+// refuses, for both chains, a result that is not its graph's: paired with an
+// earlier or later generation's graph, missing an accuracy key, holding a
+// foreign one, or with an altered support count, probability flag or
+// unpredicted count.
+func TestAdoptRecoveredResult(t *testing.T) {
+	const batch = 90
+	feed := growingFeed(11, 4*batch)
+	for name, chain := range map[string]*Chain{
+		"popaccu+unsup": ClaimChain("popaccu+unsup", fusion.PopAccuPlusUnsupConfig(), 1),
+		"twolayer":      TwoLayerChain(twolayer.DefaultConfig(), 1),
+	} {
+		// recovered(n) is the state after n batches as a reopen finds it.
+		recovered := func(n int) *State {
+			mem := faultfs.NewMem()
+			store, st, err := OpenFS(mem, chain.Apply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := store.Append(st, feed[i*batch:(i+1)*batch]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := store.Snapshot(st); err != nil {
+				t.Fatal(err)
+			}
+			store.Close()
+			store, st, err = OpenFS(mem, chain.Apply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store.Close()
+			if st.Posterior != nil || st.Result == nil {
+				t.Fatalf("%s: a state recovered from a snapshot alone holds Posterior=%v Result=%v", name, st.Posterior, st.Result)
+			}
+			return st
+		}
+
+		st := recovered(3)
+		dec := st.Result
+		if err := chain.Adopt(st); err != nil {
+			t.Fatalf("%s: adopting a recovered state: %v", name, err)
+		}
+		if st.Posterior == nil || st.Result != dec {
+			t.Fatalf("%s: Adopt left Posterior=%v and replaced the decoded result: %v", name, st.Posterior, st.Result != dec)
+		}
+		if got := st.Posterior.Result(); !reflect.DeepEqual(exported(got), exported(dec)) {
+			t.Fatalf("%s: decode → posterior → Result() is not the decoded result", name)
+		}
+		if err := chain.Adopt(st); err != nil || st.Result != dec {
+			t.Fatalf("%s: adopting twice: %v", name, err)
+		}
+		// The adopted state continues the chain exactly as the unadopted one.
+		plain := recovered(3)
+		next := feed[3*batch : 4*batch]
+		if err := chain.Apply(st, next); err != nil {
+			t.Fatal(err)
+		}
+		if err := chain.Apply(plain, next); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(exported(st.Fused()), exported(plain.Fused())) {
+			t.Fatalf("%s: the chain continues differently from an adopted state", name)
+		}
+
+		for _, tc := range []struct {
+			what   string
+			damage func(st *State)
+		}{
+			{"an earlier generation's graph", func(st *State) { older := recovered(2); st.Claim, st.Ext = older.Claim, older.Ext }},
+			{"a later generation's graph", func(st *State) { newer := recovered(4); st.Claim, st.Ext = newer.Claim, newer.Ext }},
+			{"no graph", func(st *State) { st.Claim, st.Ext = nil, nil }},
+			{"a dropped accuracy key", func(st *State) {
+				for k := range st.Result.ProvAccuracy {
+					delete(st.Result.ProvAccuracy, k)
+					return
+				}
+			}},
+			{"a foreign accuracy key", func(st *State) {
+				for k, v := range st.Result.ProvAccuracy {
+					delete(st.Result.ProvAccuracy, k)
+					st.Result.ProvAccuracy["nobody|nowhere"] = v
+					return
+				}
+			}},
+			{"an altered support count", func(st *State) { st.Result.Triples[len(st.Result.Triples)/2].Provenances++ }},
+			{"an altered extractor count", func(st *State) { st.Result.Triples[0].Extractors++ }},
+			{"a moved triple", func(st *State) {
+				rows := st.Result.Triples
+				rows[0].Triple, rows[1].Triple = rows[1].Triple, rows[0].Triple
+			}},
+			{"a probability flag that disagrees", func(st *State) { st.Result.Triples[1].Predicted = !st.Result.Triples[1].Predicted }},
+			{"an altered unpredicted count", func(st *State) { st.Result.Unpredicted++ }},
+			{"a dropped row", func(st *State) { st.Result.Triples = st.Result.Triples[:len(st.Result.Triples)-1] }},
+		} {
+			st := recovered(3)
+			tc.damage(st)
+			if err := chain.Adopt(st); err == nil || st.Posterior != nil {
+				t.Errorf("%s: Adopt accepted a result with %s (err %v)", name, tc.what, err)
+			}
 		}
 	}
 }

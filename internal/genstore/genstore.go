@@ -7,7 +7,9 @@
 // # Contract
 //
 //   - Snapshot writes the full in-memory State — compiled claim/extraction
-//     graph, warm-start accuracies, feed cursor — to a versioned file in
+//     graph, fused posterior (materialised to its exchange form for the
+//     file, see State.Fused), warm-start accuracies, feed cursor — to a
+//     versioned file in
 //     kbstore's magic/version/footer layout, every section CRC32C-checked,
 //     via an atomic temp-file + fsync + rename protocol. The two newest
 //     snapshots are retained.
@@ -88,10 +90,20 @@ type State struct {
 	// SiteLevel is the extraction-graph source level (twolayer).
 	SiteLevel bool
 
-	Claim  *fusion.Compiled
-	Result *fusion.Result
-	Ext    *extract.Compiled
-	TL     *twolayer.State
+	Claim *fusion.Compiled
+	Ext   *extract.Compiled
+	TL    *twolayer.State
+
+	// The fused posterior of the graph above, in one or both of its forms.
+	// Posterior is the engines' native form and what Chain.Apply leaves: one
+	// probability per compiled triple and one accuracy per provenance or
+	// source, over the graph (fusion.Posterior). Result is the exchange form
+	// — the rows and the string-keyed accuracy map a snapshot stores — set
+	// by the snapshot decoder and by an ApplyFunc that fuses through the
+	// public API, and otherwise nil until Fused materialises it. When both
+	// are set, Result is Posterior's materialisation.
+	Posterior *fusion.Posterior
+	Result    *fusion.Result
 
 	// Consumed counts feed records already folded into the state; a resumed
 	// driver skips exactly this many and continues batching.
@@ -103,6 +115,17 @@ type State struct {
 	// stream is the claim layer's cross-batch (provenance, triple) dedup set.
 	// It is not persisted: Chain.Grow seeds it from Claim on first use.
 	stream *fusion.ClaimStream
+}
+
+// Fused returns the state's posterior in exchange form, nil while nothing
+// is fused. A state that holds only the native form is materialised on the
+// first call after each Apply — O(triples + provenances), what a snapshot,
+// an output file or a test pays and an append does not — and remembered.
+func (st *State) Fused() *fusion.Result {
+	if st.Result == nil && st.Posterior != nil {
+		st.Result = st.Posterior.Result()
+	}
+	return st.Result
 }
 
 // ApplyFunc folds one extraction batch into the state. Live appends and
@@ -286,11 +309,13 @@ type section struct {
 	crc uint32
 }
 
-// encodeSnapshot serialises st. Every section encodes straight into the one
-// body buffer, pre-sized to sizeHint bytes (the store's previous snapshot
-// with room to grow; 0 when there is none), and its index entry — offset,
-// length, checksum — is read back from the bytes it wrote.
+// encodeSnapshot serialises st, its posterior in exchange form (Fused).
+// Every section encodes straight into the one body buffer, pre-sized to
+// sizeHint bytes (the store's previous snapshot with room to grow; 0 when
+// there is none), and its index entry — offset, length, checksum — is read
+// back from the bytes it wrote.
 func encodeSnapshot(st *State, sizeHint int) []byte {
+	res := st.Fused()
 	var body bytes.Buffer
 	body.Grow(sizeHint)
 	head := wire.NewWriter(&body)
@@ -320,7 +345,7 @@ func encodeSnapshot(st *State, sizeHint int) []byte {
 		mw.Int(st.Consumed)
 		mw.Int(st.Batches)
 		mw.Bool(st.Claim != nil)
-		mw.Bool(st.Result != nil)
+		mw.Bool(res != nil)
 		mw.Bool(st.Ext != nil)
 		mw.Bool(st.TL != nil)
 		return mw.Err()
@@ -328,8 +353,8 @@ func encodeSnapshot(st *State, sizeHint int) []byte {
 	if st.Claim != nil {
 		add(secClaim, "claim graph", st.Claim.EncodeSnapshot)
 	}
-	if st.Result != nil {
-		add(secResult, "result", func(w io.Writer) error { return fusion.EncodeResult(w, st.Result) })
+	if res != nil {
+		add(secResult, "result", func(w io.Writer) error { return fusion.EncodeResult(w, res) })
 	}
 	if st.Ext != nil {
 		add(secExt, "extraction graph", st.Ext.EncodeSnapshot)

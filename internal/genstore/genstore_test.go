@@ -83,12 +83,22 @@ func stateFingerprint(t *testing.T, st *State) []byte {
 			t.Fatalf("encode claim graph: %v", err)
 		}
 	}
-	if st.Result != nil {
-		if err := fusion.EncodeResult(&buf, st.Result); err != nil {
+	if res := st.Fused(); res != nil {
+		if err := fusion.EncodeResult(&buf, res); err != nil {
 			t.Fatalf("encode result: %v", err)
 		}
 	}
 	return buf.Bytes()
+}
+
+// exported copies a result down to its exported fields — what a snapshot
+// stores and reflect.DeepEqual may compare: a materialised result also points
+// back to the posterior (and through it the graph) it came from.
+func exported(res *fusion.Result) *fusion.Result {
+	if res == nil {
+		return nil
+	}
+	return &fusion.Result{Triples: res.Triples, Rounds: res.Rounds, ProvAccuracy: res.ProvAccuracy, Unpredicted: res.Unpredicted}
 }
 
 const (
@@ -379,7 +389,7 @@ func TestTwoLayerStateRoundTrips(t *testing.T) {
 	if !reflect.DeepEqual(st2.TL, st.TL) {
 		t.Fatal("twolayer state differs after reopen")
 	}
-	if !reflect.DeepEqual(st2.Result, st.Result) {
+	if !reflect.DeepEqual(exported(st2.Fused()), exported(st.Fused())) {
 		t.Fatal("result differs after reopen")
 	}
 	if st2.Method != "twolayer" || st2.SiteLevel != st.SiteLevel {
@@ -394,7 +404,7 @@ func TestTwoLayerStateRoundTrips(t *testing.T) {
 	if err := store2.Append(st2, extra); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(st2.Result, st.Result) {
+	if !reflect.DeepEqual(exported(st2.Fused()), exported(st.Fused())) {
 		t.Fatal("results diverge after continued append")
 	}
 }

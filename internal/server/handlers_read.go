@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -54,9 +55,11 @@ func (s *Server) handleTriples(_ http.ResponseWriter, r *http.Request) (any, err
 	q := r.URL.Query()
 	minProb := -1.0 // include unpredicted rows (probability -1) by default
 	if raw := q.Get("min_prob"); raw != "" {
+		// ParseFloat accepts "NaN" and "Inf": a threshold no probability
+		// compares against, or one that silently matches nothing or everything.
 		minProb, err = strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: min_prob %q is not a number", httpapi.ErrBadRequest, raw)
+		if err != nil || math.IsNaN(minProb) || math.IsInf(minProb, 0) {
+			return nil, fmt.Errorf("%w: min_prob %q is not a finite number", httpapi.ErrBadRequest, raw)
 		}
 	}
 	limit := defaultTriplesLimit

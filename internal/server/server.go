@@ -29,16 +29,32 @@
 // busy error rather than queued, so the caller owns retry policy and the
 // handler never blocks the drain path.
 //
-// A view is built from its predecessor, not from scratch. Positions in
-// Result.Triples are stable along the chain, so the read index is a short
-// list of immutable layers over contiguous position ranges: an append
-// indexes only the rows it added, shares every older layer with the
+// A view holds no rows. It holds the generation's posterior in the engine's
+// own form — one probability per compiled triple over the compiled graph
+// generation (fusion.Posterior, which the append chain keeps instead of the
+// materialised fusion.Result) — and assembles a response row when a request
+// needs it: the triple and the support counts are the graph's columns, the
+// probability the posterior's. A whole-generation /v1/triples scan filters on
+// the probability column and the predicate before it assembles anything. The
+// exchange form, every row plus the provenance-accuracy map, is materialised
+// only where something reads it: by the periodic snapshot and by Close.
+//
+// A view is built from its predecessor, not from scratch. Row positions are
+// compiled triple IDs and stable along the chain, so the read index is a
+// short list of immutable layers over contiguous position ranges: an append
+// indexes only the positions it added, shares every older layer with the
 // previous view by pointer, and merges trailing layers by the logarithmic
 // method (genView.grow) — at most log2(n)+1 layers, which is what a lookup
-// visits, and amortised O(log n) index work per new row. Nothing a
-// published view can reach is ever written again, so a reader parked on an
-// old generation needs no synchronisation with the appends behind it.
-// Hydrate indexes the recovered generation as one layer.
+// visits, and amortised O(log n) index work per new row. Nothing a published
+// view can reach is ever written again — a graph generation addresses only
+// its own clipped prefix of the columns the chain keeps extending, its CSRs
+// and the posterior's columns are written once — so a reader parked on an
+// old generation needs no synchronisation with the appends behind it, and
+// what it pins is that generation's graph and two columns, not a row copy.
+// Hydrate indexes the recovered generation as one layer, after converting
+// the snapshot's exchange-form result back to a posterior over the recovered
+// graph (genstore.Chain.Adopt), which refuses a result that is not that
+// graph's.
 package server
 
 import (
@@ -184,6 +200,13 @@ func (s *Server) Hydrate() error {
 		store.Close()
 		return fmt.Errorf("server: state directory: %w", err)
 	}
+	// Views read rows through the native posterior. A snapshot stores the
+	// exchange form; with nothing replayed after it, convert it here, once —
+	// which also refuses a result that is not its graph's.
+	if err := s.chain.Adopt(st); err != nil {
+		store.Close()
+		return fmt.Errorf("server: state directory: %w", err)
+	}
 
 	v := newGenView(st)
 	s.mu.Lock()
@@ -203,7 +226,7 @@ func (s *Server) Hydrate() error {
 	s.current.Store(v)
 	s.mu.Unlock()
 	s.logf("hydrated generation %d (%d extractions consumed, %d fused triples)",
-		st.Batches, st.Consumed, len(v.triples()))
+		st.Batches, st.Consumed, v.len())
 	return nil
 }
 
@@ -243,8 +266,8 @@ func (s *Server) Append(batch []extract.Extraction) (*httpapi.AppendResponse, er
 	return &httpapi.AppendResponse{
 		Generation: v.generation,
 		Added:      len(batch),
-		Triples:    len(v.triples()),
-		Rounds:     s.st.Result.Rounds,
+		Triples:    v.len(),
+		Rounds:     s.st.Posterior.Rounds,
 	}, nil
 }
 
@@ -286,7 +309,7 @@ func (s *Server) Status() *httpapi.StatusResponse {
 		resp.Ready = true
 		resp.Generation = v.generation
 		resp.Consumed = v.consumed
-		resp.Triples = len(v.triples())
+		resp.Triples = v.len()
 	}
 	return resp
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -249,17 +250,45 @@ func TestAppendBodyDecodeMatchesEncodingJSON(t *testing.T) {
 
 func TestBadItemIDAndQuery(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	resp, err := http.Get(ts.URL + httpapi.PathItems + "no-separator")
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{
+		httpapi.PathItems + "no-separator",
+		httpapi.PathTriples + "?min_prob=high",
+		// strconv.ParseFloat takes these; as thresholds they match nothing
+		// (NaN, +Inf) or silently everything (-Inf).
+		httpapi.PathTriples + "?min_prob=NaN",
+		httpapi.PathTriples + "?min_prob=nan",
+		httpapi.PathTriples + "?min_prob=Inf",
+		httpapi.PathTriples + "?min_prob=%2BInf",
+		httpapi.PathTriples + "?min_prob=-Inf",
+		httpapi.PathTriples + "?min_prob=infinity",
+		httpapi.PathTriples + "?limit=-1",
+		httpapi.PathTriples + "?limit=many",
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Log(path)
+		decodeError(t, resp, http.StatusBadRequest, httpapi.CodeBadRequest)
 	}
-	decodeError(t, resp, http.StatusBadRequest, httpapi.CodeBadRequest)
 
-	resp, err = http.Get(ts.URL + httpapi.PathTriples + "?min_prob=high")
+	// The typed client carries the same refusal back as ErrBadRequest, and a
+	// finite threshold — the unpredicted rows' -1 included — still passes.
+	c, err := client.New(ts.URL, client.WithRetries(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeError(t, resp, http.StatusBadRequest, httpapi.CodeBadRequest)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := c.Triples(t.Context(), client.TriplesQuery{MinProb: bad, HasMinProb: true})
+		if !errors.Is(err, httpapi.ErrBadRequest) {
+			t.Fatalf("min_prob %v through the client: err = %v, want ErrBadRequest", bad, err)
+		}
+	}
+	for _, ok := range []float64{-1, 0, 0.5, 1e300} {
+		if _, err := c.Triples(t.Context(), client.TriplesQuery{MinProb: ok, HasMinProb: true}); err != nil {
+			t.Fatalf("min_prob %v through the client: %v", ok, err)
+		}
+	}
 }
 
 // TestAppendWhileAppending pins the single-writer contract: a POST arriving
@@ -570,7 +599,7 @@ func TestHydratesKfuseState(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := kfio.WriteFused(&want, st.Result); err != nil {
+	if err := kfio.WriteFused(&want, st.Fused()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -581,7 +610,7 @@ func TestHydratesKfuseState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Triples(t.Context(), client.TriplesQuery{Limit: len(st.Result.Triples) + 1})
+	got, err := c.Triples(t.Context(), client.TriplesQuery{Limit: len(st.Fused().Triples) + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,5 +633,89 @@ func TestHydratesKfuseState(t *testing.T) {
 	}
 	if err := foreign.Hydrate(); err == nil || !strings.Contains(err.Error(), "granularity") {
 		t.Fatalf("hydrating URL-granularity state at site granularity: err = %v, want granularity mismatch", err)
+	}
+}
+
+// TestHydrateRefusesForeignResult pins the hydration check on the posterior:
+// views read rows through the graph, so a snapshot whose result is not its
+// graph's — here generation 1's result stored beside generation 2's graph —
+// must fail Hydrate like a foreign method does, not serve generation 2's
+// support counts under generation 1's probabilities.
+func TestHydrateRefusesForeignResult(t *testing.T) {
+	xs := exper.SharedDataset(exper.ScaleSmall, 42).Extractions
+	chain := genstore.ClaimChain("popaccu", fusion.PopAccuConfig(), 1)
+	mem := faultfs.NewMem()
+	store, st, err := genstore.OpenFS(mem, chain.Apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append(st, xs[:600]); err != nil {
+		t.Fatal(err)
+	}
+	stale := st.Fused()
+	if err := store.Append(st, xs[600:1200]); err != nil {
+		t.Fatal(err)
+	}
+	st.Posterior, st.Result = nil, stale
+	if err := store.Snapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{FS: mem, Method: "popaccu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Hydrate(); err == nil || !strings.Contains(err.Error(), "not its graph's") {
+		t.Fatalf("hydrating a snapshot with another generation's result: err = %v, want a refusal", err)
+	}
+	if s.Ready() {
+		t.Fatal("a refused state was published")
+	}
+}
+
+// TestWarmAppendAllocationBound is the regression guard on what a served
+// append allocates: the mean runtime.MemStats.TotalAlloc delta of 20 warm
+// appends of 400 records onto the large dataset's first 50 000 (faultfs.Mem,
+// no periodic snapshot — BenchmarkServerAppend's shape, whose B/op moved
+// 8.64 MB → 3.43 MB) must stay under a bound set midway between what this
+// loop measured when every generation built its full row slice and
+// string-keyed accuracy map (7.37 MB per append) and what it measures with
+// the posterior kept in the engine's columns (2.82 MB). A per-generation row
+// or map build cannot come back unnoticed.
+func TestWarmAppendAllocationBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesises the large dataset")
+	}
+	const head, batch, appends = 50_000, 400, 20
+	const bound = 5_100_000 // bytes per append
+	xs := exper.SharedDataset(exper.ScaleLarge, 42).Extractions
+	if len(xs) < head+(appends+2)*batch {
+		t.Fatalf("large dataset too small: %d extractions", len(xs))
+	}
+	s, _ := newTestServer(t, func(c *Config) { c.SnapshotEvery = -1; c.Logf = nil })
+	if _, err := s.Append(xs[:head]); err != nil {
+		t.Fatal(err)
+	}
+	at := head
+	step := func() {
+		if _, err := s.Append(xs[at : at+batch]); err != nil {
+			t.Fatal(err)
+		}
+		at += batch
+	}
+	step() // the first warm append sizes the recycled engines' headroom
+	step()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < appends; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	mean := (after.TotalAlloc - before.TotalAlloc) / appends
+	t.Logf("%d bytes allocated per warm append (bound %d)", mean, bound)
+	if mean > bound {
+		t.Fatalf("a warm append allocates %d bytes on average, bound %d: is a generation building rows or an accuracy map nobody reads?", mean, bound)
 	}
 }

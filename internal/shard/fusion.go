@@ -125,9 +125,25 @@ func (f *Fusion) Fuse(cfg fusion.Config) (*fusion.Result, error) {
 // unsharded FuseWarm. Keys are granularity strings, so a result from any
 // shard count seeds any other; a result this coordinator returned earlier
 // seeds by global ID through the table it kept extending, without hashing a
-// key (see fusion.FuseLockstep), to the same bits.
+// key, and hands this run the K step engines that produced it (see
+// fusion.FuseLockstep), to the same bits.
 func (f *Fusion) FuseWarm(cfg fusion.Config, prev *fusion.Result) (*fusion.Result, error) {
+	return materialised(f.fuse(cfg, prev.Seed()))
+}
+
+// fuse is the K-graph call of the round driver; it returns the posterior in
+// its native form.
+func (f *Fusion) fuse(cfg fusion.Config, prev *fusion.Seed) (*fusion.Posterior, error) {
 	return fusion.FuseLockstep(f.graphs, f.provs, cfg, prev)
+}
+
+// materialised turns the round driver's native posterior into the exchange
+// form the coordinators' callers take.
+func materialised(post *fusion.Posterior, err error) (*fusion.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return post.Result(), nil
 }
 
 // FuseShards runs one lockstep sharded fusion over externally-maintained
@@ -149,5 +165,5 @@ func FuseShards(graphs []*fusion.Compiled, cfg fusion.Config, prev *fusion.Resul
 		gs[s] = g
 		provs.Extend(s, g.NumProvenances(), func(p int32) string { return g.ProvKey(int(p)) })
 	}
-	return fusion.FuseLockstep(gs, provs, cfg, prev)
+	return materialised(fusion.FuseLockstep(gs, provs, cfg, prev.Seed()))
 }

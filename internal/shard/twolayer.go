@@ -207,6 +207,16 @@ func (t *TwoLayer) Fuse(cfg twolayer.Config) (*fusion.Result, *twolayer.State, e
 // graph IDs they are built from); with K = 1 those coincide with the single
 // graph's IDs, so unsharded States interchange.
 func (t *TwoLayer) FuseWarm(cfg twolayer.Config, warm *twolayer.State) (*fusion.Result, *twolayer.State, error) {
+	post, st, err := t.fuse(cfg, warm)
+	if err != nil {
+		return nil, nil, err
+	}
+	return post.Result(), st, nil
+}
+
+// fuse is the K-graph call of the round driver; it returns the posterior in
+// its native form.
+func (t *TwoLayer) fuse(cfg twolayer.Config, warm *twolayer.State) (*fusion.Posterior, *twolayer.State, error) {
 	for s, g := range t.graphs {
 		if g == nil {
 			return nil, nil, fmt.Errorf("shard %d: Fuse before first Append", s)

@@ -25,6 +25,7 @@ package twolayer
 
 import (
 	"fmt"
+	"slices"
 
 	"kfusion/internal/csr"
 	"kfusion/internal/extract"
@@ -134,21 +135,34 @@ func (r *Run) ExtractorPartials(dst [][4]float64) {
 }
 
 // Result assembles the graph's fusion.Result — triples in interned order
-// with the graph's support counts — with Rounds as given.
+// with the graph's support counts — with Rounds as given. The Run stays the
+// caller's: the result's columns are copies of the engine's.
 func (r *Run) Result(rounds int) *fusion.Result {
-	e, g := r.e, r.e.g
-	res := &fusion.Result{
-		Rounds:       rounds,
-		ProvAccuracy: make(map[string]float64, g.NumSources()),
+	g := r.e.g
+	return posterior([]*Run{r}, g.SourceKeys(), slices.Clone(r.e.srcAcc), rounds).Result()
+}
+
+// posterior wraps the runs' layer-2 probabilities — tripleP is the native
+// probability column as it stands — and the global source accuracies acc
+// (indexed like keys) as a fusion.Posterior. The probabilities are copied
+// graph-major into one column; acc is retained. An empty row set is a nil
+// column, which materialises as the nil Result.Triples this engine has
+// always returned for it.
+func posterior(runs []*Run, keys []string, acc []float64, rounds int) *fusion.Posterior {
+	graphs := make([]fusion.RowGraph, len(runs))
+	nTriples := 0
+	for s, r := range runs {
+		graphs[s] = r.e.g
+		nTriples += r.e.g.NumTriples()
 	}
-	for s := 0; s < g.NumSources(); s++ {
-		res.ProvAccuracy[g.SourceKey(int32(s))] = e.srcAcc[s]
+	var prob []float64
+	if nTriples > 0 {
+		prob = make([]float64, 0, nTriples)
+		for _, r := range runs {
+			prob = append(prob, r.e.tripleP...)
+		}
 	}
-	if n := g.NumTriples(); n > 0 {
-		res.Triples = make([]fusion.FusedTriple, n)
-		e.triplesInto(res.Triples)
-	}
-	return res
+	return fusion.NewPosterior(graphs, prob, keys, acc, rounds, runs[0].e.cfg.Workers)
 }
 
 // State snapshots the engine's current parameters (after the driver's last
@@ -178,10 +192,13 @@ type Shards struct {
 }
 
 // FuseLockstep runs the two-layer model over 1..K compiled extraction
-// graphs in lockstep EM rounds and merges the results: triples in
-// graph-major interned order, the global source-accuracy map, and the
-// run's global State for the next generation's warm start (indexed by
-// ids' global IDs, which for one graph are the graph's own). graphs[i] must
+// graphs in lockstep EM rounds and returns the merged posterior in its
+// native form — one probability per triple in graph-major interned order
+// (the engines' tripleP), one accuracy per global source ID
+// (fusion.Posterior; Result materialises the rows and the source-accuracy
+// map, which is what FuseCompiled and FuseCompiledWarm hand their callers) —
+// and the run's global State for the next generation's warm start (indexed
+// by ids' global IDs, which for one graph are the graph's own). graphs[i] must
 // hold exactly the extractions of the data items routed to it; ids is nil
 // for a single graph (identity tables, no ghosts). Sources and extractors
 // covered by warm start at their previous posteriors.
@@ -190,7 +207,7 @@ type Shards struct {
 // result does not depend on whether tables were handed in; K > 1 re-groups
 // the cross-shard evidence sums (csr.Pairwise over each entity's holders in
 // shard order) and agrees with K = 1 within RefTol (see internal/shard).
-func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *State) (*fusion.Result, *State, error) {
+func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *State) (*fusion.Posterior, *State, error) {
 	if len(graphs) == 0 {
 		return nil, nil, fmt.Errorf("twolayer: FuseLockstep needs at least one graph")
 	}
@@ -382,22 +399,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 	// Final E-steps over the converged parameters.
 	estep()
 
-	out := &fusion.Result{Rounds: rounds, ProvAccuracy: make(map[string]float64, nS)}
-	for gs, a := range srcAcc {
-		out.ProvAccuracy[srcs.Key(gs)] = a
-	}
-	nTriples := 0
-	for _, g := range graphs {
-		nTriples += g.NumTriples()
-	}
-	if nTriples > 0 {
-		out.Triples = make([]fusion.FusedTriple, nTriples)
-	}
-	at := 0
-	for s, r := range runs {
-		n := graphs[s].NumTriples()
-		r.e.triplesInto(out.Triples[at : at+n])
-		at += n
-	}
+	// The State owns srcAcc; the posterior, immutable beside it, gets a copy.
+	out := posterior(runs, srcs.Keys(), slices.Clone(srcAcc), rounds)
 	return out, &State{SrcAcc: srcAcc, Recall: recall, FalsePos: falsePos}, nil
 }

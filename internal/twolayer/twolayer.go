@@ -232,7 +232,11 @@ const WarmTol = 5e-3
 // being pointwise-close to it. It returns the run's own State for the next
 // generation. A nil warm is a cold start (exactly FuseCompiled).
 func FuseCompiledWarm(g *extract.Compiled, cfg Config, warm *State) (*fusion.Result, *State, error) {
-	return FuseLockstep([]*extract.Compiled{g}, nil, cfg, warm)
+	post, st, err := FuseLockstep([]*extract.Compiled{g}, nil, cfg, warm)
+	if err != nil {
+		return nil, nil, err
+	}
+	return post.Result(), st, nil
 }
 
 // MustFuseCompiled is FuseCompiled for statically-valid configurations.
@@ -639,23 +643,6 @@ func FalsePosUpdate(hitUnstated, unstated float64) float64 {
 // and the cross-shard extractor merge.
 func addPartials(a, b [4]float64) [4]float64 {
 	return [4]float64{a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]}
-}
-
-// triplesInto writes the graph's fused triples, in interned order, into out
-// (NumTriples long — the round driver hands each graph its segment of the
-// merged result).
-func (e *engine) triplesInto(out []fusion.FusedTriple) {
-	g := e.g
-	for ti := range out {
-		out[ti] = fusion.FusedTriple{
-			Triple:          g.Triple(int32(ti)),
-			Probability:     e.tripleP[ti],
-			Predicted:       true,
-			Provenances:     len(g.TripleStatements(int32(ti))),
-			ItemProvenances: int(g.ItemStatements(g.ItemOfTriple(int32(ti)))),
-			Extractors:      int(g.TripleExtractors(int32(ti))),
-		}
-	}
 }
 
 // accClampLo/Hi bound every source accuracy before it enters the layer-2

@@ -24,15 +24,26 @@ import (
 var ErrTruncated = errors.New("wire: truncated input")
 
 // Writer encodes values into an io.Writer, latching the first error and
-// counting bytes written (successful bytes only).
+// counting bytes written (successful bytes only). Scalars and strings cost no
+// allocation: scalars are staged in a scratch array the Writer owns (a local
+// one would escape through the io.Writer call, once per value), and a string
+// goes to the destination's WriteString when it has one — bytes.Buffer,
+// bufio.Writer and os.File do — or through one reusable copy buffer.
 type Writer struct {
 	w   io.Writer
+	sw  io.StringWriter // w's WriteString, nil if it has none
 	n   int64
 	err error
+	// scratch stages one scalar; strbuf one string for a w without WriteString.
+	scratch [binary.MaxVarintLen64]byte
+	strbuf  []byte
 }
 
 // NewWriter returns a Writer over w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+func NewWriter(w io.Writer) *Writer {
+	sw, _ := w.(io.StringWriter)
+	return &Writer{w: w, sw: sw}
+}
 
 // Err returns the first write error, if any.
 func (w *Writer) Err() error { return w.err }
@@ -50,34 +61,33 @@ func (w *Writer) write(b []byte) {
 }
 
 // U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.write([]byte{v}) }
+func (w *Writer) U8(v uint8) {
+	w.scratch[0] = v
+	w.write(w.scratch[:1])
+}
 
 // U16 writes a fixed-width little-endian uint16.
 func (w *Writer) U16(v uint16) {
-	var buf [2]byte
-	binary.LittleEndian.PutUint16(buf[:], v)
-	w.write(buf[:])
+	binary.LittleEndian.PutUint16(w.scratch[:], v)
+	w.write(w.scratch[:2])
 }
 
 // U32 writes a fixed-width little-endian uint32.
 func (w *Writer) U32(v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	w.write(buf[:])
+	binary.LittleEndian.PutUint32(w.scratch[:], v)
+	w.write(w.scratch[:4])
 }
 
 // U64 writes a fixed-width little-endian uint64.
 func (w *Writer) U64(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	w.write(buf[:])
+	binary.LittleEndian.PutUint64(w.scratch[:], v)
+	w.write(w.scratch[:8])
 }
 
 // Uvarint writes a varint-encoded unsigned integer.
 func (w *Writer) Uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.write(buf[:n])
+	n := binary.PutUvarint(w.scratch[:], v)
+	w.write(w.scratch[:n])
 }
 
 // Int asserts v is non-negative and writes it as a uvarint.
@@ -106,7 +116,17 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 // String writes a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
-	w.write([]byte(s))
+	if w.sw == nil {
+		w.strbuf = append(w.strbuf[:0], s...)
+		w.write(w.strbuf)
+		return
+	}
+	if w.err != nil {
+		return
+	}
+	n, err := w.sw.WriteString(s)
+	w.n += int64(n)
+	w.err = err
 }
 
 // Bytes writes raw bytes with no prefix.

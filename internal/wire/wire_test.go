@@ -189,3 +189,69 @@ func TestValidationLatches(t *testing.T) {
 		}
 	}
 }
+
+// plainWriter hides bytes.Buffer's WriteString, so the Writer takes its
+// copy-buffer string path; it also counts a failing destination's budget.
+type plainWriter struct {
+	buf    bytes.Buffer
+	budget int // bytes accepted before writes fail; < 0 = unlimited
+}
+
+func (p *plainWriter) Write(b []byte) (int, error) {
+	if p.budget >= 0 && len(b) > p.budget {
+		n, _ := p.buf.Write(b[:p.budget])
+		p.budget = 0
+		return n, errors.New("disk full")
+	}
+	if p.budget >= 0 {
+		p.budget -= len(b)
+	}
+	return p.buf.Write(b)
+}
+
+// TestWriterAllocatesNothingPerValue pins the two string paths to the same
+// bytes — WriteString on a destination that has it, the reusable copy buffer
+// on one that does not — and both, with every scalar, to zero allocations per
+// value: a snapshot writes hundreds of thousands of each.
+func TestWriterAllocatesNothingPerValue(t *testing.T) {
+	encode := func(w *Writer) {
+		w.U8(7)
+		w.U16(0xbeef)
+		w.U32(0xdeadbeef)
+		w.U64(1 << 62)
+		w.Uvarint(1 << 40)
+		w.Int(42)
+		w.Bool(true)
+		w.F64(math.Pi)
+		w.String("a provenance key|http://site/page")
+		w.String("")
+	}
+	var fast bytes.Buffer
+	slow := &plainWriter{budget: -1}
+	fw, sw := NewWriter(&fast), NewWriter(slow)
+	encode(fw)
+	encode(sw)
+	if fw.Err() != nil || sw.Err() != nil || !bytes.Equal(fast.Bytes(), slow.buf.Bytes()) || fw.Len() != sw.Len() {
+		t.Fatalf("the WriteString path wrote %d bytes (%v), the copy path %d (%v); contents equal: %v",
+			fw.Len(), fw.Err(), sw.Len(), sw.Err(), bytes.Equal(fast.Bytes(), slow.buf.Bytes()))
+	}
+	fast.Grow(1 << 16)
+	slow.buf.Grow(1 << 16)
+	for name, w := range map[string]*Writer{"WriteString": fw, "copy buffer": sw} {
+		if n := testing.AllocsPerRun(50, func() { encode(w) }); n != 0 {
+			t.Errorf("%s destination: %v allocations per ten values, want 0", name, n)
+		}
+	}
+
+	// A failing destination latches on either path, and Len counts only the
+	// bytes that landed.
+	for _, budget := range []int{0, 1, 5} {
+		pw := &plainWriter{budget: budget}
+		w := NewWriter(pw)
+		w.String("hello, world")
+		w.U32(1)
+		if w.Err() == nil || w.Len() != int64(budget) || pw.buf.Len() != budget {
+			t.Errorf("budget %d: err %v, Len %d, %d bytes landed", budget, w.Err(), w.Len(), pw.buf.Len())
+		}
+	}
+}
