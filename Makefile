@@ -41,7 +41,9 @@ fault:
 # on mutated snapshot/journal/JSONL bytes (FuzzDecodeExtraction: the
 # schema-specialised extraction decoder ≡ encoding/json, line by line), and
 # the engine-level ones — any chunking of a feed through Append builds the
-# graph one Compile builds.
+# graph one Compile builds, and a warm two-layer chain on recycled engines
+# and revised E-steps equals, bit for bit, one on fresh engines
+# (FuzzWarmChain).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 15s ./internal/genstore/
 	$(GO) test -run '^$$' -fuzz FuzzJournalParse -fuzztime 15s ./internal/genstore/
@@ -50,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeExtraction -fuzztime 15s ./internal/kfio/
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s ./internal/extract/
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s ./internal/fusion/
+	$(GO) test -run '^$$' -fuzz FuzzWarmChain -fuzztime 15s ./internal/twolayer/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd|BenchmarkServerAppend' -benchtime 1x -benchmem .

@@ -33,15 +33,33 @@ package extract
 // per-triple and per-item spans merge through csr.AppendByGroup (new IDs all
 // exceed old ones, so each span is oldSpan ++ newIDs; untouched runs of
 // groups move as one copy), the flattened extractor lists re-flatten around
-// the batch's additions the same way, the support counts are extended by
-// copy and recounted only where the batch touched them, and the
-// ext→statement incidence — whose rows can interleave old and new statements
-// when a batch introduces a new (extractor, source) pairing — is rebuilt by
-// one parallel pass over all statements. No string or triple is re-hashed for
-// the prefix.
+// the batch's additions the same way, and the support counts are extended by
+// copy and recounted only where the batch touched them. The ext→statement
+// incidence is merged as well (mergeExtStatements), though its rows cannot
+// simply be extended at the end — a batch that pairs an old source with an
+// extractor for the first time puts all of that source's old statements into
+// the extractor's span, between the ones already there: old spans move in
+// runs, those joiners merge in at their places, new statements follow, and an
+// old miss the batch turned into a hit is flipped where it stands. The bulk
+// builder (buildExtStatements, a parallel scatter over all statements)
+// remains for the case with nothing to merge from, a compile from empty; the
+// two produce one layout. No string or triple is re-hashed for the prefix.
+//
+// A generation remembers three things about the one it was built from
+// (Compiled.Parent): that generation's token, its statement count, and which
+// of its statements the batch added an extractor to — what extend knows
+// anyway and a consumer holding per-statement state of exactly that
+// generation needs in order to revise it rather than recompute it (the
+// two-layer step engines, twolayer.FuseLockstep). The token is a
+// process-unique number and not a pointer on purpose: chains are long-lived,
+// and a generation that referenced its parent would keep every ancestor's
+// CSRs reachable.
 
 import (
+	"fmt"
+	"math"
 	"runtime"
+	"slices"
 
 	"kfusion/internal/csr"
 	"kfusion/internal/kb"
@@ -116,8 +134,11 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 	nItems := len(next.items)
 
 	// ---- Re-flatten the extractor lists around the additions ----
-	next.stExtStart, next.stExts = stExts.flatten()
-	next.srcExtStart, next.srcExts = srcExts.flatten()
+	// The old statements and old sources the batch added an extractor to, in
+	// ascending order: everything below that revisits them walks these.
+	grownSts, grownSrcs := stExts.grownRows(), srcExts.grownRows()
+	next.stExtStart, next.stExts = stExts.flatten(grownSts)
+	next.srcExtStart, next.srcExts = srcExts.flatten(grownSrcs)
 
 	// ---- CSR adjacency by ordered span merge ----
 	next.srcStStart, next.srcSts = csr.AppendByGroup(g.srcStStart, g.srcSts, next.stSource[nStOld:], len(next.sources), workers)
@@ -151,13 +172,13 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 	// The old triples the batch touched, through a new statement or a new
 	// extractor on an old one.
 	if nTriOld > 0 {
-		touched := make(map[int32]bool, len(next.stSource)-nStOld+len(stExts.grown))
+		touched := make(map[int32]bool, len(next.stSource)-nStOld+len(grownSts))
 		for _, t := range next.stTriple[nStOld:] {
 			if int(t) < nTriOld {
 				touched[t] = true
 			}
 		}
-		for si := range stExts.grown {
+		for _, si := range grownSts {
 			touched[next.stTriple[si]] = true
 		}
 		seen := unseen(len(next.extractors))
@@ -167,13 +188,151 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 		}
 	}
 
-	// The ext→statement incidence interleaves old and new statement IDs when
-	// the batch adds an extractor to an existing source (every old statement
-	// of that source joins the extractor's span), so it is rebuilt whole.
-	next.buildExtStatements(workers)
+	// ---- Ext→statement incidence: bulk build, or merge from g's ----
+	// The same observable choice as the interning above: with nothing
+	// compiled yet there is nothing to merge from and the batch may be a whole
+	// corpus, which the parallel builder is for; both produce one layout.
+	if nStOld == 0 {
+		next.buildExtStatements(workers)
+	} else {
+		next.mergeExtStatements(g.graph, &stExts, &srcExts, grownSts, grownSrcs)
+	}
+
+	// What the next generation remembers of this one (see Compiled.Parent).
+	next.token = graphSeq.Add(1)
+	next.parent, next.parentSts, next.grownSts = g.token, nStOld, grownSts
 	// The index keeps the spare capacity; the generation sees its own prefix.
 	idx.cols, next.columns = next.columns, next.columns.clipped()
 	return next
+}
+
+// mergeExtStatements builds the ext→statement incidence of a generation that
+// extends prev out of prev's, in the layout buildExtStatements gives the
+// whole stream (extSts, extHits, extHitsF, extBlocks — there is no second
+// representation). Per extractor the new span is, in ascending statement
+// order:
+//
+//   - prev's span, moved in runs with its hit flags (both forms);
+//   - merged into it, the joiners: every old statement of an old source the
+//     batch paired with the extractor for the first time (srcExts.grown) —
+//     the one way a batch puts old statement IDs into a span, and why spans
+//     cannot simply be extended at the end. A joiner's flag is read off the
+//     statement's extractor list;
+//   - after all of those, the new statements of every source the extractor
+//     has processed (new IDs exceed all old ones), flags derived likewise.
+//
+// An old statement that an extractor already covering it extracted for the
+// first time in this batch (stExts.grown) keeps its position and flips its
+// flag, found by binary search. Everything is walked in ascending ID order
+// (grownSts, grownSrcs are the sorted rows of the two grown maps), so the
+// result does not depend on map iteration.
+func (g *Compiled) mergeExtStatements(prev *graph, stExts, srcExts *extLists, grownSts, grownSrcs []int32) {
+	nExt, nExtOld := len(g.extractors), len(prev.extractors)
+	nStOld := len(prev.stSource)
+	oldSpan := func(x int) (lo, hi int32) {
+		if x < nExtOld {
+			return prev.extStStart[x], prev.extStStart[x+1]
+		}
+		return 0, 0
+	}
+
+	// Joiners per extractor: count, lay out, fill in ascending source order,
+	// then order each extractor's segment by statement ID (the statements of
+	// two sources interleave).
+	joinStart := make([]int32, nExt+1)
+	for _, s := range grownSrcs {
+		n := prev.srcStStart[s+1] - prev.srcStStart[s]
+		for _, x := range srcExts.grown[s] {
+			joinStart[x+1] += n
+		}
+	}
+	for x := 0; x < nExt; x++ {
+		joinStart[x+1] += joinStart[x]
+	}
+	joiners := make([]int32, joinStart[nExt])
+	at := slices.Clone(joinStart[:nExt])
+	for _, s := range grownSrcs {
+		sts := prev.srcSts[prev.srcStStart[s]:prev.srcStStart[s+1]]
+		for _, x := range srcExts.grown[s] {
+			at[x] += int32(copy(joiners[at[x]:], sts))
+		}
+	}
+	// New statements per extractor.
+	fresh := make([]int32, nExt)
+	for _, s := range g.stSource[nStOld:] {
+		for _, x := range g.SourceExtractors(s) {
+			fresh[x]++
+		}
+	}
+
+	// The incidence is a product space (see buildExtStatements): prefix-sum
+	// in int64 and refuse to build corrupt int32 spans.
+	g.extStStart = make([]int32, nExt+1)
+	run := int64(0)
+	for x := 0; x < nExt; x++ {
+		g.extStStart[x] = int32(run)
+		lo, hi := oldSpan(x)
+		run += int64(hi-lo) + int64(joinStart[x+1]-joinStart[x]) + int64(fresh[x])
+	}
+	if run > math.MaxInt32 {
+		panic(fmt.Sprintf("extract: ext→statement incidence has %d entries, exceeding the int32 CSR offset space; shard the extraction set", run))
+	}
+	g.extStStart[nExt] = int32(run)
+	g.extSts = make([]int32, run)
+	g.extHits = make([]bool, run)
+	g.extHitsF = make([]float64, run)
+	put := func(o int32, si, x int32) {
+		g.extSts[o] = si
+		if containsID(g.StatementExtractors(si), x) {
+			g.extHits[o], g.extHitsF[o] = true, 1
+		}
+	}
+
+	// Old spans with their joiners merged in; tail[x] is left at the first
+	// slot for x's new statements.
+	tail := make([]int32, nExt)
+	for x := 0; x < nExt; x++ {
+		lo, hi := oldSpan(x)
+		old := prev.extSts[lo:hi]
+		o := g.extStStart[x]
+		moveRun := func(n int) { // the next n entries of old, as they are
+			copy(g.extSts[o:], old[:n])
+			copy(g.extHits[o:], prev.extHits[lo:lo+int32(n)])
+			copy(g.extHitsF[o:], prev.extHitsF[lo:lo+int32(n)])
+			old, lo, o = old[n:], lo+int32(n), o+int32(n)
+		}
+		join := joiners[joinStart[x]:joinStart[x+1]]
+		slices.Sort(join)
+		for _, si := range join {
+			n, _ := slices.BinarySearch(old, si)
+			moveRun(n)
+			put(o, si, int32(x))
+			o++
+		}
+		moveRun(len(old))
+		tail[x] = o
+	}
+	for i, s := range g.stSource[nStOld:] {
+		for _, x := range g.SourceExtractors(s) {
+			put(tail[x], int32(nStOld+i), x)
+			tail[x]++
+		}
+	}
+	// Old misses the batch turned into hits. The extractor covers the
+	// statement's source — it has just extracted from it — so the statement is
+	// in the old part of its span, as a moved entry or as a joiner.
+	for _, si := range grownSts {
+		for _, x := range stExts.grown[si] {
+			span := g.extSts[g.extStStart[x]:g.extStStart[x+1]]
+			k, ok := slices.BinarySearch(span, si)
+			if !ok {
+				panic(fmt.Sprintf("extract: statement %d extracted by extractor %d is missing from its span", si, x))
+			}
+			o := int(g.extStStart[x]) + k
+			g.extHits[o], g.extHitsF[o] = true, 1
+		}
+	}
+	g.extBlocks = csr.SpanBlocks(g.extStStart)
 }
 
 // rebuildIndex reconstructs the interning index from the immutable graph, for

@@ -1,10 +1,13 @@
 package extract
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/kb"
 )
 
@@ -45,6 +48,7 @@ func appendGraphsEqual(t *testing.T, name string, got, want *Compiled) {
 	eq("extStStart", got.extStStart, want.extStStart)
 	eq("extSts", got.extSts, want.extSts)
 	eq("extHits", got.extHits, want.extHits)
+	eq("extHitsF", got.extHitsF, want.extHitsF)
 	eq("extBlocks", got.extBlocks, want.extBlocks)
 	eq("maxItemTriples", got.maxItemTriples, want.maxItemTriples)
 }
@@ -177,5 +181,117 @@ func TestInternParallelPairwiseMerge(t *testing.T) {
 	for _, workers := range []int{2, 3, 7, 8} {
 		got := CompileWorkers(xs, true, workers)
 		appendGraphsEqual(t, fmt.Sprintf("workers=%d", workers), got, want)
+	}
+}
+
+// requireSameGraph holds an appended generation to a Compile of the
+// concatenated stream twice over: field by field (the incidence in all four
+// of its arrays included) and through the bytes EncodeSnapshot writes, which
+// is what a state directory would hold. The generation counter is the one
+// thing that tells them apart, so the recompile is given got's.
+func requireSameGraph(t *testing.T, name string, got *Compiled, stream []Extraction, siteLevel bool) {
+	t.Helper()
+	want := Compile(stream, siteLevel)
+	appendGraphsEqual(t, name, got, want)
+	want.gen = got.gen
+	var a, b bytes.Buffer
+	if err := got.EncodeSnapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.EncodeSnapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("%s: snapshot bytes differ from the recompile's", name)
+	}
+}
+
+// TestExtractAppendMergesIncidence drives the ext→statement merge through
+// everything a batch can do to an extractor's span, all in one Append onto a
+// head whose spans run past a csr.ReduceBlockSize boundary:
+//
+//   - X1 extracts from page A for the first time: A's old statements — whose
+//     IDs alternate with page B's, which X1 already covers — join X1's span
+//     interleaved with its old entries, below the batch's new statements;
+//   - X1 re-extracts a statement of B that only X0 had: an old miss in X1's
+//     span turns into a hit where it stands;
+//   - X1 re-extracts a statement of A: a joiner that arrives as a hit;
+//   - X9 is new to the feed and takes a span of old (joining) and new
+//     statements;
+//   - the batch brings new statements on old pages and a new page.
+//
+// Then the same parent is appended to a second time with another batch (a
+// fork: the index is gone and rebuilt, the parent's arrays must not have
+// moved), and an empty Append follows each.
+func TestExtractAppendMergesIncidence(t *testing.T) {
+	ex := func(subj int, extractor, page string) Extraction {
+		return Extraction{
+			Triple:     kb.Triple{Subject: kb.EntityID(fmt.Sprintf("s%d", subj)), Predicate: "p", Object: kb.StringObject("v")},
+			Extractor:  extractor,
+			URL:        "http://site.example/" + page,
+			Site:       "site.example",
+			Confidence: -1,
+		}
+	}
+	const perPage = csr.ReduceBlockSize + 100
+	var head []Extraction
+	for i := 0; i < perPage; i++ {
+		head = append(head, ex(i, "X0", "A"), ex(i, "X0", "B")) // statements 2i (A) and 2i+1 (B)
+	}
+	head = append(head, ex(7, "X1", "B")) // X1 covers B: hits B's statement of s7, misses the rest
+	batch := []Extraction{
+		ex(3, "X1", "A"),         // pairs A with X1; joiner arriving as a hit
+		ex(11, "X1", "B"),        // old miss → hit
+		ex(perPage+1, "X1", "A"), // new statement on an old page
+		ex(5, "X9", "B"),         // brand-new extractor joins B
+		ex(perPage+2, "X9", "C"), // and a brand-new page
+		ex(perPage+2, "X0", "C"),
+	}
+	other := []Extraction{ex(4, "X2", "A"), ex(perPage+9, "X1", "D"), ex(0, "X1", "B")}
+
+	base := Compile(head, false)
+	x1 := int32(1)
+	if sts, _ := base.ExtStatements(x1); len(sts) != perPage {
+		t.Fatalf("scenario broken: X1 covers %d statements before the batch, want B's %d", len(sts), perPage)
+	}
+	next := base.Append(batch)
+	requireSameGraph(t, "merge", next, slices.Concat(head, batch), false)
+
+	// The scenario did what it says: X1's span doubled past a block boundary
+	// by interleaving, and carries exactly its four hits.
+	sts, hits := next.ExtStatements(x1)
+	if len(sts) != 2*perPage+1 || sts[0] != 0 || sts[1] != 1 || !slices.IsSorted(sts) {
+		t.Fatalf("X1's span has %d entries starting %v; want A's and B's %d old statements interleaved, then one new", len(sts), sts[:4], 2*perPage)
+	}
+	nHits := 0
+	for k, h := range hits {
+		if h {
+			nHits++
+		}
+		if (next.extHitsF[int(next.extStStart[x1])+k] == 1) != h {
+			t.Fatalf("X1 entry %d: float flag disagrees with %v", k, h)
+		}
+	}
+	if nHits != 4 {
+		t.Fatalf("X1 hits %d statements, want 4 (s7@B, s3@A, s11@B and the new one)", nHits)
+	}
+	if _, _, grown := next.Parent(); len(grown) != 3 {
+		t.Fatalf("Parent reports %v as grown, want the three old statements the batch added an extractor to", grown)
+	}
+
+	fork := base.Append(other)
+	requireSameGraph(t, "fork", fork, slices.Concat(head, other), false)
+	requireSameGraph(t, "parent after two appends", base, head, false)
+	requireSameGraph(t, "chain continues", next.Append(other), slices.Concat(head, batch, other), false)
+
+	for name, g := range map[string]*Compiled{"merge": next, "fork": fork} {
+		empty := g.Append(nil)
+		appendGraphsEqual(t, name+" + empty", empty, g)
+		if empty.Token() != g.Token() {
+			t.Fatalf("%s: an empty Append changed the graph's token", name)
+		}
+	}
+	if tok, n, _ := next.Parent(); tok != base.Token() || n != base.NumStatements() {
+		t.Fatalf("Parent() = (%d, %d), want the parent's token %d and statement count %d", tok, n, base.Token(), base.NumStatements())
 	}
 }

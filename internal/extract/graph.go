@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"kfusion/internal/csr"
 	"kfusion/internal/kb"
@@ -105,7 +106,18 @@ type graph struct {
 	// maxItemTriples is the largest candidate count of any single item; it
 	// sizes per-worker scoring scratch.
 	maxItemTriples int
+
+	// Lineage: the graph's own identity and what extend saw of the generation
+	// it built this one from (see Token and Parent). Process-local and never
+	// serialized; a decoded graph is nobody's successor.
+	token     uint64
+	parent    uint64  // the extended generation's token; 0 when there was none
+	parentSts int     // its statement count
+	grownSts  []int32 // its statements whose extractor list the batch grew, ascending
 }
+
+// graphSeq issues graph tokens; 0 is never issued and stands for "no graph".
+var graphSeq atomic.Uint64
 
 // columns are the ID-indexed columns an Append never rewrites for an existing
 // ID — it only adds entries at the end. A chain of generations shares one
@@ -209,7 +221,10 @@ func unseen(n int) []int32 {
 	return seen
 }
 
-// buildExtStatements materializes the ext→statement incidence: for every
+// buildExtStatements materializes the ext→statement incidence from nothing —
+// the bulk builder, for a compile from the empty generation; an Append onto
+// compiled statements merges it out of the previous generation's instead
+// (mergeExtStatements), to the same layout: for every
 // extractor, the statements whose source it processed (ascending statement
 // order) with a hit flag for the ones it extracted — the two-layer M-step's
 // per-extractor reduction domain, walked there in csr.ReduceBlockSize blocks
@@ -375,6 +390,17 @@ type extLists struct {
 	fresh             [][]int32         // rows from len(oldStart)-1 on
 }
 
+// grownRows returns the old rows the batch grew in ascending order — the one
+// order everything that consumes grown walks it in.
+func (l *extLists) grownRows() []int32 {
+	rows := make([]int32, 0, len(l.grown))
+	for r := range l.grown {
+		rows = append(rows, r)
+	}
+	slices.Sort(rows)
+	return rows
+}
+
 // add records that extractor ext touched row, unless the row already lists
 // it. New rows must have been appended to fresh first.
 func (l *extLists) add(row, ext int32) {
@@ -398,15 +424,13 @@ func (l *extLists) add(row, ext int32) {
 // order a compile of the whole stream produces — then the new rows follow.
 // The old flat list moves in runs: the rows between two grown ones are
 // contiguous and shift by one common offset, so each run is one bulk copy.
-func (l *extLists) flatten() (start, flat []int32) {
+// grownRows is l.grownRows().
+func (l *extLists) flatten(grownRows []int32) (start, flat []int32) {
 	nOld := max(len(l.oldStart)-1, 0)
 	total := len(l.oldFlat)
-	grownRows := make([]int32, 0, len(l.grown))
-	for r, a := range l.grown {
-		total += len(a)
-		grownRows = append(grownRows, r)
+	for _, r := range grownRows {
+		total += len(l.grown[r])
 	}
-	slices.Sort(grownRows)
 	for _, f := range l.fresh {
 		total += len(f)
 	}
@@ -571,6 +595,25 @@ func (g *Compiled) SiteLevel() bool { return g.siteLevel }
 // Generation reports how many Appends produced this handle (0 for a fresh
 // Compile).
 func (g *Compiled) Generation() int { return g.gen }
+
+// Token identifies this generation's graph within the process: two handles
+// report the same token exactly when they share one immutable graph (a
+// generation and the empty Appends after it). It is a number, not a
+// reference — whoever remembers the token of a graph it worked on (the
+// two-layer step engines do) does not keep that graph alive.
+func (g *Compiled) Token() uint64 { return g.token }
+
+// Parent reports what Append kept of the generation this graph was built
+// from: that generation's Token (0 for a decoded graph or a compile from
+// nothing), its statement count, and, ascending, those of its statements
+// whose extractor list the batch grew. Every other old statement has the
+// source, triple and extractor list it had there, and every statement ID from
+// the count on is new — which is what lets a consumer that still holds
+// per-statement state of exactly that generation revise it instead of
+// recomputing it (twolayer.FuseLockstep). The slice is a view; do not modify.
+func (g *Compiled) Parent() (token uint64, statements int, grown []int32) {
+	return g.parent, g.parentSts, g.grownSts
+}
 
 // NumStatements reports the number of distinct (source, triple) pairs.
 func (g *Compiled) NumStatements() int { return len(g.stSource) }

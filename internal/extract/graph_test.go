@@ -226,6 +226,7 @@ func TestInternParallelMatchesSequential(t *testing.T) {
 		want := CompileWorkers(xs, siteLevel, 1)
 		for _, workers := range []int{2, 3, 7, 8} {
 			got := CompileWorkers(xs, siteLevel, workers)
+			got.token = want.token // a graph's identity: the one field no two compiles share
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("siteLevel=%v workers=%d: parallel interning diverged from sequential", siteLevel, workers)
 			}

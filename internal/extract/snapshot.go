@@ -127,6 +127,7 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 		g.extBlocks = csr.SpanBlocks(g.extStStart)
 	}
 	g.buildExtHitsF()
+	g.token = graphSeq.Add(1)
 	// idx stays nil: the first Append rebuilds it from the graph.
 	return g, nil
 }

@@ -43,7 +43,12 @@ func TwoLayerChain(cfg twolayer.Config, warmRounds int) *Chain {
 
 // Check enforces the State.Method contract: a state built by a different
 // method, claim granularity or two-layer source level must not be grown or
-// served by this chain. An empty state belongs to any chain.
+// served by this chain, and neither must one whose two-layer parameters are
+// not its graph's — vectors of another length than the graph's source and
+// extractor counts, or a value no run produces (twolayer.State.Validate): a
+// snapshot is outside input, and the next warm round would carry such a
+// value into every probability it touches. An empty state belongs to any
+// chain.
 func (c *Chain) Check(st *State) error {
 	if st.Method != "" && st.Method != c.method {
 		return fmt.Errorf("genstore: state holds method %q, chain runs %q", st.Method, c.method)
@@ -53,6 +58,15 @@ func (c *Chain) Check(st *State) error {
 	}
 	if c.twoLayer && st.Ext != nil && st.SiteLevel != c.tl.SiteLevel {
 		return fmt.Errorf("genstore: state holds site-level=%v, chain runs site-level=%v", st.SiteLevel, c.tl.SiteLevel)
+	}
+	if c.twoLayer && st.TL != nil {
+		nSrc, nExt := 0, 0
+		if st.Ext != nil {
+			nSrc, nExt = st.Ext.NumSources(), st.Ext.NumExtractors()
+		}
+		if err := st.TL.Validate(nSrc, nExt); err != nil {
+			return fmt.Errorf("genstore: state holds two-layer parameters that are not its graph's: %w", err)
+		}
 	}
 	return nil
 }
@@ -150,8 +164,13 @@ func (c *Chain) Apply(st *State, batch []extract.Extraction) error {
 // daemon's views). The result is checked against the state's graph row by
 // row and key by key (fusion.PosteriorOf); a result that does not belong to
 // the graph is refused like a foreign method is by Check. A state that
-// already holds the native form, or nothing fused, is left as it is.
+// already holds the native form, or nothing fused, is left as it is. Adopt
+// runs Check first, so a caller that adopts without checking still cannot
+// take on a foreign state.
 func (c *Chain) Adopt(st *State) error {
+	if err := c.Check(st); err != nil {
+		return err
+	}
 	if st.Posterior != nil || st.Result == nil {
 		return nil
 	}

@@ -3,8 +3,10 @@ package genstore
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -424,6 +426,111 @@ func TestAdoptRecoveredResult(t *testing.T) {
 			if err := chain.Adopt(st); err == nil || st.Posterior != nil {
 				t.Errorf("%s: Adopt accepted a result with %s (err %v)", name, tc.what, err)
 			}
+		}
+	}
+}
+
+// TestRecoveredTwoLayerStateIsValidated covers the other recovered half of a
+// two-layer state: the warm-start parameters. A snapshot is outside input,
+// and nothing downstream looks at these values again — a short vector is
+// silently padded with the initial values, a NaN accuracy passes every
+// clamp, a rate of 0 or beyond goes into a logarithm — so the chain refuses
+// them where a recovered state is first used: Check (which Grow, and so a
+// replayed or a live batch, runs first) and Adopt. A state the chain wrote
+// itself passes, also when the open replays journaled batches onto it.
+func TestRecoveredTwoLayerStateIsValidated(t *testing.T) {
+	const batch = 90
+	feed := growingFeed(11, 6*batch)
+	chain := TwoLayerChain(twolayer.DefaultConfig(), 1)
+	// recovered is the state after three batches and a snapshot, with
+	// `journaled` more batches behind the snapshot, as a reopen finds it; the
+	// snapshot's parameters go through damage first.
+	recovered := func(journaled int, damage func(tl *twolayer.State)) (*State, error) {
+		mem := faultfs.NewMem()
+		store, st, err := OpenFS(mem, chain.Apply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3+journaled; i++ {
+			if err := store.Append(st, feed[i*batch:(i+1)*batch]); err != nil {
+				t.Fatal(err)
+			}
+			if i == 2 {
+				// Only the snapshot sees the damage; the live chain goes on
+				// from what it computed.
+				live := st.TL
+				if damage != nil {
+					st.TL = &twolayer.State{SrcAcc: slices.Clone(live.SrcAcc), Recall: slices.Clone(live.Recall), FalsePos: slices.Clone(live.FalsePos)}
+					damage(st.TL)
+				}
+				if err := store.Snapshot(st); err != nil {
+					t.Fatal(err)
+				}
+				st.TL = live
+			}
+		}
+		store.Close()
+		store, st, err = OpenFS(mem, chain.Apply)
+		if err == nil {
+			store.Close()
+		}
+		return st, err
+	}
+
+	for _, journaled := range []int{0, 2} {
+		st, err := recovered(journaled, nil)
+		if err != nil {
+			t.Fatalf("reopening the chain's own state with %d journaled batches: %v", journaled, err)
+		}
+		if err := chain.Check(st); err != nil {
+			t.Fatalf("Check refused the chain's own state (%d journaled): %v", journaled, err)
+		}
+		if err := chain.Adopt(st); err != nil || st.Posterior == nil {
+			t.Fatalf("Adopt refused the chain's own state (%d journaled): %v", journaled, err)
+		}
+		if err := chain.Apply(st, feed[(3+journaled)*batch:(4+journaled)*batch]); err != nil {
+			t.Fatalf("the chain does not continue from its own recovered state: %v", err)
+		}
+	}
+
+	for _, tc := range []struct {
+		what   string
+		damage func(tl *twolayer.State)
+	}{
+		{"a short accuracy vector", func(tl *twolayer.State) { tl.SrcAcc = tl.SrcAcc[:len(tl.SrcAcc)-1] }},
+		{"a long accuracy vector", func(tl *twolayer.State) { tl.SrcAcc = append(tl.SrcAcc, 0.8) }},
+		{"a short recall vector", func(tl *twolayer.State) { tl.Recall = tl.Recall[:len(tl.Recall)-1] }},
+		{"a long false-positive vector", func(tl *twolayer.State) { tl.FalsePos = append(tl.FalsePos, 0.1) }},
+		{"a NaN accuracy", func(tl *twolayer.State) { tl.SrcAcc[1] = math.NaN() }},
+		{"an infinite accuracy", func(tl *twolayer.State) { tl.SrcAcc[0] = math.Inf(1) }},
+		{"a negative-infinite recall", func(tl *twolayer.State) { tl.Recall[0] = math.Inf(-1) }},
+		{"an accuracy above 1", func(tl *twolayer.State) { tl.SrcAcc[2] = 1.25 }},
+		{"a recall of 0", func(tl *twolayer.State) { tl.Recall[1] = 0 }},
+		{"a false-positive rate of 1.5", func(tl *twolayer.State) { tl.FalsePos[0] = 1.5 }},
+		{"a NaN false-positive rate", func(tl *twolayer.State) { tl.FalsePos[1] = math.NaN() }},
+	} {
+		st, err := recovered(0, tc.damage)
+		if err != nil {
+			t.Fatalf("%s: a snapshot-only reopen runs no chain code, yet: %v", tc.what, err)
+		}
+		before := stateFingerprint(t, st)
+		for op, err := range map[string]error{
+			"Check": chain.Check(st),
+			"Adopt": chain.Adopt(st),
+			"Grow":  chain.Grow(st, feed[3*batch:4*batch]),
+			"Apply": chain.Apply(st, feed[3*batch:4*batch]),
+		} {
+			if err == nil || !strings.Contains(err.Error(), "not its graph's") {
+				t.Errorf("%s: %s = %v, want the refusal a foreign result gets", tc.what, op, err)
+			}
+		}
+		if st.Posterior != nil || !bytes.Equal(stateFingerprint(t, st), before) {
+			t.Errorf("%s: a refused state was changed", tc.what)
+		}
+		// With batches journaled behind the damaged snapshot the open itself
+		// replays them through Apply, and must not get past the first.
+		if _, err := recovered(2, tc.damage); err == nil || !strings.Contains(err.Error(), "not its graph's") {
+			t.Errorf("%s: reopen with journaled batches = %v, want the replay refused", tc.what, err)
 		}
 	}
 }

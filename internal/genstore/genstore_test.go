@@ -101,6 +101,16 @@ func exported(res *fusion.Result) *fusion.Result {
 	return &fusion.Result{Triples: res.Triples, Rounds: res.Rounds, ProvAccuracy: res.ProvAccuracy, Unpredicted: res.Unpredicted}
 }
 
+// exportedTL does the same for a two-layer warm state, which carries the step
+// engines of the run that returned it beside the three vectors a snapshot
+// stores.
+func exportedTL(st *twolayer.State) *twolayer.State {
+	if st == nil {
+		return nil
+	}
+	return &twolayer.State{SrcAcc: st.SrcAcc, Recall: st.Recall, FalsePos: st.FalsePos}
+}
+
 const (
 	feedLen   = 120
 	chunkLen  = 25
@@ -386,7 +396,7 @@ func TestTwoLayerStateRoundTrips(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("extraction graph differs after reopen")
 	}
-	if !reflect.DeepEqual(st2.TL, st.TL) {
+	if !reflect.DeepEqual(exportedTL(st2.TL), exportedTL(st.TL)) {
 		t.Fatal("twolayer state differs after reopen")
 	}
 	if !reflect.DeepEqual(exported(st2.Fused()), exported(st.Fused())) {

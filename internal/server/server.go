@@ -196,13 +196,12 @@ func (s *Server) Hydrate() error {
 	for _, d := range store.Degradations() {
 		s.logf("state recovery: %s", d)
 	}
-	if err := s.chain.Check(st); err != nil {
-		store.Close()
-		return fmt.Errorf("server: state directory: %w", err)
-	}
-	// Views read rows through the native posterior. A snapshot stores the
-	// exchange form; with nothing replayed after it, convert it here, once —
-	// which also refuses a result that is not its graph's.
+	// Adopt checks the state first (Chain.Check: a foreign method,
+	// granularity or source level, two-layer parameters that are not the
+	// graph's). Views read rows through the native posterior; a snapshot
+	// stores the exchange form, so with nothing replayed after it, it is
+	// converted here, once — which also refuses a result that is not its
+	// graph's.
 	if err := s.chain.Adopt(st); err != nil {
 		store.Close()
 		return fmt.Errorf("server: state directory: %w", err)

@@ -15,11 +15,13 @@ import (
 
 	"kfusion/client"
 	"kfusion/internal/exper"
+	"kfusion/internal/extract"
 	"kfusion/internal/faultfs"
 	"kfusion/internal/fusion"
 	"kfusion/internal/genstore"
 	"kfusion/internal/httpapi"
 	"kfusion/internal/kfio"
+	"kfusion/internal/twolayer"
 )
 
 // newTestServer builds a hydrated in-memory server and mounts it on an
@@ -675,47 +677,203 @@ func TestHydrateRefusesForeignResult(t *testing.T) {
 	}
 }
 
+// TestHydrateRefusesForeignTwoLayerState is the same check on the other
+// recovered half of a two-layer state, the warm-start parameters: a snapshot
+// whose accuracy vector is not the graph's length, or holds a value no run
+// produces, fails Hydrate instead of seeding the next warm round with it.
+func TestHydrateRefusesForeignTwoLayerState(t *testing.T) {
+	xs := exper.SharedDataset(exper.ScaleSmall, 42).Extractions
+	for what, damage := range map[string]func(tl *twolayer.State){
+		"a short accuracy vector": func(tl *twolayer.State) { tl.SrcAcc = tl.SrcAcc[:len(tl.SrcAcc)/2] },
+		"a NaN accuracy":          func(tl *twolayer.State) { tl.SrcAcc[0] = math.NaN() },
+		"a recall of 1":           func(tl *twolayer.State) { tl.Recall[0] = 1 },
+	} {
+		chain := genstore.TwoLayerChain(twolayer.DefaultConfig(), 1)
+		mem := faultfs.NewMem()
+		store, st, err := genstore.OpenFS(mem, chain.Apply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Append(st, xs[:600]); err != nil {
+			t.Fatal(err)
+		}
+		damage(st.TL)
+		if err := store.Snapshot(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{FS: mem, Method: "twolayer"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Hydrate(); err == nil || !strings.Contains(err.Error(), "not its graph's") {
+			t.Fatalf("hydrating a snapshot with %s: err = %v, want a refusal", what, err)
+		}
+		if s.Ready() {
+			t.Fatalf("%s: a refused state was published", what)
+		}
+	}
+}
+
+// TestServedTwoLayerEqualsFreshChain pins the served two-layer bits (the
+// benchmark's serve-mixed digest covers the popaccu daemon only): a twolayer
+// daemon takes a head and 40 appends — its step engines passing from
+// generation to generation, first E-steps revised rather than recomputed,
+// the graph's incidence merged — with a periodic snapshot on the way and, in
+// the middle, a reopen from a copy of the live disk (snapshot plus journaled
+// batches, replayed), and then serves, row for row and bit for bit, what an
+// in-process chain computes that builds fresh engines for every step and
+// hands its State on only through the codec.
+func TestServedTwoLayerEqualsFreshChain(t *testing.T) {
+	const head, batch, appends = 1000, 100, 40
+	xs := exper.SharedDataset(exper.ScaleSmall, 42).Extractions
+	if len(xs) < head+appends*batch {
+		t.Fatalf("small dataset too small: %d extractions", len(xs))
+	}
+	mem := faultfs.NewMem()
+	open := func(fs *faultfs.Mem) *Server {
+		s, err := New(Config{FS: fs, Method: "twolayer", SnapshotEvery: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Hydrate(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := open(mem)
+	defer func() { s.Close() }()
+
+	cold := twolayer.DefaultConfig()
+	warm := cold
+	warm.Rounds = 1
+	var g *extract.Compiled
+	var post *fusion.Posterior
+	var state *twolayer.State
+	step := func(lo, hi int, cfg twolayer.Config) {
+		if _, err := s.Append(xs[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+		if g == nil {
+			g = extract.Compile(xs[lo:hi], cold.SiteLevel)
+		} else {
+			g = g.Append(xs[lo:hi])
+			var buf bytes.Buffer
+			if err := twolayer.EncodeState(&buf, state); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if state, err = twolayer.DecodeState(buf.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if post, state, err = twolayer.FuseLockstep([]*extract.Compiled{g}, nil, cfg, state); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(0, head, cold)
+	for i := 0; i < appends; i++ {
+		step(head+i*batch, head+(i+1)*batch, warm)
+		if i == 20 {
+			// 22 batches in: the snapshot holds 16 of them, the journal the
+			// rest. The copy is what a crash would leave on disk.
+			image := mem.Clone()
+			s.Close()
+			s = open(image)
+		}
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c, err := client.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Triples(t.Context(), client.TriplesQuery{Limit: post.Len() + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := post.Result()
+	if len(got.Triples) != len(want.Triples) {
+		t.Fatalf("daemon serves %d rows, the fresh chain computed %d", len(got.Triples), len(want.Triples))
+	}
+	var served, fresh bytes.Buffer
+	enc := json.NewEncoder(&served)
+	for _, g := range got.Triples {
+		rec := kfio.FusedRecord{Subject: g.Subject, Predicate: g.Predicate, Object: g.Object,
+			Probability: g.Probability, Predicted: g.Predicted, Provenances: g.Provenances, Extractors: g.Extractors}
+		if err := enc.Encode(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := kfio.WriteFused(&fresh, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served.Bytes(), fresh.Bytes()) {
+		a, b := strings.Split(served.String(), "\n"), strings.Split(fresh.String(), "\n")
+		for i := range a {
+			if i >= len(b) || a[i] != b[i] {
+				t.Fatalf("row %d: daemon serves %s, the fresh chain computed %s", i, a[i], b[min(i, len(b)-1)])
+			}
+		}
+		t.Fatal("daemon's rows and the fresh chain's differ in length only")
+	}
+}
+
 // TestWarmAppendAllocationBound is the regression guard on what a served
-// append allocates: the mean runtime.MemStats.TotalAlloc delta of 20 warm
-// appends of 400 records onto the large dataset's first 50 000 (faultfs.Mem,
-// no periodic snapshot — BenchmarkServerAppend's shape, whose B/op moved
-// 8.64 MB → 3.43 MB) must stay under a bound set midway between what this
-// loop measured when every generation built its full row slice and
-// string-keyed accuracy map (7.37 MB per append) and what it measures with
-// the posterior kept in the engine's columns (2.82 MB). A per-generation row
-// or map build cannot come back unnoticed.
+// append allocates, per served engine: the mean runtime.MemStats.TotalAlloc
+// delta of 20 warm appends of 400 records onto the large dataset's first
+// 50 000 (faultfs.Mem, no periodic snapshot — BenchmarkServerAppend's shape)
+// must stay under a bound set between what this loop measured before and
+// after the step stopped rebuilding what it could keep. popaccu: 7.37 MB per
+// append when every generation built its full row slice and string-keyed
+// accuracy map, 2.82 MB with the posterior kept in the engine's columns.
+// twolayer: 7.48 MB when every generation built fresh step engines and
+// scattered the whole ext→statement incidence again, 4.8 MB with the engines
+// handed on and the incidence merged. Neither rebuild can come back
+// unnoticed.
 func TestWarmAppendAllocationBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesises the large dataset")
 	}
 	const head, batch, appends = 50_000, 400, 20
-	const bound = 5_100_000 // bytes per append
 	xs := exper.SharedDataset(exper.ScaleLarge, 42).Extractions
 	if len(xs) < head+(appends+2)*batch {
 		t.Fatalf("large dataset too small: %d extractions", len(xs))
 	}
-	s, _ := newTestServer(t, func(c *Config) { c.SnapshotEvery = -1; c.Logf = nil })
-	if _, err := s.Append(xs[:head]); err != nil {
-		t.Fatal(err)
-	}
-	at := head
-	step := func() {
-		if _, err := s.Append(xs[at : at+batch]); err != nil {
+	for _, tc := range []struct {
+		method string
+		bound  uint64 // bytes per append
+	}{
+		{"popaccu", 5_100_000},
+		{"twolayer", 6_200_000},
+	} {
+		s, _ := newTestServer(t, func(c *Config) { c.Method = tc.method; c.SnapshotEvery = -1; c.Logf = nil })
+		if _, err := s.Append(xs[:head]); err != nil {
 			t.Fatal(err)
 		}
-		at += batch
-	}
-	step() // the first warm append sizes the recycled engines' headroom
-	step()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < appends; i++ {
+		at := head
+		step := func() {
+			if _, err := s.Append(xs[at : at+batch]); err != nil {
+				t.Fatal(err)
+			}
+			at += batch
+		}
+		step() // the first warm append sizes the recycled engines' headroom
 		step()
-	}
-	runtime.ReadMemStats(&after)
-	mean := (after.TotalAlloc - before.TotalAlloc) / appends
-	t.Logf("%d bytes allocated per warm append (bound %d)", mean, bound)
-	if mean > bound {
-		t.Fatalf("a warm append allocates %d bytes on average, bound %d: is a generation building rows or an accuracy map nobody reads?", mean, bound)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < appends; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		mean := (after.TotalAlloc - before.TotalAlloc) / appends
+		t.Logf("%s: %d bytes allocated per warm append (bound %d)", tc.method, mean, tc.bound)
+		if mean > tc.bound {
+			t.Fatalf("%s: a warm append allocates %d bytes on average, bound %d: is a generation rebuilding what the one before could hand it?", tc.method, mean, tc.bound)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -153,20 +152,6 @@ func TestPosteriorIsExchangeFormTwoLayer(t *testing.T) {
 	cold := twoLayerConfig()
 	warm := cold
 	warm.Rounds = 1
-	viaCodec := func(st *twolayer.State) *twolayer.State {
-		if st == nil {
-			return nil
-		}
-		var buf bytes.Buffer
-		if err := twolayer.EncodeState(&buf, st); err != nil {
-			t.Fatal(err)
-		}
-		dec, err := twolayer.DecodeState(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dec
-	}
 	for _, k := range []int{0, 1, 4} { // 0 = unsharded
 		var grow func([]extract.Extraction)
 		var fuse func(cfg twolayer.Config, seed *twolayer.State) (*fusion.Posterior, *twolayer.State, error)
@@ -198,7 +183,7 @@ func TestPosteriorIsExchangeFormTwoLayer(t *testing.T) {
 				cfg = cold
 			}
 			grow(batch)
-			viaDecoded, st, err := fuse(cfg, viaCodec(decodedState))
+			viaDecoded, st, err := fuse(cfg, stateViaCodec(t, decodedState))
 			if err != nil {
 				t.Fatal(err)
 			}

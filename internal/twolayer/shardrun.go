@@ -25,6 +25,7 @@ package twolayer
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 
 	"kfusion/internal/csr"
@@ -33,7 +34,7 @@ import (
 	"kfusion/internal/mathx"
 )
 
-// Run is the step engine over one compiled extraction graph: the newEngine
+// Run is the step engine over one compiled extraction graph: the engine
 // state with the EM stages exposed one at a time, for FuseLockstep (and for
 // callers that time or trace the stages) to sequence. A Run never counts
 // rounds and never updates a parameter on its own. Not safe for concurrent
@@ -45,6 +46,13 @@ type Run struct {
 // NewRun builds the step engine for one two-layer configuration over a
 // compiled extraction graph (whose source level must match cfg.SiteLevel).
 func NewRun(g *extract.Compiled, cfg Config) (*Run, error) {
+	return newRun(g, cfg, nil)
+}
+
+// newRun is NewRun over a recycled engine when the driver has one to hand on
+// (nil builds a fresh one): either way the engine is bound to g by the one
+// sizing routine, engine.rebind.
+func newRun(g *extract.Compiled, cfg Config, e *engine) (*Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -52,7 +60,11 @@ func NewRun(g *extract.Compiled, cfg Config) (*Run, error) {
 		return nil, fmt.Errorf("twolayer: graph compiled with SiteLevel=%v but Config.SiteLevel=%v",
 			g.SiteLevel(), cfg.SiteLevel)
 	}
-	return &Run{e: newEngine(g, cfg)}, nil
+	if e == nil {
+		e = &engine{}
+	}
+	e.rebind(g, cfg)
+	return &Run{e: e}, nil
 }
 
 // NumSources and NumExtractors report the lengths the partial and broadcast
@@ -139,7 +151,7 @@ func (r *Run) ExtractorPartials(dst [][4]float64) {
 // caller's: the result's columns are copies of the engine's.
 func (r *Run) Result(rounds int) *fusion.Result {
 	g := r.e.g
-	return posterior([]*Run{r}, g.SourceKeys(), slices.Clone(r.e.srcAcc), rounds).Result()
+	return posterior([]*Run{r}, g.SourceKeys(), slices.Clone(r.e.srcAcc), rounds, r.e.cfg.Workers).Result()
 }
 
 // posterior wraps the runs' layer-2 probabilities — tripleP is the native
@@ -148,7 +160,7 @@ func (r *Run) Result(rounds int) *fusion.Result {
 // graph-major into one column; acc is retained. An empty row set is a nil
 // column, which materialises as the nil Result.Triples this engine has
 // always returned for it.
-func posterior(runs []*Run, keys []string, acc []float64, rounds int) *fusion.Posterior {
+func posterior(runs []*Run, keys []string, acc []float64, rounds, workers int) *fusion.Posterior {
 	graphs := make([]fusion.RowGraph, len(runs))
 	nTriples := 0
 	for s, r := range runs {
@@ -162,7 +174,7 @@ func posterior(runs []*Run, keys []string, acc []float64, rounds int) *fusion.Po
 			prob = append(prob, r.e.tripleP...)
 		}
 	}
-	return fusion.NewPosterior(graphs, prob, keys, acc, rounds, runs[0].e.cfg.Workers)
+	return fusion.NewPosterior(graphs, prob, keys, acc, rounds, workers)
 }
 
 // State snapshots the engine's current parameters (after the driver's last
@@ -201,7 +213,32 @@ type Shards struct {
 // by ids' global IDs, which for one graph are the graph's own). graphs[i] must
 // hold exactly the extractions of the data items routed to it; ids is nil
 // for a single graph (identity tables, no ghosts). Sources and extractors
-// covered by warm start at their previous posteriors.
+// covered by warm start at their previous posteriors; the values in warm's
+// vectors at the time of the call are the ones used.
+//
+// The step engines outlive their generation, as the claim engine's do
+// (fusion.FuseLockstep). The State a seeded call returns carries the engines
+// that produced it (an unseeded call's does not: cold States are what sweeps
+// keep by the dozen, and each would pin an engine), and a call seeded from it
+// takes them — exclusively, under the State's mutex: the first successor
+// gets them, and a second successor of the same State (a fork, a concurrent
+// call), a decoded State or a different shard count builds fresh ones. A
+// taken engine is rebound to its new graph by the routine that sizes a fresh
+// one (engine.rebind), which also decides what its contents are still worth:
+// when the engine's last run was on exactly the generation its new graph
+// extends and under the same model configuration, this run's first E-step
+// revises the E-step that run ended with — it re-scores the statements of
+// sources whose table entries moved bitwise, those whose extractor list the
+// batch grew and the new ones, then the items owning them — and otherwise
+// (and in every later E-step) scores everything. The two passes are one loop
+// over two index sets and agree bit for bit wherever the first is taken
+// (engine.dirtyScope states why), so no output depends on which ran.
+//
+// cfg.Workers bounds the whole call. One graph gets all of them for its
+// loops; K graphs step side by side, min(K, Workers) at a time, and split
+// what is left — a stage of the round (both E-steps of every graph; the
+// graph-local M-step sums of every graph) is one fork-join, not several per
+// graph over a Kth of the data. No result depends on either split.
 //
 // With one graph every fold is over a single holder — the identity — so the
 // result does not depend on whether tables were handed in; K > 1 re-groups
@@ -211,16 +248,49 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 	if len(graphs) == 0 {
 		return nil, nil, fmt.Errorf("twolayer: FuseLockstep needs at least one graph")
 	}
-	runs := make([]*Run, len(graphs))
 	for s, g := range graphs {
 		if g == nil {
 			return nil, nil, fmt.Errorf("twolayer: shard %d has no graph (Fuse before first Append)", s)
 		}
-		r, err := NewRun(g, cfg)
+	}
+	// Several graphs share the workers graph first: `across` of them step side
+	// by side, each with workers/across for its own loops. At K shards a stage
+	// is then one fork-join instead of several per shard over a Kth of the
+	// data each — joins that cost a wake-up apiece, buy little at that size
+	// and are where a busy host stalls a step. One graph keeps the workers
+	// exactly as handed in.
+	within, across := cfg, 1
+	if len(graphs) > 1 {
+		workers := cfg.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		across = min(len(graphs), workers)
+		within.Workers = max(1, workers/across)
+	}
+	recycled := warm.takeEngines(len(graphs))
+	runs := make([]*Run, len(graphs))
+	for s, g := range graphs {
+		var e *engine
+		if recycled != nil {
+			e = recycled[s]
+		}
+		r, err := newRun(g, within, e)
 		if err != nil {
 			return nil, nil, err
 		}
 		runs[s] = r
+	}
+	// eachRun is one stage of the round over every graph. A Run touches only
+	// its own engine and the per-graph buffers the driver hands it, and what
+	// an engine computes never depends on its worker count, so neither split
+	// can move a bit.
+	eachRun := func(f func(s int, r *Run)) {
+		csr.ParallelRange(len(runs), across, func(_, lo, hi int) {
+			for s := lo; s < hi; s++ {
+				f(s, runs[s])
+			}
+		})
 	}
 	if ids == nil {
 		if len(graphs) > 1 {
@@ -261,22 +331,25 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 		}
 	}
 
+	// Each engine owns its graph's M-step evidence buffers and keeps them
+	// across generations.
 	numP := make([][]float64, len(runs))
 	denP := make([][]float64, len(runs))
 	extP := make([][][4]float64, len(runs))
 	for s, r := range runs {
-		numP[s] = make([]float64, r.NumSources())
-		denP[s] = make([]float64, r.NumSources())
-		extP[s] = make([][4]float64, r.NumExtractors())
+		numP[s], denP[s], extP[s] = r.e.num, r.e.den, r.e.ext
 	}
-	// Ghost state, all nil without ghosts: gm[s] is shard s's ghost-miss
-	// table (installed once, rewritten from the global rates before each
-	// statement inference), statedSum/statedCnt the per-source stated mass
-	// and ghostP each extractor's all-miss M-step mass built from it.
+	// Ghost state, all nil without ghosts: missLR is the round's miss
+	// log-ratio per global extractor, gm[s] shard s's ghost-miss table
+	// (installed once, rewritten from missLR before each statement
+	// inference), statedSum/statedCnt the per-source stated mass and ghostP
+	// each extractor's all-miss M-step mass built from it.
+	var missLR []float64
 	var gm, statedSum [][]float64
 	var statedCnt [][]int32
 	var ghostP [][4]float64
 	if ghosts != nil {
+		missLR = make([]float64, nX)
 		gm = make([][]float64, len(runs))
 		statedSum = make([][]float64, len(runs))
 		statedCnt = make([][]int32, len(runs))
@@ -289,30 +362,33 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 		ghostP = make([][4]float64, nX)
 	}
 	estep := func() {
+		// One miss log-ratio per global extractor per E-step, on the exact
+		// kernel whatever cfg.FastMath says (the ghost table is the driver's,
+		// not an engine kernel pass; the FastMath shard sweep pins it).
+		for gx := range missLR {
+			missLR[gx] = mathx.MissLogRatio(recall[gx], falsePos[gx])
+		}
 		for s := range gm {
 			for ls, ghost := range ghosts[s] {
 				sum := 0.0
 				for _, gx := range ghost {
 					//lint:ignore kflint/floatsum tiny per-source sum over the ghost extractor set in fixed ascending global-ID order — deterministic by construction, far below a block.
-					sum += mathx.MissLogRatio(recall[gx], falsePos[gx])
+					sum += missLR[gx]
 				}
 				gm[s][ls] = sum
 			}
 		}
-		for _, r := range runs {
+		eachRun(func(_ int, r *Run) {
 			r.InferStatements()
 			r.InferTruth()
-		}
+		})
 	}
-	// ghostPartials rebuilds each ghost extractor's cross-shard M-step mass:
-	// for every (shard, source) pair the extractor processed only elsewhere,
-	// it covers all of the source's local statements without hitting any.
-	// Accumulation order is fixed (ascending shard, source, ghost ID), so the
-	// totals are deterministic.
+	// ghostPartials rebuilds each ghost extractor's cross-shard M-step mass
+	// from the stated mass: for every (shard, source) pair the extractor
+	// processed only elsewhere, it covers all of the source's local statements
+	// without hitting any. Accumulation order is fixed (ascending shard,
+	// source, ghost ID), so the totals are deterministic.
 	ghostPartials := func() {
-		for s, r := range runs {
-			r.SourceStatedMass(statedSum[s], statedCnt[s])
-		}
 		for gx := range ghostP {
 			ghostP[gx] = [4]float64{}
 		}
@@ -339,11 +415,20 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 		estep()
 		rounds++
 
+		// M-step, the graph-local half: every run sums its sources' and its
+		// extractors' evidence — and, with ghosts, its sources' stated mass —
+		// over the E-step just run. None of it reads a parameter, so it is one
+		// stage ahead of both updates.
+		eachRun(func(s int, r *Run) {
+			r.SourcePartials(numP[s], denP[s])
+			r.ExtractorPartials(extP[s])
+			if ghostP != nil {
+				r.SourceStatedMass(statedSum[s], statedCnt[s])
+			}
+		})
+
 		// M-step, sources: fold each source's (num, den) evidence over its
 		// holders; a source without evidence keeps its accuracy.
-		for s, r := range runs {
-			r.SourcePartials(numP[s], denP[s])
-		}
 		maxDelta := 0.0
 		for gs := range srcAcc {
 			hold := srcs.Holders(gs, &one)
@@ -365,9 +450,6 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 
 		// M-step, extractors: fold each extractor's block-reduced evidence
 		// over its holders, plus its ghost mass.
-		for s, r := range runs {
-			r.ExtractorPartials(extP[s])
-		}
 		if ghostP != nil {
 			ghostPartials()
 		}
@@ -400,6 +482,36 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 	estep()
 
 	// The State owns srcAcc; the posterior, immutable beside it, gets a copy.
-	out := posterior(runs, srcs.Keys(), slices.Clone(srcAcc), rounds)
-	return out, &State{SrcAcc: srcAcc, Recall: recall, FalsePos: falsePos}, nil
+	out := posterior(runs, srcs.Keys(), slices.Clone(srcAcc), rounds, cfg.Workers)
+	st := &State{SrcAcc: srcAcc, Recall: recall, FalsePos: falsePos}
+	if warm != nil {
+		// A seeded run is a link of a chain: its engines go with the State,
+		// each marked with the graph whose final E-step it holds, for the
+		// next generation to take. An unseeded run is as likely one of a
+		// sweep's dozens, and every State kept from those would pin an engine
+		// nothing will ever take; a chain's first warm step builds its own.
+		st.engines = make([]*engine, len(runs))
+		for s, r := range runs {
+			r.e.ranOn = graphs[s].Token()
+			st.engines[s] = r.e
+		}
+	}
+	return out, st, nil
+}
+
+// takeEngines hands the State's step engines to the caller if it still holds
+// them and they number n, and nil otherwise; whoever gets them owns them. A
+// nil State has none.
+func (st *State) takeEngines(n int) []*engine {
+	if st == nil {
+		return nil
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.engines) != n {
+		return nil
+	}
+	es := st.engines
+	st.engines = nil
+	return es
 }

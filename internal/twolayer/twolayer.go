@@ -47,6 +47,37 @@
 //     folded with csr.Pairwise, whose tree shape depends only on the block
 //     count. The reduction tree is a pure function of the span lengths, so
 //     the result never depends on scheduling.
+//   - Over K shard graphs the round driver spends the workers on the graphs
+//     first (FuseLockstep): each stage of a round is one fork-join across the
+//     graphs, and a graph's own loops split only the workers left over — an
+//     engine's output does not depend on its worker count, so this is a
+//     scheduling choice and nothing else.
+//
+// # Warm chains
+//
+// The extractors never stop producing, so the model is re-fused as the feed
+// grows: extract.Compiled.Append extends the graph, and a run seeded from the
+// previous run's State (FuseCompiledWarm, FuseLockstep) starts where that one
+// stopped. Two things make such a step follow the batch instead of the
+// corpus, and neither can move a bit of any result:
+//
+//   - The step engines outlive their generation. The State a seeded run
+//     returns carries them; the first run seeded from that State takes them
+//     (exclusively — a second successor, a fork, a decoded State or another
+//     shard count builds fresh ones) and rebinds them to its graph, regrowing
+//     buffers instead of allocating the whole state again.
+//   - A run ends with an E-step under the parameters it hands on, and the
+//     next run's first E-step runs under exactly those parameters — so for
+//     every statement and item the batch did not touch it would recompute what
+//     the engine still holds. A carried engine therefore revises: it
+//     re-scores the statements whose inputs changed and the items owning
+//     them, and keeps the rest. It does so only where it can prove the
+//     outcome equal (engine.rebind, engine.dirtyScope): its last run was on
+//     exactly the generation the new graph extends (the graph remembers its
+//     parent's token), under the same model configuration, and the round's
+//     parameter tables are compared bit for bit with the ones it last ran
+//     under, so an edited State is honoured like any other change. Anything
+//     else — and every later E-step of the run — is the ordinary full pass.
 //
 // # Reference-tolerance policy
 //
@@ -69,6 +100,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sync"
 
 	"kfusion/internal/csr"
 	"kfusion/internal/extract"
@@ -201,11 +234,29 @@ func FuseCompiled(g *extract.Compiled, cfg Config) (*fusion.Result, error) {
 // renumbers an existing source or extractor), so a State captured on
 // generation k seeds generation k+1 directly — entities new to the appended
 // batch simply start at the configured initial values. The slices are owned
-// by the State (copies, not views into engine state).
+// by the State (copies, not views into engine state), and they are what
+// EncodeState stores; the values in them when a run is seeded are the values
+// it starts from, so they may be edited.
+//
+// The State a seeded run returns also carries, unexported, the step engines
+// that produced it — with their last E-step still in them — for the first run
+// seeded from it to take over (see the package comment, Warm chains). That
+// costs memory, not meaning: a live State pins its engines' buffers (about
+// 5 MB at 100k statements on the benchmark feed) until a successor takes them
+// or the State is dropped, an unseeded run's State (a sweep keeps dozens) and
+// a decoded one carry none, and a run gives the same bits with or without
+// them. Because of the
+// mutex guarding the hand-off a State must not be copied by value; pass the
+// pointer, and compare the three vectors rather than the struct.
 type State struct {
 	SrcAcc   []float64 // source ID -> accuracy
 	Recall   []float64 // extractor ID -> recall
 	FalsePos []float64 // extractor ID -> false-positive rate
+
+	// engines are the step engines of the seeded run that returned this
+	// State, until the first run seeded from it takes them (takeEngines).
+	mu      sync.Mutex
+	engines []*engine
 }
 
 // WarmTol is the documented warm-start-vs-cold-start tolerance, in the
@@ -231,6 +282,12 @@ const WarmTol = 5e-3
 // and AUC-PR bounds pinned by the bench-scale warm-quality test) without
 // being pointwise-close to it. It returns the run's own State for the next
 // generation. A nil warm is a cold start (exactly FuseCompiled).
+//
+// Chained this way — g reached from the graph warm was returned on by one
+// Append, warm passed on as returned, the same model configuration — a step
+// recycles the previous step's engines and revises their last E-step instead
+// of repeating it (see the package comment, Warm chains); any other call
+// computes the same result the long way.
 func FuseCompiledWarm(g *extract.Compiled, cfg Config, warm *State) (*fusion.Result, *State, error) {
 	post, st, err := FuseLockstep([]*extract.Compiled{g}, nil, cfg, warm)
 	if err != nil {
@@ -248,8 +305,11 @@ func MustFuseCompiled(g *extract.Compiled, cfg Config) *fusion.Result {
 	return r
 }
 
-// engine is the per-call EM state over a compiled extraction graph. Every
-// slice is indexed by an interned ID; the EM rounds allocate nothing.
+// engine is the EM state over a compiled extraction graph. Every slice is
+// indexed by an interned ID; the EM rounds allocate nothing. An engine is
+// bound to its graph and configuration by rebind, and along a warm chain it
+// outlives its generation: the State a seeded FuseLockstep returns carries
+// it, and the next run rebinds it to the next graph (see rebind, carried).
 //
 // Closeness to FuseReference is an invariant pinned by the golden
 // equivalence tests: per-source and per-triple sums walk statements in
@@ -332,6 +392,63 @@ type engine struct {
 	// source→extractor incidence is below the shared elementwise threshold,
 	// e.workers otherwise — a pure function of the graph, like blockWorkers.
 	baseWorkers int
+
+	// The round driver's per-graph M-step evidence buffers (source num/den,
+	// extractor partials). They live here so they pass from generation to
+	// generation with the engine; only FuseLockstep touches them.
+	num, den []float64
+	ext      [][4]float64
+
+	// ranOn is the token of the graph whose E-steps stated, stWeight and
+	// tripleP hold in full, under the tables in lrAdj, srcBase and srcLogW:
+	// set by the driver when it hands the engine on after its final E-step,
+	// cleared by rebind. first is what rebind could prove about the step from
+	// that graph to the new one; the run's first inferStatements consumes it.
+	ranOn uint64
+	first carried
+	// was* are the tables of the carried E-step, set aside while the first
+	// inferStatements of the next run computes its own over them.
+	wasAdj, wasBase, wasLogW []float64
+	// dirtySts and dirtyItems list what a dirty pass re-scores; items is the
+	// item set the next inferTruth runs over, left by inferStatements.
+	dirtySts, dirtyItems []int32
+	items                scope
+	// rescored is the number of statements the run's first inferStatements
+	// scored, -1 until it has run.
+	rescored int
+}
+
+// carried describes a rebound engine whose arrays still hold the final
+// E-step of the generation its new graph extends (or of that very graph),
+// under the same model configuration: statement IDs below sts mean what they
+// meant there, with the extractor lists they had there except for grown, and
+// the engine then knew nSrc sources and nExt extractors. ok is false —
+// the full pass — whenever rebind could not establish all of that.
+type carried struct {
+	ok         bool
+	sts        int
+	grown      []int32
+	nSrc, nExt int
+}
+
+// scope is the index set one E-step pass runs over: the IDs in list, then
+// every ID from from on. The zero scope is every ID — the full pass; a dirty
+// pass lists the old IDs it must revisit and starts the range at the first
+// new one. Both passes are the same loop over scope.at.
+type scope struct {
+	list []int32
+	from int
+}
+
+// size is the number of IDs in the scope over an ID space of n.
+func (sc scope) size(n int) int { return len(sc.list) + n - sc.from }
+
+// at maps a position in [0, size) to its ID.
+func (sc scope) at(k int) int32 {
+	if k < len(sc.list) {
+		return sc.list[k]
+	}
+	return int32(sc.from + k - len(sc.list))
 }
 
 // pairCacheMaxCells caps the single-hit sigmoid cache's per-worker pair
@@ -341,46 +458,83 @@ type engine struct {
 // graph — cannot affect results.
 const pairCacheMaxCells = 1 << 18
 
-func newEngine(g *extract.Compiled, cfg Config) *engine {
+// rebind is the one engine sizing routine: it binds e to graph g under cfg
+// and sizes every buffer for g. A fresh engine is the zero engine rebound
+// (newRun) and gets exactly the sizes it needs; a recycled one — handed from
+// the previous generation's State to the next run, see FuseLockstep — keeps
+// every buffer that is still large enough and regrows the rest with
+// headroom, so along an append chain the per-generation allocation is the
+// occasional regrowth, not the whole state.
+//
+// A recycled engine also keeps its contents, and rebind decides what they
+// are still worth (e.first). The parameters are re-initialised either way —
+// the driver installs every one of them before the first E-step — and
+// ghostMiss is dropped for the driver to reinstall. The pair cache needs no
+// clearing: its stamps come from roundSeq, which keeps counting across
+// rebinds, so no entry of an earlier run can match a later round.
+func (e *engine) rebind(g *extract.Compiled, cfg Config) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nExt := g.NumExtractors()
-	e := &engine{
-		g:       g,
-		cfg:     cfg,
-		workers: workers,
-		kern:    mathx.ForConfig(cfg.FastMath),
-		sig:     mathx.Sigmoid,
-
-		stated:   make([]float64, g.NumStatements()),
-		stWeight: make([]float64, g.NumStatements()),
-		tripleP:  make([]float64, g.NumTriples()),
-		srcAcc:   make([]float64, g.NumSources()),
-
-		recall:    make([]float64, nExt),
-		falsePos:  make([]float64, nExt),
-		lrHit:     make([]float64, nExt),
-		lrMiss:    make([]float64, nExt),
-		lrAdj:     make([]float64, nExt),
-		oneMinusR: make([]float64, nExt),
-		oneMinusF: make([]float64, nExt),
-		srcBase:   make([]float64, g.NumSources()),
-		srcLogW:   make([]float64, g.NumSources()),
-
-		scores:    make([][]float64, workers),
-		pairP:     make([][]float64, workers),
-		pairStamp: make([][]int32, workers),
-
-		blockSums:    make([][4]float64, len(g.ExtStatementBlocks())),
-		extTotals:    make([][4]float64, nExt),
-		blockWorkers: 1,
-		baseWorkers:  1,
+	// What the arrays hold is usable only if they hold all of it for exactly
+	// the generation g extends (or g's own graph: an empty Append shares it),
+	// computed under the same model — every Config field but the round cap
+	// and the worker bound, neither of which can move a bit.
+	e.first = carried{nSrc: len(e.srcBase), nExt: len(e.lrAdj)}
+	if e.ranOn != 0 && sameModel(e.cfg, cfg) {
+		switch parent, sts, grown := g.Parent(); e.ranOn {
+		case g.Token():
+			e.first.ok, e.first.sts = true, g.NumStatements()
+		case parent:
+			e.first.ok, e.first.sts, e.first.grown = true, sts, grown
+		}
 	}
+	e.ranOn = 0
+
+	nSt, nSrc, nExt := g.NumStatements(), g.NumSources(), g.NumExtractors()
+	e.g, e.cfg, e.workers = g, cfg, workers
+	e.kern, e.sig = mathx.ForConfig(cfg.FastMath), mathx.Sigmoid
 	if cfg.FastMath {
 		e.sig = mathx.FastSigmoid
 	}
+	e.ghostMiss = nil
+	e.rescored = -1
+
+	nTriOld := len(e.tripleP)
+	e.stated = regrow(e.stated, nSt)
+	e.stWeight = regrow(e.stWeight, nSt)
+	e.tripleP = regrow(e.tripleP, g.NumTriples())
+	e.srcAcc = regrow(e.srcAcc, nSrc)
+	e.srcBase = regrow(e.srcBase, nSrc)
+	e.srcLogW = regrow(e.srcLogW, nSrc)
+	e.num = regrow(e.num, nSrc)
+	e.den = regrow(e.den, nSrc)
+	e.recall = regrow(e.recall, nExt)
+	e.falsePos = regrow(e.falsePos, nExt)
+	e.lrHit = regrow(e.lrHit, nExt)
+	e.lrMiss = regrow(e.lrMiss, nExt)
+	e.lrAdj = regrow(e.lrAdj, nExt)
+	e.oneMinusR = regrow(e.oneMinusR, nExt)
+	e.oneMinusF = regrow(e.oneMinusF, nExt)
+	e.ext = regrow(e.ext, nExt)
+	e.extTotals = regrow(e.extTotals, nExt)
+	e.blockSums = regrow(e.blockSums, len(g.ExtStatementBlocks()))
+	if !e.first.ok {
+		nTriOld = 0
+	}
+	for i := nTriOld; i < len(e.tripleP); i++ {
+		e.tripleP[i] = 0.5
+	}
+	for i := range e.srcAcc {
+		e.srcAcc[i] = cfg.InitSourceAccuracy
+	}
+	for i := range e.recall {
+		e.recall[i] = cfg.InitRecall
+		e.falsePos[i] = cfg.InitFalsePos
+	}
+
+	e.blockWorkers, e.baseWorkers = 1, 1
 	incidence := 0
 	for _, b := range g.ExtStatementBlocks() {
 		incidence += int(b.Hi - b.Lo)
@@ -388,32 +542,43 @@ func newEngine(g *extract.Compiled, cfg Config) *engine {
 	if incidence >= elementwiseParallelThreshold {
 		e.blockWorkers = workers
 	}
-	srcExtIncidence := 0
-	for s := 0; s < g.NumSources(); s++ {
-		srcExtIncidence += len(g.SourceExtractors(int32(s)))
-	}
-	if srcExtIncidence >= elementwiseParallelThreshold {
+	if g.NumSourceExtractors() >= elementwiseParallelThreshold {
 		e.baseWorkers = workers
 	}
-	for i := range e.tripleP {
-		e.tripleP[i] = 0.5
+
+	cells := nSrc * nExt
+	if cells > pairCacheMaxCells {
+		cells = 0 // cache off: the slots stay nil
 	}
-	for i := range e.srcAcc {
-		e.srcAcc[i] = cfg.InitSourceAccuracy
-	}
-	for i := 0; i < nExt; i++ {
-		e.recall[i] = cfg.InitRecall
-		e.falsePos[i] = cfg.InitFalsePos
-	}
-	cells := g.NumSources() * nExt
+	e.scores = regrow(e.scores, workers)
+	e.pairP = regrow(e.pairP, workers)
+	e.pairStamp = regrow(e.pairStamp, workers)
 	for w := 0; w < workers; w++ {
-		e.scores[w] = make([]float64, g.MaxItemTriples())
-		if cells > 0 && cells <= pairCacheMaxCells {
-			e.pairP[w] = make([]float64, cells)
-			e.pairStamp[w] = make([]int32, cells)
-		}
+		e.scores[w] = regrow(e.scores[w], g.MaxItemTriples())
+		e.pairP[w] = regrow(e.pairP[w], cells)
+		e.pairStamp[w] = regrow(e.pairStamp[w], cells)
 	}
-	return e
+}
+
+// sameModel reports whether two configurations describe the same model:
+// every field but Rounds and Workers, which bound the work and never enter a
+// result.
+func sameModel(a, b Config) bool {
+	a.Rounds, a.Workers = 0, 0
+	b.Rounds, b.Workers = 0, 0
+	return a == b
+}
+
+// regrow returns s at length n: its own backing array when that is large
+// enough, otherwise a new one with append's geometric headroom — exactly n
+// (up to the allocator's size class) from nothing — so a buffer that grows a
+// little every generation is reallocated only now and then. Elements below
+// the old length keep their values; the rest are unspecified.
+func regrow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
 // inferStatements is the layer-1 E-step: statement probabilities from
@@ -430,8 +595,24 @@ func newEngine(g *extract.Compiled, cfg Config) *engine {
 // cache.
 func (e *engine) inferStatements() {
 	g := e.g
+	if e.roundSeq == math.MaxInt32 {
+		// The stamp space is used up: forget every cached pair and start over.
+		for w := range e.pairStamp {
+			clear(e.pairStamp[w][:cap(e.pairStamp[w])])
+		}
+		e.roundSeq = 0
+	}
 	e.roundSeq++
 	seq := e.roundSeq
+	// Only the first E-step of a run can follow a carried one; set its tables
+	// aside before this round's overwrite them.
+	first := e.first
+	e.first = carried{}
+	if first.ok {
+		e.wasAdj = append(e.wasAdj[:0], e.lrAdj[:first.nExt]...)
+		e.wasBase = append(e.wasBase[:0], e.srcBase[:first.nSrc]...)
+		e.wasLogW = append(e.wasLogW[:0], e.srcLogW[:first.nSrc]...)
+	}
 	// The layer-2 source log-weight table is staged here too: srcAcc is
 	// final for the round before layer 1 starts, and having srcLogW ready
 	// lets the statement loop below stage each statement's corroboration
@@ -468,20 +649,31 @@ func (e *engine) inferStatements() {
 			e.srcBase[s] = b
 		}
 	})
+
+	sts := scope{}
+	e.items = scope{}
+	if first.ok {
+		sts, e.items = e.dirtyScope(first)
+	}
+	n := sts.size(g.NumStatements())
+	if e.rescored < 0 {
+		e.rescored = n
+	}
 	nExt := int32(len(e.recall))
-	csr.ParallelRange(g.NumStatements(), e.workers, func(w, lo, hi int) {
+	csr.ParallelRange(n, e.workers, func(w, lo, hi int) {
 		pairP, pairStamp := e.pairP[w], e.pairStamp[w]
-		for si := lo; si < hi; si++ {
-			src := g.StatementSource(int32(si))
-			hits := g.StatementExtractors(int32(si))
+		for k := lo; k < hi; k++ {
+			si := sts.at(k)
+			src := g.StatementSource(si)
+			hits := g.StatementExtractors(si)
 			var pv float64
-			if len(hits) == 1 && pairStamp != nil {
-				k := src*nExt + hits[0]
-				if pairStamp[k] != seq {
-					pairP[k] = e.sig(e.srcBase[src] + e.lrAdj[hits[0]])
-					pairStamp[k] = seq
+			if len(hits) == 1 && len(pairStamp) != 0 {
+				cell := src*nExt + hits[0]
+				if pairStamp[cell] != seq {
+					pairP[cell] = e.sig(e.srcBase[src] + e.lrAdj[hits[0]])
+					pairStamp[cell] = seq
 				}
-				pv = pairP[k]
+				pv = pairP[cell]
 			} else {
 				logOdds := e.srcBase[src]
 				for _, x := range hits {
@@ -511,6 +703,67 @@ func (e *engine) inferStatements() {
 	})
 }
 
+// dirtyScope is the exact dirty set of a carried engine's first E-step: the
+// statements and items whose inputs differ from what the carried E-step —
+// the last one of the generation before, whose outputs the arrays still
+// hold — computed them from. The round's tables are already in place; they
+// are compared bit for bit with the carried ones (was*), so nothing about
+// the parameters is assumed: a source the batch paired with a new extractor,
+// a ghost list the coordinator changed and an accuracy somebody edited in the
+// State all show as a moved srcBase or srcLogW.
+//
+// A statement's probability and vote are a function of its source's srcBase
+// and srcLogW and of the lrAdj of the extractors on its list. So: if any
+// extractor the carried step knew has a different lrAdj, everything is dirty
+// (the full scope). Otherwise the dirty statements are those of a source
+// with a moved table entry, those whose extractor list the batch grew, and
+// the new ones (the range from c.sts); an extractor new to this generation
+// can only be on a grown or a new list. An item's probabilities are a
+// function of its triples' statement votes, so the dirty items are the
+// owners of the dirty statements' triples — a new triple has a new
+// statement.
+func (e *engine) dirtyScope(c carried) (sts, items scope) {
+	g := e.g
+	for x, was := range e.wasAdj {
+		if math.Float64bits(e.lrAdj[x]) != math.Float64bits(was) {
+			return scope{}, scope{}
+		}
+	}
+	moved := func(s int32) bool {
+		return int(s) < c.nSrc &&
+			(math.Float64bits(e.srcBase[s]) != math.Float64bits(e.wasBase[s]) ||
+				math.Float64bits(e.srcLogW[s]) != math.Float64bits(e.wasLogW[s]))
+	}
+	list := e.dirtySts[:0]
+	for s := int32(0); int(s) < c.nSrc; s++ {
+		if !moved(s) {
+			continue
+		}
+		for _, si := range g.SourceStatements(s) {
+			if int(si) >= c.sts {
+				break // ascending: the new ones are in the range
+			}
+			list = append(list, si)
+		}
+	}
+	for _, si := range c.grown {
+		if !moved(g.StatementSource(si)) {
+			list = append(list, si)
+		}
+	}
+	e.dirtySts = list
+	sts = scope{list: list, from: c.sts}
+
+	owners := e.dirtyItems[:0]
+	for k, n := 0, sts.size(g.NumStatements()); k < n; k++ {
+		owners = append(owners, g.ItemOfTriple(g.StatementTriple(sts.at(k))))
+	}
+	slices.Sort(owners)
+	owners = slices.Compact(owners)
+	e.dirtyItems = owners
+	return sts, scope{list: owners, from: g.NumItems()}
+}
+
 // elementwiseParallelThreshold is the element count below which the
 // per-round elementwise precomputes (source log-weights) stay sequential
 // (the shared elementwise cutoff; tuned in internal/csr). The gate depends
@@ -526,10 +779,12 @@ const elementwiseParallelThreshold = csr.ElementwiseThreshold
 func (e *engine) inferTruth() {
 	g := e.g
 	nFalse := float64(e.cfg.NFalse)
-	csr.ParallelRange(g.NumItems(), e.workers, func(w, lo, hi int) {
+	items := e.items
+	e.items = scope{}
+	csr.ParallelRange(items.size(g.NumItems()), e.workers, func(w, lo, hi int) {
 		buf := e.scores[w]
-		for it := lo; it < hi; it++ {
-			tis := g.ItemTriples(int32(it))
+		for k := lo; k < hi; k++ {
+			tis := g.ItemTriples(items.at(k))
 			scores := buf[:len(tis)]
 			for vi, ti := range tis {
 				s := 0.0
