@@ -43,19 +43,24 @@ fault:
 # the engine-level ones — any chunking of a feed through Append builds the
 # graph one Compile builds, and a warm two-layer chain on recycled engines
 # and revised E-steps equals, bit for bit, one on fresh engines
-# (FuzzWarmChain).
+# (FuzzWarmChain). The two append-era codecs run against the oracles kept in
+# their test files: FuzzWriteFused (the fused-row encoder ≡ encoding/json,
+# byte for byte) and FuzzClaimStream (the ID-pair dedup stream ≡ the
+# string-keyed map, under any chunking and granularity).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 15s ./internal/genstore/
 	$(GO) test -run '^$$' -fuzz FuzzJournalParse -fuzztime 15s ./internal/genstore/
 	$(GO) test -run '^$$' -fuzz FuzzExtractionStream -fuzztime 15s ./internal/kfio/
 	$(GO) test -run '^$$' -fuzz FuzzReadExtractions -fuzztime 15s ./internal/kfio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeExtraction -fuzztime 15s ./internal/kfio/
+	$(GO) test -run '^$$' -fuzz FuzzWriteFused -fuzztime 15s ./internal/kfio/
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s ./internal/extract/
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s ./internal/fusion/
+	$(GO) test -run '^$$' -fuzz FuzzClaimStream -fuzztime 15s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz FuzzWarmChain -fuzztime 15s ./internal/twolayer/
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd|BenchmarkServerAppend' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd|BenchmarkWriteFused|BenchmarkServerAppend' -benchtime 1x -benchmem .
 
 # bench-json regenerates the machine-readable perf record (see BENCH_<n>.json;
 # bump N per PR that moves performance): the throughput benchmarks, the

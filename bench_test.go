@@ -470,16 +470,14 @@ func BenchmarkTwoLayerScaling(b *testing.B) {
 }
 
 // BenchmarkExtractCompileGraph measures extract.Compile itself — interning,
-// CSR adjacency and the ext→statement incidence — sequential vs all cores,
-// on the bench extraction set where the shard-and-merge interning engages.
+// CSR adjacency and the ext→statement incidence — by workers, on the bench
+// extraction set: the counting passes split from two workers on, the
+// shard-and-merge interning engages from csr.ShardInternMinWorkers (compare
+// workers-1 with workers-2 and workers-4 before moving that constant).
 func BenchmarkExtractCompileGraph(b *testing.B) {
 	ds := benchDataset(b)
-	for _, workers := range []int{1, 0} {
-		name := "sequential"
-		if workers == 0 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(benchName(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				extract.CompileWorkers(ds.Extractions, true, workers)
@@ -491,17 +489,14 @@ func BenchmarkExtractCompileGraph(b *testing.B) {
 }
 
 // BenchmarkCompileClaimGraph measures fusion.Compile itself — the interning
-// and CSR build every fusion run amortizes — sequential vs all cores, on the
-// large claim set where the parallel counting sort engages.
+// and CSR build every fusion run amortizes — by workers, on the large claim
+// set where the parallel counting sort engages (and, from
+// csr.ShardInternMinWorkers, the shard-and-merge interning).
 func BenchmarkCompileClaimGraph(b *testing.B) {
 	ds := exper.SharedDataset(exper.ScaleLarge, benchSeed)
 	claims := fusion.Claims(ds.Extractions, fusion.Granularity{})
-	for _, workers := range []int{1, 0} {
-		name := "sequential"
-		if workers == 0 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(benchName(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := fusion.CompileWorkers(claims, workers, 0); err != nil {
@@ -561,6 +556,29 @@ func BenchmarkClaimStreamAdd(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(xs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkWriteFused measures the fused-file writer alone: the bench
+// dataset's POPACCU result, fused once, encoded to JSONL per iteration — MB/s,
+// rows/s and (with -benchmem) bytes and allocations per written file.
+func BenchmarkWriteFused(b *testing.B) {
+	cfg := fusion.PopAccuConfig()
+	res := fusion.MustFuse(fusion.Claims(benchDataset(b).Extractions, cfg.Granularity), cfg)
+	var out bytes.Buffer
+	if err := kfio.WriteFused(&out, res); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(out.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Reset()
+		if err := kfio.WriteFused(&out, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(res.Triples))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 // BenchmarkMapReduceScaling measures the fusion pipeline at several worker

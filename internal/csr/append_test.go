@@ -209,3 +209,19 @@ func TestMergeKeysLeavesShardsIntact(t *testing.T) {
 		t.Fatal("MergeKeys mutated a shard")
 	}
 }
+
+// TestShardInternRule states which (batch size, workers) pairs take the
+// shard-and-merge interning pass, so a change to the rule is a visible diff.
+func TestShardInternRule(t *testing.T) {
+	for _, c := range []struct {
+		n, workers int
+		want       bool
+	}{
+		{1 << 14, 4, true}, {1 << 20, 64, true},
+		{1<<14 - 1, 4, false}, {1 << 20, 3, false}, {1 << 20, 2, false}, {1 << 20, 1, false}, {0, 8, false},
+	} {
+		if got := ShardIntern(c.n, c.workers); got != c.want {
+			t.Errorf("ShardIntern(%d, %d) = %v, want %v", c.n, c.workers, got, c.want)
+		}
+	}
+}

@@ -6,17 +6,46 @@ package csr
 // sources, triples, statements) in first-occurrence order of the input
 // stream. The parallel interning passes shard the stream, intern each shard
 // locally, and then merge the shard-local key lists into the global ID
-// space. The merge used to be a single sequential walk over every shard's
-// keys — the bound ROADMAP called out on ExtractCompileParallel's scaling.
+// space.
 //
-// MergeKeys replaces that walk with an ordered pairwise merge: adjacent
-// shard pairs are merged concurrently, halving the shard count per round
-// until one list remains. Merging two ordered key lists is dedup-preserving
+// MergeKeys runs that merge as an ordered pairwise tree: adjacent shard
+// pairs are merged concurrently, halving the shard count per round until one
+// list remains. Merging two ordered key lists is dedup-preserving
 // concatenation — the left list's keys keep their order, the right list
 // contributes its unseen keys in order — which is associative, so the
 // pairwise tree produces exactly the sequential fold's global order: every
 // key lands at its overall first occurrence. The result is therefore
 // independent of the worker count, like every other parallel pass here.
+//
+// What the pass costs decides when it is taken (ShardIntern): the shards
+// intern every distinct key once each, and the merge then hashes every one of
+// them again into a generic map per shard, probes or inserts it once per tree
+// level, and its caller hashes the merged list into the global table and looks
+// every shard key up once more for the local→global remap — four or more
+// hashings of each distinct key, the last tree level and the global table on
+// one goroutine, to divide one hashing per record among the workers.
+
+// ShardInternMinWorkers is the smallest worker count at which a from-empty
+// interning pass is sharded. Measured on the bench corpus (150k records,
+// 2 vCPUs, `go test -bench 'CompileClaimGraph|ExtractCompileGraph' -benchtime
+// 20x`): the claim graph compiles in 93–101 ms with the sequential loop and in
+// 149–193 ms (122 MB against 32 MB allocated) with the pass at two workers,
+// the extraction graph in 30.7–31.6 ms against 34.0–45.6 ms — the merge's
+// extra hashing is more than half an interning loop, so a second worker
+// cannot repay it on any host. At four cores CI's scaling-check holds the
+// claim-graph compile, pass included, at >= 1.5x the one-core cell. Three has
+// been measured on no host and stays with the loop.
+const ShardInternMinWorkers = 4
+
+// ShardIntern is the one selection rule of the shard-and-merge interning
+// passes (fusion's internClaimsParallel, extract's internParallel): a batch of
+// n records interned onto an empty generation with `workers` goroutines
+// allowed takes the pass when the batch reaches ParallelThreshold and workers
+// reaches ShardInternMinWorkers. Both interning paths build the same graph, so
+// the rule decides speed only.
+func ShardIntern(n, workers int) bool {
+	return n >= ParallelThreshold && workers >= ShardInternMinWorkers
+}
 
 // keyList is one merge node: an ordered key list with its index (key ->
 // position). The index always covers exactly the keys in the list.
@@ -30,7 +59,10 @@ type keyList[K comparable] struct {
 // first-occurrence key order, returning the merged list and its key -> ID
 // index. The merge runs as a pairwise tree with adjacent pairs merged in
 // parallel; the result is identical to a sequential left-to-right fold.
-// The input lists are only read.
+// The input lists are only read. Every key of every shard is hashed into a
+// generic map here and probed once per tree level — the cost
+// ShardInternMinWorkers accounts for; a merge over the shards' own intern
+// tables and stored hashes would not pay it (ROADMAP item 3).
 func MergeKeys[K comparable](shards [][]K, workers int) (keys []K, idx map[K]int32) {
 	if len(shards) == 0 {
 		return nil, map[K]int32{}

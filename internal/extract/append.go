@@ -14,10 +14,13 @@ package extract
 //
 // The batch interns through internBatch, the one sequential loop. The
 // shard-and-merge pass (internParallel: the same loop per shard, then an
-// ordered merge) is chosen from what extend can observe — the batch reaches
-// csr.ParallelThreshold, more than one worker is allowed, and nothing is
-// interned yet — which is a bulk Compile, or a first Append onto an empty
-// generation. Both produce the same graph.
+// ordered merge) is chosen from what extend can observe — nothing is interned
+// yet, which is a bulk Compile or a first Append onto an empty generation, and
+// csr.ShardIntern(len(batch), workers) holds: the batch reaches
+// csr.ParallelThreshold and the workers csr.ShardInternMinWorkers. That
+// minimum is measured (the numbers are beside the constant): at two workers
+// the merge's extra hashing costs more than the half loop it saves. Both
+// produce the same graph.
 //
 // The columns that only grow at the end (source and extractor keys, the
 // statement → source / triple columns, triples, items, triple → item) are
@@ -122,7 +125,7 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 	switch {
 	case nStOld > 0:
 		internBatch(next, idx, xs, &stExts, &srcExts)
-	case len(xs) >= internShardThreshold && workers > 1:
+	case csr.ShardIntern(len(xs), workers):
 		internParallel(next, idx, xs, workers, &stExts, &srcExts)
 	default:
 		idx.presize(len(xs))

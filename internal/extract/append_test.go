@@ -174,11 +174,11 @@ func TestExtractAppendNothingIsConstantCost(t *testing.T) {
 
 // TestInternParallelPairwiseMerge re-pins the parallel interning path —
 // now pairwise-merged — against the sequential loop at several worker
-// counts (the graphs must be identical in every field).
+// counts that take it (the graphs must be identical in every field).
 func TestInternParallelPairwiseMerge(t *testing.T) {
 	xs := appendStream(internShardThreshold + internShardThreshold/2)
 	want := CompileWorkers(xs, true, 1)
-	for _, workers := range []int{2, 3, 7, 8} {
+	for _, workers := range []int{csr.ShardInternMinWorkers, 7, 8} {
 		got := CompileWorkers(xs, true, workers)
 		appendGraphsEqual(t, fmt.Sprintf("workers=%d", workers), got, want)
 	}

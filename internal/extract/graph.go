@@ -171,11 +171,15 @@ type extractIndex struct {
 }
 
 // presize replaces the maps internBatch fills with ones sized for a
-// from-empty stream of n extractions.
+// from-empty stream of n extractions. Statements run close to the extraction
+// count; distinct triples up to about half of it (the claim graph's prior),
+// and the triple map is the large one — 68 bytes a slot, kept by the index for
+// as long as the generation is — so it is sized for that: undershooting costs
+// a cheap growth, overshooting by the other half held 10 MB per 150k records.
 func (idx *extractIndex) presize(n int) {
 	idx.src = make(map[string]int32, 1024)
 	idx.ext = make(map[string]int32, 32)
-	idx.tri = make(map[kb.Triple]int32, n)
+	idx.tri = make(map[kb.Triple]int32, n/2)
 	idx.st = make(map[stKey]int32, n)
 }
 
@@ -188,8 +192,10 @@ func Compile(xs []Extraction, siteLevel bool) *Compiled {
 }
 
 // CompileWorkers is Compile with an explicit bound on the CSR-building and
-// interning goroutines (0 = GOMAXPROCS). The graph is identical for any
-// workers value.
+// interning goroutines (0 = GOMAXPROCS). The CSR builds split from two
+// workers on; interning is sharded from csr.ShardInternMinWorkers on and is
+// the one sequential loop below it (see extend). The graph is identical for
+// any workers value.
 func CompileWorkers(xs []Extraction, siteLevel bool, workers int) *Compiled {
 	empty := &Compiled{graph: &graph{siteLevel: siteLevel}}
 	return empty.extend(&extractIndex{}, xs, workers)
@@ -306,10 +312,9 @@ func (g *Compiled) buildExtHitsF() {
 	}
 }
 
-// internShardThreshold is the extraction count below which interning runs
-// sequentially: per-shard map setup and the ordered merge only pay off once
-// the single-threaded hashing loop dominates (the shared cutoff of every
-// shard-and-merge pass; tuned in internal/csr).
+// internShardThreshold is the element count below which the per-statement
+// and per-triple passes of the assemble tail stay on one goroutine (the shared
+// cutoff of the multi-pass parallel schemes; tuned in internal/csr).
 const internShardThreshold = csr.ParallelThreshold
 
 // stKey identifies a statement: a distinct (source, triple) pair.

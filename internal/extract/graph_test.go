@@ -1,11 +1,13 @@
 package extract
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/kb"
 )
 
@@ -217,18 +219,76 @@ func TestExtStatementIncidenceMatchesBruteForce(t *testing.T) {
 // the shard-and-merge interning pass: above the shard threshold, the whole
 // compiled graph — every ID space, every CSR span, every extractor list and
 // the ext→statement blocks — must be identical to the sequential build for
-// any worker count.
+// any worker count that takes the pass (csr.ShardIntern), and the pass called
+// directly at the shard counts extend no longer selects must intern what the
+// sequential loop interns.
 func TestInternParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	n := internShardThreshold + 4321
 	xs := randomExtractions(rng, n)
 	for _, siteLevel := range []bool{false, true} {
 		want := CompileWorkers(xs, siteLevel, 1)
-		for _, workers := range []int{2, 3, 7, 8} {
+		for _, workers := range []int{csr.ShardInternMinWorkers, 7, 8} {
 			got := CompileWorkers(xs, siteLevel, workers)
 			got.token = want.token // a graph's identity: the one field no two compiles share
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("siteLevel=%v workers=%d: parallel interning diverged from sequential", siteLevel, workers)
+			}
+		}
+
+		intern := func(pass func(g *Compiled, idx *extractIndex, stExts, srcExts *extLists)) (*Compiled, *extractIndex, [][]int32, [][]int32) {
+			g := &Compiled{graph: &graph{siteLevel: siteLevel}}
+			idx := &extractIndex{}
+			var stExts, srcExts extLists
+			pass(g, idx, &stExts, &srcExts)
+			return g, idx, stExts.fresh, srcExts.fresh
+		}
+		seq, seqIdx, seqSt, seqSrc := intern(func(g *Compiled, idx *extractIndex, stExts, srcExts *extLists) {
+			idx.presize(len(xs))
+			internBatch(g, idx, xs, stExts, srcExts)
+		})
+		for _, shards := range []int{2, 3} {
+			par, parIdx, parSt, parSrc := intern(func(g *Compiled, idx *extractIndex, stExts, srcExts *extLists) {
+				internParallel(g, idx, xs, shards, stExts, srcExts)
+			})
+			if !reflect.DeepEqual(par.columns, seq.columns) {
+				t.Fatalf("siteLevel=%v shards=%d: the pass interned other ID spaces than the loop", siteLevel, shards)
+			}
+			if !reflect.DeepEqual(parSt, seqSt) || !reflect.DeepEqual(parSrc, seqSrc) {
+				t.Fatalf("siteLevel=%v shards=%d: the pass folded other extractor lists than the loop", siteLevel, shards)
+			}
+			// The index the pass leaves is what Append continues from.
+			if !reflect.DeepEqual(parIdx, seqIdx) {
+				t.Fatalf("siteLevel=%v shards=%d: the pass left another index than the loop", siteLevel, shards)
+			}
+		}
+	}
+}
+
+// TestCompileWorkersSameGraph holds the compiled graph to one value for every
+// workers setting on both sides of the shard-pass rule — below and from
+// csr.ShardInternMinWorkers, just under and just over csr.ParallelThreshold —
+// field by field and through the bytes a state directory would hold.
+func TestCompileWorkersSameGraph(t *testing.T) {
+	for _, n := range []int{csr.ParallelThreshold - 1, csr.ParallelThreshold + 1} {
+		xs := randomExtractions(rand.New(rand.NewSource(31)), n)
+		for _, siteLevel := range []bool{false, true} {
+			want := CompileWorkers(xs, siteLevel, 1)
+			var wantBytes bytes.Buffer
+			if err := want.EncodeSnapshot(&wantBytes); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 3, 4, 8} {
+				got := CompileWorkers(xs, siteLevel, workers)
+				name := fmt.Sprintf("n=%d siteLevel=%v workers=%d", n, siteLevel, workers)
+				appendGraphsEqual(t, name, got, want)
+				var gotBytes bytes.Buffer
+				if err := got.EncodeSnapshot(&gotBytes); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
+					t.Fatalf("%s: snapshot bytes differ from workers=1", name)
+				}
 			}
 		}
 	}

@@ -176,22 +176,33 @@ func TestAppendNothingIsConstantCost(t *testing.T) {
 	}
 }
 
-// claimsRef is the flatten loop as it stood before ClaimStream reused keys
-// and hashed each record once — a fresh key per record, lookup then insert —
-// kept as the oracle for Claims and ClaimStream.Add.
-func claimsRef(xs []extract.Extraction, g Granularity) []Claim {
-	seen := make(map[provTriple]bool, len(xs))
+// claimStreamRef is the flatten loop as it stood before ClaimStream reused
+// keys, hashed each record once and deduplicated by ID pair — a fresh key per
+// record, lookup then insert into a map keyed by the four strings — kept as
+// the oracle for Claims and ClaimStream.Add.
+type claimStreamRef struct {
+	gran Granularity
+	seen map[provTriple]bool
+}
+
+func (r *claimStreamRef) add(xs []extract.Extraction) []Claim {
 	out := make([]Claim, 0, len(xs))
 	for _, x := range xs {
-		prov := g.Key(x)
+		prov := r.gran.Key(x)
 		k := provTriple{prov: prov, triple: x.Triple}
-		if seen[k] {
+		if r.seen[k] {
 			continue
 		}
-		seen[k] = true
+		r.seen[k] = true
 		out = append(out, Claim{Triple: x.Triple, Prov: prov, Conf: x.Confidence, Extractor: x.Extractor})
 	}
 	return out
+}
+
+// claimsRef is the reference Claims: the whole feed through one reference
+// stream.
+func claimsRef(xs []extract.Extraction, g Granularity) []Claim {
+	return (&claimStreamRef{gran: g, seen: map[provTriple]bool{}}).add(xs)
 }
 
 // TestClaimStreamMatchesClaims pins the flattening against claimsRef for

@@ -189,8 +189,11 @@ func Compile(claims []Claim) (*Compiled, error) {
 }
 
 // CompileWorkers is Compile with explicit resource bounds: workers caps the
-// interning and counting goroutines (0 = GOMAXPROCS). The graph — and every
-// result fused from it — is identical for any workers value. partitions is
+// interning and counting goroutines (0 = GOMAXPROCS). The counting passes
+// split from two workers on; interning is sharded from
+// csr.ShardInternMinWorkers on and is the one sequential loop below it (see
+// extend). The graph — and every result fused from it — is identical for any
+// workers value. partitions is
 // retained for signature compatibility with the former shuffle-based
 // compiler and is ignored: the first-occurrence ID assignment has no
 // partition axis.
@@ -282,10 +285,9 @@ func (c *Compiled) TripleClaims(t int) []int32 {
 // ClaimProv returns the provenance ID of a claim.
 func (c *Compiled) ClaimProv(claim int32) int32 { return c.g.provOfClaim[claim] }
 
-// internShardThreshold is the claim count below which interning runs
-// sequentially: per-shard table setup and the merge pass only pay off once the
-// single-threaded hashing loop dominates (the shared cutoff of every
-// shard-and-merge pass; tuned in internal/csr).
+// internShardThreshold is the element count below which the assemble tail's
+// elementwise and per-triple passes stay on one goroutine (the shared cutoff
+// of the multi-pass parallel schemes; tuned in internal/csr).
 const internShardThreshold = csr.ParallelThreshold
 
 // extend is the one compile path: it interns batch onto the generation
@@ -297,10 +299,12 @@ const internShardThreshold = csr.ParallelThreshold
 // concatenated stream — which is what a fresh compile is.
 //
 // The batch interns through internClaims, the one sequential loop, except
-// when nothing is interned yet, the batch reaches internShardThreshold and
-// more than one worker is allowed: then internClaimsParallel runs the same
-// loop per shard and merges. The result is independent of that choice and of
-// workers.
+// when nothing is interned yet and csr.ShardIntern(len(batch), workers) holds
+// — at least csr.ParallelThreshold claims and csr.ShardInternMinWorkers
+// workers: then internClaimsParallel runs the same loop per shard and merges.
+// The minimum is measured, not assumed: at two workers the merge costs more
+// than the half loop it saves (the numbers are beside the constant). The
+// result is independent of that choice and of workers.
 func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -334,7 +338,7 @@ func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 	switch {
 	case nOld > 0:
 		internClaims(g, idx, nOld)
-	case n >= internShardThreshold && workers > 1:
+	case csr.ShardIntern(n, workers):
 		internClaimsParallel(g, idx, workers)
 	default:
 		idx.presize(n)
@@ -644,10 +648,11 @@ func unseen(n int) []int32 {
 // through that index — the receiver holds their clipped prefixes — and only
 // the arrays a batch rewrites for old IDs, the CSRs and support counts, are
 // rebuilt around the old ones (bulk copies, no re-hashing of the prefix). The
-// batch interns sequentially; the shard-and-merge pass is chosen
-// only for a batch of at least csr.ParallelThreshold claims, with more than
-// one worker, onto a generation holding no claims — a bulk Compile, or the
-// first Append onto an empty one.
+// batch interns sequentially; the shard-and-merge pass is chosen only onto a
+// generation holding no claims — a bulk Compile, or the first Append onto an
+// empty one — and only where csr.ShardIntern says it is not the slower of the
+// two: a batch of at least csr.ParallelThreshold claims and at least
+// csr.ShardInternMinWorkers workers.
 //
 // The receiver stays fully usable, also concurrently with this and later
 // Appends (no word it can address is ever written); the mutable interning

@@ -1,9 +1,12 @@
 package fusion
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"kfusion/internal/extract"
 	"kfusion/internal/kb"
@@ -130,6 +133,97 @@ func FuzzAppendChunking(f *testing.F) {
 		graphsEqual(t, "chained", g.g, want)
 		if g.Generation() != len(lens)-1 {
 			t.Fatalf("generation = %d after %d batches", g.Generation(), len(lens))
+		}
+	})
+}
+
+// FuzzClaimStream pins the ID-pair dedup stream to the map-keyed reference
+// (claimStreamRef) on small colliding worlds under any chunking, empty
+// batches included, and all six standard granularities: every Add returns the
+// reference's claims for that batch, every claim of one provenance carries
+// one string, a stream seeded from a graph compiled (and stored, and loaded)
+// part-way continues exactly as the uninterrupted one, and the graph grown
+// from the Add batches is, snapshot byte for snapshot byte, the graph of one
+// Compile over Claims of the whole feed.
+func FuzzClaimStream(f *testing.F) {
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), fuzzCuts(1000, 800, 1, 2189, 10), byte(1))
+	f.Add([]byte{7, 1, 2, 200, 33, 9, 7, 1, 3, 90, 17, 0}, fuzzCuts(0, 5, 0, 0, 7, 1, 0), byte(14))
+	f.Add([]byte{1, 2, 3}, fuzzCuts(0), byte(6))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 255, 255, 255}, fuzzCuts(3, 0, 300, 3), byte(29))
+	f.Fuzz(func(t *testing.T, world, cuts []byte, mode byte) {
+		lens, total := fuzzBatches(cuts)
+		if len(lens) == 0 {
+			return
+		}
+		xs := fuzzFeed(world, total)
+		grans := []Granularity{
+			GranExtractorURL, GranExtractorSite, GranExtractorSitePred,
+			GranExtractorSitePredPattern, GranExtractorOnly, GranSourceOnly,
+		}
+		gran := grans[int(mode)%len(grans)]
+		seedAfter := int(mode) / len(grans) % len(lens) // batches before the reseed
+
+		ref := &claimStreamRef{gran: gran, seen: map[provTriple]bool{}}
+		stream := NewClaimStream(gran)
+		var seeded *ClaimStream
+		var g *Compiled
+		canon := map[string]*byte{}
+		at := 0
+		for i, n := range lens {
+			batch := xs[at : at+n]
+			at += n
+			want := ref.add(batch)
+			got := stream.Add(batch)
+			if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d: Add returned %d claims, the reference %d:\n got %v\nwant %v", i, len(got), len(want), got, want)
+			}
+			for _, c := range got {
+				if p, ok := canon[c.Prov]; ok && p != unsafe.StringData(c.Prov) {
+					t.Fatalf("batch %d: provenance %q arrives as a second string", i, c.Prov)
+				}
+				canon[c.Prov] = unsafe.StringData(c.Prov)
+			}
+			if seeded != nil {
+				if again := seeded.Add(batch); len(again) != len(want) || len(want) > 0 && !reflect.DeepEqual(again, want) {
+					t.Fatalf("batch %d: the seeded stream returned %d claims, the uninterrupted one %d", i, len(again), len(want))
+				}
+			}
+			var err error
+			if g == nil {
+				g, err = CompileWorkers(got, 1, 0)
+			} else {
+				g, err = g.AppendWorkers(got, 1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == seedAfter {
+				var buf bytes.Buffer
+				if err := g.EncodeSnapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				dec, err := DecodeSnapshot(buf.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				seeded = SeedClaimStream(gran, dec)
+			}
+		}
+		if stream.NumClaims() != g.NumClaims() || seeded.NumClaims() != g.NumClaims() {
+			t.Fatalf("NumClaims: stream %d, seeded %d, graph %d", stream.NumClaims(), seeded.NumClaims(), g.NumClaims())
+		}
+
+		whole := MustCompile(Claims(xs, gran))
+		whole.gen = g.gen
+		var a, b bytes.Buffer
+		if err := g.EncodeSnapshot(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := whole.EncodeSnapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("the graph grown from the Add batches is not the graph of Compile(Claims(feed))")
 		}
 	})
 }

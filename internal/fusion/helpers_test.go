@@ -27,3 +27,10 @@ func compile(claims []Claim, workers int) (*graph, *claimIndex) {
 	c, _ := CompileWorkers(claims, workers, 0)
 	return c.g, c.idx
 }
+
+// provTriple is the string-keyed (provenance, triple) dedup key of the
+// reference flatten loops the tests compare Claims and ClaimStream against.
+type provTriple struct {
+	prov   string
+	triple kb.Triple
+}

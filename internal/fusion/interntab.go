@@ -90,10 +90,7 @@ type internTable[K comparable] struct {
 // maphash.Comparable — struct keys hash measurably faster through kb's
 // field-wise FNV than through the runtime's generic typehash walk.
 func newInternTable[K comparable](sizeHint int, hashFn func(K) uint64) internTable[K] {
-	size := 16
-	for size*3 < sizeHint*4 { // capacity / 0.75 load
-		size *= 2
-	}
+	size := slotsFor(sizeHint)
 	return internTable[K]{
 		seed:   maphash.MakeSeed(),
 		hashFn: hashFn,
@@ -101,6 +98,16 @@ func newInternTable[K comparable](sizeHint int, hashFn func(K) uint64) internTab
 		slots:  make([]int32, size),
 		mask:   uint64(size - 1),
 	}
+}
+
+// slotsFor returns the power-of-two slot count that holds sizeHint entries
+// at the 0.75 load the open-addressed tables here grow at.
+func slotsFor(sizeHint int) int {
+	size := 16
+	for size*3 < sizeHint*4 {
+		size *= 2
+	}
+	return size
 }
 
 // hash returns key's probe hash; pass it to id and insert so one interning

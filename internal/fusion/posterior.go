@@ -102,16 +102,49 @@ func NewPosterior(graphs []RowGraph, prob []float64, keys []string, acc []float6
 	return p
 }
 
+// Validate reports whether r holds only values a run produces: every
+// probability the -1 sentinel or a number in [0,1], Predicted set exactly
+// where the probability is not the sentinel, every accuracy a number in
+// [0,1]. A decoded result is outside input and nothing downstream looks at
+// the numbers again — the accuracies seed every later warm round, and a NaN
+// passes every clamp — so whoever takes one in checks it here first
+// (PosteriorOf; genstore.Chain.Check for a state that seeds by key).
+func (r *Result) Validate() error {
+	for i := range r.Triples {
+		f := &r.Triples[i]
+		if p := f.Probability; !(p == -1 || p >= 0 && p <= 1) { // also catches NaN
+			return fmt.Errorf("fusion: result row %d holds probability %v, neither -1 nor in [0,1]", i, p)
+		}
+		if f.Predicted != (f.Probability != -1) {
+			return fmt.Errorf("fusion: result row %d holds probability %v with predicted=%v", i, f.Probability, f.Predicted)
+		}
+	}
+	bad, found := "", false
+	//lint:ignore kflint/mapiter the smallest offending key is reported, whichever order the map is walked in.
+	for key, a := range r.ProvAccuracy {
+		if !(a >= 0 && a <= 1) && (!found || key < bad) {
+			bad, found = key, true
+		}
+	}
+	if found {
+		return fmt.Errorf("fusion: result holds accuracy %v for %q, outside [0,1]", r.ProvAccuracy[bad], bad)
+	}
+	return nil
+}
+
 // PosteriorOf returns the native form of an exchange-form result over the
 // graphs it was fused on (in shard order) and the key column its accuracies
 // are indexed by — how a result decoded from a snapshot re-enters a chain
-// that holds posteriors. Everything the native form leaves to the graphs is
-// checked against them — the row count, every row's triple and support
-// counts, Predicted against the probability, Unpredicted, and that the
-// accuracy map holds exactly the keys — so a result paired with another
+// that holds posteriors. The values are checked first (Result.Validate), then
+// everything the native form leaves to the graphs is checked against them —
+// the row count, every row's triple and support counts, Unpredicted, and that
+// the accuracy map holds exactly the keys — so a result paired with another
 // generation's graph is an error, never a wrong row. The posterior's
 // Result() equals res on every exported field.
 func PosteriorOf(res *Result, keys []string, graphs ...RowGraph) (*Posterior, error) {
+	if err := res.Validate(); err != nil {
+		return nil, err
+	}
 	var prob []float64
 	if res.Triples != nil {
 		prob = make([]float64, len(res.Triples))
@@ -125,12 +158,9 @@ func PosteriorOf(res *Result, keys []string, graphs ...RowGraph) (*Posterior, er
 		return nil, fmt.Errorf("fusion: result has %d rows, its graphs %d triples", len(res.Triples), n)
 	}
 	for i, f := range res.Triples {
-		// Row derives Predicted from the probability, so this also refuses a
-		// row whose two fields disagree. The probability itself is a copy;
-		// it is left out so a NaN cannot fail the comparison.
-		got := p.Row(i)
-		got.Probability, f.Probability = 0, 0
-		if got != f {
+		// The probability is a copy of the row's own, and Validate has
+		// passed it.
+		if got := p.Row(i); got != f {
 			return nil, fmt.Errorf("fusion: result row %d is %+v, its graph holds %+v", i, res.Triples[i], p.Row(i))
 		}
 	}

@@ -1,11 +1,14 @@
 package fusion
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/kb"
 )
 
@@ -137,41 +140,78 @@ func shardedClaims(n int) []Claim {
 
 // TestInternClaimsParallelMatchesSequential pins the shard-and-merge
 // interning (pairwise-merged key lists + parallel remap) against the
-// sequential loop: identical IDs, identical key tables, for any worker
-// count.
+// sequential loop: identical IDs, identical key tables, for any shard count.
+// It calls the pass itself, so the counts extend no longer selects
+// (csr.ShardIntern) stay covered.
 func TestInternClaimsParallelMatchesSequential(t *testing.T) {
 	claims := shardedClaims(internShardThreshold + internShardThreshold/2)
 	seq, seqIdx := compile(claims, 1)
-	for _, workers := range []int{2, 3, 8} {
-		par, parIdx := compile(claims, workers)
-		if parIdx.nExt != seqIdx.nExt {
-			t.Fatalf("workers=%d: %d extractor keys, want %d", workers, parIdx.nExt, seqIdx.nExt)
+	for _, shards := range []int{2, 3, 8} {
+		n := len(claims)
+		par := &graph{columns: columns{
+			claims:        claims,
+			provOfClaim:   make([]int32, n),
+			tripleOfClaim: make([]int32, n),
+		}}
+		parIdx := &claimIndex{extOfClaim: make([]int32, n)}
+		internClaimsParallel(par, parIdx, shards)
+		if parIdx.nExt != seqIdx.nExt || !slices.Equal(parIdx.extKeys, seqIdx.extKeys) {
+			t.Fatalf("shards=%d: extractor keys %v, want %v", shards, parIdx.extKeys, seqIdx.extKeys)
 		}
-		if len(par.provKeys) != len(seq.provKeys) {
-			t.Fatalf("workers=%d: %d prov keys, want %d", workers, len(par.provKeys), len(seq.provKeys))
+		if !slices.Equal(par.provKeys, seq.provKeys) {
+			t.Fatalf("shards=%d: prov keys differ (%d, want %d)", shards, len(par.provKeys), len(seq.provKeys))
 		}
-		for i := range seq.provKeys {
-			if par.provKeys[i] != seq.provKeys[i] {
-				t.Fatalf("workers=%d: provKeys[%d] = %q, want %q", workers, i, par.provKeys[i], seq.provKeys[i])
+		if !slices.Equal(par.triples, seq.triples) {
+			t.Fatalf("shards=%d: triples differ (%d, want %d)", shards, len(par.triples), len(seq.triples))
+		}
+		if !slices.Equal(par.provOfClaim, seq.provOfClaim) {
+			t.Fatalf("shards=%d: provOfClaim differs", shards)
+		}
+		if !slices.Equal(parIdx.extOfClaim, seqIdx.extOfClaim[:n]) {
+			t.Fatalf("shards=%d: extOfClaim differs", shards)
+		}
+		if !slices.Equal(par.tripleOfClaim, seq.tripleOfClaim) {
+			t.Fatalf("shards=%d: tripleOfClaim differs", shards)
+		}
+		// The tables the pass leaves are what Append continues from.
+		for id, key := range par.provKeys {
+			if got := parIdx.prov.id(parIdx.prov.hash(key), key, par.provKeys); got != int32(id) {
+				t.Fatalf("shards=%d: prov table maps %q to %d, want %d", shards, key, got, id)
 			}
 		}
-		if len(par.triples) != len(seq.triples) {
-			t.Fatalf("workers=%d: %d triples, want %d", workers, len(par.triples), len(seq.triples))
-		}
-		for i := range seq.triples {
-			if par.triples[i] != seq.triples[i] {
-				t.Fatalf("workers=%d: triples[%d] differs", workers, i)
+		for id, key := range par.triples {
+			if got := parIdx.tri.id(parIdx.tri.hash(key), key, par.triples); got != int32(id) {
+				t.Fatalf("shards=%d: triple table maps %v to %d, want %d", shards, key, got, id)
 			}
 		}
-		for i := range claims {
-			if par.provOfClaim[i] != seq.provOfClaim[i] {
-				t.Fatalf("workers=%d: provOfClaim[%d] = %d, want %d", workers, i, par.provOfClaim[i], seq.provOfClaim[i])
+	}
+}
+
+// TestCompileWorkersSameGraph holds the compiled graph to one value for every
+// workers setting on both sides of the shard-pass rule — below and from
+// csr.ShardInternMinWorkers, just under and just over csr.ParallelThreshold —
+// field by field and through the bytes a state directory would hold.
+func TestCompileWorkersSameGraph(t *testing.T) {
+	for _, n := range []int{csr.ParallelThreshold - 1, csr.ParallelThreshold + 1} {
+		claims := shardedClaims(n)
+		want, _ := CompileWorkers(claims, 1, 0)
+		var wantBytes bytes.Buffer
+		if err := want.EncodeSnapshot(&wantBytes); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			got, _ := CompileWorkers(claims, workers, 0)
+			name := fmt.Sprintf("n=%d workers=%d", n, workers)
+			graphsEqual(t, name, got.g, want.g)
+			if !slices.Equal(got.idx.extKeys, want.idx.extKeys) || !slices.Equal(got.idx.extOfClaim, want.idx.extOfClaim) {
+				t.Fatalf("%s: extractor axis differs", name)
 			}
-			if parIdx.extOfClaim[i] != seqIdx.extOfClaim[i] {
-				t.Fatalf("workers=%d: extOfClaim[%d] = %d, want %d", workers, i, parIdx.extOfClaim[i], seqIdx.extOfClaim[i])
+			var gotBytes bytes.Buffer
+			if err := got.EncodeSnapshot(&gotBytes); err != nil {
+				t.Fatal(err)
 			}
-			if par.tripleOfClaim[i] != seq.tripleOfClaim[i] {
-				t.Fatalf("workers=%d: tripleOfClaim[%d] = %d, want %d", workers, i, par.tripleOfClaim[i], seq.tripleOfClaim[i])
+			if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
+				t.Fatalf("%s: snapshot bytes differ from workers=1", name)
 			}
 		}
 	}

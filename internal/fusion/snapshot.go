@@ -281,17 +281,3 @@ func DecodeResult(data []byte) (*Result, error) {
 	}
 	return res, nil
 }
-
-// SeedClaimStream rebuilds the claim-stream dedup state of an append-only
-// feed from a restored generation: the compiled claims are exactly the
-// (provenance, triple) pairs the uncrashed stream had seen, so Add calls on
-// the returned stream continue it bit-identically.
-func SeedClaimStream(g Granularity, c *Compiled) *ClaimStream {
-	s := NewClaimStream(g)
-	for i := range c.g.claims {
-		cl := &c.g.claims[i]
-		s.seen[provTriple{prov: cl.Prov, triple: cl.Triple}] = true
-	}
-	s.n = len(c.g.claims)
-	return s
-}

@@ -43,9 +43,10 @@
 // Fuse call builds — so multi-config workloads (method comparisons,
 // θ/coverage sweeps, the ablation suite) pay for interning once and results
 // stay bit-identical to compile-per-config fusion.Fuse calls. Interning
-// itself is parallel on large inputs (per-worker shard interning with
-// csr.MergeKeys' ordered pairwise merge). fusion.Fuse remains the one-shot
-// compile-then-fuse convenience.
+// itself is sharded on large inputs from csr.ShardInternMinWorkers workers on
+// (per-worker shard interning with csr.MergeKeys' ordered pairwise merge; the
+// one sequential loop below that, where the merge costs more than it saves).
+// fusion.Fuse remains the one-shot compile-then-fuse convenience.
 //
 // Because every ID space is assigned in first-occurrence order, a Compiled
 // is also one generation of an append-only claim feed: (*Compiled).Append
@@ -54,7 +55,7 @@
 // (*Compiled).FuseWarm re-fuses the grown graph seeded from the previous
 // generation's accuracies (one warm round per batch in streaming use; see
 // FuseWarm for the two-regime equivalence contract). ClaimStream carries
-// the (provenance, triple) dedup across batches.
+// the (provenance, triple) dedup across batches, as pairs of IDs.
 //
 // # Native and exchange form
 //
@@ -203,13 +204,6 @@ type Claim struct {
 	Conf float64
 	// Extractor is retained for per-extractor diagnostics (Figure 18).
 	Extractor string
-}
-
-// provTriple is the (provenance, triple) dedup key shared by Claims and
-// ClaimStream.
-type provTriple struct {
-	prov   string
-	triple kb.Triple
 }
 
 // Claims converts extractions to claims under granularity g, deduplicating

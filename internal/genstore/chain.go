@@ -47,8 +47,13 @@ func TwoLayerChain(cfg twolayer.Config, warmRounds int) *Chain {
 // not its graph's — vectors of another length than the graph's source and
 // extractor counts, or a value no run produces (twolayer.State.Validate): a
 // snapshot is outside input, and the next warm round would carry such a
-// value into every probability it touches. An empty state belongs to any
-// chain.
+// value into every probability it touches. The same goes for the fused
+// result of a state that holds it only in the exchange form — one recovered
+// from a snapshot, which the next Apply seeds from by key without pairing it
+// with the graph: a probability that is neither -1 nor in [0,1], a Predicted
+// flag that disagrees with it, or an accuracy outside [0,1] is refused
+// (fusion.Result.Validate; one scan, skipped once the state holds a
+// posterior the chain computed). An empty state belongs to any chain.
 func (c *Chain) Check(st *State) error {
 	if st.Method != "" && st.Method != c.method {
 		return fmt.Errorf("genstore: state holds method %q, chain runs %q", st.Method, c.method)
@@ -66,6 +71,11 @@ func (c *Chain) Check(st *State) error {
 		}
 		if err := st.TL.Validate(nSrc, nExt); err != nil {
 			return fmt.Errorf("genstore: state holds two-layer parameters that are not its graph's: %w", err)
+		}
+	}
+	if st.Posterior == nil && st.Result != nil {
+		if err := st.Result.Validate(); err != nil {
+			return fmt.Errorf("genstore: state holds a result that is not its graph's: %w", err)
 		}
 	}
 	return nil

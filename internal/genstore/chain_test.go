@@ -3,6 +3,7 @@ package genstore
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -425,6 +426,135 @@ func TestAdoptRecoveredResult(t *testing.T) {
 			tc.damage(st)
 			if err := chain.Adopt(st); err == nil || st.Posterior != nil {
 				t.Errorf("%s: Adopt accepted a result with %s (err %v)", name, tc.what, err)
+			}
+		}
+	}
+}
+
+// TestRecoveredResultValuesAreValidated covers what Adopt's pairing with the
+// graph used to skip and the replay path never reached: the numbers of a
+// recovered result. Apply seeds the next warm round from a snapshot's
+// accuracies by key, so a NaN or out-of-range one would flow into every later
+// generation; a probability that is not -1 or in [0,1], or a Predicted flag
+// that disagrees with the sentinel, would be served. The chain refuses them
+// where a recovered state is first used — Check (which Grow, and so a replayed
+// or a live batch, runs first) and Adopt — with the error a foreign result
+// gets. A state the chain wrote itself passes, also when the open replays
+// journaled batches onto it.
+func TestRecoveredResultValuesAreValidated(t *testing.T) {
+	const batch = 90
+	feed := growingFeed(11, 6*batch)
+	for name, chain := range map[string]*Chain{
+		"popaccu+unsup": ClaimChain("popaccu+unsup", fusion.PopAccuPlusUnsupConfig(), 1),
+		"twolayer":      TwoLayerChain(twolayer.DefaultConfig(), 1),
+	} {
+		// recovered is the state after three batches and a snapshot, with
+		// `journaled` more batches behind the snapshot, as a reopen finds it;
+		// the snapshot's result goes through damage first.
+		recovered := func(journaled int, damage func(res *fusion.Result)) (*State, error) {
+			mem := faultfs.NewMem()
+			store, st, err := OpenFS(mem, chain.Apply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3+journaled; i++ {
+				if err := store.Append(st, feed[i*batch:(i+1)*batch]); err != nil {
+					t.Fatal(err)
+				}
+				if i == 2 {
+					// Only the snapshot sees the damage; the live chain goes
+					// on from what it computed.
+					post, res := st.Posterior, st.Result
+					if damage != nil {
+						good := st.Fused()
+						bad := exported(good)
+						bad.Triples = slices.Clone(good.Triples)
+						bad.ProvAccuracy = maps.Clone(good.ProvAccuracy)
+						damage(bad)
+						st.Posterior, st.Result = nil, bad
+					}
+					if err := store.Snapshot(st); err != nil {
+						t.Fatal(err)
+					}
+					st.Posterior, st.Result = post, res
+				}
+			}
+			store.Close()
+			store, st, err = OpenFS(mem, chain.Apply)
+			if err == nil {
+				store.Close()
+			}
+			return st, err
+		}
+
+		for _, journaled := range []int{0, 2} {
+			st, err := recovered(journaled, nil)
+			if err != nil {
+				t.Fatalf("%s: reopening the chain's own state with %d journaled batches: %v", name, journaled, err)
+			}
+			if err := chain.Check(st); err != nil {
+				t.Fatalf("%s: Check refused the chain's own state (%d journaled): %v", name, journaled, err)
+			}
+			if err := chain.Adopt(st); err != nil || st.Posterior == nil {
+				t.Fatalf("%s: Adopt refused the chain's own state (%d journaled): %v", name, journaled, err)
+			}
+			if err := chain.Apply(st, feed[(3+journaled)*batch:(4+journaled)*batch]); err != nil {
+				t.Fatalf("%s: the chain does not continue from its own recovered state: %v", name, err)
+			}
+		}
+
+		predicted := func(res *fusion.Result) *fusion.FusedTriple {
+			for i := range res.Triples {
+				if res.Triples[i].Predicted {
+					return &res.Triples[i]
+				}
+			}
+			t.Fatalf("%s: no predicted row to damage", name)
+			return nil
+		}
+		firstKey := func(res *fusion.Result) string {
+			keys := make([]string, 0, len(res.ProvAccuracy))
+			for k := range res.ProvAccuracy {
+				keys = append(keys, k)
+			}
+			return slices.Min(keys)
+		}
+		for _, tc := range []struct {
+			what   string
+			damage func(res *fusion.Result)
+		}{
+			{"a NaN probability", func(res *fusion.Result) { predicted(res).Probability = math.NaN() }},
+			{"an infinite probability", func(res *fusion.Result) { predicted(res).Probability = math.Inf(1) }},
+			{"a probability of 1.5", func(res *fusion.Result) { predicted(res).Probability = 1.5 }},
+			{"a probability of -0.5", func(res *fusion.Result) { predicted(res).Probability = -0.5 }},
+			{"a predicted row holding the sentinel", func(res *fusion.Result) { predicted(res).Probability = -1 }},
+			{"a NaN accuracy", func(res *fusion.Result) { res.ProvAccuracy[firstKey(res)] = math.NaN() }},
+			{"an accuracy of -0.1", func(res *fusion.Result) { res.ProvAccuracy[firstKey(res)] = -0.1 }},
+			{"an accuracy of 1.5", func(res *fusion.Result) { res.ProvAccuracy[firstKey(res)] = 1.5 }},
+		} {
+			st, err := recovered(0, tc.damage)
+			if err != nil {
+				t.Fatalf("%s, %s: a snapshot-only reopen runs no chain code, yet: %v", name, tc.what, err)
+			}
+			graphBefore := [2]any{st.Claim, st.Ext}
+			for op, err := range map[string]error{
+				"Check": chain.Check(st),
+				"Adopt": chain.Adopt(st),
+				"Grow":  chain.Grow(st, feed[3*batch:4*batch]),
+				"Apply": chain.Apply(st, feed[3*batch:4*batch]),
+			} {
+				if err == nil || !strings.Contains(err.Error(), "not its graph's") {
+					t.Errorf("%s, %s: %s = %v, want the refusal a foreign result gets", name, tc.what, op, err)
+				}
+			}
+			if st.Posterior != nil || graphBefore != [2]any{st.Claim, st.Ext} {
+				t.Errorf("%s, %s: a refused state was changed", name, tc.what)
+			}
+			// With batches journaled behind the damaged snapshot the open
+			// itself replays them through Apply, and must not get past the
+			// first.
+			if _, err := recovered(2, tc.damage); err == nil || !strings.Contains(err.Error(), "not its graph's") {
+				t.Errorf("%s, %s: reopen with journaled batches = %v, want the replay refused", name, tc.what, err)
 			}
 		}
 	}

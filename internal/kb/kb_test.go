@@ -41,6 +41,9 @@ func TestObjectStringParseRoundTrip(t *testing.T) {
 		if got != o {
 			t.Errorf("round trip %v -> %q -> %v", o, o.String(), got)
 		}
+		if app := string(o.AppendString([]byte("x"))); app != "x"+o.String() {
+			t.Errorf("AppendString wrote %q after the prefix, String() is %q", app, o.String())
+		}
 	}
 }
 

@@ -98,6 +98,19 @@ func (o Object) String() string {
 	}
 }
 
+// AppendString appends the tagged form String returns to dst — for writers
+// that render many objects into one buffer.
+func (o Object) AppendString(dst []byte) []byte {
+	switch o.Kind {
+	case KindEntity:
+		return append(append(dst, "e:"...), o.Str...)
+	case KindNumber:
+		return strconv.AppendFloat(append(dst, "n:"...), o.Num, 'g', -1, 64)
+	default:
+		return append(append(dst, "s:"...), o.Str...)
+	}
+}
+
 // ParseObject parses the tagged form produced by Object.String.
 func ParseObject(s string) (Object, error) {
 	if len(s) < 2 || s[1] != ':' {

@@ -8,6 +8,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"kfusion/internal/extract"
 )
 
 // FuzzReadExtractions checks the JSONL reader never panics on arbitrary
@@ -124,7 +126,8 @@ func FuzzExtractionStream(f *testing.F) {
 // on arbitrary bytes: whenever RecordDecoder accepts a line, json.Unmarshal
 // into a fresh record accepts it with an equal record; and the reader's
 // accept/reject, record and error text for every line equal the pre-decoder
-// parser's (parseExtractionLineRef).
+// parser's (parseExtractionLineRef). Every record a line decodes to then goes
+// back out through ExtractionWriter, against the encoding/json encoder.
 func FuzzDecodeExtraction(f *testing.F) {
 	whole := `{"s":"/m/1","p":"/p/x","o":"s:v","extractor":"TXT1","url":"u","site":"s","conf":0.5}`
 	for _, seed := range []string{
@@ -199,5 +202,19 @@ func FuzzDecodeExtraction(f *testing.F) {
 			}
 		}
 		checkReaderAgainstRef(t, data)
+
+		// And back out: every record the corpus decodes to is written by
+		// ExtractionWriter as encoding/json writes it, and reads back equal.
+		for i, line := range bytes.Split(data, []byte("\n")) {
+			x, err := parseExtractionLineRef(bytes.TrimSuffix(line, []byte("\r")), i+1)
+			if err != nil {
+				continue
+			}
+			out := checkExtractionsAgainstRef(t, "decoded record", []extract.Extraction{x})
+			back, err := ReadExtractions(bytes.NewReader(out))
+			if err != nil || len(back) != 1 || !sameExtraction(back[0], x) {
+				t.Fatalf("%+v written as %q reads back as %+v (err %v)", x, out, back, err)
+			}
+		}
 	})
 }

@@ -6,8 +6,13 @@
 // Extraction records — the one codec on the timed ingest path — decode
 // through RecordDecoder, a decoder specialised to the shape ExtractionWriter
 // emits, with encoding/json as the fallback for every other valid line and
-// as the reference the tests compare it against. Gold and fused records go
-// through encoding/json alone.
+// as the reference the tests compare it against. The two writers on a timed
+// path, ExtractionWriter and WriteFused, are specialised the same way: rows
+// are appended field by field into one buffer (encode.go), byte for byte what
+// encoding/json writes for ExtractionRecord and FusedRecord, with
+// encoding/json itself taking any string that needs an escape and standing
+// in the tests as the oracle. Gold records and the fused reader go through
+// encoding/json alone.
 package kfio
 
 import (
@@ -16,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"kfusion/internal/extract"
 	"kfusion/internal/fusion"
@@ -333,21 +339,29 @@ func ReadGold(r io.Reader) (func(kb.Triple) (bool, bool), int, error) {
 	}, len(labels), nil
 }
 
-// WriteFused writes fused triples as JSONL.
+// WriteFused writes fused triples as JSONL: one FusedRecord per row, byte for
+// byte what encoding/json writes for it, appended field by field into one
+// reused row buffer (encode.go). A probability that is not a number has no
+// JSON form and is an error.
 func WriteFused(w io.Writer, res *fusion.Result) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, f := range res.Triples {
-		rec := FusedRecord{
-			Subject:     string(f.Triple.Subject),
-			Predicate:   string(f.Triple.Predicate),
-			Object:      f.Triple.Object.String(),
-			Probability: f.Probability,
-			Predicted:   f.Predicted,
-			Provenances: f.Provenances,
-			Extractors:  f.Extractors,
+	var row []byte
+	for i := range res.Triples {
+		f := &res.Triples[i]
+		row = appendJSONTriple(row[:0], f.Triple)
+		row = append(row, `,"prob":`...)
+		var err error
+		if row, err = appendJSONFloat(row, f.Probability); err != nil {
+			return fmt.Errorf("kfio: write fused: %w", err)
 		}
-		if err := enc.Encode(&rec); err != nil {
+		row = append(row, `,"predicted":`...)
+		row = strconv.AppendBool(row, f.Predicted)
+		row = append(row, `,"provenances":`...)
+		row = strconv.AppendInt(row, int64(f.Provenances), 10)
+		row = append(row, `,"extractors":`...)
+		row = strconv.AppendInt(row, int64(f.Extractors), 10)
+		row = append(row, '}', '\n')
+		if _, err := bw.Write(row); err != nil {
 			return fmt.Errorf("kfio: write fused: %w", err)
 		}
 	}

@@ -2,7 +2,6 @@ package kfio
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -17,20 +16,39 @@ import (
 // handing the feed to a reader.
 type ExtractionWriter struct {
 	bw  *bufio.Writer
-	enc *json.Encoder
+	row []byte // the record being encoded, reused
 	n   int
 }
 
 // NewExtractionWriter returns a streaming writer over w.
 func NewExtractionWriter(w io.Writer) *ExtractionWriter {
-	bw := bufio.NewWriter(w)
-	return &ExtractionWriter{bw: bw, enc: json.NewEncoder(bw)}
+	return &ExtractionWriter{bw: bufio.NewWriter(w)}
 }
 
-// Write appends one extraction record.
+// Write appends one extraction record: the ExtractionRecord of x (RecordOf)
+// as encoding/json writes it — fields in the struct's order, pattern omitted
+// when empty — appended into the writer's row buffer (encode.go). A
+// confidence that is not a number has no JSON form and is an error.
 func (w *ExtractionWriter) Write(x extract.Extraction) error {
-	rec := RecordOf(x)
-	if err := w.enc.Encode(&rec); err != nil {
+	row := appendJSONTriple(w.row[:0], x.Triple)
+	row = append(row, `,"extractor":`...)
+	row = appendJSONString(row, x.Extractor)
+	if x.Pattern != "" {
+		row = append(row, `,"pattern":`...)
+		row = appendJSONString(row, x.Pattern)
+	}
+	row = append(row, `,"url":`...)
+	row = appendJSONString(row, x.URL)
+	row = append(row, `,"site":`...)
+	row = appendJSONString(row, x.Site)
+	row = append(row, `,"conf":`...)
+	row, err := appendJSONFloat(row, x.Confidence)
+	if err != nil {
+		return fmt.Errorf("kfio: write extraction: %w", err)
+	}
+	row = append(row, '}', '\n')
+	w.row = row
+	if _, err := w.bw.Write(row); err != nil {
 		return fmt.Errorf("kfio: write extraction: %w", err)
 	}
 	w.n++

@@ -677,6 +677,59 @@ func TestHydrateRefusesForeignResult(t *testing.T) {
 	}
 }
 
+// TestHydrateRefusesInvalidResultValues is the same refusal for a stored
+// result whose rows and keys are its graph's but whose numbers no run
+// produces: a snapshot is outside input, and the accuracies would seed every
+// warm round the daemon runs afterwards.
+func TestHydrateRefusesInvalidResultValues(t *testing.T) {
+	xs := exper.SharedDataset(exper.ScaleSmall, 42).Extractions
+	for what, damage := range map[string]func(res *fusion.Result){
+		"a NaN probability":    func(res *fusion.Result) { res.Triples[0].Probability = math.NaN() },
+		"a probability of 1.5": func(res *fusion.Result) { res.Triples[0].Probability = 1.5 },
+		"a NaN accuracy": func(res *fusion.Result) {
+			for k := range res.ProvAccuracy {
+				res.ProvAccuracy[k] = math.NaN()
+				return
+			}
+		},
+		"an accuracy of -0.1": func(res *fusion.Result) {
+			for k := range res.ProvAccuracy {
+				res.ProvAccuracy[k] = -0.1
+				return
+			}
+		},
+	} {
+		chain := genstore.ClaimChain("popaccu", fusion.PopAccuConfig(), 1)
+		mem := faultfs.NewMem()
+		store, st, err := genstore.OpenFS(mem, chain.Apply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Append(st, xs[:600]); err != nil {
+			t.Fatal(err)
+		}
+		res := st.Fused()
+		st.Posterior = nil
+		damage(res)
+		if err := store.Snapshot(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{FS: mem, Method: "popaccu"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Hydrate(); err == nil || !strings.Contains(err.Error(), "not its graph's") {
+			t.Fatalf("hydrating a snapshot with %s: err = %v, want a refusal", what, err)
+		}
+		if s.Ready() {
+			t.Fatalf("%s: a refused state was published", what)
+		}
+	}
+}
+
 // TestHydrateRefusesForeignTwoLayerState is the same check on the other
 // recovered half of a two-layer state, the warm-start parameters: a snapshot
 // whose accuracy vector is not the graph's length, or holds a value no run
@@ -876,4 +929,36 @@ func TestWarmAppendAllocationBound(t *testing.T) {
 			t.Fatalf("%s: a warm append allocates %d bytes on average, bound %d: is a generation rebuilding what the one before could hand it?", tc.method, mean, tc.bound)
 		}
 	}
+}
+
+// TestClaimStreamLiveHeapBound is the size guard on the chain's dedup stream,
+// in process until the benchmark has a size row: a ClaimStream fed the large
+// dataset's first 150 000 records in 8192-record batches must hold no more
+// than 110 bytes of live heap per claim it emitted. The string-keyed map it
+// replaced (an 80-byte four-string key per pair) held 189; the two intern
+// tables, their key columns, the provenance keys and the 8-byte pair set hold
+// 94.
+func TestClaimStreamLiveHeapBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesises the large dataset")
+	}
+	const bound = 110 // bytes per emitted claim
+	xs := exper.SharedDataset(exper.ScaleLarge, 42).Extractions
+	xs = xs[:min(len(xs), 150_000)]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	stream := fusion.NewClaimStream(fusion.PopAccuConfig().Granularity)
+	for off := 0; off < len(xs); off += 8192 {
+		stream.Add(xs[off:min(off+8192, len(xs))])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perClaim := float64(after.HeapAlloc-before.HeapAlloc) / float64(stream.NumClaims())
+	t.Logf("%d claims from %d records: %.1f bytes of live heap per claim (bound %d)", stream.NumClaims(), len(xs), perClaim, bound)
+	if after.HeapAlloc < before.HeapAlloc || perClaim > bound {
+		t.Fatalf("the dedup stream holds %.1f bytes per emitted claim, bound %d: is a key stored by value again?", perClaim, bound)
+	}
+	runtime.KeepAlive(stream)
+	runtime.KeepAlive(xs)
 }
