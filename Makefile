@@ -3,7 +3,8 @@ GO ?= go
 .PHONY: verify build vet lint test race fault fuzz-smoke bench-smoke bench-json bench-check bench-e2e bench-scaling docs-check
 
 # verify is the tier-1 gate: vet, lint, build, full tests, and a 1-iteration
-# benchmark smoke so perf-critical paths cannot silently rot.
+# benchmark smoke so perf-critical paths — synthesis included: every test
+# and workload pays it first — cannot silently rot.
 verify: vet lint build test bench-smoke docs-check
 
 build:
@@ -46,7 +47,9 @@ fault:
 # (FuzzWarmChain). The two append-era codecs run against the oracles kept in
 # their test files: FuzzWriteFused (the fused-row encoder ≡ encoding/json,
 # byte for byte) and FuzzClaimStream (the ID-pair dedup stream ≡ the
-# string-keyed map, under any chunking and granularity).
+# string-keyed map, under any chunking and granularity). And the generator
+# every synthesized byte comes from: FuzzSourceMatchesMathRand (randx.Source ≡
+# rand.New(rand.NewSource(seed)) under any script of draws and splits).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 15s ./internal/genstore/
 	$(GO) test -run '^$$' -fuzz FuzzJournalParse -fuzztime 15s ./internal/genstore/
@@ -58,9 +61,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz FuzzClaimStream -fuzztime 15s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz FuzzWarmChain -fuzztime 15s ./internal/twolayer/
+	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 15s ./internal/randx/
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd|BenchmarkWriteFused|BenchmarkServerAppend' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
 
 # bench-json regenerates the machine-readable perf record (see BENCH_<n>.json;
 # bump N per PR that moves performance): the throughput benchmarks, the

@@ -6,15 +6,24 @@
 // Usage:
 //
 //	kfgen -scale bench -seed 42 -out extractions.jsonl -gold gold.jsonl
+//	kfgen -scale large -records 150000 -out feed.jsonl -gold gold.jsonl
+//
+// -scale is small, bench or large; -records N keeps the first N extractions
+// of the dataset (and labels only their triples), which is how the
+// end-to-end benchmark cuts every seed's large feed to one length. Both
+// files are written to a temporary name, synced and renamed, so an
+// interrupted run never leaves a shorter file under the final name.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	"kfusion/internal/exper"
+	"kfusion/internal/extract"
 	"kfusion/internal/kb"
 	"kfusion/internal/kfio"
 )
@@ -22,68 +31,86 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kfgen: ")
-	var (
-		scaleFlag = flag.String("scale", "small", "dataset scale: small or bench")
-		seed      = flag.Int64("seed", 42, "generation seed")
-		out       = flag.String("out", "extractions.jsonl", "extraction output file")
-		goldOut   = flag.String("gold", "", "gold-label output file (optional)")
-		quiet     = flag.Bool("q", false, "suppress the summary")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	scale := exper.ScaleSmall
-	switch *scaleFlag {
-	case "small":
-	case "bench":
-		scale = exper.ScaleBench
-	default:
-		log.Fatalf("unknown -scale %q (want small or bench)", *scaleFlag)
+// run is the command behind its flags: args are the command-line arguments
+// after the program name, stdout takes the summary.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("kfgen", flag.ContinueOnError)
+	var (
+		scaleFlag = fs.String("scale", "small", "dataset scale: small, bench or large")
+		seed      = fs.Int64("seed", 42, "generation seed")
+		records   = fs.Int("records", 0, "keep only the first N extractions (0 = all)")
+		out       = fs.String("out", "extractions.jsonl", "extraction output file")
+		goldOut   = fs.String("gold", "", "gold-label output file (optional)")
+		quiet     = fs.Bool("q", false, "suppress the summary")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	scale, err := parseScale(*scaleFlag)
+	if err != nil {
+		return err
+	}
+	if *records < 0 {
+		return fmt.Errorf("-records must be >= 0, got %d", *records)
 	}
 
 	ds := exper.NewDataset(scale, *seed)
-
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := kfio.WriteExtractions(f, ds.Extractions); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
+	xs := ds.Extractions
+	if *records > 0 && len(xs) > *records {
+		xs = xs[:*records]
 	}
 
+	if err := kfio.AtomicWriteFile(*out, func(w io.Writer) error { return kfio.WriteExtractions(w, xs) }); err != nil {
+		return err
+	}
 	if *goldOut != "" {
-		triples := make([]kb.Triple, 0, len(ds.Extractions))
-		for _, x := range ds.Extractions {
-			triples = append(triples, x.Triple)
-		}
-		g, err := os.Create(*goldOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := kfio.WriteGold(g, ds.Gold.Label, triples); err != nil {
-			log.Fatal(err)
-		}
-		if err := g.Close(); err != nil {
-			log.Fatal(err)
+		if err := kfio.AtomicWriteFile(*goldOut, func(w io.Writer) error { return writeGold(w, ds, xs) }); err != nil {
+			return err
 		}
 	}
 
 	if !*quiet {
-		fmt.Printf("world: %s\n", ds.World.Stats())
-		fmt.Printf("corpus: %d pages on %d sites\n", len(ds.Corpus.Pages), ds.Corpus.NumSites())
-		fmt.Printf("extractions: %d (written to %s)\n", len(ds.Extractions), *out)
+		fmt.Fprintf(stdout, "world: %s\n", ds.World.Stats())
+		fmt.Fprintf(stdout, "corpus: %d pages on %d sites\n", len(ds.Corpus.Pages), ds.Corpus.NumSites())
+		fmt.Fprintf(stdout, "extractions: %d (written to %s)\n", len(xs), *out)
 		if *goldOut != "" {
-			labeled, trueN := coverage(ds)
-			fmt.Printf("gold: %d labeled, %d true (written to %s)\n", labeled, trueN, *goldOut)
+			labeled, trueN := coverage(ds, xs)
+			fmt.Fprintf(stdout, "gold: %d labeled, %d true (written to %s)\n", labeled, trueN, *goldOut)
 		}
 	}
+	return nil
 }
 
-func coverage(ds *exper.Dataset) (labeled, trueN int) {
+func parseScale(name string) (exper.Scale, error) {
+	switch name {
+	case "small":
+		return exper.ScaleSmall, nil
+	case "bench":
+		return exper.ScaleBench, nil
+	case "large":
+		return exper.ScaleLarge, nil
+	}
+	return 0, fmt.Errorf("unknown -scale %q (want small, bench or large)", name)
+}
+
+// writeGold writes the gold labels of the triples xs extracted, each once,
+// in first-extraction order.
+func writeGold(w io.Writer, ds *exper.Dataset, xs []extract.Extraction) error {
+	triples := make([]kb.Triple, 0, len(xs))
+	for _, x := range xs {
+		triples = append(triples, x.Triple)
+	}
+	return kfio.WriteGold(w, ds.Gold.Label, triples)
+}
+
+func coverage(ds *exper.Dataset, xs []extract.Extraction) (labeled, trueN int) {
 	seen := map[kb.Triple]bool{}
-	for _, x := range ds.Extractions {
+	for _, x := range xs {
 		if seen[x.Triple] {
 			continue
 		}

@@ -260,13 +260,10 @@ func (j *job) runAppend() (*fusion.Result, int) {
 		}
 		// The chain leaves the posterior in its native form; a chunk's
 		// progress line needs its size and round count, not its rows.
-		p := progress{triples: st.Posterior.Len(), rounds: st.Posterior.Rounds}
 		if st.Ext != nil {
-			p.size = fmt.Sprintf("%d statements", st.Ext.NumStatements())
-		} else {
-			p.size = fmt.Sprintf("%d claims", st.Claim.NumClaims())
+			return posteriorProgress(st.Posterior, fmt.Sprintf("%d statements", st.Ext.NumStatements())), nil
 		}
-		return p, nil
+		return posteriorProgress(st.Posterior, fmt.Sprintf("%d claims", st.Claim.NumClaims())), nil
 	})
 	// Materialised once, after the last chunk: the final snapshot stores the
 	// exchange form and the caller writes it out.
@@ -280,9 +277,12 @@ func (j *job) runAppend() (*fusion.Result, int) {
 
 // runSharded is the in-memory -shards chain: a K-shard coordinator routes
 // each chunk by data item, grows the shard graphs and fuses them in lockstep,
-// warm-started from the previous chunk's merged result.
+// warm-started from the previous chunk's posterior. As in the unsharded
+// chain the posterior stays in its native form from chunk to chunk — a
+// progress line needs its size and round count — and is materialised once,
+// after the last.
 func (j *job) runSharded() (*fusion.Result, int) {
-	var res *fusion.Result
+	var post *fusion.Posterior
 	var step func(batch []extract.Extraction) (progress, error)
 	if tc := j.twoLayer; tc != nil {
 		tl, err := shard.NewTwoLayer(j.shards, tc.SiteLevel)
@@ -293,10 +293,10 @@ func (j *job) runSharded() (*fusion.Result, int) {
 		step = func(batch []extract.Extraction) (progress, error) {
 			tl.Append(batch)
 			var err error
-			if res, warm, err = tl.FuseWarm(*tc, warm); err != nil {
+			if post, warm, err = tl.FusePosterior(*tc, warm); err != nil {
 				return progress{}, err
 			}
-			return progressOf(res, fmt.Sprintf("%d statements over %d shards", tl.NumStatements(), j.shards)), nil
+			return posteriorProgress(post, fmt.Sprintf("%d statements over %d shards", tl.NumStatements(), j.shards)), nil
 		}
 	} else {
 		f, err := shard.NewFusion(j.shards, j.claim.Granularity)
@@ -308,14 +308,17 @@ func (j *job) runSharded() (*fusion.Result, int) {
 				return progress{}, err
 			}
 			var err error
-			if res, err = f.FuseWarm(j.claim, res); err != nil {
+			if post, err = f.FusePosterior(j.claim, post.Seed()); err != nil {
 				return progress{}, err
 			}
-			return progressOf(res, fmt.Sprintf("%d claims over %d shards", f.NumClaims(), j.shards)), nil
+			return posteriorProgress(post, fmt.Sprintf("%d claims over %d shards", f.NumClaims(), j.shards)), nil
 		}
 	}
 	n := j.streamChunks(0, false, step)
-	return res, n
+	if post == nil {
+		return nil, n
+	}
+	return post.Result(), n
 }
 
 // runShardedDurable is the -shards -state chain for the claim-layer methods:
@@ -424,6 +427,10 @@ type progress struct {
 
 func progressOf(res *fusion.Result, size string) progress {
 	return progress{triples: len(res.Triples), rounds: res.Rounds, size: size}
+}
+
+func posteriorProgress(post *fusion.Posterior, size string) progress {
+	return progress{triples: post.Len(), rounds: post.Rounds, size: size}
 }
 
 // streamChunks is the one chunked-feed loop: it reads the feed in

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"math"
 	"testing"
 
 	"kfusion/internal/kb"
@@ -351,5 +352,69 @@ func TestExtractorPageLevelDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("extraction %d differs", i)
 		}
+	}
+}
+
+// TestRunIsPerPageExtract: the suite's shared page view changes nothing — a
+// run is every extractor's Extract over every page, on the stream Run
+// derives for the pair, sorted.
+func TestRunIsPerPageExtract(t *testing.T) {
+	w, corpus, suite, got := testSetup(t, 31)
+	root := randx.New(suite.Seed)
+	var want []Extraction
+	for pi, page := range corpus.Pages {
+		for _, e := range suite.Extractors {
+			want = append(want, e.Extract(w, page, root.SplitN(e.Name+"|"+page.URL, int64(pi)))...)
+		}
+	}
+	sortExtractions(want)
+	if len(got) != len(want) {
+		t.Fatalf("Run yields %d extractions, per-page Extract %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("extraction %d differs:\n%+v\n%+v", i, got[i], want[i])
+		}
+	}
+	for _, page := range corpus.Pages {
+		v, all := readPage(page), page.Mentions()
+		if len(v.mentions) != len(all) {
+			t.Fatalf("%s: view holds %d mentions, page %d", page.URL, len(v.mentions), len(all))
+		}
+		for bi := range page.Blocks {
+			span, block := v.mentions[v.start[bi]:v.start[bi+1]], page.Blocks[bi].Mentions()
+			if len(span) != len(block) {
+				t.Fatalf("%s block %d: span of %d mentions, block has %d", page.URL, bi, len(span), len(block))
+			}
+			for i := range span {
+				if span[i] != block[i] {
+					t.Fatalf("%s block %d mention %d differs", page.URL, bi, i)
+				}
+			}
+		}
+	}
+}
+
+// TestObjectStringLess: the sort key compares as the tagged strings do,
+// numbers by their digits ("n:10" < "n:9").
+func TestObjectStringLess(t *testing.T) {
+	objs := []kb.Object{
+		{}, kb.EntityObject(""), kb.EntityObject("/m/1"), kb.EntityObject("/m/10"), kb.EntityObject("s:x"),
+		kb.StringObject(""), kb.StringObject("/m/1"), kb.StringObject("Syracuse NY"), kb.StringObject("e:"), kb.StringObject("é"),
+		kb.NumberObject(0), kb.NumberObject(math.Copysign(0, -1)), kb.NumberObject(9), kb.NumberObject(10), kb.NumberObject(-10),
+		kb.NumberObject(1986), kb.NumberObject(1e21), kb.NumberObject(1e-7), kb.NumberObject(5e-324), kb.NumberObject(-math.MaxFloat64),
+		kb.NumberObject(math.Inf(1)), kb.NumberObject(math.NaN()), kb.NumberObject(0.1 + 0.2),
+		{Kind: 7, Str: "other kinds print as strings"}, {Kind: kb.KindNumber, Str: "ignored", Num: 3},
+	}
+	for _, a := range objs {
+		for _, b := range objs {
+			if got, want := objectStringLess(a, b), a.String() < b.String(); got != want {
+				t.Errorf("objectStringLess(%q, %q) = %v, want %v", a.String(), b.String(), got, want)
+			}
+		}
+	}
+	a, b := kb.NumberObject(1234.5), kb.NumberObject(1234.25)
+	if n := testing.AllocsPerRun(100, func() { objectStringLess(a, b) }); n != 0 {
+		t.Errorf("comparing two numbers allocates %.0f times", n)
 	}
 }

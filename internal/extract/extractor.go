@@ -146,6 +146,28 @@ func (e *Extractor) patternKey(page *web.Page, tpl int, m web.Mention) (string, 
 // to this (extractor, page) pair so corpora extract deterministically and
 // independently of page order.
 func (e *Extractor) Extract(w *world.World, page *web.Page, src *randx.Source) []Extraction {
+	return e.extract(w, readPage(page), src)
+}
+
+// pageView is a page beside its mentions, collected once: the document walk
+// every extractor of a suite would otherwise repeat per block, and again for
+// each misreading that borrows a neighbouring statement.
+type pageView struct {
+	*web.Page
+	mentions []web.Mention // Page.Mentions()
+	start    []int         // Blocks[i].Mentions() is mentions[start[i]:start[i+1]]
+}
+
+func readPage(page *web.Page) *pageView {
+	v := &pageView{Page: page, start: make([]int, len(page.Blocks)+1)}
+	for bi := range page.Blocks {
+		v.mentions = append(v.mentions, page.Blocks[bi].Mentions()...)
+		v.start[bi+1] = len(v.mentions)
+	}
+	return v
+}
+
+func (e *Extractor) extract(w *world.World, page *pageView, src *randx.Source) []Extraction {
 	if !e.runsOn(page.Site) {
 		return nil
 	}
@@ -162,7 +184,7 @@ func (e *Extractor) Extract(w *world.World, page *web.Page, src *randx.Source) [
 				e.extractMention(w, page, s.Template, s.M, src, seen, &out)
 			}
 		default:
-			for _, m := range b.Mentions() {
+			for _, m := range page.mentions[page.start[bi]:page.start[bi+1]] {
 				e.extractMention(w, page, 0, m, src, seen, &out)
 			}
 		}
@@ -170,12 +192,12 @@ func (e *Extractor) Extract(w *world.World, page *web.Page, src *randx.Source) [
 	return out
 }
 
-func (e *Extractor) extractMention(w *world.World, page *web.Page, tpl int, m web.Mention, src *randx.Source, seen map[kb.Triple]bool, out *[]Extraction) {
+func (e *Extractor) extractMention(w *world.World, page *pageView, tpl int, m web.Mention, src *randx.Source, seen map[kb.Triple]bool, out *[]Extraction) {
 	pred := w.Ont.Predicate(m.Predicate)
 	if e.EntityPredsOnly && (pred == nil || pred.Domain != kb.DomainEntity) {
 		return
 	}
-	pattern, known := e.patternKey(page, tpl, m)
+	pattern, known := e.patternKey(page.Page, tpl, m)
 	if !known {
 		return
 	}
@@ -208,11 +230,11 @@ func (e *Extractor) extractMention(w *world.World, page *web.Page, tpl int, m we
 // interpret parses a mention into a triple, possibly injecting errors. The
 // returned ErrorKind is the dominant *extraction* error (ErrNone when the
 // extractor faithfully read the page).
-func (e *Extractor) interpret(w *world.World, page *web.Page, pattern string, m web.Mention, src *randx.Source) (kb.Triple, ErrorKind) {
+func (e *Extractor) interpret(w *world.World, page *pageView, pattern string, m web.Mention, src *randx.Source) (kb.Triple, ErrorKind) {
 	// Toxic patterns systematically misread: same wrong output for the
 	// same input everywhere, across all pages the pattern fires on.
 	if pattern != "" && hashProb(e.Name, "toxic", pattern) < e.ToxicPatternRate {
-		return e.toxicReading(page, pattern, m), ErrTripleID
+		return e.toxicReading(page.Page, pattern, m), ErrTripleID
 	}
 
 	// Entity linkage: resolve the subject mention and, for entity-valued
@@ -276,7 +298,7 @@ func (e *Extractor) toxicReading(page *web.Page, pattern string, m web.Mention) 
 // the paper's junk spreads across items ("taking part of the album name as
 // the artist"), so most items carry either the truth or nothing — which is
 // what exposes VOTE's pathologies on single-value items (Figure 9).
-func (e *Extractor) tripleIDError(w *world.World, page *web.Page, m web.Mention, subject kb.EntityID, predicate kb.PredicateID, object kb.Object, src *randx.Source) kb.Triple {
+func (e *Extractor) tripleIDError(w *world.World, page *pageView, m web.Mention, subject kb.EntityID, predicate kb.PredicateID, object kb.Object, src *randx.Source) kb.Triple {
 	switch src.Intn(8) {
 	case 0, 1, 2, 3:
 		// Attach the value to another entity mentioned on the page.
@@ -302,8 +324,8 @@ func (e *Extractor) tripleIDError(w *world.World, page *web.Page, m web.Mention,
 	}
 }
 
-func otherSubject(page *web.Page, not kb.EntityID, src *randx.Source) kb.EntityID {
-	ms := page.Mentions()
+func otherSubject(page *pageView, not kb.EntityID, src *randx.Source) kb.EntityID {
+	ms := page.mentions
 	for try := 0; try < 4 && len(ms) > 0; try++ {
 		c := ms[src.Intn(len(ms))].Subject
 		if c != not {
@@ -316,8 +338,8 @@ func otherSubject(page *web.Page, not kb.EntityID, src *randx.Source) kb.EntityI
 	return ""
 }
 
-func otherValue(page *web.Page, m web.Mention, src *randx.Source) kb.Object {
-	ms := page.Mentions()
+func otherValue(page *pageView, m web.Mention, src *randx.Source) kb.Object {
+	ms := page.mentions
 	for try := 0; try < 4 && len(ms) > 0; try++ {
 		c := ms[src.Intn(len(ms))]
 		if c.Object != m.Object {

@@ -1,8 +1,11 @@
 package extract
 
 import (
+	"bytes"
 	"sort"
+	"strconv"
 
+	"kfusion/internal/kb"
 	"kfusion/internal/randx"
 	"kfusion/internal/web"
 	"kfusion/internal/world"
@@ -121,9 +124,10 @@ func (s *Suite) Run(w *world.World, corpus *web.Corpus) []Extraction {
 	root := randx.New(s.Seed)
 	var out []Extraction
 	for pi, page := range corpus.Pages {
+		view := readPage(page)
 		for _, e := range s.Extractors {
 			src := root.SplitN(e.Name+"|"+page.URL, int64(pi))
-			out = append(out, e.Extract(w, page, src)...)
+			out = append(out, e.extract(w, view, src)...)
 		}
 	}
 	sortExtractions(out)
@@ -132,7 +136,7 @@ func (s *Suite) Run(w *world.World, corpus *web.Corpus) []Extraction {
 
 func sortExtractions(xs []Extraction) {
 	sort.Slice(xs, func(i, j int) bool {
-		a, b := xs[i], xs[j]
+		a, b := &xs[i], &xs[j]
 		if a.Extractor != b.Extractor {
 			return a.Extractor < b.Extractor
 		}
@@ -145,8 +149,35 @@ func sortExtractions(xs []Extraction) {
 		if a.Triple.Predicate != b.Triple.Predicate {
 			return a.Triple.Predicate < b.Triple.Predicate
 		}
-		return a.Triple.Object.String() < b.Triple.Object.String()
+		return objectStringLess(a.Triple.Object, b.Triple.Object)
 	})
+}
+
+// objectStringLess reports a.String() < b.String() without building either
+// string: the tagged forms differ at the tag when the kinds do, and after it
+// compare as the payloads — numbers as their formatted digits, not by value.
+func objectStringLess(a, b kb.Object) bool {
+	ta, tb := objectTag(a), objectTag(b)
+	if ta != tb {
+		return ta < tb
+	}
+	if ta != 'n' {
+		return a.Str < b.Str
+	}
+	var ba, bb [32]byte
+	return bytes.Compare(strconv.AppendFloat(ba[:0], a.Num, 'g', -1, 64), strconv.AppendFloat(bb[:0], b.Num, 'g', -1, 64)) < 0
+}
+
+// objectTag is the first byte of o.String().
+func objectTag(o kb.Object) byte {
+	switch o.Kind {
+	case kb.KindEntity:
+		return 'e'
+	case kb.KindNumber:
+		return 'n'
+	default:
+		return 's'
+	}
 }
 
 // UniqueTriples returns the distinct triples in the extraction set.

@@ -2,29 +2,43 @@
 // the synthetic-world, web-corpus and extractor simulators.
 //
 // Every generator in this repository is seeded explicitly so that corpora,
-// extractions and fusion results are exactly reproducible run to run. randx
-// wraps math/rand with splittable seeds (derive independent child streams
-// from a parent seed and a label), Zipf samplers with bounded support, and
+// extractions and fusion results are exactly reproducible run to run. A
+// Source draws the stream math/rand draws for the same seed, bit for bit —
+// every golden digest in the repository rests on that — but it carries its
+// own implementation of math/rand's generator (lfg.go), because the
+// simulators build one stream per (extractor, page) and most of those draw a
+// handful of numbers or none: math/rand seeds all 607 words of state up
+// front, randx computes a word when a draw first needs it and allocates no
+// state at all for a stream's first 273 draws, so a stream costs what it
+// draws. The distributions are math/rand's own code (rand.New over the
+// generator). On
+// top of that: splittable seeds (derive independent child streams from a
+// parent seed and a label), Zipf samplers with bounded support, and
 // categorical distributions.
 package randx
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
 
-// Source is a deterministic random stream. It is a thin wrapper around
-// *rand.Rand that adds splitting and a few distributions the simulators need.
-// A Source is not safe for concurrent use; split one stream per goroutine.
+// Source is a deterministic random stream: math/rand's stream for the same
+// seed (TestSourceMatchesMathRand, FuzzSourceMatchesMathRand), seeded in
+// time proportional to the numbers drawn, plus splitting and a few
+// distributions the simulators need. A Source is not safe for concurrent
+// use; split one stream per goroutine.
 type Source struct {
-	rng *rand.Rand
+	rng *rand.Rand // math/rand's distributions over gen
+	gen lfg
 	id  int64 // the construction seed, used to derive child streams
 }
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed)), id: seed}
+	s := &Source{id: seed}
+	s.gen.Seed(seed)
+	s.rng = rand.New(&s.gen)
+	return s
 }
 
 // Split derives an independent child stream identified by label. Two Sources
@@ -32,36 +46,36 @@ func New(seed int64) *Source {
 // for different labels are statistically independent. Splitting does not
 // consume randomness from the parent.
 func (s *Source) Split(label string) *Source {
-	return New(s.childSeed(label))
+	return New(int64(fnvString(fnvInt64(fnvOffset64, s.id), label)))
 }
 
 // SplitN derives an independent child stream identified by label and an index,
 // e.g. one stream per page or per extractor.
 func (s *Source) SplitN(label string, n int64) *Source {
-	h := fnv.New64a()
-	writeInt64(h, s.seed())
-	h.Write([]byte(label))
-	writeInt64(h, n)
-	return New(int64(h.Sum64()))
+	return New(int64(fnvInt64(fnvString(fnvInt64(fnvOffset64, s.id), label), n)))
 }
 
-func (s *Source) childSeed(label string) int64 {
-	h := fnv.New64a()
-	writeInt64(h, s.seed())
-	h.Write([]byte(label))
-	return int64(h.Sum64())
-}
+// Child seeds are the 64-bit FNV-1a hash (hash/fnv's New64a) of the parent's
+// construction seed, the label and the index, integers little-endian —
+// derived from the seed, so splitting never consumes randomness from the
+// parent stream, and written out here so a split allocates only its child.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
-// seed returns the construction seed; child streams are derived from it so
-// that splitting never consumes randomness from the parent stream.
-func (s *Source) seed() int64 { return s.id }
-
-func writeInt64(h interface{ Write([]byte) (int, error) }, v int64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
-	h.Write(buf[:])
+	return h
+}
+
+func fnvInt64(h uint64, v int64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(v>>(8*i)))) * fnvPrime64
+	}
+	return h
 }
 
 // Float64 returns a uniform float64 in [0,1).

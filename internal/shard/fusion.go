@@ -128,12 +128,16 @@ func (f *Fusion) Fuse(cfg fusion.Config) (*fusion.Result, error) {
 // key, and hands this run the K step engines that produced it (see
 // fusion.FuseLockstep), to the same bits.
 func (f *Fusion) FuseWarm(cfg fusion.Config, prev *fusion.Result) (*fusion.Result, error) {
-	return materialised(f.fuse(cfg, prev.Seed()))
+	return materialised(f.FusePosterior(cfg, prev.Seed()))
 }
 
-// fuse is the K-graph call of the round driver; it returns the posterior in
-// its native form.
-func (f *Fusion) fuse(cfg fusion.Config, prev *fusion.Seed) (*fusion.Posterior, error) {
+// FusePosterior is FuseWarm without the exchange form on either side: the
+// K-graph call of the round driver, seeded from the previous generation's
+// Posterior.Seed() (nil = cold) and returning the posterior in its native
+// form. A chain that fuses after every Append and reads rows only at the end
+// — kfuse -shards -append — keeps the posterior per step and materialises
+// once; post.Result() is bit for bit what FuseWarm would have returned.
+func (f *Fusion) FusePosterior(cfg fusion.Config, prev *fusion.Seed) (*fusion.Posterior, error) {
 	return fusion.FuseLockstep(f.graphs, f.provs, cfg, prev)
 }
 

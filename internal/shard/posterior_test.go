@@ -110,7 +110,7 @@ func TestPosteriorIsExchangeFormClaimLayer(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				fuse = f.fuse
+				fuse = f.FusePosterior
 			}
 			var native *fusion.Posterior
 			var viaDecoded *fusion.Result
@@ -172,7 +172,7 @@ func TestPosteriorIsExchangeFormTwoLayer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			grow, fuse = tl.Append, tl.fuse
+			grow, fuse = tl.Append, tl.FusePosterior
 		}
 		var nativeState, decodedState *twolayer.State
 		for step := -1; step < len(steps); step++ {

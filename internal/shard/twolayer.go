@@ -207,16 +207,17 @@ func (t *TwoLayer) Fuse(cfg twolayer.Config) (*fusion.Result, *twolayer.State, e
 // graph IDs they are built from); with K = 1 those coincide with the single
 // graph's IDs, so unsharded States interchange.
 func (t *TwoLayer) FuseWarm(cfg twolayer.Config, warm *twolayer.State) (*fusion.Result, *twolayer.State, error) {
-	post, st, err := t.fuse(cfg, warm)
+	post, st, err := t.FusePosterior(cfg, warm)
 	if err != nil {
 		return nil, nil, err
 	}
 	return post.Result(), st, nil
 }
 
-// fuse is the K-graph call of the round driver; it returns the posterior in
-// its native form.
-func (t *TwoLayer) fuse(cfg twolayer.Config, warm *twolayer.State) (*fusion.Posterior, *twolayer.State, error) {
+// FusePosterior is FuseWarm returning the posterior in its native form — the
+// K-graph call of the round driver — for chains that read rows only after
+// their last step; post.Result() is what FuseWarm would have returned.
+func (t *TwoLayer) FusePosterior(cfg twolayer.Config, warm *twolayer.State) (*fusion.Posterior, *twolayer.State, error) {
 	for s, g := range t.graphs {
 		if g == nil {
 			return nil, nil, fmt.Errorf("shard %d: Fuse before first Append", s)

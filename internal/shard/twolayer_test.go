@@ -276,7 +276,7 @@ func TestTwoLayerCarriedChainMatchesFresh(t *testing.T) {
 						t.Fatal(err)
 					}
 					tl.Append(wideningBatch(rng, 600, 0))
-					_, carried, err := tl.fuse(cold, nil)
+					_, carried, err := tl.FusePosterior(cold, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -289,11 +289,11 @@ func TestTwoLayerCarriedChainMatchesFresh(t *testing.T) {
 						tl.Append(wideningBatch(rng, n, step))
 						cfg := cold
 						cfg.Rounds = budgets[step%len(budgets)]
-						freshPost, freshSt, err := tl.fuse(cfg, stateViaCodec(t, fresh))
+						freshPost, freshSt, err := tl.FusePosterior(cfg, stateViaCodec(t, fresh))
 						if err != nil {
 							t.Fatal(err)
 						}
-						carriedPost, carriedSt, err := tl.fuse(cfg, carried)
+						carriedPost, carriedSt, err := tl.FusePosterior(cfg, carried)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -325,11 +325,11 @@ func TestTwoLayerReseedAcrossShardCounts(t *testing.T) {
 	}
 	for _, ks := range [][2]int{{4, 1}, {1, 4}} {
 		from, to := build(ks[0]), build(ks[1])
-		_, st, err := from.fuse(twolayer.DefaultConfig(), nil)
+		_, st, err := from.FusePosterior(twolayer.DefaultConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, st, err = from.fuse(cfg, st); err != nil { // a seeded run: st carries engines
+		if _, st, err = from.FusePosterior(cfg, st); err != nil { // a seeded run: st carries engines
 			t.Fatal(err)
 		}
 		// The two coordinators number sources and extractors alike only if
@@ -338,22 +338,22 @@ func TestTwoLayerReseedAcrossShardCounts(t *testing.T) {
 		// across K is meaningful through the codec too, and that is the
 		// reference here.
 		to.Append(batch)
-		want, wantSt, err := to.fuse(cfg, stateViaCodec(t, st))
+		want, wantSt, err := to.FusePosterior(cfg, stateViaCodec(t, st))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotSt, err := to.fuse(cfg, st)
+		got, gotSt, err := to.FusePosterior(cfg, st)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSamePosterior(t, fmt.Sprintf("K=%d→K=%d", ks[0], ks[1]), got, want, gotSt, wantSt)
 		// The State still fits the coordinator it came from.
 		from.Append(batch)
-		want, wantSt, err = from.fuse(cfg, stateViaCodec(t, st))
+		want, wantSt, err = from.FusePosterior(cfg, stateViaCodec(t, st))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotSt, err = from.fuse(cfg, st)
+		got, gotSt, err = from.FusePosterior(cfg, st)
 		if err != nil {
 			t.Fatal(err)
 		}

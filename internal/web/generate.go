@@ -230,11 +230,12 @@ func Generate(w *world.World, cfg Config) (*Corpus, error) {
 		for pi := 0; pi < nPages; pi++ {
 			psrc := ssrc.SplitN("page", int64(pi))
 			page := renderPage(w, cfg, psrc, site, pi, prof, errRate, boiler)
-			if len(page.Mentions()) == 0 {
+			ms := page.Mentions()
+			if len(ms) == 0 {
 				continue
 			}
 			corpus.Pages = append(corpus.Pages, page)
-			mentionsBySite[site] = append(mentionsBySite[site], page.Mentions()...)
+			mentionsBySite[site] = append(mentionsBySite[site], ms...)
 		}
 	}
 
