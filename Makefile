@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet lint test race fault fuzz-smoke bench-smoke bench-json bench-check bench-e2e bench-scaling docs-check
+.PHONY: verify build vet lint test race fault fuzz-smoke bench-smoke bench-e2e docs-check
 
 # verify is the tier-1 gate: vet, lint, build, full tests, and a 1-iteration
 # benchmark smoke so perf-critical paths — synthesis included: every test
@@ -66,33 +66,6 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
 
-# bench-json regenerates the machine-readable perf record (see BENCH_<n>.json;
-# bump N per PR that moves performance): the throughput benchmarks, the
-# kfserved read-path latency record under concurrent clients, and the
-# web-scale sharded-fusion record (10M+ claim corpus; takes minutes — the
-# feed is synthesized segment by segment and streamed through K shards).
-bench-json:
-	$(GO) run ./cmd/kfbench -benchjson BENCH_10.json
-	$(GO) run ./cmd/kfbench -serve BENCH_10.json
-	$(GO) run ./cmd/kfbench -sharded BENCH_10.json
-
-# bench-check is the CI perf-regression gate: re-measure the fast/slow
-# benchmark pairs — compiled vs reference engines, compiled-graph reuse vs
-# recompile, and the append-only feed pairs (Append + warm-start re-fuse vs
-# full recompile + cold fuse) — and fail if any pair's claims/s speedup
-# ratio dropped more than 30% below the committed BENCH_10.json baseline
-# (ratios cancel machine speed, so the gate is meaningful on any runner).
-# The -prior gate additionally holds the committed baseline to the ISSUE 10
-# bar: FusePopAccu and TwoLayerFuseReuse must keep >= 1.5x claims/s over
-# the committed BENCH_5.json — a deterministic file-vs-file check (both
-# were recorded on the same reference box), so it costs CI nothing.
-# The baseline's serve-latency and sharded-fusion records are gated
-# structurally (absolute numbers are machine-bound), and shard-count
-# independence is re-verified live at bench scale. The fresh measurements
-# land in bench-fresh.json, which CI uploads as a workflow artifact.
-bench-check:
-	$(GO) run ./cmd/kfbench -check BENCH_10.json -prior BENCH_5.json -checkjson bench-fresh.json
-
 # bench-e2e runs the end-to-end benchmark (benchmark/README.md): one feed
 # from seed 42, four workloads from feed bytes to served posterior in fresh
 # child processes — every output checked and digested — then the same
@@ -101,17 +74,6 @@ bench-check:
 # `go run ./benchmark -compare`.
 bench-e2e:
 	$(GO) run ./benchmark -seed 42 -trace 1
-
-# bench-scaling mirrors the CI bench-scaling/scaling-check jobs locally: one
-# kfbench -scaling cell per GOMAXPROCS value, then the speedup gate — on a
-# multi-core box the 4-core cell must beat the 1-core cell by >= 1.5x on the
-# gated records (TwoLayerParallel, CompileParallel). The hot paths are
-# bit-identical across cells, so claims/s is the only thing that varies.
-bench-scaling:
-	GOMAXPROCS=1 $(GO) run ./cmd/kfbench -scaling bench-scaling-1.json
-	GOMAXPROCS=2 $(GO) run ./cmd/kfbench -scaling bench-scaling-2.json
-	GOMAXPROCS=4 $(GO) run ./cmd/kfbench -scaling bench-scaling-4.json
-	$(GO) run ./cmd/kfbench -scalingcheck bench-scaling-1.json,bench-scaling-2.json,bench-scaling-4.json -minspeedup 1.5
 
 # docs-check resolves every package/symbol reference in README.md and
 # docs/*.md with `go doc`, failing on dangling references — the docs cannot

@@ -67,7 +67,7 @@ func main() {
 		theta   = flag.Float64("theta", -1, "override accuracy threshold θ")
 		sampleL = flag.Int("L", 0, "override per-reducer sample cap L")
 		quiet   = flag.Bool("q", false, "suppress the summary")
-		workers = flag.Int("workers", 0, "MapReduce workers (0 = all cores)")
+		workers = flag.Int("workers", 0, "worker goroutines (0 = all cores)")
 		kbOut   = flag.String("kb", "", "also persist the fused KB to this kbstore file")
 		appendM = flag.Bool("append", false, "stream the input in chunks over one growing graph (incremental compile + warm-start fusion)")
 		chunk   = flag.Int("chunk", 100000, "with -append: extractions per chunk")

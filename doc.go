@@ -22,11 +22,11 @@
 //     Fuse compiles the claim set once into an interned, CSR-indexed claim
 //     graph and then iterates allocation-free flat loops, so EM rounds cost
 //     no shuffles — roughly an order of magnitude faster than the literal
-//     shuffle-per-round pipeline, which internal/fusion retains as a golden
-//     reference engine (the perf trajectory is recorded in BENCH_<n>.json,
-//     regenerated by `kfbench -benchjson`). The compiled graph is itself a
-//     reusable artifact: Compile once, then fuse any number of
-//     configurations over the shared CompiledClaims handle — multi-config
+//     regroup-per-round pipeline, which internal/fusion retains as a golden
+//     reference engine (the bench-dataset equivalence test holds the ratio
+//     to a floor; PRs 1-10's records are in docs/perf-history.json). The
+//     compiled graph is itself a reusable artifact: Compile once, then fuse
+//     any number of configurations over the shared CompiledClaims handle — multi-config
 //     sweeps amortize the compilation and stay bit-identical to
 //     compile-per-config runs. Synthesized Datasets do this automatically,
 //     caching one compiled graph per provenance granularity. The same
@@ -77,8 +77,8 @@
 //     tolerance of cold start, and under the paper's forced round cap it
 //     runs as online EM — one warm round per batch — matching the cold
 //     R=5 recompile's evaluation quality within documented WDev/AUC-PR
-//     bounds at a fraction of the cost (kfbench's AppendVsRecompile
-//     records; ~5x on a 10% batch). ClaimStream carries the claim dedup
+//     bounds at a fraction of the cost (BenchmarkAppendBatch; ~5x on a 10%
+//     batch). ClaimStream carries the claim dedup
 //     across batches, kfio streams JSONL chunks (extraction records
 //     through a decoder specialised to their schema that interns repeated
 //     field values, with encoding/json as the per-line fallback and the
@@ -98,9 +98,7 @@
 //     previous one (the journal retains its replay suffix), then to an
 //     empty state and a full feed re-read. `kfuse -append -state DIR`
 //     drives it end to end — a killed run restarted with the same flags
-//     produces byte-identical fused output — and Datasets warm-boot
-//     restored graphs via HydrateClaimGraph/HydrateExtractionGraph. The
-//     crash model is pinned by property tests over internal/faultfs
+//     produces byte-identical fused output. The crash model is pinned by property tests over internal/faultfs
 //     failpoints (torn writes, torn renames, bit flips, truncation):
 //     recovery after a crash at every injected I/O step must reproduce the
 //     uncrashed state exactly (`make fault`), and corruption-facing
@@ -121,16 +119,15 @@
 //     in-graph block reductions. K=1 is therefore the same code as the
 //     unsharded engines (bit-identical); K>1 agrees within the documented
 //     tolerance (pinned by shard-count-independence property tests). OpenShardStores nests one genstore per shard for durable
-//     sharded runs (`kfuse -shards K -state DIR`), and `kfbench -sharded`
-//     records a 10M+ claim web-scale fusion into the bench baseline.
+//     sharded runs (`kfuse -shards K -state DIR`), and `go run ./benchmark
+//     -segments 47` streams a 10M-record feed through the same workloads.
 //
-//     CI pins the perf wins with a bench-regression gate (`kfbench
-//     -check`, `make bench-check` — including the append-vs-recompile
-//     speedup ratios and the WarmBoot restore-vs-recompile ratio), a
-//     GOMAXPROCS-matrix scaling gate (`kfbench
-//     -scaling`/`-scalingcheck`, `make bench-scaling`) on multi-core
-//     runners, a fault-injection + fuzz-smoke job, and a race-detector job
-//     on every push.
+//     Performance is judged end to end by the benchmark/ program against
+//     BENCHMARK.json (`make bench-e2e`). CI adds what it cannot see — the
+//     compiled ÷ reference speed floors inside the bench-dataset
+//     equivalence tests and a 4-core scaling test (TestFourCoreScaling) —
+//     beside a fault-injection + fuzz-smoke job and a race-detector job on
+//     every push.
 //
 //   - Evaluation. Calibration curves with deviation and weighted deviation,
 //     PR curves with AUC-PR, kappa correlation between extractors, and a
@@ -138,7 +135,7 @@
 //     to the paper's Figure 17 categories. See Evaluate and AnalyzeErrors.
 //
 //   - Experiments. Every table and figure of the paper's evaluation section
-//     can be regenerated; see the Experiments function, the cmd/kfbench
+//     can be regenerated; see the Experiments function, the cmd/kfexper
 //     tool and the repository benchmarks.
 //
 // # Serving

@@ -6,8 +6,10 @@ package kfusion
 // Workers and old-vs-new engine parity at realistic scale.
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"kfusion/internal/exper"
 	"kfusion/internal/fusion"
@@ -15,6 +17,47 @@ import (
 )
 
 const engineEquivTol = 1e-12
+
+// The compiled engines must also keep their edge over the oracles they are
+// compared with: each bench-dataset test times the reference's one run and
+// the compiled runs it makes anyway and requires reference ÷ fastest compiled
+// run to clear a constant floor. Both sides run on the same box within the
+// same second, so the ratio cancels machine speed; what it catches is a
+// compiled path regressing toward its reference, which no end-to-end workload
+// sees (none has a reference engine on its path). The floors are at most half
+// the smallest ratio seen on a 2-vCPU sandbox over 20 plain runs and under
+// -race, which CI runs on every push and which is the binding case: the
+// detector instruments the compiled engines' array loops but not the runtime
+// maps the references live in.
+const (
+	// fusion.Fuse (compile + EM) vs fusion.FuseReference, POPACCU: 10.2-18.0x
+	// plain, 7.2-8.2x under -race (docs/perf-history.json, PR 10, one core:
+	// 16.0x).
+	minPopAccuSpeedup = 3.5
+	// twolayer.FuseCompiled (EM over the prebuilt graph) vs
+	// twolayer.FuseReference, either source level: 18.1-35.9x plain, 6.2-8.2x
+	// under -race (PR 10's TwoLayerFuseReuse ÷ ReferenceTwoLayerFuse: 28.3x;
+	// with the graph compile on the clock, 5.8x here and 6.3x there).
+	minTwoLayerSpeedup = 3.0
+)
+
+// fasterOf returns the shorter of two run times; a zero best is "no run yet".
+func fasterOf(best, d time.Duration) time.Duration {
+	if best == 0 || d < best {
+		return d
+	}
+	return best
+}
+
+// requireSpeedup holds reference ÷ compiled to floor and logs the ratio.
+func requireSpeedup(t *testing.T, name string, reference, compiled time.Duration, floor float64) {
+	t.Helper()
+	ratio := float64(reference) / float64(compiled)
+	t.Logf("%s: compiled %v, reference %v: %.1fx (floor %.1fx)", name, compiled, reference, ratio, floor)
+	if ratio < floor {
+		t.Errorf("%s: compiled engine only %.1fx its reference, floor %.1fx", name, ratio, floor)
+	}
+}
 
 // TestTwoLayerEquivalenceOnBenchDataset pins the compiled two-layer engine
 // against the map-keyed reference engine over the bench extraction set, for
@@ -33,15 +76,20 @@ func TestTwoLayerEquivalenceOnBenchDataset(t *testing.T) {
 	for _, siteLevel := range []bool{false, true} {
 		cfg := twolayer.DefaultConfig()
 		cfg.SiteLevel = siteLevel
+		start := time.Now()
 		want, err := twolayer.FuseReference(ds.Extractions, cfg)
+		refTime := time.Since(start)
 		if err != nil {
 			t.Fatalf("siteLevel=%v: reference: %v", siteLevel, err)
 		}
 		g := ds.ExtractionGraph(siteLevel)
+		var fastest time.Duration
 		for _, workers := range []int{1, 4, 8} {
 			c := cfg
 			c.Workers = workers
+			start := time.Now()
 			got, err := twolayer.FuseCompiled(g, c)
+			fastest = fasterOf(fastest, time.Since(start))
 			if err != nil {
 				t.Fatalf("siteLevel=%v workers=%d: %v", siteLevel, workers, err)
 			}
@@ -80,6 +128,7 @@ func TestTwoLayerEquivalenceOnBenchDataset(t *testing.T) {
 				}
 			}
 		}
+		requireSpeedup(t, fmt.Sprintf("two-layer siteLevel=%v", siteLevel), refTime, fastest, minTwoLayerSpeedup)
 	}
 }
 
@@ -96,15 +145,20 @@ func TestEngineEquivalenceOnBenchDataset(t *testing.T) {
 	}
 	for name, cfg := range configs {
 		claims := fusion.Claims(ds.Extractions, cfg.Granularity)
+		start := time.Now()
 		want, err := fusion.FuseReference(claims, cfg)
+		refTime := time.Since(start)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", name, err)
 		}
 		wantBy := want.ByTriple()
+		var fastest time.Duration
 		for _, workers := range []int{1, 4, 8} {
 			c := cfg
 			c.Workers = workers
+			start := time.Now()
 			got, err := fusion.Fuse(claims, c)
+			fastest = fasterOf(fastest, time.Since(start))
 			if err != nil {
 				t.Fatalf("%s/workers=%d: %v", name, workers, err)
 			}
@@ -145,6 +199,9 @@ func TestEngineEquivalenceOnBenchDataset(t *testing.T) {
 					break
 				}
 			}
+		}
+		if name == "POPACCU" {
+			requireSpeedup(t, name, refTime, fastest, minPopAccuSpeedup)
 		}
 	}
 }

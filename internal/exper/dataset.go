@@ -1,12 +1,11 @@
 // Package exper implements the paper's evaluation section experiment by
 // experiment: every table (1-3) and every figure (3-7, 9-22) has a function
 // that regenerates it over a synthetic dataset and renders paper-style rows.
-// The cmd/kfbench binary and the repository's benchmarks are thin wrappers
+// The cmd/kfexper binary and the repository's benchmarks are thin wrappers
 // around this package.
 package exper
 
 import (
-	"fmt"
 	"sync"
 
 	"kfusion/internal/eval"
@@ -240,8 +239,8 @@ var (
 	dsCache = map[[2]int64]*onceCell[*Dataset]{}
 )
 
-// SharedDataset returns a process-wide cached dataset so that benchmarks and
-// the kfbench tool build each (scale, seed) corpus once. The global lock
+// SharedDataset returns a process-wide cached dataset so that benchmarks,
+// tests and the kfexper tool build each (scale, seed) corpus once. The global lock
 // covers only the cache lookup; the build runs under the entry's per-key
 // once, so concurrent requests for different keys build in parallel and
 // concurrent requests for the same key share one build.
@@ -394,63 +393,4 @@ func (ds *Dataset) ClearFusionCache() {
 	ds.mu.Lock()
 	ds.fuseCache = make(map[fuseKey]*onceCell[*fusion.Result])
 	ds.mu.Unlock()
-}
-
-// LabeledAccuracy returns the gold-labeled accuracy over a triple set: the
-// fraction of labeled triples that are true (and the labeled count).
-func (ds *Dataset) LabeledAccuracy(triples []kb.Triple) (float64, int) {
-	trueN, labeled := 0, 0
-	for _, t := range triples {
-		if label, ok := ds.Gold.Label(t); ok {
-			labeled++
-			if label {
-				trueN++
-			}
-		}
-	}
-	if labeled == 0 {
-		return 0, 0
-	}
-	return float64(trueN) / float64(labeled), labeled
-}
-
-// HydrateClaimGraph seeds the generation-0 claim graph for a granularity
-// with a graph restored from persistent state (a genstore snapshot), so an
-// experiment run warm-boots instead of recompiling the feed. The caller owns
-// the correspondence: c must be the compiled form of the dataset's current
-// extraction feed at g. The granularity's ClaimStream is reconstructed from
-// the graph, so later AppendExtractions generations dedup and append exactly
-// as if the graph had been compiled in-process. Fails if a graph for g was
-// already built or the dataset has advanced past generation 0.
-func (ds *Dataset) HydrateClaimGraph(g fusion.Granularity, c *fusion.Compiled) error {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.gen != 0 {
-		return fmt.Errorf("exper: hydrate at generation %d, want 0", ds.gen)
-	}
-	if _, ok := ds.compiled[g]; ok {
-		return fmt.Errorf("exper: claim graph at granularity %s already built", g)
-	}
-	chain := &claimGraphChain{stream: fusion.SeedClaimStream(g, c)}
-	chain.snapshot(0)[0].Get(func() *fusion.Compiled { return c })
-	ds.compiled[g] = chain
-	return nil
-}
-
-// HydrateExtractionGraph seeds the generation-0 extraction graph for a
-// source level with a graph restored from persistent state — the
-// extraction-layer sibling of HydrateClaimGraph, under the same contract.
-func (ds *Dataset) HydrateExtractionGraph(siteLevel bool, g *extract.Compiled) error {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.gen != 0 {
-		return fmt.Errorf("exper: hydrate at generation %d, want 0", ds.gen)
-	}
-	if _, ok := ds.extGraph[siteLevel]; ok {
-		return fmt.Errorf("exper: extraction graph at site-level=%v already built", siteLevel)
-	}
-	chain := &graphChain[*extract.Compiled]{}
-	chain.snapshot(0)[0].Get(func() *extract.Compiled { return g })
-	ds.extGraph[siteLevel] = chain
-	return nil
 }

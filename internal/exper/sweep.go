@@ -9,7 +9,7 @@ type SweepPreset struct {
 }
 
 // ConfigSweep returns the 4-config sweep used by the multi-config
-// benchmarks (BenchmarkConfigSweep, kfbench -benchjson): VOTE, ACCU,
+// benchmarks (BenchmarkConfigSweep, the sweep-reuse workload): VOTE, ACCU,
 // POPACCU and POPACCU with the §4.3.2 filters, all at the default
 // (Extractor, URL) granularity so they share one compiled claim graph —
 // the workload shape of the paper's Tables 1-3 and the ablation suite,

@@ -79,12 +79,8 @@ type Config struct {
 
 	// Workers bounds the goroutines of the one-time claim-graph compile
 	// (Fuse) and of the per-round stage loops (0 = GOMAXPROCS). Results
-	// never depend on it. Partitions is read only by FuseReference, whose
-	// per-round mapreduce jobs shuffle into that many partitions (0 =
-	// default); the compiled engine has had no shuffle since PR 1 and
-	// ignores it.
-	Workers    int
-	Partitions int
+	// never depend on it; FuseReference, a sequential oracle, ignores it.
+	Workers int
 
 	// FastMath runs the EM transcendentals on the mathx.Fast polynomial
 	// kernels instead of math.Exp/math.Log. Output probabilities and

@@ -164,8 +164,7 @@ const WarmTol = 5e-3
 //     the same non-converging iteration, not pointwise-close to cold
 //     start; the documented equivalence is in evaluation quality (WDev and
 //     AUC-PR within small bounds of the cold R=5 recompile, pinned by the
-//     bench-scale warm-quality test and measured by kfbench's
-//     AppendVsRecompile records).
+//     bench-scale warm-quality test and measured by BenchmarkAppendBatch).
 //
 // A nil or empty prev degrades to Fuse. Gold-standard initialization
 // (Config.GoldLabeler), when configured, runs after seeding and overrides

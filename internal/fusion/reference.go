@@ -4,20 +4,23 @@ import (
 	"math"
 
 	"kfusion/internal/kb"
-	"kfusion/internal/mapreduce"
 	"kfusion/internal/randx"
 )
 
-// This file preserves the original shuffle-per-round fusion engine exactly as
-// it shipped in the seed: every round re-runs the three MapReduce jobs of
-// Figure 8 over string-keyed shuffles. It is kept as the golden oracle the
-// compiled engine (engine.go + compile.go) is regression-tested against, and
-// as the "before" subject of the throughput benchmarks. Stages I and II
-// deliberately keep the seed's string-built partition keys
-// (kb.StringHash over String()) because their partition order feeds
-// the floating-point summation order, keeping values bit-identical to the
-// seed engine's; Stage III's dedup is keyed by the field-wise kb.Triple.Hash
-// — there the partition choice only affects output order, never a value.
+// This file is the golden oracle the compiled engine (engine.go + compile.go)
+// is regression-tested against, and the "before" subject of the
+// compiled ÷ reference ratio test: the three stages of Figure 8 written the
+// way the paper states them, every round regrouping all claims by value-typed
+// keys — stage I by data item, stage II by provenance string, stage III by
+// triple — and scoring them with the seed engine's scalar expressions and
+// reservoir seeds. Each stage is one groupBy and a loop over its groups.
+// groupBy delivers the groups in the order of the seed engine's 32-partition
+// shuffle, because values depend on it: stage I's group order is the order
+// stage II sums and samples a provenance's probabilities in, so it decides
+// low-order bits — which a provenance sitting exactly on AccuracyThreshold
+// turns into a filter decision (POPACCU+ on the bench dataset has one) — and
+// which SampleL claims an oversampled provenance keeps. Every number this
+// oracle ever produced is therefore the number it produces now.
 
 // provState tracks one provenance's estimated accuracy across rounds.
 type provState struct {
@@ -44,22 +47,22 @@ type refEngine struct {
 	itemTotal map[kb.DataItem]int
 }
 
-// FuseReference runs the seed engine: the literal three-stage MapReduce
-// pipeline, re-shuffling all claims every round. It computes the same result
-// as Fuse (to within floating-point summation order) and exists so tests can
-// prove the compiled engine's equivalence. Production callers should use
-// Fuse.
+// FuseReference runs the reference engine: the literal three-stage pipeline,
+// regrouping all claims every round, sequentially (it ignores cfg.Workers).
+// It computes the same result as Fuse (to within floating-point summation
+// order) and exists so tests can prove the compiled engine's equivalence.
+// Production callers should use Fuse.
 //
 // One approximation boundary is not bit-pinned between the engines: when a
 // single provenance accumulates more than SampleL scored claims, stage II's
-// reservoir consumes the probabilities in shuffle emission order here but in
-// compiled claim order in Fuse, so the two (equally deterministic, equally
-// sized) samples can differ. Item-level SampleL sampling is identical in
-// both engines. Exactness is not required at this boundary — both estimates
-// are means of uniform SampleL-sized samples of the same scored-probability
-// multiset, so they concentrate around the same full mean with sampling
-// error O(spread/√L) — and TestStageIIOversampleDivergenceBounded bounds
-// the resulting drift.
+// reservoir consumes the probabilities in stage I's emission order here (item
+// by item, items in shuffle order) but in compiled claim order in Fuse, so
+// the two (equally deterministic, equally sized) samples can differ.
+// Item-level SampleL sampling is identical in both engines. Exactness is not
+// required at this boundary — both estimates are means of uniform
+// SampleL-sized samples of the same scored-probability multiset, so they
+// concentrate around the same full mean with sampling error O(spread/√L) —
+// and TestStageIIOversampleDivergenceBounded bounds the resulting drift.
 func FuseReference(claims []Claim, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -90,13 +93,15 @@ func FuseReference(claims []Claim, cfg Config) (*Result, error) {
 		rounds = 1
 		e.reportRound(0, lastProbs)
 	} else {
-		maxRounds := cfg.Rounds
-		_, rounds = mapreduce.Iterate(struct{}{}, maxRounds, func(_ struct{}, round int) (struct{}, bool) {
-			lastProbs = e.stageI(round)
-			e.reportRound(round, lastProbs)
-			delta := e.stageII(lastProbs)
-			return struct{}{}, delta < cfg.Epsilon
-		})
+		// The paper forces termination after R rounds.
+		for rounds < cfg.Rounds {
+			lastProbs = e.stageI(rounds)
+			e.reportRound(rounds, lastProbs)
+			rounds++
+			if e.stageII(lastProbs) < cfg.Epsilon {
+				break
+			}
+		}
 	}
 
 	res := e.stageIII(lastProbs)
@@ -143,22 +148,43 @@ func (e *refEngine) initFromGold() {
 	}
 }
 
+// refPartitions is the seed shuffle's partition count.
+const refPartitions = 32
+
+// groupBy groups the values kv yields for 0..n-1 by their keys. A key's
+// values are in input order; keys are in shuffle order — by partition
+// (hash % refPartitions), within a partition by first occurrence.
+func groupBy[K comparable, V any](n int, hash func(K) uint64, kv func(i int) (K, V)) ([]K, map[K][]V) {
+	var parts [refPartitions][]K
+	groups := make(map[K][]V)
+	for i := 0; i < n; i++ {
+		k, v := kv(i)
+		if _, ok := groups[k]; !ok {
+			p := hash(k) % refPartitions
+			parts[p] = append(parts[p], k)
+		}
+		groups[k] = append(groups[k], v)
+	}
+	keys := make([]K, 0, len(groups))
+	for _, part := range parts {
+		keys = append(keys, part...)
+	}
+	return keys, groups
+}
+
 // stageI groups claims by data item and computes triple probabilities with
 // the current provenance accuracies (Figure 8, Stage I).
 func (e *refEngine) stageI(round int) []probEntry {
-	job := mapreduce.Job[int32, kb.DataItem, int32, probEntry]{
-		Name: "fusion-stageI",
-		Map: func(idx int32, emit func(kb.DataItem, int32)) {
-			emit(e.claims[idx].Triple.Item(), idx)
-		},
-		Reduce: func(item kb.DataItem, idxs []int32, emit func(probEntry)) {
-			e.scoreItem(item, idxs, round, emit)
-		},
-		KeyHash:    func(d kb.DataItem) uint64 { return kb.StringHash(d.String()) },
-		Workers:    e.cfg.Workers,
-		Partitions: e.cfg.Partitions,
+	itemHash := func(d kb.DataItem) uint64 { return kb.StringHash(d.String()) }
+	items, claimsOf := groupBy(len(e.claims), itemHash, func(i int) (kb.DataItem, int32) {
+		return e.claims[i].Triple.Item(), int32(i)
+	})
+	var out []probEntry
+	emit := func(pe probEntry) { out = append(out, pe) }
+	for _, item := range items {
+		e.scoreItem(item, claimsOf[item], round, emit)
 	}
-	return mapreduce.MustRun(job, claimIndexes(len(e.claims)))
+	return out
 }
 
 // scoreItem computes the probability of each candidate triple of one data
@@ -319,36 +345,23 @@ func (e *refEngine) itemProbabilities(idxs []int32) map[kb.Triple]float64 {
 // stageII re-estimates provenance accuracies as the mean probability of
 // their claims (Figure 8, Stage II) and returns the largest accuracy change.
 func (e *refEngine) stageII(entries []probEntry) float64 {
-	type provAcc struct {
-		prov string
-		acc  float64
-	}
-	job := mapreduce.Job[probEntry, string, float64, provAcc]{
-		Name: "fusion-stageII",
-		Map: func(pe probEntry, emit func(string, float64)) {
-			emit(e.claims[pe.idx].Prov, pe.prob)
-		},
-		Reduce: func(prov string, probs []float64, emit func(provAcc)) {
-			probs = e.sampleProbs(prov, probs)
-			sum := 0.0
-			for _, p := range probs {
-				//lint:ignore kflint/floatsum this is the golden MapReduce spec the compiled engine is differentially tested against; mapreduce delivers reduce values in a deterministic key-sorted order, so the naive sum is reproducible by construction.
-				sum += p
-			}
-			emit(provAcc{prov: prov, acc: sum / float64(len(probs))})
-		},
-		KeyHash:    kb.StringHash,
-		Workers:    e.cfg.Workers,
-		Partitions: e.cfg.Partitions,
-	}
-	updates := mapreduce.MustRun(job, entries)
+	provs, probsOf := groupBy(len(entries), kb.StringHash, func(i int) (string, float64) {
+		return e.claims[entries[i].idx].Prov, entries[i].prob
+	})
 	maxDelta := 0.0
-	for _, u := range updates {
-		st := e.provs[u.prov]
-		if d := math.Abs(st.acc - u.acc); d > maxDelta {
+	for _, prov := range provs {
+		probs := e.sampleProbs(prov, probsOf[prov])
+		sum := 0.0
+		for _, p := range probs {
+			//lint:ignore kflint/floatsum this is the golden spec the compiled engine is differentially tested against; groupBy delivers a provenance's probabilities in stage I's emission order — items in shuffle order, an item's claims in input order — so the naive sum is reproducible by construction.
+			sum += p
+		}
+		acc := sum / float64(len(probs))
+		st := e.provs[prov]
+		if d := math.Abs(st.acc - acc); d > maxDelta {
 			maxDelta = d
 		}
-		st.acc = u.acc
+		st.acc = acc
 		st.isDefault = false
 	}
 	return maxDelta
@@ -361,40 +374,31 @@ func (e *refEngine) stageIII(entries []probEntry) *Result {
 	for _, pe := range entries {
 		probByIdx[pe.idx] = pe.prob
 	}
-	type fused = FusedTriple
-	job := mapreduce.Job[int32, kb.Triple, int32, fused]{
-		Name: "fusion-stageIII",
-		Map: func(idx int32, emit func(kb.Triple, int32)) {
-			emit(e.claims[idx].Triple, idx)
-		},
-		Reduce: func(t kb.Triple, idxs []int32, emit func(fused)) {
-			f := fused{
-				Triple:          t,
-				Probability:     -1,
-				Provenances:     len(idxs),
-				ItemProvenances: e.itemTotal[t.Item()],
-			}
-			exts := make(map[string]bool)
-			for _, i := range idxs {
-				exts[e.claims[i].Extractor] = true
-				if p, ok := probByIdx[i]; ok {
-					f.Probability = p
-					f.Predicted = true
-				}
-			}
-			f.Extractors = len(exts)
-			emit(f)
-		},
-		KeyHash:    kb.Triple.Hash,
-		Workers:    e.cfg.Workers,
-		Partitions: e.cfg.Partitions,
-	}
-	triples := mapreduce.MustRun(job, claimIndexes(len(e.claims)))
-	res := &Result{Triples: triples}
+	triples, claimsOf := groupBy(len(e.claims), kb.Triple.Hash, func(i int) (kb.Triple, int32) {
+		return e.claims[i].Triple, int32(i)
+	})
+	res := &Result{Triples: make([]FusedTriple, 0, len(triples))}
 	for _, t := range triples {
-		if !t.Predicted {
+		idxs := claimsOf[t]
+		f := FusedTriple{
+			Triple:          t,
+			Probability:     -1,
+			Provenances:     len(idxs),
+			ItemProvenances: e.itemTotal[t.Item()],
+		}
+		exts := make(map[string]bool)
+		for _, i := range idxs {
+			exts[e.claims[i].Extractor] = true
+			if p, ok := probByIdx[i]; ok {
+				f.Probability = p
+				f.Predicted = true
+			}
+		}
+		f.Extractors = len(exts)
+		if !f.Predicted {
 			res.Unpredicted++
 		}
+		res.Triples = append(res.Triples, f)
 	}
 	return res
 }
@@ -475,12 +479,4 @@ func softmaxSlice(probs, scores []float64, unknownMass float64) {
 		//lint:ignore kflint/scalarmath reference spec: same golden two-pass softmax as the denominator above.
 		probs[i] = math.Exp(s-m) / denom
 	}
-}
-
-func claimIndexes(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(i)
-	}
-	return out
 }

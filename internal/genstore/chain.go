@@ -10,10 +10,9 @@ import (
 
 // Chain is the append chain of one fusion method — the step directly above
 // the EM round driver that every deployment of the pipeline runs: kfuse
-// (batch and -append), the kfserved daemon, kfbench's warm-boot record and
-// the crash-recovery tests all fold a batch through this one value, so the
-// bit-identity the crash sweep proves is a property of the code the daemon
-// replays. Pass Apply (or Grow) to Open as the store's ApplyFunc.
+// (batch and -append), the kfserved daemon and the crash-recovery tests all
+// fold a batch through this one value, so the bit-identity the crash sweep
+// proves is a property of the code the daemon replays. Pass Apply (or Grow) to Open as the store's ApplyFunc.
 //
 // A Chain holds configuration only. The one piece of cross-batch state, the
 // claim layer's (provenance, triple) dedup stream, lives on the State it
@@ -115,7 +114,7 @@ func (c *Chain) Grow(st *State, batch []extract.Extraction) error {
 	var next *fusion.Compiled
 	var err error
 	if st.Claim == nil {
-		next, err = fusion.CompileWorkers(claims, c.claim.Workers, c.claim.Partitions)
+		next, err = fusion.CompileWorkers(claims, c.claim.Workers, 0)
 	} else {
 		next, err = st.Claim.Append(claims)
 	}

@@ -18,8 +18,8 @@
 //     mid-apply loses nothing: the batch replays on reopen.
 //   - Open loads the newest valid snapshot and replays journaled batches
 //     through the caller's apply function — Chain.Apply (or Chain.Grow for a
-//     sharded store), the one append chain kfuse, kfserved and kfbench also
-//     run live. By the append contract of the compiled graphs (Append ==
+//     sharded store), the one append chain kfuse and kfserved also run
+//     live. By the append contract of the compiled graphs (Append ==
 //     recompile of the concatenated stream), the recovered state is
 //     bit-identical to the uncrashed run's.
 //   - Degradation is graceful and reported, never a panic: a corrupt or

@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"kfusion/internal/fusion"
-	"kfusion/internal/mapreduce"
 	"kfusion/internal/mathx"
 )
 
@@ -229,11 +228,13 @@ func FuseCompiled(c *fusion.Compiled, cfg Config) (*fusion.Result, error) {
 	}
 
 	rounds := 0
-	mapreduce.Iterate(struct{}{}, cfg.Rounds, func(_ struct{}, r int) (struct{}, bool) {
+	for rounds < cfg.Rounds {
 		eStep()
 		rounds++
-		return struct{}{}, mStep() < 1e-4
-	})
+		if mStep() < 1e-4 {
+			break
+		}
+	}
 	eStep() // final probabilities under converged parameters
 
 	res := &fusion.Result{Rounds: rounds, ProvAccuracy: make(map[string]float64, nProvs)}

@@ -2,12 +2,10 @@ package twolayer
 
 import (
 	"math"
-	"sort"
 
 	"kfusion/internal/extract"
 	"kfusion/internal/fusion"
 	"kfusion/internal/kb"
-	"kfusion/internal/mapreduce"
 	"kfusion/internal/mathx"
 )
 
@@ -15,7 +13,8 @@ import (
 // golden oracle the compiled engine (FuseCompiled) is regression-tested
 // against — the same role fusion.FuseReference plays for the claim-graph
 // engine. It indexes statements, sources and extractors with string/struct
-// maps and re-walks them every EM round.
+// maps and re-walks them every EM round, sequentially (it ignores
+// cfg.Workers).
 //
 // One behavioral fix relative to the seed implementation: the per-source
 // extractor sets are kept as first-extraction-ordered slices instead of maps.
@@ -51,6 +50,7 @@ func FuseReference(xs []extract.Extraction, cfg Config) (*fusion.Result, error) 
 	extPar := map[string]*extParams{}
 	tripleIdx := map[kb.Triple]int{}
 	var triples []kb.Triple
+	var items []kb.DataItem // first-extraction order
 	itemTriples := map[kb.DataItem][]int{}
 	stByTriple := map[int][]int{} // triple index → st indexes
 
@@ -76,7 +76,11 @@ func FuseReference(xs []extract.Extraction, cfg Config) (*fusion.Result, error) 
 				ti = len(triples)
 				tripleIdx[x.Triple] = ti
 				triples = append(triples, x.Triple)
-				itemTriples[x.Triple.Item()] = append(itemTriples[x.Triple.Item()], ti)
+				item := x.Triple.Item()
+				if len(itemTriples[item]) == 0 {
+					items = append(items, item)
+				}
+				itemTriples[item] = append(itemTriples[item], ti)
 			}
 			stByTriple[ti] = append(stByTriple[ti], si)
 		}
@@ -92,101 +96,74 @@ func FuseReference(xs []extract.Extraction, cfg Config) (*fusion.Result, error) 
 	}
 
 	// Layer 1 E-step: statement probabilities from extractor agreement.
+	priorLogOdds := math.Log(cfg.PriorStated) - math.Log(1-cfg.PriorStated)
 	inferStatements := func() {
-		job := mapreduce.Job[int, int, float64, struct{}]{
-			Name: "twolayer-statements",
-			Map: func(si int, emit func(int, float64)) {
-				st := &sts[si]
-				claimed := map[string]bool{}
-				for _, e := range st.extractors {
-					claimed[e] = true
+		for si := range sts {
+			st := &sts[si]
+			claimed := map[string]bool{}
+			for _, e := range st.extractors {
+				claimed[e] = true
+			}
+			logOdds := priorLogOdds
+			for _, e := range extsOnSource[st.source] {
+				p := extPar[e]
+				if claimed[e] {
+					//lint:ignore kflint/floatsum extsOnSource holds each source's extractors in first-extraction order; the per-statement log-odds sum therefore adds identical terms in identical order every run.
+					logOdds += math.Log(p.recall) - math.Log(p.falsePos) //lint:ignore kflint/scalarmath reference spec: the inline scalar ratio is the golden expression the compiled engine's LogRatioSlice tables are measured against.
+				} else {
+					//lint:ignore kflint/floatsum same fixed extsOnSource order as the branch above — the absent-extractor terms accumulate deterministically too.
+					logOdds += math.Log(1-p.recall) - math.Log(1-p.falsePos) //lint:ignore kflint/scalarmath reference spec: same golden miss-ratio expression as the hit branch.
 				}
-				logOdds := math.Log(cfg.PriorStated) - math.Log(1-cfg.PriorStated)
-				for _, e := range extsOnSource[st.source] {
-					p := extPar[e]
-					if claimed[e] {
-						//lint:ignore kflint/floatsum extsOnSource holds each source's extractors in the sorted order PR 3 established; the per-statement log-odds sum therefore adds identical terms in identical order every run.
-						logOdds += math.Log(p.recall) - math.Log(p.falsePos) //lint:ignore kflint/scalarmath reference spec: the inline scalar ratio is the golden expression the compiled engine's LogRatioSlice tables are measured against.
-					} else {
-						//lint:ignore kflint/floatsum same fixed extsOnSource order as the branch above — the absent-extractor terms accumulate deterministically too.
-						logOdds += math.Log(1-p.recall) - math.Log(1-p.falsePos) //lint:ignore kflint/scalarmath reference spec: same golden miss-ratio expression as the hit branch.
-					}
-				}
-				emit(si, mathx.Sigmoid(logOdds))
-			},
-			Reduce: func(si int, vs []float64, emit func(struct{})) {
-				stated[si] = vs[0]
-			},
-			KeyHash: func(si int) uint64 { return uint64(si)*0x9e3779b97f4a7c15 + 7 },
-			Workers: cfg.Workers,
+			}
+			stated[si] = mathx.Sigmoid(logOdds)
 		}
-		mapreduce.MustRun(job, stIndexes(len(sts)))
 	}
 
 	// Layer 2: weighted Bayesian truth inference per data item.
-	items := make([]kb.DataItem, 0, len(itemTriples))
-	for it := range itemTriples {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Subject != items[j].Subject {
-			return items[i].Subject < items[j].Subject
-		}
-		return items[i].Predicate < items[j].Predicate
-	})
-
 	inferTruth := func() {
-		job := mapreduce.Job[kb.DataItem, int, float64, struct{}]{
-			Name: "twolayer-truth",
-			Map: func(item kb.DataItem, emit func(int, float64)) {
-				tis := itemTriples[item]
-				scores := make([]float64, len(tis))
-				for vi, ti := range tis {
-					s := 0.0
-					for _, si := range stByTriple[ti] {
-						// Corroboration gate: an uninformed statement
-						// (stated ≈ 0.5) contributes nothing, a confident
-						// one (stated >= 0.95) votes with full weight.
-						w := (stated[si] - 0.5) / 0.45
-						if w <= 0 {
-							continue
-						}
-						if w > 1 {
-							w = 1
-						}
-						a := clampAcc(srcAcc[sts[si].source])
-						//lint:ignore kflint/scalarmath reference spec: the scalar source log-weight is the golden expression the compiled engine's LogOddsSlice table is measured against.
-						s += w * math.Log(float64(cfg.NFalse)*a/(1-a))
+		for _, item := range items {
+			tis := itemTriples[item]
+			scores := make([]float64, len(tis))
+			for vi, ti := range tis {
+				s := 0.0
+				for _, si := range stByTriple[ti] {
+					// Corroboration gate: an uninformed statement
+					// (stated ≈ 0.5) contributes nothing, a confident
+					// one (stated >= 0.95) votes with full weight.
+					w := (stated[si] - 0.5) / 0.45
+					if w <= 0 {
+						continue
 					}
-					scores[vi] = s
-				}
-				unknown := float64(cfg.NFalse - len(tis))
-				if unknown < 0 {
-					unknown = 0
-				}
-				m := 0.0
-				for _, s := range scores {
-					if s > m {
-						m = s
+					if w > 1 {
+						w = 1
 					}
+					a := clampAcc(srcAcc[sts[si].source])
+					//lint:ignore kflint/scalarmath reference spec: the scalar source log-weight is the golden expression the compiled engine's LogOddsSlice table is measured against.
+					s += w * math.Log(float64(cfg.NFalse)*a/(1-a))
 				}
-				denom := unknown * math.Exp(-m)
-				for _, s := range scores {
-					//lint:ignore kflint/floatsum per-item softmax over one data item's candidate triples, in the item's fixed triple order — a handful of terms, not a corpus reduction.
-					denom += math.Exp(s - m) //lint:ignore kflint/scalarmath reference spec: the two-pass scalar softmax is the golden form mathx.SoftmaxInto is pinned bit-identical to.
+				scores[vi] = s
+			}
+			unknown := float64(cfg.NFalse - len(tis))
+			if unknown < 0 {
+				unknown = 0
+			}
+			m := 0.0
+			for _, s := range scores {
+				if s > m {
+					m = s
 				}
-				for vi, ti := range tis {
-					//lint:ignore kflint/scalarmath reference spec: same golden two-pass softmax as the denominator above.
-					emit(ti, math.Exp(scores[vi]-m)/denom)
-				}
-			},
-			Reduce: func(ti int, vs []float64, emit func(struct{})) {
-				tripleP[ti] = vs[0]
-			},
-			KeyHash: func(ti int) uint64 { return uint64(ti)*0x9e3779b97f4a7c15 + 13 },
-			Workers: cfg.Workers,
+			}
+			//lint:ignore kflint/scalarmath reference spec: the unknown-value term of the same golden two-pass softmax, one per data item.
+			denom := unknown * math.Exp(-m)
+			for _, s := range scores {
+				//lint:ignore kflint/floatsum per-item softmax over one data item's candidate triples, in the item's fixed triple order — a handful of terms, not a corpus reduction.
+				denom += math.Exp(s - m) //lint:ignore kflint/scalarmath reference spec: the two-pass scalar softmax is the golden form mathx.SoftmaxInto is pinned bit-identical to.
+			}
+			for vi, ti := range tis {
+				//lint:ignore kflint/scalarmath reference spec: same golden two-pass softmax as the denominator above.
+				tripleP[ti] = math.Exp(scores[vi]-m) / denom
+			}
 		}
-		mapreduce.MustRun(job, items)
 	}
 
 	// M-step: source accuracies and extractor recall/false-positive rates.
@@ -252,12 +229,14 @@ func FuseReference(xs []extract.Extraction, cfg Config) (*fusion.Result, error) 
 	}
 
 	rounds := 0
-	mapreduce.Iterate(struct{}{}, cfg.Rounds, func(_ struct{}, r int) (struct{}, bool) {
+	for rounds < cfg.Rounds {
 		inferStatements()
 		inferTruth()
 		rounds++
-		return struct{}{}, updateParams() < 1e-4
-	})
+		if updateParams() < 1e-4 {
+			break
+		}
+	}
 	inferStatements()
 	inferTruth()
 
@@ -312,12 +291,4 @@ func containsString(ss []string, s string) bool {
 		}
 	}
 	return false
-}
-
-func stIndexes(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

@@ -569,9 +569,6 @@ func (w *World) Confusable(src *randx.Source, e kb.EntityID) (kb.EntityID, bool)
 	return c[src.Intn(len(c))], true
 }
 
-// HasConfusable reports whether e has at least one confusable twin.
-func (w *World) HasConfusable(e kb.EntityID) bool { return len(w.confusables[e]) > 0 }
-
 // SiblingPredicate returns a random predicate confusable with p (same
 // subject type and value domain), if any exists.
 func (w *World) SiblingPredicate(src *randx.Source, p kb.PredicateID) (kb.PredicateID, bool) {
