@@ -8,9 +8,7 @@ package kfusion
 // (existing interned IDs never move); CompiledClaims.FuseWarm and
 // TwoLayerFuseCompiledWarm seed EM from the previous generation's
 // posteriors so appended batches re-fuse in a fraction of the cold-start
-// rounds. Dataset.AppendExtractions rides the same machinery with
-// generation-aware graph caches, and the kfserved daemon (see api_serve.go)
-// serves the chain over HTTP.
+// rounds. The kfserved daemon (see api_serve.go) serves the chain over HTTP.
 
 import (
 	"kfusion/internal/extract"

@@ -184,9 +184,4 @@ func TestAppendWarmSurface(t *testing.T) {
 	if len(res.Triples) == 0 || len(state2.SrcAcc) < len(state.SrcAcc) {
 		t.Fatal("two-layer append/warm surface broken")
 	}
-
-	ds.AppendExtractions(xs[:100])
-	if ds.Generation() != 1 {
-		t.Fatalf("Dataset.Generation = %d, want 1", ds.Generation())
-	}
 }

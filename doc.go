@@ -82,9 +82,8 @@
 //     across batches, kfio streams JSONL chunks (extraction records
 //     through a decoder specialised to their schema that interns repeated
 //     field values, with encoding/json as the per-line fallback and the
-//     test reference), `kfuse -append` drives the whole streaming
-//     pipeline, and Datasets grow generation-aware caches through
-//     AppendExtractions.
+//     test reference), and `kfuse -append` drives the whole streaming
+//     pipeline.
 //
 //     The streaming pipeline is durable. internal/genstore persists
 //     compiled graph generations to a checksummed, versioned snapshot file

@@ -112,23 +112,6 @@ func (c CalibrationCurve) WeightedDeviation() float64 {
 	return sum / float64(n)
 }
 
-// RealAt returns the real accuracy of the bucket containing prob, and the
-// bucket size.
-func (c CalibrationCurve) RealAt(prob float64) (float64, int) {
-	l := len(c.Buckets) - 1
-	idx := l
-	if prob < 1 {
-		idx = int(prob * float64(l))
-		if idx >= l {
-			idx = l - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-	}
-	return c.Buckets[idx].Real, c.Buckets[idx].N
-}
-
 // String renders the curve compactly for reports.
 func (c CalibrationCurve) String() string {
 	var b strings.Builder

@@ -109,15 +109,6 @@ func TestCalibrationBucketConservationQuick(t *testing.T) {
 	}
 }
 
-func TestRealAt(t *testing.T) {
-	preds := []Prediction{{Prob: 0.95, Label: true}, {Prob: 0.95, Label: true}, {Prob: 0.95, Label: false}}
-	c := Calibration(preds, 20)
-	real, n := c.RealAt(0.95)
-	if n != 3 || math.Abs(real-2.0/3.0) > 1e-12 {
-		t.Errorf("RealAt = (%v,%v)", real, n)
-	}
-}
-
 func TestPRCurveAndAUC(t *testing.T) {
 	// Perfect ranking: all true above all false → AUC-PR = 1.
 	var preds []Prediction

@@ -85,31 +85,57 @@ func TestFuseCache(t *testing.T) {
 // and a single result pointer, never overwrite each other.
 func TestFuseConcurrentSingleflight(t *testing.T) {
 	ds := NewDataset(ScaleSmall, 31)
-	var runs int32
 	cfg := fusion.VoteConfig()
-	cfg.OnRound = func(round int, _ map[kb.Triple]float64) {
-		if round == 0 {
-			atomic.AddInt32(&runs, 1)
-		}
-	}
 	const callers = 16
+	var builds atomic.Int32
+	built := make([]*fusion.Result, callers)
 	results := make([]*fusion.Result, callers)
 	var wg sync.WaitGroup
 	for k := 0; k < callers; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
+			// Each caller reaches the cell Fuse looks up through a counting
+			// build before it calls Fuse, so whichever build runs is counted.
+			built[k] = cellFor(&ds.mu, ds.fuseCache, "vote-concurrent").Get(func() *fusion.Result {
+				builds.Add(1)
+				return ds.Compiled(cfg.Granularity).MustFuse(cfg)
+			})
 			results[k] = ds.Fuse("vote-concurrent", cfg)
 		}(k)
 	}
 	wg.Wait()
-	for k := 1; k < callers; k++ {
-		if results[k] != results[0] {
+	for k := 0; k < callers; k++ {
+		if built[k] != built[0] || results[k] != built[0] {
 			t.Fatal("concurrent callers saw different result pointers")
 		}
 	}
-	if got := atomic.LoadInt32(&runs); got != 1 {
+	if got := builds.Load(); got != 1 {
 		t.Fatalf("fusion ran %d times for one cacheKey, want 1", got)
+	}
+}
+
+// TestFigure14RoundCaps pins the invariants of Figure 14's capped runs: the
+// R=25 row runs the default row's first five rounds, and an R=5 row's fifth
+// round is its final result.
+func TestFigure14RoundCaps(t *testing.T) {
+	rows := map[string][]string{}
+	for _, row := range Figure14(testDS(t)).Rows {
+		rows[row[0]] = row[1:]
+	}
+	def, longR := rows["DefaultAccu (L=1M,R=5)"], rows["DefaultAccu (L=1M,R=25)"]
+	if def == nil || longR == nil {
+		t.Fatalf("fig14 rows missing: %v", rows)
+	}
+	for r := 0; r < 5; r++ {
+		if def[r] != longR[r] || def[r] == "-" {
+			t.Errorf("R%d: R=25 row %q, default row %q", r+1, longR[r], def[r])
+		}
+	}
+	for name, row := range rows {
+		if strings.Contains(name, "R=5") && row[4] != row[5] {
+			t.Errorf("%s: R5 = %s, final WDev = %s", name, row[4], row[5])
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"kfusion/internal/eval"
 	"kfusion/internal/fusion"
-	"kfusion/internal/kb"
 )
 
 // report evaluates one fusion configuration over the dataset.
@@ -197,39 +196,45 @@ func Figure14(ds *Dataset) *Table {
 	tb := &Table{ID: "fig14", Title: "Convergence and sampling",
 		Header: []string{"Setting", "R1", "R2", "R3", "R4", "R5", "final WDev", "AUC-PR"}}
 
-	roundWDevs := func(cfg fusion.Config, key string) ([]float64, eval.Report) {
-		var wdevs []float64
-		cfg.Epsilon = 0 // force all rounds so the trace has full length
-		cfg.OnRound = func(round int, probs map[kb.Triple]float64) {
-			// Sorted triples: Calibration breaks probability ties by slice
-			// order, so preds must not be built in map iteration order.
-			ts := make([]kb.Triple, 0, len(probs))
-			for t := range probs {
-				ts = append(ts, t)
-			}
-			sort.Slice(ts, func(i, j int) bool { return ts[i].Encode() < ts[j].Encode() })
-			var preds []eval.Prediction
-			for _, t := range ts {
-				if label, ok := ds.Gold.Label(t); ok {
-					preds = append(preds, eval.Prediction{Prob: probs[t], Label: label})
-				}
-			}
-			wdevs = append(wdevs, eval.Calibration(preds, 20).WeightedDeviation())
+	// roundWDev is the WDev of a result's predicted, gold-labeled rows in
+	// encoded-triple order: Calibration sums each bucket in slice order, so
+	// the trace fixes one order rather than inherit the graph's.
+	roundWDev := func(res *fusion.Result) float64 {
+		type row struct {
+			key  string
+			pred eval.Prediction
 		}
-		res := fusion.MustFuse(fusion.Claims(ds.Extractions, cfg.Granularity), cfg)
-		return wdevs, eval.Evaluate(key, res, ds.Gold)
+		var rows []row
+		for _, f := range res.Triples {
+			if label, ok := ds.Gold.Label(f.Triple); ok && f.Predicted {
+				rows = append(rows, row{f.Triple.Encode(), eval.Prediction{Prob: f.Probability, Label: label}})
+			}
+		}
+		sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
+		preds := make([]eval.Prediction, len(rows))
+		for i, r := range rows {
+			preds[i] = r.pred
+		}
+		return eval.Calibration(preds, 20).WeightedDeviation()
 	}
 
+	// Round r's probabilities are exactly those of the same configuration
+	// capped at Rounds = r: nothing before the cap reads Rounds, and stage III
+	// reads the stamp round r left. A capped run that stops short of r has
+	// converged, and the trace ends there.
 	addTrace := func(name string, cfg fusion.Config) {
-		wdevs, rep := roundWDevs(cfg, name)
+		g := ds.Compiled(cfg.Granularity)
 		row := []any{name}
-		for i := 0; i < 5; i++ {
-			if i < len(wdevs) {
-				row = append(row, fmt.Sprintf("%.4f", wdevs[i]))
+		for r := 1; r <= 5; r++ {
+			capped := cfg
+			capped.Rounds = r
+			if res := g.MustFuse(capped); res.Rounds == r {
+				row = append(row, fmt.Sprintf("%.4f", roundWDev(res)))
 			} else {
 				row = append(row, "-")
 			}
 		}
+		rep := eval.Evaluate(name, g.MustFuse(cfg), ds.Gold)
 		row = append(row, fmt.Sprintf("%.4f", rep.WDev), fmt.Sprintf("%.4f", rep.AUCPR))
 		tb.AddRow(row...)
 	}

@@ -322,21 +322,6 @@ func TestSchemaMapperDeterministicAndScaled(t *testing.T) {
 	}
 }
 
-func TestUniqueTriples(t *testing.T) {
-	_, _, _, xs := testSetup(t, 43)
-	uniq := UniqueTriples(xs)
-	seen := map[kb.Triple]bool{}
-	for _, x := range uniq {
-		if seen[x.Triple] {
-			t.Fatal("UniqueTriples returned a duplicate")
-		}
-		seen[x.Triple] = true
-	}
-	if len(uniq) >= len(xs) {
-		t.Errorf("no deduplication happened: %d unique of %d", len(uniq), len(xs))
-	}
-}
-
 func TestExtractorPageLevelDeterminism(t *testing.T) {
 	w := world.MustGenerate(world.DefaultConfig(44))
 	corpus := web.MustGenerate(w, web.DefaultConfig(45))

@@ -179,17 +179,3 @@ func objectTag(o kb.Object) byte {
 		return 's'
 	}
 }
-
-// UniqueTriples returns the distinct triples in the extraction set.
-func UniqueTriples(xs []Extraction) []Extraction {
-	seen := make(map[string]bool, len(xs))
-	var out []Extraction
-	for _, x := range xs {
-		k := x.Triple.Encode()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, x)
-		}
-	}
-	return out
-}

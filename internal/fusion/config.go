@@ -53,7 +53,8 @@ type Config struct {
 	// Rounds is the forced termination cap R (paper: 5).
 	Rounds int
 	// Epsilon stops iteration early when no provenance accuracy moves by
-	// more than this between rounds.
+	// more than this between rounds. Epsilon <= 0 means 1e-4, not "never
+	// stop": a caller that needs a fixed number of rounds caps Rounds.
 	Epsilon float64
 	// SampleL caps the number of claims any single reducer considers, both
 	// per data item and per provenance (paper: 1M default, 1K works).
@@ -89,10 +90,6 @@ type Config struct {
 	// and shard counts — the approximation is elementwise and deterministic,
 	// only the per-lane rounding differs from the exact kernels.
 	FastMath bool
-
-	// OnRound, when set, receives the per-triple probabilities after each
-	// round — used by the convergence experiment (Figure 14).
-	OnRound func(round int, probs map[kb.Triple]float64)
 
 	// ClaimAccuracy, when set, overrides the accuracy used for a single
 	// claim given its provenance's estimated accuracy — the hook behind the

@@ -577,26 +577,6 @@ func (e *engine) stageIII(lastStamp int32, prob []float64) {
 	})
 }
 
-// reportRound surfaces per-round probabilities to the OnRound callback.
-func (e *engine) reportRound(round int) {
-	if e.cfg.OnRound == nil {
-		return
-	}
-	g := e.g
-	stamp := int32(round + 1)
-	// Sized up front from the compiled triple set so the map never rehashes.
-	probs := make(map[kb.Triple]float64, len(g.triples))
-	for t := range g.triples {
-		for _, c := range g.tripleClaims[g.tripleClaimStart[t]:g.tripleClaimStart[t+1]] {
-			if e.claimStamp[c] == stamp {
-				probs[g.triples[t]] = e.claimProb[c]
-				break
-			}
-		}
-	}
-	e.cfg.OnRound(round, probs)
-}
-
 // sampleClaims caps an item's claim list at SampleL with a deterministic
 // reservoir (the paper's L sampling). The stream order and seed match the
 // seed engine's, so the sampled subset is identical.

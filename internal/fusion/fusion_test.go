@@ -333,24 +333,6 @@ func TestSamplingCapStillPredicts(t *testing.T) {
 	}
 }
 
-func TestOnRoundCallback(t *testing.T) {
-	cfg := PopAccuConfig()
-	cfg.Rounds = 3
-	cfg.Epsilon = 0 // force full rounds
-	var rounds []int
-	cfg.OnRound = func(r int, probs map[kb.Triple]float64) {
-		rounds = append(rounds, r)
-		if len(probs) == 0 {
-			t.Error("empty probs in OnRound")
-		}
-	}
-	claims := []Claim{cl("s", "p", "a", "p1"), cl("s", "p", "b", "p2"), cl("s", "p", "a", "p3")}
-	MustFuse(claims, cfg)
-	if len(rounds) != 3 {
-		t.Errorf("OnRound fired %d times, want 3", len(rounds))
-	}
-}
-
 func TestConvergenceStopsEarly(t *testing.T) {
 	cfg := PopAccuConfig()
 	cfg.Rounds = 50

@@ -91,12 +91,10 @@ func FuseReference(claims []Claim, cfg Config) (*Result, error) {
 	if cfg.Method == Vote {
 		lastProbs = e.stageI(0)
 		rounds = 1
-		e.reportRound(0, lastProbs)
 	} else {
 		// The paper forces termination after R rounds.
 		for rounds < cfg.Rounds {
 			lastProbs = e.stageI(rounds)
-			e.reportRound(rounds, lastProbs)
 			rounds++
 			if e.stageII(lastProbs) < cfg.Epsilon {
 				break
@@ -401,20 +399,6 @@ func (e *refEngine) stageIII(entries []probEntry) *Result {
 		res.Triples = append(res.Triples, f)
 	}
 	return res
-}
-
-// reportRound surfaces per-round probabilities to the OnRound callback.
-func (e *refEngine) reportRound(round int, entries []probEntry) {
-	if e.cfg.OnRound == nil {
-		return
-	}
-	// Sized for the worst case (every entry a distinct triple) so the map
-	// never rehashes while filling.
-	probs := make(map[kb.Triple]float64, len(entries))
-	for _, pe := range entries {
-		probs[e.claims[pe.idx].Triple] = pe.prob
-	}
-	e.cfg.OnRound(round, probs)
 }
 
 // sampleClaims caps a reducer's claim list at SampleL with a deterministic

@@ -13,8 +13,8 @@ import (
 // one loop whether it runs over one graph or a thousand shards, and
 // FuseLockstep is that loop: the only place in this package where rounds
 // are counted, gold labels initialize accuracies, a previous result seeds a
-// warm start, VOTE takes its single pass, the convergence test runs and
-// OnRound fires. It drives one Run per graph: every Run scores its items
+// warm start, VOTE takes its single pass and the convergence test runs. It
+// drives one Run per graph: every Run scores its items
 // (StageI) under the current global accuracies, reports each provenance's
 // stage-II statistic (ProvPartials), and the driver folds a provenance's
 // partials across the graphs holding it, divides, and broadcasts the new
@@ -30,9 +30,8 @@ import (
 
 // Run is the step engine over one compiled graph: the engine state with the
 // EM stages exposed one at a time, for FuseLockstep (and for callers that
-// time or trace the stages) to sequence. A Run never counts rounds and never
-// invokes Config.OnRound. Not safe for concurrent use; one Run per
-// goroutine.
+// time or trace the stages) to sequence. A Run never counts rounds. Not safe
+// for concurrent use; one Run per goroutine.
 type Run struct {
 	c         *Compiled
 	e         *engine
@@ -148,8 +147,6 @@ func finish(runs []*Run, provs *csr.IDTable, rounds int) *Posterior {
 // (identity). Provenances prev holds an accuracy for start at that accuracy
 // and count as evaluated; gold initialization (§4.3.3), when configured,
 // overrides both the default and the seed for labeled provenances.
-// Config.OnRound is honoured for a single graph only — a shard's round is a
-// partial view.
 //
 // The seed is dense when it can be. A posterior's Seed keeps its accuracies
 // in global-ID order beside the key column those IDs index; when prev's key
@@ -183,9 +180,6 @@ func finish(runs []*Run, provs *csr.IDTable, rounds int) *Posterior {
 func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed) (*Posterior, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("fusion: FuseLockstep needs at least one graph")
-	}
-	if len(graphs) > 1 && cfg.OnRound != nil {
-		return nil, fmt.Errorf("fusion: Config.OnRound is not supported in sharded fusion")
 	}
 	for s, g := range graphs {
 		if g == nil {
@@ -264,7 +258,6 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 			r.StageI(0)
 		}
 		rounds = 1
-		runs[0].e.reportRound(0)
 	} else {
 		// Each engine owns its stage-II partial buffers and keeps them across
 		// generations.
@@ -283,7 +276,6 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 			for _, r := range runs {
 				r.StageI(round)
 			}
-			runs[0].e.reportRound(round)
 			for s, r := range runs {
 				r.ProvPartials(round, sums[s], cnts[s])
 			}

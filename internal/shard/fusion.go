@@ -114,8 +114,7 @@ func (f *Fusion) extendProvs(s int) {
 
 // Fuse runs one fusion configuration across the shards and merges the
 // results: fused triples in shard-major compiled order, the global
-// provenance-accuracy map, and Rounds from the lockstep loop. The OnRound
-// hook is rejected for K > 1 (a shard's round is a partial view).
+// provenance-accuracy map, and Rounds from the lockstep loop.
 func (f *Fusion) Fuse(cfg fusion.Config) (*fusion.Result, error) {
 	return f.FuseWarm(cfg, nil)
 }

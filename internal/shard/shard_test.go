@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"kfusion/internal/extract"
@@ -57,12 +55,16 @@ func fusionConfigs() map[string]fusion.Config {
 	pop := fusion.PopAccuConfig()
 	popPlus := fusion.PopAccuPlusConfig(goldLabeler)
 	unsup := fusion.PopAccuPlusUnsupConfig()
+	// Capped before convergence: the shards agree on a round prefix too.
+	pop2 := fusion.PopAccuConfig()
+	pop2.Rounds = 2
 	return map[string]fusion.Config{
-		"vote":     vote,
-		"accu":     accu,
-		"popaccu":  pop,
-		"popplus":  popPlus,
-		"popunsup": unsup,
+		"vote":       vote,
+		"accu":       accu,
+		"popaccu":    pop,
+		"popaccu-R2": pop2,
+		"popplus":    popPlus,
+		"popunsup":   unsup,
 	}
 }
 
@@ -336,56 +338,6 @@ func TestFuseShardsMatchesCoordinator(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireBitIdentical(t, fmt.Sprintf("FuseShards/K=%d", k), want, got)
-	}
-}
-
-// TestFusionShardOnRound: the round driver is OnRound's one owner. A single
-// graph — through the coordinator's table path as much as through the
-// unsharded identity path — streams the same per-round probabilities; K > 1
-// is refused, because a shard's round is a partial view.
-func TestFusionShardOnRound(t *testing.T) {
-	xs := testExtractions(rand.New(rand.NewSource(16)), 1500)
-	cfg := fusion.PopAccuConfig()
-	var want, got []map[kb.Triple]float64
-	record := func(dst *[]map[kb.Triple]float64) func(int, map[kb.Triple]float64) {
-		return func(round int, probs map[kb.Triple]float64) {
-			if round != len(*dst) {
-				t.Errorf("OnRound fired for round %d after %d rounds", round, len(*dst))
-			}
-			*dst = append(*dst, probs)
-		}
-	}
-	cfg.OnRound = record(&want)
-	res := unshardedFuse(t, xs, cfg)
-	if len(want) != res.Rounds {
-		t.Fatalf("unsharded OnRound fired %d times over %d rounds", len(want), res.Rounds)
-	}
-	cfg.OnRound = record(&got)
-	shardedFuse(t, xs, 1, cfg)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("K=1 OnRound stream differs from the unsharded one (%d vs %d rounds)", len(got), len(want))
-	}
-
-	f, err := NewFusion(3, cfg.Granularity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Append(xs); err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	cfg.OnRound = func(int, map[kb.Triple]float64) { fired++ }
-	graphs := []*fusion.Compiled{f.Shard(0), f.Shard(1), f.Shard(2)}
-	for name, fuse := range map[string]func() (*fusion.Result, error){
-		"Fuse":       func() (*fusion.Result, error) { return f.Fuse(cfg) },
-		"FuseShards": func() (*fusion.Result, error) { return FuseShards(graphs, cfg, nil) },
-	} {
-		if _, err := fuse(); err == nil || !strings.Contains(err.Error(), "not supported in sharded fusion") {
-			t.Errorf("K=3 %s with OnRound: err = %v, want the not-supported error", name, err)
-		}
-	}
-	if fired != 0 {
-		t.Errorf("OnRound fired %d times on refused K=3 runs", fired)
 	}
 }
 

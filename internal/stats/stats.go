@@ -179,21 +179,6 @@ func (c *AccuracyCurve) RateBetween(lo, hi int) (float64, int) {
 	return float64(hits) / float64(total), total
 }
 
-// Bucketize returns the curve resampled into x-buckets of the given width:
-// bucket k covers [k*width, (k+1)*width).
-func (c *AccuracyCurve) Bucketize(width int) *AccuracyCurve {
-	if width < 1 {
-		width = 1
-	}
-	out := NewAccuracyCurve()
-	for x, n := range c.total {
-		b := x / width
-		out.total[b] += n
-		out.hits[b] += c.hits[x]
-	}
-	return out
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs by linear
 // interpolation; it sorts a copy.
 func Quantile(xs []float64, q float64) float64 {

@@ -116,10 +116,6 @@ func TestAccuracyCurve(t *testing.T) {
 	if r, n := c.RateBetween(0, 10); n != 20 || math.Abs(r-0.55) > 1e-12 {
 		t.Errorf("RateBetween = %v,%v", r, n)
 	}
-	b := c.Bucketize(10)
-	if r, n := b.Rate(0); n != 20 || math.Abs(r-0.55) > 1e-12 {
-		t.Errorf("Bucketize Rate(0) = %v,%v", r, n)
-	}
 }
 
 func TestQuantile(t *testing.T) {

@@ -182,16 +182,6 @@ func (p *Page) Mentions() []Mention {
 	return out
 }
 
-// HasContentType reports whether the page carries a block of type c.
-func (p *Page) HasContentType(c ContentType) bool {
-	for i := range p.Blocks {
-		if p.Blocks[i].Type == c {
-			return true
-		}
-	}
-	return false
-}
-
 // Corpus is the crawled synthetic Web.
 type Corpus struct {
 	Pages []*Page

@@ -257,17 +257,6 @@ func TestPageMentionHelpers(t *testing.T) {
 	if got := len(p.Mentions()); got != total {
 		t.Errorf("Page.Mentions = %d, sum of blocks = %d", got, total)
 	}
-	for _, ct := range ContentTypes() {
-		has := false
-		for i := range p.Blocks {
-			if p.Blocks[i].Type == ct {
-				has = true
-			}
-		}
-		if p.HasContentType(ct) != has {
-			t.Errorf("HasContentType(%s) inconsistent", ct)
-		}
-	}
 }
 
 func TestGeneralizedMentionsStillTrue(t *testing.T) {
