@@ -32,14 +32,14 @@ race:
 
 # fault runs the durability suite under the race detector: the genstore
 # crash-consistency property sweep (recovery after a crash at every sampled
-# I/O step is bit-identical to the uncrashed run, clean and torn-rename),
-# the degradation-ladder tests, and the faultfs crash model itself.
+# I/O step is bit-identical to the uncrashed run, clean and torn-rename, for
+# the one-graph chain and a K=3 sharded one), the degradation-ladder tests, and the faultfs crash model itself.
 fault:
 	$(GO) test -race ./internal/genstore/ ./internal/faultfs/ ./internal/kbstore/ ./internal/kfio/
 
 # fuzz-smoke gives each fuzz target a short budget, short enough for every CI
 # push: the corruption-facing ones, long enough to catch a decoder regression
-# on mutated snapshot/journal/JSONL bytes (FuzzDecodeExtraction: the
+# on mutated snapshot (K=1 and K=3 seeds)/journal/JSONL bytes (FuzzDecodeExtraction: the
 # schema-specialised extraction decoder ≡ encoding/json, line by line), and
 # the engine-level ones — any chunking of a feed through Append builds the
 # graph one Compile builds, and a warm two-layer chain on recycled engines

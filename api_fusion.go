@@ -62,14 +62,8 @@ var (
 var (
 	// ShardOf reports which of k shards a data item routes to.
 	ShardOf = shard.Of
-	// SplitClaimsSharded partitions a claim set by data item into k slices.
-	SplitClaimsSharded = shard.SplitClaims
 	// SplitExtractionsSharded partitions an extraction set by data item.
 	SplitExtractionsSharded = shard.SplitExtractions
-	// FuseSharded runs one lockstep sharded fusion over per-shard compiled
-	// claim graphs (graphs[i] holding the claims whose items route to shard
-	// i), optionally warm-started from a previous result.
-	FuseSharded = shard.FuseShards
 )
 
 // Provenance granularities from the paper's experiments.

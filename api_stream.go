@@ -55,8 +55,9 @@ var (
 
 // Sharded streaming surface: grow K item-partitioned shards by appending
 // extraction batches (each shard's graph and dedup set stay self-contained
-// and bounded), fuse them in lockstep, and persist them one genstore state
-// directory per shard. See internal/shard and `kfuse -shards`.
+// and bounded) and fuse them in lockstep. Durably, K is a parameter of the
+// one append chain: `kfuse -shards K -state DIR` keeps the K graphs in one
+// genstore state directory. See internal/shard and internal/genstore.
 type (
 	// ShardedFusion is the K-shard claim-fusion coordinator: Append batches,
 	// then Fuse/FuseWarm in lockstep EM rounds.
@@ -64,22 +65,11 @@ type (
 	// ShardedTwoLayer is the K-shard coordinator for the §5.1 two-layer
 	// model, with the cross-shard ghost-extractor corrections.
 	ShardedTwoLayer = shard.TwoLayer
-	// ShardStores bundles one durable genstore per shard with lockstep
-	// batch appends and crash-skew detection.
-	ShardStores = shard.Stores
 )
 
 var (
 	// NewShardedFusion returns an empty K-shard fusion pipeline.
 	NewShardedFusion = shard.NewFusion
-	// NewShardedFusionFromShards reassembles a coordinator over restored
-	// per-shard graphs (e.g. from ShardStores states).
-	NewShardedFusionFromShards = shard.NewFusionFromShards
 	// NewShardedTwoLayer returns an empty K-shard two-layer pipeline.
 	NewShardedTwoLayer = shard.NewTwoLayer
-	// OpenShardStores opens (or creates) the per-shard genstore directories
-	// under one state root, refusing crash-skewed layouts.
-	OpenShardStores = shard.OpenStores
-	// ShardStateDir names shard s's state directory under a root.
-	ShardStateDir = shard.ShardDir
 )

@@ -28,11 +28,12 @@
 // fused in lockstep with deterministic cross-shard merges (internal/shard):
 // each shard compiles, appends and fuses in bounded memory, which is what
 // holds a web-scale feed. K=1 is bit-identical to the unsharded pipeline;
-// K>1 agrees within the documented RefTol. With -append -state the state
-// directory holds one generation store per shard (DIR/shard-000 …); sharded
-// durable state supports the claim-layer methods (for twolayer, -shards
-// runs in memory only). See docs/OPERATIONS.md for the recovery ladder and
-// its one sharded caveat (the warm chain restarts from the last snapshot).
+// K>1 agrees within the documented RefTol. K is a parameter of the one
+// chain, so every K runs the same path, and with -append -state the state
+// directory is one generation store whatever K (it records K and refuses to
+// be reopened at another). Durable sharded state supports the claim-layer
+// methods; for twolayer, -shards runs in memory only. See docs/OPERATIONS.md
+// for the recovery ladder.
 package main
 
 import (
@@ -50,7 +51,6 @@ import (
 	"kfusion/internal/kbstore"
 	"kfusion/internal/kfio"
 	"kfusion/internal/multitruth"
-	"kfusion/internal/shard"
 	"kfusion/internal/twolayer"
 )
 
@@ -194,41 +194,22 @@ type job struct {
 	twoLayer *twolayer.Config // non-nil selects the §5.1 two-layer model
 }
 
-// chain is the job's append chain: the full configuration on every chunk,
-// each warm-started from the previous chunk's result.
+// chain is the job's append chain over its K shards: the full configuration
+// on every chunk, each warm-started from the previous chunk's result.
 func (j *job) chain() *genstore.Chain {
 	if j.twoLayer != nil {
-		return genstore.TwoLayerChain(*j.twoLayer, 0)
+		return genstore.TwoLayerChain(*j.twoLayer, 0, j.shards)
 	}
-	return genstore.ClaimChain(j.method, j.claim, 0)
+	return genstore.ClaimChain(j.method, j.claim, 0, j.shards)
 }
 
-// run streams the feed through the step function the job's placement
-// selects and returns the fused result over everything consumed, with the
-// consumed record count.
+// run streams the feed through the job's append chain and returns the fused
+// result over everything consumed, with the consumed record count. With a
+// state directory it opens (or resumes) a generation store, reports any
+// recovery degradations, skips the feed records the recovered state already
+// consumed, journals each new batch before applying it and snapshots at the
+// end; without one the same chain runs in memory only.
 func (j *job) run() (*fusion.Result, int) {
-	var res *fusion.Result
-	var n int
-	switch {
-	case j.shards == 1:
-		res, n = j.runAppend()
-	case j.stateDir == "":
-		res, n = j.runSharded()
-	default:
-		res, n = j.runShardedDurable()
-	}
-	if res == nil {
-		log.Fatal("no extractions fused: input is empty or ends mid-record before its first complete chunk")
-	}
-	return res, n
-}
-
-// runAppend is the unsharded chain. With a state directory it opens (or
-// resumes) a generation store, reports any recovery degradations, skips the
-// feed records the recovered state already consumed, journals each new batch
-// before applying it and snapshots at the end; without one the same chain
-// runs in memory only.
-func (j *job) runAppend() (*fusion.Result, int) {
 	chain := j.chain()
 	var store *genstore.Store
 	st := &genstore.State{}
@@ -260,10 +241,7 @@ func (j *job) runAppend() (*fusion.Result, int) {
 		}
 		// The chain leaves the posterior in its native form; a chunk's
 		// progress line needs its size and round count, not its rows.
-		if st.Ext != nil {
-			return posteriorProgress(st.Posterior, fmt.Sprintf("%d statements", st.Ext.NumStatements())), nil
-		}
-		return posteriorProgress(st.Posterior, fmt.Sprintf("%d claims", st.Claim.NumClaims())), nil
+		return progress{triples: st.Posterior.Len(), rounds: st.Posterior.Rounds, size: chainSize(st)}, nil
 	})
 	// Materialised once, after the last chunk: the final snapshot stores the
 	// exchange form and the caller writes it out.
@@ -272,136 +250,24 @@ func (j *job) runAppend() (*fusion.Result, int) {
 			log.Fatal(err)
 		}
 	}
-	return st.Fused(), st.Consumed
+	res := st.Fused()
+	if res == nil {
+		log.Fatal("no extractions fused: input is empty or ends mid-record before its first complete chunk")
+	}
+	return res, st.Consumed
 }
 
-// runSharded is the in-memory -shards chain: a K-shard coordinator routes
-// each chunk by data item, grows the shard graphs and fuses them in lockstep,
-// warm-started from the previous chunk's posterior. As in the unsharded
-// chain the posterior stays in its native form from chunk to chunk — a
-// progress line needs its size and round count — and is materialised once,
-// after the last.
-func (j *job) runSharded() (*fusion.Result, int) {
-	var post *fusion.Posterior
-	var step func(batch []extract.Extraction) (progress, error)
-	if tc := j.twoLayer; tc != nil {
-		tl, err := shard.NewTwoLayer(j.shards, tc.SiteLevel)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var warm *twolayer.State
-		step = func(batch []extract.Extraction) (progress, error) {
-			tl.Append(batch)
-			var err error
-			if post, warm, err = tl.FusePosterior(*tc, warm); err != nil {
-				return progress{}, err
-			}
-			return posteriorProgress(post, fmt.Sprintf("%d statements over %d shards", tl.NumStatements(), j.shards)), nil
-		}
-	} else {
-		f, err := shard.NewFusion(j.shards, j.claim.Granularity)
-		if err != nil {
-			log.Fatal(err)
-		}
-		step = func(batch []extract.Extraction) (progress, error) {
-			if err := f.Append(batch); err != nil {
-				return progress{}, err
-			}
-			var err error
-			if post, err = f.FusePosterior(j.claim, post.Seed()); err != nil {
-				return progress{}, err
-			}
-			return posteriorProgress(post, fmt.Sprintf("%d claims over %d shards", f.NumClaims(), j.shards)), nil
-		}
+// chainSize describes a state's graphs for a progress line.
+func chainSize(st *genstore.State) string {
+	switch {
+	case st.Ext != nil:
+		return fmt.Sprintf("%d statements", st.Ext.NumStatements())
+	case st.Claim != nil:
+		return fmt.Sprintf("%d claims", st.Claim.NumClaims())
+	case st.ExtShards != nil:
+		return fmt.Sprintf("%d statements over %d shards", st.ExtShards.NumStatements(), st.ExtShards.K())
 	}
-	n := j.streamChunks(0, false, step)
-	if post == nil {
-		return nil, n
-	}
-	return post.Result(), n
-}
-
-// runShardedDurable is the -shards -state chain for the claim-layer methods:
-// the graphs persist in one generation store per shard (shard.Stores), grown
-// by the chain's Grow step — live appends and journal replay run the
-// identical code — while fusion is coordinator-level, outside the per-shard
-// apply. Batches journal before they apply, graphs snapshot at the end, and
-// a restarted run resumes the graphs bit-identically; the warm chain itself
-// restarts from the last snapshot's merged result (see docs/OPERATIONS.md).
-func (j *job) runShardedDurable() (*fusion.Result, int) {
-	chain := j.chain()
-	stores, states, err := shard.OpenStores(j.stateDir, j.shards, chain.Grow)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stores.Close()
-	for _, d := range stores.Degradations() {
-		log.Printf("state recovery: %s", d)
-	}
-	for s, st := range states {
-		if err := chain.Check(st); err != nil {
-			log.Fatalf("shard %d: %v", s, err)
-		}
-	}
-	prev := states[0].Result // persisted merged result, the warm seed
-	graphs := func() []*fusion.Compiled {
-		gs := make([]*fusion.Compiled, len(states))
-		for s, st := range states {
-			gs[s] = st.Claim
-		}
-		return gs
-	}
-	fused := false
-	j.streamChunks(shard.Consumed(states), true, func(batch []extract.Extraction) (progress, error) {
-		if err := stores.Append(states, batch); err != nil {
-			return progress{}, err
-		}
-		res, err := shard.FuseShards(graphs(), j.claim, prev)
-		if err != nil {
-			return progress{}, err
-		}
-		prev, fused = res, true
-		return progressOf(res, fmt.Sprintf("%d shards", j.shards)), nil
-	})
-	if prev != nil && !fused && staleResult(prev, graphs()) {
-		// Crash window: journal replay advanced the graphs past the last
-		// snapshot's merged result and the feed brought nothing new to
-		// trigger a fuse. Re-fuse so the output covers the replayed batches;
-		// a clean rerun (counts agree) reuses the stored result byte-for-byte.
-		res, err := shard.FuseShards(graphs(), j.claim, prev)
-		if err != nil {
-			log.Fatal(err)
-		}
-		prev = res
-	}
-	if prev == nil {
-		return nil, 0
-	}
-	states[0].Result = prev
-	if err := stores.Snapshot(states); err != nil {
-		log.Fatal(err)
-	}
-	return prev, shard.Consumed(states)
-}
-
-// staleResult reports whether a persisted merged result no longer covers the
-// recovered graphs — the signature of a crash after journaled appends but
-// before the end-of-run snapshot. Triple and provenance counts only grow, so
-// a mismatch is conclusive; equality can in principle miss a replayed batch
-// of purely duplicate-shape claims, which perturbs accuracies but not the
-// covered sets.
-func staleResult(res *fusion.Result, graphs []*fusion.Compiled) bool {
-	triples, provs := 0, make(map[string]bool, len(res.ProvAccuracy))
-	for _, g := range graphs {
-		if g == nil {
-			continue
-		}
-		triples += g.NumTriples()
-		for p := 0; p < g.NumProvenances(); p++ {
-			provs[g.ProvKey(p)] = true
-		}
-	}
-	return triples != len(res.Triples) || len(provs) != len(res.ProvAccuracy)
+	return fmt.Sprintf("%d claims over %d shards", st.ClaimShards.NumClaims(), st.ClaimShards.K())
 }
 
 // readFeed loads a whole JSONL extraction file.
@@ -423,14 +289,6 @@ func readFeed(in string) []extract.Extraction {
 type progress struct {
 	triples, rounds int
 	size            string
-}
-
-func progressOf(res *fusion.Result, size string) progress {
-	return progress{triples: len(res.Triples), rounds: res.Rounds, size: size}
-}
-
-func posteriorProgress(post *fusion.Posterior, size string) progress {
-	return progress{triples: post.Len(), rounds: post.Rounds, size: size}
 }
 
 // streamChunks is the one chunked-feed loop: it reads the feed in

@@ -110,15 +110,16 @@
 //     re-estimation. internal/shard is that decomposition in-process:
 //     extractions route to shards by DataItem hash (ShardOf), each shard
 //     owns a self-contained compiled graph built in bounded memory, and a
-//     coordinator (NewShardedFusion, NewShardedTwoLayer, FuseSharded)
+//     coordinator (NewShardedFusion, NewShardedTwoLayer)
 //     hands the K graphs and its cross-shard ID tables to the engine's one
 //     EM round driver — the same loop Fuse and FuseTwoLayer run over a
 //     single graph — which steps the shards in lockstep, folding
 //     cross-shard M-step partials with the same fixed pairwise tree as the
 //     in-graph block reductions. K=1 is therefore the same code as the
 //     unsharded engines (bit-identical); K>1 agrees within the documented
-//     tolerance (pinned by shard-count-independence property tests). OpenShardStores nests one genstore per shard for durable
-//     sharded runs (`kfuse -shards K -state DIR`), and `go run ./benchmark
+//     tolerance (pinned by shard-count-independence property tests). A
+//     durable sharded run (`kfuse -shards K -state DIR`) is one genstore
+//     store whose append chain carries K, and `go run ./benchmark
 //     -segments 47` streams a 10M-record feed through the same workloads.
 //
 //     Performance is judged end to end by the benchmark/ program against
@@ -183,10 +184,10 @@
 //	api_kb.go      triple model: Triple, Object, DataItem, Store
 //	api_synth.go   synthesis: World, Corpus, ExtractorSuite, Dataset, Synthesize
 //	api_fusion.go  batch fusion: FuseConfig presets, CompiledClaims,
-//	               granularities, shard routing (ShardOf, FuseSharded)
+//	               granularities, shard routing (ShardOf)
 //	api_stream.go  incremental fusion: ClaimStream, Append/FuseWarm surface,
 //	               two-layer model, sharded coordinators (ShardedFusion,
-//	               ShardedTwoLayer, ShardStores)
+//	               ShardedTwoLayer)
 //	api_eval.go    evaluation and experiments: Evaluate, Reports, Experiments
 //	api_serve.go   serving: Server, Client, wire DTOs, typed Err* sentinels
 //

@@ -23,7 +23,7 @@ import (
 // a reopen, is dropped exactly as the live stream drops it — live, reopened
 // and a one-shot compile of the concatenated feed agree.
 func TestReopenedStreamDropsDuplicates(t *testing.T) {
-	chain := testChain()
+	chain := testChain(1)
 	head := testFeed(feedLen)
 	// The tail repeats the head's first records verbatim, then brings news.
 	tail := append(append([]extract.Extraction(nil), head[:20]...), testFeed(feedLen + 15)[feedLen:]...)
@@ -106,8 +106,8 @@ func TestWarmRoundBudget(t *testing.T) {
 		chain func(warm int) *Chain
 		full  int
 	}{
-		{"claim", func(warm int) *Chain { return ClaimChain("popaccu", fc, warm) }, fc.Rounds},
-		{"twolayer", func(warm int) *Chain { return TwoLayerChain(tc, warm) }, tc.Rounds},
+		{"claim", func(warm int) *Chain { return ClaimChain("popaccu", fc, warm, 1) }, fc.Rounds},
+		{"twolayer", func(warm int) *Chain { return TwoLayerChain(tc, warm, 1) }, tc.Rounds},
 	} {
 		for _, warm := range []int{0, 1, 3} {
 			chain, st := tt.chain(warm), &State{}
@@ -128,9 +128,10 @@ func TestWarmRoundBudget(t *testing.T) {
 }
 
 // TestCheckRefusesForeignState pins the State.Method contract in its one
-// place: a state grown under another method, claim granularity or two-layer
-// source level is refused — by Check, and by Grow before it touches the
-// state, which is what covers journal replay onto a foreign snapshot.
+// place: a state grown under another method, claim granularity, two-layer
+// source level or shard count is refused — by Check, and by Apply before it
+// touches the state, which is what covers journal replay onto a foreign
+// snapshot.
 func TestCheckRefusesForeignState(t *testing.T) {
 	grown := func(c *Chain) *State {
 		st := &State{}
@@ -144,8 +145,8 @@ func TestCheckRefusesForeignState(t *testing.T) {
 	siteLevel := twolayer.DefaultConfig()
 	siteLevel.SiteLevel = true
 
-	popaccu := ClaimChain("popaccu", fusion.PopAccuConfig(), 0)
-	twoLayer := TwoLayerChain(twolayer.DefaultConfig(), 0)
+	popaccu := ClaimChain("popaccu", fusion.PopAccuConfig(), 0, 1)
+	twoLayer := TwoLayerChain(twolayer.DefaultConfig(), 0, 1)
 	for _, tt := range []struct {
 		name    string
 		st      *State
@@ -154,17 +155,20 @@ func TestCheckRefusesForeignState(t *testing.T) {
 	}{
 		{"same chain", grown(popaccu), popaccu, ""},
 		{"empty state", &State{}, twoLayer, ""},
-		{"same method, other rounds", grown(popaccu), ClaimChain("popaccu", fusion.PopAccuConfig(), 1), ""},
-		{"foreign claim method", grown(ClaimChain("vote", fusion.VoteConfig(), 0)), popaccu, "method"},
+		{"same method, other rounds", grown(popaccu), ClaimChain("popaccu", fusion.PopAccuConfig(), 1, 1), ""},
+		{"foreign claim method", grown(ClaimChain("vote", fusion.VoteConfig(), 0, 1)), popaccu, "method"},
 		{"claim state under twolayer", grown(popaccu), twoLayer, "method"},
 		{"twolayer state under claim", grown(twoLayer), popaccu, "method"},
-		{"foreign granularity", grown(ClaimChain("popaccu", site, 0)), popaccu, "granularity"},
-		{"foreign site level", grown(TwoLayerChain(siteLevel, 0)), twoLayer, "site-level"},
+		{"foreign granularity", grown(ClaimChain("popaccu", site, 0, 1)), popaccu, "granularity"},
+		{"foreign site level", grown(TwoLayerChain(siteLevel, 0, 1)), twoLayer, "site-level"},
+		{"sharded state under one graph", grown(ClaimChain("popaccu", fusion.PopAccuConfig(), 0, 3)), popaccu, "K=3 graphs, chain runs K=1"},
+		{"one-graph state under K=3", grown(popaccu), ClaimChain("popaccu", fusion.PopAccuConfig(), 0, 3), "K=1 graphs, chain runs K=3"},
+		{"sharded twolayer state under one graph", grown(TwoLayerChain(twolayer.DefaultConfig(), 0, 3)), twoLayer, "K=3 graphs, chain runs K=1"},
 	} {
 		before, method := stateFingerprint(t, tt.st), tt.st.Method
 		for op, err := range map[string]error{
 			"Check": tt.chain.Check(tt.st),
-			"Grow":  tt.chain.Grow(tt.st, nil),
+			"Apply": tt.chain.Apply(tt.st, testFeed(chunkLen)),
 		} {
 			if tt.refused == "" {
 				if err != nil {
@@ -175,7 +179,7 @@ func TestCheckRefusesForeignState(t *testing.T) {
 			}
 		}
 		if tt.refused != "" && (tt.st.Method != method || !bytes.Equal(stateFingerprint(t, tt.st), before)) {
-			t.Errorf("%s: refused Grow still changed the state", tt.name)
+			t.Errorf("%s: refused Apply still changed the state", tt.name)
 		}
 	}
 }
@@ -201,8 +205,8 @@ func TestTriplePositionsAreAppendStable(t *testing.T) {
 	const batch = 60
 	feed := growingFeed(9, 12*batch)
 	for name, chain := range map[string]*Chain{
-		"popaccu":  ClaimChain("popaccu", fusion.PopAccuConfig(), 1),
-		"twolayer": TwoLayerChain(twolayer.DefaultConfig(), 1),
+		"popaccu":  ClaimChain("popaccu", fusion.PopAccuConfig(), 1, 1),
+		"twolayer": TwoLayerChain(twolayer.DefaultConfig(), 1, 1),
 	} {
 		mem := faultfs.NewMem()
 		store, st, err := OpenFS(mem, chain.Apply)
@@ -273,8 +277,8 @@ func TestApplyLeavesTheNativeForm(t *testing.T) {
 	feed := growingFeed(3, 8*batch)
 	fc, tc := fusion.PopAccuPlusUnsupConfig(), twolayer.DefaultConfig()
 	for name, chain := range map[string]*Chain{
-		"popaccu+unsup": ClaimChain("popaccu+unsup", fc, 1),
-		"twolayer":      TwoLayerChain(tc, 1),
+		"popaccu+unsup": ClaimChain("popaccu+unsup", fc, 1, 1),
+		"twolayer":      TwoLayerChain(tc, 1, 1),
 	} {
 		st := &State{}
 		var want *fusion.Result // the public-API chain
@@ -335,8 +339,8 @@ func TestAdoptRecoveredResult(t *testing.T) {
 	const batch = 90
 	feed := growingFeed(11, 4*batch)
 	for name, chain := range map[string]*Chain{
-		"popaccu+unsup": ClaimChain("popaccu+unsup", fusion.PopAccuPlusUnsupConfig(), 1),
-		"twolayer":      TwoLayerChain(twolayer.DefaultConfig(), 1),
+		"popaccu+unsup": ClaimChain("popaccu+unsup", fusion.PopAccuPlusUnsupConfig(), 1, 1),
+		"twolayer":      TwoLayerChain(twolayer.DefaultConfig(), 1, 1),
 	} {
 		// recovered(n) is the state after n batches as a reopen finds it.
 		recovered := func(n int) *State {
@@ -437,7 +441,7 @@ func TestAdoptRecoveredResult(t *testing.T) {
 // accuracies by key, so a NaN or out-of-range one would flow into every later
 // generation; a probability that is not -1 or in [0,1], or a Predicted flag
 // that disagrees with the sentinel, would be served. The chain refuses them
-// where a recovered state is first used — Check (which Grow, and so a replayed
+// where a recovered state is first used — Check (which Apply, and so a replayed
 // or a live batch, runs first) and Adopt — with the error a foreign result
 // gets. A state the chain wrote itself passes, also when the open replays
 // journaled batches onto it.
@@ -445,8 +449,8 @@ func TestRecoveredResultValuesAreValidated(t *testing.T) {
 	const batch = 90
 	feed := growingFeed(11, 6*batch)
 	for name, chain := range map[string]*Chain{
-		"popaccu+unsup": ClaimChain("popaccu+unsup", fusion.PopAccuPlusUnsupConfig(), 1),
-		"twolayer":      TwoLayerChain(twolayer.DefaultConfig(), 1),
+		"popaccu+unsup": ClaimChain("popaccu+unsup", fusion.PopAccuPlusUnsupConfig(), 1, 1),
+		"twolayer":      TwoLayerChain(twolayer.DefaultConfig(), 1, 1),
 	} {
 		// recovered is the state after three batches and a snapshot, with
 		// `journaled` more batches behind the snapshot, as a reopen finds it;
@@ -540,7 +544,6 @@ func TestRecoveredResultValuesAreValidated(t *testing.T) {
 			for op, err := range map[string]error{
 				"Check": chain.Check(st),
 				"Adopt": chain.Adopt(st),
-				"Grow":  chain.Grow(st, feed[3*batch:4*batch]),
 				"Apply": chain.Apply(st, feed[3*batch:4*batch]),
 			} {
 				if err == nil || !strings.Contains(err.Error(), "not its graph's") {
@@ -565,13 +568,13 @@ func TestRecoveredResultValuesAreValidated(t *testing.T) {
 // and nothing downstream looks at these values again — a short vector is
 // silently padded with the initial values, a NaN accuracy passes every
 // clamp, a rate of 0 or beyond goes into a logarithm — so the chain refuses
-// them where a recovered state is first used: Check (which Grow, and so a
+// them where a recovered state is first used: Check (which Apply, and so a
 // replayed or a live batch, runs first) and Adopt. A state the chain wrote
 // itself passes, also when the open replays journaled batches onto it.
 func TestRecoveredTwoLayerStateIsValidated(t *testing.T) {
 	const batch = 90
 	feed := growingFeed(11, 6*batch)
-	chain := TwoLayerChain(twolayer.DefaultConfig(), 1)
+	chain := TwoLayerChain(twolayer.DefaultConfig(), 1, 1)
 	// recovered is the state after three batches and a snapshot, with
 	// `journaled` more batches behind the snapshot, as a reopen finds it; the
 	// snapshot's parameters go through damage first.
@@ -647,7 +650,6 @@ func TestRecoveredTwoLayerStateIsValidated(t *testing.T) {
 		for op, err := range map[string]error{
 			"Check": chain.Check(st),
 			"Adopt": chain.Adopt(st),
-			"Grow":  chain.Grow(st, feed[3*batch:4*batch]),
 			"Apply": chain.Apply(st, feed[3*batch:4*batch]),
 		} {
 			if err == nil || !strings.Contains(err.Error(), "not its graph's") {

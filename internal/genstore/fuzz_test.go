@@ -7,12 +7,13 @@ import (
 	"kfusion/internal/fusion"
 )
 
-// fuzzSeedState builds a small real state and returns its encoded snapshot
-// and a journal with two records — the honest corpus the mutators start from.
-func fuzzSeedState() (snap, journal []byte) {
+// fuzzSeedState builds a small real state over the given shard count and
+// returns its encoded snapshot and a journal with two records — the honest
+// corpus the mutators start from.
+func fuzzSeedState(shards int) (snap, journal []byte) {
 	feed := testFeed(40)
 	st := &State{}
-	if err := testChain().Apply(st, feed[:20]); err != nil {
+	if err := testChain(shards).Apply(st, feed[:20]); err != nil {
 		panic(err)
 	}
 	st.Consumed, st.Batches = 20, 1
@@ -24,15 +25,18 @@ func fuzzSeedState() (snap, journal []byte) {
 }
 
 // FuzzSnapshotDecode asserts decodeSnapshot never panics, and that any input
-// it accepts re-encodes and decodes stably (no lossy acceptance).
+// it accepts re-encodes and decodes stably (no lossy acceptance). The last
+// seed is a K=3 snapshot, so the mutators reach the shard section and K.
 func FuzzSnapshotDecode(f *testing.F) {
-	snap, _ := fuzzSeedState()
+	snap, _ := fuzzSeedState(1)
 	f.Add(snap)
 	f.Add(snap[:len(snap)/2])
 	flipped := append([]byte(nil), snap...)
 	flipped[len(flipped)/3] ^= 0x10
 	f.Add(flipped)
 	f.Add([]byte{})
+	sharded, _ := fuzzSeedState(3)
+	f.Add(sharded)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeSnapshot(data)
@@ -53,13 +57,18 @@ func FuzzSnapshotDecode(f *testing.F) {
 				t.Fatalf("decoded graph failed to fuse: %v", err)
 			}
 		}
+		if st.ClaimShards != nil {
+			if _, err := st.ClaimShards.Fuse(fusion.VoteConfig()); err != nil {
+				t.Fatalf("decoded shards failed to fuse: %v", err)
+			}
+		}
 	})
 }
 
 // FuzzJournalParse asserts parseJournal never panics and its accepted prefix
 // round-trips: re-encoding the parsed records reproduces the valid bytes.
 func FuzzJournalParse(f *testing.F) {
-	_, journal := fuzzSeedState()
+	_, journal := fuzzSeedState(1)
 	f.Add(journal)
 	f.Add(journal[:len(journal)-3])
 	flipped := append([]byte(nil), journal...)

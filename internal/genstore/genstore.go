@@ -7,21 +7,22 @@
 // # Contract
 //
 //   - Snapshot writes the full in-memory State — compiled claim/extraction
-//     graph, fused posterior (materialised to its exchange form for the
-//     file, see State.Fused), warm-start accuracies, feed cursor — to a
-//     versioned file in
-//     kbstore's magic/version/footer layout, every section CRC32C-checked,
+//     graph (or, for a sharded claim chain, its K graphs and K itself), fused
+//     posterior (materialised to its exchange form for the file, see
+//     State.Fused), warm-start accuracies, feed cursor — to a versioned file
+//     in kbstore's magic/version/footer layout, every section CRC32C-checked,
 //     via an atomic temp-file + fsync + rename protocol. The two newest
 //     snapshots are retained.
 //   - Append journals the raw extraction batch (length-prefixed, CRC32C)
 //     and fsyncs BEFORE applying it to the in-memory state, so a crash
 //     mid-apply loses nothing: the batch replays on reopen.
 //   - Open loads the newest valid snapshot and replays journaled batches
-//     through the caller's apply function — Chain.Apply (or Chain.Grow for a
-//     sharded store), the one append chain kfuse and kfserved also run
-//     live. By the append contract of the compiled graphs (Append ==
-//     recompile of the concatenated stream), the recovered state is
-//     bit-identical to the uncrashed run's.
+//     through the caller's apply function — Chain.Apply, the one append
+//     chain kfuse and kfserved also run live, at any shard count: a sharded
+//     chain journals its batches whole, like an unsharded one. By the append
+//     contract of the compiled graphs (Append == recompile of the
+//     concatenated stream), the recovered state is bit-identical to the
+//     uncrashed run's.
 //   - Degradation is graceful and reported, never a panic: a corrupt or
 //     version-skewed snapshot falls back to the previous snapshot (the
 //     journal retains every batch since it), then to an empty state — full
@@ -42,6 +43,7 @@ import (
 	"kfusion/internal/faultfs"
 	"kfusion/internal/fusion"
 	"kfusion/internal/kb"
+	"kfusion/internal/shard"
 	"kfusion/internal/twolayer"
 	"kfusion/internal/wire"
 )
@@ -57,6 +59,7 @@ const (
 	secResult = 3
 	secExt    = 4
 	secTL     = 5
+	secShards = 6 // a sharded claim chain's K and K graphs; absent at K = 1
 
 	journalName = "journal.kfj"
 	tmpSuffix   = ".tmp"
@@ -80,7 +83,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // State is everything a resumed pipeline needs: the method binding, the
 // compiled generations, the warm-start payloads and the feed cursor. Fields
-// not used by a method stay nil (e.g. Ext/TL for the claim-layer methods).
+// not used by a method stay nil (e.g. Ext/TL for the claim-layer methods),
+// and a state holds its graphs either in Claim/Ext (one graph) or in
+// ClaimShards/ExtShards (K > 1), never both.
 type State struct {
 	// Method is the fusion method the state was built by; a store opened for
 	// a different method must not hydrate from it (Chain.Check).
@@ -93,6 +98,13 @@ type State struct {
 	Claim *fusion.Compiled
 	Ext   *extract.Compiled
 	TL    *twolayer.State
+
+	// The coordinators of a sharded chain (Chain's shards > 1): the K
+	// item-partitioned graphs with their dedup streams and cross-shard ID
+	// tables. Only ClaimShards is persisted; a sharded two-layer state is not
+	// (its warm parameters are indexed by tables a decode cannot rebuild).
+	ClaimShards *shard.Fusion
+	ExtShards   *shard.TwoLayer
 
 	// The fused posterior of the graph above, in one or both of its forms.
 	// Posterior is the engines' native form and what Chain.Apply leaves: one
@@ -112,9 +124,24 @@ type State struct {
 	// the next Append.
 	Batches int
 
-	// stream is the claim layer's cross-batch (provenance, triple) dedup set.
-	// It is not persisted: Chain.Grow seeds it from Claim on first use.
+	// stream is the one-graph claim layer's cross-batch (provenance, triple)
+	// dedup set. It is not persisted: Chain.Apply seeds it from Claim on
+	// first use.
 	stream *fusion.ClaimStream
+}
+
+// shards reports how many graphs the state holds: 0 while it is empty, 1 in
+// the one-graph layout, K for a sharded chain's.
+func (st *State) shards() int {
+	switch {
+	case st.ClaimShards != nil:
+		return st.ClaimShards.K()
+	case st.ExtShards != nil:
+		return st.ExtShards.K()
+	case st.Claim != nil || st.Ext != nil:
+		return 1
+	}
+	return 0
 }
 
 // Fused returns the state's posterior in exchange form, nil while nothing
@@ -129,8 +156,8 @@ func (st *State) Fused() *fusion.Result {
 }
 
 // ApplyFunc folds one extraction batch into the state. Live appends and
-// journal replay call the same function — Chain.Apply or Chain.Grow — which
-// is what makes replay bit-identical to the original appends.
+// journal replay call the same function — Chain.Apply — which is what makes
+// replay bit-identical to the original appends.
 type ApplyFunc func(st *State, batch []extract.Extraction) error
 
 // Store is an open generation store. Not safe for concurrent use: the
@@ -251,6 +278,9 @@ func (s *Store) Append(st *State, batch []extract.Extraction) error {
 // covered by the previous retained snapshot are dropped, so the journal
 // stays bounded while the fallback snapshot keeps a complete replay suffix.
 func (s *Store) Snapshot(st *State) error {
+	if st.ExtShards != nil {
+		return errors.New("genstore: a sharded two-layer state is not persisted: its cross-shard tables cannot be rebuilt on decode")
+	}
 	name := snapName(st.Batches)
 	tmp := name + tmpSuffix
 	f, err := s.fs.Create(tmp)
@@ -353,6 +383,24 @@ func encodeSnapshot(st *State, sizeHint int) []byte {
 	if st.Claim != nil {
 		add(secClaim, "claim graph", st.Claim.EncodeSnapshot)
 	}
+	if f := st.ClaimShards; f != nil {
+		// K, the K graph snapshots' lengths, then the snapshots.
+		add(secShards, "claim shards", func(w io.Writer) error {
+			snaps := make([]bytes.Buffer, f.K())
+			sw := wire.NewWriter(w)
+			sw.Int(f.K())
+			for s := range snaps {
+				if err := f.Shard(s).EncodeSnapshot(&snaps[s]); err != nil {
+					return err
+				}
+				sw.Int(snaps[s].Len())
+			}
+			for s := range snaps {
+				sw.Bytes(snaps[s].Bytes())
+			}
+			return sw.Err()
+		})
+	}
 	if res != nil {
 		add(secResult, "result", func(w io.Writer) error { return fusion.EncodeResult(w, res) })
 	}
@@ -403,7 +451,7 @@ func decodeSnapshot(data []byte) (*State, error) {
 	if ir.Err() != nil || uint64(count)*24 != uint64(ir.Remaining()) {
 		return nil, fmt.Errorf("%w: malformed section index", ErrCorrupt)
 	}
-	var payload [6][]byte // indexed by section ID
+	var payload [7][]byte // indexed by section ID
 	for i := uint32(0); i < count; i++ {
 		id := ir.U32()
 		off := ir.U64()
@@ -457,6 +505,16 @@ func decodeSnapshot(data []byte) (*State, error) {
 		}
 		st.Claim = c
 	}
+	if payload[secShards] != nil {
+		if hasClaim {
+			return nil, fmt.Errorf("%w: both one claim graph and claim shards", ErrCorrupt)
+		}
+		f, err := decodeShards(payload[secShards], st.Gran)
+		if err != nil {
+			return nil, err
+		}
+		st.ClaimShards = f
+	}
 	if hasResult {
 		res, err := fusion.DecodeResult(payload[secResult])
 		if err != nil {
@@ -479,6 +537,41 @@ func decodeSnapshot(data []byte) (*State, error) {
 		st.TL = tl
 	}
 	return st, nil
+}
+
+// decodeShards rebuilds a sharded claim state's coordinator from its
+// section (see encodeSnapshot); the coordinator reseeds the per-shard dedup
+// streams and cross-shard tables from the graphs.
+func decodeShards(b []byte, gran fusion.Granularity) (*shard.Fusion, error) {
+	r := wire.NewReader(b)
+	k := r.Int()
+	if r.Err() != nil || k < 2 || k > r.Remaining() {
+		return nil, fmt.Errorf("%w: malformed shard section", ErrCorrupt)
+	}
+	lens := make([]int, k)
+	for s := range lens {
+		lens[s] = r.Int()
+	}
+	if r.Err() != nil {
+		return nil, fmt.Errorf("%w: malformed shard section", ErrCorrupt)
+	}
+	graphs := make([]*fusion.Compiled, k)
+	off := r.Pos()
+	for s, n := range lens {
+		if n > len(b)-off {
+			return nil, fmt.Errorf("%w: claim shard %d overruns its section", ErrCorrupt, s)
+		}
+		g, err := fusion.DecodeSnapshot(b[off : off+n])
+		if err != nil {
+			return nil, fmt.Errorf("%w: claim shard %d: %v", ErrCorrupt, s, err)
+		}
+		graphs[s] = g
+		off += n
+	}
+	if off != len(b) {
+		return nil, fmt.Errorf("%w: %d trailing bytes in shard section", ErrCorrupt, len(b)-off)
+	}
+	return shard.NewFusionFromShards(graphs, gran)
 }
 
 // ---- journal ----

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kfusion/internal/extract"
@@ -37,19 +38,19 @@ func testFeed(n int) []extract.Extraction {
 }
 
 // testChain is the claim-layer chain the suite persists: the production
-// Chain, bound the way kfuse -append binds it (every batch under the full
-// config, warm-started).
-func testChain() *Chain {
+// Chain over the given shard count, bound the way kfuse -append binds it
+// (every batch under the full config, warm-started).
+func testChain(shards int) *Chain {
 	cfg := fusion.PopAccuConfig()
 	cfg.Granularity = fusion.GranExtractorSitePred
-	return ClaimChain("popaccu", cfg, 0)
+	return ClaimChain("popaccu", cfg, 0, shards)
 }
 
-// runPipeline drives a full append run over fsys: open (recovering whatever
-// state survives), append the unconsumed feed suffix in chunks, snapshot
-// every snapEvery batches and at the end. Any error is "the crash".
-func runPipeline(fsys faultfs.FS, feed []extract.Extraction, chunk, snapEvery int) (*State, error) {
-	store, st, err := OpenFS(fsys, testChain().Apply)
+// runPipeline drives a full append run of chain over fsys: open (recovering
+// whatever state survives), append the unconsumed feed suffix in chunks,
+// snapshot every snapEvery batches and at the end. Any error is "the crash".
+func runPipeline(fsys faultfs.FS, chain *Chain, feed []extract.Extraction, chunk, snapEvery int) (*State, error) {
+	store, st, err := OpenFS(fsys, chain.Apply)
 	if err != nil {
 		return nil, err
 	}
@@ -73,13 +74,24 @@ func runPipeline(fsys faultfs.FS, feed []extract.Extraction, chunk, snapEvery in
 }
 
 // stateFingerprint reduces a state to comparable bytes: the canonical claim
-// graph encoding plus the result encoding.
+// graph encodings — the one graph or the K shards' — plus the result
+// encoding.
 func stateFingerprint(t *testing.T, st *State) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "consumed=%d batches=%d\n", st.Consumed, st.Batches)
-	if st.Claim != nil {
-		if err := st.Claim.EncodeSnapshot(&buf); err != nil {
+	graphs := []*fusion.Compiled{st.Claim}
+	if f := st.ClaimShards; f != nil {
+		graphs = graphs[:0]
+		for s := 0; s < f.K(); s++ {
+			graphs = append(graphs, f.Shard(s))
+		}
+	}
+	for _, g := range graphs {
+		if g == nil {
+			continue
+		}
+		if err := g.EncodeSnapshot(&buf); err != nil {
 			t.Fatalf("encode claim graph: %v", err)
 		}
 	}
@@ -119,9 +131,9 @@ const (
 
 // uncrashedFingerprint runs the pipeline once with no faults and returns the
 // reference final state.
-func uncrashedFingerprint(t *testing.T) []byte {
+func uncrashedFingerprint(t *testing.T, chain *Chain) []byte {
 	t.Helper()
-	st, err := runPipeline(faultfs.NewMem(), testFeed(feedLen), chunkLen, snapEvery)
+	st, err := runPipeline(faultfs.NewMem(), chain, testFeed(feedLen), chunkLen, snapEvery)
 	if err != nil {
 		t.Fatalf("uncrashed run failed: %v", err)
 	}
@@ -158,44 +170,163 @@ func crashPoints(t *testing.T, total int64) []int64 {
 // TestCrashRecoveryEveryStep is the tentpole property test: crash the
 // pipeline after b I/O steps for a sweep of b across the whole run, recover
 // on the surviving bytes, finish the run, and require the final state to be
-// bit-identical to the uncrashed run's — for clean crashes and torn renames.
+// bit-identical to the uncrashed run's — for clean crashes and torn renames,
+// on the one-graph chain and on a K=3 sharded one (one store either way).
 func TestCrashRecoveryEveryStep(t *testing.T) {
 	feed := testFeed(feedLen)
-	want := uncrashedFingerprint(t)
-
-	// Recorder pass counts the total step budget of a full run.
-	rec := faultfs.NewFaulty(faultfs.NewMem(), -1)
-	if _, err := runPipeline(rec, feed, chunkLen, snapEvery); err != nil {
-		t.Fatalf("recorder run failed: %v", err)
-	}
-	total := rec.Spent()
-
 	for _, torn := range []bool{false, true} {
 		name := "clean"
 		if torn {
 			name = "torn-rename"
 		}
 		t.Run(name, func(t *testing.T) {
-			for _, b := range crashPoints(t, total) {
-				mem := faultfs.NewMem()
-				ffs := faultfs.NewFaulty(mem, b)
-				ffs.TornRename = torn
-				if _, err := runPipeline(ffs, feed, chunkLen, snapEvery); err == nil {
-					t.Fatalf("budget %d: run did not crash", b)
-				}
+			for _, k := range []int{1, 3} {
+				chain := testChain(k)
+				want := uncrashedFingerprint(t, chain)
 
-				// The Mem map is the disk at the moment of death; recover on
-				// it with no faults and finish the run.
-				st, err := runPipeline(mem, feed, chunkLen, snapEvery)
-				if err != nil {
-					t.Fatalf("budget %d: recovery run failed: %v", b, err)
+				// Recorder pass counts the total step budget of a full run.
+				rec := faultfs.NewFaulty(faultfs.NewMem(), -1)
+				if _, err := runPipeline(rec, chain, feed, chunkLen, snapEvery); err != nil {
+					t.Fatalf("K=%d: recorder run failed: %v", k, err)
 				}
-				if got := stateFingerprint(t, st); !bytes.Equal(got, want) {
-					t.Fatalf("budget %d: recovered state differs from uncrashed run", b)
+				for _, b := range crashPoints(t, rec.Spent()) {
+					mem := faultfs.NewMem()
+					ffs := faultfs.NewFaulty(mem, b)
+					ffs.TornRename = torn
+					if _, err := runPipeline(ffs, chain, feed, chunkLen, snapEvery); err == nil {
+						t.Fatalf("K=%d budget %d: run did not crash", k, b)
+					}
+
+					// The Mem map is the disk at the moment of death; recover
+					// on it with no faults and finish the run.
+					st, err := runPipeline(mem, chain, feed, chunkLen, snapEvery)
+					if err != nil {
+						t.Fatalf("K=%d budget %d: recovery run failed: %v", k, b, err)
+					}
+					if got := stateFingerprint(t, st); !bytes.Equal(got, want) {
+						t.Fatalf("K=%d budget %d: recovered state differs from uncrashed run", k, b)
+					}
 				}
 			}
 		})
 	}
+}
+
+// TestShardedStateRoundTrip: a K=3 claim chain appended through the store in
+// chunks, snapshotted and reopened, holds the same K graphs as the chain that
+// never left memory and continues exactly as it does — one store, one
+// journal, with K in the snapshot.
+func TestShardedStateRoundTrip(t *testing.T) {
+	const k = 3
+	chain := testChain(k)
+	feed := testFeed(feedLen + 30)
+	head, tail := feed[:feedLen], feed[feedLen:]
+
+	mem := faultfs.NewMem()
+	store, st, err := OpenFS(mem, chain.Apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := &State{}
+	for off := 0; off < len(head); off += chunkLen {
+		batch := head[off:min(off+chunkLen, len(head))]
+		if err := store.Append(st, batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := chain.Apply(live, batch); err != nil {
+			t.Fatal(err)
+		}
+		live.Batches++
+		live.Consumed += len(batch)
+	}
+	if err := store.Snapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	store, st, err = OpenFS(mem, chain.Apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if d := store.Degradations(); len(d) != 0 {
+		t.Fatalf("clean reopen degraded: %v", d)
+	}
+	if st.ClaimShards == nil || st.ClaimShards.K() != k || st.Claim != nil {
+		t.Fatalf("reopened state is not a K=%d sharded one", k)
+	}
+	if !bytes.Equal(stateFingerprint(t, st), stateFingerprint(t, live)) {
+		t.Fatal("reopened state differs from the live one")
+	}
+	if err := store.Append(st, tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := chain.Apply(live, tail); err != nil {
+		t.Fatal(err)
+	}
+	live.Batches++
+	live.Consumed += len(tail)
+	if !bytes.Equal(stateFingerprint(t, st), stateFingerprint(t, live)) {
+		t.Fatal("reopened chain diverged from the live one")
+	}
+}
+
+// TestShardCountMismatchRefused: a K=3 state reopened by a chain of another
+// K is refused, naming both counts — by the open itself when journaled
+// batches follow the snapshot (replay runs the chain), by Check when the
+// snapshot is all there is — and the store's files are left as they were.
+func TestShardCountMismatchRefused(t *testing.T) {
+	feed := testFeed(feedLen)
+	for _, journaled := range []int{0, 1} {
+		mem := faultfs.NewMem()
+		store, st, err := OpenFS(mem, testChain(3).Apply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3+journaled; i++ {
+			if err := store.Append(st, feed[i*chunkLen:(i+1)*chunkLen]); err != nil {
+				t.Fatal(err)
+			}
+			if i == 2 {
+				if err := store.Snapshot(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		store.Close()
+		before := files(t, mem)
+
+		for _, k := range []int{2, 4} {
+			want := fmt.Sprintf("state holds K=3 graphs, chain runs K=%d", k)
+			store, st, err := OpenFS(mem, testChain(k).Apply)
+			if err == nil {
+				err = testChain(k).Check(st)
+				store.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%d journaled: reopening at K=%d = %v, want %q", journaled, k, err, want)
+			}
+			if !reflect.DeepEqual(files(t, mem), before) {
+				t.Errorf("%d journaled: the refused reopen at K=%d changed the store", journaled, k)
+			}
+		}
+	}
+}
+
+// files reads every file of a store.
+func files(t *testing.T, mem *faultfs.Mem) map[string][]byte {
+	t.Helper()
+	names, err := mem.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, n := range names {
+		if out[n], err = mem.ReadFile(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // TestCleanReopenWarmBoots checks the warm-boot path: a completed run
@@ -204,7 +335,7 @@ func TestCrashRecoveryEveryStep(t *testing.T) {
 func TestCleanReopenWarmBoots(t *testing.T) {
 	mem := faultfs.NewMem()
 	feed := testFeed(feedLen)
-	st, err := runPipeline(mem, feed, chunkLen, snapEvery)
+	st, err := runPipeline(mem, testChain(1), feed, chunkLen, snapEvery)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -258,14 +389,14 @@ func corruptNewestSnapshot(t *testing.T, mem *faultfs.Mem) string {
 func TestBitFlipFallsBackToPreviousSnapshot(t *testing.T) {
 	mem := faultfs.NewMem()
 	feed := testFeed(feedLen)
-	st, err := runPipeline(mem, feed, chunkLen, snapEvery)
+	st, err := runPipeline(mem, testChain(1), feed, chunkLen, snapEvery)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	want := stateFingerprint(t, st)
 	corruptNewestSnapshot(t, mem)
 
-	store, st2, err := OpenFS(mem, testChain().Apply)
+	store, st2, err := OpenFS(mem, testChain(1).Apply)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -285,7 +416,7 @@ func TestBitFlipFallsBackToPreviousSnapshot(t *testing.T) {
 func TestAllSnapshotsLostRecompilesFromFeed(t *testing.T) {
 	mem := faultfs.NewMem()
 	feed := testFeed(feedLen)
-	st, err := runPipeline(mem, feed, chunkLen, snapEvery)
+	st, err := runPipeline(mem, testChain(1), feed, chunkLen, snapEvery)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -299,7 +430,7 @@ func TestAllSnapshotsLostRecompilesFromFeed(t *testing.T) {
 		}
 	}
 
-	store, st2, err := OpenFS(mem, testChain().Apply)
+	store, st2, err := OpenFS(mem, testChain(1).Apply)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -314,7 +445,7 @@ func TestAllSnapshotsLostRecompilesFromFeed(t *testing.T) {
 
 	// The journal alone cannot bridge the rotation floor; the driver
 	// re-reads the feed from Consumed (== 0 here) and must converge.
-	st3, err := runPipeline(mem, feed, chunkLen, snapEvery)
+	st3, err := runPipeline(mem, testChain(1), feed, chunkLen, snapEvery)
 	if err != nil {
 		t.Fatalf("recompile run: %v", err)
 	}
@@ -328,7 +459,7 @@ func TestAllSnapshotsLostRecompilesFromFeed(t *testing.T) {
 func TestTruncatedSnapshotAndJournal(t *testing.T) {
 	base := faultfs.NewMem()
 	feed := testFeed(feedLen)
-	st, err := runPipeline(base, feed, chunkLen, snapEvery)
+	st, err := runPipeline(base, testChain(1), feed, chunkLen, snapEvery)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -345,7 +476,7 @@ func TestTruncatedSnapshotAndJournal(t *testing.T) {
 			if err := mem.Truncate(name, cut); err != nil {
 				t.Fatal(err)
 			}
-			st2, err := runPipeline(mem, feed, chunkLen, snapEvery)
+			st2, err := runPipeline(mem, testChain(1), feed, chunkLen, snapEvery)
 			if err != nil {
 				t.Fatalf("truncate %s to %d: run failed: %v", name, cut, err)
 			}
@@ -362,7 +493,7 @@ func TestTruncatedSnapshotAndJournal(t *testing.T) {
 func TestTwoLayerStateRoundTrips(t *testing.T) {
 	mem := faultfs.NewMem()
 	feed := testFeed(feedLen)
-	d := TwoLayerChain(twolayer.DefaultConfig(), 0)
+	d := TwoLayerChain(twolayer.DefaultConfig(), 0, 1)
 
 	store, st, err := OpenFS(mem, d.Apply)
 	if err != nil {
@@ -378,7 +509,7 @@ func TestTwoLayerStateRoundTrips(t *testing.T) {
 	}
 	store.Close()
 
-	store2, st2, err := OpenFS(mem, TwoLayerChain(twolayer.DefaultConfig(), 0).Apply)
+	store2, st2, err := OpenFS(mem, TwoLayerChain(twolayer.DefaultConfig(), 0, 1).Apply)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -20,7 +20,7 @@ func newChain(cfg *Config) (*genstore.Chain, error) {
 		tc := twolayer.DefaultConfig()
 		tc.SiteLevel = cfg.SiteLevel
 		tc.Workers = cfg.Workers
-		return genstore.TwoLayerChain(tc, cfg.WarmRounds), nil
+		return genstore.TwoLayerChain(tc, cfg.WarmRounds, 1), nil
 	case "popaccu+":
 		return nil, fmt.Errorf("server: method popaccu+ needs a gold labeler; the serving write path has none")
 	}
@@ -32,5 +32,5 @@ func newChain(cfg *Config) (*genstore.Chain, error) {
 		fc.Granularity = cfg.Granularity
 	}
 	fc.Workers = cfg.Workers
-	return genstore.ClaimChain(cfg.Method, fc, cfg.WarmRounds), nil
+	return genstore.ClaimChain(cfg.Method, fc, cfg.WarmRounds, 1), nil
 }

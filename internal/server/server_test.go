@@ -581,7 +581,7 @@ func TestSnapshotEvery(t *testing.T) {
 // another granularity is refused by the chain's Check.
 func TestHydratesKfuseState(t *testing.T) {
 	xs := exper.SharedDataset(exper.ScaleSmall, 42).Extractions
-	chain := genstore.ClaimChain("popaccu", fusion.PopAccuConfig(), 0)
+	chain := genstore.ClaimChain("popaccu", fusion.PopAccuConfig(), 0, 1)
 	mem := faultfs.NewMem()
 	store, st, err := genstore.OpenFS(mem, chain.Apply)
 	if err != nil {
@@ -645,7 +645,7 @@ func TestHydratesKfuseState(t *testing.T) {
 // support counts under generation 1's probabilities.
 func TestHydrateRefusesForeignResult(t *testing.T) {
 	xs := exper.SharedDataset(exper.ScaleSmall, 42).Extractions
-	chain := genstore.ClaimChain("popaccu", fusion.PopAccuConfig(), 1)
+	chain := genstore.ClaimChain("popaccu", fusion.PopAccuConfig(), 1, 1)
 	mem := faultfs.NewMem()
 	store, st, err := genstore.OpenFS(mem, chain.Apply)
 	if err != nil {
@@ -699,7 +699,7 @@ func TestHydrateRefusesInvalidResultValues(t *testing.T) {
 			}
 		},
 	} {
-		chain := genstore.ClaimChain("popaccu", fusion.PopAccuConfig(), 1)
+		chain := genstore.ClaimChain("popaccu", fusion.PopAccuConfig(), 1, 1)
 		mem := faultfs.NewMem()
 		store, st, err := genstore.OpenFS(mem, chain.Apply)
 		if err != nil {
@@ -741,7 +741,7 @@ func TestHydrateRefusesForeignTwoLayerState(t *testing.T) {
 		"a NaN accuracy":          func(tl *twolayer.State) { tl.SrcAcc[0] = math.NaN() },
 		"a recall of 1":           func(tl *twolayer.State) { tl.Recall[0] = 1 },
 	} {
-		chain := genstore.TwoLayerChain(twolayer.DefaultConfig(), 1)
+		chain := genstore.TwoLayerChain(twolayer.DefaultConfig(), 1, 1)
 		mem := faultfs.NewMem()
 		store, st, err := genstore.OpenFS(mem, chain.Apply)
 		if err != nil {

@@ -15,10 +15,10 @@
 // is not in this package. Each engine has exactly one EM round driver
 // (fusion.FuseLockstep, twolayer.FuseLockstep) over 1..K step engines
 // (fusion.Run, twolayer.Run); the unsharded entry points call it with one
-// graph, the coordinators here (Fusion, TwoLayer, FuseShards) call it with
-// K. What this package owns is everything the driver needs to be told about
-// a partition: routing (Of, SplitExtractions), the per-shard graphs grown by
-// Append, and the cross-shard identity of the interned ID spaces — a
+// graph, the coordinators here (Fusion, TwoLayer) call it with K. What this
+// package owns is everything the driver needs to be told about a partition:
+// routing (Of, SplitExtractions), the per-shard graphs grown by Append, and
+// the cross-shard identity of the interned ID spaces — a
 // csr.IDTable per space (provenances; sources and extractors), assigning
 // global IDs in (shard, first-occurrence) order and extended on every
 // Append, never rebuilt per fuse. One driver round is then:
@@ -47,6 +47,12 @@
 // each (shard, source) it touched only remotely it contributes the source's
 // local statements as all-miss evidence — [stated, unstated, 0, 0] ghost
 // partials folded into its merged extractor totals.
+//
+// The coordinators are also what a sharded chain persists through: a
+// genstore.Chain built with K > 1 keeps its graphs in a Fusion or TwoLayer,
+// journals batches whole and snapshots the K claim graphs into its one
+// store; NewFusionFromShards rebuilds the claim coordinator when such a
+// snapshot is decoded. This package holds no durability code of its own.
 //
 // # Equivalence policy
 //

@@ -44,8 +44,8 @@ func NewFusion(k int, gran fusion.Granularity) (*Fusion, error) {
 }
 
 // NewFusionFromShards reassembles a coordinator over restored per-shard
-// graphs (e.g. genstore states): graphs[i] must be the graph shard i's feed
-// slice compiled to — every item it holds hashing to shard i under
+// graphs (a decoded genstore snapshot): graphs[i] must be the graph shard
+// i's feed slice compiled to — every item it holds hashing to shard i under
 // len(graphs) — as produced by a prior Fusion with the same K and
 // granularity. Each shard's ClaimStream reseeds its cross-batch dedup from
 // the graph's claims, so subsequent Appends continue the stream exactly.
@@ -55,9 +55,6 @@ func NewFusionFromShards(graphs []*fusion.Compiled, gran fusion.Granularity) (*F
 		return nil, err
 	}
 	for s, g := range graphs {
-		if g == nil {
-			g = fusion.MustCompile(nil)
-		}
 		f.graphs[s] = g
 		f.streams[s] = fusion.SeedClaimStream(gran, g)
 		f.claims += g.NumClaims()
@@ -68,9 +65,6 @@ func NewFusionFromShards(graphs []*fusion.Compiled, gran fusion.Granularity) (*F
 
 // K reports the shard count.
 func (f *Fusion) K() int { return f.k }
-
-// Granularity reports the provenance granularity the streams flatten under.
-func (f *Fusion) Granularity() fusion.Granularity { return f.gran }
 
 // NumClaims reports the deduplicated claims across all shards.
 func (f *Fusion) NumClaims() int { return f.claims }
@@ -87,7 +81,7 @@ func (f *Fusion) Shard(s int) *fusion.Compiled { return f.graphs[s] }
 // shard-local because the triple's item fixes the shard), and compiles or
 // appends each shard's graph. A shard receiving nothing still moves to its
 // next generation (an empty Append is O(1)), so every shard's generation
-// counts the batches, as it does under shard.Stores.
+// counts the batches.
 func (f *Fusion) Append(xs []extract.Extraction) error {
 	parts := SplitExtractions(xs, f.k)
 	for s := 0; s < f.k; s++ {
@@ -134,7 +128,7 @@ func (f *Fusion) FuseWarm(cfg fusion.Config, prev *fusion.Result) (*fusion.Resul
 // K-graph call of the round driver, seeded from the previous generation's
 // Posterior.Seed() (nil = cold) and returning the posterior in its native
 // form. A chain that fuses after every Append and reads rows only at the end
-// — kfuse -shards -append — keeps the posterior per step and materialises
+// — genstore.Chain at K > 1 — keeps the posterior per step and materialises
 // once; post.Result() is bit for bit what FuseWarm would have returned.
 func (f *Fusion) FusePosterior(cfg fusion.Config, prev *fusion.Seed) (*fusion.Posterior, error) {
 	return fusion.FuseLockstep(f.graphs, f.provs, cfg, prev)
@@ -147,26 +141,4 @@ func materialised(post *fusion.Posterior, err error) (*fusion.Result, error) {
 		return nil, err
 	}
 	return post.Result(), nil
-}
-
-// FuseShards runs one lockstep sharded fusion over externally-maintained
-// per-shard graphs — the entry point for drivers that grow the graphs
-// through their own durability layer (per-shard genstore states) rather than
-// through a live Fusion coordinator. graphs[i] must hold exactly the claims
-// whose items hash to shard i under K = len(graphs); a nil entry is an empty
-// shard. The cross-shard provenance table is rebuilt per call (cheap:
-// provenances are few), so FuseShards(graphs, cfg, prev) equals a
-// NewFusionFromShards(graphs).FuseWarm(cfg, prev) without touching the claim
-// streams.
-func FuseShards(graphs []*fusion.Compiled, cfg fusion.Config, prev *fusion.Result) (*fusion.Result, error) {
-	gs := make([]*fusion.Compiled, len(graphs))
-	provs := csr.NewIDTable(len(graphs))
-	for s, g := range graphs {
-		if g == nil {
-			g = fusion.MustCompile(nil)
-		}
-		gs[s] = g
-		provs.Extend(s, g.NumProvenances(), func(p int32) string { return g.ProvKey(int(p)) })
-	}
-	return materialised(fusion.FuseLockstep(gs, provs, cfg, prev.Seed()))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kfusion/internal/extract"
-	"kfusion/internal/fusion"
 	"kfusion/internal/kb"
 )
 
@@ -27,21 +26,6 @@ func SplitExtractions(xs []extract.Extraction, k int) [][]extract.Extraction {
 	for _, x := range xs {
 		s := Of(x.Triple.Item(), k)
 		out[s] = append(out[s], x)
-	}
-	return out
-}
-
-// SplitClaims partitions a claim batch into k per-shard batches by the
-// claimed triple's data item, preserving input order within each shard.
-func SplitClaims(claims []fusion.Claim, k int) [][]fusion.Claim {
-	out := make([][]fusion.Claim, k)
-	if k == 1 {
-		out[0] = claims
-		return out
-	}
-	for _, c := range claims {
-		s := Of(c.Triple.Item(), k)
-		out[s] = append(out[s], c)
 	}
 	return out
 }

@@ -308,41 +308,8 @@ func TestFusionFromShards(t *testing.T) {
 	requireBitIdentical(t, "restored", want, got)
 }
 
-// TestFuseShardsMatchesCoordinator: the fuse-only entry point over external
-// graphs is bit-identical to the live coordinator's FuseWarm.
-func TestFuseShardsMatchesCoordinator(t *testing.T) {
-	xs := testExtractions(rand.New(rand.NewSource(15)), 2500)
-	cfg := fusion.PopAccuConfig()
-	for _, k := range []int{1, 3} {
-		f, err := NewFusion(k, cfg.Granularity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Append(xs); err != nil {
-			t.Fatal(err)
-		}
-		prev, err := f.Fuse(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := f.FuseWarm(cfg, prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphs := make([]*fusion.Compiled, k)
-		for s := range graphs {
-			graphs[s] = f.Shard(s)
-		}
-		got, err := FuseShards(graphs, cfg, prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitIdentical(t, fmt.Sprintf("FuseShards/K=%d", k), want, got)
-	}
-}
-
-// TestSplitRouting: the split helpers agree with Of and partition their
-// input completely.
+// TestSplitRouting: the split helper agrees with Of and partitions its input
+// completely.
 func TestSplitRouting(t *testing.T) {
 	xs := testExtractions(rand.New(rand.NewSource(13)), 1000)
 	for _, k := range []int{1, 2, 5} {
@@ -362,20 +329,6 @@ func TestSplitRouting(t *testing.T) {
 		if total != len(xs) {
 			t.Fatalf("K=%d: split covers %d of %d", k, total, len(xs))
 		}
-	}
-	claims := fusion.Claims(testExtractions(rand.New(rand.NewSource(14)), 500), fusion.GranExtractorURL)
-	parts := SplitClaims(claims, 4)
-	total := 0
-	for s, part := range parts {
-		total += len(part)
-		for _, c := range part {
-			if Of(c.Triple.Item(), 4) != s {
-				t.Fatalf("claim for %v routed to shard %d", c.Triple.Item(), s)
-			}
-		}
-	}
-	if total != len(claims) {
-		t.Fatalf("claim split covers %d of %d", total, len(claims))
 	}
 }
 
@@ -461,11 +414,15 @@ func TestFusionShardDenseSeed(t *testing.T) {
 	for s := range graphs {
 		graphs[s] = coords[4].Shard(s)
 	}
-	got, err := FuseShards(graphs, warm, last[4])
+	rebuilt, err := NewFusionFromShards(graphs, cold.Granularity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := FuseShards(graphs, warm, decoded(t, last[4]))
+	got, err := rebuilt.FuseWarm(warm, last[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rebuilt.FuseWarm(warm, decoded(t, last[4]))
 	if err != nil {
 		t.Fatal(err)
 	}

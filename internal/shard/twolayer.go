@@ -52,27 +52,6 @@ func NewTwoLayer(k int, siteLevel bool) (*TwoLayer, error) {
 	}, nil
 }
 
-// NewTwoLayerFromShards reassembles a coordinator over restored per-shard
-// extraction graphs, as produced by a prior TwoLayer with the same K and
-// source level (graphs[i] holds exactly the items hashing to shard i).
-func NewTwoLayerFromShards(graphs []*extract.Compiled, siteLevel bool) (*TwoLayer, error) {
-	t, err := NewTwoLayer(len(graphs), siteLevel)
-	if err != nil {
-		return nil, err
-	}
-	for s, g := range graphs {
-		if g == nil {
-			g = extract.Compile(nil, siteLevel)
-		}
-		if g.SiteLevel() != siteLevel {
-			return nil, fmt.Errorf("shard %d: graph compiled with SiteLevel=%v, want %v", s, g.SiteLevel(), siteLevel)
-		}
-		t.graphs[s] = g
-		t.extendTables(s)
-	}
-	return t, nil
-}
-
 // K reports the shard count.
 func (t *TwoLayer) K() int { return t.k }
 

@@ -144,42 +144,6 @@ func TestTwoLayerShardWarm(t *testing.T) {
 	requireBitIdentical(t, "twolayer/warm/K=1", want, got)
 }
 
-// TestTwoLayerFromShards: reassembling a coordinator over the per-shard
-// graphs continues the pipeline exactly.
-func TestTwoLayerFromShards(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	xs := testExtractions(rng, 3000)
-	batch := testExtractions(rng, 600)
-	cfg := twoLayerConfig()
-	const k = 3
-
-	tl, err := NewTwoLayer(k, cfg.SiteLevel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl.Append(xs)
-	graphs := make([]*extract.Compiled, k)
-	for s := range graphs {
-		graphs[s] = tl.Shard(s)
-	}
-	restored, err := NewTwoLayerFromShards(graphs, cfg.SiteLevel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl.Append(batch)
-	restored.Append(batch)
-	want, wantState, err := tl.Fuse(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotState, err := restored.Fuse(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, "twolayer/restored", want, got)
-	requireSameState(t, "restored", wantState, gotState)
-}
-
 func requireSameState(t *testing.T, tag string, want, got *twolayer.State) {
 	t.Helper()
 	if len(want.SrcAcc) != len(got.SrcAcc) || len(want.Recall) != len(got.Recall) || len(want.FalsePos) != len(got.FalsePos) {
