@@ -49,19 +49,26 @@ fault:
 # byte for byte) and FuzzClaimStream (the ID-pair dedup stream ≡ the
 # string-keyed map, under any chunking and granularity). And the generator
 # every synthesized byte comes from: FuzzSourceMatchesMathRand (randx.Source ≡
-# rand.New(rand.NewSource(seed)) under any script of draws and splits).
+# rand.New(rand.NewSource(seed)) under any script of draws and splits). And
+# the open-addressed intern tables both graphs intern through:
+# FuzzInternTable (csr.InternTable and csr.PairTable ≡ map[K]int32 under any
+# key stream, size hint and a degenerate constant hash).
+# Each line caps input minimisation at 2 s: go test's default
+# -fuzzminimizetime is 60s, so minimising the first new interesting input
+# would otherwise eat the whole 15 s budget and the target would barely run.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 15s ./internal/genstore/
-	$(GO) test -run '^$$' -fuzz FuzzJournalParse -fuzztime 15s ./internal/genstore/
-	$(GO) test -run '^$$' -fuzz FuzzExtractionStream -fuzztime 15s ./internal/kfio/
-	$(GO) test -run '^$$' -fuzz FuzzReadExtractions -fuzztime 15s ./internal/kfio/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeExtraction -fuzztime 15s ./internal/kfio/
-	$(GO) test -run '^$$' -fuzz FuzzWriteFused -fuzztime 15s ./internal/kfio/
-	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s ./internal/extract/
-	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s ./internal/fusion/
-	$(GO) test -run '^$$' -fuzz FuzzClaimStream -fuzztime 15s ./internal/fusion/
-	$(GO) test -run '^$$' -fuzz FuzzWarmChain -fuzztime 15s ./internal/twolayer/
-	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 15s ./internal/randx/
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 15s -fuzzminimizetime 2s ./internal/genstore/
+	$(GO) test -run '^$$' -fuzz FuzzJournalParse -fuzztime 15s -fuzzminimizetime 2s ./internal/genstore/
+	$(GO) test -run '^$$' -fuzz FuzzExtractionStream -fuzztime 15s -fuzzminimizetime 2s ./internal/kfio/
+	$(GO) test -run '^$$' -fuzz FuzzReadExtractions -fuzztime 15s -fuzzminimizetime 2s ./internal/kfio/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeExtraction -fuzztime 15s -fuzzminimizetime 2s ./internal/kfio/
+	$(GO) test -run '^$$' -fuzz FuzzWriteFused -fuzztime 15s -fuzzminimizetime 2s ./internal/kfio/
+	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s -fuzzminimizetime 2s ./internal/extract/
+	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
+	$(GO) test -run '^$$' -fuzz FuzzClaimStream -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
+	$(GO) test -run '^$$' -fuzz FuzzWarmChain -fuzztime 15s -fuzzminimizetime 2s ./internal/twolayer/
+	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 15s -fuzzminimizetime 2s ./internal/randx/
+	$(GO) test -run '^$$' -fuzz FuzzInternTable -fuzztime 15s -fuzzminimizetime 2s ./internal/csr/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .

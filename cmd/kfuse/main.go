@@ -240,8 +240,9 @@ func (j *job) run() (*fusion.Result, int) {
 			st.Consumed += len(batch)
 		}
 		// The chain leaves the posterior in its native form; a chunk's
-		// progress line needs its size and round count, not its rows.
-		return progress{triples: st.Posterior.Len(), rounds: st.Posterior.Rounds, size: chainSize(st)}, nil
+		// progress line needs its size, rounds and moves, not its rows.
+		p := st.Posterior
+		return progress{triples: p.Len(), rounds: p.Rounds, moves: p.Moves, size: chainSize(st)}, nil
 	})
 	// Materialised once, after the last chunk: the final snapshot stores the
 	// exchange form and the caller writes it out.
@@ -285,9 +286,12 @@ func readFeed(in string) []extract.Extraction {
 }
 
 // progress is what a chunk's step reports for its progress line: the fused
-// posterior's row and round counts and a note on the chain's size.
+// posterior's row and round counts, its per-round largest parameter moves
+// (the line shows the last, the one the convergence test stopped on; VOTE
+// has none) and a note on the chain's size.
 type progress struct {
 	triples, rounds int
+	moves           []float64
 	size            string
 }
 
@@ -313,8 +317,12 @@ func (j *job) streamChunks(skip int, durable bool, step func([]extract.Extractio
 			log.Fatal(err)
 		}
 		if !j.quiet {
-			fmt.Printf("chunk %d: +%d extractions -> %s, %d triples, %d rounds (%v)\n",
-				chunks, len(batch), p.size, p.triples, p.rounds, time.Since(t0).Round(time.Millisecond))
+			move := ""
+			if n := len(p.moves); n > 0 {
+				move = fmt.Sprintf(", last move %.3g", p.moves[n-1])
+			}
+			fmt.Printf("chunk %d: +%d extractions -> %s, %d triples, %d rounds%s (%v)\n",
+				chunks, len(batch), p.size, p.triples, p.rounds, move, time.Since(t0).Round(time.Millisecond))
 		}
 		consumed += len(batch)
 		chunks++

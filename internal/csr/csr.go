@@ -1,9 +1,11 @@
 // Package csr holds the compressed-sparse-row building blocks shared by the
 // compiled graphs of the fusion layer (internal/fusion's claim graph) and the
 // extraction layer (internal/extract's statement graph): a deterministic
-// parallel range splitter and a parallel grouped counting sort. Both are
-// exact — results never depend on the worker count — so the compiled graphs
-// built on top of them stay bit-identical across machines.
+// parallel range splitter, a parallel grouped counting sort, and the
+// open-addressed intern tables (InternTable, PairTable) both graphs' compile
+// loops assign their IDs through. All are exact — results never depend on the
+// worker count or a table's hash seed — so the compiled graphs built on top
+// of them stay bit-identical across machines.
 package csr
 
 import (

@@ -26,15 +26,18 @@ package csr
 // one goroutine, to divide one hashing per record among the workers.
 
 // ShardInternMinWorkers is the smallest worker count at which a from-empty
-// interning pass is sharded. Measured on the bench corpus (150k records,
-// 2 vCPUs, `go test -bench 'CompileClaimGraph|ExtractCompileGraph' -benchtime
-// 20x`): the claim graph compiles in 93–101 ms with the sequential loop and in
-// 149–193 ms (122 MB against 32 MB allocated) with the pass at two workers,
-// the extraction graph in 30.7–31.6 ms against 34.0–45.6 ms — the merge's
-// extra hashing is more than half an interning loop, so a second worker
-// cannot repay it on any host. At four cores CI's scaling-check holds the
-// claim-graph compile, pass included, at >= 1.5x the one-core cell. Three has
-// been measured on no host and stays with the loop.
+// interning pass is sharded. Measured on 2 shared vCPUs (`go test -bench
+// 'CompileClaimGraph|ExtractCompileGraph' -benchtime 20x`): the claim graph
+// (150k ScaleLarge claims) compiles in 93–101 ms with the sequential loop and
+// in 149–193 ms (122 MB against 32 MB allocated) with the pass at two
+// workers; the extraction graph (ScaleBench) in 13.9–18.6 ms with the loop —
+// both graphs intern on open-addressed tables (InternTable, PairTable) — and
+// in 25.0–32.9 ms (18.9 MB against 7.2 MB) with the pass at two workers, 36.3
+// ms at four. The merge's extra hashing into generic maps is more than half
+// an interning loop, so a second worker cannot repay it on any host until the
+// merge runs over the shards' own tables. At four cores CI's scaling-check
+// holds the claim-graph compile, pass included, at >= 1.5x the one-core cell.
+// Three has been measured on no host and stays with the loop.
 const ShardInternMinWorkers = 4
 
 // ShardIntern is the one selection rule of the shard-and-merge interning

@@ -12,8 +12,14 @@ package extract
 // extractors, triples, items and statements never move — only the batch is
 // hashed, against the interning index the previous generation left behind.
 //
-// The batch interns through internBatch, the one sequential loop. The
-// shard-and-merge pass (internParallel: the same loop per shard, then an
+// The batch interns through internBatch, the one sequential loop, on the
+// claim graph's substrate: open-addressed csr.InternTables over the key
+// columns, a csr.PairTable for statements keyed by the packed (source ID,
+// triple ID) word, and the batch's extractor-list additions as chains through
+// one flat entry pool (extLists), which flatten reads back in
+// first-extraction order. A from-empty batch presizes every table and key
+// column from its length (presize); an Append onto compiled statements
+// presizes only the batch's own lists. The shard-and-merge pass (internParallel: the same loop per shard, then an
 // ordered merge) is chosen from what extend can observe — nothing is interned
 // yet, which is a bulk Compile or a first Append onto an empty generation, and
 // csr.ShardIntern(len(batch), workers) holds: the batch reaches
@@ -37,7 +43,8 @@ package extract
 // exceed old ones, so each span is oldSpan ++ newIDs; untouched runs of
 // groups move as one copy), the flattened extractor lists re-flatten around
 // the batch's additions the same way, and the support counts are extended by
-// copy and recounted only where the batch touched them. The ext→statement
+// copy and recounted only where the batch touched them, in ascending triple
+// order. The ext→statement
 // incidence is merged as well (mergeExtStatements), though its rows cannot
 // simply be extended at the end — a batch that pairs an old source with an
 // extractor for the first time puts all of that source's old statements into
@@ -65,7 +72,6 @@ import (
 	"slices"
 
 	"kfusion/internal/csr"
-	"kfusion/internal/kb"
 )
 
 // Append extends the compiled graph with an extraction batch and returns the
@@ -124,11 +130,14 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 	srcExts := extLists{oldStart: g.srcExtStart, oldFlat: g.srcExts}
 	switch {
 	case nStOld > 0:
+		// An extraction adds at most one row and one entry to each list.
+		stExts.presize(len(xs), len(xs))
+		srcExts.presize(len(xs), len(xs))
 		internBatch(next, idx, xs, &stExts, &srcExts)
 	case csr.ShardIntern(len(xs), workers):
 		internParallel(next, idx, xs, workers, &stExts, &srcExts)
 	default:
-		idx.presize(len(xs))
+		presize(next, idx, len(xs), &stExts, &srcExts)
 		internBatch(next, idx, xs, &stExts, &srcExts)
 	}
 	internItems(next, idx, nTriOld)
@@ -175,18 +184,18 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 	// The old triples the batch touched, through a new statement or a new
 	// extractor on an old one.
 	if nTriOld > 0 {
-		touched := make(map[int32]bool, len(next.stSource)-nStOld+len(grownSts))
+		touched := make([]int32, 0, len(next.stSource)-nStOld+len(grownSts))
 		for _, t := range next.stTriple[nStOld:] {
 			if int(t) < nTriOld {
-				touched[t] = true
+				touched = append(touched, t)
 			}
 		}
 		for _, si := range grownSts {
-			touched[next.stTriple[si]] = true
+			touched = append(touched, next.stTriple[si])
 		}
+		slices.Sort(touched)
 		seen := unseen(len(next.extractors))
-		//lint:ignore kflint/mapiter recountTriple overwrites only triple t's count, and the seen scratch is stamped with t itself so stale entries from other triples are ignored — per-key effects are disjoint.
-		for t := range touched {
+		for _, t := range slices.Compact(touched) {
 			next.recountTriple(t, seen)
 		}
 	}
@@ -243,9 +252,11 @@ func (g *Compiled) mergeExtStatements(prev *graph, stExts, srcExts *extLists, gr
 	// then order each extractor's segment by statement ID (the statements of
 	// two sources interleave).
 	joinStart := make([]int32, nExt+1)
+	var buf []int32 // one grown row's additions
 	for _, s := range grownSrcs {
 		n := prev.srcStStart[s+1] - prev.srcStStart[s]
-		for _, x := range srcExts.grown[s] {
+		buf = srcExts.added(buf[:0], s)
+		for _, x := range buf {
 			joinStart[x+1] += n
 		}
 	}
@@ -256,7 +267,8 @@ func (g *Compiled) mergeExtStatements(prev *graph, stExts, srcExts *extLists, gr
 	at := slices.Clone(joinStart[:nExt])
 	for _, s := range grownSrcs {
 		sts := prev.srcSts[prev.srcStStart[s]:prev.srcStStart[s+1]]
-		for _, x := range srcExts.grown[s] {
+		buf = srcExts.added(buf[:0], s)
+		for _, x := range buf {
 			at[x] += int32(copy(joiners[at[x]:], sts))
 		}
 	}
@@ -325,7 +337,8 @@ func (g *Compiled) mergeExtStatements(prev *graph, stExts, srcExts *extLists, gr
 	// statement's source — it has just extracted from it — so the statement is
 	// in the old part of its span, as a moved entry or as a joiner.
 	for _, si := range grownSts {
-		for _, x := range stExts.grown[si] {
+		buf = stExts.added(buf[:0], si)
+		for _, x := range buf {
 			span := g.extSts[g.extStStart[x]:g.extStStart[x+1]]
 			k, ok := slices.BinarySearch(span, si)
 			if !ok {
@@ -343,24 +356,14 @@ func (g *Compiled) mergeExtStatements(prev *graph, stExts, srcExts *extLists, gr
 // from a snapshot). The rebuild hashes each distinct key once (not once per
 // extraction); it exists for correctness — chained appends never hit it.
 func (g *Compiled) rebuildIndex() *extractIndex {
-	// The columns are clipped, so this index's first append copies each once
-	// and then owns its own tail: a fork never writes another chain's.
-	idx := &extractIndex{cols: g.columns.clipped(), item: make(map[kb.DataItem]int32, len(g.items))}
-	idx.presize(len(g.stSource))
-	for s, key := range g.sources {
-		idx.src[key] = int32(s)
+	return &extractIndex{
+		// Clipped, so this index's first append copies each column once and
+		// then owns its own tail: a fork never writes another chain's.
+		cols: g.columns.clipped(),
+		src:  csr.BuildInternTable(g.sources, nil),
+		ext:  csr.BuildInternTable(g.extractors, nil),
+		tri:  csr.BuildInternTable(g.triples, csr.HashTriple),
+		item: csr.BuildInternTable(g.items, csr.HashItem),
+		st:   statementTable(g.stSource, g.stTriple),
 	}
-	for x, key := range g.extractors {
-		idx.ext[key] = int32(x)
-	}
-	for t := range g.triples {
-		idx.tri[g.triples[t]] = int32(t)
-	}
-	for i := range g.items {
-		idx.item[g.items[i]] = int32(i)
-	}
-	for si := range g.stSource {
-		idx.st[stKey{g.stSource[si], g.stTriple[si]}] = int32(si)
-	}
-	return idx
 }

@@ -15,6 +15,16 @@
 //     (template, attribute) combination, and a small fraction of patterns
 //     are systematically broken ("toxic"), producing the per-pattern quality
 //     spread that makes pattern-granularity provenances pay off (Figure 10).
+//
+// The package also compiles what the extractors emit: Compiled is the
+// interned (source × extractor × triple) graph the two-layer model runs over,
+// and one generation of an append-only feed (append.go). Its interning loop
+// runs on the claim graph's substrate — csr.InternTable for sources,
+// extractors, triples and items, a csr.PairTable keyed by the packed (source
+// ID, triple ID) word for statements, last-seen caches for the source and
+// extractor of consecutive extractions — and keeps the batch's extractor-list
+// additions as chains in flat arrays, so interning allocates per growth
+// step, never per row.
 package extract
 
 import (

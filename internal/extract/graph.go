@@ -57,7 +57,7 @@ type Compiled struct {
 	// Compile).
 	gen int
 
-	// idx is the interning byproduct Append consumes: the key -> ID maps of
+	// idx is the interning byproduct Append consumes: the key -> ID tables of
 	// every interned space. The first Append on this generation takes it
 	// (and hands it to the generation it returns); a later Append on the
 	// same generation rebuilds it from the graph — correct, just slower.
@@ -157,30 +157,43 @@ func (c columns) clipped() columns {
 }
 
 // extractIndex is the mutable interning state a compilation leaves behind so
-// Append can extend the ID spaces without re-hashing the prefix.
+// Append can extend the ID spaces without re-hashing the prefix. Every ID
+// space interns through the claim graph's substrate: an open-addressed
+// csr.InternTable over the dense key column it numbers (sources, extractors,
+// triples, items), and for statements a csr.PairTable keyed by the packed
+// (source ID, triple ID) word, which needs no key column at all.
 type extractIndex struct {
 	// cols are the owning generation's append-only columns with their spare
 	// capacity: the one handle through which the shared tails are written.
 	cols columns
 
-	src  map[string]int32
-	ext  map[string]int32
-	tri  map[kb.Triple]int32
-	item map[kb.DataItem]int32
-	st   map[stKey]int32
+	src  csr.InternTable[string]
+	ext  csr.InternTable[string]
+	tri  csr.InternTable[kb.Triple]
+	item csr.InternTable[kb.DataItem]
+	st   csr.PairTable
 }
 
-// presize replaces the maps internBatch fills with ones sized for a
-// from-empty stream of n extractions. Statements run close to the extraction
-// count; distinct triples up to about half of it (the claim graph's prior),
-// and the triple map is the large one — 68 bytes a slot, kept by the index for
-// as long as the generation is — so it is sized for that: undershooting costs
-// a cheap growth, overshooting by the other half held 10 MB per 150k records.
-func (idx *extractIndex) presize(n int) {
-	idx.src = make(map[string]int32, 1024)
-	idx.ext = make(map[string]int32, 32)
-	idx.tri = make(map[kb.Triple]int32, n/2)
-	idx.st = make(map[stKey]int32, n)
+// presize readies g's empty ID spaces, idx's tables and the extractor lists
+// for a from-empty stream of n extractions, so the interning loop appends
+// into allocations sized once instead of growing every column from nothing.
+// The priors are the bench corpus's: statements run close to the extraction
+// count, distinct triples to about 0.4 of it (sized at half, the claim
+// graph's prior), URL-level sources to about 0.13 and (source, extractor)
+// pairs to about 0.45. Undershooting costs one growth; overshooting is held
+// by the index for as long as its generation is.
+func presize(g *Compiled, idx *extractIndex, n int, stExts, srcExts *extLists) {
+	idx.src = csr.NewInternTable[string](n/4, nil)
+	idx.ext = csr.NewInternTable[string](32, nil)
+	idx.tri = csr.NewInternTable(n/2, csr.HashTriple)
+	idx.st = csr.NewPairTable(n)
+	g.sources = make([]string, 0, n/4+16)
+	g.extractors = make([]string, 0, 32)
+	g.triples = make([]kb.Triple, 0, n/2+16)
+	g.stSource = make([]int32, 0, n)
+	g.stTriple = make([]int32, 0, n)
+	stExts.presize(n, n)
+	srcExts.presize(n/4+16, n/2+16)
 }
 
 // Compile interns an extraction set into a reusable Compiled graph using all
@@ -326,73 +339,158 @@ type stKey struct{ src, tri int32 }
 // extractor against its statement and its source (stExts, srcExts). The
 // extractor lists are short (bounded by the extractor fleet), so linear scans
 // beat maps. Items are interned afterwards from the new triples (internItems).
+//
+// A feed lists a page's extractions together and an extractor's output in
+// runs, so last-seen caches answer most source and extractor lookups without
+// hashing, and a repeated (source, extractor) pair skips its list scan.
+// Triples do not repeat consecutively; a statement costs one word probe.
 func internBatch(g *Compiled, idx *extractIndex, xs []Extraction, stExts, srcExts *extLists) {
+	lastKey, lastExt := "", ""
+	var src, ext int32
+	pairSrc, pairExt := int32(-1), int32(-1)
 	for i := range xs {
 		x := &xs[i]
 		key := x.URL
 		if g.siteLevel {
 			key = x.Site
 		}
-		src, ok := idx.src[key]
-		if !ok {
-			src = int32(len(g.sources))
-			idx.src[key] = src
-			g.sources = append(g.sources, key)
-			srcExts.fresh = append(srcExts.fresh, nil)
+		if key != lastKey || i == 0 {
+			h := idx.src.Hash(key)
+			src = idx.src.ID(h, key, g.sources)
+			if src < 0 {
+				src = int32(len(g.sources))
+				g.sources = append(g.sources, key)
+				idx.src.Insert(h, src)
+				srcExts.addRow()
+			}
+			lastKey = key
 		}
-		ext, ok := idx.ext[x.Extractor]
-		if !ok {
-			ext = int32(len(g.extractors))
-			idx.ext[x.Extractor] = ext
-			g.extractors = append(g.extractors, x.Extractor)
+		if x.Extractor != lastExt || i == 0 {
+			h := idx.ext.Hash(x.Extractor)
+			ext = idx.ext.ID(h, x.Extractor, g.extractors)
+			if ext < 0 {
+				ext = int32(len(g.extractors))
+				g.extractors = append(g.extractors, x.Extractor)
+				idx.ext.Insert(h, ext)
+			}
+			lastExt = x.Extractor
 		}
-		srcExts.add(src, ext)
-		tri, ok := idx.tri[x.Triple]
-		if !ok {
+		if src != pairSrc || ext != pairExt {
+			srcExts.add(src, ext)
+			pairSrc, pairExt = src, ext
+		}
+		h := csr.HashTriple(x.Triple)
+		tri := idx.tri.ID(h, x.Triple, g.triples)
+		if tri < 0 {
 			tri = int32(len(g.triples))
-			idx.tri[x.Triple] = tri
 			g.triples = append(g.triples, x.Triple)
+			idx.tri.Insert(h, tri)
 		}
-		si, ok := idx.st[stKey{src, tri}]
-		if !ok {
-			si = int32(len(g.stSource))
-			idx.st[stKey{src, tri}] = si
+		si, added := idx.st.Intern(src, tri, int32(len(g.stSource)))
+		if added {
 			g.stSource = append(g.stSource, src)
 			g.stTriple = append(g.stTriple, tri)
-			stExts.fresh = append(stExts.fresh, nil)
+			stExts.addRow()
 		}
 		stExts.add(si, ext)
 	}
 }
 
+// statementTable bulk-loads the statement table over the statement columns.
+func statementTable(stSource, stTriple []int32) csr.PairTable {
+	t := csr.NewPairTable(len(stSource))
+	for si := range stSource {
+		t.Intern(stSource[si], stTriple[si], int32(si))
+	}
+	return t
+}
+
 // internItems extends the item ID space over the triples from firstTriple
 // on. A triple belongs to exactly one item, so walking the new triples in ID
 // (first-occurrence) order interns items in stream first-occurrence order
-// too.
+// too, and hashes each distinct item once per triple instead of once per
+// extraction.
 func internItems(g *Compiled, idx *extractIndex, firstTriple int) {
-	if idx.item == nil {
-		idx.item = make(map[kb.DataItem]int32, len(g.triples))
+	need := len(g.triples) - firstTriple
+	if len(g.items) == 0 {
+		// Nothing interned yet: size the table for the walk (items run to
+		// about half the triples).
+		idx.item = csr.NewInternTable(need/2, csr.HashItem)
 	}
+	g.items = slices.Grow(g.items, need/2)
+	g.itemOfTriple = slices.Grow(g.itemOfTriple, need)
 	for _, t := range g.triples[firstTriple:] {
-		item, ok := idx.item[t.Item()]
-		if !ok {
-			item = int32(len(g.items))
-			idx.item[t.Item()] = item
-			g.items = append(g.items, t.Item())
+		item := t.Item()
+		h := idx.item.Hash(item)
+		iid := idx.item.ID(h, item, g.items)
+		if iid < 0 {
+			iid = int32(len(g.items))
+			g.items = append(g.items, item)
+			idx.item.Insert(h, iid)
 		}
-		g.itemOfTriple = append(g.itemOfTriple, item)
+		g.itemOfTriple = append(g.itemOfTriple, iid)
 	}
 }
 
 // extLists grows the per-row extractor lists (rows are statements, or
 // sources) of one generation. Rows the previous generation already had keep
-// their flattened span and collect the batch's additions sparsely — most are
-// untouched by a batch; rows the batch introduces get dense lists. A fresh
-// compile has no old rows, so everything is dense.
+// their flattened span; what the batch adds to any row — an old one, or one
+// the batch introduces — is a chain through one flat entry pool, so a row
+// costs one head slot and an addition two words, never a slice of its own.
+// Old rows are reached through a sparse map (most are untouched by a batch),
+// new rows through a dense head column. A fresh compile has no old rows.
 type extLists struct {
-	oldStart, oldFlat []int32           // the previous generation's CSR
-	grown             map[int32][]int32 // old row -> extractors the batch added
-	fresh             [][]int32         // rows from len(oldStart)-1 on
+	oldStart, oldFlat []int32 // the previous generation's CSR
+	// Entry i holds extractor ext[i] and is followed by entry next[i] (-1:
+	// the last). head[r] is new row r's first entry and grown[row] an old
+	// row's first addition (-1 / absent: none).
+	head      []int32
+	grown     map[int32]int32
+	ext, next []int32
+}
+
+// presize reserves room for rows new rows and entries additions.
+func (l *extLists) presize(rows, entries int) {
+	l.head = make([]int32, 0, rows)
+	l.ext = make([]int32, 0, entries)
+	l.next = make([]int32, 0, entries)
+}
+
+// addRow appends an empty new row.
+func (l *extLists) addRow() { l.head = append(l.head, -1) }
+
+// appendChain appends the extractors of the chain starting at entry i, in
+// first-addition order, to dst.
+func (l *extLists) appendChain(dst []int32, i int32) []int32 {
+	for ; i >= 0; i = l.next[i] {
+		dst = append(dst, l.ext[i])
+	}
+	return dst
+}
+
+// added appends the extractors the batch added to old row r to dst.
+func (l *extLists) added(dst []int32, r int32) []int32 {
+	return l.appendChain(dst, l.grown[r])
+}
+
+// push adds x to the chain starting at entry first (-1: an empty chain)
+// unless the chain holds it, and returns the chain's first entry.
+func (l *extLists) push(first, x int32) int32 {
+	last := int32(-1)
+	for i := first; i >= 0; i = l.next[i] {
+		if l.ext[i] == x {
+			return first
+		}
+		last = i
+	}
+	e := int32(len(l.ext))
+	l.ext = append(l.ext, x)
+	l.next = append(l.next, -1)
+	if last < 0 {
+		return e
+	}
+	l.next[last] = e
+	return first
 }
 
 // grownRows returns the old rows the batch grew in ascending order — the one
@@ -406,22 +504,27 @@ func (l *extLists) grownRows() []int32 {
 	return rows
 }
 
-// add records that extractor ext touched row, unless the row already lists
-// it. New rows must have been appended to fresh first.
-func (l *extLists) add(row, ext int32) {
-	if nOld := int32(max(len(l.oldStart)-1, 0)); row >= nOld {
-		if f := &l.fresh[row-nOld]; !containsID(*f, ext) {
-			*f = append(*f, ext)
+// add records that extractor x touched row, unless the row already lists it.
+// New rows must have been added (addRow) first.
+func (l *extLists) add(row, x int32) {
+	nOld := int32(max(len(l.oldStart)-1, 0))
+	if row >= nOld {
+		l.head[row-nOld] = l.push(l.head[row-nOld], x)
+		return
+	}
+	if containsID(l.oldFlat[l.oldStart[row]:l.oldStart[row+1]], x) {
+		return
+	}
+	first, ok := l.grown[row]
+	if !ok {
+		first = -1
+	}
+	if f := l.push(first, x); f != first {
+		if l.grown == nil {
+			l.grown = map[int32]int32{}
 		}
-		return
+		l.grown[row] = f
 	}
-	if containsID(l.oldFlat[l.oldStart[row]:l.oldStart[row+1]], ext) || containsID(l.grown[row], ext) {
-		return
-	}
-	if l.grown == nil {
-		l.grown = map[int32][]int32{}
-	}
-	l.grown[row] = append(l.grown[row], ext)
 }
 
 // flatten concatenates the lists into a CSR (start, flat) pair: old rows keep
@@ -432,15 +535,8 @@ func (l *extLists) add(row, ext int32) {
 // grownRows is l.grownRows().
 func (l *extLists) flatten(grownRows []int32) (start, flat []int32) {
 	nOld := max(len(l.oldStart)-1, 0)
-	total := len(l.oldFlat)
-	for _, r := range grownRows {
-		total += len(l.grown[r])
-	}
-	for _, f := range l.fresh {
-		total += len(f)
-	}
-	start = make([]int32, nOld+len(l.fresh)+1)
-	flat = make([]int32, 0, total)
+	start = make([]int32, nOld+len(l.head)+1)
+	flat = make([]int32, 0, len(l.oldFlat)+len(l.ext))
 	lo := 0 // first old row not emitted yet
 	emitRun := func(hi int) {
 		shift := int32(len(flat)) - l.oldStart[lo]
@@ -452,14 +548,14 @@ func (l *extLists) flatten(grownRows []int32) (start, flat []int32) {
 	}
 	for _, r := range grownRows {
 		emitRun(int(r) + 1)
-		flat = append(flat, l.grown[r]...)
+		flat = l.added(flat, r)
 	}
 	if lo < nOld {
 		emitRun(nOld)
 	}
-	for r, f := range l.fresh {
+	for r, first := range l.head {
 		start[nOld+r] = int32(len(flat))
-		flat = append(flat, f...)
+		flat = l.appendChain(flat, first)
 	}
 	start[len(start)-1] = int32(len(flat))
 	return start, flat
@@ -471,16 +567,18 @@ func (l *extLists) flatten(grownRows []int32) (start, flat []int32) {
 // first-occurrence order, and shard-local IDs are remapped through the merged
 // indexes. Because any key's first global occurrence lies in the earliest
 // shard that saw it, and shard-local lists preserve stream order, the merged
-// ID spaces (and the first-extraction-ordered extractor lists, returned
-// dense in stExts and srcExts) are identical to one internBatch over the whole
-// stream.
+// ID spaces (and the first-extraction-ordered extractor lists, returned as
+// new rows in stExts and srcExts) are identical to one internBatch over the
+// whole stream.
 //
 // The merges themselves run as csr.MergeKeys' ordered pairwise trees —
 // adjacent shard pairs merged concurrently: sources, extractors and triples
 // merge concurrently with each other, then statements merge over
-// globally-remapped (source, triple) keys built in parallel per shard. Only
-// the extractor-list folds remain a sequential walk; their work per
-// statement is bounded by the extractor fleet, not the corpus.
+// globally-remapped (source, triple) keys built in parallel per shard. The
+// merge's maps do the remap; the index Append continues from is the flat
+// tables, bulk-loaded over the merged columns in ID order. Only the
+// extractor-list folds remain a sequential walk; their work per statement is
+// bounded by the extractor fleet, not the corpus.
 func internParallel(g *Compiled, idx *extractIndex, xs []Extraction, workers int, stExts, srcExts *extLists) {
 	n := len(xs)
 	if workers > n {
@@ -497,7 +595,7 @@ func internParallel(g *Compiled, idx *extractIndex, xs []Extraction, workers int
 		s := &shards[w]
 		s.g = &Compiled{graph: &graph{siteLevel: g.siteLevel}}
 		sidx := &extractIndex{}
-		sidx.presize(hi - lo)
+		presize(s.g, sidx, hi-lo, &s.stExts, &s.srcExts)
 		internBatch(s.g, sidx, xs[lo:hi], &s.stExts, &s.srcExts)
 	})
 
@@ -511,17 +609,19 @@ func internParallel(g *Compiled, idx *extractIndex, xs []Extraction, workers int
 		extShards[w] = shards[w].g.extractors
 		triShards[w] = shards[w].g.triples
 	}
+	var srcMap, extMap map[string]int32
+	var triMap map[kb.Triple]int32
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		g.sources, idx.src = csr.MergeKeys(srcShards, workers)
+		g.sources, srcMap = csr.MergeKeys(srcShards, workers)
 	}()
 	go func() {
 		defer wg.Done()
-		g.extractors, idx.ext = csr.MergeKeys(extShards, workers)
+		g.extractors, extMap = csr.MergeKeys(extShards, workers)
 	}()
-	g.triples, idx.tri = csr.MergeKeys(triShards, workers)
+	g.triples, triMap = csr.MergeKeys(triShards, workers)
 	wg.Wait()
 
 	// Remap each shard's statement keys to global (source, triple) IDs in
@@ -534,15 +634,15 @@ func internParallel(g *Compiled, idx *extractIndex, xs []Extraction, workers int
 			s := shards[w].g
 			srcRemap[w] = make([]int32, len(s.sources))
 			for li, key := range s.sources {
-				srcRemap[w][li] = idx.src[key]
+				srcRemap[w][li] = srcMap[key]
 			}
 			extRemap[w] = make([]int32, len(s.extractors))
 			for li, key := range s.extractors {
-				extRemap[w][li] = idx.ext[key]
+				extRemap[w][li] = extMap[key]
 			}
 			triRemap := make([]int32, len(s.triples))
 			for li, t := range s.triples {
-				triRemap[li] = idx.tri[t]
+				triRemap[li] = triMap[t]
 			}
 			keys := make([]stKey, len(s.stSource))
 			for lsi := range s.stSource {
@@ -551,30 +651,39 @@ func internParallel(g *Compiled, idx *extractIndex, xs []Extraction, workers int
 			stKeyShards[w] = keys
 		}
 	})
-	var stKeys []stKey
-	stKeys, idx.st = csr.MergeKeys(stKeyShards, workers)
+	stKeys, stMap := csr.MergeKeys(stKeyShards, workers)
 	g.stSource = make([]int32, len(stKeys))
 	g.stTriple = make([]int32, len(stKeys))
 	for si, k := range stKeys {
 		g.stSource[si] = k.src
 		g.stTriple[si] = k.tri
 	}
+	idx.src = csr.BuildInternTable(g.sources, nil)
+	idx.ext = csr.BuildInternTable(g.extractors, nil)
+	idx.tri = csr.BuildInternTable(g.triples, csr.HashTriple)
+	idx.st = statementTable(g.stSource, g.stTriple)
 
 	// Fold the per-statement and per-source extractor lists shard by shard
 	// (stream order), preserving first-extraction order across shards.
-	stExts.fresh = make([][]int32, len(stKeys))
-	srcExts.fresh = make([][]int32, len(g.sources))
+	stExts.presize(len(stKeys), len(stKeys))
+	srcExts.presize(len(g.sources), len(g.sources))
+	for range stKeys {
+		stExts.addRow()
+	}
+	for range g.sources {
+		srcExts.addRow()
+	}
 	for w := range shards {
 		s := &shards[w]
-		for lsi, l := range s.stExts.fresh {
-			gsi := idx.st[stKeyShards[w][lsi]]
-			for _, lx := range l {
-				stExts.add(gsi, extRemap[w][lx])
+		for lsi, first := range s.stExts.head {
+			gsi := stMap[stKeyShards[w][lsi]]
+			for i := first; i >= 0; i = s.stExts.next[i] {
+				stExts.add(gsi, extRemap[w][s.stExts.ext[i]])
 			}
 		}
-		for ls, l := range s.srcExts.fresh {
-			for _, lx := range l {
-				srcExts.add(srcRemap[w][ls], extRemap[w][lx])
+		for ls, first := range s.srcExts.head {
+			for i := first; i >= 0; i = s.srcExts.next[i] {
+				srcExts.add(srcRemap[w][ls], extRemap[w][s.srcExts.ext[i]])
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"kfusion/internal/csr"
@@ -226,41 +227,81 @@ func TestInternParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	n := internShardThreshold + 4321
 	xs := randomExtractions(rng, n)
+	batch := randomExtractions(rng, 700)
 	for _, siteLevel := range []bool{false, true} {
 		want := CompileWorkers(xs, siteLevel, 1)
+		wantNext := CompileWorkers(slices.Concat(xs, batch), siteLevel, 1)
 		for _, workers := range []int{csr.ShardInternMinWorkers, 7, 8} {
 			got := CompileWorkers(xs, siteLevel, workers)
+			name := fmt.Sprintf("siteLevel=%v workers=%d", siteLevel, workers)
 			got.token = want.token // a graph's identity: the one field no two compiles share
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("siteLevel=%v workers=%d: parallel interning diverged from sequential", siteLevel, workers)
+			if !reflect.DeepEqual(got.graph, want.graph) {
+				t.Fatalf("%s: parallel interning diverged from sequential", name)
 			}
+			// The index the pass leaves is what Append continues from: it maps
+			// every key to its ID, and extends the graph as the loop's would.
+			indexMapsGraph(t, name, got.idx, got)
+			appendGraphsEqual(t, name+" +batch", got.AppendWorkers(batch, 1), wantNext)
 		}
 
-		intern := func(pass func(g *Compiled, idx *extractIndex, stExts, srcExts *extLists)) (*Compiled, *extractIndex, [][]int32, [][]int32) {
+		intern := func(pass func(g *Compiled, idx *extractIndex, stExts, srcExts *extLists)) (*Compiled, *extractIndex, [2][]int32, [2][]int32) {
 			g := &Compiled{graph: &graph{siteLevel: siteLevel}}
 			idx := &extractIndex{}
 			var stExts, srcExts extLists
 			pass(g, idx, &stExts, &srcExts)
-			return g, idx, stExts.fresh, srcExts.fresh
+			var st, src [2][]int32
+			st[0], st[1] = stExts.flatten(nil)
+			src[0], src[1] = srcExts.flatten(nil)
+			return g, idx, st, src
 		}
-		seq, seqIdx, seqSt, seqSrc := intern(func(g *Compiled, idx *extractIndex, stExts, srcExts *extLists) {
-			idx.presize(len(xs))
+		seq, _, seqSt, seqSrc := intern(func(g *Compiled, idx *extractIndex, stExts, srcExts *extLists) {
+			presize(g, idx, len(xs), stExts, srcExts)
 			internBatch(g, idx, xs, stExts, srcExts)
 		})
 		for _, shards := range []int{2, 3} {
+			name := fmt.Sprintf("siteLevel=%v shards=%d", siteLevel, shards)
 			par, parIdx, parSt, parSrc := intern(func(g *Compiled, idx *extractIndex, stExts, srcExts *extLists) {
 				internParallel(g, idx, xs, shards, stExts, srcExts)
 			})
 			if !reflect.DeepEqual(par.columns, seq.columns) {
-				t.Fatalf("siteLevel=%v shards=%d: the pass interned other ID spaces than the loop", siteLevel, shards)
+				t.Fatalf("%s: the pass interned other ID spaces than the loop", name)
 			}
 			if !reflect.DeepEqual(parSt, seqSt) || !reflect.DeepEqual(parSrc, seqSrc) {
-				t.Fatalf("siteLevel=%v shards=%d: the pass folded other extractor lists than the loop", siteLevel, shards)
+				t.Fatalf("%s: the pass folded other extractor lists than the loop", name)
 			}
-			// The index the pass leaves is what Append continues from.
-			if !reflect.DeepEqual(parIdx, seqIdx) {
-				t.Fatalf("siteLevel=%v shards=%d: the pass left another index than the loop", siteLevel, shards)
-			}
+			indexMapsGraph(t, name, parIdx, par)
+		}
+	}
+}
+
+// indexMapsGraph checks that idx maps every key of g's ID spaces to its ID:
+// sources, extractors, triples, statements, and items once interned. The
+// tables' seeds and slot layouts are private to each table and not compared.
+func indexMapsGraph(t *testing.T, name string, idx *extractIndex, g *Compiled) {
+	t.Helper()
+	for id, key := range g.sources {
+		if got := idx.src.ID(idx.src.Hash(key), key, g.sources); got != int32(id) {
+			t.Fatalf("%s: source %q maps to %d, want %d", name, key, got, id)
+		}
+	}
+	for id, key := range g.extractors {
+		if got := idx.ext.ID(idx.ext.Hash(key), key, g.extractors); got != int32(id) {
+			t.Fatalf("%s: extractor %q maps to %d, want %d", name, key, got, id)
+		}
+	}
+	for id, key := range g.triples {
+		if got := idx.tri.ID(idx.tri.Hash(key), key, g.triples); got != int32(id) {
+			t.Fatalf("%s: triple %v maps to %d, want %d", name, key, got, id)
+		}
+	}
+	for id, key := range g.items {
+		if got := idx.item.ID(idx.item.Hash(key), key, g.items); got != int32(id) {
+			t.Fatalf("%s: item %v maps to %d, want %d", name, key, got, id)
+		}
+	}
+	for si := range g.stSource {
+		if got, added := idx.st.Intern(g.stSource[si], g.stTriple[si], -1); added || got != int32(si) {
+			t.Fatalf("%s: statement %d maps to %d (absent: %v)", name, si, got, added)
 		}
 	}
 }

@@ -112,13 +112,13 @@ type claimIndex struct {
 	// capacity: the one handle through which the shared tails are written.
 	cols columns
 	// Every ID space interns through an open-addressing table
-	// (interntab.go) over its dense key slice — g.provKeys, extKeys,
+	// (csr.InternTable) over its dense key slice — g.provKeys, extKeys,
 	// g.triples, g.items: per-claim interning is the compile hot loop, and
 	// probing a flat (hash, ID) array beats the generic map's bucket walk.
-	prov internTable[string]
-	ext  internTable[string]
-	tri  internTable[kb.Triple]
-	item internTable[kb.DataItem]
+	prov csr.InternTable[string]
+	ext  csr.InternTable[string]
+	tri  csr.InternTable[kb.Triple]
+	item csr.InternTable[kb.DataItem]
 	// extKeys, extOfClaim and nExt cover the extractor axis, which the
 	// graph itself only keeps aggregated (tripleExtractors); Append needs
 	// the per-claim assignment to recount the triples a batch touches.
@@ -367,10 +367,10 @@ func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 // about half the claim count in an extraction corpus; undershooting just
 // costs cheap grow() re-slots, overshooting costs zeroed pages every compile.
 func (idx *claimIndex) presize(n int) {
-	idx.prov = newInternTable[string](n/2, nil)
-	idx.ext = newInternTable[string](32, nil)
+	idx.prov = csr.NewInternTable[string](n/2, nil)
+	idx.ext = csr.NewInternTable[string](32, nil)
 	idx.extKeys = make([]string, 0, 32)
-	idx.tri = newInternTable(n/2, hashTriple)
+	idx.tri = csr.NewInternTable(n/2, csr.HashTriple)
 }
 
 // internClaims is the one sequential interning loop: it assigns provenance,
@@ -388,35 +388,35 @@ func internClaims(g *graph, idx *claimIndex, first int) {
 		c := &g.claims[i]
 		pid := lastPid
 		if c.Prov != lastProv || i == first {
-			ph := idx.prov.hash(c.Prov)
-			pid = idx.prov.id(ph, c.Prov, g.provKeys)
+			ph := idx.prov.Hash(c.Prov)
+			pid = idx.prov.ID(ph, c.Prov, g.provKeys)
 			if pid < 0 {
 				pid = int32(len(g.provKeys))
 				g.provKeys = append(g.provKeys, c.Prov)
-				idx.prov.insert(ph, pid)
+				idx.prov.Insert(ph, pid)
 			}
 			lastProv, lastPid = c.Prov, pid
 		}
 		g.provOfClaim[i] = pid
 		xid := lastXid
 		if c.Extractor != lastExt || i == first {
-			xh := idx.ext.hash(c.Extractor)
-			xid = idx.ext.id(xh, c.Extractor, idx.extKeys)
+			xh := idx.ext.Hash(c.Extractor)
+			xid = idx.ext.ID(xh, c.Extractor, idx.extKeys)
 			if xid < 0 {
 				xid = int32(idx.nExt)
 				idx.extKeys = append(idx.extKeys, c.Extractor)
-				idx.ext.insert(xh, xid)
+				idx.ext.Insert(xh, xid)
 				idx.nExt++
 			}
 			lastExt, lastXid = c.Extractor, xid
 		}
 		idx.extOfClaim[i] = xid
-		h := idx.tri.hash(c.Triple)
-		tid := idx.tri.id(h, c.Triple, g.triples)
+		h := idx.tri.Hash(c.Triple)
+		tid := idx.tri.ID(h, c.Triple, g.triples)
 		if tid < 0 {
 			tid = int32(len(g.triples))
 			g.triples = append(g.triples, c.Triple)
-			idx.tri.insert(h, tid)
+			idx.tri.Insert(h, tid)
 		}
 		g.tripleOfClaim[i] = tid
 	}
@@ -469,9 +469,9 @@ func internClaimsParallel(g *graph, idx *claimIndex, workers int) {
 	idx.nExt = len(idx.extKeys)
 	// The merge's scratch maps do the shard remap below; the index Append
 	// continues from is the flat intern tables, bulk-loaded in ID order.
-	idx.prov = buildInternTable(g.provKeys, nil)
-	idx.ext = buildInternTable(idx.extKeys, nil)
-	idx.tri = buildInternTable(g.triples, hashTriple)
+	idx.prov = csr.BuildInternTable(g.provKeys, nil)
+	idx.ext = csr.BuildInternTable(idx.extKeys, nil)
+	idx.tri = csr.BuildInternTable(g.triples, csr.HashTriple)
 
 	// Same (n, workers) split as the intern pass, so chunk w rewrites
 	// exactly the IDs shard w assigned.
@@ -508,7 +508,7 @@ func internItems(g *graph, idx *claimIndex, firstTriple int) {
 	if nOldItems == 0 {
 		// Nothing interned yet: size the table for the walk (items run to
 		// about half the triples).
-		idx.item = newInternTable(need/2, hashItem)
+		idx.item = csr.NewInternTable(need/2, csr.HashItem)
 	}
 	var grown map[int32]int32       // old item -> candidates the walk added
 	fresh := make([]int32, 0, need) // candidate count per new item
@@ -519,12 +519,12 @@ func internItems(g *graph, idx *claimIndex, firstTriple int) {
 	g.localOfTriple = slices.Grow(g.localOfTriple, need)
 	for t := firstTriple; t < len(g.triples); t++ {
 		item := g.triples[t].Item()
-		h := idx.item.hash(item)
-		iid := idx.item.id(h, item, g.items)
+		h := idx.item.Hash(item)
+		iid := idx.item.ID(h, item, g.items)
 		if iid < 0 {
 			iid = int32(len(g.items))
 			g.items = append(g.items, item)
-			idx.item.insert(h, iid)
+			idx.item.Insert(h, iid)
 			fresh = append(fresh, 0)
 		}
 		var local int32
@@ -704,10 +704,10 @@ func rebuildIndex(g *graph) *claimIndex {
 		// Clipped, so this index's first append copies each column once and
 		// then owns its own tail: a fork never writes another chain's.
 		cols:       g.columns.clipped(),
-		prov:       buildInternTable(g.provKeys, nil),
-		ext:        buildInternTable(extKeys, nil),
-		tri:        buildInternTable(g.triples, hashTriple),
-		item:       buildInternTable(g.items, hashItem),
+		prov:       csr.BuildInternTable(g.provKeys, nil),
+		ext:        csr.BuildInternTable(extKeys, nil),
+		tri:        csr.BuildInternTable(g.triples, csr.HashTriple),
+		item:       csr.BuildInternTable(g.items, csr.HashItem),
 		extKeys:    extKeys,
 		extOfClaim: extOfClaim,
 		nExt:       len(extKeys),

@@ -44,6 +44,13 @@ type Posterior struct {
 	Rounds int
 	// Unpredicted counts triples for which filtering removed all evidence.
 	Unpredicted int
+	// Moves holds one value per executed EM round: the round's largest
+	// parameter move, which the driver tested for convergence — the largest
+	// provenance-accuracy change here (against Epsilon), the largest
+	// source-accuracy change in twolayer.FuseLockstep (against its
+	// ConvergeTol). VOTE has no stage II and records none, nor does a
+	// posterior rebuilt from an exchange-form result (PosteriorOf).
+	Moves []float64
 
 	graphs []RowGraph
 	starts []int     // starts[s] is graph s's first row; len(graphs)+1 long

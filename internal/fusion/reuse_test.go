@@ -175,12 +175,12 @@ func TestInternClaimsParallelMatchesSequential(t *testing.T) {
 		}
 		// The tables the pass leaves are what Append continues from.
 		for id, key := range par.provKeys {
-			if got := parIdx.prov.id(parIdx.prov.hash(key), key, par.provKeys); got != int32(id) {
+			if got := parIdx.prov.ID(parIdx.prov.Hash(key), key, par.provKeys); got != int32(id) {
 				t.Fatalf("shards=%d: prov table maps %q to %d, want %d", shards, key, got, id)
 			}
 		}
 		for id, key := range par.triples {
-			if got := parIdx.tri.id(parIdx.tri.hash(key), key, par.triples); got != int32(id) {
+			if got := parIdx.tri.ID(parIdx.tri.Hash(key), key, par.triples); got != int32(id) {
 				t.Fatalf("shards=%d: triple table maps %v to %d, want %d", shards, key, got, id)
 			}
 		}

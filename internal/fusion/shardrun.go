@@ -253,6 +253,7 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 	}
 
 	rounds := 0
+	var moves []float64
 	if cfg.Method == Vote {
 		for _, r := range runs {
 			r.StageI(0)
@@ -308,6 +309,7 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 				maxDelta = max(maxDelta, d)
 			}
 			rounds++
+			moves = append(moves, maxDelta)
 			if maxDelta < runs[0].Epsilon() {
 				break
 			}
@@ -315,6 +317,7 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 	}
 
 	out := finish(runs, provs, rounds)
+	out.Moves = moves
 	if prev != nil {
 		// A seeded run is a link of a chain: its engines go with the
 		// posterior, for the next generation to take. An unseeded run is as

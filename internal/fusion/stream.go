@@ -3,6 +3,7 @@ package fusion
 import (
 	"slices"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/extract"
 	"kfusion/internal/kb"
 )
@@ -20,7 +21,7 @@ import (
 //
 // The set holds IDs, not keys: the stream interns every provenance key and
 // every triple into a dense int32 ID through its own intern tables (the
-// compile loop's, interntab.go), in first-occurrence order, and a pair is one
+// compile loop's, csr.InternTable), in first-occurrence order, and a pair is one
 // packed (provenance ID, triple ID) word in an open-addressed set. A record
 // therefore costs one hash of its triple, one word probe, and — when its
 // provenance differs from the previous record's — one hash of the key; no
@@ -39,9 +40,9 @@ type ClaimStream struct {
 
 	provKeys []string    // provenance ID -> key, first-occurrence order
 	triples  []kb.Triple // triple ID -> triple, first-occurrence order
-	prov     internTable[string]
-	tri      internTable[kb.Triple]
-	seen     pairSet
+	prov     csr.InternTable[string]
+	tri      csr.InternTable[kb.Triple]
+	seen     csr.PairTable // a set (csr.NewPairSet)
 	n        int
 
 	// last is the record lastProv was interned from. A feed lists a page's
@@ -61,9 +62,9 @@ func NewClaimStream(g Granularity) *ClaimStream { return newClaimStream(g, 1024)
 func newClaimStream(g Granularity, sizeHint int) *ClaimStream {
 	return &ClaimStream{
 		gran:     g,
-		prov:     newInternTable[string](sizeHint/2, nil),
-		tri:      newInternTable(sizeHint/2, hashTriple),
-		seen:     newPairSet(sizeHint),
+		prov:     csr.NewInternTable[string](sizeHint/2, nil),
+		tri:      csr.NewInternTable(sizeHint/2, csr.HashTriple),
+		seen:     csr.NewPairSet(sizeHint),
 		lastProv: -1,
 	}
 }
@@ -84,14 +85,14 @@ func (s *ClaimStream) Add(xs []extract.Extraction) []Claim {
 		if s.lastProv < 0 || !s.gran.sameKey(x, &s.last) {
 			s.last, s.lastProv = *x, s.internProv(s.gran.Key(*x))
 		}
-		h := hashTriple(x.Triple)
-		tid := s.tri.id(h, x.Triple, s.triples)
+		h := csr.HashTriple(x.Triple)
+		tid := s.tri.ID(h, x.Triple, s.triples)
 		if tid < 0 {
 			tid = int32(len(s.triples))
 			s.triples = append(s.triples, x.Triple)
-			s.tri.insert(h, tid)
+			s.tri.Insert(h, tid)
 		}
-		if !s.seen.add(s.lastProv, tid) {
+		if !s.seen.Add(s.lastProv, tid) {
 			continue
 		}
 		out = append(out, Claim{Triple: x.Triple, Prov: s.provKeys[s.lastProv], Conf: x.Confidence, Extractor: x.Extractor})
@@ -104,12 +105,12 @@ func (s *ClaimStream) Add(xs []extract.Extraction) []Claim {
 // stream has not seen. An equal key built again is dropped here: the interned
 // string is the one every claim carries.
 func (s *ClaimStream) internProv(key string) int32 {
-	h := s.prov.hash(key)
-	id := s.prov.id(h, key, s.provKeys)
+	h := s.prov.Hash(key)
+	id := s.prov.ID(h, key, s.provKeys)
 	if id < 0 {
 		id = int32(len(s.provKeys))
 		s.provKeys = append(s.provKeys, key)
-		s.prov.insert(h, id)
+		s.prov.Insert(h, id)
 	}
 	return id
 }
@@ -129,59 +130,14 @@ func SeedClaimStream(g Granularity, c *Compiled) *ClaimStream {
 		gran:     g,
 		provKeys: slices.Clip(cg.provKeys),
 		triples:  slices.Clip(cg.triples),
-		prov:     buildInternTable(cg.provKeys, nil),
-		tri:      buildInternTable(cg.triples, hashTriple),
-		seen:     newPairSet(len(cg.claims)),
+		prov:     csr.BuildInternTable(cg.provKeys, nil),
+		tri:      csr.BuildInternTable(cg.triples, csr.HashTriple),
+		seen:     csr.NewPairSet(len(cg.claims)),
 		n:        len(cg.claims),
 		lastProv: -1,
 	}
 	for i, p := range cg.provOfClaim {
-		s.seen.add(p, cg.tripleOfClaim[i])
+		s.seen.Add(p, cg.tripleOfClaim[i])
 	}
 	return s
-}
-
-// pairSet is an open-addressed set of (provenance ID, triple ID) pairs, each
-// packed into one word. A slot holds the word plus one, so zero marks an
-// empty slot; IDs are non-negative int32s, which leaves the top bit clear and
-// the increment cannot wrap.
-type pairSet struct {
-	slots []uint64
-	mask  uint64
-	n     int
-}
-
-// newPairSet returns a set that will not grow before sizeHint pairs.
-func newPairSet(sizeHint int) pairSet {
-	size := slotsFor(sizeHint)
-	return pairSet{slots: make([]uint64, size), mask: uint64(size - 1)}
-}
-
-// add inserts the pair and reports whether it was absent.
-func (p *pairSet) add(prov, tri int32) bool {
-	if (p.n+1)*4 > len(p.slots)*3 {
-		old := p.slots
-		*p = pairSet{slots: make([]uint64, 2*len(old)), mask: uint64(2*len(old) - 1)}
-		for _, w := range old {
-			if w != 0 {
-				p.put(w)
-			}
-		}
-	}
-	return p.put((uint64(uint32(prov))<<32 | uint64(uint32(tri))) + 1)
-}
-
-// put slots the word w unless it is there already, and reports whether it
-// was absent. The caller has made room.
-func (p *pairSet) put(w uint64) bool {
-	for i := mixWord(mixPrime, w) & p.mask; ; i = (i + 1) & p.mask {
-		switch p.slots[i] {
-		case w:
-			return false
-		case 0:
-			p.slots[i] = w
-			p.n++
-			return true
-		}
-	}
 }

@@ -411,6 +411,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 	var one [1]csr.Loc
 
 	rounds := 0
+	var moves []float64
 	for rounds < cfg.Rounds {
 		estep()
 		rounds++
@@ -474,6 +475,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 			}
 		}
 
+		moves = append(moves, maxDelta)
 		if maxDelta < ConvergeTol {
 			break
 		}
@@ -483,6 +485,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 
 	// The State owns srcAcc; the posterior, immutable beside it, gets a copy.
 	out := posterior(runs, srcs.Keys(), slices.Clone(srcAcc), rounds, cfg.Workers)
+	out.Moves = moves
 	st := &State{SrcAcc: srcAcc, Recall: recall, FalsePos: falsePos}
 	if warm != nil {
 		// A seeded run is a link of a chain: its engines go with the State,
