@@ -35,7 +35,7 @@ race:
 # I/O step is bit-identical to the uncrashed run, clean and torn-rename, for
 # the one-graph chain and a K=3 sharded one), the degradation-ladder tests, and the faultfs crash model itself.
 fault:
-	$(GO) test -race ./internal/genstore/ ./internal/faultfs/ ./internal/kbstore/ ./internal/kfio/
+	$(GO) test -race ./internal/genstore/ ./internal/faultfs/ ./internal/kfio/
 
 # fuzz-smoke gives each fuzz target a short budget, short enough for every CI
 # push: the corruption-facing ones, long enough to catch a decoder regression

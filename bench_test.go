@@ -12,8 +12,6 @@ package kfusion
 import (
 	"bytes"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"testing"
@@ -24,7 +22,6 @@ import (
 	"kfusion/internal/extract"
 	"kfusion/internal/faultfs"
 	"kfusion/internal/fusion"
-	"kfusion/internal/kbstore"
 	"kfusion/internal/kfio"
 	"kfusion/internal/randx"
 	"kfusion/internal/server"
@@ -674,72 +671,6 @@ func BenchmarkAblationConfidence(b *testing.B) { benchExperiment(b, "abl-confwei
 func BenchmarkAblationCopyDetect(b *testing.B) { benchExperiment(b, "abl-copydetect") }
 func BenchmarkAblationSoftLCWA(b *testing.B)   { benchExperiment(b, "abl-softlcwa") }
 func BenchmarkAblationValueSim(b *testing.B)   { benchExperiment(b, "abl-valuesim") }
-
-// ---- Knowledge-base store benchmarks ----
-
-func BenchmarkKBStoreWrite(b *testing.B) {
-	ds := benchDataset(b)
-	res := ds.Fuse("POPACCU", fusion.PopAccuConfig())
-	dir := b.TempDir()
-	path := filepath.Join(dir, "bench.kb")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := kbstore.Write(path, res.Triples); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	info, err := os.Stat(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(info.Size())/float64(len(res.Triples)), "bytes/triple")
-}
-
-func BenchmarkKBStoreOpen(b *testing.B) {
-	ds := benchDataset(b)
-	res := ds.Fuse("POPACCU", fusion.PopAccuConfig())
-	path := filepath.Join(b.TempDir(), "bench.kb")
-	if err := kbstore.Write(path, res.Triples); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k, err := kbstore.Open(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if k.Len() != len(res.Triples) {
-			b.Fatal("record loss")
-		}
-	}
-}
-
-func BenchmarkKBStoreLookup(b *testing.B) {
-	ds := benchDataset(b)
-	res := ds.Fuse("POPACCU", fusion.PopAccuConfig())
-	path := filepath.Join(b.TempDir(), "bench.kb")
-	if err := kbstore.Write(path, res.Triples); err != nil {
-		b.Fatal(err)
-	}
-	k, err := kbstore.Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	subjects := make([]EntityID, 0, 256)
-	for _, f := range res.Triples {
-		subjects = append(subjects, f.Triple.Subject)
-		if len(subjects) == cap(subjects) {
-			break
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(k.BySubject(subjects[i%len(subjects)])) == 0 {
-			b.Fatal("lookup miss")
-		}
-	}
-}
 
 // BenchmarkLargeScaleFusion validates the paper's scale concern (§3.2.2's
 // third challenge) at the largest size this harness builds: hundreds of

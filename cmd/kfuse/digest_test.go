@@ -114,6 +114,9 @@ func TestFusedOutputDigests(t *testing.T) {
 						if got := fmt.Sprintf("%x", sha256.Sum256(fused)); got != goldenFused[key] {
 							t.Errorf("%q run %d: fused digest %q, want %q", cell, run, got, goldenFused[key])
 						}
+						if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmp) > 0 {
+							t.Errorf("%q run %d: temporary files left beside the output: %v", cell, run, tmp)
+						}
 					}
 				}
 			}

@@ -48,7 +48,6 @@ import (
 	"kfusion/internal/extract"
 	"kfusion/internal/fusion"
 	"kfusion/internal/genstore"
-	"kfusion/internal/kbstore"
 	"kfusion/internal/kfio"
 	"kfusion/internal/multitruth"
 	"kfusion/internal/twolayer"
@@ -68,7 +67,6 @@ func main() {
 		sampleL = flag.Int("L", 0, "override per-reducer sample cap L")
 		quiet   = flag.Bool("q", false, "suppress the summary")
 		workers = flag.Int("workers", 0, "worker goroutines (0 = all cores)")
-		kbOut   = flag.String("kb", "", "also persist the fused KB to this kbstore file")
 		appendM = flag.Bool("append", false, "stream the input in chunks over one growing graph (incremental compile + warm-start fusion)")
 		chunk   = flag.Int("chunk", 100000, "with -append: extractions per chunk")
 		state   = flag.String("state", "", "with -append: durable state directory (journal + snapshots; a restarted run resumes from it)")
@@ -140,7 +138,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		writeResult(res, *out, *kbOut, *quiet)
+		writeResult(res, *out, *quiet)
 		return
 	case "popaccu+":
 		if labeler == nil {
@@ -175,7 +173,7 @@ func main() {
 	}
 
 	res, _ := j.run()
-	writeResult(res, *out, *kbOut, *quiet)
+	writeResult(res, *out, *quiet)
 }
 
 // job is one kfuse run: a feed, a method binding, and where the chain lives
@@ -366,29 +364,15 @@ func (j *job) streamChunks(skip int, durable bool, step func([]extract.Extractio
 	}
 }
 
-// writeResult persists the fused output as JSONL and optionally as a kbstore
-// snapshot.
-func writeResult(res *fusion.Result, out, kbOut string, quiet bool) {
-	o, err := os.Create(out)
-	if err != nil {
+// writeResult writes the fused output as JSONL — the fused knowledge base
+// kfquery and kfeval read — through a temporary file renamed over out, so
+// an interrupted run never leaves a torn file under the final name.
+func writeResult(res *fusion.Result, out string, quiet bool) {
+	if err := kfio.AtomicWriteFile(out, func(w io.Writer) error { return kfio.WriteFused(w, res) }); err != nil {
 		log.Fatal(err)
-	}
-	if err := kfio.WriteFused(o, res); err != nil {
-		log.Fatal(err)
-	}
-	if err := o.Close(); err != nil {
-		log.Fatal(err)
-	}
-	if kbOut != "" {
-		if err := kbstore.Write(kbOut, res.Triples); err != nil {
-			log.Fatal(err)
-		}
 	}
 	if !quiet {
 		fmt.Printf("fused %d unique triples in %d rounds (%d without probability) -> %s\n",
 			len(res.Triples), res.Rounds, res.Unpredicted, out)
-		if kbOut != "" {
-			fmt.Printf("knowledge base snapshot -> %s\n", kbOut)
-		}
 	}
 }

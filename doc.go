@@ -224,7 +224,7 @@
 //     against. Established with the batched-kernel restructuring.
 //
 //   - kflint/typederr — wrap-safe error dispatch. The durability sentinels
-//     (kbstore/genstore ErrCorrupt/ErrVersion, kfio's *ErrPartialLine) and
+//     (genstore ErrCorrupt/ErrVersion, kfio's *ErrPartialLine) and
 //     the serving sentinels (httpapi ErrNotFound/ErrBadBatch/ErrNotReady/
 //     ErrBusy/ErrBadRequest, re-exported at the root) are always wrapped by
 //     producers, so `==`, identity switches, and concrete type assertions
@@ -254,8 +254,8 @@
 // the kfserved serving contract, sharded-state caveats. Every package and
 // symbol reference in both (and in README.md) resolves with `go doc`,
 // enforced in CI by scripts/check-docs.sh (`make docs-check`). Runnable
-// examples of each workflow live in example_test.go and run under
-// `go test ./...`.
+// examples of each workflow live in example_test.go, longer walkthroughs in
+// example_walkthrough_test.go, and both run under `go test ./...`.
 //
 // A minimal end-to-end run:
 //

@@ -10,9 +10,10 @@
 //     graph (or, for a sharded claim chain, its K graphs and K itself), fused
 //     posterior (materialised to its exchange form for the file, see
 //     State.Fused), warm-start accuracies, feed cursor — to a versioned file
-//     in kbstore's magic/version/footer layout, every section CRC32C-checked,
-//     via an atomic temp-file + fsync + rename protocol. The two newest
-//     snapshots are retained.
+//     (magic and version header, sections, a section index, and a footer
+//     holding the index offset and the magic again), every section
+//     CRC32C-checked, via an atomic temp-file + fsync + rename protocol. The
+//     two newest snapshots are retained.
 //   - Append journals the raw extraction batch (length-prefixed, CRC32C)
 //     and fsyncs BEFORE applying it to the in-memory state, so a crash
 //     mid-apply loses nothing: the batch replays on reopen.

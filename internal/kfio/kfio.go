@@ -369,7 +369,8 @@ func WriteFused(w io.Writer, res *fusion.Result) error {
 }
 
 // FusedReader iterates a JSONL fused-triple stream without loading the whole
-// file, so evaluation (kfeval) streams instead of materializing the result.
+// file, so evaluation (kfeval) and queries (kfquery) stream instead of
+// materializing the result.
 type FusedReader struct {
 	sc *lineScanner
 }
@@ -379,20 +380,26 @@ func NewFusedReader(r io.Reader) *FusedReader {
 	return &FusedReader{sc: newScanner(r)}
 }
 
-// Next returns the next fused triple, or io.EOF after the last one.
+// Next returns the next fused triple, io.EOF after the last one, or
+// *ErrPartialLine when the stream ends mid-line: WriteFused terminates every
+// row, so an unterminated tail is a torn file, never a row. A line that does
+// not parse is an error naming its line number and byte offset.
 func (r *FusedReader) Next() (fusion.FusedTriple, error) {
 	for r.sc.Scan() {
 		line := r.sc.Bytes()
+		if r.sc.partial {
+			return fusion.FusedTriple{}, &ErrPartialLine{Offset: r.sc.start, Line: append([]byte(nil), line...)}
+		}
 		if len(line) == 0 {
 			continue
 		}
 		var rec FusedRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return fusion.FusedTriple{}, fmt.Errorf("kfio: parse fused line %d: %w", r.sc.line, err)
+			return fusion.FusedTriple{}, fmt.Errorf("kfio: parse fused line %d at byte offset %d: %w", r.sc.line, r.sc.start, err)
 		}
 		obj, err := kb.ParseObject(rec.Object)
 		if err != nil {
-			return fusion.FusedTriple{}, fmt.Errorf("kfio: fused line %d: %w", r.sc.line, err)
+			return fusion.FusedTriple{}, fmt.Errorf("kfio: fused line %d at byte offset %d: %w", r.sc.line, r.sc.start, err)
 		}
 		return fusion.FusedTriple{
 			Triple: kb.Triple{
@@ -413,7 +420,7 @@ func (r *FusedReader) Next() (fusion.FusedTriple, error) {
 }
 
 // ReadFused parses a whole JSONL fused-triple stream (see FusedReader for
-// chunked iteration).
+// chunked iteration and for what counts as a torn or malformed line).
 func ReadFused(r io.Reader) (*fusion.Result, error) {
 	res := &fusion.Result{}
 	fr := NewFusedReader(r)

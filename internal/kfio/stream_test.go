@@ -223,6 +223,17 @@ func TestStreamingReaderErrors(t *testing.T) {
 	if _, err := fr.Next(); err == nil || err == io.EOF {
 		t.Fatal("want object error, got", err)
 	}
+	// A fused file's rows are all newline-terminated, so an unterminated
+	// tail is torn even when its bytes parse.
+	row := `{"s":"a","p":"b","o":"s:c","prob":0.5,"predicted":true,"provenances":1,"extractors":1}`
+	fr = NewFusedReader(strings.NewReader(row + "\n" + row))
+	if _, err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	var partial *ErrPartialLine
+	if _, err := fr.Next(); !errors.As(err, &partial) || partial.Offset != int64(len(row)+1) {
+		t.Fatalf("torn fused tail: got %v, want *ErrPartialLine at offset %d", err, len(row)+1)
+	}
 }
 
 // TestPartialLineRetry checks the tailing-consumer contract end to end: a

@@ -15,16 +15,15 @@ import (
 //
 // The analyzer flags direct calls to the os write-path functions inside
 // the durable-store packages. Reads (os.ReadFile, os.Open) are untouched.
-// Write through the faultfs.FS seam (genstore) or the
-// kfio.AtomicWriteFile helper (kbstore) instead; a call site that is
-// genuinely outside the durability contract suppresses with
+// Write through the faultfs.FS seam instead (or, outside a store that owns
+// one, the kfio.AtomicWriteFile helper); a call site that is genuinely
+// outside the durability contract suppresses with
 // //lint:ignore kflint/atomicwrite <reason>.
 var AtomicWrite = &Analyzer{
 	Name: "atomicwrite",
 	Doc:  "flags direct os write calls in the durable-store packages that bypass the temp+fsync+rename protocol and the faultfs seam",
 	Packages: []string{
 		"kfusion/internal/genstore",
-		"kfusion/internal/kbstore",
 	},
 	Run: runAtomicWrite,
 }

@@ -6,12 +6,11 @@ package fixture
 import (
 	"kfusion/internal/genstore"
 	"kfusion/internal/httpapi"
-	"kfusion/internal/kbstore"
 	"kfusion/internal/kfio"
 )
 
 func eqSentinel(err error) bool {
-	return err == kbstore.ErrCorrupt // want `use errors\.Is`
+	return err == genstore.ErrCorrupt // want `use errors\.Is`
 }
 
 func neqSentinel(err error) bool {
@@ -20,7 +19,7 @@ func neqSentinel(err error) bool {
 
 func switchSentinel(err error) string {
 	switch err {
-	case kbstore.ErrVersion: // want `use errors\.Is`
+	case genstore.ErrVersion: // want `use errors\.Is`
 		return "version"
 	default:
 		return "other"

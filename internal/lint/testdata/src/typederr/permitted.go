@@ -6,13 +6,13 @@ import (
 	"errors"
 	"io"
 
+	"kfusion/internal/genstore"
 	"kfusion/internal/httpapi"
-	"kfusion/internal/kbstore"
 	"kfusion/internal/kfio"
 )
 
 func isCorrupt(err error) bool {
-	return errors.Is(err, kbstore.ErrCorrupt)
+	return errors.Is(err, genstore.ErrCorrupt)
 }
 
 func partialOffset(err error) int64 {

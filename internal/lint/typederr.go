@@ -8,8 +8,8 @@ import (
 )
 
 // TypedErr guards the typed-error contracts: the durable stores report
-// corruption through typed errors — the kbstore/genstore sentinels
-// ErrCorrupt and ErrVersion and kfio's *ErrPartialLine struct — and the
+// corruption through typed errors — the genstore sentinels ErrCorrupt and
+// ErrVersion and kfio's *ErrPartialLine struct — and the
 // kfserved HTTP boundary dispatches on the httpapi sentinels (ErrNotFound,
 // ErrBadBatch, ErrNotReady, ErrBusy, ErrBadRequest, re-exported at the
 // kfusion root). Every producer wraps them (`fmt.Errorf("%w: ...",
@@ -29,7 +29,7 @@ import (
 // types.
 var TypedErr = &Analyzer{
 	Name: "typederr",
-	Doc:  "flags ==/!= or type-switch use of the kbstore/genstore/kfio/httpapi typed errors where errors.Is/errors.As is required",
+	Doc:  "flags ==/!= or type-switch use of the genstore/kfio/httpapi typed errors where errors.Is/errors.As is required",
 	// Empty Packages: a wrap-unsafe comparison is wrong wherever it
 	// appears — cmd/ drivers and the experiment layers consume these
 	// errors too.
@@ -43,7 +43,6 @@ var TypedErr = &Analyzer{
 // sides of the wire; the root kfusion package re-exports them, so the same
 // values reached through either path are protected.
 var sentinelPkgs = map[string]bool{
-	"kfusion/internal/kbstore":  true,
 	"kfusion/internal/genstore": true,
 	"kfusion/internal/kfio":     true,
 	"kfusion/internal/faultfs":  true,
@@ -69,7 +68,7 @@ func runTypedErr(pass *Pass) error {
 					}
 				}
 			case *ast.SwitchStmt:
-				// switch err { case kbstore.ErrCorrupt: ... } compares by
+				// switch err { case genstore.ErrCorrupt: ... } compares by
 				// identity exactly like ==.
 				if n.Tag == nil || !isErrorType(info.TypeOf(n.Tag)) {
 					return true

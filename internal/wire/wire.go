@@ -1,14 +1,14 @@
 // Package wire is the little-endian binary codec shared by the snapshot
-// serializers (fusion, extract, twolayer), the durable generation store
-// (internal/genstore) and the knowledge-base file (internal/kbstore). It exists so every on-disk encoding in the repository
-// speaks one dialect: uvarint lengths, fixed-width little-endian scalars,
-// and length-prefixed bulk slices written as raw memory-order bytes.
+// serializers (fusion, extract, twolayer) and the durable generation store
+// (internal/genstore). It exists so every binary on-disk encoding in the
+// repository speaks one dialect: uvarint lengths, fixed-width little-endian
+// scalars, and length-prefixed bulk slices written as raw memory-order bytes.
 //
-// The Writer latches its first error and counts bytes (kbstore records
-// offsets from Len); the Reader decodes from an in-memory buffer and is safe on
-// adversarial input — every length is bounds-checked against the remaining
-// bytes BEFORE any allocation, so a corrupt or fuzzed length field fails
-// with ErrTruncated instead of attempting a multi-gigabyte make.
+// The Writer latches its first error and counts bytes; the Reader decodes
+// from an in-memory buffer and is safe on adversarial input — every length
+// is bounds-checked against the remaining bytes BEFORE any allocation, so a
+// corrupt or fuzzed length field fails with ErrTruncated instead of
+// attempting a multi-gigabyte make.
 package wire
 
 import (
@@ -64,12 +64,6 @@ func (w *Writer) write(b []byte) {
 func (w *Writer) U8(v uint8) {
 	w.scratch[0] = v
 	w.write(w.scratch[:1])
-}
-
-// U16 writes a fixed-width little-endian uint16.
-func (w *Writer) U16(v uint16) {
-	binary.LittleEndian.PutUint16(w.scratch[:], v)
-	w.write(w.scratch[:2])
 }
 
 // U32 writes a fixed-width little-endian uint32.
@@ -290,15 +284,6 @@ func (r *Reader) U8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-
-// U16 reads a fixed-width little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
 }
 
 // U32 reads a fixed-width little-endian uint32.

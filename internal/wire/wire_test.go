@@ -12,7 +12,6 @@ func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.U8(7)
-	w.U16(0xbeef)
 	w.U32(0xdeadbeef)
 	w.U64(1 << 62)
 	w.Uvarint(300)
@@ -36,9 +35,6 @@ func TestRoundTrip(t *testing.T) {
 	r := NewReader(buf.Bytes())
 	if got := r.U8(); got != 7 {
 		t.Errorf("U8 = %d", got)
-	}
-	if got := r.U16(); got != 0xbeef {
-		t.Errorf("U16 = %#x", got)
 	}
 	if got := r.U32(); got != 0xdeadbeef {
 		t.Errorf("U32 = %#x", got)
@@ -216,7 +212,6 @@ func (p *plainWriter) Write(b []byte) (int, error) {
 func TestWriterAllocatesNothingPerValue(t *testing.T) {
 	encode := func(w *Writer) {
 		w.U8(7)
-		w.U16(0xbeef)
 		w.U32(0xdeadbeef)
 		w.U64(1 << 62)
 		w.Uvarint(1 << 40)
