@@ -4,7 +4,11 @@
 //
 // Usage:
 //
-//	kfeval -fused fused.jsonl -gold gold.jsonl
+//	kfeval -fused fused.jsonl -gold gold.jsonl [-buckets 20]
+//
+// Both files are read to the end before the report prints; a missing file,
+// a torn or malformed fused line, or fewer than one bucket is an error and
+// prints nothing.
 package main
 
 import (
@@ -21,21 +25,35 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kfeval: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the command behind its flags: args are the command-line arguments
+// after the program name, stdout takes the report.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("kfeval", flag.ContinueOnError)
 	var (
-		fusedIn = flag.String("fused", "fused.jsonl", "fused triples input")
-		goldIn  = flag.String("gold", "gold.jsonl", "gold labels input")
-		buckets = flag.Int("buckets", 20, "calibration buckets (the paper uses 20)")
+		fusedIn = fs.String("fused", "fused.jsonl", "fused triples input")
+		goldIn  = fs.String("gold", "gold.jsonl", "gold labels input")
+		buckets = fs.Int("buckets", 20, "calibration buckets (the paper uses 20)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *buckets < 1 {
+		return fmt.Errorf("-buckets %d: need at least one calibration bucket", *buckets)
+	}
 
 	gf, err := os.Open(*goldIn)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	labeler, nLabels, err := kfio.ReadGold(gf)
 	gf.Close()
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("%s: %w", *goldIn, err)
 	}
 
 	// Stream the fused triples instead of materializing the whole result:
@@ -44,19 +62,20 @@ func main() {
 	// retained pairs).
 	ff, err := os.Open(*fusedIn)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer ff.Close()
 	fr := kfio.NewFusedReader(ff)
 	var preds []eval.Prediction
 	var probs []float64
-	total, unpredicted, unlabeled := 0, 0, 0
+	total, unpredicted := 0, 0
 	for {
 		f, err := fr.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			log.Fatal(err)
+			return fmt.Errorf("%s: %w", *fusedIn, err)
 		}
 		total++
 		if !f.Predicted {
@@ -64,41 +83,38 @@ func main() {
 			continue
 		}
 		probs = append(probs, f.Probability)
-		label, ok := labeler(f.Triple)
-		if !ok {
-			unlabeled++
-			continue
+		if label, ok := labeler(f.Triple); ok {
+			preds = append(preds, eval.Prediction{Prob: f.Probability, Label: label})
 		}
-		preds = append(preds, eval.Prediction{Prob: f.Probability, Label: label})
 	}
-	ff.Close()
 
 	curve := eval.Calibration(preds, *buckets)
-	fmt.Printf("triples: %d fused, %d without probability, %d labeled (%d gold labels on file)\n",
+	fmt.Fprintf(stdout, "triples: %d fused, %d without probability, %d labeled (%d gold labels on file)\n",
 		total, unpredicted, len(preds), nLabels)
-	fmt.Printf("deviation:          %.4f\n", curve.Deviation())
-	fmt.Printf("weighted deviation: %.4f\n", curve.WeightedDeviation())
-	fmt.Printf("AUC-PR:             %.4f\n", eval.AUCPR(preds))
-	fmt.Printf("monotonicity:       %.4f\n", eval.Monotonicity(preds))
+	fmt.Fprintf(stdout, "deviation:          %.4f\n", curve.Deviation())
+	fmt.Fprintf(stdout, "weighted deviation: %.4f\n", curve.WeightedDeviation())
+	fmt.Fprintf(stdout, "AUC-PR:             %.4f\n", eval.AUCPR(preds))
+	fmt.Fprintf(stdout, "monotonicity:       %.4f\n", eval.Monotonicity(preds))
 
-	fmt.Println("\ncalibration (predicted -> real, n):")
+	fmt.Fprintln(stdout, "\ncalibration (predicted -> real, n):")
 	for _, b := range curve.Buckets {
 		if b.N == 0 {
 			continue
 		}
 		bar := renderBar(b.Real)
-		fmt.Printf("  [%.2f,%.2f)  %.3f -> %.3f  %6d  %s\n", b.Lo, b.Hi, b.MeanPred, b.Real, b.N, bar)
+		fmt.Fprintf(stdout, "  [%.2f,%.2f)  %.3f -> %.3f  %6d  %s\n", b.Lo, b.Hi, b.MeanPred, b.Real, b.N, bar)
 	}
 
 	dist := eval.Distribution(probs, 10)
-	fmt.Println("\npredicted probability distribution:")
+	fmt.Fprintln(stdout, "\npredicted probability distribution:")
 	for i, share := range dist {
 		label := fmt.Sprintf("[%.1f,%.1f)", float64(i)/10, float64(i+1)/10)
 		if i == 10 {
 			label = "=1.0     "
 		}
-		fmt.Printf("  %s %6.2f%%  %s\n", label, 100*share, renderBar(share))
+		fmt.Fprintf(stdout, "  %s %6.2f%%  %s\n", label, 100*share, renderBar(share))
 	}
+	return nil
 }
 
 func renderBar(v float64) string {

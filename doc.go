@@ -44,15 +44,11 @@
 //     tests. (The block re-grouping costs a documented <= 1e-9 tolerance
 //     against the two-layer reference engine; see internal/twolayer.) The
 //     transcendental math is batched the same way: internal/mathx holds
-//     the exp/log/log-odds/sigmoid/softmax kernels the EM hot loops call
-//     in single passes over staging buffers, in two interchangeable sets.
-//     The Exact set is bit-identical to the historical scalar calls; the
-//     polynomial Fast set sits behind FuseConfig.FastMath and
-//     TwoLayerConfig.FastMath (default off) and trades a documented
-//     engine-level tolerance — mathx.FastTol, 1e-6, pinned by dedicated
-//     FastMath equivalence suites run under -race in CI — for cheaper
-//     transcendentals. Both sets are pure elementwise functions, so either
-//     keeps results bit-identical across worker and shard counts.
+//     the log/log-odds/log-ratio/softmax kernels the EM hot loops call in
+//     single passes over staging buffers. They are bit-identical to the
+//     historical scalar math.Exp/math.Log calls and pure elementwise
+//     functions, so results stay bit-identical across worker and shard
+//     counts.
 //
 //     The compile pipeline is append-capable: the paper's Web is crawled
 //     continuously, so extraction feeds grow rather than recompile. Both
@@ -217,11 +213,11 @@
 //   - kflint/scalarmath — batched transcendentals. In the EM engine
 //     packages (fusion, twolayer, multitruth), a per-element math.Exp or
 //     math.Log inside a loop is flagged: per-round transcendentals belong
-//     in one internal/mathx kernel pass over a staging buffer, which is
-//     both the vectorizable shape and the seam the FastMath kernel swap
-//     hangs off. The golden reference engines suppress it with reasons —
-//     their inline scalar forms ARE the spec the kernels are measured
-//     against. Established with the batched-kernel restructuring.
+//     in one internal/mathx kernel pass over a staging buffer, the
+//     vectorizable shape the engines' throughput comes from. The golden
+//     reference engines suppress it with reasons — their inline scalar
+//     forms ARE the spec the kernels are measured against. Established
+//     with the batched-kernel restructuring.
 //
 //   - kflint/typederr — wrap-safe error dispatch. The durability sentinels
 //     (genstore ErrCorrupt/ErrVersion, kfio's *ErrPartialLine) and

@@ -238,21 +238,3 @@ func Distribution(probs []float64, l int) []float64 {
 	}
 	return counts
 }
-
-// Brier returns the mean squared error of predictions — a scalar calibration
-// summary used in extension ablations.
-func Brier(preds []Prediction) float64 {
-	if len(preds) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range preds {
-		y := 0.0
-		if p.Label {
-			y = 1
-		}
-		d := p.Prob - y
-		sum += d * d
-	}
-	return sum / float64(len(preds))
-}

@@ -207,17 +207,6 @@ func TestDistribution(t *testing.T) {
 	}
 }
 
-func TestBrier(t *testing.T) {
-	preds := []Prediction{{1, true}, {0, false}}
-	if b := Brier(preds); b != 0 {
-		t.Errorf("perfect Brier = %v", b)
-	}
-	preds = []Prediction{{0, true}}
-	if b := Brier(preds); b != 1 {
-		t.Errorf("worst Brier = %v", b)
-	}
-}
-
 func TestKappaProperties(t *testing.T) {
 	// Identical sets: κ = (n·N − n²)/(N² − n²) > 0 for n < N.
 	if k := Kappa(50, 50, 50, 100); k <= 0 {

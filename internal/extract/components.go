@@ -177,43 +177,6 @@ func (l *Linker) Resolve(name string, intended kb.EntityID) (kb.EntityID, bool) 
 	return intended, false
 }
 
-// ItemComponent is one connected component of the extraction graph under
-// the paper's Stage I/III independence relation: every extraction whose
-// triple names the same data item (subject, predicate). Triples belong to
-// exactly one item, and the fusion engines never read across items in the
-// per-item stages, so items are exactly the units a sharded pipeline may
-// place independently (internal/shard routes them by kb.DataItem.Hash).
-type ItemComponent struct {
-	// Item is the component's data item.
-	Item kb.DataItem
-	// Extractions indexes into the input slice, in input order.
-	Extractions []int
-}
-
-// ItemComponents partitions extractions into their data-item components, in
-// first-occurrence order of the item. The result is deterministic for a
-// given input order: component c's item appeared before component c+1's,
-// and each component lists its extraction indices in input order. An empty
-// or nil input yields nil.
-func ItemComponents(xs []Extraction) []ItemComponent {
-	if len(xs) == 0 {
-		return nil
-	}
-	idx := make(map[kb.DataItem]int, len(xs)/4+1)
-	var comps []ItemComponent
-	for i, x := range xs {
-		item := x.Triple.Item()
-		c, ok := idx[item]
-		if !ok {
-			c = len(comps)
-			idx[item] = c
-			comps = append(comps, ItemComponent{Item: item})
-		}
-		comps[c].Extractions = append(comps[c].Extractions, i)
-	}
-	return comps
-}
-
 // SchemaMapper is a predicate-linkage component: it maps surface attribute
 // labels to predicate IDs. Mistakes are deterministic per (mapper, label,
 // subject type): the same column header is mapped to the same wrong sibling

@@ -83,14 +83,6 @@ type Config struct {
 	// never depend on it; FuseReference, a sequential oracle, ignores it.
 	Workers int
 
-	// FastMath runs the EM transcendentals on the mathx.Fast polynomial
-	// kernels instead of math.Exp/math.Log. Output probabilities and
-	// accuracies stay within mathx.FastTol of the exact engine's (pinned by
-	// the FastMath equivalence suite) and remain bit-identical across worker
-	// and shard counts — the approximation is elementwise and deterministic,
-	// only the per-lane rounding differs from the exact kernels.
-	FastMath bool
-
 	// ClaimAccuracy, when set, overrides the accuracy used for a single
 	// claim given its provenance's estimated accuracy — the hook behind the
 	// confidence-aware extension (§5.5): extraction confidence modulates

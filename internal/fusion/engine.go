@@ -34,9 +34,8 @@ import (
 
 // engine holds the compiled graph plus the evolving per-round state.
 type engine struct {
-	cfg  Config
-	g    *graph
-	kern *mathx.Kernels // exact or fast transcendental kernels (Config.FastMath)
+	cfg Config
+	g   *graph
 
 	provAcc     []float64 // prov ID -> current accuracy estimate (raw)
 	provDefault []bool    // prov ID -> still at the unevaluated default
@@ -224,7 +223,7 @@ func (e *engine) rebind(g *graph, cfg Config) {
 		}
 	}
 	nProvs := len(g.provKeys)
-	e.cfg, e.g, e.kern, e.workers = cfg, g, mathx.ForConfig(cfg.FastMath), workers
+	e.cfg, e.g, e.workers = cfg, g, workers
 	e.provAcc = regrow(e.provAcc, nProvs)
 	e.provDefault = regrow(e.provDefault, nProvs)
 	e.provTerm = regrow(e.provTerm, nProvs)          // rewritten whole by every stageI that reads it
@@ -274,7 +273,7 @@ func (e *engine) rebind(g *graph, cfg Config) {
 		for k := range e.logCount {
 			e.logCount[k] = float64(k)
 		}
-		e.kern.LogSlice(e.logCount, e.logCount)
+		mathx.LogSlice(e.logCount, e.logCount)
 	}
 	// Scoring scratch is zeroed where it is used, so it carries over as is.
 	e.scratches = regrow(e.scratches, workers)
@@ -376,7 +375,7 @@ func (e *engine) stageI(round int) {
 			nf = float64(e.cfg.NFalse)
 		}
 		ParallelRange(len(e.provAcc), pw, func(_, lo, hi int) {
-			e.kern.LogOddsSlice(e.provTerm[lo:hi], e.provAcc[lo:hi], nf, accClampLo, accClampHi)
+			mathx.LogOddsSlice(e.provTerm[lo:hi], e.provAcc[lo:hi], nf, accClampLo, accClampHi)
 		})
 	}
 	e.parallelRange(len(e.g.items), func(w, lo, hi int) {
@@ -545,7 +544,7 @@ func (e *engine) scoreItem(sc *scoreScratch, item int32, round int) {
 				unknown = 0
 			}
 		}
-		e.kern.SoftmaxInto(probs, scores, unknown)
+		mathx.SoftmaxInto(probs, scores, unknown)
 	}
 
 	for _, c := range scored {

@@ -16,7 +16,11 @@
 //     two newest snapshots are retained.
 //   - Append journals the raw extraction batch (length-prefixed, CRC32C)
 //     and fsyncs BEFORE applying it to the in-memory state, so a crash
-//     mid-apply loses nothing: the batch replays on reopen.
+//     mid-apply loses nothing: the batch replays on reopen. An Append whose
+//     journal write or fsync fails takes its record back out of the journal
+//     before it returns, so the next batch is journaled after a clean
+//     prefix; a store that cannot do that refuses every later Append and
+//     Snapshot until it is reopened.
 //   - Open loads the newest valid snapshot and replays journaled batches
 //     through the caller's apply function — Chain.Apply, the one append
 //     chain kfuse and kfserved also run live, at any shard count: a sharded
@@ -171,6 +175,9 @@ type Store struct {
 	// snapLen is the size of the last snapshot this store loaded or wrote:
 	// what Snapshot pre-sizes the next one's buffer from.
 	snapLen int
+	// broken is set when a refused batch's record could not be taken back
+	// out of the journal; every later Append and Snapshot returns it.
+	broken error
 }
 
 // Open opens (or creates) a store in dir on the real filesystem.
@@ -260,12 +267,15 @@ func (s *Store) note(format string, args ...any) {
 // replays the batch (journal record complete) or never saw it (torn record)
 // — both bit-identical to some prefix of the uncrashed run.
 func (s *Store) Append(st *State, batch []extract.Extraction) error {
+	if s.broken != nil {
+		return s.broken
+	}
 	rec := encodeRecord(st.Batches, batch)
 	if _, err := s.journal.Write(rec); err != nil {
-		return fmt.Errorf("genstore: journal append: %w", err)
+		return s.restoreJournal(st, fmt.Errorf("genstore: journal append: %w", err))
 	}
 	if err := s.journal.Sync(); err != nil {
-		return fmt.Errorf("genstore: journal sync: %w", err)
+		return s.restoreJournal(st, fmt.Errorf("genstore: journal sync: %w", err))
 	}
 	if err := s.apply(st, batch); err != nil {
 		return fmt.Errorf("genstore: apply batch %d: %w", st.Batches, err)
@@ -279,6 +289,9 @@ func (s *Store) Append(st *State, batch []extract.Extraction) error {
 // covered by the previous retained snapshot are dropped, so the journal
 // stays bounded while the fallback snapshot keeps a complete replay suffix.
 func (s *Store) Snapshot(st *State) error {
+	if s.broken != nil {
+		return s.broken
+	}
 	if st.ExtShards != nil {
 		return errors.New("genstore: a sharded two-layer state is not persisted: its cross-shard tables cannot be rebuilt on decode")
 	}
@@ -741,6 +754,31 @@ func (s *Store) recoverJournal(st *State) error {
 		}
 	}
 	return nil
+}
+
+// restoreJournal takes a refused batch's record back out of the journal
+// after its write or fsync failed (cause): the journal is rewritten to its
+// records before st.Batches, so the torn or unsynced record can neither hide
+// the next acknowledged batch behind garbage nor replay in its place under
+// the same sequence number. It returns cause; when the rewrite fails too,
+// the store is broken until reopened and it returns that error instead.
+func (s *Store) restoreJournal(st *State, cause error) error {
+	data, err := s.fs.ReadFile(journalName)
+	if err == nil {
+		recs, _, _ := parseJournal(data)
+		kept := recs[:0]
+		for _, rec := range recs {
+			if rec.seq < st.Batches {
+				kept = append(kept, rec)
+			}
+		}
+		err = s.rewriteJournal(kept)
+	}
+	if err != nil {
+		s.broken = fmt.Errorf("%w, and restoring the journal failed (reopen the store): %w", cause, err)
+		return s.broken
+	}
+	return cause
 }
 
 // rotateJournal rewrites the journal keeping only records the oldest

@@ -58,10 +58,5 @@ func (h *Hierarchy) Related(a, b EntityID) bool {
 	return h.IsAncestor(a, b) || h.IsAncestor(b, a)
 }
 
-// Depth returns the number of ancestors of e (0 for roots and unknowns).
-func (h *Hierarchy) Depth(e EntityID) int {
-	return len(h.Ancestors(e))
-}
-
 // Len reports the number of child→parent links.
 func (h *Hierarchy) Len() int { return len(h.parent) }

@@ -211,8 +211,8 @@ func TestHierarchyChains(t *testing.T) {
 	if h.Related("/m/sf", "/m/other") {
 		t.Error("Related held for unrelated entities")
 	}
-	if h.Depth("/m/sf") != 3 || h.Depth("/m/na") != 0 {
-		t.Errorf("Depth: sf=%d na=%d", h.Depth("/m/sf"), h.Depth("/m/na"))
+	if n := len(h.Ancestors("/m/na")); n != 0 {
+		t.Errorf("root has %d ancestors", n)
 	}
 	if h.Len() != 3 {
 		t.Errorf("Len=%d", h.Len())

@@ -5,17 +5,13 @@ import (
 	"go/types"
 )
 
-// ScalarMath guards the PR 10 batched-kernel contract: in the EM engine
-// packages, per-element transcendentals must not be evaluated one call at a
-// time inside a loop — they belong in a batched internal/mathx kernel pass
-// (ExpSlice, LogSlice, LogOddsSlice, LogRatioSlice, SigmoidSlice,
-// SoftmaxInto) over a staging buffer. The contract has two motivations: the
-// kernel passes are the single place the FastMath approximation can swap in
-// (a scalar math.Log call in a loop silently pins its caller to the exact
-// path, so Config.FastMath stops covering it), and hoisting the
-// transcendentals out of the per-statement/per-claim loops is where the
-// batched engines' throughput comes from — a stray scalar call in a hot
-// loop is a regression waiting to recur.
+// ScalarMath guards the batched-kernel contract: in the EM engine packages,
+// per-element transcendentals must not be evaluated one call at a time
+// inside a loop — they belong in a batched internal/mathx kernel pass
+// (LogSlice, LogOddsSlice, LogRatioSlice, SoftmaxInto) over a staging
+// buffer. Hoisting the transcendentals out of the per-statement/per-claim
+// loops is where the batched engines' throughput comes from — a stray
+// scalar call in a hot loop is a regression waiting to recur.
 //
 // The analyzer flags direct math.Exp / math.Log calls lexically inside any
 // for/range loop (including loops inside parallel-callback closures — those

@@ -1,94 +1,21 @@
 // Package mathx provides the batched float64 kernels of the EM hot loops:
-// exp, log, log-odds, sigmoid and softmax over contiguous slices, in two
-// interchangeable sets.
+// log, log-odds, log-ratio and softmax over contiguous slices, plus the
+// scalar sigmoid and miss log-ratio the engines share.
 //
-// The Exact set evaluates math.Exp / math.Log per lane — bit-identical to
+// Every kernel evaluates math.Exp / math.Log per lane — bit-identical to
 // the scalar calls the engines used to make inline — but restructured so a
 // whole table or span is processed in one pass with every branch hoisted
 // out of the loop. That shape is what makes the hot loops batchable at all:
 // the per-round tables (provenance log-score terms, extractor likelihood
 // ratios, source log-weights) become single kernel calls over staging
 // buffers reused across rounds, and the per-item softmax pays one exp per
-// candidate instead of two.
-//
-// The Fast set (fast.go) replaces the transcendentals with polynomial
-// approximations carrying a measured, documented maximum relative error —
-// the tolerance-gated fast path behind Config.FastMath in the fusion and
-// twolayer engines. Both sets are pure elementwise functions: results never
-// depend on how a caller chunks a slice across workers, which is what keeps
-// the engines' bit-identical-for-any-Workers contract intact under either
-// kernel set.
-//
-// Kernel selection is a value, not a build flag: engines hold a *Kernels
-// and call through it, so one process can run exact and fast configurations
-// side by side (the FastMath equivalence suites do exactly that).
+// candidate instead of two. The kernels are pure elementwise (or, for a
+// softmax, fixed-order) functions: results never depend on how a caller
+// chunks a slice across workers, which is what keeps the engines'
+// bit-identical-for-any-Workers contract intact.
 package mathx
 
 import "math"
-
-// Kernels is one interchangeable kernel set. Engines select a set once per
-// run (ForConfig) and call through it; every function is elementwise or
-// fixed-order, so results are independent of how callers split slices
-// across workers.
-type Kernels struct {
-	// ExpSlice writes dst[i] = exp(x[i]).
-	ExpSlice func(dst, x []float64)
-	// LogSlice writes dst[i] = log(x[i]).
-	LogSlice func(dst, x []float64)
-	// LogOddsSlice writes dst[i] = log(nf * a/(1-a)) with a = acc[i]
-	// clamped to [lo, hi] — the per-round provenance/source log-score term.
-	LogOddsSlice func(dst, acc []float64, nf, lo, hi float64)
-	// LogRatioSlice writes dst[i] = log(num[i]) - log(den[i]) — the
-	// per-round extractor likelihood-ratio tables.
-	LogRatioSlice func(dst, num, den []float64)
-	// SigmoidSlice writes dst[i] = 1/(1+exp(-x[i])), evaluated in the
-	// overflow-safe two-branch form.
-	SigmoidSlice func(dst, x []float64)
-	// SoftmaxInto writes dst[i] = exp(scores[i]-m)/denom with
-	// m = max(0, max(scores)) and denom = extraMass*exp(-m) + Σ exp(scores[i]-m),
-	// the extra mass being an implicit candidate at score 0 (the engines'
-	// unknown-value mass). One exp per lane; the sum runs in slice order.
-	SoftmaxInto func(dst, scores []float64, extraMass float64)
-}
-
-// Exact is the kernel set built on math.Exp / math.Log: bit-identical to
-// the scalar expressions the engines inline historically, just batched.
-var Exact = &Kernels{
-	ExpSlice:      ExpSlice,
-	LogSlice:      LogSlice,
-	LogOddsSlice:  LogOddsSlice,
-	LogRatioSlice: LogRatioSlice,
-	SigmoidSlice:  SigmoidSlice,
-	SoftmaxInto:   SoftmaxInto,
-}
-
-// Fast is the polynomial kernel set: same signatures, approximate
-// transcendentals within the documented bounds (see fast.go).
-var Fast = &Kernels{
-	ExpSlice:      FastExpSlice,
-	LogSlice:      FastLogSlice,
-	LogOddsSlice:  FastLogOddsSlice,
-	LogRatioSlice: FastLogRatioSlice,
-	SigmoidSlice:  FastSigmoidSlice,
-	SoftmaxInto:   FastSoftmaxInto,
-}
-
-// ForConfig returns the kernel set for a Config.FastMath value: Fast when
-// fastMath is set, Exact otherwise.
-func ForConfig(fastMath bool) *Kernels {
-	if fastMath {
-		return Fast
-	}
-	return Exact
-}
-
-// ExpSlice writes dst[i] = math.Exp(x[i]).
-func ExpSlice(dst, x []float64) {
-	dst = dst[:len(x)]
-	for i, v := range x {
-		dst[i] = math.Exp(v)
-	}
-}
 
 // LogSlice writes dst[i] = math.Log(x[i]).
 func LogSlice(dst, x []float64) {
@@ -100,8 +27,8 @@ func LogSlice(dst, x []float64) {
 
 // LogOddsSlice writes dst[i] = math.Log(nf * a/(1-a)) with a = acc[i]
 // clamped to [lo, hi]. The expression is evaluated exactly as the engines'
-// scalar form (nf*a/(1-a) then one log), so the exact kernel is
-// bit-identical to the historical per-element code.
+// scalar form (nf*a/(1-a) then one log), so the kernel is bit-identical
+// to the historical per-element code.
 func LogOddsSlice(dst, acc []float64, nf, lo, hi float64) {
 	dst = dst[:len(acc)]
 	for i, a := range acc {
@@ -120,14 +47,6 @@ func LogRatioSlice(dst, num, den []float64) {
 	den = den[:len(num)]
 	for i, v := range num {
 		dst[i] = math.Log(v) - math.Log(den[i])
-	}
-}
-
-// SigmoidSlice writes dst[i] = Sigmoid(x[i]).
-func SigmoidSlice(dst, x []float64) {
-	dst = dst[:len(x)]
-	for i, v := range x {
-		dst[i] = Sigmoid(v)
 	}
 }
 

@@ -6,181 +6,6 @@ import (
 	"testing"
 )
 
-// relErr returns |got/want - 1|, treating equal special values as exact.
-func relErr(got, want float64) float64 {
-	if got == want {
-		return 0
-	}
-	if math.IsNaN(got) && math.IsNaN(want) {
-		return 0
-	}
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(got/want - 1)
-}
-
-// operatingDomain returns inputs drawn from the ranges the engines actually
-// feed the kernels: log-odds sums (tens to a few hundred either side of 0),
-// probabilities and their clamped log-odds arguments, likelihood-ratio
-// arguments in (0,1], and the softmax exponents (always ≤ 0 after max
-// subtraction, down to a few hundred negative).
-func operatingDomain(rng *rand.Rand, n int) []float64 {
-	xs := make([]float64, 0, 4*n)
-	for i := 0; i < n; i++ {
-		xs = append(xs,
-			rng.Float64()*700-350, // log-odds sums
-			-rng.Float64()*745,    // softmax exponents after max subtraction
-			rng.Float64()*2-1,     // near-zero region (Taylor center)
-			rng.NormFloat64()*20,  // typical per-round accumulations
-		)
-	}
-	return xs
-}
-
-func TestFastExpMaxRelErrOperatingDomain(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	worst := 0.0
-	for _, x := range operatingDomain(rng, 50000) {
-		e := relErr(fastExp(x), math.Exp(x))
-		if e > worst {
-			worst = e
-		}
-		if e > FastExpMaxRelErr {
-			t.Fatalf("fastExp(%g) = %g, want %g: rel err %.3e > bound %.3e",
-				x, fastExp(x), math.Exp(x), e, FastExpMaxRelErr)
-		}
-	}
-	t.Logf("fastExp worst rel err over operating domain: %.3e (bound %.3e)", worst, FastExpMaxRelErr)
-}
-
-func TestFastExpMaxRelErrFullDomain(t *testing.T) {
-	// Dense uniform grid over the whole non-over/underflowing domain.
-	worst := 0.0
-	const n = 2_000_000
-	for i := 0; i <= n; i++ {
-		x := expUnderflow + (expOverflow-expUnderflow)*float64(i)/n
-		want := math.Exp(x)
-		if want < 2.2250738585072014e-308 || math.IsInf(want, 1) {
-			// Subnormal results lose relative precision by construction
-			// (fewer mantissa bits); the bound covers normal results.
-			continue
-		}
-		e := relErr(fastExp(x), want)
-		if e > worst {
-			worst = e
-		}
-		if e > FastExpMaxRelErr {
-			t.Fatalf("fastExp(%g): rel err %.3e > bound %.3e", x, e, FastExpMaxRelErr)
-		}
-	}
-	t.Logf("fastExp worst rel err over [%g, %g]: %.3e (bound %.3e)",
-		expUnderflow, expOverflow, worst, FastExpMaxRelErr)
-}
-
-func TestFastExpEdgeCases(t *testing.T) {
-	if !math.IsNaN(fastExp(math.NaN())) {
-		t.Errorf("fastExp(NaN) = %g, want NaN", fastExp(math.NaN()))
-	}
-	if got := fastExp(math.Inf(1)); !math.IsInf(got, 1) {
-		t.Errorf("fastExp(+Inf) = %g, want +Inf", got)
-	}
-	if got := fastExp(math.Inf(-1)); got != 0 {
-		t.Errorf("fastExp(-Inf) = %g, want 0", got)
-	}
-	if got := fastExp(0); got != 1 {
-		t.Errorf("fastExp(0) = %g, want 1", got)
-	}
-	if got := fastExp(710); !math.IsInf(got, 1) {
-		t.Errorf("fastExp(710) = %g, want +Inf (overflow saturation)", got)
-	}
-	if got := fastExp(-746); got != 0 {
-		t.Errorf("fastExp(-746) = %g, want 0 (underflow saturation)", got)
-	}
-	// Subnormal results: the Ldexp fallback path must still be accurate.
-	for _, x := range []float64{-709, -720, -740, -744.5} {
-		want := math.Exp(x)
-		got := fastExp(x)
-		if want > 0 && relErr(got, want) > 1e-9 {
-			t.Errorf("fastExp(%g) = %g, want %g (subnormal-range path)", x, got, want)
-		}
-	}
-}
-
-func TestFastLogMaxRelErr(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	worst := 0.0
-	check := func(x float64) {
-		want := math.Log(x)
-		got := fastLog(x)
-		var e float64
-		if math.Abs(want) < 0.25 {
-			// Near log(1)=0 relative error degenerates; bound the absolute
-			// error by the same budget scaled to the series' leading term.
-			e = math.Abs(got - want)
-			if e > FastLogMaxRelErr {
-				t.Fatalf("fastLog(%g) = %g, want %g: abs err %.3e > %.3e", x, got, want, e, FastLogMaxRelErr)
-			}
-			return
-		}
-		e = relErr(got, want)
-		if e > worst {
-			worst = e
-		}
-		if e > FastLogMaxRelErr {
-			t.Fatalf("fastLog(%g) = %g, want %g: rel err %.3e > bound %.3e", x, got, want, e, FastLogMaxRelErr)
-		}
-	}
-	// Operating domain: probabilities/rates in the engines' clamp ranges and
-	// the odds-ratio arguments nf*a/(1-a) they produce.
-	for i := 0; i < 50000; i++ {
-		p := 0.005 + rng.Float64()*0.99
-		check(p)
-		check(1 - p)
-		check(float64(1+rng.Intn(1000)) * p / (1 - p))
-	}
-	// Full-range sweep across magnitudes including huge/tiny normals.
-	for i := 0; i < 50000; i++ {
-		check(math.Exp2(rng.Float64()*2040 - 1020))
-	}
-	t.Logf("fastLog worst rel err: %.3e (bound %.3e)", worst, FastLogMaxRelErr)
-}
-
-func TestFastLogEdgeCases(t *testing.T) {
-	if !math.IsNaN(fastLog(math.NaN())) {
-		t.Error("fastLog(NaN): want NaN")
-	}
-	if got := fastLog(math.Inf(1)); !math.IsInf(got, 1) {
-		t.Errorf("fastLog(+Inf) = %g, want +Inf", got)
-	}
-	if got := fastLog(0); !math.IsInf(got, -1) {
-		t.Errorf("fastLog(0) = %g, want -Inf", got)
-	}
-	if got := fastLog(math.Copysign(0, -1)); !math.IsInf(got, -1) {
-		t.Errorf("fastLog(-0) = %g, want -Inf (math.Log convention)", got)
-	}
-	if !math.IsNaN(fastLog(-1)) {
-		t.Error("fastLog(-1): want NaN")
-	}
-	if got := fastLog(1); got != 0 {
-		t.Errorf("fastLog(1) = %g, want 0", got)
-	}
-	// Subnormals: normalized before exponent extraction, so accuracy holds.
-	// The reference is computed on the normalized value (x·2^52 is a normal
-	// float64 for every subnormal x) because this platform's math.Log is
-	// itself inaccurate on subnormal inputs.
-	for _, x := range []float64{5e-324, 1e-320, 2.2e-308} {
-		want := math.Log(x*(1<<52)) - 52*math.Ln2
-		got := fastLog(x)
-		if relErr(got, want) > 1e-13 {
-			t.Errorf("fastLog(subnormal %g) = %g, want %g", x, got, want)
-		}
-	}
-}
-
 // scalarSoftmax is the historical two-pass max-subtraction softmax the
 // engines inlined: one exp per lane for the denominator, then a second exp
 // per lane for the probability. SoftmaxInto must agree bit-for-bit.
@@ -244,33 +69,12 @@ func TestSoftmaxIntoProperties(t *testing.T) {
 	if sum >= 1 || sum <= 0 {
 		t.Errorf("probabilities sum to %g, want (0,1) with extra mass present", sum)
 	}
-	// Fast variant obeys the same conventions.
-	fdst := make([]float64, len(scores))
-	FastSoftmaxInto(fdst, scores, 0.5)
-	if fdst[1] != 0 {
-		t.Errorf("fast: -Inf lane got probability %g, want 0", fdst[1])
-	}
-	for i := range fdst {
-		if math.Abs(fdst[i]-dst[i]) > 1e-9 {
-			t.Errorf("fast lane %d: %g vs exact %g", i, fdst[i], dst[i])
-		}
-	}
 }
 
 func TestExactSlicesMatchScalarLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 257
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64() * 10
-	}
 	dst := make([]float64, n)
-	ExpSlice(dst, x)
-	for i := range x {
-		if dst[i] != math.Exp(x[i]) {
-			t.Fatalf("ExpSlice[%d] = %g, want %g", i, dst[i], math.Exp(x[i]))
-		}
-	}
 	pos := make([]float64, n)
 	for i := range pos {
 		pos[i] = rng.Float64()*100 + 1e-9
@@ -307,12 +111,6 @@ func TestExactSlicesMatchScalarLoops(t *testing.T) {
 			t.Fatalf("LogRatioSlice[%d] = %g, want %g", i, dst[i], want)
 		}
 	}
-	SigmoidSlice(dst, x)
-	for i := range x {
-		if dst[i] != Sigmoid(x[i]) {
-			t.Fatalf("SigmoidSlice[%d] = %g, want %g", i, dst[i], Sigmoid(x[i]))
-		}
-	}
 }
 
 func TestSigmoidProperties(t *testing.T) {
@@ -330,64 +128,11 @@ func TestSigmoidProperties(t *testing.T) {
 	if Sigmoid(0) != 0.5 {
 		t.Errorf("Sigmoid(0) = %g, want 0.5", Sigmoid(0))
 	}
-	// Fast sigmoid within kernel-level error of exact.
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 20000; i++ {
-		x := rng.NormFloat64() * 30
-		e, f := Sigmoid(x), FastSigmoid(x)
-		if math.Abs(e-f) > 1e-10 {
-			t.Fatalf("FastSigmoid(%g) = %g vs Sigmoid %g", x, f, e)
-		}
-	}
 }
 
 func TestMissLogRatio(t *testing.T) {
 	r, f := 0.8, 0.2
 	if got, want := MissLogRatio(r, f), math.Log(1-r)-math.Log(1-f); got != want {
 		t.Errorf("MissLogRatio(%g, %g) = %g, want %g", r, f, got, want)
-	}
-}
-
-func TestForConfig(t *testing.T) {
-	if ForConfig(false) != Exact {
-		t.Error("ForConfig(false) should return Exact")
-	}
-	if ForConfig(true) != Fast {
-		t.Error("ForConfig(true) should return Fast")
-	}
-	// Every kernel in both sets must be populated.
-	for name, k := range map[string]*Kernels{"Exact": Exact, "Fast": Fast} {
-		if k.ExpSlice == nil || k.LogSlice == nil || k.LogOddsSlice == nil ||
-			k.LogRatioSlice == nil || k.SigmoidSlice == nil || k.SoftmaxInto == nil {
-			t.Errorf("%s kernel set has a nil member", name)
-		}
-	}
-}
-
-func TestFastSlicesMatchScalars(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n := 129
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64() * 10
-	}
-	dst := make([]float64, n)
-	FastExpSlice(dst, x)
-	for i := range x {
-		if dst[i] != fastExp(x[i]) {
-			t.Fatalf("FastExpSlice[%d] disagrees with scalar fastExp", i)
-		}
-	}
-	acc := make([]float64, n)
-	for i := range acc {
-		acc[i] = rng.Float64()
-	}
-	FastLogOddsSlice(dst, acc, 10, 0.005, 0.995)
-	exact := make([]float64, n)
-	LogOddsSlice(exact, acc, 10, 0.005, 0.995)
-	for i := range dst {
-		if math.Abs(dst[i]-exact[i]) > 1e-9*(1+math.Abs(exact[i])) {
-			t.Fatalf("FastLogOddsSlice[%d] = %g vs exact %g", i, dst[i], exact[i])
-		}
 	}
 }

@@ -36,11 +36,6 @@ type Config struct {
 	// Workers bounds the E-step parallelism (0 = auto). It never affects
 	// results.
 	Workers int
-	// FastMath runs the per-round likelihood-ratio tables and sigmoids on
-	// the mathx.Fast polynomial kernels instead of math.Exp/math.Log.
-	// Outputs stay within mathx.FastTol of the exact engine's and remain
-	// bit-identical across worker counts.
-	FastMath bool
 }
 
 // DefaultConfig returns the configuration used in the ablation experiments.
@@ -143,11 +138,6 @@ func FuseCompiled(c *fusion.Compiled, cfg Config) (*fusion.Result, error) {
 	// claim/no-claim likelihood ratios are batched into per-round tables
 	// (one kernel pass over staging buffers) instead of four transcendentals
 	// per seer incidence — the same expressions, evaluated once each.
-	kern := mathx.ForConfig(cfg.FastMath)
-	sig := mathx.Sigmoid
-	if cfg.FastMath {
-		sig = mathx.FastSigmoid
-	}
 	hitLR := make([]float64, nProvs)  // log(sens) - log(1-spec)
 	missLR := make([]float64, nProvs) // log(1-sens) - log(spec)
 	oneMinusSens := make([]float64, nProvs)
@@ -157,8 +147,8 @@ func FuseCompiled(c *fusion.Compiled, cfg Config) (*fusion.Result, error) {
 			oneMinusSens[p] = 1 - sens[p]
 			oneMinusSpec[p] = 1 - spec[p]
 		}
-		kern.LogRatioSlice(hitLR, sens, oneMinusSpec)
-		kern.LogRatioSlice(missLR, oneMinusSens, spec)
+		mathx.LogRatioSlice(hitLR, sens, oneMinusSpec)
+		mathx.LogRatioSlice(missLR, oneMinusSens, spec)
 		parallelItems(nItems, cfg.Workers, func(lo, hi int) {
 			claimed := make([]int32, nProvs) // stamp: triple ID + 1
 			for i := lo; i < hi; i++ {
@@ -174,7 +164,7 @@ func FuseCompiled(c *fusion.Compiled, cfg Config) (*fusion.Result, error) {
 							logOdds += missLR[p]
 						}
 					}
-					probs[t] = sig(logOdds)
+					probs[t] = mathx.Sigmoid(logOdds)
 				}
 			}
 		})

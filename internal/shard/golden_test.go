@@ -152,8 +152,6 @@ func TestGoldenDigests(t *testing.T) {
 	claim := fusionConfigs()
 	sampled := fusion.PopAccuConfig()
 	sampled.SampleL = 8 // both reservoirs fire: pins the per-item and per-provenance sample seeds
-	fast := twolayer.DefaultConfig()
-	fast.FastMath = true
 	cl := func(cfg fusion.Config, chain bool) func(int) string {
 		return func(k int) string { return goldenClaim(t, xs, cfg, k, chain) }
 	}
@@ -190,9 +188,6 @@ func TestGoldenDigests(t *testing.T) {
 		{"twolayer", tl(twolayer.DefaultConfig(), false),
 			"0a5153893e61f6bbba516358941cccbaf5ece7d3b9b521e62a13dbe66877a7d1",
 			"b53b5355a30cef9c71c3522edada71c3874206aab4032f183ca6a14c6a64901e"},
-		{"twolayer-fastmath", tl(fast, false),
-			"a7fcfc37d3bb09ded9eaa020691affc7fecae5bb8972564aa91f864910d27fa5",
-			"50fd8980ff6a6aaeeceba7556e8db31d58fb2e456ef44dd7c71c3fe51aeffa76"},
 		{"twolayer-chain", tl(twolayer.DefaultConfig(), true),
 			"d02bc62a3ff5df357d3ee130c7069a6c5138e3c5571aa99e3d6f6844555a114e",
 			"6a2ac90111818f0a62ee8d8f9298da646631154b96edc6c6873be5e3d86bf40f"},

@@ -218,11 +218,11 @@ func requireSamePosterior(t *testing.T, tag string, got, want *fusion.Posterior,
 
 // TestTwoLayerCarriedChainMatchesFresh is the coordinator's half of the
 // carried-≡-fresh suite (internal/twolayer holds the unsharded half and the
-// dirty-pass counters): at K = 1 and 4, both source levels, Workers 1 and 4,
-// exact and FastMath, a 30-step warm chain under cycled round budgets and
-// random batch sizes — empty batches and shards that receive nothing
-// included — whose States are handed on live equals, bit for bit at every
-// step, the chain whose States only ever pass through the codec. At K = 4 a
+// dirty-pass counters): at K = 1 and 4, both source levels and Workers 1 and
+// 4, a 30-step warm chain under cycled round budgets and random batch sizes
+// — empty batches and shards that receive nothing included — whose States
+// are handed on live equals, bit for bit at every step, the chain whose
+// States only ever pass through the codec. At K = 4 a
 // batch that reaches another shard changes this shard's ghost lists, which
 // the carried E-step has to notice from the miss bases alone.
 func TestTwoLayerCarriedChainMatchesFresh(t *testing.T) {
@@ -230,40 +230,38 @@ func TestTwoLayerCarriedChainMatchesFresh(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		for _, siteLevel := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
-				for _, fast := range []bool{false, true} {
-					tag := fmt.Sprintf("K=%d site=%v workers=%d fast=%v", k, siteLevel, workers, fast)
-					cold := twolayer.DefaultConfig()
-					cold.SiteLevel, cold.Workers, cold.FastMath = siteLevel, workers, fast
-					rng := rand.New(rand.NewSource(71))
-					tl, err := NewTwoLayer(k, siteLevel)
+				tag := fmt.Sprintf("K=%d site=%v workers=%d", k, siteLevel, workers)
+				cold := twolayer.DefaultConfig()
+				cold.SiteLevel, cold.Workers = siteLevel, workers
+				rng := rand.New(rand.NewSource(71))
+				tl, err := NewTwoLayer(k, siteLevel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tl.Append(wideningBatch(rng, 600, 0))
+				_, carried, err := tl.FusePosterior(cold, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh := carried
+				for step := 0; step < 30; step++ {
+					n := rng.Intn(80)
+					if step%7 == 3 {
+						n = 0
+					}
+					tl.Append(wideningBatch(rng, n, step))
+					cfg := cold
+					cfg.Rounds = budgets[step%len(budgets)]
+					freshPost, freshSt, err := tl.FusePosterior(cfg, stateViaCodec(t, fresh))
 					if err != nil {
 						t.Fatal(err)
 					}
-					tl.Append(wideningBatch(rng, 600, 0))
-					_, carried, err := tl.FusePosterior(cold, nil)
+					carriedPost, carriedSt, err := tl.FusePosterior(cfg, carried)
 					if err != nil {
 						t.Fatal(err)
 					}
-					fresh := carried
-					for step := 0; step < 30; step++ {
-						n := rng.Intn(80)
-						if step%7 == 3 {
-							n = 0
-						}
-						tl.Append(wideningBatch(rng, n, step))
-						cfg := cold
-						cfg.Rounds = budgets[step%len(budgets)]
-						freshPost, freshSt, err := tl.FusePosterior(cfg, stateViaCodec(t, fresh))
-						if err != nil {
-							t.Fatal(err)
-						}
-						carriedPost, carriedSt, err := tl.FusePosterior(cfg, carried)
-						if err != nil {
-							t.Fatal(err)
-						}
-						requireSamePosterior(t, fmt.Sprintf("%s step %d", tag, step), carriedPost, freshPost, carriedSt, freshSt)
-						carried, fresh = carriedSt, freshSt
-					}
+					requireSamePosterior(t, fmt.Sprintf("%s step %d", tag, step), carriedPost, freshPost, carriedSt, freshSt)
+					carried, fresh = carriedSt, freshSt
 				}
 			}
 		}

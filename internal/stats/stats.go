@@ -178,26 +178,3 @@ func (c *AccuracyCurve) RateBetween(lo, hi int) (float64, int) {
 	}
 	return float64(hits) / float64(total), total
 }
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs by linear
-// interpolation; it sorts a copy.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}

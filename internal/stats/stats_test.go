@@ -117,22 +117,3 @@ func TestAccuracyCurve(t *testing.T) {
 		t.Errorf("RateBetween = %v,%v", r, n)
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 5 {
-		t.Errorf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); q != 3 {
-		t.Errorf("q0.5 = %v", q)
-	}
-	if q := Quantile(xs, 0.25); q != 2 {
-		t.Errorf("q0.25 = %v", q)
-	}
-	if q := Quantile(nil, 0.5); q != 0 {
-		t.Errorf("empty quantile = %v", q)
-	}
-}

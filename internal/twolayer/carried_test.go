@@ -108,7 +108,7 @@ var warmBudgets = []int{5, 1, 3, 1, 1, 3, 2, 1}
 
 // TestCarriedChainMatchesFresh walks a 30-step chain — cold head, then warm
 // steps under the cycled round budgets, batch sizes random with empty batches
-// among them — at both source levels, Workers 1 and 4, exact and FastMath.
+// among them — at both source levels and Workers 1 and 4.
 // The carried chain must equal the fresh one at every step, and must really
 // have been carried: from the second warm step on every first E-step is a
 // dirty pass, and over the chain they score a fraction of what full passes
@@ -116,41 +116,39 @@ var warmBudgets = []int{5, 1, 3, 1, 1, 3, 2, 1}
 func TestCarriedChainMatchesFresh(t *testing.T) {
 	for _, siteLevel := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
-			for _, fast := range []bool{false, true} {
-				tag := fmt.Sprintf("site=%v workers=%d fast=%v", siteLevel, workers, fast)
-				cold := DefaultConfig()
-				cold.SiteLevel, cold.Workers, cold.FastMath = siteLevel, workers, fast
-				rng := rand.New(rand.NewSource(71))
-				g := extract.Compile(chainBatch(rng, 600, 0), siteLevel)
-				carriedPost, carried := fuseOne(t, g, cold, nil)
-				freshPost, fresh := fuseOne(t, g, cold, nil)
-				requireSameBits(t, tag+" cold", carriedPost, freshPost, carried, fresh)
-				scored, full := 0, 0
-				for step := 0; step < 30; step++ {
-					n := rng.Intn(80)
-					if step%7 == 3 {
-						n = 0
-					}
-					g = g.Append(chainBatch(rng, n, step))
-					cfg := cold
-					cfg.Rounds = warmBudgets[step%len(warmBudgets)]
-					carriedPost, carried = fuseOne(t, g, cfg, carried)
-					freshPost, fresh = fuseOne(t, g, cfg, viaCodec(t, fresh))
-					requireSameBits(t, fmt.Sprintf("%s step %d", tag, step), carriedPost, freshPost, carried, fresh)
-					s, n, ok := FirstPass(carried)
-					if !ok {
-						t.Fatalf("%s step %d: a seeded run left no engines on its State", tag, step)
-					}
-					if step > 0 {
-						scored, full = scored+s, full+n
-					}
-					if _, _, ok := FirstPass(fresh); !ok {
-						t.Fatalf("%s step %d: the decoded-seed run left no engines", tag, step)
-					}
+			tag := fmt.Sprintf("site=%v workers=%d", siteLevel, workers)
+			cold := DefaultConfig()
+			cold.SiteLevel, cold.Workers = siteLevel, workers
+			rng := rand.New(rand.NewSource(71))
+			g := extract.Compile(chainBatch(rng, 600, 0), siteLevel)
+			carriedPost, carried := fuseOne(t, g, cold, nil)
+			freshPost, fresh := fuseOne(t, g, cold, nil)
+			requireSameBits(t, tag+" cold", carriedPost, freshPost, carried, fresh)
+			scored, full := 0, 0
+			for step := 0; step < 30; step++ {
+				n := rng.Intn(80)
+				if step%7 == 3 {
+					n = 0
 				}
-				if scored*3 > full {
-					t.Fatalf("%s: the carried chain's first E-steps scored %d statements of %d: the dirty pass is not being taken", tag, scored, full)
+				g = g.Append(chainBatch(rng, n, step))
+				cfg := cold
+				cfg.Rounds = warmBudgets[step%len(warmBudgets)]
+				carriedPost, carried = fuseOne(t, g, cfg, carried)
+				freshPost, fresh = fuseOne(t, g, cfg, viaCodec(t, fresh))
+				requireSameBits(t, fmt.Sprintf("%s step %d", tag, step), carriedPost, freshPost, carried, fresh)
+				s, n, ok := FirstPass(carried)
+				if !ok {
+					t.Fatalf("%s step %d: a seeded run left no engines on its State", tag, step)
 				}
+				if step > 0 {
+					scored, full = scored+s, full+n
+				}
+				if _, _, ok := FirstPass(fresh); !ok {
+					t.Fatalf("%s step %d: the decoded-seed run left no engines", tag, step)
+				}
+			}
+			if scored*3 > full {
+				t.Fatalf("%s: the carried chain's first E-steps scored %d statements of %d: the dirty pass is not being taken", tag, scored, full)
 			}
 		}
 	}
@@ -232,14 +230,6 @@ func TestCarriedFullPassWhereUnprovable(t *testing.T) {
 		other := cfg
 		other.PriorStated = 0.4
 		check("prior 0.5→0.4", a.Append(batch(40)), other, st, viaCodec(t, st), true)
-	})
-	t.Run("changed FastMath", func(t *testing.T) {
-		// Table entries can coincide between the two kernel sets; the
-		// sigmoids over them do not.
-		a, st := chain()
-		other := cfg
-		other.FastMath = true
-		check("exact→fast", a.Append(batch(40)), other, st, viaCodec(t, st), true)
 	})
 	t.Run("changed InitSourceAccuracy", func(t *testing.T) {
 		// Moves no table entry of an old source — the check on the

@@ -66,7 +66,6 @@ func FuzzWarmChain(f *testing.F) {
 		cold := DefaultConfig()
 		cold.SiteLevel = mode&1 == 1
 		cold.Workers = 1 + int(mode>>1%3)
-		cold.FastMath = mode>>3&1 == 1
 
 		at := int(cuts[0])
 		g := extract.CompileWorkers(xs[:at], cold.SiteLevel, cold.Workers)

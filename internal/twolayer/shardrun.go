@@ -362,9 +362,8 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 		ghostP = make([][4]float64, nX)
 	}
 	estep := func() {
-		// One miss log-ratio per global extractor per E-step, on the exact
-		// kernel whatever cfg.FastMath says (the ghost table is the driver's,
-		// not an engine kernel pass; the FastMath shard sweep pins it).
+		// One miss log-ratio per global extractor per E-step (the ghost
+		// table is the driver's, not an engine kernel pass).
 		for gx := range missLR {
 			missLR[gx] = mathx.MissLogRatio(recall[gx], falsePos[gx])
 		}

@@ -151,12 +151,6 @@ type Config struct {
 	// Workers bounds the parallel EM stage loops (0 = GOMAXPROCS). Results
 	// never depend on it.
 	Workers int
-	// FastMath runs the per-round transcendental tables and sigmoids on the
-	// mathx.Fast polynomial kernels instead of math.Exp/math.Log. Outputs
-	// stay within mathx.FastTol of the exact engine's (pinned by the
-	// FastMath equivalence suite) and remain bit-identical across worker and
-	// shard counts — the approximation is elementwise and deterministic.
-	FastMath bool
 }
 
 // DefaultConfig returns the configuration used in the ablation experiments.
@@ -325,8 +319,6 @@ type engine struct {
 	g       *extract.Compiled
 	cfg     Config
 	workers int
-	kern    *mathx.Kernels        // transcendental kernel set (Exact or Fast)
-	sig     func(float64) float64 // scalar sigmoid matching kern
 
 	stated  []float64 // statement ID -> P(source states triple)
 	tripleP []float64 // triple ID -> P(triple true)
@@ -494,10 +486,6 @@ func (e *engine) rebind(g *extract.Compiled, cfg Config) {
 
 	nSt, nSrc, nExt := g.NumStatements(), g.NumSources(), g.NumExtractors()
 	e.g, e.cfg, e.workers = g, cfg, workers
-	e.kern, e.sig = mathx.ForConfig(cfg.FastMath), mathx.Sigmoid
-	if cfg.FastMath {
-		e.sig = mathx.FastSigmoid
-	}
 	e.ghostMiss = nil
 	e.rescored = -1
 
@@ -625,14 +613,14 @@ func (e *engine) inferStatements() {
 		lw = 1
 	}
 	csr.ParallelRange(len(e.srcAcc), lw, func(_, lo, hi int) {
-		e.kern.LogOddsSlice(e.srcLogW[lo:hi], e.srcAcc[lo:hi], nFalse, accClampLo, accClampHi)
+		mathx.LogOddsSlice(e.srcLogW[lo:hi], e.srcAcc[lo:hi], nFalse, accClampLo, accClampHi)
 	})
-	e.kern.LogRatioSlice(e.lrHit, e.recall, e.falsePos)
+	mathx.LogRatioSlice(e.lrHit, e.recall, e.falsePos)
 	for x := range e.recall {
 		e.oneMinusR[x] = 1 - e.recall[x]
 		e.oneMinusF[x] = 1 - e.falsePos[x]
 	}
-	e.kern.LogRatioSlice(e.lrMiss, e.oneMinusR, e.oneMinusF)
+	mathx.LogRatioSlice(e.lrMiss, e.oneMinusR, e.oneMinusF)
 	for x := range e.lrAdj {
 		e.lrAdj[x] = e.lrHit[x] - e.lrMiss[x]
 	}
@@ -670,7 +658,7 @@ func (e *engine) inferStatements() {
 			if len(hits) == 1 && len(pairStamp) != 0 {
 				cell := src*nExt + hits[0]
 				if pairStamp[cell] != seq {
-					pairP[cell] = e.sig(e.srcBase[src] + e.lrAdj[hits[0]])
+					pairP[cell] = mathx.Sigmoid(e.srcBase[src] + e.lrAdj[hits[0]])
 					pairStamp[cell] = seq
 				}
 				pv = pairP[cell]
@@ -679,7 +667,7 @@ func (e *engine) inferStatements() {
 				for _, x := range hits {
 					logOdds += e.lrAdj[x]
 				}
-				pv = e.sig(logOdds)
+				pv = mathx.Sigmoid(logOdds)
 			}
 			e.stated[si] = pv
 			// Corroboration gate, staged for layer 2: an uninformed
@@ -798,7 +786,7 @@ func (e *engine) inferTruth() {
 			if unknown < 0 {
 				unknown = 0
 			}
-			e.kern.SoftmaxInto(scores, scores, unknown)
+			mathx.SoftmaxInto(scores, scores, unknown)
 			for vi, ti := range tis {
 				e.tripleP[ti] = scores[vi]
 			}

@@ -622,21 +622,6 @@ func (w *World) Stats() string {
 	return b.String()
 }
 
-// FunctionalShare returns the fraction of predicates that are functional.
-func (w *World) FunctionalShare() float64 {
-	total, fn := 0, 0
-	for _, pid := range w.Ont.Predicates() {
-		total++
-		if w.Ont.Predicate(pid).Functional {
-			fn++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(fn) / float64(total)
-}
-
 // sortedPredicates returns predicate IDs sorted for deterministic iteration.
 func (w *World) sortedPredicates() []kb.PredicateID {
 	ids := append([]kb.PredicateID(nil), w.Ont.Predicates()...)
