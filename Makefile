@@ -25,8 +25,9 @@ test:
 	$(GO) test ./...
 
 # race exercises the concurrent paths (parallel interning, parallel CSR
-# build, the twolayer/fusion EM stage loops, the exper singleflight caches)
-# under the race detector; CI runs it on every push.
+# build, the twolayer/fusion EM stage loops, the exper singleflight caches,
+# the extraction reader's per-worker batch decode) under the race detector;
+# CI runs it on every push.
 race:
 	$(GO) test -race ./...
 
@@ -70,8 +71,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 15s -fuzzminimizetime 2s ./internal/randx/
 	$(GO) test -run '^$$' -fuzz FuzzInternTable -fuzztime 15s -fuzzminimizetime 2s ./internal/csr/
 
+# bench-smoke runs each benchmark once. Its second line runs the feed reader
+# again at one and at two procs, so both the one-goroutine decode and the
+# per-worker split run on every push.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkReadExtractions$$' -cpu 1,2 -benchtime 1x -benchmem .
 
 # bench-e2e runs the end-to-end benchmark (benchmark/README.md): one feed
 # from seed 42, four workloads from feed bytes to served posterior in fresh

@@ -16,15 +16,16 @@ import (
 
 // parseExtractionLineRef is the reader's line parser as it stood before the
 // schema-specialised decoder — encoding/json and a hand-written conversion —
-// kept as the oracle the reader is compared against.
-func parseExtractionLineRef(line []byte, lineNo int) (extract.Extraction, error) {
+// kept as the oracle the reader is compared against. Its errors name the
+// line number and the byte offset the line starts at.
+func parseExtractionLineRef(line []byte, lineNo int, off int64) (extract.Extraction, error) {
 	var rec ExtractionRecord
 	if err := json.Unmarshal(line, &rec); err != nil {
-		return extract.Extraction{}, fmt.Errorf("kfio: parse extraction line %d: %w", lineNo, err)
+		return extract.Extraction{}, fmt.Errorf("kfio: parse extraction line %d at byte offset %d: %w", lineNo, off, err)
 	}
 	obj, err := kb.ParseObject(rec.Object)
 	if err != nil {
-		return extract.Extraction{}, fmt.Errorf("kfio: extraction line %d: %w", lineNo, err)
+		return extract.Extraction{}, fmt.Errorf("kfio: extraction line %d at byte offset %d: %w", lineNo, off, err)
 	}
 	return extract.Extraction{
 		Triple: kb.Triple{
@@ -51,29 +52,66 @@ func sameExtraction(a, b extract.Extraction) bool {
 }
 
 // checkReaderAgainstRef reads data with an ExtractionReader and checks every
-// line's record or error text against parseExtractionLineRef. It returns the
-// exhausted reader for its fast-path count and symbol table.
+// line's record or error text against parseExtractionLineRef. It then reads
+// the same bytes in one ReadBatch split three ways from two lines up, which
+// must return the records before the first bad line, or that line's error,
+// with every line the one-goroutine reader decoded on the fast path decoded
+// on it again. It returns that exhausted batch reader for its fast-path count
+// and its per-worker symbol tables.
 func checkReaderAgainstRef(t *testing.T, data []byte) *ExtractionReader {
 	t.Helper()
-	r := NewExtractionReader(bytes.NewReader(append(data[:len(data):len(data)], '\n')))
+	src := append(data[:len(data):len(data)], '\n')
+	r := NewExtractionReader(bytes.NewReader(src))
+	var want []extract.Extraction // the records before the first bad line
+	var firstErr error
+	off := 0
 	for i, line := range bytes.Split(data, []byte("\n")) {
+		start := off
+		off += len(line) + 1
 		line = bytes.TrimSuffix(line, []byte("\r"))
 		if len(line) == 0 {
 			continue
 		}
-		want, werr := parseExtractionLineRef(line, i+1)
+		ref, werr := parseExtractionLineRef(line, i+1, int64(start))
 		got, gerr := r.Next()
 		if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
 			t.Fatalf("line %d %q:\nreader error %v\n   ref error %v", i+1, line, gerr, werr)
 		}
-		if !sameExtraction(got, want) {
-			t.Fatalf("line %d %q:\nreader %+v\n   ref %+v", i+1, line, got, want)
+		if !sameExtraction(got, ref) {
+			t.Fatalf("line %d %q:\nreader %+v\n   ref %+v", i+1, line, got, ref)
+		}
+		if firstErr == nil {
+			firstErr = werr
+			if werr == nil {
+				want = append(want, ref)
+			}
 		}
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("after the last line: %v, want io.EOF", err)
 	}
-	return r
+
+	b := NewExtractionReader(bytes.NewReader(src))
+	b.workers, b.splitMin = 3, 2
+	got, err := b.ReadBatch(bytes.Count(src, []byte("\n")) + 1) // every line, then io.EOF
+	if firstErr != nil {
+		if err == nil || err.Error() != firstErr.Error() {
+			t.Fatalf("split ReadBatch error %v\n    first ref error %v", err, firstErr)
+		}
+		return b
+	}
+	if err != io.EOF || len(got) != len(want) {
+		t.Fatalf("split ReadBatch: %d records, %v; want %d, io.EOF", len(got), err, len(want))
+	}
+	for i := range want {
+		if !sameExtraction(got[i], want[i]) {
+			t.Fatalf("split ReadBatch: record %d %+v, ref %+v", i, got[i], want[i])
+		}
+	}
+	if b.fast != r.fast {
+		t.Fatalf("split ReadBatch decoded %d lines on the fast path, Next %d", b.fast, r.fast)
+	}
+	return b
 }
 
 // benchFeed is the bench dataset as ExtractionWriter encodes it.
@@ -106,7 +144,7 @@ func TestWriterFeedTakesFastPath(t *testing.T) {
 		t.Fatalf("ReadExtractions: %d records, want %d", len(got), len(lines))
 	}
 	for i, line := range lines {
-		if want, err := parseExtractionLineRef(line, i+1); err != nil || got[i] != want {
+		if want, err := parseExtractionLineRef(line, i+1, 0); err != nil || got[i] != want {
 			t.Fatalf("ReadExtractions: record %d: %+v, ref %+v (%v)", i, got[i], want, err)
 		}
 	}
@@ -173,7 +211,8 @@ func TestRecordsDoNotAliasScanner(t *testing.T) {
 
 // TestSymbolTableBounded: a feed with four times the table's bound in
 // distinct strings decodes, on the fast path, to what the fallback decodes,
-// and the table stays within its constant.
+// and every worker's table stays within its constant — each of the three
+// workers sees more than the bound in distinct strings, so each reaches it.
 func TestSymbolTableBounded(t *testing.T) {
 	var feed bytes.Buffer
 	const n = 4 * symtabMaxSlots
@@ -184,7 +223,12 @@ func TestSymbolTableBounded(t *testing.T) {
 	if r.fast != n {
 		t.Fatalf("%d of %d lines took the fast path", r.fast, n)
 	}
-	if got := len(r.dec.slots); got != symtabMaxSlots {
-		t.Fatalf("symbol table has %d slots after %d distinct strings, want the bound %d", got, n, symtabMaxSlots)
+	if len(r.decs) != 3 {
+		t.Fatalf("%d decoders, want one per worker (3)", len(r.decs))
+	}
+	for w := range r.decs {
+		if got := len(r.decs[w].slots); got != symtabMaxSlots {
+			t.Fatalf("worker %d's symbol table has %d slots after %d distinct strings, want the bound %d", w, got, n/3, symtabMaxSlots)
+		}
 	}
 }

@@ -65,7 +65,10 @@ func FuzzReadGold(f *testing.F) {
 // FuzzExtractionStream checks the streaming reader's partial-line contract
 // on arbitrary bytes: Next never panics, a reported partial offset is in
 // bounds and points at the true unterminated tail, and retrying from that
-// offset with a completed line yields exactly the missing record.
+// offset with a completed line yields exactly the missing record. And with
+// the split threshold lowered to two lines, so that these small inputs reach
+// it, a three-worker reader returns call for call what the one-worker reader
+// returns, for one whole batch and a Next/ReadBatch/Skip interleaving.
 func FuzzExtractionStream(f *testing.F) {
 	whole := `{"s":"/m/1","p":"/p/x","o":"s:v","extractor":"TXT1","url":"u","site":"s","conf":0.5}` + "\n"
 	f.Add(whole + whole)
@@ -80,6 +83,13 @@ func FuzzExtractionStream(f *testing.F) {
 	f.Add("")
 
 	f.Fuzz(func(t *testing.T, in string) {
+		for _, script := range [][]op{{{'b', len(in) + 1}}, {{'n', 0}, {'b', 2}, {'s', 1}, {'b', 3}}} {
+			want := transcript([]byte(in), 1, 0, script)
+			if err := sameTranscript(want, transcript([]byte(in), 3, 2, script)); err != nil {
+				t.Fatalf("script %v, 3 workers: %v", script, err)
+			}
+		}
+
 		r := NewExtractionReader(strings.NewReader(in))
 		var complete int
 		for {
@@ -206,7 +216,7 @@ func FuzzDecodeExtraction(f *testing.F) {
 		// And back out: every record the corpus decodes to is written by
 		// ExtractionWriter as encoding/json writes it, and reads back equal.
 		for i, line := range bytes.Split(data, []byte("\n")) {
-			x, err := parseExtractionLineRef(bytes.TrimSuffix(line, []byte("\r")), i+1)
+			x, err := parseExtractionLineRef(bytes.TrimSuffix(line, []byte("\r")), i+1, 0)
 			if err != nil {
 				continue
 			}

@@ -6,7 +6,10 @@
 // Extraction records — the one codec on the timed ingest path — decode
 // through RecordDecoder, a decoder specialised to the shape ExtractionWriter
 // emits, with encoding/json as the fallback for every other valid line and
-// as the reference the tests compare it against. The two writers on a timed
+// as the reference the tests compare it against. ExtractionReader.ReadBatch
+// and ReadExtractions gather a batch's lines first and then decode them on
+// every core, one contiguous range and one RecordDecoder per worker, with
+// the records and errors of a one-goroutine decode. The two writers on a timed
 // path, ExtractionWriter and WriteFused, are specialised the same way: rows
 // are appended field by field into one buffer (encode.go), byte for byte what
 // encoding/json writes for ExtractionRecord and FusedRecord, with
@@ -17,12 +20,17 @@ package kfio
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
+	"slices"
 	"strconv"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/extract"
 	"kfusion/internal/fusion"
 	"kfusion/internal/kb"
@@ -129,41 +137,66 @@ func (e *ErrPartialLine) Error() string {
 // whole file — the reader side of an append-only extraction feed. Next
 // returns one extraction at a time (io.EOF at end, *ErrPartialLine for a
 // truncated final line); ReadBatch chunks the stream for the incremental
-// compile pipeline (kfuse -append); Skip passes over records a resumed run
-// has already consumed. Error attribution is hidden in files (it is simulator
-// ground truth), so Extraction.Error is always ErrNone after a round trip.
+// compile pipeline (kfuse -append) and decodes each chunk on every core; Skip
+// passes over records a resumed run has already consumed. Error attribution
+// is hidden in files (it is simulator ground truth), so Extraction.Error is
+// always ErrNone after a round trip.
 //
-// Each line is decoded by the reader's RecordDecoder when it has the shape
+// Each line is decoded by a RecordDecoder when it has the shape
 // ExtractionWriter emits and by encoding/json otherwise — chosen per line
-// from the line's bytes, with identical results — so equal field values of
-// one reader's records usually share one string.
+// from the line's bytes, with identical results. ReadBatch splits a batch of
+// splitMinLines lines or more into one contiguous range per GOMAXPROCS
+// worker, each decoded by that worker's own RecordDecoder straight into its
+// slots of the batch: the records, their order and every error are the same
+// at any worker count. Equal field values of the records one worker decoded
+// (and of those Next returned) usually share one string.
 type ExtractionReader struct {
-	sc   *lineScanner
-	dec  RecordDecoder
-	fast int // lines RecordDecoder decoded; read by tests only
+	sc    *lineScanner
+	decs  []RecordDecoder // one per worker, kept across batches; decs[0] also serves Next
+	arena []byte          // the lines of the batch being decoded, back to back
+	lines []lineSpan      // where each of them sits in arena and in the stream
+	fast  int             // lines a RecordDecoder decoded; read by tests only
+
+	// workers and splitMin stand in for GOMAXPROCS and splitMinLines when
+	// positive; only tests set them.
+	workers, splitMin int
 }
+
+// lineSpan locates one gathered line: arena[lo:hi], line no of the stream,
+// starting at byte offset off.
+type lineSpan struct {
+	lo, hi, no int
+	off        int64
+}
+
+// splitMinLines is the smallest batch ReadBatch splits across workers; a
+// smaller one is decoded on the calling goroutine, where a fork would cost
+// more than it saves. gatherMaxLines bounds the lines the arena holds: a
+// larger batch is gathered and decoded in rounds of that many.
+const (
+	splitMinLines  = 1024
+	gatherMaxLines = 8192
+)
 
 // NewExtractionReader returns a streaming reader over r.
 func NewExtractionReader(r io.Reader) *ExtractionReader {
-	return &ExtractionReader{sc: newScanner(r)}
+	return &ExtractionReader{sc: newScanner(r), decs: make([]RecordDecoder, 1)}
 }
 
-// parseLine decodes one JSONL extraction record.
-func (r *ExtractionReader) parseLine(line []byte, lineNo int) (extract.Extraction, error) {
-	rec, end, ok := r.dec.Decode(line, 0)
-	if ok && skipSpace(line, end) == len(line) {
-		r.fast++
-	} else {
-		var err error
+// parseLine decodes one JSONL extraction record, line no of its stream,
+// starting at byte offset off; fast reports that d decoded it without
+// encoding/json.
+func parseLine(d *RecordDecoder, line []byte, no int, off int64) (x extract.Extraction, fast bool, err error) {
+	rec, end, ok := d.Decode(line, 0)
+	if fast = ok && skipSpace(line, end) == len(line); !fast {
 		if rec, err = unmarshalRecord(line); err != nil {
-			return extract.Extraction{}, fmt.Errorf("kfio: parse extraction line %d: %w", lineNo, err)
+			return x, false, fmt.Errorf("kfio: parse extraction line %d at byte offset %d: %w", no, off, err)
 		}
 	}
-	x, err := rec.ToExtraction()
-	if err != nil {
-		return extract.Extraction{}, fmt.Errorf("kfio: extraction line %d: %w", lineNo, err)
+	if x, err = rec.ToExtraction(); err != nil {
+		return x, fast, fmt.Errorf("kfio: extraction line %d at byte offset %d: %w", no, off, err)
 	}
-	return x, nil
+	return x, fast, nil
 }
 
 // unmarshalRecord is the generic decoder: the fallback for every line
@@ -198,13 +231,18 @@ func (r *ExtractionReader) nextLine() ([]byte, error) {
 // *ErrPartialLine when the stream ends mid-line. A complete record is one
 // the producer terminated with a newline; an unterminated tail is never
 // parsed — even when its bytes happen to form valid JSON, the record may
-// still be growing.
+// still be growing. A line that does not decode is an error naming its line
+// number and byte offset.
 func (r *ExtractionReader) Next() (extract.Extraction, error) {
 	line, err := r.nextLine()
 	if err != nil {
 		return extract.Extraction{}, err
 	}
-	return r.parseLine(line, r.sc.line)
+	x, fast, err := parseLine(&r.decs[0], line, r.sc.line, r.sc.start)
+	if fast {
+		r.fast++
+	}
+	return x, err
 }
 
 // Skip passes over the next n records without decoding them — what a resumed
@@ -231,59 +269,133 @@ const batchPrealloc = 1 << 16
 // exhausted). It returns io.EOF — possibly alongside a final short batch —
 // when the stream ends, and *ErrPartialLine — alongside the complete records
 // before it — when the stream ends mid-line; any other error aborts the
-// batch. max must be positive: a non-positive max would return an empty
-// batch without ever reaching io.EOF, turning any read-until-EOF loop into a
-// spin. max bounds the batch, not the allocation: capacity up to
-// batchPrealloc records is reserved before reading and grows with the records
-// actually read beyond that, so "everything in one batch" (a huge max) is safe
-// on any feed.
+// batch, and a line that does not decode aborts it with the error Next would
+// have returned for the first such line (the reader is then past every line
+// the batch had gathered, not just past that one). max must be positive: a
+// non-positive max would return an empty batch without ever reaching io.EOF,
+// turning any read-until-EOF loop into a spin. max bounds the batch, not the
+// allocation: capacity up to batchPrealloc records is reserved before reading
+// and grows with the records actually read beyond that, so "everything in one
+// batch" (a huge max) is safe on any feed.
 func (r *ExtractionReader) ReadBatch(max int) ([]extract.Extraction, error) {
 	if max <= 0 {
 		return nil, fmt.Errorf("kfio: ReadBatch size must be positive, got %d", max)
 	}
-	out := make([]extract.Extraction, 0, min(max, batchPrealloc))
-	for len(out) < max {
-		x, err := r.Next()
-		if err != nil {
-			var partial *ErrPartialLine
-			if err == io.EOF || errors.As(err, &partial) {
-				return out, err
-			}
-			return nil, err
+	out, err := r.appendBatch(make([]extract.Extraction, 0, min(max, batchPrealloc)), max)
+	var partial *ErrPartialLine
+	if err != nil && err != io.EOF && !errors.As(err, &partial) {
+		return nil, err
+	}
+	return out, err
+}
+
+// appendBatch appends up to max records to out, gathered and decoded in
+// rounds of at most gatherMaxLines lines, and returns what stopped it short
+// of max: io.EOF, *ErrPartialLine (every complete record before it appended)
+// or the earliest error in line order.
+func (r *ExtractionReader) appendBatch(out []extract.Extraction, max int) ([]extract.Extraction, error) {
+	for max > 0 {
+		stop := r.gather(min(max, gatherMaxLines))
+		max -= len(r.lines)
+		var err error
+		if out, err = r.decode(out); err != nil {
+			return out, err
 		}
-		out = append(out, x)
+		if stop != nil {
+			return out, stop
+		}
+	}
+	return out, nil
+}
+
+// gather reads up to n complete non-blank lines into the arena and returns
+// what stopped it short of n: io.EOF, *ErrPartialLine or a read error.
+func (r *ExtractionReader) gather(n int) error {
+	r.arena, r.lines = r.arena[:0], r.lines[:0]
+	for len(r.lines) < n {
+		line, err := r.nextLine()
+		if err != nil {
+			return err
+		}
+		lo := len(r.arena)
+		r.arena = append(doubling(r.arena, len(line)), line...)
+		r.lines = append(doubling(r.lines, 1), lineSpan{lo: lo, hi: len(r.arena), no: r.sc.line, off: r.sc.start})
+	}
+	return nil
+}
+
+// doubling makes room for n more elements of s, at least doubling its
+// capacity when it grows: a buffer that reaches its working size once then
+// has allocated about twice that size, not the five times append's
+// large-slice growth (1.25×) costs.
+func doubling[S ~[]E, E any](s S, n int) S {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s)))
+}
+
+// decode decodes the gathered lines onto the end of out — one contiguous
+// range per worker, each worker stopping at its first error — and returns
+// the error of the earliest range that has one, which is the earliest in
+// line order.
+func (r *ExtractionReader) decode(out []extract.Extraction) ([]extract.Extraction, error) {
+	n, base := len(r.lines), len(out)
+	out = slices.Grow(out, n)[:base+n]
+	workers := 1
+	if n >= cmp.Or(r.splitMin, splitMinLines) {
+		workers = min(cmp.Or(r.workers, runtime.GOMAXPROCS(0)), n)
+	}
+	for len(r.decs) < workers {
+		r.decs = append(r.decs, RecordDecoder{})
+	}
+	errs, fast := make([]error, workers), make([]int, workers)
+	csr.ParallelRange(n, workers, func(w, lo, hi int) {
+		d, nfast := &r.decs[w], 0
+		defer func() { fast[w] = nfast }()
+		for i, ln := range r.lines[lo:hi] {
+			x, ok, err := parseLine(d, r.arena[ln.lo:ln.hi], ln.no, ln.off)
+			if ok {
+				nfast++
+			}
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			out[base+lo+i] = x
+		}
+	})
+	for _, f := range fast {
+		r.fast += f
+	}
+	for _, err := range errs {
+		if err != nil {
+			return out[:base], err
+		}
 	}
 	return out, nil
 }
 
 // ReadExtractions parses a whole JSONL extraction stream (see
-// ExtractionReader for chunked iteration). Unlike the streaming reader it
-// accepts a parseable unterminated final line: a whole-file read means the
-// producer is done, so a missing trailing newline is cosmetic, not a
-// half-written record.
+// ExtractionReader for chunked iteration) the way ReadBatch does, in rounds
+// decoded on every core. Unlike the streaming reader it accepts a parseable
+// unterminated final line: a whole-file read means the producer is done, so a
+// missing trailing newline is cosmetic, not a half-written record.
 func ReadExtractions(r io.Reader) ([]extract.Extraction, error) {
-	var out []extract.Extraction
 	er := NewExtractionReader(r)
-	for {
-		x, err := er.Next()
-		if err == io.EOF {
-			return out, nil
+	out, err := er.appendBatch(nil, math.MaxInt)
+	var partial *ErrPartialLine
+	switch {
+	case err == io.EOF:
+		return out, nil
+	case errors.As(err, &partial):
+		x, _, perr := parseLine(&er.decs[0], partial.Line, er.sc.line, partial.Offset)
+		if perr != nil {
+			return nil, perr
 		}
-		var partial *ErrPartialLine
-		if errors.As(err, &partial) {
-			if len(partial.Line) == 0 {
-				return out, nil
-			}
-			x, perr := er.parseLine(partial.Line, er.sc.line)
-			if perr != nil {
-				return nil, perr
-			}
-			return append(out, x), nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, x)
+		return append(out, x), nil
+	default:
+		return nil, err
 	}
 }
 

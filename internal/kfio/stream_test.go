@@ -320,8 +320,9 @@ func TestSkip(t *testing.T) {
 	if err != nil || len(batch) != 1 || batch[0].Triple.Subject != "/m/2" {
 		t.Fatalf("ReadBatch after Skip = %+v, %v; want the /m/2 record", batch, err)
 	}
-	if _, err := r.ReadBatch(1); err == nil || !strings.Contains(err.Error(), "extraction line 7:") {
-		t.Fatalf("error after Skip = %v; want it attributed to line 7", err)
+	line7 := fmt.Sprintf("extraction line 7 at byte offset %d:", strings.Index(feed, `{"s":"a"`))
+	if _, err := r.ReadBatch(1); err == nil || !strings.Contains(err.Error(), line7) {
+		t.Fatalf("error after Skip = %v; want it attributed to %q", err, line7)
 	}
 	// Skip into the partial tail: one complete record, then the typed error
 	// with the tail's offset and bytes.
