@@ -667,8 +667,6 @@ func BenchmarkAblationTwoLayer(b *testing.B)   { benchExperiment(b, "abl-twolaye
 func BenchmarkAblationMultiTruth(b *testing.B) { benchExperiment(b, "abl-multitruth") }
 func BenchmarkAblationFuncDegree(b *testing.B) { benchExperiment(b, "abl-funcdegree") }
 func BenchmarkAblationHierValues(b *testing.B) { benchExperiment(b, "abl-hierval") }
-func BenchmarkAblationConfidence(b *testing.B) { benchExperiment(b, "abl-confweight") }
-func BenchmarkAblationCopyDetect(b *testing.B) { benchExperiment(b, "abl-copydetect") }
 func BenchmarkAblationSoftLCWA(b *testing.B)   { benchExperiment(b, "abl-softlcwa") }
 func BenchmarkAblationValueSim(b *testing.B)   { benchExperiment(b, "abl-valuesim") }
 

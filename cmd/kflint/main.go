@@ -18,9 +18,11 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -28,8 +30,9 @@ import (
 )
 
 func main() {
-	// go vet probes its -vettool with -V=full before every run and uses
-	// the reply as a cache key.
+	// go vet probes its -vettool with -V=full before every run and keys
+	// its result cache on the reply, so the reply carries a hash of this
+	// executable: a rebuilt kflint must not reuse an older one's verdicts.
 	versionFlag := flag.Bool("V", false, "print version and exit (go vet handshake)")
 	list := flag.Bool("help-analyzers", false, "list analyzers and the contracts they enforce")
 	flag.Usage = func() {
@@ -54,7 +57,12 @@ func main() {
 	flag.CommandLine.Parse(args)
 
 	if *versionFlag {
-		fmt.Println("kflint version v1.0.0")
+		id, err := selfHash()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "kflint:", err)
+			os.Exit(2)
+		}
+		fmt.Printf("kflint version devel buildID=%x\n", id)
 		return
 	}
 	if *list {
@@ -128,16 +136,20 @@ func vetUnit(path string) int {
 	if cfg.VetxOnly {
 		return 0
 	}
-	// go vet also dispatches test variants (units whose file list includes
-	// _test.go files). The contracts guard shipped code only — fixtures
-	// exercising forbidden patterns live in tests by design — and the
-	// variant's non-test files were already analyzed in the primary unit,
-	// so skip the whole unit (matching the multichecker, which loads
-	// GoFiles alone).
+	// go vet dispatches a package that has in-package tests only as its
+	// test variant, whose file list adds the _test.go files. The contracts
+	// guard shipped code only — fixtures exercising forbidden patterns live
+	// in tests by design — so analyze the non-test files alone (matching
+	// the multichecker, which loads GoFiles); an external test package
+	// leaves none.
+	var files []string
 	for _, f := range cfg.GoFiles {
-		if strings.HasSuffix(f, "_test.go") {
-			return 0
+		if !strings.HasSuffix(f, "_test.go") {
+			files = append(files, f)
 		}
+	}
+	if len(files) == 0 {
+		return 0
 	}
 
 	lookup := lint.NewExportLookup()
@@ -150,7 +162,7 @@ func vetUnit(path string) int {
 		lookup.Add(canonical, file)
 	}
 
-	pkg, err := lint.TypecheckFiles(cfg.ImportPath, cfg.GoFiles, lookup)
+	pkg, err := lint.TypecheckFiles(cfg.ImportPath, files, lookup)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0
@@ -170,4 +182,22 @@ func vetUnit(path string) int {
 		return 2
 	}
 	return 0
+}
+
+// selfHash returns the SHA-256 of the running executable.
+func selfHash() ([]byte, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(exe)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return nil, err
+	}
+	return h.Sum(nil), nil
 }

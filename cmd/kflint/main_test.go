@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -25,5 +27,25 @@ func TestVettoolProtocol(t *testing.T) {
 	vet.Dir = filepath.Join("..", "..")
 	if out, err := vet.CombinedOutput(); err != nil {
 		t.Fatalf("go vet -vettool=kflint: %v\n%s", err, out)
+	}
+}
+
+// TestVetUnitSkipsOnlyTestFiles pins the test-variant unit: go vet hands a
+// package with in-package tests to the tool only with its _test.go files
+// added, so the unit must still analyze the non-test files.
+func TestVetUnitSkipsOnlyTestFiles(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, src string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	code := write("a.go", "package a\n\n//lint:ignore kflint/nosuch a typo the unit must report\nfunc F() {}\n")
+	test := write("a_test.go", "package a\n")
+	cfg := write("vet.cfg", fmt.Sprintf(`{"ImportPath": "example.com/a", "GoFiles": [%q, %q]}`, code, test))
+	if got := vetUnit(cfg); got != 2 {
+		t.Errorf("vetUnit on a test variant = %d, want 2 (the non-test file's finding)", got)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"kfusion"
-	"kfusion/internal/copydetect"
 	"kfusion/internal/funcdegree"
 	"kfusion/internal/fusion"
 	"kfusion/internal/kfio"
@@ -327,8 +326,8 @@ func Example_multiTruth() {
 // Example_webscale runs the full synthetic pipeline: generate a world, crawl
 // it into a Web corpus, run the 12 simulated extractors, build the LCWA gold
 // standard, fuse with every preset and compare calibration, run the
-// mechanical error analysis of Figure 17 and copy detection, and round-trip
-// the fused knowledge base through the JSONL file kfuse writes.
+// mechanical error analysis of Figure 17, and round-trip the fused knowledge
+// base through the JSONL file kfuse writes.
 func Example_webscale() {
 	ds := kfusion.Synthesize(kfusion.ScaleSmall, 42)
 	fmt.Println("synthesized:")
@@ -369,17 +368,6 @@ func Example_webscale() {
 	// Figure 17-style mechanical error analysis.
 	ea := kfusion.AnalyzeErrors(ds.World, ds.Snapshot, ds.Gold, plus, ds.Extractions, 0.95, 0.05)
 	fmt.Printf("\nerror analysis (high-confidence mistakes):\n%s", ea)
-
-	// Copy detection (§5.2): the corpus plants syndicated sites.
-	pairs := copydetect.Detect(ds.Extractions, copydetect.DefaultConfig())
-	genuine := 0
-	for _, p := range pairs {
-		if ds.Corpus.CopiedFrom[p.A] == p.B || ds.Corpus.CopiedFrom[p.B] == p.A {
-			genuine++
-		}
-	}
-	fmt.Printf("\ncopy detection: %d planted copier sites, %d pairs detected (%d genuine)\n",
-		len(ds.Corpus.CopiedFrom), len(pairs), genuine)
 
 	// The fused knowledge base: write it as kfuse does and stream it back.
 	var file bytes.Buffer
@@ -445,8 +433,6 @@ func Example_webscale() {
 	//   wrong value in Freebase        1
 	// False negatives (1):
 	//   multiple truths                1
-	//
-	// copy detection: 33 planted copier sites, 3 pairs detected (2 genuine)
 	//
 	// fused knowledge base: 2786 triples, 337 subjects, 1255 with probability
 	// triples trusted at p>=0.9: 448

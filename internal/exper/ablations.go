@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"kfusion/internal/confweight"
 	"kfusion/internal/eval"
 	"kfusion/internal/funcdegree"
 	"kfusion/internal/fusion"
@@ -133,6 +132,28 @@ func AblationMultiTruth(ds *Dataset) *Table {
 	return tb
 }
 
+// trueRecall is the recall of gold-true triples at p >= 0.5 and the number
+// of gold-true triples predicted — the axis the result transforms of §5.3
+// and §5.4 should move.
+func trueRecall(ds *Dataset, res *fusion.Result) (float64, int) {
+	hit, total := 0, 0
+	for _, f := range res.Triples {
+		if !f.Predicted {
+			continue
+		}
+		if label, ok := ds.Gold.Label(f.Triple); ok && label {
+			total++
+			if f.Probability >= 0.5 {
+				hit++
+			}
+		}
+	}
+	if total == 0 {
+		return 0, 0
+	}
+	return float64(hit) / float64(total), total
+}
+
 // AblationFuncDegree: does learning per-predicate functionality degrees and
 // relaxing the single-truth squeeze improve truth recall (§5.3)?
 func AblationFuncDegree(ds *Dataset) *Table {
@@ -141,27 +162,8 @@ func AblationFuncDegree(ds *Dataset) *Table {
 	degrees := funcdegree.LearnFromGold(base, ds.Gold.Label, 6)
 	rescaled := funcdegree.Rescale(base, degrees)
 
-	// Recall of gold-true triples at p >= 0.5.
-	recall := func(res *fusion.Result) (float64, int) {
-		hit, total := 0, 0
-		for _, f := range res.Triples {
-			if !f.Predicted {
-				continue
-			}
-			if label, ok := ds.Gold.Label(f.Triple); ok && label {
-				total++
-				if f.Probability >= 0.5 {
-					hit++
-				}
-			}
-		}
-		if total == 0 {
-			return 0, 0
-		}
-		return float64(hit) / float64(total), total
-	}
-	bRec, n := recall(base)
-	rRec, _ := recall(rescaled)
+	bRec, n := trueRecall(ds, base)
+	rRec, _ := trueRecall(ds, rescaled)
 	baseRep := ds.evalResult("POPACCU+", base)
 	resRep := ds.evalResult("POPACCU+ + funcdegree", rescaled)
 
@@ -228,30 +230,5 @@ func AblationHierValues(ds *Dataset) *Table {
 	tb.Notes = append(tb.Notes,
 		"paper Figure 17: 35% of false negatives are specific/general value artifacts",
 		checkf(adjFN <= baseFN, "ancestor aggregation does not add specific/general FNs"))
-	return tb
-}
-
-// AblationConfidence: recalibrated confidence weighting (§5.5) vs the
-// thresholding strawman of Figure 22.
-func AblationConfidence(ds *Dataset) *Table {
-	base := ds.report("POPACCU", fusion.PopAccuConfig())
-
-	cal := confweight.Learn(ds.Extractions, ds.Gold.Label)
-	hooked := fusion.MustFuse(
-		fusion.Claims(ds.Extractions, fusion.GranExtractorURL),
-		cal.Config(fusion.PopAccuConfig()))
-	hookedRep := ds.evalResult("POPACCU + confweight", hooked)
-
-	kept, coverage := confweight.FilterByThreshold(ds.Extractions, 0.5)
-	filtered := fusion.MustFuse(fusion.Claims(kept, fusion.GranExtractorURL), fusion.PopAccuConfig())
-	filteredRep := ds.evalResult("POPACCU on conf>=0.5 subset", filtered)
-
-	tb := &Table{ID: "abl-confweight", Title: "Ablation: confidence-aware fusion (§5.5)",
-		Header: []string{"Model", "Dev", "WDev", "AUC-PR", "N"}}
-	addReportRows(tb, []eval.Report{base, hookedRep, filteredRep})
-	tb.Notef("threshold filtering keeps only %.0f%% of unique triples (paper Figure 22: thresholds are costly)", 100*coverage)
-	tb.Notes = append(tb.Notes,
-		checkf(hookedRep.AUCPR >= base.AUCPR-0.02, "recalibrated confidences do not hurt ranking"),
-		checkf(hookedRep.N > filteredRep.N, "recalibration keeps far more labeled triples than filtering"))
 	return tb
 }

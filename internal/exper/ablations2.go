@@ -2,83 +2,13 @@ package exper
 
 import (
 	"fmt"
-	"strings"
 
-	"kfusion/internal/copydetect"
 	"kfusion/internal/eval"
 	"kfusion/internal/funcdegree"
 	"kfusion/internal/fusion"
 	"kfusion/internal/kb"
 	"kfusion/internal/valuesim"
 )
-
-// AblationCopyDetect: does scalable copy detection (§5.2) find the planted
-// syndication relationships, and does discounting detected copiers improve
-// fusion?
-func AblationCopyDetect(ds *Dataset) *Table {
-	pairs := copydetect.Detect(ds.Extractions, copydetect.DefaultConfig())
-
-	tb := &Table{ID: "abl-copydetect", Title: "Ablation: copy detection between sources (§5.2)",
-		Header: []string{"Quantity", "Value"}}
-	planted := len(ds.Corpus.CopiedFrom)
-	tb.AddRow("planted copier sites", planted)
-	tb.AddRow("detected pairs", len(pairs))
-
-	genuine := 0
-	foundCopiers := map[string]bool{}
-	for _, p := range pairs {
-		if ds.Corpus.CopiedFrom[p.A] == p.B {
-			genuine++
-			foundCopiers[p.A] = true
-		} else if ds.Corpus.CopiedFrom[p.B] == p.A {
-			genuine++
-			foundCopiers[p.B] = true
-		}
-	}
-	precision := 0.0
-	if len(pairs) > 0 {
-		precision = float64(genuine) / float64(len(pairs))
-	}
-	recall := 0.0
-	if planted > 0 {
-		recall = float64(len(foundCopiers)) / float64(planted)
-	}
-	tb.AddRow("genuine pairs", genuine)
-	tb.AddRow("precision", fmt.Sprintf("%.2f", precision))
-	tb.AddRow("copier recall", fmt.Sprintf("%.2f", recall))
-
-	// Fusion with copier discounting at site-level provenances.
-	siteOf := func(prov string) string {
-		if i := strings.IndexByte(prov, '|'); i >= 0 {
-			return prov[i+1:]
-		}
-		return prov
-	}
-	baseCfg := fusion.PopAccuConfig()
-	baseCfg.Granularity = fusion.GranExtractorSite
-	base := ds.Fuse("POPACCU(site)", baseCfg)
-	baseRep := ds.evalResult("POPACCU (site prov)", base)
-
-	discCfg := baseCfg
-	discCfg.ClaimAccuracy = copydetect.DiscountHook(pairs, siteOf, 0.8)
-	disc := fusion.MustFuse(fusion.Claims(ds.Extractions, discCfg.Granularity), discCfg)
-	discRep := ds.evalResult("POPACCU + copy discount", disc)
-
-	tb.AddRow("", "")
-	tb.AddRow("POPACCU (site prov) WDev/AUC", fmt.Sprintf("%.4f / %.4f", baseRep.WDev, baseRep.AUCPR))
-	tb.AddRow("+ copy discount WDev/AUC", fmt.Sprintf("%.4f / %.4f", discRep.WDev, discRep.AUCPR))
-
-	tb.Notes = append(tb.Notes,
-		"paper §5.2: pairwise copy detection does not scale to 1B+ sources; rare-triple shingling avoids the pair space",
-		checkf(planted == 0 || precision >= 0.5, "detected pairs are mostly genuine copiers"),
-		// Copied support is not independent evidence: removing it improves
-		// calibration when copiers carry weight, and must never noticeably
-		// worsen it; it may cost a little ranking power since copied TRUE
-		// triples also lose support.
-		checkf(discRep.WDev <= baseRep.WDev+0.002, "copier discounting does not worsen calibration (WDev)"),
-		checkf(discRep.AUCPR >= baseRep.AUCPR-0.05, "ranking cost of discounting stays small"))
-	return tb
-}
 
 // AblationSoftLCWA: does the confidence-weighted gold standard (§5.7) lower
 // the penalty for conflicts with uncertain negatives?
@@ -128,28 +58,8 @@ func AblationValueSim(ds *Dataset) *Table {
 	baseRep := ds.evalResult("POPACCU", base)
 	adjRep := ds.evalResult("POPACCU + valuesim", adjusted)
 
-	// Recall of gold-true triples at p >= 0.5 — the axis similarity credit
-	// should move (lost support comes back to the approximated value).
-	recall := func(res *fusion.Result) (float64, int) {
-		hit, total := 0, 0
-		for _, f := range res.Triples {
-			if !f.Predicted {
-				continue
-			}
-			if label, ok := ds.Gold.Label(f.Triple); ok && label {
-				total++
-				if f.Probability >= 0.5 {
-					hit++
-				}
-			}
-		}
-		if total == 0 {
-			return 0, 0
-		}
-		return float64(hit) / float64(total), total
-	}
-	bRec, n := recall(base)
-	aRec, _ := recall(adjusted)
+	bRec, n := trueRecall(ds, base)
+	aRec, _ := trueRecall(ds, adjusted)
 
 	tb := &Table{ID: "abl-valuesim", Title: "Ablation: value-similarity support (§5.4)",
 		Header: []string{"Model", "True-triple recall@0.5", "WDev", "AUC-PR"}}

@@ -35,8 +35,6 @@ var Registry = []Experiment{
 	{"abl-multitruth", "Ablation: latent truth model (§5.3)", AblationMultiTruth},
 	{"abl-funcdegree", "Ablation: functionality degrees (§5.3)", AblationFuncDegree},
 	{"abl-hierval", "Ablation: hierarchical values (§5.4)", AblationHierValues},
-	{"abl-confweight", "Ablation: confidence-aware fusion (§5.5)", AblationConfidence},
-	{"abl-copydetect", "Ablation: copy detection between sources (§5.2)", AblationCopyDetect},
 	{"abl-softlcwa", "Ablation: LCWA with label confidence (§5.7)", AblationSoftLCWA},
 	{"abl-valuesim", "Ablation: value-similarity support (§5.4)", AblationValueSim},
 }

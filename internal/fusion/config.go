@@ -82,12 +82,6 @@ type Config struct {
 	// (Fuse) and of the per-round stage loops (0 = GOMAXPROCS). Results
 	// never depend on it; FuseReference, a sequential oracle, ignores it.
 	Workers int
-
-	// ClaimAccuracy, when set, overrides the accuracy used for a single
-	// claim given its provenance's estimated accuracy — the hook behind the
-	// confidence-aware extension (§5.5): extraction confidence modulates
-	// how strongly one claim votes.
-	ClaimAccuracy func(c Claim, provAcc float64) float64
 }
 
 // VoteConfig returns the VOTE baseline configuration.
@@ -167,10 +161,11 @@ func ParseGranularity(name string) (Granularity, error) {
 	return Granularity{}, fmt.Errorf("fusion: unknown granularity %q (want url, site, site-pred or site-pred-pattern)", name)
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Range checks are written so that
+// NaN fails them.
 func (c Config) Validate() error {
 	if c.Method != Vote {
-		if c.DefaultAccuracy <= 0 || c.DefaultAccuracy >= 1 {
+		if !(c.DefaultAccuracy > 0 && c.DefaultAccuracy < 1) {
 			return fmt.Errorf("fusion: DefaultAccuracy must be in (0,1), got %v", c.DefaultAccuracy)
 		}
 		if c.Rounds < 1 {
@@ -183,10 +178,10 @@ func (c Config) Validate() error {
 	if c.SampleL < 1 {
 		return fmt.Errorf("fusion: SampleL must be >= 1, got %d", c.SampleL)
 	}
-	if c.AccuracyThreshold < 0 || c.AccuracyThreshold >= 1 {
+	if !(c.AccuracyThreshold >= 0 && c.AccuracyThreshold < 1) {
 		return fmt.Errorf("fusion: AccuracyThreshold must be in [0,1), got %v", c.AccuracyThreshold)
 	}
-	if c.GoldSampleRate < 0 || c.GoldSampleRate > 1 {
+	if !(c.GoldSampleRate >= 0 && c.GoldSampleRate <= 1) {
 		return fmt.Errorf("fusion: GoldSampleRate must be in [0,1], got %v", c.GoldSampleRate)
 	}
 	return nil

@@ -12,14 +12,14 @@ import (
 )
 
 // The compiled engine: Fuse first interns the claim set into a graph
-// (compile.go) — the only shuffle of the run — and then executes Figure 8's
-// stages as flat loops over that graph:
+// (compile.go) and then executes Figure 8's stages as flat loops over that
+// graph:
 //
 //   - Stage I walks items through CSR spans, scoring candidates into dense
 //     per-worker scratch arrays and writing per-claim probabilities into a
 //     round-stamped flat slice. Provenance accuracies live in a []float64
-//     indexed by prov ID; with no ClaimAccuracy hook, each provenance's
-//     log-score term is precomputed once per round.
+//     indexed by prov ID, and each provenance's log-score term is
+//     precomputed once per round.
 //   - Stage II walks provenances through their CSR spans and re-estimates
 //     accuracies from the stamped probabilities.
 //   - Stage III reads the per-triple support counts interned at compile
@@ -39,7 +39,7 @@ type engine struct {
 
 	provAcc     []float64 // prov ID -> current accuracy estimate (raw)
 	provDefault []bool    // prov ID -> still at the unevaluated default
-	provTerm    []float64 // prov ID -> per-round log score term (no hook)
+	provTerm    []float64 // prov ID -> per-round log score term (ACCU, POPACCU)
 
 	claimProb  []float64 // claim ID -> probability of its triple this round
 	claimStamp []int32   // claim ID -> round+1 when last scored
@@ -357,12 +357,11 @@ const provTermParallelThreshold = csr.ElementwiseThreshold
 // stageI scores every data item with the current provenance accuracies
 // (Figure 8, Stage I) — a parallel flat loop over the compiled item spans.
 func (e *engine) stageI(round int) {
-	// Without a ClaimAccuracy hook, a claim's log score term depends only
-	// on its provenance, so the log is taken once per provenance per round
-	// instead of once per claim per candidate — elementwise over the
-	// provenance table, in parallel once the table is large enough to pay
-	// for the goroutines.
-	if e.cfg.ClaimAccuracy == nil && (e.cfg.Method == Accu || e.cfg.Method == PopAccu) {
+	// A claim's log score term depends only on its provenance, so the log
+	// is taken once per provenance per round instead of once per claim per
+	// candidate — elementwise over the provenance table, in parallel once
+	// the table is large enough to pay for the goroutines.
+	if e.cfg.Method == Accu || e.cfg.Method == PopAccu {
 		pw := e.workers
 		if len(e.provAcc) < provTermParallelThreshold {
 			pw = 1
@@ -509,22 +508,9 @@ func (e *engine) scoreItem(sc *scoreScratch, item int32, round int) {
 				logq[l] = e.logCount[counts[l]] - logN
 			}
 		}
-		hook := e.cfg.ClaimAccuracy
 		for _, c := range scored {
 			l := g.localOfClaim[c]
-			var term float64
-			if hook == nil {
-				term = e.provTerm[g.provOfClaim[c]]
-			} else {
-				a := clampAcc(hook(g.claims[c], e.provAcc[g.provOfClaim[c]]))
-				if e.cfg.Method == Accu {
-					//lint:ignore kflint/scalarmath the hook returns a per-claim accuracy, so the log really is per claim; the hookless path (the default and every preset) batches it per provenance via LogOddsSlice.
-					term = math.Log(float64(e.cfg.NFalse) * a / (1 - a))
-				} else {
-					//lint:ignore kflint/scalarmath same per-claim hook accuracy as the ACCU arm — there is no per-provenance table to batch when the hook rewrites it per claim.
-					term = math.Log(a / (1 - a))
-				}
-			}
+			term := e.provTerm[g.provOfClaim[c]]
 			if logq != nil {
 				term -= logq[l]
 			}
@@ -614,7 +600,6 @@ func (e *engine) provStat(sc *scoreScratch, p, stamp int32) (float64, int32) {
 				cnt := 0.0
 				for _, c := range g.provClaims[b.Lo:b.Hi] {
 					if e.claimStamp[c] == stamp {
-						//lint:ignore kflint/floatsum one fixed csr.SpanBlocks block of this provenance's claim span, summed left-to-right — the block partial the Pairwise fold below combines.
 						sum += e.claimProb[c]
 						cnt++
 					}
@@ -667,8 +652,8 @@ func (e *engine) sampleProbsSum(p, stamp int32) (float64, int32) {
 }
 
 // accClampLo/Hi bound every provenance accuracy before it enters a log-odds
-// term; the same bounds feed mathx.LogOddsSlice so the batched table and the
-// scalar hook path clamp identically.
+// term: they feed mathx.LogOddsSlice here and clampAcc in the reference
+// engine, so the two clamp identically.
 const accClampLo, accClampHi = 0.005, 0.995
 
 func clampAcc(a float64) float64 {

@@ -77,6 +77,13 @@ func equivalenceConfigs() map[string]Config {
 	thr.AccuracyThreshold = 0.6
 	cfgs["threshold"] = thr
 
+	// ACCU through both filters: the coverage filter and θ's fallback to
+	// the mean accuracy of an item's provenances.
+	accuFilters := AccuConfig()
+	accuFilters.FilterByCoverage = true
+	accuFilters.AccuracyThreshold = 0.6
+	cfgs["accu/filters"] = accuFilters
+
 	plusUnsup := PopAccuPlusUnsupConfig()
 	cfgs["popaccu+unsup"] = plusUnsup
 
@@ -86,19 +93,6 @@ func equivalenceConfigs() map[string]Config {
 	rate := PopAccuPlusConfig(goldLabeler)
 	rate.GoldSampleRate = 0.4
 	cfgs["goldrate"] = rate
-
-	hook := PopAccuConfig()
-	hook.ClaimAccuracy = func(c Claim, provAcc float64) float64 {
-		if c.Conf < 0 {
-			return provAcc
-		}
-		return provAcc * c.Conf
-	}
-	cfgs["claimhook"] = hook
-
-	accuHook := AccuConfig()
-	accuHook.ClaimAccuracy = hook.ClaimAccuracy
-	cfgs["claimhook-accu"] = accuHook
 
 	// A run capped at R rounds ends on round R's probabilities, so the
 	// engines agree at every round prefix, not only on the converged tail.

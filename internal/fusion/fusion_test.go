@@ -367,6 +367,23 @@ func TestValidateErrors(t *testing.T) {
 	if _, err := Fuse(nil, bad); err == nil {
 		t.Error("accepted AccuracyThreshold=1")
 	}
+	// NaN fails every comparison, so each range check must be written to
+	// reject it.
+	nan := math.NaN()
+	for _, f := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"DefaultAccuracy", func(c *Config) { c.DefaultAccuracy = nan }},
+		{"AccuracyThreshold", func(c *Config) { c.AccuracyThreshold = nan }},
+		{"GoldSampleRate", func(c *Config) { c.GoldSampleRate = nan }},
+	} {
+		bad = PopAccuConfig()
+		f.set(&bad)
+		if _, err := Fuse(nil, bad); err == nil {
+			t.Errorf("accepted %s=NaN", f.name)
+		}
+	}
 }
 
 // TestPresetAndGranularityNames pins the one name table the CLIs and the

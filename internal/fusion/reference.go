@@ -351,7 +351,9 @@ func (e *refEngine) stageII(entries []probEntry) float64 {
 		probs := e.sampleProbs(prov, probsOf[prov])
 		sum := 0.0
 		for _, p := range probs {
-			//lint:ignore kflint/floatsum this is the golden spec the compiled engine is differentially tested against; groupBy delivers a provenance's probabilities in stage I's emission order — items in shuffle order, an item's claims in input order — so the naive sum is reproducible by construction.
+			// groupBy delivers a provenance's probabilities in stage I's
+			// emission order (items in shuffle order, an item's claims in
+			// input order), so the naive sum is reproducible.
 			sum += p
 		}
 		acc := sum / float64(len(probs))
@@ -427,14 +429,10 @@ func (e *refEngine) sampleProbs(key string, probs []float64) []float64 {
 	return r.Items()
 }
 
-// claimAccuracy returns the effective accuracy for one claim: the
-// provenance accuracy, optionally modulated by the ClaimAccuracy hook.
+// claimAccuracy returns the effective accuracy for one claim: its
+// provenance's accuracy, clamped.
 func (e *refEngine) claimAccuracy(i int32) float64 {
-	a := e.provs[e.claims[i].Prov].acc
-	if e.cfg.ClaimAccuracy != nil {
-		a = e.cfg.ClaimAccuracy(e.claims[i], a)
-	}
-	return clampAcc(a)
+	return clampAcc(e.provs[e.claims[i].Prov].acc)
 }
 
 // softmaxInto computes P(v) = exp(s_v) / (Σ exp(s) + unknownMass·exp(0)),

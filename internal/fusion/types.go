@@ -199,8 +199,8 @@ func (g Granularity) sameKey(a, b *extract.Extraction) bool {
 type Claim struct {
 	Triple kb.Triple
 	Prov   string
-	// Conf is the extractor confidence carried through for the
-	// confidence-aware extension (-1 when absent).
+	// Conf is the extractor confidence (-1 when absent). Graph snapshots
+	// persist it; no engine reads it.
 	Conf float64
 	// Extractor is retained for per-extractor diagnostics (Figure 18).
 	Extractor string

@@ -208,9 +208,8 @@ func StringHash(s string) uint64 {
 	return h
 }
 
-// Hash returns a deterministic field-wise hash of the data item. It is the
-// partitioning hash the fusion pipeline uses instead of hashing the String()
-// form, so no intermediate string is allocated.
+// Hash returns a deterministic field-wise hash of the data item — the key
+// shard.Of routes by — without building the String() form.
 func (d DataItem) Hash() uint64 {
 	h := fnvHash64(fnvOffset64, string(d.Subject))
 	return fnvHash64(h, string(d.Predicate))

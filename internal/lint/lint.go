@@ -23,10 +23,12 @@
 //	//lint:ignore kflint/<analyzer> <reason>
 //
 // The reason text is mandatory — a directive without one is itself a
-// diagnostic. Suppressions are for sites where the flagged pattern is the
-// contract (a reference engine whose global left-to-right sum IS the spec,
-// the in-block summation primitive the block reduction is built from),
-// never for convenience; the reason is reviewed like code.
+// diagnostic, and so is a directive that suppresses no finding of an
+// analyzer that ran on its package (a stale suppression). Suppressions are
+// for sites where the flagged pattern is the contract (a reference engine
+// whose global left-to-right sum IS the spec, the in-block summation
+// primitive the block reduction is built from), never for convenience; the
+// reason is reviewed like code.
 package lint
 
 import (
@@ -169,8 +171,9 @@ func knownAnalyzer(name string) bool {
 // RunAnalyzers runs every analyzer in as (gated by Applies when gate is
 // true) over pkg and returns the surviving diagnostics: findings with a
 // well-formed same-line or preceding-line suppression directive are
-// dropped, and malformed directives are reported as findings in their own
-// right. The result is sorted by position.
+// dropped, and malformed directives — and well-formed ones naming an
+// analyzer that ran but suppressing none of its findings — are reported as
+// findings in their own right. The result is sorted by position.
 func RunAnalyzers(pkg *Package, as []*Analyzer, gate bool) ([]Diagnostic, error) {
 	byLine := map[int][]*directive{}
 	var out []Diagnostic
@@ -182,10 +185,12 @@ func RunAnalyzers(pkg *Package, as []*Analyzer, gate bool) ([]Diagnostic, error)
 		out = append(out, malformed...)
 	}
 
+	ran := map[string]bool{}
 	for _, a := range as {
 		if gate && !Applies(a, pkg.Path) {
 			continue
 		}
+		ran[a.Name] = true
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
@@ -207,6 +212,16 @@ func RunAnalyzers(pkg *Package, as []*Analyzer, gate bool) ([]Diagnostic, error)
 				}
 			}
 			out = append(out, d)
+		}
+	}
+	for _, ds := range byLine {
+		for _, dir := range ds {
+			if ran[dir.analyzer] && !dir.used {
+				out = append(out, Diagnostic{
+					Analyzer: dir.analyzer, Pos: dir.pos,
+					Message: fmt.Sprintf("//lint:ignore kflint/%s suppresses nothing: remove it", dir.analyzer),
+				})
+			}
 		}
 	}
 

@@ -21,10 +21,9 @@ import (
 //
 // Intentionally-scalar spots suppress with //lint:ignore kflint/scalarmath
 // <reason>: the reference engines, whose inline scalar evaluation IS the
-// golden spec the batched engines are measured against, and hook paths
-// where the operand really is per-element (a per-claim accuracy override
-// has no table to batch). internal/mathx itself is not gated — its kernel
-// loops over math.Exp/math.Log are the batching primitive.
+// golden spec the batched engines are measured against. internal/mathx
+// itself is not gated — its kernel loops over math.Exp/math.Log are the
+// batching primitive.
 var ScalarMath = &Analyzer{
 	Name: "scalarmath",
 	Doc:  "flags per-element math.Exp/math.Log calls inside loops in the EM engine packages; batch through an internal/mathx kernel pass",

@@ -1,7 +1,8 @@
 // Package fixture exercises the suppression-directive contract: a directive
-// without a reason is itself a diagnostic and suppresses nothing, and a
+// without a reason is itself a diagnostic and suppresses nothing, a
 // directive naming an unknown analyzer is flagged as a typo rather than
-// silently ignored.
+// silently ignored, and a directive that suppresses no finding is flagged
+// as stale.
 package fixture
 
 func missingReason(m map[string]float64) float64 {
@@ -21,4 +22,23 @@ func unknownAnalyzer(m map[string]int) {
 	for k := range m {
 		delete(m, k)
 	}
+}
+
+func staleDirective(m map[string]int) int {
+	n := 0
+	// want@+1 `suppresses nothing`
+	//lint:ignore kflint/mapiter counting commutes, so the order is moot
+	for range m {
+		n++
+	}
+	return n
+}
+
+func usedDirective(m map[string]float64) float64 {
+	t := 0.0
+	//lint:ignore kflint/mapiter the fixture's used suppression: the sum really is in map order
+	for _, v := range m {
+		t += v
+	}
+	return t
 }

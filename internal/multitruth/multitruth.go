@@ -43,18 +43,19 @@ func DefaultConfig() Config {
 	return Config{Rounds: 5, PriorTrue: 0.35, InitSens: 0.7, InitSpec: 0.9, Smoothing: 1}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Range checks are written so that
+// NaN fails them.
 func (c Config) Validate() error {
 	if c.Rounds < 1 {
 		return fmt.Errorf("multitruth: Rounds must be >= 1, got %d", c.Rounds)
 	}
-	if c.PriorTrue <= 0 || c.PriorTrue >= 1 {
+	if !(c.PriorTrue > 0 && c.PriorTrue < 1) {
 		return fmt.Errorf("multitruth: PriorTrue must be in (0,1), got %v", c.PriorTrue)
 	}
-	if c.InitSens <= 0 || c.InitSens >= 1 || c.InitSpec <= 0 || c.InitSpec >= 1 {
+	if !(c.InitSens > 0 && c.InitSens < 1 && c.InitSpec > 0 && c.InitSpec < 1) {
 		return fmt.Errorf("multitruth: InitSens/InitSpec must be in (0,1)")
 	}
-	if c.Smoothing < 0 {
+	if !(c.Smoothing >= 0) {
 		return fmt.Errorf("multitruth: Smoothing must be >= 0, got %v", c.Smoothing)
 	}
 	return nil

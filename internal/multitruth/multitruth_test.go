@@ -1,6 +1,7 @@
 package multitruth
 
 import (
+	"math"
 	"testing"
 
 	"kfusion/internal/fusion"
@@ -45,6 +46,24 @@ func TestValidate(t *testing.T) {
 	bad.Smoothing = -1
 	if _, err := Fuse(nil, bad); err == nil {
 		t.Error("accepted Smoothing=-1")
+	}
+	// NaN fails every comparison, so each range check must be written to
+	// reject it.
+	nan := math.NaN()
+	for _, f := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"PriorTrue", func(c *Config) { c.PriorTrue = nan }},
+		{"InitSens", func(c *Config) { c.InitSens = nan }},
+		{"InitSpec", func(c *Config) { c.InitSpec = nan }},
+		{"Smoothing", func(c *Config) { c.Smoothing = nan }},
+	} {
+		bad = DefaultConfig()
+		f.set(&bad)
+		if _, err := Fuse(nil, bad); err == nil {
+			t.Errorf("accepted %s=NaN", f.name)
+		}
 	}
 }
 

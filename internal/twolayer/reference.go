@@ -105,13 +105,14 @@ func FuseReference(xs []extract.Extraction, cfg Config) (*fusion.Result, error) 
 				claimed[e] = true
 			}
 			logOdds := priorLogOdds
+			// extsOnSource holds each source's extractors in first-extraction
+			// order, so the log-odds sum adds the same terms in the same
+			// order every run.
 			for _, e := range extsOnSource[st.source] {
 				p := extPar[e]
 				if claimed[e] {
-					//lint:ignore kflint/floatsum extsOnSource holds each source's extractors in first-extraction order; the per-statement log-odds sum therefore adds identical terms in identical order every run.
 					logOdds += math.Log(p.recall) - math.Log(p.falsePos) //lint:ignore kflint/scalarmath reference spec: the inline scalar ratio is the golden expression the compiled engine's LogRatioSlice tables are measured against.
 				} else {
-					//lint:ignore kflint/floatsum same fixed extsOnSource order as the branch above — the absent-extractor terms accumulate deterministically too.
 					logOdds += math.Log(1-p.recall) - math.Log(1-p.falsePos) //lint:ignore kflint/scalarmath reference spec: same golden miss-ratio expression as the hit branch.
 				}
 			}
@@ -156,7 +157,6 @@ func FuseReference(xs []extract.Extraction, cfg Config) (*fusion.Result, error) 
 			//lint:ignore kflint/scalarmath reference spec: the unknown-value term of the same golden two-pass softmax, one per data item.
 			denom := unknown * math.Exp(-m)
 			for _, s := range scores {
-				//lint:ignore kflint/floatsum per-item softmax over one data item's candidate triples, in the item's fixed triple order — a handful of terms, not a corpus reduction.
 				denom += math.Exp(s - m) //lint:ignore kflint/scalarmath reference spec: the two-pass scalar softmax is the golden form mathx.SoftmaxInto is pinned bit-identical to.
 			}
 			for vi, ti := range tis {

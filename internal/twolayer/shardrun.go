@@ -126,7 +126,6 @@ func (r *Run) SourceStatedMass(sums []float64, cnts []int32) {
 			span := e.g.SourceStatements(int32(s))
 			sum := 0.0
 			for _, si := range span {
-				//lint:ignore kflint/floatsum per-source span sum in ascending statement-ID order, mirroring sourceStat — deterministic by construction.
 				sum += e.stated[si]
 			}
 			sums[s] = sum
@@ -371,7 +370,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 			for ls, ghost := range ghosts[s] {
 				sum := 0.0
 				for _, gx := range ghost {
-					//lint:ignore kflint/floatsum tiny per-source sum over the ghost extractor set in fixed ascending global-ID order — deterministic by construction, far below a block.
+					// Shards.Ghosts lists each set in ascending global-ID order.
 					sum += missLR[gx]
 				}
 				gm[s][ls] = sum

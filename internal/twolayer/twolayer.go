@@ -165,7 +165,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Range checks are written so that
+// NaN fails them.
 func (c Config) Validate() error {
 	if c.Rounds < 1 {
 		return fmt.Errorf("twolayer: Rounds must be >= 1, got %d", c.Rounds)
@@ -181,7 +182,7 @@ func (c Config) Validate() error {
 		{"InitFalsePos", c.InitFalsePos},
 		{"PriorStated", c.PriorStated},
 	} {
-		if f.v <= 0 || f.v >= 1 {
+		if !(f.v > 0 && f.v < 1) {
 			return fmt.Errorf("twolayer: %s must be in (0,1), got %v", f.name, f.v)
 		}
 	}
@@ -777,7 +778,6 @@ func (e *engine) inferTruth() {
 			for vi, ti := range tis {
 				s := 0.0
 				for _, si := range g.TripleStatements(ti) {
-					//lint:ignore kflint/floatsum one triple's staged corroboration votes in statement-span order — the per-group partial the item's owner folds whole; identical order across runs.
 					s += e.stWeight[si]
 				}
 				scores[vi] = s

@@ -2,6 +2,7 @@ package twolayer
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"kfusion/internal/extract"
@@ -44,6 +45,24 @@ func TestValidate(t *testing.T) {
 	bad.NFalse = 0
 	if _, err := Fuse(nil, bad); err == nil {
 		t.Error("accepted NFalse=0")
+	}
+	// NaN fails every comparison, so each range check must be written to
+	// reject it.
+	nan := math.NaN()
+	for _, f := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"InitSourceAccuracy", func(c *Config) { c.InitSourceAccuracy = nan }},
+		{"InitRecall", func(c *Config) { c.InitRecall = nan }},
+		{"InitFalsePos", func(c *Config) { c.InitFalsePos = nan }},
+		{"PriorStated", func(c *Config) { c.PriorStated = nan }},
+	} {
+		bad = DefaultConfig()
+		f.set(&bad)
+		if _, err := Fuse(nil, bad); err == nil {
+			t.Errorf("accepted %s=NaN", f.name)
+		}
 	}
 }
 

@@ -196,7 +196,6 @@ func Generate(w *world.World, cfg Config) (*Corpus, error) {
 	root := randx.New(cfg.Seed)
 	corpus := &Corpus{
 		SiteErrorRate: make(map[string]float64, cfg.NumSites),
-		CopiedFrom:    make(map[string]string),
 	}
 	profilePick := randx.NewCategorical(profileWeights())
 
@@ -251,7 +250,6 @@ func Generate(w *world.World, cfg Config) (*Corpus, error) {
 			pool = mentionsBySite[src]
 			if len(pool) > 0 {
 				corpus.SiteErrorRate[site] = corpus.SiteErrorRate[src]
-				corpus.CopiedFrom[site] = src
 			}
 		}
 		if len(pool) == 0 {

@@ -188,9 +188,6 @@ type Corpus struct {
 	// SiteErrorRate records each site's injected factual error rate, kept
 	// for diagnostics and tests.
 	SiteErrorRate map[string]float64
-	// CopiedFrom records the syndication ground truth: copier site →
-	// source site. Hidden from fusion; used to evaluate copy detection.
-	CopiedFrom map[string]string
 }
 
 // NumSites reports the number of distinct sites in the corpus.
