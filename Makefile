@@ -45,7 +45,9 @@ fault:
 # the engine-level ones — any chunking of a feed through Append builds the
 # graph one Compile builds, and a warm two-layer chain on recycled engines
 # and revised E-steps equals, bit for bit, one on fresh engines
-# (FuzzWarmChain). The two append-era codecs run against the oracles kept in
+# (FuzzWarmChain), and the K-shard coordinator's incrementally maintained
+# ghost-extractor sets equal a full rebuild under any chunking
+# (FuzzShardGhosts). The two append-era codecs run against the oracles kept in
 # their test files: FuzzWriteFused (the fused-row encoder ≡ encoding/json,
 # byte for byte) and FuzzClaimStream (the ID-pair dedup stream ≡ the
 # string-keyed map, under any chunking and granularity). And the generator
@@ -68,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz FuzzClaimStream -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz FuzzWarmChain -fuzztime 15s -fuzzminimizetime 2s ./internal/twolayer/
+	$(GO) test -run '^$$' -fuzz FuzzShardGhosts -fuzztime 15s -fuzzminimizetime 2s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 15s -fuzzminimizetime 2s ./internal/randx/
 	$(GO) test -run '^$$' -fuzz FuzzInternTable -fuzztime 15s -fuzzminimizetime 2s ./internal/csr/
 
@@ -75,7 +78,7 @@ fuzz-smoke:
 # again at one and at two procs, so both the one-goroutine decode and the
 # per-worker split run on every push.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkShardTwoLayerStep|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadExtractions$$' -cpu 1,2 -benchtime 1x -benchmem .
 
 # bench-e2e runs the end-to-end benchmark (benchmark/README.md): one feed

@@ -25,6 +25,7 @@ import (
 	"kfusion/internal/kfio"
 	"kfusion/internal/randx"
 	"kfusion/internal/server"
+	"kfusion/internal/shard"
 	"kfusion/internal/twolayer"
 	"kfusion/internal/web"
 	"kfusion/internal/world"
@@ -425,6 +426,51 @@ func BenchmarkServerAppend(b *testing.B) {
 			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
 		})
 	}
+}
+
+// BenchmarkShardTwoLayerStep measures the K = 4 two-layer streaming step —
+// the shape of the stream-sharded workload's two-layer half: one op is a
+// 1 000-record Append onto shard.TwoLayer plus a warm one-round
+// FusePosterior seeded with the previous step's State. The chain starts from
+// a cold fuse of the bench dataset's first third and restarts there, off the
+// clock, when the feed is used up. claims/s counts the records appended.
+func BenchmarkShardTwoLayerStep(b *testing.B) {
+	const k, batch = 4, 1000
+	xs := benchDataset(b).Extractions
+	head := len(xs) / 3
+	steps := (len(xs) - head) / batch
+	if steps == 0 {
+		b.Fatalf("bench dataset too small: %d extractions", len(xs))
+	}
+	cfg := twolayer.DefaultConfig()
+	warm := cfg
+	warm.Rounds = 1
+	var tl *shard.TwoLayer
+	var st *twolayer.State
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step := i % steps
+		if step == 0 {
+			b.StopTimer()
+			if tl, err = shard.NewTwoLayer(k, cfg.SiteLevel); err != nil {
+				b.Fatal(err)
+			}
+			tl.Append(xs[:head])
+			if _, st, err = tl.FusePosterior(cfg, nil); err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC() // keep setup garbage out of the timed region
+			b.StartTimer()
+		}
+		tl.Append(xs[head+step*batch : head+(step+1)*batch])
+		if _, st, err = tl.FusePosterior(warm, st); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
 }
 
 // BenchmarkTwoLayerFuse measures the §5.1 two-layer model on the bench

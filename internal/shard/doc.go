@@ -38,8 +38,11 @@
 // processed its source, but a shard only sees the local ones; the remote
 // ones are structural misses there (their hits route with their own items).
 // TwoLayer maintains, per shard and local source, that ghost extractor set
-// (global IDs, ascending; rebuilt after an Append) and hands it to the
-// driver as twolayer.Shards.Ghosts; each round the driver folds the ghosts
+// (global IDs, ascending) incrementally: a set changes only through a new
+// (source, extractor) pair, so before a fuse it recomputes the extractor
+// union of just the sources whose local lists an Append grew or added, and
+// rewrites just their holders' sets. It hands the sets to the driver as
+// twolayer.Shards.Ghosts; each round the driver folds the ghosts
 // into a per-source ghost-miss constant (mathx.MissLogRatio over global
 // rates, summed in ascending global extractor ID order) that the shard
 // engine adds to each statement's prior. The same pairs owe M-step mass: an
@@ -82,4 +85,10 @@
 // For a fixed K, results remain bit-identical for any Workers value — the
 // per-shard engines keep their worker-count-independence contract, and the
 // merge order is a pure function of the shard tables.
+//
+// Global IDs follow the append history, and the two-layer ghost-miss sum
+// runs in ascending global extractor ID order. So the same feed appended in
+// chunks and in one Append fuses bit-identically when both number the
+// extractors alike, and within RefTol when the chunking reordered them
+// (FuzzShardGhosts checks both).
 package shard

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -308,26 +309,30 @@ func TestFusionFromShards(t *testing.T) {
 	requireBitIdentical(t, "restored", want, got)
 }
 
-// TestSplitRouting: the split helper agrees with Of and partitions its input
-// completely.
+// TestSplitRouting: the split helper agrees with Of, partitions its input
+// completely and in input order, sizes every part exactly, and leaves the
+// shards a batch does not reach nil.
 func TestSplitRouting(t *testing.T) {
 	xs := testExtractions(rand.New(rand.NewSource(13)), 1000)
 	for _, k := range []int{1, 2, 5} {
-		parts := SplitExtractions(xs, k)
-		if len(parts) != k {
-			t.Fatalf("K=%d: got %d parts", k, len(parts))
-		}
-		total := 0
-		for s, part := range parts {
-			total += len(part)
-			for _, x := range part {
-				if Of(x.Triple.Item(), k) != s {
-					t.Fatalf("K=%d: extraction for %v routed to shard %d", k, x.Triple.Item(), s)
+		for _, n := range []int{0, 2, len(xs)} {
+			parts := SplitExtractions(xs[:n], k)
+			want := make([][]extract.Extraction, k)
+			for _, x := range xs[:n] {
+				s := Of(x.Triple.Item(), k)
+				want[s] = append(want[s], x)
+			}
+			if k == 1 {
+				want[0] = xs[:n]
+			}
+			if !reflect.DeepEqual(parts, want) {
+				t.Fatalf("K=%d n=%d: split differs from routing each record by Of in input order", k, n)
+			}
+			for s, part := range parts {
+				if k > 1 && cap(part) != len(part) {
+					t.Fatalf("K=%d n=%d: shard %d part has cap %d for %d records", k, n, s, cap(part), len(part))
 				}
 			}
-		}
-		if total != len(xs) {
-			t.Fatalf("K=%d: split covers %d of %d", k, total, len(xs))
 		}
 	}
 }

@@ -23,16 +23,14 @@ type TwoLayer struct {
 	exts      *csr.IDTable
 
 	// ghosts[s][ls] lists, ascending, the global IDs of extractors that
-	// processed shard s's local source ls only in other shards — rebuilt
-	// when an append grew some shard's source→extractor lists. ghostSig is
-	// what they were last built from: per shard its source count and its
-	// (source, extractor) pair count, then the global extractor count. The
-	// lists only grow, so an equal signature means equal lists.
-	ghosts   [][][]int32
-	ghostSig []int
-	// ensureGhosts' scratch, reused across rebuilds: global source gs's
-	// extractor union is unionFlat[unionStart[gs]:unionEnd[gs]].
-	unionStart, unionEnd, unionFlat []int32
+	// processed shard s's local source ls only in other shards, kept up to
+	// date by ensureGhosts; listed[s][ls] is the length of the source's local
+	// extractor list they were last brought up to date with.
+	ghosts [][][]int32
+	listed [][]int32
+	// refreshed, when set, is handed the global sources each ensureGhosts
+	// call recomputed (a test hook).
+	refreshed func(gs []int32)
 }
 
 // NewTwoLayer returns an empty K-shard two-layer pipeline at the given
@@ -92,81 +90,111 @@ func (t *TwoLayer) extendTables(s int) {
 	t.exts.Extend(s, g.NumExtractors(), func(i int32) string { return g.ExtractorName(i) })
 }
 
-// ensureGhosts brings the per-shard ghost extractor sets up to date: for each
-// global source, the union of its extractor sets across shards, minus each
-// holding shard's local set. With K = 1 there are no ghosts and the driver
-// keeps its nil (bit-identical) path.
+// ensureGhosts brings the per-shard ghost extractor sets up to date with the
+// graphs, revising only what the Appends since the last call touched. A
+// global source's ghost lists follow from its extractor union and its
+// holders' local lists, and both change only through a new (source,
+// extractor) pair, which grows a holder's local list or brings the source to
+// a shard. So the touched sources are those with a local list longer than
+// listed records, or none recorded yet; for each, the union is recomputed
+// over its holders and every holder's list rewritten. The driver reads the
+// lists only during its call, so a list that still fits is rewritten in
+// place. From empty every source is touched, and the call is one pass that
+// lays each shard's lists out in one block. With K = 1 there are no ghosts
+// and the driver keeps its nil (bit-identical) path.
 func (t *TwoLayer) ensureGhosts() {
 	if t.k == 1 {
 		return
 	}
-	sig := make([]int, 0, 2*t.k+1)
-	for _, g := range t.graphs {
-		sig = append(sig, g.NumSources(), g.NumSourceExtractors())
+	if t.ghosts == nil {
+		t.ghosts = make([][][]int32, t.k)
+		t.listed = make([][]int32, t.k)
 	}
-	sig = append(sig, t.exts.N())
-	if slices.Equal(sig, t.ghostSig) {
+	mark := make([]bool, t.srcs.N())
+	var touched []int32
+	for s, g := range t.graphs {
+		listed := slices.Grow(t.listed[s], g.NumSources()-len(t.listed[s]))
+		for ls := range g.NumSources() {
+			n := int32(len(g.SourceExtractors(int32(ls))))
+			if ls < len(listed) {
+				if listed[ls] == n {
+					continue
+				}
+				listed[ls] = n
+			} else {
+				listed = append(listed, n)
+			}
+			if gs := t.srcs.Global(s, ls); !mark[gs] {
+				mark[gs] = true
+				touched = append(touched, gs)
+			}
+		}
+		t.listed[s] = listed
+	}
+	if len(touched) == 0 {
 		return
 	}
-	t.ghostSig = sig
+	if t.refreshed != nil {
+		t.refreshed(touched)
+	}
 
-	// Unions, by counting sort into one flat buffer: count the list lengths
-	// per global source, prefix-sum, fill, then sort and dedup each segment.
-	nSrc := t.srcs.N()
-	start := slices.Grow(t.unionStart[:0], nSrc+1)[:nSrc+1]
-	end := slices.Grow(t.unionEnd[:0], nSrc)[:nSrc]
-	clear(start)
+	// Each touched source's union, ascending, in one flat buffer: union i is
+	// flat[at[i]:at[i+1]]. A local list is a subset of its source's union, so
+	// a holder's new ghost list has (union size) - (local list size) entries.
+	// One that fits in its old list's capacity is rewritten there; the rest,
+	// a new source's included (its old list is nil), go to one block per
+	// shard, sized alongside the unions.
 	for s, g := range t.graphs {
-		for ls := 0; ls < g.NumSources(); ls++ {
-			start[t.srcs.Global(s, ls)+1] += int32(len(g.SourceExtractors(int32(ls))))
+		t.ghosts[s] = append(t.ghosts[s], make([][]int32, g.NumSources()-len(t.ghosts[s]))...)
+	}
+	var one [1]csr.Loc
+	at := make([]int32, len(touched)+1)
+	var flat []int32
+	size := make([]int, t.k)
+	for i, gs := range touched {
+		lo := len(flat)
+		hold := t.srcs.Holders(int(gs), &one)
+		for _, h := range hold {
+			for _, lx := range t.graphs[h.Shard].SourceExtractors(h.Local) {
+				flat = append(flat, t.exts.Global(int(h.Shard), int(lx)))
+			}
 		}
-	}
-	for gs := 0; gs < nSrc; gs++ {
-		start[gs+1] += start[gs]
-	}
-	copy(end, start)
-	flat := slices.Grow(t.unionFlat[:0], int(start[nSrc]))[:start[nSrc]]
-	for s, g := range t.graphs {
-		for ls := 0; ls < g.NumSources(); ls++ {
-			gs := t.srcs.Global(s, ls)
-			for _, lx := range g.SourceExtractors(int32(ls)) {
-				flat[end[gs]] = t.exts.Global(s, int(lx))
-				end[gs]++
+		u := flat[lo:]
+		slices.Sort(u)
+		flat = flat[:lo+len(slices.Compact(u))]
+		at[i+1] = int32(len(flat))
+		for _, h := range hold {
+			if n := int(at[i+1] - at[i] - t.listed[h.Shard][h.Local]); n > cap(t.ghosts[h.Shard][h.Local]) {
+				size[h.Shard] += n
 			}
 		}
 	}
-	for gs := 0; gs < nSrc; gs++ {
-		u := flat[start[gs]:end[gs]]
-		slices.Sort(u)
-		end[gs] = start[gs] + int32(len(slices.Compact(u)))
+	blocks := make([][]int32, t.k)
+	for s, n := range size {
+		blocks[s] = make([]int32, 0, n)
 	}
-	t.unionStart, t.unionEnd, t.unionFlat = start, end, flat
 
-	// A local list is a subset of its source's union, so shard s holds
-	// exactly (sum of its sources' union sizes) - (its pair count) ghosts.
-	t.ghosts = make([][][]int32, t.k)
 	local := make([]bool, t.exts.N())
-	for s, g := range t.graphs {
-		n := -g.NumSourceExtractors()
-		for ls := 0; ls < g.NumSources(); ls++ {
-			gs := t.srcs.Global(s, ls)
-			n += int(end[gs] - start[gs])
-		}
-		ghostFlat := make([]int32, 0, n)
-		t.ghosts[s] = make([][]int32, g.NumSources())
-		for ls := 0; ls < g.NumSources(); ls++ {
-			exts := g.SourceExtractors(int32(ls))
+	for i, gs := range touched {
+		u := flat[at[i]:at[i+1]]
+		for _, h := range t.srcs.Holders(int(gs), &one) {
+			s := int(h.Shard)
+			exts := t.graphs[s].SourceExtractors(h.Local)
+			ghost := t.ghosts[s][h.Local][:0]
+			if n := len(u) - len(exts); n > cap(ghost) {
+				lo := len(blocks[s])
+				blocks[s] = blocks[s][:lo+n]
+				ghost = blocks[s][lo : lo : lo+n]
+			}
 			for _, lx := range exts {
 				local[t.exts.Global(s, int(lx))] = true
 			}
-			gs := t.srcs.Global(s, ls)
-			lo := len(ghostFlat)
-			for _, gx := range flat[start[gs]:end[gs]] {
+			for _, gx := range u {
 				if !local[gx] {
-					ghostFlat = append(ghostFlat, gx)
+					ghost = append(ghost, gx)
 				}
 			}
-			t.ghosts[s][ls] = ghostFlat[lo:]
+			t.ghosts[s][h.Local] = ghost
 			for _, lx := range exts {
 				local[t.exts.Global(s, int(lx))] = false
 			}
