@@ -49,8 +49,9 @@ fault:
 # ghost-extractor sets equal a full rebuild under any chunking
 # (FuzzShardGhosts). The two append-era codecs run against the oracles kept in
 # their test files: FuzzWriteFused (the fused-row encoder ≡ encoding/json,
-# byte for byte) and FuzzClaimStream (the ID-pair dedup stream ≡ the
-# string-keyed map, under any chunking and granularity). And the generator
+# byte for byte) and FuzzAppendExtractions (the claim graph's ID-pair dedup ≡
+# the string-keyed map, under any chunking and granularity, across a snapshot
+# reload). And the generator
 # every synthesized byte comes from: FuzzSourceMatchesMathRand (randx.Source ≡
 # rand.New(rand.NewSource(seed)) under any script of draws and splits). And
 # the open-addressed intern tables both graphs intern through:
@@ -68,7 +69,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWriteFused -fuzztime 15s -fuzzminimizetime 2s ./internal/kfio/
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s -fuzzminimizetime 2s ./internal/extract/
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
-	$(GO) test -run '^$$' -fuzz FuzzClaimStream -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
+	$(GO) test -run '^$$' -fuzz FuzzAppendExtractions -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz FuzzWarmChain -fuzztime 15s -fuzzminimizetime 2s ./internal/twolayer/
 	$(GO) test -run '^$$' -fuzz FuzzShardGhosts -fuzztime 15s -fuzzminimizetime 2s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 15s -fuzzminimizetime 2s ./internal/randx/
@@ -78,7 +79,7 @@ fuzz-smoke:
 # again at one and at two procs, so both the one-goroutine decode and the
 # per-worker split run on every push.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkShardTwoLayerStep|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkClaimStreamAdd|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkShardTwoLayerStep|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkCompileExtractions|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadExtractions$$' -cpu 1,2 -benchtime 1x -benchmem .
 
 # bench-e2e runs the end-to-end benchmark (benchmark/README.md): one feed

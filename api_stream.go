@@ -3,12 +3,13 @@ package kfusion
 // Streaming surface: incremental (append-only) fusion, where the compiled
 // graphs are generations of a growing extraction feed.
 //
-// CompiledClaims.Append / MustAppend and CompiledExtractions.Append extend a
-// graph with a batch, bit-identical to recompiling the concatenated stream
-// (existing interned IDs never move); CompiledClaims.FuseWarm and
-// TwoLayerFuseCompiledWarm seed EM from the previous generation's
-// posteriors so appended batches re-fuse in a fraction of the cold-start
-// rounds. The kfserved daemon (see api_serve.go) serves the chain over HTTP.
+// CompiledClaims.Append / MustAppend / AppendExtractions and
+// CompiledExtractions.Append extend a graph with a batch, bit-identical to
+// recompiling the concatenated stream (existing interned IDs never move);
+// CompiledClaims.FuseWarm and TwoLayerFuseCompiledWarm seed EM from the
+// previous generation's posteriors so appended batches re-fuse in a fraction
+// of the cold-start rounds. The kfserved daemon (see api_serve.go) serves
+// the chain over HTTP.
 
 import (
 	"kfusion/internal/extract"
@@ -22,10 +23,6 @@ type (
 	// model's input): Compile once, Fuse any number of configurations,
 	// Append batches to grow it across generations.
 	CompiledExtractions = extract.Compiled
-	// ClaimStream incrementally flattens an append-only extraction feed
-	// into claims, carrying the (provenance, triple) dedup set across
-	// batches.
-	ClaimStream = fusion.ClaimStream
 	// TwoLayerConfig parameterizes the §5.1 two-layer model.
 	TwoLayerConfig = twolayer.Config
 	// TwoLayerState carries a two-layer run's converged posteriors to the
@@ -34,9 +31,11 @@ type (
 )
 
 var (
-	// NewClaimStream returns an empty incremental claim flattener for a
-	// granularity.
-	NewClaimStream = fusion.NewClaimStream
+	// CompileClaimFeed flattens an extraction feed into claims under a
+	// granularity and compiles them into a CompiledClaims graph;
+	// CompiledClaims.AppendExtractions grows it batch by batch, carrying the
+	// (provenance, triple) dedup in the graph's own intern tables.
+	CompileClaimFeed = fusion.CompileExtractions
 	// CompileExtractions interns an extraction set into a reusable
 	// CompiledExtractions graph (siteLevel keys sources at site level).
 	CompileExtractions = extract.Compile

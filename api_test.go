@@ -141,7 +141,7 @@ func TestCalibrationHelpers(t *testing.T) {
 }
 
 // TestAppendWarmSurface smoke-tests the exported append / warm-start
-// surface: stream claims in two batches over one growing CompiledClaims,
+// surface: append extractions in two batches onto one growing CompiledClaims,
 // warm-start the second fuse, and grow a CompiledExtractions generation
 // through the two-layer warm path.
 func TestAppendWarmSurface(t *testing.T) {
@@ -149,13 +149,12 @@ func TestAppendWarmSurface(t *testing.T) {
 	xs := ds.Extractions
 	cut := len(xs) / 2
 
-	stream := NewClaimStream(GranExtractorURL)
-	base := MustCompile(stream.Add(xs[:cut]))
+	base := CompileClaimFeed(xs[:cut], GranExtractorURL, 0)
 	prev, err := base.Fuse(POPACCU())
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, err := base.Append(stream.Add(xs[cut:]))
+	next, err := base.AppendExtractions(xs[cut:], GranExtractorURL)
 	if err != nil {
 		t.Fatal(err)
 	}

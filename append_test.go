@@ -41,10 +41,12 @@ func TestWarmStartQualityOnBenchDataset(t *testing.T) {
 	// POPACCU over the claim graph.
 	cfg := fusion.PopAccuConfig()
 	cold := fusion.MustCompile(fusion.Claims(xs, cfg.Granularity)).MustFuse(cfg)
-	stream := fusion.NewClaimStream(cfg.Granularity)
-	base := fusion.MustCompile(stream.Add(xs[:cut]))
+	base := fusion.CompileExtractions(xs[:cut], cfg.Granularity, 0)
 	prev := base.MustFuse(cfg)
-	next := base.MustAppend(stream.Add(xs[cut:]))
+	next, err := base.AppendExtractions(xs[cut:], cfg.Granularity)
+	if err != nil {
+		t.Fatal(err)
+	}
 	warmCfg := cfg
 	warmCfg.Rounds = 1
 	warm := next.MustFuseWarm(warmCfg, prev)
@@ -99,9 +101,10 @@ func TestAppendBitIdenticalColdStartOnBenchDataset(t *testing.T) {
 
 	cfg := fusion.PopAccuConfig()
 	full := fusion.MustCompile(fusion.Claims(xs, cfg.Granularity))
-	stream := fusion.NewClaimStream(cfg.Granularity)
-	base := fusion.MustCompile(stream.Add(xs[:cut]))
-	next := base.MustAppend(stream.Add(xs[cut:]))
+	next, err := fusion.CompileExtractions(xs[:cut], cfg.Granularity, 0).AppendExtractions(xs[cut:], cfg.Granularity)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4, 8} {
 		c := cfg
 		c.Workers = workers

@@ -240,8 +240,8 @@ func BenchmarkConfigSweep(b *testing.B) {
 //
 //   - recompile: the before path — flatten the whole feed to claims,
 //     compile the claim graph from scratch, cold-fuse at the paper's R=5.
-//   - append: flatten only the batch through the generation's ClaimStream,
-//     Append it to the compiled base (bit-identical to the recompile) and
+//   - append: AppendExtractions of the batch onto the compiled base, which
+//     flattens and interns only the batch (bit-identical to the recompile), and
 //     re-fuse as online EM — one warm-started round carrying the previous
 //     generation's accuracies (evaluation quality pinned within documented
 //     bounds by TestWarmStartQualityOnBenchDataset).
@@ -275,11 +275,13 @@ func BenchmarkAppendBatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			stream := fusion.NewClaimStream(cfg.Granularity)
-			base := fusion.MustCompile(stream.Add(xs[:cut]))
+			base := fusion.CompileExtractions(xs[:cut], cfg.Granularity, 0)
 			runtime.GC() // keep setup garbage out of the timed region
 			b.StartTimer()
-			next := base.MustAppend(stream.Add(xs[cut:]))
+			next, err := base.AppendExtractions(xs[cut:], cfg.Granularity)
+			if err != nil {
+				b.Fatal(err)
+			}
 			next.MustFuseWarm(warmCfg, prev)
 		}
 		b.StopTimer()
@@ -356,14 +358,18 @@ func BenchmarkAppendChain(b *testing.B) {
 		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
 	}
 	b.Run("claim", func(b *testing.B) {
-		var stream *fusion.ClaimStream
+		gran := fusion.PopAccuConfig().Granularity
 		var head *fusion.Compiled
+		step := func(lo, hi int) {
+			var err error
+			if head, err = head.AppendExtractions(xs[lo:hi], gran); err != nil {
+				b.Fatal(err)
+			}
+		}
 		run(b, func() {
-			stream = fusion.NewClaimStream(fusion.PopAccuConfig().Granularity)
-			head = fusion.MustCompile(stream.Add(xs[:cut])).MustAppend(stream.Add(xs[cut : cut+batch]))
-		}, func(lo, hi int) {
-			head = head.MustAppend(stream.Add(xs[lo:hi]))
-		})
+			head = fusion.CompileExtractions(xs[:cut], gran, 0)
+			step(cut, cut+batch)
+		}, step)
 	})
 	b.Run("extraction", func(b *testing.B) {
 		var head *extract.Compiled
@@ -635,6 +641,44 @@ func TestFourCoreScaling(t *testing.T) {
 	}
 }
 
+// TestFourCoreFeedCompile is the other half of that measurement: a cold
+// CompileExtractions interns the feed sequentially, where flattening by
+// Claims and compiling by CompileWorkers takes the shard-and-merge interning
+// pass from csr.ShardInternMinWorkers on. At four workers on the large
+// dataset the one-pass feed compile must be no slower than that two-pass
+// path: the sequential flatten costs both about the same, and only the second
+// adds an interning pass. Each side is the fastest of five runs. Skipped
+// where fewer than four CPUs can run.
+func TestFourCoreFeedCompile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large-scale dataset in -short mode")
+	}
+	if cpus := min(runtime.NumCPU(), runtime.GOMAXPROCS(0)); cpus < 4 {
+		t.Skipf("needs 4 CPUs, have %d", cpus)
+	}
+	const workers = 4
+	xs := exper.SharedDataset(exper.ScaleLarge, benchSeed).Extractions
+	fastest := func(run func()) time.Duration {
+		var best time.Duration
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			run()
+			best = fasterOf(best, time.Since(start))
+		}
+		return best
+	}
+	feed := fastest(func() { fusion.CompileExtractions(xs, fusion.Granularity{}, workers) })
+	twoPass := fastest(func() {
+		if _, err := fusion.CompileWorkers(fusion.Claims(xs, fusion.Granularity{}), workers, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("cold compile of %d records at %d workers: CompileExtractions %v, Claims+CompileWorkers %v", len(xs), workers, feed, twoPass)
+	if feed > twoPass {
+		t.Errorf("CompileExtractions %v slower than Claims+CompileWorkers %v at %d workers", feed, twoPass, workers)
+	}
+}
+
 // BenchmarkReadExtractions measures feed ingestion alone: the bench dataset
 // encoded once into memory, then ReadBatch(8192) to EOF per iteration — MB/s,
 // records/s and (with -benchmem) bytes and allocations per parsed feed.
@@ -668,16 +712,22 @@ func BenchmarkReadExtractions(b *testing.B) {
 	b.ReportMetric(float64(len(xs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkClaimStreamAdd measures the flatten step alone: one fresh
-// ClaimStream per iteration fed the bench dataset in ReadBatch-sized batches.
-func BenchmarkClaimStreamAdd(b *testing.B) {
+// BenchmarkCompileExtractions measures the claim layer from records to graph
+// the way a chain grows it: one fresh CompileExtractions per iteration, then
+// AppendExtractions of the rest of the bench dataset in ReadBatch-sized
+// batches — the flatten and the interning in one pass.
+func BenchmarkCompileExtractions(b *testing.B) {
 	xs := benchDataset(b).Extractions
+	const batch = 8192
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := fusion.NewClaimStream(fusion.Granularity{})
-		for off := 0; off < len(xs); off += 8192 {
-			s.Add(xs[off:min(off+8192, len(xs))])
+		g := fusion.CompileExtractions(xs[:min(batch, len(xs))], fusion.Granularity{}, 0)
+		for off := batch; off < len(xs); off += batch {
+			var err error
+			if g, err = g.AppendExtractions(xs[off:min(off+batch, len(xs))], fusion.Granularity{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.StopTimer()

@@ -130,10 +130,7 @@ func main() {
 		if *rounds > 0 {
 			mcfg.Rounds = *rounds
 		}
-		compiled, err := fusion.CompileWorkers(fusion.Claims(readFeed(*in), fusion.GranExtractorURL), *workers, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
+		compiled := fusion.CompileExtractions(readFeed(*in), fusion.GranExtractorURL, *workers)
 		res, err := multitruth.FuseCompiled(compiled, mcfg)
 		if err != nil {
 			log.Fatal(err)

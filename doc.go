@@ -74,8 +74,8 @@
 //     runs as online EM — one warm round per batch — matching the cold
 //     R=5 recompile's evaluation quality within documented WDev/AUC-PR
 //     bounds at a fraction of the cost (BenchmarkAppendBatch; ~5x on a 10%
-//     batch). ClaimStream carries the claim dedup
-//     across batches, kfio streams JSONL chunks (extraction records
+//     batch). CompiledClaims.AppendExtractions carries the claim dedup
+//     across batches in the graph's own intern tables, kfio streams JSONL chunks (extraction records
 //     through a decoder specialised to their schema that interns repeated
 //     field values, with encoding/json as the per-line fallback and the
 //     test reference), and `kfuse -append` drives the whole streaming
@@ -121,7 +121,8 @@
 //     Performance is judged end to end by the benchmark/ program against
 //     BENCHMARK.json (`make bench-e2e`). CI adds what it cannot see — the
 //     compiled ÷ reference speed floors inside the bench-dataset
-//     equivalence tests and a 4-core scaling test (TestFourCoreScaling) —
+//     equivalence tests and the 4-core tests (TestFourCoreScaling,
+//     TestFourCoreFeedCompile) —
 //     beside a fault-injection + fuzz-smoke job and a race-detector job on
 //     every push.
 //
@@ -181,7 +182,7 @@
 //	api_synth.go   synthesis: World, Corpus, ExtractorSuite, Dataset, Synthesize
 //	api_fusion.go  batch fusion: FuseConfig presets, CompiledClaims,
 //	               granularities, shard routing (ShardOf)
-//	api_stream.go  incremental fusion: ClaimStream, Append/FuseWarm surface,
+//	api_stream.go  incremental fusion: CompileClaimFeed, Append/FuseWarm surface,
 //	               two-layer model, sharded coordinators (ShardedFusion,
 //	               ShardedTwoLayer)
 //	api_eval.go    evaluation and experiments: Evaluate, Reports, Experiments

@@ -67,21 +67,23 @@ func ExampleCompile() {
 	// VOTE rounds=1 ACCU rounds=3
 }
 
-// ExampleNewClaimStream grows a claim graph by appending a second extraction
-// batch and re-fuses warm from the previous result — the streaming pipeline
-// `kfuse -append` drives. The stream carries the (provenance, triple) dedup
-// across batches, so the appended graph is bit-identical to compiling the
-// whole feed at once.
-func ExampleNewClaimStream() {
+// ExampleCompiled_AppendExtractions grows a claim graph by appending a second
+// extraction batch and re-fuses warm from the previous result — the streaming
+// pipeline `kfuse -append` drives. The graph carries the (provenance, triple)
+// dedup across batches, so the appended graph is bit-identical to compiling
+// the whole feed at once.
+func ExampleCompiled_AppendExtractions() {
 	xs := capitalExtractions()
-	stream := kfusion.NewClaimStream(kfusion.GranExtractorURL)
 
-	g := kfusion.MustCompile(stream.Add(xs[:2]))
+	g := kfusion.CompileClaimFeed(xs[:2], kfusion.GranExtractorURL, 0)
 	cold, err := g.Fuse(kfusion.POPACCU())
 	if err != nil {
 		panic(err)
 	}
-	g = g.MustAppend(stream.Add(xs[2:]))
+	g, err = g.AppendExtractions(xs[2:], kfusion.GranExtractorURL)
+	if err != nil {
+		panic(err)
+	}
 	warm, err := g.FuseWarm(kfusion.POPACCU(), cold)
 	if err != nil {
 		panic(err)

@@ -218,7 +218,7 @@ func uniqueTriples(xs []extract.Extraction) []UniqueTriple {
 // which configuration happened to trigger it.
 func (ds *Dataset) Compiled(g fusion.Granularity) *fusion.Compiled {
 	return cellFor(&ds.mu, ds.compiled, g).Get(func() *fusion.Compiled {
-		return fusion.MustCompile(fusion.Claims(ds.Extractions, g))
+		return fusion.CompileExtractions(ds.Extractions, g, 0)
 	})
 }
 

@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -143,29 +144,44 @@ func TestAppendLeavesPreviousGenerationUsable(t *testing.T) {
 	graphsEqual(t, "rebuilt-index", again.g, want)
 }
 
-// TestAppendNothingIsConstantCost pins the empty append: a nil batch, or one
-// the ClaimStream dedups to nothing, returns the next generation over the
-// receiver's graph without copying or rebuilding anything — on a chained
-// generation and on one whose index was already taken.
+// TestAppendNothingIsConstantCost pins the empty append: a nil batch, or an
+// extraction batch the graph's dedup drops whole, returns the next
+// generation over the receiver's graph without copying or rebuilding
+// anything — on a chained generation and on one whose index was already
+// taken.
 func TestAppendNothingIsConstantCost(t *testing.T) {
 	xs := benchExtractions(400)
-	stream := NewClaimStream(GranExtractorURL)
-	base := MustCompile(stream.Add(xs[:300]))
-	g := base.MustAppend(stream.Add(xs[300:]))
-	for _, batch := range [][]Claim{nil, {}, stream.Add(xs[100:200])} {
-		next := g.MustAppend(batch)
-		if next.Generation() != g.Generation()+1 {
-			t.Fatalf("generation = %d, want %d", next.Generation(), g.Generation()+1)
+	gran := GranExtractorURL
+	base := CompileExtractions(xs[:300], gran, 0)
+	g, err := base.AppendExtractions(xs[300:], gran)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grow := []func(*Compiled) (*Compiled, error){
+		func(c *Compiled) (*Compiled, error) { return c.Append(nil) },
+		func(c *Compiled) (*Compiled, error) { return c.Append([]Claim{}) },
+		func(c *Compiled) (*Compiled, error) { return c.AppendExtractions(nil, gran) },
+		func(c *Compiled) (*Compiled, error) { return c.AppendExtractions(xs[100:200], gran) },
+	}
+	for i, grow := range grow {
+		next, err := grow(g)
+		if err != nil {
+			t.Fatal(err)
 		}
-		graphsEqual(t, "empty append", next.g, g.g)
+		if next.Generation() != g.Generation()+1 {
+			t.Fatalf("append %d: generation = %d, want %d", i, next.Generation(), g.Generation()+1)
+		}
+		if next.g != g.g {
+			t.Fatalf("append %d: an append that adds nothing built a new graph", i)
+		}
 		// The index moved on with the chain: the next real append must not
 		// have to rebuild it, and must still match a recompile.
 		if next.idx == nil || g.idx != nil {
-			t.Fatal("empty append did not hand the interning index on")
+			t.Fatalf("append %d: empty append did not hand the interning index on", i)
 		}
 		g = next
 	}
-	want, _ := compile(Claims(xs, GranExtractorURL), 0)
+	want, _ := compile(Claims(xs, gran), 0)
 	graphsEqual(t, "after empty appends", g.MustAppend(nil).g, want)
 
 	for name, c := range map[string]*Compiled{"chained": g, "consumed": base} {
@@ -173,13 +189,74 @@ func TestAppendNothingIsConstantCost(t *testing.T) {
 		if allocs > 2 {
 			t.Errorf("%s: empty append allocates %v objects per call, want O(1)", name, allocs)
 		}
+		allocs = testing.AllocsPerRun(100, func() { c, _ = c.AppendExtractions(nil, gran) })
+		if allocs > 2 {
+			t.Errorf("%s: empty extraction append allocates %v objects per call, want O(1)", name, allocs)
+		}
 	}
 }
 
-// claimStreamRef is the flatten loop as it stood before ClaimStream reused
+// TestAppendExtractionsGranularity pins which granularity an extraction
+// append may use: the one the index's pair set was built under, or any on an
+// index without one (a claim compile, a claim append, a decoded graph). A
+// refused append leaves the receiver's index in place, so the chain goes on
+// under the right granularity to the graph of one CompileExtractions, and a
+// pair set rebuilt after a claim append dedups against those claims too.
+func TestAppendExtractionsGranularity(t *testing.T) {
+	xs := benchExtractions(400)
+	a, b := GranExtractorURL, GranExtractorSitePred
+	claimAppended := func() *Compiled {
+		head := CompileExtractions(xs[:300], a, 0)
+		return head.MustAppend(CompileExtractions(xs[:350], a, 0).Claims()[head.NumClaims():])
+	}
+	decoded := func() *Compiled {
+		var buf bytes.Buffer
+		if err := CompileExtractions(xs[:300], a, 0).EncodeSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		c, err := DecodeSnapshot(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name    string
+		base    *Compiled
+		gran    Granularity
+		wantErr bool
+	}{
+		{"same granularity", CompileExtractions(xs[:300], a, 0), a, false},
+		{"another granularity", CompileExtractions(xs[:300], a, 0), b, true},
+		{"claim compile", MustCompile(Claims(xs[:300], a)), b, false},
+		{"claim append", claimAppended(), a, false},
+		{"decoded graph", decoded(), b, false},
+	} {
+		next, err := tc.base.AppendExtractions(xs[300:], tc.gran)
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		if err != nil {
+			if tc.base.idx == nil {
+				t.Fatalf("%s: the refused append took the index", tc.name)
+			}
+			if next, err = tc.base.AppendExtractions(xs[300:], a); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := next.AppendExtractions(xs[:10], Granularity{PerPattern: true}); err == nil {
+			t.Fatalf("%s: the next append under a third granularity was accepted", tc.name)
+		}
+		if tc.wantErr || tc.gran == a {
+			graphsEqual(t, tc.name, next.g, CompileExtractions(xs, a, 0).g)
+		}
+	}
+}
+
+// claimStreamRef is the flatten loop as it stood before the dedup reused
 // keys, hashed each record once and deduplicated by ID pair — a fresh key per
 // record, lookup then insert into a map keyed by the four strings — kept as
-// the oracle for Claims and ClaimStream.Add.
+// the oracle for CompileExtractions, AppendExtractions, Claims and
+// ClaimStream.Add.
 type claimStreamRef struct {
 	gran Granularity
 	seen map[provTriple]bool
@@ -206,11 +283,13 @@ func claimsRef(xs []extract.Extraction, g Granularity) []Claim {
 }
 
 // TestClaimStreamMatchesClaims pins the flattening against claimsRef for
-// every granularity preset: Claims over the whole feed, and Add batches cut
-// at random boundaries then concatenated, including cross-batch (provenance,
-// triple) dedup. The feed lists each page's records together (where Add
-// reuses the previous key), revisits pages later, repeats records verbatim,
-// and interleaves two pages record by record (where it must not).
+// every granularity preset: Claims and CompileExtractions over the whole
+// feed, and batches cut at random boundaries — the claims AppendExtractions
+// adds per generation, and ClaimStream.Add's — then concatenated, including
+// cross-batch (provenance, triple) dedup. The feed lists each page's records
+// together (where the loop reuses the previous key), revisits pages later,
+// repeats records verbatim, and interleaves two pages record by record
+// (where it must not).
 func TestClaimStreamMatchesClaims(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rec := func(page, i int) extract.Extraction {
@@ -252,19 +331,29 @@ func TestClaimStreamMatchesClaims(t *testing.T) {
 		if got := Claims(xs, gran); !reflect.DeepEqual(got, want) {
 			t.Fatalf("gran %v: Claims diverges from the reference loop (%d vs %d claims)", gran, len(got), len(want))
 		}
+		if got := CompileExtractions(xs, gran, 0).Claims(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("gran %v: CompileExtractions diverges from the reference loop (%d vs %d claims)", gran, len(got), len(want))
+		}
 		for trial := 0; trial < 5; trial++ {
 			s := NewClaimStream(gran)
-			var got []Claim
+			c := CompileExtractions(nil, gran, 0)
+			var streamed, added []Claim
 			for off := 0; off < len(xs); {
 				n := rng.Intn(min(120, len(xs)-off) + 1) // empty batches included
-				got = append(got, s.Add(xs[off:off+n])...)
+				streamed = append(streamed, s.Add(xs[off:off+n])...)
+				next, err := c.AppendExtractions(xs[off:off+n], gran)
+				if err != nil {
+					t.Fatal(err)
+				}
+				added = append(added, next.Claims()[c.NumClaims():]...)
+				c = next
 				off += n
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("gran %v: streamed claims diverge from the reference loop (%d vs %d)", gran, len(got), len(want))
+			if !reflect.DeepEqual(streamed, want) {
+				t.Fatalf("gran %v: streamed claims diverge from the reference loop (%d vs %d)", gran, len(streamed), len(want))
 			}
-			if s.NumClaims() != len(want) {
-				t.Fatalf("gran %v: NumClaims = %d, want %d", gran, s.NumClaims(), len(want))
+			if !reflect.DeepEqual(added, want) || !reflect.DeepEqual(c.Claims(), want) {
+				t.Fatalf("gran %v: appended claims diverge from the reference loop (%d vs %d)", gran, len(added), len(want))
 			}
 		}
 	}

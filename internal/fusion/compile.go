@@ -119,14 +119,19 @@ type claimIndex struct {
 	ext  csr.InternTable[string]
 	tri  csr.InternTable[kb.Triple]
 	item csr.InternTable[kb.DataItem]
-	// extKeys, extOfClaim and nExt cover the extractor axis, which the
-	// graph itself only keeps aggregated (tripleExtractors); Append needs
-	// the per-claim assignment to recount the triples a batch touches.
+	// extKeys and extOfClaim cover the extractor axis, which the graph
+	// itself only keeps aggregated (tripleExtractors); Append needs the
+	// per-claim assignment to recount the triples a batch touches.
 	// extOfClaim grows in place like cols (only the index ever holds it).
-	// nExt == len(extKeys) always.
 	extKeys    []string
 	extOfClaim []int32
-	nExt       int
+	// pairs is the set of every claim's (provenance ID, triple ID): what an
+	// extraction append dedups its records against (internExtractions).
+	// feedGran is the granularity the feed's provenance keys are built
+	// under. Both are set on the index's first extraction append (feedPairs),
+	// and pairs is nil until then and again after a claim append.
+	pairs    *csr.PairTable
+	feedGran Granularity
 }
 
 // Compiled is a compiled claim set: a reusable, immutable handle over the
@@ -146,24 +151,25 @@ type claimIndex struct {
 // Compiled are safe. The caller must not mutate the claim slice after
 // Compile.
 //
-// A Compiled is also one generation of an append-only claim feed, and there
-// is one compile path (extend): Append interns a claim batch onto the
-// generation — only the new provenances, extractors, items and triples —
-// assembles the next one and returns it, and Compile is the first Append, the
-// empty generation extended by the whole claim set. So Append equals
-// recompiling the concatenated claim stream bit for bit by construction (every
-// ID space is assigned in first-occurrence order, so existing IDs never move),
-// and the previous generation stays fully usable. Generations of one chain
-// share the columns that only grow at the end (see columns); the rest is
-// copied per generation.
-// The one other interning path, the shard-and-merge pass, is chosen from what
-// extend observes — see Append.
+// A Compiled is also one generation of an append-only feed, and there is one
+// compile path (extend): Append interns a claim batch onto the generation —
+// only the new provenances, extractors, items and triples — assembles the
+// next one and returns it, and Compile is the first Append, the empty
+// generation extended by the whole claim set. So Append equals recompiling
+// the concatenated claim stream bit for bit by construction (every ID space
+// is assigned in first-occurrence order, so existing IDs never move), and the
+// previous generation stays fully usable. Generations of one chain share the
+// columns that only grow at the end (see columns); the rest is copied per
+// generation. An extraction feed grows a chain the same way through
+// CompileExtractions and AppendExtractions, which flatten records into claims
+// in the interning loop itself (extendFeed). The one other interning path,
+// the shard-and-merge pass, is chosen from what extend observes — see Append.
 //
 // A Compiled is bound to its claims' provenance granularity:
 // Config.Granularity acts when extractions are flattened into claims
-// (Claims), never afterwards, so fusing configs that differ only in
-// Granularity over one Compiled returns identical results. A granularity
-// sweep needs one Compile per granularity's claim set — exper.Dataset does
+// (CompileExtractions, Claims), never afterwards, so fusing configs that
+// differ only in Granularity over one Compiled returns identical results. A
+// granularity sweep needs one compile per granularity — exper.Dataset does
 // exactly that, caching one compiled graph per granularity.
 type Compiled struct {
 	g   *graph
@@ -191,7 +197,7 @@ func Compile(claims []Claim) (*Compiled, error) {
 // CompileWorkers is Compile with explicit resource bounds: workers caps the
 // interning and counting goroutines (0 = GOMAXPROCS). The counting passes
 // split from two workers on; interning is sharded from
-// csr.ShardInternMinWorkers on and is the one sequential loop below it (see
+// csr.ShardInternMinWorkers on and is the sequential loop below it (see
 // extend). The graph — and every result fused from it — is identical for any
 // workers value. partitions is
 // retained for signature compatibility with the former shuffle-based
@@ -290,15 +296,15 @@ func (c *Compiled) ClaimProv(claim int32) int32 { return c.g.provOfClaim[claim] 
 // of the multi-pass parallel schemes; tuned in internal/csr).
 const internShardThreshold = csr.ParallelThreshold
 
-// extend is the one compile path: it interns batch onto the generation
-// (old, idx) and assembles the next graph. The append-only columns are
-// extended in place through idx.cols — old holds their clipped prefixes, which
-// are never written — and old's other arrays are only read. Every ID space is
-// assigned in first-occurrence order of the claim stream, so old's IDs never
-// move and the result equals extending the empty generation by the
+// extend is the compile path of a claim batch: it interns batch onto the
+// generation (old, idx) and assembles the next graph. The append-only columns
+// are extended in place through idx.cols — old holds their clipped prefixes,
+// which are never written — and old's other arrays are only read. Every ID
+// space is assigned in first-occurrence order of the claim stream, so old's
+// IDs never move and the result equals extending the empty generation by the
 // concatenated stream — which is what a fresh compile is.
 //
-// The batch interns through internClaims, the one sequential loop, except
+// The batch interns through internClaims, the sequential loop, except
 // when nothing is interned yet and csr.ShardIntern(len(batch), workers) holds
 // — at least csr.ParallelThreshold claims and csr.ShardInternMinWorkers
 // workers: then internClaimsParallel runs the same loop per shard and merges.
@@ -311,7 +317,33 @@ func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 	}
 	nOld := len(old.claims)
 	n := nOld + len(batch)
-	g := &graph{
+	g := successor(old, idx)
+	if nOld > 0 {
+		g.claims = append(g.claims, batch...)
+	} else {
+		g.claims = slices.Clip(batch) // aliased, so never appended into
+	}
+	g.provOfClaim = append(g.provOfClaim, make([]int32, len(batch))...)
+	g.tripleOfClaim = append(g.tripleOfClaim, make([]int32, len(batch))...)
+	idx.extOfClaim = append(idx.extOfClaim, make([]int32, len(batch))...)
+
+	switch {
+	case nOld > 0:
+		internClaims(g, idx, nOld)
+	case csr.ShardIntern(n, workers):
+		internClaimsParallel(g, idx, workers)
+	default:
+		idx.presize(g, n)
+		internClaims(g, idx, 0)
+	}
+	idx.pairs = nil // the next extraction append rebuilds it over the batch too
+	return extendTail(old, g, idx, workers)
+}
+
+// successor returns the shell of the generation after old: the append-only
+// columns with the spare capacity idx holds, every derived array still old's.
+func successor(old *graph, idx *claimIndex) *graph {
+	return &graph{
 		columns: idx.cols,
 
 		itemCandStart:    old.itemCandStart,
@@ -325,101 +357,91 @@ func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 		tripleExtractors: old.tripleExtractors,
 		maxCandidates:    old.maxCandidates,
 	}
-	if nOld > 0 {
-		g.claims = append(g.claims, batch...)
-	} else {
-		g.claims = slices.Clip(batch) // aliased, so never appended into
-	}
-	g.provOfClaim = append(g.provOfClaim, make([]int32, len(batch))...)
-	g.tripleOfClaim = append(g.tripleOfClaim, make([]int32, len(batch))...)
-	g.localOfClaim = append(g.localOfClaim, make([]int32, len(batch))...)
-	idx.extOfClaim = append(idx.extOfClaim, make([]int32, len(batch))...)
+}
 
-	switch {
-	case nOld > 0:
-		internClaims(g, idx, nOld)
-	case csr.ShardIntern(n, workers):
-		internClaimsParallel(g, idx, workers)
-	default:
-		idx.presize(n)
-		// Presize the key slices to the same priors: append-doubling on
-		// 64-byte triples otherwise allocates ~2x the final footprint per
-		// compile and copies it log-many times.
-		g.triples = make([]kb.Triple, 0, n/2+16)
-		g.provKeys = make([]string, 0, n/2+16)
-		internClaims(g, idx, 0)
+// extendTail is the tail both interning loops share: g holds old's claims and
+// the batch's, interned, and extendTail derives the rest of the generation. A
+// triple belongs to exactly one item, so walking the new triples in ID
+// (first-occurrence) order interns items in stream first-occurrence order
+// too, and hashes each distinct item once per candidate instead of once per
+// claim. The index keeps the columns' spare capacity; the generation sees
+// its own prefix.
+func extendTail(old, g *graph, idx *claimIndex, workers int) *graph {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-
-	// A triple belongs to exactly one item, so walking the new triples in ID
-	// (first-occurrence) order interns items in stream first-occurrence order
-	// too, and hashes each distinct item once per candidate instead of once
-	// per claim.
+	g.localOfClaim = append(g.localOfClaim, make([]int32, len(g.claims)-len(old.claims))...)
 	internItems(g, idx, len(old.triples))
-
-	assembleGraph(g, idx, nOld, len(old.triples), workers)
-	// The index keeps the spare capacity; the generation sees its own prefix.
+	assembleGraph(g, idx, len(old.claims), len(old.triples), workers)
 	idx.cols, g.columns = g.columns, g.columns.clipped()
 	return g
 }
 
-// presize replaces the tables internClaims fills with ones sized for a
-// from-empty stream of n claims. Distinct provenances and triples run up to
-// about half the claim count in an extraction corpus; undershooting just
-// costs cheap grow() re-slots, overshooting costs zeroed pages every compile.
-func (idx *claimIndex) presize(n int) {
+// presize replaces the tables the interning loops fill with ones sized for a
+// from-empty stream of n claims, and g's key columns with ones of the same
+// priors. Distinct provenances and triples run up to about half the claim
+// count in an extraction corpus; undershooting just costs cheap grow()
+// re-slots, overshooting costs zeroed pages every compile, and append-doubling
+// on 64-byte triples would allocate ~2x the final footprint per compile and
+// copy it log-many times.
+func (idx *claimIndex) presize(g *graph, n int) {
 	idx.prov = csr.NewInternTable[string](n/2, nil)
 	idx.ext = csr.NewInternTable[string](32, nil)
 	idx.extKeys = make([]string, 0, 32)
 	idx.tri = csr.NewInternTable(n/2, csr.HashTriple)
+	g.triples = make([]kb.Triple, 0, n/2+16)
+	g.provKeys = make([]string, 0, n/2+16)
 }
 
-// internClaims is the one sequential interning loop: it assigns provenance,
-// extractor and triple IDs to g.claims[first:], continuing whatever idx and
-// g's key slices already hold.
+// intern returns key's ID in the ID space (t, *keys), assigning the next one
+// to a key not seen yet.
+func intern[K comparable](t *csr.InternTable[K], keys *[]K, key K) int32 {
+	h := t.Hash(key)
+	id := t.ID(h, key, *keys)
+	if id < 0 {
+		id = int32(len(*keys))
+		*keys = append(*keys, key)
+		t.Insert(h, id)
+	}
+	return id
+}
+
+// internClaims is the sequential interning loop of a claim batch: it assigns
+// provenance, extractor and triple IDs to g.claims[first:], continuing
+// whatever idx and g's key slices already hold.
 //
 // Claim streams arrive grouped by extractor (and largely by provenance within
 // a group), so a last-seen cache answers most lookups without touching the
 // hash tables. Triples do not repeat consecutively — corroborating claims are
 // whole groups apart.
 func internClaims(g *graph, idx *claimIndex, first int) {
-	lastProv, lastExt := "", ""
-	var lastPid, lastXid int32
+	var pid, xid int32
 	for i := first; i < len(g.claims); i++ {
 		c := &g.claims[i]
-		pid := lastPid
-		if c.Prov != lastProv || i == first {
-			ph := idx.prov.Hash(c.Prov)
-			pid = idx.prov.ID(ph, c.Prov, g.provKeys)
-			if pid < 0 {
-				pid = int32(len(g.provKeys))
-				g.provKeys = append(g.provKeys, c.Prov)
-				idx.prov.Insert(ph, pid)
-			}
-			lastProv, lastPid = c.Prov, pid
+		if i == first || c.Prov != g.claims[i-1].Prov {
+			pid = intern(&idx.prov, &g.provKeys, c.Prov)
 		}
 		g.provOfClaim[i] = pid
-		xid := lastXid
-		if c.Extractor != lastExt || i == first {
-			xh := idx.ext.Hash(c.Extractor)
-			xid = idx.ext.ID(xh, c.Extractor, idx.extKeys)
-			if xid < 0 {
-				xid = int32(idx.nExt)
-				idx.extKeys = append(idx.extKeys, c.Extractor)
-				idx.ext.Insert(xh, xid)
-				idx.nExt++
-			}
-			lastExt, lastXid = c.Extractor, xid
+		if i == first || c.Extractor != g.claims[i-1].Extractor {
+			xid = intern(&idx.ext, &idx.extKeys, c.Extractor)
 		}
 		idx.extOfClaim[i] = xid
-		h := idx.tri.Hash(c.Triple)
-		tid := idx.tri.ID(h, c.Triple, g.triples)
-		if tid < 0 {
-			tid = int32(len(g.triples))
-			g.triples = append(g.triples, c.Triple)
-			idx.tri.Insert(h, tid)
-		}
-		g.tripleOfClaim[i] = tid
+		g.tripleOfClaim[i] = idx.tripleID(g, &c.Triple)
 	}
+}
+
+// tripleID is intern over the triple ID space, the one both loops take per
+// record, with the table's hash called directly rather than through its
+// function field.
+func (idx *claimIndex) tripleID(g *graph, t *kb.Triple) int32 {
+	h := csr.HashTriple(*t)
+	id := idx.tri.ID(h, *t, g.triples)
+	if id < 0 {
+		id = int32(len(g.triples))
+		g.triples = append(g.triples, *t)
+		idx.tri.Insert(h, id)
+	}
+	return id
 }
 
 // internClaimsParallel is the shard-and-merge interning pass over a
@@ -444,7 +466,7 @@ func internClaimsParallel(g *graph, idx *claimIndex, workers int) {
 			tripleOfClaim: g.tripleOfClaim[lo:hi],
 		}}
 		sidx := &claimIndex{extOfClaim: idx.extOfClaim[lo:hi]}
-		sidx.presize(hi - lo)
+		sidx.presize(sg, hi-lo)
 		internClaims(sg, sidx, 0)
 		provShards[w], extShards[w], triShards[w] = sg.provKeys, sidx.extKeys, sg.triples
 	})
@@ -466,7 +488,6 @@ func internClaimsParallel(g *graph, idx *claimIndex, workers int) {
 	}()
 	g.triples, triMap = csr.MergeKeys(triShards, workers)
 	wg.Wait()
-	idx.nExt = len(idx.extKeys)
 	// The merge's scratch maps do the shard remap below; the index Append
 	// continues from is the flat intern tables, bulk-loaded in ID order.
 	idx.prov = csr.BuildInternTable(g.provKeys, nil)
@@ -594,7 +615,7 @@ func recountTripleExtractors(g *graph, idx *claimIndex, firstClaim, firstTriple,
 		workers = 1 // goroutine setup would dominate
 	}
 	ParallelRange(nTriples-firstTriple, workers, func(_, lo, hi int) {
-		seen := unseen(idx.nExt)
+		seen := unseen(len(idx.extKeys))
 		for t := firstTriple + lo; t < firstTriple+hi; t++ {
 			recountTriple(g, idx.extOfClaim, int32(t), seen)
 		}
@@ -602,7 +623,7 @@ func recountTripleExtractors(g *graph, idx *claimIndex, firstClaim, firstTriple,
 	if firstTriple == 0 {
 		return
 	}
-	seen := unseen(idx.nExt)
+	seen := unseen(len(idx.extKeys))
 	done := make(map[int32]bool, len(g.claims)-firstClaim)
 	for _, t := range g.tripleOfClaim[firstClaim:] {
 		if int(t) < firstTriple && !done[t] {
@@ -710,6 +731,5 @@ func rebuildIndex(g *graph) *claimIndex {
 		item:       csr.BuildInternTable(g.items, csr.HashItem),
 		extKeys:    extKeys,
 		extOfClaim: extOfClaim,
-		nExt:       len(extKeys),
 	}
 }

@@ -15,7 +15,7 @@ import (
 // fuzzFeed turns fuzz bytes into a small extraction world: three bytes per
 // record pick its triple, its page and its extractor from a handful of
 // values, so provenances, items and candidates collide constantly and the
-// ClaimStream dedups whole batches away. A feed longer than the bytes wraps
+// feed's dedup drops whole batches. A feed longer than the bytes wraps
 // around them, and every 64th wrap shifts the extractor choice, so later
 // batches re-assert old triples under new provenances.
 func fuzzFeed(world []byte, n int) []extract.Extraction {
@@ -68,8 +68,8 @@ func fuzzCuts(lens ...uint16) []byte {
 	return out
 }
 
-// FuzzAppendChunking is the metamorphic contract of the compile layer: any
-// chunking of a feed through ClaimStream.Add and Append — zero-length
+// FuzzAppendChunking is the metamorphic contract of the claim compile path:
+// any chunking of a feed through ClaimStream.Add and Append — zero-length
 // batches and batches that dedup to nothing included — builds the graph one
 // Compile of the whole feed's Claims builds, in every field but the
 // generation counter, which counts the batches. A fork from a generation in
@@ -137,15 +137,18 @@ func FuzzAppendChunking(f *testing.F) {
 	})
 }
 
-// FuzzClaimStream pins the ID-pair dedup stream to the map-keyed reference
-// (claimStreamRef) on small colliding worlds under any chunking, empty
-// batches included, and all six standard granularities: every Add returns the
-// reference's claims for that batch, every claim of one provenance carries
-// one string, a stream seeded from a graph compiled (and stored, and loaded)
-// part-way continues exactly as the uninterrupted one, and the graph grown
-// from the Add batches is, snapshot byte for snapshot byte, the graph of one
-// Compile over Claims of the whole feed.
-func FuzzClaimStream(f *testing.F) {
+// FuzzAppendExtractions pins the graph's own extraction dedup to the
+// map-keyed reference (claimStreamRef) on small colliding worlds under any
+// chunking, empty batches included, and all six standard granularities:
+// every AppendExtractions generation adds exactly the reference's claims for
+// its batch, every claim of one provenance carries one string, a chain
+// continued from a generation stored and loaded part-way (whose pair set is
+// rebuilt from the decoded claims) adds the same claims as the uninterrupted
+// one, and the final graph is, snapshot byte for snapshot byte, the graph of
+// one CompileExtractions over the whole feed. ClaimStream, the same loop
+// without the graph, and SeedClaimStream from the loaded generation return
+// the same claims.
+func FuzzAppendExtractions(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), fuzzCuts(1000, 800, 1, 2189, 10), byte(1))
 	f.Add([]byte{7, 1, 2, 200, 33, 9, 7, 1, 3, 90, 17, 0}, fuzzCuts(0, 5, 0, 0, 7, 1, 0), byte(14))
 	f.Add([]byte{1, 2, 3}, fuzzCuts(0), byte(6))
@@ -161,21 +164,38 @@ func FuzzClaimStream(f *testing.F) {
 			GranExtractorSitePredPattern, GranExtractorOnly, GranSourceOnly,
 		}
 		gran := grans[int(mode)%len(grans)]
-		seedAfter := int(mode) / len(grans) % len(lens) // batches before the reseed
+		reloadAfter := int(mode) / len(grans) % len(lens) // batches before the reload
 
 		ref := &claimStreamRef{gran: gran, seen: map[provTriple]bool{}}
 		stream := NewClaimStream(gran)
+		var g, reloaded *Compiled
 		var seeded *ClaimStream
-		var g *Compiled
 		canon := map[string]*byte{}
+		same := func(got, want []Claim) bool {
+			return len(got) == len(want) && (len(want) == 0 || reflect.DeepEqual(got, want))
+		}
+		// grow appends batch to c (compiling it when c is nil) and returns the
+		// generation with the claims it added.
+		grow := func(c *Compiled, batch []extract.Extraction) (*Compiled, []Claim) {
+			if c == nil {
+				c = CompileExtractions(batch, gran, 1)
+				return c, c.Claims()
+			}
+			next, err := c.AppendExtractions(batch, gran)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return next, next.Claims()[c.NumClaims():]
+		}
 		at := 0
 		for i, n := range lens {
 			batch := xs[at : at+n]
 			at += n
 			want := ref.add(batch)
-			got := stream.Add(batch)
-			if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
-				t.Fatalf("batch %d: Add returned %d claims, the reference %d:\n got %v\nwant %v", i, len(got), len(want), got, want)
+			var got []Claim
+			g, got = grow(g, batch)
+			if !same(got, want) {
+				t.Fatalf("batch %d: the generation added %d claims, the reference %d:\n got %v\nwant %v", i, len(got), len(want), got, want)
 			}
 			for _, c := range got {
 				if p, ok := canon[c.Prov]; ok && p != unsafe.StringData(c.Prov) {
@@ -183,21 +203,19 @@ func FuzzClaimStream(f *testing.F) {
 				}
 				canon[c.Prov] = unsafe.StringData(c.Prov)
 			}
-			if seeded != nil {
-				if again := seeded.Add(batch); len(again) != len(want) || len(want) > 0 && !reflect.DeepEqual(again, want) {
+			if again := stream.Add(batch); !same(again, want) {
+				t.Fatalf("batch %d: the stream returned %d claims, the reference %d", i, len(again), len(want))
+			}
+			if reloaded != nil {
+				var again []Claim
+				if reloaded, again = grow(reloaded, batch); !same(again, want) {
+					t.Fatalf("batch %d: the reloaded chain added %d claims, the uninterrupted one %d", i, len(again), len(want))
+				}
+				if again := seeded.Add(batch); !same(again, want) {
 					t.Fatalf("batch %d: the seeded stream returned %d claims, the uninterrupted one %d", i, len(again), len(want))
 				}
 			}
-			var err error
-			if g == nil {
-				g, err = CompileWorkers(got, 1, 0)
-			} else {
-				g, err = g.AppendWorkers(got, 1)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i == seedAfter {
+			if i == reloadAfter {
 				var buf bytes.Buffer
 				if err := g.EncodeSnapshot(&buf); err != nil {
 					t.Fatal(err)
@@ -206,24 +224,26 @@ func FuzzClaimStream(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				seeded = SeedClaimStream(gran, dec)
+				reloaded, seeded = dec, SeedClaimStream(gran, dec)
 			}
 		}
-		if stream.NumClaims() != g.NumClaims() || seeded.NumClaims() != g.NumClaims() {
-			t.Fatalf("NumClaims: stream %d, seeded %d, graph %d", stream.NumClaims(), seeded.NumClaims(), g.NumClaims())
-		}
 
-		whole := MustCompile(Claims(xs, gran))
+		whole := CompileExtractions(xs, gran, 1)
 		whole.gen = g.gen
-		var a, b bytes.Buffer
-		if err := g.EncodeSnapshot(&a); err != nil {
-			t.Fatal(err)
+		for name, c := range map[string]*Compiled{"chain": g, "reloaded chain": reloaded} {
+			var a, b bytes.Buffer
+			if err := c.EncodeSnapshot(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := whole.EncodeSnapshot(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("the %s's graph is not the graph of CompileExtractions(feed)", name)
+			}
 		}
-		if err := whole.EncodeSnapshot(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatal("the graph grown from the Add batches is not the graph of Compile(Claims(feed))")
+		if !same(whole.Claims(), claimsRef(xs, gran)) {
+			t.Fatal("CompileExtractions' claims are not the reference's")
 		}
 	})
 }

@@ -29,7 +29,7 @@ func compile(claims []Claim, workers int) (*graph, *claimIndex) {
 }
 
 // provTriple is the string-keyed (provenance, triple) dedup key of the
-// reference flatten loops the tests compare Claims and ClaimStream against.
+// reference flatten loop the tests compare the extraction entries against.
 type provTriple struct {
 	prov   string
 	triple kb.Triple

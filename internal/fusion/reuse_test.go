@@ -155,7 +155,7 @@ func TestInternClaimsParallelMatchesSequential(t *testing.T) {
 		}}
 		parIdx := &claimIndex{extOfClaim: make([]int32, n)}
 		internClaimsParallel(par, parIdx, shards)
-		if parIdx.nExt != seqIdx.nExt || !slices.Equal(parIdx.extKeys, seqIdx.extKeys) {
+		if !slices.Equal(parIdx.extKeys, seqIdx.extKeys) {
 			t.Fatalf("shards=%d: extractor keys %v, want %v", shards, parIdx.extKeys, seqIdx.extKeys)
 		}
 		if !slices.Equal(par.provKeys, seq.provKeys) {

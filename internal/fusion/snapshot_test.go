@@ -130,23 +130,34 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSeedClaimStream checks that a stream seeded from a restored generation
-// continues exactly where the original stream left off.
+// TestSeedClaimStream checks that a stream seeded from a restored
+// generation, and the restored generation's own AppendExtractions, continue
+// exactly where the original stream left off.
 func TestSeedClaimStream(t *testing.T) {
 	xs := benchExtractions(300)
 	gran := GranExtractorSitePred
 
 	fresh := NewClaimStream(gran)
 	first := fresh.Add(xs[:200])
-	c := MustCompile(first)
+	var buf bytes.Buffer
+	if err := MustCompile(first).EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c, err := DecodeSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	seeded := SeedClaimStream(gran, c)
-	if seeded.NumClaims() != fresh.NumClaims() {
-		t.Fatalf("seeded NumClaims = %d, want %d", seeded.NumClaims(), fresh.NumClaims())
-	}
 	want := fresh.Add(xs[200:])
-	got := seeded.Add(xs[200:])
-	if !reflect.DeepEqual(got, want) {
+	if got := seeded.Add(xs[200:]); !reflect.DeepEqual(got, want) {
 		t.Fatalf("seeded stream emitted %d claims, fresh emitted %d (or contents differ)", len(got), len(want))
+	}
+	next, err := c.AppendExtractions(xs[200:], gran)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := next.Claims()[len(first):]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("the restored graph appended %d claims, the stream emitted %d (or contents differ)", len(got), len(want))
 	}
 }

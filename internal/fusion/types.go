@@ -54,8 +54,10 @@
 // bit-identically to recompiling the concatenated stream, and
 // (*Compiled).FuseWarm re-fuses the grown graph seeded from the previous
 // generation's accuracies (one warm round per batch in streaming use; see
-// FuseWarm for the two-regime equivalence contract). ClaimStream carries
-// the (provenance, triple) dedup across batches, as pairs of IDs.
+// FuseWarm for the two-regime equivalence contract). An extraction feed
+// grows a graph through CompileExtractions and AppendExtractions, which
+// flatten records into claims in the graph's own interning loop and carry
+// the (provenance, triple) dedup across batches as pairs of the graph's IDs.
 //
 // # Native and exchange form
 //
@@ -207,9 +209,10 @@ type Claim struct {
 }
 
 // Claims converts extractions to claims under granularity g, deduplicating
-// (provenance, triple) pairs: a provenance asserts a triple once. For an
-// append-only feed converted batch by batch, use ClaimStream, which carries
-// the dedup set across batches.
+// (provenance, triple) pairs: a provenance asserts a triple once. They are
+// the claims of CompileExtractions(xs, g, workers), flattened by the same
+// loop without building the graph. An append-only feed grows a graph through
+// AppendExtractions, which carries the dedup across batches.
 func Claims(xs []extract.Extraction, g Granularity) []Claim {
 	return newClaimStream(g, len(xs)).Add(xs)
 }

@@ -23,10 +23,10 @@ import (
 // item and hands the driver its cross-shard ID tables. Either way a batch is
 // journaled whole and replayed through the same Apply.
 //
-// A Chain holds configuration only. The cross-batch state — the claim
-// layer's (provenance, triple) dedup stream, or the coordinator that holds
-// one per shard — lives on the State it describes, so one Chain serves any
-// number of states.
+// A Chain holds configuration only. The cross-batch state — the graphs,
+// whose interning index carries the claim layer's (provenance, triple) dedup,
+// or the coordinator that holds one graph per shard — lives on the State it
+// describes, so one Chain serves any number of states.
 type Chain struct {
 	method   string
 	twoLayer bool
@@ -99,10 +99,10 @@ func (c *Chain) Check(st *State) error {
 
 // grow folds one batch into the state's compiled graphs without fusing: the
 // first batch compiles, every later one appends (Append == recompile of the
-// concatenated stream, so replay is bit-identical). Claim-layer batches are
-// flattened through the dedup stream — the state's own at K = 1, created on
-// first use and seeded from a restored graph so replayed and live dedup
-// agree; the coordinator's per-shard streams at K > 1.
+// concatenated stream, so replay is bit-identical). A claim-layer graph
+// flattens its batches itself, deduplicating (provenance, triple) pairs
+// against the claims it holds — built or restored, so replayed and live
+// dedup agree — at K = 1 and in each of the coordinator's shards at K > 1.
 func (c *Chain) grow(st *State, batch []extract.Extraction) error {
 	// Replay runs before the opener can Check the recovered state, and would
 	// otherwise restamp a foreign snapshot as this chain's.
@@ -140,21 +140,11 @@ func (c *Chain) grow(st *State, batch []extract.Extraction) error {
 		}
 		return st.ClaimShards.Append(batch)
 	}
-	if st.stream == nil {
-		if st.Claim != nil {
-			st.stream = fusion.SeedClaimStream(st.Gran, st.Claim)
-		} else {
-			st.stream = fusion.NewClaimStream(st.Gran)
-		}
-	}
-	claims := st.stream.Add(batch)
-	var next *fusion.Compiled
-	var err error
 	if st.Claim == nil {
-		next, err = fusion.CompileWorkers(claims, c.claim.Workers, 0)
-	} else {
-		next, err = st.Claim.Append(claims)
+		st.Claim = fusion.CompileExtractions(batch, st.Gran, c.claim.Workers)
+		return nil
 	}
+	next, err := st.Claim.AppendExtractions(batch, st.Gran)
 	if err != nil {
 		return err
 	}

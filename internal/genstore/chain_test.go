@@ -285,7 +285,6 @@ func TestApplyLeavesTheNativeForm(t *testing.T) {
 		var claim *fusion.Compiled
 		var ext *extract.Compiled
 		var tl *twolayer.State
-		stream := fusion.NewClaimStream(fc.Granularity)
 		for off := 0; off < len(feed); off += batch {
 			xs := feed[off : off+batch]
 			if err := chain.Apply(st, xs); err != nil {
@@ -308,9 +307,9 @@ func TestApplyLeavesTheNativeForm(t *testing.T) {
 				want, tl, err = twolayer.FuseCompiledWarm(ext, tcfg, tl)
 			} else {
 				if claim == nil {
-					claim = fusion.MustCompile(stream.Add(xs))
-				} else {
-					claim = claim.MustAppend(stream.Add(xs))
+					claim = fusion.CompileExtractions(xs, fc.Granularity, 0)
+				} else if claim, err = claim.AppendExtractions(xs, fc.Granularity); err != nil {
+					t.Fatal(err)
 				}
 				want, err = claim.FuseWarm(fcfg, want)
 			}

@@ -105,9 +105,9 @@ type State struct {
 	TL    *twolayer.State
 
 	// The coordinators of a sharded chain (Chain's shards > 1): the K
-	// item-partitioned graphs with their dedup streams and cross-shard ID
-	// tables. Only ClaimShards is persisted; a sharded two-layer state is not
-	// (its warm parameters are indexed by tables a decode cannot rebuild).
+	// item-partitioned graphs and the cross-shard ID tables. Only ClaimShards
+	// is persisted; a sharded two-layer state is not (its warm parameters
+	// are indexed by tables a decode cannot rebuild).
 	ClaimShards *shard.Fusion
 	ExtShards   *shard.TwoLayer
 
@@ -128,11 +128,6 @@ type State struct {
 	// Batches counts applied batches; it is the journal sequence number of
 	// the next Append.
 	Batches int
-
-	// stream is the one-graph claim layer's cross-batch (provenance, triple)
-	// dedup set. It is not persisted: Chain.Apply seeds it from Claim on
-	// first use.
-	stream *fusion.ClaimStream
 }
 
 // shards reports how many graphs the state holds: 0 while it is empty, 1 in
@@ -554,8 +549,8 @@ func decodeSnapshot(data []byte) (*State, error) {
 }
 
 // decodeShards rebuilds a sharded claim state's coordinator from its
-// section (see encodeSnapshot); the coordinator reseeds the per-shard dedup
-// streams and cross-shard tables from the graphs.
+// section (see encodeSnapshot); the coordinator rebuilds the cross-shard
+// tables from the graphs, and each graph its dedup on its first append.
 func decodeShards(b []byte, gran fusion.Granularity) (*shard.Fusion, error) {
 	r := wire.NewReader(b)
 	k := r.Int()

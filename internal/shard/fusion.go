@@ -8,18 +8,16 @@ import (
 	"kfusion/internal/fusion"
 )
 
-// Fusion is the sharded claim-fusion pipeline: K shard-local ClaimStreams
-// and compiled claim graphs grown by Append, plus the cross-shard
-// provenance table the engine's round driver (fusion.FuseLockstep) merges
-// stage II through — see the package comment. Single-writer state like
-// ClaimStream: Append must not race with Append or Fuse.
+// Fusion is the sharded claim-fusion pipeline: K shard-local compiled claim
+// graphs grown by AppendExtractions, plus the cross-shard provenance table
+// the engine's round driver (fusion.FuseLockstep) merges stage II through —
+// see the package comment. Single-writer state: Append must not race with
+// Append or Fuse.
 type Fusion struct {
-	k       int
-	gran    fusion.Granularity
-	streams []*fusion.ClaimStream
-	graphs  []*fusion.Compiled
-	provs   *csr.IDTable
-	claims  int
+	k      int
+	gran   fusion.Granularity
+	graphs []*fusion.Compiled
+	provs  *csr.IDTable
 }
 
 // NewFusion returns an empty K-shard fusion pipeline flattening extractions
@@ -30,25 +28,20 @@ func NewFusion(k int, gran fusion.Granularity) (*Fusion, error) {
 	if err := validateK(k); err != nil {
 		return nil, err
 	}
-	f := &Fusion{
-		k:       k,
-		gran:    gran,
-		streams: make([]*fusion.ClaimStream, k),
-		graphs:  make([]*fusion.Compiled, k),
-		provs:   csr.NewIDTable(k),
-	}
-	for s := range f.streams {
-		f.streams[s] = fusion.NewClaimStream(gran)
-	}
-	return f, nil
+	return &Fusion{
+		k:      k,
+		gran:   gran,
+		graphs: make([]*fusion.Compiled, k),
+		provs:  csr.NewIDTable(k),
+	}, nil
 }
 
 // NewFusionFromShards reassembles a coordinator over restored per-shard
 // graphs (a decoded genstore snapshot): graphs[i] must be the graph shard
 // i's feed slice compiled to — every item it holds hashing to shard i under
 // len(graphs) — as produced by a prior Fusion with the same K and
-// granularity. Each shard's ClaimStream reseeds its cross-batch dedup from
-// the graph's claims, so subsequent Appends continue the stream exactly.
+// granularity. Each shard's graph rebuilds its cross-batch dedup from its
+// claims on the next Append, so subsequent Appends continue the feed exactly.
 func NewFusionFromShards(graphs []*fusion.Compiled, gran fusion.Granularity) (*Fusion, error) {
 	f, err := NewFusion(len(graphs), gran)
 	if err != nil {
@@ -56,8 +49,6 @@ func NewFusionFromShards(graphs []*fusion.Compiled, gran fusion.Granularity) (*F
 	}
 	for s, g := range graphs {
 		f.graphs[s] = g
-		f.streams[s] = fusion.SeedClaimStream(gran, g)
-		f.claims += g.NumClaims()
 		f.extendProvs(s)
 	}
 	return f, nil
@@ -67,7 +58,15 @@ func NewFusionFromShards(graphs []*fusion.Compiled, gran fusion.Granularity) (*F
 func (f *Fusion) K() int { return f.k }
 
 // NumClaims reports the deduplicated claims across all shards.
-func (f *Fusion) NumClaims() int { return f.claims }
+func (f *Fusion) NumClaims() int {
+	n := 0
+	for _, g := range f.graphs {
+		if g != nil {
+			n += g.NumClaims()
+		}
+	}
+	return n
+}
 
 // NumProvenances reports the global (cross-shard) provenance count.
 func (f *Fusion) NumProvenances() int { return f.provs.N() }
@@ -76,24 +75,22 @@ func (f *Fusion) NumProvenances() int { return f.provs.N() }
 // the handle per-shard persistence and memory accounting work against.
 func (f *Fusion) Shard(s int) *fusion.Compiled { return f.graphs[s] }
 
-// Append routes one extraction batch to its shards, flattens each slice
-// through the shard's ClaimStream (the (provenance, triple) dedup is
-// shard-local because the triple's item fixes the shard), and compiles or
-// appends each shard's graph. A shard receiving nothing still moves to its
-// next generation (an empty Append is O(1)), so every shard's generation
-// counts the batches.
+// Append routes one extraction batch to its shards and compiles or appends
+// each slice onto the shard's graph (the (provenance, triple) dedup is
+// shard-local because the triple's item fixes the shard). A shard receiving
+// nothing still moves to its next generation (an empty append is O(1)), so
+// every shard's generation counts the batches.
 func (f *Fusion) Append(xs []extract.Extraction) error {
 	parts := SplitExtractions(xs, f.k)
 	for s := 0; s < f.k; s++ {
-		batch := f.streams[s].Add(parts[s])
-		f.claims += len(batch)
-		grow := fusion.Compile // the first Append
-		if g := f.graphs[s]; g != nil {
-			grow = g.Append
-		}
-		g, err := grow(batch)
-		if err != nil {
-			return fmt.Errorf("shard %d: append: %w", s, err)
+		g := f.graphs[s]
+		if g == nil {
+			g = fusion.CompileExtractions(parts[s], f.gran, 0)
+		} else {
+			var err error
+			if g, err = g.AppendExtractions(parts[s], f.gran); err != nil {
+				return fmt.Errorf("shard %d: append: %w", s, err)
+			}
 		}
 		f.graphs[s] = g
 		f.extendProvs(s)

@@ -70,13 +70,12 @@ func goldenClaim(t *testing.T, xs []extract.Extraction, cfg fusion.Config, k int
 	var prev *fusion.Result
 	var err error
 	if k == 0 {
-		stream := fusion.NewClaimStream(cfg.Granularity)
 		var g *fusion.Compiled
 		for _, chunk := range chunks {
 			if g == nil {
-				g = fusion.MustCompile(stream.Add(chunk))
-			} else {
-				g = g.MustAppend(stream.Add(chunk))
+				g = fusion.CompileExtractions(chunk, cfg.Granularity, 0)
+			} else if g, err = g.AppendExtractions(chunk, cfg.Granularity); err != nil {
+				t.Fatal(err)
 			}
 			if prev, err = g.FuseWarm(cfg, prev); err != nil {
 				t.Fatal(err)

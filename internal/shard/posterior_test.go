@@ -88,13 +88,15 @@ func TestPosteriorIsExchangeFormClaimLayer(t *testing.T) {
 			var grow func([]extract.Extraction)
 			var fuse func(cfg fusion.Config, seed *fusion.Seed) (*fusion.Posterior, error)
 			if k == 0 {
-				stream := fusion.NewClaimStream(cold.Granularity)
 				var g *fusion.Compiled
 				grow = func(xs []extract.Extraction) {
 					if g == nil {
-						g = fusion.MustCompile(stream.Add(xs))
-					} else {
-						g = g.MustAppend(stream.Add(xs))
+						g = fusion.CompileExtractions(xs, cold.Granularity, 0)
+						return
+					}
+					var err error
+					if g, err = g.AppendExtractions(xs, cold.Granularity); err != nil {
+						t.Fatal(err)
 					}
 				}
 				fuse = func(cfg fusion.Config, seed *fusion.Seed) (*fusion.Posterior, error) {

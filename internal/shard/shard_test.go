@@ -72,9 +72,7 @@ func fusionConfigs() map[string]fusion.Config {
 // unshardedFuse is the reference single-graph streaming pipeline.
 func unshardedFuse(t *testing.T, xs []extract.Extraction, cfg fusion.Config) *fusion.Result {
 	t.Helper()
-	stream := fusion.NewClaimStream(cfg.Granularity)
-	g := fusion.MustCompile(stream.Add(xs))
-	res, err := g.Fuse(cfg)
+	res, err := fusion.CompileExtractions(xs, cfg.Granularity, 0).Fuse(cfg)
 	if err != nil {
 		t.Fatalf("unsharded fuse: %v", err)
 	}
@@ -234,13 +232,14 @@ func TestFusionShardWarm(t *testing.T) {
 	batch := testExtractions(rng, 800)
 	cfg := fusion.PopAccuConfig()
 
-	stream := fusion.NewClaimStream(cfg.Granularity)
-	g := fusion.MustCompile(stream.Add(xs))
+	g := fusion.CompileExtractions(xs, cfg.Granularity, 0)
 	prevU, err := g.Fuse(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g = g.MustAppend(stream.Add(batch))
+	if g, err = g.AppendExtractions(batch, cfg.Granularity); err != nil {
+		t.Fatal(err)
+	}
 	wantWarm, err := g.FuseWarm(cfg, prevU)
 	if err != nil {
 		t.Fatal(err)
