@@ -58,8 +58,8 @@
 //     stream (existing IDs never move) while hashing only the batch
 //     against the retained interning index; the CSR spans merge through
 //     csr.AppendByGroup's ordered span merge. Along a chain of generations
-//     the columns that only grow at the end (claims, keys, per-claim and
-//     per-statement IDs) are shared: the index extends them in place and
+//     the columns that only grow at the end (keys, per-claim and
+//     per-statement IDs, claim confidences) are shared: the index extends them in place and
 //     each generation holds the cap-clipped prefix of its own length, so
 //     an append costs the batch plus bulk moves of the CSRs, never a copy
 //     of the prefix, and older generations stay readable while the chain

@@ -27,7 +27,6 @@ func graphsEqual(t *testing.T, name string, got, want *graph) {
 			t.Fatalf("%s: graph field %s differs:\n got %v\nwant %v", name, field, g, w)
 		}
 	}
-	eq("claims", got.claims, want.claims)
 	eq("items", got.items, want.items)
 	eq("itemClaimStart", got.itemClaimStart, want.itemClaimStart)
 	eq("itemClaims", got.itemClaims, want.itemClaims)
@@ -45,6 +44,9 @@ func graphsEqual(t *testing.T, name string, got, want *graph) {
 	eq("provOfClaim", got.provOfClaim, want.provOfClaim)
 	eq("provClaimStart", got.provClaimStart, want.provClaimStart)
 	eq("provClaims", got.provClaims, want.provClaims)
+	eq("extKeys", got.extKeys, want.extKeys)
+	eq("extOfClaim", got.extOfClaim, want.extOfClaim)
+	eq("confOfClaim", got.confOfClaim, want.confOfClaim)
 	eq("maxCandidates", got.maxCandidates, want.maxCandidates)
 }
 
@@ -207,7 +209,7 @@ func TestAppendExtractionsGranularity(t *testing.T) {
 	a, b := GranExtractorURL, GranExtractorSitePred
 	claimAppended := func() *Compiled {
 		head := CompileExtractions(xs[:300], a, 0)
-		return head.MustAppend(CompileExtractions(xs[:350], a, 0).Claims()[head.NumClaims():])
+		return head.MustAppend(claimsOf(CompileExtractions(xs[:350], a, 0))[head.NumClaims():])
 	}
 	decoded := func() *Compiled {
 		var buf bytes.Buffer
@@ -331,7 +333,7 @@ func TestClaimStreamMatchesClaims(t *testing.T) {
 		if got := Claims(xs, gran); !reflect.DeepEqual(got, want) {
 			t.Fatalf("gran %v: Claims diverges from the reference loop (%d vs %d claims)", gran, len(got), len(want))
 		}
-		if got := CompileExtractions(xs, gran, 0).Claims(); !reflect.DeepEqual(got, want) {
+		if got := claimsOf(CompileExtractions(xs, gran, 0)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("gran %v: CompileExtractions diverges from the reference loop (%d vs %d claims)", gran, len(got), len(want))
 		}
 		for trial := 0; trial < 5; trial++ {
@@ -345,14 +347,14 @@ func TestClaimStreamMatchesClaims(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				added = append(added, next.Claims()[c.NumClaims():]...)
+				added = append(added, claimsOf(next)[c.NumClaims():]...)
 				c = next
 				off += n
 			}
 			if !reflect.DeepEqual(streamed, want) {
 				t.Fatalf("gran %v: streamed claims diverge from the reference loop (%d vs %d)", gran, len(streamed), len(want))
 			}
-			if !reflect.DeepEqual(added, want) || !reflect.DeepEqual(c.Claims(), want) {
+			if !reflect.DeepEqual(added, want) || !reflect.DeepEqual(claimsOf(c), want) {
 				t.Fatalf("gran %v: appended claims diverge from the reference loop (%d vs %d)", gran, len(added), len(want))
 			}
 		}

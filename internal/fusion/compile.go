@@ -19,7 +19,10 @@ import (
 // never renumbers an existing ID, which is what makes Append a generation of
 // the same graph instead of a recompile):
 //
-//   - Claim IDs are the indexes of the input []Claim, unchanged.
+//   - Claim IDs are the indexes of the input []Claim, unchanged. A claim is
+//     stored once, as its row of the per-claim columns (provOfClaim,
+//     tripleOfClaim, extOfClaim, confOfClaim); graph.claim assembles the
+//     record from them.
 //   - Item IDs are assigned in first-occurrence order of the claim stream.
 //   - Triple IDs are assigned in global first-occurrence order of the claim
 //     stream. An item's candidates are reached through the itemCands CSR
@@ -27,7 +30,8 @@ import (
 //     is a triple's offset within its item's candidate list, and
 //     localOfClaim maps a claim to its candidate's offset, so per-item
 //     counting uses a dense scratch array.
-//   - Provenance IDs are assigned in claim-index order of first use.
+//   - Provenance and extractor IDs are assigned in claim-index order of
+//     first use.
 //   - itemClaims groups claim IDs by item in ascending claim-index order —
 //     the same order the per-round shuffle of the seed engine produced, so
 //     reservoir sampling sees the identical stream.
@@ -72,8 +76,6 @@ type graph struct {
 // old IDs (the CSRs, tripleExtractors) lives in graph and is copied per
 // generation.
 type columns struct {
-	claims []Claim
-
 	items []kb.DataItem
 	// Candidate triples (the deduplicated Stage III output set), in global
 	// first-occurrence order.
@@ -85,13 +87,19 @@ type columns struct {
 
 	provKeys    []string // prov ID -> provenance key
 	provOfClaim []int32  // claim ID -> prov ID
+
+	// The extractor axis. The engines read it only aggregated
+	// (tripleExtractors); an Append recounts the triples a batch touches from
+	// it, and snapshots persist it with the confidences, which no engine reads.
+	extKeys     []string  // extractor ID -> extractor name
+	extOfClaim  []int32   // claim ID -> extractor ID
+	confOfClaim []float64 // claim ID -> extractor confidence
 }
 
 // clipped returns the columns with every capacity cut to its length, so an
 // append through the result reallocates instead of writing a shared tail.
 func (c columns) clipped() columns {
 	return columns{
-		claims:        slices.Clip(c.claims),
 		items:         slices.Clip(c.items),
 		triples:       slices.Clip(c.triples),
 		itemOfTriple:  slices.Clip(c.itemOfTriple),
@@ -100,6 +108,23 @@ func (c columns) clipped() columns {
 		localOfClaim:  slices.Clip(c.localOfClaim),
 		provKeys:      slices.Clip(c.provKeys),
 		provOfClaim:   slices.Clip(c.provOfClaim),
+		extKeys:       slices.Clip(c.extKeys),
+		extOfClaim:    slices.Clip(c.extOfClaim),
+		confOfClaim:   slices.Clip(c.confOfClaim),
+	}
+}
+
+// numClaims reports the number of claims, the length of every per-claim
+// column.
+func (c *columns) numClaims() int { return len(c.confOfClaim) }
+
+// claim assembles claim i from its columns.
+func (g *graph) claim(i int) Claim {
+	return Claim{
+		Triple:    g.triples[g.tripleOfClaim[i]],
+		Prov:      g.provKeys[g.provOfClaim[i]],
+		Conf:      g.confOfClaim[i],
+		Extractor: g.extKeys[g.extOfClaim[i]],
 	}
 }
 
@@ -112,19 +137,13 @@ type claimIndex struct {
 	// capacity: the one handle through which the shared tails are written.
 	cols columns
 	// Every ID space interns through an open-addressing table
-	// (csr.InternTable) over its dense key slice — g.provKeys, extKeys,
-	// g.triples, g.items: per-claim interning is the compile hot loop, and
+	// (csr.InternTable) over its dense key column — provKeys, extKeys,
+	// triples, items: per-claim interning is the compile hot loop, and
 	// probing a flat (hash, ID) array beats the generic map's bucket walk.
 	prov csr.InternTable[string]
 	ext  csr.InternTable[string]
 	tri  csr.InternTable[kb.Triple]
 	item csr.InternTable[kb.DataItem]
-	// extKeys and extOfClaim cover the extractor axis, which the graph
-	// itself only keeps aggregated (tripleExtractors); Append needs the
-	// per-claim assignment to recount the triples a batch touches.
-	// extOfClaim grows in place like cols (only the index ever holds it).
-	extKeys    []string
-	extOfClaim []int32
 	// pairs is the set of every claim's (provenance ID, triple ID): what an
 	// extraction append dedups its records against (internExtractions).
 	// feedGran is the granularity the feed's provenance keys are built
@@ -148,8 +167,8 @@ type claimIndex struct {
 // Each Fuse call builds its own engine state (provenance accuracies,
 // per-claim probabilities, scratch buffers), so results are bit-identical to
 // a fresh fusion.Fuse of the same claims and concurrent Fuse calls on one
-// Compiled are safe. The caller must not mutate the claim slice after
-// Compile.
+// Compiled are safe. The graph keeps the claims as columns, not the caller's
+// slice.
 //
 // A Compiled is also one generation of an append-only feed, and there is one
 // compile path (extend): Append interns a claim batch onto the generation —
@@ -227,7 +246,7 @@ func MustCompile(claims []Claim) *Compiled {
 // compiled graph and must not be modified.
 
 // NumClaims reports the number of input claims.
-func (c *Compiled) NumClaims() int { return len(c.g.claims) }
+func (c *Compiled) NumClaims() int { return c.g.numClaims() }
 
 // NumItems reports the number of distinct data items.
 func (c *Compiled) NumItems() int { return len(c.g.items) }
@@ -241,9 +260,6 @@ func (c *Compiled) NumProvenances() int { return len(c.g.provKeys) }
 // Generation reports how many Appends produced this handle (0 for a fresh
 // Compile).
 func (c *Compiled) Generation() int { return c.gen }
-
-// Claims returns the compiled claim slice (claim ID -> Claim).
-func (c *Compiled) Claims() []Claim { return c.g.claims }
 
 // Triple returns the triple with the given triple ID.
 func (c *Compiled) Triple(t int) kb.Triple { return c.g.triples[t] }
@@ -315,26 +331,22 @@ func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nOld := len(old.claims)
+	nOld := old.numClaims()
 	n := nOld + len(batch)
 	g := successor(old, idx)
-	if nOld > 0 {
-		g.claims = append(g.claims, batch...)
-	} else {
-		g.claims = slices.Clip(batch) // aliased, so never appended into
-	}
+	g.confOfClaim = append(g.confOfClaim, make([]float64, len(batch))...)
 	g.provOfClaim = append(g.provOfClaim, make([]int32, len(batch))...)
 	g.tripleOfClaim = append(g.tripleOfClaim, make([]int32, len(batch))...)
-	idx.extOfClaim = append(idx.extOfClaim, make([]int32, len(batch))...)
+	g.extOfClaim = append(g.extOfClaim, make([]int32, len(batch))...)
 
 	switch {
 	case nOld > 0:
-		internClaims(g, idx, nOld)
+		internClaims(g, idx, batch, nOld)
 	case csr.ShardIntern(n, workers):
-		internClaimsParallel(g, idx, workers)
+		internClaimsParallel(g, idx, batch, workers)
 	default:
 		idx.presize(g, n)
-		internClaims(g, idx, 0)
+		internClaims(g, idx, batch, 0)
 	}
 	idx.pairs = nil // the next extraction append rebuilds it over the batch too
 	return extendTail(old, g, idx, workers)
@@ -359,20 +371,20 @@ func successor(old *graph, idx *claimIndex) *graph {
 	}
 }
 
-// extendTail is the tail both interning loops share: g holds old's claims and
-// the batch's, interned, and extendTail derives the rest of the generation. A
-// triple belongs to exactly one item, so walking the new triples in ID
-// (first-occurrence) order interns items in stream first-occurrence order
-// too, and hashes each distinct item once per candidate instead of once per
-// claim. The index keeps the columns' spare capacity; the generation sees
+// extendTail is the tail both interning loops share: g holds old's claim
+// columns and the batch's, interned, and extendTail derives the rest of the
+// generation. A triple belongs to exactly one item, so walking the new
+// triples in ID (first-occurrence) order interns items in stream
+// first-occurrence order too, and hashes each distinct item once per
+// candidate instead of once per claim. The index keeps the columns' spare capacity; the generation sees
 // its own prefix.
 func extendTail(old, g *graph, idx *claimIndex, workers int) *graph {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	g.localOfClaim = append(g.localOfClaim, make([]int32, len(g.claims)-len(old.claims))...)
+	g.localOfClaim = append(g.localOfClaim, make([]int32, g.numClaims()-old.numClaims())...)
 	internItems(g, idx, len(old.triples))
-	assembleGraph(g, idx, len(old.claims), len(old.triples), workers)
+	assembleGraph(g, old.numClaims(), len(old.triples), workers)
 	idx.cols, g.columns = g.columns, g.columns.clipped()
 	return g
 }
@@ -387,7 +399,7 @@ func extendTail(old, g *graph, idx *claimIndex, workers int) *graph {
 func (idx *claimIndex) presize(g *graph, n int) {
 	idx.prov = csr.NewInternTable[string](n/2, nil)
 	idx.ext = csr.NewInternTable[string](32, nil)
-	idx.extKeys = make([]string, 0, 32)
+	g.extKeys = make([]string, 0, 32)
 	idx.tri = csr.NewInternTable(n/2, csr.HashTriple)
 	g.triples = make([]kb.Triple, 0, n/2+16)
 	g.provKeys = make([]string, 0, n/2+16)
@@ -406,27 +418,29 @@ func intern[K comparable](t *csr.InternTable[K], keys *[]K, key K) int32 {
 	return id
 }
 
-// internClaims is the sequential interning loop of a claim batch: it assigns
-// provenance, extractor and triple IDs to g.claims[first:], continuing
-// whatever idx and g's key slices already hold.
+// internClaims is the sequential interning loop of a claim batch: it writes
+// batch's confidences and provenance, extractor and triple IDs into g's
+// per-claim columns from claim first on, continuing whatever idx and g's key
+// columns already hold.
 //
 // Claim streams arrive grouped by extractor (and largely by provenance within
 // a group), so a last-seen cache answers most lookups without touching the
 // hash tables. Triples do not repeat consecutively — corroborating claims are
 // whole groups apart.
-func internClaims(g *graph, idx *claimIndex, first int) {
+func internClaims(g *graph, idx *claimIndex, batch []Claim, first int) {
 	var pid, xid int32
-	for i := first; i < len(g.claims); i++ {
-		c := &g.claims[i]
-		if i == first || c.Prov != g.claims[i-1].Prov {
+	for i := range batch {
+		c := &batch[i]
+		if i == 0 || c.Prov != batch[i-1].Prov {
 			pid = intern(&idx.prov, &g.provKeys, c.Prov)
 		}
-		g.provOfClaim[i] = pid
-		if i == first || c.Extractor != g.claims[i-1].Extractor {
-			xid = intern(&idx.ext, &idx.extKeys, c.Extractor)
+		g.provOfClaim[first+i] = pid
+		if i == 0 || c.Extractor != batch[i-1].Extractor {
+			xid = intern(&idx.ext, &g.extKeys, c.Extractor)
 		}
-		idx.extOfClaim[i] = xid
-		g.tripleOfClaim[i] = idx.tripleID(g, &c.Triple)
+		g.extOfClaim[first+i] = xid
+		g.tripleOfClaim[first+i] = idx.tripleID(g, &c.Triple)
+		g.confOfClaim[first+i] = c.Conf
 	}
 }
 
@@ -444,15 +458,15 @@ func (idx *claimIndex) tripleID(g *graph, t *kb.Triple) int32 {
 	return id
 }
 
-// internClaimsParallel is the shard-and-merge interning pass over a
+// internClaimsParallel is the shard-and-merge interning pass of batch onto a
 // from-empty g: each worker runs internClaims over a contiguous claim range
 // with shard-local tables, writing shard-local IDs into its window of the
 // per-claim columns; the shard-local key lists merge into the global
 // first-occurrence order with csr.MergeKeys' ordered pairwise merge
 // (bit-identical to a sequential fold), and a parallel remap rewrites the
 // shard-local IDs in place.
-func internClaimsParallel(g *graph, idx *claimIndex, workers int) {
-	n := len(g.claims)
+func internClaimsParallel(g *graph, idx *claimIndex, batch []Claim, workers int) {
+	n := len(batch)
 	if workers > n {
 		workers = n
 	}
@@ -461,14 +475,15 @@ func internClaimsParallel(g *graph, idx *claimIndex, workers int) {
 	triShards := make([][]kb.Triple, workers)
 	csr.ParallelRange(n, workers, func(w, lo, hi int) {
 		sg := &graph{columns: columns{
-			claims:        g.claims[lo:hi],
 			provOfClaim:   g.provOfClaim[lo:hi],
 			tripleOfClaim: g.tripleOfClaim[lo:hi],
+			extOfClaim:    g.extOfClaim[lo:hi],
+			confOfClaim:   g.confOfClaim[lo:hi],
 		}}
-		sidx := &claimIndex{extOfClaim: idx.extOfClaim[lo:hi]}
+		sidx := &claimIndex{}
 		sidx.presize(sg, hi-lo)
-		internClaims(sg, sidx, 0)
-		provShards[w], extShards[w], triShards[w] = sg.provKeys, sidx.extKeys, sg.triples
+		internClaims(sg, sidx, batch[lo:hi], 0)
+		provShards[w], extShards[w], triShards[w] = sg.provKeys, sg.extKeys, sg.triples
 	})
 
 	var provMap, extMap map[string]int32
@@ -484,14 +499,14 @@ func internClaimsParallel(g *graph, idx *claimIndex, workers int) {
 	}()
 	go func() {
 		defer wg.Done()
-		idx.extKeys, extMap = csr.MergeKeys(extShards, workers)
+		g.extKeys, extMap = csr.MergeKeys(extShards, workers)
 	}()
 	g.triples, triMap = csr.MergeKeys(triShards, workers)
 	wg.Wait()
 	// The merge's scratch maps do the shard remap below; the index Append
 	// continues from is the flat intern tables, bulk-loaded in ID order.
 	idx.prov = csr.BuildInternTable(g.provKeys, nil)
-	idx.ext = csr.BuildInternTable(idx.extKeys, nil)
+	idx.ext = csr.BuildInternTable(g.extKeys, nil)
 	idx.tri = csr.BuildInternTable(g.triples, csr.HashTriple)
 
 	// Same (n, workers) split as the intern pass, so chunk w rewrites
@@ -511,7 +526,7 @@ func internClaimsParallel(g *graph, idx *claimIndex, workers int) {
 		}
 		for i := lo; i < hi; i++ {
 			g.provOfClaim[i] = provRemap[g.provOfClaim[i]]
-			idx.extOfClaim[i] = extRemap[idx.extOfClaim[i]]
+			g.extOfClaim[i] = extRemap[g.extOfClaim[i]]
 			g.tripleOfClaim[i] = triRemap[g.tripleOfClaim[i]]
 		}
 	})
@@ -572,8 +587,8 @@ func internItems(g *graph, idx *claimIndex, firstTriple int) {
 // from firstClaim and the triples from firstTriple on are new, and each span
 // merge is the old span followed by the new IDs, so the work beyond copying
 // the old arrays is proportional to the batch. Exact for any workers value.
-func assembleGraph(g *graph, idx *claimIndex, firstClaim, firstTriple, workers int) {
-	n := len(g.claims)
+func assembleGraph(g *graph, firstClaim, firstTriple, workers int) {
+	n := g.numClaims()
 	nItems := len(g.items)
 	nTriples := len(g.triples)
 
@@ -600,7 +615,7 @@ func assembleGraph(g *graph, idx *claimIndex, firstClaim, firstTriple, workers i
 	g.tripleClaimStart, g.tripleClaims = csr.AppendByGroup(
 		g.tripleClaimStart, g.tripleClaims, g.tripleOfClaim[firstClaim:], nTriples, workers)
 
-	recountTripleExtractors(g, idx, firstClaim, firstTriple, workers)
+	recountTripleExtractors(g, firstClaim, firstTriple, workers)
 }
 
 // recountTripleExtractors brings the per-triple distinct-extractor counts up
@@ -608,27 +623,27 @@ func assembleGraph(g *graph, idx *claimIndex, firstClaim, firstTriple, workers i
 // changed. The new triples are a range, recounted in parallel; the old
 // triples the batch asserted again are found by a walk over the batch.
 // Counts are exact, so the result is independent of the split.
-func recountTripleExtractors(g *graph, idx *claimIndex, firstClaim, firstTriple, workers int) {
+func recountTripleExtractors(g *graph, firstClaim, firstTriple, workers int) {
 	nTriples := len(g.triples)
 	g.tripleExtractors = csr.ExtendInt32(g.tripleExtractors, nTriples)
 	if nTriples-firstTriple < internShardThreshold {
 		workers = 1 // goroutine setup would dominate
 	}
 	ParallelRange(nTriples-firstTriple, workers, func(_, lo, hi int) {
-		seen := unseen(len(idx.extKeys))
+		seen := unseen(len(g.extKeys))
 		for t := firstTriple + lo; t < firstTriple+hi; t++ {
-			recountTriple(g, idx.extOfClaim, int32(t), seen)
+			recountTriple(g, int32(t), seen)
 		}
 	})
 	if firstTriple == 0 {
 		return
 	}
-	seen := unseen(len(idx.extKeys))
-	done := make(map[int32]bool, len(g.claims)-firstClaim)
+	seen := unseen(len(g.extKeys))
+	done := make(map[int32]bool, g.numClaims()-firstClaim)
 	for _, t := range g.tripleOfClaim[firstClaim:] {
 		if int(t) < firstTriple && !done[t] {
 			done[t] = true
-			recountTriple(g, idx.extOfClaim, t, seen)
+			recountTriple(g, t, seen)
 		}
 	}
 }
@@ -636,10 +651,10 @@ func recountTripleExtractors(g *graph, idx *claimIndex, firstClaim, firstTriple,
 // recountTriple recomputes one triple's distinct-extractor count. seen is a
 // caller-owned scratch (see unseen) stamped with the triple ID, so it is
 // never cleared between triples.
-func recountTriple(g *graph, extOfClaim []int32, t int32, seen []int32) {
+func recountTriple(g *graph, t int32, seen []int32) {
 	cnt := int32(0)
 	for _, c := range g.tripleClaims[g.tripleClaimStart[t]:g.tripleClaimStart[t+1]] {
-		if x := extOfClaim[c]; seen[x] != t {
+		if x := g.extOfClaim[c]; seen[x] != t {
 			seen[x] = t
 			cnt++
 		}
@@ -665,11 +680,11 @@ func unseen(n int) []int32 {
 // assigned in first-occurrence order, so the IDs of existing provenances,
 // items, triples and claims are unchanged and only the batch is interned,
 // against the index the previous generation left behind. The append-only
-// columns (claims, keys, per-claim and per-triple IDs) are extended in place
-// through that index — the receiver holds their clipped prefixes — and only
-// the arrays a batch rewrites for old IDs, the CSRs and support counts, are
-// rebuilt around the old ones (bulk copies, no re-hashing of the prefix). The
-// batch interns sequentially; the shard-and-merge pass is chosen only onto a
+// columns (keys, per-claim and per-triple IDs, confidences) are extended in
+// place through that index — the receiver holds their clipped prefixes — and
+// only the arrays a batch rewrites for old IDs, the CSRs and support counts,
+// are rebuilt around the old ones (bulk copies, no re-hashing of the prefix).
+// The batch interns sequentially; the shard-and-merge pass is chosen only onto a
 // generation holding no claims — a bulk Compile, or the first Append onto an
 // empty one — and only where csr.ShardIntern says it is not the slower of the
 // two: a batch of at least csr.ParallelThreshold claims and at least
@@ -681,8 +696,8 @@ func unseen(n int) []int32 {
 // chain (g0 -> g1 -> g2 ...). A second Append on the same generation is
 // correct but rebuilds the index and copies the shared columns once, after
 // which that fork owns its own tail. An Append that adds nothing costs
-// O(1): it returns the next generation over the receiver's arrays. The caller
-// must not mutate either claim slice afterwards.
+// O(1): it returns the next generation over the receiver's arrays. The graph
+// keeps the batch as columns, not the caller's slice.
 func (c *Compiled) Append(claims []Claim) (*Compiled, error) {
 	return c.AppendWorkers(claims, 0)
 }
@@ -716,20 +731,16 @@ func (c *Compiled) MustAppend(claims []Claim) *Compiled {
 
 // rebuildIndex reconstructs the interning index from the immutable graph, for
 // a generation whose index another Append already took (or that was decoded
-// from a snapshot). It re-interns only the extractor axis per claim (the graph
-// keeps every other space's key list); it exists for correctness — chained
-// appends never hit it.
+// from a snapshot). It bulk-loads each table from the graph's key column; it
+// exists for correctness — chained appends never hit it.
 func rebuildIndex(g *graph) *claimIndex {
-	extKeys, extOfClaim := internExtractors(g.claims)
 	return &claimIndex{
 		// Clipped, so this index's first append copies each column once and
 		// then owns its own tail: a fork never writes another chain's.
-		cols:       g.columns.clipped(),
-		prov:       csr.BuildInternTable(g.provKeys, nil),
-		ext:        csr.BuildInternTable(extKeys, nil),
-		tri:        csr.BuildInternTable(g.triples, csr.HashTriple),
-		item:       csr.BuildInternTable(g.items, csr.HashItem),
-		extKeys:    extKeys,
-		extOfClaim: extOfClaim,
+		cols: g.columns.clipped(),
+		prov: csr.BuildInternTable(g.provKeys, nil),
+		ext:  csr.BuildInternTable(g.extKeys, nil),
+		tri:  csr.BuildInternTable(g.triples, csr.HashTriple),
+		item: csr.BuildInternTable(g.items, csr.HashItem),
 	}
 }

@@ -218,7 +218,7 @@ func (e *engine) rebind(g *graph, cfg Config) {
 		// so this cannot change the output, only the goroutine overhead.
 		// An explicit Workers is always honored, so multi-worker tests
 		// exercise real parallelism even on small claim sets.
-		if len(g.claims) < 2048 {
+		if g.numClaims() < 2048 {
 			workers = 1
 		}
 	}
@@ -227,8 +227,8 @@ func (e *engine) rebind(g *graph, cfg Config) {
 	e.provAcc = regrow(e.provAcc, nProvs)
 	e.provDefault = regrow(e.provDefault, nProvs)
 	e.provTerm = regrow(e.provTerm, nProvs)          // rewritten whole by every stageI that reads it
-	e.claimProb = regrow(e.claimProb, len(g.claims)) // read only under a matching stamp
-	e.claimStamp = regrow(e.claimStamp, len(g.claims))
+	e.claimProb = regrow(e.claimProb, g.numClaims()) // read only under a matching stamp
+	e.claimStamp = regrow(e.claimStamp, g.numClaims())
 	clear(e.claimStamp)
 	for p := range e.provAcc {
 		e.provAcc[p] = cfg.DefaultAccuracy
@@ -319,20 +319,20 @@ func (e *engine) goldCounts() (trueN, labeled []int32) {
 	nProvs := len(e.g.provKeys)
 	trueN = make([]int32, nProvs)
 	labeled = make([]int32, nProvs)
-	for i := range e.g.claims {
-		c := &e.g.claims[i]
-		label, ok := e.cfg.GoldLabeler(c.Triple)
+	for i, tid := range e.g.tripleOfClaim {
+		t := e.g.triples[tid]
+		label, ok := e.cfg.GoldLabeler(t)
 		if !ok {
 			continue
 		}
+		p := e.g.provOfClaim[i]
 		if rate < 1 {
 			// Deterministic per (prov, triple) sampling so runs with the
 			// same rate see the same label subset.
-			if hashUnit(c.Prov, c.Triple.Encode()) >= rate {
+			if hashUnit(e.g.provKeys[p], sampleKey(t)) >= rate {
 				continue
 			}
 		}
-		p := e.g.provOfClaim[i]
 		labeled[p]++
 		if label {
 			trueN[p]++
@@ -678,4 +678,15 @@ func hashUnit(parts ...string) float64 {
 		h *= 1099511628211
 	}
 	return float64(h>>11) / float64(uint64(1)<<53)
+}
+
+// sampleKey is a triple's part of the gold-sampling hash: its encoding with a
+// zero object folded onto +0, as the interning tables fold it
+// (csr.HashTriple), so a claim samples alike whichever sign of zero its
+// triple was first interned with.
+func sampleKey(t kb.Triple) string {
+	if t.Object.Num == 0 {
+		t.Object.Num = 0
+	}
+	return t.Encode()
 }

@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -207,4 +208,50 @@ func TestCompiledEngineMatchesReferenceAcrossWorkers(t *testing.T) {
 			assertEquivalent(t, fmt.Sprintf("%s/workers=%d", name, workers), got, want)
 		}
 	}
+}
+
+// TestGoldSamplingFoldsSignedZero holds gold-label sampling to the triple's
+// value, not the sign its zero object arrived with. The interning tables fold
+// −0 onto +0, so the graph keeps whichever zero came first, while the
+// reference engine and the caller's claims keep both. Y asserts (s,p,+0)
+// first; X then asserts (s,p,−0) and (s,p,7), and X is picked so that the
+// sampling hash of (X, s p 0) and that of (X, s p −0) fall on either side of
+// the rate. The compiled graph, its decoded snapshot and the reference engine
+// must fuse alike.
+func TestGoldSamplingFoldsSignedZero(t *testing.T) {
+	num := func(v float64, prov string) Claim {
+		return Claim{Triple: kb.Triple{Subject: "s", Predicate: "p", Object: kb.NumberObject(v)}, Prov: prov, Conf: -1}
+	}
+	const rate = 0.5
+	x := ""
+	for k := 0; k < 64 && x == ""; k++ {
+		p := fmt.Sprintf("X%d", k)
+		if (hashUnit(p, "s\tp\tn:0") < rate) != (hashUnit(p, "s\tp\tn:-0") < rate) {
+			x = p
+		}
+	}
+	if x == "" {
+		t.Fatal("scenario broken: no provenance key samples +0 and −0 apart")
+	}
+	claims := []Claim{num(0, "Y"), num(math.Copysign(0, -1), x), num(7, x)}
+	cfg := PopAccuConfig()
+	cfg.GoldLabeler = func(tr kb.Triple) (bool, bool) { return tr.Object.Num == 0, true }
+	cfg.GoldSampleRate = rate
+
+	c := MustCompile(claims)
+	var buf bytes.Buffer
+	if err := c.EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := FuseReference(claims, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := c.MustFuse(cfg)
+	assertBitIdentical(t, "decoded vs compiled", decoded.MustFuse(cfg), compiled)
+	assertEquivalent(t, "compiled vs reference", compiled, ref)
 }

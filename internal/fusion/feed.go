@@ -56,15 +56,15 @@ func (c *Compiled) AppendExtractions(xs []extract.Extraction, gran Granularity) 
 // onto a non-empty generation returns old itself: no provenance, triple or
 // extractor is new either, since each belongs to a pair the graph holds.
 func extendFeed(old *graph, idx *claimIndex, xs []extract.Extraction, gran Granularity, workers int) *graph {
-	nOld := len(old.claims)
+	nOld := old.numClaims()
 	g := successor(old, idx)
 	if nOld == 0 {
 		idx.presize(g, len(xs))
-		g.claims = make([]Claim, 0, len(xs))
+		g.confOfClaim = make([]float64, 0, len(xs))
 	}
 	idx.feedPairs(g, gran, len(xs))
 	internExtractions(g, idx, xs)
-	if nOld > 0 && len(g.claims) == nOld {
+	if nOld > 0 && g.numClaims() == nOld {
 		return old
 	}
 	return extendTail(old, g, idx, workers)
@@ -87,17 +87,16 @@ func (idx *claimIndex) feedPairs(g *graph, gran Granularity, extra int) {
 // flattens xs into claims under the index's feed granularity as it interns
 // them. Each record interns its provenance key and its triple; a record whose
 // (provenance, triple) pair idx.pairs holds adds nothing, and every other one
-// appends its claim and the claim's IDs to g's columns. Every ID space is
+// appends its confidence and IDs to g's per-claim columns. Every ID space is
 // therefore assigned in the first-occurrence order of the claims, as
 // internClaims over them would assign it.
 //
 // A feed lists a page's extractions together, so most records share their
 // provenance with the one before: while gran.sameKey holds, a record reuses
-// that ID instead of building and hashing an equal key. Every claim of one
-// provenance carries the interned key string.
+// that ID instead of building and hashing an equal key.
 func internExtractions(g *graph, idx *claimIndex, xs []extract.Extraction) {
 	gran := idx.feedGran
-	first := len(g.claims)
+	first := g.numClaims()
 	var last *extract.Extraction
 	var pid, xid int32
 	for i := range xs {
@@ -109,13 +108,14 @@ func internExtractions(g *graph, idx *claimIndex, xs []extract.Extraction) {
 		if !idx.pairs.Add(pid, tid) {
 			continue
 		}
-		if n := len(g.claims); n == first || x.Extractor != g.claims[n-1].Extractor {
-			xid = intern(&idx.ext, &idx.extKeys, x.Extractor)
+		// xid is the last appended claim's extractor once there is one.
+		if g.numClaims() == first || x.Extractor != g.extKeys[xid] {
+			xid = intern(&idx.ext, &g.extKeys, x.Extractor)
 		}
-		g.claims = append(g.claims, Claim{Triple: x.Triple, Prov: g.provKeys[pid], Conf: x.Confidence, Extractor: x.Extractor})
+		g.confOfClaim = append(g.confOfClaim, x.Confidence)
 		g.provOfClaim = append(g.provOfClaim, pid)
 		g.tripleOfClaim = append(g.tripleOfClaim, tid)
-		idx.extOfClaim = append(idx.extOfClaim, xid)
+		g.extOfClaim = append(g.extOfClaim, xid)
 	}
 }
 
@@ -164,9 +164,13 @@ func SeedClaimStream(gran Granularity, c *Compiled) *ClaimStream {
 // Add flattens one appended extraction batch and returns only the claims new
 // to the stream, in batch order.
 func (s *ClaimStream) Add(xs []extract.Extraction) []Claim {
-	s.g.claims = make([]Claim, 0, len(xs))
 	internExtractions(&s.g, &s.idx, xs)
+	claims := make([]Claim, s.g.numClaims())
+	for i := range claims {
+		claims[i] = s.g.claim(i)
+	}
 	// The stream keeps its ID spaces and pair set, not the claims.
-	s.g.provOfClaim, s.g.tripleOfClaim, s.idx.extOfClaim = s.g.provOfClaim[:0], s.g.tripleOfClaim[:0], s.idx.extOfClaim[:0]
-	return s.g.claims
+	g := &s.g
+	g.confOfClaim, g.provOfClaim, g.tripleOfClaim, g.extOfClaim = g.confOfClaim[:0], g.provOfClaim[:0], g.tripleOfClaim[:0], g.extOfClaim[:0]
+	return claims
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -15,9 +16,11 @@ import (
 // fuzzFeed turns fuzz bytes into a small extraction world: three bytes per
 // record pick its triple, its page and its extractor from a handful of
 // values, so provenances, items and candidates collide constantly and the
-// feed's dedup drops whole batches. A feed longer than the bytes wraps
-// around them, and every 64th wrap shifts the extractor choice, so later
-// batches re-assert old triples under new provenances.
+// feed's dedup drops whole batches. One object of the four is a numeric zero,
+// +0 or −0 by a bit of the page byte: the two are one triple to the graph. A
+// feed longer than the bytes wraps around them, and every 64th wrap shifts
+// the extractor choice, so later batches re-assert old triples under new
+// provenances.
 func fuzzFeed(world []byte, n int) []extract.Extraction {
 	if len(world) < 3 {
 		world = []byte{0, 0, 0}
@@ -28,11 +31,15 @@ func fuzzFeed(world []byte, n int) []extract.Extraction {
 		a, b, c := world[at], world[at+1], world[at+2]
 		lap := 3 * i / (len(world) - 2)
 		site := int(b % 5)
+		obj := kb.StringObject(fmt.Sprintf("v%d", a>>6))
+		if a>>6 == 3 {
+			obj = kb.NumberObject(math.Copysign(0, 1-2*float64(b>>3&1)))
+		}
 		xs[i] = extract.Extraction{
 			Triple: kb.Triple{
 				Subject:   kb.EntityID(fmt.Sprintf("s%d", a%16)),
 				Predicate: kb.PredicateID(fmt.Sprintf("p%d", a>>4%3)),
-				Object:    kb.StringObject(fmt.Sprintf("v%d", a>>6)),
+				Object:    obj,
 			},
 			Extractor:  fmt.Sprintf("X%d", (int(c%4)+lap/64)%7),
 			Pattern:    fmt.Sprintf("pat%d", c>>2%2),
@@ -68,6 +75,12 @@ func fuzzCuts(lens ...uint16) []byte {
 	return out
 }
 
+// signedZeroWorld is a fuzzFeed world whose first record asserts (s0, p0, +0)
+// and whose second asserts (s0, p0, −0) under another extractor and page, so
+// under any granularity one triple arrives with both signs from two
+// provenances, the +0 first.
+var signedZeroWorld = []byte{0xc0, 0x00, 0x00, 0xc0, 0x08, 0x01}
+
 // FuzzAppendChunking is the metamorphic contract of the claim compile path:
 // any chunking of a feed through ClaimStream.Add and Append — zero-length
 // batches and batches that dedup to nothing included — builds the graph one
@@ -80,6 +93,8 @@ func FuzzAppendChunking(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), fuzzCuts(1000, 800, 1, 2189, 10), byte(1))
 	f.Add([]byte{7, 1, 2, 200, 33, 9, 7, 1, 3, 90, 17, 0}, fuzzCuts(0, 5, 0, 0, 7, 1, 0), byte(0))
 	f.Add([]byte{1, 2, 3}, fuzzCuts(0), byte(6))
+	// The claim-level twin of FuzzAppendExtractions' signed-zero seed.
+	f.Add(signedZeroWorld, fuzzCuts(1, 1, 2), byte(0))
 	f.Fuzz(func(t *testing.T, world, cuts []byte, mode byte) {
 		lens, total := fuzzBatches(cuts)
 		if len(lens) == 0 {
@@ -116,7 +131,7 @@ func FuzzAppendChunking(f *testing.F) {
 		// recompile, and the chain (checked below, after the fork) never
 		// notices it.
 		forkBatches := [][]Claim{Claims(xs[:total/3], other), Claims(xs[total/2:], other)}
-		input := append([]Claim{}, mid.Claims()...)
+		input := claimsOf(mid)
 		fork := mid
 		for _, batch := range forkBatches {
 			if fork, err = fork.AppendWorkers(batch, workers); err != nil {
@@ -153,6 +168,7 @@ func FuzzAppendExtractions(f *testing.F) {
 	f.Add([]byte{7, 1, 2, 200, 33, 9, 7, 1, 3, 90, 17, 0}, fuzzCuts(0, 5, 0, 0, 7, 1, 0), byte(14))
 	f.Add([]byte{1, 2, 3}, fuzzCuts(0), byte(6))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 255, 255, 255}, fuzzCuts(3, 0, 300, 3), byte(29))
+	f.Add(signedZeroWorld, fuzzCuts(1, 1, 2), byte(0))
 	f.Fuzz(func(t *testing.T, world, cuts []byte, mode byte) {
 		lens, total := fuzzBatches(cuts)
 		if len(lens) == 0 {
@@ -179,13 +195,13 @@ func FuzzAppendExtractions(f *testing.F) {
 		grow := func(c *Compiled, batch []extract.Extraction) (*Compiled, []Claim) {
 			if c == nil {
 				c = CompileExtractions(batch, gran, 1)
-				return c, c.Claims()
+				return c, claimsOf(c)
 			}
 			next, err := c.AppendExtractions(batch, gran)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return next, next.Claims()[c.NumClaims():]
+			return next, claimsOf(next)[c.NumClaims():]
 		}
 		at := 0
 		for i, n := range lens {
@@ -242,7 +258,7 @@ func FuzzAppendExtractions(f *testing.F) {
 				t.Fatalf("the %s's graph is not the graph of CompileExtractions(feed)", name)
 			}
 		}
-		if !same(whole.Claims(), claimsRef(xs, gran)) {
+		if !same(claimsOf(whole), claimsRef(xs, gran)) {
 			t.Fatal("CompileExtractions' claims are not the reference's")
 		}
 	})

@@ -28,6 +28,15 @@ func compile(claims []Claim, workers int) (*graph, *claimIndex) {
 	return c.g, c.idx
 }
 
+// claimsOf assembles every claim of c's graph, in claim-ID order.
+func claimsOf(c *Compiled) []Claim {
+	claims := make([]Claim, c.NumClaims())
+	for i := range claims {
+		claims[i] = c.g.claim(i)
+	}
+	return claims
+}
+
 // provTriple is the string-keyed (provenance, triple) dedup key of the
 // reference flatten loop the tests compare the extraction entries against.
 type provTriple struct {

@@ -1,14 +1,10 @@
 package fusion
 
-import (
-	"unsafe"
-
-	"kfusion/internal/kb"
-)
+import "unsafe"
 
 // ApproxBytes estimates the resident heap size of the compiled claim graph:
-// every CSR slice at element size, every claim's struct plus its string
-// payloads, and the interned key tables. It is an accounting walk, not a
+// every ID, CSR and confidence column at element size and the interned key
+// tables with their string payloads. It is an accounting walk, not a
 // runtime measurement — deterministic, allocation-free, and cheap enough to
 // sample per shard — and it deliberately ignores allocator rounding and the
 // Append index byproduct, including the spare capacity a live append chain
@@ -18,20 +14,18 @@ import (
 // shards (max shard bytes vs the unsharded total).
 func (c *Compiled) ApproxBytes() int {
 	g := c.g
-	n := 0
-	for i := range g.claims {
-		cl := &g.claims[i]
-		n += int(unsafe.Sizeof(*cl))
-		n += len(cl.Prov) + len(cl.Extractor) + tripleBytes(&cl.Triple)
-	}
+	n := 8 * len(g.confOfClaim)
 	for i := range g.items {
 		n += int(unsafe.Sizeof(g.items[i])) + len(g.items[i].Subject) + len(g.items[i].Predicate)
 	}
 	for i := range g.triples {
-		n += int(unsafe.Sizeof(g.triples[i])) + tripleBytes(&g.triples[i])
+		t := &g.triples[i]
+		n += int(unsafe.Sizeof(*t)) + len(t.Subject) + len(t.Predicate) + len(t.Object.Str)
 	}
-	for _, k := range g.provKeys {
-		n += int(unsafe.Sizeof(k)) + len(k)
+	for _, keys := range [][]string{g.provKeys, g.extKeys} {
+		for _, k := range keys {
+			n += int(unsafe.Sizeof(k)) + len(k)
+		}
 	}
 	for _, s := range [][]int32{
 		g.itemClaimStart, g.itemClaims,
@@ -39,14 +33,9 @@ func (c *Compiled) ApproxBytes() int {
 		g.tripleOfClaim, g.localOfClaim, g.tripleClaimStart, g.tripleClaims,
 		g.tripleExtractors,
 		g.provOfClaim, g.provClaimStart, g.provClaims,
+		g.extOfClaim,
 	} {
 		n += 4 * len(s)
 	}
 	return n
-}
-
-// tripleBytes counts a triple's string payloads (the struct shell is counted
-// by the caller, sized in place).
-func tripleBytes(t *kb.Triple) int {
-	return len(t.Subject) + len(t.Predicate) + len(t.Object.Str)
 }

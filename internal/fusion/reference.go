@@ -129,7 +129,7 @@ func (e *refEngine) initFromGold() {
 		if rate < 1 {
 			// Deterministic per (prov, triple) sampling so runs with the
 			// same rate see the same label subset.
-			if hashUnit(c.Prov, c.Triple.Encode()) >= rate {
+			if hashUnit(c.Prov, sampleKey(c.Triple)) >= rate {
 				continue
 			}
 		}

@@ -145,18 +145,19 @@ func shardedClaims(n int) []Claim {
 // (csr.ShardIntern) stay covered.
 func TestInternClaimsParallelMatchesSequential(t *testing.T) {
 	claims := shardedClaims(internShardThreshold + internShardThreshold/2)
-	seq, seqIdx := compile(claims, 1)
+	seq, _ := compile(claims, 1)
 	for _, shards := range []int{2, 3, 8} {
 		n := len(claims)
 		par := &graph{columns: columns{
-			claims:        claims,
 			provOfClaim:   make([]int32, n),
 			tripleOfClaim: make([]int32, n),
+			extOfClaim:    make([]int32, n),
+			confOfClaim:   make([]float64, n),
 		}}
-		parIdx := &claimIndex{extOfClaim: make([]int32, n)}
-		internClaimsParallel(par, parIdx, shards)
-		if !slices.Equal(parIdx.extKeys, seqIdx.extKeys) {
-			t.Fatalf("shards=%d: extractor keys %v, want %v", shards, parIdx.extKeys, seqIdx.extKeys)
+		parIdx := &claimIndex{}
+		internClaimsParallel(par, parIdx, claims, shards)
+		if !slices.Equal(par.extKeys, seq.extKeys) {
+			t.Fatalf("shards=%d: extractor keys %v, want %v", shards, par.extKeys, seq.extKeys)
 		}
 		if !slices.Equal(par.provKeys, seq.provKeys) {
 			t.Fatalf("shards=%d: prov keys differ (%d, want %d)", shards, len(par.provKeys), len(seq.provKeys))
@@ -167,8 +168,11 @@ func TestInternClaimsParallelMatchesSequential(t *testing.T) {
 		if !slices.Equal(par.provOfClaim, seq.provOfClaim) {
 			t.Fatalf("shards=%d: provOfClaim differs", shards)
 		}
-		if !slices.Equal(parIdx.extOfClaim, seqIdx.extOfClaim[:n]) {
+		if !slices.Equal(par.extOfClaim, seq.extOfClaim) {
 			t.Fatalf("shards=%d: extOfClaim differs", shards)
+		}
+		if !slices.Equal(par.confOfClaim, seq.confOfClaim) {
+			t.Fatalf("shards=%d: confOfClaim differs", shards)
 		}
 		if !slices.Equal(par.tripleOfClaim, seq.tripleOfClaim) {
 			t.Fatalf("shards=%d: tripleOfClaim differs", shards)
@@ -203,9 +207,6 @@ func TestCompileWorkersSameGraph(t *testing.T) {
 			got, _ := CompileWorkers(claims, workers, 0)
 			name := fmt.Sprintf("n=%d workers=%d", n, workers)
 			graphsEqual(t, name, got.g, want.g)
-			if !slices.Equal(got.idx.extKeys, want.idx.extKeys) || !slices.Equal(got.idx.extOfClaim, want.idx.extOfClaim) {
-				t.Fatalf("%s: extractor axis differs", name)
-			}
 			var gotBytes bytes.Buffer
 			if err := got.EncodeSnapshot(&gotBytes); err != nil {
 				t.Fatal(err)

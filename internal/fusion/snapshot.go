@@ -28,22 +28,15 @@ func (c *Compiled) EncodeSnapshot(out io.Writer) error {
 	w.U8(snapshotVersion)
 	w.Int(c.gen)
 
-	// Key tables. The extractor axis is aggregated in the graph, so its key
-	// table and per-claim assignment are re-interned here in claim order —
-	// the same first-occurrence order compile assigns, hence canonical.
-	extKeys, extOfClaim := internExtractors(g.claims)
+	// Key tables.
 	w.Strings(g.provKeys)
-	w.Strings(extKeys)
+	w.Strings(g.extKeys)
 	kb.EncodeTriples(w, g.triples)
 	kb.EncodeItems(w, g.items)
 
-	// Per-claim columns; Triple and Prov are recovered through the ID maps.
-	conf := make([]float64, len(g.claims))
-	for i := range g.claims {
-		conf[i] = g.claims[i].Conf
-	}
-	w.F64s(conf)
-	w.Int32s(extOfClaim)
+	// Per-claim columns.
+	w.F64s(g.confOfClaim)
+	w.Int32s(g.extOfClaim)
 	w.Int32s(g.provOfClaim)
 	w.Int32s(g.tripleOfClaim)
 	w.Int32s(g.localOfClaim)
@@ -67,24 +60,6 @@ func (c *Compiled) EncodeSnapshot(out io.Writer) error {
 	return w.Err()
 }
 
-// internExtractors assigns extractor IDs in claim-order first occurrence —
-// the exact assignment compile produces.
-func internExtractors(claims []Claim) (keys []string, ofClaim []int32) {
-	idx := make(map[string]int32, 32)
-	ofClaim = make([]int32, len(claims))
-	for i := range claims {
-		x := claims[i].Extractor
-		id, ok := idx[x]
-		if !ok {
-			id = int32(len(keys))
-			idx[x] = id
-			keys = append(keys, x)
-		}
-		ofClaim[i] = id
-	}
-	return keys, ofClaim
-}
-
 // DecodeSnapshot reconstructs a Compiled from EncodeSnapshot bytes. Every
 // length, ID and CSR span is validated before use, so corrupt or truncated
 // input returns an error instead of panicking; the checks make the function
@@ -94,14 +69,14 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 	r.Version(snapshotVersion)
 	gen := r.Int()
 
-	provKeys := r.Strings()
-	extKeys := r.Strings()
-	triples := kb.DecodeTriples(r)
-	items := kb.DecodeItems(r)
+	g := &graph{}
+	g.provKeys = r.Strings()
+	g.extKeys = r.Strings()
+	g.triples = kb.DecodeTriples(r)
+	g.items = kb.DecodeItems(r)
 
-	conf := r.F64s()
-	extOfClaim := r.Int32s()
-	g := &graph{columns: columns{provKeys: provKeys, triples: triples, items: items}}
+	g.confOfClaim = r.F64s()
+	g.extOfClaim = r.Int32s()
 	g.provOfClaim = r.Int32s()
 	g.tripleOfClaim = r.Int32s()
 	g.localOfClaim = r.Int32s()
@@ -120,18 +95,18 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 	g.provClaims = r.Int32s()
 	g.maxCandidates = r.Int()
 
-	n := len(conf)
-	nTriples := len(triples)
-	nItems := len(items)
-	nProvs := len(provKeys)
-	r.CheckLen("extOfClaim", len(extOfClaim), n)
+	n := g.numClaims()
+	nTriples := len(g.triples)
+	nItems := len(g.items)
+	nProvs := len(g.provKeys)
+	r.CheckLen("extOfClaim", len(g.extOfClaim), n)
 	r.CheckLen("provOfClaim", len(g.provOfClaim), n)
 	r.CheckLen("tripleOfClaim", len(g.tripleOfClaim), n)
 	r.CheckLen("localOfClaim", len(g.localOfClaim), n)
 	r.CheckLen("itemOfTriple", len(g.itemOfTriple), nTriples)
 	r.CheckLen("localOfTriple", len(g.localOfTriple), nTriples)
 	r.CheckLen("tripleExtractors", len(g.tripleExtractors), nTriples)
-	r.CheckIDs("extOfClaim", extOfClaim, len(extKeys))
+	r.CheckIDs("extOfClaim", g.extOfClaim, len(g.extKeys))
 	r.CheckIDs("provOfClaim", g.provOfClaim, nProvs)
 	r.CheckIDs("tripleOfClaim", g.tripleOfClaim, nTriples)
 	r.CheckIDs("itemOfTriple", g.itemOfTriple, nItems)
@@ -185,15 +160,6 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 		return nil, fmt.Errorf("fusion: snapshot: maxCandidates %d, computed %d", g.maxCandidates, maxCand)
 	}
 
-	g.claims = make([]Claim, n)
-	for i := range g.claims {
-		g.claims[i] = Claim{
-			Triple:    triples[g.tripleOfClaim[i]],
-			Prov:      provKeys[g.provOfClaim[i]],
-			Conf:      conf[i],
-			Extractor: extKeys[extOfClaim[i]],
-		}
-	}
 	// idx stays nil: the first Append rebuilds it from the graph.
 	return &Compiled{g: g, gen: gen}, nil
 }

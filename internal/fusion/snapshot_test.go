@@ -157,7 +157,7 @@ func TestSeedClaimStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := next.Claims()[len(first):]; !reflect.DeepEqual(got, want) {
+	if got := claimsOf(next)[len(first):]; !reflect.DeepEqual(got, want) {
 		t.Fatalf("the restored graph appended %d claims, the stream emitted %d (or contents differ)", len(got), len(want))
 	}
 }

@@ -201,8 +201,9 @@ func (g Granularity) sameKey(a, b *extract.Extraction) bool {
 type Claim struct {
 	Triple kb.Triple
 	Prov   string
-	// Conf is the extractor confidence (-1 when absent). Graph snapshots
-	// persist it; no engine reads it.
+	// Conf is the extractor confidence (-1 when absent). A compiled graph
+	// keeps it as a per-claim column that snapshots persist; no engine reads
+	// it.
 	Conf float64
 	// Extractor is retained for per-extractor diagnostics (Figure 18).
 	Extractor string

@@ -934,19 +934,19 @@ func TestWarmAppendAllocationBound(t *testing.T) {
 // TestClaimChainLiveHeapBound is the size guard on the claim chain's graph
 // and interning index, in process until the benchmark has a size row: a chain
 // grown by AppendExtractions over the large dataset's first 150 000 records
-// in 8192-record batches must hold no more than 270 bytes of live heap per
-// claim. Measured on the same feed and batching, the graph and index held
-// 234.1 B/claim before they carried the dedup, and 307.4 with the separate
-// claim stream whose tables the index now replaces. The index's pair set
-// (8-byte words at ≤ 0.75 load: 2^18 slots, 2 MB, for these 150 000 claims)
-// adds 14 B/claim to the former, and the chain measures 249.8; 270 leaves
-// room for a pair set one doubling larger (2–4 MB) and allocator rounding,
-// and fails if a second set of intern tables comes back.
+// in 8192-record batches must hold no more than 170 bytes of live heap per
+// claim. Measured on the same feed and batching, the chain held 307.4 B/claim
+// with a separate claim stream's tables beside the graph, 249.8 with one set
+// of tables and a 104-byte Claim record per claim beside the ID columns, and
+// 144.1 with the claims kept only as columns. 170 is that plus 14 for a pair
+// set one doubling larger (8-byte words at ≤ 0.75 load: 2^18 slots, 2 MB, for
+// these 150 000 claims) and about 10 for allocator rounding; a returning
+// record or a second set of intern tables fails it.
 func TestClaimChainLiveHeapBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesises the large dataset")
 	}
-	const bound = 270 // bytes per claim
+	const bound = 170 // bytes per claim
 	gran := fusion.PopAccuConfig().Granularity
 	xs := exper.SharedDataset(exper.ScaleLarge, 42).Extractions
 	xs = xs[:min(len(xs), 150_000)]
@@ -965,7 +965,7 @@ func TestClaimChainLiveHeapBound(t *testing.T) {
 	perClaim := float64(after.HeapAlloc-before.HeapAlloc) / float64(g.NumClaims())
 	t.Logf("%d claims from %d records: %.1f bytes of live heap per claim (bound %d)", g.NumClaims(), len(xs), perClaim, bound)
 	if after.HeapAlloc < before.HeapAlloc || perClaim > bound {
-		t.Fatalf("the claim chain holds %.1f bytes per claim, bound %d: is a second set of tables back?", perClaim, bound)
+		t.Fatalf("the claim chain holds %.1f bytes per claim, bound %d: is a second set of tables or a per-claim record back?", perClaim, bound)
 	}
 	runtime.KeepAlive(g)
 	runtime.KeepAlive(xs)
