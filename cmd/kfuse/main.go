@@ -239,8 +239,8 @@ func (j *job) run() (*fusion.Result, int) {
 		p := st.Posterior
 		return progress{triples: p.Len(), rounds: p.Rounds, moves: p.Moves, size: chainSize(st)}, nil
 	})
-	// Materialised once, after the last chunk: the final snapshot stores the
-	// exchange form and the caller writes it out.
+	// The final snapshot stores the posterior; the exchange form is
+	// materialised once, after the last chunk, for the caller to write out.
 	if store != nil {
 		if err := store.Snapshot(st); err != nil {
 			log.Fatal(err)

@@ -220,11 +220,11 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 
 // mergeExtStatements builds the ext→statement incidence of a generation that
 // extends prev out of prev's, in the layout buildExtStatements gives the
-// whole stream (extSts, extHits, extHitsF, extBlocks — there is no second
+// whole stream (extSts, extHitsF, extBlocks — there is no second
 // representation). Per extractor the new span is, in ascending statement
 // order:
 //
-//   - prev's span, moved in runs with its hit flags (both forms);
+//   - prev's span, moved in runs with its hit flags;
 //   - merged into it, the joiners: every old statement of an old source the
 //     batch paired with the extractor for the first time (srcExts.grown) —
 //     the one way a batch puts old statement IDs into a span, and why spans
@@ -294,12 +294,11 @@ func (g *Compiled) mergeExtStatements(prev *graph, stExts, srcExts *extLists, gr
 	}
 	g.extStStart[nExt] = int32(run)
 	g.extSts = make([]int32, run)
-	g.extHits = make([]bool, run)
 	g.extHitsF = make([]float64, run)
 	put := func(o int32, si, x int32) {
 		g.extSts[o] = si
 		if containsID(g.StatementExtractors(si), x) {
-			g.extHits[o], g.extHitsF[o] = true, 1
+			g.extHitsF[o] = 1
 		}
 	}
 
@@ -312,7 +311,6 @@ func (g *Compiled) mergeExtStatements(prev *graph, stExts, srcExts *extLists, gr
 		o := g.extStStart[x]
 		moveRun := func(n int) { // the next n entries of old, as they are
 			copy(g.extSts[o:], old[:n])
-			copy(g.extHits[o:], prev.extHits[lo:lo+int32(n)])
 			copy(g.extHitsF[o:], prev.extHitsF[lo:lo+int32(n)])
 			old, lo, o = old[n:], lo+int32(n), o+int32(n)
 		}
@@ -344,8 +342,7 @@ func (g *Compiled) mergeExtStatements(prev *graph, stExts, srcExts *extLists, gr
 			if !ok {
 				panic(fmt.Sprintf("extract: statement %d extracted by extractor %d is missing from its span", si, x))
 			}
-			o := int(g.extStStart[x]) + k
-			g.extHits[o], g.extHitsF[o] = true, 1
+			g.extHitsF[int(g.extStStart[x])+k] = 1
 		}
 	}
 	g.extBlocks = csr.SpanBlocks(g.extStStart)

@@ -47,7 +47,6 @@ func appendGraphsEqual(t *testing.T, name string, got, want *Compiled) {
 	eq("itemStatements", got.itemStatements, want.itemStatements)
 	eq("extStStart", got.extStStart, want.extStStart)
 	eq("extSts", got.extSts, want.extSts)
-	eq("extHits", got.extHits, want.extHits)
 	eq("extHitsF", got.extHitsF, want.extHitsF)
 	eq("extBlocks", got.extBlocks, want.extBlocks)
 	eq("maxItemTriples", got.maxItemTriples, want.maxItemTriples)
@@ -251,7 +250,7 @@ func TestExtractAppendMergesIncidence(t *testing.T) {
 
 	base := Compile(head, false)
 	x1 := int32(1)
-	if sts, _ := base.ExtStatements(x1); len(sts) != perPage {
+	if sts, _ := extSpan(base, x1); len(sts) != perPage {
 		t.Fatalf("scenario broken: X1 covers %d statements before the batch, want B's %d", len(sts), perPage)
 	}
 	next := base.Append(batch)
@@ -259,17 +258,18 @@ func TestExtractAppendMergesIncidence(t *testing.T) {
 
 	// The scenario did what it says: X1's span doubled past a block boundary
 	// by interleaving, and carries exactly its four hits.
-	sts, hits := next.ExtStatements(x1)
+	sts, hits := extSpan(next, x1)
 	if len(sts) != 2*perPage+1 || sts[0] != 0 || sts[1] != 1 || !slices.IsSorted(sts) {
 		t.Fatalf("X1's span has %d entries starting %v; want A's and B's %d old statements interleaved, then one new", len(sts), sts[:4], 2*perPage)
 	}
 	nHits := 0
 	for k, h := range hits {
-		if h {
+		switch h {
+		case 1:
 			nHits++
-		}
-		if (next.extHitsF[int(next.extStStart[x1])+k] == 1) != h {
-			t.Fatalf("X1 entry %d: float flag disagrees with %v", k, h)
+		case 0:
+		default:
+			t.Fatalf("X1 entry %d: hit flag %v, neither 0 nor 1", k, h)
 		}
 	}
 	if nHits != 4 {

@@ -35,7 +35,7 @@ import (
 //   - SourceStatements, TripleStatements and ItemTriples are CSR spans in
 //     ascending ID order (the same order the map-based reference model
 //     appends them in).
-//   - ExtBlockStatements spans (the ext→statement CSR) list, per extractor,
+//   - ExtBlockStatementsF spans (the ext→statement CSR) list, per extractor,
 //     every statement whose source the extractor processed, in ascending
 //     statement order, with a hit flag marking the statements it actually
 //     extracted — pre-cut into csr.ReduceBlockSize blocks so the two-layer
@@ -97,10 +97,13 @@ type graph struct {
 	// source it processed (ascending statement order), with a parallel hit
 	// flag for the statements it extracted. This is the two-layer M-step's
 	// reduction domain; extBlocks is its fixed csr.ReduceBlockSize partition.
-	extStStart []int32     // len nExtractors+1; span into extSts/extHits
+	// A flag is a float, exactly 0 or 1, so multiplying an accumulation term
+	// by it reproduces the branchy hit test bit-for-bit (x*1 == x, and adding
+	// x*0 == +0 leaves a non-negative sum unchanged) while keeping the M-step
+	// block loop branch-free.
+	extStStart []int32     // len nExtractors+1; span into extSts/extHitsF
 	extSts     []int32     // statement IDs per extractor, ascending
-	extHits    []bool      // aligned with extSts: extractor extracted it
-	extHitsF   []float64   // extHits as 0/1 floats (derived; see buildExtHitsF)
+	extHitsF   []float64   // aligned with extSts: 1 if the extractor extracted it, else 0
 	extBlocks  []csr.Block // fixed-size blocks covering the extStStart spans
 
 	// maxItemTriples is the largest candidate count of any single item; it
@@ -292,7 +295,7 @@ func (g *Compiled) buildExtStatements(workers int) {
 	}
 	g.extStStart[nExt] = int32(run)
 	g.extSts = make([]int32, run)
-	g.extHits = make([]bool, run)
+	g.extHitsF = make([]float64, run)
 	csr.ParallelRange(nSt, ew, func(w, lo, hi int) {
 		next := counts[w*nExt : (w+1)*nExt]
 		stamp := unseen(nExt)
@@ -302,27 +305,14 @@ func (g *Compiled) buildExtStatements(workers int) {
 			}
 			for _, x := range g.SourceExtractors(g.stSource[si]) {
 				g.extSts[next[x]] = int32(si)
-				g.extHits[next[x]] = stamp[x] == int32(si)
+				if stamp[x] == int32(si) {
+					g.extHitsF[next[x]] = 1
+				}
 				next[x]++
 			}
 		}
 	})
 	g.extBlocks = csr.SpanBlocks(g.extStStart)
-	g.buildExtHitsF()
-}
-
-// buildExtHitsF derives the float mirror of extHits: exactly 0 or 1 per
-// entry, so multiplying an accumulation term by it reproduces the branchy
-// hit test bit-for-bit (x*1 == x, and adding x*0 == +0 leaves a
-// non-negative sum unchanged) while keeping the two-layer M-step block loop
-// branch-free. Derived state, rebuilt on snapshot load like extBlocks.
-func (g *Compiled) buildExtHitsF() {
-	g.extHitsF = make([]float64, len(g.extHits))
-	for i, h := range g.extHits {
-		if h {
-			g.extHitsF[i] = 1
-		}
-	}
 }
 
 // internShardThreshold is the element count below which the per-statement
@@ -825,28 +815,16 @@ func (g *Compiled) ItemTriples(i int32) []int32 {
 // ItemStatements returns the total statement count on an item.
 func (g *Compiled) ItemStatements(i int32) int32 { return g.itemStatements[i] }
 
-// ExtStatements returns, for an extractor, the statements whose source it
-// processed in ascending statement order, and the aligned hit flags marking
-// the statements it actually extracted there.
-func (g *Compiled) ExtStatements(x int32) (sts []int32, hits []bool) {
-	return g.extSts[g.extStStart[x]:g.extStStart[x+1]], g.extHits[g.extStStart[x]:g.extStStart[x+1]]
-}
-
 // ExtStatementBlocks returns the fixed csr.ReduceBlockSize partition of the
 // ext→statement spans: blocks are grouped by extractor in extractor-ID order
 // (Block.Group is the extractor ID). The partition depends only on the span
 // lengths, so reductions over it are bit-identical for any worker count.
 func (g *Compiled) ExtStatementBlocks() []csr.Block { return g.extBlocks }
 
-// ExtBlockStatements returns one block's slice of the ext→statement
-// incidence: statement IDs (ascending) and aligned hit flags.
-func (g *Compiled) ExtBlockStatements(b csr.Block) (sts []int32, hits []bool) {
-	return g.extSts[b.Lo:b.Hi], g.extHits[b.Lo:b.Hi]
-}
-
-// ExtBlockStatementsF is ExtBlockStatements with the hit flags as 0/1
-// floats — the branch-free form the two-layer M-step block reduction
-// consumes (multiply by the flag instead of testing it).
+// ExtBlockStatementsF returns one block's slice of the ext→statement
+// incidence: statement IDs (ascending) and aligned hit flags as 0/1 floats —
+// the branch-free form the two-layer M-step block reduction consumes
+// (multiply by the flag instead of testing it).
 func (g *Compiled) ExtBlockStatementsF(b csr.Block) (sts []int32, hitsF []float64) {
 	return g.extSts[b.Lo:b.Hi], g.extHitsF[b.Lo:b.Hi]
 }

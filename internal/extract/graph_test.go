@@ -159,6 +159,13 @@ func TestCompiledGraphMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// extSpan returns extractor x's span of the ext→statement incidence: the
+// statements whose source it processed, ascending, and their hit flags.
+func extSpan(g *Compiled, x int32) (sts []int32, hits []float64) {
+	lo, hi := g.extStStart[x], g.extStStart[x+1]
+	return g.extSts[lo:hi], g.extHitsF[lo:hi]
+}
+
 // TestExtStatementIncidenceMatchesBruteForce cross-checks the ext→statement
 // CSR (the two-layer M-step's reduction domain) against a direct per-source
 // reconstruction: extractor x's span must hold exactly the statements of the
@@ -180,25 +187,29 @@ func TestExtStatementIncidenceMatchesBruteForce(t *testing.T) {
 					wantSts = append(wantSts, si)
 					wantHits = append(wantHits, containsID(g.StatementExtractors(si), x))
 				}
-				sts, hits := g.ExtStatements(x)
+				sts, hits := extSpan(g, x)
 				if !equalSpans(sts, wantSts) {
-					t.Fatalf("n=%d siteLevel=%v: ExtStatements(%d) = %v, want %v", n, siteLevel, x, sts, wantSts)
+					t.Fatalf("n=%d siteLevel=%v: extractor %d's span = %v, want %v", n, siteLevel, x, sts, wantSts)
 				}
-				for i := range hits {
-					if hits[i] != wantHits[i] {
-						t.Fatalf("n=%d siteLevel=%v: ExtStatements(%d) hit[%d] = %v, want %v",
-							n, siteLevel, x, i, hits[i], wantHits[i])
+				for i, h := range hits {
+					want := 0.0
+					if wantHits[i] {
+						want = 1
+					}
+					if h != want {
+						t.Fatalf("n=%d siteLevel=%v: extractor %d's hit[%d] = %v, want %v",
+							n, siteLevel, x, i, h, wantHits[i])
 					}
 				}
 			}
 			// Blocks tile the spans in extractor order.
 			pos := map[int32]int{}
 			for _, b := range g.ExtStatementBlocks() {
-				sts, hits := g.ExtBlockStatements(b)
+				sts, hits := g.ExtBlockStatementsF(b)
 				if len(sts) == 0 || len(sts) != len(hits) {
 					t.Fatalf("n=%d siteLevel=%v: bad block %+v", n, siteLevel, b)
 				}
-				full, _ := g.ExtStatements(b.Group)
+				full, _ := extSpan(g, b.Group)
 				if pos[b.Group]+len(sts) > len(full) || !equalSpans(sts, full[pos[b.Group]:pos[b.Group]+len(sts)]) {
 					t.Fatalf("n=%d siteLevel=%v: block %+v does not continue span of extractor %d",
 						n, siteLevel, b, b.Group)
@@ -206,7 +217,7 @@ func TestExtStatementIncidenceMatchesBruteForce(t *testing.T) {
 				pos[b.Group] += len(sts)
 			}
 			for x := int32(0); x < int32(g.NumExtractors()); x++ {
-				full, _ := g.ExtStatements(x)
+				full, _ := extSpan(g, x)
 				if pos[x] != len(full) {
 					t.Fatalf("n=%d siteLevel=%v: blocks cover %d of %d statements of extractor %d",
 						n, siteLevel, pos[x], len(full), x)

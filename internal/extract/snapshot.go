@@ -49,7 +49,11 @@ func (g *Compiled) EncodeSnapshot(out io.Writer) error {
 
 	w.Int32s(g.extStStart)
 	w.Int32s(g.extSts)
-	w.Bools(g.extHits)
+	hits := make([]bool, len(g.extHitsF)) // the flags go out one byte each
+	for i, h := range g.extHitsF {
+		hits[i] = h == 1
+	}
+	w.Bools(hits)
 
 	w.Int(g.maxItemTriples)
 	return w.Err()
@@ -90,7 +94,7 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 
 	g.extStStart = r.Int32s()
 	g.extSts = r.Int32s()
-	g.extHits = r.Bools()
+	hits := r.Bools()
 
 	g.maxItemTriples = r.Int()
 
@@ -103,7 +107,7 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 	r.CheckLen("itemOfTriple", len(g.itemOfTriple), nTriples)
 	r.CheckLen("tripleExts", len(g.tripleExts), nTriples)
 	r.CheckLen("itemStatements", len(g.itemStatements), nItems)
-	r.CheckLen("extHits", len(g.extHits), len(g.extSts))
+	r.CheckLen("extHits", len(hits), len(g.extSts))
 	r.CheckIDs("stSource", g.stSource, nSrc)
 	r.CheckIDs("stTriple", g.stTriple, nTriples)
 	r.CheckIDs("stExts", g.stExts, nExt)
@@ -126,7 +130,12 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 	if len(g.extStStart) > 0 {
 		g.extBlocks = csr.SpanBlocks(g.extStStart)
 	}
-	g.buildExtHitsF()
+	g.extHitsF = make([]float64, len(hits))
+	for i, h := range hits {
+		if h {
+			g.extHitsF[i] = 1
+		}
+	}
 	g.token = graphSeq.Add(1)
 	// idx stays nil: the first Append rebuilds it from the graph.
 	return g, nil

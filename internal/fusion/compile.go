@@ -629,7 +629,7 @@ func recountTripleExtractors(g *graph, firstClaim, firstTriple, workers int) {
 	if nTriples-firstTriple < internShardThreshold {
 		workers = 1 // goroutine setup would dominate
 	}
-	ParallelRange(nTriples-firstTriple, workers, func(_, lo, hi int) {
+	csr.ParallelRange(nTriples-firstTriple, workers, func(_, lo, hi int) {
 		seen := unseen(len(g.extKeys))
 		for t := firstTriple + lo; t < firstTriple+hi; t++ {
 			recountTriple(g, int32(t), seen)

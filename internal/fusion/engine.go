@@ -342,9 +342,9 @@ func (e *engine) goldCounts() (trueN, labeled []int32) {
 }
 
 // parallelRange splits [0,n) across the engine's workers and waits (see
-// ParallelRange for the contract).
+// csr.ParallelRange for the contract).
 func (e *engine) parallelRange(n int, f func(worker, lo, hi int)) {
-	ParallelRange(n, e.workers, f)
+	csr.ParallelRange(n, e.workers, f)
 }
 
 // provTermParallelThreshold is the provenance count below which the
@@ -373,7 +373,7 @@ func (e *engine) stageI(round int) {
 		if e.cfg.Method == Accu {
 			nf = float64(e.cfg.NFalse)
 		}
-		ParallelRange(len(e.provAcc), pw, func(_, lo, hi int) {
+		csr.ParallelRange(len(e.provAcc), pw, func(_, lo, hi int) {
 			mathx.LogOddsSlice(e.provTerm[lo:hi], e.provAcc[lo:hi], nf, accClampLo, accClampHi)
 		})
 	}

@@ -49,7 +49,8 @@ type Posterior struct {
 	// provenance-accuracy change here (against Epsilon), the largest
 	// source-accuracy change in twolayer.FuseLockstep (against its
 	// ConvergeTol). VOTE has no stage II and records none, nor does a
-	// posterior rebuilt from an exchange-form result (PosteriorOf).
+	// posterior rebuilt from an exchange-form result (PosteriorOf) or read
+	// back from a snapshot.
 	Moves []float64
 
 	graphs []RowGraph
@@ -112,10 +113,11 @@ func NewPosterior(graphs []RowGraph, prob []float64, keys []string, acc []float6
 // Validate reports whether r holds only values a run produces: every
 // probability the -1 sentinel or a number in [0,1], Predicted set exactly
 // where the probability is not the sentinel, every accuracy a number in
-// [0,1]. A decoded result is outside input and nothing downstream looks at
-// the numbers again — the accuracies seed every later warm round, and a NaN
-// passes every clamp — so whoever takes one in checks it here first
-// (PosteriorOf; genstore.Chain.Check for a state that seeds by key).
+// [0,1]. A decoded or handed-in result is outside input and nothing
+// downstream looks at the numbers again — the accuracies seed every later
+// warm round, and a NaN passes every clamp — so whoever takes one in checks
+// it here first (PosteriorOf; the genstore snapshot decoder, on the result
+// it materialises from the stored columns).
 func (r *Result) Validate() error {
 	for i := range r.Triples {
 		f := &r.Triples[i]
@@ -141,13 +143,15 @@ func (r *Result) Validate() error {
 
 // PosteriorOf returns the native form of an exchange-form result over the
 // graphs it was fused on (in shard order) and the key column its accuracies
-// are indexed by — how a result decoded from a snapshot re-enters a chain
-// that holds posteriors. The values are checked first (Result.Validate), then
-// everything the native form leaves to the graphs is checked against them —
-// the row count, every row's triple and support counts, Unpredicted, and that
-// the accuracy map holds exactly the keys — so a result paired with another
-// generation's graph is an error, never a wrong row. The posterior's
-// Result() equals res on every exported field.
+// are to be indexed by — how a result fused through the public API re-enters
+// a holder of posteriors: the genstore snapshot writer, for a state whose
+// Result is not its Posterior's materialisation. The values are checked
+// first (Result.Validate), then everything the native form leaves to the
+// graphs is checked against them — the row count, every row's triple and
+// support counts, Unpredicted, and that the accuracy map holds exactly the
+// keys — so a result paired with another generation's graph is an error,
+// never a wrong row. The posterior's Result() equals res on every exported
+// field.
 func PosteriorOf(res *Result, keys []string, graphs ...RowGraph) (*Posterior, error) {
 	if err := res.Validate(); err != nil {
 		return nil, err
@@ -194,6 +198,13 @@ func (p *Posterior) Seed() *Seed {
 		return nil
 	}
 	return p.seed
+}
+
+// Accuracies returns the accuracy column and the key column it is indexed
+// by: global provenance (or two-layer source) ID -> accuracy, and ID -> key.
+// Both are read-only views, not copies.
+func (p *Posterior) Accuracies() (keys []string, acc []float64) {
+	return p.seed.keys, p.seed.acc
 }
 
 // Len reports the number of rows: the compiled triples of the graphs.

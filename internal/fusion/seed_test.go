@@ -1,28 +1,21 @@
 package fusion
 
 import (
-	"bytes"
+	"maps"
 	"slices"
 	"testing"
 )
 
-// viaMap strips a result of its dense seed the way a snapshot does: what
-// DecodeResult returns seeds the next FuseWarm through the ProvAccuracy map
-// alone, on fresh engines — the only warm path before the dense seed existed.
+// viaMap strips a result of its dense seed: a hand-built copy of its
+// exported fields seeds the next FuseWarm through the accuracy map alone, on
+// fresh engines — the only warm path before the dense seed existed.
 func viaMap(t *testing.T, res *Result) *Result {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeResult(&buf, res); err != nil {
-		t.Fatalf("encode: %v", err)
+	keyed := &Result{Triples: slices.Clone(res.Triples), Rounds: res.Rounds, ProvAccuracy: maps.Clone(res.ProvAccuracy), Unpredicted: res.Unpredicted}
+	if keyed.Seed().byKey == nil {
+		t.Fatal("a hand-built result carries a dense seed")
 	}
-	dec, err := DecodeResult(buf.Bytes())
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if dec.seed != nil || dec.Seed().byKey == nil {
-		t.Fatal("a decoded result carries a dense seed")
-	}
-	return dec
+	return keyed
 }
 
 // TestDenseSeedMatchesMapSeed walks a 30-step append chain under the

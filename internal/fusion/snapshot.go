@@ -3,7 +3,6 @@ package fusion
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"kfusion/internal/kb"
 	"kfusion/internal/wire"
@@ -162,88 +161,4 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 
 	// idx stays nil: the first Append rebuilds it from the graph.
 	return &Compiled{g: g, gen: gen}, nil
-}
-
-// EncodeResult serializes a fusion Result (the warm-start payload plus the
-// fused triples, so a resumed run can re-emit output without re-fusing).
-// ProvAccuracy is written in sorted key order, making the bytes canonical.
-func EncodeResult(out io.Writer, res *Result) error {
-	w := wire.NewWriter(out)
-	w.U8(snapshotVersion)
-	w.Int(res.Rounds)
-	w.Int(res.Unpredicted)
-
-	keys := make([]string, 0, len(res.ProvAccuracy))
-	for k := range res.ProvAccuracy {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.String(k)
-		w.F64(res.ProvAccuracy[k])
-	}
-
-	w.Int(len(res.Triples))
-	for i := range res.Triples {
-		f := &res.Triples[i]
-		w.String(string(f.Triple.Subject))
-		w.String(string(f.Triple.Predicate))
-		w.String(f.Triple.Object.String())
-		w.F64(f.Probability)
-		w.Bool(f.Predicted)
-		w.Int(f.Provenances)
-		w.Int(f.ItemProvenances)
-		w.Int(f.Extractors)
-	}
-	return w.Err()
-}
-
-// DecodeResult reconstructs a Result from EncodeResult bytes.
-func DecodeResult(data []byte) (*Result, error) {
-	r := wire.NewReader(data)
-	r.Version(snapshotVersion)
-	res := &Result{Rounds: r.Int(), Unpredicted: r.Int()}
-
-	nAcc := r.Int()
-	if nAcc > r.Remaining() {
-		r.Fail(fmt.Errorf("accuracy count %d exceeds input: %w", nAcc, wire.ErrTruncated))
-	}
-	if r.Err() == nil {
-		res.ProvAccuracy = make(map[string]float64, nAcc)
-	}
-	for i := 0; i < nAcc && r.Err() == nil; i++ {
-		k := r.String()
-		if v := r.F64(); r.Err() == nil {
-			res.ProvAccuracy[k] = v
-		}
-	}
-
-	nTriples := r.Int()
-	if nTriples > r.Remaining() {
-		r.Fail(fmt.Errorf("triple count %d exceeds input: %w", nTriples, wire.ErrTruncated))
-	}
-	if r.Err() == nil && nTriples > 0 {
-		res.Triples = make([]FusedTriple, 0, nTriples)
-	}
-	for i := 0; i < nTriples && r.Err() == nil; i++ {
-		subj := r.String()
-		pred := r.String()
-		obj, err := kb.ParseObject(r.String())
-		if err != nil {
-			r.Fail(fmt.Errorf("triple %d: %w", i, err))
-		}
-		res.Triples = append(res.Triples, FusedTriple{
-			Triple:          kb.Triple{Subject: kb.EntityID(subj), Predicate: kb.PredicateID(pred), Object: obj},
-			Probability:     r.F64(),
-			Predicted:       r.Bool(),
-			Provenances:     r.Int(),
-			ItemProvenances: r.Int(),
-			Extractors:      r.Int(),
-		})
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("fusion: result: %w", err)
-	}
-	return res, nil
 }

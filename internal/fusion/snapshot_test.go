@@ -102,34 +102,6 @@ func TestSnapshotDecodeCorrupt(t *testing.T) {
 	}
 }
 
-// TestResultRoundTrip checks EncodeResult/DecodeResult losslessness over the
-// exported fields: the posterior a result came from is derived state a
-// decoded result does without (see TestDenseSeedMatchesMapSeed).
-func TestResultRoundTrip(t *testing.T) {
-	c := MustCompile(randomClaims(3, 300))
-	res, err := c.Fuse(PopAccuConfig())
-	if err != nil {
-		t.Fatalf("fuse: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeResult(&buf, res); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	dec, err := DecodeResult(buf.Bytes())
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	exported := &Result{Triples: res.Triples, Rounds: res.Rounds, ProvAccuracy: res.ProvAccuracy, Unpredicted: res.Unpredicted}
-	if !reflect.DeepEqual(dec, exported) {
-		t.Fatal("decoded result differs from original")
-	}
-	for cut := 0; cut < buf.Len(); cut += 5 {
-		if _, err := DecodeResult(buf.Bytes()[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded without error", cut)
-		}
-	}
-}
-
 // TestSeedClaimStream checks that a stream seeded from a restored
 // generation, and the restored generation's own AppendExtractions, continue
 // exactly where the original stream left off.

@@ -240,11 +240,11 @@ type FusedTriple struct {
 func (f FusedTriple) Item() kb.DataItem { return f.Triple.Item() }
 
 // Result is the output of a fusion run in its exchange form: self-contained
-// rows and a string-keyed accuracy map, what the file writers, the snapshot
-// codec, the evaluation layer and every public Fuse call speak. The engines
-// compute the native form, Posterior, and a Result is materialised from one
+// rows and a string-keyed accuracy map, what the file writers, the
+// evaluation layer and every public Fuse call speak. The engines compute the
+// native form, Posterior, and a Result is materialised from one
 // (Posterior.Result) wherever a caller asks for it; it is also what
-// DecodeResult returns and what a caller may build by hand. It keeps no
+// kfio.ReadFused returns and what a caller may build by hand. It keeps no
 // reference to the graphs it was fused on.
 type Result struct {
 	Triples []FusedTriple
@@ -256,7 +256,7 @@ type Result struct {
 	Unpredicted int
 
 	// seed is the seed of the posterior this result was materialised from:
-	// what warm-starts the next generation (see Seed). Nil on a decoded or
+	// what warm-starts the next generation (see Seed). Nil on a read-back or
 	// hand-built result, which seeds through the map.
 	seed *Seed
 }

@@ -57,13 +57,10 @@ func TwoLayerChain(cfg twolayer.Config, warmRounds, shards int) *Chain {
 // parameters are not its graph's — vectors of another length than the graph's
 // source and extractor counts, or a value no run produces
 // (twolayer.State.Validate): a snapshot is outside input, and the next warm
-// round would carry such a value into every probability it touches. The same
-// goes for the fused result of a state that holds it only in the exchange
-// form — one recovered from a snapshot, which the next Apply seeds from by
-// key without pairing it with the graph: a probability that is neither -1 nor
-// in [0,1], a Predicted flag that disagrees with it, or an accuracy outside
-// [0,1] is refused (fusion.Result.Validate; one scan, skipped once the state
-// holds a posterior the chain computed). An empty state belongs to any chain.
+// round would carry such a value into every probability it touches. (A
+// recovered posterior needs no check here: the snapshot decoder pairs its
+// columns with the graph and validates its values.) An empty state belongs
+// to any chain.
 func (c *Chain) Check(st *State) error {
 	if st.Method != "" && st.Method != c.method {
 		return fmt.Errorf("genstore: state holds method %q, chain runs %q", st.Method, c.method)
@@ -87,11 +84,6 @@ func (c *Chain) Check(st *State) error {
 		}
 		if err := st.TL.Validate(nSrc, nExt); err != nil {
 			return fmt.Errorf("genstore: state holds two-layer parameters that are not its graph's: %w", err)
-		}
-	}
-	if st.Posterior == nil && st.Result != nil {
-		if err := st.Result.Validate(); err != nil {
-			return fmt.Errorf("genstore: state holds a result that is not its graph's: %w", err)
 		}
 	}
 	return nil
@@ -160,8 +152,9 @@ func (c *Chain) grow(st *State, batch []extract.Extraction) error {
 // request), so a chain that appends more often than it snapshots never
 // builds the rows or the accuracy map of the generations in between, and
 // each generation's run takes over the step engines of the one before
-// (fusion.FuseLockstep). A state recovered from a snapshot holds only the
-// exchange form; the first Apply after it seeds by key from that.
+// (fusion.FuseLockstep). A state recovered from a snapshot holds its
+// posterior too, over the recovered graph; the first Apply after it seeds
+// from that.
 func (c *Chain) Apply(st *State, batch []extract.Extraction) error {
 	cold := st.shards() == 0
 	if err := c.grow(st, batch); err != nil {
@@ -190,57 +183,16 @@ func (c *Chain) Apply(st *State, batch []extract.Extraction) error {
 	if !cold && c.warm > 0 {
 		cfg.Rounds = c.warm
 	}
-	seed := st.Posterior.Seed()
-	if seed == nil {
-		seed = st.Result.Seed()
-	}
 	var post *fusion.Posterior
 	var err error
 	if st.ClaimShards != nil {
-		post, err = st.ClaimShards.FusePosterior(cfg, seed)
+		post, err = st.ClaimShards.FusePosterior(cfg, st.Posterior.Seed())
 	} else {
-		post, err = fusion.FuseLockstep([]*fusion.Compiled{st.Claim}, nil, cfg, seed)
+		post, err = fusion.FuseLockstep([]*fusion.Compiled{st.Claim}, nil, cfg, st.Posterior.Seed())
 	}
 	if err != nil {
 		return err
 	}
 	st.Posterior, st.Result = post, nil
-	return nil
-}
-
-// Adopt gives a state that holds its posterior only in exchange form — one
-// recovered from a snapshot with nothing journaled after it — the native
-// form as well, for a holder that reads rows through st.Posterior (the
-// daemon's views). The result is checked against the state's graph row by
-// row and key by key (fusion.PosteriorOf); a result that does not belong to
-// the graph is refused like a foreign method is by Check. A state that
-// already holds the native form, or nothing fused, is left as it is. Adopt
-// runs Check first, so a caller that adopts without checking still cannot
-// take on a foreign state. A sharded state is refused: the pairing is with
-// one graph.
-func (c *Chain) Adopt(st *State) error {
-	if err := c.Check(st); err != nil {
-		return err
-	}
-	if st.Posterior != nil || st.Result == nil {
-		return nil
-	}
-	if k := st.shards(); k > 1 {
-		return fmt.Errorf("genstore: Adopt takes a one-graph state, this one holds %d shards", k)
-	}
-	var post *fusion.Posterior
-	var err error
-	switch {
-	case c.twoLayer && st.Ext != nil:
-		post, err = fusion.PosteriorOf(st.Result, st.Ext.SourceKeys(), st.Ext)
-	case !c.twoLayer && st.Claim != nil:
-		post, err = fusion.PosteriorOf(st.Result, st.Claim.ProvKeys(), st.Claim)
-	default:
-		err = fmt.Errorf("no %s graph", c.method)
-	}
-	if err != nil {
-		return fmt.Errorf("genstore: state holds a result that is not its graph's: %w", err)
-	}
-	st.Posterior = post
 	return nil
 }

@@ -327,236 +327,267 @@ func TestApplyLeavesTheNativeForm(t *testing.T) {
 	}
 }
 
-// TestAdoptRecoveredResult covers the way back: a state recovered from a
-// snapshot holds its posterior in exchange form, and Adopt gives it the
-// native form — which must materialise to exactly the decoded result — or
-// refuses, for both chains, a result that is not its graph's: paired with an
-// earlier or later generation's graph, missing an accuracy key, holding a
-// foreign one, or with an altered support count, probability flag or
-// unpredicted count.
-func TestAdoptRecoveredResult(t *testing.T) {
+// recoveryChains are the chains the recovery tests persist: both engines,
+// and the claim engine over three shards, whose stored accuracies follow the
+// key order a coordinator rebuilt from the shards assigns (rowGraphs).
+func recoveryChains() map[string]*Chain {
+	return map[string]*Chain{
+		"popaccu+unsup":     ClaimChain("popaccu+unsup", fusion.PopAccuPlusUnsupConfig(), 1, 1),
+		"popaccu+unsup K=3": ClaimChain("popaccu+unsup", fusion.PopAccuPlusUnsupConfig(), 1, 3),
+		"twolayer":          TwoLayerChain(twolayer.DefaultConfig(), 1, 1),
+	}
+}
+
+// detached copies a result's exported fields, slices and map included: a
+// result fused through the public API, with no posterior behind it, which a
+// test may damage without touching the chain's.
+func detached(res *fusion.Result) *fusion.Result {
+	return &fusion.Result{Triples: slices.Clone(res.Triples), Rounds: res.Rounds, ProvAccuracy: maps.Clone(res.ProvAccuracy), Unpredicted: res.Unpredicted}
+}
+
+// TestRecoveredPosterior covers the way back from a snapshot: a reopened
+// state holds the posterior over the recovered graphs — the round count and
+// every row and accuracy of the live one — and Result beside it as that
+// posterior's materialisation, and the chain continues from it exactly as
+// from the live state. Then the write side: a state whose Result was
+// replaced by one that is not its graph's — another generation's, or one
+// with a row, a count, a key or a value altered — is refused by Snapshot
+// before it writes a byte.
+func TestRecoveredPosterior(t *testing.T) {
 	const batch = 90
 	feed := growingFeed(11, 4*batch)
-	for name, chain := range map[string]*Chain{
-		"popaccu+unsup": ClaimChain("popaccu+unsup", fusion.PopAccuPlusUnsupConfig(), 1, 1),
-		"twolayer":      TwoLayerChain(twolayer.DefaultConfig(), 1, 1),
-	} {
-		// recovered(n) is the state after n batches as a reopen finds it.
-		recovered := func(n int) *State {
+	for name, chain := range recoveryChains() {
+		mem := faultfs.NewMem()
+		store, live, err := OpenFS(mem, chain.Apply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := store.Append(live, feed[i*batch:(i+1)*batch]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := store.Snapshot(live); err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		store, st, err := OpenFS(mem, chain.Apply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		if st.Posterior == nil || st.Result == nil || st.Result.Seed() != st.Posterior.Seed() {
+			t.Fatalf("%s: a state recovered from a snapshot holds Posterior=%v Result=%v, want the posterior and its materialisation", name, st.Posterior, st.Result)
+		}
+		if st.Posterior.Rounds != live.Posterior.Rounds || st.Posterior.Moves != nil {
+			t.Fatalf("%s: recovered %d rounds and moves %v, the live posterior ran %d", name, st.Posterior.Rounds, st.Posterior.Moves, live.Posterior.Rounds)
+		}
+		if !reflect.DeepEqual(exported(st.Result), exported(live.Fused())) {
+			t.Fatalf("%s: the recovered posterior is not the live one", name)
+		}
+		next := feed[3*batch:]
+		if err := chain.Apply(st, next); err != nil {
+			t.Fatal(err)
+		}
+		if err := chain.Apply(live, next); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(exported(st.Fused()), exported(live.Fused())) {
+			t.Fatalf("%s: the chain continues differently from a recovered state", name)
+		}
+	}
+
+	for name, chain := range recoveryChains() {
+		for _, tc := range []struct {
+			what   string
+			damage func(res, stale *fusion.Result) *fusion.Result
+		}{
+			{"an earlier generation's result", func(_, stale *fusion.Result) *fusion.Result { return stale }},
+			{"a dropped accuracy key", func(res, _ *fusion.Result) *fusion.Result {
+				delete(res.ProvAccuracy, sortedKeys(res.ProvAccuracy)[0])
+				return res
+			}},
+			{"a foreign accuracy key", func(res, _ *fusion.Result) *fusion.Result {
+				key := sortedKeys(res.ProvAccuracy)[0]
+				res.ProvAccuracy["nobody|nowhere"] = res.ProvAccuracy[key]
+				delete(res.ProvAccuracy, key)
+				return res
+			}},
+			{"an altered support count", func(res, _ *fusion.Result) *fusion.Result { res.Triples[len(res.Triples)/2].Provenances++; return res }},
+			{"an altered extractor count", func(res, _ *fusion.Result) *fusion.Result { res.Triples[0].Extractors++; return res }},
+			{"a moved triple", func(res, _ *fusion.Result) *fusion.Result {
+				res.Triples[0].Triple, res.Triples[1].Triple = res.Triples[1].Triple, res.Triples[0].Triple
+				return res
+			}},
+			{"a probability flag that disagrees", func(res, _ *fusion.Result) *fusion.Result {
+				res.Triples[1].Predicted = !res.Triples[1].Predicted
+				return res
+			}},
+			{"an altered unpredicted count", func(res, _ *fusion.Result) *fusion.Result { res.Unpredicted++; return res }},
+			{"a dropped row", func(res, _ *fusion.Result) *fusion.Result { res.Triples = res.Triples[:len(res.Triples)-1]; return res }},
+			{"a NaN probability", func(res, _ *fusion.Result) *fusion.Result { res.Triples[0].Probability = math.NaN(); return res }},
+			{"a probability of 1.5", func(res, _ *fusion.Result) *fusion.Result { res.Triples[0].Probability = 1.5; return res }},
+			{"an accuracy of -0.1", func(res, _ *fusion.Result) *fusion.Result {
+				res.ProvAccuracy[sortedKeys(res.ProvAccuracy)[0]] = -0.1
+				return res
+			}},
+		} {
 			mem := faultfs.NewMem()
 			store, st, err := OpenFS(mem, chain.Apply)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < n; i++ {
+			var stale *fusion.Result
+			for i := 0; i < 3; i++ {
 				if err := store.Append(st, feed[i*batch:(i+1)*batch]); err != nil {
 					t.Fatal(err)
 				}
+				if i == 1 {
+					stale = detached(st.Fused())
+				}
 			}
-			if err := store.Snapshot(st); err != nil {
-				t.Fatal(err)
+			st.Result = tc.damage(detached(st.Fused()), stale)
+			before := files(t, mem)
+			if err := store.Snapshot(st); err == nil || !strings.Contains(err.Error(), "not its graph's") {
+				t.Errorf("%s: Snapshot of a state holding %s = %v, want a refusal", name, tc.what, err)
+			}
+			if !reflect.DeepEqual(files(t, mem), before) {
+				t.Errorf("%s: the refused snapshot of a state holding %s wrote to the store", name, tc.what)
 			}
 			store.Close()
-			store, st, err = OpenFS(mem, chain.Apply)
-			if err != nil {
-				t.Fatal(err)
-			}
-			store.Close()
-			if st.Posterior != nil || st.Result == nil {
-				t.Fatalf("%s: a state recovered from a snapshot alone holds Posterior=%v Result=%v", name, st.Posterior, st.Result)
-			}
-			return st
-		}
-
-		st := recovered(3)
-		dec := st.Result
-		if err := chain.Adopt(st); err != nil {
-			t.Fatalf("%s: adopting a recovered state: %v", name, err)
-		}
-		if st.Posterior == nil || st.Result != dec {
-			t.Fatalf("%s: Adopt left Posterior=%v and replaced the decoded result: %v", name, st.Posterior, st.Result != dec)
-		}
-		if got := st.Posterior.Result(); !reflect.DeepEqual(exported(got), exported(dec)) {
-			t.Fatalf("%s: decode → posterior → Result() is not the decoded result", name)
-		}
-		if err := chain.Adopt(st); err != nil || st.Result != dec {
-			t.Fatalf("%s: adopting twice: %v", name, err)
-		}
-		// The adopted state continues the chain exactly as the unadopted one.
-		plain := recovered(3)
-		next := feed[3*batch : 4*batch]
-		if err := chain.Apply(st, next); err != nil {
-			t.Fatal(err)
-		}
-		if err := chain.Apply(plain, next); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(exported(st.Fused()), exported(plain.Fused())) {
-			t.Fatalf("%s: the chain continues differently from an adopted state", name)
-		}
-
-		for _, tc := range []struct {
-			what   string
-			damage func(st *State)
-		}{
-			{"an earlier generation's graph", func(st *State) { older := recovered(2); st.Claim, st.Ext = older.Claim, older.Ext }},
-			{"a later generation's graph", func(st *State) { newer := recovered(4); st.Claim, st.Ext = newer.Claim, newer.Ext }},
-			{"no graph", func(st *State) { st.Claim, st.Ext = nil, nil }},
-			{"a dropped accuracy key", func(st *State) {
-				for k := range st.Result.ProvAccuracy {
-					delete(st.Result.ProvAccuracy, k)
-					return
-				}
-			}},
-			{"a foreign accuracy key", func(st *State) {
-				for k, v := range st.Result.ProvAccuracy {
-					delete(st.Result.ProvAccuracy, k)
-					st.Result.ProvAccuracy["nobody|nowhere"] = v
-					return
-				}
-			}},
-			{"an altered support count", func(st *State) { st.Result.Triples[len(st.Result.Triples)/2].Provenances++ }},
-			{"an altered extractor count", func(st *State) { st.Result.Triples[0].Extractors++ }},
-			{"a moved triple", func(st *State) {
-				rows := st.Result.Triples
-				rows[0].Triple, rows[1].Triple = rows[1].Triple, rows[0].Triple
-			}},
-			{"a probability flag that disagrees", func(st *State) { st.Result.Triples[1].Predicted = !st.Result.Triples[1].Predicted }},
-			{"an altered unpredicted count", func(st *State) { st.Result.Unpredicted++ }},
-			{"a dropped row", func(st *State) { st.Result.Triples = st.Result.Triples[:len(st.Result.Triples)-1] }},
-		} {
-			st := recovered(3)
-			tc.damage(st)
-			if err := chain.Adopt(st); err == nil || st.Posterior != nil {
-				t.Errorf("%s: Adopt accepted a result with %s (err %v)", name, tc.what, err)
-			}
 		}
 	}
 }
 
-// TestRecoveredResultValuesAreValidated covers what Adopt's pairing with the
-// graph used to skip and the replay path never reached: the numbers of a
-// recovered result. Apply seeds the next warm round from a snapshot's
-// accuracies by key, so a NaN or out-of-range one would flow into every later
-// generation; a probability that is not -1 or in [0,1], or a Predicted flag
-// that disagrees with the sentinel, would be served. The chain refuses them
-// where a recovered state is first used — Check (which Apply, and so a replayed
-// or a live batch, runs first) and Adopt — with the error a foreign result
-// gets. A state the chain wrote itself passes, also when the open replays
-// journaled batches onto it.
+// TestPublicFuseResultIsStored reproduces an ApplyFunc that fuses through the
+// public API, as the benchmark's write-path replica does: it opens a store the
+// chain wrote, warm-fuses each batch with Compiled.FuseWarm from st.Result and
+// replaces only st.Result, so the decoded posterior goes stale beside it. A
+// snapshot must store the newest result — converted back to the native form
+// against the graph — and a reopen must recover exactly that.
+func TestPublicFuseResultIsStored(t *testing.T) {
+	const batch = 90
+	feed := growingFeed(5, 5*batch)
+	cfg := fusion.PopAccuConfig()
+	chain := ClaimChain("popaccu", cfg, 1, 1)
+	mem := faultfs.NewMem()
+	store, st, err := OpenFS(mem, chain.Apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := store.Append(st, feed[i*batch:(i+1)*batch]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Snapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	warm := cfg
+	warm.Rounds = 1
+	public := func(st *State, b []extract.Extraction) error {
+		next, err := st.Claim.AppendExtractions(b, cfg.Granularity)
+		if err != nil {
+			return err
+		}
+		st.Claim = next
+		st.Result, err = st.Claim.FuseWarm(warm, st.Result)
+		return err
+	}
+	store, st, err = OpenFS(mem, public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := st.Posterior
+	for i := 2; i < 5; i++ {
+		if err := store.Append(st, feed[i*batch:(i+1)*batch]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.Posterior != decoded || st.Result.Seed() == decoded.Seed() {
+		t.Fatal("scenario broken: the replica's result is its posterior's")
+	}
+	want := exported(st.Result)
+	if err := store.Snapshot(st); err != nil {
+		t.Fatalf("snapshot of the public API's result: %v", err)
+	}
+	store.Close()
+
+	store, st, err = OpenFS(mem, chain.Apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	if d := store.Degradations(); len(d) != 0 || st.Batches != 5 {
+		t.Fatalf("reopen recovered %d batches, degraded: %v", st.Batches, d)
+	}
+	if !reflect.DeepEqual(exported(st.Posterior.Result()), want) {
+		t.Fatal("the reopened posterior is not the newest result")
+	}
+}
+
+// TestRecoveredResultValuesAreValidated covers the decode side: a snapshot
+// whose posterior columns are not its graph's — a column of the wrong length,
+// a NaN or out-of-range probability, an accuracy below 0 (damagedPosteriors)
+// — is corrupt, whatever its checksums say, and the open falls back one rung:
+// the snapshot is deleted, and the previous one plus the journal behind it
+// recover the state the chain wrote.
 func TestRecoveredResultValuesAreValidated(t *testing.T) {
 	const batch = 90
-	feed := growingFeed(11, 6*batch)
-	for name, chain := range map[string]*Chain{
-		"popaccu+unsup": ClaimChain("popaccu+unsup", fusion.PopAccuPlusUnsupConfig(), 1, 1),
-		"twolayer":      TwoLayerChain(twolayer.DefaultConfig(), 1, 1),
-	} {
-		// recovered is the state after three batches and a snapshot, with
-		// `journaled` more batches behind the snapshot, as a reopen finds it;
-		// the snapshot's result goes through damage first.
-		recovered := func(journaled int, damage func(res *fusion.Result)) (*State, error) {
-			mem := faultfs.NewMem()
-			store, st, err := OpenFS(mem, chain.Apply)
+	feed := growingFeed(11, 3*batch)
+	for name, chain := range recoveryChains() {
+		mem := faultfs.NewMem()
+		store, live, err := OpenFS(mem, chain.Apply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := store.Append(live, feed[i*batch:(i+1)*batch]); err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 {
+				if err := store.Snapshot(live); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		store.Close()
+		want := exported(live.Fused())
+		names, err := mem.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		newest := snapNames(names, nil)[0]
+		honest, err := mem.ReadFile(newest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whats, damaged := damagedPosteriors(t, honest)
+		for i, data := range damaged {
+			m := mem.Clone()
+			f, err := m.Create(newest)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 3+journaled; i++ {
-				if err := store.Append(st, feed[i*batch:(i+1)*batch]); err != nil {
-					t.Fatal(err)
-				}
-				if i == 2 {
-					// Only the snapshot sees the damage; the live chain goes
-					// on from what it computed.
-					post, res := st.Posterior, st.Result
-					if damage != nil {
-						good := st.Fused()
-						bad := exported(good)
-						bad.Triples = slices.Clone(good.Triples)
-						bad.ProvAccuracy = maps.Clone(good.ProvAccuracy)
-						damage(bad)
-						st.Posterior, st.Result = nil, bad
-					}
-					if err := store.Snapshot(st); err != nil {
-						t.Fatal(err)
-					}
-					st.Posterior, st.Result = post, res
-				}
+			if _, err := f.Write(data); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			store, st, err := OpenFS(m, chain.Apply)
+			if err != nil {
+				t.Fatalf("%s, %s: reopen: %v", name, whats[i], err)
 			}
 			store.Close()
-			store, st, err = OpenFS(mem, chain.Apply)
-			if err == nil {
-				store.Close()
+			if d := store.Degradations(); len(d) == 0 || !strings.Contains(d[0], newest) || !strings.Contains(d[0], "corrupt") {
+				t.Errorf("%s, %s: degradations %v, want %s rejected as corrupt", name, whats[i], d, newest)
 			}
-			return st, err
-		}
-
-		for _, journaled := range []int{0, 2} {
-			st, err := recovered(journaled, nil)
-			if err != nil {
-				t.Fatalf("%s: reopening the chain's own state with %d journaled batches: %v", name, journaled, err)
+			if _, err := m.ReadFile(newest); err == nil {
+				t.Errorf("%s, %s: the corrupt snapshot was kept", name, whats[i])
 			}
-			if err := chain.Check(st); err != nil {
-				t.Fatalf("%s: Check refused the chain's own state (%d journaled): %v", name, journaled, err)
-			}
-			if err := chain.Adopt(st); err != nil || st.Posterior == nil {
-				t.Fatalf("%s: Adopt refused the chain's own state (%d journaled): %v", name, journaled, err)
-			}
-			if err := chain.Apply(st, feed[(3+journaled)*batch:(4+journaled)*batch]); err != nil {
-				t.Fatalf("%s: the chain does not continue from its own recovered state: %v", name, err)
-			}
-		}
-
-		predicted := func(res *fusion.Result) *fusion.FusedTriple {
-			for i := range res.Triples {
-				if res.Triples[i].Predicted {
-					return &res.Triples[i]
-				}
-			}
-			t.Fatalf("%s: no predicted row to damage", name)
-			return nil
-		}
-		firstKey := func(res *fusion.Result) string {
-			keys := make([]string, 0, len(res.ProvAccuracy))
-			for k := range res.ProvAccuracy {
-				keys = append(keys, k)
-			}
-			return slices.Min(keys)
-		}
-		for _, tc := range []struct {
-			what   string
-			damage func(res *fusion.Result)
-		}{
-			{"a NaN probability", func(res *fusion.Result) { predicted(res).Probability = math.NaN() }},
-			{"an infinite probability", func(res *fusion.Result) { predicted(res).Probability = math.Inf(1) }},
-			{"a probability of 1.5", func(res *fusion.Result) { predicted(res).Probability = 1.5 }},
-			{"a probability of -0.5", func(res *fusion.Result) { predicted(res).Probability = -0.5 }},
-			{"a predicted row holding the sentinel", func(res *fusion.Result) { predicted(res).Probability = -1 }},
-			{"a NaN accuracy", func(res *fusion.Result) { res.ProvAccuracy[firstKey(res)] = math.NaN() }},
-			{"an accuracy of -0.1", func(res *fusion.Result) { res.ProvAccuracy[firstKey(res)] = -0.1 }},
-			{"an accuracy of 1.5", func(res *fusion.Result) { res.ProvAccuracy[firstKey(res)] = 1.5 }},
-		} {
-			st, err := recovered(0, tc.damage)
-			if err != nil {
-				t.Fatalf("%s, %s: a snapshot-only reopen runs no chain code, yet: %v", name, tc.what, err)
-			}
-			graphBefore := [2]any{st.Claim, st.Ext}
-			for op, err := range map[string]error{
-				"Check": chain.Check(st),
-				"Adopt": chain.Adopt(st),
-				"Apply": chain.Apply(st, feed[3*batch:4*batch]),
-			} {
-				if err == nil || !strings.Contains(err.Error(), "not its graph's") {
-					t.Errorf("%s, %s: %s = %v, want the refusal a foreign result gets", name, tc.what, op, err)
-				}
-			}
-			if st.Posterior != nil || graphBefore != [2]any{st.Claim, st.Ext} {
-				t.Errorf("%s, %s: a refused state was changed", name, tc.what)
-			}
-			// With batches journaled behind the damaged snapshot the open
-			// itself replays them through Apply, and must not get past the
-			// first.
-			if _, err := recovered(2, tc.damage); err == nil || !strings.Contains(err.Error(), "not its graph's") {
-				t.Errorf("%s, %s: reopen with journaled batches = %v, want the replay refused", name, tc.what, err)
+			if !reflect.DeepEqual(exported(st.Fused()), want) {
+				t.Errorf("%s, %s: the fallback recovered another posterior", name, whats[i])
 			}
 		}
 	}
@@ -568,8 +599,8 @@ func TestRecoveredResultValuesAreValidated(t *testing.T) {
 // silently padded with the initial values, a NaN accuracy passes every
 // clamp, a rate of 0 or beyond goes into a logarithm — so the chain refuses
 // them where a recovered state is first used: Check (which Apply, and so a
-// replayed or a live batch, runs first) and Adopt. A state the chain wrote
-// itself passes, also when the open replays journaled batches onto it.
+// replayed or a live batch, runs first). A state the chain wrote itself
+// passes, also when the open replays journaled batches onto it.
 func TestRecoveredTwoLayerStateIsValidated(t *testing.T) {
 	const batch = 90
 	feed := growingFeed(11, 6*batch)
@@ -617,9 +648,6 @@ func TestRecoveredTwoLayerStateIsValidated(t *testing.T) {
 		if err := chain.Check(st); err != nil {
 			t.Fatalf("Check refused the chain's own state (%d journaled): %v", journaled, err)
 		}
-		if err := chain.Adopt(st); err != nil || st.Posterior == nil {
-			t.Fatalf("Adopt refused the chain's own state (%d journaled): %v", journaled, err)
-		}
 		if err := chain.Apply(st, feed[(3+journaled)*batch:(4+journaled)*batch]); err != nil {
 			t.Fatalf("the chain does not continue from its own recovered state: %v", err)
 		}
@@ -645,17 +673,16 @@ func TestRecoveredTwoLayerStateIsValidated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: a snapshot-only reopen runs no chain code, yet: %v", tc.what, err)
 		}
-		before := stateFingerprint(t, st)
+		before, post := stateFingerprint(t, st), st.Posterior
 		for op, err := range map[string]error{
 			"Check": chain.Check(st),
-			"Adopt": chain.Adopt(st),
 			"Apply": chain.Apply(st, feed[3*batch:4*batch]),
 		} {
 			if err == nil || !strings.Contains(err.Error(), "not its graph's") {
 				t.Errorf("%s: %s = %v, want the refusal a foreign result gets", tc.what, op, err)
 			}
 		}
-		if st.Posterior != nil || !bytes.Equal(stateFingerprint(t, st), before) {
+		if st.Posterior != post || !bytes.Equal(stateFingerprint(t, st), before) {
 			t.Errorf("%s: a refused state was changed", tc.what)
 		}
 		// With batches journaled behind the damaged snapshot the open itself

@@ -2,54 +2,150 @@ package genstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math"
+	"slices"
 	"testing"
 
 	"kfusion/internal/fusion"
+	"kfusion/internal/twolayer"
+	"kfusion/internal/wire"
 )
 
-// fuzzSeedState builds a small real state over the given shard count and
-// returns its encoded snapshot and a journal with two records — the honest
-// corpus the mutators start from.
-func fuzzSeedState(shards int) (snap, journal []byte) {
+// fuzzSeedState builds a small real state of chain and returns its encoded
+// snapshot and a journal with two records — the honest corpus the mutators
+// start from.
+func fuzzSeedState(chain *Chain) (snap, journal []byte) {
 	feed := testFeed(40)
 	st := &State{}
-	if err := testChain(shards).Apply(st, feed[:20]); err != nil {
+	if err := chain.Apply(st, feed[:20]); err != nil {
 		panic(err)
 	}
 	st.Consumed, st.Batches = 20, 1
-	snap = encodeSnapshot(st, 0)
+	snap, err := encodeSnapshot(st, 0)
+	if err != nil {
+		panic(err)
+	}
 	journal = journalHeader()
 	journal = append(journal, encodeRecord(1, feed[20:30])...)
 	journal = append(journal, encodeRecord(2, feed[30:])...)
 	return snap, journal
 }
 
+// damagedPosteriors returns snap with its posterior section replaced by
+// columns no run of its graphs produces — a short or long column, a NaN or
+// out-of-range probability, an accuracy of -0.1 — every other section and
+// every checksum intact, so only the posterior decoder stands between them
+// and a recovered state. name says what each one holds.
+func damagedPosteriors(t testing.TB, snap []byte) (name []string, damaged [][]byte) {
+	st, err := decodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post, acc, err := st.storedPosterior()
+	if err != nil || post == nil || post.Len() < 2 || len(acc) == 0 {
+		t.Fatalf("no posterior to damage (err %v)", err)
+	}
+	prob := make([]float64, post.Len())
+	for i := range prob {
+		prob[i] = post.Prob(i)
+	}
+	add := func(what string, damage func(prob, acc []float64) ([]float64, []float64)) {
+		p, a := damage(slices.Clone(prob), slices.Clone(acc))
+		var b bytes.Buffer
+		w := wire.NewWriter(&b)
+		w.Int(post.Rounds)
+		w.F64s(p)
+		w.F64s(a)
+		name = append(name, what)
+		damaged = append(damaged, withSection(t, snap, secResult, b.Bytes()))
+	}
+	add("a short probability column", func(p, a []float64) ([]float64, []float64) { return p[:len(p)-1], a })
+	add("a long accuracy column", func(p, a []float64) ([]float64, []float64) { return p, append(a, 0.5) })
+	add("a NaN probability", func(p, a []float64) ([]float64, []float64) { p[1] = math.NaN(); return p, a })
+	add("a probability of 1.5", func(p, a []float64) ([]float64, []float64) { p[0] = 1.5; return p, a })
+	add("an accuracy of -0.1", func(p, a []float64) ([]float64, []float64) { a[len(a)-1] = -0.1; return p, a })
+	return name, damaged
+}
+
+// withSection returns snap with section id's payload replaced, the index and
+// its checksums rewritten to match.
+func withSection(t testing.TB, snap []byte, id uint32, payload []byte) []byte {
+	indexOff := binary.LittleEndian.Uint64(snap[len(snap)-12:])
+	ir := wire.NewReader(snap[indexOff : len(snap)-12])
+	out := append([]byte(nil), snap[:5]...)
+	var secs []section
+	for n := ir.U32(); n > 0; n-- {
+		sid, off, size, _ := ir.U32(), ir.U64(), ir.U64(), ir.U32()
+		b := snap[off : off+size]
+		if sid == id {
+			b = payload
+		}
+		secs = append(secs, section{id: sid, off: uint64(len(out)), len: uint64(len(b)), crc: crc32.Checksum(b, castagnoli)})
+		out = append(out, b...)
+	}
+	if ir.Err() != nil {
+		t.Fatal(ir.Err())
+	}
+	var tail bytes.Buffer
+	w := wire.NewWriter(&tail)
+	w.U32(uint32(len(secs)))
+	for _, sec := range secs {
+		w.U32(sec.id)
+		w.U64(sec.off)
+		w.U64(sec.len)
+		w.U32(sec.crc)
+	}
+	w.U64(uint64(len(out)))
+	w.U32(snapMagic)
+	return append(out, tail.Bytes()...)
+}
+
 // FuzzSnapshotDecode asserts decodeSnapshot never panics, and that any input
-// it accepts re-encodes and decodes stably (no lossy acceptance). The last
-// seed is a K=3 snapshot, so the mutators reach the shard section and K.
+// it accepts re-encodes and decodes stably (no lossy acceptance). The seeds
+// past the first four are a K=3 claim snapshot, so the mutators reach the
+// shard section and K, a two-layer one, and a K=1 claim, a K=3 claim and a
+// two-layer snapshot whose posterior columns are damaged (damagedPosteriors),
+// which must decode to ErrCorrupt.
 func FuzzSnapshotDecode(f *testing.F) {
-	snap, _ := fuzzSeedState(1)
+	snap, _ := fuzzSeedState(testChain(1))
 	f.Add(snap)
 	f.Add(snap[:len(snap)/2])
 	flipped := append([]byte(nil), snap...)
 	flipped[len(flipped)/3] ^= 0x10
 	f.Add(flipped)
 	f.Add([]byte{})
-	sharded, _ := fuzzSeedState(3)
+	sharded, _ := fuzzSeedState(testChain(3))
 	f.Add(sharded)
+	twoLayer, _ := fuzzSeedState(TwoLayerChain(twolayer.DefaultConfig(), 0, 1))
+	f.Add(twoLayer)
+	for _, honest := range [][]byte{snap, sharded, twoLayer} {
+		names, damaged := damagedPosteriors(f, honest)
+		for i, data := range damaged {
+			if _, err := decodeSnapshot(data); !errors.Is(err, ErrCorrupt) {
+				f.Fatalf("a snapshot holding %s decoded with err %v, want ErrCorrupt", names[i], err)
+			}
+			f.Add(data)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeSnapshot(data)
 		if err != nil {
 			return
 		}
-		re := encodeSnapshot(st, 0)
+		re, err := encodeSnapshot(st, 0)
+		if err != nil {
+			t.Fatalf("accepted snapshot failed to re-encode: %v", err)
+		}
 		st2, err := decodeSnapshot(re)
 		if err != nil {
 			t.Fatalf("accepted snapshot failed to re-decode: %v", err)
 		}
-		if !bytes.Equal(re, encodeSnapshot(st2, 0)) {
-			t.Fatal("snapshot re-encode is not a fixed point")
+		if re2, err := encodeSnapshot(st2, 0); err != nil || !bytes.Equal(re, re2) {
+			t.Fatalf("snapshot re-encode is not a fixed point (err %v)", err)
 		}
 		// A graph that decodes must also fuse without panicking.
 		if st.Claim != nil {
@@ -68,7 +164,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 // FuzzJournalParse asserts parseJournal never panics and its accepted prefix
 // round-trips: re-encoding the parsed records reproduces the valid bytes.
 func FuzzJournalParse(f *testing.F) {
-	_, journal := fuzzSeedState(1)
+	_, journal := fuzzSeedState(testChain(1))
 	f.Add(journal)
 	f.Add(journal[:len(journal)-3])
 	flipped := append([]byte(nil), journal...)

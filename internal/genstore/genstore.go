@@ -8,12 +8,14 @@
 //
 //   - Snapshot writes the full in-memory State — compiled claim/extraction
 //     graph (or, for a sharded claim chain, its K graphs and K itself), fused
-//     posterior (materialised to its exchange form for the file, see
-//     State.Fused), warm-start accuracies, feed cursor — to a versioned file
-//     (magic and version header, sections, a section index, and a footer
-//     holding the index offset and the magic again), every section
-//     CRC32C-checked, via an atomic temp-file + fsync + rename protocol. The
-//     two newest snapshots are retained.
+//     posterior in its native form (the round count, one probability per
+//     compiled triple and one accuracy per provenance or source; the rows
+//     are the graph's), warm-start accuracies, feed cursor — to a versioned
+//     file (magic and version header, sections, a section index, and a
+//     footer holding the index offset and the magic again), every section
+//     CRC32C-checked, via an atomic temp-file + fsync + rename protocol. A
+//     state whose posterior is not its graph's is refused before anything is
+//     written. The two newest snapshots this binary reads are retained.
 //   - Append journals the raw extraction batch (length-prefixed, CRC32C)
 //     and fsyncs BEFORE applying it to the in-memory state, so a crash
 //     mid-apply loses nothing: the batch replays on reopen. An Append whose
@@ -31,7 +33,11 @@
 //   - Degradation is graceful and reported, never a panic: a corrupt or
 //     version-skewed snapshot falls back to the previous snapshot (the
 //     journal retains every batch since it), then to an empty state — full
-//     recompile as the caller re-reads the feed from State.Consumed == 0.
+//     recompile as the caller re-reads the feed from State.Consumed == 0. A
+//     corrupt snapshot is deleted. A version-skewed one is left for the
+//     binary that wrote it and counts neither toward the retained two nor
+//     toward the journal's floor, so it never pushes out a snapshot this
+//     binary reads or the journal records behind one.
 package genstore
 
 import (
@@ -41,6 +47,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -56,12 +63,18 @@ import (
 const (
 	snapMagic    = 0x4b464753 // "KFGS"
 	journalMagic = 0x4b46474a // "KFGJ"
-	version      = 1
+	// snapVersion is the snapshot container's version. 2: the result
+	// section holds the posterior's columns, not the exchange-form rows.
+	snapVersion = 2
+	// journalVersion is the journal's, which a snapshot format change leaves
+	// alone: a binary that cannot read an older one's snapshots still
+	// replays its journal.
+	journalVersion = 1
 
 	// Section IDs of the snapshot body.
 	secMeta   = 1
 	secClaim  = 2
-	secResult = 3
+	secResult = 3 // the posterior: rounds, probabilities, accuracies
 	secExt    = 4
 	secTL     = 5
 	secShards = 6 // a sharded claim chain's K and K graphs; absent at K = 1
@@ -112,13 +125,15 @@ type State struct {
 	ExtShards   *shard.TwoLayer
 
 	// The fused posterior of the graph above, in one or both of its forms.
-	// Posterior is the engines' native form and what Chain.Apply leaves: one
-	// probability per compiled triple and one accuracy per provenance or
-	// source, over the graph (fusion.Posterior). Result is the exchange form
-	// — the rows and the string-keyed accuracy map a snapshot stores — set
-	// by the snapshot decoder and by an ApplyFunc that fuses through the
-	// public API, and otherwise nil until Fused materialises it. When both
-	// are set, Result is Posterior's materialisation.
+	// Posterior is the engines' native form and what Chain.Apply leaves and
+	// a snapshot stores: one probability per compiled triple and one
+	// accuracy per provenance or source, over the graph (fusion.Posterior).
+	// Result is the exchange form, the rows and the string-keyed accuracy
+	// map: nil after Chain.Apply until Fused materialises it, and set beside
+	// Posterior by the snapshot decoder. An ApplyFunc that fuses through the
+	// public API may replace Result alone; Snapshot then stores Result,
+	// converted back to the native form and checked against the graph
+	// (fusion.PosteriorOf).
 	Posterior *fusion.Posterior
 	Result    *fusion.Result
 
@@ -146,8 +161,8 @@ func (st *State) shards() int {
 
 // Fused returns the state's posterior in exchange form, nil while nothing
 // is fused. A state that holds only the native form is materialised on the
-// first call after each Apply — O(triples + provenances), what a snapshot,
-// an output file or a test pays and an append does not — and remembered.
+// first call after each Apply — O(triples + provenances), what an output
+// file or a test pays and an append or a snapshot does not — and remembered.
 func (st *State) Fused() *fusion.Result {
 	if st.Result == nil && st.Posterior != nil {
 		st.Result = st.Posterior.Result()
@@ -167,6 +182,9 @@ type Store struct {
 	apply   ApplyFunc
 	journal faultfs.File
 	degrade []string
+	// skewed names the snapshots Open rejected for their version: another
+	// binary's, kept on disk for it and left out of retention.
+	skewed map[string]bool
 	// snapLen is the size of the last snapshot this store loaded or wrote:
 	// what Snapshot pre-sizes the next one's buffer from.
 	snapLen int
@@ -189,7 +207,7 @@ func Open(dir string, apply ApplyFunc) (*Store, *State, error) {
 // replay, degrading as documented above. The returned error is reserved for
 // I/O failures of the filesystem itself; corruption never fails the open.
 func OpenFS(fsys faultfs.FS, apply ApplyFunc) (*Store, *State, error) {
-	s := &Store{fs: fsys, apply: apply}
+	s := &Store{fs: fsys, apply: apply, skewed: map[string]bool{}}
 	names, err := fsys.List()
 	if err != nil {
 		return nil, nil, fmt.Errorf("genstore: list: %w", err)
@@ -204,7 +222,7 @@ func OpenFS(fsys faultfs.FS, apply ApplyFunc) (*Store, *State, error) {
 
 	// Newest valid snapshot wins; every invalid one is a recorded fallback.
 	st := &State{}
-	snaps := snapNames(names) // descending
+	snaps := snapNames(names, nil) // descending
 	loaded := false
 	for _, n := range snaps {
 		data, err := fsys.ReadFile(n)
@@ -215,11 +233,14 @@ func OpenFS(fsys faultfs.FS, apply ApplyFunc) (*Store, *State, error) {
 		dec, derr := decodeSnapshot(data)
 		if derr != nil {
 			s.note("snapshot %s rejected (%v)", n, derr)
-			if errors.Is(derr, ErrCorrupt) {
+			switch {
+			case errors.Is(derr, ErrCorrupt):
 				// Remove it so the retention window never counts a corpse as
-				// a fallback. Version-skewed files stay: another binary may
-				// still read them.
+				// a fallback.
 				_ = fsys.Remove(n)
+			case errors.Is(derr, ErrVersion):
+				// Keep it for the binary that reads it, out of the window.
+				s.skewed[n] = true
 			}
 			continue
 		}
@@ -290,16 +311,19 @@ func (s *Store) Snapshot(st *State) error {
 	if st.ExtShards != nil {
 		return errors.New("genstore: a sharded two-layer state is not persisted: its cross-shard tables cannot be rebuilt on decode")
 	}
+	// A state grows between snapshots; a quarter over the last one spares
+	// the buffer its one doubling copy at the end.
+	data, err := encodeSnapshot(st, s.snapLen+s.snapLen/4)
+	if err != nil {
+		return err
+	}
+	s.snapLen = len(data)
 	name := snapName(st.Batches)
 	tmp := name + tmpSuffix
 	f, err := s.fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("genstore: snapshot create: %w", err)
 	}
-	// A state grows between snapshots; a quarter over the last one spares
-	// the buffer its one doubling copy at the end.
-	data := encodeSnapshot(st, s.snapLen+s.snapLen/4)
-	s.snapLen = len(data)
 	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return fmt.Errorf("genstore: snapshot write: %w", err)
@@ -314,6 +338,7 @@ func (s *Store) Snapshot(st *State) error {
 	if err := s.fs.Rename(tmp, name); err != nil {
 		return fmt.Errorf("genstore: snapshot rename: %w", err)
 	}
+	delete(s.skewed, name) // replaced by one this binary reads
 	if err := s.fs.SyncDir(); err != nil {
 		return fmt.Errorf("genstore: snapshot dir sync: %w", err)
 	}
@@ -348,18 +373,21 @@ type section struct {
 	crc uint32
 }
 
-// encodeSnapshot serialises st, its posterior in exchange form (Fused).
-// Every section encodes straight into the one body buffer, pre-sized to
-// sizeHint bytes (the store's previous snapshot with room to grow; 0 when
-// there is none), and its index entry — offset, length, checksum — is read
-// back from the bytes it wrote.
-func encodeSnapshot(st *State, sizeHint int) []byte {
-	res := st.Fused()
+// encodeSnapshot serialises st, its posterior in native form
+// (storedPosterior). Every section encodes straight into the one body
+// buffer, pre-sized to sizeHint bytes (the store's previous snapshot with
+// room to grow; 0 when there is none), and its index entry — offset,
+// length, checksum — is read back from the bytes it wrote.
+func encodeSnapshot(st *State, sizeHint int) ([]byte, error) {
+	post, acc, err := st.storedPosterior()
+	if err != nil {
+		return nil, err
+	}
 	var body bytes.Buffer
 	body.Grow(sizeHint)
 	head := wire.NewWriter(&body)
 	head.U32(snapMagic)
-	head.U8(version)
+	head.U8(snapVersion)
 
 	var secs []section
 	add := func(id uint32, name string, encode func(io.Writer) error) {
@@ -384,7 +412,7 @@ func encodeSnapshot(st *State, sizeHint int) []byte {
 		mw.Int(st.Consumed)
 		mw.Int(st.Batches)
 		mw.Bool(st.Claim != nil)
-		mw.Bool(res != nil)
+		mw.Bool(post != nil)
 		mw.Bool(st.Ext != nil)
 		mw.Bool(st.TL != nil)
 		return mw.Err()
@@ -410,8 +438,19 @@ func encodeSnapshot(st *State, sizeHint int) []byte {
 			return sw.Err()
 		})
 	}
-	if res != nil {
-		add(secResult, "result", func(w io.Writer) error { return fusion.EncodeResult(w, res) })
+	if post != nil {
+		// The rounds, then two F64 columns: the probabilities graph-major,
+		// and the accuracies by the state's stored key column (rowGraphs).
+		add(secResult, "posterior", func(w io.Writer) error {
+			pw := wire.NewWriter(w)
+			pw.Int(post.Rounds)
+			pw.Int(post.Len())
+			for i := 0; i < post.Len(); i++ {
+				pw.F64(post.Prob(i))
+			}
+			pw.F64s(acc)
+			return pw.Err()
+		})
 	}
 	if st.Ext != nil {
 		add(secExt, "extraction graph", st.Ext.EncodeSnapshot)
@@ -431,7 +470,90 @@ func encodeSnapshot(st *State, sizeHint int) []byte {
 	}
 	iw.U64(indexOff)
 	iw.U32(snapMagic)
-	return body.Bytes()
+	return body.Bytes(), nil
+}
+
+// rowGraphs returns the graphs st's posterior is over, in shard order, and
+// the key column a snapshot stores its accuracies by: the one graph's own
+// provenance or source keys, or at K > 1 the shards' provenance keys in
+// order of first occurrence, shard by shard. That is the global ID order a
+// coordinator rebuilt from the shards assigns (shard.NewFusionFromShards),
+// and the live coordinator's follows the append history instead, so a
+// sharded posterior's accuracies are stored re-ordered (storedPosterior).
+func (st *State) rowGraphs() ([]fusion.RowGraph, []string) {
+	switch {
+	case st.Claim != nil:
+		return []fusion.RowGraph{st.Claim}, st.Claim.ProvKeys()
+	case st.Ext != nil:
+		return []fusion.RowGraph{st.Ext}, st.Ext.SourceKeys()
+	case st.ClaimShards != nil:
+		f := st.ClaimShards
+		graphs := make([]fusion.RowGraph, f.K())
+		var keys []string
+		seen := make(map[string]bool, f.NumProvenances())
+		for s := range graphs {
+			g := f.Shard(s)
+			graphs[s] = g
+			for _, key := range g.ProvKeys() {
+				if !seen[key] {
+					seen[key] = true
+					keys = append(keys, key)
+				}
+			}
+		}
+		return graphs, keys
+	}
+	return nil, nil
+}
+
+// storedPosterior returns the posterior a snapshot of st stores and its
+// accuracy column in the order of the stored key column (rowGraphs); nil
+// when nothing is fused. That is st.Posterior, unless st.Result is set and
+// is not its materialisation — an ApplyFunc fused through the public API —
+// and then st.Result converted back and checked row by row against the
+// graphs (fusion.PosteriorOf). A result or posterior that is not the
+// graphs' is refused, so it never reaches disk.
+func (st *State) storedPosterior() (*fusion.Posterior, []float64, error) {
+	graphs, keys := st.rowGraphs()
+	post := st.Posterior
+	if st.Result != nil && (post == nil || st.Result.Seed() != post.Seed()) {
+		var err error
+		if post, err = fusion.PosteriorOf(st.Result, keys, graphs...); err != nil {
+			return nil, nil, fmt.Errorf("genstore: state holds a result that is not its graph's: %w", err)
+		}
+	}
+	if post == nil {
+		return nil, nil, nil
+	}
+	postKeys, acc := post.Accuracies()
+	if post.Len() != rowCount(graphs) || len(postKeys) != len(keys) {
+		return nil, nil, fmt.Errorf("genstore: state holds a posterior that is not its graph's: %d rows and %d accuracies", post.Len(), len(postKeys))
+	}
+	if slices.Equal(postKeys, keys) {
+		return post, acc, nil
+	}
+	at := make(map[string]int, len(postKeys)) // a live coordinator's order
+	for g, key := range postKeys {
+		at[key] = g
+	}
+	stored := make([]float64, len(keys))
+	for i, key := range keys {
+		g, ok := at[key]
+		if !ok {
+			return nil, nil, fmt.Errorf("genstore: state holds a posterior that is not its graph's: no accuracy for %q", key)
+		}
+		stored[i] = acc[g]
+	}
+	return post, stored, nil
+}
+
+// rowCount counts the rows of a posterior over graphs: their triples.
+func rowCount(graphs []fusion.RowGraph) int {
+	n := 0
+	for _, g := range graphs {
+		n += g.NumTriples()
+	}
+	return n
 }
 
 func decodeSnapshot(data []byte) (*State, error) {
@@ -443,8 +565,8 @@ func decodeSnapshot(data []byte) (*State, error) {
 	if binary.LittleEndian.Uint32(data) != snapMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if v := data[4]; v != version {
-		return nil, fmt.Errorf("%w: snapshot version %d, want %d", ErrVersion, v, version)
+	if v := data[4]; v != snapVersion {
+		return nil, fmt.Errorf("%w: snapshot version %d, want %d", ErrVersion, v, snapVersion)
 	}
 	foot := data[len(data)-footerLen:]
 	if binary.LittleEndian.Uint32(foot[8:]) != snapMagic {
@@ -524,13 +646,6 @@ func decodeSnapshot(data []byte) (*State, error) {
 		}
 		st.ClaimShards = f
 	}
-	if hasResult {
-		res, err := fusion.DecodeResult(payload[secResult])
-		if err != nil {
-			return nil, fmt.Errorf("%w: result: %v", ErrCorrupt, err)
-		}
-		st.Result = res
-	}
 	if hasExt {
 		g, err := extract.DecodeSnapshot(payload[secExt])
 		if err != nil {
@@ -545,7 +660,40 @@ func decodeSnapshot(data []byte) (*State, error) {
 		}
 		st.TL = tl
 	}
+	if hasResult {
+		if err := st.decodePosterior(payload[secResult]); err != nil {
+			return nil, fmt.Errorf("%w: posterior: %v", ErrCorrupt, err)
+		}
+	}
 	return st, nil
+}
+
+// decodePosterior reads the posterior section (see encodeSnapshot) over st's
+// restored graphs into st.Posterior, and its materialisation into
+// st.Result: an ApplyFunc that fuses through the public API seeds from that.
+// The columns must be the graphs' lengths and hold only values a run
+// produces (fusion.Result.Validate): the accuracies seed every later warm
+// round.
+func (st *State) decodePosterior(b []byte) error {
+	graphs, keys := st.rowGraphs()
+	if graphs == nil {
+		return errors.New("a posterior without a graph")
+	}
+	r := wire.NewReader(b)
+	rounds, prob, acc := r.Int(), r.F64s(), r.F64s()
+	if err := r.Err(); err != nil || r.Remaining() != 0 {
+		return fmt.Errorf("malformed section (%v, %d trailing bytes)", err, r.Remaining())
+	}
+	if rows := rowCount(graphs); len(prob) != rows || len(acc) != len(keys) {
+		return fmt.Errorf("%d probabilities and %d accuracies over %d triples and %d keys", len(prob), len(acc), rows, len(keys))
+	}
+	post := fusion.NewPosterior(graphs, prob, keys, acc, rounds, 0)
+	res := post.Result()
+	if err := res.Validate(); err != nil {
+		return err
+	}
+	st.Posterior, st.Result = post, res
+	return nil
 }
 
 // decodeShards rebuilds a sharded claim state's coordinator from its
@@ -601,7 +749,7 @@ type record struct {
 func journalHeader() []byte {
 	var b [journalHeaderLen]byte
 	binary.LittleEndian.PutUint32(b[:4], journalMagic)
-	b[4] = version
+	b[4] = journalVersion
 	return b[:]
 }
 
@@ -681,7 +829,7 @@ func parseJournal(data []byte) (recs []record, validLen int, note string) {
 		}
 		return nil, 0, ""
 	}
-	if binary.LittleEndian.Uint32(data) != journalMagic || data[4] != version {
+	if binary.LittleEndian.Uint32(data) != journalMagic || data[4] != journalVersion {
 		return nil, 0, "bad journal header"
 	}
 	pos := journalHeaderLen
@@ -784,7 +932,7 @@ func (s *Store) rotateJournal() error {
 	if err != nil {
 		return fmt.Errorf("genstore: list: %w", err)
 	}
-	if snaps := snapNames(names); len(snaps) > 0 {
+	if snaps := snapNames(names, s.skewed); len(snaps) > 0 {
 		floor = snapSeq(snaps[len(snaps)-1]) // oldest retained snapshot
 	}
 	data, err := s.fs.ReadFile(journalName)
@@ -876,13 +1024,14 @@ func (s *Store) openJournal() error {
 	return nil
 }
 
-// pruneSnapshots removes all but the newest snapshotsKept snapshots.
+// pruneSnapshots removes all but the newest snapshotsKept snapshots this
+// binary reads.
 func (s *Store) pruneSnapshots() error {
 	names, err := s.fs.List()
 	if err != nil {
 		return fmt.Errorf("genstore: list: %w", err)
 	}
-	snaps := snapNames(names)
+	snaps := snapNames(names, s.skewed)
 	for _, n := range snaps[min(len(snaps), snapshotsKept):] {
 		if err := s.fs.Remove(n); err != nil {
 			return fmt.Errorf("genstore: prune %s: %w", n, err)
@@ -892,11 +1041,11 @@ func (s *Store) pruneSnapshots() error {
 }
 
 // snapNames filters and sorts snapshot file names, newest (highest batch
-// count) first.
-func snapNames(names []string) []string {
+// count) first, leaving out the skewed ones (see Store.skewed).
+func snapNames(names []string, skewed map[string]bool) []string {
 	var out []string
 	for _, n := range names {
-		if strings.HasPrefix(n, snapPrefix) && strings.HasSuffix(n, snapSuffix) && snapSeq(n) >= 0 {
+		if strings.HasPrefix(n, snapPrefix) && strings.HasSuffix(n, snapSuffix) && snapSeq(n) >= 0 && !skewed[n] {
 			out = append(out, n)
 		}
 	}

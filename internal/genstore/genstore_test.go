@@ -2,8 +2,11 @@ package genstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,8 +77,8 @@ func runPipeline(fsys faultfs.FS, chain *Chain, feed []extract.Extraction, chunk
 }
 
 // stateFingerprint reduces a state to comparable bytes: the canonical claim
-// graph encodings — the one graph or the K shards' — plus the result
-// encoding.
+// graph encodings — the one graph or the K shards' — plus the fused result's
+// exported fields, every float by its bits and the accuracies in key order.
 func stateFingerprint(t *testing.T, st *State) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -96,11 +99,26 @@ func stateFingerprint(t *testing.T, st *State) []byte {
 		}
 	}
 	if res := st.Fused(); res != nil {
-		if err := fusion.EncodeResult(&buf, res); err != nil {
-			t.Fatalf("encode result: %v", err)
+		fmt.Fprintf(&buf, "rounds=%d unpredicted=%d\n", res.Rounds, res.Unpredicted)
+		for _, f := range res.Triples {
+			fmt.Fprintf(&buf, "%q %q %q %x %v %d %d %d\n", f.Triple.Subject, f.Triple.Predicate, f.Triple.Object.String(),
+				math.Float64bits(f.Probability), f.Predicted, f.Provenances, f.ItemProvenances, f.Extractors)
+		}
+		for _, key := range sortedKeys(res.ProvAccuracy) {
+			fmt.Fprintf(&buf, "%q %x\n", key, math.Float64bits(res.ProvAccuracy[key]))
 		}
 	}
 	return buf.Bytes()
+}
+
+// sortedKeys lists an accuracy map's keys in order.
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // exported copies a result down to its exported fields — what a snapshot
@@ -368,7 +386,7 @@ func corruptNewestSnapshot(t *testing.T, mem *faultfs.Mem) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := snapNames(names)
+	snaps := snapNames(names, nil)
 	if len(snaps) == 0 {
 		t.Fatal("no snapshots on disk")
 	}
@@ -423,7 +441,7 @@ func TestAllSnapshotsLostRecompilesFromFeed(t *testing.T) {
 	want := stateFingerprint(t, st)
 
 	names, _ := mem.List()
-	for _, n := range snapNames(names) {
+	for _, n := range snapNames(names, nil) {
 		sz, _ := mem.Size(n)
 		if err := mem.FlipBit(n, sz/3, 1); err != nil {
 			t.Fatal(err)
@@ -547,6 +565,70 @@ func TestTwoLayerStateRoundTrips(t *testing.T) {
 	}
 	if !reflect.DeepEqual(exported(st2.Fused()), exported(st.Fused())) {
 		t.Fatal("results diverge after continued append")
+	}
+}
+
+// TestSkewedSnapshotsAreOutsideRetention covers snapshots another format
+// version wrote, here two that rank above every snapshot this binary writes:
+// they stay on disk for the binary that reads them, but take no retention
+// slot and set no journal floor, so the store keeps its own two newest
+// snapshots and every journal record behind them, and a reopen recovers
+// every acknowledged batch.
+func TestSkewedSnapshotsAreOutsideRetention(t *testing.T) {
+	mem := faultfs.NewMem()
+	skewed := []string{snapName(100), snapName(84)}
+	for _, n := range skewed {
+		data := binary.LittleEndian.AppendUint32(nil, snapMagic)
+		data = append(data, snapVersion+1)
+		data = append(data, make([]byte, 12)...) // a footer's worth: long enough to reach the version check
+		f, err := mem.Create(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	const batches, batch, every = 20, 5, 8
+	feed := testFeed(batches * batch)
+	chain := testChain(1)
+	store, st, err := OpenFS(mem, chain.Apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < batches; i++ {
+		if err := store.Append(st, feed[i*batch:(i+1)*batch]); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%every == 0 {
+			if err := store.Snapshot(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	store.Close()
+	want := stateFingerprint(t, st)
+
+	names, err := mem.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range append(skewed, snapName(16), snapName(8), journalName) {
+		if !slices.Contains(names, n) {
+			t.Errorf("%s is gone; the store holds %v", n, names)
+		}
+	}
+	store, st2, err := OpenFS(mem, chain.Apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if st2.Batches != batches {
+		t.Fatalf("reopen recovered %d of %d acknowledged batches; degradations: %v", st2.Batches, batches, store.Degradations())
+	}
+	if !bytes.Equal(stateFingerprint(t, st2), want) {
+		t.Fatal("reopened state differs from the acknowledged one")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/fusion"
 	"kfusion/internal/mathx"
 )
@@ -260,11 +261,11 @@ func MustFuseCompiled(c *fusion.Compiled, cfg Config) *fusion.Result {
 	return r
 }
 
-// parallelItems splits [0, n) across workers on the fusion package's shared
-// range splitter; f only writes state owned by its item range, so shard
-// boundaries never influence results.
+// parallelItems splits [0, n) across workers on the shared range splitter;
+// f only writes state owned by its item range, so shard boundaries never
+// influence results.
 func parallelItems(n, workers int, f func(lo, hi int)) {
-	fusion.ParallelRange(n, workers, func(_, lo, hi int) { f(lo, hi) })
+	csr.ParallelRange(n, workers, func(_, lo, hi int) { f(lo, hi) })
 }
 
 func clamp01(v float64) float64 {

@@ -36,8 +36,8 @@
 // needs it: the triple and the support counts are the graph's columns, the
 // probability the posterior's. A whole-generation /v1/triples scan filters on
 // the probability column and the predicate before it assembles anything. The
-// exchange form, every row plus the provenance-accuracy map, is materialised
-// only where something reads it: by the periodic snapshot and by Close.
+// append path never materialises the exchange form, every row plus the
+// provenance-accuracy map: a snapshot stores the posterior's own columns.
 //
 // A view is built from its predecessor, not from scratch. Row positions are
 // compiled triple IDs and stable along the chain, so the read index is a
@@ -51,10 +51,10 @@
 // and the posterior's columns are written once — so a reader parked on an
 // old generation needs no synchronisation with the appends behind it, and
 // what it pins is that generation's graph and two columns, not a row copy.
-// Hydrate indexes the recovered generation as one layer, after converting
-// the snapshot's exchange-form result back to a posterior over the recovered
-// graph (genstore.Chain.Adopt), which refuses a result that is not that
-// graph's.
+// Hydrate indexes the recovered generation as one layer: the snapshot stores
+// the posterior's columns, and the decoder rebuilds it over the recovered
+// graph (columns that do not fit that graph make the snapshot corrupt, and
+// recovery falls back one rung).
 package server
 
 import (
@@ -196,13 +196,10 @@ func (s *Server) Hydrate() error {
 	for _, d := range store.Degradations() {
 		s.logf("state recovery: %s", d)
 	}
-	// Adopt checks the state first (Chain.Check: a foreign method,
-	// granularity or source level, two-layer parameters that are not the
-	// graph's). Views read rows through the native posterior; a snapshot
-	// stores the exchange form, so with nothing replayed after it, it is
-	// converted here, once — which also refuses a result that is not its
-	// graph's.
-	if err := s.chain.Adopt(st); err != nil {
+	// A foreign method, granularity or source level, or two-layer
+	// parameters that are not the graph's, is refused here: with nothing
+	// journaled after the snapshot, no Apply has checked the state yet.
+	if err := s.chain.Check(st); err != nil {
 		store.Close()
 		return fmt.Errorf("server: state directory: %w", err)
 	}

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -638,11 +641,34 @@ func TestHydratesKfuseState(t *testing.T) {
 	}
 }
 
-// TestHydrateRefusesForeignResult pins the hydration check on the posterior:
-// views read rows through the graph, so a snapshot whose result is not its
-// graph's — here generation 1's result stored beside generation 2's graph —
-// must fail Hydrate like a foreign method does, not serve generation 2's
-// support counts under generation 1's probabilities.
+// hydrateFromJournal closes store and hydrates a server from mem, which must
+// come up ready on the journal alone at generation gen, serving want's rows.
+func hydrateFromJournal(t *testing.T, what string, store *genstore.Store, mem *faultfs.Mem, gen int, want *fusion.Result) {
+	t.Helper()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{FS: mem, Method: "popaccu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Hydrate(); err != nil || !s.Ready() {
+		t.Fatalf("%s: hydrating from the journal: err = %v, ready = %v", what, err, s.Ready())
+	}
+	defer s.Close()
+	v := s.current.Load()
+	if got := v.post.Result(); v.generation != gen || !reflect.DeepEqual(got.Triples, want.Triples) || !reflect.DeepEqual(got.ProvAccuracy, want.ProvAccuracy) {
+		t.Fatalf("%s: hydrated generation %d does not serve generation %d's posterior", what, v.generation, gen)
+	}
+}
+
+// TestHydrateRefusesForeignResult pins the check on the posterior where it
+// now runs, at the write: views read rows through the graph, so a state whose
+// result is not its graph's — here generation 1's result beside generation
+// 2's graph, set by an apply that fuses through the public API — must never
+// reach a snapshot, or a later boot would serve generation 2's support counts
+// under generation 1's probabilities. Snapshot refuses it and writes nothing;
+// the daemon then boots from the journal, at generation 2.
 func TestHydrateRefusesForeignResult(t *testing.T) {
 	xs := exper.SharedDataset(exper.ScaleSmall, 42).Extractions
 	chain := genstore.ClaimChain("popaccu", fusion.PopAccuConfig(), 1, 1)
@@ -655,32 +681,21 @@ func TestHydrateRefusesForeignResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := st.Fused()
+	stale = &fusion.Result{Triples: stale.Triples, Rounds: stale.Rounds, ProvAccuracy: stale.ProvAccuracy, Unpredicted: stale.Unpredicted}
 	if err := store.Append(st, xs[600:1200]); err != nil {
 		t.Fatal(err)
 	}
-	st.Posterior, st.Result = nil, stale
-	if err := store.Snapshot(st); err != nil {
-		t.Fatal(err)
+	want := st.Fused()
+	st.Result = stale
+	if err := store.Snapshot(st); err == nil || !strings.Contains(err.Error(), "not its graph's") {
+		t.Fatalf("snapshot of another generation's result: err = %v, want a refusal", err)
 	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{FS: mem, Method: "popaccu"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Hydrate(); err == nil || !strings.Contains(err.Error(), "not its graph's") {
-		t.Fatalf("hydrating a snapshot with another generation's result: err = %v, want a refusal", err)
-	}
-	if s.Ready() {
-		t.Fatal("a refused state was published")
-	}
+	hydrateFromJournal(t, "another generation's result", store, mem, 2, want)
 }
 
-// TestHydrateRefusesInvalidResultValues is the same refusal for a stored
-// result whose rows and keys are its graph's but whose numbers no run
-// produces: a snapshot is outside input, and the accuracies would seed every
-// warm round the daemon runs afterwards.
+// TestHydrateRefusesInvalidResultValues is the same refusal for a result
+// whose rows and keys are its graph's but whose numbers no run produces: the
+// accuracies would seed every warm round a daemon booted from it runs.
 func TestHydrateRefusesInvalidResultValues(t *testing.T) {
 	xs := exper.SharedDataset(exper.ScaleSmall, 42).Extractions
 	for what, damage := range map[string]func(res *fusion.Result){
@@ -708,25 +723,14 @@ func TestHydrateRefusesInvalidResultValues(t *testing.T) {
 		if err := store.Append(st, xs[:600]); err != nil {
 			t.Fatal(err)
 		}
-		res := st.Fused()
-		st.Posterior = nil
+		want := st.Fused()
+		res := &fusion.Result{Triples: slices.Clone(want.Triples), Rounds: want.Rounds, ProvAccuracy: maps.Clone(want.ProvAccuracy), Unpredicted: want.Unpredicted}
 		damage(res)
-		if err := store.Snapshot(st); err != nil {
-			t.Fatal(err)
+		st.Result = res
+		if err := store.Snapshot(st); err == nil || !strings.Contains(err.Error(), "not its graph's") {
+			t.Fatalf("snapshot of a result with %s: err = %v, want a refusal", what, err)
 		}
-		if err := store.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(Config{FS: mem, Method: "popaccu"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Hydrate(); err == nil || !strings.Contains(err.Error(), "not its graph's") {
-			t.Fatalf("hydrating a snapshot with %s: err = %v, want a refusal", what, err)
-		}
-		if s.Ready() {
-			t.Fatalf("%s: a refused state was published", what)
-		}
+		hydrateFromJournal(t, what, store, mem, 1, want)
 	}
 }
 

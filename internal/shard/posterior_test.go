@@ -67,8 +67,8 @@ func posteriorFeed() (head []extract.Extraction, steps [][]extract.Extraction) {
 // at K = 1 and 4, at every step of a 30-step chain (cold, then one warm
 // round per batch). The native chain seeds each step from the previous
 // posterior, engines and all, and never materialises a result to do so; the
-// other chain materialises every step and is seeded only from
-// DecodeResult(EncodeResult(·)) of its own previous result.
+// other chain materialises every step and is seeded only by key, from a
+// hand-built result holding its previous result's accuracy map.
 func TestPosteriorIsExchangeFormClaimLayer(t *testing.T) {
 	head, steps := posteriorFeed()
 	filteredAccu := fusion.AccuConfig()
