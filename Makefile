@@ -56,17 +56,25 @@ fault:
 # rand.New(rand.NewSource(seed)) under any script of draws and splits). And
 # the open-addressed intern tables both graphs intern through:
 # FuzzInternTable (csr.InternTable and csr.PairTable ≡ map[K]int32 under any
-# key stream, size hint and a degenerate constant hash).
+# key stream, size hint and a degenerate constant hash). And the parsers every
+# object, triple and gold line goes through: FuzzParseObject,
+# FuzzParseTriple and FuzzReadGold.
 # Each line caps input minimisation at 2 s: go test's default
 # -fuzzminimizetime is 60s, so minimising the first new interesting input
 # would otherwise eat the whole 15 s budget and the target would barely run.
+# scripts/check-fuzz-smoke.sh runs first and fails when a fuzz target in any
+# _test.go file has no line here.
 fuzz-smoke:
+	./scripts/check-fuzz-smoke.sh
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 15s -fuzzminimizetime 2s ./internal/genstore/
 	$(GO) test -run '^$$' -fuzz FuzzJournalParse -fuzztime 15s -fuzzminimizetime 2s ./internal/genstore/
 	$(GO) test -run '^$$' -fuzz FuzzExtractionStream -fuzztime 15s -fuzzminimizetime 2s ./internal/kfio/
 	$(GO) test -run '^$$' -fuzz FuzzReadExtractions -fuzztime 15s -fuzzminimizetime 2s ./internal/kfio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeExtraction -fuzztime 15s -fuzzminimizetime 2s ./internal/kfio/
 	$(GO) test -run '^$$' -fuzz FuzzWriteFused -fuzztime 15s -fuzzminimizetime 2s ./internal/kfio/
+	$(GO) test -run '^$$' -fuzz FuzzReadGold -fuzztime 15s -fuzzminimizetime 2s ./internal/kfio/
+	$(GO) test -run '^$$' -fuzz FuzzParseObject -fuzztime 15s -fuzzminimizetime 2s ./internal/kb/
+	$(GO) test -run '^$$' -fuzz FuzzParseTriple -fuzztime 15s -fuzzminimizetime 2s ./internal/kb/
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s -fuzzminimizetime 2s ./internal/extract/
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz FuzzAppendExtractions -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/

@@ -118,7 +118,6 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 		workers = runtime.GOMAXPROCS(0)
 	}
 	nStOld := len(g.stSource)
-	nTriOld := len(g.triples)
 	next := &Compiled{idx: idx, graph: &graph{
 		siteLevel:      g.siteLevel,
 		columns:        idx.cols,
@@ -140,17 +139,35 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 		presize(next, idx, len(xs), &stExts, &srcExts)
 		internBatch(next, idx, xs, &stExts, &srcExts)
 	}
-	internItems(next, idx, nTriOld)
-
-	nTriples := len(next.triples)
-	nItems := len(next.items)
 
 	// ---- Re-flatten the extractor lists around the additions ----
 	// The old statements and old sources the batch added an extractor to, in
-	// ascending order: everything below that revisits them walks these.
+	// ascending order: everything after this that revisits them walks these.
 	grownSts, grownSrcs := stExts.grownRows(), srcExts.grownRows()
 	next.stExtStart, next.stExts = stExts.flatten(grownSts)
 	next.srcExtStart, next.srcExts = srcExts.flatten(grownSrcs)
+	next.extendTail(g, idx, grownSts, workers, func() {
+		next.mergeExtStatements(g.graph, &stExts, &srcExts, grownSts, grownSrcs)
+	})
+	return next
+}
+
+// extendTail is extend's post-intern half: next holds g's statements and the
+// batch's, interned, with their extractor lists flattened (grownSts are g's
+// statements whose list the batch grew), and extendTail derives the rest of
+// the generation — items, the CSRs, the support counts and the ext→statement
+// incidence — around g's arrays. With nothing compiled in g it builds the
+// incidence in bulk; otherwise it calls merge, which builds it out of g's.
+// DecodeSnapshot runs it over the empty generation on decoded columns.
+func (next *Compiled) extendTail(g *Compiled, idx *extractIndex, grownSts []int32, workers int, merge func()) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	nStOld := len(g.stSource)
+	nTriOld := len(g.triples)
+	internItems(next, idx, nTriOld)
+	nTriples := len(next.triples)
+	nItems := len(next.items)
 
 	// ---- CSR adjacency by ordered span merge ----
 	next.srcStStart, next.srcSts = csr.AppendByGroup(g.srcStStart, g.srcSts, next.stSource[nStOld:], len(next.sources), workers)
@@ -207,7 +224,7 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 	if nStOld == 0 {
 		next.buildExtStatements(workers)
 	} else {
-		next.mergeExtStatements(g.graph, &stExts, &srcExts, grownSts, grownSrcs)
+		merge()
 	}
 
 	// What the next generation remembers of this one (see Compiled.Parent).
@@ -215,7 +232,6 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 	next.parent, next.parentSts, next.grownSts = g.token, nStOld, grownSts
 	// The index keeps the spare capacity; the generation sees its own prefix.
 	idx.cols, next.columns = next.columns, next.columns.clipped()
-	return next
 }
 
 // mergeExtStatements builds the ext→statement incidence of a generation that

@@ -185,23 +185,16 @@ func TestInternParallelPairwiseMerge(t *testing.T) {
 
 // requireSameGraph holds an appended generation to a Compile of the
 // concatenated stream twice over: field by field (the incidence in all four
-// of its arrays included) and through the bytes EncodeSnapshot writes, which
-// is what a state directory would hold. The generation counter is the one
-// thing that tells them apart, so the recompile is given got's.
+// of its arrays included) and through the dump of every field (dumpGraph).
+// The generation counter is the one thing that tells them apart, so the
+// recompile is given got's.
 func requireSameGraph(t *testing.T, name string, got *Compiled, stream []Extraction, siteLevel bool) {
 	t.Helper()
 	want := Compile(stream, siteLevel)
 	appendGraphsEqual(t, name, got, want)
 	want.gen = got.gen
-	var a, b bytes.Buffer
-	if err := got.EncodeSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.EncodeSnapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("%s: snapshot bytes differ from the recompile's", name)
+	if !bytes.Equal(dumpGraph(t, got), dumpGraph(t, want)) {
+		t.Fatalf("%s: graph dump differs from the recompile's", name)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"kfusion/internal/kb"
+	"kfusion/internal/wire"
 )
 
 // goldenStream is a self-contained deterministic extraction stream (an LCG,
@@ -40,21 +41,75 @@ func goldenStream(n int) []Extraction {
 	return xs
 }
 
-func snapshotDigest(t *testing.T, g *Compiled) string {
+// dumpGraph serializes every field of g — the primary columns a snapshot
+// stores and everything the compile tail derives from them, the items, the
+// CSRs, the support counts and the ext→statement incidence with its hit flags
+// — in the layout of the version-1 snapshot, which stored them all (extBlocks,
+// a function of extStStart, excepted). Two graphs are equal exactly when their
+// dumps are.
+func dumpGraph(t testing.TB, g *Compiled) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := g.EncodeSnapshot(&buf); err != nil {
-		t.Fatalf("encode: %v", err)
+	w := wire.NewWriter(&buf)
+	w.U8(1)
+	w.Int(g.gen)
+	w.Bool(g.siteLevel)
+
+	w.Strings(g.sources)
+	w.Strings(g.extractors)
+	kb.EncodeTriples(w, g.triples)
+	w.Int(len(g.items))
+	for _, it := range g.items {
+		w.String(string(it.Subject))
+		w.String(string(it.Predicate))
 	}
-	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+
+	w.Int32s(g.stSource)
+	w.Int32s(g.stTriple)
+	w.Int32s(g.stExtStart)
+	w.Int32s(g.stExts)
+
+	w.Int32s(g.srcExtStart)
+	w.Int32s(g.srcExts)
+	w.Int32s(g.srcStStart)
+	w.Int32s(g.srcSts)
+
+	w.Int32s(g.tripleStStart)
+	w.Int32s(g.tripleSts)
+	w.Int32s(g.tripleExts)
+	w.Int32s(g.itemOfTriple)
+	w.Int32s(g.itemTripleStart)
+	w.Int32s(g.itemTriples)
+	w.Int32s(g.itemStatements)
+
+	w.Int32s(g.extStStart)
+	w.Int32s(g.extSts)
+	hits := make([]bool, len(g.extHitsF)) // the flags go out one byte each
+	for i, h := range g.extHitsF {
+		hits[i] = h == 1
+	}
+	w.Bools(hits)
+
+	w.Int(g.maxItemTriples)
+	if err := w.Err(); err != nil {
+		t.Fatalf("dump: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// snapshotDigest is the SHA-256 of g's dump (dumpGraph).
+func snapshotDigest(t *testing.T, g *Compiled) string {
+	t.Helper()
+	return fmt.Sprintf("%x", sha256.Sum256(dumpGraph(t, g)))
 }
 
 // TestGoldenGraphDigests pins the compiled extraction graph — every ID table,
-// CSR span, incidence row and the generation counter, as EncodeSnapshot
-// serialises them — to SHA-256 digests recorded at commit 3ef8182, before
-// Compile became the from-empty case of Append. The Append-vs-Compile suites
-// compare two runs of one loop; this table and
-// TestCompiledGraphMatchesBruteForce are the independent oracle.
+// CSR span, incidence row and the generation counter, as dumpGraph serialises
+// them — to SHA-256 digests recorded at commit 3ef8182, before Compile became
+// the from-empty case of Append, when the snapshot itself stored every field.
+// The Append-vs-Compile suites compare two runs of one loop; this table and
+// TestCompiledGraphMatchesBruteForce are the independent oracle. The decoded
+// case derives its graph on decode.
 func TestGoldenGraphDigests(t *testing.T) {
 	big := internShardThreshold + 4321
 	small := goldenStream(3000)

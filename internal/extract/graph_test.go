@@ -320,26 +320,19 @@ func indexMapsGraph(t *testing.T, name string, idx *extractIndex, g *Compiled) {
 // TestCompileWorkersSameGraph holds the compiled graph to one value for every
 // workers setting on both sides of the shard-pass rule — below and from
 // csr.ShardInternMinWorkers, just under and just over csr.ParallelThreshold —
-// field by field and through the bytes a state directory would hold.
+// field by field and through the dump of every field (dumpGraph).
 func TestCompileWorkersSameGraph(t *testing.T) {
 	for _, n := range []int{csr.ParallelThreshold - 1, csr.ParallelThreshold + 1} {
 		xs := randomExtractions(rand.New(rand.NewSource(31)), n)
 		for _, siteLevel := range []bool{false, true} {
 			want := CompileWorkers(xs, siteLevel, 1)
-			var wantBytes bytes.Buffer
-			if err := want.EncodeSnapshot(&wantBytes); err != nil {
-				t.Fatal(err)
-			}
+			wantDump := dumpGraph(t, want)
 			for _, workers := range []int{1, 2, 3, 4, 8} {
 				got := CompileWorkers(xs, siteLevel, workers)
 				name := fmt.Sprintf("n=%d siteLevel=%v workers=%d", n, siteLevel, workers)
 				appendGraphsEqual(t, name, got, want)
-				var gotBytes bytes.Buffer
-				if err := got.EncodeSnapshot(&gotBytes); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
-					t.Fatalf("%s: snapshot bytes differ from workers=1", name)
+				if !bytes.Equal(dumpGraph(t, got), wantDump) {
+					t.Fatalf("%s: graph dump differs from workers=1", name)
 				}
 			}
 		}

@@ -118,8 +118,8 @@ func TestExtractColumnsAreClipped(t *testing.T) {
 }
 
 // TestExtractReadWhileChainAppends runs under -race: generations i-1 and i are
-// serialised (a read of every array) on their own goroutines while the chain
-// appends the next ones into the shared tails.
+// dumped (dumpGraph, a read of every array) on their own goroutines while the
+// chain appends the next ones into the shared tails.
 func TestExtractReadWhileChainAppends(t *testing.T) {
 	const base, batch, steps, ahead = 1500, 60, 6, 3
 	xs := appendStream(base + batch*(steps+ahead+1))
@@ -130,14 +130,13 @@ func TestExtractReadWhileChainAppends(t *testing.T) {
 	}
 	grow()
 	for i := 1; i <= steps; i++ {
-		var got [2]bytes.Buffer
-		var errs [2]error
+		var got [2][]byte
 		var wg sync.WaitGroup
 		for k, g := range []*Compiled{gens[i-1], gens[i]} {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errs[k] = g.EncodeSnapshot(&got[k])
+				got[k] = dumpGraph(t, g)
 			}()
 		}
 		for len(gens) <= i+ahead {
@@ -145,16 +144,9 @@ func TestExtractReadWhileChainAppends(t *testing.T) {
 		}
 		wg.Wait()
 		for k := range got {
-			if errs[k] != nil {
-				t.Fatal(errs[k])
-			}
-			var want bytes.Buffer
 			fresh := Compile(xs[:base+batch*(i-1+k)], true)
 			fresh.gen = i - 1 + k
-			if err := fresh.EncodeSnapshot(&want); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got[k].Bytes(), want.Bytes()) {
+			if !bytes.Equal(got[k], dumpGraph(t, fresh)) {
 				t.Fatalf("generation %d read beside appends differs from its recompile", i-1+k)
 			}
 		}

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"slices"
 	"testing"
 
 	"kfusion/internal/fusion"
+	"kfusion/internal/kb"
 	"kfusion/internal/twolayer"
 	"kfusion/internal/wire"
 )
@@ -70,6 +72,87 @@ func damagedPosteriors(t testing.TB, snap []byte) (name []string, damaged [][]by
 	return name, damaged
 }
 
+// damagedGraphs returns snap with its claim graph or extraction graph section
+// replaced by primary columns no compile produces — an out-of-range ID, a
+// short column, and for the extraction graph a decreasing extractor-list span
+// — every other section and every checksum intact, so only the graph decoders
+// stand between them and a recovered state; and a two-layer snapshot whose
+// meta section names the other source level. name says what each one holds.
+func damagedGraphs(t testing.TB, snap []byte) (name []string, damaged [][]byte) {
+	st, err := decodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A graph section is a head of key tables (and the claim confidences),
+	// then its int32 columns: tripleOfClaim is the claim graph's last;
+	// stSource, stTriple and stExtStart are the extraction graph's first three.
+	split := func(encode func(io.Writer) error, nCols int, head func(*wire.Reader)) ([]byte, [][]int32) {
+		var b bytes.Buffer
+		if err := encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(b.Bytes())
+		head(r)
+		pos := r.Pos()
+		cols := make([][]int32, nCols)
+		for i := range cols {
+			cols[i] = r.Int32s()
+		}
+		if r.Err() != nil || r.Remaining() != 0 {
+			t.Fatalf("graph section does not split (%v, %d trailing bytes)", r.Err(), r.Remaining())
+		}
+		return b.Bytes()[:pos], cols
+	}
+	add := func(id uint32, what string, head []byte, cols [][]int32, damage func([][]int32)) {
+		cols = slices.Clone(cols)
+		for i := range cols {
+			cols[i] = slices.Clone(cols[i])
+		}
+		damage(cols)
+		b := bytes.NewBuffer(slices.Clone(head))
+		w := wire.NewWriter(b)
+		for _, c := range cols {
+			w.Int32s(c)
+		}
+		name = append(name, what)
+		damaged = append(damaged, withSection(t, snap, id, b.Bytes()))
+	}
+	if c := st.Claim; c != nil {
+		head, cols := split(c.EncodeSnapshot, 3, func(r *wire.Reader) {
+			r.U8()
+			r.Int()
+			r.Strings()
+			r.Strings()
+			kb.DecodeTriples(r)
+			r.F64s()
+		})
+		add(secClaim, "a claim of an out-of-range triple", head, cols, func(c [][]int32) { c[2][0] = int32(st.Claim.NumTriples()) })
+		add(secClaim, "a short provenance column", head, cols, func(c [][]int32) { c[1] = c[1][:len(c[1])-1] })
+	}
+	if g := st.Ext; g != nil {
+		head, cols := split(g.EncodeSnapshot, 6, func(r *wire.Reader) {
+			r.U8()
+			r.Int()
+			r.Bool()
+			r.Strings()
+			r.Strings()
+			kb.DecodeTriples(r)
+		})
+		add(secExt, "a statement of an out-of-range source", head, cols, func(c [][]int32) { c[0][0] = int32(g.NumSources()) })
+		add(secExt, "a decreasing extractor-list span", head, cols, func(c [][]int32) { c[2][1] = c[2][len(c[2])-1] + 1 })
+		add(secExt, "a short statement → triple column", head, cols, func(c [][]int32) { c[1] = c[1][:len(c[1])-1] })
+		// The state's meta section names the other source level.
+		st.SiteLevel = !st.SiteLevel
+		b, err := encodeSnapshot(st, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name = append(name, "an extraction graph of another source level than the state's")
+		damaged = append(damaged, b)
+	}
+	return name, damaged
+}
+
 // withSection returns snap with section id's payload replaced, the index and
 // its checksums rewritten to match.
 func withSection(t testing.TB, snap []byte, id uint32, payload []byte) []byte {
@@ -103,11 +186,13 @@ func withSection(t testing.TB, snap []byte, id uint32, payload []byte) []byte {
 	return append(out, tail.Bytes()...)
 }
 
-// FuzzSnapshotDecode asserts decodeSnapshot never panics, and that any input
-// it accepts re-encodes and decodes stably (no lossy acceptance). The seeds
-// past the first four are a K=3 claim snapshot, so the mutators reach the
-// shard section and K, a two-layer one, and a K=1 claim, a K=3 claim and a
-// two-layer snapshot whose posterior columns are damaged (damagedPosteriors),
+// FuzzSnapshotDecode asserts decodeSnapshot never panics, that any input it
+// accepts re-encodes and decodes stably (no lossy acceptance), and that every
+// graph it decodes fuses: the claim graphs under VoteConfig, the extraction
+// graph for one two-layer round. The seeds past the first four are a K=3
+// claim snapshot, so the mutators reach the shard section and K, a two-layer
+// one, and a K=1 claim, a K=3 claim and a two-layer snapshot whose posterior
+// columns (damagedPosteriors) or graph columns (damagedGraphs) are damaged,
 // which must decode to ErrCorrupt.
 func FuzzSnapshotDecode(f *testing.F) {
 	snap, _ := fuzzSeedState(testChain(1))
@@ -123,6 +208,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(twoLayer)
 	for _, honest := range [][]byte{snap, sharded, twoLayer} {
 		names, damaged := damagedPosteriors(f, honest)
+		moreNames, moreDamaged := damagedGraphs(f, honest)
+		names, damaged = append(names, moreNames...), append(damaged, moreDamaged...)
 		for i, data := range damaged {
 			if _, err := decodeSnapshot(data); !errors.Is(err, ErrCorrupt) {
 				f.Fatalf("a snapshot holding %s decoded with err %v, want ErrCorrupt", names[i], err)
@@ -156,6 +243,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if st.ClaimShards != nil {
 			if _, err := st.ClaimShards.Fuse(fusion.VoteConfig()); err != nil {
 				t.Fatalf("decoded shards failed to fuse: %v", err)
+			}
+		}
+		if st.Ext != nil {
+			cfg := twolayer.DefaultConfig()
+			cfg.SiteLevel, cfg.Rounds = st.SiteLevel, 1
+			if _, err := twolayer.FuseCompiled(st.Ext, cfg); err != nil {
+				t.Fatalf("decoded extraction graph failed to fuse: %v", err)
 			}
 		}
 	})

@@ -7,15 +7,18 @@
 // # Contract
 //
 //   - Snapshot writes the full in-memory State — compiled claim/extraction
-//     graph (or, for a sharded claim chain, its K graphs and K itself), fused
-//     posterior in its native form (the round count, one probability per
-//     compiled triple and one accuracy per provenance or source; the rows
-//     are the graph's), warm-start accuracies, feed cursor — to a versioned
-//     file (magic and version header, sections, a section index, and a
-//     footer holding the index offset and the magic again), every section
-//     CRC32C-checked, via an atomic temp-file + fsync + rename protocol. A
-//     state whose posterior is not its graph's is refused before anything is
-//     written. The two newest snapshots this binary reads are retained.
+//     graph (or, for a sharded claim chain, its K graphs and K itself) as its
+//     primary columns, the key tables and per-claim or per-statement columns
+//     no compile can derive (a decode rebuilds the rest through the compile
+//     tail), fused posterior in its native form (the round count, one
+//     probability per compiled triple and one accuracy per provenance or
+//     source; the rows are the graph's), warm-start accuracies, feed cursor —
+//     to a versioned file (magic and version header, sections, a section
+//     index, and a footer holding the index offset and the magic again),
+//     every section CRC32C-checked, via an atomic temp-file + fsync + rename
+//     protocol. A state whose posterior is not its graph's is refused before
+//     anything is written. The two newest snapshots this binary reads are
+//     retained.
 //   - Append journals the raw extraction batch (length-prefixed, CRC32C)
 //     and fsyncs BEFORE applying it to the in-memory state, so a crash
 //     mid-apply loses nothing: the batch replays on reopen. An Append whose
@@ -64,8 +67,10 @@ const (
 	snapMagic    = 0x4b464753 // "KFGS"
 	journalMagic = 0x4b46474a // "KFGJ"
 	// snapVersion is the snapshot container's version. 2: the result
-	// section holds the posterior's columns, not the exchange-form rows.
-	snapVersion = 2
+	// section holds the posterior's columns, not the exchange-form rows. 3:
+	// the graph sections hold only their graphs' primary columns, and a
+	// decode derives the rest through the compile tail.
+	snapVersion = 3
 	// journalVersion is the journal's, which a snapshot format change leaves
 	// alone: a binary that cannot read an older one's snapshots still
 	// replays its journal.
@@ -650,6 +655,9 @@ func decodeSnapshot(data []byte) (*State, error) {
 		g, err := extract.DecodeSnapshot(payload[secExt])
 		if err != nil {
 			return nil, fmt.Errorf("%w: extraction graph: %v", ErrCorrupt, err)
+		}
+		if g.SiteLevel() != st.SiteLevel {
+			return nil, fmt.Errorf("%w: a site-level=%v extraction graph in a site-level=%v state", ErrCorrupt, g.SiteLevel(), st.SiteLevel)
 		}
 		st.Ext = g
 	}

@@ -47,32 +47,3 @@ func DecodeTriples(r *wire.Reader) []Triple {
 	}
 	return out
 }
-
-// EncodeItems writes a length-prefixed data-item table.
-func EncodeItems(w *wire.Writer, items []DataItem) {
-	w.Int(len(items))
-	for i := range items {
-		w.String(string(items[i].Subject))
-		w.String(string(items[i].Predicate))
-	}
-}
-
-// DecodeItems reads a table written by EncodeItems, latching corruption on r
-// like DecodeTriples.
-func DecodeItems(r *wire.Reader) []DataItem {
-	n := r.Int()
-	if n > r.Remaining() {
-		r.Fail(fmt.Errorf("kb: item count %d exceeds input: %w", n, wire.ErrTruncated))
-	}
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	out := make([]DataItem, n)
-	for i := range out {
-		out[i] = DataItem{Subject: EntityID(r.String()), Predicate: PredicateID(r.String())}
-	}
-	if r.Err() != nil {
-		return nil
-	}
-	return out
-}

@@ -12,6 +12,7 @@ func FuzzParseObject(f *testing.F) {
 	f.Add("")
 	f.Add("x:unknown")
 	f.Add("n:notanumber")
+	f.Add("n:NaN")
 	f.Add("s:")
 	f.Fuzz(func(t *testing.T, in string) {
 		obj, err := ParseObject(in)

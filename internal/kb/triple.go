@@ -111,7 +111,9 @@ func (o Object) AppendString(dst []byte) []byte {
 	}
 }
 
-// ParseObject parses the tagged form produced by Object.String.
+// ParseObject parses the tagged form produced by Object.String. It refuses a
+// NaN number: NaN equals no object, itself included, so every occurrence of
+// one triple would intern as a triple of its own.
 func ParseObject(s string) (Object, error) {
 	if len(s) < 2 || s[1] != ':' {
 		return Object{}, fmt.Errorf("kb: malformed object %q", s)
@@ -126,6 +128,9 @@ func ParseObject(s string) (Object, error) {
 		v, err := strconv.ParseFloat(body, 64)
 		if err != nil {
 			return Object{}, fmt.Errorf("kb: malformed number object %q: %v", s, err)
+		}
+		if math.IsNaN(v) {
+			return Object{}, fmt.Errorf("kb: NaN number object %q", s)
 		}
 		return NumberObject(v), nil
 	default:

@@ -41,8 +41,7 @@ func parseExtractionLineRef(line []byte, lineNo int, off int64) (extract.Extract
 	}, nil
 }
 
-// sameExtraction is == with floats compared by bits, so -0 differs from 0 and
-// a NaN number object ("n:NaN" parses) equals itself.
+// sameExtraction is == with floats compared by bits, so -0 differs from 0.
 func sameExtraction(a, b extract.Extraction) bool {
 	same := math.Float64bits(a.Confidence) == math.Float64bits(b.Confidence) &&
 		math.Float64bits(a.Triple.Object.Num) == math.Float64bits(b.Triple.Object.Num)

@@ -201,7 +201,8 @@ func TestExtractionWriterMatchesEncodingJSON(t *testing.T) {
 // FuzzWriteFused pins the append-based fused-row encoder to encoding/json on
 // arbitrary rows: the same bytes or an error from both, and bytes that
 // ReadFused reads back as the rows written — strings as JSON carries them
-// (each invalid UTF-8 byte becomes U+FFFD), floats bit for bit.
+// (each invalid UTF-8 byte becomes U+FFFD), floats bit for bit — unless a row's
+// object is NaN, which ReadFused refuses.
 func FuzzWriteFused(f *testing.F) {
 	f.Add("/m/1", "/p/a", "x", byte(1), 0.0, 0.83, 4, 2)
 	f.Add(`quo"te`, `back\slash`, "<b>&amp;</b>", byte(0), 0.0, -1.0, 1, 1)
@@ -232,6 +233,13 @@ func FuzzWriteFused(f *testing.F) {
 			return
 		}
 		back, err := ReadFused(bytes.NewReader(out))
+		if obj.Kind == kb.KindNumber && math.IsNaN(num) {
+			// kb.ParseObject refuses a NaN object, so no reader takes the row back.
+			if err == nil {
+				t.Fatalf("ReadFused accepts the NaN object in %q", out)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("ReadFused rejects %q: %v", out, err)
 		}

@@ -124,6 +124,16 @@ func TestReadErrors(t *testing.T) {
 	if _, err := ReadExtractions(strings.NewReader(`{"s":"a","p":"b","o":"zz:bad"}`)); err == nil {
 		t.Error("accepted malformed object")
 	}
+	// A NaN object equals nothing, itself included: through the fast decoder
+	// and through encoding/json (the upper-case key) alike, the line is refused.
+	for _, line := range []string{
+		`{"s":"a","p":"b","o":"n:NaN","extractor":"E","url":"u","site":"s","conf":1}`,
+		`{"S":"a","p":"b","o":"n:NaN","extractor":"E","url":"u","site":"s","conf":1}`,
+	} {
+		if _, err := ReadExtractions(strings.NewReader(line)); err == nil {
+			t.Errorf("accepted a NaN object: %s", line)
+		}
+	}
 	if _, _, err := ReadGold(strings.NewReader("oops")); err == nil {
 		t.Error("accepted malformed gold JSON")
 	}
