@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: verify build vet lint test race fault fuzz-smoke bench-smoke bench-e2e docs-check
+.PHONY: verify build vet lint test repro race fault fuzz-smoke bench-smoke bench-e2e docs-check
 
-# verify is the tier-1 gate: vet, lint, build, full tests, and a 1-iteration
-# benchmark smoke so perf-critical paths — synthesis included: every test
-# and workload pays it first — cannot silently rot.
-verify: vet lint build test bench-smoke docs-check
+# verify is the tier-1 gate: vet, lint, build, full tests, the seed-42
+# reproduction, and a 1-iteration benchmark smoke so perf-critical paths —
+# synthesis included: every test and workload pays it first — cannot
+# silently rot.
+verify: vet lint build test repro bench-smoke docs-check
 
 build:
 	$(GO) build ./...
@@ -23,6 +24,11 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# repro regenerates every reproduced table and figure at bench scale, seed
+# 42, and fails when any paper-shape check prints VIOLATED (kfexper exits 1).
+repro:
+	$(GO) run ./cmd/kfexper -scale bench >/dev/null
 
 # race exercises the concurrent paths (parallel interning, parallel CSR
 # build, the twolayer/fusion EM stage loops, the exper singleflight caches,

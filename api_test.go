@@ -98,8 +98,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		"fig3", "fig4", "fig5", "fig6", "fig7",
 		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
 		"fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22",
-		"abl-twolayer", "abl-multitruth", "abl-funcdegree", "abl-hierval",
-		"abl-softlcwa", "abl-valuesim",
+		"abl-twolayer", "abl-multitruth", "abl-softlcwa",
 	}
 	for _, id := range want {
 		if ExperimentByID(id) == nil {

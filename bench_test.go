@@ -761,10 +761,7 @@ func BenchmarkWriteFused(b *testing.B) {
 
 func BenchmarkAblationTwoLayer(b *testing.B)   { benchExperiment(b, "abl-twolayer") }
 func BenchmarkAblationMultiTruth(b *testing.B) { benchExperiment(b, "abl-multitruth") }
-func BenchmarkAblationFuncDegree(b *testing.B) { benchExperiment(b, "abl-funcdegree") }
-func BenchmarkAblationHierValues(b *testing.B) { benchExperiment(b, "abl-hierval") }
 func BenchmarkAblationSoftLCWA(b *testing.B)   { benchExperiment(b, "abl-softlcwa") }
-func BenchmarkAblationValueSim(b *testing.B)   { benchExperiment(b, "abl-valuesim") }
 
 // BenchmarkLargeScaleFusion validates the paper's scale concern (§3.2.2's
 // third challenge) at the largest size this harness builds: hundreds of

@@ -67,12 +67,12 @@ func ExampleCompile() {
 	// VOTE rounds=1 ACCU rounds=3
 }
 
-// ExampleCompiled_AppendExtractions grows a claim graph by appending a second
+// ExampleCompiledClaims_AppendExtractions grows a claim graph by appending a second
 // extraction batch and re-fuses warm from the previous result — the streaming
 // pipeline `kfuse -append` drives. The graph carries the (provenance, triple)
 // dedup across batches, so the appended graph is bit-identical to compiling
 // the whole feed at once.
-func ExampleCompiled_AppendExtractions() {
+func ExampleCompiledClaims_AppendExtractions() {
 	xs := capitalExtractions()
 
 	g := kfusion.CompileClaimFeed(xs[:2], kfusion.GranExtractorURL, 0)

@@ -1,8 +1,8 @@
 package kfusion_test
 
 // Longer walkthroughs than example_test.go's one-call examples: the paper's
-// running example, the substrate APIs on a film-heavy world, the multi-truth
-// extensions and the full synthetic pipeline. `go test` runs each and checks
+// running example, the substrate APIs on a film-heavy world, the latent truth
+// model and the full synthetic pipeline. `go test` runs each and checks
 // its printed output.
 
 import (
@@ -12,8 +12,6 @@ import (
 	"sort"
 
 	"kfusion"
-	"kfusion/internal/funcdegree"
-	"kfusion/internal/fusion"
 	"kfusion/internal/kfio"
 	"kfusion/internal/multitruth"
 )
@@ -200,10 +198,9 @@ func Example_movieFusion() {
 // the single-truth assumption (65% of FNs, Figure 17): a person has several
 // children, an actor several films, but VOTE/ACCU/POPACCU normalize each
 // data item's probabilities to sum to 1. It contrasts POPACCU with the
-// latent truth model extension (§5.3) on a non-functional predicate, then
-// shows the functionality-degree rescaling on a full synthetic corpus.
+// latent truth model extension (§5.3) on a non-functional predicate.
 func Example_multiTruth() {
-	// Part 1: a hand-built non-functional item. Three reliable provenances
+	// A hand-built non-functional item. Three reliable provenances
 	// report child Alice, three others child Bob — both are true.
 	claim := func(subj, obj, prov string) kfusion.Claim {
 		return kfusion.Claim{
@@ -260,67 +257,12 @@ func Example_multiTruth() {
 	show("Alice")
 	show("Bob")
 	fmt.Println("  → the single-truth model splits the mass; the latent truth model believes both")
-
-	// Part 2: learned functionality degrees on a synthetic corpus.
-	ds := kfusion.Synthesize(kfusion.ScaleSmall, 77)
-	res := ds.Fuse("POPACCU+", kfusion.POPACCUPlus(ds.Gold.Labeler()))
-	degrees := funcdegree.LearnFromGold(res, ds.Gold.Label, 6)
-
-	fmt.Println("\nmost multi-valued predicates by learned functionality degree:")
-	shown := 0
-	for _, p := range degrees.Ranked() {
-		pr := ds.World.Ont.Predicate(p)
-		if pr == nil {
-			continue
-		}
-		kind := "functional"
-		if !pr.Functional {
-			kind = fmt.Sprintf("non-functional (true cardinality %.1f)", pr.Cardinality)
-		}
-		fmt.Printf("  degree %.2f  %-45s %s\n", degrees.Degree(p), p, kind)
-		shown++
-		if shown >= 8 {
-			break
-		}
-	}
-
-	// recallAt is the share of gold-true predicted triples fused at p >= 0.5.
-	recallAt := func(res *fusion.Result) float64 {
-		hit, total := 0, 0
-		for _, f := range res.Triples {
-			if !f.Predicted {
-				continue
-			}
-			if label, ok := ds.Gold.Label(f.Triple); ok && label {
-				total++
-				if f.Probability >= 0.5 {
-					hit++
-				}
-			}
-		}
-		return float64(hit) / float64(max(total, 1))
-	}
-	rescaled := funcdegree.Rescale(res, degrees)
-	fmt.Printf("\nrecall of gold-true triples at p>=0.5: before %.3f, after degree rescaling %.3f\n",
-		recallAt(res), recallAt(rescaled))
 	// Output:
 	// who are the parent's children?  (both Alice and Bob are true)
 	//                                 POPACCU        LTM
 	//   children = Alice                0.472      0.757
 	//   children = Bob                  0.472      0.757
 	//   → the single-truth model splits the mass; the latent truth model believes both
-	//
-	// most multi-valued predicates by learned functionality degree:
-	//   degree 4.00  /music/artist/elevation_m                     non-functional (true cardinality 3.0)
-	//   degree 3.50  /book/book/revenue_musd                       non-functional (true cardinality 5.0)
-	//   degree 2.00  /book/author/birth_date                       non-functional (true cardinality 3.0)
-	//   degree 2.00  /government/politician/release_date           non-functional (true cardinality 4.0)
-	//   degree 2.00  /music/album/location                         non-functional (true cardinality 1.3)
-	//   degree 1.50  /biology/species/capacity                     non-functional (true cardinality 6.0)
-	//   degree 1.50  /book/author/currency                         non-functional (true cardinality 2.0)
-	//   degree 1.50  /geography/river/author_of                    non-functional (true cardinality 2.0)
-	//
-	// recall of gold-true triples at p>=0.5: before 0.889, after degree rescaling 0.947
 }
 
 // Example_webscale runs the full synthetic pipeline: generate a world, crawl

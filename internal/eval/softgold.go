@@ -22,7 +22,8 @@ type SoftGold struct {
 }
 
 // NewSoftGold wraps a gold standard with a per-predicate functionality
-// degree (e.g. funcdegree.Degrees.Degree, or the schema's cardinality).
+// degree: a degree learned from a fusion result, or the schema's
+// cardinality. A degree below 1 counts as 1.
 func NewSoftGold(gold *GoldStandard, degree func(kb.PredicateID) float64) *SoftGold {
 	return &SoftGold{gold: gold, degree: degree}
 }

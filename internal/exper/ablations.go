@@ -2,12 +2,9 @@ package exper
 
 import (
 	"fmt"
-	"sort"
 
 	"kfusion/internal/eval"
-	"kfusion/internal/funcdegree"
 	"kfusion/internal/fusion"
-	"kfusion/internal/hierval"
 	"kfusion/internal/kb"
 	"kfusion/internal/multitruth"
 	"kfusion/internal/twolayer"
@@ -16,12 +13,6 @@ import (
 // Ablations for the §5 future-direction implementations. Each compares the
 // refined baseline against one extension on the axis the paper says the
 // extension should move.
-
-// evalResult evaluates an arbitrary fusion result (the extensions produce
-// fusion.Result too).
-func (ds *Dataset) evalResult(name string, res *fusion.Result) eval.Report {
-	return eval.Evaluate(name, res, ds.Gold)
-}
 
 // AblationTwoLayer: does separating extractor precision from source accuracy
 // (§5.1) recover the Figure 18 signal the flat provenance buries?
@@ -33,7 +24,7 @@ func AblationTwoLayer(ds *Dataset) *Table {
 	cfg := twolayer.DefaultConfig()
 	cfg.SiteLevel = true
 	two := twolayer.MustFuseCompiled(ds.ExtractionGraph(true), cfg)
-	twoRep := ds.evalResult("TWOLAYER", two)
+	twoRep := eval.Evaluate("TWOLAYER", two, ds.Gold)
 
 	tb := &Table{ID: "abl-twolayer", Title: "Ablation: two-layer source/extractor model (§5.1)",
 		Header: []string{"Model", "Dev", "WDev", "AUC-PR", "N"}}
@@ -129,106 +120,5 @@ func AblationMultiTruth(ds *Dataset) *Table {
 		"paper Figure 17: 65% of false negatives stem from the single-truth assumption",
 		checkf(mHit >= sHit, "LTM recovers at least as many multi-truth items"),
 		checkf(sTotal == mTotal, "both models see the same multi-truth items"))
-	return tb
-}
-
-// trueRecall is the recall of gold-true triples at p >= 0.5 and the number
-// of gold-true triples predicted — the axis the result transforms of §5.3
-// and §5.4 should move.
-func trueRecall(ds *Dataset, res *fusion.Result) (float64, int) {
-	hit, total := 0, 0
-	for _, f := range res.Triples {
-		if !f.Predicted {
-			continue
-		}
-		if label, ok := ds.Gold.Label(f.Triple); ok && label {
-			total++
-			if f.Probability >= 0.5 {
-				hit++
-			}
-		}
-	}
-	if total == 0 {
-		return 0, 0
-	}
-	return float64(hit) / float64(total), total
-}
-
-// AblationFuncDegree: does learning per-predicate functionality degrees and
-// relaxing the single-truth squeeze improve truth recall (§5.3)?
-func AblationFuncDegree(ds *Dataset) *Table {
-	plusCfg := fusion.PopAccuPlusConfig(ds.Gold.Labeler())
-	base := ds.Fuse("POPACCU+", plusCfg)
-	degrees := funcdegree.LearnFromGold(base, ds.Gold.Label, 6)
-	rescaled := funcdegree.Rescale(base, degrees)
-
-	bRec, n := trueRecall(ds, base)
-	rRec, _ := trueRecall(ds, rescaled)
-	baseRep := ds.evalResult("POPACCU+", base)
-	resRep := ds.evalResult("POPACCU+ + funcdegree", rescaled)
-
-	tb := &Table{ID: "abl-funcdegree", Title: "Ablation: learned functionality degrees (§5.3)",
-		Header: []string{"Model", "True-triple recall@0.5", "WDev", "AUC-PR"}}
-	tb.AddRow(baseRep.Name, fmt.Sprintf("%.3f (n=%d)", bRec, n), fmt.Sprintf("%.4f", baseRep.WDev), fmt.Sprintf("%.4f", baseRep.AUCPR))
-	tb.AddRow(resRep.Name, fmt.Sprintf("%.3f", rRec), fmt.Sprintf("%.4f", resRep.WDev), fmt.Sprintf("%.4f", resRep.AUCPR))
-
-	// Show the learned degrees line up with the schema. Sorted keys: the
-	// float sums below must not accumulate in map iteration order.
-	preds := make([]kb.PredicateID, 0, len(degrees))
-	for p := range degrees {
-		preds = append(preds, p)
-	}
-	sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
-	fnDeg, nfDeg, fnN, nfN := 0.0, 0.0, 0, 0
-	for _, p := range preds {
-		d := degrees[p]
-		if pr := ds.World.Ont.Predicate(p); pr != nil {
-			if pr.Functional {
-				fnDeg += d
-				fnN++
-			} else {
-				nfDeg += d
-				nfN++
-			}
-		}
-	}
-	if fnN > 0 && nfN > 0 {
-		tb.Notef("learned degree: functional predicates %.2f vs non-functional %.2f",
-			fnDeg/float64(fnN), nfDeg/float64(nfN))
-		tb.Notes = append(tb.Notes,
-			checkf(nfDeg/float64(nfN) >= fnDeg/float64(fnN), "non-functional predicates learn higher degrees"))
-	}
-	tb.Notes = append(tb.Notes, checkf(rRec >= bRec, "degree rescaling does not lose true triples"))
-	return tb
-}
-
-// AblationHierValues: does ancestor aggregation fix specific/general false
-// negatives (§5.4)?
-func AblationHierValues(ds *Dataset) *Table {
-	plusCfg := fusion.PopAccuPlusConfig(ds.Gold.Labeler())
-	base := ds.Fuse("POPACCU+", plusCfg)
-	isHier := func(p kb.PredicateID) bool {
-		pr := ds.World.Ont.Predicate(p)
-		return pr != nil && pr.Hierarchical
-	}
-	adjusted := hierval.Adjust(base, ds.World.Hier, isHier)
-
-	// Specific/general false negatives before and after.
-	countFNs := func(res *fusion.Result) int {
-		ea := eval.AnalyzeErrors(ds.World, ds.Snapshot, ds.Gold, res, ds.Extractions, 0.95, 0.05)
-		return ea.FN[eval.FNSpecificGeneral]
-	}
-	baseFN := countFNs(base)
-	adjFN := countFNs(adjusted)
-	baseRep := ds.evalResult("POPACCU+", base)
-	adjRep := ds.evalResult("POPACCU+ + hierval", adjusted)
-
-	tb := &Table{ID: "abl-hierval", Title: "Ablation: hierarchical value aggregation (§5.4)",
-		Header: []string{"Model", "Specific/general FNs", "WDev", "AUC-PR"}}
-	tb.AddRow(baseRep.Name, baseFN, fmt.Sprintf("%.4f", baseRep.WDev), fmt.Sprintf("%.4f", baseRep.AUCPR))
-	tb.AddRow(adjRep.Name, adjFN, fmt.Sprintf("%.4f", adjRep.WDev), fmt.Sprintf("%.4f", adjRep.AUCPR))
-	tb.Notes = append(tb.Notes,
-		"paper Figure 17: 35% of false negatives are specific/general value artifacts",
-		checkf(adjFN <= baseFN, "ancestor aggregation does not add specific/general FNs"))
 	return tb
 }

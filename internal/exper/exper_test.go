@@ -260,3 +260,76 @@ func TestTableRendering(t *testing.T) {
 		}
 	}
 }
+
+func TestLearnDegrees(t *testing.T) {
+	fused := func(subj, pred, obj string, prob float64) fusion.FusedTriple {
+		return fusion.FusedTriple{
+			Triple:      kb.Triple{Subject: kb.EntityID(subj), Predicate: kb.PredicateID(pred), Object: kb.StringObject(obj)},
+			Probability: prob,
+			Predicted:   true,
+		}
+	}
+	unpredicted := func(subj, pred, obj string) fusion.FusedTriple {
+		f := fused(subj, pred, obj, -1)
+		f.Predicted = false
+		return f
+	}
+	// sum adds left to right in float64, as the learner does; a constant
+	// expression would be folded exactly.
+	sum := func(xs ...float64) float64 {
+		s := 0.0
+		for _, x := range xs {
+			s += x
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name    string
+		triples []fusion.FusedTriple
+		want    map[kb.PredicateID]float64
+	}{
+		{"functional clamps to 1", []fusion.FusedTriple{
+			fused("a", "/p/func", "x", 0.9), fused("a", "/p/func", "y", 0.05),
+			fused("b", "/p/func", "x", 0.85),
+		}, map[kb.PredicateID]float64{"/p/func": 1}},
+		{"multi-valued is the mean item sum", []fusion.FusedTriple{
+			fused("a", "/p/multi", "x", 0.8), fused("a", "/p/multi", "y", 0.75),
+			fused("b", "/p/multi", "x", 0.9), fused("b", "/p/multi", "y", 0.8), fused("b", "/p/multi", "z", 0.3),
+		}, map[kb.PredicateID]float64{"/p/multi": sum(sum(0.8, 0.75), sum(0.9, 0.8, 0.3)) / 2}},
+		{"clamps to the maximum", []fusion.FusedTriple{
+			fused("a", "/p/huge", "v1", 0.99), fused("a", "/p/huge", "v2", 0.99), fused("a", "/p/huge", "v3", 0.99),
+			fused("a", "/p/huge", "v4", 0.99), fused("a", "/p/huge", "v5", 0.99), fused("a", "/p/huge", "v6", 0.99),
+			fused("a", "/p/huge", "v7", 0.99),
+		}, map[kb.PredicateID]float64{"/p/huge": maxLearnedDegree}},
+		{"skips unpredicted triples", []fusion.FusedTriple{
+			fused("a", "/p/multi", "x", 0.9), unpredicted("a", "/p/multi", "y"), fused("a", "/p/multi", "z", 0.9),
+			unpredicted("b", "/p/multi", "x"),
+			unpredicted("a", "/p/none", "x"),
+		}, map[kb.PredicateID]float64{"/p/multi": sum(0.9, 0.9)}},
+		// Four items whose sums round differently under some orders: the
+		// total must follow the order the items first appear in.
+		{"sums items in first-seen order", []fusion.FusedTriple{
+			fused("a", "/p/m", "x", 0.7), fused("b", "/p/m", "x", 0.9), fused("a", "/p/m", "y", 0.6),
+			fused("c", "/p/m", "x", 0.8), fused("d", "/p/m", "x", 0.1), fused("b", "/p/m", "y", 0.2),
+			fused("c", "/p/m", "y", 0.3), fused("c", "/p/m", "z", 0.4), fused("d", "/p/m", "y", 0.2),
+			fused("d", "/p/m", "z", 0.3), fused("d", "/p/m", "w", 0.9),
+		}, map[kb.PredicateID]float64{
+			"/p/m": sum(sum(0.7, 0.6), sum(0.9, 0.2), sum(0.8, 0.3, 0.4), sum(0.1, 0.2, 0.3, 0.9)) / 4,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := &fusion.Result{Triples: tc.triples}
+			for run := 0; run < 20; run++ {
+				got := learnDegrees(res)
+				if len(got) != len(tc.want) {
+					t.Fatalf("run %d: degrees %v, want %v", run, got, tc.want)
+				}
+				for p, d := range tc.want {
+					if got[p] != d {
+						t.Fatalf("run %d: degree of %s = %v, want %v", run, p, got[p], d)
+					}
+				}
+			}
+		})
+	}
+}

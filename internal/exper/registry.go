@@ -33,10 +33,7 @@ var Registry = []Experiment{
 	{"fig22", "Coverage by confidence threshold (Figure 22)", Figure22},
 	{"abl-twolayer", "Ablation: two-layer source/extractor model (§5.1)", AblationTwoLayer},
 	{"abl-multitruth", "Ablation: latent truth model (§5.3)", AblationMultiTruth},
-	{"abl-funcdegree", "Ablation: functionality degrees (§5.3)", AblationFuncDegree},
-	{"abl-hierval", "Ablation: hierarchical values (§5.4)", AblationHierValues},
 	{"abl-softlcwa", "Ablation: LCWA with label confidence (§5.7)", AblationSoftLCWA},
-	{"abl-valuesim", "Ablation: value-similarity support (§5.4)", AblationValueSim},
 }
 
 // ByID returns the experiment with the given ID, or nil.

@@ -2,9 +2,9 @@ package kb
 
 // Hierarchy records containment between entity values, e.g. the location
 // chain San Francisco ⊂ California ⊂ USA ⊂ North America of §5.4. The world
-// generator populates it for hierarchical predicates; the evaluation uses it
-// to recognize specific/general "errors", and the hierval extension uses it
-// to aggregate support along ancestor chains.
+// generator populates it for hierarchical predicates, the Web corpus and
+// the Freebase snapshot draw general values from it, and the error analysis
+// uses it to recognize specific/general "errors" (Figure 17).
 type Hierarchy struct {
 	parent map[EntityID]EntityID
 	depth  map[EntityID]int
