@@ -30,10 +30,10 @@ test:
 repro:
 	$(GO) run ./cmd/kfexper -scale bench >/dev/null
 
-# race exercises the concurrent paths (parallel interning, parallel CSR
-# build, the twolayer/fusion EM stage loops, the exper singleflight caches,
-# the extraction reader's per-worker batch decode) under the race detector;
-# CI runs it on every push.
+# race exercises the concurrent paths (the claim graph's parallel interning,
+# parallel CSR build, the twolayer/fusion EM stage loops, the exper
+# singleflight caches, the extraction reader's per-worker batch decode) under
+# the race detector; CI runs it on every push.
 race:
 	$(GO) test -race ./...
 

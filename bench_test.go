@@ -549,9 +549,9 @@ func BenchmarkTwoLayerScaling(b *testing.B) {
 
 // BenchmarkExtractCompileGraph measures extract.Compile itself — interning,
 // CSR adjacency and the ext→statement incidence — by workers, on the bench
-// extraction set: the counting passes split from two workers on, the
-// shard-and-merge interning engages from csr.ShardInternMinWorkers (compare
-// workers-1 with workers-2 and workers-4 before moving that constant).
+// extraction set: the counting passes split from two workers on, and
+// interning is the one sequential loop at every workers value (compare
+// workers-1 with workers-2 and workers-4 before adding a parallel pass).
 func BenchmarkExtractCompileGraph(b *testing.B) {
 	ds := benchDataset(b)
 	for _, workers := range []int{1, 2, 4} {

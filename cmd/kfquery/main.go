@@ -50,6 +50,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *limit < 0 {
+		return fmt.Errorf("-limit %d is not a non-negative integer", *limit)
+	}
 
 	var match func(fusion.FusedTriple) bool
 	switch {

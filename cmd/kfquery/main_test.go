@@ -152,4 +152,13 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{"-in", missing, "-stats"}, &bytes.Buffer{}); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("missing file: error %v, want fs.ErrNotExist", err)
 	}
+	// A negative -limit is refused, as /v1/triples refuses a negative limit,
+	// and nothing is printed.
+	var out bytes.Buffer
+	if err := run([]string{"-in", path, "-min-prob", "0", "-limit", "-1"}, &out); err == nil || !strings.Contains(err.Error(), "-limit") {
+		t.Errorf("-limit -1: error %v, want a -limit error", err)
+	}
+	if out.Len() > 0 {
+		t.Errorf("-limit -1 printed %q", out.String())
+	}
 }

@@ -35,17 +35,18 @@
 //     graph — sources, extractors, (source, triple) statement pairs and
 //     candidate triples as dense IDs with CSR adjacency — shared through
 //     the Dataset the way the claim graph is, with its original map-keyed
-//     engine kept as a golden reference. Every hot path is parallel AND
-//     deterministic: interning runs shard-and-merge, CSR adjacency builds
-//     with a parallel counting sort (internal/csr), and the two-layer EM's
-//     float reductions use fixed-size blocks folded with a pairwise tree
-//     shaped only by the data (csr.SpanBlocks/csr.Pairwise) — so results are
-//     bit-identical for any worker count, pinned by forced-worker property
-//     tests. (The block re-grouping costs a documented <= 1e-9 tolerance
-//     against the two-layer reference engine; see internal/twolayer.) The
-//     transcendental math is batched the same way: internal/mathx holds
-//     the log/log-odds/log-ratio/softmax kernels the EM hot loops call in
-//     single passes over staging buffers. They are bit-identical to the
+//     engine kept as a golden reference. Every hot path is deterministic, and
+//     parallel where that pays: the claim graph interns shard-and-merge on
+//     four or more workers (the extraction graph in one sequential loop), CSR
+//     adjacency builds with a parallel counting sort (internal/csr), and the
+//     two-layer EM's float reductions use fixed-size blocks folded with a
+//     pairwise tree shaped only by the data (csr.SpanBlocks/csr.Pairwise) —
+//     so results are bit-identical for any worker count, pinned by
+//     forced-worker property tests. (The block re-grouping costs a documented
+//     <= 1e-9 tolerance against the two-layer reference engine; see
+//     internal/twolayer.) The transcendental math is batched the same way:
+//     internal/mathx holds the log/log-odds/log-ratio/softmax kernels the EM
+//     hot loops call in single passes over staging buffers. They are bit-identical to the
 //     historical scalar math.Exp/math.Log calls and pure elementwise
 //     functions, so results stay bit-identical across worker and shard
 //     counts.

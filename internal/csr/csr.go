@@ -45,10 +45,10 @@ func ParallelRange(n, workers int, f func(worker, lo, hi int)) {
 }
 
 // ParallelThreshold is the input size below which the shared multi-pass
-// parallel schemes — the grouped counting sort here, the shard-and-merge
-// interning passes of the claim and extraction graphs — fall back to their
-// sequential loops: under it, per-worker scratch setup and the merge pass
-// cost more than the single-threaded work. One constant so retuning the
+// parallel schemes — the grouped counting sort here, the claim graph's
+// shard-and-merge interning pass — fall back to their sequential loops: under
+// it, per-worker scratch setup and the merge pass cost more than the
+// single-threaded work. One constant so retuning the
 // cutoff happens in one place for every consumer.
 const ParallelThreshold = 1 << 14
 

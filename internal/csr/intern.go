@@ -1,12 +1,14 @@
 package csr
 
-// Parallel ordered key merging for the shard-and-merge interning passes.
+// Parallel ordered key merging for the claim graph's shard-and-merge
+// interning pass.
 //
 // Every compiled graph interns its key spaces (provenances, extractors,
 // sources, triples, statements) in first-occurrence order of the input
-// stream. The parallel interning passes shard the stream, intern each shard
-// locally, and then merge the shard-local key lists into the global ID
-// space.
+// stream. The claim graph's parallel interning pass shards the stream,
+// interns each shard locally, and then merges the shard-local key lists into
+// the global ID space; the extraction graph interns in its sequential loop
+// at every worker count.
 //
 // MergeKeys runs that merge as an ordered pairwise tree: adjacent shard
 // pairs are merged concurrently, halving the shard count per round until one
@@ -26,26 +28,24 @@ package csr
 // one goroutine, to divide one hashing per record among the workers.
 
 // ShardInternMinWorkers is the smallest worker count at which a from-empty
-// interning pass is sharded. Measured on 2 shared vCPUs (`go test -bench
-// 'CompileClaimGraph|ExtractCompileGraph' -benchtime 20x`): the claim graph
-// (150k ScaleLarge claims) compiles in 93–101 ms with the sequential loop and
-// in 149–193 ms (122 MB against 32 MB allocated) with the pass at two
-// workers; the extraction graph (ScaleBench) in 13.9–18.6 ms with the loop —
-// both graphs intern on open-addressed tables (InternTable, PairTable) — and
-// in 25.0–32.9 ms (18.9 MB against 7.2 MB) with the pass at two workers, 36.3
-// ms at four. The merge's extra hashing into generic maps is more than half
-// an interning loop, so a second worker cannot repay it on any host until the
-// merge runs over the shards' own tables. At four cores CI's scaling-check
-// holds the claim-graph compile, pass included, at >= 1.5x the one-core cell.
-// Three has been measured on no host and stays with the loop.
+// claim-graph interning pass is sharded. Measured on 2 shared vCPUs (`go test
+// -bench 'CompileClaimGraph' -benchtime 20x`): the claim graph (150k
+// ScaleLarge claims) compiles in 93–101 ms with the sequential loop, which
+// interns on open-addressed tables (InternTable, PairTable), and in 149–193
+// ms (122 MB against 32 MB allocated) with the pass at two workers. The
+// merge's extra hashing into generic maps is more than half an interning
+// loop, so a second worker cannot repay it on any host until the merge runs
+// over the shards' own tables. At four cores CI's scaling-check holds the
+// claim-graph compile, pass included, at >= 1.5x the one-core cell. Three has
+// been measured on no host and stays with the loop.
 const ShardInternMinWorkers = 4
 
-// ShardIntern is the one selection rule of the shard-and-merge interning
-// passes (fusion's internClaimsParallel, extract's internParallel): a batch of
-// n records interned onto an empty generation with `workers` goroutines
-// allowed takes the pass when the batch reaches ParallelThreshold and workers
-// reaches ShardInternMinWorkers. Both interning paths build the same graph, so
-// the rule decides speed only.
+// ShardIntern is the claim graph's one selection rule for its shard-and-merge
+// interning pass (fusion's internClaimsParallel): a batch of n claims interned
+// onto an empty generation with `workers` goroutines allowed takes the pass
+// when the batch reaches ParallelThreshold and workers reaches
+// ShardInternMinWorkers. Both interning paths build the same graph, so the
+// rule decides speed only.
 func ShardIntern(n, workers int) bool {
 	return n >= ParallelThreshold && workers >= ShardInternMinWorkers
 }
@@ -65,7 +65,7 @@ type keyList[K comparable] struct {
 // The input lists are only read. Every key of every shard is hashed into a
 // generic map here and probed once per tree level — the cost
 // ShardInternMinWorkers accounts for; a merge over the shards' own intern
-// tables and stored hashes would not pay it (ROADMAP item 3).
+// tables and stored hashes would not pay it (ROADMAP item 4(d)).
 func MergeKeys[K comparable](shards [][]K, workers int) (keys []K, idx map[K]int32) {
 	if len(shards) == 0 {
 		return nil, map[K]int32{}

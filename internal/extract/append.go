@@ -19,14 +19,11 @@ package extract
 // one flat entry pool (extLists), which flatten reads back in
 // first-extraction order. A from-empty batch presizes every table and key
 // column from its length (presize); an Append onto compiled statements
-// presizes only the batch's own lists. The shard-and-merge pass (internParallel: the same loop per shard, then an
-// ordered merge) is chosen from what extend can observe — nothing is interned
-// yet, which is a bulk Compile or a first Append onto an empty generation, and
-// csr.ShardIntern(len(batch), workers) holds: the batch reaches
-// csr.ParallelThreshold and the workers csr.ShardInternMinWorkers. That
-// minimum is measured (the numbers are beside the constant): at two workers
-// the merge's extra hashing costs more than the half loop it saves. Both
-// produce the same graph.
+// presizes only the batch's own lists. Every batch, whatever its size and the
+// worker count, interns through this one loop; workers bound only the passes
+// after it (the CSRs, the per-triple extractor recount and the incidence). A
+// shard-and-merge pass like the claim graph's (csr.ShardIntern) was slower
+// than the loop at every worker count it was timed at (ROADMAP item 4(d)).
 //
 // The columns that only grow at the end (source and extractor keys, the
 // statement → source / triple columns, triples, items, triple → item) are
@@ -127,18 +124,14 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 	// ---- Intern the batch, continuing the retained index ----
 	stExts := extLists{oldStart: g.stExtStart, oldFlat: g.stExts}
 	srcExts := extLists{oldStart: g.srcExtStart, oldFlat: g.srcExts}
-	switch {
-	case nStOld > 0:
+	if nStOld > 0 {
 		// An extraction adds at most one row and one entry to each list.
 		stExts.presize(len(xs), len(xs))
 		srcExts.presize(len(xs), len(xs))
-		internBatch(next, idx, xs, &stExts, &srcExts)
-	case csr.ShardIntern(len(xs), workers):
-		internParallel(next, idx, xs, workers, &stExts, &srcExts)
-	default:
+	} else {
 		presize(next, idx, len(xs), &stExts, &srcExts)
-		internBatch(next, idx, xs, &stExts, &srcExts)
 	}
+	internBatch(next, idx, xs, &stExts, &srcExts)
 
 	// ---- Re-flatten the extractor lists around the additions ----
 	// The old statements and old sources the batch added an extractor to, in

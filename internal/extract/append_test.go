@@ -114,9 +114,9 @@ func TestExtractAppendChain(t *testing.T) {
 	appendGraphsEqual(t, "chain", g, Compile(xs, true))
 }
 
-// TestExtractAppendAboveShardThreshold crosses the parallel interning
-// threshold so the append extends a graph built by the shard-and-merge path
-// (pairwise-merged key spaces).
+// TestExtractAppendAboveShardThreshold appends onto a compile that crosses
+// csr.ParallelThreshold at four workers, where the compile's counting passes
+// split, and holds the result to the one-compile graph of the whole stream.
 func TestExtractAppendAboveShardThreshold(t *testing.T) {
 	xs := appendStream(internShardThreshold + 4096)
 	split := internShardThreshold + 256
@@ -168,18 +168,6 @@ func TestExtractAppendNothingIsConstantCost(t *testing.T) {
 		if allocs > 2 {
 			t.Errorf("%s: empty append allocates %v objects per call, want O(1)", name, allocs)
 		}
-	}
-}
-
-// TestInternParallelPairwiseMerge re-pins the parallel interning path —
-// now pairwise-merged — against the sequential loop at several worker
-// counts that take it (the graphs must be identical in every field).
-func TestInternParallelPairwiseMerge(t *testing.T) {
-	xs := appendStream(internShardThreshold + internShardThreshold/2)
-	want := CompileWorkers(xs, true, 1)
-	for _, workers := range []int{csr.ShardInternMinWorkers, 7, 8} {
-		got := CompileWorkers(xs, true, workers)
-		appendGraphsEqual(t, fmt.Sprintf("workers=%d", workers), got, want)
 	}
 }
 

@@ -207,11 +207,10 @@ func Compile(xs []Extraction, siteLevel bool) *Compiled {
 	return CompileWorkers(xs, siteLevel, 0)
 }
 
-// CompileWorkers is Compile with an explicit bound on the CSR-building and
-// interning goroutines (0 = GOMAXPROCS). The CSR builds split from two
-// workers on; interning is sharded from csr.ShardInternMinWorkers on and is
-// the one sequential loop below it (see extend). The graph is identical for
-// any workers value.
+// CompileWorkers is Compile with an explicit bound on the CSR-building
+// goroutines (0 = GOMAXPROCS). The CSR builds split from two workers on;
+// interning is the one sequential loop at every workers value (see extend).
+// The graph is identical for any workers value.
 func CompileWorkers(xs []Extraction, siteLevel bool, workers int) *Compiled {
 	empty := &Compiled{graph: &graph{siteLevel: siteLevel}}
 	return empty.extend(&extractIndex{}, xs, workers)
@@ -319,9 +318,6 @@ func (g *Compiled) buildExtStatements(workers int) {
 // and per-triple passes of the assemble tail stay on one goroutine (the shared
 // cutoff of the multi-pass parallel schemes; tuned in internal/csr).
 const internShardThreshold = csr.ParallelThreshold
-
-// stKey identifies a statement: a distinct (source, triple) pair.
-type stKey struct{ src, tri int32 }
 
 // internBatch is the one sequential interning loop: it assigns source,
 // extractor, triple and statement IDs to xs in stream order, continuing
@@ -549,134 +545,6 @@ func (l *extLists) flatten(grownRows []int32) (start, flat []int32) {
 	}
 	start[len(start)-1] = int32(len(flat))
 	return start, flat
-}
-
-// internParallel is the shard-and-merge interning pass over a from-empty g:
-// each worker runs internBatch over a contiguous extraction range into
-// shard-local ID spaces, the shard-local key lists merge into the global
-// first-occurrence order, and shard-local IDs are remapped through the merged
-// indexes. Because any key's first global occurrence lies in the earliest
-// shard that saw it, and shard-local lists preserve stream order, the merged
-// ID spaces (and the first-extraction-ordered extractor lists, returned as
-// new rows in stExts and srcExts) are identical to one internBatch over the
-// whole stream.
-//
-// The merges themselves run as csr.MergeKeys' ordered pairwise trees —
-// adjacent shard pairs merged concurrently: sources, extractors and triples
-// merge concurrently with each other, then statements merge over
-// globally-remapped (source, triple) keys built in parallel per shard. The
-// merge's maps do the remap; the index Append continues from is the flat
-// tables, bulk-loaded over the merged columns in ID order. Only the
-// extractor-list folds remain a sequential walk; their work per statement is
-// bounded by the extractor fleet, not the corpus.
-func internParallel(g *Compiled, idx *extractIndex, xs []Extraction, workers int, stExts, srcExts *extLists) {
-	n := len(xs)
-	if workers > n {
-		workers = n
-	}
-	// One shard: its ID spaces in shard-local first-occurrence order, its
-	// extractor lists over shard-local IDs.
-	type shard struct {
-		g               *Compiled
-		stExts, srcExts extLists
-	}
-	shards := make([]shard, workers)
-	csr.ParallelRange(n, workers, func(w, lo, hi int) {
-		s := &shards[w]
-		s.g = &Compiled{graph: &graph{siteLevel: g.siteLevel}}
-		sidx := &extractIndex{}
-		presize(s.g, sidx, hi-lo, &s.stExts, &s.srcExts)
-		internBatch(s.g, sidx, xs[lo:hi], &s.stExts, &s.srcExts)
-	})
-
-	// Pairwise-merge the string/triple key spaces, concurrently with each
-	// other.
-	srcShards := make([][]string, workers)
-	extShards := make([][]string, workers)
-	triShards := make([][]kb.Triple, workers)
-	for w := range shards {
-		srcShards[w] = shards[w].g.sources
-		extShards[w] = shards[w].g.extractors
-		triShards[w] = shards[w].g.triples
-	}
-	var srcMap, extMap map[string]int32
-	var triMap map[kb.Triple]int32
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		g.sources, srcMap = csr.MergeKeys(srcShards, workers)
-	}()
-	go func() {
-		defer wg.Done()
-		g.extractors, extMap = csr.MergeKeys(extShards, workers)
-	}()
-	g.triples, triMap = csr.MergeKeys(triShards, workers)
-	wg.Wait()
-
-	// Remap each shard's statement keys to global (source, triple) IDs in
-	// parallel, then pairwise-merge the statement key space like the others.
-	srcRemap := make([][]int32, workers)
-	extRemap := make([][]int32, workers)
-	stKeyShards := make([][]stKey, workers)
-	csr.ParallelRange(workers, workers, func(_, lo, hi int) {
-		for w := lo; w < hi; w++ {
-			s := shards[w].g
-			srcRemap[w] = make([]int32, len(s.sources))
-			for li, key := range s.sources {
-				srcRemap[w][li] = srcMap[key]
-			}
-			extRemap[w] = make([]int32, len(s.extractors))
-			for li, key := range s.extractors {
-				extRemap[w][li] = extMap[key]
-			}
-			triRemap := make([]int32, len(s.triples))
-			for li, t := range s.triples {
-				triRemap[li] = triMap[t]
-			}
-			keys := make([]stKey, len(s.stSource))
-			for lsi := range s.stSource {
-				keys[lsi] = stKey{srcRemap[w][s.stSource[lsi]], triRemap[s.stTriple[lsi]]}
-			}
-			stKeyShards[w] = keys
-		}
-	})
-	stKeys, stMap := csr.MergeKeys(stKeyShards, workers)
-	g.stSource = make([]int32, len(stKeys))
-	g.stTriple = make([]int32, len(stKeys))
-	for si, k := range stKeys {
-		g.stSource[si] = k.src
-		g.stTriple[si] = k.tri
-	}
-	idx.src = csr.BuildInternTable(g.sources, nil)
-	idx.ext = csr.BuildInternTable(g.extractors, nil)
-	idx.tri = csr.BuildInternTable(g.triples, csr.HashTriple)
-	idx.st = statementTable(g.stSource, g.stTriple)
-
-	// Fold the per-statement and per-source extractor lists shard by shard
-	// (stream order), preserving first-extraction order across shards.
-	stExts.presize(len(stKeys), len(stKeys))
-	srcExts.presize(len(g.sources), len(g.sources))
-	for range stKeys {
-		stExts.addRow()
-	}
-	for range g.sources {
-		srcExts.addRow()
-	}
-	for w := range shards {
-		s := &shards[w]
-		for lsi, first := range s.stExts.head {
-			gsi := stMap[stKeyShards[w][lsi]]
-			for i := first; i >= 0; i = s.stExts.next[i] {
-				stExts.add(gsi, extRemap[w][s.stExts.ext[i]])
-			}
-		}
-		for ls, first := range s.srcExts.head {
-			for i := first; i >= 0; i = s.srcExts.next[i] {
-				srcExts.add(srcRemap[w][ls], extRemap[w][s.srcExts.ext[i]])
-			}
-		}
-	}
 }
 
 func containsID(ids []int32, id int32) bool {

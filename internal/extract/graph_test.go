@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
-	"slices"
 	"testing"
 
 	"kfusion/internal/csr"
@@ -227,64 +225,6 @@ func TestExtStatementIncidenceMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestInternParallelMatchesSequential is the forced-worker property test for
-// the shard-and-merge interning pass: above the shard threshold, the whole
-// compiled graph — every ID space, every CSR span, every extractor list and
-// the ext→statement blocks — must be identical to the sequential build for
-// any worker count that takes the pass (csr.ShardIntern), and the pass called
-// directly at the shard counts extend no longer selects must intern what the
-// sequential loop interns.
-func TestInternParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	n := internShardThreshold + 4321
-	xs := randomExtractions(rng, n)
-	batch := randomExtractions(rng, 700)
-	for _, siteLevel := range []bool{false, true} {
-		want := CompileWorkers(xs, siteLevel, 1)
-		wantNext := CompileWorkers(slices.Concat(xs, batch), siteLevel, 1)
-		for _, workers := range []int{csr.ShardInternMinWorkers, 7, 8} {
-			got := CompileWorkers(xs, siteLevel, workers)
-			name := fmt.Sprintf("siteLevel=%v workers=%d", siteLevel, workers)
-			got.token = want.token // a graph's identity: the one field no two compiles share
-			if !reflect.DeepEqual(got.graph, want.graph) {
-				t.Fatalf("%s: parallel interning diverged from sequential", name)
-			}
-			// The index the pass leaves is what Append continues from: it maps
-			// every key to its ID, and extends the graph as the loop's would.
-			indexMapsGraph(t, name, got.idx, got)
-			appendGraphsEqual(t, name+" +batch", got.AppendWorkers(batch, 1), wantNext)
-		}
-
-		intern := func(pass func(g *Compiled, idx *extractIndex, stExts, srcExts *extLists)) (*Compiled, *extractIndex, [2][]int32, [2][]int32) {
-			g := &Compiled{graph: &graph{siteLevel: siteLevel}}
-			idx := &extractIndex{}
-			var stExts, srcExts extLists
-			pass(g, idx, &stExts, &srcExts)
-			var st, src [2][]int32
-			st[0], st[1] = stExts.flatten(nil)
-			src[0], src[1] = srcExts.flatten(nil)
-			return g, idx, st, src
-		}
-		seq, _, seqSt, seqSrc := intern(func(g *Compiled, idx *extractIndex, stExts, srcExts *extLists) {
-			presize(g, idx, len(xs), stExts, srcExts)
-			internBatch(g, idx, xs, stExts, srcExts)
-		})
-		for _, shards := range []int{2, 3} {
-			name := fmt.Sprintf("siteLevel=%v shards=%d", siteLevel, shards)
-			par, parIdx, parSt, parSrc := intern(func(g *Compiled, idx *extractIndex, stExts, srcExts *extLists) {
-				internParallel(g, idx, xs, shards, stExts, srcExts)
-			})
-			if !reflect.DeepEqual(par.columns, seq.columns) {
-				t.Fatalf("%s: the pass interned other ID spaces than the loop", name)
-			}
-			if !reflect.DeepEqual(parSt, seqSt) || !reflect.DeepEqual(parSrc, seqSrc) {
-				t.Fatalf("%s: the pass folded other extractor lists than the loop", name)
-			}
-			indexMapsGraph(t, name, parIdx, par)
-		}
-	}
-}
-
 // indexMapsGraph checks that idx maps every key of g's ID spaces to its ID:
 // sources, extractors, triples, statements, and items once interned. The
 // tables' seeds and slot layouts are private to each table and not compared.
@@ -318,22 +258,31 @@ func indexMapsGraph(t *testing.T, name string, idx *extractIndex, g *Compiled) {
 }
 
 // TestCompileWorkersSameGraph holds the compiled graph to one value for every
-// workers setting on both sides of the shard-pass rule — below and from
-// csr.ShardInternMinWorkers, just under and just over csr.ParallelThreshold —
-// field by field and through the dump of every field (dumpGraph).
+// workers setting from 1 to 8, on inputs just under and just over
+// csr.ParallelThreshold and well above it — field by field, through the dump
+// of every field (dumpGraph), and through the interning index each compile
+// leaves for Append to continue from (indexMapsGraph).
 func TestCompileWorkersSameGraph(t *testing.T) {
-	for _, n := range []int{csr.ParallelThreshold - 1, csr.ParallelThreshold + 1} {
-		xs := randomExtractions(rand.New(rand.NewSource(31)), n)
+	for _, in := range []struct {
+		name string
+		xs   []Extraction
+	}{
+		{"under", randomExtractions(rand.New(rand.NewSource(31)), csr.ParallelThreshold-1)},
+		{"over", randomExtractions(rand.New(rand.NewSource(31)), csr.ParallelThreshold+1)},
+		{"above", randomExtractions(rand.New(rand.NewSource(29)), internShardThreshold+4321)},
+		{"stream", appendStream(internShardThreshold + internShardThreshold/2)},
+	} {
 		for _, siteLevel := range []bool{false, true} {
-			want := CompileWorkers(xs, siteLevel, 1)
+			want := CompileWorkers(in.xs, siteLevel, 1)
 			wantDump := dumpGraph(t, want)
-			for _, workers := range []int{1, 2, 3, 4, 8} {
-				got := CompileWorkers(xs, siteLevel, workers)
-				name := fmt.Sprintf("n=%d siteLevel=%v workers=%d", n, siteLevel, workers)
+			for workers := 1; workers <= 8; workers++ {
+				got := CompileWorkers(in.xs, siteLevel, workers)
+				name := fmt.Sprintf("%s n=%d siteLevel=%v workers=%d", in.name, len(in.xs), siteLevel, workers)
 				appendGraphsEqual(t, name, got, want)
 				if !bytes.Equal(dumpGraph(t, got), wantDump) {
 					t.Fatalf("%s: graph dump differs from workers=1", name)
 				}
+				indexMapsGraph(t, name, got.idx, got)
 			}
 		}
 	}

@@ -58,6 +58,7 @@ import (
 	"kfusion/internal/faultfs"
 	"kfusion/internal/fusion"
 	"kfusion/internal/kb"
+	"kfusion/internal/kfio"
 	"kfusion/internal/shard"
 	"kfusion/internal/twolayer"
 	"kfusion/internal/wire"
@@ -218,7 +219,8 @@ func OpenFS(fsys faultfs.FS, apply ApplyFunc) (*Store, *State, error) {
 		return nil, nil, fmt.Errorf("genstore: list: %w", err)
 	}
 
-	// Leftover temp files are debris of a crashed atomic write.
+	// Leftover temp files are debris of a crashed atomic write
+	// (kfio.AtomicWrite's name+".tmp").
 	for _, n := range names {
 		if strings.HasSuffix(n, tmpSuffix) {
 			_ = fsys.Remove(n)
@@ -324,29 +326,13 @@ func (s *Store) Snapshot(st *State) error {
 	}
 	s.snapLen = len(data)
 	name := snapName(st.Batches)
-	tmp := name + tmpSuffix
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("genstore: snapshot create: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("genstore: snapshot write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("genstore: snapshot sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("genstore: snapshot close: %w", err)
-	}
-	if err := s.fs.Rename(tmp, name); err != nil {
-		return fmt.Errorf("genstore: snapshot rename: %w", err)
+	if err := kfio.AtomicWrite(s.fs, name, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
+		return fmt.Errorf("genstore: snapshot: %w", err)
 	}
 	delete(s.skewed, name) // replaced by one this binary reads
-	if err := s.fs.SyncDir(); err != nil {
-		return fmt.Errorf("genstore: snapshot dir sync: %w", err)
-	}
 
 	if err := s.pruneSnapshots(); err != nil {
 		return err
@@ -967,33 +953,18 @@ func (s *Store) rewriteJournal(recs []record) error {
 		_ = s.journal.Close()
 		s.journal = nil
 	}
-	tmp := journalName + tmpSuffix
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("genstore: journal rewrite: %w", err)
-	}
-	if _, err := f.Write(journalHeader()); err != nil {
-		f.Close()
-		return fmt.Errorf("genstore: journal rewrite: %w", err)
-	}
-	for _, rec := range recs {
-		if _, err := f.Write(encodeRecord(rec.seq, rec.batch)); err != nil {
-			f.Close()
-			return fmt.Errorf("genstore: journal rewrite: %w", err)
+	if err := kfio.AtomicWrite(s.fs, journalName, func(w io.Writer) error {
+		if _, err := w.Write(journalHeader()); err != nil {
+			return err
 		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("genstore: journal rewrite sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("genstore: journal rewrite close: %w", err)
-	}
-	if err := s.fs.Rename(tmp, journalName); err != nil {
-		return fmt.Errorf("genstore: journal rewrite rename: %w", err)
-	}
-	if err := s.fs.SyncDir(); err != nil {
-		return fmt.Errorf("genstore: journal rewrite dir sync: %w", err)
+		for _, rec := range recs {
+			if _, err := w.Write(encodeRecord(rec.seq, rec.batch)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		return fmt.Errorf("genstore: journal rewrite: %w", err)
 	}
 	return s.openJournal()
 }

@@ -9,12 +9,13 @@ import (
 	"kfusion/internal/faultfs"
 )
 
-// AtomicWrite writes name through fs with the crash-safe protocol the
-// generation store established: stream into name+".tmp", flush, fsync, close,
+// AtomicWrite writes name through fs with the one crash-safe protocol of the
+// repo's durable files — genstore's snapshots and journal rewrites, and the
+// feeds, gold labels and fused JSONL the CLIs write (AtomicWriteFile): stream into name+".tmp", flush, fsync, close,
 // rename over name, then fsync the directory so the rename itself is durable.
 // A crash at any step leaves either the old file or the new one — never a
-// torn mix. Taking the write as a callback keeps the protocol in one place;
-// callers only produce bytes.
+// torn mix — and a failed write removes its temp file. Taking the write as a
+// callback keeps the protocol in one place; callers only produce bytes.
 func AtomicWrite(fs faultfs.FS, name string, write func(io.Writer) error) error {
 	tmp := name + ".tmp"
 	f, err := fs.Create(tmp)

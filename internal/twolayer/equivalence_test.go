@@ -115,9 +115,9 @@ func TestCompiledMatchesReference(t *testing.T) {
 
 // randomExtractionsWide is randomExtractions with much wider key spaces: a
 // statement population in the tens of thousands, so per-extractor spans
-// cover many csr.ReduceBlockSize blocks and the extraction count crosses the
-// parallel-interning shard threshold — the regime where the parallel M-step
-// reduction and the shard-and-merge compile actually engage.
+// cover many csr.ReduceBlockSize blocks and the extraction count crosses
+// csr.ParallelThreshold — the regime where the parallel M-step reduction and
+// the compile's parallel counting passes actually engage.
 func randomExtractionsWide(rng *rand.Rand, n int) []extract.Extraction {
 	xs := make([]extract.Extraction, n)
 	for i := range xs {
