@@ -171,6 +171,18 @@ func TestExtractAppendNothingIsConstantCost(t *testing.T) {
 	}
 }
 
+// TestInternParallelPairwiseMerge holds a compile of an append stream 1.5×
+// internShardThreshold long to the one-worker compile at worker counts from 4
+// to 8 (the graphs must be identical in every field).
+func TestInternParallelPairwiseMerge(t *testing.T) {
+	xs := appendStream(internShardThreshold + internShardThreshold/2)
+	want := CompileWorkers(xs, true, 1)
+	for workers := 4; workers <= 8; workers++ {
+		got := CompileWorkers(xs, true, workers)
+		appendGraphsEqual(t, fmt.Sprintf("workers=%d", workers), got, want)
+	}
+}
+
 // requireSameGraph holds an appended generation to a Compile of the
 // concatenated stream twice over: field by field (the incidence in all four
 // of its arrays included) and through the dump of every field (dumpGraph).

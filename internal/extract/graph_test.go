@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"kfusion/internal/csr"
@@ -257,27 +259,47 @@ func indexMapsGraph(t *testing.T, name string, idx *extractIndex, g *Compiled) {
 	}
 }
 
+// TestInternParallelMatchesSequential holds a compile well above
+// internShardThreshold to the one-worker compile at every workers setting
+// from 2 to 8, on both source levels: the whole graph — every ID space, every
+// CSR span, every extractor list and the ext→statement blocks — must be
+// identical, the index the compile leaves must map every key to its ID
+// (indexMapsGraph), and an Append from that index must equal a recompile of
+// the concatenated stream.
+func TestInternParallelMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	xs := randomExtractions(rng, internShardThreshold+4321)
+	batch := randomExtractions(rng, 700)
+	for _, siteLevel := range []bool{false, true} {
+		want := CompileWorkers(xs, siteLevel, 1)
+		wantNext := CompileWorkers(slices.Concat(xs, batch), siteLevel, 1)
+		for workers := 2; workers <= 8; workers++ {
+			got := CompileWorkers(xs, siteLevel, workers)
+			name := fmt.Sprintf("siteLevel=%v workers=%d", siteLevel, workers)
+			got.token = want.token // a graph's identity: the one field no two compiles share
+			if !reflect.DeepEqual(got.graph, want.graph) {
+				t.Fatalf("%s: compile diverged from the one-worker compile", name)
+			}
+			indexMapsGraph(t, name, got.idx, got)
+			appendGraphsEqual(t, name+" +batch", got.AppendWorkers(batch, 1), wantNext)
+		}
+	}
+}
+
 // TestCompileWorkersSameGraph holds the compiled graph to one value for every
 // workers setting from 1 to 8, on inputs just under and just over
-// csr.ParallelThreshold and well above it — field by field, through the dump
-// of every field (dumpGraph), and through the interning index each compile
-// leaves for Append to continue from (indexMapsGraph).
+// csr.ParallelThreshold — field by field, through the dump of every field
+// (dumpGraph), and through the interning index each compile leaves for Append
+// to continue from (indexMapsGraph).
 func TestCompileWorkersSameGraph(t *testing.T) {
-	for _, in := range []struct {
-		name string
-		xs   []Extraction
-	}{
-		{"under", randomExtractions(rand.New(rand.NewSource(31)), csr.ParallelThreshold-1)},
-		{"over", randomExtractions(rand.New(rand.NewSource(31)), csr.ParallelThreshold+1)},
-		{"above", randomExtractions(rand.New(rand.NewSource(29)), internShardThreshold+4321)},
-		{"stream", appendStream(internShardThreshold + internShardThreshold/2)},
-	} {
+	for _, n := range []int{csr.ParallelThreshold - 1, csr.ParallelThreshold + 1} {
+		xs := randomExtractions(rand.New(rand.NewSource(31)), n)
 		for _, siteLevel := range []bool{false, true} {
-			want := CompileWorkers(in.xs, siteLevel, 1)
+			want := CompileWorkers(xs, siteLevel, 1)
 			wantDump := dumpGraph(t, want)
 			for workers := 1; workers <= 8; workers++ {
-				got := CompileWorkers(in.xs, siteLevel, workers)
-				name := fmt.Sprintf("%s n=%d siteLevel=%v workers=%d", in.name, len(in.xs), siteLevel, workers)
+				got := CompileWorkers(xs, siteLevel, workers)
+				name := fmt.Sprintf("n=%d siteLevel=%v workers=%d", n, siteLevel, workers)
 				appendGraphsEqual(t, name, got, want)
 				if !bytes.Equal(dumpGraph(t, got), wantDump) {
 					t.Fatalf("%s: graph dump differs from workers=1", name)
