@@ -24,14 +24,17 @@ func ExtendInt32(old []int32, n int) []int32 {
 	return out
 }
 
-// AppendByGroup merges new elements into an existing ByGroup adjacency.
+// AppendByGroup merges new elements into an existing CSR adjacency grouped
+// by a dense group assignment: start has one span per group, and ids lists
+// the element indexes of each group in ascending order. A fresh build is the
+// first append, onto the empty CSR (nil, nil).
 // oldStart/oldIds is the previous generation's CSR (len(oldStart) =
 // oldGroups+1, which may be smaller than nGroups when the append introduced
 // new groups — the extra groups have empty old spans). newGroupOf assigns the
 // new elements to groups; new element i has ID firstNew+int32(i) where
 // firstNew = len(oldIds), so every new ID exceeds every old one and each
 // merged span is oldSpan ++ newIDs, still in ascending order — exactly the
-// CSR ByGroup would build over the concatenated assignment. The inputs are
+// CSR a fresh build makes of the concatenated assignment. The inputs are
 // only read; the result is freshly allocated and identical for every workers
 // value.
 //

@@ -7,9 +7,9 @@ import (
 )
 
 // TestAppendByGroupMatchesByGroup pins the delta builder's contract: merging
-// new rows into an existing CSR produces exactly the adjacency ByGroup builds
-// over the concatenated assignment, for any worker count and for appends that
-// introduce new groups.
+// new rows into an existing CSR produces exactly the adjacency a fresh build
+// (AppendByGroup onto nil, nil) makes of the concatenated assignment, for any
+// worker count and for appends that introduce new groups.
 func TestAppendByGroupMatchesByGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
@@ -32,9 +32,9 @@ func TestAppendByGroupMatchesByGroup(t *testing.T) {
 		for i := range newOf {
 			newOf[i] = int32(rng.Intn(tc.newGroups))
 		}
-		oldStart, oldIds := ByGroup(oldOf, tc.oldGroups, 0)
+		oldStart, oldIds := AppendByGroup(nil, nil, oldOf, tc.oldGroups, 0)
 		all := append(append([]int32{}, oldOf...), newOf...)
-		wantStart, wantIds := ByGroup(all, tc.newGroups, 0)
+		wantStart, wantIds := AppendByGroup(nil, nil, all, tc.newGroups, 0)
 		for _, workers := range []int{1, 2, 3, 7, 8} {
 			gotStart, gotIds := AppendByGroup(oldStart, oldIds, newOf, tc.newGroups, workers)
 			if !reflect.DeepEqual(gotStart, wantStart) {
@@ -48,12 +48,12 @@ func TestAppendByGroupMatchesByGroup(t *testing.T) {
 }
 
 // TestAppendByGroupProperty is the randomised form of the contract:
-// AppendByGroup ≡ ByGroup of the concatenated assignment, for workers 1..4,
-// over the shapes that decide how the old spans are relocated — a batch small
-// against nGroups (long untouched runs moved wholesale), a batch large against
-// it (every group touched, one copy each), an empty old CSR, an empty batch,
-// new groups only, and a batch touching only the last old group or only the
-// first (a run ending, or starting, at the array's edge).
+// AppendByGroup ≡ a fresh build of the concatenated assignment, for workers
+// 1..4, over the shapes that decide how the old spans are relocated — a batch
+// small against nGroups (long untouched runs moved wholesale), a batch large
+// against it (every group touched, one copy each), an empty old CSR, an empty
+// batch, new groups only, and a batch touching only the last old group or
+// only the first (a run ending, or starting, at the array's edge).
 func TestAppendByGroupProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	pick := func(n int, of func() int32) []int32 {
@@ -95,7 +95,7 @@ func TestAppendByGroupProperty(t *testing.T) {
 		}
 		var oldStart, oldIds []int32
 		if trial%7 != 0 { // every 7th: a nil old CSR rather than an empty one
-			oldStart, oldIds = ByGroup(oldOf, oldGroups, 1)
+			oldStart, oldIds = AppendByGroup(nil, nil, oldOf, oldGroups, 1)
 		} else {
 			oldOf, oldGroups = nil, 0
 		}
@@ -111,8 +111,8 @@ func TestAppendByGroupProperty(t *testing.T) {
 			}
 			wantStart[g+1] = int32(len(wantIds))
 		}
-		if s, ids := ByGroup(all, nGroups, 1); !reflect.DeepEqual(s, wantStart) || !equalIDs(ids, wantIds) {
-			t.Fatalf("trial %d: ByGroup disagrees with the definition", trial)
+		if s, ids := AppendByGroup(nil, nil, all, nGroups, 1); !reflect.DeepEqual(s, wantStart) || !equalIDs(ids, wantIds) {
+			t.Fatalf("trial %d: a fresh build disagrees with the definition", trial)
 		}
 		for workers := 1; workers <= 4; workers++ {
 			gotStart, gotIds := AppendByGroup(oldStart, oldIds, newOf, nGroups, workers)
@@ -128,7 +128,7 @@ func TestAppendByGroupProperty(t *testing.T) {
 // previous generation's CSR must stay valid after an append builds the next.
 func TestAppendByGroupLeavesInputsIntact(t *testing.T) {
 	oldOf := []int32{2, 0, 1, 0, 2, 2}
-	oldStart, oldIds := ByGroup(oldOf, 3, 0)
+	oldStart, oldIds := AppendByGroup(nil, nil, oldOf, 3, 0)
 	startCopy := append([]int32{}, oldStart...)
 	idsCopy := append([]int32{}, oldIds...)
 	newOf := []int32{1, 3, 0, 1}

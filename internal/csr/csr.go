@@ -59,11 +59,3 @@ const ParallelThreshold = 1 << 14
 // independent of the worker count — the passes are elementwise, so any
 // split is exact.
 const ElementwiseThreshold = 1 << 12
-
-// ByGroup builds a CSR adjacency from a dense group assignment: start has
-// one span per group (len nGroups+1), and ids lists the element indexes of
-// each group in ascending order. It is AppendByGroup onto the empty CSR — a
-// fresh build is the first append — so the two share one counting sort.
-func ByGroup(groupOf []int32, nGroups, workers int) (start, ids []int32) {
-	return AppendByGroup(nil, nil, groupOf, nGroups, workers)
-}

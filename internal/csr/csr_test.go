@@ -6,9 +6,9 @@ import (
 )
 
 // TestByGroupParallelMatchesSequential is the property test for the parallel
-// counting sort: for any group assignment and any worker count, ByGroup must
-// return exactly the sequential adjacency — same spans, same ascending ID
-// order within every group.
+// counting sort: for any group assignment and any worker count, a fresh
+// AppendByGroup (onto nil, nil) must return exactly the sequential adjacency
+// — same spans, same ascending ID order within every group.
 func TestByGroupParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
@@ -30,7 +30,7 @@ func TestByGroupParallelMatchesSequential(t *testing.T) {
 		}
 		wantStart, wantIDs := byGroupSeq(groupOf, tc.nGroups)
 		for _, workers := range []int{1, 2, 3, 4, 7, 8, 16, 61} {
-			gotStart, gotIDs := ByGroup(groupOf, tc.nGroups, workers)
+			gotStart, gotIDs := AppendByGroup(nil, nil, groupOf, tc.nGroups, workers)
 			if !equalInt32(gotStart, wantStart) {
 				t.Fatalf("n=%d groups=%d workers=%d: start mismatch", tc.n, tc.nGroups, workers)
 			}
@@ -51,7 +51,7 @@ func TestByGroupInvariants(t *testing.T) {
 	for i := range groupOf {
 		groupOf[i] = int32(rng.Intn(nGroups))
 	}
-	start, ids := ByGroup(groupOf, nGroups, 8)
+	start, ids := AppendByGroup(nil, nil, groupOf, nGroups, 8)
 	if len(start) != nGroups+1 || int(start[nGroups]) != n || len(ids) != n {
 		t.Fatalf("bad shape: len(start)=%d start[last]=%d len(ids)=%d", len(start), start[nGroups], len(ids))
 	}

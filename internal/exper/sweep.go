@@ -8,12 +8,12 @@ type SweepPreset struct {
 	Cfg  fusion.Config
 }
 
-// ConfigSweep returns the 4-config sweep used by the multi-config
-// benchmarks (BenchmarkConfigSweep, the sweep-reuse workload): VOTE, ACCU,
-// POPACCU and POPACCU with the §4.3.2 filters, all at the default
+// ConfigSweep returns the 4-config sweep BenchmarkConfigSweep runs: VOTE,
+// ACCU, POPACCU and POPACCU with the §4.3.2 filters, all at the default
 // (Extractor, URL) granularity so they share one compiled claim graph —
 // the workload shape of the paper's Tables 1-3 and the ablation suite,
-// where many methods run over one extracted claim set.
+// where many methods run over one extracted claim set. (The sweep-reuse
+// workload builds its own list, with POPACCU+unsup for the filtered one.)
 func ConfigSweep() []SweepPreset {
 	filtered := fusion.PopAccuConfig()
 	filtered.FilterByCoverage = true

@@ -21,7 +21,7 @@ package extract
 // column from its length (presize); an Append onto compiled statements
 // presizes only the batch's own lists. Every batch, whatever its size and the
 // worker count, interns through this one loop; workers bound only the passes
-// after it (the CSRs, the per-triple extractor recount and the incidence). A
+// after it (the CSRs and the per-triple extractor recount). A
 // shard-and-merge pass like the claim graph's (csr.ShardIntern) was slower
 // than the loop at every worker count it was timed at (ROADMAP item 4(d)).
 //
@@ -47,10 +47,9 @@ package extract
 // extractor for the first time puts all of that source's old statements into
 // the extractor's span, between the ones already there: old spans move in
 // runs, those joiners merge in at their places, new statements follow, and an
-// old miss the batch turned into a hit is flipped where it stands. The bulk
-// builder (buildExtStatements, a parallel scatter over all statements)
-// remains for the case with nothing to merge from, a compile from empty; the
-// two produce one layout. No string or triple is re-hashed for the prefix.
+// old miss the batch turned into a hit is flipped where it stands. A compile
+// merges onto the empty incidence, so every incidence has this one builder.
+// No string or triple is re-hashed for the prefix.
 //
 // A generation remembers three things about the one it was built from
 // (Compiled.Parent): that generation's token, its statement count, and which
@@ -65,7 +64,6 @@ package extract
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 
 	"kfusion/internal/csr"
@@ -111,9 +109,6 @@ func (g *Compiled) AppendWorkers(xs []Extraction, workers int) *Compiled {
 // idx.cols — g holds their clipped prefixes, which are never written — and g's
 // other arrays are only read.
 func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Compiled {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	nStOld := len(g.stSource)
 	next := &Compiled{idx: idx, graph: &graph{
 		siteLevel:      g.siteLevel,
@@ -139,23 +134,18 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 	grownSts, grownSrcs := stExts.grownRows(), srcExts.grownRows()
 	next.stExtStart, next.stExts = stExts.flatten(grownSts)
 	next.srcExtStart, next.srcExts = srcExts.flatten(grownSrcs)
-	next.extendTail(g, idx, grownSts, workers, func() {
-		next.mergeExtStatements(g.graph, &stExts, &srcExts, grownSts, grownSrcs)
-	})
+	next.extendTail(g, idx, &stExts, &srcExts, grownSts, grownSrcs, workers)
 	return next
 }
 
 // extendTail is extend's post-intern half: next holds g's statements and the
-// batch's, interned, with their extractor lists flattened (grownSts are g's
-// statements whose list the batch grew), and extendTail derives the rest of
-// the generation — items, the CSRs, the support counts and the ext→statement
-// incidence — around g's arrays. With nothing compiled in g it builds the
-// incidence in bulk; otherwise it calls merge, which builds it out of g's.
-// DecodeSnapshot runs it over the empty generation on decoded columns.
-func (next *Compiled) extendTail(g *Compiled, idx *extractIndex, grownSts []int32, workers int, merge func()) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// batch's, interned, with their extractor lists flattened (stExts and srcExts
+// are the batch's additions, grownSts and grownSrcs the rows of g's they
+// grew), and extendTail derives the rest of the generation — items, the CSRs,
+// the support counts and the ext→statement incidence — around g's arrays.
+// DecodeSnapshot runs it over the empty generation on decoded columns, with
+// empty lists: every decoded row is new.
+func (next *Compiled) extendTail(g *Compiled, idx *extractIndex, stExts, srcExts *extLists, grownSts, grownSrcs []int32, workers int) {
 	nStOld := len(g.stSource)
 	nTriOld := len(g.triples)
 	internItems(next, idx, nTriOld)
@@ -210,15 +200,8 @@ func (next *Compiled) extendTail(g *Compiled, idx *extractIndex, grownSts []int3
 		}
 	}
 
-	// ---- Ext→statement incidence: bulk build, or merge from g's ----
-	// The same observable choice as the interning above: with nothing
-	// compiled yet there is nothing to merge from and the batch may be a whole
-	// corpus, which the parallel builder is for; both produce one layout.
-	if nStOld == 0 {
-		next.buildExtStatements(workers)
-	} else {
-		merge()
-	}
+	// ---- Ext→statement incidence: merged from g's ----
+	next.mergeExtStatements(g.graph, stExts, srcExts, grownSts, grownSrcs)
 
 	// What the next generation remembers of this one (see Compiled.Parent).
 	next.token = graphSeq.Add(1)
@@ -228,10 +211,11 @@ func (next *Compiled) extendTail(g *Compiled, idx *extractIndex, grownSts []int3
 }
 
 // mergeExtStatements builds the ext→statement incidence of a generation that
-// extends prev out of prev's, in the layout buildExtStatements gives the
-// whole stream (extSts, extHitsF, extBlocks — there is no second
-// representation). Per extractor the new span is, in ascending statement
-// order:
+// extends prev out of prev's; it is the only builder (a compile or a decode
+// extends the empty generation). Per extractor: the statements whose source
+// it processed (extSts, ascending), a hit flag for those it extracted
+// (extHitsF), cut into csr.ReduceBlockSize blocks (extBlocks) for the
+// two-layer M-step. The new span is, in ascending statement order:
 //
 //   - prev's span, moved in runs with its hit flags;
 //   - merged into it, the joiners: every old statement of an old source the
@@ -289,8 +273,10 @@ func (g *Compiled) mergeExtStatements(prev *graph, stExts, srcExts *extLists, gr
 		}
 	}
 
-	// The incidence is a product space (see buildExtStatements): prefix-sum
-	// in int64 and refuse to build corrupt int32 spans.
+	// The incidence is a product space — the sum over sources of
+	// |extractors(src)| x |statements(src)| — so unlike the ID spaces it is
+	// not bounded by the extraction count; run the prefix sum in int64 and
+	// refuse to build corrupt int32 spans if it ever crosses 2^31.
 	g.extStStart = make([]int32, nExt+1)
 	run := int64(0)
 	for x := 0; x < nExt; x++ {

@@ -1,8 +1,6 @@
 package extract
 
 import (
-	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -240,78 +238,6 @@ func unseen(n int) []int32 {
 		seen[i] = -1
 	}
 	return seen
-}
-
-// buildExtStatements materializes the ext→statement incidence from nothing —
-// the bulk builder, for a compile from the empty generation; an Append onto
-// compiled statements merges it out of the previous generation's instead
-// (mergeExtStatements), to the same layout: for every
-// extractor, the statements whose source it processed (ascending statement
-// order) with a hit flag for the ones it extracted — the two-layer M-step's
-// per-extractor reduction domain, walked there in csr.ReduceBlockSize blocks
-// (extBlocks). Built with the same parallel counting-sort scheme as
-// csr.ByGroup, except each statement scatters into several extractor spans;
-// each (worker, extractor) cell owns a disjoint output range ordered by
-// worker, so the result is identical for every workers value.
-func (g *Compiled) buildExtStatements(workers int) {
-	nSt := len(g.stSource)
-	nExt := len(g.extractors)
-	ew := workers
-	if nSt < internShardThreshold {
-		ew = 1 // goroutine setup would dominate
-	}
-	if ew > nSt {
-		ew = nSt
-	}
-	if ew < 1 {
-		ew = 1
-	}
-	counts := make([]int32, ew*nExt)
-	csr.ParallelRange(nSt, ew, func(w, lo, hi int) {
-		c := counts[w*nExt : (w+1)*nExt]
-		for si := lo; si < hi; si++ {
-			for _, x := range g.SourceExtractors(g.stSource[si]) {
-				c[x]++
-			}
-		}
-	})
-	// The incidence is a product space — sum over sources of
-	// |extractors(src)| x |statements(src)| — so unlike the ID spaces it is
-	// not bounded by the extraction count; run the prefix sum in int64 and
-	// refuse to build corrupt int32 spans if it ever crosses 2^31.
-	g.extStStart = make([]int32, nExt+1)
-	run := int64(0)
-	for x := 0; x < nExt; x++ {
-		g.extStStart[x] = int32(run)
-		for w := 0; w < ew; w++ {
-			c := counts[w*nExt+x]
-			counts[w*nExt+x] = int32(run)
-			run += int64(c)
-		}
-	}
-	if run > math.MaxInt32 {
-		panic(fmt.Sprintf("extract: ext→statement incidence has %d entries, exceeding the int32 CSR offset space; shard the extraction set", run))
-	}
-	g.extStStart[nExt] = int32(run)
-	g.extSts = make([]int32, run)
-	g.extHitsF = make([]float64, run)
-	csr.ParallelRange(nSt, ew, func(w, lo, hi int) {
-		next := counts[w*nExt : (w+1)*nExt]
-		stamp := unseen(nExt)
-		for si := lo; si < hi; si++ {
-			for _, x := range g.StatementExtractors(int32(si)) {
-				stamp[x] = int32(si)
-			}
-			for _, x := range g.SourceExtractors(g.stSource[si]) {
-				g.extSts[next[x]] = int32(si)
-				if stamp[x] == int32(si) {
-					g.extHitsF[next[x]] = 1
-				}
-				next[x]++
-			}
-		}
-	})
-	g.extBlocks = csr.SpanBlocks(g.extStStart)
 }
 
 // internShardThreshold is the element count below which the per-statement

@@ -171,60 +171,101 @@ func extSpan(g *Compiled, x int32) (sts []int32, hits []float64) {
 // reconstruction: extractor x's span must hold exactly the statements of the
 // sources x processed, ascending, with hit flags matching membership in the
 // statement's extractor list — and the block partition must tile the spans.
+// Every graph form is checked: a compile, a chain of three Appends whose
+// middle batch pairs old sources with new extractors (the joiners the merge
+// interleaves into old spans), and the snapshot decode of that chain's end.
 func TestExtStatementIncidenceMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{0, 1, 300, 5000} {
-		xs := randomExtractions(rng, n)
-		for _, siteLevel := range []bool{false, true} {
-			g := Compile(xs, siteLevel)
-			for x := int32(0); x < int32(g.NumExtractors()); x++ {
-				var wantSts []int32
-				var wantHits []bool
-				for si := int32(0); si < int32(g.NumStatements()); si++ {
-					if !containsID(g.SourceExtractors(g.StatementSource(si)), x) {
-						continue
-					}
-					wantSts = append(wantSts, si)
-					wantHits = append(wantHits, containsID(g.StatementExtractors(si), x))
+	check := func(name string, g *Compiled) {
+		t.Helper()
+		for x := int32(0); x < int32(g.NumExtractors()); x++ {
+			var wantSts []int32
+			var wantHits []bool
+			for si := int32(0); si < int32(g.NumStatements()); si++ {
+				if !containsID(g.SourceExtractors(g.StatementSource(si)), x) {
+					continue
 				}
-				sts, hits := extSpan(g, x)
-				if !equalSpans(sts, wantSts) {
-					t.Fatalf("n=%d siteLevel=%v: extractor %d's span = %v, want %v", n, siteLevel, x, sts, wantSts)
-				}
-				for i, h := range hits {
-					want := 0.0
-					if wantHits[i] {
-						want = 1
-					}
-					if h != want {
-						t.Fatalf("n=%d siteLevel=%v: extractor %d's hit[%d] = %v, want %v",
-							n, siteLevel, x, i, h, wantHits[i])
-					}
-				}
+				wantSts = append(wantSts, si)
+				wantHits = append(wantHits, containsID(g.StatementExtractors(si), x))
 			}
-			// Blocks tile the spans in extractor order.
-			pos := map[int32]int{}
-			for _, b := range g.ExtStatementBlocks() {
-				sts, hits := g.ExtBlockStatementsF(b)
-				if len(sts) == 0 || len(sts) != len(hits) {
-					t.Fatalf("n=%d siteLevel=%v: bad block %+v", n, siteLevel, b)
-				}
-				full, _ := extSpan(g, b.Group)
-				if pos[b.Group]+len(sts) > len(full) || !equalSpans(sts, full[pos[b.Group]:pos[b.Group]+len(sts)]) {
-					t.Fatalf("n=%d siteLevel=%v: block %+v does not continue span of extractor %d",
-						n, siteLevel, b, b.Group)
-				}
-				pos[b.Group] += len(sts)
+			sts, hits := extSpan(g, x)
+			if !equalSpans(sts, wantSts) {
+				t.Fatalf("%s: extractor %d's span = %v, want %v", name, x, sts, wantSts)
 			}
-			for x := int32(0); x < int32(g.NumExtractors()); x++ {
-				full, _ := extSpan(g, x)
-				if pos[x] != len(full) {
-					t.Fatalf("n=%d siteLevel=%v: blocks cover %d of %d statements of extractor %d",
-						n, siteLevel, pos[x], len(full), x)
+			for i, h := range hits {
+				want := 0.0
+				if wantHits[i] {
+					want = 1
+				}
+				if h != want {
+					t.Fatalf("%s: extractor %d's hit[%d] = %v, want %v", name, x, i, h, wantHits[i])
 				}
 			}
 		}
+		// Blocks tile the spans in extractor order.
+		pos := map[int32]int{}
+		for _, b := range g.ExtStatementBlocks() {
+			sts, hits := g.ExtBlockStatementsF(b)
+			if len(sts) == 0 || len(sts) != len(hits) {
+				t.Fatalf("%s: bad block %+v", name, b)
+			}
+			full, _ := extSpan(g, b.Group)
+			if pos[b.Group]+len(sts) > len(full) || !equalSpans(sts, full[pos[b.Group]:pos[b.Group]+len(sts)]) {
+				t.Fatalf("%s: block %+v does not continue span of extractor %d", name, b, b.Group)
+			}
+			pos[b.Group] += len(sts)
+		}
+		for x := int32(0); x < int32(g.NumExtractors()); x++ {
+			full, _ := extSpan(g, x)
+			if pos[x] != len(full) {
+				t.Fatalf("%s: blocks cover %d of %d statements of extractor %d", name, pos[x], len(full), x)
+			}
+		}
 	}
+	for _, n := range []int{0, 1, 300, 5000} {
+		xs := randomExtractions(rng, n)
+		// The chain's stream: the middle third's extractors are renamed, so
+		// that batch brings new extractors to the pages the first one saw.
+		chained := slices.Clone(xs)
+		for i := n / 3; i < 2*n/3; i++ {
+			chained[i].Extractor = "new-" + chained[i].Extractor
+		}
+		for _, siteLevel := range []bool{false, true} {
+			name := fmt.Sprintf("n=%d siteLevel=%v", n, siteLevel)
+			check(name+" compile", Compile(xs, siteLevel))
+
+			g0 := Compile(chained[:n/3], siteLevel)
+			g1 := g0.Append(chained[n/3 : 2*n/3])
+			g2 := g1.Append(chained[2*n/3:])
+			if n >= 300 && !joinsOldSource(g0, g1) {
+				t.Fatalf("%s: the middle batch pairs no old source with a new extractor", name)
+			}
+			check(name+" append", g2)
+
+			var buf bytes.Buffer
+			if err := g2.EncodeSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeSnapshot(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(name+" decode", dec)
+		}
+	}
+}
+
+// joinsOldSource reports whether next lists, for some source of prev, an
+// extractor prev did not have.
+func joinsOldSource(prev, next *Compiled) bool {
+	for s := int32(0); s < int32(prev.NumSources()); s++ {
+		for _, x := range next.SourceExtractors(s) {
+			if int(x) >= prev.NumExtractors() {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // indexMapsGraph checks that idx maps every key of g's ID spaces to its ID:

@@ -19,7 +19,8 @@ const snapshotVersion = 2
 // the generation counter, the source level, the source, extractor and triple
 // key tables, the statement → source and statement → triple columns, and the
 // per-statement and per-source extractor lists, which hold the
-// first-extraction order no other column recovers. Everything else is the
+// first-extraction order no other column recovers. Everything else — items,
+// the CSRs, the support counts and the ext→statement incidence — is the
 // compile tail's to derive (extendTail), and DecodeSnapshot rebuilds it
 // through that tail. The interning index is not serialized; the first Append
 // rebuilds it.
@@ -79,7 +80,7 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 		return nil, fmt.Errorf("extract: snapshot: %w", err)
 	}
 	// idx stays nil: the first Append rebuilds it from the graph.
-	g.extendTail(&Compiled{graph: &graph{}}, &extractIndex{}, nil, 0, nil)
+	g.extendTail(&Compiled{graph: &graph{}}, &extractIndex{}, &extLists{}, &extLists{}, nil, nil, 0)
 	return g, nil
 }
 

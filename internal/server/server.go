@@ -89,15 +89,16 @@ type Config struct {
 	// Workers bounds fusion/compile parallelism (0 = all cores).
 	Workers int
 	// WarmRounds is the EM round budget of each post-cold append (online
-	// EM; default 1). The first batch always cold-fuses at the method's
-	// full round cap.
+	// EM; default 1; negative is refused). The first batch always
+	// cold-fuses at the method's full round cap.
 	WarmRounds int
 	// SnapshotEvery snapshots the store after this many appends (0 means
 	// the default, 16; the journal makes every append durable regardless —
 	// snapshots only bound restart replay time). Negative snapshots only on
 	// Close.
 	SnapshotEvery int
-	// MaxBody caps the append request body in bytes (default 64 MiB).
+	// MaxBody caps the append request body in bytes (default 64 MiB;
+	// negative is refused).
 	MaxBody int64
 	// Logf receives operational log lines (degradations, snapshot
 	// failures). Nil discards them.
@@ -106,6 +107,9 @@ type Config struct {
 
 func (c *Config) withDefaults() (Config, error) {
 	out := *c
+	if out.WarmRounds < 0 || out.MaxBody < 0 {
+		return out, fmt.Errorf("server: WarmRounds (%d) and MaxBody (%d) must not be negative", out.WarmRounds, out.MaxBody)
+	}
 	if out.Method == "" {
 		out.Method = "popaccu"
 	}

@@ -84,6 +84,25 @@ func TestHealthzAlwaysLive(t *testing.T) {
 	}
 }
 
+// TestNewRefusesNegativeLimits: a negative body cap would fail every append
+// (http.MaxBytesReader reads it as 0), and a negative warm budget would run
+// every append at the full round cap; New refuses both.
+func TestNewRefusesNegativeLimits(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"MaxBody", func(c *Config) { c.MaxBody = -1 }},
+		{"WarmRounds", func(c *Config) { c.WarmRounds = -1 }},
+	} {
+		cfg := Config{FS: faultfs.NewMem()}
+		tc.mutate(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("New with %s = -1: error %v, want one naming %s", tc.name, err, tc.name)
+		}
+	}
+}
+
 func TestDataRoutesNotReadyBeforeHydration(t *testing.T) {
 	s, err := New(Config{FS: faultfs.NewMem()})
 	if err != nil {

@@ -89,8 +89,9 @@ func requireEquivalent(t *testing.T, label string, got, want *fusion.Result, exa
 // the map-keyed reference engine — integer outputs exactly, float outputs
 // within the documented refTol (the M-step's fixed-block pairwise reduction
 // re-groups the reference's left-to-right sums) — across source levels,
-// worker counts and input sizes (including sizes that cross the csr.ByGroup
-// parallel threshold via the shared large case in the root equivalence test).
+// worker counts and input sizes (including sizes that cross
+// csr.ParallelThreshold via the shared large case in the root equivalence
+// test).
 func TestCompiledMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, n := range []int{0, 1, 40, 2500} {
