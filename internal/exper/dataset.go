@@ -127,6 +127,8 @@ func scaleConfigs(scale Scale, seed int64) (world.Config, web.Config) {
 // generation memory stays bounded by one segment regardless of the corpus
 // target. Deterministic per (seed, segment); distinct segments use distinct
 // seeds, so their worlds (and hence claims) are almost entirely disjoint.
+// The crawl and the extraction run on GOMAXPROCS workers, as in NewDataset,
+// and yield the same bytes at every worker count.
 func SegmentExtractions(seed int64, segment int) []extract.Extraction {
 	s := seed + int64(segment)*1_000_003
 	wcfg, ccfg := scaleConfigs(ScaleLarge, s)
@@ -136,7 +138,11 @@ func SegmentExtractions(seed int64, segment int) []extract.Extraction {
 }
 
 // NewDataset builds a dataset at the given scale and seed, deterministic per
-// (scale, seed).
+// (scale, seed). The corpus crawl (web.Generate) and the extraction run
+// (extract.Suite.Run) split their sites and pages over GOMAXPROCS workers
+// and merge in index order, so the dataset is the same at every worker
+// count; the world, the Freebase snapshot and the gold standard are built on
+// one goroutine.
 func NewDataset(scale Scale, seed int64) *Dataset {
 	wcfg, ccfg := scaleConfigs(scale, seed)
 	w := world.MustGenerate(wcfg)

@@ -333,3 +333,17 @@ func TestLearnDegrees(t *testing.T) {
 		})
 	}
 }
+
+// TestScaleConfigsValidate: every scale's world and corpus configs pass the
+// generators' range checks.
+func TestScaleConfigsValidate(t *testing.T) {
+	for _, scale := range []Scale{ScaleSmall, ScaleBench, ScaleLarge} {
+		wcfg, ccfg := scaleConfigs(scale, 42)
+		if err := wcfg.Validate(); err != nil {
+			t.Errorf("scale %d: world config: %v", scale, err)
+		}
+		if err := ccfg.Validate(); err != nil {
+			t.Errorf("scale %d: corpus config: %v", scale, err)
+		}
+	}
+}

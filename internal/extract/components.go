@@ -128,18 +128,45 @@ type Linker struct {
 	// when a confusable twin exists.
 	ErrRate float64
 
-	w      *world.World
-	byName map[string][]kb.EntityID
+	w *world.World
+	// ambiguous holds the fixed-policy pick for every surface name several
+	// entities share, resolved once when the linker is built.
+	ambiguous map[string]kb.EntityID
 }
 
 // NewLinker builds a linker over the world's entity names.
 func NewLinker(id string, errRate float64, w *world.World) *Linker {
-	l := &Linker{ID: id, ErrRate: errRate, w: w, byName: make(map[string][]kb.EntityID)}
+	byName := make(map[string][]kb.EntityID)
 	for _, eid := range w.Ont.Entities() {
 		name := w.Ont.Entity(eid).Name
-		l.byName[name] = append(l.byName[name], eid)
+		byName[name] = append(byName[name], eid)
+	}
+	l := &Linker{ID: id, ErrRate: errRate, w: w, ambiguous: make(map[string]kb.EntityID)}
+	for _, eid := range w.Ont.Entities() {
+		name := w.Ont.Entity(eid).Name
+		if cands := byName[name]; len(cands) > 1 && cands[0] == eid {
+			l.ambiguous[name] = l.pick(name, cands)
+		}
 	}
 	return l
+}
+
+// pick is the linker's fixed policy for an ambiguous surface form: the most
+// popular candidate, tie-broken by a hash of the linker ID. Pages meaning a
+// less popular namesake get mislinked.
+func (l *Linker) pick(name string, cands []kb.EntityID) kb.EntityID {
+	best := cands[0]
+	for _, c := range cands[1:] {
+		if l.w.Popularity(c) > l.w.Popularity(best) {
+			best = c
+		}
+	}
+	if hashProb(l.ID, "ambig", name) < 0.15 {
+		// A slice of ambiguous names resolve by hash instead — linkers
+		// differ on which namesake they prefer.
+		best = cands[hashPick(len(cands), l.ID, name)]
+	}
+	return best
 }
 
 // Resolve maps a surface name to an entity ID. intended is the entity the
@@ -148,22 +175,7 @@ func NewLinker(id string, errRate float64, w *world.World) *Linker {
 // rather than a random ID). The second result reports whether the resolution
 // is a linkage error.
 func (l *Linker) Resolve(name string, intended kb.EntityID) (kb.EntityID, bool) {
-	cands := l.byName[name]
-	if len(cands) > 1 {
-		// Ambiguous surface form: the linker always picks by its fixed
-		// policy — the most popular candidate, tie-broken by a hash of the
-		// linker ID. Pages meaning a less popular namesake get mislinked.
-		best := cands[0]
-		for _, c := range cands[1:] {
-			if l.w.Popularity(c) > l.w.Popularity(best) {
-				best = c
-			}
-		}
-		if hashProb(l.ID, "ambig", name) < 0.15 {
-			// A slice of ambiguous names resolve by hash instead — linkers
-			// differ on which namesake they prefer.
-			best = cands[hashPick(len(cands), l.ID, name)]
-		}
+	if best, ok := l.ambiguous[name]; ok {
 		return best, best != intended
 	}
 	// Unique (or unknown) name: systematic per-name fuzziness.

@@ -146,7 +146,7 @@ func (e *Extractor) patternKey(page *web.Page, tpl int, m web.Mention) (string, 
 // to this (extractor, page) pair so corpora extract deterministically and
 // independently of page order.
 func (e *Extractor) Extract(w *world.World, page *web.Page, src *randx.Source) []Extraction {
-	return e.extract(w, readPage(page), src)
+	return e.appendExtractions(nil, w, readPage(page), src)
 }
 
 // pageView is a page beside its mentions, collected once: the document walk
@@ -167,12 +167,15 @@ func readPage(page *web.Page) *pageView {
 	return v
 }
 
-func (e *Extractor) extract(w *world.World, page *pageView, src *randx.Source) []Extraction {
+// appendExtractions appends the extractor's output on page to out. One
+// extraction per (extractor, URL, triple): a triple already appended by this
+// call is dropped, found by scanning what the call appended — a handful of
+// rows per (extractor, page), so no set is allocated.
+func (e *Extractor) appendExtractions(out []Extraction, w *world.World, page *pageView, src *randx.Source) []Extraction {
 	if !e.runsOn(page.Site) {
-		return nil
+		return out
 	}
-	var out []Extraction
-	seen := make(map[kb.Triple]bool)
+	start := len(out)
 	for bi := range page.Blocks {
 		b := &page.Blocks[bi]
 		if !e.reads(b.Type) {
@@ -181,42 +184,45 @@ func (e *Extractor) extract(w *world.World, page *pageView, src *randx.Source) [
 		switch b.Type {
 		case web.TXT:
 			for _, s := range b.Sentences {
-				e.extractMention(w, page, s.Template, s.M, src, seen, &out)
+				out = e.extractMention(w, page, s.Template, s.M, src, out, start)
 			}
 		default:
 			for _, m := range page.mentions[page.start[bi]:page.start[bi+1]] {
-				e.extractMention(w, page, 0, m, src, seen, &out)
+				out = e.extractMention(w, page, 0, m, src, out, start)
 			}
 		}
 	}
 	return out
 }
 
-func (e *Extractor) extractMention(w *world.World, page *pageView, tpl int, m web.Mention, src *randx.Source, seen map[kb.Triple]bool, out *[]Extraction) {
+// extractMention appends the extraction of one mention to out unless
+// out[start:] already holds its triple.
+func (e *Extractor) extractMention(w *world.World, page *pageView, tpl int, m web.Mention, src *randx.Source, out []Extraction, start int) []Extraction {
 	pred := w.Ont.Predicate(m.Predicate)
 	if e.EntityPredsOnly && (pred == nil || pred.Domain != kb.DomainEntity) {
-		return
+		return out
 	}
 	pattern, known := e.patternKey(page.Page, tpl, m)
 	if !known {
-		return
+		return out
 	}
 	if !src.Bool(e.Recall) {
-		return
+		return out
 	}
 
 	triple, kind := e.interpret(w, page, pattern, m, src)
 	if triple.Object.IsZero() {
-		return
+		return out
 	}
 	if kind == ErrNone && m.SourceError {
 		kind = ErrSource
 	}
-	if seen[triple] {
-		return // one extraction per (extractor, URL, triple)
+	for i := start; i < len(out); i++ {
+		if out[i].Triple == triple {
+			return out // one extraction per (extractor, URL, triple)
+		}
 	}
-	seen[triple] = true
-	*out = append(*out, Extraction{
+	return append(out, Extraction{
 		Triple:     triple,
 		Extractor:  e.Name,
 		Pattern:    pattern,

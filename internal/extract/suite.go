@@ -2,9 +2,11 @@ package extract
 
 import (
 	"bytes"
+	"runtime"
 	"sort"
 	"strconv"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/kb"
 	"kfusion/internal/randx"
 	"kfusion/internal/web"
@@ -120,37 +122,123 @@ func (s *Suite) ContentTypeOf(name string) web.ContentType {
 // Run extracts the whole corpus with all 12 extractors. The result is
 // deterministic for a given (world, corpus, seed) and sorted by (extractor,
 // URL, triple) for stable downstream processing.
+//
+// Pages are extracted in parallel on GOMAXPROCS workers, each over a
+// contiguous page range; each worker sorts its part and the parts are merged
+// in range order. The output is the same at every worker count: each
+// (extractor, page) pair draws from its own stream split off the root, the
+// world and the shared linkers and mappers are read-only, and the sort key
+// is a total order on the output — an extractor emits a triple at most once
+// per page and a page's URL is unique in the corpus, so no two extractions
+// share (extractor, URL, triple), and the sorted order is the one order
+// there is, however the rows were split.
 func (s *Suite) Run(w *world.World, corpus *web.Corpus) []Extraction {
 	root := randx.New(s.Seed)
-	var out []Extraction
-	for pi, page := range corpus.Pages {
-		view := readPage(page)
-		for _, e := range s.Extractors {
-			src := root.SplitN(e.Name+"|"+page.URL, int64(pi))
-			out = append(out, e.extract(w, view, src)...)
+	pages := corpus.Pages
+	workers := runtime.GOMAXPROCS(0)
+	parts := make([][]Extraction, workers)
+	csr.ParallelRange(len(pages), workers, func(wk, lo, hi int) {
+		views := make([]*pageView, hi-lo)
+		bound := 0
+		for i := range views {
+			views[i] = readPage(pages[lo+i])
+			bound += s.maxExtractions(views[i])
+		}
+		out := make([]Extraction, 0, bound)
+		for i, view := range views {
+			pi := lo + i
+			for _, e := range s.Extractors {
+				src := root.SplitN(e.Name+"|"+view.URL, int64(pi))
+				out = e.appendExtractions(out, w, view, src)
+			}
+		}
+		sortExtractions(out)
+		parts[wk] = out
+	})
+	return mergeExtractions(parts)
+}
+
+// maxExtractions bounds the suite's output on a page: an extractor that runs
+// on the page's site emits at most one row per mention of a block it reads.
+func (s *Suite) maxExtractions(v *pageView) int {
+	n := 0
+	for _, e := range s.Extractors {
+		if !e.runsOn(v.Site) {
+			continue
+		}
+		for bi := range v.Blocks {
+			if e.reads(v.Blocks[bi].Type) {
+				n += v.start[bi+1] - v.start[bi]
+			}
 		}
 	}
-	sortExtractions(out)
-	return out
+	return n
 }
 
 func sortExtractions(xs []Extraction) {
-	sort.Slice(xs, func(i, j int) bool {
-		a, b := &xs[i], &xs[j]
-		if a.Extractor != b.Extractor {
-			return a.Extractor < b.Extractor
+	sort.Slice(xs, func(i, j int) bool { return extractionLess(&xs[i], &xs[j]) })
+}
+
+// extractionLess orders extractions by (extractor, URL, triple), the
+// triple by subject, predicate and the object's tagged string form.
+func extractionLess(a, b *Extraction) bool {
+	if a.Extractor != b.Extractor {
+		return a.Extractor < b.Extractor
+	}
+	if a.URL != b.URL {
+		return a.URL < b.URL
+	}
+	if a.Triple.Subject != b.Triple.Subject {
+		return a.Triple.Subject < b.Triple.Subject
+	}
+	if a.Triple.Predicate != b.Triple.Predicate {
+		return a.Triple.Predicate < b.Triple.Predicate
+	}
+	return objectStringLess(a.Triple.Object, b.Triple.Object)
+}
+
+// mergeExtractions merges one or more sorted parts into one sorted slice,
+// adjacent pairs per round. The result is a new slice of exactly the rows'
+// length, also from a lone part: parts are presized to an upper bound, and
+// the dataset keeps the result.
+func mergeExtractions(parts [][]Extraction) []Extraction {
+	for len(parts) > 2 {
+		next := parts[:0]
+		for i := 0; i < len(parts); i += 2 {
+			if i+1 == len(parts) {
+				next = append(next, parts[i])
+				break
+			}
+			next = append(next, mergeTwo(parts[i], parts[i+1]))
 		}
-		if a.URL != b.URL {
-			return a.URL < b.URL
+		parts = next
+	}
+	var b []Extraction
+	if len(parts) == 2 {
+		b = parts[1]
+	}
+	return mergeTwo(parts[0], b)
+}
+
+// mergeTwo merges two sorted slices into a new one; on a tie a's row goes
+// first.
+func mergeTwo(a, b []Extraction) []Extraction {
+	if len(a)+len(b) == 0 {
+		return nil
+	}
+	out := make([]Extraction, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if extractionLess(&b[j], &a[i]) {
+			out = append(out, b[j])
+			j++
+		} else {
+			out = append(out, a[i])
+			i++
 		}
-		if a.Triple.Subject != b.Triple.Subject {
-			return a.Triple.Subject < b.Triple.Subject
-		}
-		if a.Triple.Predicate != b.Triple.Predicate {
-			return a.Triple.Predicate < b.Triple.Predicate
-		}
-		return objectStringLess(a.Triple.Object, b.Triple.Object)
-	})
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // objectStringLess reports a.String() < b.String() without building either

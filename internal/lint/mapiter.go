@@ -47,6 +47,11 @@ var MapIter = &Analyzer{
 		"kfusion/internal/eval",
 		"kfusion/internal/stats",
 		"kfusion/internal/exper",
+		// The synthesizers every feed byte comes from: the world and the
+		// crawl are the same at every worker count, and their merges run
+		// in index order.
+		"kfusion/internal/web",
+		"kfusion/internal/world",
 	},
 	Run: runMapIter,
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/kb"
 	"kfusion/internal/randx"
 	"kfusion/internal/world"
@@ -93,6 +94,25 @@ func (c Config) Validate() error {
 	}
 	if c.FactsPerPageMax < 1 || c.TableRowsMax < 1 {
 		return fmt.Errorf("web: FactsPerPageMax and TableRowsMax must be >= 1")
+	}
+	// Written as !(in range) so that NaN, which fails every comparison, is
+	// rejected too.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"MeanSiteErrorRate", c.MeanSiteErrorRate},
+		{"GeneralizeRate", c.GeneralizeRate},
+		{"BoilerplateRate", c.BoilerplateRate},
+		{"SyndicationRate", c.SyndicationRate},
+		{"SyndicationShare", c.SyndicationShare},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("web: %s out of [0,1]: %v", f.name, f.v)
+		}
+	}
+	if !(c.SiteErrorStdDev >= 0) {
+		return fmt.Errorf("web: SiteErrorStdDev must be >= 0, got %v", c.SiteErrorStdDev)
 	}
 	return nil
 }
@@ -189,87 +209,140 @@ func ObjectSurface(w *world.World, o kb.Object) string {
 }
 
 // Generate crawls the world: builds the synthetic corpus.
+//
+// Sites are crawled in parallel on GOMAXPROCS workers, each over a contiguous
+// range of site indexes, and merged in site order; copier sites, which read
+// the originals' mentions, are a second parallel pass merged in copier
+// order. Every draw comes from a stream split off the root by site, page or
+// copier index (randx.Source.SplitN never consumes its parent), and the
+// world is read-only here, so the corpus is the same bytes at every worker
+// count.
 func Generate(w *world.World, cfg Config) (*Corpus, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	root := randx.New(cfg.Seed)
-	corpus := &Corpus{
-		SiteErrorRate: make(map[string]float64, cfg.NumSites),
-	}
 	profilePick := randx.NewCategorical(profileWeights())
 
 	// First pass: original sites. Copiers are decided up front and filled
 	// in afterwards so they can splice statements from rendered originals.
-	type copier struct {
-		index int
-		prof  siteProfile
-	}
-	var copiers []copier
-	mentionsBySite := make(map[string][]Mention)
-	var originalSites []string
+	sites := make([]crawledSite, cfg.NumSites)
+	csr.ParallelRange(cfg.NumSites, 0, func(_, lo, hi int) {
+		for si := lo; si < hi; si++ {
+			sites[si] = crawlSite(w, cfg, root, profilePick, si)
+		}
+	})
 
-	for si := 0; si < cfg.NumSites; si++ {
-		ssrc := root.SplitN("site", int64(si))
-		prof := siteProfiles[profilePick.Sample(ssrc)]
-		if si > 0 && ssrc.Bool(cfg.SyndicationRate) {
-			copiers = append(copiers, copier{index: si, prof: prof})
+	corpus := &Corpus{SiteErrorRate: make(map[string]float64, cfg.NumSites)}
+	var copiers, originals []int
+	nPages := 0
+	for si := range sites {
+		if sites[si].copier {
+			copiers = append(copiers, si)
 			continue
 		}
-		site := fmt.Sprintf("%s%03d.example.com", prof.name, si)
-		errRate := ssrc.Clamped01(cfg.MeanSiteErrorRate, cfg.SiteErrorStdDev)
-		corpus.SiteErrorRate[site] = errRate
-		originalSites = append(originalSites, site)
-
-		nPages := pageCount(ssrc, cfg)
-		var boiler *Mention
-		if ssrc.Bool(cfg.BoilerplateRate) {
-			boiler = mintBoilerplate(w, ssrc, errRate)
-		}
-		for pi := 0; pi < nPages; pi++ {
-			psrc := ssrc.SplitN("page", int64(pi))
-			page := renderPage(w, cfg, psrc, site, pi, prof, errRate, boiler)
-			ms := page.Mentions()
-			if len(ms) == 0 {
-				continue
-			}
-			corpus.Pages = append(corpus.Pages, page)
-			mentionsBySite[site] = append(mentionsBySite[site], ms...)
-		}
+		originals = append(originals, si)
+		nPages += len(sites[si].pages)
 	}
 
 	// Second pass: copier sites republish a source site's statements —
 	// errors included, which is exactly what makes copying detectable and
 	// dangerous ("copied false values").
-	for _, cp := range copiers {
-		ssrc := root.SplitN("copier", int64(cp.index))
-		site := fmt.Sprintf("%s%03d.example.com", cp.prof.name, cp.index)
-		var pool []Mention
-		if len(originalSites) > 0 {
-			src := originalSites[ssrc.Intn(len(originalSites))]
-			pool = mentionsBySite[src]
-			if len(pool) > 0 {
-				corpus.SiteErrorRate[site] = corpus.SiteErrorRate[src]
-			}
+	copied := make([]crawledSite, len(copiers))
+	csr.ParallelRange(len(copiers), 0, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			copied[i] = crawlCopier(w, cfg, root, sites, originals, copiers[i])
 		}
-		if len(pool) == 0 {
-			// Nothing to copy: behave like an ordinary site.
-			corpus.SiteErrorRate[site] = ssrc.Clamped01(cfg.MeanSiteErrorRate, cfg.SiteErrorStdDev)
-		}
-		nPages := pageCount(ssrc, cfg)
-		for pi := 0; pi < nPages; pi++ {
-			psrc := ssrc.SplitN("page", int64(pi))
-			page := renderPage(w, cfg, psrc, site, pi, cp.prof, corpus.SiteErrorRate[site], nil)
-			if len(pool) > 0 {
-				spliceCopiedMentions(psrc, page, pool, cfg.SyndicationShare)
-			}
-			if len(page.Mentions()) == 0 {
-				continue
-			}
-			corpus.Pages = append(corpus.Pages, page)
-		}
+	})
+	for i := range copied {
+		nPages += len(copied[i].pages)
+	}
+
+	corpus.Pages = make([]*Page, 0, nPages)
+	for _, si := range originals {
+		s := &sites[si]
+		corpus.SiteErrorRate[s.name] = s.errRate
+		corpus.Pages = append(corpus.Pages, s.pages...)
+	}
+	for i := range copied {
+		s := &copied[i]
+		corpus.SiteErrorRate[s.name] = s.errRate
+		corpus.Pages = append(corpus.Pages, s.pages...)
 	}
 	return corpus, nil
+}
+
+// crawledSite is one site's share of the corpus, recorded by index so the
+// parallel passes merge in a fixed order.
+type crawledSite struct {
+	copier   bool // drawn as a copier: only prof is set by the first pass
+	prof     siteProfile
+	name     string
+	errRate  float64
+	pages    []*Page   // pages with at least one mention, in page order
+	mentions []Mention // the pages' mentions in order: a copier's pool
+}
+
+// crawlSite draws site si from its own stream. A copier keeps only its
+// profile; crawlCopier fills it in once every original is rendered.
+func crawlSite(w *world.World, cfg Config, root *randx.Source, profilePick *randx.Categorical, si int) crawledSite {
+	ssrc := root.SplitN("site", int64(si))
+	s := crawledSite{prof: siteProfiles[profilePick.Sample(ssrc)]}
+	if si > 0 && ssrc.Bool(cfg.SyndicationRate) {
+		s.copier = true
+		return s
+	}
+	s.name = fmt.Sprintf("%s%03d.example.com", s.prof.name, si)
+	s.errRate = ssrc.Clamped01(cfg.MeanSiteErrorRate, cfg.SiteErrorStdDev)
+
+	nPages := pageCount(ssrc, cfg)
+	var boiler *Mention
+	if ssrc.Bool(cfg.BoilerplateRate) {
+		boiler = mintBoilerplate(w, ssrc, s.errRate)
+	}
+	for pi := 0; pi < nPages; pi++ {
+		psrc := ssrc.SplitN("page", int64(pi))
+		page := renderPage(w, cfg, psrc, s.name, pi, s.prof, s.errRate, boiler)
+		n := len(s.mentions)
+		if s.mentions = page.appendMentions(s.mentions); len(s.mentions) == n {
+			continue
+		}
+		s.pages = append(s.pages, page)
+	}
+	return s
+}
+
+// crawlCopier renders copier site si, splicing in statements from an
+// original drawn from its own stream. It only reads sites.
+func crawlCopier(w *world.World, cfg Config, root *randx.Source, sites []crawledSite, originals []int, si int) crawledSite {
+	ssrc := root.SplitN("copier", int64(si))
+	prof := sites[si].prof
+	s := crawledSite{name: fmt.Sprintf("%s%03d.example.com", prof.name, si)}
+	var pool []Mention
+	if len(originals) > 0 {
+		src := &sites[originals[ssrc.Intn(len(originals))]]
+		pool = src.mentions
+		if len(pool) > 0 {
+			s.errRate = src.errRate
+		}
+	}
+	if len(pool) == 0 {
+		// Nothing to copy: behave like an ordinary site.
+		s.errRate = ssrc.Clamped01(cfg.MeanSiteErrorRate, cfg.SiteErrorStdDev)
+	}
+	nPages := pageCount(ssrc, cfg)
+	for pi := 0; pi < nPages; pi++ {
+		psrc := ssrc.SplitN("page", int64(pi))
+		page := renderPage(w, cfg, psrc, s.name, pi, prof, s.errRate, nil)
+		if len(pool) > 0 {
+			spliceCopiedMentions(psrc, page, pool, cfg.SyndicationShare)
+		}
+		if len(page.Mentions()) == 0 {
+			continue
+		}
+		s.pages = append(s.pages, page)
+	}
+	return s
 }
 
 // MustGenerate is Generate for static configs.

@@ -134,17 +134,19 @@ type Block struct {
 }
 
 // Mentions returns all mentions in the block, in document order.
-func (b *Block) Mentions() []Mention {
-	var out []Mention
+func (b *Block) Mentions() []Mention { return b.appendMentions(nil) }
+
+// appendMentions appends the block's mentions to dst in document order.
+func (b *Block) appendMentions(dst []Mention) []Mention {
 	switch b.Type {
 	case TXT:
 		for _, s := range b.Sentences {
-			out = append(out, s.M)
+			dst = append(dst, s.M)
 		}
 	case DOM:
 		b.Root.Walk(func(n *DOMNode) {
 			if n.M != nil {
-				out = append(out, *n.M)
+				dst = append(dst, *n.M)
 			}
 		})
 	case TBL:
@@ -152,17 +154,17 @@ func (b *Block) Mentions() []Mention {
 			for _, r := range b.Table.Rows {
 				for _, c := range r.Cells {
 					if c != nil {
-						out = append(out, *c)
+						dst = append(dst, *c)
 					}
 				}
 			}
 		}
 	case ANO:
 		for _, a := range b.Annotations {
-			out = append(out, a.M)
+			dst = append(dst, a.M)
 		}
 	}
-	return out
+	return dst
 }
 
 // Page is one crawled Web page.
@@ -174,12 +176,14 @@ type Page struct {
 }
 
 // Mentions returns every mention on the page in document order.
-func (p *Page) Mentions() []Mention {
-	var out []Mention
+func (p *Page) Mentions() []Mention { return p.appendMentions(nil) }
+
+// appendMentions appends every mention on the page to dst in document order.
+func (p *Page) appendMentions(dst []Mention) []Mention {
 	for i := range p.Blocks {
-		out = append(out, p.Blocks[i].Mentions()...)
+		dst = p.Blocks[i].appendMentions(dst)
 	}
-	return out
+	return dst
 }
 
 // Corpus is the crawled synthetic Web.

@@ -8,7 +8,10 @@
 // Everything is generated from an explicit seed and is fully reproducible.
 package world
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config controls world generation. The zero value is not usable; start from
 // DefaultConfig (unit-test scale) or BenchConfig (benchmark scale) and adjust.
@@ -137,14 +140,35 @@ func (c Config) Validate() error {
 	if c.PredicatesPerType[0] < 1 || c.PredicatesPerType[1] < c.PredicatesPerType[0] {
 		return fmt.Errorf("world: PredicatesPerType must satisfy 1 <= min <= max, got %v", c.PredicatesPerType)
 	}
-	if c.FunctionalFraction < 0 || c.FunctionalFraction > 1 {
-		return fmt.Errorf("world: FunctionalFraction out of [0,1]: %v", c.FunctionalFraction)
-	}
 	if c.MaxCardinality < 1 {
 		return fmt.Errorf("world: MaxCardinality must be >= 1, got %d", c.MaxCardinality)
 	}
-	if c.FactCoverage <= 0 || c.FactCoverage > 1 {
+	// Range checks are written as !(in range) so that NaN, which fails
+	// every comparison, is rejected too.
+	if !(c.FactCoverage > 0 && c.FactCoverage <= 1) {
 		return fmt.Errorf("world: FactCoverage out of (0,1]: %v", c.FactCoverage)
+	}
+	fb := c.Freebase
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"DuplicateCityRate", c.DuplicateCityRate},
+		{"FunctionalFraction", c.FunctionalFraction},
+		{"ConfusableFraction", c.ConfusableFraction},
+		{"Freebase.HeadEntityCoverage", fb.HeadEntityCoverage},
+		{"Freebase.TailEntityCoverage", fb.TailEntityCoverage},
+		{"Freebase.ItemCoverage", fb.ItemCoverage},
+		{"Freebase.ValueCoverage", fb.ValueCoverage},
+		{"Freebase.GeneralValueRate", fb.GeneralValueRate},
+		{"Freebase.WrongValueRate", fb.WrongValueRate},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("world: %s out of [0,1]: %v", f.name, f.v)
+		}
+	}
+	if math.IsNaN(c.EntityZipfExponent) {
+		return fmt.Errorf("world: EntityZipfExponent is NaN")
 	}
 	return nil
 }
