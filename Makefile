@@ -30,8 +30,8 @@ test:
 repro:
 	$(GO) run ./cmd/kfexper -scale bench >/dev/null
 
-# race exercises the concurrent paths (the claim graph's parallel interning,
-# parallel CSR build, the twolayer/fusion EM stage loops, the exper
+# race exercises the concurrent paths (the claim graph's shard interning and
+# its concurrent key folds, parallel CSR build, the twolayer/fusion EM stage loops, the exper
 # singleflight caches, the extraction reader's per-worker batch decode) under
 # the race detector; CI runs it on every push.
 race:
@@ -105,8 +105,9 @@ bench-smoke:
 bench-e2e:
 	$(GO) run ./benchmark -seed 42 -trace 1
 
-# docs-check resolves every package/symbol reference in README.md and
-# docs/*.md with `go doc`, failing on dangling references — the docs cannot
+# docs-check resolves every package/symbol reference in README.md, docs/*.md
+# and the verify skill with `go doc` (tests, fuzz targets and benchmarks by
+# their declarations), failing on dangling references — the docs cannot
 # silently outlive a rename.
 docs-check:
 	./scripts/check-docs.sh

@@ -118,7 +118,7 @@ func main() {
 		}
 		j.twoLayer = &tcfg
 	case "ltm":
-		// The §5.2 multi-truth model has its own one-shot driver.
+		// The §5.3 multi-truth model has its own one-shot driver.
 		if *appendM {
 			log.Fatal("-append is not supported with -method ltm")
 		}

@@ -36,8 +36,9 @@
 //     candidate triples as dense IDs with CSR adjacency — shared through
 //     the Dataset the way the claim graph is, with its original map-keyed
 //     engine kept as a golden reference. Every hot path is deterministic, and
-//     parallel where that pays: the claim graph interns shard-and-merge on
-//     four or more workers (the extraction graph in one sequential loop), CSR
+//     parallel where that pays: the claim graph interns in shards, folded in
+//     stream order into its one table, on four or more workers (the
+//     extraction graph in one sequential loop), CSR
 //     adjacency builds with a parallel counting sort (internal/csr), and the
 //     two-layer EM's float reductions use fixed-size blocks folded with a
 //     pairwise tree shaped only by the data (csr.SpanBlocks/csr.Pairwise) —

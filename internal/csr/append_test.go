@@ -149,79 +149,3 @@ func equalIDs(a, b []int32) bool {
 	}
 	return true
 }
-
-// TestMergeKeysMatchesSequentialFold pins the pairwise merge's determinism
-// contract: the parallel tree must reproduce the sequential left-to-right
-// fold's global first-occurrence order for any shard and worker count.
-func TestMergeKeysMatchesSequentialFold(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, nShards := range []int{1, 2, 3, 5, 8, 13} {
-		shards := make([][]string, nShards)
-		for s := range shards {
-			n := rng.Intn(200)
-			seen := map[string]bool{}
-			for i := 0; i < n; i++ {
-				k := string(rune('a' + rng.Intn(26)))
-				k += string(rune('a' + rng.Intn(26)))
-				if !seen[k] {
-					seen[k] = true
-					shards[s] = append(shards[s], k)
-				}
-			}
-		}
-		// Sequential fold: walk shards in order, keep first occurrences.
-		var want []string
-		wantIdx := map[string]int32{}
-		for _, sh := range shards {
-			for _, k := range sh {
-				if _, ok := wantIdx[k]; !ok {
-					wantIdx[k] = int32(len(want))
-					want = append(want, k)
-				}
-			}
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			keys, idx := MergeKeys(shards, workers)
-			if !reflect.DeepEqual(keys, want) && !(len(keys) == 0 && len(want) == 0) {
-				t.Fatalf("nShards=%d workers=%d: keys mismatch:\n got %v\nwant %v", nShards, workers, keys, want)
-			}
-			if len(idx) != len(wantIdx) {
-				t.Fatalf("nShards=%d workers=%d: index size %d, want %d", nShards, workers, len(idx), len(wantIdx))
-			}
-			for k, id := range wantIdx {
-				if idx[k] != id {
-					t.Fatalf("nShards=%d workers=%d: idx[%q] = %d, want %d", nShards, workers, k, idx[k], id)
-				}
-			}
-		}
-	}
-}
-
-// TestMergeKeysLeavesShardsIntact guards against the merge appending into a
-// shard's backing array.
-func TestMergeKeysLeavesShardsIntact(t *testing.T) {
-	a := make([]string, 2, 8)
-	a[0], a[1] = "x", "y"
-	b := []string{"y", "z"}
-	shards := [][]string{a, b}
-	MergeKeys(shards, 2)
-	if a[0] != "x" || a[1] != "y" || len(a) != 2 {
-		t.Fatal("MergeKeys mutated a shard")
-	}
-}
-
-// TestShardInternRule states which (batch size, workers) pairs take the
-// shard-and-merge interning pass, so a change to the rule is a visible diff.
-func TestShardInternRule(t *testing.T) {
-	for _, c := range []struct {
-		n, workers int
-		want       bool
-	}{
-		{1 << 14, 4, true}, {1 << 20, 64, true},
-		{1<<14 - 1, 4, false}, {1 << 20, 3, false}, {1 << 20, 2, false}, {1 << 20, 1, false}, {0, 8, false},
-	} {
-		if got := ShardIntern(c.n, c.workers); got != c.want {
-			t.Errorf("ShardIntern(%d, %d) = %v, want %v", c.n, c.workers, got, c.want)
-		}
-	}
-}

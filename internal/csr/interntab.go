@@ -101,8 +101,8 @@ func NewInternTable[K comparable](sizeHint int, hashFn func(K) uint64) InternTab
 }
 
 // BuildInternTable bulk-loads a table over an existing dense key slice — for
-// callers that hold the full key list in ID order (a shard merge, an index
-// rebuilt from a graph) and just need the lookup structure over it.
+// callers that hold the full key list in ID order (an index rebuilt from a
+// graph) and just need the lookup structure over it.
 func BuildInternTable[K comparable](keys []K, hashFn func(K) uint64) InternTable[K] {
 	t := NewInternTable[K](len(keys), hashFn)
 	for i := range keys {

@@ -22,8 +22,8 @@ package extract
 // presizes only the batch's own lists. Every batch, whatever its size and the
 // worker count, interns through this one loop; workers bound only the passes
 // after it (the CSRs and the per-triple extractor recount). A
-// shard-and-merge pass like the claim graph's (csr.ShardIntern) was slower
-// than the loop at every worker count it was timed at (ROADMAP item 4(d)).
+// shard-and-merge pass like the claim graph's was slower than the loop at
+// every worker count it was timed at (ROADMAP item 4(d)).
 //
 // The columns that only grow at the end (source and extractor keys, the
 // statement → source / triple columns, triples, items, triple → item) are

@@ -182,7 +182,7 @@ type claimIndex struct {
 // generation. An extraction feed grows a chain the same way through
 // CompileExtractions and AppendExtractions, which flatten records into claims
 // in the interning loop itself (extendFeed). The one other interning path,
-// the shard-and-merge pass, is chosen from what extend observes — see Append.
+// the shard pass, is chosen from what extend observes — see Append.
 //
 // A Compiled is bound to its claims' provenance granularity:
 // Config.Granularity acts when extractions are flattened into claims
@@ -216,7 +216,7 @@ func Compile(claims []Claim) (*Compiled, error) {
 // CompileWorkers is Compile with explicit resource bounds: workers caps the
 // interning and counting goroutines (0 = GOMAXPROCS). The counting passes
 // split from two workers on; interning is sharded from
-// csr.ShardInternMinWorkers on and is the sequential loop below it (see
+// shardInternMinWorkers on and is the sequential loop below it (see
 // extend). The graph — and every result fused from it — is identical for any
 // workers value. partitions is
 // retained for signature compatibility with the former shuffle-based
@@ -321,12 +321,10 @@ const internShardThreshold = csr.ParallelThreshold
 // concatenated stream — which is what a fresh compile is.
 //
 // The batch interns through internClaims, the sequential loop, except
-// when nothing is interned yet and csr.ShardIntern(len(batch), workers) holds
-// — at least csr.ParallelThreshold claims and csr.ShardInternMinWorkers
-// workers: then internClaimsParallel runs the same loop per shard and merges.
-// The minimum is measured, not assumed: at two workers the merge costs more
-// than the half loop it saves (the numbers are beside the constant). The
-// result is independent of that choice and of workers.
+// when nothing is interned yet and shardIntern(len(batch), workers) holds:
+// then internClaimsParallel runs the same loop per shard and folds the
+// shards' keys into the one table. The result is independent of that choice
+// and of workers.
 func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -342,7 +340,7 @@ func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 	switch {
 	case nOld > 0:
 		internClaims(g, idx, batch, nOld)
-	case csr.ShardIntern(n, workers):
+	case shardIntern(n, workers):
 		internClaimsParallel(g, idx, batch, workers)
 	default:
 		idx.presize(g, n)
@@ -350,6 +348,28 @@ func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 	}
 	idx.pairs = nil // the next extraction append rebuilds it over the batch too
 	return extendTail(old, g, idx, workers)
+}
+
+// shardInternMinWorkers is the smallest worker count at which a from-empty
+// claim batch interns through the shard pass. Measured on 2 shared vCPUs (`go
+// test -bench 'CompileClaimGraph' -benchtime 10x -benchmem`, 150k ScaleLarge
+// claims): the sequential loop compiles in 122–136 ms and 35 MB; the pass at
+// four workers in 129–142 ms and 55 MB — the shards' own loops, then a fold
+// that hashes each shard's distinct keys once more into the one table, the
+// three key spaces on three goroutines. Run at two workers the pass tied the
+// loop (124–134 ms against 127–132 ms) with 18 MB more allocated, so two
+// workers stay with the loop. At four cores CI's scaling-check holds the
+// claim-graph compile, pass included, at >= 1.5x the one-core cell. Three has
+// been measured on no host and stays with the loop.
+const shardInternMinWorkers = 4
+
+// shardIntern is the one selection rule for the shard pass: a batch of n
+// claims interned onto an empty generation with `workers` goroutines allowed
+// takes it when the batch reaches csr.ParallelThreshold and workers reaches
+// shardInternMinWorkers. Both interning paths build the same graph, so the
+// rule decides speed only.
+func shardIntern(n, workers int) bool {
+	return n >= csr.ParallelThreshold && workers >= shardInternMinWorkers
 }
 
 // successor returns the shell of the generation after old: the append-only
@@ -458,21 +478,20 @@ func (idx *claimIndex) tripleID(g *graph, t *kb.Triple) int32 {
 	return id
 }
 
-// internClaimsParallel is the shard-and-merge interning pass of batch onto a
-// from-empty g: each worker runs internClaims over a contiguous claim range
-// with shard-local tables, writing shard-local IDs into its window of the
-// per-claim columns; the shard-local key lists merge into the global
-// first-occurrence order with csr.MergeKeys' ordered pairwise merge
-// (bit-identical to a sequential fold), and a parallel remap rewrites the
-// shard-local IDs in place.
+// internClaimsParallel is the shard interning pass of batch onto a from-empty
+// g: each worker runs internClaims over a contiguous claim range with
+// shard-local tables, writing shard-local IDs into its window of the
+// per-claim columns. Then the shards' key columns fold into g's own tables in
+// stream order — shard 0's keys, then shard 1's, and so on — which puts every
+// key at its first occurrence, the IDs the sequential loop assigns, and leaves
+// the tables Append continues from. A parallel remap rewrites the shard-local
+// IDs in place.
 func internClaimsParallel(g *graph, idx *claimIndex, batch []Claim, workers int) {
 	n := len(batch)
 	if workers > n {
 		workers = n
 	}
-	provShards := make([][]string, workers)
-	extShards := make([][]string, workers)
-	triShards := make([][]kb.Triple, workers)
+	shards := make([]*graph, workers)
 	csr.ParallelRange(n, workers, func(w, lo, hi int) {
 		sg := &graph{columns: columns{
 			provOfClaim:   g.provOfClaim[lo:hi],
@@ -483,51 +502,50 @@ func internClaimsParallel(g *graph, idx *claimIndex, batch []Claim, workers int)
 		sidx := &claimIndex{}
 		sidx.presize(sg, hi-lo)
 		internClaims(sg, sidx, batch[lo:hi], 0)
-		provShards[w], extShards[w], triShards[w] = sg.provKeys, sg.extKeys, sg.triples
+		shards[w] = sg
 	})
 
-	var provMap, extMap map[string]int32
-	var triMap map[kb.Triple]int32
-	// The three key spaces merge concurrently; each merge is itself a
-	// parallel pairwise tree, and each reproduces the sequential fold's
-	// global first-occurrence order exactly.
+	// remap[w][local] is the global ID of shard w's local ID. The three key
+	// spaces fold concurrently: each touches only its own table and column.
+	idx.presize(g, n)
+	provRemap := make([][]int32, workers)
+	extRemap := make([][]int32, workers)
+	triRemap := make([][]int32, workers)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		g.provKeys, provMap = csr.MergeKeys(provShards, workers)
+		for w, sg := range shards {
+			provRemap[w] = make([]int32, len(sg.provKeys))
+			for li, key := range sg.provKeys {
+				provRemap[w][li] = intern(&idx.prov, &g.provKeys, key)
+			}
+		}
 	}()
 	go func() {
 		defer wg.Done()
-		g.extKeys, extMap = csr.MergeKeys(extShards, workers)
+		for w, sg := range shards {
+			extRemap[w] = make([]int32, len(sg.extKeys))
+			for li, key := range sg.extKeys {
+				extRemap[w][li] = intern(&idx.ext, &g.extKeys, key)
+			}
+		}
 	}()
-	g.triples, triMap = csr.MergeKeys(triShards, workers)
+	for w, sg := range shards {
+		triRemap[w] = make([]int32, len(sg.triples))
+		for li := range sg.triples {
+			triRemap[w][li] = idx.tripleID(g, &sg.triples[li])
+		}
+	}
 	wg.Wait()
-	// The merge's scratch maps do the shard remap below; the index Append
-	// continues from is the flat intern tables, bulk-loaded in ID order.
-	idx.prov = csr.BuildInternTable(g.provKeys, nil)
-	idx.ext = csr.BuildInternTable(g.extKeys, nil)
-	idx.tri = csr.BuildInternTable(g.triples, csr.HashTriple)
 
 	// Same (n, workers) split as the intern pass, so chunk w rewrites
 	// exactly the IDs shard w assigned.
 	csr.ParallelRange(n, workers, func(w, lo, hi int) {
-		provRemap := make([]int32, len(provShards[w]))
-		for li, key := range provShards[w] {
-			provRemap[li] = provMap[key]
-		}
-		extRemap := make([]int32, len(extShards[w]))
-		for li, key := range extShards[w] {
-			extRemap[li] = extMap[key]
-		}
-		triRemap := make([]int32, len(triShards[w]))
-		for li, key := range triShards[w] {
-			triRemap[li] = triMap[key]
-		}
 		for i := lo; i < hi; i++ {
-			g.provOfClaim[i] = provRemap[g.provOfClaim[i]]
-			g.extOfClaim[i] = extRemap[g.extOfClaim[i]]
-			g.tripleOfClaim[i] = triRemap[g.tripleOfClaim[i]]
+			g.provOfClaim[i] = provRemap[w][g.provOfClaim[i]]
+			g.extOfClaim[i] = extRemap[w][g.extOfClaim[i]]
+			g.tripleOfClaim[i] = triRemap[w][g.tripleOfClaim[i]]
 		}
 	})
 }
@@ -684,11 +702,11 @@ func unseen(n int) []int32 {
 // place through that index — the receiver holds their clipped prefixes — and
 // only the arrays a batch rewrites for old IDs, the CSRs and support counts,
 // are rebuilt around the old ones (bulk copies, no re-hashing of the prefix).
-// The batch interns sequentially; the shard-and-merge pass is chosen only onto a
+// The batch interns sequentially; the shard pass is chosen only onto a
 // generation holding no claims — a bulk Compile, or the first Append onto an
-// empty one — and only where csr.ShardIntern says it is not the slower of the
+// empty one — and only where shardIntern says it is not the slower of the
 // two: a batch of at least csr.ParallelThreshold claims and at least
-// csr.ShardInternMinWorkers workers.
+// shardInternMinWorkers workers.
 //
 // The receiver stays fully usable, also concurrently with this and later
 // Appends (no word it can address is ever written); the mutable interning

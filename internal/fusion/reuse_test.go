@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"kfusion/internal/csr"
+	"kfusion/internal/extract"
 	"kfusion/internal/kb"
 )
 
@@ -138,11 +139,11 @@ func shardedClaims(n int) []Claim {
 	return claims
 }
 
-// TestInternClaimsParallelMatchesSequential pins the shard-and-merge
-// interning (pairwise-merged key lists + parallel remap) against the
-// sequential loop: identical IDs, identical key tables, for any shard count.
-// It calls the pass itself, so the counts extend no longer selects
-// (csr.ShardIntern) stay covered.
+// TestInternClaimsParallelMatchesSequential pins the shard interning pass
+// (shard-local loops, a fold of their keys into the one table, parallel
+// remap) against the sequential loop: identical IDs, identical key tables,
+// for any shard count. It calls the pass itself, so the counts extend no
+// longer selects (shardIntern) stay covered.
 func TestInternClaimsParallelMatchesSequential(t *testing.T) {
 	claims := shardedClaims(internShardThreshold + internShardThreshold/2)
 	seq, _ := compile(claims, 1)
@@ -183,6 +184,11 @@ func TestInternClaimsParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("shards=%d: prov table maps %q to %d, want %d", shards, key, got, id)
 			}
 		}
+		for id, key := range par.extKeys {
+			if got := parIdx.ext.ID(parIdx.ext.Hash(key), key, par.extKeys); got != int32(id) {
+				t.Fatalf("shards=%d: extractor table maps %q to %d, want %d", shards, key, got, id)
+			}
+		}
 		for id, key := range par.triples {
 			if got := parIdx.tri.ID(parIdx.tri.Hash(key), key, par.triples); got != int32(id) {
 				t.Fatalf("shards=%d: triple table maps %v to %d, want %d", shards, key, got, id)
@@ -191,9 +197,62 @@ func TestInternClaimsParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestAppendExtractionsOntoShardPass continues a chain from the tables the
+// shard pass leaves: an extraction batch of old and new provenances,
+// extractors and triples, appended onto a generation compiled through the
+// pass, must give the graph the same append gives onto a loop-compiled one.
+func TestAppendExtractionsOntoShardPass(t *testing.T) {
+	claims := shardedClaims(internShardThreshold + internShardThreshold/2)
+	xs := make([]extract.Extraction, 4096)
+	for i := range xs {
+		xs[i] = extract.Extraction{
+			Triple: kb.Triple{
+				Subject:   kb.EntityID(fmt.Sprintf("s%d", i*5)),
+				Predicate: "p",
+				Object:    kb.StringObject(fmt.Sprintf("v%d", i%5)),
+			},
+			Extractor:  fmt.Sprintf("X%d", i%17),
+			URL:        fmt.Sprintf("prov%d", i%3000), // the claims' provenance keys under GranSourceOnly
+			Confidence: -1,
+		}
+	}
+	loop, _ := CompileWorkers(claims, 1, 0)
+	pass, _ := CompileWorkers(claims, shardInternMinWorkers, 0)
+	want, err := loop.AppendExtractions(xs, GranSourceOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pass.AppendExtractions(xs, GranSourceOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumClaims() == len(claims) {
+		t.Fatal("the batch added no claim")
+	}
+	if !bytes.Equal(dumpGraph(t, got), dumpGraph(t, want)) {
+		t.Fatal("extraction append onto the shard pass's generation differs from the one onto the loop's")
+	}
+}
+
+// TestShardInternRule states which (batch size, workers) pairs take the
+// shard interning pass, so a change to the rule is a visible diff.
+func TestShardInternRule(t *testing.T) {
+	for _, c := range []struct {
+		n, workers int
+		want       bool
+	}{
+		{1 << 14, 4, true}, {1 << 20, 64, true},
+		{1<<14 - 1, 4, false}, {1 << 20, 3, false}, {1 << 20, 2, false}, {1 << 20, 1, false}, {0, 8, false},
+	} {
+		if got := shardIntern(c.n, c.workers); got != c.want {
+			t.Errorf("shardIntern(%d, %d) = %v, want %v", c.n, c.workers, got, c.want)
+		}
+	}
+}
+
 // TestCompileWorkersSameGraph holds the compiled graph to one value for every
 // workers setting on both sides of the shard-pass rule — below and from
-// csr.ShardInternMinWorkers, just under and just over csr.ParallelThreshold —
+// shardInternMinWorkers, just under and just over csr.ParallelThreshold —
 // field by field and through the dump of every field (dumpGraph).
 func TestCompileWorkersSameGraph(t *testing.T) {
 	for _, n := range []int{csr.ParallelThreshold - 1, csr.ParallelThreshold + 1} {

@@ -43,9 +43,9 @@
 // Fuse call builds — so multi-config workloads (method comparisons,
 // θ/coverage sweeps, the ablation suite) pay for interning once and results
 // stay bit-identical to compile-per-config fusion.Fuse calls. Interning
-// itself is sharded on large inputs from csr.ShardInternMinWorkers workers on
-// (per-worker shard interning with csr.MergeKeys' ordered pairwise merge; the
-// one sequential loop below that, where the merge costs more than it saves).
+// itself is sharded on large inputs from four workers on (per-worker shard
+// interning, then one fold of the shards' keys into the graph's tables in
+// stream order; the one sequential loop below that).
 // fusion.Fuse remains the one-shot compile-then-fuse convenience.
 //
 // Because every ID space is assigned in first-occurrence order, a Compiled

@@ -212,11 +212,11 @@ func ObjectSurface(w *world.World, o kb.Object) string {
 //
 // Sites are crawled in parallel on GOMAXPROCS workers, each over a contiguous
 // range of site indexes, and merged in site order; copier sites, which read
-// the originals' mentions, are a second parallel pass merged in copier
-// order. Every draw comes from a stream split off the root by site, page or
-// copier index (randx.Source.SplitN never consumes its parent), and the
-// world is read-only here, so the corpus is the same bytes at every worker
-// count.
+// the mentions of the originals they draw, are a second parallel pass merged
+// in copier order. Every draw comes from a stream split off the root by site,
+// page or copier index (randx.Source.SplitN never consumes its parent), and
+// the world is read-only here, so the corpus is the same bytes at every
+// worker count.
 func Generate(w *world.World, cfg Config) (*Corpus, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -245,13 +245,37 @@ func Generate(w *world.World, cfg Config) (*Corpus, error) {
 		nPages += len(sites[si].pages)
 	}
 
+	// A copier's original is the first draw of its stream. Only the drawn
+	// originals' mentions are ever read, so only their pools are built.
+	streams := make([]*randx.Source, len(copiers))
+	from := make([]*crawledSite, len(copiers))
+	drawn := make([]bool, len(sites))
+	for i, si := range copiers {
+		streams[i] = root.SplitN("copier", int64(si))
+		if len(originals) > 0 {
+			oi := originals[streams[i].Intn(len(originals))]
+			from[i], drawn[oi] = &sites[oi], true
+		}
+	}
+	csr.ParallelRange(len(sites), 0, func(_, lo, hi int) {
+		for si := lo; si < hi; si++ {
+			if !drawn[si] {
+				continue
+			}
+			s := &sites[si]
+			for _, page := range s.pages {
+				s.mentions = page.appendMentions(s.mentions)
+			}
+		}
+	})
+
 	// Second pass: copier sites republish a source site's statements —
 	// errors included, which is exactly what makes copying detectable and
 	// dangerous ("copied false values").
 	copied := make([]crawledSite, len(copiers))
 	csr.ParallelRange(len(copiers), 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			copied[i] = crawlCopier(w, cfg, root, sites, originals, copiers[i])
+			copied[i] = crawlCopier(w, cfg, streams[i], sites[copiers[i]].prof, from[i], copiers[i])
 		}
 	})
 	for i := range copied {
@@ -280,7 +304,7 @@ type crawledSite struct {
 	name     string
 	errRate  float64
 	pages    []*Page   // pages with at least one mention, in page order
-	mentions []Mention // the pages' mentions in order: a copier's pool
+	mentions []Mention // the pages' mentions in order, built only for a drawn original: a copier's pool
 }
 
 // crawlSite draws site si from its own stream. A copier keeps only its
@@ -303,24 +327,20 @@ func crawlSite(w *world.World, cfg Config, root *randx.Source, profilePick *rand
 	for pi := 0; pi < nPages; pi++ {
 		psrc := ssrc.SplitN("page", int64(pi))
 		page := renderPage(w, cfg, psrc, s.name, pi, s.prof, s.errRate, boiler)
-		n := len(s.mentions)
-		if s.mentions = page.appendMentions(s.mentions); len(s.mentions) == n {
-			continue
+		if page.hasMentions() {
+			s.pages = append(s.pages, page)
 		}
-		s.pages = append(s.pages, page)
 	}
 	return s
 }
 
-// crawlCopier renders copier site si, splicing in statements from an
-// original drawn from its own stream. It only reads sites.
-func crawlCopier(w *world.World, cfg Config, root *randx.Source, sites []crawledSite, originals []int, si int) crawledSite {
-	ssrc := root.SplitN("copier", int64(si))
-	prof := sites[si].prof
+// crawlCopier renders copier site si of profile prof, splicing in statements
+// from src, the original its stream ssrc drew (nil when there is none);
+// ssrc has made that draw. It only reads src.
+func crawlCopier(w *world.World, cfg Config, ssrc *randx.Source, prof siteProfile, src *crawledSite, si int) crawledSite {
 	s := crawledSite{name: fmt.Sprintf("%s%03d.example.com", prof.name, si)}
 	var pool []Mention
-	if len(originals) > 0 {
-		src := &sites[originals[ssrc.Intn(len(originals))]]
+	if src != nil {
 		pool = src.mentions
 		if len(pool) > 0 {
 			s.errRate = src.errRate
@@ -337,10 +357,9 @@ func crawlCopier(w *world.World, cfg Config, root *randx.Source, sites []crawled
 		if len(pool) > 0 {
 			spliceCopiedMentions(psrc, page, pool, cfg.SyndicationShare)
 		}
-		if len(page.Mentions()) == 0 {
-			continue
+		if page.hasMentions() {
+			s.pages = append(s.pages, page)
 		}
-		s.pages = append(s.pages, page)
 	}
 	return s
 }

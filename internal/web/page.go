@@ -167,6 +167,46 @@ func (b *Block) appendMentions(dst []Mention) []Mention {
 	return dst
 }
 
+// hasMention reports whether the block holds a mention, without collecting
+// them.
+func (b *Block) hasMention() bool {
+	switch b.Type {
+	case TXT:
+		return len(b.Sentences) > 0
+	case DOM:
+		return b.Root.hasMention()
+	case TBL:
+		if b.Table != nil {
+			for _, r := range b.Table.Rows {
+				for _, c := range r.Cells {
+					if c != nil {
+						return true
+					}
+				}
+			}
+		}
+	case ANO:
+		return len(b.Annotations) > 0
+	}
+	return false
+}
+
+// hasMention reports whether the node or a descendant carries a mention.
+func (n *DOMNode) hasMention() bool {
+	if n == nil {
+		return false
+	}
+	if n.M != nil {
+		return true
+	}
+	for _, c := range n.Children {
+		if c.hasMention() {
+			return true
+		}
+	}
+	return false
+}
+
 // Page is one crawled Web page.
 type Page struct {
 	URL    string
@@ -184,6 +224,17 @@ func (p *Page) appendMentions(dst []Mention) []Mention {
 		dst = p.Blocks[i].appendMentions(dst)
 	}
 	return dst
+}
+
+// hasMentions reports whether the page holds a mention — len(Mentions()) > 0
+// without collecting them.
+func (p *Page) hasMentions() bool {
+	for i := range p.Blocks {
+		if p.Blocks[i].hasMention() {
+			return true
+		}
+	}
+	return false
 }
 
 // Corpus is the crawled synthetic Web.
