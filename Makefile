@@ -30,8 +30,8 @@ test:
 repro:
 	$(GO) run ./cmd/kfexper -scale bench >/dev/null
 
-# race exercises the concurrent paths (the claim graph's shard interning and
-# its concurrent key folds, parallel CSR build, the twolayer/fusion EM stage loops, the exper
+# race exercises the concurrent paths (the claim graph's intern ranges and
+# their concurrent key folds, parallel CSR build, the twolayer/fusion EM stage loops, the exper
 # singleflight caches, the extraction reader's per-worker batch decode) under
 # the race detector; CI runs it on every push.
 race:

@@ -568,8 +568,8 @@ func BenchmarkExtractCompileGraph(b *testing.B) {
 
 // BenchmarkCompileClaimGraph measures fusion.Compile itself — the interning
 // and CSR build every fusion run amortizes — by workers, on the large claim
-// set where the parallel counting sort engages (and, from four workers, the
-// shard interning pass).
+// set where the parallel counting sort engages (and, from four workers,
+// interning in one range per worker).
 func BenchmarkCompileClaimGraph(b *testing.B) {
 	ds := exper.SharedDataset(exper.ScaleLarge, benchSeed)
 	claims := fusion.Claims(ds.Extractions, fusion.Granularity{})
@@ -591,7 +591,7 @@ func BenchmarkCompileClaimGraph(b *testing.B) {
 // deterministically-parallel hot paths — the two-layer EM loops over a
 // prebuilt extraction graph (BenchmarkTwoLayerScaling) and claim-graph
 // compilation on the large claim set (BenchmarkCompileClaimGraph: parallel
-// counting passes, shard interning from four workers)
+// counting passes, one intern range per worker from four workers)
 // — must run at least 1.5x faster with four workers than with one. Both are
 // bit-identical across worker counts, so speed is all the comparison varies;
 // 1.5x is conservative against the 2-3x these paths show on a quiet 4-core
@@ -643,7 +643,7 @@ func TestFourCoreScaling(t *testing.T) {
 
 // TestFourCoreFeedCompile is the other half of that measurement: a cold
 // CompileExtractions interns the feed sequentially, where flattening by
-// Claims and compiling by CompileWorkers takes the shard interning pass from
+// Claims and compiling by CompileWorkers interns in one range per worker from
 // four workers on. At four workers on the large
 // dataset the one-pass feed compile must be no slower than that two-pass
 // path: the sequential flatten costs both about the same, and only the second

@@ -46,10 +46,11 @@ func ParallelRange(n, workers int, f func(worker, lo, hi int)) {
 
 // ParallelThreshold is the input size below which the shared multi-pass
 // parallel schemes — the grouped counting sort here, the claim graph's
-// shard interning pass — fall back to their sequential loops: under it,
-// per-worker scratch setup and the fold of the shards cost more than the
-// single-threaded work. One constant so retuning the
-// cutoff happens in one place for every consumer.
+// intern ranges — fall back to one pass over the whole input: under it,
+// per-worker scratch setup and the fold of the ranges cost more than the
+// single-threaded work. The graphs' assemble tails gate their elementwise and
+// per-triple passes on it too. One constant so retuning the cutoff happens in
+// one place for every consumer.
 const ParallelThreshold = 1 << 14
 
 // ElementwiseThreshold is the element count below which the per-round

@@ -106,7 +106,7 @@ func NewInternTable[K comparable](sizeHint int, hashFn func(K) uint64) InternTab
 func BuildInternTable[K comparable](keys []K, hashFn func(K) uint64) InternTable[K] {
 	t := NewInternTable[K](len(keys), hashFn)
 	for i := range keys {
-		t.Insert(t.Hash(keys[i]), int32(i))
+		t.insert(t.Hash(keys[i]), int32(i))
 	}
 	return t
 }
@@ -121,7 +121,7 @@ func slotsFor(sizeHint int) int {
 	return size
 }
 
-// Hash returns key's probe hash; pass it to ID and Insert so one interning
+// Hash returns key's probe hash; pass it to ID and Intern so one interning
 // step hashes once.
 func (t *InternTable[K]) Hash(key K) uint64 {
 	if t.hashFn != nil {
@@ -146,9 +146,34 @@ func (t *InternTable[K]) ID(h uint64, key K, keys []K) int32 {
 	}
 }
 
-// Insert records id for a key with hash h. The key must be absent (callers
-// intern: one failed ID lookup, append to the key slice, Insert).
-func (t *InternTable[K]) Insert(h uint64, id int32) {
+// Intern returns the ID of key (whose Hash(key) is h) in the ID space (t,
+// *keys) and false if it is held, and otherwise appends key to *keys, records
+// it under the next ID and returns that ID and true — the twin of
+// PairTable.Intern, and the one interning step of both graphs. An absent key
+// takes the empty slot its lookup ended on, unless the insert must grow the
+// table first.
+func (t *InternTable[K]) Intern(h uint64, keys *[]K, key K) (int32, bool) {
+	col := *keys
+	i := h & t.mask
+	for s := t.slots[i]; s != 0; s = t.slots[i] {
+		if t.hashes[i] == h && col[s-1] == key {
+			return s - 1, false
+		}
+		i = (i + 1) & t.mask
+	}
+	id := int32(len(col))
+	*keys = append(col, key)
+	if (t.n+1)*4 > len(t.slots)*3 {
+		t.insert(h, id)
+	} else {
+		t.hashes[i], t.slots[i] = h, id+1
+		t.n++
+	}
+	return id, true
+}
+
+// insert records id for an absent key with hash h.
+func (t *InternTable[K]) insert(h uint64, id int32) {
 	if (t.n+1)*4 > len(t.slots)*3 {
 		t.grow()
 	}

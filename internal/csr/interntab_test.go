@@ -9,18 +9,19 @@ import (
 	"kfusion/internal/kb"
 )
 
-// internAll interns keys through t in stream order, the way the compile loops
-// do (one failed lookup, append to the key column, insert), and returns the
-// ID each key got and the dense key column.
-func internAll[K comparable](t *InternTable[K], keys []K) (ids []int32, col []K) {
-	for _, k := range keys {
-		h := t.Hash(k)
-		id := t.ID(h, k, col)
-		if id < 0 {
-			id = int32(len(col))
-			col = append(col, k)
-			t.Insert(h, id)
+// internAll interns keys through tab in stream order by the graphs' one
+// interning step (Intern) and returns the ID each key got and the dense key
+// column. It fails t unless Intern reports a key added exactly when a map
+// has not seen it yet.
+func internAll[K comparable](t *testing.T, tab *InternTable[K], keys []K) (ids []int32, col []K) {
+	t.Helper()
+	seen := map[K]bool{}
+	for i, k := range keys {
+		id, added := tab.Intern(tab.Hash(k), &col, k)
+		if added == seen[k] {
+			t.Fatalf("key %d (%v): Intern added=%v, the map oracle says absent=%v", i, k, added, !seen[k])
 		}
+		seen[k] = true
 		ids = append(ids, id)
 	}
 	return ids, col
@@ -62,7 +63,7 @@ func TestInternTableConstantHash(t *testing.T) {
 		keys = append(keys, fmt.Sprintf("k%d", i%97))
 	}
 	tab := NewInternTable[string](0, func(string) uint64 { return 42 })
-	ids, col := internAll(&tab, keys)
+	ids, col := internAll(t, &tab, keys)
 	requireIDs(t, "constant hash", ids, internRef(keys))
 	if len(col) != 97 {
 		t.Fatalf("%d distinct keys interned, want 97", len(col))
@@ -85,8 +86,9 @@ func TestInternTableGrowth(t *testing.T) {
 		if id := tab.ID(tab.Hash(k), k, col); id != -1 {
 			t.Fatalf("key %d found before its insert", k)
 		}
-		col = append(col, k)
-		tab.Insert(tab.Hash(k), int32(k))
+		if id, added := tab.Intern(tab.Hash(k), &col, k); !added || id != int32(k) {
+			t.Fatalf("key %d interned as (%d, added=%v), want (%d, true)", k, id, added, k)
+		}
 		grew := len(tab.slots) != before
 		if want := (k+1)*4 > before*3; grew != want { // the 0.75 load factor
 			t.Fatalf("insert %d into %d slots: grew=%v, want %v", k+1, before, grew, want)
@@ -105,7 +107,7 @@ func TestInternTableGrowth(t *testing.T) {
 	// A presized table does not grow before its hint.
 	pre := NewInternTable[int](1000, nil)
 	size := len(pre.slots)
-	internAll(&pre, col)
+	internAll(t, &pre, col)
 	if len(pre.slots) != size {
 		t.Fatalf("a table presized for 1000 keys grew from %d to %d slots", size, len(pre.slots))
 	}
@@ -119,7 +121,7 @@ func TestInternTableSignedZero(t *testing.T) {
 	}
 	keys := []kb.Triple{tri(0), tri(math.Copysign(0, -1)), tri(1), tri(math.Copysign(0, -1))}
 	tab := NewInternTable(0, HashTriple)
-	ids, col := internAll(&tab, keys)
+	ids, col := internAll(t, &tab, keys)
 	requireIDs(t, "signed zero", ids, []int32{0, 0, 1, 0})
 	requireIDs(t, "signed zero oracle", ids, internRef(keys))
 	if len(col) != 2 {
@@ -152,13 +154,13 @@ func TestInternTablesMatchMap(t *testing.T) {
 		name := fmt.Sprintf("round %d (n=%d, hint=%d)", round, n, hint)
 
 		st := NewInternTable[string](hint, nil)
-		ids, _ := internAll(&st, strs)
+		ids, _ := internAll(t, &st, strs)
 		requireIDs(t, name+" strings", ids, internRef(strs))
 		tt := NewInternTable(hint, HashTriple)
-		ids, _ = internAll(&tt, tris)
+		ids, _ = internAll(t, &tt, tris)
 		requireIDs(t, name+" triples", ids, internRef(tris))
 		it := NewInternTable(hint, HashItem)
-		ids, _ = internAll(&it, items)
+		ids, _ = internAll(t, &it, items)
 		requireIDs(t, name+" items", ids, internRef(items))
 		requireIDs(t, name+" pairs", internPairs(NewPairTable(hint), pairs), internRef(pairs))
 	}
@@ -217,7 +219,7 @@ func FuzzInternTable(f *testing.F) {
 			hashFn = func(string) uint64 { return 7 }
 		}
 		tab := NewInternTable(int(hint), hashFn)
-		ids, col := internAll(&tab, keys)
+		ids, col := internAll(t, &tab, keys)
 		requireIDs(t, "strings", ids, internRef(keys))
 		rebuilt := BuildInternTable(col, hashFn)
 		for id, k := range col {

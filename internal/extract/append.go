@@ -172,7 +172,7 @@ func (next *Compiled) extendTail(g *Compiled, idx *extractIndex, stExts, srcExts
 	// so counts are exact and independent of the split.
 	next.tripleExts = csr.ExtendInt32(g.tripleExts, nTriples)
 	tw := workers
-	if nTriples-nTriOld < internShardThreshold {
+	if nTriples-nTriOld < csr.ParallelThreshold {
 		tw = 1 // goroutine setup would dominate
 	}
 	csr.ParallelRange(nTriples-nTriOld, tw, func(_, lo, hi int) {

@@ -118,8 +118,8 @@ func TestExtractAppendChain(t *testing.T) {
 // csr.ParallelThreshold at four workers, where the compile's counting passes
 // split, and holds the result to the one-compile graph of the whole stream.
 func TestExtractAppendAboveShardThreshold(t *testing.T) {
-	xs := appendStream(internShardThreshold + 4096)
-	split := internShardThreshold + 256
+	xs := appendStream(csr.ParallelThreshold + 4096)
+	split := csr.ParallelThreshold + 256
 	base := CompileWorkers(xs[:split], true, 4)
 	next := base.AppendWorkers(xs[split:], 4)
 	appendGraphsEqual(t, "sharded", next, CompileWorkers(xs, true, 4))
@@ -172,10 +172,10 @@ func TestExtractAppendNothingIsConstantCost(t *testing.T) {
 }
 
 // TestInternParallelPairwiseMerge holds a compile of an append stream 1.5×
-// internShardThreshold long to the one-worker compile at worker counts from 4
+// csr.ParallelThreshold long to the one-worker compile at worker counts from 4
 // to 8 (the graphs must be identical in every field).
 func TestInternParallelPairwiseMerge(t *testing.T) {
-	xs := appendStream(internShardThreshold + internShardThreshold/2)
+	xs := appendStream(csr.ParallelThreshold + csr.ParallelThreshold/2)
 	want := CompileWorkers(xs, true, 1)
 	for workers := 4; workers <= 8; workers++ {
 		got := CompileWorkers(xs, true, workers)

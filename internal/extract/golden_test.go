@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/kb"
 	"kfusion/internal/wire"
 )
@@ -111,7 +112,7 @@ func snapshotDigest(t *testing.T, g *Compiled) string {
 // TestCompiledGraphMatchesBruteForce are the independent oracle. The decoded
 // case derives its graph on decode.
 func TestGoldenGraphDigests(t *testing.T) {
-	big := internShardThreshold + 4321
+	big := csr.ParallelThreshold + 4321
 	small := goldenStream(3000)
 	large := goldenStream(big)
 	// 900 | empty | 1 | a batch that itself crosses the shard threshold | tail

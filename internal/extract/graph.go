@@ -240,11 +240,6 @@ func unseen(n int) []int32 {
 	return seen
 }
 
-// internShardThreshold is the element count below which the per-statement
-// and per-triple passes of the assemble tail stay on one goroutine (the shared
-// cutoff of the multi-pass parallel schemes; tuned in internal/csr).
-const internShardThreshold = csr.ParallelThreshold
-
 // internBatch is the one sequential interning loop: it assigns source,
 // extractor, triple and statement IDs to xs in stream order, continuing
 // whatever idx and g's ID spaces already hold, and records each extraction's
@@ -267,37 +262,21 @@ func internBatch(g *Compiled, idx *extractIndex, xs []Extraction, stExts, srcExt
 			key = x.Site
 		}
 		if key != lastKey || i == 0 {
-			h := idx.src.Hash(key)
-			src = idx.src.ID(h, key, g.sources)
-			if src < 0 {
-				src = int32(len(g.sources))
-				g.sources = append(g.sources, key)
-				idx.src.Insert(h, src)
+			var added bool
+			if src, added = idx.src.Intern(idx.src.Hash(key), &g.sources, key); added {
 				srcExts.addRow()
 			}
 			lastKey = key
 		}
 		if x.Extractor != lastExt || i == 0 {
-			h := idx.ext.Hash(x.Extractor)
-			ext = idx.ext.ID(h, x.Extractor, g.extractors)
-			if ext < 0 {
-				ext = int32(len(g.extractors))
-				g.extractors = append(g.extractors, x.Extractor)
-				idx.ext.Insert(h, ext)
-			}
+			ext, _ = idx.ext.Intern(idx.ext.Hash(x.Extractor), &g.extractors, x.Extractor)
 			lastExt = x.Extractor
 		}
 		if src != pairSrc || ext != pairExt {
 			srcExts.add(src, ext)
 			pairSrc, pairExt = src, ext
 		}
-		h := csr.HashTriple(x.Triple)
-		tri := idx.tri.ID(h, x.Triple, g.triples)
-		if tri < 0 {
-			tri = int32(len(g.triples))
-			g.triples = append(g.triples, x.Triple)
-			idx.tri.Insert(h, tri)
-		}
+		tri, _ := idx.tri.Intern(csr.HashTriple(x.Triple), &g.triples, x.Triple)
 		si, added := idx.st.Intern(src, tri, int32(len(g.stSource)))
 		if added {
 			g.stSource = append(g.stSource, src)
@@ -333,13 +312,7 @@ func internItems(g *Compiled, idx *extractIndex, firstTriple int) {
 	g.itemOfTriple = slices.Grow(g.itemOfTriple, need)
 	for _, t := range g.triples[firstTriple:] {
 		item := t.Item()
-		h := idx.item.Hash(item)
-		iid := idx.item.ID(h, item, g.items)
-		if iid < 0 {
-			iid = int32(len(g.items))
-			g.items = append(g.items, item)
-			idx.item.Insert(h, iid)
-		}
+		iid, _ := idx.item.Intern(idx.item.Hash(item), &g.items, item)
 		g.itemOfTriple = append(g.itemOfTriple, iid)
 	}
 }

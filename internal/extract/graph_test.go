@@ -301,7 +301,7 @@ func indexMapsGraph(t *testing.T, name string, idx *extractIndex, g *Compiled) {
 }
 
 // TestInternParallelMatchesSequential holds a compile well above
-// internShardThreshold to the one-worker compile at every workers setting
+// csr.ParallelThreshold to the one-worker compile at every workers setting
 // from 2 to 8, on both source levels: the whole graph — every ID space, every
 // CSR span, every extractor list and the ext→statement blocks — must be
 // identical, the index the compile leaves must map every key to its ID
@@ -309,7 +309,7 @@ func indexMapsGraph(t *testing.T, name string, idx *extractIndex, g *Compiled) {
 // the concatenated stream.
 func TestInternParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	xs := randomExtractions(rng, internShardThreshold+4321)
+	xs := randomExtractions(rng, csr.ParallelThreshold+4321)
 	batch := randomExtractions(rng, 700)
 	for _, siteLevel := range []bool{false, true} {
 		want := CompileWorkers(xs, siteLevel, 1)

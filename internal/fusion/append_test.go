@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/extract"
 	"kfusion/internal/kb"
 )
@@ -110,19 +111,21 @@ func TestAppendChainMatchesRecompile(t *testing.T) {
 	}
 }
 
-// TestAppendAboveShardThreshold crosses the parallel interning threshold so
-// the appended generation extends a graph whose base was compiled by the
-// shard-and-merge path.
+// TestAppendAboveShardThreshold crosses csr.ParallelThreshold on either side
+// of an Append at four workers: a base over it (interned in four ranges)
+// extended by a batch under it (one range), and a base under it extended by a
+// batch over it, which interns in four ranges onto the non-empty generation.
 func TestAppendAboveShardThreshold(t *testing.T) {
-	claims := shardedClaims(internShardThreshold + 4096)
-	split := internShardThreshold + 100
-	base, _ := CompileWorkers(claims[:split], 4, 0)
-	next, err := base.AppendWorkers(claims[split:], 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	claims := shardedClaims(csr.ParallelThreshold + 4096)
 	want, _ := compile(claims, 4)
-	graphsEqual(t, "sharded", next.g, want)
+	for _, split := range []int{csr.ParallelThreshold + 100, 4096} {
+		base, _ := CompileWorkers(claims[:split], 4, 0)
+		next, err := base.AppendWorkers(claims[split:], 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphsEqual(t, fmt.Sprintf("split=%d", split), next.g, want)
+	}
 }
 
 // TestAppendLeavesPreviousGenerationUsable pins the generational contract:

@@ -181,8 +181,9 @@ type claimIndex struct {
 // columns that only grow at the end (see columns); the rest is copied per
 // generation. An extraction feed grows a chain the same way through
 // CompileExtractions and AppendExtractions, which flatten records into claims
-// in the interning loop itself (extendFeed). The one other interning path,
-// the shard pass, is chosen from what extend observes — see Append.
+// in the interning loop itself (extendFeed). A claim batch interns in one
+// range per worker when it is large and workers are many (internClaims,
+// shardIntern), and builds the same graph.
 //
 // A Compiled is bound to its claims' provenance granularity:
 // Config.Granularity acts when extractions are flattened into claims
@@ -215,13 +216,11 @@ func Compile(claims []Claim) (*Compiled, error) {
 
 // CompileWorkers is Compile with explicit resource bounds: workers caps the
 // interning and counting goroutines (0 = GOMAXPROCS). The counting passes
-// split from two workers on; interning is sharded from
-// shardInternMinWorkers on and is the sequential loop below it (see
-// extend). The graph — and every result fused from it — is identical for any
-// workers value. partitions is
-// retained for signature compatibility with the former shuffle-based
-// compiler and is ignored: the first-occurrence ID assignment has no
-// partition axis.
+// split from two workers on; interning splits into ranges from
+// shardInternMinWorkers on (see extend). The graph — and every result fused
+// from it — is identical for any workers value. partitions is retained for
+// signature compatibility with the former shuffle-based compiler and is
+// ignored: the first-occurrence ID assignment has no partition axis.
 func CompileWorkers(claims []Claim, workers, partitions int) (*Compiled, error) {
 	// The first Append: the empty generation extended by the whole claim set.
 	c := &Compiled{idx: &claimIndex{}}
@@ -307,11 +306,6 @@ func (c *Compiled) TripleClaims(t int) []int32 {
 // ClaimProv returns the provenance ID of a claim.
 func (c *Compiled) ClaimProv(claim int32) int32 { return c.g.provOfClaim[claim] }
 
-// internShardThreshold is the element count below which the assemble tail's
-// elementwise and per-triple passes stay on one goroutine (the shared cutoff
-// of the multi-pass parallel schemes; tuned in internal/csr).
-const internShardThreshold = csr.ParallelThreshold
-
 // extend is the compile path of a claim batch: it interns batch onto the
 // generation (old, idx) and assembles the next graph. The append-only columns
 // are extended in place through idx.cols — old holds their clipped prefixes,
@@ -320,54 +314,52 @@ const internShardThreshold = csr.ParallelThreshold
 // IDs never move and the result equals extending the empty generation by the
 // concatenated stream — which is what a fresh compile is.
 //
-// The batch interns through internClaims, the sequential loop, except
-// when nothing is interned yet and shardIntern(len(batch), workers) holds:
-// then internClaimsParallel runs the same loop per shard and folds the
-// shards' keys into the one table. The result is independent of that choice
-// and of workers.
+// The batch interns through internClaims in workers ranges when
+// shardIntern(len(batch), workers) holds and in one range otherwise. The
+// result is independent of that choice and of workers.
 func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	nOld := old.numClaims()
-	n := nOld + len(batch)
 	g := successor(old, idx)
+	if nOld == 0 {
+		idx.presize(g, len(batch))
+	}
 	g.confOfClaim = append(g.confOfClaim, make([]float64, len(batch))...)
 	g.provOfClaim = append(g.provOfClaim, make([]int32, len(batch))...)
 	g.tripleOfClaim = append(g.tripleOfClaim, make([]int32, len(batch))...)
 	g.extOfClaim = append(g.extOfClaim, make([]int32, len(batch))...)
 
-	switch {
-	case nOld > 0:
-		internClaims(g, idx, batch, nOld)
-	case shardIntern(n, workers):
-		internClaimsParallel(g, idx, batch, workers)
-	default:
-		idx.presize(g, n)
-		internClaims(g, idx, batch, 0)
+	shards := 1
+	if shardIntern(len(batch), workers) {
+		shards = workers
 	}
+	internClaims(g, idx, batch, nOld, shards)
 	idx.pairs = nil // the next extraction append rebuilds it over the batch too
 	return extendTail(old, g, idx, workers)
 }
 
-// shardInternMinWorkers is the smallest worker count at which a from-empty
-// claim batch interns through the shard pass. Measured on 2 shared vCPUs (`go
-// test -bench 'CompileClaimGraph' -benchtime 10x -benchmem`, 150k ScaleLarge
-// claims): the sequential loop compiles in 122–136 ms and 35 MB; the pass at
-// four workers in 129–142 ms and 55 MB — the shards' own loops, then a fold
-// that hashes each shard's distinct keys once more into the one table, the
-// three key spaces on three goroutines. Run at two workers the pass tied the
-// loop (124–134 ms against 127–132 ms) with 18 MB more allocated, so two
-// workers stay with the loop. At four cores CI's scaling-check holds the
-// claim-graph compile, pass included, at >= 1.5x the one-core cell. Three has
-// been measured on no host and stays with the loop.
+// shardInternMinWorkers is the smallest worker count at which a claim batch
+// interns in more than one range. Measured on 2 shared vCPUs (`go test -bench
+// 'CompileClaimGraph' -benchtime 20x -benchmem`, 150k ScaleLarge claims, ten
+// runs): one range compiles in 113–152 ms and 34.5 MB, four ranges in
+// 109–145 ms and 50.8 MB — the ranges' own loops, then a fold that hashes the
+// distinct keys of ranges 1…3 once more into the graph's tables, the three
+// key spaces on three goroutines. When range 0 still folded like the others,
+// two ranges tied one (124–134 ms against 127–132 ms) with 18 MB more
+// allocated, so two workers stay with one range; a probe with range 0 on the
+// graph's tables read 103–110 ms and 44.4 MB for two ranges against 114–137
+// ms for one, which makes two a candidate (ROADMAP item 22). At four cores
+// CI's scaling-check holds the claim-graph compile at >= 1.5x the one-core
+// cell. Three has been measured on no host and stays with one range.
 const shardInternMinWorkers = 4
 
-// shardIntern is the one selection rule for the shard pass: a batch of n
-// claims interned onto an empty generation with `workers` goroutines allowed
-// takes it when the batch reaches csr.ParallelThreshold and workers reaches
-// shardInternMinWorkers. Both interning paths build the same graph, so the
-// rule decides speed only.
+// shardIntern is the one rule for how many ranges a claim batch interns in:
+// a batch of n claims with `workers` goroutines allowed is split into workers
+// ranges when n reaches csr.ParallelThreshold and workers reaches
+// shardInternMinWorkers, and is one range otherwise. Every split builds the
+// same graph, so the rule decides speed only.
 func shardIntern(n, workers int) bool {
 	return n >= csr.ParallelThreshold && workers >= shardInternMinWorkers
 }
@@ -425,129 +417,111 @@ func (idx *claimIndex) presize(g *graph, n int) {
 	g.provKeys = make([]string, 0, n/2+16)
 }
 
-// intern returns key's ID in the ID space (t, *keys), assigning the next one
-// to a key not seen yet.
-func intern[K comparable](t *csr.InternTable[K], keys *[]K, key K) int32 {
-	h := t.Hash(key)
-	id := t.ID(h, key, *keys)
-	if id < 0 {
-		id = int32(len(*keys))
-		*keys = append(*keys, key)
-		t.Insert(h, id)
-	}
-	return id
-}
-
-// internClaims is the sequential interning loop of a claim batch: it writes
-// batch's confidences and provenance, extractor and triple IDs into g's
-// per-claim columns from claim first on, continuing whatever idx and g's key
-// columns already hold.
+// internClaims interns a claim batch: it writes batch's confidences and
+// provenance, extractor and triple IDs into g's per-claim columns from claim
+// first on, continuing whatever idx and g's key columns already hold.
 //
-// Claim streams arrive grouped by extractor (and largely by provenance within
-// a group), so a last-seen cache answers most lookups without touching the
-// hash tables. Triples do not repeat consecutively — corroborating claims are
-// whole groups apart.
-func internClaims(g *graph, idx *claimIndex, batch []Claim, first int) {
-	var pid, xid int32
-	for i := range batch {
-		c := &batch[i]
-		if i == 0 || c.Prov != batch[i-1].Prov {
-			pid = intern(&idx.prov, &g.provKeys, c.Prov)
-		}
-		g.provOfClaim[first+i] = pid
-		if i == 0 || c.Extractor != batch[i-1].Extractor {
-			xid = intern(&idx.ext, &g.extKeys, c.Extractor)
-		}
-		g.extOfClaim[first+i] = xid
-		g.tripleOfClaim[first+i] = idx.tripleID(g, &c.Triple)
-		g.confOfClaim[first+i] = c.Conf
-	}
-}
-
-// tripleID is intern over the triple ID space, the one both loops take per
-// record, with the table's hash called directly rather than through its
-// function field.
-func (idx *claimIndex) tripleID(g *graph, t *kb.Triple) int32 {
-	h := csr.HashTriple(*t)
-	id := idx.tri.ID(h, *t, g.triples)
-	if id < 0 {
-		id = int32(len(g.triples))
-		g.triples = append(g.triples, *t)
-		idx.tri.Insert(h, id)
-	}
-	return id
-}
-
-// internClaimsParallel is the shard interning pass of batch onto a from-empty
-// g: each worker runs internClaims over a contiguous claim range with
-// shard-local tables, writing shard-local IDs into its window of the
-// per-claim columns. Then the shards' key columns fold into g's own tables in
-// stream order — shard 0's keys, then shard 1's, and so on — which puts every
-// key at its first occurrence, the IDs the sequential loop assigns, and leaves
-// the tables Append continues from. A parallel remap rewrites the shard-local
-// IDs in place.
-func internClaimsParallel(g *graph, idx *claimIndex, batch []Claim, workers int) {
+// The batch is split into shards contiguous ranges, each interned by the
+// sequential loop (internRange). Range 0 runs on idx's own tables, so its IDs
+// are final; ranges 1…shards-1 run concurrently on range-local tables,
+// writing range-local IDs into their windows of the per-claim columns. Then
+// those ranges' key columns fold into idx's tables in stream order — range
+// 1's keys, then range 2's, and so on — which puts every key at its first
+// occurrence, the IDs one range assigns, and a parallel remap rewrites the
+// range-local IDs in place. One range is the loop alone.
+func internClaims(g *graph, idx *claimIndex, batch []Claim, first, shards int) {
 	n := len(batch)
-	if workers > n {
-		workers = n
-	}
-	shards := make([]*graph, workers)
-	csr.ParallelRange(n, workers, func(w, lo, hi int) {
-		sg := &graph{columns: columns{
-			provOfClaim:   g.provOfClaim[lo:hi],
-			tripleOfClaim: g.tripleOfClaim[lo:hi],
-			extOfClaim:    g.extOfClaim[lo:hi],
-			confOfClaim:   g.confOfClaim[lo:hi],
+	shards = max(1, min(shards, n))
+	locals := make([]*graph, shards)
+	csr.ParallelRange(n, shards, func(w, lo, hi int) {
+		if w == 0 {
+			internRange(g, idx, batch[:hi], first)
+			return
+		}
+		lg := &graph{columns: columns{
+			provOfClaim:   g.provOfClaim[first+lo : first+hi],
+			tripleOfClaim: g.tripleOfClaim[first+lo : first+hi],
+			extOfClaim:    g.extOfClaim[first+lo : first+hi],
+			confOfClaim:   g.confOfClaim[first+lo : first+hi],
 		}}
-		sidx := &claimIndex{}
-		sidx.presize(sg, hi-lo)
-		internClaims(sg, sidx, batch[lo:hi], 0)
-		shards[w] = sg
+		lidx := &claimIndex{}
+		lidx.presize(lg, hi-lo)
+		internRange(lg, lidx, batch[lo:hi], 0)
+		locals[w] = lg
 	})
+	if shards == 1 {
+		return
+	}
 
-	// remap[w][local] is the global ID of shard w's local ID. The three key
+	// remap[w][local] is the global ID of range w's local ID. The three key
 	// spaces fold concurrently: each touches only its own table and column.
-	idx.presize(g, n)
-	provRemap := make([][]int32, workers)
-	extRemap := make([][]int32, workers)
-	triRemap := make([][]int32, workers)
+	var provRemap, extRemap, triRemap [][]int32
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		for w, sg := range shards {
-			provRemap[w] = make([]int32, len(sg.provKeys))
-			for li, key := range sg.provKeys {
-				provRemap[w][li] = intern(&idx.prov, &g.provKeys, key)
-			}
-		}
+		provRemap = fold(&idx.prov, &g.provKeys, locals, func(lg *graph) []string { return lg.provKeys })
 	}()
 	go func() {
 		defer wg.Done()
-		for w, sg := range shards {
-			extRemap[w] = make([]int32, len(sg.extKeys))
-			for li, key := range sg.extKeys {
-				extRemap[w][li] = intern(&idx.ext, &g.extKeys, key)
-			}
-		}
+		extRemap = fold(&idx.ext, &g.extKeys, locals, func(lg *graph) []string { return lg.extKeys })
 	}()
-	for w, sg := range shards {
-		triRemap[w] = make([]int32, len(sg.triples))
-		for li := range sg.triples {
-			triRemap[w][li] = idx.tripleID(g, &sg.triples[li])
-		}
-	}
+	triRemap = fold(&idx.tri, &g.triples, locals, func(lg *graph) []kb.Triple { return lg.triples })
 	wg.Wait()
 
-	// Same (n, workers) split as the intern pass, so chunk w rewrites
-	// exactly the IDs shard w assigned.
-	csr.ParallelRange(n, workers, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
+	// Same (n, shards) split as the intern pass, so range w rewrites exactly
+	// the IDs its loop assigned.
+	csr.ParallelRange(n, shards, func(w, lo, hi int) {
+		if w == 0 {
+			return
+		}
+		for i := first + lo; i < first+hi; i++ {
 			g.provOfClaim[i] = provRemap[w][g.provOfClaim[i]]
 			g.extOfClaim[i] = extRemap[w][g.extOfClaim[i]]
 			g.tripleOfClaim[i] = triRemap[w][g.tripleOfClaim[i]]
 		}
 	})
+}
+
+// fold interns the key column keysOf(locals[w]) of every range w >= 1, in
+// range order, into the ID space (t, *keys) and returns each range's local
+// -> global ID map.
+func fold[K comparable](t *csr.InternTable[K], keys *[]K, locals []*graph, keysOf func(*graph) []K) [][]int32 {
+	remap := make([][]int32, len(locals))
+	for w := 1; w < len(locals); w++ {
+		col := keysOf(locals[w])
+		remap[w] = make([]int32, len(col))
+		for li, key := range col {
+			remap[w][li], _ = t.Intern(t.Hash(key), keys, key)
+		}
+	}
+	return remap
+}
+
+// internRange is the sequential interning loop of a claim range: it writes
+// the range's confidences and IDs into g's per-claim columns from claim first
+// on, continuing whatever idx and g's key columns already hold.
+//
+// Claim streams arrive grouped by extractor (and largely by provenance within
+// a group), so a last-seen cache answers most lookups without touching the
+// hash tables. Triples do not repeat consecutively — corroborating claims are
+// whole groups apart — and hash through csr.HashTriple directly rather than
+// through the table's function field.
+func internRange(g *graph, idx *claimIndex, batch []Claim, first int) {
+	var pid, xid int32
+	for i := range batch {
+		c := &batch[i]
+		if i == 0 || c.Prov != batch[i-1].Prov {
+			pid, _ = idx.prov.Intern(idx.prov.Hash(c.Prov), &g.provKeys, c.Prov)
+		}
+		g.provOfClaim[first+i] = pid
+		if i == 0 || c.Extractor != batch[i-1].Extractor {
+			xid, _ = idx.ext.Intern(idx.ext.Hash(c.Extractor), &g.extKeys, c.Extractor)
+		}
+		g.extOfClaim[first+i] = xid
+		g.tripleOfClaim[first+i], _ = idx.tri.Intern(csr.HashTriple(c.Triple), &g.triples, c.Triple)
+		g.confOfClaim[first+i] = c.Conf
+	}
 }
 
 // internItems extends the item ID space and per-item candidate offsets over
@@ -573,12 +547,8 @@ func internItems(g *graph, idx *claimIndex, firstTriple int) {
 	g.localOfTriple = slices.Grow(g.localOfTriple, need)
 	for t := firstTriple; t < len(g.triples); t++ {
 		item := g.triples[t].Item()
-		h := idx.item.Hash(item)
-		iid := idx.item.ID(h, item, g.items)
-		if iid < 0 {
-			iid = int32(len(g.items))
-			g.items = append(g.items, item)
-			idx.item.Insert(h, iid)
+		iid, added := idx.item.Intern(idx.item.Hash(item), &g.items, item)
+		if added {
 			fresh = append(fresh, 0)
 		}
 		var local int32
@@ -613,7 +583,7 @@ func assembleGraph(g *graph, firstClaim, firstTriple, workers int) {
 	// Claim -> item and claim -> local candidate offset, elementwise.
 	itemOfClaim := make([]int32, n-firstClaim)
 	ew := workers
-	if n-firstClaim < internShardThreshold {
+	if n-firstClaim < csr.ParallelThreshold {
 		ew = 1
 	}
 	csr.ParallelRange(n-firstClaim, ew, func(_, lo, hi int) {
@@ -644,7 +614,7 @@ func assembleGraph(g *graph, firstClaim, firstTriple, workers int) {
 func recountTripleExtractors(g *graph, firstClaim, firstTriple, workers int) {
 	nTriples := len(g.triples)
 	g.tripleExtractors = csr.ExtendInt32(g.tripleExtractors, nTriples)
-	if nTriples-firstTriple < internShardThreshold {
+	if nTriples-firstTriple < csr.ParallelThreshold {
 		workers = 1 // goroutine setup would dominate
 	}
 	csr.ParallelRange(nTriples-firstTriple, workers, func(_, lo, hi int) {
@@ -702,11 +672,9 @@ func unseen(n int) []int32 {
 // place through that index — the receiver holds their clipped prefixes — and
 // only the arrays a batch rewrites for old IDs, the CSRs and support counts,
 // are rebuilt around the old ones (bulk copies, no re-hashing of the prefix).
-// The batch interns sequentially; the shard pass is chosen only onto a
-// generation holding no claims — a bulk Compile, or the first Append onto an
-// empty one — and only where shardIntern says it is not the slower of the
-// two: a batch of at least csr.ParallelThreshold claims and at least
-// shardInternMinWorkers workers.
+// A batch of at least csr.ParallelThreshold claims interns in one range per
+// worker from shardInternMinWorkers workers on, and in one range otherwise
+// (shardIntern), whatever the receiver holds.
 //
 // The receiver stays fully usable, also concurrently with this and later
 // Appends (no word it can address is ever written); the mutable interning

@@ -88,8 +88,8 @@ func (idx *claimIndex) feedPairs(g *graph, gran Granularity, extra int) {
 // them. Each record interns its provenance key and its triple; a record whose
 // (provenance, triple) pair idx.pairs holds adds nothing, and every other one
 // appends its confidence and IDs to g's per-claim columns. Every ID space is
-// therefore assigned in the first-occurrence order of the claims, as
-// internClaims over them would assign it.
+// therefore assigned in the first-occurrence order of the claims, as a
+// Compile of the flattened claims assigns it.
 //
 // A feed lists a page's extractions together, so most records share their
 // provenance with the one before: while gran.sameKey holds, a record reuses
@@ -102,15 +102,17 @@ func internExtractions(g *graph, idx *claimIndex, xs []extract.Extraction) {
 	for i := range xs {
 		x := &xs[i]
 		if last == nil || !gran.sameKey(x, last) {
-			last, pid = x, intern(&idx.prov, &g.provKeys, gran.Key(*x))
+			key := gran.Key(*x)
+			last = x
+			pid, _ = idx.prov.Intern(idx.prov.Hash(key), &g.provKeys, key)
 		}
-		tid := idx.tripleID(g, &x.Triple)
+		tid, _ := idx.tri.Intern(csr.HashTriple(x.Triple), &g.triples, x.Triple)
 		if !idx.pairs.Add(pid, tid) {
 			continue
 		}
 		// xid is the last appended claim's extractor once there is one.
 		if g.numClaims() == first || x.Extractor != g.extKeys[xid] {
-			xid = intern(&idx.ext, &g.extKeys, x.Extractor)
+			xid, _ = idx.ext.Intern(idx.ext.Hash(x.Extractor), &g.extKeys, x.Extractor)
 		}
 		g.confOfClaim = append(g.confOfClaim, x.Confidence)
 		g.provOfClaim = append(g.provOfClaim, pid)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/extract"
 	"kfusion/internal/kb"
 	"kfusion/internal/wire"
@@ -124,8 +125,8 @@ func TestGoldenGraphDigests(t *testing.T) {
 
 	for _, gran := range []Granularity{GranExtractorURL, GranExtractorSitePredPattern} {
 		small := Claims(goldenExtractions(3000), gran)
-		large := Claims(goldenExtractions(3*internShardThreshold), gran)
-		big := internShardThreshold + 1234
+		large := Claims(goldenExtractions(3*csr.ParallelThreshold), gran)
+		big := csr.ParallelThreshold + 1234
 		if len(large) < 900+1+big+700 {
 			t.Fatalf("gran %v: only %d claims, the chain needs %d", gran, len(large), 900+1+big+700)
 		}

@@ -139,60 +139,86 @@ func shardedClaims(n int) []Claim {
 	return claims
 }
 
-// TestInternClaimsParallelMatchesSequential pins the shard interning pass
-// (shard-local loops, a fold of their keys into the one table, parallel
-// remap) against the sequential loop: identical IDs, identical key tables,
-// for any shard count. It calls the pass itself, so the counts extend no
-// longer selects (shardIntern) stay covered.
-func TestInternClaimsParallelMatchesSequential(t *testing.T) {
-	claims := shardedClaims(internShardThreshold + internShardThreshold/2)
-	seq, _ := compile(claims, 1)
-	for _, shards := range []int{2, 3, 8} {
-		n := len(claims)
-		par := &graph{columns: columns{
-			provOfClaim:   make([]int32, n),
-			tripleOfClaim: make([]int32, n),
-			extOfClaim:    make([]int32, n),
-			confOfClaim:   make([]float64, n),
-		}}
-		parIdx := &claimIndex{}
-		internClaimsParallel(par, parIdx, claims, shards)
-		if !slices.Equal(par.extKeys, seq.extKeys) {
-			t.Fatalf("shards=%d: extractor keys %v, want %v", shards, par.extKeys, seq.extKeys)
+// TestInternClaimsRangesMatchLoop pins internClaims at every range count
+// against the sequential loop (internRange) over the whole stream: identical
+// IDs, key columns and tables, from empty and onto an index whose tables
+// already hold some of the batch's keys. It calls internClaims itself, so the
+// range counts extend does not select (shardIntern) stay covered.
+func TestInternClaimsRangesMatchLoop(t *testing.T) {
+	batch := shardedClaims(csr.ParallelThreshold + csr.ParallelThreshold/2)
+	// Every seventh claim repeats a triple from anywhere in the batch, so
+	// ranges share triples as well as provenances and extractors; the prefix
+	// repeats every fifth claim, so the tables hold keys before the batch.
+	var prefix []Claim
+	for i := range batch {
+		if i%7 == 0 {
+			batch[i].Triple = batch[(i*31)%len(batch)].Triple
 		}
-		if !slices.Equal(par.provKeys, seq.provKeys) {
-			t.Fatalf("shards=%d: prov keys differ (%d, want %d)", shards, len(par.provKeys), len(seq.provKeys))
+		if i%5 == 0 {
+			prefix = append(prefix, batch[i])
 		}
-		if !slices.Equal(par.triples, seq.triples) {
-			t.Fatalf("shards=%d: triples differ (%d, want %d)", shards, len(par.triples), len(seq.triples))
-		}
-		if !slices.Equal(par.provOfClaim, seq.provOfClaim) {
-			t.Fatalf("shards=%d: provOfClaim differs", shards)
-		}
-		if !slices.Equal(par.extOfClaim, seq.extOfClaim) {
-			t.Fatalf("shards=%d: extOfClaim differs", shards)
-		}
-		if !slices.Equal(par.confOfClaim, seq.confOfClaim) {
-			t.Fatalf("shards=%d: confOfClaim differs", shards)
-		}
-		if !slices.Equal(par.tripleOfClaim, seq.tripleOfClaim) {
-			t.Fatalf("shards=%d: tripleOfClaim differs", shards)
-		}
-		// The tables the pass leaves are what Append continues from.
-		for id, key := range par.provKeys {
-			if got := parIdx.prov.ID(parIdx.prov.Hash(key), key, par.provKeys); got != int32(id) {
-				t.Fatalf("shards=%d: prov table maps %q to %d, want %d", shards, key, got, id)
+	}
+	for _, pre := range [][]Claim{nil, prefix} {
+		all := append(slices.Clip(pre), batch...)
+		want, wantIdx := claimColumns(len(all))
+		internRange(want, wantIdx, all, 0)
+		for _, shards := range []int{1, 2, 3, 8} {
+			name := fmt.Sprintf("first=%d shards=%d", len(pre), shards)
+			g, idx := claimColumns(len(all))
+			internRange(g, idx, pre, 0)
+			internClaims(g, idx, batch, len(pre), shards)
+
+			if !slices.Equal(g.extKeys, want.extKeys) {
+				t.Fatalf("%s: extractor keys %v, want %v", name, g.extKeys, want.extKeys)
 			}
-		}
-		for id, key := range par.extKeys {
-			if got := parIdx.ext.ID(parIdx.ext.Hash(key), key, par.extKeys); got != int32(id) {
-				t.Fatalf("shards=%d: extractor table maps %q to %d, want %d", shards, key, got, id)
+			if !slices.Equal(g.provKeys, want.provKeys) {
+				t.Fatalf("%s: prov keys differ (%d, want %d)", name, len(g.provKeys), len(want.provKeys))
 			}
-		}
-		for id, key := range par.triples {
-			if got := parIdx.tri.ID(parIdx.tri.Hash(key), key, par.triples); got != int32(id) {
-				t.Fatalf("shards=%d: triple table maps %v to %d, want %d", shards, key, got, id)
+			if !slices.Equal(g.triples, want.triples) {
+				t.Fatalf("%s: triples differ (%d, want %d)", name, len(g.triples), len(want.triples))
 			}
+			if !slices.Equal(g.provOfClaim, want.provOfClaim) {
+				t.Fatalf("%s: provOfClaim differs", name)
+			}
+			if !slices.Equal(g.extOfClaim, want.extOfClaim) {
+				t.Fatalf("%s: extOfClaim differs", name)
+			}
+			if !slices.Equal(g.confOfClaim, want.confOfClaim) {
+				t.Fatalf("%s: confOfClaim differs", name)
+			}
+			if !slices.Equal(g.tripleOfClaim, want.tripleOfClaim) {
+				t.Fatalf("%s: tripleOfClaim differs", name)
+			}
+			// The tables internClaims leaves are what the next Append
+			// continues from.
+			requireTable(t, name+": prov table", &idx.prov, g.provKeys)
+			requireTable(t, name+": extractor table", &idx.ext, g.extKeys)
+			requireTable(t, name+": triple table", &idx.tri, g.triples)
+		}
+	}
+}
+
+// claimColumns returns a graph with n zeroed per-claim columns and an index
+// presized for them.
+func claimColumns(n int) (*graph, *claimIndex) {
+	g := &graph{columns: columns{
+		provOfClaim:   make([]int32, n),
+		tripleOfClaim: make([]int32, n),
+		extOfClaim:    make([]int32, n),
+		confOfClaim:   make([]float64, n),
+	}}
+	idx := &claimIndex{}
+	idx.presize(g, n)
+	return g, idx
+}
+
+// requireTable fails t unless tab maps every key of the column keys to its
+// index there.
+func requireTable[K comparable](t *testing.T, name string, tab *csr.InternTable[K], keys []K) {
+	t.Helper()
+	for id, key := range keys {
+		if got := tab.ID(tab.Hash(key), key, keys); got != int32(id) {
+			t.Fatalf("%s maps %v to %d, want %d", name, key, got, id)
 		}
 	}
 }
@@ -202,7 +228,7 @@ func TestInternClaimsParallelMatchesSequential(t *testing.T) {
 // extractors and triples, appended onto a generation compiled through the
 // pass, must give the graph the same append gives onto a loop-compiled one.
 func TestAppendExtractionsOntoShardPass(t *testing.T) {
-	claims := shardedClaims(internShardThreshold + internShardThreshold/2)
+	claims := shardedClaims(csr.ParallelThreshold + csr.ParallelThreshold/2)
 	xs := make([]extract.Extraction, 4096)
 	for i := range xs {
 		xs[i] = extract.Extraction{
@@ -275,7 +301,7 @@ func TestCompileWorkersSameGraph(t *testing.T) {
 // fusion results — the large-input version of the existing worker-
 // independence pins.
 func TestCompileLargeWorkerIndependent(t *testing.T) {
-	claims := shardedClaims(internShardThreshold + 512)
+	claims := shardedClaims(csr.ParallelThreshold + 512)
 	base := MustFuse(claims, PopAccuConfig())
 	for _, workers := range []int{1, 4} {
 		cfg := PopAccuConfig()
