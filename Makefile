@@ -59,7 +59,9 @@ fault:
 # the string-keyed map, under any chunking and granularity, across a snapshot
 # reload). And the generator
 # every synthesized byte comes from: FuzzSourceMatchesMathRand (randx.Source ≡
-# rand.New(rand.NewSource(seed)) under any script of draws and splits). And
+# rand.New(rand.NewSource(seed)) under any script of draws and splits) and
+# FuzzLabelResetMatchesSplit (a piecewise label hash ≡ Split/SplitN's seed, a
+# Source reset over a used register ≡ New). And
 # the open-addressed intern tables both graphs intern through:
 # FuzzInternTable (csr.InternTable and csr.PairTable ≡ map[K]int32 under any
 # key stream, size hint and a degenerate constant hash). And the parsers every
@@ -87,13 +89,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWarmChain -fuzztime 15s -fuzzminimizetime 2s ./internal/twolayer/
 	$(GO) test -run '^$$' -fuzz FuzzShardGhosts -fuzztime 15s -fuzzminimizetime 2s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 15s -fuzzminimizetime 2s ./internal/randx/
+	$(GO) test -run '^$$' -fuzz FuzzLabelResetMatchesSplit -fuzztime 15s -fuzzminimizetime 2s ./internal/randx/
 	$(GO) test -run '^$$' -fuzz FuzzInternTable -fuzztime 15s -fuzzminimizetime 2s ./internal/csr/
 
 # bench-smoke runs each benchmark once. Its second line runs the feed reader
 # again at one and at two procs, so both the one-goroutine decode and the
 # per-worker split run on every push.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkShardTwoLayerStep|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkCompileExtractions|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkShardTwoLayerStep|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkCompileExtractions|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkWriteExtractions|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadExtractions$$' -cpu 1,2 -benchtime 1x -benchmem .
 
 # bench-e2e runs the end-to-end benchmark (benchmark/README.md): one feed

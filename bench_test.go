@@ -712,6 +712,31 @@ func BenchmarkReadExtractions(b *testing.B) {
 	b.ReportMetric(float64(len(xs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
+// BenchmarkWriteExtractions encodes the benchmark harness's feed — the first
+// 150 000 ScaleLarge records at the bench seed — through one
+// ExtractionWriter.WriteBatch and Flush. Add -cpu 1,2 to see the serial
+// encode beside the per-worker ranges.
+func BenchmarkWriteExtractions(b *testing.B) {
+	xs := exper.SharedDataset(exper.ScaleLarge, benchSeed).Extractions
+	xs = xs[:min(len(xs), 150_000)]
+	var out bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.Reset()
+		w := kfio.NewExtractionWriter(&out)
+		if err := w.WriteBatch(xs); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.SetBytes(int64(out.Len()))
+	b.ReportMetric(float64(len(xs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
 // BenchmarkCompileExtractions measures the claim layer from records to graph
 // the way a chain grows it: one fresh CompileExtractions per iteration, then
 // AppendExtractions of the rest of the bench dataset in ReadBatch-sized

@@ -2,6 +2,7 @@ package extract
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"kfusion/internal/kb"
@@ -352,7 +353,7 @@ func TestRunIsPerPageExtract(t *testing.T) {
 			want = append(want, e.Extract(w, page, root.SplitN(e.Name+"|"+page.URL, int64(pi)))...)
 		}
 	}
-	sortExtractions(want)
+	sort.Slice(want, func(i, j int) bool { return extractionLess(&want[i], &want[j]) })
 	if len(got) != len(want) {
 		t.Fatalf("Run yields %d extractions, per-page Extract %d", len(got), len(want))
 	}

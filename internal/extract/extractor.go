@@ -159,12 +159,20 @@ type pageView struct {
 }
 
 func readPage(page *web.Page) *pageView {
-	v := &pageView{Page: page, start: make([]int, len(page.Blocks)+1)}
-	for bi := range page.Blocks {
-		v.mentions = append(v.mentions, page.Blocks[bi].Mentions()...)
-		v.start[bi+1] = len(v.mentions)
-	}
+	v := new(pageView)
+	v.read(page)
 	return v
+}
+
+// read makes v the view of page, reusing v's slices.
+func (v *pageView) read(page *web.Page) {
+	v.Page = page
+	v.mentions = v.mentions[:0]
+	v.start = append(v.start[:0], 0)
+	for bi := range page.Blocks {
+		v.mentions = page.Blocks[bi].AppendMentions(v.mentions)
+		v.start = append(v.start, len(v.mentions))
+	}
 }
 
 // appendExtractions appends the extractor's output on page to out. One

@@ -72,3 +72,22 @@ func TestRunOrderIsTotal(t *testing.T) {
 		}
 	}
 }
+
+// TestExtractionRunAllocationBound bounds what a run allocates per page at
+// bench scale: the rows' chunks, the runs and the result grow with the
+// output, and each (extractor, page) stream, page view and label costs
+// nothing, so an allocation per stream or per label string shows up here.
+// The run made 9.9 mallocs per page when the bound was set (1 worker: the
+// measurement's GOMAXPROCS), and 37.9 with a Source split per (extractor,
+// page) as root.SplitN(e.Name+"|"+url, pi).
+func TestExtractionRunAllocationBound(t *testing.T) {
+	const bound = 15
+	w := world.MustGenerate(world.BenchConfig(42))
+	corpus := web.MustGenerate(w, web.BenchConfig(43))
+	suite := NewSuite(w, 44)
+	perPage := testing.AllocsPerRun(2, func() { suite.Run(w, corpus) }) / float64(len(corpus.Pages))
+	t.Logf("%.1f mallocs per page over %d pages", perPage, len(corpus.Pages))
+	if perPage > bound {
+		t.Errorf("Suite.Run makes %.1f mallocs per page, bound %d", perPage, bound)
+	}
+}

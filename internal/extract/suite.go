@@ -3,8 +3,9 @@ package extract
 import (
 	"bytes"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"kfusion/internal/csr"
 	"kfusion/internal/kb"
@@ -123,40 +124,116 @@ func (s *Suite) ContentTypeOf(name string) web.ContentType {
 // deterministic for a given (world, corpus, seed) and sorted by (extractor,
 // URL, triple) for stable downstream processing.
 //
-// Pages are extracted in parallel on GOMAXPROCS workers, each over a
-// contiguous page range; each worker sorts its part and the parts are merged
-// in range order. The output is the same at every worker count: each
-// (extractor, page) pair draws from its own stream split off the root, the
-// world and the shared linkers and mappers are read-only, and the sort key
-// is a total order on the output — an extractor emits a triple at most once
-// per page and a page's URL is unique in the corpus, so no two extractions
-// share (extractor, URL, triple), and the sorted order is the one order
-// there is, however the rows were split.
+// The rows are made in that order, not sorted into it. Pages are extracted
+// in URL order on GOMAXPROCS workers, each over a contiguous range of that
+// order, and each (extractor, page) call sorts its own few rows by triple,
+// so a worker's rows of one extractor come in (URL, triple) order. One
+// stable scatter by extractor name then places every worker's rows of an
+// extractor after the previous workers' in the exact-size result. The output
+// is the same at every worker count: each (extractor, page) pair draws from
+// its own stream — the one root.SplitN(name+"|"+URL, page index) returns,
+// derived from a Label hash of the name taken once per run and drawn through
+// one reused Source per worker — the world and the shared linkers and
+// mappers are read-only, and the key is a total order on the output: an
+// extractor emits a triple at most once per page and a page's URL is unique
+// in the corpus, so no two extractions share (extractor, URL, triple).
 func (s *Suite) Run(w *world.World, corpus *web.Corpus) []Extraction {
 	root := randx.New(s.Seed)
-	pages := corpus.Pages
-	workers := runtime.GOMAXPROCS(0)
-	parts := make([][]Extraction, workers)
-	csr.ParallelRange(len(pages), workers, func(wk, lo, hi int) {
-		views := make([]*pageView, hi-lo)
-		bound := 0
-		for i := range views {
-			views[i] = readPage(pages[lo+i])
-			bound += s.maxExtractions(views[i])
-		}
-		out := make([]Extraction, 0, bound)
-		for i, view := range views {
-			pi := lo + i
-			for _, e := range s.Extractors {
-				src := root.SplitN(e.Name+"|"+view.URL, int64(pi))
-				out = e.appendExtractions(out, w, view, src)
+	labels := make([]randx.Label, len(s.Extractors))
+	rank := make([]int, len(s.Extractors)) // the extractor's place in name order
+	for ei, e := range s.Extractors {
+		labels[ei] = root.Label(e.Name).Then("|")
+		for _, o := range s.Extractors {
+			if o.Name < e.Name {
+				rank[ei]++
 			}
 		}
-		sortExtractions(out)
-		parts[wk] = out
+	}
+	pages := corpus.Pages
+	order := make([]int, len(pages)) // page indexes in URL order
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(pages[a].URL, pages[b].URL) })
+
+	// A worker's rows, in chunks that are filled and never regrown, and
+	// their extractor ranks as runs: one run per (extractor, page) call that
+	// emitted rows. A page starts a new chunk when its bound does not fit,
+	// so a run never spans two chunks.
+	type run struct{ rank, n int }
+	type part struct {
+		chunks [][]Extraction
+		runs   []run
+		at     []int // rows per rank; then where the scatter writes that rank's next row
+	}
+	parts := make([]part, runtime.GOMAXPROCS(0))
+	for wk := range parts {
+		parts[wk].at = make([]int, len(s.Extractors))
+	}
+	csr.ParallelRange(len(order), len(parts), func(wk, lo, hi int) {
+		p := &parts[wk]
+		src := randx.New(0)
+		var view pageView
+		var rows []Extraction
+		for _, pi := range order[lo:hi] {
+			view.read(pages[pi])
+			if need := s.maxExtractions(&view); need > cap(rows)-len(rows) {
+				if len(rows) > 0 {
+					p.chunks = append(p.chunks, rows)
+				}
+				rows = make([]Extraction, 0, max(need, runChunkRows))
+			}
+			for ei, e := range s.Extractors {
+				if !e.runsOn(view.Site) {
+					continue
+				}
+				src.Reset(labels[ei].Then(view.URL).Seed(int64(pi)))
+				start := len(rows)
+				rows = e.appendExtractions(rows, w, &view, src)
+				if n := len(rows) - start; n > 0 {
+					slices.SortFunc(rows[start:], compareExtractions)
+					p.runs = append(p.runs, run{rank[ei], n})
+					p.at[rank[ei]] += n
+				}
+			}
+		}
+		if len(rows) > 0 {
+			p.chunks = append(p.chunks, rows)
+		}
 	})
-	return mergeExtractions(parts)
+
+	n := 0
+	for r := range s.Extractors {
+		for wk := range parts {
+			c := parts[wk].at[r]
+			parts[wk].at[r] = n
+			n += c
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Extraction, n)
+	csr.ParallelRange(len(parts), len(parts), func(_, lo, hi int) {
+		for wk := lo; wk < hi; wk++ {
+			p := &parts[wk]
+			var rows []Extraction
+			for _, r := range p.runs {
+				if len(rows) == 0 {
+					rows, p.chunks = p.chunks[0], p.chunks[1:]
+				}
+				copy(out[p.at[r.rank]:], rows[:r.n])
+				p.at[r.rank] += r.n
+				rows = rows[r.n:]
+			}
+		}
+	})
+	return out
 }
+
+// runChunkRows is the size of the row chunks Run fills, ≈1 MB: large
+// beside a page's rows, small beside a worker's.
+const runChunkRows = 8192
 
 // maxExtractions bounds the suite's output on a page: an extractor that runs
 // on the page's site emits at most one row per mention of a block it reads.
@@ -173,10 +250,6 @@ func (s *Suite) maxExtractions(v *pageView) int {
 		}
 	}
 	return n
-}
-
-func sortExtractions(xs []Extraction) {
-	sort.Slice(xs, func(i, j int) bool { return extractionLess(&xs[i], &xs[j]) })
 }
 
 // extractionLess orders extractions by (extractor, URL, triple), the
@@ -197,48 +270,16 @@ func extractionLess(a, b *Extraction) bool {
 	return objectStringLess(a.Triple.Object, b.Triple.Object)
 }
 
-// mergeExtractions merges one or more sorted parts into one sorted slice,
-// adjacent pairs per round. The result is a new slice of exactly the rows'
-// length, also from a lone part: parts are presized to an upper bound, and
-// the dataset keeps the result.
-func mergeExtractions(parts [][]Extraction) []Extraction {
-	for len(parts) > 2 {
-		next := parts[:0]
-		for i := 0; i < len(parts); i += 2 {
-			if i+1 == len(parts) {
-				next = append(next, parts[i])
-				break
-			}
-			next = append(next, mergeTwo(parts[i], parts[i+1]))
-		}
-		parts = next
+// compareExtractions is extractionLess as the three-way comparison
+// slices.SortFunc takes.
+func compareExtractions(a, b Extraction) int {
+	switch {
+	case extractionLess(&a, &b):
+		return -1
+	case extractionLess(&b, &a):
+		return 1
 	}
-	var b []Extraction
-	if len(parts) == 2 {
-		b = parts[1]
-	}
-	return mergeTwo(parts[0], b)
-}
-
-// mergeTwo merges two sorted slices into a new one; on a tie a's row goes
-// first.
-func mergeTwo(a, b []Extraction) []Extraction {
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	out := make([]Extraction, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if extractionLess(&b[j], &a[i]) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return 0
 }
 
 // objectStringLess reports a.String() < b.String() without building either

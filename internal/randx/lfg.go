@@ -24,7 +24,8 @@ import "math/rand"
 //     The draw is the sum of two seed words and needs no register; a stream
 //     that ends here holds its seed and a count. (Of the 424 704 streams of
 //     a ScaleLarge synthesis, 17 draw more.)
-//   - Draw 274 allocates the register and replays the 273 stores into words
+//   - Draw 274 allocates the register, or takes the one an earlier stream
+//     of a reseeded Source left, and replays the 273 stores into words
 //     333…61.
 //   - Draws 274…607 find a seed word at feed (60…0, then 606…334), computed
 //     at that first touch, and at tap the sum stored 273 draws earlier.
@@ -34,7 +35,7 @@ type lfg struct {
 	x0    uint64 // the Lehmer chain's start: the seed folded into [1, 2³¹-1)
 	drawn int    // draws made, counted up to lfgLen: the rules above need no more
 
-	vec       *[lfgLen]int64 // the feedback register; nil through draw lfgTap
+	vec       *[lfgLen]int64 // the feedback register; nil until a draw past lfgTap needs one
 	tap, feed int            // the register positions of the last draw
 }
 
@@ -47,6 +48,10 @@ const (
 )
 
 // Seed resets the generator to seed's stream, as (*rand.Rand).Seed requires.
+// A register left by the previous stream is kept for the next one to reuse:
+// no draw reads a register word before it writes it (draw 274 replays words
+// 333…61, draws 274…607 seed the word at feed first and read at tap what an
+// earlier draw stored), so stale words are never seen.
 func (g *lfg) Seed(seed int64) {
 	seed %= lehmerM
 	if seed < 0 {
@@ -55,7 +60,7 @@ func (g *lfg) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311 // math/rand's stand-in for the chain's fixed point
 	}
-	*g = lfg{x0: uint64(seed)}
+	*g = lfg{x0: uint64(seed), vec: g.vec}
 }
 
 // Int63 returns a non-negative 63-bit integer.
@@ -67,8 +72,10 @@ func (g *lfg) Uint64() uint64 {
 		g.drawn++
 		return uint64(seedSum(g.x0, g.drawn))
 	}
-	if g.vec == nil {
-		g.vec = new([lfgLen]int64)
+	if g.drawn == lfgTap {
+		if g.vec == nil {
+			g.vec = new([lfgLen]int64)
+		}
 		for n := 1; n <= lfgTap; n++ {
 			g.vec[lfgLen-lfgTap-n] = seedSum(g.x0, n)
 		}

@@ -192,6 +192,25 @@ func TestSeedingIsLazy(t *testing.T) {
 	}
 }
 
+// TestResetAllocatesNothing: a stream derived through a Label and a Reset
+// costs no allocation, also when it draws past lfgTap into the register an
+// earlier stream left.
+func TestResetAllocatesNothing(t *testing.T) {
+	root := New(42)
+	src := New(0)
+	prefix := root.Label("TXT1|")
+	i := int64(0)
+	if a := testing.AllocsPerRun(50, func() {
+		i++
+		src.Reset(prefix.Then("http://site/page").Seed(i))
+		for d := 0; d < lfgLen+1; d++ {
+			src.Float64()
+		}
+	}); a != 0 {
+		t.Errorf("Label, Reset and %d draws make %.0f allocations, want 0", lfgLen+1, a)
+	}
+}
+
 func FuzzSourceMatchesMathRand(f *testing.F) {
 	f.Add(int64(0), []byte{0, 1, 2, 3})
 	f.Add(int64(42), []byte{10, 0, 10, 255, 4, 4, 8, 200})
@@ -206,5 +225,54 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 			p.step(t, script[i], script[i+1])
 		}
 		p.step(t, 2, 0)
+	})
+}
+
+// FuzzLabelResetMatchesSplit holds the allocation-free way to derive a stream
+// to the splitting one: a Label hash continued piecewise is the seed
+// SplitN and Split derive from the joined label (and hash/fnv's), and a
+// Source reseeded by Reset after an earlier stream allocated its register
+// draws word for word what New draws for the seed.
+func FuzzLabelResetMatchesSplit(f *testing.F) {
+	f.Add(int64(42), "TXT1|", "http://wiki042.example.com/p7", int64(7), uint16(0), uint16(700))
+	f.Add(int64(0), "", "", int64(-1), uint16(1), uint16(0))
+	f.Add(int64(math.MinInt64), "/m/e1", "#/p/born", int64(math.MaxInt64), uint16(400), uint16(273))
+	f.Add(int64(1<<31-1), "a", "b", int64(1<<31), uint16(65535), uint16(2000))
+	f.Fuzz(func(t *testing.T, parent int64, a, b string, n int64, prior, draws uint16) {
+		root := New(parent)
+		l := root.Label(a).Then(b)
+		if got, want := l.Seed(n), root.SplitN(a+b, n).id; got != want {
+			t.Fatalf("Label(%q).Then(%q).Seed(%d) = %d, SplitN gives %d", a, b, n, got, want)
+		}
+		if got, want := l.Seed(n), oracleChildSeed(parent, a+b, &n); got != want {
+			t.Fatalf("Label(%q).Then(%q).Seed(%d) = %d, hash/fnv gives %d", a, b, n, got, want)
+		}
+		if got, want := l.SplitSeed(), root.Split(a+b).id; got != want {
+			t.Fatalf("Label(%q).Then(%q).SplitSeed() = %d, Split gives %d", a, b, got, want)
+		}
+		if got, want := l.SplitSeed(), oracleChildSeed(parent, a+b, nil); got != want {
+			t.Fatalf("Label(%q).Then(%q).SplitSeed() = %d, hash/fnv gives %d", a, b, got, want)
+		}
+
+		// The earlier stream runs past draw lfgTap+1, so the Source holds a
+		// register with that stream's words when it is reset.
+		s := New(parent)
+		for i := 0; i < lfgTap+1+int(prior)%(2*lfgLen); i++ {
+			s.gen.Uint64()
+		}
+		if s.gen.vec == nil {
+			t.Fatal("no register after the earlier stream")
+		}
+		seed := l.Seed(n)
+		s.Reset(seed)
+		fresh := New(seed)
+		for i := 0; i < int(draws)%(3*lfgLen+50); i++ {
+			if got, want := s.gen.Uint64(), fresh.gen.Uint64(); got != want {
+				t.Fatalf("reset source draw %d = %d, New(%d) gives %d", i+1, got, seed, want)
+			}
+		}
+		if got, want := s.Float64(), fresh.Float64(); got != want {
+			t.Fatalf("reset source Float64 = %v, New gives %v", got, want)
+		}
 	})
 }

@@ -10,8 +10,10 @@
 // handful of numbers or none: math/rand seeds all 607 words of state up
 // front, randx computes a word when a draw first needs it and allocates no
 // state at all for a stream's first 273 draws, so a stream costs what it
-// draws. The distributions are math/rand's own code (rand.New over the
-// generator). On
+// draws. A stream reused through Reset costs no allocation at all: its seed
+// comes from a Label hash continued piecewise, with no label string built,
+// and Reset reseeds the Source in place, keeping any register it holds. The
+// distributions are math/rand's own code (rand.New over the generator). On
 // top of that: splittable seeds (derive independent child streams from a
 // parent seed and a label), Zipf samplers with bounded support, and
 // categorical distributions.
@@ -41,19 +43,49 @@ func New(seed int64) *Source {
 	return s
 }
 
+// Reset turns s into the stream New(seed) returns, in place: it keeps s's
+// register when a previous stream allocated one, so a loop that derives one
+// stream per item draws them all through one Source. A Zipf sampler made
+// from s draws from the new stream after a Reset.
+func (s *Source) Reset(seed int64) {
+	s.id = seed
+	s.rng.Seed(seed)
+}
+
 // Split derives an independent child stream identified by label. Two Sources
 // with the same seed and label always produce identical streams, and streams
 // for different labels are statistically independent. Splitting does not
 // consume randomness from the parent.
 func (s *Source) Split(label string) *Source {
-	return New(int64(fnvString(fnvInt64(fnvOffset64, s.id), label)))
+	return New(s.Label(label).SplitSeed())
 }
 
 // SplitN derives an independent child stream identified by label and an index,
 // e.g. one stream per page or per extractor.
 func (s *Source) SplitN(label string, n int64) *Source {
-	return New(int64(fnvInt64(fnvString(fnvInt64(fnvOffset64, s.id), label), n)))
+	return New(s.Label(label).Seed(n))
 }
+
+// Label is a child stream's label hashed so far: the seed Split and SplitN
+// derive, computed piecewise, so a caller that splits many streams sharing a
+// prefix hashes the prefix once and builds no label string.
+// s.Label(a).Then(b).Seed(n) is the seed of s.SplitN(a+b, n), and
+// s.Label(a).Then(b).SplitSeed() the seed of s.Split(a+b).
+type Label struct{ h uint64 }
+
+// Label starts the label hash of s's child streams with label.
+func (s *Source) Label(label string) Label {
+	return Label{fnvString(fnvInt64(fnvOffset64, s.id), label)}
+}
+
+// Then continues the label with more.
+func (l Label) Then(more string) Label { return Label{fnvString(l.h, more)} }
+
+// Seed is the seed SplitN derives for the label and index n.
+func (l Label) Seed(n int64) int64 { return int64(fnvInt64(l.h, n)) }
+
+// SplitSeed is the seed Split derives for the label.
+func (l Label) SplitSeed() int64 { return int64(l.h) }
 
 // Child seeds are the 64-bit FNV-1a hash (hash/fnv's New64a) of the parent's
 // construction seed, the label and the index, integers little-endian —

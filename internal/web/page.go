@@ -134,10 +134,12 @@ type Block struct {
 }
 
 // Mentions returns all mentions in the block, in document order.
-func (b *Block) Mentions() []Mention { return b.appendMentions(nil) }
+func (b *Block) Mentions() []Mention { return b.AppendMentions(nil) }
 
-// appendMentions appends the block's mentions to dst in document order.
-func (b *Block) appendMentions(dst []Mention) []Mention {
+// AppendMentions appends the block's mentions to dst in document order and
+// returns the extended slice, so a reader collecting a page's mentions
+// copies each once.
+func (b *Block) AppendMentions(dst []Mention) []Mention {
 	switch b.Type {
 	case TXT:
 		for _, s := range b.Sentences {
@@ -221,7 +223,7 @@ func (p *Page) Mentions() []Mention { return p.appendMentions(nil) }
 // appendMentions appends every mention on the page to dst in document order.
 func (p *Page) appendMentions(dst []Mention) []Mention {
 	for i := range p.Blocks {
-		dst = p.Blocks[i].appendMentions(dst)
+		dst = p.Blocks[i].AppendMentions(dst)
 	}
 	return dst
 }

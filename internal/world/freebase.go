@@ -39,13 +39,17 @@ func BuildFreebase(w *World) *Snapshot {
 	rank := w.PopularityRank()
 	n := len(rank)
 	included := make(map[kb.EntityID]bool, n)
+	// Entity i draws from src.SplitN("ent", i) and item d from
+	// src.Split(d.String()), both derived through a label hash into one
+	// reused stream.
+	isrc, ent := randx.New(0), src.Label("ent")
 	for i, e := range rank {
 		frac := 0.0
 		if n > 1 {
 			frac = float64(i) / float64(n-1)
 		}
 		p := cfg.HeadEntityCoverage + frac*(cfg.TailEntityCoverage-cfg.HeadEntityCoverage)
-		if src.SplitN("ent", int64(i)).Bool(p) {
+		if isrc.Reset(ent.Seed(int64(i))); isrc.Bool(p) {
 			included[e] = true
 		}
 	}
@@ -54,7 +58,7 @@ func BuildFreebase(w *World) *Snapshot {
 		if !included[d.Subject] {
 			return
 		}
-		isrc := src.Split(d.String())
+		isrc.Reset(src.Label(string(d.Subject)).Then("#").Then(string(d.Predicate)).SplitSeed())
 		if !isrc.Bool(cfg.ItemCoverage) {
 			return
 		}

@@ -391,12 +391,20 @@ func (w *World) buildFacts(src *randx.Source) {
 	gen := nameGen{src: src.Split("values")}
 	perTypeSamplers := map[kb.TypeID]*randx.Zipf{}
 	entsOf := func(t kb.TypeID) []kb.EntityID { return w.Ont.EntitiesOfType(t) }
+	// The ontology is complete here, so each type's predicate list is built
+	// once, not per (entity, type).
+	predsOf := map[kb.TypeID][]*kb.Predicate{}
 
 	for _, eid := range w.Ont.Entities() {
 		esrc := src.Split(string(eid))
 		ent := w.Ont.Entity(eid)
 		for _, tid := range ent.Types {
-			for _, p := range w.Ont.PredicatesOfType(tid) {
+			preds, ok := predsOf[tid]
+			if !ok {
+				preds = w.Ont.PredicatesOfType(tid)
+				predsOf[tid] = preds
+			}
+			for _, p := range preds {
 				// Coverage jitters per (entity, predicate); extraction
 				// difficulty affects the extractors, not the truth itself.
 				cov := w.Cfg.FactCoverage * (0.6 + 0.8*esrc.Float64())
