@@ -96,7 +96,7 @@ fuzz-smoke:
 # again at one and at two procs, so both the one-goroutine decode and the
 # per-worker split run on every push.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkShardTwoLayerStep|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkCompileExtractions|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkWriteExtractions|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkShardTwoLayerStep|BenchmarkShardFusionStep|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkCompileExtractions|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkWriteExtractions|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadExtractions$$' -cpu 1,2 -benchtime 1x -benchmem .
 
 # bench-e2e runs the end-to-end benchmark (benchmark/README.md): one feed

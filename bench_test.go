@@ -479,6 +479,56 @@ func BenchmarkShardTwoLayerStep(b *testing.B) {
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
 }
 
+// BenchmarkShardFusionStep is BenchmarkShardTwoLayerStep's claim twin — the
+// shape of the stream-sharded workload's fusion half: one op is a
+// 1 000-record Append onto shard.Fusion plus a warm one-round POPACCU
+// FuseWarm seeded with the previous step's result, its Result included. The
+// chain starts from a cold fuse of the bench dataset's first third and
+// restarts there, off the clock, when the feed is used up. claims/s counts
+// the records appended.
+func BenchmarkShardFusionStep(b *testing.B) {
+	const k, batch = 4, 1000
+	xs := benchDataset(b).Extractions
+	head := len(xs) / 3
+	steps := (len(xs) - head) / batch
+	if steps == 0 {
+		b.Fatalf("bench dataset too small: %d extractions", len(xs))
+	}
+	cfg := fusion.PopAccuConfig()
+	warm := cfg
+	warm.Rounds = 1
+	var sf *shard.Fusion
+	var res *fusion.Result
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step := i % steps
+		if step == 0 {
+			b.StopTimer()
+			if sf, err = shard.NewFusion(k, cfg.Granularity); err != nil {
+				b.Fatal(err)
+			}
+			if err = sf.Append(xs[:head]); err != nil {
+				b.Fatal(err)
+			}
+			if res, err = sf.Fuse(cfg); err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC() // keep setup garbage out of the timed region
+			b.StartTimer()
+		}
+		if err = sf.Append(xs[head+step*batch : head+(step+1)*batch]); err != nil {
+			b.Fatal(err)
+		}
+		if res, err = sf.FuseWarm(warm, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
+}
+
 // BenchmarkTwoLayerFuse measures the §5.1 two-layer model on the bench
 // extraction set: the compiled extraction-graph engine (end to end, and
 // re-fusing over a prebuilt graph) against the map-keyed reference engine.

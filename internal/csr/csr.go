@@ -44,6 +44,32 @@ func ParallelRange(n, workers int, f func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
+// SplitWorkers divides a worker bound between n independent parts — the
+// graphs a round driver steps — parts first: across = min(n, workers) of
+// them run side by side and each gets within = max(1, workers/across) for
+// its own loops. workers <= 0 means GOMAXPROCS. A stage over the parts is
+// then one fork-join (ParallelEach) instead of one per part per loop over an
+// nth of the data: each join costs a wake-up, buys little at that size, and
+// is where a busy host stalls a step.
+func SplitWorkers(n, workers int) (across, within int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	across = max(1, min(n, workers))
+	return across, max(1, workers/across)
+}
+
+// ParallelEach calls f(i) for every i in [0, n), across at a time: one
+// fork-join over contiguous ranges of indexes, inline when across is 1. f
+// must touch only state owned by index i.
+func ParallelEach(n, across int, f func(i int)) {
+	ParallelRange(n, across, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f(i)
+		}
+	})
+}
+
 // ParallelThreshold is the input size below which the shared multi-pass
 // parallel schemes — the grouped counting sort here, the claim graph's
 // intern ranges — fall back to one pass over the whole input: under it,

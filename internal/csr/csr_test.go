@@ -2,6 +2,8 @@ package csr
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -111,4 +113,29 @@ func max(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestSplitWorkers states the parts-first split the round drivers share and
+// that ParallelEach visits every index once.
+func TestSplitWorkers(t *testing.T) {
+	for _, tc := range []struct{ n, workers, across, within int }{
+		{4, 1, 1, 1}, {4, 2, 2, 1}, {4, 4, 4, 1}, {4, 7, 4, 1}, {4, 8, 4, 2}, {2, 7, 2, 3}, {1, 6, 1, 6}, {0, 3, 1, 3},
+	} {
+		across, within := SplitWorkers(tc.n, tc.workers)
+		if across != tc.across || within != tc.within {
+			t.Errorf("SplitWorkers(%d, %d) = %d, %d; want %d, %d", tc.n, tc.workers, across, within, tc.across, tc.within)
+		}
+	}
+	if across, within := SplitWorkers(3, 0); across != min(3, runtime.GOMAXPROCS(0)) || within < 1 {
+		t.Errorf("SplitWorkers(3, 0) = %d, %d at GOMAXPROCS %d", across, within, runtime.GOMAXPROCS(0))
+	}
+	for _, across := range []int{1, 2, 5} {
+		seen := make([]int32, 11)
+		ParallelEach(len(seen), across, func(i int) { atomic.AddInt32(&seen[i], 1) })
+		for i, n := range seen {
+			if n != 1 {
+				t.Errorf("ParallelEach(%d, %d) visited %d %d times", len(seen), across, i, n)
+			}
+		}
+	}
 }

@@ -28,8 +28,6 @@
 package extract
 
 import (
-	"hash/fnv"
-
 	"kfusion/internal/kb"
 	"kfusion/internal/randx"
 	"kfusion/internal/world"
@@ -95,13 +93,11 @@ func (e Extraction) HasConfidence() bool { return e.Confidence >= 0 }
 // value in [0,1). It is the mechanism behind systematic (repeatable)
 // component errors.
 func hashProb(parts ...string) float64 {
-	h := fnv.New64a()
+	h := uint64(fnvOffset)
 	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
+		h = fnvAdd(fnvAdd(h, p), "\x00")
 	}
-	const den = 1 << 53
-	return float64(h.Sum64()>>11) / float64(den)
+	return unitOf(h)
 }
 
 // hashPick deterministically picks an index in [0,n) from parts.
@@ -109,12 +105,32 @@ func hashPick(n int, parts ...string) int {
 	if n <= 0 {
 		return 0
 	}
-	h := fnv.New64a()
+	h := uint64(fnvOffset)
 	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{1})
+		h = fnvAdd(fnvAdd(h, p), "\x01")
 	}
-	return int(h.Sum64() % uint64(n))
+	return int(h % uint64(n))
+}
+
+// The two hashes are 64-bit FNV-1a (hash/fnv's New64a), written out so a
+// caller can hash parts it holds as bytes, or a prefix once, without
+// building a string.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvAdd[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * fnvPrime
+	}
+	return h
+}
+
+// unitOf is hashProb's map from a hash to [0,1).
+func unitOf(h uint64) float64 {
+	const den = 1 << 53
+	return float64(h>>11) / float64(den)
 }
 
 // Linker is an entity-linkage component. Several extractors share one
@@ -173,16 +189,19 @@ func (l *Linker) pick(name string, cands []kb.EntityID) kb.EntityID {
 // page meant; a real linker does not know it, and the simulation only uses
 // it to keep the returned mistakes well-formed (a plausible wrong entity
 // rather than a random ID). The second result reports whether the resolution
-// is a linkage error.
-func (l *Linker) Resolve(name string, intended kb.EntityID) (kb.EntityID, bool) {
+// is a linkage error. scratch is the caller's reusable stream (one per
+// goroutine: a linker is shared by several extractors): a mislinked name
+// Resets it to the (linker, name) seed and draws the twin from it, so what
+// it held before does not matter.
+func (l *Linker) Resolve(name string, intended kb.EntityID, scratch *randx.Source) (kb.EntityID, bool) {
 	if best, ok := l.ambiguous[name]; ok {
 		return best, best != intended
 	}
 	// Unique (or unknown) name: systematic per-name fuzziness.
 	if hashProb(l.ID, "fuzz", name) < l.ErrRate {
 		// Deterministic confusable choice for this (linker, name).
-		twinSrc := randx.New(int64(hashPick(1<<31, l.ID, "twin", name)))
-		if twin, ok := l.w.Confusable(twinSrc, intended); ok {
+		scratch.Reset(int64(hashPick(1<<31, l.ID, "twin", name)))
+		if twin, ok := l.w.Confusable(scratch, intended); ok {
 			return twin, true
 		}
 	}
@@ -205,14 +224,15 @@ func NewSchemaMapper(id string, errRate float64, w *world.World) *SchemaMapper {
 }
 
 // Map resolves an attribute label to a predicate, given the intended
-// predicate (the simulation contract mirrors Linker.Resolve). The second
-// result reports whether the mapping is a predicate-linkage error.
-func (m *SchemaMapper) Map(intended kb.PredicateID) (kb.PredicateID, bool) {
+// predicate (the simulation contract mirrors Linker.Resolve, scratch
+// included). The second result reports whether the mapping is a
+// predicate-linkage error.
+func (m *SchemaMapper) Map(intended kb.PredicateID, scratch *randx.Source) (kb.PredicateID, bool) {
 	if hashProb(m.ID, string(intended)) >= m.ErrRate {
 		return intended, false
 	}
-	sibSrc := randx.New(int64(hashPick(1<<31, m.ID, "sib", string(intended))))
-	if sib, ok := m.w.SiblingPredicate(sibSrc, intended); ok {
+	scratch.Reset(int64(hashPick(1<<31, m.ID, "sib", string(intended))))
+	if sib, ok := m.w.SiblingPredicate(scratch, intended); ok {
 		return sib, true
 	}
 	return intended, false

@@ -267,10 +267,12 @@ func TestSharedLinkerCausesCorrelatedErrors(t *testing.T) {
 func TestLinkerDeterministicPerName(t *testing.T) {
 	w := world.MustGenerate(world.DefaultConfig(40))
 	l := NewLinker("test-linker", 0.3, w)
+	scratch := randx.New(0)
 	for _, eid := range w.Ont.Entities()[:200] {
 		name := w.Ont.Entity(eid).Name
-		a, errA := l.Resolve(name, eid)
-		b, errB := l.Resolve(name, eid)
+		a, errA := l.Resolve(name, eid, scratch)
+		scratch.Int63() // what the caller's stream held before does not matter
+		b, errB := l.Resolve(name, eid, scratch)
 		if a != b || errA != errB {
 			t.Fatalf("linker not deterministic for %q: %v/%v vs %v/%v", name, a, errA, b, errB)
 		}
@@ -281,13 +283,14 @@ func TestLinkerErrorRateScales(t *testing.T) {
 	w := world.MustGenerate(world.DefaultConfig(41))
 	strict := NewLinker("strict", 0.0, w)
 	sloppy := NewLinker("sloppy", 0.5, w)
+	scratch := randx.New(0)
 	strictErrs, sloppyErrs := 0, 0
 	for _, eid := range w.Ont.Entities() {
 		name := w.Ont.Entity(eid).Name
-		if _, bad := strict.Resolve(name, eid); bad {
+		if _, bad := strict.Resolve(name, eid, scratch); bad {
 			strictErrs++
 		}
-		if _, bad := sloppy.Resolve(name, eid); bad {
+		if _, bad := sloppy.Resolve(name, eid, scratch); bad {
 			sloppyErrs++
 		}
 	}
@@ -300,10 +303,12 @@ func TestSchemaMapperDeterministicAndScaled(t *testing.T) {
 	w := world.MustGenerate(world.DefaultConfig(42))
 	m := NewSchemaMapper("m1", 0.5, w)
 	clean := NewSchemaMapper("m2", 0.0, w)
+	scratch := randx.New(0)
 	errs := 0
 	for _, pid := range w.Ont.Predicates() {
-		a, badA := m.Map(pid)
-		b, badB := m.Map(pid)
+		a, badA := m.Map(pid, scratch)
+		scratch.Int63() // what the caller's stream held before does not matter
+		b, badB := m.Map(pid, scratch)
 		if a != b || badA != badB {
 			t.Fatalf("mapper not deterministic for %s", pid)
 		}
@@ -314,7 +319,7 @@ func TestSchemaMapperDeterministicAndScaled(t *testing.T) {
 				t.Fatalf("mapper produced non-sibling: %s -> %s", pid, a)
 			}
 		}
-		if got, bad := clean.Map(pid); bad || got != pid {
+		if got, bad := clean.Map(pid, scratch); bad || got != pid {
 			t.Fatalf("zero-rate mapper erred on %s", pid)
 		}
 	}

@@ -120,33 +120,38 @@ func (e *Extractor) reads(ct web.ContentType) bool {
 	return false
 }
 
-// patternKey derives the pattern identifier for a mention, or "" when the
-// extractor has none. The second result is false when the extractor does not
-// know the pattern and therefore cannot extract the statement.
-func (e *Extractor) patternKey(page *web.Page, tpl int, m web.Mention) (string, bool) {
+// appendPattern appends the pattern identifier of a mention to buf —
+// "tpl<N>|<label>" or "<site class>|<label>", nothing when the extractor has
+// no patterns.
+func (e *Extractor) appendPattern(buf []byte, page *web.Page, tpl int, m web.Mention) []byte {
 	switch e.Patterns {
 	case PatTemplate:
-		key := "tpl" + strconv.Itoa(tpl) + "|" + m.AttrLabel
-		if hashProb(e.Name, "pat", key) >= e.PatternCoverage {
-			return "", false
-		}
-		return key, true
+		buf = strconv.AppendInt(append(buf, "tpl"...), int64(tpl), 10)
 	case PatSiteAttr:
-		key := siteClass(page.Site) + "|" + m.AttrLabel
-		if hashProb(e.Name, "pat", key) >= e.PatternCoverage {
-			return "", false
-		}
-		return key, true
+		buf = append(buf, siteClass(page.Site)...)
 	default:
-		return "", true
+		return buf
 	}
+	return append(append(buf, '|'), m.AttrLabel...)
+}
+
+// knowsPattern reports whether the extractor knows a mention's pattern (key,
+// from appendPattern) and can therefore extract the statement: always
+// without patterns, otherwise when hashProb(e.Name, "pat", key) falls under
+// the coverage, hashed from the bytes.
+func (e *Extractor) knowsPattern(key []byte) bool {
+	if len(key) == 0 {
+		return true
+	}
+	h := fnvAdd(fnvAdd(fnvAdd(uint64(fnvOffset), e.Name), "\x00pat\x00"), key)
+	return unitOf(fnvAdd(h, "\x00")) < e.PatternCoverage
 }
 
 // Extract runs the extractor over one page. src must be a stream dedicated
 // to this (extractor, page) pair so corpora extract deterministically and
 // independently of page order.
 func (e *Extractor) Extract(w *world.World, page *web.Page, src *randx.Source) []Extraction {
-	return e.appendExtractions(nil, w, readPage(page), src)
+	return e.appendExtractions(nil, w, readPage(page), src, randx.New(0))
 }
 
 // pageView is a page beside its mentions, collected once: the document walk
@@ -178,8 +183,10 @@ func (v *pageView) read(page *web.Page) {
 // appendExtractions appends the extractor's output on page to out. One
 // extraction per (extractor, URL, triple): a triple already appended by this
 // call is dropped, found by scanning what the call appended — a handful of
-// rows per (extractor, page), so no set is allocated.
-func (e *Extractor) appendExtractions(out []Extraction, w *world.World, page *pageView, src *randx.Source) []Extraction {
+// rows per (extractor, page), so no set is allocated. src is the (extractor,
+// page) stream; scratch is a reusable stream the linker and schema mapper
+// reseed per name (Linker.Resolve), never src.
+func (e *Extractor) appendExtractions(out []Extraction, w *world.World, page *pageView, src, scratch *randx.Source) []Extraction {
 	if !e.runsOn(page.Site) {
 		return out
 	}
@@ -192,11 +199,11 @@ func (e *Extractor) appendExtractions(out []Extraction, w *world.World, page *pa
 		switch b.Type {
 		case web.TXT:
 			for _, s := range b.Sentences {
-				out = e.extractMention(w, page, s.Template, s.M, src, out, start)
+				out = e.extractMention(w, page, s.Template, s.M, src, scratch, out, start)
 			}
 		default:
 			for _, m := range page.mentions[page.start[bi]:page.start[bi+1]] {
-				out = e.extractMention(w, page, 0, m, src, out, start)
+				out = e.extractMention(w, page, 0, m, src, scratch, out, start)
 			}
 		}
 	}
@@ -205,20 +212,22 @@ func (e *Extractor) appendExtractions(out []Extraction, w *world.World, page *pa
 
 // extractMention appends the extraction of one mention to out unless
 // out[start:] already holds its triple.
-func (e *Extractor) extractMention(w *world.World, page *pageView, tpl int, m web.Mention, src *randx.Source, out []Extraction, start int) []Extraction {
+func (e *Extractor) extractMention(w *world.World, page *pageView, tpl int, m web.Mention, src, scratch *randx.Source, out []Extraction, start int) []Extraction {
 	pred := w.Ont.Predicate(m.Predicate)
 	if e.EntityPredsOnly && (pred == nil || pred.Domain != kb.DomainEntity) {
 		return out
 	}
-	pattern, known := e.patternKey(page.Page, tpl, m)
-	if !known {
+	var buf [64]byte
+	key := e.appendPattern(buf[:0], page.Page, tpl, m)
+	if !e.knowsPattern(key) {
 		return out
 	}
 	if !src.Bool(e.Recall) {
 		return out
 	}
+	pattern := string(key) // only a mention the recall draw keeps needs the string
 
-	triple, kind := e.interpret(w, page, pattern, m, src)
+	triple, kind := e.interpret(w, page, pattern, m, src, scratch)
 	if triple.Object.IsZero() {
 		return out
 	}
@@ -244,7 +253,7 @@ func (e *Extractor) extractMention(w *world.World, page *pageView, tpl int, m we
 // interpret parses a mention into a triple, possibly injecting errors. The
 // returned ErrorKind is the dominant *extraction* error (ErrNone when the
 // extractor faithfully read the page).
-func (e *Extractor) interpret(w *world.World, page *pageView, pattern string, m web.Mention, src *randx.Source) (kb.Triple, ErrorKind) {
+func (e *Extractor) interpret(w *world.World, page *pageView, pattern string, m web.Mention, src, scratch *randx.Source) (kb.Triple, ErrorKind) {
 	// Toxic patterns systematically misread: same wrong output for the
 	// same input everywhere, across all pages the pattern fires on.
 	if pattern != "" && hashProb(e.Name, "toxic", pattern) < e.ToxicPatternRate {
@@ -253,17 +262,17 @@ func (e *Extractor) interpret(w *world.World, page *pageView, pattern string, m 
 
 	// Entity linkage: resolve the subject mention and, for entity-valued
 	// objects, the object mention. Mistakes are deterministic per name.
-	subject, subjErr := e.Linker.Resolve(m.SubjectName, m.Subject)
+	subject, subjErr := e.Linker.Resolve(m.SubjectName, m.Subject, scratch)
 	object := m.Object
 	objErr := false
 	if _, isEnt := m.Object.Entity(); isEnt {
-		resolved, bad := e.Linker.Resolve(m.ObjectName, kb.EntityID(m.Object.Str))
+		resolved, bad := e.Linker.Resolve(m.ObjectName, kb.EntityID(m.Object.Str), scratch)
 		object = kb.EntityObject(resolved)
 		objErr = bad
 	}
 
 	// Predicate linkage via the schema mapper.
-	predicate, predErr := e.Mapper.Map(m.Predicate)
+	predicate, predErr := e.Mapper.Map(m.Predicate, scratch)
 
 	// Stochastic triple-identification errors, scaled by how hard the
 	// predicate is to extract (Figure 4's per-predicate spread). Rates may

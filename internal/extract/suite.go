@@ -133,10 +133,11 @@ func (s *Suite) ContentTypeOf(name string) web.ContentType {
 // is the same at every worker count: each (extractor, page) pair draws from
 // its own stream — the one root.SplitN(name+"|"+URL, page index) returns,
 // derived from a Label hash of the name taken once per run and drawn through
-// one reused Source per worker — the world and the shared linkers and
-// mappers are read-only, and the key is a total order on the output: an
-// extractor emits a triple at most once per page and a page's URL is unique
-// in the corpus, so no two extractions share (extractor, URL, triple).
+// one reused Source per worker, beside a second the shared linkers and
+// mappers reseed per name — the world, linkers and mappers are read-only,
+// and the key is a total order on the output: an extractor emits a triple at
+// most once per page and a page's URL is unique in the corpus, so no two
+// extractions share (extractor, URL, triple).
 func (s *Suite) Run(w *world.World, corpus *web.Corpus) []Extraction {
 	root := randx.New(s.Seed)
 	labels := make([]randx.Label, len(s.Extractors))
@@ -172,7 +173,7 @@ func (s *Suite) Run(w *world.World, corpus *web.Corpus) []Extraction {
 	}
 	csr.ParallelRange(len(order), len(parts), func(wk, lo, hi int) {
 		p := &parts[wk]
-		src := randx.New(0)
+		src, scratch := randx.New(0), randx.New(0)
 		var view pageView
 		var rows []Extraction
 		for _, pi := range order[lo:hi] {
@@ -189,7 +190,7 @@ func (s *Suite) Run(w *world.World, corpus *web.Corpus) []Extraction {
 				}
 				src.Reset(labels[ei].Then(view.URL).Seed(int64(pi)))
 				start := len(rows)
-				rows = e.appendExtractions(rows, w, &view, src)
+				rows = e.appendExtractions(rows, w, &view, src, scratch)
 				if n := len(rows) - start; n > 0 {
 					slices.SortFunc(rows[start:], compareExtractions)
 					p.runs = append(p.runs, run{rank[ei], n})

@@ -199,6 +199,11 @@ func (c *Compiled) MustFuseWarm(cfg Config, prev *Result) *Result {
 	return r
 }
 
+// smallGraphClaims is the claim count under which a graph run at the default
+// Workers (0) takes one worker for its loops: below it the goroutines cost
+// more than the per-item work they split.
+const smallGraphClaims = 2048
+
 // rebind is the one engine sizing routine: it binds e to graph g under cfg,
 // sizing every buffer for g and resetting all per-run state. A fresh engine
 // is the zero engine rebound (newRun); a recycled one — handed from the
@@ -218,7 +223,7 @@ func (e *engine) rebind(g *graph, cfg Config) {
 		// so this cannot change the output, only the goroutine overhead.
 		// An explicit Workers is always honored, so multi-worker tests
 		// exercise real parallelism even on small claim sets.
-		if g.numClaims() < 2048 {
+		if g.numClaims() < smallGraphClaims {
 			workers = 1
 		}
 	}

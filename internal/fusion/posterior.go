@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"kfusion/internal/csr"
@@ -62,7 +63,7 @@ type Posterior struct {
 	// materialised from it keeps a pointer to.
 	seed *Seed
 
-	// workers bounds Result's row assembly, as Config.Workers bounded the run.
+	// workers bounds Result's fork-join, as Config.Workers bounded the run.
 	workers int
 }
 
@@ -247,29 +248,56 @@ func assembleRow(row *FusedTriple, g RowGraph, triples []kb.Triple, t int, prob 
 	row.Provenances, row.ItemProvenances, row.Extractors = g.Support(t)
 }
 
-// Result materialises the exchange form: every row, in parallel over each
-// graph's triples, and the full accuracy map. Each call builds a fresh
+// Result materialises the exchange form: every row and the full accuracy
+// map, in one fork-join. The map is one serial loop and the larger part of
+// the work, so once it holds csr.ElementwiseThreshold keys it is built on a
+// worker of its own beside the rows, which take the other workers over the
+// whole row column (graph boundaries included). Each call builds a fresh
 // Result; callers that ask repeatedly keep the one they got.
 func (p *Posterior) Result() *Result {
+	workers := p.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var acc map[string]float64
+	var wg sync.WaitGroup
+	if workers > 1 && p.seed.byKey == nil && len(p.seed.keys) >= csr.ElementwiseThreshold {
+		workers--
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			acc = p.seed.accuracyMap()
+		}()
+	} else {
+		acc = p.seed.accuracyMap()
+	}
 	res := &Result{Rounds: p.Rounds, Unpredicted: p.Unpredicted, seed: p.seed}
 	if p.prob != nil {
 		res.Triples = make([]FusedTriple, len(p.prob))
 	}
+	if len(res.Triples) < csr.ElementwiseThreshold {
+		workers = 1 // goroutine setup would dominate
+	}
+	csr.ParallelRange(len(res.Triples), workers, func(_, lo, hi int) {
+		p.assemble(res.Triples, lo, hi)
+	})
+	wg.Wait()
+	res.ProvAccuracy = acc
+	return res
+}
+
+// assemble writes rows [lo, hi) of the row column into rows, graph by graph.
+func (p *Posterior) assemble(rows []FusedTriple, lo, hi int) {
 	for s, g := range p.graphs {
-		rows, prob := res.Triples[p.starts[s]:p.starts[s+1]], p.prob[p.starts[s]:p.starts[s+1]]
-		workers := p.workers
-		if len(rows) < csr.ElementwiseThreshold {
-			workers = 1 // goroutine setup would dominate
+		a, b := max(lo, p.starts[s]), min(hi, p.starts[s+1])
+		if a >= b {
+			continue
 		}
 		triples := g.Triples()
-		csr.ParallelRange(len(rows), workers, func(_, lo, hi int) {
-			for t := lo; t < hi; t++ {
-				assembleRow(&rows[t], g, triples, t, prob[t])
-			}
-		})
+		for i := a; i < b; i++ {
+			assembleRow(&rows[i], g, triples, i-p.starts[s], p.prob[i])
+		}
 	}
-	res.ProvAccuracy = p.seed.accuracyMap()
-	return res
 }
 
 // accuracyMap returns the key -> accuracy map of the exchange form: built

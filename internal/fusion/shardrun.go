@@ -109,32 +109,36 @@ func (r *Run) ProvPartials(round int, sums []float64, cnts []int32) {
 // Unpredicted counted, the local provenance-accuracy map, and Rounds as
 // given. The Run stays the caller's: the result does not carry its engine.
 func (r *Run) Finish(rounds int) *Result {
-	return finish([]*Run{r}, csr.IdentityTable(r.e.g.provKeys), rounds).Result()
+	return finish([]*Run{r}, csr.IdentityTable(r.e.g.provKeys), rounds, 1, r.e.cfg.Workers).Result()
 }
 
-// finish is the tail of a run: stage III of every graph into one probability
-// column, the current accuracies in global-ID order, and the posterior over
-// them.
-func finish(runs []*Run, provs *csr.IDTable, rounds int) *Posterior {
+// finish is the tail of a run, one fork-join over the graphs (across at a
+// time): stage III of every graph into one probability column and the
+// current accuracies into one column in global-ID order. It returns the
+// posterior over them, whose Result runs on workers.
+func finish(runs []*Run, provs *csr.IDTable, rounds, across, workers int) *Posterior {
 	graphs := make([]RowGraph, len(runs))
-	nTriples := 0
+	starts := make([]int, len(runs)+1)
 	for s, r := range runs {
 		graphs[s] = r.c
-		nTriples += len(r.e.g.triples)
+		starts[s+1] = starts[s] + len(r.e.g.triples)
 	}
-	prob := make([]float64, nTriples)
-	at := 0
-	for _, r := range runs {
-		n := len(r.e.g.triples)
-		r.e.stageIII(r.lastStamp, prob[at:at+n])
-		at += n
-	}
+	prob := make([]float64, starts[len(runs)])
 	acc := make([]float64, provs.N())
-	var one [1]csr.Loc
-	for g := range acc {
-		acc[g] = current(runs, provs.Holders(g, &one))
-	}
-	return NewPosterior(graphs, prob, provs.Keys(), acc, rounds, runs[0].e.cfg.Workers)
+	csr.ParallelEach(len(runs), across, func(s int) {
+		r := runs[s]
+		r.e.stageIII(r.lastStamp, prob[starts[s]:starts[s+1]])
+		// Every holder carries a provenance's accuracy; its first holder
+		// writes the column, so each slot has one writer.
+		var one [1]csr.Loc
+		for local, a := range r.e.provAcc {
+			g := int(provs.Global(s, local))
+			if provs.Holders(g, &one)[0].Shard == int32(s) {
+				acc[g] = a
+			}
+		}
+	})
+	return NewPosterior(graphs, prob, provs.Keys(), acc, rounds, workers)
 }
 
 // FuseLockstep runs one fusion configuration over 1..K compiled graphs in
@@ -172,11 +176,24 @@ func finish(runs []*Run, provs *csr.IDTable, rounds int) *Posterior {
 // regrown with headroom, every accuracy, default flag and claim stamp is
 // reset, so a recycled engine cannot move a bit either.
 //
-// With one graph every fold is over a single holder — the identity — so the
-// result does not depend on whether a table was handed in; K > 1 re-groups
-// each cross-shard provenance sum (csr.Pairwise over the holders in shard
-// order) and agrees with K = 1 within the documented tolerance (see
-// internal/shard).
+// cfg.Workers bounds the whole call, split as in twolayer.FuseLockstep
+// (csr.SplitWorkers). One graph gets all of them for its loops, cfg as
+// handed in. K graphs step side by side, min(K, Workers) at a time, and
+// split what is left; a graph under smallGraphClaims claims runs its loops
+// on one worker when the caller left Workers at 0, as one graph does.
+// Binding and seeding the engines is one fork-join over the graphs, a round
+// is one more (StageI, then ProvPartials) followed by the merge, and stage
+// III one more: at K = 4 on two workers a warm one-round step and its Result
+// fork 5 times (set-up, round, merge, stage III, and the Result's accuracy
+// map beside its rows), where every graph forking for each of its own loops
+// took 21. The split was measured on two vCPUs only, where every graph gets
+// one worker. No result depends on either split.
+//
+// With one graph every fold is over a single holder — the identity — so
+// the result does not depend on whether a table was handed in; K > 1
+// re-groups each cross-shard provenance sum (csr.Pairwise over the
+// holders in shard order) and agrees with K = 1 within the documented
+// tolerance (see internal/shard).
 func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed) (*Posterior, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("fusion: FuseLockstep needs at least one graph")
@@ -194,6 +211,12 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 	}
 	nG := provs.N()
 	keys := provs.Keys()
+	// Several graphs share the workers graph first (see above). One graph
+	// keeps cfg exactly as handed in.
+	within, across := cfg, 1
+	if len(graphs) > 1 {
+		across, within.Workers = csr.SplitWorkers(len(graphs), cfg.Workers)
+	}
 	// prev came from an earlier generation of this table: global IDs only
 	// grow at the end, so its accuracies seed by index and its engines fit.
 	dense := prev != nil && prev.byKey == nil && isPrefix(prev.keys, keys)
@@ -201,39 +224,57 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 	if dense {
 		recycled = prev.takeEngines(len(graphs))
 	}
-	runs := make([]*Run, len(graphs))
-	for s, g := range graphs {
-		var e *engine
-		if recycled != nil {
-			e = recycled[s]
-		}
-		r, err := g.newRun(cfg, e)
-		if err != nil {
-			return nil, err
-		}
-		runs[s] = r
+	var byKey map[string]float64
+	if prev != nil && !dense {
+		byKey = prev.accuracyMap()
 	}
 
 	// The step engines' own accuracy slots are the parameter store: every
 	// holder of a provenance carries the same value, written only through
-	// install, so the driver keeps no global copy.
-	var one [1]csr.Loc
-	if dense {
-		for g, a := range prev.acc {
-			install(runs, provs.Holders(g, &one), a)
+	// SetProvAccuracy, so the driver keeps no global copy. Each graph's engine
+	// is bound and seeded in one fork-join over the graphs, every holder
+	// looking up its own provenances' seeds.
+	runs := make([]*Run, len(graphs))
+	errs := make([]error, len(graphs))
+	csr.ParallelEach(len(graphs), across, func(s int) {
+		var e *engine
+		if recycled != nil {
+			e = recycled[s]
 		}
-	} else if prev != nil {
-		byKey := prev.accuracyMap()
-		for g, key := range keys {
-			if a, ok := byKey[key]; ok {
-				install(runs, provs.Holders(g, &one), a)
+		gcfg := within
+		if cfg.Workers <= 0 && graphs[s].g.numClaims() < smallGraphClaims {
+			gcfg.Workers = 1
+		}
+		r, err := graphs[s].newRun(gcfg, e)
+		if err != nil {
+			errs[s] = err
+			return
+		}
+		runs[s] = r
+		if prev == nil {
+			return
+		}
+		for local := range r.NumProvenances() {
+			g := provs.Global(s, local)
+			if dense {
+				if int(g) < len(prev.acc) {
+					r.SetProvAccuracy(int32(local), prev.acc[g])
+				}
+			} else if a, ok := byKey[keys[g]]; ok {
+				r.SetProvAccuracy(int32(local), a)
 			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	if cfg.GoldLabeler != nil {
 		// §4.3.3: a provenance starts at the clamped fraction of its
 		// gold-labeled claims that are true. The counts are integers, so
 		// summing them across shards before the one division is exact.
+		var one [1]csr.Loc
 		trueG := make([]int64, nG)
 		labeledG := make([]int64, nG)
 		for s, r := range runs {
@@ -255,9 +296,7 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 	rounds := 0
 	var moves []float64
 	if cfg.Method == Vote {
-		for _, r := range runs {
-			r.StageI(0)
-		}
+		csr.ParallelEach(len(runs), across, func(s int) { runs[s].StageI(0) })
 		rounds = 1
 	} else {
 		// Each engine owns its stage-II partial buffers and keeps them across
@@ -267,19 +306,21 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 		for s, r := range runs {
 			sums[s], cnts[s] = r.e.partials()
 		}
-		// The merge runs in parallel over global provenances: each owns its
-		// holders' slots, and the delta is a max — exact in any order — so
-		// the worker count cannot move a bit.
+		// The merge runs in parallel over global provenances on the workers
+		// the graphs took together: each owns its holders' slots, and the
+		// delta is a max — exact in any order — so the worker count cannot
+		// move a bit.
 		workers := runs[0].e.workers
+		if len(runs) > 1 {
+			workers = across * within.Workers
+		}
 		deltas := make([]float64, workers)
 		for rounds < cfg.Rounds {
 			round := rounds
-			for _, r := range runs {
-				r.StageI(round)
-			}
-			for s, r := range runs {
-				r.ProvPartials(round, sums[s], cnts[s])
-			}
+			csr.ParallelEach(len(runs), across, func(s int) {
+				runs[s].StageI(round)
+				runs[s].ProvPartials(round, sums[s], cnts[s])
+			})
 			clear(deltas)
 			csr.ParallelRange(nG, workers, func(w, lo, hi int) {
 				parts := make([]float64, 0, len(runs))
@@ -316,7 +357,7 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 		}
 	}
 
-	out := finish(runs, provs, rounds)
+	out := finish(runs, provs, rounds, across, cfg.Workers)
 	out.Moves = moves
 	if prev != nil {
 		// A seeded run is a link of a chain: its engines go with the

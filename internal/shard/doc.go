@@ -33,6 +33,15 @@
 //     applies the update formula once to the merged evidence, and
 //     broadcasts the merged parameters back to every shard.
 //
+// Both drivers spend Config.Workers on the graphs first, through one split
+// (csr.SplitWorkers): across = min(K, Workers) shards step side by side and
+// each gets Workers/across for its own loops, so a stage of the round is one
+// fork-join over the shards (csr.ParallelEach), not one per shard per loop
+// over a Kth of the data. A claim K = 4 warm one-round step and its Result
+// fork 5 times on two workers (21 when every shard forked for each of its
+// loops); the two-layer step forks 7 times (48 before). Neither split moves
+// a bit.
+//
 // The two-layer model has one genuinely cross-shard structure: a source's
 // extractor set. A statement's layer-1 walk covers every extractor that
 // processed its source, but a shard only sees the local ones; the remote

@@ -25,7 +25,6 @@ package twolayer
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 
 	"kfusion/internal/csr"
@@ -252,20 +251,12 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 			return nil, nil, fmt.Errorf("twolayer: shard %d has no graph (Fuse before first Append)", s)
 		}
 	}
-	// Several graphs share the workers graph first: `across` of them step side
-	// by side, each with workers/across for its own loops. At K shards a stage
-	// is then one fork-join instead of several per shard over a Kth of the
-	// data each — joins that cost a wake-up apiece, buy little at that size
-	// and are where a busy host stalls a step. One graph keeps the workers
-	// exactly as handed in.
+	// Several graphs share the workers graph first (csr.SplitWorkers): a
+	// stage is one fork-join over the graphs, not several per graph. One
+	// graph keeps the workers exactly as handed in.
 	within, across := cfg, 1
 	if len(graphs) > 1 {
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		across = min(len(graphs), workers)
-		within.Workers = max(1, workers/across)
+		across, within.Workers = csr.SplitWorkers(len(graphs), cfg.Workers)
 	}
 	recycled := warm.takeEngines(len(graphs))
 	runs := make([]*Run, len(graphs))
@@ -285,11 +276,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 	// an engine computes never depends on its worker count, so neither split
 	// can move a bit.
 	eachRun := func(f func(s int, r *Run)) {
-		csr.ParallelRange(len(runs), across, func(_, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				f(s, runs[s])
-			}
-		})
+		csr.ParallelEach(len(runs), across, func(s int) { f(s, runs[s]) })
 	}
 	if ids == nil {
 		if len(graphs) > 1 {
