@@ -2,11 +2,11 @@ GO ?= go
 
 .PHONY: verify build vet lint test repro race fault fuzz-smoke bench-smoke bench-e2e docs-check
 
-# verify is the tier-1 gate: vet, lint, build, full tests, the seed-42
-# reproduction, and a 1-iteration benchmark smoke so perf-critical paths —
-# synthesis included: every test and workload pays it first — cannot
-# silently rot.
-verify: vet lint build test repro bench-smoke docs-check
+# verify is the tier-1 gate: vet, build, full tests (the contract analyzers
+# included — see lint), the seed-42 reproduction, and a 1-iteration
+# benchmark smoke so perf-critical paths — synthesis included: every test
+# and workload pays it first — cannot silently rot.
+verify: vet build test repro bench-smoke docs-check
 
 build:
 	$(GO) build ./...
@@ -14,13 +14,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the in-tree contract analyzers (internal/lint, cmd/kflint):
-# deterministic map iteration and fixed-block float reductions in the
-# compiled engines, errors.Is/As on the durability sentinels, and the atomic
-# temp+fsync+rename write protocol in the stores. Also runnable as
-# `go vet -vettool=$$(go build -o /tmp/kflint ./cmd/kflint && echo /tmp/kflint) ./...`.
+# lint runs the in-tree contract analyzers (internal/lint) alone, through
+# their one driver, the TestRepoIsClean self-test, over every non-test file
+# of the module: deterministic map iteration, fixed-block float reductions
+# and batched transcendentals in the compiled engines, errors.Is/As on the
+# durability sentinels, and the atomic temp+fsync+rename write protocol in
+# the stores. A stale or reasonless //lint:ignore fails it too. `go test
+# ./...` runs the same test, so verify does not list lint again.
 lint:
-	$(GO) run ./cmd/kflint ./...
+	$(GO) test -count=1 -run '^TestRepoIsClean$$' ./internal/lint/
 
 test:
 	$(GO) test ./...
@@ -41,6 +43,8 @@ race:
 # crash-consistency property sweep (recovery after a crash at every sampled
 # I/O step is bit-identical to the uncrashed run, clean and torn-rename, for
 # the one-graph chain and a K=3 sharded one), the degradation-ladder tests, and the faultfs crash model itself.
+# It is for local use: CI's race job runs the same packages in its
+# `go test -race ./...`.
 fault:
 	$(GO) test -race ./internal/genstore/ ./internal/faultfs/ ./internal/kfio/
 

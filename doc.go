@@ -125,8 +125,8 @@
 //     compiled ÷ reference speed floors inside the bench-dataset
 //     equivalence tests and the 4-core tests (TestFourCoreScaling,
 //     TestFourCoreFeedCompile) —
-//     beside a fault-injection + fuzz-smoke job and a race-detector job on
-//     every push.
+//     beside a fuzz-smoke job and a race-detector job (the fault-injection
+//     suite included) on every push.
 //
 //   - Evaluation. Calibration curves with deviation and weighted deviation,
 //     PR curves with AUC-PR, kappa correlation between extractors, and a
@@ -196,10 +196,10 @@
 // unit test notices until the wrong machine or worker count runs it, so the
 // repo machine-checks them: internal/lint is a go/analysis-style analyzer
 // suite (stdlib-only; see the package docs for why x/tools is not a
-// dependency) driven by cmd/kflint (`make lint`, `kflint ./...`, or
-// `go vet -vettool=kflint`), and the internal/lint self-test runs the same
-// gated suite inside `go test ./...`. Five analyzers, each born from a bug
-// (or a hot loop) an earlier PR fixed:
+// dependency) with one driver, its TestRepoIsClean self-test, which runs the
+// gated suite over every non-test file of the module inside `go test ./...`
+// (`make lint` runs it alone). Five analyzers, each born from a bug (or a
+// hot loop) an earlier PR fixed:
 //
 //   - kflint/mapiter — deterministic iteration. In the compiled engines and
 //     the published-numbers layers, `range` over a map is flagged unless the

@@ -21,9 +21,11 @@ package extract
 // column from its length (presize); an Append onto compiled statements
 // presizes only the batch's own lists. Every batch, whatever its size and the
 // worker count, interns through this one loop; workers bound only the passes
-// after it (the CSRs and the per-triple extractor recount). A
-// shard-and-merge pass like the claim graph's was slower than the loop at
-// every worker count it was timed at (ROADMAP item 4(d)).
+// after it (the CSRs and the per-triple extractor recount). This graph's
+// former shard-and-merge intern pass was slower than the loop at every
+// worker count it was timed at (ROADMAP item 4(d)); the claim graph instead
+// interns contiguous ranges concurrently and folds them in stream order
+// (internClaims in internal/fusion, whose one-range case is its loop).
 //
 // The columns that only grow at the end (source and extractor keys, the
 // statement → source / triple columns, triples, items, triple → item) are

@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"fmt"
+	"math"
 
 	"kfusion/internal/kb"
 )
@@ -177,6 +178,11 @@ func (c Config) Validate() error {
 	}
 	if c.SampleL < 1 {
 		return fmt.Errorf("fusion: SampleL must be >= 1, got %d", c.SampleL)
+	}
+	// Epsilon <= 0 means the default, so any number passes; NaN would pass
+	// that check and then never stop a run early.
+	if math.IsNaN(c.Epsilon) {
+		return fmt.Errorf("fusion: Epsilon must be a number, got %v", c.Epsilon)
 	}
 	if !(c.AccuracyThreshold >= 0 && c.AccuracyThreshold < 1) {
 		return fmt.Errorf("fusion: AccuracyThreshold must be in [0,1), got %v", c.AccuracyThreshold)

@@ -377,6 +377,7 @@ func TestValidateErrors(t *testing.T) {
 		{"DefaultAccuracy", func(c *Config) { c.DefaultAccuracy = nan }},
 		{"AccuracyThreshold", func(c *Config) { c.AccuracyThreshold = nan }},
 		{"GoldSampleRate", func(c *Config) { c.GoldSampleRate = nan }},
+		{"Epsilon", func(c *Config) { c.Epsilon = nan }},
 	} {
 		bad = PopAccuConfig()
 		f.set(&bad)

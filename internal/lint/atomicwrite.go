@@ -21,7 +21,6 @@ import (
 // //lint:ignore kflint/atomicwrite <reason>.
 var AtomicWrite = &Analyzer{
 	Name: "atomicwrite",
-	Doc:  "flags direct os write calls in the durable-store packages that bypass the temp+fsync+rename protocol and the faultfs seam",
 	Packages: []string{
 		"kfusion/internal/genstore",
 	},

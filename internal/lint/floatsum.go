@@ -41,7 +41,6 @@ import (
 // golden spec suppress with //lint:ignore kflint/floatsum <reason>.
 var FloatSum = &Analyzer{
 	Name: "floatsum",
-	Doc:  "flags naive float += accumulation over slice data in the deterministic packages; use csr.SpanBlocks + csr.Pairwise",
 	Packages: []string{
 		"kfusion/internal/fusion",
 		"kfusion/internal/twolayer",

@@ -4,9 +4,9 @@
 // fixed-shape float reductions (floatsum), batched transcendentals in the
 // EM hot loops (scalarmath), wrap-safe sentinel-error handling (typederr),
 // and atomic durable writes (atomicwrite). The
-// analyzers run on every build via `make lint` / `cmd/kflint` and inside
-// `go test ./...` through the self-test, so a contract violation fails the
-// tree the same way a broken unit test does.
+// analyzers run through one driver, the TestRepoIsClean self-test: inside
+// `go test ./...` and alone as `make lint`, so a contract violation fails
+// the tree the same way a broken unit test does.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but is built on the standard library alone —
@@ -45,10 +45,8 @@ import (
 // "kflint/<name>".
 type Analyzer struct {
 	Name string
-	// Doc is the one-paragraph contract statement shown by `kflint -help`.
-	Doc string
 	// Packages lists the import paths the analyzer is gated to when run by
-	// the driver or the repo self-test (empty = every package). The fixture
+	// the repo self-test (empty = every package). The fixture
 	// harness bypasses the gate: fixtures live under synthetic paths.
 	Packages []string
 	Run      func(*Pass) error
@@ -91,7 +89,7 @@ func Analyzers() []*Analyzer {
 }
 
 // Applies reports whether a is gated onto the package with import path
-// pkgPath when run by the driver/self-test.
+// pkgPath when run by the repo self-test.
 func Applies(a *Analyzer, pkgPath string) bool {
 	if len(a.Packages) == 0 {
 		return true

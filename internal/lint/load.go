@@ -103,16 +103,13 @@ func goList(dir string, patterns ...string) ([]listedPkg, error) {
 	return out, nil
 }
 
-// ExportLookup resolves import paths to gc export data files, the way
-// `go vet`'s unitchecker resolves them from its PackageFile map.
+// ExportLookup resolves import paths to gc export data files, the ones
+// `go list -export` builds.
 type ExportLookup struct {
 	exports map[string]string
 }
 
 func NewExportLookup() *ExportLookup { return &ExportLookup{exports: map[string]string{}} }
-
-// Add registers an import path → export data file mapping.
-func (l *ExportLookup) Add(path, file string) { l.exports[path] = file }
 
 func (l *ExportLookup) open(path string) (io.ReadCloser, error) {
 	file, ok := l.exports[path]
@@ -160,8 +157,7 @@ func typecheck(path, dir string, files []string, lookup *ExportLookup) (*Package
 }
 
 // TypecheckFiles type-checks an explicit file list as one package — the
-// entry point shared by the fixture harness (files under testdata) and the
-// vettool cfg mode (files named by go vet's config).
+// fixture harness's entry point (files under testdata).
 func TypecheckFiles(path string, filenames []string, lookup *ExportLookup) (*Package, error) {
 	if len(filenames) == 0 {
 		return nil, fmt.Errorf("lint: no files for %s", path)

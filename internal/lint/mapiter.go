@@ -31,7 +31,6 @@ import (
 // the order-insensitivity is real but beyond the checker.
 var MapIter = &Analyzer{
 	Name: "mapiter",
-	Doc:  "flags range over a map in the deterministic packages unless the loop body is provably order-insensitive",
 	Packages: []string{
 		// The compiled engines and their shared primitives: outputs are
 		// contractually bit-identical across runs, machines and worker

@@ -26,7 +26,6 @@ import (
 // batching primitive.
 var ScalarMath = &Analyzer{
 	Name: "scalarmath",
-	Doc:  "flags per-element math.Exp/math.Log calls inside loops in the EM engine packages; batch through an internal/mathx kernel pass",
 	Packages: []string{
 		"kfusion/internal/fusion",
 		"kfusion/internal/twolayer",

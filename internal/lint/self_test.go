@@ -2,11 +2,12 @@ package lint
 
 import "testing"
 
-// TestRepoIsClean is the meta-test: it runs the gated analyzer suite over
-// every package of the module — exactly what `make lint` / cmd/kflint does —
-// so a contract violation anywhere in the tree fails `go test ./...` the
-// same way a broken unit test would. Suppressions carry their reviewed
-// reasons in-line; a malformed suppression is a failure here too.
+// TestRepoIsClean is the meta-test and the analyzers' one driver: it runs
+// the gated analyzer suite over every non-test file of every package of the
+// module, so a contract violation anywhere in the tree fails `go test ./...`
+// the same way a broken unit test would; `make lint` runs it alone.
+// Suppressions carry their reviewed reasons in-line; a malformed or stale
+// suppression is a failure here too.
 func TestRepoIsClean(t *testing.T) {
 	pkgs, _ := loadRepo(t)
 	if len(pkgs) == 0 {

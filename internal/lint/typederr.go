@@ -29,7 +29,6 @@ import (
 // types.
 var TypedErr = &Analyzer{
 	Name: "typederr",
-	Doc:  "flags ==/!= or type-switch use of the genstore/kfio/httpapi typed errors where errors.Is/errors.As is required",
 	// Empty Packages: a wrap-unsafe comparison is wrong wherever it
 	// appears — cmd/ drivers and the experiment layers consume these
 	// errors too.

@@ -14,7 +14,7 @@ package twolayer
 // SourceAccuracyUpdate / RecallUpdate / FalsePosUpdate, and broadcasts the
 // merged parameters back (SetSourceAccuracy, SetExtractorRates). Statements
 // and candidate triples route with their data item, so both E-steps are
-// graph-local except the layer-1 ghost-miss correction (SetGhostMiss).
+// graph-local except the layer-1 ghost-miss correction (setGhostMiss).
 //
 // Fuse, FuseCompiled and FuseCompiledWarm are the one-graph call of the
 // driver: local and global IDs coincide (csr.IdentityTable over the graph's
@@ -71,13 +71,13 @@ func newRun(g *extract.Compiled, cfg Config, e *engine) (*Run, error) {
 func (r *Run) NumSources() int    { return r.e.g.NumSources() }
 func (r *Run) NumExtractors() int { return r.e.g.NumExtractors() }
 
-// SetGhostMiss installs the per-source cross-shard miss correction: for
+// setGhostMiss installs the per-source cross-shard miss correction: for
 // each local source, the summed mathx.MissLogRatio of the extractors that
 // processed it only in other shards, added once to every local statement's
 // layer-1 log-odds. nil (the default) disables the correction — the
 // one-graph case, where adding nothing keeps bits identical. The slice is
 // retained, not copied; the driver rewrites it each round.
-func (r *Run) SetGhostMiss(gm []float64) { r.e.ghostMiss = gm }
+func (r *Run) setGhostMiss(gm []float64) { r.e.ghostMiss = gm }
 
 // SetSourceAccuracy / SetExtractorRates broadcast merged parameters into
 // the engine — warm-start seeds before round 0, merged M-step updates
@@ -111,14 +111,14 @@ func (r *Run) SourcePartials(num, den []float64) {
 	})
 }
 
-// SourceStatedMass writes, per local source, the sum of its local
+// sourceStatedMass writes, per local source, the sum of its local
 // statements' stated probabilities (ascending statement-ID order) and the
 // statement count, in parallel over sources. This is the raw material of
 // the driver's ghost extractor partials: an extractor that processed a source only in other
 // shards covers all of the source's local statements without hitting any,
 // so it owes [sum, cnt-sum, 0, 0] to its merged M-step totals — mass the
 // local ExtractorPartials cannot see.
-func (r *Run) SourceStatedMass(sums []float64, cnts []int32) {
+func (r *Run) sourceStatedMass(sums []float64, cnts []int32) {
 	e := r.e
 	csr.ParallelRange(e.g.NumSources(), e.workers, func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
@@ -197,7 +197,7 @@ type Shards struct {
 	// processed shard s's local source ls only in OTHER shards. Each is a
 	// structural miss on every local statement of the source (its hits
 	// route with their own items): a per-round layer-1 constant
-	// (SetGhostMiss) and all-miss M-step mass. nil when there is one shard.
+	// (setGhostMiss) and all-miss M-step mass. nil when there is one shard.
 	Ghosts [][][]int32
 }
 
@@ -341,7 +341,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 		statedCnt = make([][]int32, len(runs))
 		for s, r := range runs {
 			gm[s] = make([]float64, r.NumSources())
-			r.SetGhostMiss(gm[s])
+			r.setGhostMiss(gm[s])
 			statedSum[s] = make([]float64, r.NumSources())
 			statedCnt[s] = make([]int32, r.NumSources())
 		}
@@ -409,7 +409,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 			r.SourcePartials(numP[s], denP[s])
 			r.ExtractorPartials(extP[s])
 			if ghostP != nil {
-				r.SourceStatedMass(statedSum[s], statedCnt[s])
+				r.sourceStatedMass(statedSum[s], statedCnt[s])
 			}
 		})
 
