@@ -33,9 +33,12 @@ repro:
 	$(GO) run ./cmd/kfexper -scale bench >/dev/null
 
 # race exercises the concurrent paths (the claim graph's intern ranges and
-# their concurrent key folds, parallel CSR build, the twolayer/fusion EM stage loops, the exper
-# singleflight caches, the extraction reader's per-worker batch decode) under
-# the race detector; CI runs it on every push.
+# their concurrent key folds, parallel CSR build, the twolayer/fusion EM stage
+# loops, both round drivers' merges over global IDs with the two-layer
+# driver's per-shard ghost-miss sums, the shard coordinators' side-by-side
+# Append, the exper singleflight caches, the extraction reader's per-worker
+# batch decode) under the race detector; CI runs it on every push, plus the
+# shard fork tests again at -cpu 1,4.
 race:
 	$(GO) test -race ./...
 

@@ -37,10 +37,14 @@
 // (csr.SplitWorkers): across = min(K, Workers) shards step side by side and
 // each gets Workers/across for its own loops, so a stage of the round is one
 // fork-join over the shards (csr.ParallelEach), not one per shard per loop
-// over a Kth of the data. A claim K = 4 warm one-round step and its Result
-// fork 5 times on two workers (21 when every shard forked for each of its
-// loops); the two-layer step forks 7 times (48 before). Neither split moves
-// a bit.
+// over a Kth of the data; the cross-shard merge over global IDs runs on the
+// workers the shards took together. A claim K = 4 warm one-round step and
+// its Result fork 5 times on two workers (21 when every shard forked for
+// each of its loops); a two-layer one forks 6 times (set-up, two E-steps,
+// the M-step sums, the source merge and the Result's accuracy map; 48 when
+// every shard forked for each of its loops). Both coordinators' Append
+// compiles the K slices side by side in one more fork-join, then extends
+// the ID tables in shard order. Neither split moves a bit.
 //
 // The two-layer model has one genuinely cross-shard structure: a source's
 // extractor set. A statement's layer-1 walk covers every extractor that

@@ -80,19 +80,31 @@ func (f *Fusion) Shard(s int) *fusion.Compiled { return f.graphs[s] }
 // shard-local because the triple's item fixes the shard). A shard receiving
 // nothing still moves to its next generation (an empty append is O(1)), so
 // every shard's generation counts the batches.
+//
+// The K slices compile side by side, one fork-join over the shards
+// (csr.SplitWorkers over K and GOMAXPROCS); the provenance table is then
+// extended in shard order, so every global ID is the one a shard-by-shard
+// append assigns. An error names the lowest failing shard and leaves every
+// graph and the table as they were.
 func (f *Fusion) Append(xs []extract.Extraction) error {
 	parts := SplitExtractions(xs, f.k)
-	for s := 0; s < f.k; s++ {
-		g := f.graphs[s]
-		if g == nil {
-			g = fusion.CompileExtractions(parts[s], f.gran, 0)
+	next := make([]*fusion.Compiled, f.k)
+	errs := make([]error, f.k)
+	across, _ := csr.SplitWorkers(f.k, 0)
+	csr.ParallelEach(f.k, across, func(s int) {
+		if g := f.graphs[s]; g == nil {
+			next[s] = fusion.CompileExtractions(parts[s], f.gran, 0)
 		} else {
-			var err error
-			if g, err = g.AppendExtractions(parts[s], f.gran); err != nil {
-				return fmt.Errorf("shard %d: append: %w", s, err)
-			}
+			next[s], errs[s] = g.AppendExtractions(parts[s], f.gran)
 		}
-		f.graphs[s] = g
+	})
+	for s, err := range errs {
+		if err != nil {
+			return fmt.Errorf("shard %d: append: %w", s, err)
+		}
+	}
+	f.graphs = next
+	for s := range f.graphs {
 		f.extendProvs(s)
 	}
 	return nil

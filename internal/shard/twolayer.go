@@ -71,15 +71,21 @@ func (t *TwoLayer) NumStatements() int {
 
 // Append routes one extraction batch to its shards and compiles or appends
 // each shard's graph. Statement dedup is shard-local because the triple's
-// item fixes the shard.
+// item fixes the shard. The K slices compile side by side, one fork-join
+// over the shards (csr.SplitWorkers over K and GOMAXPROCS); the source and
+// extractor tables are then extended in shard order, so every global ID is
+// the one a shard-by-shard append assigns.
 func (t *TwoLayer) Append(xs []extract.Extraction) {
 	parts := SplitExtractions(xs, t.k)
-	for s := 0; s < t.k; s++ {
+	across, _ := csr.SplitWorkers(t.k, 0)
+	csr.ParallelEach(t.k, across, func(s int) {
 		if t.graphs[s] == nil {
 			t.graphs[s] = extract.Compile(parts[s], t.siteLevel)
 		} else {
 			t.graphs[s] = t.graphs[s].Append(parts[s])
 		}
+	})
+	for s := range t.graphs {
 		t.extendTables(s)
 	}
 }

@@ -2,9 +2,11 @@ package shard
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"kfusion/internal/extract"
@@ -82,6 +84,81 @@ func TestTwoLayerShardWorkerIndependence(t *testing.T) {
 		_, got := shardedTwoLayer(t, xs, 3, cfg)
 		requireBitIdentical(t, fmt.Sprintf("twolayer/workers=%d", workers), want.res, got.res)
 		requireSameState(t, fmt.Sprintf("workers=%d", workers), want.state, got.state)
+	}
+}
+
+// TestTwoLayerShardChainWorkerIndependence reaches every fork of a K-graph
+// two-layer step: the side-by-side Append, the starting-parameter installs,
+// the ghost-miss sums beside each E-step and the source merge over ranges of
+// global sources. At K = 3 and 4, Workers 1, 2 and 7 under GOMAXPROCS 1 and
+// 8, a cold fuse and three warm one-round steps must give, at every step, the
+// rows, accuracies, State and per-round moves whose SHA-256 was recorded
+// before the driver's per-source passes left the calling goroutine. The feed
+// holds more sources than the widest merge has ranges (six, at K = 3 and
+// Workers 7), so every range is non-empty, and ghost lists of three and more
+// extractors, whose sums depend on their order.
+func TestTwoLayerShardChainWorkerIndependence(t *testing.T) {
+	xs := wideningBatch(rand.New(rand.NewSource(43)), 5000, 60)
+	head := len(xs) * 2 / 5
+	step := (len(xs) - head) / 3
+	chain := func(k, workers int) string {
+		cfg := twoLayerConfig()
+		cfg.Workers = workers
+		tl, err := NewTwoLayer(k, cfg.SiteLevel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		tl.Append(xs[:head])
+		var st *twolayer.State
+		for i := 0; i <= 3; i++ {
+			if i > 0 {
+				tl.Append(xs[head+(i-1)*step : head+i*step])
+				cfg.Rounds = 1
+			}
+			post, next, err := tl.FusePosterior(cfg, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = next
+			digestResult(h, post.Result())
+			digestState(h, st)
+			for _, m := range post.Moves {
+				fmt.Fprintf(h, "move %016x\n", math.Float64bits(m))
+			}
+		}
+		if n := tl.srcs.N(); n < 7 {
+			t.Fatalf("K=%d: %d global sources, want at least 7", k, n)
+		}
+		long := 0
+		for s := range tl.ghosts {
+			for _, g := range tl.ghosts[s] {
+				if len(g) >= 3 {
+					long++
+				}
+			}
+		}
+		if long == 0 {
+			t.Fatalf("K=%d: no ghost list of three or more extractors", k)
+		}
+		return fmt.Sprintf("%x", h.Sum(nil))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		k    int
+		want string
+	}{
+		{3, "07bf68dfc725ce43f2c4fcd1a801a2a9ead6ddee9145716b63bc549980158758"},
+		{4, "0c0f7680f587cb4e3d635671bc8db98d7989cba4340e529b9924a615d3a1afa8"},
+	} {
+		for _, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
+			for _, workers := range []int{1, 2, 7} {
+				if got := chain(c.k, workers); got != c.want {
+					t.Errorf("K=%d GOMAXPROCS=%d workers=%d: digest %s, want %s", c.k, procs, workers, got, c.want)
+				}
+			}
+		}
 	}
 }
 

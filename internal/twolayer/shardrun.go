@@ -234,9 +234,15 @@ type Shards struct {
 //
 // cfg.Workers bounds the whole call. One graph gets all of them for its
 // loops; K graphs step side by side, min(K, Workers) at a time, and split
-// what is left — a stage of the round (both E-steps of every graph; the
-// graph-local M-step sums of every graph) is one fork-join, not several per
-// graph over a Kth of the data. No result depends on either split.
+// what is left — binding the engines with their starting parameters, a
+// round's E-steps (each graph summing its ghost-miss table first) and its
+// graph-local M-step sums are one fork-join over the graphs apiece, not
+// several per graph over a Kth of the data. The source merge is one more,
+// over global sources on the workers the graphs took together, as in
+// fusion.FuseLockstep; the extractor merge and the ghost partials stay on
+// the calling goroutine, their sums in a fixed cross-shard order. At K = 4
+// on two workers a warm one-round step forks 5 times (its Result once more,
+// for the accuracy map). No result depends on either split.
 //
 // With one graph every fold is over a single holder — the identity — so the
 // result does not depend on whether tables were handed in; K > 1 re-groups
@@ -257,26 +263,6 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 	within, across := cfg, 1
 	if len(graphs) > 1 {
 		across, within.Workers = csr.SplitWorkers(len(graphs), cfg.Workers)
-	}
-	recycled := warm.takeEngines(len(graphs))
-	runs := make([]*Run, len(graphs))
-	for s, g := range graphs {
-		var e *engine
-		if recycled != nil {
-			e = recycled[s]
-		}
-		r, err := newRun(g, within, e)
-		if err != nil {
-			return nil, nil, err
-		}
-		runs[s] = r
-	}
-	// eachRun is one stage of the round over every graph. A Run touches only
-	// its own engine and the per-graph buffers the driver hands it, and what
-	// an engine computes never depends on its worker count, so neither split
-	// can move a bit.
-	eachRun := func(f func(s int, r *Run)) {
-		csr.ParallelEach(len(runs), across, func(s int) { f(s, runs[s]) })
 	}
 	if ids == nil {
 		if len(graphs) > 1 {
@@ -305,9 +291,23 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 		copy(recall, warm.Recall)
 		copy(falsePos, warm.FalsePos)
 	}
-	// Starting parameters reach the step engines once; from then on each
-	// merged update is installed on its holders as it is computed.
-	for s, r := range runs {
+	// Each graph's engine is bound and handed its starting parameters in one
+	// fork-join over the graphs, every holder looking up its own; from then
+	// on each merged update is installed on its holders as it is computed.
+	recycled := warm.takeEngines(len(graphs))
+	runs := make([]*Run, len(graphs))
+	errs := make([]error, len(graphs))
+	csr.ParallelEach(len(graphs), across, func(s int) {
+		var e *engine
+		if recycled != nil {
+			e = recycled[s]
+		}
+		r, err := newRun(graphs[s], within, e)
+		if err != nil {
+			errs[s] = err
+			return
+		}
+		runs[s] = r
 		for local := 0; local < r.NumSources(); local++ {
 			r.SetSourceAccuracy(int32(local), srcAcc[srcs.Global(s, local)])
 		}
@@ -315,6 +315,18 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 			g := exts.Global(s, local)
 			r.SetExtractorRates(int32(local), recall[g], falsePos[g])
 		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	// eachRun is one stage of the round over every graph. A Run touches only
+	// its own engine and the per-graph buffers the driver hands it, and what
+	// an engine computes never depends on its worker count, so neither split
+	// can move a bit.
+	eachRun := func(f func(s int, r *Run)) {
+		csr.ParallelEach(len(runs), across, func(s int) { f(s, runs[s]) })
 	}
 
 	// Each engine owns its graph's M-step evidence buffers and keeps them
@@ -349,21 +361,22 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 	}
 	estep := func() {
 		// One miss log-ratio per global extractor per E-step (the ghost
-		// table is the driver's, not an engine kernel pass).
+		// table is the driver's, not an engine kernel pass); each graph then
+		// sums its own ghost-miss table beside its E-step.
 		for gx := range missLR {
 			missLR[gx] = mathx.MissLogRatio(recall[gx], falsePos[gx])
 		}
-		for s := range gm {
-			for ls, ghost := range ghosts[s] {
-				sum := 0.0
-				for _, gx := range ghost {
-					// Shards.Ghosts lists each set in ascending global-ID order.
-					sum += missLR[gx]
+		eachRun(func(s int, r *Run) {
+			if gm != nil {
+				for ls, ghost := range ghosts[s] {
+					sum := 0.0
+					for _, gx := range ghost {
+						// Shards.Ghosts lists each set in ascending global-ID order.
+						sum += missLR[gx]
+					}
+					gm[s][ls] = sum
 				}
-				gm[s][ls] = sum
 			}
-		}
-		eachRun(func(_ int, r *Run) {
 			r.InferStatements()
 			r.InferTruth()
 		})
@@ -391,7 +404,15 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 			}
 		}
 	}
-	parts := make([]float64, 0, len(runs))
+	// The source merge runs in parallel over global sources on the workers
+	// the graphs took together: each owns its srcAcc slot and its holders'
+	// engine slots, and the delta is a max — exact in any order — so the
+	// worker count cannot move a bit.
+	workers := runs[0].e.workers
+	if len(runs) > 1 {
+		workers = across * within.Workers
+	}
+	deltas := make([]float64, workers)
 	parts4 := make([][4]float64, 0, len(runs)+1)
 	var one [1]csr.Loc
 
@@ -415,23 +436,33 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 
 		// M-step, sources: fold each source's (num, den) evidence over its
 		// holders; a source without evidence keeps its accuracy.
+		clear(deltas)
+		csr.ParallelRange(nS, workers, func(w, lo, hi int) {
+			parts := make([]float64, 0, len(runs))
+			var one [1]csr.Loc
+			maxDelta := 0.0
+			for gs := lo; gs < hi; gs++ {
+				hold := srcs.Holders(gs, &one)
+				den := csr.FoldFloat64(hold, denP, parts)
+				if den < MinEvidence {
+					continue
+				}
+				v := SourceAccuracyUpdate(csr.FoldFloat64(hold, numP, parts), den, cfg.InitSourceAccuracy)
+				if d := v - srcAcc[gs]; d > maxDelta {
+					maxDelta = d
+				} else if -d > maxDelta {
+					maxDelta = -d
+				}
+				srcAcc[gs] = v
+				for _, l := range hold {
+					runs[l.Shard].SetSourceAccuracy(l.Local, v)
+				}
+			}
+			deltas[w] = maxDelta
+		})
 		maxDelta := 0.0
-		for gs := range srcAcc {
-			hold := srcs.Holders(gs, &one)
-			den := csr.FoldFloat64(hold, denP, parts)
-			if den < MinEvidence {
-				continue
-			}
-			v := SourceAccuracyUpdate(csr.FoldFloat64(hold, numP, parts), den, cfg.InitSourceAccuracy)
-			if d := v - srcAcc[gs]; d > maxDelta {
-				maxDelta = d
-			} else if -d > maxDelta {
-				maxDelta = -d
-			}
-			srcAcc[gs] = v
-			for _, l := range hold {
-				runs[l.Shard].SetSourceAccuracy(l.Local, v)
-			}
+		for _, d := range deltas {
+			maxDelta = max(maxDelta, d)
 		}
 
 		// M-step, extractors: fold each extractor's block-reduced evidence
