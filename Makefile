@@ -34,11 +34,13 @@ repro:
 
 # race exercises the concurrent paths (the claim graph's intern ranges and
 # their concurrent key folds, parallel CSR build, the twolayer/fusion EM stage
-# loops, both round drivers' merges over global IDs with the two-layer
-# driver's per-shard ghost-miss sums, the shard coordinators' side-by-side
-# Append, the exper singleflight caches, the extraction reader's per-worker
-# batch decode) under the race detector; CI runs it on every push, plus the
-# shard fork tests again at -cpu 1,4.
+# loops, the lockstep skeleton both round drivers share — binding, stages and
+# the merge over global IDs — with the two-layer driver's per-shard
+# ghost-miss sums, the shard coordinators' side-by-side Append, the exper
+# singleflight caches, the extraction reader's per-worker batch decode) under
+# the race detector; CI runs it on every push, plus at -cpu 1,4 the shard
+# fork tests, the skeleton's TestLockstep* tests, both engines'
+# TestStepAPIMatchesFuse and fusion's TestShardEngineWorkers.
 race:
 	$(GO) test -race ./...
 

@@ -65,14 +65,11 @@ func SpanBlocks(start []int32) []Block {
 // tree never depends on scheduling, folding the same partials always
 // produces the same bits. An empty slice returns the zero value.
 //
-// The same contract extends across process-shaped boundaries: the engines'
-// round drivers (fusion.FuseLockstep, twolayer.FuseLockstep) merge per-shard
-// EM partials (per-provenance sums, per-source evidence, per-extractor
-// [4]float64 totals) by folding each entity's partials over its IDTable
+// The same contract extends across shards: the lockstep merges
+// (lockstep.go) fold each entity's per-graph EM partials over its IDTable
 // holders, in shard order, with this tree, so a sharded merge is as
 // deterministic — and as shard-count-dependent in its low-order bits — as
-// the in-graph block reductions are worker-count-independent. A one-graph
-// fold is the identity, which is why an unsharded fuse can be the same loop.
+// the in-graph block reductions are worker-count-independent.
 func Pairwise[T any](parts []T, add func(a, b T) T) T {
 	switch len(parts) {
 	case 0:

@@ -120,17 +120,17 @@ func engineBuffers(e *engine) []any {
 
 func requireDisjointEngines(t *testing.T, tag string, a, b *Seed) {
 	t.Helper()
-	if len(a.engines) == 0 || len(b.engines) == 0 {
+	if len(a.engines.Held()) == 0 || len(b.engines.Held()) == 0 {
 		t.Fatalf("%s: a posterior carries no engines", tag)
 	}
 	seen := map[any]bool{}
-	for _, e := range a.engines {
+	for _, e := range a.engines.Held() {
 		seen[e] = true
 		for _, p := range engineBuffers(e) {
 			seen[p] = true
 		}
 	}
-	for _, e := range b.engines {
+	for _, e := range b.engines.Held() {
 		if seen[e] {
 			t.Fatalf("%s: the two results hold the same engine", tag)
 		}
@@ -185,7 +185,7 @@ func TestRecycledEnginesMatchFresh(t *testing.T) {
 					var handed []*engine
 					var buffers [][]any
 					if prev != nil {
-						handed = append(handed, prev.engines...)
+						handed = append(handed, prev.engines.Held()...)
 						for _, e := range handed {
 							buffers = append(buffers, engineBuffers(e))
 						}
@@ -196,7 +196,7 @@ func TestRecycledEnginesMatchFresh(t *testing.T) {
 						t.Fatalf("%s step %d: ran %d rounds of %d; the budget sequence is the scenario", tag, step, got.Rounds, rounds)
 					}
 					for s, e := range handed {
-						if got.seed.engines[s] != e {
+						if got.seed.engines.Held()[s] != e {
 							t.Fatalf("%s step %d: shard %d ran on a new engine, not the one its predecessor handed on", tag, step, s)
 						}
 						for i, p := range engineBuffers(e) {
@@ -209,10 +209,10 @@ func TestRecycledEnginesMatchFresh(t *testing.T) {
 					}
 					switch {
 					case prev == nil:
-						if got.seed.engines != nil {
+						if got.seed.engines.Held() != nil {
 							t.Fatalf("%s: an unseeded run's posterior carries engines", tag)
 						}
-					case prev.engines != nil:
+					case prev.engines.Held() != nil:
 						t.Fatalf("%s step %d: the seed still holds its engines after a successor took them", tag, step)
 					case step > 1 && handed == nil:
 						t.Fatalf("%s step %d: a seeded generation handed no engines on", tag, step)
@@ -247,7 +247,7 @@ func TestEngineHandOffIsExclusive(t *testing.T) {
 	fork := a.MustAppend(growingClaims(5, 150))
 
 	unseeded := a.MustFuse(cold)
-	if unseeded.seed.engines != nil {
+	if unseeded.seed.engines.Held() != nil {
 		t.Fatal("an unseeded run's result pins engines")
 	}
 	postA, err := FuseLockstep([]*Compiled{a}, nil, warm, unseeded.Seed())
@@ -256,13 +256,13 @@ func TestEngineHandOffIsExclusive(t *testing.T) {
 	}
 	resA := postA.Result()
 	before := viaMap(t, resA)
-	engineA := resA.seed.engines[0]
+	engineA := resA.seed.engines.Held()[0]
 	resB := b.MustFuseWarm(warm, resA)
 	resFork := fork.MustFuseWarm(warm, resA)
-	if resB.seed.engines[0] != engineA {
+	if resB.seed.engines.Held()[0] != engineA {
 		t.Fatal("the first successor did not take its predecessor's engine")
 	}
-	if resFork.seed.engines[0] == engineA {
+	if resFork.seed.engines.Held()[0] == engineA {
 		t.Fatal("a second successor runs on the engine the first one took")
 	}
 	requireDisjointEngines(t, "B and B'", resB.seed, resFork.seed)
@@ -276,26 +276,26 @@ func TestEngineHandOffIsExclusive(t *testing.T) {
 	}
 
 	// Seeds that keep their engines: the successor builds its own.
-	held := resB.seed.engines[0]
+	held := resB.seed.engines.Held()[0]
 	byKey := b.MustFuseWarm(warm, &Result{ProvAccuracy: resB.ProvAccuracy})
-	if byKey.seed.engines[0] == held || resB.seed.engines == nil {
+	if byKey.seed.engines.Held()[0] == held || resB.seed.engines.Held() == nil {
 		t.Fatal("a by-key seed handed on engines")
 	}
 	chain4 := newLockstepChain(4)
 	chain4.append(claims[:n+100])
 	four := chain4.fuse(t, warm, resB.Seed())
-	for _, e := range four.seed.engines {
+	for _, e := range four.seed.engines.Held() {
 		if e == held {
 			t.Fatal("a one-graph posterior's engine went to a four-graph run")
 		}
 	}
-	if resB.seed.engines == nil || resB.seed.engines[0] != held {
+	if resB.seed.engines.Held() == nil || resB.seed.engines.Held()[0] != held {
 		t.Fatal("a seed another shard count could not use lost its engines")
 	}
 	if one, err := FuseLockstep([]*Compiled{b}, nil, warm, four.Seed()); err != nil {
 		t.Fatal(err)
-	} else if len(four.seed.engines) != 4 || len(one.seed.engines) != 1 {
-		t.Fatalf("a four-graph seed into one graph: seed keeps %d engines, run holds %d", len(four.seed.engines), len(one.seed.engines))
+	} else if len(four.seed.engines.Held()) != 4 || len(one.seed.engines.Held()) != 1 {
+		t.Fatalf("a four-graph seed into one graph: seed keeps %d engines, run holds %d", len(four.seed.engines.Held()), len(one.seed.engines.Held()))
 	}
 }
 
@@ -314,7 +314,7 @@ func TestConcurrentSuccessorsOfOneResult(t *testing.T) {
 	for step := 0; step < 5; step++ {
 		g = g.MustAppend(claims[2000+200*step : 2200+200*step])
 		want := g.MustFuseWarm(cfg, viaMap(t, prev))
-		handed := prev.seed.engines[0]
+		handed := prev.seed.engines.Held()[0]
 		var got [2]*Result
 		var wg sync.WaitGroup
 		for i := range got {
@@ -329,7 +329,7 @@ func TestConcurrentSuccessorsOfOneResult(t *testing.T) {
 		assertBitIdentical(t, tag, got[0], want)
 		assertBitIdentical(t, tag, got[1], want)
 		requireDisjointEngines(t, tag, got[0].seed, got[1].seed)
-		if took := (got[0].seed.engines[0] == handed) != (got[1].seed.engines[0] == handed); !took {
+		if took := (got[0].seed.engines.Held()[0] == handed) != (got[1].seed.engines.Held()[0] == handed); !took {
 			t.Fatalf("%s: of two concurrent successors, not exactly one runs on the predecessor's engine", tag)
 		}
 		prev = got[step%2]

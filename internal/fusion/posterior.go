@@ -87,8 +87,7 @@ type Seed struct {
 	// byKey is the keyed form's map; keys and acc are then nil.
 	byKey map[string]float64
 
-	mu      sync.Mutex
-	engines []*engine
+	engines csr.Handoff[*engine]
 }
 
 // NewPosterior wraps a round driver's output columns: prob holds one
@@ -311,18 +310,4 @@ func (s *Seed) accuracyMap() map[string]float64 {
 		m[key] = s.acc[g]
 	}
 	return m
-}
-
-// takeEngines hands the seed's step engines to the caller if it still holds
-// exactly n of them, and nil otherwise. Whoever gets them owns them: a
-// second successor of the same seed finds none and builds its own.
-func (s *Seed) takeEngines(n int) []*engine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.engines) != n {
-		return nil
-	}
-	es := s.engines
-	s.engines = nil
-	return es
 }

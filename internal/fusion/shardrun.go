@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"kfusion/internal/csr"
@@ -9,24 +10,18 @@ import (
 
 // The EM round driver and the step engine it sequences.
 //
-// Figure 8's iteration — score items, re-estimate provenances, dedupe — is
-// one loop whether it runs over one graph or a thousand shards, and
-// FuseLockstep is that loop: the only place in this package where rounds
-// are counted, gold labels initialize accuracies, a previous result seeds a
-// warm start, VOTE takes its single pass and the convergence test runs. It
-// drives one Run per graph: every Run scores its items
-// (StageI) under the current global accuracies, reports each provenance's
-// stage-II statistic (ProvPartials), and the driver folds a provenance's
-// partials across the graphs holding it, divides, and broadcasts the new
-// accuracy back (SetProvAccuracy).
-//
-// Fuse, (*Compiled).Fuse and (*Compiled).FuseWarm are the one-graph call of
-// the driver: local and global provenance IDs coincide
-// (csr.IdentityTable over the graph's own key slice) and a one-element fold
-// is the identity. internal/shard's coordinators are the K-graph call,
-// handing in the cross-shard provenance table they maintain across Appends.
-// Centralised versus sharded is which table the caller holds, not a second
-// algorithm.
+// FuseLockstep is Figure 8's iteration — score items, re-estimate
+// provenances, dedupe — for this model: the only place in this package where
+// rounds are counted, gold labels initialize accuracies, a previous result
+// seeds a warm start and VOTE takes its single pass. It runs on the lockstep
+// skeleton (internal/csr, lockstep.go), one Run per graph: every Run scores
+// its items (StageI) under the current global accuracies and reports each
+// provenance's stage-II statistic (ProvPartials), and the driver folds a
+// provenance's partials across the graphs holding it, divides, and
+// broadcasts the new accuracy back (SetProvAccuracy). Fuse, (*Compiled).Fuse
+// and (*Compiled).FuseWarm are its one-graph call; internal/shard's
+// coordinators are the K-graph call, handing in the cross-shard provenance
+// table they maintain across Appends.
 
 // Run is the step engine over one compiled graph: the engine state with the
 // EM stages exposed one at a time, for FuseLockstep (and for callers that
@@ -150,7 +145,10 @@ func finish(runs []*Run, provs *csr.IDTable, rounds, across, workers int) *Poste
 // graph's local provenance IDs to global ones and is nil for a single graph
 // (identity). Provenances prev holds an accuracy for start at that accuracy
 // and count as evaluated; gold initialization (§4.3.3), when configured,
-// overrides both the default and the seed for labeled provenances.
+// overrides both the default and the seed for labeled provenances. The
+// worker split, the one-graph identity and the engine hand-off are the
+// lockstep skeleton's (internal/csr, lockstep.go); what follows is this
+// model's part of them.
 //
 // The seed is dense when it can be. A posterior's Seed keeps its accuracies
 // in global-ID order beside the key column those IDs index; when prev's key
@@ -164,65 +162,33 @@ func finish(runs []*Run, provs *csr.IDTable, rounds, across, workers int) *Poste
 // the two paths install the same values, so which one ran never shows in a
 // result.
 //
-// The step engines outlive their generation the same way. The seed of the
-// posterior a seeded call returns carries the engines that produced it (an
-// unseeded call's does not: cold results are what sweeps keep by the dozen,
-// and each would pin an engine), and a call densely seeded from it takes
-// them — exclusively, like the interning index of an Append chain: the first
-// successor gets them, and a second successor of the same seed (a fork, a
-// concurrent call), a by-key seed, a different shard count or a cold seed
-// builds fresh ones. A taken engine is rebound to its new graph by the
-// routine that sizes a fresh one (engine.rebind): buffers are reused or
-// regrown with headroom, every accuracy, default flag and claim stamp is
-// reset, so a recycled engine cannot move a bit either.
+// Only a densely seeded call takes the engines prev's seed carries; a
+// by-key or cold seed builds fresh ones. A taken engine is rebound by
+// engine.rebind: buffers are reused or regrown with headroom, and every
+// accuracy, default flag and claim stamp is reset.
 //
-// cfg.Workers bounds the whole call, split as in twolayer.FuseLockstep
-// (csr.SplitWorkers). One graph gets all of them for its loops, cfg as
-// handed in. K graphs step side by side, min(K, Workers) at a time, and
-// split what is left; a graph under smallGraphClaims claims runs its loops
-// on one worker when the caller left Workers at 0, as one graph does.
-// Binding and seeding the engines is one fork-join over the graphs, a round
-// is one more (StageI, then ProvPartials) followed by the merge, and stage
-// III one more: at K = 4 on two workers a warm one-round step and its Result
-// fork 5 times (set-up, round, merge, stage III, and the Result's accuracy
-// map beside its rows), where every graph forking for each of its own loops
-// took 21. The split was measured on two vCPUs only, where every graph gets
-// one worker. No result depends on either split.
-//
-// With one graph every fold is over a single holder — the identity — so
-// the result does not depend on whether a table was handed in; K > 1
-// re-groups each cross-shard provenance sum (csr.Pairwise over the
-// holders in shard order) and agrees with K = 1 within the documented
-// tolerance (see internal/shard).
+// A graph under smallGraphClaims claims runs its loops on one worker when
+// the caller left Workers at 0, as one graph does. A round is one fork-join
+// over the graphs (StageI, then ProvPartials) followed by the merge, and
+// stage III one more: at K = 4 on two workers a warm one-round step and its
+// Result fork 5 times (set-up, round, merge, stage III, and the Result's
+// accuracy map beside its rows), where every graph forking for each of its
+// own loops took 21. VOTE takes a single stage-I pass and records no moves.
 func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed) (*Posterior, error) {
-	if len(graphs) == 0 {
-		return nil, fmt.Errorf("fusion: FuseLockstep needs at least one graph")
-	}
-	for s, g := range graphs {
-		if g == nil {
-			return nil, fmt.Errorf("fusion: shard %d has no graph (Fuse before first Append)", s)
-		}
+	if err := csr.CheckGraphs(graphs, provs != nil); err != nil {
+		return nil, fmt.Errorf("fusion: %w", err)
 	}
 	if provs == nil {
-		if len(graphs) > 1 {
-			return nil, fmt.Errorf("fusion: %d graphs need a cross-shard provenance table", len(graphs))
-		}
 		provs = csr.IdentityTable(graphs[0].g.provKeys)
 	}
 	nG := provs.N()
 	keys := provs.Keys()
-	// Several graphs share the workers graph first (see above). One graph
-	// keeps cfg exactly as handed in.
-	within, across := cfg, 1
-	if len(graphs) > 1 {
-		across, within.Workers = csr.SplitWorkers(len(graphs), cfg.Workers)
-	}
 	// prev came from an earlier generation of this table: global IDs only
 	// grow at the end, so its accuracies seed by index and its engines fit.
 	dense := prev != nil && prev.byKey == nil && isPrefix(prev.keys, keys)
 	var recycled []*engine
 	if dense {
-		recycled = prev.takeEngines(len(graphs))
+		recycled = prev.engines.Take(len(graphs))
 	}
 	var byKey map[string]float64
 	if prev != nil && !dense {
@@ -231,28 +197,17 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 
 	// The step engines' own accuracy slots are the parameter store: every
 	// holder of a provenance carries the same value, written only through
-	// SetProvAccuracy, so the driver keeps no global copy. Each graph's engine
-	// is bound and seeded in one fork-join over the graphs, every holder
-	// looking up its own provenances' seeds.
-	runs := make([]*Run, len(graphs))
-	errs := make([]error, len(graphs))
-	csr.ParallelEach(len(graphs), across, func(s int) {
-		var e *engine
-		if recycled != nil {
-			e = recycled[s]
-		}
-		gcfg := within
+	// SetProvAccuracy, so the driver keeps no global copy. Every holder
+	// looks up its own provenances' seeds as its engine is bound.
+	lockstep, err := csr.Bind(len(graphs), cfg.Workers, recycled, func(s, within int, e *engine) (*Run, error) {
+		gcfg := cfg
+		gcfg.Workers = within
 		if cfg.Workers <= 0 && graphs[s].g.numClaims() < smallGraphClaims {
 			gcfg.Workers = 1
 		}
 		r, err := graphs[s].newRun(gcfg, e)
-		if err != nil {
-			errs[s] = err
-			return
-		}
-		runs[s] = r
-		if prev == nil {
-			return
+		if err != nil || prev == nil {
+			return r, err
 		}
 		for local := range r.NumProvenances() {
 			g := provs.Global(s, local)
@@ -264,12 +219,12 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 				r.SetProvAccuracy(int32(local), a)
 			}
 		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return r, nil
+	}, func(r *Run) int { return r.e.workers })
+	if err != nil {
+		return nil, err
 	}
+	runs := lockstep.Runs
 	if cfg.GoldLabeler != nil {
 		// §4.3.3: a provenance starts at the clamped fraction of its
 		// gold-labeled claims that are true. The counts are integers, so
@@ -293,82 +248,63 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 		}
 	}
 
-	rounds := 0
+	rounds := 1
 	var moves []float64
 	if cfg.Method == Vote {
-		csr.ParallelEach(len(runs), across, func(s int) { runs[s].StageI(0) })
-		rounds = 1
+		csr.ParallelEach(len(runs), lockstep.Across, func(s int) { runs[s].StageI(0) })
 	} else {
-		// Each engine owns its stage-II partial buffers and keeps them across
-		// generations.
-		sums := make([][]float64, len(runs))
-		cnts := make([][]int32, len(runs))
-		for s, r := range runs {
-			sums[s], cnts[s] = r.e.partials()
-		}
-		// The merge runs in parallel over global provenances on the workers
-		// the graphs took together: each owns its holders' slots, and the
-		// delta is a max — exact in any order — so the worker count cannot
-		// move a bit.
-		workers := runs[0].e.workers
-		if len(runs) > 1 {
-			workers = across * within.Workers
-		}
-		deltas := make([]float64, workers)
-		for rounds < cfg.Rounds {
-			round := rounds
-			csr.ParallelEach(len(runs), across, func(s int) {
-				runs[s].StageI(round)
-				runs[s].ProvPartials(round, sums[s], cnts[s])
-			})
-			clear(deltas)
-			csr.ParallelRange(nG, workers, func(w, lo, hi int) {
-				parts := make([]float64, 0, len(runs))
-				var one [1]csr.Loc
-				maxDelta := 0.0
-				for g := lo; g < hi; g++ {
-					hold := provs.Holders(g, &one)
-					var cnt int64
-					for _, l := range hold {
-						cnt += int64(cnts[l.Shard][l.Local])
-					}
-					if cnt == 0 {
-						continue // never scored anywhere: keeps its accuracy
-					}
-					a := csr.FoldFloat64(hold, sums, parts) / float64(cnt)
-					if d := a - current(runs, hold); d > maxDelta {
-						maxDelta = d
-					} else if -d > maxDelta {
-						maxDelta = -d
-					}
-					install(runs, hold, a)
-				}
-				deltas[w] = maxDelta
-			})
+		// merge is stage II over a range of global provenances: each one's
+		// statistic folds over its holders in shard order and divides, the
+		// quotient goes to every holder, and a provenance no graph scored
+		// keeps its accuracy. Each engine owns its stage-II partial buffers
+		// and keeps them across generations.
+		merge := func(lo, hi int, scratch []float64) float64 {
 			maxDelta := 0.0
-			for _, d := range deltas {
-				maxDelta = max(maxDelta, d)
+			for g := lo; g < hi; g++ {
+				var one [1]csr.Loc
+				hold := provs.Holders(g, &one)
+				parts, cnt := scratch, int64(0)
+				for _, l := range hold {
+					e := runs[l.Shard].e
+					parts = append(parts, e.partSums[l.Local])
+					cnt += int64(e.partCnts[l.Local])
+				}
+				if cnt == 0 {
+					continue
+				}
+				a := parts[0] // one holder's fold, without the call
+				if len(parts) > 1 {
+					a = csr.Pairwise(parts, csr.AddFloat64)
+				}
+				a /= float64(cnt)
+				if d := math.Abs(a - runs[hold[0].Shard].e.provAcc[hold[0].Local]); d > maxDelta {
+					maxDelta = d
+				}
+				install(runs, hold, a)
 			}
-			rounds++
-			moves = append(moves, maxDelta)
-			if maxDelta < runs[0].Epsilon() {
-				break
-			}
+			return maxDelta
 		}
+		moves = csr.Rounds(cfg.Rounds, runs[0].Epsilon(), func(round int) float64 {
+			csr.ParallelEach(len(runs), lockstep.Across, func(s int) {
+				sums, cnts := runs[s].e.partials()
+				runs[s].StageI(round)
+				runs[s].ProvPartials(round, sums, cnts)
+			})
+			return lockstep.Merge(nG, merge)
+		})
+		rounds = len(moves)
 	}
 
-	out := finish(runs, provs, rounds, across, cfg.Workers)
+	out := finish(runs, provs, rounds, lockstep.Across, cfg.Workers)
 	out.Moves = moves
 	if prev != nil {
 		// A seeded run is a link of a chain: its engines go with the
-		// posterior, for the next generation to take. An unseeded run is as
-		// likely one of a sweep's dozens, and every result kept from those
-		// would pin an engine nothing will ever take; a chain's first warm
-		// step builds its engines instead.
-		out.seed.engines = make([]*engine, len(runs))
+		// posterior, for the next generation to take.
+		es := make([]*engine, len(runs))
 		for s, r := range runs {
-			out.seed.engines[s] = r.e
+			es[s] = r.e
 		}
+		out.seed.engines.Give(es)
 	}
 	return out, nil
 }
@@ -386,14 +322,9 @@ func isPrefix(prefix, keys []string) bool {
 	return len(prefix) == 0 || &prefix[0] == &keys[0] || slices.Equal(prefix, keys[:len(prefix)])
 }
 
-// install writes a provenance's accuracy into every graph holding it;
-// current reads it back (all holders agree, so the first will do).
+// install writes a provenance's accuracy into every graph holding it.
 func install(runs []*Run, hold []csr.Loc, a float64) {
 	for _, l := range hold {
 		runs[l.Shard].SetProvAccuracy(l.Local, a)
 	}
-}
-
-func current(runs []*Run, hold []csr.Loc) float64 {
-	return runs[hold[0].Shard].e.provAcc[hold[0].Local]
 }

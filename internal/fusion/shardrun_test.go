@@ -159,7 +159,7 @@ func TestShardEngineWorkers(t *testing.T) {
 		cfg.Workers = tc.workers
 		// Only a seeded run hands its engines on with the posterior.
 		post := c.fuse(t, cfg, c.fuse(t, cfg, nil).Seed())
-		for s, e := range post.seed.engines {
+		for s, e := range post.seed.engines.Held() {
 			if e.workers != tc.want {
 				t.Errorf("Workers %d: shard %d engine runs %d workers, want %d", tc.workers, s, e.workers, tc.want)
 			}

@@ -14,8 +14,10 @@
 // apart, so the shards advance in lockstep — and the loop that advances them
 // is not in this package. Each engine has exactly one EM round driver
 // (fusion.FuseLockstep, twolayer.FuseLockstep) over 1..K step engines
-// (fusion.Run, twolayer.Run); the unsharded entry points call it with one
-// graph, the coordinators here (Fusion, TwoLayer) call it with K. What this
+// (fusion.Run, twolayer.Run), both on one lockstep skeleton (csr.Bind,
+// csr.Lockstep.Merge, csr.Rounds, csr.Handoff); the unsharded entry points
+// call it with one graph, the coordinators here (Fusion, TwoLayer) call it
+// with K. What this
 // package owns is everything the driver needs to be told about a partition:
 // routing (Of, SplitExtractions), the per-shard graphs grown by Append, and
 // the cross-shard identity of the interned ID spaces — a
@@ -33,18 +35,20 @@
 //     applies the update formula once to the merged evidence, and
 //     broadcasts the merged parameters back to every shard.
 //
-// Both drivers spend Config.Workers on the graphs first, through one split
-// (csr.SplitWorkers): across = min(K, Workers) shards step side by side and
-// each gets Workers/across for its own loops, so a stage of the round is one
-// fork-join over the shards (csr.ParallelEach), not one per shard per loop
-// over a Kth of the data; the cross-shard merge over global IDs runs on the
+// Both drivers spend Config.Workers on the graphs first, through the
+// skeleton's one split (csr.Bind, csr.SplitWorkers): across = min(K,
+// Workers) shards step side by side and each gets Workers/across for its
+// own loops, so a stage of the round is one fork-join over the shards
+// (csr.ParallelEach), not one per shard per loop over a Kth of the data;
+// the cross-shard merge over global IDs (csr.Lockstep.Merge) runs on the
 // workers the shards took together. A claim K = 4 warm one-round step and
-// its Result fork 5 times on two workers (21 when every shard forked for
-// each of its loops); a two-layer one forks 6 times (set-up, two E-steps,
-// the M-step sums, the source merge and the Result's accuracy map; 48 when
-// every shard forked for each of its loops). Both coordinators' Append
-// compiles the K slices side by side in one more fork-join, then extends
-// the ID tables in shard order. Neither split moves a bit.
+// its Result fork 5 times on two workers (set-up, round, merge, stage III
+// and the Result's accuracy map; 21 when every shard forked for each of its
+// loops); a two-layer one forks 6 times (set-up, two E-steps, the M-step
+// sums, the source merge and the Result's accuracy map; 48 when every shard
+// forked for each of its loops). Both coordinators' Append compiles the K
+// slices side by side in one more fork-join, then extends the ID tables in
+// shard order. Neither split moves a bit.
 //
 // The two-layer model has one genuinely cross-shard structure: a source's
 // extractor set. A statement's layer-1 walk covers every extractor that

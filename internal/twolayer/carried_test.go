@@ -258,7 +258,7 @@ func TestCarriedFullPassWhereUnprovable(t *testing.T) {
 		// the carried E-step claims to have run under, a different one now is
 		// the full pass.
 		a, st := chain()
-		st.engines[0].lrAdj[1] += 0.125
+		st.engines.Held()[0].lrAdj[1] += 0.125
 		check("lrAdj[1]", a.Append(batch(40)), cfg, st, viaCodec(t, st), true)
 	})
 	t.Run("edited source accuracy", func(t *testing.T) {
@@ -360,7 +360,7 @@ func TestCarriedEnginesAreTakenOnce(t *testing.T) {
 	a := extract.Compile(chainBatch(rng, 900, 12), cfg.SiteLevel)
 	_, st := fuseOne(t, a, DefaultConfig(), nil)
 	_, st = fuseOne(t, a, cfg, st)
-	original := st.engines[0]
+	original := st.engines.Held()[0]
 	b := a.Append(chainBatch(rng, 60, 14))
 	wantPost, wantSt := fuseOne(t, b, cfg, viaCodec(t, st))
 
@@ -382,18 +382,18 @@ func TestCarriedEnginesAreTakenOnce(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 		requireSameBits(t, fmt.Sprintf("successor %d", i), posts[i], wantPost, states[i], wantSt)
-		if states[i].engines[0] == original {
+		if states[i].engines.Held()[0] == original {
 			recycled++
 		}
 	}
-	if recycled != 1 || states[0].engines[0] == states[1].engines[0] {
+	if recycled != 1 || states[0].engines.Held()[0] == states[1].engines.Held()[0] {
 		t.Fatalf("%d of two concurrent successors recycled the State's engine, want exactly one", recycled)
 	}
-	e0, e1 := states[0].engines[0], states[1].engines[0]
+	e0, e1 := states[0].engines.Held()[0], states[1].engines.Held()[0]
 	if &e0.stated[0] == &e1.stated[0] || &e0.tripleP[0] == &e1.tripleP[0] || &e0.srcBase[0] == &e1.srcBase[0] {
 		t.Fatal("two engines share a buffer")
 	}
-	if st.engines != nil {
+	if st.engines.Held() != nil {
 		t.Fatal("the State still holds engines after a successor took them")
 	}
 }

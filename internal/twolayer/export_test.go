@@ -5,11 +5,10 @@ package twolayer
 // how many its graphs hold — equal when it took the full pass. ok is false
 // when the State carries no engines.
 func FirstPass(st *State) (scored, total int, ok bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, e := range st.engines {
+	es := st.engines.Held()
+	for _, e := range es {
 		scored += e.rescored
 		total += e.g.NumStatements()
 	}
-	return scored, total, len(st.engines) > 0
+	return scored, total, len(es) > 0
 }

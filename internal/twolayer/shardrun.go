@@ -2,29 +2,25 @@ package twolayer
 
 // The EM round driver and the step engine it sequences.
 //
-// The two-layer EM — layer-1 statement inference, layer-2 truth inference,
-// then the per-source and per-extractor M-step — is one loop whether the
-// extraction corpus sits in one graph or in K shards, and FuseLockstep is
-// that loop: the only place in this package where rounds are counted, a
-// previous State seeds a warm start, the M-step formulas are applied and
-// the convergence test runs. It drives one Run per graph: every Run infers
-// its statements and items under the current global parameters, reports its
-// M-step evidence (SourcePartials, ExtractorPartials), and the driver folds
-// each entity's evidence across the graphs holding it, applies
-// SourceAccuracyUpdate / RecallUpdate / FalsePosUpdate, and broadcasts the
-// merged parameters back (SetSourceAccuracy, SetExtractorRates). Statements
-// and candidate triples route with their data item, so both E-steps are
-// graph-local except the layer-1 ghost-miss correction (setGhostMiss).
-//
-// Fuse, FuseCompiled and FuseCompiledWarm are the one-graph call of the
-// driver: local and global IDs coincide (csr.IdentityTable over the graph's
-// own key slices), a one-element fold is the identity and there are no
-// ghosts. internal/shard's TwoLayer coordinator is the K-graph call, handing
-// in the cross-shard tables and ghost-extractor sets it maintains across
-// Appends.
+// FuseLockstep is the two-layer EM — layer-1 statement inference, layer-2
+// truth inference, then the per-source and per-extractor M-step — on the
+// lockstep skeleton (internal/csr, lockstep.go): the only place in this
+// package where rounds are counted, a previous State seeds a warm start and
+// the M-step formulas are applied. Every Run infers its statements and items
+// under the current global parameters and reports its M-step evidence
+// (SourcePartials, ExtractorPartials); the driver folds each entity's
+// evidence across the graphs holding it, applies SourceAccuracyUpdate /
+// RecallUpdate / FalsePosUpdate, and broadcasts the merged parameters back
+// (SetSourceAccuracy, SetExtractorRates). Statements and candidate triples
+// route with their data item, so both E-steps are graph-local except the
+// layer-1 ghost-miss correction (setGhostMiss). Fuse, FuseCompiled and
+// FuseCompiledWarm are its one-graph call (identity tables, no ghosts);
+// internal/shard's TwoLayer coordinator is the K-graph call, handing in the
+// cross-shard tables and ghost-extractor sets it maintains across Appends.
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"kfusion/internal/csr"
@@ -212,62 +208,28 @@ type Shards struct {
 // hold exactly the extractions of the data items routed to it; ids is nil
 // for a single graph (identity tables, no ghosts). Sources and extractors
 // covered by warm start at their previous posteriors; the values in warm's
-// vectors at the time of the call are the ones used.
+// vectors at the time of the call are the ones used. The worker split, the
+// one-graph identity and the engine hand-off are the lockstep skeleton's
+// (internal/csr, lockstep.go); what follows is this model's part of them.
 //
-// The step engines outlive their generation, as the claim engine's do
-// (fusion.FuseLockstep). The State a seeded call returns carries the engines
-// that produced it (an unseeded call's does not: cold States are what sweeps
-// keep by the dozen, and each would pin an engine), and a call seeded from it
-// takes them — exclusively, under the State's mutex: the first successor
-// gets them, and a second successor of the same State (a fork, a concurrent
-// call), a decoded State or a different shard count builds fresh ones. A
-// taken engine is rebound to its new graph by the routine that sizes a fresh
-// one (engine.rebind), which also decides what its contents are still worth:
-// when the engine's last run was on exactly the generation its new graph
-// extends and under the same model configuration, this run's first E-step
-// revises the E-step that run ended with — it re-scores the statements of
-// sources whose table entries moved bitwise, those whose extractor list the
-// batch grew and the new ones, then the items owning them — and otherwise
-// (and in every later E-step) scores everything. The two passes are one loop
-// over two index sets and agree bit for bit wherever the first is taken
-// (engine.dirtyScope states why), so no output depends on which ran.
+// A State a seeded call returns carries its engines; a call seeded from it
+// takes them, and a decoded State builds fresh ones. A taken engine is
+// rebound by engine.rebind, which also decides whether this run's first
+// E-step may revise the one the engine ended with instead of scoring
+// everything (see the package comment, Warm chains); the two passes agree
+// bit for bit, so no output depends on which ran.
 //
-// cfg.Workers bounds the whole call. One graph gets all of them for its
-// loops; K graphs step side by side, min(K, Workers) at a time, and split
-// what is left — binding the engines with their starting parameters, a
-// round's E-steps (each graph summing its ghost-miss table first) and its
-// graph-local M-step sums are one fork-join over the graphs apiece, not
-// several per graph over a Kth of the data. The source merge is one more,
-// over global sources on the workers the graphs took together, as in
-// fusion.FuseLockstep; the extractor merge and the ghost partials stay on
+// A round's E-steps (each graph summing its ghost-miss table first) and its
+// graph-local M-step sums are one fork-join over the graphs apiece, and the
+// source merge one more; the extractor merge and the ghost partials stay on
 // the calling goroutine, their sums in a fixed cross-shard order. At K = 4
 // on two workers a warm one-round step forks 5 times (its Result once more,
-// for the accuracy map). No result depends on either split.
-//
-// With one graph every fold is over a single holder — the identity — so the
-// result does not depend on whether tables were handed in; K > 1 re-groups
-// the cross-shard evidence sums (csr.Pairwise over each entity's holders in
-// shard order) and agrees with K = 1 within RefTol (see internal/shard).
+// for the accuracy map).
 func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *State) (*fusion.Posterior, *State, error) {
-	if len(graphs) == 0 {
-		return nil, nil, fmt.Errorf("twolayer: FuseLockstep needs at least one graph")
-	}
-	for s, g := range graphs {
-		if g == nil {
-			return nil, nil, fmt.Errorf("twolayer: shard %d has no graph (Fuse before first Append)", s)
-		}
-	}
-	// Several graphs share the workers graph first (csr.SplitWorkers): a
-	// stage is one fork-join over the graphs, not several per graph. One
-	// graph keeps the workers exactly as handed in.
-	within, across := cfg, 1
-	if len(graphs) > 1 {
-		across, within.Workers = csr.SplitWorkers(len(graphs), cfg.Workers)
+	if err := csr.CheckGraphs(graphs, ids != nil); err != nil {
+		return nil, nil, fmt.Errorf("twolayer: %w", err)
 	}
 	if ids == nil {
-		if len(graphs) > 1 {
-			return nil, nil, fmt.Errorf("twolayer: %d graphs need cross-shard ID tables", len(graphs))
-		}
 		ids = &Shards{
 			Sources:    csr.IdentityTable(graphs[0].SourceKeys()),
 			Extractors: csr.IdentityTable(graphs[0].ExtractorNames()),
@@ -286,28 +248,23 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 		recall[i] = cfg.InitRecall
 		falsePos[i] = cfg.InitFalsePos
 	}
+	var recycled []*engine
 	if warm != nil {
 		copy(srcAcc, warm.SrcAcc) // copy clamps to the shorter slice
 		copy(recall, warm.Recall)
 		copy(falsePos, warm.FalsePos)
+		recycled = warm.engines.Take(len(graphs))
 	}
-	// Each graph's engine is bound and handed its starting parameters in one
-	// fork-join over the graphs, every holder looking up its own; from then
-	// on each merged update is installed on its holders as it is computed.
-	recycled := warm.takeEngines(len(graphs))
-	runs := make([]*Run, len(graphs))
-	errs := make([]error, len(graphs))
-	csr.ParallelEach(len(graphs), across, func(s int) {
-		var e *engine
-		if recycled != nil {
-			e = recycled[s]
-		}
-		r, err := newRun(graphs[s], within, e)
+	// Each graph's engine is handed its starting parameters as it is bound,
+	// every holder looking up its own; from then on each merged update is
+	// installed on its holders as it is computed.
+	lockstep, err := csr.Bind(len(graphs), cfg.Workers, recycled, func(s, within int, e *engine) (*Run, error) {
+		gcfg := cfg
+		gcfg.Workers = within
+		r, err := newRun(graphs[s], gcfg, e)
 		if err != nil {
-			errs[s] = err
-			return
+			return nil, err
 		}
-		runs[s] = r
 		for local := 0; local < r.NumSources(); local++ {
 			r.SetSourceAccuracy(int32(local), srcAcc[srcs.Global(s, local)])
 		}
@@ -315,27 +272,19 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 			g := exts.Global(s, local)
 			r.SetExtractorRates(int32(local), recall[g], falsePos[g])
 		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+		return r, nil
+	}, func(r *Run) int { return r.e.workers })
+	if err != nil {
+		return nil, nil, err
 	}
-	// eachRun is one stage of the round over every graph. A Run touches only
-	// its own engine and the per-graph buffers the driver hands it, and what
-	// an engine computes never depends on its worker count, so neither split
-	// can move a bit.
-	eachRun := func(f func(s int, r *Run)) {
-		csr.ParallelEach(len(runs), across, func(s int) { f(s, runs[s]) })
-	}
+	runs := lockstep.Runs
 
 	// Each engine owns its graph's M-step evidence buffers and keeps them
 	// across generations.
 	numP := make([][]float64, len(runs))
 	denP := make([][]float64, len(runs))
-	extP := make([][][4]float64, len(runs))
 	for s, r := range runs {
-		numP[s], denP[s], extP[s] = r.e.num, r.e.den, r.e.ext
+		numP[s], denP[s] = r.e.num, r.e.den
 	}
 	// Ghost state, all nil without ghosts: missLR is the round's miss
 	// log-ratio per global extractor, gm[s] shard s's ghost-miss table
@@ -366,7 +315,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 		for gx := range missLR {
 			missLR[gx] = mathx.MissLogRatio(recall[gx], falsePos[gx])
 		}
-		eachRun(func(s int, r *Run) {
+		csr.ParallelEach(len(runs), lockstep.Across, func(s int) {
 			if gm != nil {
 				for ls, ghost := range ghosts[s] {
 					sum := 0.0
@@ -377,8 +326,8 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 					gm[s][ls] = sum
 				}
 			}
-			r.InferStatements()
-			r.InferTruth()
+			runs[s].InferStatements()
+			runs[s].InferTruth()
 		})
 	}
 	// ghostPartials rebuilds each ghost extractor's cross-shard M-step mass
@@ -404,66 +353,48 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 			}
 		}
 	}
-	// The source merge runs in parallel over global sources on the workers
-	// the graphs took together: each owns its srcAcc slot and its holders'
-	// engine slots, and the delta is a max — exact in any order — so the
-	// worker count cannot move a bit.
-	workers := runs[0].e.workers
-	if len(runs) > 1 {
-		workers = across * within.Workers
+	// mergeSource is the M-step source update over a range of global
+	// sources: a source's (num, den) evidence folds over its holders, and a
+	// source without evidence keeps its accuracy.
+	mergeSource := func(lo, hi int, parts []float64) float64 {
+		maxDelta := 0.0
+		for gs := lo; gs < hi; gs++ {
+			var one [1]csr.Loc
+			hold := srcs.Holders(gs, &one)
+			den := csr.FoldFloat64(hold, denP, parts)
+			if den < MinEvidence {
+				continue
+			}
+			v := SourceAccuracyUpdate(csr.FoldFloat64(hold, numP, parts), den, cfg.InitSourceAccuracy)
+			if d := math.Abs(v - srcAcc[gs]); d > maxDelta {
+				maxDelta = d
+			}
+			srcAcc[gs] = v
+			for _, l := range hold {
+				runs[l.Shard].SetSourceAccuracy(l.Local, v)
+			}
+		}
+		return maxDelta
 	}
-	deltas := make([]float64, workers)
 	parts4 := make([][4]float64, 0, len(runs)+1)
 	var one [1]csr.Loc
 
-	rounds := 0
-	var moves []float64
-	for rounds < cfg.Rounds {
+	moves := csr.Rounds(cfg.Rounds, ConvergeTol, func(int) float64 {
 		estep()
-		rounds++
 
 		// M-step, the graph-local half: every run sums its sources' and its
 		// extractors' evidence — and, with ghosts, its sources' stated mass —
 		// over the E-step just run. None of it reads a parameter, so it is one
 		// stage ahead of both updates.
-		eachRun(func(s int, r *Run) {
-			r.SourcePartials(numP[s], denP[s])
-			r.ExtractorPartials(extP[s])
+		csr.ParallelEach(len(runs), lockstep.Across, func(s int) {
+			runs[s].SourcePartials(numP[s], denP[s])
+			runs[s].ExtractorPartials(runs[s].e.ext)
 			if ghostP != nil {
-				r.sourceStatedMass(statedSum[s], statedCnt[s])
+				runs[s].sourceStatedMass(statedSum[s], statedCnt[s])
 			}
 		})
 
-		// M-step, sources: fold each source's (num, den) evidence over its
-		// holders; a source without evidence keeps its accuracy.
-		clear(deltas)
-		csr.ParallelRange(nS, workers, func(w, lo, hi int) {
-			parts := make([]float64, 0, len(runs))
-			var one [1]csr.Loc
-			maxDelta := 0.0
-			for gs := lo; gs < hi; gs++ {
-				hold := srcs.Holders(gs, &one)
-				den := csr.FoldFloat64(hold, denP, parts)
-				if den < MinEvidence {
-					continue
-				}
-				v := SourceAccuracyUpdate(csr.FoldFloat64(hold, numP, parts), den, cfg.InitSourceAccuracy)
-				if d := v - srcAcc[gs]; d > maxDelta {
-					maxDelta = d
-				} else if -d > maxDelta {
-					maxDelta = -d
-				}
-				srcAcc[gs] = v
-				for _, l := range hold {
-					runs[l.Shard].SetSourceAccuracy(l.Local, v)
-				}
-			}
-			deltas[w] = maxDelta
-		})
-		maxDelta := 0.0
-		for _, d := range deltas {
-			maxDelta = max(maxDelta, d)
-		}
+		maxDelta := lockstep.Merge(nS, mergeSource)
 
 		// M-step, extractors: fold each extractor's block-reduced evidence
 		// over its holders, plus its ghost mass.
@@ -474,7 +405,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 			hold := exts.Holders(gx, &one)
 			parts4 = parts4[:0]
 			for _, l := range hold {
-				parts4 = append(parts4, extP[l.Shard][l.Local])
+				parts4 = append(parts4, runs[l.Shard].e.ext[l.Local])
 			}
 			if ghostP != nil {
 				parts4 = append(parts4, ghostP[gx])
@@ -490,47 +421,25 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 				runs[l.Shard].SetExtractorRates(l.Local, recall[gx], falsePos[gx])
 			}
 		}
-
-		moves = append(moves, maxDelta)
-		if maxDelta < ConvergeTol {
-			break
-		}
-	}
+		return maxDelta
+	})
 	// Final E-steps over the converged parameters.
 	estep()
 
 	// The State owns srcAcc; the posterior, immutable beside it, gets a copy.
-	out := posterior(runs, srcs.Keys(), slices.Clone(srcAcc), rounds, cfg.Workers)
+	out := posterior(runs, srcs.Keys(), slices.Clone(srcAcc), len(moves), cfg.Workers)
 	out.Moves = moves
 	st := &State{SrcAcc: srcAcc, Recall: recall, FalsePos: falsePos}
 	if warm != nil {
 		// A seeded run is a link of a chain: its engines go with the State,
 		// each marked with the graph whose final E-step it holds, for the
-		// next generation to take. An unseeded run is as likely one of a
-		// sweep's dozens, and every State kept from those would pin an engine
-		// nothing will ever take; a chain's first warm step builds its own.
-		st.engines = make([]*engine, len(runs))
+		// next generation to take.
+		es := make([]*engine, len(runs))
 		for s, r := range runs {
 			r.e.ranOn = graphs[s].Token()
-			st.engines[s] = r.e
+			es[s] = r.e
 		}
+		st.engines.Give(es)
 	}
 	return out, st, nil
-}
-
-// takeEngines hands the State's step engines to the caller if it still holds
-// them and they number n, and nil otherwise; whoever gets them owns them. A
-// nil State has none.
-func (st *State) takeEngines(n int) []*engine {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(st.engines) != n {
-		return nil
-	}
-	es := st.engines
-	st.engines = nil
-	return es
 }

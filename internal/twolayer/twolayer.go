@@ -48,10 +48,7 @@
 //     count. The reduction tree is a pure function of the span lengths, so
 //     the result never depends on scheduling.
 //   - Over K shard graphs the round driver spends the workers on the graphs
-//     first (FuseLockstep): each stage of a round is one fork-join across the
-//     graphs, and a graph's own loops split only the workers left over — an
-//     engine's output does not depend on its worker count, so this is a
-//     scheduling choice and nothing else.
+//     first, as the lockstep skeleton (internal/csr, lockstep.go) states.
 //
 // # Warm chains
 //
@@ -63,9 +60,9 @@
 //
 //   - The step engines outlive their generation. The State a seeded run
 //     returns carries them; the first run seeded from that State takes them
-//     (exclusively — a second successor, a fork, a decoded State or another
-//     shard count builds fresh ones) and rebinds them to its graph, regrowing
-//     buffers instead of allocating the whole state again.
+//     (the skeleton's hand-off; a decoded State carries none) and rebinds
+//     them to its graph, regrowing buffers instead of allocating the whole
+//     state again.
 //   - A run ends with an E-step under the parameters it hands on, and the
 //     next run's first E-step runs under exactly those parameters — so for
 //     every statement and item the batch did not touch it would recompute what
@@ -101,7 +98,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 
 	"kfusion/internal/csr"
 	"kfusion/internal/extract"
@@ -249,9 +245,8 @@ type State struct {
 	FalsePos []float64 // extractor ID -> false-positive rate
 
 	// engines are the step engines of the seeded run that returned this
-	// State, until the first run seeded from it takes them (takeEngines).
-	mu      sync.Mutex
-	engines []*engine
+	// State, until the first run seeded from it takes them.
+	engines csr.Handoff[*engine]
 }
 
 // WarmTol is the documented warm-start-vs-cold-start tolerance, in the
