@@ -73,8 +73,10 @@ fault:
 # Source reset over a used register ≡ New). And
 # the open-addressed intern tables both graphs intern through:
 # FuzzInternTable (csr.InternTable and csr.PairTable ≡ map[K]int32 under any
-# key stream, size hint and a degenerate constant hash). And the parsers every
-# object, triple and gold line goes through: FuzzParseObject,
+# key stream, size hint and a degenerate constant hash), and the cross-shard
+# ID table built on it: FuzzIDTable (csr.IDTable ≡ a key map with
+# insertion-sorted holder slices under any script of shard Extends). And the
+# parsers every object, triple and gold line goes through: FuzzParseObject,
 # FuzzParseTriple and FuzzReadGold.
 # Each line caps input minimisation at 2 s: go test's default
 # -fuzzminimizetime is 60s, so minimising the first new interesting input
@@ -100,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 15s -fuzzminimizetime 2s ./internal/randx/
 	$(GO) test -run '^$$' -fuzz FuzzLabelResetMatchesSplit -fuzztime 15s -fuzzminimizetime 2s ./internal/randx/
 	$(GO) test -run '^$$' -fuzz FuzzInternTable -fuzztime 15s -fuzzminimizetime 2s ./internal/csr/
+	$(GO) test -run '^$$' -fuzz FuzzIDTable -fuzztime 15s -fuzzminimizetime 2s ./internal/csr/
 
 # bench-smoke runs each benchmark once. Its second line runs the feed reader
 # again at one and at two procs, so both the one-goroutine decode and the

@@ -12,23 +12,27 @@ type Loc struct {
 // IDTable is the cross-graph identity map for one interned ID space
 // (provenances, sources, extractors) — what the engines' lockstep round
 // drivers merge M-step partials through. Global IDs are assigned in (shard,
-// first-occurrence) order, with both directions materialized; each entity's
-// holders sit in ascending shard order, the fold order of the cross-shard
-// Pairwise merges. Appends only ever extend it — global IDs are as
-// append-stable as the underlying graphs' local IDs.
+// first-occurrence) order and only ever extended, so they are as
+// append-stable as the graphs' local IDs. Keys intern through an InternTable
+// over the key column; the holders are one flat column of K words per key
+// (local ID + 1, 0 for a shard that does not hold it), so they list in
+// ascending shard order — the cross-shard Pairwise fold order, independent
+// of the append history — by construction. That is 4·K bytes per key however
+// few shards hold it, for K <= 8 no more than a per-key slice's header and
+// smallest heap object, so there is no sparse form.
 //
 // IdentityTable is the one-graph form: local and global IDs coincide, so
 // nothing is materialized and no string is hashed.
 type IDTable struct {
-	id   map[string]int32 // key -> global ID
-	keys []string         // global ID -> key
-	l2g  [][]int32        // shard -> local ID -> global ID; nil = identity
-	g2l  [][]Loc          // global ID -> holders in ascending shard order; nil = identity
+	index   InternTable[string]
+	keys    []string  // global ID -> key
+	l2g     [][]int32 // shard -> local ID -> global ID; nil = identity
+	holders []int32   // [g*K+s] = shard s's local ID of g + 1; 0 = not held
 }
 
 // NewIDTable returns an empty table over k graphs.
 func NewIDTable(k int) *IDTable {
-	return &IDTable{id: make(map[string]int32), l2g: make([][]int32, k)}
+	return &IDTable{index: NewInternTable[string](0, nil), l2g: make([][]int32, k)}
 }
 
 // IdentityTable is the table of a single graph whose dense key slice is
@@ -38,34 +42,20 @@ func IdentityTable(keys []string) *IDTable {
 	return &IDTable{keys: keys}
 }
 
-// Extend registers shard s's local IDs [known, n) under their keys. Called
-// after every compile/append, in shard order, so global IDs are
-// deterministic for a given feed and shard count.
+// Extend registers shard s's local IDs [known, n) under their keys, after
+// every compile/append in shard order, so global IDs are deterministic for
+// a given feed and shard count. It allocates nothing but column growth.
 func (t *IDTable) Extend(s, n int, key func(int32) string) {
+	k := len(t.l2g)
 	for local := int32(len(t.l2g[s])); local < int32(n); local++ {
-		k := key(local)
-		g, ok := t.id[k]
-		if !ok {
-			g = int32(len(t.keys))
-			t.id[k] = g
-			t.keys = append(t.keys, k)
-			t.g2l = append(t.g2l, nil)
+		name := key(local)
+		g, added := t.index.Intern(t.index.Hash(name), &t.keys, name)
+		if added { // K zero words; not append(make(...)), which allocates under -race
+			t.holders = slices.Grow(t.holders, k)[:len(t.holders)+k]
+			clear(t.holders[len(t.holders)-k:])
 		}
 		t.l2g[s] = append(t.l2g[s], g)
-		// Insert in ascending shard order (a later append can introduce an
-		// existing key to an earlier shard): the fold order of the merge
-		// then depends only on which shards hold the key, never on the
-		// append history — chunked feeds merge bit-identically to one-shot
-		// compiles of the same content.
-		hold := t.g2l[g]
-		at := len(hold)
-		for at > 0 && hold[at-1].Shard > int32(s) {
-			at--
-		}
-		hold = append(hold, Loc{})
-		copy(hold[at+1:], hold[at:])
-		hold[at] = Loc{Shard: int32(s), Local: local}
-		t.g2l[g] = hold
+		t.holders[int(g)*k+s] = local + 1
 	}
 }
 
@@ -89,14 +79,20 @@ func (t *IDTable) Global(s, local int) int32 {
 }
 
 // Holders lists global ID g's (shard, local) slices in ascending shard
-// order. The identity table writes its single holder into one and returns
-// it, so the call never allocates; the result is read-only either way.
-func (t *IDTable) Holders(g int, one *[1]Loc) []Loc {
-	if t.g2l == nil {
-		one[0] = Loc{Local: int32(g)}
-		return one[:]
+// order over buf[:0], valid until buf is reused; a buf with room for one
+// holder per graph makes the call allocation-free.
+func (t *IDTable) Holders(g int, buf []Loc) []Loc {
+	buf = buf[:0]
+	if t.l2g == nil {
+		return append(buf, Loc{Local: int32(g)})
 	}
-	return t.g2l[g]
+	k := len(t.l2g)
+	for s, w := range t.holders[g*k : g*k+k] {
+		if w != 0 {
+			buf = append(buf, Loc{Shard: int32(s), Local: w - 1})
+		}
+	}
+	return buf
 }
 
 // FoldFloat64 folds one entity's per-graph float partials — vals[shard][local]

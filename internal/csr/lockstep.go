@@ -29,11 +29,12 @@ import (
 // on two vCPUs only, where every graph of K >= 2 gets one worker.
 //
 // The one-graph identity. Partials fold over each entity's IDTable holders
-// in shard order (FoldFloat64, Pairwise). With one graph every fold is over
-// a single holder — the identity — so the result does not depend on whether
-// a table was handed in, and an unsharded fuse is this skeleton's one-graph
-// call over an IdentityTable; K > 1 re-groups each cross-shard sum and
-// agrees with K = 1 within the engines' tolerance (see internal/shard).
+// in ascending shard order (FoldFloat64, Pairwise). With one graph every
+// fold is over one holder — the identity, Pairwise's inlined one-part case
+// — so the result does not depend on whether a table was handed in, and an
+// unsharded fuse is this skeleton's one-graph call over an IdentityTable;
+// K > 1 re-groups each cross-shard sum and agrees with K = 1 within the
+// engines' tolerance (see internal/shard).
 //
 // Engine recycling. A seeded call hands its engines on with its output
 // (Handoff); an unseeded one does not, since cold outputs are what a sweep

@@ -76,8 +76,7 @@ func TestLockstepMergeOneHolderIdentity(t *testing.T) {
 		got := make([]float64, len(vals))
 		ls.Merge(tab.N(), func(lo, hi int, parts []float64) float64 {
 			for g := lo; g < hi; g++ {
-				var one [1]Loc
-				hold := tab.Holders(g, &one)
+				hold := tab.Holders(g, make([]Loc, 0, 1))
 				if len(hold) != 1 || hold[0] != (Loc{Local: int32(g)}) {
 					t.Errorf("%d workers: ID %d holders %v", workers, g, hold)
 				}

@@ -69,8 +69,18 @@ func SpanBlocks(start []int32) []Block {
 // (lockstep.go) fold each entity's per-graph EM partials over its IDTable
 // holders, in shard order, with this tree, so a sharded merge is as
 // deterministic — and as shard-count-dependent in its low-order bits — as
-// the in-graph block reductions are worker-count-independent.
+// the in-graph block reductions are worker-count-independent. The one-part
+// case (every fold of a one-graph run, a one-block span) inlines at the
+// call site; the tree is pairwise's.
 func Pairwise[T any](parts []T, add func(a, b T) T) T {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	return pairwise(parts, add)
+}
+
+// pairwise is Pairwise's tree.
+func pairwise[T any](parts []T, add func(a, b T) T) T {
 	switch len(parts) {
 	case 0:
 		var zero T
@@ -81,7 +91,7 @@ func Pairwise[T any](parts []T, add func(a, b T) T) T {
 		return add(parts[0], parts[1])
 	}
 	h := len(parts) / 2
-	return add(Pairwise(parts[:h], add), Pairwise(parts[h:], add))
+	return add(pairwise(parts[:h], add), pairwise(parts[h:], add))
 }
 
 // AddFloat64 is the scalar fold operator for Pairwise over plain float64

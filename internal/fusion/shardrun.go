@@ -107,10 +107,10 @@ func (r *Run) Finish(rounds int) *Result {
 	return finish([]*Run{r}, csr.IdentityTable(r.e.g.provKeys), rounds, 1, r.e.cfg.Workers).Result()
 }
 
-// finish is the tail of a run, one fork-join over the graphs (across at a
-// time): stage III of every graph into one probability column and the
-// current accuracies into one column in global-ID order. It returns the
-// posterior over them, whose Result runs on workers.
+// finish is the tail of a run: stage III of every graph into one
+// probability column, one fork-join over the graphs (across at a time),
+// then the current accuracies into one column in global-ID order. It
+// returns the posterior over them, whose Result runs on workers.
 func finish(runs []*Run, provs *csr.IDTable, rounds, across, workers int) *Posterior {
 	graphs := make([]RowGraph, len(runs))
 	starts := make([]int, len(runs)+1)
@@ -123,16 +123,14 @@ func finish(runs []*Run, provs *csr.IDTable, rounds, across, workers int) *Poste
 	csr.ParallelEach(len(runs), across, func(s int) {
 		r := runs[s]
 		r.e.stageIII(r.lastStamp, prob[starts[s]:starts[s+1]])
-		// Every holder carries a provenance's accuracy; its first holder
-		// writes the column, so each slot has one writer.
-		var one [1]csr.Loc
-		for local, a := range r.e.provAcc {
-			g := int(provs.Global(s, local))
-			if provs.Holders(g, &one)[0].Shard == int32(s) {
-				acc[g] = a
-			}
-		}
 	})
+	// Every holder carries a provenance's accuracy, so whichever writes the
+	// column last writes the same bits.
+	for s, r := range runs {
+		for local, a := range r.e.provAcc {
+			acc[provs.Global(s, local)] = a
+		}
+	}
 	return NewPosterior(graphs, prob, provs.Keys(), acc, rounds, workers)
 }
 
@@ -229,7 +227,6 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 		// §4.3.3: a provenance starts at the clamped fraction of its
 		// gold-labeled claims that are true. The counts are integers, so
 		// summing them across shards before the one division is exact.
-		var one [1]csr.Loc
 		trueG := make([]int64, nG)
 		labeledG := make([]int64, nG)
 		for s, r := range runs {
@@ -240,11 +237,12 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 				labeledG[g] += int64(labeled[local])
 			}
 		}
+		hold := make([]csr.Loc, 0, len(runs))
 		for g := range labeledG {
 			if labeledG[g] == 0 {
 				continue // no labeled claims: keeps the default (or the seed)
 			}
-			install(runs, provs.Holders(g, &one), clampAcc(float64(trueG[g])/float64(labeledG[g])))
+			install(runs, provs.Holders(g, hold), clampAcc(float64(trueG[g])/float64(labeledG[g])))
 		}
 	}
 
@@ -260,9 +258,9 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 		// and keeps them across generations.
 		merge := func(lo, hi int, scratch []float64) float64 {
 			maxDelta := 0.0
+			buf := make([]csr.Loc, 0, len(runs))
 			for g := lo; g < hi; g++ {
-				var one [1]csr.Loc
-				hold := provs.Holders(g, &one)
+				hold := provs.Holders(g, buf)
 				parts, cnt := scratch, int64(0)
 				for _, l := range hold {
 					e := runs[l.Shard].e
@@ -272,11 +270,7 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 				if cnt == 0 {
 					continue
 				}
-				a := parts[0] // one holder's fold, without the call
-				if len(parts) > 1 {
-					a = csr.Pairwise(parts, csr.AddFloat64)
-				}
-				a /= float64(cnt)
+				a := csr.Pairwise(parts, csr.AddFloat64) / float64(cnt)
 				if d := math.Abs(a - runs[hold[0].Shard].e.provAcc[hold[0].Local]); d > maxDelta {
 					maxDelta = d
 				}

@@ -54,6 +54,7 @@ import (
 	"sort"
 	"strings"
 
+	"kfusion/internal/csr"
 	"kfusion/internal/extract"
 	"kfusion/internal/faultfs"
 	"kfusion/internal/fusion"
@@ -466,11 +467,11 @@ func encodeSnapshot(st *State, sizeHint int) ([]byte, error) {
 
 // rowGraphs returns the graphs st's posterior is over, in shard order, and
 // the key column a snapshot stores its accuracies by: the one graph's own
-// provenance or source keys, or at K > 1 the shards' provenance keys in
-// order of first occurrence, shard by shard. That is the global ID order a
-// coordinator rebuilt from the shards assigns (shard.NewFusionFromShards),
-// and the live coordinator's follows the append history instead, so a
-// sharded posterior's accuracies are stored re-ordered (storedPosterior).
+// provenance or source keys, or at K > 1 that of a provenance table extended
+// shard by shard — the global ID order a coordinator rebuilt from the shards
+// assigns (shard.NewFusionFromShards). The live coordinator's follows the
+// append history instead, so a sharded posterior's accuracies are stored
+// re-ordered (storedPosterior).
 func (st *State) rowGraphs() ([]fusion.RowGraph, []string) {
 	switch {
 	case st.Claim != nil:
@@ -480,19 +481,13 @@ func (st *State) rowGraphs() ([]fusion.RowGraph, []string) {
 	case st.ClaimShards != nil:
 		f := st.ClaimShards
 		graphs := make([]fusion.RowGraph, f.K())
-		var keys []string
-		seen := make(map[string]bool, f.NumProvenances())
+		provs := csr.NewIDTable(f.K())
 		for s := range graphs {
 			g := f.Shard(s)
 			graphs[s] = g
-			for _, key := range g.ProvKeys() {
-				if !seen[key] {
-					seen[key] = true
-					keys = append(keys, key)
-				}
-			}
+			provs.Extend(s, g.NumProvenances(), func(p int32) string { return g.ProvKey(int(p)) })
 		}
-		return graphs, keys
+		return graphs, provs.Keys()
 	}
 	return nil, nil
 }

@@ -23,7 +23,9 @@
 // the cross-shard identity of the interned ID spaces — a
 // csr.IDTable per space (provenances; sources and extractors), assigning
 // global IDs in (shard, first-occurrence) order and extended on every
-// Append, never rebuilt per fuse. One driver round is then:
+// Append, never rebuilt per fuse: keys intern through csr.InternTable and
+// each key's holders are K words of one flat column, listed in ascending
+// shard order with no sort. One driver round is then:
 //
 //  1. Every shard runs its item-local E-step(s) with the current GLOBAL
 //     parameters.

@@ -153,13 +153,13 @@ func (t *TwoLayer) ensureGhosts() {
 	for s, g := range t.graphs {
 		t.ghosts[s] = append(t.ghosts[s], make([][]int32, g.NumSources()-len(t.ghosts[s]))...)
 	}
-	var one [1]csr.Loc
+	buf := make([]csr.Loc, 0, t.k)
 	at := make([]int32, len(touched)+1)
 	var flat []int32
 	size := make([]int, t.k)
 	for i, gs := range touched {
 		lo := len(flat)
-		hold := t.srcs.Holders(int(gs), &one)
+		hold := t.srcs.Holders(int(gs), buf)
 		for _, h := range hold {
 			for _, lx := range t.graphs[h.Shard].SourceExtractors(h.Local) {
 				flat = append(flat, t.exts.Global(int(h.Shard), int(lx)))
@@ -183,7 +183,7 @@ func (t *TwoLayer) ensureGhosts() {
 	local := make([]bool, t.exts.N())
 	for i, gs := range touched {
 		u := flat[at[i]:at[i+1]]
-		for _, h := range t.srcs.Holders(int(gs), &one) {
+		for _, h := range t.srcs.Holders(int(gs), buf) {
 			s := int(h.Shard)
 			exts := t.graphs[s].SourceExtractors(h.Local)
 			ghost := t.ghosts[s][h.Local][:0]

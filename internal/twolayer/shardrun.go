@@ -358,9 +358,9 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 	// source without evidence keeps its accuracy.
 	mergeSource := func(lo, hi int, parts []float64) float64 {
 		maxDelta := 0.0
+		buf := make([]csr.Loc, 0, len(runs))
 		for gs := lo; gs < hi; gs++ {
-			var one [1]csr.Loc
-			hold := srcs.Holders(gs, &one)
+			hold := srcs.Holders(gs, buf)
 			den := csr.FoldFloat64(hold, denP, parts)
 			if den < MinEvidence {
 				continue
@@ -377,7 +377,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 		return maxDelta
 	}
 	parts4 := make([][4]float64, 0, len(runs)+1)
-	var one [1]csr.Loc
+	extHold := make([]csr.Loc, 0, len(runs))
 
 	moves := csr.Rounds(cfg.Rounds, ConvergeTol, func(int) float64 {
 		estep()
@@ -402,7 +402,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 			ghostPartials()
 		}
 		for gx := range recall {
-			hold := exts.Holders(gx, &one)
+			hold := exts.Holders(gx, extHold)
 			parts4 = parts4[:0]
 			for _, l := range hold {
 				parts4 = append(parts4, runs[l.Shard].e.ext[l.Local])
