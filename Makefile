@@ -40,7 +40,10 @@ repro:
 # singleflight caches, the extraction reader's per-worker batch decode) under
 # the race detector; CI runs it on every push, plus at -cpu 1,4 the shard
 # fork tests, the skeleton's TestLockstep* tests, both engines'
-# TestStepAPIMatchesFuse and fusion's TestShardEngineWorkers.
+# TestStepAPIMatchesFuse and fusion's TestShardEngineWorkers, the
+# work-sharing scheduler's TestParallelChunks* tests and both engines'
+# TestRepeatedFuseBitwise (20 fuses at Workers 4, where which worker runs
+# which chunk of an EM loop changes from run to run).
 race:
 	$(GO) test -race ./...
 
@@ -108,7 +111,7 @@ fuzz-smoke:
 # again at one and at two procs, so both the one-goroutine decode and the
 # per-worker split run on every push.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkShardTwoLayerStep|BenchmarkShardFusionStep|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkCompileExtractions|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkWriteExtractions|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFusePopAccu$$|BenchmarkFuseReferencePopAccu$$|BenchmarkLargeScaleFusion$$|BenchmarkConfigSweep|BenchmarkTwoLayerFuse|BenchmarkTwoLayerScaling|BenchmarkClaimScaling|BenchmarkShardTwoLayerStep|BenchmarkShardFusionStep|BenchmarkExtractCompileGraph|BenchmarkCompileClaimGraph|BenchmarkAppendBatch|BenchmarkAppendChain|BenchmarkReadExtractions|BenchmarkCompileExtractions|BenchmarkWriteFused|BenchmarkServerAppend|BenchmarkWorldGeneration|BenchmarkCorpusGeneration|BenchmarkExtractionSuite|BenchmarkWriteExtractions|BenchmarkSourceSplitDraw' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadExtractions$$' -cpu 1,2 -benchtime 1x -benchmem .
 
 # bench-e2e runs the end-to-end benchmark (benchmark/README.md): one feed

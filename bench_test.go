@@ -577,8 +577,8 @@ func benchName(workers int) string {
 // over a prebuilt extraction graph at several worker counts. Results are
 // bit-identical across the counts — the reduction trees are fixed by the
 // data — so the sub-benchmarks differ only in speed; on a 1-core box they
-// collapse to the workers-1 number (csr.ParallelRange still fans out, but
-// the scheduler serializes it).
+// collapse to the workers-1 number (the loops still fan out, but the
+// scheduler serializes them). BenchmarkClaimScaling is its claim twin.
 func BenchmarkTwoLayerScaling(b *testing.B) {
 	ds := benchDataset(b)
 	g := ds.ExtractionGraph(true)
@@ -593,6 +593,29 @@ func BenchmarkTwoLayerScaling(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(len(ds.Extractions))*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
+		})
+	}
+}
+
+// BenchmarkClaimScaling measures the claim engine's EM loops (stage I over
+// items, the stage-II partials over provenances, stage III over triples) in
+// a POPACCU fuse over a prebuilt claim graph at several worker counts — the
+// claim twin of BenchmarkTwoLayerScaling. Results are bit-identical across
+// the counts, so the sub-benchmarks differ only in speed.
+func BenchmarkClaimScaling(b *testing.B) {
+	ds := benchDataset(b)
+	cfg := fusion.PopAccuConfig()
+	g := ds.Compiled(cfg.Granularity)
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(benchName(workers), func(b *testing.B) {
+			c := cfg
+			c.Workers = workers
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.MustFuse(c)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(g.NumClaims())*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
 		})
 	}
 }

@@ -1,17 +1,36 @@
 // Package csr holds the compressed-sparse-row building blocks shared by the
 // compiled graphs of the fusion layer (internal/fusion's claim graph) and the
-// extraction layer (internal/extract's statement graph): a deterministic
-// parallel range splitter, a parallel grouped counting sort, the
-// open-addressed intern tables (InternTable, PairTable) both graphs' compile
-// loops assign their IDs through, and the lockstep EM skeleton both engines'
-// round drivers run on (lockstep.go). All are exact — results never depend on the
-// worker count or a table's hash seed — so the compiled graphs built on top
-// of them stay bit-identical across machines.
+// extraction layer (internal/extract's statement graph): two parallel range
+// splitters, a parallel grouped counting sort, the open-addressed intern
+// tables (InternTable, PairTable) both graphs' compile loops assign their IDs
+// through, and the lockstep EM skeleton both engines' round drivers run on
+// (lockstep.go). All are exact — results never depend on the worker count or
+// a table's hash seed — so the compiled graphs built on top of them stay
+// bit-identical across machines.
+//
+// Which splitter a loop uses. ParallelRange cuts [0, n) into one fixed
+// contiguous range per worker, so (worker, lo, hi) is a pure function of
+// (n, workers). The passes that rely on that keep it: the counting sort and
+// the claim graph's intern ranges with their remap (a range's output lands
+// at offsets planned from the same split), kfio's batch decode, synthesis,
+// the uniform elementwise passes and the fixed-block reductions, and the
+// loops whose per-index cost is measured flat (the two-layer statement and
+// source passes). ParallelChunks cuts [0, n) into chunksPerWorker chunks per
+// worker and hands them out at run time, so a worker that drew cheap indexes
+// draws again. Every EM loop whose per-index cost follows a skewed span takes
+// it: the graphs number items, triples and provenances in first-occurrence
+// order, so the popular, heavy ones come first and equal-count halves leave
+// one worker idle (stage I's first half of items holds 87 % of the claims of
+// the 150k seed-42 feed). Such a loop writes only its own indexes plus
+// per-worker scratch, so which worker ran which chunk moves no bit.
+// ParallelEach, a stage over a lockstep's graphs, is ParallelChunks' one-index
+// case.
 package csr
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // ParallelRange splits [0, n) into one contiguous chunk per worker and
@@ -60,11 +79,57 @@ func SplitWorkers(n, workers int) (across, within int) {
 	return across, max(1, workers/across)
 }
 
+// chunksPerWorker is how many chunks ParallelChunks cuts per worker. Timed
+// per worker on stage I over the 150k seed-42 claim graphs at two workers
+// (15 sweeps of VOTE, ACCU, POPACCU and POPACCU+unsup, three runs each on
+// 2 shared vCPUs), the busier worker did 53–55 % of the work at 4 chunks
+// per worker, 51.5–52.3 % at 16 and 51.4–52.5 % at 64 or 256; one range per
+// worker left it 73–75 %.
+const chunksPerWorker = 16
+
+// ParallelChunks calls f over contiguous chunks covering [0, n) and waits for
+// all of them: min(n, workers × chunksPerWorker) chunks of near-equal length,
+// handed out in ascending order through one atomic counter to min(workers, n)
+// workers, so f may run several times per worker and a worker that drew
+// cheap indexes draws again. workers <= 0 defaults to GOMAXPROCS; the
+// caller's goroutine is worker 0, so one worker runs every chunk in order
+// and forks nothing. Which worker runs which chunk depends on timing: f must
+// only touch state owned by the indexes it is given, plus per-worker state
+// keyed by its worker index that no chunk boundary can move. With two or
+// more workers it is one fork-join, like ParallelRange.
+func ParallelChunks(n, workers int, f func(worker, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	chunks := min(n, workers*chunksPerWorker)
+	var next atomic.Int64
+	draw := func(w int) {
+		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+			f(w, n*c/chunks, n*(c+1)/chunks)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			draw(w)
+		}(w)
+	}
+	draw(0)
+	wg.Wait()
+}
+
 // ParallelEach calls f(i) for every i in [0, n), across at a time: one
-// fork-join over contiguous ranges of indexes, inline when across is 1. f
-// must touch only state owned by index i.
+// fork-join that hands the indexes out as they free up (ParallelChunks; a
+// chunk is one index while n <= chunksPerWorker × across), inline when
+// across is 1. f must touch only state owned by index i.
 func ParallelEach(n, across int, f func(i int)) {
-	ParallelRange(n, across, func(_, lo, hi int) {
+	ParallelChunks(n, across, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f(i)
 		}

@@ -3,8 +3,11 @@ package csr
 import (
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestByGroupParallelMatchesSequential is the property test for the parallel
@@ -138,4 +141,86 @@ func TestSplitWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParallelChunksCovers states ParallelChunks' contract over the edge
+// sizes around the worker and chunk counts: every index of [0, n) is visited
+// exactly once, the ranges tile [0, n) without overlap, every worker ID is
+// below min(workers, n), and no range is longer than
+// ⌈n / (chunksPerWorker × workers)⌉.
+func TestParallelChunksCovers(t *testing.T) {
+	for workers := 1; workers <= 8; workers++ {
+		per := chunksPerWorker * workers
+		for _, n := range []int{0, 1, workers - 1, workers, per - 1, per, per + 1, 10007} {
+			if n < 0 {
+				continue
+			}
+			seen := make([]int32, n)
+			var mu sync.Mutex
+			var ranges [][2]int
+			ParallelChunks(n, workers, func(w, lo, hi int) {
+				if w < 0 || w >= min(workers, n) {
+					t.Errorf("n=%d workers=%d: worker ID %d", n, workers, w)
+				}
+				if lo >= hi || hi-lo > (n+per-1)/per {
+					t.Errorf("n=%d workers=%d: range [%d, %d) (longest allowed %d)", n, workers, lo, hi, (n+per-1)/per)
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&seen[i], 1)
+				}
+				mu.Lock()
+				ranges = append(ranges, [2]int{lo, hi})
+				mu.Unlock()
+			})
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, c)
+				}
+			}
+			slices.SortFunc(ranges, func(a, b [2]int) int { return a[0] - b[0] })
+			end := 0
+			for _, r := range ranges {
+				if r[0] != end {
+					t.Fatalf("n=%d workers=%d: range [%d, %d) after end %d", n, workers, r[0], r[1], end)
+				}
+				end = r[1]
+			}
+			if end != n {
+				t.Fatalf("n=%d workers=%d: ranges end at %d", n, workers, end)
+			}
+		}
+	}
+	for _, across := range []int{1, 2, 3, 8} {
+		seen := make([]int32, 1000)
+		ParallelEach(len(seen), across, func(i int) { atomic.AddInt32(&seen[i], 1) })
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("ParallelEach(%d, %d) visited %d %d times", len(seen), across, i, c)
+			}
+		}
+	}
+}
+
+// TestParallelChunksShares pins the work sharing itself: the chunk holding
+// index 0 does not return until every other index is done, which only
+// another worker drawing all the rest can bring about. A split fixed before
+// the call (one range per worker) waits out the deadline instead.
+func TestParallelChunksShares(t *testing.T) {
+	const n, workers = 640, 2
+	first := int32(n / (workers * chunksPerWorker)) // the length of chunk 0
+	var others atomic.Int32
+	rest := make(chan struct{})
+	ParallelChunks(n, workers, func(_, lo, hi int) {
+		if lo == 0 {
+			select {
+			case <-rest:
+			case <-time.After(10 * time.Second):
+				t.Errorf("the other worker took %d of the %d remaining indexes", others.Load(), n-first)
+			}
+			return
+		}
+		if others.Add(int32(hi-lo)) == n-first {
+			close(rest)
+		}
+	})
 }

@@ -84,14 +84,12 @@ func Bind[R, E any](k, workers int, recycled []E, bind func(s, within int, e E) 
 	}
 	runs := make([]R, k)
 	errs := make([]error, k)
-	ParallelRange(k, across, func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			var e E
-			if recycled != nil {
-				e = recycled[s]
-			}
-			runs[s], errs[s] = bind(s, within, e)
+	ParallelEach(k, across, func(s int) {
+		var e E
+		if recycled != nil {
+			e = recycled[s]
 		}
+		runs[s], errs[s] = bind(s, within, e)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -29,8 +29,10 @@ import (
 // which owns the loop, the stage-II update and everything around it. The
 // per-round inner loop allocates nothing; rounds reuse the same graph and
 // buffers. Results are deterministic for a fixed input order and
-// independent of Workers: items (and provenances) are scored independently,
-// and every floating-point reduction runs in a fixed CSR order.
+// independent of Workers and of which worker ran which chunk of a loop:
+// items (and provenances, and triples) are scored independently, each writes
+// only its own slots plus its worker's scratch, and every floating-point
+// reduction runs in a fixed CSR order.
 
 // engine holds the compiled graph plus the evolving per-round state.
 type engine struct {
@@ -346,10 +348,15 @@ func (e *engine) goldCounts() (trueN, labeled []int32) {
 	return trueN, labeled
 }
 
-// parallelRange splits [0,n) across the engine's workers and waits (see
-// csr.ParallelRange for the contract).
+// parallelRange runs f over chunks of [0,n) on the engine's workers and
+// waits (see csr.ParallelChunks for the contract). Its callers — stage I
+// over items, ProvPartials over provenances, stage III over triples — walk
+// spans whose lengths fall with the ID (the graph numbers in first-occurrence
+// order, so popular entities come first), which is why the chunks are handed
+// out at run time: a fixed halving left one of two workers busy three times
+// as long as the other in stage I.
 func (e *engine) parallelRange(n int, f func(worker, lo, hi int)) {
-	csr.ParallelRange(n, e.workers, f)
+	csr.ParallelChunks(n, e.workers, f)
 }
 
 // provTermParallelThreshold is the provenance count below which the
@@ -360,7 +367,9 @@ func (e *engine) parallelRange(n int, f func(worker, lo, hi int)) {
 const provTermParallelThreshold = csr.ElementwiseThreshold
 
 // stageI scores every data item with the current provenance accuracies
-// (Figure 8, Stage I) — a parallel flat loop over the compiled item spans.
+// (Figure 8, Stage I) — a parallel flat loop over the compiled item spans,
+// chunks handed out at run time (parallelRange); an item writes only its own
+// claims' slots, on its worker's scratch.
 func (e *engine) stageI(round int) {
 	// A claim's log score term depends only on its provenance, so the log
 	// is taken once per provenance per round instead of once per claim per
@@ -550,7 +559,8 @@ func (e *engine) scoreItem(sc *scoreScratch, item int32, round int) {
 // receives, per triple in compiled order, the probability its claims were
 // stamped with in the last round, or -1 when the filters left none scored.
 // Everything else an output row holds is already in the graph (see
-// Compiled.Support).
+// Compiled.Support). A triple writes only prob[t], so the run-time chunks of
+// parallelRange move no bit.
 func (e *engine) stageIII(lastStamp int32, prob []float64) {
 	g := e.g
 	e.parallelRange(len(g.triples), func(_, lo, hi int) {

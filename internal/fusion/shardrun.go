@@ -82,7 +82,9 @@ func (r *Run) StageI(round int) {
 // ProvPartials writes each provenance's stage-II statistic for `round` —
 // the (probability sum, scored-claim count) pair whose quotient is the
 // re-estimated accuracy — into sums and cnts (each of length
-// NumProvenances), in parallel over the compiled provenance spans.
+// NumProvenances), in parallel over chunks of the compiled provenance spans
+// handed out at run time (a provenance writes only its own pair, on its
+// worker's scratch).
 // cnts[p] == 0 means provenance p scored no claims this round and must keep
 // its current accuracy. Provenances above SampleL report their
 // deterministic reservoir sample instead, so a provenance split across

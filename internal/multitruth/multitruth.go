@@ -17,6 +17,7 @@ package multitruth
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"kfusion/internal/csr"
 	"kfusion/internal/fusion"
@@ -134,9 +135,13 @@ func FuseCompiled(c *fusion.Compiled, cfg Config) (*fusion.Result, error) {
 	// E-step: per-triple posterior under the current provenance parameters.
 	// Items are independent and each triple belongs to exactly one item, so
 	// the item loop parallelizes without races; per-triple log-odds sum in
-	// seer order, which is fixed by the graph. "Did this seer claim this
-	// triple" is answered by a per-worker scratch stamped with the (globally
-	// unique) triple ID — O(claimers + seers) per triple. The per-provenance
+	// seer order, which is fixed by the graph. Items are numbered in
+	// first-occurrence order, so the claim-heavy ones come first: the loop
+	// hands its chunks to whichever worker is free (csr.ParallelChunks), and
+	// no result depends on which worker drew which. "Did this seer claim
+	// this triple" is answered by a per-worker scratch stamped with the
+	// (globally unique) triple ID — O(claimers + seers) per triple, and no
+	// stale stamp can match another triple. The per-provenance
 	// claim/no-claim likelihood ratios are batched into per-round tables
 	// (one kernel pass over staging buffers) instead of four transcendentals
 	// per seer incidence — the same expressions, evaluated once each.
@@ -144,6 +149,11 @@ func FuseCompiled(c *fusion.Compiled, cfg Config) (*fusion.Result, error) {
 	missLR := make([]float64, nProvs) // log(1-sens) - log(spec)
 	oneMinusSens := make([]float64, nProvs)
 	oneMinusSpec := make([]float64, nProvs)
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	stamps := make([][]int32, workers) // per worker, made on its first chunk
 	eStep := func() {
 		for p := range sens {
 			oneMinusSens[p] = 1 - sens[p]
@@ -151,8 +161,12 @@ func FuseCompiled(c *fusion.Compiled, cfg Config) (*fusion.Result, error) {
 		}
 		mathx.LogRatioSlice(hitLR, sens, oneMinusSpec)
 		mathx.LogRatioSlice(missLR, oneMinusSens, spec)
-		parallelItems(nItems, cfg.Workers, func(lo, hi int) {
-			claimed := make([]int32, nProvs) // stamp: triple ID + 1
+		csr.ParallelChunks(nItems, workers, func(w, lo, hi int) {
+			claimed := stamps[w]
+			if claimed == nil {
+				claimed = make([]int32, nProvs) // stamp: triple ID + 1
+				stamps[w] = claimed
+			}
 			for i := lo; i < hi; i++ {
 				for _, t := range c.ItemTriples(i) {
 					for _, p := range tripleProvs[t] {
@@ -259,13 +273,6 @@ func MustFuseCompiled(c *fusion.Compiled, cfg Config) *fusion.Result {
 		panic(err)
 	}
 	return r
-}
-
-// parallelItems splits [0, n) across workers on the shared range splitter;
-// f only writes state owned by its item range, so shard boundaries never
-// influence results.
-func parallelItems(n, workers int, f func(lo, hi int)) {
-	csr.ParallelRange(n, workers, func(_, lo, hi int) { f(lo, hi) })
 }
 
 func clamp01(v float64) float64 {

@@ -1,7 +1,11 @@
 package multitruth
 
 import (
+	"fmt"
+	"maps"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"kfusion/internal/fusion"
@@ -190,5 +194,30 @@ func TestSensitivityLearning(t *testing.T) {
 	if res.ProvAccuracy["thorough"] <= res.ProvAccuracy["lazy"] {
 		t.Errorf("sensitivity(thorough)=%.3f <= sensitivity(lazy)=%.3f",
 			res.ProvAccuracy["thorough"], res.ProvAccuracy["lazy"])
+	}
+}
+
+// TestWorkersBitwise holds the E-step, whose item chunks go to whichever
+// worker is free and reuse that worker's stamp scratch across chunks and
+// rounds, to the one-worker bits: repeated fuses at several worker counts
+// of a claim set whose first items hold most of the claims.
+func TestWorkersBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var claims []fusion.Claim
+	for i := 0; i < 3000; i++ {
+		item := rng.Intn(1 + rng.Intn(400)) // low item numbers drawn most
+		claims = append(claims, cl(fmt.Sprintf("s%d", item), "p", fmt.Sprintf("v%d", rng.Intn(4)), fmt.Sprintf("p%d", rng.Intn(40))))
+	}
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	want := MustFuse(claims, cfg)
+	for _, workers := range []int{2, 3, 8} {
+		cfg.Workers = workers
+		for run := 0; run < 5; run++ {
+			got := MustFuse(claims, cfg)
+			if got.Rounds != want.Rounds || !slices.Equal(got.Triples, want.Triples) || !maps.Equal(got.ProvAccuracy, want.ProvAccuracy) {
+				t.Fatalf("workers=%d run %d: result differs from the one-worker run", workers, run)
+			}
+		}
 	}
 }

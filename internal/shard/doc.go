@@ -48,9 +48,14 @@
 // and the Result's accuracy map; 21 when every shard forked for each of its
 // loops); a two-layer one forks 6 times (set-up, two E-steps, the M-step
 // sums, the source merge and the Result's accuracy map; 48 when every shard
-// forked for each of its loops). Both coordinators' Append compiles the K
-// slices side by side in one more fork-join, then extends the ID tables in
-// shard order. Neither split moves a bit.
+// forked for each of its loops). A stage over the shards hands each shard
+// to whichever worker is free (csr.ParallelEach over csr.ParallelChunks), as
+// a shard's own EM loops over items, triples and provenances hand out their
+// chunks; those fork where one fixed range per worker did, so the counts
+// stayed 5 and 6 when they changed (and 4 for a claim step whose engines
+// were recycled, before and after). Both coordinators' Append compiles the
+// K slices side by side in one more fork-join, then extends the ID tables
+// in shard order. Neither split, nor which worker ran what, moves a bit.
 //
 // The two-layer model has one genuinely cross-shard structure: a source's
 // extractor set. A statement's layer-1 walk covers every extractor that

@@ -40,6 +40,10 @@
 //   - The layer-1 and layer-2 E-steps and the per-source M-step pass
 //     parallelize over statements, items and sources respectively; each
 //     index owns its outputs, so chunk boundaries cannot influence results.
+//     The item pass hands its chunks to whichever worker is free
+//     (csr.ParallelChunks), because items are numbered in first-occurrence
+//     order and the heavy ones come first; the statement and source passes,
+//     whose per-index cost is flat, keep one fixed range per worker.
 //   - The M-step extractor-rate pass — the last hot path that was sequential
 //     — reduces over the graph's ext→statement CSR in fixed
 //     csr.ReduceBlockSize blocks: each block is summed left-to-right by
@@ -755,17 +759,21 @@ func (e *engine) dirtyScope(c carried) (sts, items scope) {
 const elementwiseParallelThreshold = csr.ElementwiseThreshold
 
 // inferTruth is the layer-2 E-step: weighted Bayesian truth inference, in
-// parallel over data items (each item owns its candidates' tripleP entries).
-// The round's source log-weights and corroboration votes were staged by
-// inferStatements (srcLogW, stWeight), so each triple's score is a pure
-// add loop over its statement span followed by one softmax kernel call per
-// item.
+// parallel over data items (each item owns its candidates' tripleP entries),
+// in the full scope or a carried engine's dirty one. The round's source
+// log-weights and corroboration votes were staged by inferStatements
+// (srcLogW, stWeight), so each triple's score is a pure add loop over its
+// statement span followed by one softmax kernel call per item. Items are
+// numbered in first-occurrence order, so the first half of the IDs holds
+// most of the statements (86 % on the 150k seed-42 feed): the loop takes
+// csr.ParallelChunks, whose chunks go to whichever worker is free, and an
+// item's scores use only its worker's buffer, so no bit depends on which.
 func (e *engine) inferTruth() {
 	g := e.g
 	nFalse := float64(e.cfg.NFalse)
 	items := e.items
 	e.items = scope{}
-	csr.ParallelRange(items.size(g.NumItems()), e.workers, func(w, lo, hi int) {
+	csr.ParallelChunks(items.size(g.NumItems()), e.workers, func(w, lo, hi int) {
 		buf := e.scores[w]
 		for k := lo; k < hi; k++ {
 			tis := g.ItemTriples(items.at(k))
