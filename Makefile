@@ -43,7 +43,10 @@ repro:
 # TestStepAPIMatchesFuse and fusion's TestShardEngineWorkers, the
 # work-sharing scheduler's TestParallelChunks* tests and both engines'
 # TestRepeatedFuseBitwise (20 fuses at Workers 4, where which worker runs
-# which chunk of an EM loop changes from run to run).
+# which chunk of an EM loop changes from run to run), and the per-worker
+# layer-1 memo's oracle (FuzzTwoLayerEngine's seeds) with the hit-list
+# column's contract tests (TestHitListIDsNameLists, FuzzAppendChunking's
+# seeds).
 race:
 	$(GO) test -race ./...
 
@@ -63,9 +66,12 @@ fault:
 # the engine-level ones — any chunking of a feed through Append builds the
 # graph one Compile builds, and a warm two-layer chain on recycled engines
 # and revised E-steps equals, bit for bit, one on fresh engines
-# (FuzzWarmChain), and the K-shard coordinator's incrementally maintained
-# ghost-extractor sets equal a full rebuild under any chunking
-# (FuzzShardGhosts). The two append-era codecs run against the oracles kept in
+# (FuzzWarmChain), the compiled two-layer engine equals the reference
+# within RefTol and itself at Workers 1/3/8 — cold, warm and over three
+# shards, memo on and forced off — with every layer-1 E-step held bit for
+# bit to its definition (FuzzTwoLayerEngine), and the K-shard coordinator's
+# incrementally maintained ghost-extractor sets equal a full rebuild under
+# any chunking (FuzzShardGhosts). The two append-era codecs run against the oracles kept in
 # their test files: FuzzWriteFused (the fused-row encoder ≡ encoding/json,
 # byte for byte) and FuzzAppendExtractions (the claim graph's ID-pair dedup ≡
 # the string-keyed map, under any chunking and granularity, across a snapshot
@@ -101,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz FuzzAppendExtractions -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz FuzzWarmChain -fuzztime 15s -fuzzminimizetime 2s ./internal/twolayer/
+	$(GO) test -run '^$$' -fuzz FuzzTwoLayerEngine -fuzztime 15s -fuzzminimizetime 2s ./internal/twolayer/
 	$(GO) test -run '^$$' -fuzz FuzzShardGhosts -fuzztime 15s -fuzzminimizetime 2s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 15s -fuzzminimizetime 2s ./internal/randx/
 	$(GO) test -run '^$$' -fuzz FuzzLabelResetMatchesSplit -fuzztime 15s -fuzzminimizetime 2s ./internal/randx/

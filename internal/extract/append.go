@@ -51,7 +51,9 @@ package extract
 // runs, those joiners merge in at their places, new statements follow, and an
 // old miss the batch turned into a hit is flipped where it stands. A compile
 // merges onto the empty incidence, so every incidence has this one builder.
-// No string or triple is re-hashed for the prefix.
+// The hit-list IDs (hitlists.go) are interned for the new statements and
+// re-interned for the grown ones only. No string, triple or list is
+// re-hashed for the prefix.
 //
 // A generation remembers three things about the one it was built from
 // (Compiled.Parent): that generation's token, its statement count, and which
@@ -144,7 +146,8 @@ func (g *Compiled) extend(idx *extractIndex, xs []Extraction, workers int) *Comp
 // batch's, interned, with their extractor lists flattened (stExts and srcExts
 // are the batch's additions, grownSts and grownSrcs the rows of g's they
 // grew), and extendTail derives the rest of the generation — items, the CSRs,
-// the support counts and the ext→statement incidence — around g's arrays.
+// the support counts, the ext→statement incidence and the hit-list IDs —
+// around g's arrays.
 // DecodeSnapshot runs it over the empty generation on decoded columns, with
 // empty lists: every decoded row is new.
 func (next *Compiled) extendTail(g *Compiled, idx *extractIndex, stExts, srcExts *extLists, grownSts, grownSrcs []int32, workers int) {
@@ -204,6 +207,10 @@ func (next *Compiled) extendTail(g *Compiled, idx *extractIndex, stExts, srcExts
 
 	// ---- Ext→statement incidence: merged from g's ----
 	next.mergeExtStatements(g.graph, stExts, srcExts, grownSts, grownSrcs)
+
+	// ---- Hit-list IDs: the batch's statements and the grown ones ----
+	next.stHitList = next.numberHitLists(idx, nStOld, grownSts)
+	next.nHitLists = idx.lists.n()
 
 	// What the next generation remembers of this one (see Compiled.Parent).
 	next.token = graphSeq.Add(1)
@@ -349,8 +356,12 @@ func (g *Compiled) mergeExtStatements(prev *graph, stExts, srcExts *extLists, gr
 // a generation whose index another Append already took (or that was decoded
 // from a snapshot). The rebuild hashes each distinct key once (not once per
 // extraction); it exists for correctness — chained appends never hit it.
+//
+// The hit-list IDs are renumbered from the graph's lists, in statement order
+// as a compile numbers them: the generations appended from this index carry
+// that numbering, and g keeps its own.
 func (g *Compiled) rebuildIndex() *extractIndex {
-	return &extractIndex{
+	idx := &extractIndex{
 		// Clipped, so this index's first append copies each column once and
 		// then owns its own tail: a fork never writes another chain's.
 		cols: g.columns.clipped(),
@@ -360,4 +371,6 @@ func (g *Compiled) rebuildIndex() *extractIndex {
 		item: csr.BuildInternTable(g.items, csr.HashItem),
 		st:   statementTable(g.stSource, g.stTriple),
 	}
+	g.numberHitLists(idx, 0, nil)
+	return idx
 }

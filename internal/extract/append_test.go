@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"kfusion/internal/csr"
@@ -127,7 +128,9 @@ func TestExtractAppendAboveShardThreshold(t *testing.T) {
 
 // TestExtractAppendLeavesPreviousGenerationUsable pins the generational
 // contract: the base graph's arrays must be untouched by an append, and a
-// second append on the consumed base (index rebuilt) must still match.
+// second append on the consumed base (index rebuilt) must still match. A
+// generation's hit-list IDs stay as they were when the next batch grows its
+// statements' lists.
 func TestExtractAppendLeavesPreviousGenerationUsable(t *testing.T) {
 	xs := appendStream(2000)
 	base := Compile(xs[:1500], false)
@@ -139,6 +142,22 @@ func TestExtractAppendLeavesPreviousGenerationUsable(t *testing.T) {
 	}
 	again := base.Append(xs[1500:])
 	appendGraphsEqual(t, "rebuilt-index", again, next)
+
+	// A batch that re-extracts old statements with another extractor grows
+	// their lists, so their hit-list IDs change — in the new generation only.
+	late := slices.Clone(xs[:300])
+	for i := range late {
+		late[i].Extractor = "late"
+	}
+	ids, n := slices.Clone(next.stHitList), next.NumHitLists()
+	after := next.Append(late)
+	if _, _, grown := after.Parent(); len(grown) == 0 {
+		t.Fatal("scenario broken: the batch grew no old statement's extractor list")
+	}
+	if !slices.Equal(next.stHitList, ids) || next.NumHitLists() != n {
+		t.Fatal("Append rewrote the previous generation's hit-list IDs")
+	}
+	requireHitListsNameLists(t, "grown", after)
 }
 
 // TestExtractAppendNothingIsConstantCost pins the empty append: it returns
@@ -307,12 +326,107 @@ func TestCompileAllocationBound(t *testing.T) {
 	g := Compile(xs, false)
 	t.Logf("%d statements, %d sources, %d triples: compile %.0f allocations, 10k + 5 × 2k chain %.0f",
 		g.NumStatements(), g.NumSources(), g.NumTriples(), compile, chain)
-	// Measured: compile 74, chain 408 (go1.24, linux/amd64) — growth steps of
-	// the tables and columns, the CSR builds and the sparse grown-row maps, all
-	// logarithmic in the set or constant per call.
+	// Measured: compile 82, chain 416 (go1.24, linux/amd64; 73 and 402 before
+	// the hit-list IDs' table and column) — growth steps of the tables and
+	// columns, the CSR builds and the sparse grown-row maps, all logarithmic
+	// in the set or constant per call.
 	const compileBound, chainBound = 100, 550
 	if compile > compileBound || chain > chainBound {
 		t.Errorf("compile %.0f allocations (bound %d), append chain %.0f (bound %d): is there an object per row again?",
 			compile, compileBound, chain, chainBound)
+	}
+}
+
+// requireHitListsNameLists checks the hit-list column's contract on g: every
+// ID is below NumHitLists, and two statements share an ID exactly when their
+// extractor lists are equal, element for element and in order.
+func requireHitListsNameLists(t *testing.T, name string, g *Compiled) {
+	t.Helper()
+	if len(g.stHitList) != g.NumStatements() {
+		t.Fatalf("%s: %d hit-list IDs for %d statements", name, len(g.stHitList), g.NumStatements())
+	}
+	idOf := map[string]int32{}
+	listOf := map[int32]string{}
+	for si := int32(0); int(si) < g.NumStatements(); si++ {
+		id, list := g.StatementHitList(si), fmt.Sprint(g.StatementExtractors(si))
+		if id < 0 || int(id) >= g.NumHitLists() {
+			t.Fatalf("%s: statement %d has hit-list ID %d, outside [0, %d)", name, si, id, g.NumHitLists())
+		}
+		if was, ok := idOf[list]; ok && was != id {
+			t.Fatalf("%s: list %s has IDs %d and %d", name, list, was, id)
+		}
+		if was, ok := listOf[id]; ok && was != list {
+			t.Fatalf("%s: hit-list ID %d names %s and %s", name, id, was, list)
+		}
+		idOf[list], listOf[id] = id, list
+	}
+}
+
+// TestHitListIDsNameLists holds the hit-list column to its contract — equal
+// ordered lists, equal IDs, and only those — on a compile, along an append
+// chain whose batches grow old statements' lists, on a fork (a second Append
+// on a generation, which renumbers from a rebuilt index) and its successor,
+// and on a decoded graph and an Append onto it. The feed — two statements of
+// one page hit by X0 and X1 in both orders, then fuzzFeed's colliding world —
+// holds equal extractor sets in different orders, which must not share an
+// ID.
+func TestHitListIDsNameLists(t *testing.T) {
+	swapped := func(subj, extractor string) Extraction {
+		return Extraction{
+			Triple:     kb.Triple{Subject: kb.EntityID(subj), Predicate: "p0", Object: kb.StringObject("v0")},
+			Extractor:  extractor,
+			URL:        "http://site0.example/page0",
+			Site:       "site0.example",
+			Confidence: -1,
+		}
+	}
+	xs := slices.Concat([]Extraction{swapped("a", "X0"), swapped("a", "X1"), swapped("b", "X1"), swapped("b", "X0")},
+		fuzzFeed([]byte("the quick brown fox jumps over the lazy dog"), 3000))
+	for _, siteLevel := range []bool{false, true} {
+		at := fmt.Sprintf("siteLevel=%v", siteLevel)
+		full := Compile(xs, siteLevel)
+		requireHitListsNameLists(t, at+" compile", full)
+		orders := map[string]bool{}
+		for si := int32(0); int(si) < full.NumStatements(); si++ {
+			l := slices.Clone(full.StatementExtractors(si))
+			slices.Sort(l)
+			orders[fmt.Sprint(l)+fmt.Sprint(full.StatementExtractors(si))] = true
+		}
+		sets := map[string]bool{}
+		for k := range orders {
+			sets[k[:strings.Index(k, "]")+1]] = true
+		}
+		if len(sets) == len(orders) {
+			t.Fatalf("%s: scenario broken: no extractor set appears in two orders", at)
+		}
+
+		g := Compile(xs[:1000], siteLevel)
+		grew := false
+		for _, cut := range [][2]int{{1000, 1800}, {1800, 1801}, {1801, 1801}, {1801, 2600}} {
+			g = g.Append(xs[cut[0]:cut[1]])
+			_, _, grown := g.Parent()
+			grew = grew || len(grown) > 0
+			requireHitListsNameLists(t, fmt.Sprintf("%s chain to %d", at, cut[1]), g)
+		}
+		if !grew {
+			t.Fatalf("%s: scenario broken: no batch grew an old statement's list", at)
+		}
+		mid := g
+		g = g.Append(xs[2600:])
+		fork := mid.Append(slices.Concat(xs[2800:], xs[:300]))
+		requireHitListsNameLists(t, at+" chain end", g)
+		requireHitListsNameLists(t, at+" fork", fork)
+		requireHitListsNameLists(t, at+" fork's successor", fork.Append(xs[2600:2800]))
+
+		var buf bytes.Buffer
+		if err := g.EncodeSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeSnapshot(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireHitListsNameLists(t, at+" decoded", dec)
+		requireHitListsNameLists(t, at+" decoded + batch", dec.Append(xs[:500]))
 	}
 }

@@ -68,9 +68,11 @@ func fuzzCuts(lens ...uint16) []byte {
 // FuzzAppendChunking is the metamorphic contract of the compile layer: any
 // chunking of a feed through Append — zero-length batches included — builds
 // the graph one Compile of the whole feed builds, in every field but the
-// generation counter, which counts the batches. A fork from a generation in
-// the middle of the chain, by two other batches, equals its own recompile and
-// leaves the chain as it was.
+// generation counter, which counts the batches, and the hit-list IDs, whose
+// numbering follows the chunking: after every chunk they must name the
+// lists (requireHitListsNameLists). A fork from a generation in the middle
+// of the chain, by two other batches, equals its own recompile and leaves the
+// chain as it was.
 func FuzzAppendChunking(f *testing.F) {
 	// The cuts of TestExtractAppendChain: 1000 | 800 | 1 | 2189 | 10.
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), fuzzCuts(1000, 800, 1, 2189, 10), byte(1))
@@ -86,10 +88,12 @@ func FuzzAppendChunking(f *testing.F) {
 		workers := 1 + int(mode>>1%4)
 
 		g := CompileWorkers(xs[:lens[0]], siteLevel, workers)
+		requireHitListsNameLists(t, "first chunk", g)
 		at := lens[0]
 		mid, midAt := g, at // the generation the fork below leaves from
 		for i, n := range lens[1:] {
 			g = g.AppendWorkers(xs[at:at+n], workers)
+			requireHitListsNameLists(t, fmt.Sprintf("chunk %d", i+1), g)
 			at += n
 			if i < len(lens)/2 {
 				mid, midAt = g, at
@@ -108,6 +112,7 @@ func FuzzAppendChunking(f *testing.F) {
 		fork := mid
 		for _, batch := range [][]Extraction{xs[:total/3], tail} {
 			fork = fork.AppendWorkers(batch, workers)
+			requireHitListsNameLists(t, "fork", fork)
 			input = append(input, batch...)
 			appendGraphsEqual(t, "fork", fork, CompileWorkers(input, siteLevel, workers))
 		}

@@ -26,6 +26,10 @@ import (
 //   - A statement is a distinct (source, triple) pair; its extractor list
 //     holds the distinct extractors that produced it there, in
 //     first-extraction order.
+//   - StatementHitList names a statement's extractor list: equal lists (in
+//     their stored order) share an ID. It is the one exception to the rule
+//     above — its numbering follows the append history, not the stream
+//     alone (see hitlists.go).
 //   - SourceExtractors lists the distinct extractors with at least one
 //     extraction from the source, in first-extraction order — the "which
 //     extractors processed this source" set the two-layer model scores
@@ -76,6 +80,12 @@ type graph struct {
 	// Statements: distinct (source, triple) pairs.
 	stExtStart []int32 // len nStatements+1; span into stExts
 	stExts     []int32 // extractor IDs per statement, first-extraction order
+
+	// stHitList names each statement's extractor list (hitlists.go): equal
+	// ordered lists, equal IDs, all below nHitLists. The numbering follows
+	// the append history, so dumpGraph and the snapshot leave it out.
+	stHitList []int32
+	nHitLists int
 
 	// Per-source adjacency.
 	srcExtStart []int32 // len nSources+1; span into srcExts
@@ -173,6 +183,12 @@ type extractIndex struct {
 	tri  csr.InternTable[kb.Triple]
 	item csr.InternTable[kb.DataItem]
 	st   csr.PairTable
+
+	// lists interns the statements' extractor lists (hitlists.go); hitLists
+	// is the statement -> hit-list ID column of the generation that owns the
+	// index, under this table's numbering.
+	lists    listTable
+	hitLists []int32
 }
 
 // presize readies g's empty ID spaces, idx's tables and the extractor lists
@@ -543,6 +559,17 @@ func (g *Compiled) StatementTriple(si int32) int32 { return g.stTriple[si] }
 func (g *Compiled) StatementExtractors(si int32) []int32 {
 	return g.stExts[g.stExtStart[si]:g.stExtStart[si+1]]
 }
+
+// StatementHitList returns the ID of the statement's extractor list as
+// StatementExtractors returns it: two statements of the graph share an ID
+// exactly when their lists are equal, element for element and in order. IDs
+// are dense below NumHitLists but only meaningful within one graph — the
+// numbering follows the append history, and some IDs may name a list no
+// statement holds any more.
+func (g *Compiled) StatementHitList(si int32) int32 { return g.stHitList[si] }
+
+// NumHitLists bounds the graph's hit-list IDs (StatementHitList).
+func (g *Compiled) NumHitLists() int { return g.nHitLists }
 
 // SourceExtractors returns the distinct extractor IDs that processed the
 // source, in first-extraction order.

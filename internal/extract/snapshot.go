@@ -20,10 +20,12 @@ const snapshotVersion = 2
 // key tables, the statement → source and statement → triple columns, and the
 // per-statement and per-source extractor lists, which hold the
 // first-extraction order no other column recovers. Everything else — items,
-// the CSRs, the support counts and the ext→statement incidence — is the
-// compile tail's to derive (extendTail), and DecodeSnapshot rebuilds it
-// through that tail. The interning index is not serialized; the first Append
-// rebuilds it.
+// the CSRs, the support counts, the ext→statement incidence and the hit-list
+// IDs — is the compile tail's to derive (extendTail), and DecodeSnapshot
+// rebuilds it through that tail. The hit-list numbering follows the append
+// history, so it is not stored: a decoded graph numbers its lists in
+// statement order, as a compile does. The interning index is not serialized;
+// the first Append rebuilds it.
 func (g *Compiled) EncodeSnapshot(out io.Writer) error {
 	w := wire.NewWriter(out)
 	w.U8(snapshotVersion)

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"kfusion/internal/exper"
 	"kfusion/internal/extract"
 	"kfusion/internal/fusion"
 	"kfusion/internal/kb"
@@ -397,5 +398,59 @@ func TestTwoLayerReseedAcrossShardCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSamePosterior(t, fmt.Sprintf("K=%d after the detour", ks[0]), got, want, gotSt, wantSt)
+	}
+}
+
+// TestTwoLayerWarmStepAllocationBound is the regression guard on what a warm
+// K = 4 two-layer step allocates: the mean runtime.MemStats.TotalAlloc delta
+// of FusePosterior over 20 one-round steps of 500 records onto the bench
+// dataset's first third, per source of the coordinator's global table. What
+// a step must allocate is its outputs — the State's three vectors, the
+// posterior's probability column and its accuracy copy, ≈ 48 bytes per
+// source here — plus the engines' occasional regrowth. Measured at 1, 2, 4
+// and 8 procs: 165–203 bytes when the round driver built its per-shard ghost
+// tables (ghost-miss sums, stated mass and count: 20 bytes per shard-local
+// source) afresh every call, 93–106 with the engines keeping them across
+// generations. A per-call table per shard comes back above the bound.
+func TestTwoLayerWarmStepAllocationBound(t *testing.T) {
+	const batch, steps = 500, 20
+	const bound = 135 // bytes per source per step
+	xs := exper.SharedDataset(exper.ScaleBench, 42).Extractions
+	head := len(xs) / 3
+	if len(xs) < head+(steps+2)*batch {
+		t.Fatalf("bench dataset too small: %d extractions", len(xs))
+	}
+	cfg := twolayer.DefaultConfig()
+	tl, err := NewTwoLayer(4, cfg.SiteLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl.Append(xs[:head])
+	_, st, err := tl.FusePosterior(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := cfg
+	warm.Rounds = 1
+	at := head
+	var total uint64
+	for i := -2; i < steps; i++ { // two steps first, to size the engines' headroom
+		tl.Append(xs[at : at+batch])
+		at += batch
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, st, err = tl.FusePosterior(warm, st)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i >= 0 {
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	perSource := float64(total) / steps / float64(len(st.SrcAcc))
+	t.Logf("%d sources: %.1f bytes allocated per source per warm step (bound %d)", len(st.SrcAcc), perSource, bound)
+	if perSource > bound {
+		t.Fatalf("a warm K=4 step allocates %.1f bytes per source, bound %d: does the driver build per-shard tables afresh again?", perSource, bound)
 	}
 }

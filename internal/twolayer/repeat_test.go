@@ -17,7 +17,7 @@ import (
 // fused 20 times at Workers 4, cold, and as a warm one-round chain step: a
 // 400-record Append onto the rest of the feed, fused from a State whose
 // engines last ran on the head, so the first E-step takes the dirty scope
-// and the per-worker pair cache. Every run must equal the Workers 1 run bit
+// and every full E-step the per-worker layer-1 memo. Every run must equal the Workers 1 run bit
 // for bit. (An external test: internal/exper imports this package.)
 func TestRepeatedFuseBitwise(t *testing.T) {
 	if testing.Short() {

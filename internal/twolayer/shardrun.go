@@ -287,24 +287,21 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 		numP[s], denP[s] = r.e.num, r.e.den
 	}
 	// Ghost state, all nil without ghosts: missLR is the round's miss
-	// log-ratio per global extractor, gm[s] shard s's ghost-miss table
-	// (installed once, rewritten from missLR before each statement
-	// inference), statedSum/statedCnt the per-source stated mass and ghostP
-	// each extractor's all-miss M-step mass built from it.
+	// log-ratio per global extractor and ghostP each extractor's all-miss
+	// M-step mass. Per graph, the engine keeps its ghost tables across
+	// generations like its M-step buffers: the ghost-miss table (installed
+	// once, rewritten from missLR before each statement inference) and the
+	// per-source stated mass ghostP is built from.
 	var missLR []float64
-	var gm, statedSum [][]float64
-	var statedCnt [][]int32
 	var ghostP [][4]float64
 	if ghosts != nil {
 		missLR = make([]float64, nX)
-		gm = make([][]float64, len(runs))
-		statedSum = make([][]float64, len(runs))
-		statedCnt = make([][]int32, len(runs))
-		for s, r := range runs {
-			gm[s] = make([]float64, r.NumSources())
-			r.setGhostMiss(gm[s])
-			statedSum[s] = make([]float64, r.NumSources())
-			statedCnt[s] = make([]int32, r.NumSources())
+		for _, r := range runs {
+			e, n := r.e, r.NumSources()
+			e.ghostTab = regrow(e.ghostTab, n)
+			e.statedSum = regrow(e.statedSum, n)
+			e.statedCnt = regrow(e.statedCnt, n)
+			r.setGhostMiss(e.ghostTab)
 		}
 		ghostP = make([][4]float64, nX)
 	}
@@ -316,15 +313,17 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 			missLR[gx] = mathx.MissLogRatio(recall[gx], falsePos[gx])
 		}
 		csr.ParallelEach(len(runs), lockstep.Across, func(s int) {
-			if gm != nil {
+			if ghosts != nil {
+				gm := runs[s].e.ghostTab
 				for ls, ghost := range ghosts[s] {
 					sum := 0.0
 					for _, gx := range ghost {
 						// Shards.Ghosts lists each set in ascending global-ID order.
 						sum += missLR[gx]
 					}
-					gm[s][ls] = sum
+					gm[ls] = sum
 				}
+				clear(gm[len(ghosts[s]):]) // a source without a list has no ghosts
 			}
 			runs[s].InferStatements()
 			runs[s].InferTruth()
@@ -339,13 +338,13 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 		for gx := range ghostP {
 			ghostP[gx] = [4]float64{}
 		}
-		for s := range runs {
+		for s, r := range runs {
 			for ls, ghost := range ghosts[s] {
 				if len(ghost) == 0 {
 					continue
 				}
-				sum := statedSum[s][ls]
-				miss := float64(statedCnt[s][ls]) - sum
+				sum := r.e.statedSum[ls]
+				miss := float64(r.e.statedCnt[ls]) - sum
 				for _, gx := range ghost {
 					ghostP[gx][0] += sum
 					ghostP[gx][1] += miss
@@ -390,7 +389,7 @@ func FuseLockstep(graphs []*extract.Compiled, ids *Shards, cfg Config, warm *Sta
 			runs[s].SourcePartials(numP[s], denP[s])
 			runs[s].ExtractorPartials(runs[s].e.ext)
 			if ghostP != nil {
-				runs[s].sourceStatedMass(statedSum[s], statedCnt[s])
+				runs[s].sourceStatedMass(runs[s].e.statedSum, runs[s].e.statedCnt)
 			}
 		})
 

@@ -44,6 +44,15 @@
 //     (csr.ParallelChunks), because items are numbered in first-occurrence
 //     order and the heavy ones come first; the statement and source passes,
 //     whose per-index cost is flat, keep one fixed range per worker.
+//   - The layer-1 E-step computes each probability once per distinct input
+//     per worker, not once per statement: a statement's probability is a
+//     pure function of its source's per-round base (bit pattern) and its
+//     ordered extractor list, and a feed's few extractors make both take few
+//     values. The engine numbers the round's distinct bases (source classes)
+//     and the graph names every ordered list (extract.Compiled's hit-list
+//     IDs), and a per-worker memo keyed by (class, list) holds the sigmoid.
+//     A cell's value does not depend on which worker fills it, so the memo
+//     cannot move a bit.
 //   - The M-step extractor-rate pass — the last hot path that was sequential
 //     — reduces over the graph's ext→statement CSR in fixed
 //     csr.ReduceBlockSize blocks: each block is summed left-to-right by
@@ -237,7 +246,7 @@ func FuseCompiled(g *extract.Compiled, cfg Config) (*fusion.Result, error) {
 // that produced it — with their last E-step still in them — for the first run
 // seeded from it to take over (see the package comment, Warm chains). That
 // costs memory, not meaning: a live State pins its engines' buffers (about
-// 5 MB at 100k statements on the benchmark feed) until a successor takes them
+// 3.4 MB at 107k statements on the benchmark feed) until a successor takes them
 // or the State is dropped, an unseeded run's State (a sweep keeps dozens) and
 // a decoded one carry none, and a run gives the same bits with or without
 // them. Because of the
@@ -346,17 +355,24 @@ type engine struct {
 	// Per-worker scratch: candidate score buffers for the layer-2 softmax.
 	scores [][]float64
 
-	// Single-hit sigmoid cache, per worker: most statements are hit by
-	// exactly one extractor and distinct (source, extractor) pairs are an
-	// order of magnitude fewer, so the layer-1 loop caches
-	// sigmoid(srcBase + lrAdj) per pair per round in dense
-	// [source*nExt + ext] value/round-stamp arrays. nil (cache disabled, the
-	// same expression computed inline) when the pair space exceeds
-	// pairCacheMaxCells. The cached value is a pure function of the round's
-	// tables — independent of which statements a worker sees — so the cache
-	// never changes a bit for any Workers value.
-	pairP     [][]float64
-	pairStamp [][]int32
+	// Layer-1 memo. A statement's probability is a pure function of its
+	// source's srcBase bits and its ordered extractor list, and both take few
+	// values (56 × 56 on the 150k seed-42 feed, for 130 920 statements). So
+	// each E-step numbers the distinct srcBase bit patterns — srcClass maps a
+	// source to its class, through classes, a table kept across E-steps — and
+	// each worker memoizes sigmoid(srcBase + Σ lrAdj over the list) per
+	// (class, hit-list ID) cell (extract.Compiled.StatementHitList) in dense
+	// [class*NumHitLists + list] value/stamp arrays, stamped with roundSeq.
+	// A cached value is a pure function of the round's tables — independent
+	// of which statements a worker sees — so the memo never changes a bit for
+	// any Workers value. memoCells is the E-step's cell count, 0 (memo off,
+	// the same expression computed inline) when classes × lists exceed
+	// memoMaxCells.
+	srcClass  []int32
+	classes   classTable
+	memoCells int
+	memoP     [][]float64
+	memoStamp [][]int32
 	roundSeq  int32
 
 	// ghostMiss is the round driver's cross-shard correction (nil and inert
@@ -386,10 +402,15 @@ type engine struct {
 	baseWorkers int
 
 	// The round driver's per-graph M-step evidence buffers (source num/den,
-	// extractor partials). They live here so they pass from generation to
+	// extractor partials) and, over K > 1 graphs, its ghost tables (the
+	// buffer ghostMiss is installed over, the per-source stated mass and
+	// statement count). They live here so they pass from generation to
 	// generation with the engine; only FuseLockstep touches them.
-	num, den []float64
-	ext      [][4]float64
+	num, den  []float64
+	ext       [][4]float64
+	ghostTab  []float64
+	statedSum []float64
+	statedCnt []int32
 
 	// ranOn is the token of the graph whose E-steps stated, stWeight and
 	// tripleP hold in full, under the tables in lrAdj, srcBase and srcLogW:
@@ -443,12 +464,76 @@ func (sc scope) at(k int) int32 {
 	return int32(sc.from + k - len(sc.list))
 }
 
-// pairCacheMaxCells caps the single-hit sigmoid cache's per-worker pair
-// space (source count × extractor count). Above it the cache would cost more
-// zeroed memory than the sigmoids it saves; the layer-1 loop then computes
-// the identical expression inline, so the gate — a pure function of the
-// graph — cannot affect results.
-const pairCacheMaxCells = 1 << 18
+// memoMaxCells caps the layer-1 memo's per-worker cell space (classes ×
+// hit lists). Above it the memo would cost more zeroed memory than the
+// sigmoids it saves; the layer-1 loop then computes the identical expression
+// inline, so the gate cannot affect results. A variable so that tests can
+// force the inline path.
+var memoMaxCells = 1 << 18
+
+// classTable numbers the distinct srcBase bit patterns of one E-step: open
+// addressing over the 64-bit words, each slot stamped with the E-step that
+// wrote it, so a new E-step starts from an empty table without clearing it.
+type classTable struct {
+	words  []uint64
+	ids    []int32
+	stamps []int32
+	mask   uint64
+	n      int
+}
+
+// class returns the class of bits in the E-step stamped seq, numbering a new
+// pattern with the next class — or -1 for a new pattern once the E-step has
+// limit classes.
+func (t *classTable) class(bits uint64, seq int32, limit int) int32 {
+	if (t.n+1)*4 > len(t.words)*3 {
+		t.grow(seq)
+	}
+	for i := classSlot(bits) & t.mask; ; i = (i + 1) & t.mask {
+		if t.stamps[i] != seq {
+			if t.n == limit {
+				return -1
+			}
+			t.words[i], t.ids[i], t.stamps[i] = bits, int32(t.n), seq
+			t.n++
+			return t.ids[i]
+		}
+		if t.words[i] == bits {
+			return t.ids[i]
+		}
+	}
+}
+
+// classSlot mixes a pattern's bits into its probe start (before the mask):
+// the multiply carries the low mantissa bits, where nearby bases differ, up,
+// and the shift brings them back into the masked bits.
+func classSlot(bits uint64) uint64 {
+	h := bits * 0x9E3779B97F4A7C15
+	return h ^ h>>32
+}
+
+// grow doubles the slots (64 from empty), keeping the E-step's classes.
+func (t *classTable) grow(seq int32) {
+	old := *t
+	size := max(2*len(old.words), 64)
+	*t = classTable{
+		words:  make([]uint64, size),
+		ids:    make([]int32, size),
+		stamps: make([]int32, size),
+		mask:   uint64(size - 1),
+	}
+	for j, st := range old.stamps {
+		if st != seq {
+			continue
+		}
+		i := classSlot(old.words[j]) & t.mask
+		for t.stamps[i] == seq {
+			i = (i + 1) & t.mask
+		}
+		t.words[i], t.ids[i], t.stamps[i] = old.words[j], old.ids[j], seq
+	}
+	t.n = old.n
+}
 
 // rebind is the one engine sizing routine: it binds e to graph g under cfg
 // and sizes every buffer for g. A fresh engine is the zero engine rebound
@@ -461,9 +546,10 @@ const pairCacheMaxCells = 1 << 18
 // A recycled engine also keeps its contents, and rebind decides what they
 // are still worth (e.first). The parameters are re-initialised either way —
 // the driver installs every one of them before the first E-step — and
-// ghostMiss is dropped for the driver to reinstall. The pair cache needs no
-// clearing: its stamps come from roundSeq, which keeps counting across
-// rebinds, so no entry of an earlier run can match a later round.
+// ghostMiss is dropped for the driver to reinstall. The memo and the class
+// table need no clearing: their stamps come from roundSeq, which keeps
+// counting across rebinds, so no entry of an earlier run can match a later
+// E-step.
 func (e *engine) rebind(g *extract.Compiled, cfg Config) {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -534,17 +620,12 @@ func (e *engine) rebind(g *extract.Compiled, cfg Config) {
 		e.baseWorkers = workers
 	}
 
-	cells := nSrc * nExt
-	if cells > pairCacheMaxCells {
-		cells = 0 // cache off: the slots stay nil
-	}
+	e.srcClass = regrow(e.srcClass, nSrc)
 	e.scores = regrow(e.scores, workers)
-	e.pairP = regrow(e.pairP, workers)
-	e.pairStamp = regrow(e.pairStamp, workers)
+	e.memoP = regrow(e.memoP, workers)
+	e.memoStamp = regrow(e.memoStamp, workers)
 	for w := 0; w < workers; w++ {
 		e.scores[w] = regrow(e.scores[w], g.MaxItemTriples())
-		e.pairP[w] = regrow(e.pairP[w], cells)
-		e.pairStamp[w] = regrow(e.pairStamp[w], cells)
 	}
 }
 
@@ -575,19 +656,20 @@ func regrow[T any](s []T, n int) []T {
 // buffers, and each statement's log-odds is assembled hoisted: a per-source
 // base — prior, ghost correction and the summed miss ratio of every
 // extractor that processed the source — plus one hit-minus-miss correction
-// per extractor that actually extracted the statement. That shrinks the
-// walk from the source's whole extractor span to the statement's hit list
-// (a handful of terms); the re-grouping is covered by the package comment's
-// reference-tolerance policy. Statements hit by exactly one extractor — the
-// bulk of an extraction corpus — share the per-(source, extractor) sigmoid
-// cache.
+// per extractor that actually extracted the statement, in list order. That
+// shrinks the walk from the source's whole extractor span to the statement's
+// hit list (a handful of terms); the re-grouping is covered by the package
+// comment's reference-tolerance policy. Each distinct (source base, hit
+// list) input is computed once per worker through the layer-1 memo.
 func (e *engine) inferStatements() {
 	g := e.g
 	if e.roundSeq == math.MaxInt32 {
-		// The stamp space is used up: forget every cached pair and start over.
-		for w := range e.pairStamp {
-			clear(e.pairStamp[w][:cap(e.pairStamp[w])])
+		// The stamp space is used up: forget every memo cell and class and
+		// start over.
+		for w := range e.memoStamp {
+			clear(e.memoStamp[w][:cap(e.memoStamp[w])])
 		}
+		clear(e.classes.stamps)
 		e.roundSeq = 0
 	}
 	e.roundSeq++
@@ -647,27 +729,23 @@ func (e *engine) inferStatements() {
 	if e.rescored < 0 {
 		e.rescored = n
 	}
-	nExt := int32(len(e.recall))
+	e.classify(seq, n)
+	nLists := int32(g.NumHitLists())
 	csr.ParallelRange(n, e.workers, func(w, lo, hi int) {
-		pairP, pairStamp := e.pairP[w], e.pairStamp[w]
+		memoP, memoStamp := e.memoP[w][:e.memoCells], e.memoStamp[w][:e.memoCells]
 		for k := lo; k < hi; k++ {
 			si := sts.at(k)
 			src := g.StatementSource(si)
-			hits := g.StatementExtractors(si)
 			var pv float64
-			if len(hits) == 1 && len(pairStamp) != 0 {
-				cell := src*nExt + hits[0]
-				if pairStamp[cell] != seq {
-					pairP[cell] = mathx.Sigmoid(e.srcBase[src] + e.lrAdj[hits[0]])
-					pairStamp[cell] = seq
+			if len(memoStamp) != 0 {
+				cell := e.srcClass[src]*nLists + g.StatementHitList(si)
+				if memoStamp[cell] != seq {
+					memoP[cell] = e.statedP(src, si)
+					memoStamp[cell] = seq
 				}
-				pv = pairP[cell]
+				pv = memoP[cell]
 			} else {
-				logOdds := e.srcBase[src]
-				for _, x := range hits {
-					logOdds += e.lrAdj[x]
-				}
-				pv = mathx.Sigmoid(logOdds)
+				pv = e.statedP(src, si)
 			}
 			e.stated[si] = pv
 			// Corroboration gate, staged for layer 2: an uninformed
@@ -689,6 +767,66 @@ func (e *engine) inferStatements() {
 			e.stWeight[si] = wgt * e.srcLogW[src]
 		}
 	})
+	if layer1Done != nil {
+		layer1Done(e)
+	}
+}
+
+// layer1Done, when set, is handed the engine after every layer-1 E-step: the
+// hook the layer-1 oracle test installs (export_test.go). It may be called
+// from several goroutines at once, one per shard graph.
+var layer1Done func(*engine)
+
+// statedP is statement si's layer-1 probability under the round's tables:
+// the sigmoid of its source's base plus the hit corrections of its
+// extractors, added in list order. The memo caches exactly this value.
+func (e *engine) statedP(src, si int32) float64 {
+	logOdds := e.srcBase[src]
+	for _, x := range e.g.StatementExtractors(si) {
+		//lint:ignore kflint/floatsum one statement's log-odds over its compiled extractor list in stored order — the per-statement unit the memo caches; the order is the graph's, identical across runs and workers.
+		logOdds += e.lrAdj[x]
+	}
+	return mathx.Sigmoid(logOdds)
+}
+
+// classify readies the layer-1 memo for the E-step stamped seq, which
+// scores n statements: one pass over the sources numbers the distinct
+// srcBase bit patterns into srcClass, and every worker's memo is sized to
+// classes × hit lists. Ghost corrections are part of srcBase, so one graph's
+// classes are right for any shard count. The memo is off for the E-step
+// (memoCells 0) once the cell count would pass memoMaxCells, and when the
+// E-step scores fewer statements than there are sources — a carried engine's
+// dirty pass — because the pass over the sources would then cost more than
+// the memo saves: on the 150k seed-42 feed (20 100 sources, 2 vCPUs) the
+// pass takes about 11 ns a source, and the memo saves about 15 ns of wall
+// time a statement.
+func (e *engine) classify(seq int32, n int) {
+	nLists := e.g.NumHitLists()
+	e.memoCells = 0
+	if nLists == 0 || nLists > memoMaxCells || n < len(e.srcBase) {
+		return
+	}
+	t := &e.classes
+	t.n = 0
+	maxClasses := memoMaxCells / nLists
+	for s, b := range e.srcBase {
+		bits := math.Float64bits(b)
+		// The pattern's home slot answers most lookups without a call.
+		if i := classSlot(bits) & t.mask; i < uint64(len(t.words)) && t.stamps[i] == seq && t.words[i] == bits {
+			e.srcClass[s] = t.ids[i]
+			continue
+		}
+		c := t.class(bits, seq, maxClasses)
+		if c < 0 {
+			return
+		}
+		e.srcClass[s] = c
+	}
+	e.memoCells = e.classes.n * nLists
+	for w := range e.memoP {
+		e.memoP[w] = regrow(e.memoP[w], e.memoCells)
+		e.memoStamp[w] = regrow(e.memoStamp[w], e.memoCells)
+	}
 }
 
 // dirtyScope is the exact dirty set of a carried engine's first E-step: the
