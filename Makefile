@@ -19,10 +19,14 @@ vet:
 # of the module: deterministic map iteration, fixed-block float reductions
 # and batched transcendentals in the compiled engines, errors.Is/As on the
 # durability sentinels, and the atomic temp+fsync+rename write protocol in
-# the stores. A stale or reasonless //lint:ignore fails it too. `go test
-# ./...` runs the same test, so verify does not list lint again.
+# the stores. A stale or reasonless //lint:ignore fails it too. It runs
+# TestNoDeadExports too, on the same loaded packages: an exported name of an
+# internal/ package that no product file reads fails unless the test's
+# allowlist gives its reason, and a stale allowlist entry fails as a stale
+# //lint:ignore does. `go test ./...` runs both tests, so verify does not
+# list lint again.
 lint:
-	$(GO) test -count=1 -run '^TestRepoIsClean$$' ./internal/lint/
+	$(GO) test -count=1 -run '^(TestRepoIsClean|TestNoDeadExports)$$' ./internal/lint/
 
 test:
 	$(GO) test ./...

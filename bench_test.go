@@ -197,6 +197,19 @@ func BenchmarkFuseReferencePopAccu(b *testing.B) {
 	b.ReportMetric(float64(len(claims))*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
 }
 
+// configSweep returns the 4-config sweep BenchmarkConfigSweep runs: VOTE,
+// ACCU, POPACCU and POPACCU with the §4.3.2 filters, all at the default
+// (Extractor, URL) granularity so they share one compiled claim graph — the
+// workload shape of the paper's Tables 1-3 and the ablation suite, where many
+// methods run over one extracted claim set. (The sweep-reuse workload builds
+// its own list, with POPACCU+unsup for the filtered one.)
+func configSweep() []fusion.Config {
+	filtered := fusion.PopAccuConfig()
+	filtered.FilterByCoverage = true
+	filtered.AccuracyThreshold = 0.5
+	return []fusion.Config{fusion.VoteConfig(), fusion.AccuConfig(), fusion.PopAccuConfig(), filtered}
+}
+
 // BenchmarkConfigSweep measures the multi-config workload that dominates the
 // experiment layer (Tables 1-3, the ablation suite, θ/coverage sweeps): the
 // same extracted claim set fused under 4 configurations. "recompile" pays
@@ -206,7 +219,7 @@ func BenchmarkFuseReferencePopAccu(b *testing.B) {
 // claims × configs so the two numbers are directly comparable.
 func BenchmarkConfigSweep(b *testing.B) {
 	ds := benchDataset(b)
-	sweep := exper.ConfigSweep()
+	sweep := configSweep()
 	nClaims := len(fusion.Claims(ds.Extractions, fusion.Granularity{}))
 	reportSweep := func(b *testing.B) {
 		b.ReportMetric(float64(nClaims*len(sweep))*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
@@ -214,8 +227,8 @@ func BenchmarkConfigSweep(b *testing.B) {
 	b.Run("recompile", func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, p := range sweep {
-				fusion.MustFuse(fusion.Claims(ds.Extractions, p.Cfg.Granularity), p.Cfg)
+			for _, cfg := range sweep {
+				fusion.MustFuse(fusion.Claims(ds.Extractions, cfg.Granularity), cfg)
 			}
 		}
 		b.StopTimer()
@@ -225,8 +238,8 @@ func BenchmarkConfigSweep(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			compiled := fusion.MustCompile(fusion.Claims(ds.Extractions, fusion.Granularity{}))
-			for _, p := range sweep {
-				compiled.MustFuse(p.Cfg)
+			for _, cfg := range sweep {
+				compiled.MustFuse(cfg)
 			}
 		}
 		b.StopTimer()

@@ -61,7 +61,7 @@
 //     against the retained interning index; the CSR spans merge through
 //     csr.AppendByGroup's ordered span merge. Along a chain of generations
 //     the columns that only grow at the end (keys, per-claim and
-//     per-statement IDs, claim confidences) are shared: the index extends them in place and
+//     per-statement IDs) are shared: the index extends them in place and
 //     each generation holds the cap-clipped prefix of its own length, so
 //     an append costs the batch plus bulk moves of the CSRs, never a copy
 //     of the prefix, and older generations stay readable while the chain

@@ -21,9 +21,9 @@ func capitalClaims() []kfusion.Claim {
 	paris := kfusion.Triple{Subject: "france", Predicate: "capital", Object: kfusion.StringObject("Paris")}
 	lyon := kfusion.Triple{Subject: "france", Predicate: "capital", Object: kfusion.StringObject("Lyon")}
 	return []kfusion.Claim{
-		{Triple: paris, Prov: "TXT1|a.example/1", Conf: -1},
-		{Triple: paris, Prov: "TXT1|b.example/1", Conf: -1},
-		{Triple: lyon, Prov: "TXT1|c.example/1", Conf: -1},
+		{Triple: paris, Prov: "TXT1|a.example/1"},
+		{Triple: paris, Prov: "TXT1|b.example/1"},
+		{Triple: lyon, Prov: "TXT1|c.example/1"},
 	}
 }
 

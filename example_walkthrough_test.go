@@ -32,7 +32,6 @@ func Example_quickstart() {
 				Object:    kfusion.StringObject(obj),
 			},
 			Prov: prov,
-			Conf: -1,
 		}
 	}
 

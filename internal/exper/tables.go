@@ -211,13 +211,3 @@ func Table3(ds *Dataset) *Table {
 	tb.Notes = append(tb.Notes, "paper Table 3: 28%/72% predicates, 24%/76% data items, 32%/68% triples, accuracy 0.18/0.25")
 	return tb
 }
-
-// sortedKeys returns map keys sorted for deterministic rendering.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

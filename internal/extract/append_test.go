@@ -57,21 +57,29 @@ func appendGraphsEqual(t *testing.T, name string, got, want *Compiled) {
 // batches revisit earlier sources and triples, add new extractors to
 // existing sources (the case that re-shapes the ext→statement incidence),
 // flip existing (extractor, statement) cells from miss to hit, and introduce
-// brand-new sources, items and triples.
+// brand-new sources, items and triples. Every fourth record re-extracts the
+// statement (source and triple) of the record at a third of its index, with
+// the extractor its own index picks; the fleet grows from three extractors to
+// five along the feed, so a later batch grows old statements' extractor
+// lists.
 func appendStream(n int) []Extraction {
 	xs := make([]Extraction, n)
 	for i := range xs {
 		nExt := 3 + i/(n/3+1) // the extractor fleet grows as the feed grows
+		j := i
+		if i%4 == 3 {
+			j = i / 3
+		}
 		xs[i] = Extraction{
 			Triple: kb.Triple{
-				Subject:   kb.EntityID(fmt.Sprintf("s%d", i%(n/6+1))),
-				Predicate: kb.PredicateID(fmt.Sprintf("p%d", i%3)),
-				Object:    kb.StringObject(fmt.Sprintf("v%d", (i*7)%5)),
+				Subject:   kb.EntityID(fmt.Sprintf("s%d", j%(n/6+1))),
+				Predicate: kb.PredicateID(fmt.Sprintf("p%d", j%3)),
+				Object:    kb.StringObject(fmt.Sprintf("v%d", (j*7)%5)),
 			},
 			Extractor:  fmt.Sprintf("X%d", (i*13)%nExt),
 			Pattern:    fmt.Sprintf("pat%d", i%2),
-			URL:        fmt.Sprintf("http://site%d.example/page%d", i%17, (i*3)%41),
-			Site:       fmt.Sprintf("site%d.example", i%17),
+			URL:        fmt.Sprintf("http://site%d.example/page%d", j%17, (j*3)%41),
+			Site:       fmt.Sprintf("site%d.example", j%17),
 			Confidence: -1,
 		}
 	}
@@ -127,15 +135,18 @@ func TestExtractAppendAboveShardThreshold(t *testing.T) {
 }
 
 // TestExtractAppendLeavesPreviousGenerationUsable pins the generational
-// contract: the base graph's arrays must be untouched by an append, and a
-// second append on the consumed base (index rebuilt) must still match. A
-// generation's hit-list IDs stay as they were when the next batch grows its
-// statements' lists.
+// contract: the base graph's arrays must be untouched by an append that grows
+// old statements' extractor lists, and a second append on the consumed base
+// (index rebuilt) must still match. A generation's hit-list IDs stay as they
+// were when the next batch grows its statements' lists.
 func TestExtractAppendLeavesPreviousGenerationUsable(t *testing.T) {
 	xs := appendStream(2000)
 	base := Compile(xs[:1500], false)
 	want := CompileWorkers(xs[:1500], false, 1)
 	next := base.Append(xs[1500:])
+	if _, _, grown := next.Parent(); len(grown) == 0 {
+		t.Fatal("scenario broken: the batch grew no old statement's extractor list")
+	}
 	appendGraphsEqual(t, "base-untouched", base, want)
 	if next.NumStatements() < base.NumStatements() {
 		t.Fatal("appended generation lost statements")

@@ -100,16 +100,17 @@ func hashProb(parts ...string) float64 {
 	return unitOf(h)
 }
 
-// hashPick deterministically picks an index in [0,n) from parts.
-func hashPick(n int, parts ...string) int {
-	if n <= 0 {
+// hashPick deterministically picks an index in [0,n) from parts. n is a
+// uint64 so a bound of 1<<31 builds where int has 32 bits.
+func hashPick(n uint64, parts ...string) int {
+	if n == 0 {
 		return 0
 	}
 	h := uint64(fnvOffset)
 	for _, p := range parts {
 		h = fnvAdd(fnvAdd(h, p), "\x01")
 	}
-	return int(h % uint64(n))
+	return int(h % n)
 }
 
 // The two hashes are 64-bit FNV-1a (hash/fnv's New64a), written out so a
@@ -180,7 +181,7 @@ func (l *Linker) pick(name string, cands []kb.EntityID) kb.EntityID {
 	if hashProb(l.ID, "ambig", name) < 0.15 {
 		// A slice of ambiguous names resolve by hash instead — linkers
 		// differ on which namesake they prefer.
-		best = cands[hashPick(len(cands), l.ID, name)]
+		best = cands[hashPick(uint64(len(cands)), l.ID, name)]
 	}
 	return best
 }

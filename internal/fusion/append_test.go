@@ -47,7 +47,6 @@ func graphsEqual(t *testing.T, name string, got, want *graph) {
 	eq("provClaims", got.provClaims, want.provClaims)
 	eq("extKeys", got.extKeys, want.extKeys)
 	eq("extOfClaim", got.extOfClaim, want.extOfClaim)
-	eq("confOfClaim", got.confOfClaim, want.confOfClaim)
 	eq("maxCandidates", got.maxCandidates, want.maxCandidates)
 }
 
@@ -276,7 +275,7 @@ func (r *claimStreamRef) add(xs []extract.Extraction) []Claim {
 			continue
 		}
 		r.seen[k] = true
-		out = append(out, Claim{Triple: x.Triple, Prov: prov, Conf: x.Confidence, Extractor: x.Extractor})
+		out = append(out, Claim{Triple: x.Triple, Prov: prov, Extractor: x.Extractor})
 	}
 	return out
 }
@@ -367,14 +366,14 @@ func TestClaimStreamMatchesClaims(t *testing.T) {
 // convergingRaw builds a claim stream on which EM actually converges
 // (Epsilon-stopped, not Rounds-capped): a pool of mostly-accurate
 // provenances, each item with one dominant true value and occasional
-// per-provenance conflicts. This is the regime the WarmTol contract covers.
+// per-provenance conflicts. This is the regime the warmTol contract covers.
 func convergingRaw(n int) []Claim {
 	claims := make([]Claim, 0, n)
 	for i := 0; i < n; i++ {
 		item := fmt.Sprintf("s%d", i%(n/12+1))
 		prov := fmt.Sprintf("prov%d", i%37)
 		val := "true"
-		if (i*2654435761)%100 < 15 { // deterministic ~15% noise
+		if (int64(i)*2654435761)%100 < 15 { // deterministic ~15% noise
 			val = fmt.Sprintf("f%d", i%3)
 		}
 		claims = append(claims, cl(item, "p", val, prov))
@@ -400,7 +399,7 @@ func dedupClaims(claims []Claim) []Claim {
 // TestFuseWarmWithinToleranceOfCold pins the documented warm-start contract
 // in its converged regime: with Epsilon (not the Rounds cap) terminating
 // both runs, seeding from the previous generation's accuracies converges in
-// no more rounds than cold start and lands within WarmTol of the cold-start
+// no more rounds than cold start and lands within warmTol of the cold-start
 // output on every probability and accuracy.
 func TestFuseWarmWithinToleranceOfCold(t *testing.T) {
 	claims := dedupClaims(convergingRaw(4000))
@@ -439,8 +438,8 @@ func TestFuseWarmWithinToleranceOfCold(t *testing.T) {
 			maxDrift = d
 		}
 	}
-	if maxDrift > WarmTol {
-		t.Errorf("warm-vs-cold drift %.2e exceeds WarmTol %.0e", maxDrift, WarmTol)
+	if maxDrift > warmTol {
+		t.Errorf("warm-vs-cold drift %.2e exceeds warmTol %.0e", maxDrift, warmTol)
 	}
 	t.Logf("warm rounds %d vs cold %d; max drift %.2e", warm.Rounds, cold.Rounds, maxDrift)
 

@@ -21,8 +21,8 @@ import (
 //
 //   - Claim IDs are the indexes of the input []Claim, unchanged. A claim is
 //     stored once, as its row of the per-claim columns (provOfClaim,
-//     tripleOfClaim, extOfClaim, confOfClaim); graph.claim assembles the
-//     record from them.
+//     tripleOfClaim, extOfClaim); graph.claim assembles the record from
+//     them.
 //   - Item IDs are assigned in first-occurrence order of the claim stream.
 //   - Triple IDs are assigned in global first-occurrence order of the claim
 //     stream. An item's candidates are reached through the itemCands CSR
@@ -90,10 +90,9 @@ type columns struct {
 
 	// The extractor axis. The engines read it only aggregated
 	// (tripleExtractors); an Append recounts the triples a batch touches from
-	// it, and snapshots persist it with the confidences, which no engine reads.
-	extKeys     []string  // extractor ID -> extractor name
-	extOfClaim  []int32   // claim ID -> extractor ID
-	confOfClaim []float64 // claim ID -> extractor confidence
+	// it, and snapshots persist it.
+	extKeys    []string // extractor ID -> extractor name
+	extOfClaim []int32  // claim ID -> extractor ID
 }
 
 // clipped returns the columns with every capacity cut to its length, so an
@@ -110,20 +109,18 @@ func (c columns) clipped() columns {
 		provOfClaim:   slices.Clip(c.provOfClaim),
 		extKeys:       slices.Clip(c.extKeys),
 		extOfClaim:    slices.Clip(c.extOfClaim),
-		confOfClaim:   slices.Clip(c.confOfClaim),
 	}
 }
 
 // numClaims reports the number of claims, the length of every per-claim
 // column.
-func (c *columns) numClaims() int { return len(c.confOfClaim) }
+func (c *columns) numClaims() int { return len(c.provOfClaim) }
 
 // claim assembles claim i from its columns.
 func (g *graph) claim(i int) Claim {
 	return Claim{
 		Triple:    g.triples[g.tripleOfClaim[i]],
 		Prov:      g.provKeys[g.provOfClaim[i]],
-		Conf:      g.confOfClaim[i],
 		Extractor: g.extKeys[g.extOfClaim[i]],
 	}
 }
@@ -326,7 +323,6 @@ func extend(old *graph, idx *claimIndex, batch []Claim, workers int) *graph {
 	if nOld == 0 {
 		idx.presize(g, len(batch))
 	}
-	g.confOfClaim = append(g.confOfClaim, make([]float64, len(batch))...)
 	g.provOfClaim = append(g.provOfClaim, make([]int32, len(batch))...)
 	g.tripleOfClaim = append(g.tripleOfClaim, make([]int32, len(batch))...)
 	g.extOfClaim = append(g.extOfClaim, make([]int32, len(batch))...)
@@ -417,9 +413,9 @@ func (idx *claimIndex) presize(g *graph, n int) {
 	g.provKeys = make([]string, 0, n/2+16)
 }
 
-// internClaims interns a claim batch: it writes batch's confidences and
-// provenance, extractor and triple IDs into g's per-claim columns from claim
-// first on, continuing whatever idx and g's key columns already hold.
+// internClaims interns a claim batch: it writes batch's provenance,
+// extractor and triple IDs into g's per-claim columns from claim first on,
+// continuing whatever idx and g's key columns already hold.
 //
 // The batch is split into shards contiguous ranges, each interned by the
 // sequential loop (internRange). Range 0 runs on idx's own tables, so its IDs
@@ -442,7 +438,6 @@ func internClaims(g *graph, idx *claimIndex, batch []Claim, first, shards int) {
 			provOfClaim:   g.provOfClaim[first+lo : first+hi],
 			tripleOfClaim: g.tripleOfClaim[first+lo : first+hi],
 			extOfClaim:    g.extOfClaim[first+lo : first+hi],
-			confOfClaim:   g.confOfClaim[first+lo : first+hi],
 		}}
 		lidx := &claimIndex{}
 		lidx.presize(lg, hi-lo)
@@ -499,8 +494,8 @@ func fold[K comparable](t *csr.InternTable[K], keys *[]K, locals []*graph, keysO
 }
 
 // internRange is the sequential interning loop of a claim range: it writes
-// the range's confidences and IDs into g's per-claim columns from claim first
-// on, continuing whatever idx and g's key columns already hold.
+// the range's IDs into g's per-claim columns from claim first on, continuing
+// whatever idx and g's key columns already hold.
 //
 // Claim streams arrive grouped by extractor (and largely by provenance within
 // a group), so a last-seen cache answers most lookups without touching the
@@ -520,7 +515,6 @@ func internRange(g *graph, idx *claimIndex, batch []Claim, first int) {
 		}
 		g.extOfClaim[first+i] = xid
 		g.tripleOfClaim[first+i], _ = idx.tri.Intern(csr.HashTriple(c.Triple), &g.triples, c.Triple)
-		g.confOfClaim[first+i] = c.Conf
 	}
 }
 
@@ -668,10 +662,10 @@ func unseen(n int) []int32 {
 // assigned in first-occurrence order, so the IDs of existing provenances,
 // items, triples and claims are unchanged and only the batch is interned,
 // against the index the previous generation left behind. The append-only
-// columns (keys, per-claim and per-triple IDs, confidences) are extended in
-// place through that index — the receiver holds their clipped prefixes — and
-// only the arrays a batch rewrites for old IDs, the CSRs and support counts,
-// are rebuilt around the old ones (bulk copies, no re-hashing of the prefix).
+// columns (keys, per-claim and per-triple IDs) are extended in place through
+// that index — the receiver holds their clipped prefixes — and only the
+// arrays a batch rewrites for old IDs, the CSRs and support counts, are
+// rebuilt around the old ones (bulk copies, no re-hashing of the prefix).
 // A batch of at least csr.ParallelThreshold claims interns in one range per
 // worker from shardInternMinWorkers workers on, and in one range otherwise
 // (shardIntern), whatever the receiver holds.

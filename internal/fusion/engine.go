@@ -133,7 +133,7 @@ func (c *Compiled) MustFuse(cfg Config) *Result {
 	return r
 }
 
-// WarmTol is the documented warm-start-vs-cold-start tolerance, and it
+// warmTol is the documented warm-start-vs-cold-start tolerance, and it
 // applies in the converged regime: when both the warm and the cold run stop
 // because the per-round accuracy delta fell below Config.Epsilon (rather
 // than hitting the Rounds cap), they halt in Epsilon-sized neighborhoods of
@@ -146,7 +146,7 @@ func (c *Compiled) MustFuse(cfg Config) *Result {
 // remaining convergence distance; callers who need the bound on appended
 // batches should let Epsilon terminate (the whole point of warm start is
 // that it then stops after one or two rounds).
-const WarmTol = 5e-3
+const warmTol = 5e-3
 
 // FuseWarm is Fuse seeded from a previous fusion result — the warm start of
 // the append pipeline. Every provenance whose key appears in prev's
@@ -156,7 +156,7 @@ const WarmTol = 5e-3
 //
 //   - Converged (Epsilon-stopped) data: seeding near the fixed point makes
 //     the per-round delta start small, so EM stops after a round or two and
-//     the output stays within the documented WarmTol of cold start.
+//     the output stays within the documented warmTol of cold start.
 //
 //   - Round-capped streaming (the paper's forced R; real POPACCU runs
 //     oscillate rather than converge): run FuseWarm as online EM — carry

@@ -220,7 +220,7 @@ func TestCompiledEngineMatchesReferenceAcrossWorkers(t *testing.T) {
 // must fuse alike.
 func TestGoldSamplingFoldsSignedZero(t *testing.T) {
 	num := func(v float64, prov string) Claim {
-		return Claim{Triple: kb.Triple{Subject: "s", Predicate: "p", Object: kb.NumberObject(v)}, Prov: prov, Conf: -1}
+		return Claim{Triple: kb.Triple{Subject: "s", Predicate: "p", Object: kb.NumberObject(v)}, Prov: prov}
 	}
 	const rate = 0.5
 	x := ""

@@ -60,7 +60,6 @@ func extendFeed(old *graph, idx *claimIndex, xs []extract.Extraction, gran Granu
 	g := successor(old, idx)
 	if nOld == 0 {
 		idx.presize(g, len(xs))
-		g.confOfClaim = make([]float64, 0, len(xs))
 	}
 	idx.feedPairs(g, gran, len(xs))
 	internExtractions(g, idx, xs)
@@ -87,9 +86,9 @@ func (idx *claimIndex) feedPairs(g *graph, gran Granularity, extra int) {
 // flattens xs into claims under the index's feed granularity as it interns
 // them. Each record interns its provenance key and its triple; a record whose
 // (provenance, triple) pair idx.pairs holds adds nothing, and every other one
-// appends its confidence and IDs to g's per-claim columns. Every ID space is
-// therefore assigned in the first-occurrence order of the claims, as a
-// Compile of the flattened claims assigns it.
+// appends its IDs to g's per-claim columns. Every ID space is therefore
+// assigned in the first-occurrence order of the claims, as a Compile of the
+// flattened claims assigns it.
 //
 // A feed lists a page's extractions together, so most records share their
 // provenance with the one before: while gran.sameKey holds, a record reuses
@@ -114,7 +113,6 @@ func internExtractions(g *graph, idx *claimIndex, xs []extract.Extraction) {
 		if g.numClaims() == first || x.Extractor != g.extKeys[xid] {
 			xid, _ = idx.ext.Intern(idx.ext.Hash(x.Extractor), &g.extKeys, x.Extractor)
 		}
-		g.confOfClaim = append(g.confOfClaim, x.Confidence)
 		g.provOfClaim = append(g.provOfClaim, pid)
 		g.tripleOfClaim = append(g.tripleOfClaim, tid)
 		g.extOfClaim = append(g.extOfClaim, xid)
@@ -173,6 +171,6 @@ func (s *ClaimStream) Add(xs []extract.Extraction) []Claim {
 	}
 	// The stream keeps its ID spaces and pair set, not the claims.
 	g := &s.g
-	g.confOfClaim, g.provOfClaim, g.tripleOfClaim, g.extOfClaim = g.confOfClaim[:0], g.provOfClaim[:0], g.tripleOfClaim[:0], g.extOfClaim[:0]
+	g.provOfClaim, g.tripleOfClaim, g.extOfClaim = g.provOfClaim[:0], g.tripleOfClaim[:0], g.extOfClaim[:0]
 	return claims
 }

@@ -12,7 +12,6 @@ func cl(subj, pred, obj, prov string) Claim {
 	return Claim{
 		Triple: kb.Triple{Subject: kb.EntityID(subj), Predicate: kb.PredicateID(pred), Object: kb.StringObject(obj)},
 		Prov:   prov,
-		Conf:   -1,
 	}
 }
 

@@ -27,7 +27,6 @@ func growingClaims(seed int64, n int) []Claim {
 			},
 			Prov:      fmt.Sprintf("prov%d", rng.Intn(40+i/15)),
 			Extractor: fmt.Sprintf("X%d", rng.Intn(5)),
-			Conf:      -1,
 		}
 		if k := (provTriple{c.Prov, c.Triple}); !seen[k] {
 			seen[k] = true

@@ -3,9 +3,9 @@ package fusion
 import "unsafe"
 
 // ApproxBytes estimates the resident heap size of the compiled claim graph:
-// every ID, CSR and confidence column at element size and the interned key
-// tables with their string payloads. It is an accounting walk, not a
-// runtime measurement — deterministic, allocation-free, and cheap enough to
+// every ID and CSR column at element size and the interned key tables with
+// their string payloads. It is an accounting walk, not a runtime
+// measurement — deterministic, allocation-free, and cheap enough to
 // sample per shard — and it deliberately ignores allocator rounding and the
 // Append index byproduct, including the spare capacity a live append chain
 // holds on its shared columns (lengths are counted, not capacities), so treat
@@ -14,7 +14,7 @@ import "unsafe"
 // shards (max shard bytes vs the unsharded total).
 func (c *Compiled) ApproxBytes() int {
 	g := c.g
-	n := 8 * len(g.confOfClaim)
+	n := 0
 	for i := range g.items {
 		n += int(unsafe.Sizeof(g.items[i])) + len(g.items[i].Subject) + len(g.items[i].Predicate)
 	}

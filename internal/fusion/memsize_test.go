@@ -7,8 +7,8 @@ import (
 	"kfusion/internal/kb"
 )
 
-// TestApproxBytes pins the accounting walk's basic sanity: deterministic,
-// growing with the corpus, and roughly linear in claim count.
+// TestApproxBytes pins the accounting walk: deterministic, growing with the
+// corpus, and 28 bytes per claim once the keys stop growing.
 func TestApproxBytes(t *testing.T) {
 	mk := func(n int) *Compiled {
 		claims := make([]Claim, n)
@@ -20,7 +20,6 @@ func TestApproxBytes(t *testing.T) {
 					Object:    kb.StringObject(fmt.Sprintf("v%d", i%7)),
 				},
 				Prov: fmt.Sprintf("E%d|url%d", i%5, i%90),
-				Conf: -1,
 			}
 		}
 		return MustCompile(claims)
@@ -35,5 +34,12 @@ func TestApproxBytes(t *testing.T) {
 	}
 	if got := small.ApproxBytes(); got != a {
 		t.Fatalf("not deterministic: %d then %d", a, got)
+	}
+	// From 350 claims on every key repeats, so more claims add only their
+	// rows: 4 bytes in each of the seven claim-indexed int32 columns (claim ->
+	// triple, candidate offset, provenance and extractor, and the item,
+	// triple and provenance claim lists).
+	if got := mk(1400).ApproxBytes() - mk(700).ApproxBytes(); got != 28*700 {
+		t.Fatalf("700 more claims over the same keys count %d bytes, want %d", got, 28*700)
 	}
 }

@@ -22,7 +22,6 @@ func randomClaims(seed int64, n int) []Claim {
 				Object:    kb.StringObject(fmt.Sprintf("v%d", rng.Intn(5))),
 			},
 			Prov: fmt.Sprintf("prov%d", rng.Intn(10)),
-			Conf: -1,
 		})
 	}
 	// Deduplicate (prov, triple) pairs as Claims() would.
@@ -92,7 +91,6 @@ func TestQuickAgreementMonotonicity(t *testing.T) {
 		extended := append(append([]Claim(nil), claims...), Claim{
 			Triple: target,
 			Prov:   "fresh-agreeing-provenance",
-			Conf:   -1,
 		})
 		after, err := Fuse(extended, cfg)
 		if err != nil {

@@ -133,7 +133,6 @@ func shardedClaims(n int) []Claim {
 			},
 			Prov:      prov,
 			Extractor: fmt.Sprintf("X%d", i%13),
-			Conf:      -1,
 		}
 	}
 	return claims
@@ -183,9 +182,6 @@ func TestInternClaimsRangesMatchLoop(t *testing.T) {
 			if !slices.Equal(g.extOfClaim, want.extOfClaim) {
 				t.Fatalf("%s: extOfClaim differs", name)
 			}
-			if !slices.Equal(g.confOfClaim, want.confOfClaim) {
-				t.Fatalf("%s: confOfClaim differs", name)
-			}
 			if !slices.Equal(g.tripleOfClaim, want.tripleOfClaim) {
 				t.Fatalf("%s: tripleOfClaim differs", name)
 			}
@@ -205,7 +201,6 @@ func claimColumns(n int) (*graph, *claimIndex) {
 		provOfClaim:   make([]int32, n),
 		tripleOfClaim: make([]int32, n),
 		extOfClaim:    make([]int32, n),
-		confOfClaim:   make([]float64, n),
 	}}
 	idx := &claimIndex{}
 	idx.presize(g, n)

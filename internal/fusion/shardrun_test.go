@@ -68,7 +68,6 @@ func stepClaims(seed int64, n int) []Claim {
 				Object:    kb.StringObject(fmt.Sprintf("v%d", rng.Intn(4))),
 			},
 			Prov: fmt.Sprintf("prov%d", rng.Intn(160)),
-			Conf: -1,
 		})
 	}
 	return claims

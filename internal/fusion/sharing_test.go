@@ -23,7 +23,7 @@ func chainWithTail(t *testing.T, claims []Claim, cut0 int) (*Compiled, int) {
 	g, at := MustCompile(claims[:cut0]), cut0
 	for tries := 0; tries < 10; tries++ {
 		g, at = g.MustAppend(claims[at:at+200]), at+200
-		if cap(g.idx.cols.confOfClaim)-g.idx.cols.numClaims() >= 100 {
+		if cap(g.idx.cols.provOfClaim)-g.idx.cols.numClaims() >= 100 {
 			return g, at
 		}
 	}
@@ -33,7 +33,7 @@ func chainWithTail(t *testing.T, claims []Claim, cut0 int) (*Compiled, int) {
 
 // sharesArray reports whether two generations' claim columns start at the same
 // address, i.e. the later one was extended in place.
-func sharesArray(a, b *Compiled) bool { return &a.g.confOfClaim[0] == &b.g.confOfClaim[0] }
+func sharesArray(a, b *Compiled) bool { return &a.g.provOfClaim[0] == &b.g.provOfClaim[0] }
 
 // TestAppendForkOwnsItsTail is the fork rule: A→B chained in place, then a
 // second Append on A (index already taken) with a different batch, and one

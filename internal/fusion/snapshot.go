@@ -11,15 +11,15 @@ import (
 // snapshotVersion versions the Compiled wire encoding. Bump on any layout
 // change; DecodeSnapshot rejects mismatches so a store written by a newer
 // binary degrades to recompile instead of misparsing. 2: only the primary
-// columns are stored.
-const snapshotVersion = 2
+// columns are stored. 3: no extractor-confidence column.
+const snapshotVersion = 3
 
 // EncodeSnapshot serializes the compiled claim graph's primary columns — the
 // generation counter, the provenance, extractor and triple key tables, and
-// the four per-claim columns — which is everything a compile cannot derive
-// from the claims. The data items, the CSRs and the support counts are the
-// compile tail's to derive, and DecodeSnapshot rebuilds them through it. The
-// encoding is canonical: one graph always produces the same bytes.
+// the three per-claim ID columns — which is everything a compile cannot
+// derive from the claims. The data items, the CSRs and the support counts are
+// the compile tail's to derive, and DecodeSnapshot rebuilds them through it.
+// The encoding is canonical: one graph always produces the same bytes.
 //
 // The interning index (the Append byproduct) is NOT serialized; a decoded
 // generation rebuilds it on first Append (see rebuildIndex), trading one linear
@@ -32,7 +32,6 @@ func (c *Compiled) EncodeSnapshot(out io.Writer) error {
 	w.Strings(g.provKeys)
 	w.Strings(g.extKeys)
 	kb.EncodeTriples(w, g.triples)
-	w.F64s(g.confOfClaim)
 	w.Int32s(g.extOfClaim)
 	w.Int32s(g.provOfClaim)
 	w.Int32s(g.tripleOfClaim)
@@ -54,14 +53,12 @@ func DecodeSnapshot(data []byte) (*Compiled, error) {
 	g.provKeys = r.Strings()
 	g.extKeys = r.Strings()
 	g.triples = kb.DecodeTriples(r)
-	g.confOfClaim = r.F64s()
 	g.extOfClaim = r.Int32s()
 	g.provOfClaim = r.Int32s()
 	g.tripleOfClaim = r.Int32s()
 
 	n := g.numClaims()
 	r.CheckLen("extOfClaim", len(g.extOfClaim), n)
-	r.CheckLen("provOfClaim", len(g.provOfClaim), n)
 	r.CheckLen("tripleOfClaim", len(g.tripleOfClaim), n)
 	r.CheckIDs("extOfClaim", g.extOfClaim, len(g.extKeys))
 	r.CheckIDs("provOfClaim", g.provOfClaim, len(g.provKeys))

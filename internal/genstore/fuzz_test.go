@@ -83,9 +83,9 @@ func damagedGraphs(t testing.TB, snap []byte) (name []string, damaged [][]byte) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A graph section is a head of key tables (and the claim confidences),
-	// then its int32 columns: tripleOfClaim is the claim graph's last;
-	// stSource, stTriple and stExtStart are the extraction graph's first three.
+	// A graph section is a head of key tables, then its int32 columns:
+	// tripleOfClaim is the claim graph's last; stSource, stTriple and
+	// stExtStart are the extraction graph's first three.
 	split := func(encode func(io.Writer) error, nCols int, head func(*wire.Reader)) ([]byte, [][]int32) {
 		var b bytes.Buffer
 		if err := encode(&b); err != nil {
@@ -124,7 +124,6 @@ func damagedGraphs(t testing.TB, snap []byte) (name []string, damaged [][]byte) 
 			r.Strings()
 			r.Strings()
 			kb.DecodeTriples(r)
-			r.F64s()
 		})
 		add(secClaim, "a claim of an out-of-range triple", head, cols, func(c [][]int32) { c[2][0] = int32(st.Claim.NumTriples()) })
 		add(secClaim, "a short provenance column", head, cols, func(c [][]int32) { c[1] = c[1][:len(c[1])-1] })

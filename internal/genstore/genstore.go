@@ -71,8 +71,9 @@ const (
 	// snapVersion is the snapshot container's version. 2: the result
 	// section holds the posterior's columns, not the exchange-form rows. 3:
 	// the graph sections hold only their graphs' primary columns, and a
-	// decode derives the rest through the compile tail.
-	snapVersion = 3
+	// decode derives the rest through the compile tail. 4: the claim graph
+	// section holds no extractor-confidence column.
+	snapVersion = 4
 	// journalVersion is the journal's, which a snapshot format change leaves
 	// alone: a binary that cannot read an older one's snapshots still
 	// replays its journal.

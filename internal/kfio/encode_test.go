@@ -207,7 +207,7 @@ func FuzzWriteFused(f *testing.F) {
 	f.Add("/m/1", "/p/a", "x", byte(1), 0.0, 0.83, 4, 2)
 	f.Add(`quo"te`, `back\slash`, "<b>&amp;</b>", byte(0), 0.0, -1.0, 1, 1)
 	f.Add("ctl\x00\x1f\n", "bad\xffutf8\xc3", "line\u2028sep", byte(1), 0.0, 1e-7, 0, 0)
-	f.Add("s", "p", "", byte(2), math.Copysign(0, -1), math.Copysign(0, -1), -3, 1<<40)
+	f.Add("s", "p", "", byte(2), math.Copysign(0, -1), math.Copysign(0, -1), -3, min(1<<40, math.MaxInt)) // 1<<40 where int has 64 bits
 	f.Add("s", "p", "", byte(2), 5e-324, 5e-324, 1, 1)
 	f.Add("s", "p", "", byte(2), 1e21, 1e21, 1, 1)
 	f.Add("s", "p", "", byte(2), math.NaN(), 0.999999e-6, 1, 1)

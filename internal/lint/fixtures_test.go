@@ -35,7 +35,7 @@ func loadRepo(t *testing.T) ([]*Package, *ExportLookup) {
 	repoOnce.Do(func() {
 		root := filepath.Join("..", "..")
 		if repoErr = readTree(root); repoErr == nil {
-			repoPkgs, repoLookup, repoErr = Load(root, "./...")
+			repoPkgs, repoLookup, repoErr = load(root, "./...")
 		}
 	})
 	if repoErr != nil {
@@ -106,11 +106,11 @@ func checkFixture(t *testing.T, a *Analyzer, dir string, files ...string) {
 	for i, f := range files {
 		paths[i] = filepath.Join("testdata", "src", dir, f)
 	}
-	pkg, err := TypecheckFiles("kflint/fixture/"+dir, paths, lookup)
+	pkg, err := typecheckFiles("kflint/fixture/"+dir, paths, lookup)
 	if err != nil {
 		t.Fatalf("typechecking fixture: %v", err)
 	}
-	diags, err := RunAnalyzers(pkg, []*Analyzer{a}, false)
+	diags, err := runAnalyzers(pkg, []*Analyzer{a}, false)
 	if err != nil {
 		t.Fatalf("running kflint/%s: %v", a.Name, err)
 	}

@@ -42,14 +42,6 @@ func usedObj(info *types.Info, e ast.Expr) types.Object {
 	return nil
 }
 
-// pkgFunc reports whether call invokes the package-level function
-// pkgPath.name (e.g. "os".Create).
-func pkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	obj := usedObj(info, call.Fun)
-	fn, ok := obj.(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
 // calledPkgLevel returns (package path, func name) when call invokes a
 // package-level function, else ("", "").
 func calledPkgLevel(info *types.Info, call *ast.CallExpr) (string, string) {
@@ -129,17 +121,6 @@ var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Inte
 func declaredWithin(obj types.Object, node ast.Node) bool {
 	return obj != nil && obj.Pos() != token.NoPos &&
 		obj.Pos() >= node.Pos() && obj.Pos() < node.End()
-}
-
-// funcName renders a diagnostic-friendly name for the function enclosing
-// pos, for messages that want context.
-func funcName(file *ast.File, pos token.Pos) string {
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos < fd.End() {
-			return fd.Name.Name
-		}
-	}
-	return "<init>"
 }
 
 // hasPrefixErr reports the Err* naming convention the sentinel contracts

@@ -6,7 +6,9 @@
 // and atomic durable writes (atomicwrite). The
 // analyzers run through one driver, the TestRepoIsClean self-test: inside
 // `go test ./...` and alone as `make lint`, so a contract violation fails
-// the tree the same way a broken unit test does.
+// the tree the same way a broken unit test does. Beside it, on the same
+// loaded packages, TestNoDeadExports fails on an exported name of an
+// internal/ package that no product file reads.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but is built on the standard library alone —
@@ -109,7 +111,6 @@ const IgnorePrefix = "//lint:ignore "
 
 type directive struct {
 	analyzer string // bare analyzer name, "" if malformed
-	reason   string
 	pos      token.Position
 	used     bool
 }
@@ -149,9 +150,7 @@ func directivesByLine(fset *token.FileSet, file *ast.File) (byLine map[int][]*di
 				})
 				continue
 			}
-			byLine[pos.Line] = append(byLine[pos.Line], &directive{
-				analyzer: name, reason: strings.TrimSpace(reason), pos: pos,
-			})
+			byLine[pos.Line] = append(byLine[pos.Line], &directive{analyzer: name, pos: pos})
 		}
 	}
 	return byLine, malformed
@@ -166,13 +165,13 @@ func knownAnalyzer(name string) bool {
 	return false
 }
 
-// RunAnalyzers runs every analyzer in as (gated by Applies when gate is
+// runAnalyzers runs every analyzer in as (gated by Applies when gate is
 // true) over pkg and returns the surviving diagnostics: findings with a
 // well-formed same-line or preceding-line suppression directive are
 // dropped, and malformed directives — and well-formed ones naming an
 // analyzer that ran but suppressing none of its findings — are reported as
 // findings in their own right. The result is sorted by position.
-func RunAnalyzers(pkg *Package, as []*Analyzer, gate bool) ([]Diagnostic, error) {
+func runAnalyzers(pkg *Package, as []*Analyzer, gate bool) ([]Diagnostic, error) {
 	byLine := map[int][]*directive{}
 	var out []Diagnostic
 	for _, f := range pkg.Files {

@@ -44,12 +44,12 @@ type listedPkg struct {
 	Error      *struct{ Err string }
 }
 
-// Load runs `go list -deps -export -json patterns...` in dir and returns
+// load runs `go list -deps -export -json patterns...` in dir and returns
 // the matched (non-dependency) packages parsed and type-checked, sorted by
 // import path, plus an export-data lookup covering the full dependency
 // closure (reused by the fixture harness to type-check testdata against
 // real repo packages).
-func Load(dir string, patterns ...string) ([]*Package, *ExportLookup, error) {
+func load(dir string, patterns ...string) ([]*Package, *ExportLookup, error) {
 	listed, err := goList(dir, patterns...)
 	if err != nil {
 		return nil, nil, err
@@ -156,9 +156,9 @@ func typecheck(path, dir string, files []string, lookup *ExportLookup) (*Package
 	}, nil
 }
 
-// TypecheckFiles type-checks an explicit file list as one package — the
+// typecheckFiles type-checks an explicit file list as one package — the
 // fixture harness's entry point (files under testdata).
-func TypecheckFiles(path string, filenames []string, lookup *ExportLookup) (*Package, error) {
+func typecheckFiles(path string, filenames []string, lookup *ExportLookup) (*Package, error) {
 	if len(filenames) == 0 {
 		return nil, fmt.Errorf("lint: no files for %s", path)
 	}

@@ -15,7 +15,7 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	total := 0
 	for _, pkg := range pkgs {
-		diags, err := RunAnalyzers(pkg, Analyzers(), true)
+		diags, err := runAnalyzers(pkg, Analyzers(), true)
 		if err != nil {
 			t.Fatalf("%s: %v", pkg.Path, err)
 		}

@@ -957,19 +957,20 @@ func TestWarmAppendAllocationBound(t *testing.T) {
 // TestClaimChainLiveHeapBound is the size guard on the claim chain's graph
 // and interning index, in process until the benchmark has a size row: a chain
 // grown by AppendExtractions over the large dataset's first 150 000 records
-// in 8192-record batches must hold no more than 170 bytes of live heap per
+// in 8192-record batches must hold no more than 162 bytes of live heap per
 // claim. Measured on the same feed and batching, the chain held 307.4 B/claim
 // with a separate claim stream's tables beside the graph, 249.8 with one set
-// of tables and a 104-byte Claim record per claim beside the ID columns, and
-// 144.1 with the claims kept only as columns. 170 is that plus 14 for a pair
-// set one doubling larger (8-byte words at ≤ 0.75 load: 2^18 slots, 2 MB, for
-// these 150 000 claims) and about 10 for allocator rounding; a returning
-// record or a second set of intern tables fails it.
+// of tables and a 104-byte Claim record per claim beside the ID columns, 144.1
+// with the claims kept only as columns, and 136.0 once the 8-byte confidence
+// column went. 162 is that plus 14 for a pair set one doubling larger (8-byte
+// words at ≤ 0.75 load: 2^18 slots, 2 MB, for these 150 000 claims) and about
+// 10 for allocator rounding; a returning record, column or second set of
+// intern tables fails it.
 func TestClaimChainLiveHeapBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesises the large dataset")
 	}
-	const bound = 170 // bytes per claim
+	const bound = 162 // bytes per claim
 	gran := fusion.PopAccuConfig().Granularity
 	xs := exper.SharedDataset(exper.ScaleLarge, 42).Extractions
 	xs = xs[:min(len(xs), 150_000)]

@@ -262,7 +262,7 @@ type State struct {
 	engines csr.Handoff[*engine]
 }
 
-// WarmTol is the documented warm-start-vs-cold-start tolerance, in the
+// warmTol is the documented warm-start-vs-cold-start tolerance, in the
 // converged regime: when both the warm and the cold run stop because the
 // per-round accuracy delta fell below the 1e-4 convergence threshold
 // (rather than hitting the Rounds cap — the paper's R = 5 is a forced
@@ -272,13 +272,13 @@ type State struct {
 // cold are different truncations of the same iteration and can differ up to
 // the remaining convergence distance. The warm-start equivalence tests pin
 // the bound.
-const WarmTol = 5e-3
+const warmTol = 5e-3
 
 // FuseCompiledWarm is FuseCompiled seeded from a previous generation's
 // State — the warm start of the append pipeline. Sources and extractors
 // covered by warm start at their previous posteriors instead of the
 // configured initial values. On data where the EM threshold-converges,
-// that typically cuts the round count and lands within WarmTol of cold
+// that typically cuts the round count and lands within warmTol of cold
 // start; under the paper's forced round cap R, run it as online EM instead
 // — carry the State batch to batch with cfg.Rounds = 1 — which costs a
 // fraction of a cold R-round run and matches its evaluation quality (WDev

@@ -12,12 +12,12 @@ import (
 
 // warmStream synthesizes a deterministic extraction stream with a handful of
 // mostly-consistent extractors over a growing source pool — data on which
-// the two-layer EM converges (threshold-stopped), the regime WarmTol covers.
+// the two-layer EM converges (threshold-stopped), the regime warmTol covers.
 func warmStream(n int) []extract.Extraction {
 	xs := make([]extract.Extraction, n)
 	for i := range xs {
 		val := "true"
-		if (i*2654435761)%100 < 12 { // deterministic ~12% noise
+		if (int64(i)*2654435761)%100 < 12 { // deterministic ~12% noise
 			val = fmt.Sprintf("f%d", i%2)
 		}
 		xs[i] = extract.Extraction{
@@ -37,7 +37,7 @@ func warmStream(n int) []extract.Extraction {
 
 // TestFuseCompiledWarmWithinToleranceOfCold pins the warm-start contract in
 // its converged regime: seeding generation k+1 from generation k's State
-// converges in no more rounds than cold start and lands within WarmTol of
+// converges in no more rounds than cold start and lands within warmTol of
 // the cold-start output on every probability and accuracy.
 func TestFuseCompiledWarmWithinToleranceOfCold(t *testing.T) {
 	xs := warmStream(4000)
@@ -86,8 +86,8 @@ func TestFuseCompiledWarmWithinToleranceOfCold(t *testing.T) {
 			maxDrift = d
 		}
 	}
-	if maxDrift > WarmTol {
-		t.Errorf("warm-vs-cold drift %.2e exceeds WarmTol %.0e", maxDrift, WarmTol)
+	if maxDrift > warmTol {
+		t.Errorf("warm-vs-cold drift %.2e exceeds warmTol %.0e", maxDrift, warmTol)
 	}
 	t.Logf("warm rounds %d vs cold %d; max drift %.2e", warm.Rounds, cold.Rounds, maxDrift)
 

@@ -3,7 +3,6 @@ package world
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -25,39 +24,37 @@ type typeSpec struct {
 	domain string
 	name   string
 	kind   nameKind
-	// weight biases how many of Config.NumEntities land in this type; the
-	// Zipf skew is applied over the catalog order below.
-	weight float64
 }
 
 // typeCatalog mirrors the paper's observation that types span "geography,
 // business, book, music, sports, people, biology, etc." and that the top
-// types (location, organization, business) dominate entity counts.
+// types (location, organization, business) dominate entity counts:
+// buildEntities applies its Zipf skew over the catalog order.
 var typeCatalog = []typeSpec{
-	{"organization", "organization", nkOrg, 0},
-	{"business", "company", nkOrg, 0},
-	{"people", "person", nkPerson, 0},
-	{"film", "film", nkTitle, 0},
-	{"film", "actor", nkPerson, 0},
-	{"film", "director", nkPerson, 0},
-	{"book", "book", nkTitle, 0},
-	{"book", "author", nkPerson, 0},
-	{"music", "album", nkTitle, 0},
-	{"music", "artist", nkPerson, 0},
-	{"sports", "team", nkOrg, 0},
-	{"sports", "athlete", nkPerson, 0},
-	{"tv", "program", nkTitle, 0},
-	{"education", "university", nkOrg, 0},
-	{"geography", "mountain", nkPlace, 0},
-	{"geography", "river", nkPlace, 0},
-	{"biology", "species", nkPlace, 0},
-	{"government", "politician", nkPerson, 0},
-	{"medicine", "hospital", nkOrg, 0},
-	{"computer", "software", nkTitle, 0},
-	{"automotive", "model", nkTitle, 0},
-	{"food", "dish", nkTitle, 0},
-	{"astronomy", "star", nkPlace, 0},
-	{"theater", "play", nkTitle, 0},
+	{"organization", "organization", nkOrg},
+	{"business", "company", nkOrg},
+	{"people", "person", nkPerson},
+	{"film", "film", nkTitle},
+	{"film", "actor", nkPerson},
+	{"film", "director", nkPerson},
+	{"book", "book", nkTitle},
+	{"book", "author", nkPerson},
+	{"music", "album", nkTitle},
+	{"music", "artist", nkPerson},
+	{"sports", "team", nkOrg},
+	{"sports", "athlete", nkPerson},
+	{"tv", "program", nkTitle},
+	{"education", "university", nkOrg},
+	{"geography", "mountain", nkPlace},
+	{"geography", "river", nkPlace},
+	{"biology", "species", nkPlace},
+	{"government", "politician", nkPerson},
+	{"medicine", "hospital", nkOrg},
+	{"computer", "software", nkTitle},
+	{"automotive", "model", nkTitle},
+	{"food", "dish", nkTitle},
+	{"astronomy", "star", nkPlace},
+	{"theater", "play", nkTitle},
 }
 
 // LocationType is the type carried by every entity in the location hierarchy.
@@ -628,11 +625,4 @@ func (w *World) Stats() string {
 	fmt.Fprintf(&b, "types=%d predicates=%d entities=%d facts=%d items=%d",
 		w.Ont.NumTypes(), w.Ont.NumPredicates(), w.Ont.NumEntities(), w.Truth.Len(), w.Truth.NumItems())
 	return b.String()
-}
-
-// sortedPredicates returns predicate IDs sorted for deterministic iteration.
-func (w *World) sortedPredicates() []kb.PredicateID {
-	ids := append([]kb.PredicateID(nil), w.Ont.Predicates()...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
