@@ -110,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s -fuzzminimizetime 2s ./internal/extract/
 	$(GO) test -run '^$$' -fuzz FuzzAppendChunking -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz FuzzAppendExtractions -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
+	$(GO) test -run '^$$' -fuzz FuzzClaimEngine -fuzztime 15s -fuzzminimizetime 2s ./internal/fusion/
 	$(GO) test -run '^$$' -fuzz FuzzWarmChain -fuzztime 15s -fuzzminimizetime 2s ./internal/twolayer/
 	$(GO) test -run '^$$' -fuzz FuzzTwoLayerEngine -fuzztime 15s -fuzzminimizetime 2s ./internal/twolayer/
 	$(GO) test -run '^$$' -fuzz FuzzShardGhosts -fuzztime 15s -fuzzminimizetime 2s ./internal/shard/

@@ -48,6 +48,8 @@ func graphsEqual(t *testing.T, name string, got, want *graph) {
 	eq("extKeys", got.extKeys, want.extKeys)
 	eq("extOfClaim", got.extOfClaim, want.extOfClaim)
 	eq("maxCandidates", got.maxCandidates, want.maxCandidates)
+	eq("maxItemClaims", got.maxItemClaims, want.maxItemClaims)
+	eq("maxProvClaims", got.maxProvClaims, want.maxProvClaims)
 }
 
 // TestAppendMatchesRecompile is the tentpole contract: appending a batch to a

@@ -62,6 +62,12 @@ type graph struct {
 	// maxCandidates is the largest candidate count of any single item; it
 	// sizes the per-worker scoring scratch.
 	maxCandidates int
+	// maxItemClaims and maxProvClaims are the longest item and provenance
+	// claim spans: an engine binds on them (the POPACCU log-count table, the
+	// stage-II block cut, whether Config.SampleL can bind) without a scan.
+	// Spans only grow, so an Append raises them from the spans its batch
+	// touched (assembleGraph).
+	maxItemClaims, maxProvClaims int
 }
 
 // columns are the ID-indexed columns an Append never rewrites for an existing
@@ -376,6 +382,8 @@ func successor(old *graph, idx *claimIndex) *graph {
 		tripleClaims:     old.tripleClaims,
 		tripleExtractors: old.tripleExtractors,
 		maxCandidates:    old.maxCandidates,
+		maxItemClaims:    old.maxItemClaims,
+		maxProvClaims:    old.maxProvClaims,
 	}
 }
 
@@ -596,8 +604,20 @@ func assembleGraph(g *graph, firstClaim, firstTriple, workers int) {
 		g.provClaimStart, g.provClaims, g.provOfClaim[firstClaim:], len(g.provKeys), workers)
 	g.tripleClaimStart, g.tripleClaims = csr.AppendByGroup(
 		g.tripleClaimStart, g.tripleClaims, g.tripleOfClaim[firstClaim:], nTriples, workers)
+	g.maxItemClaims = max(g.maxItemClaims, maxSpan(g.itemClaimStart, itemOfClaim))
+	g.maxProvClaims = max(g.maxProvClaims, maxSpan(g.provClaimStart, g.provOfClaim[firstClaim:]))
 
 	recountTripleExtractors(g, firstClaim, firstTriple, workers)
+}
+
+// maxSpan returns the longest span of start among the groups ids names (0
+// for none): the spans a batch grew, which are the only ones that changed.
+func maxSpan(start, ids []int32) int {
+	m := int32(0)
+	for _, id := range ids {
+		m = max(m, start[id+1]-start[id])
+	}
+	return int(m)
 }
 
 // recountTripleExtractors brings the per-triple distinct-extractor counts up

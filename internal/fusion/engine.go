@@ -17,11 +17,19 @@ import (
 //
 //   - Stage I walks items through CSR spans, scoring candidates into dense
 //     per-worker scratch arrays and writing per-claim probabilities into a
-//     round-stamped flat slice. Provenance accuracies live in a []float64
-//     indexed by prov ID, and each provenance's log-score term is
-//     precomputed once per round.
+//     flat slice. An item whose claims are all scored takes its candidates'
+//     support counts from the graph (each triple's claim span); a filtered
+//     or sampled item counts the claims it kept. Provenance accuracies live
+//     in a []float64 indexed by prov ID, and each provenance's log-score
+//     term is precomputed once per round.
 //   - Stage II walks provenances through their CSR spans and re-estimates
-//     accuracies from the stamped probabilities.
+//     accuracies from those probabilities. When some claim can go unscored
+//     in a round (a filter, or a span past SampleL), stage I stamps every
+//     claim it scores with the round and stage II reads only stamped
+//     claims; otherwise every claim was scored, no stamp is written and
+//     stage II sums the whole span (see engine.stamped). At one graph the
+//     re-estimate is installed in the same pass (stageII); across graphs
+//     the round driver folds each provenance's partials first.
 //   - Stage III reads the per-triple support counts interned at compile
 //     time and attaches the final round's probabilities.
 //
@@ -43,12 +51,20 @@ type engine struct {
 	provDefault []bool    // prov ID -> still at the unevaluated default
 	provTerm    []float64 // prov ID -> per-round log score term (ACCU, POPACCU)
 
-	claimProb  []float64 // claim ID -> probability of its triple this round
-	claimStamp []int32   // claim ID -> round+1 when last scored
+	claimProb []float64 // claim ID -> probability of its triple this round
+
+	// stamped is set when a round can leave claims unscored: a coverage or
+	// accuracy filter, or an item or provenance span past SampleL. Stage I
+	// then stamps each claim it scores in claimStamp (round+1) and stages II
+	// and III read only claims stamped with the round. Otherwise every
+	// claim is scored every round, claimStamp is nil and nothing tests it.
+	stamped    bool
+	claimStamp []int32 // claim ID -> round+1 when last scored; nil unless stamped
 
 	// partSums/partCnts are this graph's stage-II partials, one pair per
 	// provenance: where the round driver has ProvPartials write each round
-	// (see partials).
+	// across several graphs (see partials). A one-graph run re-estimates in
+	// place (stageII) and never sizes them.
 	partSums []float64
 	partCnts []int32
 
@@ -201,6 +217,13 @@ func (c *Compiled) MustFuseWarm(cfg Config, prev *Result) *Result {
 	return r
 }
 
+// slowPasses is a test hook: set, every engine binds stamped and every item
+// recounts its candidates' support over the claims it scored — the passes a
+// run takes when claims can go unscored — so the tests can hold the
+// stamp-free passes and the graph's support counts to them bit for bit on
+// configs that never need them.
+var slowPasses bool
+
 // smallGraphClaims is the claim count under which a graph run at the default
 // Workers (0) takes one worker for its loops: below it the goroutines cost
 // more than the per-item work they split.
@@ -216,7 +239,8 @@ const smallGraphClaims = 2048
 // survives: accuracies and default flags are re-initialised, the tables that
 // depend on the graph or the config are recomputed, and the claim stamps are
 // cleared — a warm Rounds=1 generation stamps with 1 again, which a stale
-// stamp from the generation before must not match.
+// stamp from the generation before must not match. A run that scores every
+// claim (see stamped) holds no stamp column at all.
 func (e *engine) rebind(g *graph, cfg Config) {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -234,9 +258,15 @@ func (e *engine) rebind(g *graph, cfg Config) {
 	e.provAcc = regrow(e.provAcc, nProvs)
 	e.provDefault = regrow(e.provDefault, nProvs)
 	e.provTerm = regrow(e.provTerm, nProvs)          // rewritten whole by every stageI that reads it
-	e.claimProb = regrow(e.claimProb, g.numClaims()) // read only under a matching stamp
-	e.claimStamp = regrow(e.claimStamp, g.numClaims())
-	clear(e.claimStamp)
+	e.claimProb = regrow(e.claimProb, g.numClaims()) // read only once scored
+	e.stamped = slowPasses || cfg.FilterByCoverage || cfg.AccuracyThreshold > 0 ||
+		max(g.maxItemClaims, g.maxProvClaims) > cfg.SampleL
+	if e.stamped {
+		e.claimStamp = regrow(e.claimStamp, g.numClaims())
+		clear(e.claimStamp)
+	} else {
+		e.claimStamp = nil
+	}
 	for p := range e.provAcc {
 		e.provAcc[p] = cfg.DefaultAccuracy
 		e.provDefault[p] = true
@@ -248,35 +278,24 @@ func (e *engine) rebind(g *graph, cfg Config) {
 	// span at or under ReduceBlockSize keeps the historical linear-walk bits.
 	e.provBlocks, e.provBlockStart = nil, nil
 	maxBlocks := 0
-	for p := 0; p < nProvs; p++ {
-		if int(g.provClaimStart[p+1])-int(g.provClaimStart[p]) > csr.ReduceBlockSize {
-			e.provBlocks = csr.SpanBlocks(g.provClaimStart)
-			e.provBlockStart = make([]int32, nProvs+1)
-			for b := range e.provBlocks {
-				e.provBlockStart[e.provBlocks[b].Group+1] = int32(b + 1)
+	if g.maxProvClaims > csr.ReduceBlockSize {
+		e.provBlocks = csr.SpanBlocks(g.provClaimStart)
+		e.provBlockStart = make([]int32, nProvs+1)
+		for b := range e.provBlocks {
+			e.provBlockStart[e.provBlocks[b].Group+1] = int32(b + 1)
+		}
+		for q := 1; q <= nProvs; q++ {
+			if e.provBlockStart[q] < e.provBlockStart[q-1] {
+				e.provBlockStart[q] = e.provBlockStart[q-1] // empty span
 			}
-			for q := 1; q <= nProvs; q++ {
-				if e.provBlockStart[q] < e.provBlockStart[q-1] {
-					e.provBlockStart[q] = e.provBlockStart[q-1] // empty span
-				}
-			}
-			for q := 0; q < nProvs; q++ {
-				if n := int(e.provBlockStart[q+1] - e.provBlockStart[q]); n > maxBlocks {
-					maxBlocks = n
-				}
-			}
-			break
+		}
+		for q := 0; q < nProvs; q++ {
+			maxBlocks = max(maxBlocks, int(e.provBlockStart[q+1]-e.provBlockStart[q]))
 		}
 	}
 	e.logCount = e.logCount[:0]
 	if cfg.Method == PopAccu {
-		maxSpan := 0
-		for i := 0; i+1 < len(g.itemClaimStart); i++ {
-			if n := int(g.itemClaimStart[i+1] - g.itemClaimStart[i]); n > maxSpan {
-				maxSpan = n
-			}
-		}
-		e.logCount = regrow(e.logCount, maxSpan+1)
+		e.logCount = regrow(e.logCount, g.maxItemClaims+1)
 		for k := range e.logCount {
 			e.logCount[k] = float64(k)
 		}
@@ -400,10 +419,12 @@ func (e *engine) stageI(round int) {
 }
 
 // scoreItem computes the probability of each candidate triple of one data
-// item and stamps the surviving claims with their probabilities.
+// item and writes it to every claim it scored, stamping them in a stamped
+// run.
 func (e *engine) scoreItem(sc *scoreScratch, item int32, round int) {
 	g := e.g
-	claims := g.itemClaims[g.itemClaimStart[item]:g.itemClaimStart[item+1]]
+	all := g.itemClaims[g.itemClaimStart[item]:g.itemClaimStart[item+1]]
+	claims := all
 	if len(claims) > e.cfg.SampleL {
 		claims = e.sampleClaims(g.items[item], claims)
 	}
@@ -478,11 +499,19 @@ func (e *engine) scoreItem(sc *scoreScratch, item int32, round int) {
 		scored = kept
 	}
 
-	for l := range counts {
-		counts[l] = 0
-	}
-	for _, c := range scored {
-		counts[g.localOfClaim[c]]++
+	if len(scored) == len(all) && !slowPasses {
+		// Every claim of the item is scored (the filters keep a subset), so
+		// a candidate's support is its triple's whole claim span.
+		for l, t := range g.itemCands[g.itemCandStart[item]:g.itemCandStart[item+1]] {
+			counts[l] = g.tripleClaimStart[t+1] - g.tripleClaimStart[t]
+		}
+	} else {
+		for l := range counts {
+			counts[l] = 0
+		}
+		for _, c := range scored {
+			counts[g.localOfClaim[c]]++
+		}
 	}
 	n := len(scored)
 	probs := sc.probs[:nCand]
@@ -547,6 +576,12 @@ func (e *engine) scoreItem(sc *scoreScratch, item int32, round int) {
 		mathx.SoftmaxInto(probs, scores, unknown)
 	}
 
+	if !e.stamped {
+		for _, c := range scored {
+			e.claimProb[c] = probs[g.localOfClaim[c]]
+		}
+		return
+	}
 	for _, c := range scored {
 		e.claimProb[c] = probs[g.localOfClaim[c]]
 		e.claimStamp[c] = stamp
@@ -557,8 +592,9 @@ func (e *engine) scoreItem(sc *scoreScratch, item int32, round int) {
 // interned at compile time (Figure 8, Stage III): prob (len(g.triples) long
 // — the round driver hands each graph its segment of the merged column)
 // receives, per triple in compiled order, the probability its claims were
-// stamped with in the last round, or -1 when the filters left none scored.
-// Everything else an output row holds is already in the graph (see
+// scored with in the last round (lastStamp; 0 when no round ran), or -1 when
+// none was. A stamp-free run scored every claim, so that is its first
+// claim's. Everything else an output row holds is already in the graph (see
 // Compiled.Support). A triple writes only prob[t], so the run-time chunks of
 // parallelRange move no bit.
 func (e *engine) stageIII(lastStamp int32, prob []float64) {
@@ -566,10 +602,16 @@ func (e *engine) stageIII(lastStamp int32, prob []float64) {
 	e.parallelRange(len(g.triples), func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			p := -1.0
-			for _, c := range g.tripleClaims[g.tripleClaimStart[t]:g.tripleClaimStart[t+1]] {
-				if e.claimStamp[c] == lastStamp {
-					p = e.claimProb[c]
-					break
+			switch {
+			case lastStamp == 0: // no round ran
+			case !e.stamped:
+				p = e.claimProb[g.tripleClaims[g.tripleClaimStart[t]]]
+			default:
+				for _, c := range g.tripleClaims[g.tripleClaimStart[t]:g.tripleClaimStart[t+1]] {
+					if e.claimStamp[c] == lastStamp {
+						p = e.claimProb[c]
+						break
+					}
 				}
 			}
 			prob[t] = p
@@ -589,14 +631,39 @@ func (e *engine) sampleClaims(item kb.DataItem, claims []int32) []int32 {
 	return r.Items()
 }
 
+// stageII re-estimates the accuracies of provenances [lo, hi) in place — the
+// one-graph round's stage II, handed out by csr.Lockstep.Fold: each
+// provenance's statistic (provStat) divided, installed and marked evaluated,
+// exactly as the merge over one holder would, with no partial column in
+// between. A provenance that scored no claim keeps its accuracy. It returns
+// the largest move.
+func (e *engine) stageII(w, lo, hi int, stamp int32) float64 {
+	sc := &e.scratches[w]
+	maxDelta := 0.0
+	for p := lo; p < hi; p++ {
+		sum, cnt := e.provStat(sc, int32(p), stamp)
+		if cnt == 0 {
+			continue
+		}
+		a := sum / float64(cnt)
+		if d := math.Abs(a - e.provAcc[p]); d > maxDelta {
+			maxDelta = d
+		}
+		e.provAcc[p] = a
+		e.provDefault[p] = false
+	}
+	return maxDelta
+}
+
 // provStat computes one provenance's stage-II statistic over its claims
-// scored at stamp: the probability sum and count, in compiled claim-span
-// order. When the scored span exceeds SampleL it switches to the paper's
-// deterministic reservoir sample (sampleProbsSum), so the returned count is
-// the reservoir size; either way the re-estimated accuracy is exactly
-// sum/cnt. The (sum, cnt) pair is the unit the round driver folds across
-// graphs — partials from shards holding slices of one provenance add before
-// the final division.
+// scored at stamp (all of them in a stamp-free run): the probability sum and
+// count, in compiled claim-span order. When the scored span exceeds SampleL
+// it switches to the paper's deterministic reservoir sample
+// (sampleProbsSum), so the returned count is the reservoir size; either way
+// the re-estimated accuracy is exactly sum/cnt. The (sum, cnt) pair is the
+// unit the round driver folds across graphs — partials from shards holding
+// slices of one provenance add before the final division — and the one a
+// one-graph stageII divides in place.
 //
 // Spans past csr.ReduceBlockSize block-reduce: each fixed block sums
 // left-to-right into a {sum, count} partial and the partials fold with the
@@ -611,15 +678,8 @@ func (e *engine) provStat(sc *scoreScratch, p, stamp int32) (float64, int32) {
 		if b0, b1 := e.provBlockStart[p], e.provBlockStart[p+1]; b1-b0 > 1 {
 			parts := sc.parts[:b1-b0]
 			for i, b := range e.provBlocks[b0:b1] {
-				sum := 0.0
-				cnt := 0.0
-				for _, c := range g.provClaims[b.Lo:b.Hi] {
-					if e.claimStamp[c] == stamp {
-						sum += e.claimProb[c]
-						cnt++
-					}
-				}
-				parts[i] = [2]float64{sum, cnt}
+				sum, cnt := e.spanStat(g.provClaims[b.Lo:b.Hi], stamp)
+				parts[i] = [2]float64{sum, float64(cnt)}
 			}
 			folded := csr.Pairwise(parts, func(a, b [2]float64) [2]float64 {
 				return [2]float64{a[0] + b[0], a[1] + b[1]}
@@ -631,24 +691,40 @@ func (e *engine) provStat(sc *scoreScratch, p, stamp int32) (float64, int32) {
 			return sum, cnt
 		}
 	}
-	sum := 0.0
-	cnt := int32(0)
-	for _, c := range g.provClaims[g.provClaimStart[p]:g.provClaimStart[p+1]] {
-		if e.claimStamp[c] == stamp {
-			//lint:ignore kflint/floatsum one provenance's partial over its compiled CSR claim span in ascending ID order — the per-group partial the round driver folds across shards with csr.Pairwise; addition order is identical across runs.
-			sum += e.claimProb[c]
-			cnt++
-		}
-	}
+	sum, cnt := e.spanStat(g.provClaims[g.provClaimStart[p]:g.provClaimStart[p+1]], stamp)
 	if int(cnt) > e.cfg.SampleL {
 		return e.sampleProbsSum(p, stamp)
 	}
 	return sum, cnt
 }
 
+// spanStat sums the probabilities of the claims of span scored at stamp,
+// left to right, and counts them. A stamp-free run scored every claim, so it
+// sums the whole span without reading a stamp.
+func (e *engine) spanStat(span []int32, stamp int32) (float64, int32) {
+	sum := 0.0
+	if !e.stamped {
+		for _, c := range span {
+			//lint:ignore kflint/floatsum one provenance's partial over its compiled CSR claim span in ascending ID order — the per-group partial the round driver folds across shards with csr.Pairwise; addition order is identical across runs.
+			sum += e.claimProb[c]
+		}
+		return sum, int32(len(span))
+	}
+	cnt := int32(0)
+	for _, c := range span {
+		if e.claimStamp[c] == stamp {
+			//lint:ignore kflint/floatsum one provenance's partial over its compiled CSR claim span in ascending ID order — the per-group partial the round driver folds across shards with csr.Pairwise; addition order is identical across runs.
+			sum += e.claimProb[c]
+			cnt++
+		}
+	}
+	return sum, cnt
+}
+
 // sampleProbsSum is stage II's L sampling: a deterministic reservoir over
 // one provenance's scored probabilities, in compiled claim order. Returns
-// the reservoir's sum and size.
+// the reservoir's sum and size. Only a stamped run reaches it: a stamp-free
+// one has no provenance span past SampleL.
 func (e *engine) sampleProbsSum(p, stamp int32) (float64, int32) {
 	g := e.g
 	src := randx.New(e.cfg.SampleSeed ^ int64(kb.StringHash(g.provKeys[p])))

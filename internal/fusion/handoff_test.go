@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"kfusion/internal/csr"
 	"kfusion/internal/kb"
@@ -107,7 +108,10 @@ func engineBuffers(e *engine) []any {
 		out = append(out, &e.partSums[0], &e.partCnts[0])
 	}
 	if len(e.claimProb) > 0 {
-		out = append(out, &e.claimProb[0], &e.claimStamp[0])
+		out = append(out, &e.claimProb[0])
+	}
+	if len(e.claimStamp) > 0 {
+		out = append(out, &e.claimStamp[0])
 	}
 	for w := range e.scratches {
 		if sc := &e.scratches[w]; len(sc.counts) > 0 {
@@ -332,5 +336,65 @@ func TestConcurrentSuccessorsOfOneResult(t *testing.T) {
 			t.Fatalf("%s: of two concurrent successors, not exactly one runs on the predecessor's engine", tag)
 		}
 		prev = got[step%2]
+	}
+}
+
+// engineBytes is the memory an engine holds in its own buffers, by capacity:
+// the per-provenance and per-claim columns, the stage-II partials, the
+// log-count table, the block cut and every worker's scratch.
+func engineBytes(e *engine) int {
+	n := 8*cap(e.provAcc) + cap(e.provDefault) + 8*cap(e.provTerm) +
+		8*cap(e.claimProb) + 4*cap(e.claimStamp) +
+		8*cap(e.partSums) + 4*cap(e.partCnts) + 8*cap(e.logCount) +
+		int(unsafe.Sizeof(csr.Block{}))*cap(e.provBlocks) + 4*cap(e.provBlockStart)
+	for _, sc := range e.scratches {
+		n += 4*cap(sc.counts) + 8*cap(sc.aux) + 8*cap(sc.scores) + 8*cap(sc.probs) +
+			4*cap(sc.selCov) + 4*cap(sc.selAcc) + 16*cap(sc.parts)
+	}
+	return n
+}
+
+// TestWarmEngineSizeBound pins what a one-graph warm chain's engine holds
+// under an unfiltered config: every claim is scored every round, so there is
+// no stamp column, and stage II divides in place, so there are no partial
+// columns — 4 bytes per claim and 12 per provenance less than an engine that
+// holds them. What is left is 8 bytes per claim (its probability), 17 per
+// provenance (accuracy, default flag, log-score term) and the per-item
+// scratch, with regrow's headroom. A filtered config and a K = 2 chain are
+// the controls: the first holds stamps, the second partials.
+func TestWarmEngineSizeBound(t *testing.T) {
+	claims := growingClaims(9, 6000)
+	held := func(k int, cfg Config) *engine {
+		c := newLockstepChain(k)
+		c.append(claims[:4000])
+		post := c.fuse(t, cfg, nil)
+		for at := 4000; at < len(claims); at += 500 {
+			c.append(claims[at : at+500])
+			post = c.fuse(t, cfg, post.Seed())
+		}
+		return post.seed.engines.Held()[0]
+	}
+	cfg := PopAccuConfig()
+	cfg.Rounds = 1
+	e := held(1, cfg)
+	if e.claimStamp != nil || e.partSums != nil || e.partCnts != nil {
+		t.Fatalf("an unfiltered one-graph engine holds %d stamps and %d/%d partials", cap(e.claimStamp), cap(e.partSums), cap(e.partCnts))
+	}
+	nClaims, nProvs := e.g.numClaims(), len(e.g.provKeys)
+	got := engineBytes(e)
+	// Columns at up to 1.5× headroom, the log-count table and the scratch for
+	// the widest item. A stamp column would add 4.8 bytes a claim past it.
+	bound := (8*nClaims+17*nProvs)*3/2 + 16*(e.g.maxItemClaims+1) + len(e.scratches)*(36*e.g.maxCandidates+64)
+	t.Logf("%d claims, %d provenances: the engine holds %d bytes (bound %d)", nClaims, nProvs, got, bound)
+	if got > bound {
+		t.Fatalf("the engine holds %d bytes, bound %d", got, bound)
+	}
+	filtered := cfg
+	filtered.FilterByCoverage = true
+	if e := held(1, filtered); len(e.claimStamp) != e.g.numClaims() {
+		t.Fatalf("a filtered engine holds %d stamps for %d claims", len(e.claimStamp), e.g.numClaims())
+	}
+	if e := held(2, cfg); len(e.partSums) != len(e.g.provKeys) {
+		t.Fatalf("a K=2 engine holds %d partials for %d provenances", len(e.partSums), len(e.g.provKeys))
 	}
 }

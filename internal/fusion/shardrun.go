@@ -18,7 +18,9 @@ import (
 // its items (StageI) under the current global accuracies and reports each
 // provenance's stage-II statistic (ProvPartials), and the driver folds a
 // provenance's partials across the graphs holding it, divides, and
-// broadcasts the new accuracy back (SetProvAccuracy). Fuse, (*Compiled).Fuse
+// broadcasts the new accuracy back (SetProvAccuracy). At one graph there is
+// nothing to fold across: stage II divides and installs each accuracy in
+// place (engine.stageII through csr.Lockstep.Fold). Fuse, (*Compiled).Fuse
 // and (*Compiled).FuseWarm are its one-graph call; internal/shard's
 // coordinators are the K-graph call, handing in the cross-shard provenance
 // table they maintain across Appends.
@@ -52,7 +54,7 @@ func (c *Compiled) newRun(cfg Config, e *engine) (*Run, error) {
 		e = &engine{}
 	}
 	e.rebind(c.g, cfg)
-	return &Run{c: c, e: e, lastStamp: 1}, nil
+	return &Run{c: c, e: e}, nil
 }
 
 // NumProvenances reports the graph's provenance count — the length
@@ -81,10 +83,13 @@ func (r *Run) StageI(round int) {
 
 // ProvPartials writes each provenance's stage-II statistic for `round` —
 // the (probability sum, scored-claim count) pair whose quotient is the
-// re-estimated accuracy — into sums and cnts (each of length
-// NumProvenances), in parallel over chunks of the compiled provenance spans
-// handed out at run time (a provenance writes only its own pair, on its
-// worker's scratch).
+// re-estimated accuracy, over the claims StageI scored that round (all of
+// them unless a filter or SampleL can leave some out) — into sums and cnts
+// (each of length NumProvenances), in parallel over chunks of the compiled
+// provenance spans handed out at run time (a provenance writes only its own
+// pair, on its worker's scratch). It is stage II of the K-graph driver and of
+// a caller sequencing the step API; a one-graph FuseLockstep computes the
+// same statistic and divides it in place, and both give the same bits.
 // cnts[p] == 0 means provenance p scored no claims this round and must keep
 // its current accuracy. Provenances above SampleL report their
 // deterministic reservoir sample instead, so a provenance split across
@@ -101,10 +106,12 @@ func (r *Run) ProvPartials(round int, sums []float64, cnts []int32) {
 	})
 }
 
-// Finish runs stage III against the last StageI's stamp and returns the
-// graph's result in exchange form: fused triples in compiled order,
-// Unpredicted counted, the local provenance-accuracy map, and Rounds as
-// given. The Run stays the caller's: the result does not carry its engine.
+// Finish runs stage III over the last StageI's probabilities — -1 for a
+// triple none of whose claims it scored, and for every triple when no StageI
+// ran — and returns the graph's result in exchange form: fused triples in
+// compiled order, Unpredicted counted, the local provenance-accuracy map, and
+// Rounds as given. The Run stays the caller's: the result does not carry its
+// engine.
 func (r *Run) Finish(rounds int) *Result {
 	return finish([]*Run{r}, csr.IdentityTable(r.e.g.provKeys), rounds, 1, r.e.cfg.Workers).Result()
 }
@@ -167,10 +174,16 @@ func finish(runs []*Run, provs *csr.IDTable, rounds, across, workers int) *Poste
 // engine.rebind: buffers are reused or regrown with headroom, and every
 // accuracy, default flag and claim stamp is reset.
 //
+// A round is stage I and stage II. At one graph, stage II re-estimates in
+// place: each chunk of provenances computes its statistics, divides, installs
+// and reports its largest move in one pass (csr.Lockstep.Fold), with no
+// partial columns and no merge. Over K graphs every graph writes its partials
+// (ProvPartials) and the merge folds them over global IDs.
+//
 // A graph under smallGraphClaims claims runs its loops on one worker when
-// the caller left Workers at 0, as one graph does. A round is one fork-join
-// over the graphs (StageI, then ProvPartials) followed by the merge, and
-// stage III one more: at K = 4 on two workers a warm one-round step and its
+// the caller left Workers at 0, as one graph does. Over K graphs a round is
+// one fork-join over the graphs (StageI, then ProvPartials) followed by the
+// merge, and stage III one more: at K = 4 on two workers a warm one-round step and its
 // Result fork 5 times (set-up, round, merge, stage III, and the Result's
 // accuracy map beside its rows), where every graph forking for each of its
 // own loops took 21. VOTE takes a single stage-I pass and records no moves.
@@ -281,6 +294,13 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 			return maxDelta
 		}
 		moves = csr.Rounds(cfg.Rounds, runs[0].Epsilon(), func(round int) float64 {
+			if len(runs) == 1 {
+				// One graph: stage II divides and installs in place, with no
+				// partial columns and no merge pass.
+				e, stamp := runs[0].e, int32(round+1)
+				runs[0].StageI(round)
+				return lockstep.Fold(nG, func(w, lo, hi int) float64 { return e.stageII(w, lo, hi, stamp) })
+			}
 			csr.ParallelEach(len(runs), lockstep.Across, func(s int) {
 				sums, cnts := runs[s].e.partials()
 				runs[s].StageI(round)

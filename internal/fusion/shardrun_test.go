@@ -19,6 +19,12 @@ func stepFuse(t *testing.T, c *Compiled, cfg Config) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return run.Finish(stepRounds(run, cfg, nil))
+}
+
+// stepRounds is stepFuse's round loop over run; it returns the round count.
+// check, when set, sees each round's partials before they are divided.
+func stepRounds(run *Run, cfg Config, check func(round int, sums []float64, cnts []int32)) int {
 	n := run.NumProvenances()
 	acc := make([]float64, n)
 	for p := range acc {
@@ -33,6 +39,9 @@ func stepFuse(t *testing.T, c *Compiled, cfg Config) *Result {
 	for cfg.Method != Vote && rounds < cfg.Rounds {
 		run.StageI(rounds)
 		run.ProvPartials(rounds, sums, cnts)
+		if check != nil {
+			check(rounds, sums, cnts)
+		}
 		maxDelta := 0.0
 		for p := range acc {
 			if cnts[p] == 0 {
@@ -52,7 +61,7 @@ func stepFuse(t *testing.T, c *Compiled, cfg Config) *Result {
 			break
 		}
 	}
-	return run.Finish(rounds)
+	return rounds
 }
 
 // stepClaims is a claim set wide enough that stage II divides hundreds of

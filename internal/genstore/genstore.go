@@ -37,7 +37,8 @@
 //     version-skewed snapshot falls back to the previous snapshot (the
 //     journal retains every batch since it), then to an empty state — full
 //     recompile as the caller re-reads the feed from State.Consumed == 0. A
-//     corrupt snapshot is deleted. A version-skewed one is left for the
+//     corrupt snapshot is deleted. A version-skewed one — the container's
+//     version or a section codec's (wire.ErrVersion) — is left for the
 //     binary that wrote it and counts neither toward the retained two nor
 //     toward the journal's floor, so it never pushes out a snapshot this
 //     binary reads or the journal records behind one.
@@ -619,7 +620,7 @@ func decodeSnapshot(data []byte) (*State, error) {
 	if hasClaim {
 		c, err := fusion.DecodeSnapshot(payload[secClaim])
 		if err != nil {
-			return nil, fmt.Errorf("%w: claim graph: %v", ErrCorrupt, err)
+			return nil, sectionErr("claim graph", err)
 		}
 		st.Claim = c
 	}
@@ -636,7 +637,7 @@ func decodeSnapshot(data []byte) (*State, error) {
 	if hasExt {
 		g, err := extract.DecodeSnapshot(payload[secExt])
 		if err != nil {
-			return nil, fmt.Errorf("%w: extraction graph: %v", ErrCorrupt, err)
+			return nil, sectionErr("extraction graph", err)
 		}
 		if g.SiteLevel() != st.SiteLevel {
 			return nil, fmt.Errorf("%w: a site-level=%v extraction graph in a site-level=%v state", ErrCorrupt, g.SiteLevel(), st.SiteLevel)
@@ -646,7 +647,7 @@ func decodeSnapshot(data []byte) (*State, error) {
 	if hasTL {
 		tl, err := twolayer.DecodeState(payload[secTL])
 		if err != nil {
-			return nil, fmt.Errorf("%w: twolayer state: %v", ErrCorrupt, err)
+			return nil, sectionErr("twolayer state", err)
 		}
 		st.TL = tl
 	}
@@ -656,6 +657,17 @@ func decodeSnapshot(data []byte) (*State, error) {
 		}
 	}
 	return st, nil
+}
+
+// sectionErr classifies a section decoder's error: a section another format
+// version of its codec wrote (wire.ErrVersion) is ErrVersion, so the file
+// stays on disk outside retention for the binary that reads it, and anything
+// else is ErrCorrupt.
+func sectionErr(name string, err error) error {
+	if errors.Is(err, wire.ErrVersion) {
+		return fmt.Errorf("%w: %s: %v", ErrVersion, name, err)
+	}
+	return fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 }
 
 // decodePosterior reads the posterior section (see encodeSnapshot) over st's
@@ -710,7 +722,7 @@ func decodeShards(b []byte, gran fusion.Granularity) (*shard.Fusion, error) {
 		}
 		g, err := fusion.DecodeSnapshot(b[off : off+n])
 		if err != nil {
-			return nil, fmt.Errorf("%w: claim shard %d: %v", ErrCorrupt, s, err)
+			return nil, sectionErr(fmt.Sprintf("claim shard %d", s), err)
 		}
 		graphs[s] = g
 		off += n

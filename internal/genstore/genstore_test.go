@@ -3,7 +3,9 @@ package genstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"slices"
@@ -630,6 +632,79 @@ func TestSkewedSnapshotsAreOutsideRetention(t *testing.T) {
 	if !bytes.Equal(stateFingerprint(t, st2), want) {
 		t.Fatal("reopened state differs from the acknowledged one")
 	}
+}
+
+// TestSectionVersionSkewIsKept covers a snapshot whose container version this
+// binary reads but whose claim-graph section another version of the fusion
+// codec wrote: that is version skew, not damage, so OpenFS keeps the file on
+// disk, outside retention, and recovers from the journal instead.
+func TestSectionVersionSkewIsKept(t *testing.T) {
+	mem := faultfs.NewMem()
+	chain := testChain(1)
+	store, st, err := OpenFS(mem, chain.Apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append(st, testFeed(40)); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	data, err := encodeSnapshot(st, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bumpSectionVersion(t, data, secClaim)
+	if _, err := decodeSnapshot(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("decode of a bumped claim section: %v, want ErrVersion", err)
+	}
+	skewed := snapName(100)
+	f, err := mem.Create(skewed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	store, st2, err := OpenFS(mem, chain.Apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	names, err := mem.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(names, skewed) {
+		t.Fatalf("OpenFS deleted the section-skewed snapshot; the store holds %v", names)
+	}
+	if !store.skewed[skewed] {
+		t.Fatalf("%s is not in the skewed set; degradations: %v", skewed, store.Degradations())
+	}
+	if !bytes.Equal(stateFingerprint(t, st2), stateFingerprint(t, st)) {
+		t.Fatal("the journal replay differs from the acknowledged state")
+	}
+}
+
+// bumpSectionVersion raises the leading codec-version byte of section id in
+// the snapshot data and re-seals the section's checksum, as another build of
+// that codec would have written it.
+func bumpSectionVersion(t *testing.T, data []byte, id uint32) {
+	t.Helper()
+	const footerLen = 12
+	indexOff := binary.LittleEndian.Uint64(data[len(data)-footerLen:])
+	index := data[indexOff : len(data)-footerLen]
+	for e := index[4:]; len(e) >= 24; e = e[24:] {
+		if binary.LittleEndian.Uint32(e) != id {
+			continue
+		}
+		off, n := binary.LittleEndian.Uint64(e[4:]), binary.LittleEndian.Uint64(e[12:])
+		data[off]++
+		binary.LittleEndian.PutUint32(e[20:], crc32.Checksum(data[off:off+n], castagnoli))
+		return
+	}
+	t.Fatalf("no section %d", id)
 }
 
 // TestJournalRecordRoundTrip checks the journal record codec is lossless,

@@ -794,7 +794,9 @@ func (e *engine) statedP(src, si int32) float64 {
 // srcBase bit patterns into srcClass, and every worker's memo is sized to
 // classes × hit lists. Ghost corrections are part of srcBase, so one graph's
 // classes are right for any shard count. The memo is off for the E-step
-// (memoCells 0) once the cell count would pass memoMaxCells, and when the
+// (memoCells 0) once the cell count would pass memoMaxCells or the n
+// statements scored — each statement fills at most one cell, so a larger
+// memo is zeroed memory no statement reads — and when the
 // E-step scores fewer statements than there are sources — a carried engine's
 // dirty pass — because the pass over the sources would then cost more than
 // the memo saves: on the 150k seed-42 feed (20 100 sources, 2 vCPUs) the
@@ -803,12 +805,13 @@ func (e *engine) statedP(src, si int32) float64 {
 func (e *engine) classify(seq int32, n int) {
 	nLists := e.g.NumHitLists()
 	e.memoCells = 0
-	if nLists == 0 || nLists > memoMaxCells || n < len(e.srcBase) {
+	limit := min(memoMaxCells, n)
+	if nLists == 0 || nLists > limit || n < len(e.srcBase) {
 		return
 	}
 	t := &e.classes
 	t.n = 0
-	maxClasses := memoMaxCells / nLists
+	maxClasses := limit / nLists
 	for s, b := range e.srcBase {
 		bits := math.Float64bits(b)
 		// The pattern's home slot answers most lookups without a call.

@@ -23,6 +23,10 @@ import (
 // failure for truncated files, corrupt length fields and malformed varints.
 var ErrTruncated = errors.New("wire: truncated input")
 
+// ErrVersion reports a payload whose leading format-version byte (Version)
+// names another layout: input another build wrote, not damaged input.
+var ErrVersion = errors.New("wire: unsupported version")
+
 // Writer encodes values into an io.Writer, latching the first error and
 // counting bytes written (successful bytes only). Scalars and strings cost no
 // allocation: scalars are staged in a scratch array the Writer owns (a local
@@ -213,7 +217,7 @@ func (r *Reader) Fail(err error) {
 // payload written by another layout is rejected before any field is trusted.
 func (r *Reader) Version(want uint8) {
 	if v := r.U8(); v != want {
-		r.Fail(fmt.Errorf("wire: version %d, want %d", v, want))
+		r.Fail(fmt.Errorf("%w %d, want %d", ErrVersion, v, want))
 	}
 }
 
