@@ -13,10 +13,9 @@ import (
 // graphs, one step engine (a run) per graph, on this skeleton: the argument
 // check (CheckGraphs), binding the runs (Bind), a stage over the graphs
 // (ParallelEach, Lockstep.Across at a time), the merge over global IDs
-// (Merge) or, at one graph, the in-place fold (Fold), the round loop
-// (Rounds) and the hand-off of the engines to the next generation (Handoff).
-// The model keeps its E-steps, partials, update formulas and starting
-// parameters.
+// (Merge), the round loop (Rounds) and the hand-off of the engines to the
+// next generation (Handoff). The model keeps its E-steps, partials, update
+// formulas and starting parameters.
 //
 // The worker split. Workers bounds the whole call. One graph gets all of it
 // for its own loops, exactly as handed in. K graphs step side by side,
@@ -35,10 +34,11 @@ import (
 // — so the result does not depend on whether a table was handed in, and an
 // unsharded fuse is this skeleton's one-graph call over an IdentityTable;
 // K > 1 re-groups each cross-shard sum and agrees with K = 1 within the
-// engines' tolerance (see internal/shard). Because the fold is the identity,
-// a one-graph round need not stage its partials at all: Fold runs the
-// statistic, the update and its install as one pass over the graph's own IDs,
-// which is what Merge over one holder computes, bit for bit.
+// engines' tolerance (see internal/shard). Because that fold is the
+// identity, a one-graph round need not stage partials for Merge at all: the
+// claim engine's re-estimates each provenance in the pass that computes its
+// statistic (fusion's engine.stageII), which is what Merge over one holder
+// computes, bit for bit.
 //
 // Engine recycling. A seeded call hands its engines on with its output
 // (Handoff); an unseeded one does not, since cold outputs are what a sweep
@@ -115,40 +115,15 @@ func Bind[R, E any](k, workers int, recycled []E, bind func(s, within int, e E) 
 // |Δ| — 0 when every ID keeps its value. The loop over the range is the
 // model's, so the per-ID work runs without a call.
 func (l *Lockstep[R]) Merge(n int, update func(lo, hi int, parts []float64) float64) float64 {
-	deltas, nRuns := l.moves(), len(l.Runs)
+	if l.deltas == nil {
+		l.deltas = make([]float64, l.merge)
+	}
+	deltas, nRuns := l.deltas, len(l.Runs)
+	clear(deltas)
 	ParallelRange(n, l.merge, func(w, lo, hi int) {
 		deltas[w] = update(lo, hi, make([]float64, 0, nRuns))
 	})
 	return slices.Max(deltas)
-}
-
-// Fold is Merge at one graph, where every fold is over one holder — the
-// identity (see above) — so a model need not write its partials into columns
-// for a merge to read back: update(w, lo, hi) computes the statistic of each
-// ID of [lo, hi) from the run's E-step, installs the new value and returns
-// the range's largest |Δ|, in one pass. The ranges are handed out at run
-// time (ParallelChunks) to the workers a one-graph merge runs on, w keying
-// the worker's scratch; the move is a max, exact in any order.
-func (l *Lockstep[R]) Fold(n int, update func(w, lo, hi int) float64) float64 {
-	if len(l.Runs) != 1 {
-		panic(fmt.Sprintf("csr: Fold over %d graphs", len(l.Runs)))
-	}
-	deltas := l.moves()
-	ParallelChunks(n, l.merge, func(w, lo, hi int) {
-		if d := update(w, lo, hi); d > deltas[w] {
-			deltas[w] = d
-		}
-	})
-	return slices.Max(deltas)
-}
-
-// moves returns the per-worker move scratch of a merge, zeroed.
-func (l *Lockstep[R]) moves() []float64 {
-	if l.deltas == nil {
-		l.deltas = make([]float64, l.merge)
-	}
-	clear(l.deltas)
-	return l.deltas
 }
 
 // Rounds is the EM round loop: it runs round(0), round(1), … until limit

@@ -23,8 +23,7 @@ func bindK(t *testing.T, k, workers int) Lockstep[int] {
 // range reports, at every worker count, with the largest move in the first
 // ID range only and in the last one only: a merge that kept one worker's
 // max, or lost a range, reads a smaller one. Every ID is in exactly one
-// range, and each range gets empty scratch with room for every graph. At
-// one graph, Fold is held to the same.
+// range, and each range gets empty scratch with room for every graph.
 func TestLockstepMergeMaxAnyWorkers(t *testing.T) {
 	const n = 61
 	for _, at := range []int{0, n - 1} {
@@ -60,34 +59,6 @@ func TestLockstepMergeMaxAnyWorkers(t *testing.T) {
 				// The per-worker moves are reused: a merge that moves nothing moves 0.
 				if got := ls.Merge(n, func(int, int, []float64) float64 { return 0 }); got != 0 {
 					t.Errorf("%d graphs, %d workers: a merge that moves nothing moved %v", k, workers, got)
-				}
-				if k != 1 {
-					continue
-				}
-				// Fold, the one-graph merge, under the same contract: each ID
-				// in one chunk, the largest move of any chunk on any worker.
-				clear(seen)
-				got = ls.Fold(n, func(w, lo, hi int) float64 {
-					if w < 0 || w >= workers {
-						t.Errorf("%d workers: fold chunk on worker %d", workers, w)
-					}
-					mu.Lock()
-					for g := lo; g < hi; g++ {
-						seen[g]++
-					}
-					mu.Unlock()
-					return slices.Max(moves[lo:hi])
-				})
-				if got != 0.5 {
-					t.Errorf("largest move at %d, %d workers: fold moved %v, want 0.5", at, workers, got)
-				}
-				for g, c := range seen {
-					if c != 1 {
-						t.Fatalf("%d workers: ID %d folded %d times", workers, g, c)
-					}
-				}
-				if got := ls.Fold(n, func(int, int, int) float64 { return 0 }); got != 0 {
-					t.Errorf("%d workers: a fold that moves nothing moved %v", workers, got)
 				}
 			}
 		}

@@ -68,6 +68,11 @@ type graph struct {
 	// Spans only grow, so an Append raises them from the spans its batch
 	// touched (assembleGraph).
 	maxItemClaims, maxProvClaims int
+
+	// alwaysStamp is a test hook: every engine bound to the graph stamps the
+	// claims it scores (engine.stamped) whatever the config, so the tests
+	// can hold the stamp-free passes to the stamped ones bit for bit.
+	alwaysStamp bool
 }
 
 // columns are the ID-indexed columns an Append never rewrites for an existing

@@ -17,11 +17,9 @@ import (
 //
 //   - Stage I walks items through CSR spans, scoring candidates into dense
 //     per-worker scratch arrays and writing per-claim probabilities into a
-//     flat slice. An item whose claims are all scored takes its candidates'
-//     support counts from the graph (each triple's claim span); a filtered
-//     or sampled item counts the claims it kept. Provenance accuracies live
-//     in a []float64 indexed by prov ID, and each provenance's log-score
-//     term is precomputed once per round.
+//     flat slice. Provenance accuracies live in a []float64 indexed by prov
+//     ID, and each provenance's log-score term is precomputed once per
+//     round.
 //   - Stage II walks provenances through their CSR spans and re-estimates
 //     accuracies from those probabilities. When some claim can go unscored
 //     in a round (a filter, or a span past SampleL), stage I stamps every
@@ -96,6 +94,7 @@ type scoreScratch struct {
 	selCov []int32      // coverage-filtered claim list
 	selAcc []int32      // accuracy-filtered claim list
 	parts  [][2]float64 // per stage-II block of one provenance: {prob sum, count}
+	move   float64      // one-graph stage II: the largest accuracy move of the round
 }
 
 // Fuse runs the configured method over the claims and returns per-triple
@@ -217,13 +216,6 @@ func (c *Compiled) MustFuseWarm(cfg Config, prev *Result) *Result {
 	return r
 }
 
-// slowPasses is a test hook: set, every engine binds stamped and every item
-// recounts its candidates' support over the claims it scored — the passes a
-// run takes when claims can go unscored — so the tests can hold the
-// stamp-free passes and the graph's support counts to them bit for bit on
-// configs that never need them.
-var slowPasses bool
-
 // smallGraphClaims is the claim count under which a graph run at the default
 // Workers (0) takes one worker for its loops: below it the goroutines cost
 // more than the per-item work they split.
@@ -259,7 +251,7 @@ func (e *engine) rebind(g *graph, cfg Config) {
 	e.provDefault = regrow(e.provDefault, nProvs)
 	e.provTerm = regrow(e.provTerm, nProvs)          // rewritten whole by every stageI that reads it
 	e.claimProb = regrow(e.claimProb, g.numClaims()) // read only once scored
-	e.stamped = slowPasses || cfg.FilterByCoverage || cfg.AccuracyThreshold > 0 ||
+	e.stamped = g.alwaysStamp || cfg.FilterByCoverage || cfg.AccuracyThreshold > 0 ||
 		max(g.maxItemClaims, g.maxProvClaims) > cfg.SampleL
 	if e.stamped {
 		e.claimStamp = regrow(e.claimStamp, g.numClaims())
@@ -423,8 +415,7 @@ func (e *engine) stageI(round int) {
 // run.
 func (e *engine) scoreItem(sc *scoreScratch, item int32, round int) {
 	g := e.g
-	all := g.itemClaims[g.itemClaimStart[item]:g.itemClaimStart[item+1]]
-	claims := all
+	claims := g.itemClaims[g.itemClaimStart[item]:g.itemClaimStart[item+1]]
 	if len(claims) > e.cfg.SampleL {
 		claims = e.sampleClaims(g.items[item], claims)
 	}
@@ -499,19 +490,11 @@ func (e *engine) scoreItem(sc *scoreScratch, item int32, round int) {
 		scored = kept
 	}
 
-	if len(scored) == len(all) && !slowPasses {
-		// Every claim of the item is scored (the filters keep a subset), so
-		// a candidate's support is its triple's whole claim span.
-		for l, t := range g.itemCands[g.itemCandStart[item]:g.itemCandStart[item+1]] {
-			counts[l] = g.tripleClaimStart[t+1] - g.tripleClaimStart[t]
-		}
-	} else {
-		for l := range counts {
-			counts[l] = 0
-		}
-		for _, c := range scored {
-			counts[g.localOfClaim[c]]++
-		}
+	for l := range counts {
+		counts[l] = 0
+	}
+	for _, c := range scored {
+		counts[g.localOfClaim[c]]++
 	}
 	n := len(scored)
 	probs := sc.probs[:nCand]
@@ -576,15 +559,12 @@ func (e *engine) scoreItem(sc *scoreScratch, item int32, round int) {
 		mathx.SoftmaxInto(probs, scores, unknown)
 	}
 
-	if !e.stamped {
-		for _, c := range scored {
-			e.claimProb[c] = probs[g.localOfClaim[c]]
-		}
-		return
-	}
+	stamped, claimProb := e.stamped, e.claimProb
 	for _, c := range scored {
-		e.claimProb[c] = probs[g.localOfClaim[c]]
-		e.claimStamp[c] = stamp
+		claimProb[c] = probs[g.localOfClaim[c]]
+		if stamped {
+			e.claimStamp[c] = stamp
+		}
 	}
 }
 
@@ -631,28 +611,37 @@ func (e *engine) sampleClaims(item kb.DataItem, claims []int32) []int32 {
 	return r.Items()
 }
 
-// stageII re-estimates the accuracies of provenances [lo, hi) in place — the
-// one-graph round's stage II, handed out by csr.Lockstep.Fold: each
-// provenance's statistic (provStat) divided, installed and marked evaluated,
-// exactly as the merge over one holder would, with no partial column in
-// between. A provenance that scored no claim keeps its accuracy. It returns
-// the largest move.
-func (e *engine) stageII(w, lo, hi int, stamp int32) float64 {
-	sc := &e.scratches[w]
-	maxDelta := 0.0
-	for p := lo; p < hi; p++ {
-		sum, cnt := e.provStat(sc, int32(p), stamp)
-		if cnt == 0 {
-			continue
-		}
-		a := sum / float64(cnt)
-		if d := math.Abs(a - e.provAcc[p]); d > maxDelta {
-			maxDelta = d
-		}
-		e.provAcc[p] = a
-		e.provDefault[p] = false
+// stageII is the one-graph round's stage II: each provenance's statistic
+// (provStat) is divided, installed and marked evaluated in the pass that
+// computes it — what the merge over one holder computes, bit for bit, with no
+// partial column in between. A provenance that scored no claim keeps its
+// accuracy. Chunks are handed out at run time (parallelRange); each worker
+// keeps its largest move in its scratch, and the round's move is their max,
+// exact in any order.
+func (e *engine) stageII(stamp int32) float64 {
+	for w := range e.scratches {
+		e.scratches[w].move = 0
 	}
-	return maxDelta
+	e.parallelRange(len(e.provAcc), func(w, lo, hi int) {
+		sc := &e.scratches[w]
+		for p := lo; p < hi; p++ {
+			sum, cnt := e.provStat(sc, int32(p), stamp)
+			if cnt == 0 {
+				continue
+			}
+			a := sum / float64(cnt)
+			if d := math.Abs(a - e.provAcc[p]); d > sc.move {
+				sc.move = d
+			}
+			e.provAcc[p] = a
+			e.provDefault[p] = false
+		}
+	})
+	move := 0.0
+	for w := range e.scratches {
+		move = max(move, e.scratches[w].move)
+	}
+	return move
 }
 
 // provStat computes one provenance's stage-II statistic over its claims
@@ -703,18 +692,12 @@ func (e *engine) provStat(sc *scoreScratch, p, stamp int32) (float64, int32) {
 // sums the whole span without reading a stamp.
 func (e *engine) spanStat(span []int32, stamp int32) (float64, int32) {
 	sum := 0.0
-	if !e.stamped {
-		for _, c := range span {
-			//lint:ignore kflint/floatsum one provenance's partial over its compiled CSR claim span in ascending ID order — the per-group partial the round driver folds across shards with csr.Pairwise; addition order is identical across runs.
-			sum += e.claimProb[c]
-		}
-		return sum, int32(len(span))
-	}
 	cnt := int32(0)
+	stamped, claimProb := e.stamped, e.claimProb
 	for _, c := range span {
-		if e.claimStamp[c] == stamp {
+		if !stamped || e.claimStamp[c] == stamp {
 			//lint:ignore kflint/floatsum one provenance's partial over its compiled CSR claim span in ascending ID order — the per-group partial the round driver folds across shards with csr.Pairwise; addition order is identical across runs.
-			sum += e.claimProb[c]
+			sum += claimProb[c]
 			cnt++
 		}
 	}

@@ -133,10 +133,16 @@ func mustFuseReference(t *testing.T, claims []Claim, cfg Config) *Result {
 	return r
 }
 
-// withSlowPasses runs f with the slowPasses hook set.
-func withSlowPasses(f func()) {
-	slowPasses = true
-	defer func() { slowPasses = false }()
+// withStamps runs f with the alwaysStamp hook set on every graph of cs.
+func withStamps(cs []*Compiled, f func()) {
+	for _, c := range cs {
+		c.g.alwaysStamp = true
+	}
+	defer func() {
+		for _, c := range cs {
+			c.g.alwaysStamp = false
+		}
+	}()
 	f()
 }
 
@@ -149,10 +155,9 @@ func withSlowPasses(f func()) {
 //   - Workers 1, 3 and 8 give the same bits;
 //   - the step API under the stage-II and stage-III oracles gives Fuse's bits
 //     (configs without a gold labeler, which the step API does not seed);
-//   - the slow passes (slowPasses: claim stamps and recounted support, what
-//     a run takes when claims can go unscored) give the same bits as the
-//     stamp-free passes and the graph's support counts, at one graph and at
-//     three;
+//   - the stamped passes (alwaysStamp: what a run takes when claims can go
+//     unscored) give the same bits as the stamp-free ones, at one graph and
+//     at three;
 //   - K = 2..5 shard graphs agree with one within equivTol (not on θ, where
 //     a re-grouped sum may land on either side of the filter).
 func FuzzClaimEngine(f *testing.F) {
@@ -199,11 +204,11 @@ func FuzzClaimEngine(f *testing.F) {
 			three := newLockstepChain(3)
 			three.append(claims)
 			fast := three.fuse(t, cfg, nil).Result()
-			withSlowPasses(func() {
-				assertBitIdentical(t, name+": slow passes", c.MustFuse(cfg), want)
-				assertBitIdentical(t, name+": slow passes, three graphs", three.fuse(t, cfg, nil).Result(), fast)
+			withStamps(append([]*Compiled{c}, three.graphs...), func() {
+				assertBitIdentical(t, name+": stamped", c.MustFuse(cfg), want)
+				assertBitIdentical(t, name+": stamped, three graphs", three.fuse(t, cfg, nil).Result(), fast)
 				if cfg.GoldLabeler == nil {
-					assertBitIdentical(t, name+": slow passes, step API", oracleFuse(t, name+" (slow passes)", c, cfg), want)
+					assertBitIdentical(t, name+": stamped, step API", oracleFuse(t, name+" (stamped)", c, cfg), want)
 				}
 			})
 			if name == "on θ" {

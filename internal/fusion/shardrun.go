@@ -20,10 +20,10 @@ import (
 // provenance's partials across the graphs holding it, divides, and
 // broadcasts the new accuracy back (SetProvAccuracy). At one graph there is
 // nothing to fold across: stage II divides and installs each accuracy in
-// place (engine.stageII through csr.Lockstep.Fold). Fuse, (*Compiled).Fuse
-// and (*Compiled).FuseWarm are its one-graph call; internal/shard's
-// coordinators are the K-graph call, handing in the cross-shard provenance
-// table they maintain across Appends.
+// place (engine.stageII). Fuse, (*Compiled).Fuse and (*Compiled).FuseWarm
+// are its one-graph call; internal/shard's coordinators are the K-graph
+// call, handing in the cross-shard provenance table they maintain across
+// Appends.
 
 // Run is the step engine over one compiled graph: the engine state with the
 // EM stages exposed one at a time, for FuseLockstep (and for callers that
@@ -94,10 +94,14 @@ func (r *Run) StageI(round int) {
 // its current accuracy. Provenances above SampleL report their
 // deterministic reservoir sample instead, so a provenance split across
 // shards samples per shard — a documented K>1 divergence (never reached at
-// the default SampleL).
+// the default SampleL). round must be the last StageI's: ProvPartials panics
+// otherwise.
 func (r *Run) ProvPartials(round int, sums []float64, cnts []int32) {
 	e := r.e
 	stamp := int32(round + 1)
+	if stamp != r.lastStamp {
+		panic(fmt.Sprintf("fusion: ProvPartials(%d) must follow StageI(%d)", round, round))
+	}
 	e.parallelRange(len(e.g.provKeys), func(w, lo, hi int) {
 		sc := &e.scratches[w]
 		for p := lo; p < hi; p++ {
@@ -176,7 +180,7 @@ func finish(runs []*Run, provs *csr.IDTable, rounds, across, workers int) *Poste
 //
 // A round is stage I and stage II. At one graph, stage II re-estimates in
 // place: each chunk of provenances computes its statistics, divides, installs
-// and reports its largest move in one pass (csr.Lockstep.Fold), with no
+// and reports its largest move in one pass (engine.stageII), with no
 // partial columns and no merge. Over K graphs every graph writes its partials
 // (ProvPartials) and the merge folds them over global IDs.
 //
@@ -297,9 +301,8 @@ func FuseLockstep(graphs []*Compiled, provs *csr.IDTable, cfg Config, prev *Seed
 			if len(runs) == 1 {
 				// One graph: stage II divides and installs in place, with no
 				// partial columns and no merge pass.
-				e, stamp := runs[0].e, int32(round+1)
 				runs[0].StageI(round)
-				return lockstep.Fold(nG, func(w, lo, hi int) float64 { return e.stageII(w, lo, hi, stamp) })
+				return runs[0].e.stageII(int32(round + 1))
 			}
 			csr.ParallelEach(len(runs), lockstep.Across, func(s int) {
 				sums, cnts := runs[s].e.partials()

@@ -174,3 +174,40 @@ func TestShardEngineWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestProvPartialsNeedsItsRound holds ProvPartials to the round the last
+// StageI scored: before any StageI, for a round StageI has not run and for
+// an earlier one it panics, in a stamp-free run as in a stamped one, and it
+// answers for the round that did run.
+func TestProvPartialsNeedsItsRound(t *testing.T) {
+	c := MustCompile(stepClaims(3, 600))
+	filtered := PopAccuConfig()
+	filtered.FilterByCoverage = true
+	for _, cfg := range []Config{PopAccuConfig(), filtered} {
+		run, err := c.NewRun(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.e.stamped != cfg.FilterByCoverage {
+			t.Fatalf("filter %v: the run binds stamped=%v", cfg.FilterByCoverage, run.e.stamped)
+		}
+		n := run.NumProvenances()
+		sums, cnts := make([]float64, n), make([]int32, n)
+		panics := func(round int) (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			run.ProvPartials(round, sums, cnts)
+			return
+		}
+		if !panics(0) {
+			t.Errorf("filter %v: ProvPartials(0) before any StageI did not panic", cfg.FilterByCoverage)
+		}
+		run.StageI(0)
+		run.StageI(1)
+		for _, round := range []int{0, 2} {
+			if !panics(round) {
+				t.Errorf("filter %v: ProvPartials(%d) after StageI(1) did not panic", cfg.FilterByCoverage, round)
+			}
+		}
+		run.ProvPartials(1, sums, cnts)
+	}
+}
