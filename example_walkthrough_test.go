@@ -102,9 +102,9 @@ func Example_quickstart() {
 }
 
 // Example_movieFusion walks through the substrate APIs: it builds a small
-// film-heavy world, inspects the synthetic Web pages the paper's §3.1.2
-// describes (TXT sentences, DOM infoboxes, tables, schema.org annotations),
-// runs the extractor fleet and fuses its output.
+// film-heavy world, inspects the statements a synthetic Web page holds in
+// each of the paper's §3.1.2 content forms (TXT, DOM, TBL, ANO), runs the
+// extractor fleet and fuses its output.
 func Example_movieFusion() {
 	// A compact world: fewer entities, more facts per entity.
 	wcfg := kfusion.DefaultWorldConfig(7)
@@ -121,7 +121,7 @@ func Example_movieFusion() {
 		panic(err)
 	}
 
-	// Peek at the raw content forms on the first film-topic page.
+	// Peek at the blocks of the first film-topic page.
 	for _, page := range corpus.Pages {
 		ent := w.Ont.Entity(page.Topic)
 		if ent == nil || len(ent.Types) == 0 || ent.Types[0] != "/film/film" {
@@ -129,16 +129,11 @@ func Example_movieFusion() {
 		}
 		fmt.Printf("page %s about %q:\n", page.URL, ent.Name)
 		for _, b := range page.Blocks {
-			switch {
-			case len(b.Sentences) > 0:
-				fmt.Printf("  TXT: %q\n", b.Sentences[0].Text)
-			case b.Root != nil:
-				fmt.Printf("  DOM: infobox with %d rows\n", len(b.Root.Children))
-			case b.Table != nil:
-				fmt.Printf("  TBL: %d rows x %d attrs (%v)\n", len(b.Table.Rows), len(b.Table.Attrs), b.Table.Attrs)
-			case len(b.Annotations) > 0:
-				fmt.Printf("  ANO: itemprop=%q value=%q\n", b.Annotations[0].ItemProp, b.Annotations[0].Value)
+			if len(b.Mentions) == 0 {
+				continue
 			}
+			m := b.Mentions[0]
+			fmt.Printf("  %s: %d mention(s), first (%s, %s, %s)\n", b.Type, len(b.Mentions), m.SubjectName, m.AttrLabel, m.ObjectName)
 		}
 		break
 	}
@@ -184,7 +179,7 @@ func Example_movieFusion() {
 	fmt.Printf("\ncalibration: WDev=%.4f AUC-PR=%.4f over %d labeled triples\n", rep.WDev, rep.AUCPR, rep.N)
 	// Output:
 	// page http://news027.example.com/p1 about "Stone Empire":
-	//   TXT: "Stone Empire's nickname is Broken hill."
+	//   TXT: 1 mention(s), first (Stone Empire, nickname, Broken hill)
 	//
 	// extracted 2249 (triple, provenance) pairs
 	//

@@ -1,6 +1,7 @@
 // Package extract simulates the paper's 12 information extractors (TXT1-4,
-// DOM1-5, TBL1-2, ANO). Extractors parse the surface forms of the synthetic
-// Web corpus and emit (triple, provenance) extractions, injecting the three
+// DOM1-5, TBL1-2, ANO). Extractors read each statement of the synthetic Web
+// corpus by its surface names and attribute label (and, in text, its sentence
+// template) and emit (triple, provenance) extractions, injecting the three
 // error classes the paper's §3.2.1 sampling found: triple-identification
 // errors (44%), entity-linkage errors (44%) and predicate-linkage errors
 // (20%), on top of the sources' own factual errors (4%).

@@ -372,15 +372,9 @@ func TestRunIsPerPageExtract(t *testing.T) {
 		if len(v.mentions) != len(all) {
 			t.Fatalf("%s: view holds %d mentions, page %d", page.URL, len(v.mentions), len(all))
 		}
-		for bi := range page.Blocks {
-			span, block := v.mentions[v.start[bi]:v.start[bi+1]], page.Blocks[bi].Mentions()
-			if len(span) != len(block) {
-				t.Fatalf("%s block %d: span of %d mentions, block has %d", page.URL, bi, len(span), len(block))
-			}
-			for i := range span {
-				if span[i] != block[i] {
-					t.Fatalf("%s block %d mention %d differs", page.URL, bi, i)
-				}
+		for i := range all {
+			if v.mentions[i] != all[i] {
+				t.Fatalf("%s mention %d differs", page.URL, i)
 			}
 		}
 	}

@@ -154,13 +154,11 @@ func (e *Extractor) Extract(w *world.World, page *web.Page, src *randx.Source) [
 	return e.appendExtractions(nil, w, readPage(page), src, randx.New(0))
 }
 
-// pageView is a page beside its mentions, collected once: the document walk
-// every extractor of a suite would otherwise repeat per block, and again for
-// each misreading that borrows a neighbouring statement.
+// pageView is a page beside its mentions, collected once: the pool each
+// misreading that borrows a neighbouring statement draws from.
 type pageView struct {
 	*web.Page
 	mentions []web.Mention // Page.Mentions()
-	start    []int         // Blocks[i].Mentions() is mentions[start[i]:start[i+1]]
 }
 
 func readPage(page *web.Page) *pageView {
@@ -169,14 +167,12 @@ func readPage(page *web.Page) *pageView {
 	return v
 }
 
-// read makes v the view of page, reusing v's slices.
+// read makes v the view of page, reusing v's slice.
 func (v *pageView) read(page *web.Page) {
 	v.Page = page
 	v.mentions = v.mentions[:0]
-	v.start = append(v.start[:0], 0)
 	for bi := range page.Blocks {
-		v.mentions = page.Blocks[bi].AppendMentions(v.mentions)
-		v.start = append(v.start, len(v.mentions))
+		v.mentions = append(v.mentions, page.Blocks[bi].Mentions...)
 	}
 }
 
@@ -196,15 +192,12 @@ func (e *Extractor) appendExtractions(out []Extraction, w *world.World, page *pa
 		if !e.reads(b.Type) {
 			continue
 		}
-		switch b.Type {
-		case web.TXT:
-			for _, s := range b.Sentences {
-				out = e.extractMention(w, page, s.Template, s.M, src, scratch, out, start)
+		for k, m := range b.Mentions {
+			tpl := 0
+			if b.Type == web.TXT {
+				tpl = b.Templates[k]
 			}
-		default:
-			for _, m := range page.mentions[page.start[bi]:page.start[bi+1]] {
-				out = e.extractMention(w, page, 0, m, src, scratch, out, start)
-			}
+			out = e.extractMention(w, page, tpl, m, src, scratch, out, start)
 		}
 	}
 	return out

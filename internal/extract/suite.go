@@ -246,7 +246,7 @@ func (s *Suite) maxExtractions(v *pageView) int {
 		}
 		for bi := range v.Blocks {
 			if e.reads(v.Blocks[bi].Type) {
-				n += v.start[bi+1] - v.start[bi]
+				n += len(v.Blocks[bi].Mentions)
 			}
 		}
 	}

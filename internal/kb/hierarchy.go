@@ -7,19 +7,17 @@ package kb
 // uses it to recognize specific/general "errors" (Figure 17).
 type Hierarchy struct {
 	parent map[EntityID]EntityID
-	depth  map[EntityID]int
 }
 
 // NewHierarchy returns an empty hierarchy.
 func NewHierarchy() *Hierarchy {
-	return &Hierarchy{parent: make(map[EntityID]EntityID), depth: make(map[EntityID]int)}
+	return &Hierarchy{parent: make(map[EntityID]EntityID)}
 }
 
 // SetParent records that child is directly contained in parent. Cycles are
 // the caller's responsibility to avoid; the generator builds trees only.
 func (h *Hierarchy) SetParent(child, parent EntityID) {
 	h.parent[child] = parent
-	h.depth = nil // invalidate memoized depths
 }
 
 // Parent returns the direct parent of e, or "" if e is a root or unknown.

@@ -148,6 +148,11 @@ func TestScalarMathFixtures(t *testing.T) {
 	checkFixture(t, ScalarMath, "scalarmath", "permitted.go")
 }
 
+func TestFusedMathFixtures(t *testing.T) {
+	checkFixture(t, FusedMath, "fusedmath", "flagged.go")
+	checkFixture(t, FusedMath, "fusedmath", "permitted.go")
+}
+
 func TestTypedErrFixtures(t *testing.T) {
 	checkFixture(t, TypedErr, "typederr", "flagged.go")
 	checkFixture(t, TypedErr, "typederr", "permitted.go")
@@ -182,6 +187,9 @@ func TestGating(t *testing.T) {
 		{ScalarMath, "kfusion/internal/twolayer", true},
 		{ScalarMath, "kfusion/internal/multitruth", true},
 		{ScalarMath, "kfusion/internal/mathx", false},
+		{FusedMath, "kfusion/internal/mathx", true},
+		{FusedMath, "kfusion/internal/multitruth", true},
+		{FusedMath, "kfusion/internal/extract", false},
 		{TypedErr, "kfusion/cmd/kfuse", true},
 		{AtomicWrite, "kfusion/internal/genstore", true},
 		{AtomicWrite, "kfusion/internal/kfio", false},

@@ -2,7 +2,8 @@
 // of analyzers that machine-check the contracts the rest of the codebase
 // rides on — deterministic iteration in the compiled engines (mapiter),
 // fixed-shape float reductions (floatsum), batched transcendentals in the
-// EM hot loops (scalarmath), wrap-safe sentinel-error handling (typederr),
+// EM hot loops (scalarmath), explicitly rounded products in the numeric
+// packages (fusedmath), wrap-safe sentinel-error handling (typederr),
 // and atomic durable writes (atomicwrite). The
 // analyzers run through one driver, the TestRepoIsClean self-test: inside
 // `go test ./...` and alone as `make lint`, so a contract violation fails
@@ -87,7 +88,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapIter, FloatSum, ScalarMath, TypedErr, AtomicWrite}
+	return []*Analyzer{MapIter, FloatSum, ScalarMath, FusedMath, TypedErr, AtomicWrite}
 }
 
 // Applies reports whether a is gated onto the package with import path

@@ -90,7 +90,7 @@ func SoftmaxInto(dst, scores []float64, extraMass float64) {
 		// with one exp instead of two. Zipf-shaped corpora put a large
 		// fraction of items here.
 		if s := scores[0]; s > 0 {
-			dst[0] = 1 / (extraMass*math.Exp(-s) + 1)
+			dst[0] = 1 / (float64(extraMass*math.Exp(-s)) + 1)
 		} else {
 			v := math.Exp(s)
 			dst[0] = v / (extraMass + v)

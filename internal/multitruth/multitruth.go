@@ -216,12 +216,14 @@ func FuseCompiled(c *fusion.Compiled, cfg Config) (*fusion.Result, error) {
 				}
 			}
 		}
-		sSens := cfg.Smoothing * 2
-		sSpec := cfg.Smoothing * 10
+		// Rounded here: a compiler may fuse a product into an add that
+		// reads it statements later (sawFalse[p] + sSpec).
+		sSens := float64(cfg.Smoothing * 2)
+		sSpec := float64(cfg.Smoothing * 10)
 		maxDelta := 0.0
 		for p := 0; p < nProvs; p++ {
-			newSens := clamp01((claimedTrue[p] + sSens*cfg.InitSens) / (sawTrue[p] + sSens))
-			newSpec := clamp01((unclaimedFalse[p] + sSpec*cfg.InitSpec) / (sawFalse[p] + sSpec))
+			newSens := clamp01((claimedTrue[p] + float64(sSens*cfg.InitSens)) / (sawTrue[p] + sSens))
+			newSpec := clamp01((unclaimedFalse[p] + float64(sSpec*cfg.InitSpec)) / (sawFalse[p] + sSpec))
 			if d := math.Abs(newSens - sens[p]); d > maxDelta {
 				maxDelta = d
 			}

@@ -140,7 +140,7 @@ func FuseReference(xs []extract.Extraction, cfg Config) (*fusion.Result, error) 
 					}
 					a := clampAcc(srcAcc[sts[si].source])
 					//lint:ignore kflint/scalarmath reference spec: the scalar source log-weight is the golden expression the compiled engine's LogOddsSlice table is measured against.
-					s += w * math.Log(float64(cfg.NFalse)*a/(1-a))
+					s += float64(w * math.Log(float64(cfg.NFalse)*a/(1-a)))
 				}
 				scores[vi] = s
 			}
@@ -174,7 +174,7 @@ func FuseReference(xs []extract.Extraction, cfg Config) (*fusion.Result, error) 
 		for si := range sts {
 			ti := tripleIdx[sts[si].triple]
 			w := stated[si]
-			num[sts[si].source] += w * tripleP[ti]
+			num[sts[si].source] += float64(w * tripleP[ti])
 			den[sts[si].source] += w
 		}
 		maxDelta := 0.0
@@ -187,7 +187,7 @@ func FuseReference(xs []extract.Extraction, cfg Config) (*fusion.Result, error) 
 			// Small sources are anchored toward the prior so a source with
 			// one claim does not spiral down with its own claim's
 			// probability (the isolated-conflict drift).
-			v := (num[src] + anchor*cfg.InitSourceAccuracy) / (d + anchor)
+			v := (num[src] + float64(anchor*cfg.InitSourceAccuracy)) / (d + anchor)
 			if diff := math.Abs(v - srcAcc[src]); diff > maxDelta {
 				maxDelta = diff
 			}

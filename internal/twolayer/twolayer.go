@@ -947,7 +947,7 @@ func (e *engine) sourceStat(s int32) (num, den float64) {
 	for _, si := range g.SourceStatements(s) {
 		wgt := e.stated[si]
 		//lint:ignore kflint/floatsum one source's partial over its compiled CSR statement span in ascending ID order — the per-group (num, den) unit the round driver folds across shards; addition order is identical across runs.
-		num += wgt * e.tripleP[g.StatementTriple(si)]
+		num += float64(wgt * e.tripleP[g.StatementTriple(si)])
 		//lint:ignore kflint/floatsum same fixed statement-span order as num — the pair is folded across shards with csr.Pairwise.
 		den += wgt
 	}
@@ -977,8 +977,8 @@ func (e *engine) extractorTotals() {
 				f := hitsF[k]
 				s += sv
 				u += 1 - sv
-				hs += f * sv
-				hu += f * (1 - sv)
+				hs += float64(f * sv)
+				hu += float64(f * (1 - sv))
 			}
 			e.blockSums[bi] = [4]float64{s, u, hs, hu}
 		}
@@ -1010,7 +1010,7 @@ const sourceAnchor = 2.0
 // evidence — applied by the round driver, and exported (like RecallUpdate
 // and FalsePosUpdate) for callers that sequence a Run's stages themselves.
 func SourceAccuracyUpdate(num, den, initAccuracy float64) float64 {
-	return (num + sourceAnchor*initAccuracy) / (den + sourceAnchor)
+	return (num + float64(sourceAnchor*initAccuracy)) / (den + sourceAnchor)
 }
 
 // RecallUpdate is the M-step recall formula (hit-stated mass over stated

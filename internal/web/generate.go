@@ -135,40 +135,11 @@ var siteProfiles = []siteProfile{
 	{name: "data", include: [numContentTypes]float64{TXT: 0.05, DOM: 0.50, TBL: 0.60, ANO: 0.02}, weight: 0.04},
 }
 
-// sentenceTemplates are the surface forms TXT blocks use. TXT extractors
-// carry pattern banks over (template, attribute) pairs; a sentence is only
-// extractable by an extractor that learned its pattern.
-var sentenceTemplates = []string{
-	"%s's %s is %s.",
-	"The %s of %s is %s.", // attr first
-	"%s has %s %s.",
-	"%s — %s: %s.",
-	"According to records, %s's %s is %s.",
-	"%s is the %s of %s.", // object first
-	"%s is known for %s %s.",
-	"Reports state that the %s of %s equals %s.", // attr first
-}
-
-// TemplateCount is the number of sentence templates (exported for the TXT
-// extractors' pattern banks).
+// TemplateCount is the number of sentence templates a TXT block writes its
+// statements in. TXT extractors carry pattern banks over (template,
+// attribute) pairs; a statement is only extractable by an extractor that
+// learned its pattern.
 const TemplateCount = 8
-
-// templateOrder describes the argument order of each template: "sao"
-// subject-attr-object, "aso" attr-subject-object, "osa" object-subject-attr.
-var templateOrder = []string{"sao", "aso", "sao", "sao", "sao", "oas", "sao", "aso"}
-
-// RenderSentence renders one sentence for a mention using template ti.
-func RenderSentence(ti int, m Mention) string {
-	attr := AttrLabel(m.Predicate)
-	switch templateOrder[ti] {
-	case "aso":
-		return fmt.Sprintf(sentenceTemplates[ti], attr, m.SubjectName, m.ObjectName)
-	case "oas":
-		return fmt.Sprintf(sentenceTemplates[ti], m.ObjectName, attr, m.SubjectName)
-	default:
-		return fmt.Sprintf(sentenceTemplates[ti], m.SubjectName, attr, m.ObjectName)
-	}
-}
 
 // AttrLabel converts a predicate ID to its human surface label:
 // "/people/person/birth_place" → "birth place".
@@ -178,18 +149,6 @@ func AttrLabel(p kb.PredicateID) string {
 		s = s[i+1:]
 	}
 	return strings.ReplaceAll(s, "_", " ")
-}
-
-// ItemProp converts a predicate ID to a schema.org-style itemprop:
-// "/people/person/birth_place" → "birthPlace".
-func ItemProp(p kb.PredicateID) string {
-	parts := strings.Split(AttrLabel(p), " ")
-	for i := 1; i < len(parts); i++ {
-		if parts[i] != "" {
-			parts[i] = strings.ToUpper(parts[i][:1]) + parts[i][1:]
-		}
-	}
-	return strings.Join(parts, "")
 }
 
 // ObjectSurface renders an object's surface form using the world's entity
@@ -535,6 +494,8 @@ func renderPage(w *world.World, cfg Config, src *randx.Source, site string, pi i
 	return page
 }
 
+// renderTXT writes about 80% of the page's statements as sentences, each in
+// one of the site's preferred templates or, now and then, any template.
 func renderTXT(src *randx.Source, site string, mentions []Mention) Block {
 	b := Block{Type: TXT}
 	// Sites have house style: a site prefers a couple of templates.
@@ -551,28 +512,27 @@ func renderTXT(src *randx.Source, site string, mentions []Mention) Block {
 		if src.Bool(0.15) {
 			ti = src.Intn(TemplateCount)
 		}
-		b.Sentences = append(b.Sentences, Sentence{Text: RenderSentence(ti, m), Template: ti, M: m})
+		b.Mentions = append(b.Mentions, m)
+		b.Templates = append(b.Templates, ti)
 	}
 	return b
 }
 
+// renderDOM states about 90% of the page's statements as infobox rows.
 func renderDOM(src *randx.Source, mentions []Mention) Block {
-	root := &DOMNode{Tag: "table"}
+	b := Block{Type: DOM}
 	for _, m := range mentions {
-		if !src.Bool(0.9) {
-			continue
+		if src.Bool(0.9) {
+			b.Mentions = append(b.Mentions, m)
 		}
-		mc := m
-		row := &DOMNode{Tag: "tr", Children: []*DOMNode{
-			{Tag: "th", Text: m.AttrLabel},
-			{Tag: "td", Text: m.ObjectName, M: &mc},
-		}}
-		root.Children = append(root.Children, row)
 	}
-	return Block{Type: DOM, Root: root}
+	return b
 }
 
-// renderTBL builds a relational table over entities of one type.
+// renderTBL builds a relational table over entities of one type: a few
+// random rows of that type, each stating its two or three columns'
+// predicates where the world has a value. The block lists the non-empty
+// cells row by row; a table with none is not rendered.
 func renderTBL(w *world.World, cfg Config, src *randx.Source, errRate float64) (Block, bool) {
 	// Choose a type with enough entities and a couple of its predicates.
 	types := w.Ont.Types()
@@ -587,56 +547,38 @@ func renderTBL(w *world.World, cfg Config, src *randx.Source, errRate float64) (
 		nCols = 3
 	}
 	perm := src.Perm(len(preds))
-	tbl := &Table{SubjectColumn: strings.TrimPrefix(string(tid), "/")}
-	for c := 0; c < nCols; c++ {
-		p := preds[perm[c]]
-		tbl.Attrs = append(tbl.Attrs, AttrLabel(p.ID))
-		tbl.Predicates = append(tbl.Predicates, p.ID)
-	}
+	b := Block{Type: TBL}
 	nRows := 3 + src.Intn(cfg.TableRowsMax-2)
 	for r := 0; r < nRows; r++ {
 		eid := ents[src.Intn(len(ents))]
-		row := TableRow{Subject: eid, SubjectName: w.Ont.Entity(eid).Name}
-		nonEmpty := false
-		for _, pid := range tbl.Predicates {
+		for c := 0; c < nCols; c++ {
+			pid := preds[perm[c]].ID
 			d := kb.DataItem{Subject: eid, Predicate: pid}
 			objs := w.Truth.Objects(d)
 			if len(objs) == 0 {
-				row.Cells = append(row.Cells, nil)
 				continue
 			}
 			obj := maybeGeneralize(w, src, pid, objs[src.Intn(len(objs))], cfg.GeneralizeRate)
-			m := mintMention(w, src, d, obj, errRate)
-			row.Cells = append(row.Cells, &m)
-			nonEmpty = true
-		}
-		if nonEmpty {
-			tbl.Rows = append(tbl.Rows, row)
+			b.Mentions = append(b.Mentions, mintMention(w, src, d, obj, errRate))
 		}
 	}
-	if len(tbl.Rows) == 0 {
-		return Block{}, false
-	}
-	return Block{Type: TBL, Table: tbl}, true
+	return b, len(b.Mentions) > 0
 }
 
+// renderANO annotates about 75% of the page's statements.
 func renderANO(src *randx.Source, mentions []Mention) Block {
 	b := Block{Type: ANO}
 	for _, m := range mentions {
-		if !src.Bool(0.75) {
-			continue
+		if src.Bool(0.75) {
+			b.Mentions = append(b.Mentions, m)
 		}
-		b.Annotations = append(b.Annotations, Annotation{
-			ItemProp: ItemProp(m.Predicate),
-			Value:    m.ObjectName,
-			M:        m,
-		})
 	}
 	return b
 }
 
 // spliceCopiedMentions injects copied statements into a copier page's
-// blocks, replacing roughly share of its own content.
+// blocks, replacing roughly share of its own TXT and DOM content and adding
+// to its ANO block; a copied sentence draws its template.
 func spliceCopiedMentions(src *randx.Source, page *Page, pool []Mention, share float64) {
 	nCopy := 1 + int(share*8)
 	var copied []Mention
@@ -647,33 +589,21 @@ func spliceCopiedMentions(src *randx.Source, page *Page, pool []Mention, share f
 		b := &page.Blocks[bi]
 		switch b.Type {
 		case TXT:
-			keep := b.Sentences
-			if len(keep) > 0 && share > 0 {
-				keep = keep[:1+int(float64(len(keep))*(1-share))]
+			if n := len(b.Mentions); n > 0 && share > 0 {
+				k := 1 + int(float64(n)*(1-share))
+				b.Mentions, b.Templates = b.Mentions[:k], b.Templates[:k]
 			}
 			for _, m := range copied {
-				ti := src.Intn(TemplateCount)
-				keep = append(keep, Sentence{Text: RenderSentence(ti, m), Template: ti, M: m})
+				b.Mentions = append(b.Mentions, m)
+				b.Templates = append(b.Templates, src.Intn(TemplateCount))
 			}
-			b.Sentences = keep
 		case DOM:
-			if b.Root == nil {
-				b.Root = &DOMNode{Tag: "table"}
+			if n := len(b.Mentions); n > 0 && share > 0 {
+				b.Mentions = b.Mentions[:1+int(float64(n)*(1-share))]
 			}
-			if n := len(b.Root.Children); n > 0 && share > 0 {
-				b.Root.Children = b.Root.Children[:1+int(float64(n)*(1-share))]
-			}
-			for _, m := range copied {
-				mc := m
-				b.Root.Children = append(b.Root.Children, &DOMNode{Tag: "tr", Children: []*DOMNode{
-					{Tag: "th", Text: m.AttrLabel},
-					{Tag: "td", Text: m.ObjectName, M: &mc},
-				}})
-			}
+			b.Mentions = append(b.Mentions, copied...)
 		case ANO:
-			for _, m := range copied {
-				b.Annotations = append(b.Annotations, Annotation{ItemProp: ItemProp(m.Predicate), Value: m.ObjectName, M: m})
-			}
+			b.Mentions = append(b.Mentions, copied...)
 		}
 	}
 }

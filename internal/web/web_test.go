@@ -1,7 +1,6 @@
 package web
 
 import (
-	"strings"
 	"testing"
 
 	"kfusion/internal/kb"
@@ -75,7 +74,7 @@ func TestContentTypeMix(t *testing.T) {
 	counts := map[ContentType]int{}
 	for _, p := range c.Pages {
 		for i := range p.Blocks {
-			counts[p.Blocks[i].Type] += len(p.Blocks[i].Mentions())
+			counts[p.Blocks[i].Type] += len(p.Blocks[i].Mentions)
 		}
 	}
 	if counts[DOM] <= counts[TXT] {
@@ -125,90 +124,54 @@ func TestMentionsMostlyTrue(t *testing.T) {
 	}
 }
 
-func TestSentenceRendering(t *testing.T) {
-	m := Mention{
-		SubjectName: "Tom Cruise",
-		Predicate:   "/people/person/birth_place",
-		ObjectName:  "Syracuse",
-	}
-	for ti := 0; ti < TemplateCount; ti++ {
-		s := RenderSentence(ti, m)
-		if !strings.Contains(s, "Tom Cruise") || !strings.Contains(s, "Syracuse") || !strings.Contains(s, "birth place") {
-			t.Errorf("template %d lost a field: %q", ti, s)
-		}
-	}
-}
-
-func TestAttrLabelAndItemProp(t *testing.T) {
+func TestAttrLabel(t *testing.T) {
 	if got := AttrLabel("/people/person/birth_place"); got != "birth place" {
 		t.Errorf("AttrLabel = %q", got)
-	}
-	if got := ItemProp("/people/person/birth_place"); got != "birthPlace" {
-		t.Errorf("ItemProp = %q", got)
 	}
 	if got := AttrLabel("noslash"); got != "noslash" {
 		t.Errorf("AttrLabel(noslash) = %q", got)
 	}
 }
 
-func TestDOMStructure(t *testing.T) {
-	_, c := testCorpus(t, 9)
-	checked := 0
+// TestBlockModel holds the corpus to what the extractors assume of a page:
+// every kept page states something, a TXT block names a valid template for
+// each of its mentions and no other block carries templates, and a table
+// row's subject is a known entity.
+func TestBlockModel(t *testing.T) {
+	w, c := testCorpus(t, 9)
+	seen := map[ContentType]int{}
 	for _, p := range c.Pages {
+		if len(p.Mentions()) == 0 {
+			t.Fatalf("%s: kept page has no mention", p.URL)
+		}
 		for i := range p.Blocks {
 			b := &p.Blocks[i]
-			if b.Type != DOM {
-				continue
-			}
-			b.Root.Walk(func(n *DOMNode) {
-				if n.Tag == "tr" {
-					if len(n.Children) != 2 || n.Children[0].Tag != "th" || n.Children[1].Tag != "td" {
-						t.Fatalf("malformed DOM row on %s", p.URL)
-					}
-					if n.Children[1].M == nil {
-						t.Fatalf("td without mention on %s", p.URL)
-					}
-					checked++
+			seen[b.Type] += len(b.Mentions)
+			if b.Type != TXT {
+				if len(b.Templates) != 0 {
+					t.Fatalf("%s block %d: %s block has %d templates", p.URL, i, b.Type, len(b.Templates))
 				}
-			})
+			} else if len(b.Templates) != len(b.Mentions) {
+				t.Fatalf("%s block %d: %d templates for %d mentions", p.URL, i, len(b.Templates), len(b.Mentions))
+			}
+			for _, ti := range b.Templates {
+				if ti < 0 || ti >= TemplateCount {
+					t.Fatalf("%s block %d: template %d out of [0, %d)", p.URL, i, ti, TemplateCount)
+				}
+			}
+			if b.Type == TBL {
+				for _, m := range b.Mentions {
+					if w.Ont.Entity(m.Subject) == nil {
+						t.Fatalf("%s: table row subject %s unknown", p.URL, m.Subject)
+					}
+				}
+			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no DOM rows found")
-	}
-}
-
-func TestTableStructure(t *testing.T) {
-	w, c := testCorpus(t, 10)
-	checked := 0
-	for _, p := range c.Pages {
-		for i := range p.Blocks {
-			b := &p.Blocks[i]
-			if b.Type != TBL || b.Table == nil {
-				continue
-			}
-			tbl := b.Table
-			if len(tbl.Attrs) != len(tbl.Predicates) {
-				t.Fatalf("attr/predicate mismatch on %s", p.URL)
-			}
-			for _, row := range tbl.Rows {
-				if len(row.Cells) != len(tbl.Attrs) {
-					t.Fatalf("row width mismatch on %s", p.URL)
-				}
-				if w.Ont.Entity(row.Subject) == nil {
-					t.Fatalf("table row subject %s unknown", row.Subject)
-				}
-				for ci, cell := range row.Cells {
-					if cell != nil && cell.Predicate != tbl.Predicates[ci] {
-						t.Fatalf("cell predicate mismatch on %s", p.URL)
-					}
-				}
-			}
-			checked++
+	for _, ct := range ContentTypes() {
+		if seen[ct] == 0 {
+			t.Errorf("no %s mentions to check", ct)
 		}
-	}
-	if checked == 0 {
-		t.Fatal("no tables found")
 	}
 }
 
@@ -252,7 +215,7 @@ func TestPageMentionHelpers(t *testing.T) {
 	p := c.Pages[0]
 	total := 0
 	for i := range p.Blocks {
-		total += len(p.Blocks[i].Mentions())
+		total += len(p.Blocks[i].Mentions)
 	}
 	if got := len(p.Mentions()); got != total {
 		t.Errorf("Page.Mentions = %d, sum of blocks = %d", got, total)
