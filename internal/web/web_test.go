@@ -134,11 +134,10 @@ func TestAttrLabel(t *testing.T) {
 }
 
 // TestBlockModel holds the corpus to what the extractors assume of a page:
-// every kept page states something, a TXT block names a valid template for
-// each of its mentions and no other block carries templates, and a table
-// row's subject is a known entity.
+// every kept page states something, and a TXT block names a valid template
+// for each of its mentions while no other block carries templates.
 func TestBlockModel(t *testing.T) {
-	w, c := testCorpus(t, 9)
+	_, c := testCorpus(t, 9)
 	seen := map[ContentType]int{}
 	for _, p := range c.Pages {
 		if len(p.Mentions()) == 0 {
@@ -159,19 +158,72 @@ func TestBlockModel(t *testing.T) {
 					t.Fatalf("%s block %d: template %d out of [0, %d)", p.URL, i, ti, TemplateCount)
 				}
 			}
-			if b.Type == TBL {
-				for _, m := range b.Mentions {
-					if w.Ont.Entity(m.Subject) == nil {
-						t.Fatalf("%s: table row subject %s unknown", p.URL, m.Subject)
-					}
-				}
-			}
 		}
 	}
 	for _, ct := range ContentTypes() {
 		if seen[ct] == 0 {
 			t.Errorf("no %s mentions to check", ct)
 		}
+	}
+}
+
+// TestDOMStructure checks that every DOM mention is a well-formed infobox
+// row: its attribute label is its predicate's and it states an object.
+func TestDOMStructure(t *testing.T) {
+	_, c := testCorpus(t, 9)
+	checked := 0
+	for _, p := range c.Pages {
+		for i := range p.Blocks {
+			b := &p.Blocks[i]
+			if b.Type != DOM {
+				continue
+			}
+			for _, m := range b.Mentions {
+				if m.AttrLabel != AttrLabel(m.Predicate) {
+					t.Fatalf("%s: DOM row label %q for predicate %s", p.URL, m.AttrLabel, m.Predicate)
+				}
+				if m.ObjectName == "" || m.Object.IsZero() {
+					t.Fatalf("%s: DOM row without an object: %+v", p.URL, m)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no DOM rows found")
+	}
+}
+
+// TestTableStructure checks that a TBL block is a relational table: its
+// cells span at most three predicate columns, each labelled by its
+// predicate, and every row's subject is a known entity.
+func TestTableStructure(t *testing.T) {
+	w, c := testCorpus(t, 10)
+	checked := 0
+	for _, p := range c.Pages {
+		for i := range p.Blocks {
+			b := &p.Blocks[i]
+			if b.Type != TBL {
+				continue
+			}
+			cols := map[kb.PredicateID]bool{}
+			for _, m := range b.Mentions {
+				cols[m.Predicate] = true
+				if m.AttrLabel != AttrLabel(m.Predicate) {
+					t.Fatalf("%s: table cell label %q for predicate %s", p.URL, m.AttrLabel, m.Predicate)
+				}
+				if w.Ont.Entity(m.Subject) == nil {
+					t.Fatalf("%s: table row subject %s unknown", p.URL, m.Subject)
+				}
+			}
+			if len(cols) == 0 || len(cols) > 3 {
+				t.Fatalf("%s: table has %d predicate columns", p.URL, len(cols))
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no tables found")
 	}
 }
 
