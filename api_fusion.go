@@ -67,7 +67,7 @@ var (
 )
 
 // Provenance granularities from the paper's experiments.
-var (
+const (
 	// GranExtractorURL is the basic (Extractor, URL) provenance.
 	GranExtractorURL = fusion.GranExtractorURL
 	// GranExtractorSite keys sources at site level.

@@ -220,7 +220,7 @@ func configSweep() []fusion.Config {
 func BenchmarkConfigSweep(b *testing.B) {
 	ds := benchDataset(b)
 	sweep := configSweep()
-	nClaims := len(fusion.Claims(ds.Extractions, fusion.Granularity{}))
+	nClaims := len(fusion.Claims(ds.Extractions, fusion.GranExtractorURL))
 	reportSweep := func(b *testing.B) {
 		b.ReportMetric(float64(nClaims*len(sweep))*float64(b.N)/b.Elapsed().Seconds(), "claims/s")
 	}
@@ -237,7 +237,7 @@ func BenchmarkConfigSweep(b *testing.B) {
 	b.Run("reuse", func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			compiled := fusion.MustCompile(fusion.Claims(ds.Extractions, fusion.Granularity{}))
+			compiled := fusion.MustCompile(fusion.Claims(ds.Extractions, fusion.GranExtractorURL))
 			for _, cfg := range sweep {
 				compiled.MustFuse(cfg)
 			}
@@ -658,7 +658,7 @@ func BenchmarkExtractCompileGraph(b *testing.B) {
 // interning in one range per worker).
 func BenchmarkCompileClaimGraph(b *testing.B) {
 	ds := exper.SharedDataset(exper.ScaleLarge, benchSeed)
-	claims := fusion.Claims(ds.Extractions, fusion.Granularity{})
+	claims := fusion.Claims(ds.Extractions, fusion.GranExtractorURL)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(benchName(workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -692,7 +692,7 @@ func TestFourCoreScaling(t *testing.T) {
 	}
 	const minSpeedup = 1.5
 	g := exper.SharedDataset(exper.ScaleBench, benchSeed).ExtractionGraph(true)
-	claims := fusion.Claims(exper.SharedDataset(exper.ScaleLarge, benchSeed).Extractions, fusion.Granularity{})
+	claims := fusion.Claims(exper.SharedDataset(exper.ScaleLarge, benchSeed).Extractions, fusion.GranExtractorURL)
 	for _, path := range []struct {
 		name string
 		run  func(workers int)
@@ -753,9 +753,9 @@ func TestFourCoreFeedCompile(t *testing.T) {
 		}
 		return best
 	}
-	feed := fastest(func() { fusion.CompileExtractions(xs, fusion.Granularity{}, workers) })
+	feed := fastest(func() { fusion.CompileExtractions(xs, fusion.GranExtractorURL, workers) })
 	twoPass := fastest(func() {
-		if _, err := fusion.CompileWorkers(fusion.Claims(xs, fusion.Granularity{}), workers, 0); err != nil {
+		if _, err := fusion.CompileWorkers(fusion.Claims(xs, fusion.GranExtractorURL), workers, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -833,10 +833,10 @@ func BenchmarkCompileExtractions(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := fusion.CompileExtractions(xs[:min(batch, len(xs))], fusion.Granularity{}, 0)
+		g := fusion.CompileExtractions(xs[:min(batch, len(xs))], fusion.GranExtractorURL, 0)
 		for off := batch; off < len(xs); off += batch {
 			var err error
-			if g, err = g.AppendExtractions(xs[off:min(off+batch, len(xs))], fusion.Granularity{}); err != nil {
+			if g, err = g.AppendExtractions(xs[off:min(off+batch, len(xs))], fusion.GranExtractorURL); err != nil {
 				b.Fatal(err)
 			}
 		}

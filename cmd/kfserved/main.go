@@ -25,7 +25,6 @@ import (
 	"syscall"
 	"time"
 
-	"kfusion/internal/fusion"
 	"kfusion/internal/server"
 )
 
@@ -37,8 +36,7 @@ func main() {
 		state     = flag.String("state", "", "state directory (journal + snapshots); required")
 		addr      = flag.String("addr", ":7607", "listen address")
 		method    = flag.String("method", "popaccu", "fusion method: vote, accu, popaccu, popaccu+unsup, twolayer")
-		gran      = flag.String("granularity", "", "claim provenance granularity: url, site, site-pred, site-pred-pattern (default: method preset)")
-		siteLevel = flag.Bool("site-level", false, "key twolayer sources at site level")
+		gran      = flag.String("granularity", "", "provenance granularity: url, site, site-pred, site-pred-pattern; twolayer: url or site (default: method preset)")
 		workers   = flag.Int("workers", 0, "fusion worker cap (0 = all cores)")
 		warm      = flag.Int("warm-rounds", 1, "EM rounds per append after the cold start")
 		snapEvery = flag.Int("snapshot-every", 16, "snapshot the store every N appends (0 = the default 16, negative = only on shutdown; the journal is durable regardless)")
@@ -53,21 +51,13 @@ func main() {
 	cfg := server.Config{
 		StateDir:      *state,
 		Method:        *method,
-		SiteLevel:     *siteLevel,
+		Granularity:   *gran,
 		Workers:       *workers,
 		WarmRounds:    *warm,
 		SnapshotEvery: *snapEvery,
 		MaxBody:       *maxBody,
 		Logf:          log.Printf,
 	}
-	if *gran != "" {
-		g, err := fusion.ParseGranularity(*gran)
-		if err != nil {
-			log.Fatalf("unknown -granularity %q", *gran)
-		}
-		cfg.Granularity = g
-	}
-
 	srv, err := server.New(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -184,8 +184,8 @@ func TestSharedDatasetConcurrent(t *testing.T) {
 // producing results bit-identical to a fresh compile-and-fuse.
 func TestCompiledGraphReused(t *testing.T) {
 	ds := testDS(t)
-	a := ds.Compiled(fusion.Granularity{})
-	if b := ds.Compiled(fusion.Granularity{}); b != a {
+	a := ds.Compiled(fusion.GranExtractorURL)
+	if b := ds.Compiled(fusion.GranExtractorURL); b != a {
 		t.Error("Compiled not cached per granularity")
 	}
 	if c := ds.Compiled(fusion.GranExtractorSite); c == a {
@@ -193,7 +193,7 @@ func TestCompiledGraphReused(t *testing.T) {
 	}
 
 	res := ds.Fuse("popaccu-reuse-check", fusion.PopAccuConfig())
-	fresh := fusion.MustFuse(fusion.Claims(ds.Extractions, fusion.Granularity{}), fusion.PopAccuConfig())
+	fresh := fusion.MustFuse(fusion.Claims(ds.Extractions, fusion.GranExtractorURL), fusion.PopAccuConfig())
 	if len(res.Triples) != len(fresh.Triples) {
 		t.Fatalf("%d triples via compiled reuse, want %d", len(res.Triples), len(fresh.Triples))
 	}
@@ -205,7 +205,7 @@ func TestCompiledGraphReused(t *testing.T) {
 	}
 
 	ds.ClearFusionCache()
-	if ds.Compiled(fusion.Granularity{}) != a {
+	if ds.Compiled(fusion.GranExtractorURL) != a {
 		t.Error("ClearFusionCache dropped the compiled graph")
 	}
 	if res2 := ds.Fuse("popaccu-reuse-check", fusion.PopAccuConfig()); res2 == res {

@@ -367,15 +367,20 @@ func TestRunIsPerPageExtract(t *testing.T) {
 			t.Fatalf("extraction %d differs:\n%+v\n%+v", i, got[i], want[i])
 		}
 	}
+	var v pageView // reused from page to page, as a run's worker reuses it
 	for _, page := range corpus.Pages {
-		v, all := readPage(page), page.Mentions()
-		if len(v.mentions) != len(all) {
-			t.Fatalf("%s: view holds %d mentions, page %d", page.URL, len(v.mentions), len(all))
-		}
-		for i := range all {
-			if v.mentions[i] != all[i] {
-				t.Fatalf("%s mention %d differs", page.URL, i)
+		v.read(page)
+		n := 0
+		for _, b := range page.Blocks {
+			for _, m := range b.Mentions {
+				if n >= len(v.mentions) || v.mentions[n] != m {
+					t.Fatalf("%s: view's mention %d is not the page's", page.URL, n)
+				}
+				n++
 			}
+		}
+		if n != len(v.mentions) {
+			t.Fatalf("%s: view holds %d mentions, page %d", page.URL, len(v.mentions), n)
 		}
 	}
 }

@@ -158,7 +158,7 @@ func (e *Extractor) Extract(w *world.World, page *web.Page, src *randx.Source) [
 // misreading that borrows a neighbouring statement draws from.
 type pageView struct {
 	*web.Page
-	mentions []web.Mention // Page.Mentions()
+	mentions []web.Mention // Page.AppendMentions
 }
 
 func readPage(page *web.Page) *pageView {
@@ -170,10 +170,7 @@ func readPage(page *web.Page) *pageView {
 // read makes v the view of page, reusing v's slice.
 func (v *pageView) read(page *web.Page) {
 	v.Page = page
-	v.mentions = v.mentions[:0]
-	for bi := range page.Blocks {
-		v.mentions = append(v.mentions, page.Blocks[bi].Mentions...)
-	}
+	v.mentions = page.AppendMentions(v.mentions[:0])
 }
 
 // appendExtractions appends the extractor's output on page to out. One

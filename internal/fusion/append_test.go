@@ -249,7 +249,7 @@ func TestAppendExtractionsGranularity(t *testing.T) {
 			if next, err = tc.base.AppendExtractions(xs[300:], a); err != nil {
 				t.Fatal(err)
 			}
-		} else if _, err := next.AppendExtractions(xs[:10], Granularity{PerPattern: true}); err == nil {
+		} else if _, err := next.AppendExtractions(xs[:10], GranExtractorSitePredPattern); err == nil {
 			t.Fatalf("%s: the next append under a third granularity was accepted", tc.name)
 		}
 		if tc.wantErr || tc.gran == a {
@@ -326,10 +326,7 @@ func TestClaimStreamMatchesClaims(t *testing.T) {
 		xs = append(xs, rec(3+i%2, i)) // two pages interleaved
 	}
 
-	for _, gran := range []Granularity{
-		GranExtractorURL, GranExtractorSite, GranExtractorSitePred,
-		GranExtractorSitePredPattern, GranExtractorOnly, GranSourceOnly,
-	} {
+	for gran := range Granularity(len(shapes)) {
 		want := claimsRef(xs, gran)
 		if len(want) == len(xs) {
 			t.Fatalf("gran %v: the feed has no duplicate (provenance, triple) pair to dedup", gran)

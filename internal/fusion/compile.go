@@ -274,9 +274,6 @@ func (c *Compiled) Triple(t int) kb.Triple { return c.g.triples[t] }
 // Triples returns the compiled triple column (triple ID -> triple).
 func (c *Compiled) Triples() []kb.Triple { return c.g.triples }
 
-// Item returns the data item with the given item ID.
-func (c *Compiled) Item(i int) kb.DataItem { return c.g.items[i] }
-
 // ProvKey returns the provenance key with the given provenance ID.
 func (c *Compiled) ProvKey(p int) string { return c.g.provKeys[p] }
 

@@ -60,8 +60,6 @@ type Config struct {
 	// SampleL caps the number of claims any single reducer considers, both
 	// per data item and per provenance (paper: 1M default, 1K works).
 	SampleL int
-	// SampleSeed seeds the deterministic reservoir sampling.
-	SampleSeed int64
 
 	// FilterByCoverage enables §4.3.2's coverage filter: round one scores
 	// only data items where some triple has >= 2 provenances, and later
@@ -149,17 +147,12 @@ func Preset(name string) (Config, error) {
 // ParseGranularity maps the CLI names of the §4.3.1 provenance granularities
 // — url, site, site-pred, site-pred-pattern — to their Granularity.
 func ParseGranularity(name string) (Granularity, error) {
-	switch name {
-	case "url":
-		return GranExtractorURL, nil
-	case "site":
-		return GranExtractorSite, nil
-	case "site-pred":
-		return GranExtractorSitePred, nil
-	case "site-pred-pattern":
-		return GranExtractorSitePredPattern, nil
+	for g, s := range shapes {
+		if s.cli != "" && s.cli == name {
+			return Granularity(g), nil
+		}
 	}
-	return Granularity{}, fmt.Errorf("fusion: unknown granularity %q (want url, site, site-pred or site-pred-pattern)", name)
+	return 0, fmt.Errorf("fusion: unknown granularity %q (want url, site, site-pred or site-pred-pattern)", name)
 }
 
 // Validate reports configuration errors. Range checks are written so that
@@ -175,6 +168,9 @@ func (c Config) Validate() error {
 	}
 	if c.Method == Accu && c.NFalse < 1 {
 		return fmt.Errorf("fusion: NFalse must be >= 1 for ACCU, got %d", c.NFalse)
+	}
+	if int(c.Granularity) >= len(shapes) {
+		return fmt.Errorf("fusion: unknown granularity %v", c.Granularity)
 	}
 	if c.SampleL < 1 {
 		return fmt.Errorf("fusion: SampleL must be >= 1, got %d", c.SampleL)

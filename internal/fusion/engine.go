@@ -603,7 +603,7 @@ func (e *engine) stageIII(lastStamp int32, prob []float64) {
 // reservoir (the paper's L sampling). The stream order and seed match the
 // seed engine's, so the sampled subset is identical.
 func (e *engine) sampleClaims(item kb.DataItem, claims []int32) []int32 {
-	src := randx.New(e.cfg.SampleSeed ^ int64(kb.StringHash(item.String())))
+	src := randx.New(int64(kb.StringHash(item.String())))
 	r := randx.NewReservoir[int32](e.cfg.SampleL, src)
 	for _, c := range claims {
 		r.Add(c)
@@ -710,7 +710,7 @@ func (e *engine) spanStat(span []int32, stamp int32) (float64, int32) {
 // one has no provenance span past SampleL.
 func (e *engine) sampleProbsSum(p, stamp int32) (float64, int32) {
 	g := e.g
-	src := randx.New(e.cfg.SampleSeed ^ int64(kb.StringHash(g.provKeys[p])))
+	src := randx.New(int64(kb.StringHash(g.provKeys[p])))
 	r := randx.NewReservoir[float64](e.cfg.SampleL, src)
 	for _, c := range g.provClaims[g.provClaimStart[p]:g.provClaimStart[p+1]] {
 		if e.claimStamp[c] == stamp {

@@ -131,7 +131,6 @@ func TestCompiledEngineMatchesReferenceItemSampling(t *testing.T) {
 	for _, method := range []Config{VoteConfig(), AccuConfig(), PopAccuConfig()} {
 		cfg := method
 		cfg.SampleL = 32
-		cfg.SampleSeed = 7
 		want, err := FuseReference(claims, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -151,7 +150,6 @@ func TestCompiledSamplingWorkerIndependent(t *testing.T) {
 	claims := randomClaims(7, 400)
 	cfg := PopAccuConfig()
 	cfg.SampleL = 8
-	cfg.SampleSeed = 3
 	base := MustFuse(claims, cfg)
 	baseBy := base.ByTriple()
 	for _, workers := range []int{1, 3, 8} {

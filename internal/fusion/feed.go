@@ -91,17 +91,17 @@ func (idx *claimIndex) feedPairs(g *graph, gran Granularity, extra int) {
 // flattened claims assigns it.
 //
 // A feed lists a page's extractions together, so most records share their
-// provenance with the one before: while gran.sameKey holds, a record reuses
-// that ID instead of building and hashing an equal key.
+// provenance with the one before: while the shape's sameKey holds, a record
+// reuses that ID instead of building and hashing an equal key.
 func internExtractions(g *graph, idx *claimIndex, xs []extract.Extraction) {
-	gran := idx.feedGran
+	shape := &shapes[idx.feedGran]
 	first := g.numClaims()
 	var last *extract.Extraction
 	var pid, xid int32
 	for i := range xs {
 		x := &xs[i]
-		if last == nil || !gran.sameKey(x, last) {
-			key := gran.Key(*x)
+		if last == nil || !shape.sameKey(x, last) {
+			key := shape.key(x)
 			last = x
 			pid, _ = idx.prov.Intern(idx.prov.Hash(key), &g.provKeys, key)
 		}

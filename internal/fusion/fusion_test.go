@@ -308,7 +308,6 @@ func TestGoldSampleRateZeroKeepsSomeDefaults(t *testing.T) {
 func TestSamplingCapStillPredicts(t *testing.T) {
 	cfg := PopAccuConfig()
 	cfg.SampleL = 8
-	cfg.SampleSeed = 7
 	var claims []Claim
 	for i := 0; i < 200; i++ {
 		claims = append(claims, cl("s", "p", "a", "prov"+string(rune('A'+i%26))+string(rune('0'+i/26))))
@@ -448,25 +447,59 @@ func TestSupportCounts(t *testing.T) {
 	}
 }
 
+// TestGranularityKeys pins each shape's key, name and snapshot flags (site
+// level, per predicate, per pattern, extractor only, source only: the layout
+// of a snapshot's meta section, so these must never change), and that no
+// other flag combination names a shape.
 func TestGranularityKeys(t *testing.T) {
 	x := testExtraction()
 	cases := []struct {
-		g    Granularity
-		want string
+		g         Granularity
+		key, name string
+		flags     [5]bool
 	}{
-		{GranExtractorURL, "TXT1|http://wiki001.example.com/p3"},
-		{GranExtractorSite, "TXT1|wiki001.example.com"},
-		{GranExtractorSitePred, "TXT1|wiki001.example.com|/people/person/birth_place"},
-		{GranExtractorSitePredPattern, "TXT1|wiki001.example.com|/people/person/birth_place|tpl2|birth place"},
-		{GranExtractorOnly, "TXT1|tpl2|birth place"},
-		{GranSourceOnly, "http://wiki001.example.com/p3"},
+		{GranExtractorURL, "TXT1|http://wiki001.example.com/p3", "(Extractor, URL)", [5]bool{}},
+		{GranExtractorSite, "TXT1|wiki001.example.com", "(Extractor, Site)", [5]bool{true}},
+		{GranExtractorSitePred, "TXT1|wiki001.example.com|/people/person/birth_place",
+			"(Extractor, Site, Predicate)", [5]bool{true, true}},
+		{GranExtractorSitePredPattern, "TXT1|wiki001.example.com|/people/person/birth_place|tpl2|birth place",
+			"(Extractor, Site, Predicate, Pattern)", [5]bool{true, true, true}},
+		{GranExtractorOnly, "TXT1|tpl2|birth place", "(Extractor, Pattern)", [5]bool{false, false, true, true}},
+		{GranSourceOnly, "http://wiki001.example.com/p3", "(URL)", [5]bool{false, false, false, false, true}},
+	}
+	if len(cases) != len(shapes) {
+		t.Fatalf("%d cases for %d shapes", len(cases), len(shapes))
 	}
 	for _, c := range cases {
-		if got := c.g.Key(x); got != c.want {
-			t.Errorf("%v key = %q, want %q", c.g, got, c.want)
+		if got := c.g.Key(x); got != c.key {
+			t.Errorf("%v key = %q, want %q", c.g, got, c.key)
 		}
-		if c.g.String() == "" {
-			t.Error("empty granularity name")
+		if got := c.g.String(); got != c.name {
+			t.Errorf("granularity %d is named %q, want %q", uint8(c.g), got, c.name)
 		}
+		if got := c.g.Flags(); got != c.flags {
+			t.Errorf("%v flags = %v, want %v", c.g, got, c.flags)
+		}
+	}
+	named := 0
+	for bits := 0; bits < 32; bits++ {
+		var f [5]bool
+		for i := range f {
+			f[i] = bits>>i&1 == 1
+		}
+		if g, ok := FlagGranularity(f); ok {
+			named++
+			if g.Flags() != f {
+				t.Errorf("flags %v name %v, whose flags are %v", f, g, g.Flags())
+			}
+		}
+	}
+	if named != len(shapes) {
+		t.Errorf("%d of the 32 flag combinations name a shape, want %d", named, len(shapes))
+	}
+	bad := PopAccuConfig()
+	bad.Granularity = Granularity(len(shapes))
+	if err := bad.Validate(); err == nil || bad.Granularity.String() != "Granularity(6)" {
+		t.Errorf("granularity %v passes Validate (err = %v)", bad.Granularity, err)
 	}
 }

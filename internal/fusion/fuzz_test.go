@@ -175,12 +175,8 @@ func FuzzAppendExtractions(f *testing.F) {
 			return
 		}
 		xs := fuzzFeed(world, total)
-		grans := []Granularity{
-			GranExtractorURL, GranExtractorSite, GranExtractorSitePred,
-			GranExtractorSitePredPattern, GranExtractorOnly, GranSourceOnly,
-		}
-		gran := grans[int(mode)%len(grans)]
-		reloadAfter := int(mode) / len(grans) % len(lens) // batches before the reload
+		gran := Granularity(int(mode) % len(shapes))
+		reloadAfter := int(mode) / len(shapes) % len(lens) // batches before the reload
 
 		ref := &claimStreamRef{gran: gran, seen: map[provTriple]bool{}}
 		stream := NewClaimStream(gran)

@@ -409,7 +409,7 @@ func (e *refEngine) sampleClaims(key string, idxs []int32) []int32 {
 	if len(idxs) <= e.cfg.SampleL {
 		return idxs
 	}
-	src := randx.New(e.cfg.SampleSeed ^ int64(kb.StringHash(key)))
+	src := randx.New(int64(kb.StringHash(key)))
 	r := randx.NewReservoir[int32](e.cfg.SampleL, src)
 	for _, i := range idxs {
 		r.Add(i)
@@ -421,7 +421,7 @@ func (e *refEngine) sampleProbs(key string, probs []float64) []float64 {
 	if len(probs) <= e.cfg.SampleL {
 		return probs
 	}
-	src := randx.New(e.cfg.SampleSeed ^ int64(kb.StringHash(key)))
+	src := randx.New(int64(kb.StringHash(key)))
 	r := randx.NewReservoir[float64](e.cfg.SampleL, src)
 	for _, p := range probs {
 		r.Add(p)

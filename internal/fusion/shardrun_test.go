@@ -92,7 +92,7 @@ func stepClaims(seed int64, n int) []Claim {
 func TestStepAPIMatchesFuse(t *testing.T) {
 	c := MustCompile(stepClaims(48, 6000))
 	sampled := PopAccuConfig()
-	sampled.SampleL, sampled.SampleSeed = 8, 5
+	sampled.SampleL = 8
 	cfgs := []struct {
 		name string
 		cfg  Config

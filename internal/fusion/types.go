@@ -86,114 +86,129 @@
 package fusion
 
 import (
+	"fmt"
 	"strings"
 
 	"kfusion/internal/extract"
 	"kfusion/internal/kb"
 )
 
-// Granularity selects how an extraction's provenance key is built (§4.3.1).
-// The default (zero value) is the paper's basic (Extractor, URL) provenance.
-type Granularity struct {
-	// SiteLevel keys Web sources at site level instead of URL level.
-	SiteLevel bool
-	// PerPredicate appends the predicate, evaluating source quality
-	// separately per predicate.
-	PerPredicate bool
-	// PerPattern appends the extractor pattern.
-	PerPattern bool
-	// ExtractorOnly drops the Web-source component entirely: provenance =
-	// (extractor, pattern) — Figure 9's "Only ext" variant.
-	ExtractorOnly bool
-	// SourceOnly drops the extractor component: provenance = URL —
-	// Figure 9's "Only src" variant.
-	SourceOnly bool
-}
+// Granularity selects how an extraction's provenance key is built (§4.3.1):
+// one of the six shapes the paper measures. The zero value is the paper's
+// basic (Extractor, URL) provenance.
+type Granularity uint8
 
-// Standard granularities from the paper's experiments.
-var (
+// The granularities of the paper's experiments.
+const (
 	// GranExtractorURL is the basic (Extractor, URL) provenance.
-	GranExtractorURL = Granularity{}
+	GranExtractorURL Granularity = iota
 	// GranExtractorSite is (Extractor, Site).
-	GranExtractorSite = Granularity{SiteLevel: true}
+	GranExtractorSite
 	// GranExtractorSitePred is (Extractor, Site, Predicate).
-	GranExtractorSitePred = Granularity{SiteLevel: true, PerPredicate: true}
+	GranExtractorSitePred
 	// GranExtractorSitePredPattern is (Extractor, Site, Predicate, Pattern)
 	// — the best calibrated granularity in Figure 10.
-	GranExtractorSitePredPattern = Granularity{SiteLevel: true, PerPredicate: true, PerPattern: true}
-	// GranExtractorOnly is (Extractor, Pattern) — "Only ext".
-	GranExtractorOnly = Granularity{ExtractorOnly: true, PerPattern: true}
-	// GranSourceOnly is (URL) — "Only src".
-	GranSourceOnly = Granularity{SourceOnly: true}
+	GranExtractorSitePredPattern
+	// GranExtractorOnly is (Extractor, Pattern) — Figure 9's "Only ext".
+	GranExtractorOnly
+	// GranSourceOnly is (URL) — Figure 9's "Only src".
+	GranSourceOnly
 )
+
+// shape is one granularity's provenance key: the parts below that it keeps,
+// joined by '|'. Its five flags, in this order, are also the layout a
+// snapshot stores (Flags).
+type shape struct {
+	name string // as in the paper's figures
+	cli  string // ParseGranularity's name, "" for none
+	// site keys the Web source at site level instead of URL level.
+	site bool
+	// predicate and pattern append the predicate and the extractor pattern.
+	predicate, pattern bool
+	// extractorOnly drops the Web source, sourceOnly keeps the URL alone.
+	extractorOnly, sourceOnly bool
+}
+
+// shapes is the one place the six shapes are spelled out.
+var shapes = [...]shape{
+	GranExtractorURL:             {name: "(Extractor, URL)", cli: "url"},
+	GranExtractorSite:            {name: "(Extractor, Site)", cli: "site", site: true},
+	GranExtractorSitePred:        {name: "(Extractor, Site, Predicate)", cli: "site-pred", site: true, predicate: true},
+	GranExtractorSitePredPattern: {name: "(Extractor, Site, Predicate, Pattern)", cli: "site-pred-pattern", site: true, predicate: true, pattern: true},
+	GranExtractorOnly:            {name: "(Extractor, Pattern)", pattern: true, extractorOnly: true},
+	GranSourceOnly:               {name: "(URL)", sourceOnly: true},
+}
 
 // String names the granularity as in the paper's figures.
 func (g Granularity) String() string {
-	switch {
-	case g.ExtractorOnly:
-		return "(Extractor, Pattern)"
-	case g.SourceOnly:
-		return "(URL)"
-	default:
-		parts := []string{"Extractor"}
-		if g.SiteLevel {
-			parts = append(parts, "Site")
-		} else {
-			parts = append(parts, "URL")
-		}
-		if g.PerPredicate {
-			parts = append(parts, "Predicate")
-		}
-		if g.PerPattern {
-			parts = append(parts, "Pattern")
-		}
-		return "(" + strings.Join(parts, ", ") + ")"
+	if int(g) < len(shapes) {
+		return shapes[g].name
 	}
+	return fmt.Sprintf("Granularity(%d)", uint8(g))
 }
 
 // Key builds the provenance key for an extraction.
-func (g Granularity) Key(x extract.Extraction) string {
-	var b strings.Builder
-	if g.SourceOnly {
-		b.WriteString(x.URL)
-		return b.String()
+func (g Granularity) Key(x extract.Extraction) string { return shapes[g].key(&x) }
+
+// Flags returns g as five flags — site level, per predicate, per pattern,
+// extractor only, source only: the layout of a snapshot's meta section.
+func (g Granularity) Flags() [5]bool {
+	s := &shapes[g]
+	return [5]bool{s.site, s.predicate, s.pattern, s.extractorOnly, s.sourceOnly}
+}
+
+// FlagGranularity is the inverse of Flags: ok is false when f spells none of
+// the six shapes.
+func FlagGranularity(f [5]bool) (g Granularity, ok bool) {
+	for g := range Granularity(len(shapes)) {
+		if g.Flags() == f {
+			return g, true
+		}
 	}
+	return 0, false
+}
+
+func (s *shape) key(x *extract.Extraction) string {
+	if s.sourceOnly {
+		return x.URL
+	}
+	var b strings.Builder
 	b.WriteString(x.Extractor)
-	if !g.ExtractorOnly {
+	if !s.extractorOnly {
 		b.WriteByte('|')
-		if g.SiteLevel {
+		if s.site {
 			b.WriteString(x.Site)
 		} else {
 			b.WriteString(x.URL)
 		}
 	}
-	if g.PerPredicate {
+	if s.predicate {
 		b.WriteByte('|')
 		b.WriteString(string(x.Triple.Predicate))
 	}
-	if g.PerPattern {
+	if s.pattern {
 		b.WriteByte('|')
 		b.WriteString(x.Pattern)
 	}
 	return b.String()
 }
 
-// sameKey reports whether Key builds equal keys for a and b, by comparing
-// exactly the fields Key reads.
-func (g Granularity) sameKey(a, b *extract.Extraction) bool {
-	if g.SourceOnly {
+// sameKey reports whether key builds equal keys for a and b, by comparing
+// exactly the fields key reads.
+func (s *shape) sameKey(a, b *extract.Extraction) bool {
+	if s.sourceOnly {
 		return a.URL == b.URL
 	}
 	if a.Extractor != b.Extractor {
 		return false
 	}
-	if !g.ExtractorOnly {
-		if g.SiteLevel && a.Site != b.Site || !g.SiteLevel && a.URL != b.URL {
+	if !s.extractorOnly {
+		if s.site && a.Site != b.Site || !s.site && a.URL != b.URL {
 			return false
 		}
 	}
-	return (!g.PerPredicate || a.Triple.Predicate == b.Triple.Predicate) &&
-		(!g.PerPattern || a.Pattern == b.Pattern)
+	return (!s.predicate || a.Triple.Predicate == b.Triple.Predicate) &&
+		(!s.pattern || a.Pattern == b.Pattern)
 }
 
 // Claim is one (triple, provenance) assertion — the unit the fusion methods

@@ -401,7 +401,8 @@ func encodeSnapshot(st *State, sizeHint int) ([]byte, error) {
 	add(secMeta, "meta", func(w io.Writer) error {
 		mw := wire.NewWriter(w)
 		mw.String(st.Method)
-		mw.Bools([]bool{st.Gran.SiteLevel, st.Gran.PerPredicate, st.Gran.PerPattern, st.Gran.ExtractorOnly, st.Gran.SourceOnly})
+		gran := st.Gran.Flags()
+		mw.Bools(gran[:])
 		mw.Bool(st.SiteLevel)
 		mw.Int(st.Consumed)
 		mw.Int(st.Batches)
@@ -609,12 +610,9 @@ func decodeSnapshot(data []byte) (*State, error) {
 	if mr.Err() != nil || len(gran) != 5 {
 		return nil, fmt.Errorf("%w: malformed meta section", ErrCorrupt)
 	}
-	st.Gran = fusion.Granularity{
-		SiteLevel:     gran[0],
-		PerPredicate:  gran[1],
-		PerPattern:    gran[2],
-		ExtractorOnly: gran[3],
-		SourceOnly:    gran[4],
+	var ok bool
+	if st.Gran, ok = fusion.FlagGranularity([5]bool(gran)); !ok {
+		return nil, fmt.Errorf("%w: meta section's granularity flags %v name no granularity", ErrCorrupt, gran)
 	}
 
 	if hasClaim {

@@ -692,6 +692,13 @@ func TestSectionVersionSkewIsKept(t *testing.T) {
 // that codec would have written it.
 func bumpSectionVersion(t *testing.T, data []byte, id uint32) {
 	t.Helper()
+	editSection(t, data, id, func(payload []byte) { payload[0]++ })
+}
+
+// editSection rewrites section id of the snapshot data in place through edit
+// and re-seals the section's checksum.
+func editSection(t *testing.T, data []byte, id uint32, edit func(payload []byte)) {
+	t.Helper()
 	const footerLen = 12
 	indexOff := binary.LittleEndian.Uint64(data[len(data)-footerLen:])
 	index := data[indexOff : len(data)-footerLen]
@@ -700,11 +707,122 @@ func bumpSectionVersion(t *testing.T, data []byte, id uint32) {
 			continue
 		}
 		off, n := binary.LittleEndian.Uint64(e[4:]), binary.LittleEndian.Uint64(e[12:])
-		data[off]++
+		edit(data[off : off+n])
 		binary.LittleEndian.PutUint32(e[20:], crc32.Checksum(data[off:off+n], castagnoli))
 		return
 	}
 	t.Fatalf("no section %d", id)
+}
+
+// setMetaGranularity overwrites the five granularity flags of the snapshot's
+// meta section, which follow the method string and the flag count.
+func setMetaGranularity(t *testing.T, data []byte, flags [5]bool) {
+	t.Helper()
+	editSection(t, data, secMeta, func(meta []byte) {
+		n, w := binary.Uvarint(meta)
+		at := w + int(n)
+		if meta[at] != 5 {
+			t.Fatalf("meta section holds %d granularity flags, want 5", meta[at])
+		}
+		for i, f := range flags {
+			meta[at+1+i] = 0
+			if f {
+				meta[at+1+i] = 1
+			}
+		}
+	})
+}
+
+// TestGranularitiesRoundTrip: a claim state under each of the six
+// granularities reopens cleanly — no replay, no degradation — to the same
+// granularity and the same state.
+func TestGranularitiesRoundTrip(t *testing.T) {
+	feed := testFeed(feedLen)
+	for _, gran := range []fusion.Granularity{
+		fusion.GranExtractorURL, fusion.GranExtractorSite, fusion.GranExtractorSitePred,
+		fusion.GranExtractorSitePredPattern, fusion.GranExtractorOnly, fusion.GranSourceOnly,
+	} {
+		cfg := fusion.PopAccuConfig()
+		cfg.Granularity = gran
+		chain := ClaimChain("popaccu", cfg, 0, 1)
+		mem := faultfs.NewMem()
+		st, err := runPipeline(mem, chain, feed, chunkLen, snapEvery)
+		if err != nil {
+			t.Fatalf("%v: run: %v", gran, err)
+		}
+		store, st2, err := OpenFS(mem, func(*State, []extract.Extraction) error {
+			return fmt.Errorf("%v: a clean reopen replayed a batch", gran)
+		})
+		if err != nil {
+			t.Fatalf("%v: reopen: %v", gran, err)
+		}
+		store.Close()
+		if d := store.Degradations(); len(d) != 0 {
+			t.Fatalf("%v: clean reopen degraded: %v", gran, d)
+		}
+		if st2.Gran != gran {
+			t.Fatalf("a %v state reopened as %v", gran, st2.Gran)
+		}
+		if err := chain.Check(st2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stateFingerprint(t, st2), stateFingerprint(t, st)) {
+			t.Fatalf("%v: reopened state differs from the written one", gran)
+		}
+	}
+}
+
+// TestShapelessGranularityFallsBack: a meta section whose flags spell none of
+// the six granularities is corrupt, and the store recovers from the snapshot
+// before it plus the journal, to the uncrashed state.
+func TestShapelessGranularityFallsBack(t *testing.T) {
+	base := faultfs.NewMem()
+	feed := testFeed(feedLen)
+	st, err := runPipeline(base, testChain(1), feed, chunkLen, snapEvery)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	want := stateFingerprint(t, st)
+	for _, flags := range [][5]bool{
+		{false, false, false, true, true},  // extractor only and source only
+		{false, false, true, false, false}, // URL level per pattern
+		{true, false, true, false, false},  // site level per pattern, no predicate
+	} {
+		mem := base.Clone()
+		names, err := mem.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		newest := snapNames(names, nil)[0]
+		data, err := mem.ReadFile(newest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		setMetaGranularity(t, data, flags)
+		if _, err := decodeSnapshot(data); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flags %v: decode err = %v, want ErrCorrupt", flags, err)
+		}
+		f, err := mem.Create(newest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		store, st2, err := OpenFS(mem, testChain(1).Apply)
+		if err != nil {
+			t.Fatalf("flags %v: reopen: %v", flags, err)
+		}
+		store.Close()
+		if d := store.Degradations(); len(d) == 0 || !strings.Contains(d[0], newest) {
+			t.Fatalf("flags %v: degradations %v do not name %s", flags, d, newest)
+		}
+		if !bytes.Equal(stateFingerprint(t, st2), want) {
+			t.Fatalf("flags %v: fallback recovery differs from the uncrashed state", flags)
+		}
+	}
 }
 
 // TestJournalRecordRoundTrip checks the journal record codec is lossless,

@@ -138,7 +138,7 @@ func TestWriteFusedMatchesEncodingJSON(t *testing.T) {
 	checkFusedAgainstRef(t, "empty", &fusion.Result{})
 
 	ds := exper.SharedDataset(exper.ScaleSmall, 42)
-	res := fusion.MustFuse(fusion.Claims(ds.Extractions, fusion.Granularity{}), fusion.PopAccuPlusUnsupConfig())
+	res := fusion.MustFuse(fusion.Claims(ds.Extractions, fusion.GranExtractorURL), fusion.PopAccuPlusUnsupConfig())
 	checkFusedAgainstRef(t, "fused small dataset", res)
 }
 

@@ -217,9 +217,6 @@ func (c *Categorical) Sample(s *Source) int {
 	return lo
 }
 
-// Len reports the number of categories.
-func (c *Categorical) Len() int { return len(c.cum) }
-
 // Reservoir maintains a uniform random sample of at most k items from a
 // stream of unknown length (Vitter's algorithm R). The fusion pipeline uses
 // it to cap per-reducer work at L triples, mirroring the paper's sampling.

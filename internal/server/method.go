@@ -18,7 +18,13 @@ func newChain(cfg *Config) (*genstore.Chain, error) {
 	switch cfg.Method {
 	case "twolayer":
 		tc := twolayer.DefaultConfig()
-		tc.SiteLevel = cfg.SiteLevel
+		switch cfg.Granularity {
+		case "", "url":
+		case "site":
+			tc.SiteLevel = true
+		default:
+			return nil, fmt.Errorf("server: unknown twolayer granularity %q (want url or site)", cfg.Granularity)
+		}
 		tc.Workers = cfg.Workers
 		return genstore.TwoLayerChain(tc, cfg.WarmRounds, 1), nil
 	case "popaccu+":
@@ -28,8 +34,10 @@ func newChain(cfg *Config) (*genstore.Chain, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: unknown method %q (want vote, accu, popaccu, popaccu+unsup or twolayer)", cfg.Method)
 	}
-	if cfg.Granularity != (fusion.Granularity{}) {
-		fc.Granularity = cfg.Granularity
+	if cfg.Granularity != "" {
+		if fc.Granularity, err = fusion.ParseGranularity(cfg.Granularity); err != nil {
+			return nil, err
+		}
 	}
 	fc.Workers = cfg.Workers
 	return genstore.ClaimChain(cfg.Method, fc, cfg.WarmRounds, 1), nil

@@ -65,7 +65,6 @@ import (
 
 	"kfusion/internal/extract"
 	"kfusion/internal/faultfs"
-	"kfusion/internal/fusion"
 	"kfusion/internal/genstore"
 	"kfusion/internal/httpapi"
 )
@@ -81,11 +80,10 @@ type Config struct {
 	// Method is the fusion method the daemon serves: vote, accu, popaccu,
 	// popaccu+unsup or twolayer. Default popaccu.
 	Method string
-	// Granularity overrides the claim-layer provenance granularity; the
-	// zero value keeps the method preset.
-	Granularity fusion.Granularity
-	// SiteLevel keys twolayer sources at site level.
-	SiteLevel bool
+	// Granularity names the provenance granularity as the CLIs do: url,
+	// site, site-pred or site-pred-pattern for a claim-layer method, url or
+	// site (the source level) for twolayer. "" keeps the method preset.
+	Granularity string
 	// Workers bounds fusion/compile parallelism (0 = all cores).
 	Workers int
 	// WarmRounds is the EM round budget of each post-cold append (online

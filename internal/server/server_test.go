@@ -549,6 +549,54 @@ func TestMethodMismatchRefusesState(t *testing.T) {
 	}
 }
 
+// TestGranularityOverridesPreset: Config.Granularity names the granularity
+// the state is written under, over the method preset — url included, though
+// it is the zero Granularity — and for twolayer it names the source level.
+// "" keeps the preset, and New refuses a name the method does not take.
+func TestGranularityOverridesPreset(t *testing.T) {
+	xs := exper.SharedDataset(exper.ScaleSmall, 42).Extractions[:200]
+	for _, tc := range []struct {
+		method, gran string
+		want         fusion.Granularity
+		siteLevel    bool
+	}{
+		{"popaccu+unsup", "", fusion.GranExtractorSitePredPattern, false},
+		{"popaccu+unsup", "url", fusion.GranExtractorURL, false},
+		{"popaccu", "site-pred", fusion.GranExtractorSitePred, false},
+		{"twolayer", "", 0, false},
+		{"twolayer", "url", 0, false},
+		{"twolayer", "site", 0, true},
+	} {
+		mem := faultfs.NewMem()
+		s, _ := newTestServer(t, func(c *Config) { c.FS = mem; c.Method, c.Granularity = tc.method, tc.gran })
+		if _, err := s.Append(xs); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		store, st, err := genstore.OpenFS(mem, func(*genstore.State, []extract.Extraction) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		if st.Method != tc.method || st.Gran != tc.want || st.SiteLevel != tc.siteLevel {
+			t.Errorf("-method %s -granularity %q wrote a %s state under %v, site level %v; want %v, site level %v",
+				tc.method, tc.gran, st.Method, st.Gran, st.SiteLevel, tc.want, tc.siteLevel)
+		}
+	}
+	for _, c := range []Config{
+		{Method: "popaccu", Granularity: "page"},
+		{Method: "popaccu", Granularity: "Site"},
+		{Method: "twolayer", Granularity: "site-pred"},
+	} {
+		c.FS = faultfs.NewMem()
+		if _, err := New(c); err == nil || !strings.Contains(err.Error(), "granularity") {
+			t.Errorf("New(-method %s -granularity %q): err = %v, want an unknown granularity", c.Method, c.Granularity, err)
+		}
+	}
+}
+
 // TestSnapshotEvery pins the snapshot cadence knob: the zero value means the
 // default of 16 appends, a negative value means no periodic snapshot at all —
 // the journal alone carries the appends until Close writes the final one.
@@ -651,7 +699,7 @@ func TestHydratesKfuseState(t *testing.T) {
 		t.Fatalf("daemon serves %d bytes of fused rows, kfuse wrote %d; generations differ", served.Len(), want.Len())
 	}
 
-	foreign, err := New(Config{FS: mem.Clone(), Method: "popaccu", Granularity: fusion.GranExtractorSite})
+	foreign, err := New(Config{FS: mem.Clone(), Method: "popaccu", Granularity: "site"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func Generate(w *world.World, cfg Config) (*Corpus, error) {
 			}
 			s := &sites[si]
 			for _, page := range s.pages {
-				s.mentions = page.appendMentions(s.mentions)
+				s.mentions = page.AppendMentions(s.mentions)
 			}
 		}
 	})

@@ -97,11 +97,8 @@ type Page struct {
 	Blocks []Block
 }
 
-// Mentions returns every mention on the page in document order.
-func (p *Page) Mentions() []Mention { return p.appendMentions(nil) }
-
-// appendMentions appends every mention on the page to dst in document order.
-func (p *Page) appendMentions(dst []Mention) []Mention {
+// AppendMentions appends every mention on the page to dst in document order.
+func (p *Page) AppendMentions(dst []Mention) []Mention {
 	for i := range p.Blocks {
 		dst = append(dst, p.Blocks[i].Mentions...)
 	}

@@ -33,7 +33,7 @@ func TestCorpusDeterministic(t *testing.T) {
 		t.Fatalf("page counts differ: %d vs %d", len(a.Pages), len(b.Pages))
 	}
 	for i := range a.Pages {
-		am, bm := a.Pages[i].Mentions(), b.Pages[i].Mentions()
+		am, bm := a.Pages[i].AppendMentions(nil), b.Pages[i].AppendMentions(nil)
 		if a.Pages[i].URL != b.Pages[i].URL || len(am) != len(bm) {
 			t.Fatalf("page %d differs", i)
 		}
@@ -94,7 +94,7 @@ func TestMentionsMostlyTrue(t *testing.T) {
 	w, c := testCorpus(t, 8)
 	total, trueN, flagged := 0, 0, 0
 	for _, p := range c.Pages {
-		for _, m := range p.Mentions() {
+		for _, m := range p.AppendMentions(nil) {
 			total++
 			if w.IsTrue(m.Claim()) {
 				trueN++
@@ -116,7 +116,7 @@ func TestMentionsMostlyTrue(t *testing.T) {
 	}
 	// Every flagged mention must indeed be false.
 	for _, p := range c.Pages {
-		for _, m := range p.Mentions() {
+		for _, m := range p.AppendMentions(nil) {
 			if m.SourceError && w.IsTrue(m.Claim()) {
 				t.Fatalf("mention flagged SourceError but claim is true: %+v", m)
 			}
@@ -140,7 +140,7 @@ func TestBlockModel(t *testing.T) {
 	_, c := testCorpus(t, 9)
 	seen := map[ContentType]int{}
 	for _, p := range c.Pages {
-		if len(p.Mentions()) == 0 {
+		if len(p.AppendMentions(nil)) == 0 {
 			t.Fatalf("%s: kept page has no mention", p.URL)
 		}
 		for i := range p.Blocks {
@@ -238,7 +238,7 @@ func TestBoilerplateReplication(t *testing.T) {
 			bySiteTriple[p.Site] = map[kb.Triple]int{}
 		}
 		seen := map[kb.Triple]bool{}
-		for _, m := range p.Mentions() {
+		for _, m := range p.AppendMentions(nil) {
 			tr := m.Claim()
 			if !seen[tr] {
 				bySiteTriple[p.Site][tr]++
@@ -269,7 +269,7 @@ func TestPageMentionHelpers(t *testing.T) {
 	for i := range p.Blocks {
 		total += len(p.Blocks[i].Mentions)
 	}
-	if got := len(p.Mentions()); got != total {
+	if got := len(p.AppendMentions(nil)); got != total {
 		t.Errorf("Page.Mentions = %d, sum of blocks = %d", got, total)
 	}
 }
@@ -280,7 +280,7 @@ func TestGeneralizedMentionsStillTrue(t *testing.T) {
 	// even when stated at ancestor level.
 	checked := 0
 	for _, p := range c.Pages {
-		for _, m := range p.Mentions() {
+		for _, m := range p.AppendMentions(nil) {
 			pred := w.Ont.Predicate(m.Predicate)
 			if pred == nil || !pred.Hierarchical || m.SourceError {
 				continue
